@@ -6,7 +6,7 @@ use std::sync::Arc;
 use u1_auth::Token;
 use u1_core::{ContentHash, CoreError, CoreResult, NodeId, NodeKind, SessionId, UserId, VolumeId};
 use u1_proto::conn::{ClientConn, ClientEvent};
-use u1_proto::msg::{NodeInfo, Push, Request, Response, VolumeInfo};
+use u1_proto::msg::{NodeInfo, Push, Request, RequestId, Response, VolumeInfo};
 use u1_proto::tcp;
 use u1_server::api::UploadOutcome;
 use u1_server::Backend;
@@ -254,6 +254,10 @@ fn u1_blobstore_part_size() -> u64 {
     u1_blobstore::PART_SIZE
 }
 
+/// Most a download reserves on the strength of the announced size alone;
+/// a larger file grows the buffer as its bytes actually arrive.
+const MAX_PREALLOC: usize = 64 * 1024 * 1024;
+
 // ---------------------------------------------------------------------------
 // TCP transport
 // ---------------------------------------------------------------------------
@@ -297,19 +301,18 @@ impl TcpTransport {
         self
     }
 
-    /// Sends one request and blocks until its final response, buffering any
-    /// pushes and content chunks seen along the way. Returns the list of
-    /// responses for this request (1 for ordinary ops, begin/chunks/end for
-    /// content streams).
-    fn call(&mut self, req: Request) -> CoreResult<Vec<Response>> {
-        let (id, bytes) = self
-            .conn
-            .request(req)
-            .map_err(|e| CoreError::invalid(format!("encode: {e}")))?;
+    /// Writes one framed request.
+    fn send(&mut self, frame: &[u8]) -> CoreResult<()> {
         self.stream
-            .write_all(&bytes)
-            .map_err(|e| CoreError::unavailable(format!("send: {e}")))?;
-        let mut responses = Vec::new();
+            .write_all(frame)
+            .map_err(|e| CoreError::unavailable(format!("send: {e}")))
+    }
+
+    /// Blocks until request `id` has its final response, handing every
+    /// response of the request to `on_resp` as it arrives (1 for ordinary
+    /// ops, begin/chunks/end for content streams) and buffering any pushes
+    /// seen along the way.
+    fn recv(&mut self, id: RequestId, mut on_resp: impl FnMut(Response)) -> CoreResult<()> {
         loop {
             let n = tcp::read_some(&mut self.stream, &mut self.buf)
                 .map_err(|e| CoreError::unavailable(format!("recv: {e}")))?;
@@ -328,9 +331,9 @@ impl TcpTransport {
                             return Err(CoreError::invalid("response id mismatch"));
                         }
                         let done = resp.is_final();
-                        responses.push(resp);
+                        on_resp(resp);
                         if done {
-                            return Ok(responses);
+                            return Ok(());
                         }
                     }
                 }
@@ -338,17 +341,27 @@ impl TcpTransport {
         }
     }
 
-    /// Unwraps a single expected response, converting protocol errors.
-    fn call_one(&mut self, req: Request) -> CoreResult<Response> {
-        let mut responses = self.call(req)?;
-        let resp = responses
-            .pop()
-            .ok_or_else(|| CoreError::invalid("no response"))?;
-        if let Response::Error { code, message } = &resp {
-            return Err(wire_error(code, message.clone()));
+    /// Sends a framed single-response request and unwraps its response,
+    /// converting protocol errors.
+    fn round_trip(&mut self, id: RequestId, frame: &[u8]) -> CoreResult<Response> {
+        self.send(frame)?;
+        let mut last = None;
+        self.recv(id, |resp| last = Some(resp))?;
+        match last {
+            Some(Response::Error { code, message }) => Err(wire_error(&code, message)),
+            Some(resp) => Ok(resp),
+            None => Err(CoreError::invalid("no response")),
         }
-        Ok(resp)
     }
+
+    fn call_one(&mut self, req: Request) -> CoreResult<Response> {
+        let (id, frame) = self.conn.request(req).map_err(encode_error)?;
+        self.round_trip(id, &frame)
+    }
+}
+
+fn encode_error(e: u1_proto::ConnError) -> CoreError {
+    CoreError::invalid(format!("encode: {e}"))
 }
 
 /// Reconstitutes a typed [`CoreError`] from its wire form, so TCP clients
@@ -536,19 +549,21 @@ impl Transport for TcpTransport {
                     // comfortable.
                     let bytes = data.unwrap_or_else(|| vec![0u8; size as usize]);
                     const WIRE_CHUNK: usize = 1024 * 1024;
-                    for chunk in bytes.chunks(WIRE_CHUNK.max(1)) {
-                        self.call_one(Request::UploadChunk {
-                            upload,
-                            data: chunk.to_vec(),
-                        })?;
+                    let filler = [0u8];
+                    let chunks = if bytes.is_empty() {
+                        filler.chunks(1)
+                    } else {
+                        bytes.chunks(WIRE_CHUNK)
+                    };
+                    // Each chunk is framed straight from the caller's
+                    // buffer.
+                    for chunk in chunks {
+                        let (id, frame) = self
+                            .conn
+                            .upload_chunk(upload, chunk)
+                            .map_err(encode_error)?;
+                        self.round_trip(id, &frame)?;
                         sent += chunk.len() as u64;
-                    }
-                    if bytes.is_empty() {
-                        self.call_one(Request::UploadChunk {
-                            upload,
-                            data: vec![0u8],
-                        })?;
-                        sent += 1;
                     }
                 }
                 match self.call_one(Request::CommitUpload { upload })? {
@@ -568,25 +583,36 @@ impl Transport for TcpTransport {
         volume: VolumeId,
         node: NodeId,
     ) -> CoreResult<(u64, ContentHash, Option<Vec<u8>>)> {
-        let responses = self.call(Request::GetContent { volume, node })?;
+        let (id, frame) = self
+            .conn
+            .request(Request::GetContent { volume, node })
+            .map_err(encode_error)?;
+        self.send(&frame)?;
         let mut size = 0u64;
         let mut hash = None;
         let mut data = Vec::new();
         let mut chunks_seen = false;
-        for resp in responses {
-            match resp {
-                Response::ContentBegin { size: s, hash: h } => {
-                    size = s;
-                    hash = Some(h);
-                }
-                Response::ContentChunk { data: d } => {
-                    chunks_seen = true;
-                    data.extend_from_slice(&d);
-                }
-                Response::ContentEnd => {}
-                Response::Error { code, message } => return Err(wire_error(&code, message)),
-                other => return Err(CoreError::invalid(format!("unexpected {}", other.label()))),
+        let mut refused = None;
+        self.recv(id, |resp| match resp {
+            Response::ContentBegin { size: s, hash: h } => {
+                size = s;
+                hash = Some(h);
+                // One allocation for the whole file — up to a cap, because
+                // the size is the server's word.
+                data.reserve(usize::try_from(s).map_or(MAX_PREALLOC, |s| s.min(MAX_PREALLOC)));
             }
+            Response::ContentChunk { data: d } => {
+                chunks_seen = true;
+                data.extend_from_slice(&d);
+            }
+            Response::ContentEnd => {}
+            Response::Error { code, message } => refused = Some(wire_error(&code, message)),
+            other => {
+                refused = Some(CoreError::invalid(format!("unexpected {}", other.label())));
+            }
+        })?;
+        if let Some(e) = refused {
+            return Err(e);
         }
         let hash = hash.ok_or_else(|| CoreError::invalid("missing content header"))?;
         // A chunkless stream with a nonzero declared size is measurement

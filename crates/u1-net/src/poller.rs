@@ -10,7 +10,10 @@ pub type RawFd = i32;
 /// Connections are registered read-only while their send queue is empty;
 /// the reactor flips write interest on when a partial write leaves bytes
 /// queued and off again once the queue drains — the write-interest toggle
-/// that turns kernel socket backpressure into reactor-visible state.
+/// that turns kernel socket backpressure into reactor-visible state. A
+/// connection that is only being flushed before it closes is registered
+/// write-only: what its peer sends, or that it stopped sending, no longer
+/// matters, and must not keep waking the loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Interest {
     pub readable: bool,
@@ -26,14 +29,20 @@ impl Interest {
         readable: true,
         writable: true,
     };
+    pub const WRITE: Interest = Interest {
+        readable: false,
+        writable: true,
+    };
 }
 
 /// One readiness notification.
 ///
 /// `hangup` folds `EPOLLERR | EPOLLHUP | EPOLLRDHUP` together: every one of
-/// them means the connection is done for — the U1 session dies with its TCP
-/// connection (§3.1.1), so the reactor tears the connection down rather
-/// than distinguishing how it died.
+/// them means the peer will send nothing more — the U1 session dies with
+/// its TCP connection (§3.1.1), so the reactor does not distinguish how it
+/// died. Bytes the peer sent *before* it hung up are still there to read:
+/// drain the socket first, then tear down. `EPOLLRDHUP` (a half-close) is a
+/// read-side condition and is only asked for together with `readable`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Event {
     /// The token supplied at registration.
@@ -73,9 +82,9 @@ mod imp {
     }
 
     fn mask(interest: Interest) -> u32 {
-        let mut m = sys::EPOLLRDHUP;
+        let mut m = 0;
         if interest.readable {
-            m |= sys::EPOLLIN;
+            m |= sys::EPOLLIN | sys::EPOLLRDHUP;
         }
         if interest.writable {
             m |= sys::EPOLLOUT;
@@ -276,6 +285,34 @@ mod tests {
         let mut buf = [0u8; 8];
         assert_eq!(b.read(&mut buf).expect("eof read"), 0);
         poller.deregister(b.as_raw_fd()).expect("deregister");
+    }
+
+    /// A half-close is news for a reader only: under write-only interest it
+    /// must not fire (level-triggered, it would fire on every wait until the
+    /// connection is gone).
+    #[test]
+    fn half_close_is_reported_to_readers_only() {
+        let poller = Poller::new().expect("poller");
+        let (a, b) = pair();
+        poller
+            .register(b.as_raw_fd(), 5, Interest::READ)
+            .expect("register");
+        a.shutdown(std::net::Shutdown::Write).expect("half-close");
+        let mut events = Vec::new();
+        poller
+            .wait(&mut events, Some(Duration::from_millis(1000)))
+            .expect("wait");
+        assert!(events.iter().any(|e| e.token == 5 && e.hangup));
+
+        poller
+            .reregister(b.as_raw_fd(), 5, Interest::WRITE)
+            .expect("reregister");
+        events.clear();
+        poller
+            .wait(&mut events, Some(Duration::from_millis(1000)))
+            .expect("wait");
+        let ev = events.iter().find(|e| e.token == 5).expect("writable");
+        assert!(ev.writable && !ev.hangup && !ev.readable);
     }
 
     #[test]

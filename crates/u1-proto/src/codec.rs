@@ -5,9 +5,10 @@
 //! [`crate::wire`] primitives. Unknown tags decode to
 //! [`WireError::BadDiscriminant`] rather than panicking.
 
-use crate::msg::{Message, NodeInfo, Push, Request, Response, VolumeInfo};
+use crate::frame::{build_frame, FrameError};
+use crate::msg::{Message, NodeInfo, Push, Request, RequestId, Response, VolumeInfo};
 use crate::wire::{self, WireError, WireResult};
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::{Buf, BufMut, Bytes, BytesMut};
 use u1_core::{NodeId, NodeKind, SessionId, UploadId, UserId, VolumeId, VolumeKind};
 
 const KIND_REQUEST: u8 = 1;
@@ -218,11 +219,7 @@ fn put_request(buf: &mut impl BufMut, req: &Request) {
             wire::put_hash(buf, hash);
             wire::put_uvarint(buf, *size);
         }
-        Request::UploadChunk { upload, data } => {
-            buf.put_u8(UPLOAD_CHUNK);
-            wire::put_uvarint(buf, upload.raw());
-            wire::put_bytes(buf, data);
-        }
+        Request::UploadChunk { upload, data } => put_upload_chunk(buf, *upload, data),
         Request::UploadChunkSparse { upload, len } => {
             buf.put_u8(UPLOAD_CHUNK_SPARSE);
             wire::put_uvarint(buf, upload.raw());
@@ -244,6 +241,12 @@ fn put_request(buf: &mut impl BufMut, req: &Request) {
         Request::Ping => buf.put_u8(PING),
         Request::Bye => buf.put_u8(BYE),
     }
+}
+
+fn put_upload_chunk(buf: &mut impl BufMut, upload: UploadId, data: &[u8]) {
+    buf.put_u8(req_tag::UPLOAD_CHUNK);
+    wire::put_uvarint(buf, upload.raw());
+    wire::put_bytes(buf, data);
 }
 
 fn get_request(buf: &mut impl Buf) -> WireResult<Request> {
@@ -416,13 +419,15 @@ fn put_response(buf: &mut impl BufMut, resp: &Response) {
             wire::put_uvarint(buf, *size);
             wire::put_hash(buf, hash);
         }
-        Response::ContentChunk { data } => {
-            buf.put_u8(CONTENT_CHUNK);
-            wire::put_bytes(buf, data);
-        }
+        Response::ContentChunk { data } => put_content_chunk(buf, data),
         Response::ContentEnd => buf.put_u8(CONTENT_END),
         Response::Pong => buf.put_u8(PONG),
     }
+}
+
+fn put_content_chunk(buf: &mut impl BufMut, data: &[u8]) {
+    buf.put_u8(resp_tag::CONTENT_CHUNK);
+    wire::put_bytes(buf, data);
 }
 
 fn get_response(buf: &mut impl Buf) -> WireResult<Response> {
@@ -554,17 +559,56 @@ fn get_push(buf: &mut impl Buf) -> WireResult<Push> {
     })
 }
 
-/// Encodes a message into `buf`.
-pub fn encode(msg: &Message, buf: &mut BytesMut) {
+fn put_request_head(buf: &mut impl BufMut, id: RequestId) {
+    buf.put_u8(KIND_REQUEST);
+    wire::put_uvarint(buf, u64::from(id));
+}
+
+fn put_response_head(buf: &mut impl BufMut, id: RequestId) {
+    buf.put_u8(KIND_RESPONSE);
+    wire::put_uvarint(buf, u64::from(id));
+}
+
+/// Room for everything in a message except its variable-length fields:
+/// kind, id, tag, and the widest fixed part (three varints and a hash).
+const FIXED_PART: usize = 64;
+
+/// Size of `msg` encoded, near enough from above that a buffer reserved for
+/// this much is not reallocated while the message is written.
+fn room_for(msg: &Message) -> usize {
+    let strings = |v: &[String]| v.iter().map(|s| s.len() + 2).sum::<usize>();
+    FIXED_PART
+        + match msg {
+            Message::Request { req, .. } => match req {
+                Request::Authenticate { token } => token.len(),
+                Request::QuerySetCaps { caps } => strings(caps),
+                Request::CreateUdf { name }
+                | Request::MakeFile { name, .. }
+                | Request::MakeDir { name, .. } => name.len(),
+                Request::Move { new_name, .. } => new_name.len(),
+                Request::UploadChunk { data, .. } => data.len(),
+                _ => 0,
+            },
+            Message::Response { resp, .. } => match resp {
+                Response::Error { code, message } => code.len() + message.len(),
+                Response::Capabilities { accepted } => strings(accepted),
+                Response::Volumes { volumes } => volumes.len() * 32,
+                Response::Delta { nodes, .. } => nodes.iter().map(|n| n.name.len() + 64).sum(),
+                Response::ContentChunk { data } => data.len(),
+                _ => 0,
+            },
+            Message::Push(_) => 0,
+        }
+}
+
+fn put_message(buf: &mut impl BufMut, msg: &Message) {
     match msg {
         Message::Request { id, req } => {
-            buf.put_u8(KIND_REQUEST);
-            wire::put_uvarint(buf, *id as u64);
+            put_request_head(buf, *id);
             put_request(buf, req);
         }
         Message::Response { id, resp } => {
-            buf.put_u8(KIND_RESPONSE);
-            wire::put_uvarint(buf, *id as u64);
+            put_response_head(buf, *id);
             put_response(buf, resp);
         }
         Message::Push(push) => {
@@ -572,6 +616,44 @@ pub fn encode(msg: &Message, buf: &mut BytesMut) {
             put_push(buf, push);
         }
     }
+}
+
+/// Encodes a message into `buf`, reserving its size first so a large
+/// payload is copied once and never moved by buffer growth.
+pub fn encode(msg: &Message, buf: &mut BytesMut) {
+    buf.reserve(room_for(msg));
+    put_message(buf, msg);
+}
+
+/// Encodes `msg` as a complete frame, length prefix included — byte for
+/// byte what [`encode`] followed by [`crate::frame::encode_frame`] produces,
+/// from a single buffer sized up front. Fails when the body exceeds
+/// [`crate::frame::MAX_FRAME_LEN`].
+pub fn encode_framed(msg: &Message) -> Result<Bytes, FrameError> {
+    build_frame(room_for(msg), |buf| put_message(buf, msg))
+}
+
+/// The frame of `Request::UploadChunk { upload, data }` under request `id`,
+/// built from borrowed payload bytes: the sender keeps its file in one
+/// buffer and never copies a chunk into a message first.
+pub fn frame_upload_chunk(
+    id: RequestId,
+    upload: UploadId,
+    data: &[u8],
+) -> Result<Bytes, FrameError> {
+    build_frame(FIXED_PART + data.len(), |buf| {
+        put_request_head(buf, id);
+        put_upload_chunk(buf, upload, data);
+    })
+}
+
+/// The frame of `Response::ContentChunk { data }` answering request `id`,
+/// built from borrowed payload bytes.
+pub fn frame_content_chunk(id: RequestId, data: &[u8]) -> Result<Bytes, FrameError> {
+    build_frame(FIXED_PART + data.len(), |buf| {
+        put_response_head(buf, id);
+        put_content_chunk(buf, data);
+    })
 }
 
 /// Decodes one message from a complete frame body. Trailing bytes are an

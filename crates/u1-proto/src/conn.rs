@@ -31,12 +31,12 @@
 //! ```
 
 use crate::codec;
-use crate::frame::{encode_frame, FrameDecoder, FrameError};
+use crate::frame::{FrameDecoder, FrameError};
 use crate::msg::{Message, Push, Request, RequestId, Response};
 use crate::wire::WireError;
-use bytes::{Bytes, BytesMut};
-use std::collections::HashSet;
-use u1_core::{SessionId, UserId};
+use bytes::Bytes;
+use u1_core::fxhash::FxHashSet;
+use u1_core::{SessionId, UploadId, UserId};
 
 /// Errors surfaced by either state machine. All of them are fatal for the
 /// connection: the U1 session dies with its TCP connection (§3.1.1).
@@ -86,8 +86,9 @@ pub enum ClientEvent {
 pub struct ClientConn {
     decoder: FrameDecoder,
     next_id: RequestId,
-    /// Requests sent and not yet finally answered.
-    pending: HashSet<RequestId>,
+    /// Requests sent and not yet finally answered. The ids are our own
+    /// counter, never a peer's choice, so the fast hasher is safe.
+    pending: FxHashSet<RequestId>,
     session: Option<(SessionId, UserId)>,
 }
 
@@ -109,22 +110,39 @@ impl ClientConn {
     /// the assigned request id. Fails (without marking the request pending)
     /// when the encoded body exceeds the frame limit.
     pub fn request(&mut self, req: Request) -> Result<(RequestId, Bytes), ConnError> {
+        self.send(|id| codec::encode_framed(&Message::Request { id, req }))
+    }
+
+    /// [`ClientConn::request`] for `Request::UploadChunk { upload, data }`,
+    /// framed from borrowed bytes: same frame, no copy of the chunk into a
+    /// message first.
+    pub fn upload_chunk(
+        &mut self,
+        upload: UploadId,
+        data: &[u8],
+    ) -> Result<(RequestId, Bytes), ConnError> {
+        self.send(|id| codec::frame_upload_chunk(id, upload, data))
+    }
+
+    /// Assigns the next request id, frames the request under it and, if it
+    /// fits a frame, marks it pending.
+    fn send(
+        &mut self,
+        frame: impl FnOnce(RequestId) -> Result<Bytes, FrameError>,
+    ) -> Result<(RequestId, Bytes), ConnError> {
         self.next_id = self.next_id.wrapping_add(1);
         let id = self.next_id;
-        let mut body = BytesMut::new();
-        codec::encode(&Message::Request { id, req }, &mut body);
-        let mut framed = BytesMut::with_capacity(body.len() + 4);
-        encode_frame(&body, &mut framed)?;
+        let framed = frame(id)?;
         self.pending.insert(id);
-        Ok((id, framed.freeze()))
+        Ok((id, framed))
     }
 
     /// Feeds received bytes; returns the complete events they produced.
     pub fn on_bytes(&mut self, data: &[u8]) -> Result<Vec<ClientEvent>, ConnError> {
         self.decoder.extend(data);
-        let mut events = Vec::new();
-        while let Some(frame) = self.decoder.next_frame()? {
-            match codec::decode(&frame)? {
+        let mut events = Vec::with_capacity(self.decoder.complete_frames());
+        while let Some(msg) = self.decoder.next_frame_with(codec::decode)? {
+            match msg? {
                 Message::Response { id, resp } => {
                     if !self.pending.contains(&id) {
                         return Err(ConnError::Protocol("response to unknown request id"));
@@ -182,9 +200,9 @@ impl ServerConn {
     /// Feeds received bytes; returns the requests they contained.
     pub fn on_bytes(&mut self, data: &[u8]) -> Result<Vec<ServerEvent>, ConnError> {
         self.decoder.extend(data);
-        let mut events = Vec::new();
-        while let Some(frame) = self.decoder.next_frame()? {
-            match codec::decode(&frame)? {
+        let mut events = Vec::with_capacity(self.decoder.complete_frames());
+        while let Some(msg) = self.decoder.next_frame_with(codec::decode)? {
+            match msg? {
                 Message::Request { id, req } => {
                     if self.session.is_none() && !req.allowed_unauthenticated() {
                         events.push(ServerEvent::Unauthenticated { id });
@@ -206,21 +224,20 @@ impl ServerConn {
     /// Frames a response for writing. Fails when the encoded body exceeds
     /// the frame limit (e.g. an oversized `ContentChunk`).
     pub fn respond(&self, id: RequestId, resp: Response) -> Result<Bytes, ConnError> {
-        let mut body = BytesMut::new();
-        codec::encode(&Message::Response { id, resp }, &mut body);
-        let mut framed = BytesMut::with_capacity(body.len() + 4);
-        encode_frame(&body, &mut framed)?;
-        Ok(framed.freeze())
+        Ok(codec::encode_framed(&Message::Response { id, resp })?)
+    }
+
+    /// [`ServerConn::respond`] for `Response::ContentChunk { data }`, framed
+    /// from borrowed bytes: same frame, no copy of the chunk into a message
+    /// first.
+    pub fn content_chunk(&self, id: RequestId, data: &[u8]) -> Result<Bytes, ConnError> {
+        Ok(codec::frame_content_chunk(id, data)?)
     }
 
     /// Frames a push notification for writing. Fails when the encoded body
     /// exceeds the frame limit.
     pub fn push(&self, push: Push) -> Result<Bytes, ConnError> {
-        let mut body = BytesMut::new();
-        codec::encode(&Message::Push(push), &mut body);
-        let mut framed = BytesMut::with_capacity(body.len() + 4);
-        encode_frame(&body, &mut framed)?;
-        Ok(framed.freeze())
+        Ok(codec::encode_framed(&Message::Push(push))?)
     }
 }
 

@@ -74,6 +74,26 @@ pub fn encode_frame(body: &[u8], out: &mut BytesMut) -> Result<(), FrameError> {
     Ok(())
 }
 
+/// Builds one frame in one buffer: a 4-byte length placeholder, the body
+/// `put_body` writes straight after it, then the length patched in — the
+/// same bytes as [`encode_frame`] over a separately built body, without the
+/// second buffer. `room` is the body size to reserve. Fails like
+/// [`encode_frame`] when the body exceeds [`MAX_FRAME_LEN`].
+pub fn build_frame(room: usize, put_body: impl FnOnce(&mut BytesMut)) -> Result<Bytes, FrameError> {
+    let mut buf = BytesMut::with_capacity(4 + room);
+    buf.put_u32(0);
+    put_body(&mut buf);
+    let body_len = buf.len() - 4;
+    let prefix = u32::try_from(body_len)
+        .ok()
+        .filter(|_| body_len <= MAX_FRAME_LEN)
+        .ok_or(FrameError::TooLarge(body_len as u64))?;
+    for (i, byte) in prefix.to_be_bytes().into_iter().enumerate() {
+        buf[i] = byte;
+    }
+    Ok(buf.freeze())
+}
+
 /// Incremental frame decoder.
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
@@ -95,21 +115,62 @@ impl FrameDecoder {
         self.buf.len()
     }
 
-    /// Pops the next complete frame body, if one is buffered.
-    pub fn next_frame(&mut self) -> Result<Option<Bytes>, FrameError> {
-        if self.buf.len() < 4 {
+    /// Body length of the frame at byte `at` of the buffer, once its
+    /// 4-byte header is there. An over-long announcement is an error before
+    /// any of its body is looked at.
+    fn body_len_at(&self, at: usize) -> Result<Option<usize>, FrameError> {
+        let Some(header) = self.buf.get(at..at + 4) else {
             return Ok(None);
-        }
-        let word = u32::from_be_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]]);
+        };
+        let word = u32::from_be_bytes([header[0], header[1], header[2], header[3]]);
         let len = usize::try_from(word).map_err(|_| FrameError::TooLarge(u64::from(word)))?;
         if len > MAX_FRAME_LEN {
             return Err(FrameError::TooLarge(word.into()));
         }
-        if self.buf.len() < 4 + len {
-            return Ok(None);
+        Ok(Some(len))
+    }
+
+    /// Complete frames buffered right now (counting stops at a partial or
+    /// over-long one) — what a caller about to drain them should size its
+    /// output for.
+    pub fn complete_frames(&self) -> usize {
+        let (mut at, mut frames) = (0, 0);
+        while let Ok(Some(len)) = self.body_len_at(at) {
+            at += 4 + len;
+            if at > self.buf.len() {
+                break;
+            }
+            frames += 1;
         }
-        self.buf.advance(4);
-        Ok(Some(self.buf.split_to(len).freeze()))
+        frames
+    }
+
+    /// Hands the next complete frame body to `read` as a slice of the
+    /// receive buffer — no copy — and consumes the frame afterwards.
+    pub fn next_frame_with<R>(
+        &mut self,
+        read: impl FnOnce(&[u8]) -> R,
+    ) -> Result<Option<R>, FrameError> {
+        let Some(len) = self.body_len_at(0)? else {
+            return Ok(None);
+        };
+        let Some(body) = self.buf.get(4..4 + len) else {
+            return Ok(None);
+        };
+        let out = read(body);
+        self.buf.advance(4 + len);
+        if self.buf.is_empty() {
+            // Start the next burst at the front of the allocation.
+            self.buf.clear();
+        }
+        Ok(Some(out))
+    }
+
+    /// Pops the next complete frame body, if one is buffered, as an owned
+    /// copy. Callers that only look at the body use
+    /// [`FrameDecoder::next_frame_with`].
+    pub fn next_frame(&mut self) -> Result<Option<Bytes>, FrameError> {
+        self.next_frame_with(Bytes::copy_from_slice)
     }
 }
 

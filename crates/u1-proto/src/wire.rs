@@ -140,8 +140,15 @@ pub fn get_bytes(buf: &mut impl Buf) -> WireResult<Vec<u8>> {
     if len > buf.remaining() {
         return Err(WireError::BadLength);
     }
-    let mut out = vec![0u8; len];
-    buf.copy_to_slice(&mut out);
+    // Copied once into memory nobody zeroed first: for a chunk payload that
+    // is a megabyte not written twice.
+    let mut out = Vec::with_capacity(len);
+    while out.len() < len {
+        let chunk = buf.chunk();
+        let take = chunk.len().min(len - out.len());
+        out.extend_from_slice(&chunk[..take]);
+        buf.advance(take);
+    }
     Ok(out)
 }
 

@@ -35,6 +35,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use u1_auth::Token;
+use u1_core::fxhash::FxHashMap;
 use u1_core::timing::{Phase, PhaseNanos, PhaseTimers};
 use u1_core::{CoreError, NodeKind};
 use u1_net::{Interest, Poller};
@@ -48,6 +49,16 @@ const DOWNLOAD_CHUNK: usize = 256 * 1024;
 
 /// Token under which the listening socket is registered.
 const LISTENER: u64 = 0;
+
+/// Size of the reactor's one read buffer.
+const READ_CHUNK: usize = 64 * 1024;
+
+/// Most bytes read from one connection per readiness event. A readable
+/// connection is read until the socket is empty or this much has been
+/// taken, whichever is first; what is left re-arms the (level-triggered)
+/// event, so a peer that never stops sending gets its turn like everyone
+/// else instead of owning the loop.
+const READ_BUDGET: usize = 4 * READ_CHUNK;
 
 /// Reactor tuning knobs. [`ReactorConfig::default`] matches what the tests
 /// and benches expect from a well-behaved deployment.
@@ -183,7 +194,7 @@ impl TcpServer {
                     poller,
                     shared: shared2,
                     cfg,
-                    conns: HashMap::new(),
+                    conns: FxHashMap::default(),
                     throttle: HashMap::new(),
                     next_token: LISTENER + 1,
                 }
@@ -240,6 +251,7 @@ fn err_response(e: &CoreError) -> Response {
 /// Why a connection is being torn down — selects the stat to bump.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Cause {
+    /// The peer stopped sending (EOF, hangup) or the socket failed.
     Eof,
     Protocol,
     Evicted,
@@ -256,10 +268,12 @@ struct Conn {
     sendq: SendQueue,
     handle: Option<SessionHandle>,
     push_rx: Option<crossbeam::channel::Receiver<Push>>,
-    /// Flush the send queue, then close — no more reads are processed.
-    closing: bool,
-    /// Last interest registered with the poller (write side toggles).
-    want_write: bool,
+    /// Set once the connection has read its last request: flush the send
+    /// queue, then tear down for this cause. No more reads are processed.
+    closing: Option<Cause>,
+    /// Last interest registered with the poller (write side toggles; read
+    /// side goes off once `closing`).
+    interest: Interest,
 }
 
 struct Reactor {
@@ -268,7 +282,9 @@ struct Reactor {
     poller: Poller,
     shared: Arc<Shared>,
     cfg: ReactorConfig,
-    conns: HashMap<u64, Conn>,
+    /// Keyed by poller token: our own counter, so the fast hasher is safe.
+    conns: FxHashMap<u64, Conn>,
+    /// Keyed by peer address, which the peer chooses: default hasher.
     throttle: HashMap<IpAddr, (Instant, u32)>,
     next_token: u64,
 }
@@ -276,7 +292,7 @@ struct Reactor {
 impl Reactor {
     fn run(mut self) {
         let mut events = Vec::with_capacity(256);
-        let mut read_buf = vec![0u8; 64 * 1024];
+        let mut read_buf = vec![0u8; READ_CHUNK];
         let mut draining_since: Option<Instant> = None;
 
         loop {
@@ -284,7 +300,7 @@ impl Reactor {
                 draining_since = Some(Instant::now());
                 let _ = self.poller.deregister(self.listener.as_raw_fd());
                 for conn in self.conns.values_mut() {
-                    conn.closing = true;
+                    conn.closing.get_or_insert(Cause::Flushed);
                 }
             }
             if let Some(t0) = draining_since {
@@ -292,10 +308,7 @@ impl Reactor {
                     return;
                 }
                 if t0.elapsed() >= self.cfg.drain_timeout {
-                    let tokens: Vec<u64> = self.conns.keys().copied().collect();
-                    for token in tokens {
-                        self.teardown(token, Cause::Flushed);
-                    }
+                    self.teardown_all();
                     return;
                 }
             }
@@ -304,10 +317,7 @@ impl Reactor {
             if self.poller.wait(&mut events, Some(self.cfg.tick)).is_err() {
                 // The poller itself failing is unrecoverable; drop
                 // everything (sessions are reaped in teardown).
-                let tokens: Vec<u64> = self.conns.keys().copied().collect();
-                for token in tokens {
-                    self.teardown(token, Cause::Flushed);
-                }
+                self.teardown_all();
                 return;
             }
 
@@ -318,17 +328,13 @@ impl Reactor {
                     }
                     continue;
                 }
-                if !self.conns.contains_key(&ev.token) {
-                    continue; // torn down earlier this batch
-                }
-                if ev.hangup {
-                    self.teardown(ev.token, Cause::Eof);
-                    continue;
-                }
-                if ev.readable {
+                // A hangup is read like readable data: whatever the peer
+                // sent before it stopped is still in the socket, and the
+                // read that finds the end tears the connection down.
+                // Writability is consumed by the post-pass below.
+                if ev.readable || ev.hangup {
                     self.conn_readable(ev.token, &mut read_buf);
                 }
-                // Writability is consumed by the post-pass below.
             }
 
             self.post_pass();
@@ -387,8 +393,8 @@ impl Reactor {
                     sendq: SendQueue::new(),
                     handle: None,
                     push_rx: None,
-                    closing: false,
-                    want_write: false,
+                    closing: None,
+                    interest: Interest::READ,
                 },
             );
         }
@@ -405,85 +411,79 @@ impl Reactor {
         entry.1 <= self.cfg.accept_burst_per_ip
     }
 
-    /// Reads once and feeds the protocol state machine.
+    /// Reads the connection until its socket is empty, the peer is done,
+    /// or [`READ_BUDGET`] is spent, feeding the protocol state machine and
+    /// dispatching what comes out.
     fn conn_readable(&mut self, token: u64, buf: &mut [u8]) {
         let Some(conn) = self.conns.get_mut(&token) else {
-            return;
+            return; // torn down earlier this batch
         };
-        if conn.closing {
-            return; // draining: ignore further input
-        }
-        let outcome = self
-            .shared
-            .timers
-            .time(Phase::NetRead, || read_once(&mut conn.stream, buf));
-        let n = match outcome {
-            Ok(ReadOutcome::Bytes(n)) => n,
-            Ok(ReadOutcome::WouldBlock) => return,
-            Ok(ReadOutcome::Closed) | Err(_) => {
-                self.teardown(token, Cause::Eof);
+        let timers = &self.shared.timers;
+        let mut taken = 0;
+        let verdict = 'read: loop {
+            // Draining connections take no more input; neither does one
+            // that is out of budget for this event, or already owed more
+            // than it may be (the post-pass evicts it unless it drains).
+            if conn.closing.is_some()
+                || taken >= READ_BUDGET
+                || conn.sendq.queued_bytes() > self.cfg.send_budget_bytes
+            {
                 return;
             }
-        };
-        let events = match conn.proto.on_bytes(&buf[..n]) {
-            Ok(evs) => evs,
-            Err(_) => {
-                self.teardown(token, Cause::Protocol);
-                return;
-            }
-        };
-        for ev in events {
-            // `conn` must be re-fetched per event: dispatch borrows the map
-            // entry and may mark it closing.
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return;
+            let n = match timers.time(Phase::NetRead, || read_once(&mut conn.stream, buf)) {
+                Ok(ReadOutcome::Bytes(n)) => n,
+                Ok(ReadOutcome::WouldBlock) => return,
+                Ok(ReadOutcome::Closed) => {
+                    // The peer finished sending; it may well still be
+                    // reading. It gets the replies it is owed, then the
+                    // close.
+                    conn.closing = Some(Cause::Eof);
+                    return;
+                }
+                Err(_) => break Cause::Eof,
             };
-            if conn.closing {
-                return;
-            }
-            match ev {
-                ServerEvent::Unauthenticated { id } => {
-                    let resp = Response::Error {
-                        code: "denied".into(),
-                        message: "authenticate first".into(),
-                    };
-                    let ok = conn.proto.respond(id, resp).map(|b| conn.sendq.push(b));
-                    conn.closing = true;
-                    if ok.is_err() {
-                        self.teardown(token, Cause::Protocol);
-                        return;
-                    }
+            taken += n;
+            let Ok(events) = conn.proto.on_bytes(&buf[..n]) else {
+                break Cause::Protocol;
+            };
+            for ev in events {
+                if conn.closing.is_some() {
+                    return;
                 }
-                ServerEvent::Request { id, req } => {
-                    let backend = Arc::clone(&self.backend);
-                    let timers = &self.shared.timers;
-                    let counters = &self.shared.counters;
-                    let keep = timers.time(Phase::NetServe, || {
-                        dispatch(&backend, counters, conn, id, req)
-                    });
-                    if !keep {
-                        self.teardown(token, Cause::Protocol);
-                        return;
+                let keep = match ev {
+                    ServerEvent::Unauthenticated { id } => {
+                        conn.closing = Some(Cause::Flushed);
+                        let resp = Response::Error {
+                            code: "denied".into(),
+                            message: "authenticate first".into(),
+                        };
+                        queue(conn, id, resp)
                     }
+                    ServerEvent::Request { id, req } => timers.time(Phase::NetServe, || {
+                        dispatch(&self.backend, &self.shared.counters, conn, id, req)
+                    }),
+                };
+                if !keep {
+                    break 'read Cause::Protocol;
                 }
             }
-        }
+        };
+        self.teardown(token, verdict);
     }
 
     /// Per-tick maintenance over every connection: forward pending pushes,
     /// flush send queues, toggle write interest, enforce the send budget,
     /// and finish `closing` connections whose queues drained.
     fn post_pass(&mut self) {
-        let tokens: Vec<u64> = self.conns.keys().copied().collect();
-        for token in tokens {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                continue;
-            };
-
+        // Connections to tear down once the pass is over (the map cannot
+        // shrink while it is being walked). Empty on almost every tick, so
+        // the pass allocates nothing.
+        let mut doomed: Vec<(u64, Cause)> = Vec::new();
+        for (&token, conn) in &mut self.conns {
             // Pushes routed to this session since the last tick (delivered
             // by backend calls — possibly on behalf of *other* connections'
             // requests — earlier in this same reactor loop).
-            if !conn.closing {
+            if conn.closing.is_none() {
                 if let Some(rx) = &conn.push_rx {
                     let mut forwarded = 0u64;
                     let mut dead = false;
@@ -506,7 +506,7 @@ impl Reactor {
                             .fetch_add(forwarded, Ordering::Relaxed);
                     }
                     if dead {
-                        self.teardown(token, Cause::Protocol);
+                        doomed.push((token, Cause::Protocol));
                         continue;
                     }
                 }
@@ -518,36 +518,44 @@ impl Reactor {
                     .timers
                     .time(Phase::NetWrite, || conn.sendq.write_to(&mut conn.stream));
                 if flushed.is_err() {
-                    self.teardown(token, Cause::Eof);
+                    doomed.push((token, Cause::Eof));
                     continue;
                 }
             }
 
             if conn.sendq.queued_bytes() > self.cfg.send_budget_bytes {
-                self.teardown(token, Cause::Evicted);
+                doomed.push((token, Cause::Evicted));
                 continue;
             }
 
-            if conn.closing && conn.sendq.is_empty() {
-                self.teardown(token, Cause::Flushed);
-                continue;
-            }
-
-            let want_write = !conn.sendq.is_empty();
-            if want_write != conn.want_write {
-                let interest = if want_write {
-                    Interest::READ_WRITE
-                } else {
-                    Interest::READ
-                };
-                if self
+            let interest = match (conn.closing, conn.sendq.is_empty()) {
+                (Some(cause), true) => {
+                    doomed.push((token, cause));
+                    continue;
+                }
+                (Some(_), false) => Interest::WRITE,
+                (None, false) => Interest::READ_WRITE,
+                (None, true) => Interest::READ,
+            };
+            if interest != conn.interest
+                && self
                     .poller
                     .reregister(conn.stream.as_raw_fd(), token, interest)
                     .is_ok()
-                {
-                    conn.want_write = want_write;
-                }
+            {
+                conn.interest = interest;
             }
+        }
+        for (token, cause) in doomed {
+            self.teardown(token, cause);
+        }
+    }
+
+    /// Closes every connection at once (drain deadline, poller failure).
+    fn teardown_all(&mut self) {
+        let tokens: Vec<u64> = self.conns.keys().copied().collect();
+        for token in tokens {
+            self.teardown(token, Cause::Flushed);
         }
     }
 
@@ -586,25 +594,26 @@ impl Reactor {
     }
 }
 
+/// Frames one response onto the connection's send queue; false when it does
+/// not fit a frame (protocol-fatal: the connection is dropped).
+fn queue(conn: &mut Conn, id: RequestId, resp: Response) -> bool {
+    conn.proto
+        .respond(id, resp)
+        .map(|bytes| conn.sendq.push(bytes))
+        .is_ok()
+}
+
 /// Queues the response(s) for one request; returns false to drop the
 /// connection (protocol-fatal encode failure). All writes go through the
 /// send queue — nothing here touches the socket.
 fn dispatch(
-    backend: &Arc<Backend>,
+    backend: &Backend,
     counters: &WireCounters,
     conn: &mut Conn,
     id: RequestId,
     req: Request,
 ) -> bool {
-    let queue = |conn: &mut Conn, resp: Response| -> bool {
-        match conn.proto.respond(id, resp) {
-            Ok(bytes) => {
-                conn.sendq.push(bytes);
-                true
-            }
-            Err(_) => false,
-        }
-    };
+    let queue = |conn: &mut Conn, resp: Response| queue(conn, id, resp);
     match req {
         Request::Ping => queue(conn, Response::Pong),
         Request::QuerySetCaps { caps } => {
@@ -643,7 +652,7 @@ fn dispatch(
                     let ok = queue(conn, err_response(&e));
                     // Auth refusal ends the connection once the error has
                     // flushed.
-                    conn.closing = true;
+                    conn.closing = Some(Cause::Flushed);
                     ok
                 }
             }
@@ -658,7 +667,7 @@ fn dispatch(
                 counters.graceful_byes.fetch_add(1, Ordering::Relaxed);
             }
             let ok = queue(conn, Response::Ok);
-            conn.closing = true;
+            conn.closing = Some(Cause::Flushed);
             ok
         }
         other => {
@@ -853,14 +862,10 @@ fn dispatch(
                         // bytes are chunked below the frame limit.
                         if let Some(bytes) = data {
                             for chunk in bytes.chunks(DOWNLOAD_CHUNK) {
-                                if !queue(
-                                    conn,
-                                    Response::ContentChunk {
-                                        data: chunk.to_vec(),
-                                    },
-                                ) {
+                                let Ok(frame) = conn.proto.content_chunk(id, chunk) else {
                                     return false;
-                                }
+                                };
+                                conn.sendq.push(frame);
                             }
                         }
                         queue(conn, Response::ContentEnd)
@@ -1087,6 +1092,285 @@ mod tests {
         // And the connection is closed right after the flush.
         let mut buf = [0u8; 16];
         assert_eq!(c.stream.read(&mut buf).expect("closed"), 0);
+        server.shutdown();
+    }
+
+    /// Authenticates a fresh user on a new connection.
+    fn session(backend: &Backend, addr: SocketAddr, user: u64) -> TestClient {
+        let token = backend.register_user(UserId::new(user));
+        let mut c = TestClient::connect(addr);
+        let auth = c.call(Request::Authenticate {
+            token: token.as_bytes().to_vec(),
+        });
+        assert!(matches!(auth, Response::AuthOk { .. }), "{auth:?}");
+        c
+    }
+
+    /// Reads the stream to EOF and returns every response on it.
+    fn responses_until_eof(c: &mut TestClient) -> Vec<Response> {
+        let mut rest = Vec::new();
+        c.stream.read_to_end(&mut rest).expect("read to EOF");
+        c.conn
+            .on_bytes(&rest)
+            .expect("protocol")
+            .into_iter()
+            .map(|ev| match ev {
+                ClientEvent::Response { resp, .. } => resp,
+                ClientEvent::Push(p) => panic!("unexpected push {p:?}"),
+            })
+            .collect()
+    }
+
+    /// A client that pipelines its last requests and half-closes has sent
+    /// them *before* the hangup: all are served, and a `Bye` among them is
+    /// a graceful goodbye, not an EOF reap.
+    #[test]
+    fn requests_pipelined_before_a_half_close_are_all_answered() {
+        let backend = test_backend(false);
+        let server = TcpServer::start(Arc::clone(&backend), "127.0.0.1:0").expect("start");
+        let mut c = session(&backend, server.local_addr(), 21);
+        let mut burst = Vec::new();
+        for req in [
+            Request::Ping,
+            Request::ListVolumes,
+            Request::Ping,
+            Request::Bye,
+        ] {
+            burst.extend_from_slice(&c.conn.request(req).expect("encode").1);
+        }
+        c.stream.write_all(&burst).expect("send");
+        c.stream
+            .shutdown(std::net::Shutdown::Write)
+            .expect("half-close");
+        let replies = responses_until_eof(&mut c);
+        assert!(
+            matches!(
+                replies.as_slice(),
+                [
+                    Response::Pong,
+                    Response::Volumes { .. },
+                    Response::Pong,
+                    Response::Ok
+                ]
+            ),
+            "{replies:?}"
+        );
+        let stats = server.stats();
+        assert_eq!((stats.graceful_byes, stats.eof_reaps), (1, 0));
+        assert_eq!(backend.sessions.live_count(), 0);
+        server.shutdown();
+    }
+
+    /// Without a `Bye` the half-close is an EOF reap — after the replies
+    /// the peer is still there to read.
+    #[test]
+    fn half_close_without_bye_is_answered_then_reaped() {
+        let backend = test_backend(false);
+        let server = TcpServer::start(Arc::clone(&backend), "127.0.0.1:0").expect("start");
+        let mut c = session(&backend, server.local_addr(), 22);
+        let mut burst = Vec::new();
+        for _ in 0..3 {
+            burst.extend_from_slice(&c.conn.request(Request::Ping).expect("encode").1);
+        }
+        c.stream.write_all(&burst).expect("send");
+        c.stream
+            .shutdown(std::net::Shutdown::Write)
+            .expect("half-close");
+        assert_eq!(responses_until_eof(&mut c), vec![Response::Pong; 3]);
+        let stats = server.stats();
+        assert_eq!((stats.graceful_byes, stats.eof_reaps), (0, 1));
+        assert_eq!(backend.sessions.live_count(), 0);
+        server.shutdown();
+    }
+
+    /// The read budget at work: a connection that never stops sending —
+    /// 10,000 pipelined pings per burst, burst after burst — cannot keep a
+    /// second connection's single ping waiting until it is done. The flood
+    /// goes on until that ping has been answered; with the budget that is a
+    /// few reactor rounds (what the socket buffers hold, some 70 bursts
+    /// here), while a read loop without one answers nobody until the
+    /// flooder's own send budget stops it, some 1,300 bursts in.
+    #[test]
+    fn a_flooding_connection_cannot_starve_another() {
+        const BURST: u32 = 10_000;
+        const MAX_BURSTS: u32 = 400;
+        let backend = test_backend(false);
+        let server = TcpServer::start(backend, "127.0.0.1:0").expect("start");
+        let addr = server.local_addr();
+        let answered = Arc::new(AtomicBool::new(false));
+        let (first_burst_out, first_burst) = std::sync::mpsc::channel();
+
+        let flood = TcpStream::connect(addr).expect("connect");
+        let mut flood_in = flood.try_clone().expect("clone");
+        let writer = {
+            let answered = Arc::clone(&answered);
+            let mut out = flood;
+            std::thread::spawn(move || {
+                // One burst, encoded once and sent over and over (the
+                // server does not mind request ids repeating): the socket
+                // must never run dry while the server is reading it.
+                let mut conn = ClientConn::new();
+                let mut burst = Vec::new();
+                for _ in 0..BURST {
+                    burst.extend_from_slice(&conn.request(Request::Ping).expect("encode").1);
+                }
+                let mut bursts = 0u32;
+                while bursts < MAX_BURSTS && !answered.load(Ordering::SeqCst) {
+                    out.write_all(&burst).expect("flood");
+                    bursts += 1;
+                    if bursts == 1 {
+                        first_burst_out.send(()).expect("main is waiting");
+                    }
+                }
+                bursts
+            })
+        };
+        // The flooder's other half drains the replies, so the server never
+        // has cause to evict it as a slow reader, until it has as many as
+        // pings were sent (known only once the writer is done).
+        let sent = Arc::new(AtomicU64::new(u64::MAX));
+        let reader = {
+            let sent = Arc::clone(&sent);
+            flood_in
+                .set_read_timeout(Some(Duration::from_millis(50)))
+                .expect("timeout");
+            std::thread::spawn(move || {
+                let mut dec = u1_proto::FrameDecoder::new();
+                let mut buf = vec![0u8; 64 * 1024];
+                let mut pongs = 0u64;
+                while pongs < sent.load(Ordering::SeqCst) {
+                    let n = match flood_in.read(&mut buf) {
+                        Ok(0) => break,
+                        Ok(n) => n,
+                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => continue,
+                        Err(e) if e.kind() == std::io::ErrorKind::TimedOut => continue,
+                        Err(e) => panic!("flood replies: {e}"),
+                    };
+                    dec.extend(&buf[..n]);
+                    while dec.next_frame_with(|_| ()).expect("frame").is_some() {
+                        pongs += 1;
+                    }
+                }
+                pongs
+            })
+        };
+
+        first_burst.recv().expect("first burst written");
+        let mut quiet = TestClient::connect(addr);
+        quiet
+            .stream
+            .set_read_timeout(Some(Duration::from_secs(20)))
+            .expect("timeout");
+        assert_eq!(quiet.call(Request::Ping), Response::Pong);
+        answered.store(true, Ordering::SeqCst);
+
+        let bursts = writer.join().expect("writer");
+        assert!(
+            bursts < MAX_BURSTS,
+            "the quiet connection was only answered once the flood had ended"
+        );
+        // Nothing of the flood was lost either.
+        sent.store(u64::from(bursts) * u64::from(BURST), Ordering::SeqCst);
+        assert_eq!(
+            reader.join().expect("reader"),
+            u64::from(bursts) * u64::from(BURST)
+        );
+        assert_eq!(server.stats().evicted_slow, 0);
+        server.shutdown();
+    }
+
+    /// A 1 MiB `UploadChunk` arriving in pieces on one connection, small
+    /// requests on another in between: both are answered correctly, and the
+    /// upload commits and reads back intact.
+    #[test]
+    fn a_large_chunk_interleaved_with_small_requests_is_served_correctly() {
+        let backend = test_backend(true);
+        let server = TcpServer::start(Arc::clone(&backend), "127.0.0.1:0").expect("start");
+        let mut big = session(&backend, server.local_addr(), 31);
+        let mut small = session(&backend, server.local_addr(), 32);
+
+        let Response::Volumes { volumes } = big.call(Request::ListVolumes) else {
+            panic!("volumes");
+        };
+        let root = volumes[0].volume;
+        let resp = big.call(Request::MakeFile {
+            volume: root,
+            parent: u1_core::NodeId::new(0),
+            name: "one-mib.bin".into(),
+        });
+        let Response::NodeCreated { node, .. } = resp else {
+            panic!("make_file: {resp:?}");
+        };
+        let data: Vec<u8> = (0..1024 * 1024u32).map(|i| (i % 251) as u8).collect();
+        let hash = u1_core::Sha1::digest(&data);
+        let resp = big.call(Request::BeginUpload {
+            volume: root,
+            node,
+            hash,
+            size: data.len() as u64,
+        });
+        let Response::UploadBegun { upload, .. } = resp else {
+            panic!("begin: {resp:?}");
+        };
+
+        // The chunk frame goes out in five pieces; between any two the
+        // other connection gets a complete exchange.
+        let (chunk_id, frame) = big.conn.upload_chunk(upload, &data).expect("encode");
+        for piece in frame.chunks(frame.len() / 5 + 1) {
+            big.stream.write_all(piece).expect("send piece");
+            assert_eq!(small.call(Request::Ping), Response::Pong);
+            assert!(matches!(
+                small.call(Request::ListVolumes),
+                Response::Volumes { .. }
+            ));
+        }
+        let mut buf = [0u8; 4096];
+        let n = big.stream.read(&mut buf).expect("chunk reply");
+        assert_eq!(
+            big.conn.on_bytes(&buf[..n]).expect("protocol"),
+            vec![ClientEvent::Response {
+                id: chunk_id,
+                resp: Response::Ok
+            }]
+        );
+        let done = big.call(Request::CommitUpload { upload });
+        assert!(
+            matches!(done, Response::UploadDone { hash: h, .. } if h == hash),
+            "{done:?}"
+        );
+
+        // Read it back through the chunked download path.
+        let (id, bytes) = big
+            .conn
+            .request(Request::GetContent { volume: root, node })
+            .expect("encode");
+        big.stream.write_all(&bytes).expect("send");
+        let mut got = Vec::new();
+        let mut buf = vec![0u8; 64 * 1024];
+        'stream: loop {
+            let n = big.stream.read(&mut buf).expect("recv");
+            assert!(n > 0, "server closed mid-download");
+            for ev in big.conn.on_bytes(&buf[..n]).expect("protocol") {
+                match ev {
+                    ClientEvent::Response {
+                        id: got_id,
+                        resp: Response::ContentChunk { data },
+                    } if got_id == id => got.extend_from_slice(&data),
+                    ClientEvent::Response {
+                        resp: Response::ContentEnd,
+                        ..
+                    } => break 'stream,
+                    ClientEvent::Response {
+                        resp: Response::ContentBegin { size, .. },
+                        ..
+                    } => assert_eq!(size, data.len() as u64),
+                    other => panic!("unexpected {other:?}"),
+                }
+            }
+        }
+        assert!(got == data, "downloaded bytes differ from the upload");
+        let stats = server.stats();
+        assert_eq!((stats.protocol_errors, stats.evicted_slow), (0, 0));
         server.shutdown();
     }
 
