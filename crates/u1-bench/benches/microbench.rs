@@ -288,16 +288,20 @@ fn bench_trace(c: &mut Criterion) {
     g.bench_function("csv_serialize_storage", |b| {
         b.iter(|| csvline::to_line(std::hint::black_box(&rec)))
     });
-    g.bench_function("csv_parse_storage", |b| {
-        b.iter(|| {
-            csvline::from_line(
-                std::hint::black_box(&line),
-                u1_core::MachineId::new(3),
-                u1_core::ProcessId::new(9),
-            )
-            .unwrap()
-        })
-    });
+    // RPC lines are the majority of a trace (two in three of the paper month).
+    let rpc_line = "8640012350,rpc,dal.get_user_data,shard3,u670,54744,o=1,q=163545";
+    for (name, line) in [("storage", line.as_str()), ("rpc", rpc_line)] {
+        g.bench_function(&format!("csv_parse_{name}"), |b| {
+            b.iter(|| {
+                csvline::from_line(
+                    std::hint::black_box(line),
+                    u1_core::MachineId::new(3),
+                    u1_core::ProcessId::new(9),
+                )
+                .unwrap()
+            })
+        });
+    }
     g.finish();
 }
 

@@ -121,8 +121,10 @@ mod tests {
     fn proc_status_readers_return_plausible_values() {
         // Only meaningful on Linux; elsewhere both are None and that's fine.
         if std::path::Path::new("/proc/self/status").exists() {
-            let peak = peak_rss_bytes().expect("VmHWM present on Linux");
+            // Current first: the mark only rises, so a sibling test growing
+            // the heap between the two reads cannot put it below this value.
             let cur = current_rss_bytes().expect("VmRSS present on Linux");
+            let peak = peak_rss_bytes().expect("VmHWM present on Linux");
             assert!(peak >= cur, "high-water mark below current RSS");
             // A running test binary occupies at least a few hundred kB.
             assert!(cur > 100 * 1024);

@@ -233,14 +233,22 @@ impl Ext {
     /// Idempotent, so parsing a serialized extension back through `new`
     /// reproduces it byte-for-byte.
     pub fn new(raw: &str) -> Self {
+        Self::from_bytes(raw.as_bytes())
+    }
+
+    /// [`Ext::new`] on raw bytes, which need not be UTF-8 (the trace parser
+    /// reads logfiles as bytes). Every byte of a multi-byte character is
+    /// non-ASCII, so on a `str` this drops exactly the characters a
+    /// per-`char` filter drops.
+    pub fn from_bytes(raw: &[u8]) -> Self {
         let mut buf = [0u8; EXT_MAX];
         let mut len = 0usize;
-        for c in raw.chars() {
+        for b in raw {
             if len == EXT_MAX {
                 break;
             }
-            if c.is_ascii_alphanumeric() {
-                buf[len] = c.to_ascii_lowercase() as u8;
+            if b.is_ascii_alphanumeric() {
+                buf[len] = b.to_ascii_lowercase();
                 len += 1;
             }
         }
@@ -570,6 +578,8 @@ mod tests {
         }
         assert!(Ext::new("").is_empty());
         assert_eq!(Ext::new("txt"), *"txt");
+        // Bytes that are not UTF-8 are dropped like any other non-alphanumeric.
+        assert_eq!(Ext::from_bytes(b"J\xffP\xc3G\x00"), *"jpg");
     }
 
     #[test]

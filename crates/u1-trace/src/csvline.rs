@@ -194,174 +194,236 @@ fn err<T>(reason: &'static str) -> Result<T, LineError> {
     Err(LineError { reason })
 }
 
-fn parse_u64(s: &str, reason: &'static str) -> Result<u64, LineError> {
-    s.parse::<u64>().map_err(|_| LineError { reason })
+/// Decodes the 40-digit hex form of a content hash, either case, in place:
+/// [`ContentHash::from_hex`] wants a `str`, and checking 40 bytes to be one
+/// costs more than decoding them.
+fn parse_hash(hex: &[u8]) -> Option<ContentHash> {
+    let hex: &[u8; 40] = hex.try_into().ok()?;
+    let mut raw = [0u8; 20];
+    for (out, pair) in raw.iter_mut().zip(hex.chunks_exact(2)) {
+        let hi = char::from(pair[0]).to_digit(16)?;
+        let lo = char::from(pair[1]).to_digit(16)?;
+        *out = (hi << 4 | lo) as u8;
+    }
+    Some(ContentHash::new(raw))
 }
 
-fn parse_prefixed(s: &str, prefix: char, reason: &'static str) -> Result<u64, LineError> {
-    let rest = s.strip_prefix(prefix).ok_or(LineError { reason })?;
-    parse_u64(rest, reason)
+/// Index of the first `needle` in `bytes`, looking at eight bytes at a time.
+pub(crate) fn find_byte(bytes: &[u8], needle: u8) -> Option<usize> {
+    const LOW: u64 = 0x0101_0101_0101_0101;
+    const HIGH: u64 = 0x8080_8080_8080_8080;
+    let mut words = bytes.chunks_exact(8);
+    let mut at = 0;
+    for word in words.by_ref() {
+        // A matching byte becomes zero; the lowest byte the zero-byte test
+        // flags is exact, and little-endian makes that the first in memory.
+        let x = u64::from_le_bytes([
+            word[0], word[1], word[2], word[3], word[4], word[5], word[6], word[7],
+        ]) ^ (LOW * needle as u64);
+        let zeros = x.wrapping_sub(LOW) & !x & HIGH;
+        if zeros != 0 {
+            return Some(at + zeros.trailing_zeros() as usize / 8);
+        }
+        at += 8;
+    }
+    let tail = words.remainder().iter().position(|&b| b == needle);
+    tail.map(|i| at + i)
 }
 
-/// Parses one CSV line into the payload + timestamp. Machine/process come
-/// from the logfile name, not the line, exactly as in the original format.
+/// A left-to-right cursor over the bytes of one line.
+struct Cursor<'a> {
+    rest: &'a [u8],
+    /// False once the field that ends the line (no `,` after it) is taken.
+    more: bool,
+}
+
+impl<'a> Cursor<'a> {
+    /// The next field without its `,`. Past the end of the line this is the
+    /// empty field, which every required field rejects.
+    fn field(&mut self) -> &'a [u8] {
+        match find_byte(self.rest, b',') {
+            Some(comma) => {
+                let field = &self.rest[..comma];
+                self.rest = &self.rest[comma + 1..];
+                field
+            }
+            None => {
+                self.more = false;
+                std::mem::take(&mut self.rest)
+            }
+        }
+    }
+
+    /// Steps over `prefix` if the rest of the line starts with it.
+    fn eat(&mut self, prefix: &[u8]) -> bool {
+        let rest = self.rest.strip_prefix(prefix);
+        self.rest = rest.unwrap_or(self.rest);
+        rest.is_some()
+    }
+
+    /// A decimal field that fits `T`: digits up to the `,` or the end of the
+    /// line, after an optional `+` (which `str::parse` accepts too).
+    fn number<T: TryFrom<u64>>(&mut self, reason: &'static str) -> Result<T, LineError> {
+        let value = self.decimal().ok_or(LineError { reason })?;
+        T::try_from(value).map_err(|_| LineError { reason })
+    }
+
+    fn decimal(&mut self) -> Option<u64> {
+        let digits = self.rest.strip_prefix(b"+").unwrap_or(self.rest);
+        let mut value = 0u64;
+        let mut len = 0;
+        while let Some(digit) = digits.get(len).map(|b| b.wrapping_sub(b'0')) {
+            if digit > 9 {
+                break;
+            }
+            // Nineteen digits cannot overflow; only longer runs are checked.
+            value = if len < 19 {
+                value * 10 + digit as u64
+            } else {
+                value.checked_mul(10)?.checked_add(digit as u64)?
+            };
+            len += 1;
+        }
+        if len == 0 || !matches!(digits.get(len), None | Some(b',')) {
+            return None;
+        }
+        self.more = len < digits.len();
+        self.rest = digits.get(len + 1..).unwrap_or_default();
+        Some(value)
+    }
+
+    /// A prefixed id field like `s17` / `u4` / `shard3`.
+    fn id<T: TryFrom<u64>>(&mut self, prefix: &[u8], reason: &'static str) -> Result<T, LineError> {
+        if self.eat(prefix) {
+            self.number(reason)
+        } else {
+            err(reason)
+        }
+    }
+}
+
+/// Parses one line of a logfile, as bytes: nothing checks that it is UTF-8,
+/// and a line that is not text is just a line that does not parse. Machine
+/// and process come from the logfile name, not the line, exactly as in the
+/// original format.
+///
+/// One pass, left to right: timestamp, type, the type's own fields, then any
+/// trailing `a=`/`ec=`/`o=`/`q=` fields in any order (unknown ones are
+/// tolerated); trailing ASCII whitespace is ignored. The record is built from
+/// the line alone: without fault tags it is a first attempt with no error,
+/// without stamps it has origin 0 and sequence 0 — whatever partition context
+/// or fault tag the parsing thread has installed.
+pub fn parse_line(
+    line: &[u8],
+    machine: MachineId,
+    process: ProcessId,
+) -> Result<TraceRecord, LineError> {
+    let mut line = line;
+    while let [head @ .., b' ' | b'\t'..=b'\r'] = line {
+        line = head;
+    }
+    let mut cur = Cursor {
+        rest: line,
+        more: true,
+    };
+    let t = SimTime::from_micros(cur.number("bad timestamp")?);
+    let payload = match cur.field() {
+        b"session" => Payload::Session {
+            event: match cur.field() {
+                b"open" => SessionEvent::Open,
+                b"close" => SessionEvent::Close,
+                _ => return err("bad session event"),
+            },
+            session: SessionId::new(cur.id(b"s", "bad session id")?),
+            user: UserId::new(cur.id(b"u", "bad user")?),
+        },
+        b"storage_done" => Payload::Storage {
+            op: ApiOpKind::from_label_bytes(cur.field()).ok_or(LineError { reason: "bad op" })?,
+            session: SessionId::new(cur.id(b"s", "bad session id")?),
+            user: UserId::new(cur.id(b"u", "bad user")?),
+            volume: VolumeId::new(cur.id(b"v", "bad volume")?),
+            node: if cur.eat(b"n") {
+                Some(NodeId::new(cur.number("bad node")?))
+            } else if cur.field() == b"-" {
+                None
+            } else {
+                return err("bad node");
+            },
+            kind: match cur.field() {
+                b"file" => Some(NodeKind::File),
+                b"dir" => Some(NodeKind::Directory),
+                b"-" => None,
+                _ => return err("bad node kind"),
+            },
+            size: cur.number("bad size")?,
+            hash: match cur.field() {
+                b"-" => None,
+                hex => Some(parse_hash(hex).ok_or(LineError { reason: "bad hash" })?),
+            },
+            ext: match cur.field() {
+                b"-" => u1_core::Ext::EMPTY,
+                raw => u1_core::Ext::from_bytes(raw),
+            },
+            success: match cur.field() {
+                b"ok" => true,
+                b"err" => false,
+                _ => return err("bad status"),
+            },
+            duration_us: cur.number("bad duration")?,
+        },
+        b"rpc" => Payload::Rpc {
+            rpc: RpcKind::from_dal_name_bytes(cur.field())
+                .ok_or(LineError { reason: "bad rpc" })?,
+            shard: ShardId::new(cur.id(b"shard", "bad shard")?),
+            user: UserId::new(cur.id(b"u", "bad user")?),
+            service_us: cur.number("bad service time")?,
+        },
+        b"auth" => Payload::Auth {
+            user: UserId::new(cur.id(b"u", "bad user")?),
+            success: match cur.field() {
+                b"ok" => true,
+                b"fail" => false,
+                _ => return err("bad auth status"),
+            },
+        },
+        _ => return err("unknown type"),
+    };
+    let mut rec = TraceRecord {
+        t,
+        machine,
+        process,
+        origin: 0,
+        seq: 0,
+        attempt: 1,
+        error_class: None,
+        payload,
+    };
+    while cur.more {
+        if cur.eat(b"a=") {
+            rec.attempt = cur.number("bad attempt")?;
+        } else if cur.eat(b"ec=") {
+            let label = std::str::from_utf8(cur.field()).ok();
+            rec.error_class = Some(label.and_then(ErrorClass::from_label).ok_or(LineError {
+                reason: "bad error class",
+            })?);
+        } else if cur.eat(b"o=") {
+            rec.origin = cur.number("bad origin")?;
+        } else if cur.eat(b"q=") {
+            rec.seq = cur.number("bad seq")?;
+        } else {
+            cur.field();
+        }
+    }
+    Ok(rec)
+}
+
+/// [`parse_line`] for a line already held as a `str`.
 pub fn from_line(
     line: &str,
     machine: MachineId,
     process: ProcessId,
 ) -> Result<TraceRecord, LineError> {
-    let mut fields = line.trim_end().split(',');
-    let t = SimTime::from_micros(parse_u64(
-        fields.next().ok_or(LineError { reason: "empty" })?,
-        "bad timestamp",
-    )?);
-    let ty = fields.next().ok_or(LineError { reason: "no type" })?;
-    let payload = match ty {
-        "session" => {
-            let ev = match fields.next() {
-                Some("open") => SessionEvent::Open,
-                Some("close") => SessionEvent::Close,
-                _ => return err("bad session event"),
-            };
-            let session = SessionId::new(parse_prefixed(
-                fields.next().unwrap_or(""),
-                's',
-                "bad session id",
-            )?);
-            let user = UserId::new(parse_prefixed(
-                fields.next().unwrap_or(""),
-                'u',
-                "bad user",
-            )?);
-            Payload::Session {
-                event: ev,
-                session,
-                user,
-            }
-        }
-        "storage_done" => {
-            let op = ApiOpKind::from_label(fields.next().unwrap_or(""))
-                .ok_or(LineError { reason: "bad op" })?;
-            let session = SessionId::new(parse_prefixed(
-                fields.next().unwrap_or(""),
-                's',
-                "bad session id",
-            )?);
-            let user = UserId::new(parse_prefixed(
-                fields.next().unwrap_or(""),
-                'u',
-                "bad user",
-            )?);
-            let volume = VolumeId::new(parse_prefixed(
-                fields.next().unwrap_or(""),
-                'v',
-                "bad volume",
-            )?);
-            let node = match fields.next().unwrap_or("") {
-                "-" => None,
-                s => Some(NodeId::new(parse_prefixed(s, 'n', "bad node")?)),
-            };
-            let kind = match fields.next().unwrap_or("") {
-                "file" => Some(NodeKind::File),
-                "dir" => Some(NodeKind::Directory),
-                "-" => None,
-                _ => return err("bad node kind"),
-            };
-            let size = parse_u64(fields.next().unwrap_or(""), "bad size")?;
-            let hash = match fields.next().unwrap_or("") {
-                "-" => None,
-                s => Some(ContentHash::from_hex(s).ok_or(LineError { reason: "bad hash" })?),
-            };
-            let ext = match fields.next().unwrap_or("") {
-                "-" => u1_core::Ext::EMPTY,
-                s => u1_core::Ext::new(s),
-            };
-            let success = match fields.next().unwrap_or("") {
-                "ok" => true,
-                "err" => false,
-                _ => return err("bad status"),
-            };
-            let duration_us = parse_u64(fields.next().unwrap_or(""), "bad duration")?;
-            Payload::Storage {
-                op,
-                session,
-                user,
-                volume,
-                node,
-                kind,
-                size,
-                hash,
-                ext,
-                success,
-                duration_us,
-            }
-        }
-        "rpc" => {
-            let rpc = RpcKind::from_dal_name(fields.next().unwrap_or(""))
-                .ok_or(LineError { reason: "bad rpc" })?;
-            let shard_field = fields.next().unwrap_or("");
-            let shard_raw = shard_field.strip_prefix("shard").ok_or(LineError {
-                reason: "bad shard",
-            })?;
-            let shard = ShardId::new(shard_raw.parse::<u16>().map_err(|_| LineError {
-                reason: "bad shard",
-            })?);
-            let user = UserId::new(parse_prefixed(
-                fields.next().unwrap_or(""),
-                'u',
-                "bad user",
-            )?);
-            let service_us = parse_u64(fields.next().unwrap_or(""), "bad service time")?;
-            Payload::Rpc {
-                rpc,
-                shard,
-                user,
-                service_us,
-            }
-        }
-        "auth" => {
-            let user = UserId::new(parse_prefixed(
-                fields.next().unwrap_or(""),
-                'u',
-                "bad user",
-            )?);
-            let success = match fields.next().unwrap_or("") {
-                "ok" => true,
-                "fail" => false,
-                _ => return err("bad auth status"),
-            };
-            Payload::Auth { user, success }
-        }
-        _ => return err("unknown type"),
-    };
-    let mut rec = TraceRecord::new(t, machine, process, payload);
-    // A parsed line carries its own fault tags (or none); never inherit the
-    // thread-local tags of whoever is doing the parsing.
-    rec.attempt = 1;
-    rec.error_class = None;
-    for field in fields {
-        if let Some(v) = field.strip_prefix("a=") {
-            rec.attempt = v.parse::<u32>().map_err(|_| LineError {
-                reason: "bad attempt",
-            })?;
-        } else if let Some(v) = field.strip_prefix("ec=") {
-            rec.error_class = Some(ErrorClass::from_label(v).ok_or(LineError {
-                reason: "bad error class",
-            })?);
-        } else if let Some(v) = field.strip_prefix("o=") {
-            // Origin/seq stamps written by `write_line_stamped`; plain
-            // traces lack them and keep whatever `TraceRecord::new` stamped.
-            rec.origin = v.parse::<u32>().map_err(|_| LineError {
-                reason: "bad origin",
-            })?;
-        } else if let Some(v) = field.strip_prefix("q=") {
-            rec.seq = v
-                .parse::<u64>()
-                .map_err(|_| LineError { reason: "bad seq" })?;
-        }
-        // Other trailing fields stay tolerated, as before.
-    }
-    Ok(rec)
+    parse_line(line.as_bytes(), machine, process)
 }
 
 #[cfg(test)]
@@ -620,6 +682,57 @@ mod tests {
             ProcessId::new(0)
         )
         .is_err());
+    }
+
+    /// A parsed record carries what its line says and nothing of the thread
+    /// that parsed it: reading a trace inside a simulation partition, under a
+    /// retry loop's fault tags, draws no stamp from the partition and copies
+    /// no tag.
+    #[test]
+    fn parsing_takes_nothing_from_the_partition_or_fault_tags_of_its_thread() {
+        use u1_core::{fault, partition};
+        let _guard = partition::install(partition::PartitionCtx::new(7));
+        fault::set_attempt(3);
+        fault::set_error_class(Some(ErrorClass::Timeout));
+        let before = partition::next_trace_stamp();
+
+        let (m, p) = (MachineId::new(2), ProcessId::new(9));
+        let plain = from_line("5,auth,u1,ok", m, p).expect("parse");
+        assert_eq!((plain.origin, plain.seq), (0, 0));
+        assert_eq!((plain.attempt, plain.error_class), (1, None));
+        let tagged = parse_line(b"5,auth,u1,ok,a=2,ec=part_put,o=4,q=11", m, p).expect("parse");
+        assert_eq!((tagged.origin, tagged.seq), (4, 11));
+        assert_eq!(
+            (tagged.attempt, tagged.error_class),
+            (2, Some(ErrorClass::PartPut))
+        );
+
+        let after = partition::next_trace_stamp();
+        fault::clear_tags();
+        assert_eq!(before, Some((7, 1)));
+        assert_eq!(after, Some((7, 2)), "parsing drew a stamp");
+    }
+
+    #[test]
+    fn find_byte_finds_the_first_match_at_every_offset() {
+        for len in 0..40 {
+            let mut bytes = vec![b'x'; len];
+            assert_eq!(find_byte(&bytes, b','), None, "len {len}");
+            for at in (0..len).rev() {
+                // Bytes after `at` are matches too: the first one wins.
+                bytes[at] = b',';
+                assert_eq!(find_byte(&bytes, b','), Some(at), "len {len}");
+            }
+        }
+        // Bytes that differ from the needle only in the high bit, or by one.
+        assert_eq!(
+            find_byte(b"\xac\x2d\x2b\x00\xff\x8a\x0b\x09\x0a", b'\n'),
+            Some(8)
+        );
+        assert_eq!(
+            find_byte(b"\xac\x2d\x2b\x00\xff\xac\x2d\x2b,", b','),
+            Some(8)
+        );
     }
 
     #[test]

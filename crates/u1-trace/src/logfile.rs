@@ -5,17 +5,21 @@
 //! sequential; a merged, timestamp-sorted view is what the analyses consume;
 //! ~1% of lines may fail to parse and are skipped (and counted).
 //!
-//! The read path is allocation-light: lines are read into one reused buffer
-//! per task (no per-line `String`), each file yields its own [`ParseStats`]
-//! so the parallel reader can sum them, and [`LogDirReader::read_all_parallel`]
-//! splits files into *byte ranges aligned to line boundaries* (pread-style:
-//! each task seeks into its own handle — one big file no longer serializes
-//! the whole read on one task) and merges per-range output in `(file, range)`
-//! order — producing output byte-identical to the serial
-//! [`LogDirReader::read_all`].
+//! There is one read path. A file (or a byte range of one) is read once into
+//! a buffer the caller reuses, lines are found by scanning it for `\n`, and
+//! each goes through [`csvline::parse_line`] as bytes, straight into the
+//! caller's record vector. Nothing checks that a file is UTF-8: a line of
+//! garbage — binary bytes, a NUL, half a record — is one
+//! [`ParseStats::malformed`] count like any other line that does not parse;
+//! a line holding nothing but `\r` is blank and not counted at all.
+//!
+//! [`LogDirReader::read_all_parallel`] splits files into *byte ranges aligned
+//! to line boundaries* (each task seeks into its own handle, so one big file
+//! does not serialize the read on one task) and concatenates per-range output
+//! in `(file, range)` order — identical to the serial [`LogDirReader::read_all`].
 //!
 //! Range-split convention: a range `[start, end)` owns every line whose
-//! *first byte* lies in the range. A task with `start > 0` seeks to
+//! *first byte* lies in the range. A task with `start > 0` starts reading at
 //! `start - 1` and discards through the first `\n` (that line's first byte
 //! is owned by an earlier range), and the last line of a range may extend
 //! past `end` (later ranges skip it by the same rule). Every line is
@@ -25,17 +29,24 @@
 use crate::csvline;
 use crate::event::TraceRecord;
 use std::fs;
-use std::io::{BufRead, BufReader, Seek, SeekFrom};
+use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use u1_core::timing::{saturating_nanos, Phase, PhaseTimers};
-use u1_core::{MachineId, ProcessId};
+use u1_core::{MachineId, ProcessId, SimTime};
 
 /// Floor on planned range size: below this, per-task overhead (open, seek,
 /// partial-line skip) beats the parallelism. Small files still parse as a
 /// single range each.
 const MIN_RANGE_BYTES: u64 = 256 * 1024;
+
+/// How much is read at a time past a range's end to finish its last line.
+const TAIL_BYTES: u64 = 256;
+
+/// Bytes of logfile per record, for reserving the record vector before a
+/// read: on the low side of real traces (stamped lines average 78 bytes).
+const RESERVE_BYTES_PER_RECORD: usize = 64;
 
 /// Builds the logfile name for a (machine, process, day) triple, e.g.
 /// `production-whitecurrant-23-day05.csv` — same structure as the paper's
@@ -103,34 +114,60 @@ impl ParseStats {
     }
 }
 
-/// Parses a single logfile into records plus its own [`ParseStats`]
-/// (`files == 1`). Lines go through one reused buffer — no per-line
-/// allocation. Malformed lines are counted and skipped, never fatal.
-pub fn read_logfile(
+/// The read path: parses every line of `path` whose first byte lies in
+/// `[start, end)` (the module-level split convention; `end == u64::MAX` for
+/// a whole file) onto the end of `records`, and returns the range's counters
+/// with `files == 0`. The bytes are read once into `buf`, whose old contents
+/// are dropped and whose allocation the caller keeps for the next file.
+/// Malformed lines are counted and skipped, never fatal.
+fn read_range_into(
     path: &Path,
     machine: MachineId,
     process: ProcessId,
-) -> std::io::Result<(Vec<TraceRecord>, ParseStats)> {
-    let mut stats = ParseStats {
-        files: 1,
-        ..ParseStats::default()
+    (start, end): (u64, u64),
+    buf: &mut Vec<u8>,
+    records: &mut Vec<TraceRecord>,
+) -> std::io::Result<ParseStats> {
+    let mut stats = ParseStats::default();
+    if start >= end {
+        return Ok(stats);
+    }
+    let mut file = fs::File::open(path)?;
+    // One byte early: if that byte is a `\n`, `start` is a line boundary;
+    // if not, it belongs to a line an earlier range owns, dropped below.
+    let from = start.saturating_sub(1);
+    if from > 0 {
+        file.seek(SeekFrom::Start(from))?;
+    }
+    buf.clear();
+    let mut want = end - from;
+    let mut got = file.by_ref().take(want).read_to_end(buf)? as u64;
+    // The range's last line may run past `end`: read on to its `\n` or EOF.
+    let mut unseen = buf.len().saturating_sub(1);
+    while got == want && !buf[unseen..].contains(&b'\n') {
+        unseen = buf.len();
+        want = TAIL_BYTES;
+        got = file.by_ref().take(want).read_to_end(buf)? as u64;
+    }
+    // Where `end` falls in the buffer: lines starting before it are ours.
+    let owned = (end - from).min(buf.len() as u64) as usize;
+    records.reserve(owned / RESERVE_BYTES_PER_RECORD);
+    let mut pos = match start {
+        0 => 0,
+        _ => csvline::find_byte(buf, b'\n').map_or(buf.len(), |newline| newline + 1),
     };
-    let mut records = Vec::new();
-    let file = fs::File::open(path)?;
-    let mut reader = BufReader::new(file);
-    let mut buf = String::with_capacity(256);
-    loop {
-        buf.clear();
-        if reader.read_line(&mut buf)? == 0 {
-            break;
+    while pos < owned {
+        let rest = &buf[pos..];
+        let mut line = &rest[..csvline::find_byte(rest, b'\n').unwrap_or(rest.len())];
+        pos += line.len() + 1;
+        while let [head @ .., b'\r'] = line {
+            line = head;
         }
-        // read_line keeps the terminator; strip `\n` / `\r\n` manually.
-        let line = buf.trim_end_matches(['\n', '\r']);
         if line.is_empty() {
             continue;
         }
         stats.lines += 1;
-        match csvline::from_line(line, machine, process) {
+        match csvline::parse_line(line, machine, process) {
             Ok(rec) => {
                 stats.parsed += 1;
                 records.push(rec);
@@ -138,6 +175,18 @@ pub fn read_logfile(
             Err(_) => stats.malformed += 1,
         }
     }
+    Ok(stats)
+}
+
+/// Parses a single logfile into records plus its own [`ParseStats`]
+/// (`files == 1`).
+pub fn read_logfile(
+    path: &Path,
+    machine: MachineId,
+    process: ProcessId,
+) -> std::io::Result<(Vec<TraceRecord>, ParseStats)> {
+    let (records, mut stats) = read_logfile_range(path, machine, process, 0, u64::MAX)?;
+    stats.files = 1;
     Ok((records, stats))
 }
 
@@ -154,46 +203,8 @@ pub fn read_logfile_range(
     start: u64,
     end: u64,
 ) -> std::io::Result<(Vec<TraceRecord>, ParseStats)> {
-    let mut stats = ParseStats::default();
-    let mut records = Vec::new();
-    let file = fs::File::open(path)?;
-    let mut reader = BufReader::new(file);
-    let mut pos = if start == 0 {
-        0
-    } else {
-        // Seek one byte early and discard through the first newline: if
-        // `start - 1` is a `\n`, this consumes exactly that byte and leaves
-        // us at `start` (a line boundary); otherwise it consumes the tail
-        // of a line owned by an earlier range. Byte-wise (`read_until`) so
-        // a seek into the middle of a line can never split a code point.
-        reader.seek(SeekFrom::Start(start - 1))?;
-        let mut skip = Vec::new();
-        let n = reader.read_until(b'\n', &mut skip)?;
-        start - 1 + n as u64
-    };
-    let mut buf = String::with_capacity(256);
-    // `pos` is the first byte of the next line; the line belongs to this
-    // range iff `pos < end`. Reading its body may run past `end`.
-    while pos < end {
-        buf.clear();
-        let n = reader.read_line(&mut buf)?;
-        if n == 0 {
-            break;
-        }
-        pos += n as u64;
-        let line = buf.trim_end_matches(['\n', '\r']);
-        if line.is_empty() {
-            continue;
-        }
-        stats.lines += 1;
-        match csvline::from_line(line, machine, process) {
-            Ok(rec) => {
-                stats.parsed += 1;
-                records.push(rec);
-            }
-            Err(_) => stats.malformed += 1,
-        }
-    }
+    let (mut buf, mut records) = (Vec::new(), Vec::new());
+    let stats = read_range_into(path, machine, process, (start, end), &mut buf, &mut records)?;
     Ok((records, stats))
 }
 
@@ -219,10 +230,11 @@ pub fn read_logfile_at_splits(
         files: 1,
         ..ParseStats::default()
     };
+    let mut buf = Vec::new();
     for w in points.windows(2) {
-        let (recs, range_stats) = read_logfile_range(path, machine, process, w[0], w[1])?;
-        stats.absorb(&range_stats);
-        records.extend(recs);
+        let range = (w[0], w[1]);
+        let read = read_range_into(path, machine, process, range, &mut buf, &mut records)?;
+        stats.absorb(&read);
     }
     Ok((records, stats))
 }
@@ -273,14 +285,21 @@ fn plan_ranges(sizes: &[u64], threads: usize) -> Vec<RangeTask> {
 type LogfileEntry = (PathBuf, MachineId, ProcessId, u64);
 
 /// Reads the given logfiles serially, concatenating records in file order
-/// (no sort — callers pick their own ordering key).
+/// (no sort — callers pick their own ordering key): every file is parsed
+/// straight onto the end of one vector, reserved once from the files' sizes.
 fn read_files(files: &[LogfileEntry]) -> std::io::Result<(Vec<TraceRecord>, ParseStats)> {
     let mut stats = ParseStats::default();
-    let mut records = Vec::new();
+    let sizes = files
+        .iter()
+        .map(|(path, ..)| fs::metadata(path).map(|m| m.len()));
+    let bytes = sizes.sum::<std::io::Result<u64>>()?;
+    let mut records = Vec::with_capacity(bytes as usize / RESERVE_BYTES_PER_RECORD);
+    let mut buf = Vec::new();
     for (path, machine, process, _day) in files {
-        let (recs, file_stats) = read_logfile(path, *machine, *process)?;
-        stats.absorb(&file_stats);
-        records.extend(recs);
+        let whole = (0, u64::MAX);
+        let read = read_range_into(path, *machine, *process, whole, &mut buf, &mut records)?;
+        stats.absorb(&read);
+        stats.files += 1;
     }
     Ok((records, stats))
 }
@@ -320,13 +339,17 @@ fn read_files_parallel(
         for _ in 0..workers {
             scope.spawn(|| {
                 let t0 = std::time::Instant::now();
+                let mut buf = Vec::new();
                 loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     let Some(task) = tasks.get(i) else {
                         break;
                     };
                     let (path, machine, process, _day) = &files[task.file];
-                    let result = read_logfile_range(path, *machine, *process, task.start, task.end);
+                    let (range, mut records) = ((task.start, task.end), Vec::new());
+                    let result =
+                        read_range_into(path, *machine, *process, range, &mut buf, &mut records)
+                            .map(|stats| (records, stats));
                     if let Ok(mut slots) = slots.lock() {
                         slots[i] = Some(result);
                     }
@@ -335,21 +358,46 @@ fn read_files_parallel(
             });
         }
     });
-    let mut stats = ParseStats::default();
     let slots = slots
         .into_inner()
         .map_err(|_| std::io::Error::other("parse worker panicked"))?;
+    let mut stats = ParseStats::default();
     let mut records = Vec::new();
     for (task, slot) in tasks.iter().zip(slots) {
-        let (recs, mut range_stats) =
+        let (mut recs, range_stats) =
             slot.ok_or_else(|| std::io::Error::other("parse task missing"))??;
-        if task.first {
-            range_stats.files = 1;
-        }
         stats.absorb(&range_stats);
-        records.extend(recs);
+        stats.files += usize::from(task.first);
+        records.append(&mut recs);
     }
     Ok((records, stats))
+}
+
+/// Sorts `records` by `key` with equal keys left in their current order —
+/// what `sort_by_key` gives — moving no 144-byte record more than once:
+/// records already in order stay put; otherwise compact `(key, index)`
+/// entries are sorted and the records gathered once in that order. The index
+/// makes entries distinct, so any sort yields the stable order; the merge sort
+/// is used because a day is files laid end to end, each already in order.
+fn sort_records(records: &mut Vec<TraceRecord>, key: impl Fn(&TraceRecord) -> (SimTime, u32, u64)) {
+    if records.windows(2).all(|w| key(&w[0]) <= key(&w[1])) {
+        return;
+    }
+    // Unreachable: 2^32 records are 618 GB, read into memory before this.
+    assert!(u32::try_from(records.len()).is_ok(), "chunk too large");
+    let mut order: Vec<(SimTime, u32, u64, u32)> = records
+        .iter()
+        .zip(0u32..)
+        .map(|(rec, index)| {
+            let (t, origin, seq) = key(rec);
+            (t, origin, seq, index)
+        })
+        .collect();
+    order.sort();
+    *records = order
+        .iter()
+        .map(|&(_, _, _, index)| records[index as usize].clone())
+        .collect();
 }
 
 /// Reads a directory of trace logfiles.
@@ -399,7 +447,7 @@ impl LogDirReader {
         };
         let (mut records, read_stats) = read_files(&files)?;
         stats.absorb(&read_stats);
-        records.sort_by_key(|r| r.t);
+        sort_records(&mut records, |r| (r.t, 0, 0));
         Ok((records, stats))
     }
 
@@ -438,7 +486,7 @@ impl LogDirReader {
         let (mut records, read_stats) = read_files_parallel(&files, threads, timers)?;
         stats.absorb(&read_stats);
         let t_sort = std::time::Instant::now();
-        records.sort_by_key(|r| r.t);
+        sort_records(&mut records, |r| (r.t, 0, 0));
         timers.add(Phase::Sort, saturating_nanos(t_sort));
         Ok((records, stats))
     }
@@ -525,7 +573,7 @@ impl DayChunks {
         Some(
             read_files_parallel(files, self.threads, timers).map(|(mut records, stats)| {
                 let t_sort = std::time::Instant::now();
-                records.sort_by_key(|r| (r.t, r.origin, r.seq));
+                sort_records(&mut records, |r| (r.t, r.origin, r.seq));
                 timers.add(Phase::Sort, saturating_nanos(t_sort));
                 DayChunk {
                     day: *day,
@@ -543,7 +591,7 @@ mod tests {
     use crate::event::{Payload, SessionEvent};
     use crate::sink::{DirSink, TraceSink};
     use std::io::Write;
-    use u1_core::{SessionId, SimTime, UserId};
+    use u1_core::{SessionId, UserId};
 
     #[test]
     fn logfile_names_round_trip() {
@@ -593,6 +641,9 @@ mod tests {
             sink.flush();
         }
         // Corrupt one file with garbage lines and drop in a foreign file.
+        // Five of the lines are malformed; the blank line and the lone `\r`
+        // are not lines at all. None of the bytes after the second line
+        // would get past a reader that insists on UTF-8.
         let garbage_target = fs::read_dir(dir).unwrap().next().unwrap().unwrap().path();
         {
             let mut f = fs::OpenOptions::new()
@@ -601,6 +652,10 @@ mod tests {
                 .unwrap();
             writeln!(f, "totally,bogus,line").unwrap();
             writeln!(f, "12345,frobnicate").unwrap();
+            f.write_all(b"\xff\xfe\x80 not text\n").unwrap();
+            f.write_all(b"77,auth,u\0,ok\n").unwrap();
+            f.write_all(b"\r\n\n").unwrap();
+            f.write_all(b"4900000001,session,open,s5").unwrap();
         }
         fs::write(dir.join("notes.txt"), "not a trace\n").unwrap();
         expected.sort_by_key(|r| r.t);
@@ -614,7 +669,8 @@ mod tests {
 
         let (records, stats) = LogDirReader::new(&dir).read_all().unwrap();
         assert_eq!(stats.parsed, 50);
-        assert_eq!(stats.malformed, 2);
+        assert_eq!(stats.malformed, 5);
+        assert_eq!(stats.lines, 55);
         assert_eq!(stats.skipped_files, 1);
         assert!(stats.malformed_fraction() > 0.0);
         assert_eq!(records.len(), 50);
@@ -639,6 +695,55 @@ mod tests {
             let (par, par_stats) = reader.read_all_parallel(threads).unwrap();
             assert_eq!(par_stats, serial_stats, "stats differ at {threads} threads");
             assert_eq!(par, serial, "records differ at {threads} threads");
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Bytes that are not text cost one malformed line each, on every read
+    /// path alike: the directory reads (serial, parallel, by day) and the
+    /// range reader split at every byte offset of the corrupted file all
+    /// return the serial result, records and counters.
+    #[test]
+    fn bytes_that_are_not_text_are_malformed_lines_on_every_read_path() {
+        let dir = std::env::temp_dir().join(format!("u1-logdir-bytes-test-{}", std::process::id()));
+        let _ = write_corrupted_dir(&dir);
+
+        let reader = LogDirReader::new(&dir);
+        let (serial, serial_stats) = reader.read_all().unwrap();
+        assert_eq!((serial.len(), serial_stats.malformed), (50, 5));
+        for threads in [1, 2, 4, 8] {
+            let (par, par_stats) = reader.read_all_parallel(threads).unwrap();
+            assert_eq!(par_stats, serial_stats, "stats differ at {threads} threads");
+            assert_eq!(par, serial, "records differ at {threads} threads");
+
+            // Every record is from day 0 with a timestamp of its own, so the
+            // one day chunk is the whole directory in the same order.
+            let mut chunks = reader.day_chunks(threads).unwrap();
+            let mut stats = ParseStats {
+                skipped_files: chunks.skipped_files(),
+                ..ParseStats::default()
+            };
+            let mut all = Vec::new();
+            while let Some(chunk) = chunks.next_day() {
+                let chunk = chunk.unwrap();
+                stats.absorb(&chunk.stats);
+                all.extend(chunk.records);
+            }
+            assert_eq!(stats, serial_stats, "day stats differ at {threads} threads");
+            assert_eq!(all, serial, "day records differ at {threads} threads");
+        }
+
+        let (files, _) = reader.logfiles().unwrap();
+        let (path, machine, process, _day) = files
+            .iter()
+            .find(|(path, _, _, _)| fs::read(path).unwrap().contains(&0xff))
+            .expect("the corrupted file");
+        let (whole, whole_stats) = read_logfile(path, *machine, *process).unwrap();
+        assert_eq!(whole_stats.malformed, 5);
+        for split in 0..=fs::metadata(path).unwrap().len() {
+            let (recs, stats) = read_logfile_at_splits(path, *machine, *process, &[split]).unwrap();
+            assert_eq!(stats, whole_stats, "stats differ split at byte {split}");
+            assert_eq!(recs, whole, "records differ split at byte {split}");
         }
         let _ = fs::remove_dir_all(&dir);
     }
@@ -780,6 +885,59 @@ mod tests {
             assert_eq!(all, expected, "at {threads} threads");
         }
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The sort helper against the sort it replaced: per-origin runs laid end
+    /// to end, then with records displaced, many sharing a timestamp and all
+    /// the legacy `(0, 0)` stamp — equal keys must keep their input order,
+    /// exactly as the stable `sort_by_key` leaves them.
+    #[test]
+    fn sort_records_is_the_stable_sort_by_key() {
+        let mut records = Vec::new();
+        for run in 0..5u64 {
+            for i in 0..40u64 {
+                let mut rec = TraceRecord::new(
+                    SimTime::from_secs((i * 7 + run) / 3),
+                    MachineId::new(run as u16),
+                    ProcessId::new(0),
+                    Payload::Auth {
+                        // Tells records with equal keys apart.
+                        user: UserId::new(run * 100 + i),
+                        success: true,
+                    },
+                );
+                (rec.origin, rec.seq) = if run % 2 == 0 {
+                    (0, 0)
+                } else {
+                    (run as u32, i)
+                };
+                records.push(rec);
+            }
+        }
+        let mut state = 0x9E37_79B9u64;
+        for round in 0..4 {
+            type Key = fn(&TraceRecord) -> (SimTime, u32, u64);
+            for key in [(|r| (r.t, 0, 0)) as Key, |r| (r.t, r.origin, r.seq)] {
+                let mut expected = records.clone();
+                expected.sort_by_key(key);
+                let mut sorted = records.clone();
+                sort_records(&mut sorted, key);
+                assert_eq!(sorted, expected, "round {round}");
+                // Already in order: left as it is.
+                sort_records(&mut sorted, key);
+                assert_eq!(sorted, expected, "round {round}, second sort");
+            }
+            for _ in 0..30 {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let (a, b) = (
+                    (state >> 33) as usize % records.len(),
+                    (state >> 13) as usize % records.len(),
+                );
+                records.swap(a, b);
+            }
+        }
     }
 
     /// The range planner: every byte covered exactly once, per-file `first`
