@@ -11,10 +11,9 @@
 use parking_lot::{Mutex, RwLock};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use u1_core::{CoreError, CoreResult, SimDuration, SimTime, UserId};
+use u1_core::{CoreError, CoreResult, FxHashMap, SimDuration, SimTime, UserId};
 
 /// Per-partition-origin RNG streams (see [`u1_core::partition`]).
 ///
@@ -26,14 +25,14 @@ use u1_core::{CoreError, CoreResult, SimDuration, SimTime, UserId};
 /// from it.
 struct OriginRngs {
     seed: u64,
-    streams: RwLock<HashMap<u32, Arc<Mutex<SmallRng>>>>,
+    streams: RwLock<FxHashMap<u32, Arc<Mutex<SmallRng>>>>,
 }
 
 impl OriginRngs {
     fn new(seed: u64) -> Self {
         Self {
             seed,
-            streams: RwLock::new(HashMap::new()),
+            streams: RwLock::default(),
         }
     }
 
@@ -106,8 +105,8 @@ struct TokenEntry {
 /// The authentication service: issues and validates tokens.
 pub struct AuthService {
     config: AuthConfig,
-    tokens: RwLock<HashMap<Token, TokenEntry>>,
-    by_user: RwLock<HashMap<UserId, Token>>,
+    tokens: RwLock<FxHashMap<Token, TokenEntry>>,
+    by_user: RwLock<FxHashMap<UserId, Token>>,
     rng: OriginRngs,
     issued: AtomicU64,
     validations: AtomicU64,
@@ -119,8 +118,8 @@ impl AuthService {
     pub fn new(config: AuthConfig, seed: u64) -> Self {
         Self {
             config,
-            tokens: RwLock::new(HashMap::new()),
-            by_user: RwLock::new(HashMap::new()),
+            tokens: RwLock::default(),
+            by_user: RwLock::default(),
             rng: OriginRngs::new(seed),
             issued: AtomicU64::new(0),
             validations: AtomicU64::new(0),

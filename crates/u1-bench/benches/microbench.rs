@@ -246,6 +246,24 @@ fn bench_contention(c: &mut Criterion) {
             },
         );
     }
+    // ListVolumes opens every active session, on a shard that hosts mostly
+    // idle users: its cost must follow the caller's own volumes, not the
+    // shard's population. Default store, 10 shards.
+    for users_per_shard in [100u64, 10_000] {
+        let store = store_with_users(users_per_shard * 10);
+        g.throughput(Throughput::Elements(1));
+        g.bench_with_input(
+            BenchmarkId::new("list_volumes_users_per_shard", users_per_shard),
+            &store,
+            |b, store| {
+                let mut user = 0u64;
+                b.iter(|| {
+                    user = user % (users_per_shard * 10) + 1;
+                    store.list_volumes(UserId::new(user)).unwrap()
+                })
+            },
+        );
+    }
     g.finish();
 }
 

@@ -3,10 +3,10 @@
 use crate::multipart::{MultipartError, MultipartUpload};
 use crate::tier::Tier;
 use parking_lot::RwLock;
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use u1_core::{ContentHash, FaultInjector, SimTime};
+use u1_core::{ContentHash, FaultInjector, FxHashMap, SimTime};
 
 /// Metadata of a stored object.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -48,9 +48,14 @@ pub struct BlobStoreStats {
 /// The S3 stand-in. Thread-safe; all methods take `&self`.
 #[derive(Debug, Default)]
 pub struct BlobStore {
-    objects: RwLock<HashMap<ContentHash, StoredObject>>,
-    multiparts: RwLock<HashMap<u64, MultipartUpload>>,
+    /// Keyed by SHA-1 digest / by the multipart ids minted below: Fx maps,
+    /// never iterated where order could reach an output.
+    objects: RwLock<FxHashMap<ContentHash, StoredObject>>,
+    multiparts: RwLock<FxHashMap<u64, MultipartUpload>>,
     next_multipart: AtomicU64,
+    /// Sum of `meta.size` over `objects`, updated under the `objects` write
+    /// lock by every insert and remove so `stats()` never walks the map.
+    bytes_stored: AtomicU64,
     put_ops: AtomicU64,
     get_ops: AtomicU64,
     delete_ops: AtomicU64,
@@ -86,18 +91,37 @@ impl BlobStore {
     pub fn put(&self, hash: ContentHash, size: u64, data: Option<Vec<u8>>, now: SimTime) {
         self.put_ops.fetch_add(1, Ordering::Relaxed);
         self.bytes_uploaded.fetch_add(size, Ordering::Relaxed);
-        let mut objects = self.objects.write();
-        objects.entry(hash).or_insert_with(|| StoredObject {
-            meta: ObjectMeta {
-                hash,
-                size,
-                stored_at: now,
-                last_access: now,
-                tier: Tier::Hot,
-                reads: 0,
-            },
-            data,
-        });
+        self.insert_if_absent(hash, size, data, now);
+    }
+
+    /// Stores the object unless its content identity is already present,
+    /// and returns the stored object's metadata either way.
+    fn insert_if_absent(
+        &self,
+        hash: ContentHash,
+        size: u64,
+        data: Option<Vec<u8>>,
+        now: SimTime,
+    ) -> ObjectMeta {
+        match self.objects.write().entry(hash) {
+            Entry::Occupied(existing) => existing.get().meta.clone(),
+            Entry::Vacant(slot) => {
+                self.bytes_stored.fetch_add(size, Ordering::Relaxed);
+                let meta = ObjectMeta {
+                    hash,
+                    size,
+                    stored_at: now,
+                    last_access: now,
+                    tier: Tier::Hot,
+                    reads: 0,
+                };
+                slot.insert(StoredObject {
+                    meta: meta.clone(),
+                    data,
+                });
+                meta
+            }
+        }
     }
 
     /// GET: returns metadata and (in live mode) bytes. Records the access
@@ -123,7 +147,14 @@ impl BlobStore {
     /// DELETE. Returns true if the object existed.
     pub fn delete(&self, hash: ContentHash) -> bool {
         self.delete_ops.fetch_add(1, Ordering::Relaxed);
-        self.objects.write().remove(&hash).is_some()
+        match self.objects.write().remove(&hash) {
+            Some(obj) => {
+                self.bytes_stored
+                    .fetch_sub(obj.meta.size, Ordering::Relaxed);
+                true
+            }
+            None => false,
+        }
     }
 
     // ----- multipart (Appendix A) ----------------------------------------
@@ -170,33 +201,18 @@ impl BlobStore {
         hash: ContentHash,
         now: SimTime,
     ) -> Result<ObjectMeta, MultipartError> {
-        let mp = self
-            .multiparts
-            .write()
-            .remove(&multipart_id)
-            .ok_or(MultipartError::UnknownUpload)?;
-        if mp.parts() == 0 {
-            // Restore: completing an empty upload is invalid.
-            self.multiparts.write().insert(multipart_id, mp);
-            return Err(MultipartError::NoParts);
-        }
+        // Checked and removed under one write lock: an empty upload is
+        // refused where it stands, never taken out and put back.
+        let mp = match self.multiparts.write().entry(multipart_id) {
+            Entry::Vacant(_) => return Err(MultipartError::UnknownUpload),
+            Entry::Occupied(mp) if mp.get().parts() == 0 => return Err(MultipartError::NoParts),
+            Entry::Occupied(mp) => mp.remove(),
+        };
         self.mp_completed.fetch_add(1, Ordering::Relaxed);
         let (size, data) = mp.into_object();
         self.bytes_uploaded.fetch_add(size, Ordering::Relaxed);
         self.put_ops.fetch_add(1, Ordering::Relaxed);
-        let mut objects = self.objects.write();
-        let obj = objects.entry(hash).or_insert_with(|| StoredObject {
-            meta: ObjectMeta {
-                hash,
-                size,
-                stored_at: now,
-                last_access: now,
-                tier: Tier::Hot,
-                reads: 0,
-            },
-            data,
-        });
-        Ok(obj.meta.clone())
+        Ok(self.insert_if_absent(hash, size, data, now))
     }
 
     /// Aborts a multipart upload, discarding its parts (driven by client
@@ -222,10 +238,9 @@ impl BlobStore {
     // ----- accounting ------------------------------------------------------
 
     pub fn stats(&self) -> BlobStoreStats {
-        let objects = self.objects.read();
         BlobStoreStats {
-            objects: objects.len() as u64,
-            bytes_stored: objects.values().map(|o| o.meta.size).sum(),
+            objects: self.objects.read().len() as u64,
+            bytes_stored: self.bytes_stored.load(Ordering::Relaxed),
             put_ops: self.put_ops.load(Ordering::Relaxed),
             get_ops: self.get_ops.load(Ordering::Relaxed),
             delete_ops: self.delete_ops.load(Ordering::Relaxed),
@@ -238,7 +253,9 @@ impl BlobStore {
         }
     }
 
-    /// Applies `f` to every object's metadata (tier sweeps, reports).
+    /// Applies `f` to every object's metadata (tier sweeps, reports), in no
+    /// particular order. `f` must leave `size` alone: `stats()` reports a
+    /// counter, not a sum over the objects.
     pub fn for_each_meta_mut(&self, mut f: impl FnMut(&mut ObjectMeta)) {
         for obj in self.objects.write().values_mut() {
             f(&mut obj.meta);
@@ -365,5 +382,36 @@ mod tests {
         s.complete_multipart(id, h(2), SimTime::ZERO).unwrap();
         let (_, data) = s.get(h(2), SimTime::ZERO).unwrap();
         assert_eq!(data.unwrap(), vec![1, 2, 3, 4, 5]);
+    }
+
+    proptest::proptest! {
+        /// `bytes_stored` is a counter now; after any sequence of puts,
+        /// re-puts of stored content, deletes and multipart completions it
+        /// must equal what `stats()` used to compute, the sum over objects.
+        #[test]
+        fn bytes_stored_counter_equals_the_sum_over_objects(
+            steps in proptest::collection::vec((0u8..4, 0u64..12, 1u64..5_000), 0..200),
+        ) {
+            let s = BlobStore::new();
+            for (kind, id, size) in steps {
+                match kind {
+                    0 | 1 => s.put(h(id), size, None, SimTime::ZERO),
+                    2 => {
+                        s.delete(h(id));
+                    }
+                    _ => {
+                        let mp = s.initiate_multipart(SimTime::ZERO);
+                        s.upload_part(mp, size, None).unwrap();
+                        s.upload_part(mp, size / 2 + 1, None).unwrap();
+                        s.complete_multipart(mp, h(id), SimTime::ZERO).unwrap();
+                    }
+                }
+                let mut sum = 0;
+                s.for_each_meta_mut(|meta| sum += meta.size);
+                let stats = s.stats();
+                assert_eq!(stats.bytes_stored, sum);
+                assert_eq!(stats.objects, s.objects.read().len() as u64);
+            }
+        }
     }
 }

@@ -24,15 +24,15 @@
 
 use crate::model::ContentRow;
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap};
-use u1_core::{ContentHash, SimTime};
+use std::collections::hash_map::Entry;
+use u1_core::{ContentHash, FxHashMap, SimTime};
 
 /// Number of index stripes. Power of two, comfortably above any plausible
 /// worker count so stripe collisions stay rare.
 pub const STRIPES: usize = 64;
 
 /// Buffered same-epoch activity of one origin on one hash.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Delta {
     /// Net refcount change (increfs minus decrefs) this epoch.
     delta: i64,
@@ -47,29 +47,16 @@ struct Delta {
     view_zeroed: bool,
 }
 
+/// Both maps are keyed by SHA-1 digests (already uniform) and probed on
+/// every upload, unlink and download, so they use the Fx hasher; neither is
+/// iterated anywhere order could reach an output (`seal` sorts what it
+/// drains, `fold_stats` only sums).
 #[derive(Debug, Default)]
 struct Stripe {
     /// Rows visible to every origin (folded at the last seal).
-    committed: HashMap<ContentHash, ContentRow>,
+    committed: FxHashMap<ContentHash, ContentRow>,
     /// Same-epoch deltas, visible only to their origin.
-    pending: HashMap<(ContentHash, u32), Delta>,
-}
-
-impl Stripe {
-    /// Refcount as seen by `origin`: committed plus its own delta.
-    fn view_refcount(&self, hash: ContentHash, origin: u32) -> i64 {
-        let committed = self
-            .committed
-            .get(&hash)
-            .map(|r| r.refcount as i64)
-            .unwrap_or(0);
-        let delta = self
-            .pending
-            .get(&(hash, origin))
-            .map(|d| d.delta)
-            .unwrap_or(0);
-        committed + delta
-    }
+    pending: FxHashMap<(ContentHash, u32), Delta>,
 }
 
 /// What a [`ContentIndex::seal`] fold decided about the object store.
@@ -133,7 +120,12 @@ impl ContentIndex {
     /// view of the refcount reached zero — the caller deletes the blob,
     /// exactly like the legacy remove-at-zero path.
     pub fn decref(&self, hash: ContentHash, origin: u32) -> bool {
-        let mut stripe = self.stripe(hash).lock();
+        let mut guard = self.stripe(hash).lock();
+        let stripe = &mut *guard;
+        let committed = stripe
+            .committed
+            .get(&hash)
+            .map_or(0, |row| row.refcount as i64);
         let entry = stripe.pending.entry((hash, origin)).or_insert(Delta {
             delta: 0,
             size: 0,
@@ -144,30 +136,27 @@ impl ContentIndex {
         // Exactly zero: the last visible reference went away right now. A
         // negative view means an unbalanced release (legacy semantics:
         // decref of an untracked hash is a no-op).
-        if stripe.view_refcount(hash, origin) == 0 {
-            if let Some(entry) = stripe.pending.get_mut(&(hash, origin)) {
-                entry.view_zeroed = true;
-            }
-            true
-        } else {
-            false
+        let zeroed = committed + entry.delta == 0;
+        if zeroed {
+            entry.view_zeroed = true;
         }
+        zeroed
     }
 
-    /// The dedup probe: the row as seen by `origin`, if its view holds at
-    /// least one reference.
+    /// The dedup probe: the row as seen by `origin` — committed state plus
+    /// the origin's own delta — if that view holds at least one reference.
     pub fn probe(&self, hash: ContentHash, origin: u32) -> Option<ContentRow> {
         let stripe = self.stripe(hash).lock();
-        let refcount = stripe.view_refcount(hash, origin);
+        let committed = stripe.committed.get(&hash);
+        let own = stripe.pending.get(&(hash, origin));
+        let refcount = committed.map_or(0, |row| row.refcount as i64) + own.map_or(0, |d| d.delta);
         if refcount <= 0 {
             return None;
         }
-        let (size, first_seen) = match stripe.committed.get(&hash) {
-            Some(row) => (row.size, row.first_seen),
-            None => {
-                let d = stripe.pending.get(&(hash, origin))?;
-                (d.size, d.first_seen)
-            }
+        let (size, first_seen) = match (committed, own) {
+            (Some(row), _) => (row.size, row.first_seen),
+            (None, Some(d)) => (d.size, d.first_seen),
+            (None, None) => return None,
         };
         Some(ContentRow {
             hash,
@@ -184,43 +173,64 @@ impl ContentIndex {
     /// independent of both worker count and arrival order.
     pub fn seal(&self) -> SealOutcome {
         let mut out = SealOutcome::default();
+        // One buffer reused across stripes: a stripe's deltas are drained
+        // into it, sorted by hash, and each run of equal hashes folded.
+        let mut deltas: Vec<(ContentHash, Delta)> = Vec::new();
         for stripe in &self.stripes {
             let mut stripe = stripe.lock();
-            // Group drained deltas by hash, in deterministic hash order.
-            let mut by_hash: BTreeMap<[u8; 20], Vec<Delta>> = BTreeMap::new();
-            for ((hash, _origin), delta) in stripe.pending.drain() {
-                by_hash.entry(hash.0).or_default().push(delta);
-            }
-            for (hash_bytes, deltas) in by_hash {
-                let hash = ContentHash(hash_bytes);
-                let total: i64 = deltas.iter().map(|d| d.delta).sum();
-                let zeroed = deltas.iter().any(|d| d.view_zeroed);
-                let increfed = deltas.iter().filter(|d| d.delta > 0 || d.size > 0);
-                let size = increfed.clone().map(|d| d.size).max().unwrap_or(0);
-                let first_seen = increfed
-                    .map(|d| d.first_seen)
-                    .min()
-                    .unwrap_or(SimTime::ZERO);
-                let folded = match stripe.committed.get(&hash) {
-                    Some(row) => ContentRow {
-                        refcount: row.refcount.saturating_add_signed(total),
-                        ..row.clone()
-                    },
-                    None => ContentRow {
-                        hash,
-                        size,
-                        refcount: total.max(0) as u64,
-                        first_seen,
-                    },
-                };
-                if folded.refcount == 0 {
-                    stripe.committed.remove(&hash);
-                    out.dead.push(hash);
-                } else {
-                    if zeroed {
-                        out.live.push((hash, folded.size));
+            deltas.clear();
+            deltas.extend(
+                stripe
+                    .pending
+                    .drain()
+                    .map(|((hash, _origin), delta)| (hash, delta)),
+            );
+            deltas.sort_unstable_by_key(|&(hash, _)| hash);
+            let mut rest = deltas.as_slice();
+            while let Some(&(hash, _)) = rest.first() {
+                let len = rest.iter().take_while(|(h, _)| *h == hash).count();
+                let (run, tail) = rest.split_at(len);
+                rest = tail;
+                let total: i64 = run.iter().map(|(_, d)| d.delta).sum();
+                let zeroed = run.iter().any(|(_, d)| d.view_zeroed);
+                match stripe.committed.entry(hash) {
+                    Entry::Occupied(mut row) => {
+                        let refcount = row.get().refcount.saturating_add_signed(total);
+                        if refcount == 0 {
+                            row.remove();
+                            out.dead.push(hash);
+                        } else {
+                            row.get_mut().refcount = refcount;
+                            if zeroed {
+                                out.live.push((hash, row.get().size));
+                            }
+                        }
                     }
-                    stripe.committed.insert(hash, folded);
+                    Entry::Vacant(slot) => {
+                        let refcount = total.max(0) as u64;
+                        if refcount == 0 {
+                            out.dead.push(hash);
+                            continue;
+                        }
+                        let increfed = run
+                            .iter()
+                            .map(|(_, d)| d)
+                            .filter(|d| d.delta > 0 || d.size > 0);
+                        let size = increfed.clone().map(|d| d.size).max().unwrap_or(0);
+                        let first_seen = increfed
+                            .map(|d| d.first_seen)
+                            .min()
+                            .unwrap_or(SimTime::ZERO);
+                        if zeroed {
+                            out.live.push((hash, size));
+                        }
+                        slot.insert(ContentRow {
+                            hash,
+                            size,
+                            refcount,
+                            first_seen,
+                        });
+                    }
                 }
             }
         }
@@ -239,7 +249,7 @@ impl ContentIndex {
         let mut total = 0u64;
         for stripe in &self.stripes {
             let stripe = stripe.lock();
-            let mut folded: HashMap<ContentHash, (u64, i64)> = stripe
+            let mut folded: FxHashMap<ContentHash, (u64, i64)> = stripe
                 .committed
                 .iter()
                 .map(|(h, r)| (*h, (r.size, r.refcount as i64)))
@@ -336,5 +346,95 @@ mod tests {
             idx.probe(h(9), 0).unwrap().first_seen,
             SimTime::from_secs(5)
         );
+    }
+
+    /// The fold `seal` used before it sorted one vector: group the drained
+    /// deltas per hash through a `BTreeMap<[u8; 20], Vec<Delta>>`. Kept as
+    /// the oracle the sort-and-fold-runs implementation is checked against.
+    fn oracle_seal(idx: &ContentIndex) -> SealOutcome {
+        use std::collections::BTreeMap;
+        let mut out = SealOutcome::default();
+        for stripe in &idx.stripes {
+            let mut stripe = stripe.lock();
+            let mut by_hash: BTreeMap<[u8; 20], Vec<Delta>> = BTreeMap::new();
+            for ((hash, _origin), delta) in stripe.pending.drain() {
+                by_hash.entry(hash.0).or_default().push(delta);
+            }
+            for (hash_bytes, deltas) in by_hash {
+                let hash = ContentHash(hash_bytes);
+                let total: i64 = deltas.iter().map(|d| d.delta).sum();
+                let zeroed = deltas.iter().any(|d| d.view_zeroed);
+                let increfed = deltas.iter().filter(|d| d.delta > 0 || d.size > 0);
+                let size = increfed.clone().map(|d| d.size).max().unwrap_or(0);
+                let first_seen = increfed
+                    .map(|d| d.first_seen)
+                    .min()
+                    .unwrap_or(SimTime::ZERO);
+                let folded = match stripe.committed.get(&hash) {
+                    Some(row) => ContentRow {
+                        refcount: row.refcount.saturating_add_signed(total),
+                        ..row.clone()
+                    },
+                    None => ContentRow {
+                        hash,
+                        size,
+                        refcount: total.max(0) as u64,
+                        first_seen,
+                    },
+                };
+                if folded.refcount == 0 {
+                    stripe.committed.remove(&hash);
+                    out.dead.push(hash);
+                } else {
+                    if zeroed {
+                        out.live.push((hash, folded.size));
+                    }
+                    stripe.committed.insert(hash, folded);
+                }
+            }
+        }
+        out.dead.sort();
+        out.live.sort();
+        out
+    }
+
+    /// One step of a generated history: `(kind, content id, origin, time)`.
+    fn apply(idx: &ContentIndex, (kind, id, origin, t): (u8, u64, u32, u64)) {
+        match kind {
+            0..=3 => idx.incref(h(id), 100 + id, SimTime::from_secs(t), origin),
+            4..=6 => {
+                idx.decref(h(id), origin);
+            }
+            _ => idx.undo_incref(h(id), origin),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// Random incref / decref / undo histories over a small hash pool
+        /// and four origins, sealed after every epoch: the outcome and the
+        /// committed state must match the old per-hash-`Vec` fold's.
+        #[test]
+        fn seal_matches_the_grouping_fold(
+            epochs in proptest::collection::vec(
+                proptest::collection::vec((0u8..8, 0u64..24, 0u32..4, 0u64..1000), 0..120),
+                1..6,
+            ),
+        ) {
+            let new = ContentIndex::new();
+            let old = ContentIndex::new();
+            for epoch in epochs {
+                for step in epoch {
+                    apply(&new, step);
+                    apply(&old, step);
+                }
+                assert_eq!(new.seal(), oracle_seal(&old));
+                for id in 0..24 {
+                    assert_eq!(new.probe(h(id), 0), old.probe(h(id), 0), "content {id}");
+                }
+                assert_eq!(new.fold_stats(), old.fold_stats());
+            }
+        }
     }
 }

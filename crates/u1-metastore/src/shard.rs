@@ -26,6 +26,12 @@
 //! * Volumes live in a `Vec<VolumeSlot>` slab the same way; each volume
 //!   slot *owns* its secondary indexes (live-name map, change log, member
 //!   list), so the cascade delete is a wholesale drop.
+//! * Each user's volume-slot indices sit beside their row
+//!   (`user_volumes`), so `list_volumes` and the UDF duplicate-name probe
+//!   touch that user's handful of volumes. No request path iterates a slab
+//!   whole: a shard hosts every user routed to it, nearly all of them idle,
+//!   and an op must cost what its own user's rows cost
+//!   ([`Shard::volume_snapshot`] is end-of-run reporting, not a request).
 //! * The per-volume change log backing `get_delta` is an append-only
 //!   `Vec<(generation, slot)>` instead of a `BTreeSet`: generations are
 //!   monotone per volume, so the vector is naturally sorted, a log entry is
@@ -134,6 +140,10 @@ pub struct Shard {
     /// Dense user index; users are never deleted, so no free list.
     users: IdArena<UserId>,
     user_rows: Vec<UserRow>,
+    /// Per user (same index as `user_rows`): the slots of the live volumes
+    /// they own, in no particular order. Maintained by `create_user`,
+    /// `create_udf` and `delete_volume`.
+    user_volumes: Vec<Vec<u32>>,
     volumes: FxHashMap<VolumeId, u32>,
     volume_slots: Vec<VolumeSlot>,
     free_volumes: Vec<u32>,
@@ -244,6 +254,12 @@ impl Shard {
         }
     }
 
+    fn user_idx(&self, user: UserId) -> CoreResult<u32> {
+        self.users
+            .get(user)
+            .ok_or_else(|| CoreError::not_found(format!("user {user}")))
+    }
+
     fn volume_idx(&self, volume: VolumeId) -> CoreResult<u32> {
         self.volumes
             .get(&volume)
@@ -321,10 +337,12 @@ impl Shard {
             root_volume,
             created_at: now,
         };
-        self.users
+        let uidx = self
+            .users
             .intern(user)
             .ok_or_else(|| CoreError::invalid("user arena exhausted"))?;
         self.user_rows.push(row.clone());
+        self.user_volumes.push(Vec::new());
         let name = self.intern_name("Ubuntu One")?;
         let vidx = self.alloc_volume_slot(VolumeSlot {
             volume: root_volume,
@@ -338,15 +356,13 @@ impl Shard {
             ..Default::default()
         })?;
         self.volumes.insert(root_volume, vidx);
+        self.user_volumes[uidx as usize].push(vidx);
         Ok(row)
     }
 
     /// `dal.get_user_data`.
     pub fn get_user_data(&self, user: UserId) -> CoreResult<UserRow> {
-        self.users
-            .get(user)
-            .map(|slot| self.user_rows[slot as usize].clone())
-            .ok_or_else(|| CoreError::not_found(format!("user {user}")))
+        Ok(self.user_rows[self.user_idx(user)? as usize].clone())
     }
 
     /// `dal.get_root`.
@@ -363,13 +379,10 @@ impl Shard {
     /// `dal.list_volumes` — root plus UDFs owned by the user (shares are
     /// resolved by the store layer).
     pub fn list_volumes(&self, user: UserId) -> CoreResult<Vec<VolumeRow>> {
-        self.get_user_data(user)?;
-        let mut vols: Vec<VolumeRow> = (0..self.volume_slots.len())
-            .filter(|&i| {
-                let v = &self.volume_slots[i];
-                v.alive && v.owner == user
-            })
-            .map(|i| self.volume_row(i as u32))
+        let uidx = self.user_idx(user)?;
+        let mut vols: Vec<VolumeRow> = self.user_volumes[uidx as usize]
+            .iter()
+            .map(|&vidx| self.volume_row(vidx))
             .collect();
         vols.sort_by_key(|v| v.volume);
         Ok(vols)
@@ -385,17 +398,17 @@ impl Shard {
         name: &str,
         now: SimTime,
     ) -> CoreResult<VolumeRow> {
-        self.get_user_data(user)?;
+        let uidx = self.user_idx(user)?;
         if name.is_empty() {
             return Err(CoreError::invalid("empty UDF name"));
         }
-        // Same-name probe: a name never interned cannot name a volume, and
-        // equal strings share one id, so the old string scan becomes a u32
-        // compare.
+        // Same-name probe over this user's volumes: a name never interned
+        // cannot name a volume, and equal strings share one id, so the
+        // compare is a u32.
         let dup = self.names.lookup(name).is_some_and(|id| {
-            self.volume_slots
+            self.user_volumes[uidx as usize]
                 .iter()
-                .any(|v| v.alive && v.owner == user && v.name == id)
+                .any(|&vidx| self.volume_slots[vidx as usize].name == id)
         });
         if dup {
             return Err(CoreError::conflict(format!("UDF '{name}' exists")));
@@ -413,6 +426,7 @@ impl Shard {
             ..Default::default()
         })?;
         self.volumes.insert(volume, vidx);
+        self.user_volumes[uidx as usize].push(vidx);
         Ok(self.volume_row(vidx))
     }
 
@@ -454,6 +468,9 @@ impl Shard {
         // Abandon any in-flight uploads into the deleted volume.
         self.uploadjobs.retain(|_, j| j.volume != volume);
         self.volumes.remove(&volume);
+        if let Some(uidx) = self.users.get(owner) {
+            self.user_volumes[uidx as usize].retain(|&v| v != vidx);
+        }
         self.free_volumes.push(vidx);
         Ok(dead)
     }
@@ -1381,5 +1398,105 @@ mod tests {
         let reaped = shard.gc_uploadjobs(SimTime::from_days(8), week);
         assert_eq!(reaped.len(), 1);
         assert!(shard.get_uploadjob(up).is_err());
+    }
+
+    // ----- the per-user volume list against a scan of every slot ----------
+
+    /// `list_volumes` as it was before the per-user list: filter the whole
+    /// volume slab by owner. The definition the list has to reproduce.
+    fn scan_list_volumes(shard: &Shard, user: UserId) -> CoreResult<Vec<VolumeRow>> {
+        shard.get_user_data(user)?;
+        let mut vols: Vec<VolumeRow> = (0..shard.volume_slots.len())
+            .filter(|&i| {
+                let v = &shard.volume_slots[i];
+                v.alive && v.owner == user
+            })
+            .map(|i| shard.volume_row(i as u32))
+            .collect();
+        vols.sort_by_key(|v| v.volume);
+        Ok(vols)
+    }
+
+    /// `create_udf`'s duplicate-name probe as it was: any live volume of
+    /// `user` anywhere in the slab carrying `name`.
+    fn scan_has_volume_named(shard: &Shard, user: UserId, name: &str) -> bool {
+        shard.names.lookup(name).is_some_and(|id| {
+            shard
+                .volume_slots
+                .iter()
+                .any(|v| v.alive && v.owner == user && v.name == id)
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        /// Random create_user / create_udf / delete_volume / list_volumes
+        /// histories — duplicate names, unknown and foreign users, root
+        /// volumes, recycled slots — give the same rows in the same order
+        /// and the same errors as the whole-slab scans did.
+        #[test]
+        fn per_user_volume_list_matches_a_scan_of_every_slot(
+            steps in proptest::collection::vec((0u8..8, 0u64..7, 0u64..7, 0u8..5), 1..80),
+        ) {
+            let mut shard = Shard::new(ShardId::new(0));
+            let mut next_volume = 100u64;
+            let mut volumes: Vec<VolumeId> = Vec::new();
+            for (kind, a, b, name) in steps {
+                // Users 1..=6 may exist; user 7 (a == 6) never does.
+                let user = UserId::new(a + 1);
+                match kind {
+                    0 | 1 if a < 6 => {
+                        next_volume += 1;
+                        let root = VolumeId::new(next_volume);
+                        if shard.create_user(user, root, SimTime::ZERO).is_ok() {
+                            volumes.push(root);
+                        }
+                    }
+                    2..=4 => {
+                        let name = ["", "Photos", "Music", "Docs", "Ubuntu One"][name as usize];
+                        let expected = if shard.get_user_data(user).is_err() {
+                            Err(CoreError::not_found(format!("user {user}")))
+                        } else if name.is_empty() {
+                            Err(CoreError::invalid("empty UDF name"))
+                        } else if scan_has_volume_named(&shard, user, name) {
+                            Err(CoreError::conflict(format!("UDF '{name}' exists")))
+                        } else {
+                            Ok(())
+                        };
+                        next_volume += 1;
+                        let volume = VolumeId::new(next_volume);
+                        let got = shard.create_udf(user, volume, name, SimTime::ZERO);
+                        assert_eq!(got.as_ref().map(|_| ()).map_err(Clone::clone), expected);
+                        if let Ok(row) = got {
+                            assert_eq!((row.volume, row.owner, row.kind), (volume, user, VolumeKind::UserDefined));
+                            volumes.push(volume);
+                        }
+                    }
+                    5 | 6 if !volumes.is_empty() => {
+                        // Any volume ever created (roots, live, deleted) by
+                        // any user, its owner or not.
+                        let volume = volumes[(b as usize * 13 + name as usize) % volumes.len()];
+                        let owner_before = shard.get_volume(volume).map(|v| (v.owner, v.kind));
+                        let got = shard.delete_volume(user, volume);
+                        match owner_before {
+                            Err(_) => assert!(matches!(got, Err(CoreError::NotFound(_)))),
+                            Ok((owner, _)) if owner != user => {
+                                assert!(matches!(got, Err(CoreError::PermissionDenied(_))))
+                            }
+                            Ok((_, VolumeKind::Root)) => {
+                                assert!(matches!(got, Err(CoreError::Invalid(_))))
+                            }
+                            Ok(_) => assert!(got.is_ok()),
+                        }
+                    }
+                    _ => {}
+                }
+                for u in 1..=7 {
+                    let u = UserId::new(u);
+                    assert_eq!(shard.list_volumes(u), scan_list_volumes(&shard, u), "{u}");
+                }
+            }
+        }
     }
 }

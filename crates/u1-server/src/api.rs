@@ -317,10 +317,18 @@ impl Backend {
     /// DeleteVolume — the cascade operation.
     pub fn delete_volume(&self, session: SessionId, volume: VolumeId) -> CoreResult<u64> {
         let h = self.session(session)?;
-        // Notify *before* the rows disappear so recipients are still known.
+        // The cascade runs first: its size is what the RPC's service time
+        // is sampled from. So by the time the RPC can fail the rows are
+        // gone, and the rest of the operation — deleting the blobs the
+        // cascade released, logging the op — must happen either way.
         let result = self.store.delete_volume(h.user, volume);
         let rows = result.as_ref().map(|r| r.dead.len() as u64).unwrap_or(0);
-        let d = self.rpc(h.slot, h.user, RpcKind::DeleteVolume, rows)?;
+        let (d, rpc) = self.rpc_timed(h.slot, h.user, RpcKind::DeleteVolume, rows);
+        if let Ok(released) = &result {
+            for hash in &released.unreferenced {
+                self.blobs.delete(*hash);
+            }
+        }
         self.log_storage(
             &h,
             ApiOpKind::DeleteVolume,
@@ -330,13 +338,11 @@ impl Backend {
             0,
             None,
             "",
-            result.is_ok(),
+            result.is_ok() && rpc.is_ok(),
             d,
         );
+        rpc?;
         let released = result?;
-        for hash in &released.unreferenced {
-            self.blobs.delete(*hash);
-        }
         // Other devices of this user learn the volume is gone.
         for sess in self.sessions.sessions_of(h.user) {
             if sess.session != session {
@@ -1311,5 +1317,77 @@ mod tests {
                 ..
             }
         )));
+    }
+
+    /// `delete_volume` runs the store cascade before its RPC (the cascade
+    /// size sets the RPC's service time). When the RPC then exhausts its
+    /// retry budget the volume is already gone, so the blobs it released
+    /// must be deleted and the failed op logged all the same.
+    #[test]
+    fn delete_volume_out_of_rpc_retries_still_releases_blobs_and_is_logged() {
+        use u1_core::FaultPlan;
+        let sink = Arc::new(MemorySink::new());
+        let cfg = BackendConfig {
+            auth: u1_auth::AuthConfig {
+                transient_failure_rate: 0.0,
+                token_ttl: None,
+            },
+            fault: FaultPlan {
+                rpc_timeout_p: 0.5,
+                ..FaultPlan::none()
+            },
+            ..Default::default()
+        };
+        let b = Backend::new(cfg, Arc::new(SimClock::new()), sink.clone());
+        let token = b.register_user(UserId::new(1));
+        let mut content = 0u64;
+        // Half of all RPC attempts time out, so every step may fail; keep
+        // opening sessions and filling fresh volumes until a delete whose
+        // volume held content runs out of retries.
+        for round in 0..500 {
+            let Ok(h) = b.open_session(token) else {
+                continue;
+            };
+            if let Ok(udf) = b.create_udf(h.session, &format!("v{round}")) {
+                let mut stored = Vec::new();
+                for i in 0..3 {
+                    content += 1;
+                    let hash = ContentHash::from_content_id(content);
+                    let uploaded = b
+                        .make_node(
+                            h.session,
+                            udf.volume,
+                            None,
+                            NodeKind::File,
+                            &format!("f{i}"),
+                        )
+                        .and_then(|n| b.upload_file(h.session, udf.volume, n.node, hash, 1000));
+                    if uploaded.is_ok() {
+                        stored.push(hash);
+                    }
+                }
+                let outcome = b.delete_volume(h.session, udf.volume);
+                if matches!(outcome, Err(CoreError::Unavailable(_))) && !stored.is_empty() {
+                    assert_eq!(b.store.owner_of(udf.volume), None, "the cascade ran");
+                    for hash in stored {
+                        assert!(!b.store.content_visible(hash));
+                        assert!(!b.blobs.contains(hash), "unreferenced blob left behind");
+                    }
+                    assert!(sink.take_sorted().iter().any(|r| matches!(
+                        &r.payload,
+                        u1_trace::Payload::Storage {
+                            op: ApiOpKind::DeleteVolume,
+                            volume,
+                            success: false,
+                            ..
+                        } if *volume == udf.volume
+                    )));
+                    u1_core::fault::clear_tags();
+                    return;
+                }
+            }
+            let _ = b.close_session(h.session);
+        }
+        panic!("no delete_volume ran out of RPC retries in 500 rounds");
     }
 }

@@ -8,15 +8,14 @@ use crate::session::{SessionHandle, SessionTable};
 use crate::tokencache::{TokenCache, TokenCacheStats};
 use crossbeam::channel::Receiver;
 use parking_lot::{Mutex, RwLock};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use u1_auth::{AuthConfig, AuthService};
 use u1_blobstore::BlobStore;
 use u1_core::fault::{self, ErrorClass, FaultInjector, FaultPlan};
 use u1_core::{
-    ApiOpKind, Clock, ContentHash, CoreError, CoreResult, NodeId, NodeKind, RpcKind, SimDuration,
-    SimTime, UserId, VolumeId,
+    ApiOpKind, Clock, ContentHash, CoreError, CoreResult, FxHashMap, NodeId, NodeKind, RpcKind,
+    SimDuration, SimTime, UserId, VolumeId,
 };
 use u1_metastore::{LatencyModel, LatencyProfile, MetaStore, StoreConfig};
 use u1_notify::{Broker, SubscriberId};
@@ -91,7 +90,7 @@ pub struct BackendFaultStats {
 pub(crate) struct LatencyBank {
     profile: LatencyProfile,
     seed: u64,
-    models: RwLock<HashMap<u32, Arc<Mutex<LatencyModel>>>>,
+    models: RwLock<FxHashMap<u32, Arc<Mutex<LatencyModel>>>>,
 }
 
 impl LatencyBank {
@@ -99,7 +98,7 @@ impl LatencyBank {
         Self {
             profile,
             seed,
-            models: RwLock::new(HashMap::new()),
+            models: RwLock::default(),
         }
     }
 
@@ -146,11 +145,11 @@ pub struct Backend {
     /// are recorded: the shard-parallel driver serializes all activity of
     /// one shard, so same-shard read-after-write on this map is
     /// deterministic, while cross-shard entries would race the reader.
-    missed_notify: Mutex<HashMap<UserId, Vec<VolumeId>>>,
+    missed_notify: Mutex<FxHashMap<UserId, Vec<VolumeId>>>,
     /// One broker subscription per API process; drained synchronously after
     /// every publish (`pump_broker`).
     subscriptions: Vec<(Slot, SubscriberId, Receiver<VolumeEvent>)>,
-    slot_to_sub: HashMap<(u16, u16), SubscriberId>,
+    slot_to_sub: FxHashMap<(u16, u16), SubscriberId>,
 }
 
 impl Backend {
@@ -167,7 +166,7 @@ impl Backend {
         let cluster = Cluster::new(cfg.cluster.clone());
         let broker = Broker::new();
         let mut subscriptions = Vec::new();
-        let mut slot_to_sub = HashMap::new();
+        let mut slot_to_sub = FxHashMap::default();
         for (slot, _) in cluster.active_sessions() {
             let (id, rx) = broker.subscribe();
             slot_to_sub.insert((slot.machine.raw(), slot.process.raw()), id);
@@ -191,7 +190,7 @@ impl Backend {
             rpc_timeouts: AtomicU64::new(0),
             rpc_retries: AtomicU64::new(0),
             auth_fallbacks: AtomicU64::new(0),
-            missed_notify: Mutex::new(HashMap::new()),
+            missed_notify: Mutex::default(),
             subscriptions,
             slot_to_sub,
         }
@@ -245,7 +244,21 @@ impl Backend {
 
     /// Executes one metadata RPC: samples its service time, logs the `rpc`
     /// trace record against the acting user's shard, and returns the
-    /// sampled duration.
+    /// sampled duration. See [`Backend::rpc_timed`]; `Err` means the retry
+    /// budget ran out.
+    pub(crate) fn rpc(
+        &self,
+        slot: Slot,
+        shard_user: UserId,
+        rpc: RpcKind,
+        cascade_rows: u64,
+    ) -> CoreResult<SimDuration> {
+        let (total, outcome) = self.rpc_timed(slot, shard_user, rpc, cascade_rows);
+        outcome.map(|()| total)
+    }
+
+    /// [`Backend::rpc`] for a caller that has to account for the time spent
+    /// even when the RPC failed.
     ///
     /// With the fault plane active, each attempt may time out; timed-out
     /// attempts are retried with bounded exponential backoff
@@ -255,13 +268,13 @@ impl Backend {
     /// attempt's service time plus the backoff waits; `Err` means the
     /// retry budget ran out. The caller's attempt tag is restored on exit
     /// so `storage_done` records keep the *client-level* attempt number.
-    pub(crate) fn rpc(
+    pub(crate) fn rpc_timed(
         &self,
         slot: Slot,
         shard_user: UserId,
         rpc: RpcKind,
         cascade_rows: u64,
-    ) -> CoreResult<SimDuration> {
+    ) -> (SimDuration, CoreResult<()>) {
         let model = self.latency.current();
         let policy = self.faults.plan().rpc_retry;
         let outer_attempt = fault::current_attempt();
@@ -291,15 +304,18 @@ impl Backend {
             if !timed_out {
                 fault::set_attempt(outer_attempt);
                 fault::set_error_class(None);
-                return Ok(total);
+                return (total, Ok(()));
             }
             self.rpc_timeouts.fetch_add(1, Ordering::Relaxed);
             if attempt >= policy.max_attempts {
                 fault::set_attempt(outer_attempt);
                 fault::set_error_class(Some(ErrorClass::Timeout));
-                return Err(CoreError::unavailable(format!(
-                    "rpc timed out after {attempt} attempts"
-                )));
+                return (
+                    total,
+                    Err(CoreError::unavailable(format!(
+                        "rpc timed out after {attempt} attempts"
+                    ))),
+                );
             }
             total = total + policy.backoff(attempt);
             self.rpc_retries.fetch_add(1, Ordering::Relaxed);

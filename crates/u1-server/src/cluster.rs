@@ -18,9 +18,8 @@
 //! context share the origin-0 view and see exactly the legacy behavior.
 
 use parking_lot::{Mutex, RwLock};
-use std::collections::HashMap;
 use std::sync::Arc;
-use u1_core::{MachineId, ProcessId};
+use u1_core::{FxHashMap, MachineId, ProcessId};
 
 /// Topology parameters.
 #[derive(Debug, Clone)]
@@ -58,7 +57,7 @@ struct SlotLoad {
 pub struct Cluster {
     slots: Vec<Slot>,
     /// One private load view per partition origin, created on first use.
-    views: RwLock<HashMap<u32, Arc<Mutex<Vec<SlotLoad>>>>>,
+    views: RwLock<FxHashMap<u32, Arc<Mutex<Vec<SlotLoad>>>>>,
     config: ClusterConfig,
 }
 
@@ -76,7 +75,7 @@ impl Cluster {
         }
         Self {
             slots,
-            views: RwLock::new(HashMap::new()),
+            views: RwLock::default(),
             config,
         }
     }

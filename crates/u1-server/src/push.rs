@@ -9,9 +9,8 @@
 use crate::cluster::Slot;
 use crossbeam::channel::Sender;
 use parking_lot::RwLock;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use u1_core::{SessionId, UserId, VolumeId};
+use u1_core::{FxHashMap, SessionId, UserId, VolumeId};
 use u1_proto::msg::Push;
 
 /// The event API servers exchange through the broker: "deliver this push to
@@ -35,7 +34,7 @@ pub struct VolumeEvent {
 pub struct PushRouter {
     /// Sessions that asked to receive pushes (live TCP writers or sim-mode
     /// client mailboxes). Cold sessions simply never register.
-    endpoints: RwLock<HashMap<SessionId, Sender<Push>>>,
+    endpoints: RwLock<FxHashMap<SessionId, Sender<Push>>>,
     delivered_local: AtomicU64,
     delivered_remote: AtomicU64,
     /// Pushes addressed to sessions with no registered endpoint.

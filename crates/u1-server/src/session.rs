@@ -7,9 +7,8 @@
 
 use crate::cluster::Slot;
 use parking_lot::RwLock;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use u1_core::{SessionId, SimTime, UserId};
+use u1_core::{FxHashMap, SessionId, SimTime, UserId};
 
 /// Number of independent lock stripes for the live/by-user maps.
 const SESSION_STRIPES: usize = 16;
@@ -34,8 +33,8 @@ struct SessionEntry {
 #[derive(Debug)]
 pub struct SessionTable {
     next_id: AtomicU64,
-    live: Vec<RwLock<HashMap<SessionId, SessionEntry>>>,
-    by_user: Vec<RwLock<HashMap<UserId, Vec<SessionId>>>>,
+    live: Vec<RwLock<FxHashMap<SessionId, SessionEntry>>>,
+    by_user: Vec<RwLock<FxHashMap<UserId, Vec<SessionId>>>>,
 }
 
 impl Default for SessionTable {
@@ -53,11 +52,11 @@ impl SessionTable {
         Self::default()
     }
 
-    fn live_stripe(&self, session: SessionId) -> &RwLock<HashMap<SessionId, SessionEntry>> {
+    fn live_stripe(&self, session: SessionId) -> &RwLock<FxHashMap<SessionId, SessionEntry>> {
         &self.live[session.raw() as usize % SESSION_STRIPES]
     }
 
-    fn user_stripe(&self, user: UserId) -> &RwLock<HashMap<UserId, Vec<SessionId>>> {
+    fn user_stripe(&self, user: UserId) -> &RwLock<FxHashMap<UserId, Vec<SessionId>>> {
         &self.by_user[user.raw() as usize % SESSION_STRIPES]
     }
 

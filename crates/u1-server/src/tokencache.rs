@@ -8,10 +8,9 @@
 //! with hit/miss counters surfaced in the workload driver's report.
 
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use u1_auth::Token;
-use u1_core::{SimDuration, SimTime, UserId};
+use u1_core::{FxHashMap, SimDuration, SimTime, UserId};
 
 const SHARDS: usize = 16;
 
@@ -37,7 +36,7 @@ impl TokenCacheStats {
 /// A sharded, TTL-aware token → user cache.
 pub struct TokenCache {
     ttl: SimDuration,
-    shards: Vec<Mutex<HashMap<Token, (UserId, SimTime)>>>,
+    shards: Vec<Mutex<FxHashMap<Token, (UserId, SimTime)>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -46,7 +45,7 @@ impl TokenCache {
     pub fn new(ttl: SimDuration) -> Self {
         Self {
             ttl,
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            shards: (0..SHARDS).map(|_| Mutex::default()).collect(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }

@@ -26,9 +26,27 @@ use u1_core::{CachePadded, MachineId, ProcessId, SimTime};
 /// false-share a line between workers even when their locks never collide.
 const STRIPES: usize = 32;
 
-/// Records buffered per origin before [`BufferedSink`] pushes a batch to its
-/// inner sink on its own (callers still flush explicitly at day boundaries).
+/// Records per chunk: [`BufferedSink`] fills a chunk of exactly this
+/// capacity per origin and hands it on when full (callers still flush
+/// explicitly at day boundaries), and [`MemorySink`] opens chunks of the
+/// same size for records that arrive one at a time.
 const BUFFER_FLUSH_THRESHOLD: usize = 4096;
+
+/// One entry per origin hashing to a stripe. A stripe holds at most a
+/// handful of origins (one per driver partition mapping to it), so a linear
+/// scan beats hashing.
+type PerOrigin<T> = Vec<(u32, T)>;
+
+fn origin_slot<T: Default>(slots: &mut PerOrigin<T>, origin: u32) -> &mut T {
+    let idx = match slots.iter().position(|(o, _)| *o == origin) {
+        Some(i) => i,
+        None => {
+            slots.push((origin, T::default()));
+            slots.len() - 1
+        }
+    };
+    &mut slots[idx].1
+}
 
 /// Something that accepts trace records. Implementations must be
 /// thread-safe: every API/RPC process logs through a shared sink.
@@ -55,9 +73,11 @@ pub trait TraceSink: Send + Sync {
 
     /// Accepts one single-origin run in emission order — the shape
     /// [`BufferedSink`] flushes. `origin` is every record's origin stamp.
-    /// The default delegates to [`TraceSink::record_batch_owned`]; sinks
-    /// that store runs (like [`MemorySink`]) override this to append the
-    /// whole vector at once instead of re-pushing record by record.
+    /// On return `run` is empty. A sink that leaves its allocation in place
+    /// (the default, which delegates to [`TraceSink::record_batch_owned`])
+    /// lets the caller fill the same buffer again; a sink that stores runs
+    /// (like [`MemorySink`]) takes the whole vector instead of re-pushing
+    /// record by record.
     fn record_run(&self, origin: u32, run: &mut Vec<TraceRecord>) {
         let _ = origin;
         self.record_batch_owned(run);
@@ -127,19 +147,21 @@ impl TraceSink for NullSink {
     }
 }
 
-/// Per-origin run storage: each driver partition appends to its own vector,
-/// so a run is naturally `(t, seq)`-monotonic unless the producer bypassed
-/// the partition clock (legacy single-threaded emitters, tests).
-type OriginRuns = Vec<(u32, Vec<TraceRecord>)>;
+/// One origin's records in arrival order, as a list of chunks. Each driver
+/// partition emits `(t, seq)`-monotonically, so a run is naturally sorted
+/// unless the producer bypassed the partition clock (legacy single-threaded
+/// emitters, tests).
+type ChunkedRun = Vec<Vec<TraceRecord>>;
 
 /// Collects records in memory, for analyses that skip the logfile round
-/// trip. Records are kept as one run per origin (striped by origin so
-/// concurrent driver partitions don't serialize on one lock);
-/// `take_sorted` k-way-merges the runs into the canonical order instead of
-/// globally sorting millions of records.
+/// trip. Records are kept as one chunked run per origin (striped by origin
+/// so concurrent driver partitions don't serialize on one lock): a run
+/// handed over by [`BufferedSink`] becomes the origin's next chunk as it is,
+/// so a record is written once, where it was buffered, and not moved again
+/// until `take_sorted` merges the runs into the canonical order.
 #[derive(Debug)]
 pub struct MemorySink {
-    stripes: Vec<CachePadded<Mutex<OriginRuns>>>,
+    stripes: Vec<CachePadded<Mutex<PerOrigin<ChunkedRun>>>>,
 }
 
 impl Default for MemorySink {
@@ -166,51 +188,62 @@ impl MemorySink {
     pub fn len(&self) -> usize {
         self.stripes
             .iter()
-            .map(|s| s.lock().iter().map(|(_, run)| run.len()).sum::<usize>())
+            .map(|s| {
+                let runs = s.lock();
+                runs.iter()
+                    .flat_map(|(_, run)| run.iter().map(Vec::len))
+                    .sum::<usize>()
+            })
             .sum()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.stripes
-            .iter()
-            .all(|s| s.lock().iter().all(|(_, run)| run.is_empty()))
+        self.len() == 0
     }
 
-    fn run_slot(runs: &mut OriginRuns, origin: u32) -> &mut Vec<TraceRecord> {
-        // Linear scan: a stripe holds at most a handful of origins (one per
-        // driver partition mapping to it), so this beats hashing.
-        let idx = match runs.iter().position(|(o, _)| *o == origin) {
-            Some(i) => i,
-            None => {
-                runs.push((origin, Vec::new()));
-                runs.len() - 1
+    /// Appends one record to a run: into the last chunk while it has room,
+    /// else into a fresh chunk (never regrowing one).
+    fn push(run: &mut ChunkedRun, rec: TraceRecord) {
+        match run.last_mut() {
+            Some(last) if last.len() < last.capacity() => last.push(rec),
+            _ => {
+                let mut chunk = Vec::with_capacity(BUFFER_FLUSH_THRESHOLD);
+                chunk.push(rec);
+                run.push(chunk);
             }
-        };
-        &mut runs[idx].1
+        }
     }
 
     /// Drains and returns all records in canonical order: sorted by
     /// `(t, origin, seq)`. Each per-origin run is already monotonic in
     /// `(t, seq)` (verified, and stable-sorted if a producer emitted out of
-    /// order), so a k-way merge reproduces exactly what the previous global
-    /// stable sort produced: full keys collide only within one origin's
-    /// legacy `(0, 0)`-stamped records, whose emission order both the old
-    /// stable sort and the merge preserve.
+    /// order), so a k-way merge reproduces exactly what a global stable
+    /// sort would produce: full keys collide only within one origin's
+    /// legacy `(0, 0)`-stamped records, whose emission order both a stable
+    /// sort and the merge preserve.
     pub fn take_sorted(&self) -> Vec<TraceRecord> {
-        let mut runs: Vec<Vec<TraceRecord>> = Vec::new();
+        let mut runs: Vec<ChunkedRun> = Vec::new();
         for stripe in &self.stripes {
-            for (_, run) in std::mem::take(&mut *stripe.lock()) {
+            for (_, mut run) in std::mem::take(&mut *stripe.lock()) {
+                run.retain(|chunk| !chunk.is_empty());
                 if !run.is_empty() {
                     runs.push(run);
                 }
             }
         }
         for run in &mut runs {
-            let sorted = run
-                .windows(2)
-                .all(|w| (w[0].t, w[0].seq) <= (w[1].t, w[1].seq));
+            let mut keys = run.iter().flatten().map(|r| (r.t, r.seq));
+            let mut prev = keys.next();
+            let sorted = keys.all(|key| {
+                let in_order = prev <= Some(key);
+                prev = Some(key);
+                in_order
+            });
             if !sorted {
-                run.sort_by_key(|r| (r.t, r.seq));
+                let mut flat: Vec<TraceRecord> =
+                    std::mem::take(run).into_iter().flatten().collect();
+                flat.sort_by_key(|r| (r.t, r.seq));
+                run.push(flat);
             }
         }
         merge_runs(runs)
@@ -221,30 +254,36 @@ impl TraceSink for MemorySink {
     fn record(&self, rec: TraceRecord) {
         let stripe = rec.origin as usize % self.stripes.len();
         let mut runs = self.stripes[stripe].lock();
-        Self::run_slot(&mut runs, rec.origin).push(rec);
+        Self::push(origin_slot(&mut runs, rec.origin), rec);
     }
 
     fn record_batch_owned(&self, recs: &mut Vec<TraceRecord>) {
-        // Batches arriving from `BufferedSink` are single-origin; append
-        // contiguous same-origin spans under one lock acquisition.
+        // Take each contiguous same-origin span under one lock acquisition.
         let mut drained = recs.drain(..).peekable();
         while let Some(rec) = drained.next() {
             let origin = rec.origin;
             let stripe = origin as usize % self.stripes.len();
             let mut runs = self.stripes[stripe].lock();
-            let run = Self::run_slot(&mut runs, origin);
-            run.push(rec);
+            let run = origin_slot(&mut runs, origin);
+            Self::push(run, rec);
             while let Some(next) = drained.next_if(|r| r.origin == origin) {
-                run.push(next);
+                Self::push(run, next);
             }
         }
     }
 
     fn record_run(&self, origin: u32, recs: &mut Vec<TraceRecord>) {
-        // One lock acquisition and one slab memcpy for the whole run.
+        if recs.is_empty() {
+            return;
+        }
+        // The vector itself becomes the origin's next chunk: a pointer move
+        // under one lock acquisition. A partly filled buffer (a day-boundary
+        // flush) gives its unused tail back first.
+        let mut chunk = std::mem::take(recs);
+        chunk.shrink_to_fit();
         let stripe = origin as usize % self.stripes.len();
         let mut runs = self.stripes[stripe].lock();
-        Self::run_slot(&mut runs, origin).append(recs);
+        origin_slot(&mut runs, origin).push(chunk);
     }
 }
 
@@ -255,36 +294,66 @@ fn merge_key(rec: &TraceRecord) -> MergeKey {
     (rec.t, rec.origin, rec.seq)
 }
 
-/// K-way merges per-origin runs, each sorted by `(t, seq)`, into one vector
-/// sorted by `(t, origin, seq)`. Only one head per run lives in the heap at
-/// a time, and records of different runs never share a full key (the key
-/// includes the origin), so the merge is deterministic.
-fn merge_runs(runs: Vec<Vec<TraceRecord>>) -> Vec<TraceRecord> {
-    match runs.len() {
-        0 => return Vec::new(),
-        1 => return runs.into_iter().next().unwrap_or_default(),
-        _ => {}
-    }
-    let total = runs.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(total);
-    let mut iters: Vec<std::vec::IntoIter<TraceRecord>> =
-        runs.into_iter().map(Vec::into_iter).collect();
-    let mut heads: Vec<Option<TraceRecord>> = Vec::with_capacity(iters.len());
-    let mut heap: BinaryHeap<Reverse<(MergeKey, usize)>> = BinaryHeap::with_capacity(iters.len());
-    for (i, it) in iters.iter_mut().enumerate() {
-        let head = it.next();
-        if let Some(rec) = &head {
-            heap.push(Reverse((merge_key(rec), i)));
+/// Read position in one run during the merge. Chunks are freed as they are
+/// used up, so the merged output and its input never both exist in full.
+struct RunCursor {
+    chunks: std::vec::IntoIter<Vec<TraceRecord>>,
+    current: std::vec::IntoIter<TraceRecord>,
+}
+
+impl RunCursor {
+    fn new(run: ChunkedRun) -> Self {
+        Self {
+            chunks: run.into_iter(),
+            current: Vec::new().into_iter(),
         }
-        heads.push(head);
+    }
+
+    /// Key of the next record, stepping into the next chunk when the
+    /// current one is used up; `None` at the end of the run.
+    fn head_key(&mut self) -> Option<MergeKey> {
+        while self.current.as_slice().is_empty() {
+            self.current = self.chunks.next()?.into_iter();
+        }
+        self.current.as_slice().first().map(merge_key)
+    }
+}
+
+/// K-way merges per-origin runs, each sorted by `(t, seq)`, into one vector
+/// sorted by `(t, origin, seq)`. Records of different runs never share a
+/// full key (the key includes the origin), so the merge is deterministic.
+///
+/// The merge gallops: the run with the smallest head keeps emitting until
+/// its next key passes the runner-up's head, so the heap is touched once
+/// per such stretch instead of once per record. An operation emits its
+/// handful of records at one `(t, origin)`, and between two operations of
+/// one shard the other shards have usually emitted nothing earlier, so
+/// stretches are several records long.
+fn merge_runs(mut runs: Vec<ChunkedRun>) -> Vec<TraceRecord> {
+    if runs.len() == 1 && runs[0].len() == 1 {
+        return runs.pop().and_then(|mut run| run.pop()).unwrap_or_default();
+    }
+    let total = runs.iter().flatten().map(Vec::len).sum();
+    let mut out = Vec::with_capacity(total);
+    let mut cursors: Vec<RunCursor> = runs.into_iter().map(RunCursor::new).collect();
+    let mut heap: BinaryHeap<Reverse<(MergeKey, usize)>> = BinaryHeap::with_capacity(cursors.len());
+    for (i, cursor) in cursors.iter_mut().enumerate() {
+        if let Some(key) = cursor.head_key() {
+            heap.push(Reverse((key, i)));
+        }
     }
     while let Some(Reverse((_, i))) = heap.pop() {
-        let next = iters[i].next();
-        if let Some(rec) = &next {
-            heap.push(Reverse((merge_key(rec), i)));
-        }
-        if let Some(rec) = std::mem::replace(&mut heads[i], next) {
-            out.push(rec);
+        let bound = heap.peek().map(|Reverse((key, _))| *key);
+        let cursor = &mut cursors[i];
+        let next = loop {
+            out.extend(cursor.current.next());
+            match cursor.head_key() {
+                Some(key) if bound.is_none_or(|b| key < b) => {}
+                next => break next,
+            }
+        };
+        if let Some(key) = next {
+            heap.push(Reverse((key, i)));
         }
     }
     out
@@ -293,15 +362,19 @@ fn merge_runs(runs: Vec<Vec<TraceRecord>>) -> Vec<TraceRecord> {
 /// Buffers records per origin in front of an inner sink, so hot emission
 /// paths touch an uncontended stripe instead of the inner sink's locks.
 ///
-/// Workers in `u1-workload::driver` flush at day boundaries (all partitions
-/// parked on the barrier), and the buffer self-flushes an origin's run when
-/// it reaches `BUFFER_FLUSH_THRESHOLD` records. Because each origin is
-/// emitted by exactly one thread and delivered to the inner sink in
-/// emission order, buffering never changes the canonical `(t, origin, seq)`
-/// trace — only the interleaving of already-concurrent origins.
+/// Each origin fills one chunk of `BUFFER_FLUSH_THRESHOLD` records, which
+/// is handed to the inner sink's [`TraceSink::record_run`] when full and at
+/// explicit flushes (workers in `u1-workload::driver` flush their origins
+/// at day boundaries). If the inner sink only drained the chunk, the same
+/// allocation is filled again; if it kept it, a new one is opened on the
+/// next record. Either way a chunk is allocated at its final size, never
+/// regrown. Because each origin is emitted by exactly one thread and
+/// delivered to the inner sink in emission order, buffering never changes
+/// the canonical `(t, origin, seq)` trace — only the interleaving of
+/// already-concurrent origins.
 pub struct BufferedSink<S: TraceSink> {
     inner: S,
-    stripes: Vec<CachePadded<Mutex<OriginRuns>>>,
+    stripes: Vec<CachePadded<Mutex<PerOrigin<Vec<TraceRecord>>>>>,
 }
 
 impl<S: TraceSink> BufferedSink<S> {
@@ -325,23 +398,42 @@ impl<S: TraceSink> BufferedSink<S> {
     pub fn inner(&self) -> &S {
         &self.inner
     }
+
+    fn stripe(&self, origin: u32) -> &Mutex<PerOrigin<Vec<TraceRecord>>> {
+        &self.stripes[origin as usize % self.stripes.len()]
+    }
+
+    /// Hands `chunk` to the inner sink outside any stripe lock, then keeps
+    /// the allocation as the origin's next buffer if the inner sink left it
+    /// behind and the origin has not opened another in the meantime.
+    fn deliver(&self, origin: u32, mut chunk: Vec<TraceRecord>) {
+        self.inner.record_run(origin, &mut chunk);
+        chunk.clear();
+        if chunk.capacity() == 0 {
+            return;
+        }
+        let mut buffers = self.stripe(origin).lock();
+        let buffer = origin_slot(&mut buffers, origin);
+        if buffer.capacity() == 0 {
+            *buffer = chunk;
+        }
+    }
 }
 
 impl<S: TraceSink> TraceSink for BufferedSink<S> {
     fn record(&self, rec: TraceRecord) {
         let origin = rec.origin;
-        let stripe = origin as usize % self.stripes.len();
-        let mut full: Option<(u32, Vec<TraceRecord>)> = None;
-        {
-            let mut runs = self.stripes[stripe].lock();
-            let run = MemorySink::run_slot(&mut runs, origin);
-            run.push(rec);
-            if run.len() >= BUFFER_FLUSH_THRESHOLD {
-                full = Some((origin, std::mem::take(run)));
+        let full = {
+            let mut buffers = self.stripe(origin).lock();
+            let buffer = origin_slot(&mut buffers, origin);
+            if buffer.capacity() == 0 {
+                buffer.reserve_exact(BUFFER_FLUSH_THRESHOLD);
             }
-        }
-        if let Some((origin, mut batch)) = full {
-            self.inner.record_run(origin, &mut batch);
+            buffer.push(rec);
+            (buffer.len() >= BUFFER_FLUSH_THRESHOLD).then(|| std::mem::take(buffer))
+        };
+        if let Some(chunk) = full {
+            self.deliver(origin, chunk);
         }
     }
 
@@ -353,32 +445,33 @@ impl<S: TraceSink> TraceSink for BufferedSink<S> {
 
     fn flush(&self) {
         for stripe in &self.stripes {
-            let runs = std::mem::take(&mut *stripe.lock());
-            for (origin, mut run) in runs {
-                if !run.is_empty() {
-                    self.inner.record_run(origin, &mut run);
-                }
+            let filled: Vec<(u32, Vec<TraceRecord>)> = stripe
+                .lock()
+                .iter_mut()
+                .filter(|(_, buffer)| !buffer.is_empty())
+                .map(|(origin, buffer)| (*origin, std::mem::take(buffer)))
+                .collect();
+            for (origin, chunk) in filled {
+                self.deliver(origin, chunk);
             }
         }
         self.inner.flush();
     }
 
     fn flush_origin(&self, origin: u32) {
-        // Take only this origin's run out of its stripe; deliver outside the
-        // stripe lock. The inner sink is NOT flushed: flush_origin is the
-        // hot per-day path (memory delivery), while I/O flushing stays with
-        // the run-final full flush().
-        let stripe = origin as usize % self.stripes.len();
-        let run = {
-            let mut runs = self.stripes[stripe].lock();
-            let slot = MemorySink::run_slot(&mut runs, origin);
-            if slot.is_empty() {
+        // Take only this origin's buffer out of its stripe; deliver outside
+        // the stripe lock. The inner sink is NOT flushed: flush_origin is
+        // the hot per-day path (memory delivery), while I/O flushing stays
+        // with the run-final full flush().
+        let chunk = {
+            let mut buffers = self.stripe(origin).lock();
+            let buffer = origin_slot(&mut buffers, origin);
+            if buffer.is_empty() {
                 return;
             }
-            std::mem::take(slot)
+            std::mem::take(buffer)
         };
-        let mut run = run;
-        self.inner.record_run(origin, &mut run);
+        self.deliver(origin, chunk);
     }
 
     fn io_errors(&self) -> u64 {

@@ -45,7 +45,7 @@ use crate::users::{sample_profile, UserClass, UserProfile};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::sync::{Arc, Barrier, Mutex};
 use u1_auth::Token;
 use u1_blobstore::PART_SIZE;
@@ -53,8 +53,8 @@ use u1_core::fault::{self, CircuitBreaker, FaultInjector, RetryPolicy};
 use u1_core::partition::PartitionCtx;
 use u1_core::timing::{saturating_nanos, Measured, Phase, PhaseNanos, PhaseTimers};
 use u1_core::{
-    rngx, ApiOpKind, ContentHash, CoreError, CoreResult, NodeKind, SessionId, SimDuration, SimTime,
-    UploadId, UserId, VolumeId,
+    rngx, ApiOpKind, ContentHash, CoreError, CoreResult, FxHashMap, NodeKind, SessionId,
+    SimDuration, SimTime, UploadId, UserId, VolumeId,
 };
 use u1_server::api::UploadOutcome;
 use u1_server::Backend;
@@ -248,9 +248,21 @@ struct ClientState {
     last_op: ApiOpKind,
     root: VolumeId,
     udfs: Vec<VolumeId>,
+    /// Add to `files` and `dirs`, and remove from `files`, only through the
+    /// methods below: they keep the three cached answers that follow in
+    /// step. (Removing a directory cannot invalidate a lower bound.)
     files: Vec<FileRef>,
     dirs: Vec<DirRef>,
-    known_gen: HashMap<VolumeId, u64>,
+    /// Lower bounds on the earliest planned death among `files` / `dirs`
+    /// (`None`: nothing is planned to die). While a bound lies in the
+    /// future the overdue scans have nothing to find and are skipped.
+    next_file_death: Option<SimTime>,
+    next_dir_death: Option<SimTime>,
+    /// Index of the most recently written file — what the scan in
+    /// [`ClientState::latest_written`] returns — or `None` when a removal
+    /// may have changed the answer and the next use has to scan again.
+    latest_write: Option<usize>,
+    known_gen: FxHashMap<VolumeId, u64>,
     pending_upload: Option<(VolumeId, u1_core::NodeId, u1_core::Name, ContentHash, u64)>,
     /// Survives session ends (that is its whole point): a crashed upload
     /// is resumed at the next session, or abandoned once the GC reaps it.
@@ -263,6 +275,119 @@ struct ClientState {
     /// over the month — §6.1's class definition allows it, and Fig. 7(b)
     /// needs ~25%/14% of users to have uploaded/downloaded *something*.
     tiny_budget: u8,
+}
+
+/// Folds one more planned death into a lower bound on the earliest one.
+fn note_death(bound: &mut Option<SimTime>, death: Option<SimTime>) {
+    if let Some(d) = death {
+        *bound = Some(bound.map_or(d, |b| b.min(d)));
+    }
+}
+
+/// Index of the first item whose planned death is at or before `t`. The
+/// scan over `deaths` defines the answer; `bound` only says when it cannot
+/// find anything, and is made exact whenever a full scan comes up empty.
+fn first_overdue(
+    deaths: impl Iterator<Item = Option<SimTime>>,
+    bound: &mut Option<SimTime>,
+    t: SimTime,
+) -> Option<usize> {
+    if bound.is_none_or(|b| b > t) {
+        return None;
+    }
+    let mut earliest = None;
+    for (i, death) in deaths.enumerate() {
+        if death.is_some_and(|d| d <= t) {
+            return Some(i);
+        }
+        note_death(&mut earliest, death);
+    }
+    *bound = earliest;
+    None
+}
+
+impl ClientState {
+    fn push_file(&mut self, file: FileRef) {
+        note_death(&mut self.next_file_death, file.death);
+        self.files.push(file);
+        self.note_write(self.files.len() - 1);
+    }
+
+    fn push_dir(&mut self, dir: DirRef) {
+        note_death(&mut self.next_dir_death, dir.death);
+        self.dirs.push(dir);
+    }
+
+    /// `swap_remove`: the last file takes the removed one's index, which
+    /// can change which file wins a `last_write` tie, so the cached
+    /// "latest" is dropped. The death bounds stay valid lower bounds.
+    fn remove_file(&mut self, idx: usize) -> FileRef {
+        self.latest_write = None;
+        self.files.swap_remove(idx)
+    }
+
+    /// Forgets every file and directory of a deleted volume.
+    fn forget_volume(&mut self, vol: VolumeId) {
+        self.latest_write = None;
+        self.files.retain(|f| f.volume != vol);
+        self.dirs.retain(|d| d.volume != vol);
+    }
+
+    /// A (re-)upload of `files[idx]` landed at `t`.
+    fn rewrite_file(&mut self, idx: usize, size: u64, hash: ContentHash, t: SimTime) {
+        let f = &mut self.files[idx];
+        f.size = size;
+        f.hash = hash;
+        f.last_write = t;
+        self.note_write(idx);
+    }
+
+    /// Keeps a valid `latest_write` valid after `files[idx].last_write` was
+    /// set: virtual time never runs backwards within a partition, so the
+    /// new stamp can only tie with or beat the cached one, and among ties
+    /// the scan picks the highest index.
+    fn note_write(&mut self, idx: usize) {
+        if let Some(best) = self.latest_write {
+            let (new, old) = (self.files[idx].last_write, self.files[best].last_write);
+            if new > old || (new == old && idx >= best) {
+                self.latest_write = Some(idx);
+            }
+        }
+    }
+
+    /// The most recently written file (the last one among equals; 0 when
+    /// there are none). The scan is the definition; the cache repeats its
+    /// answer until a removal invalidates it.
+    fn latest_written(&mut self) -> usize {
+        let scan = |files: &[FileRef]| {
+            files
+                .iter()
+                .enumerate()
+                .max_by_key(|(_, f)| f.last_write)
+                .map(|(i, _)| i)
+        };
+        if self.latest_write.is_none() {
+            self.latest_write = scan(&self.files);
+        }
+        debug_assert_eq!(self.latest_write, scan(&self.files));
+        self.latest_write.unwrap_or(0)
+    }
+
+    fn overdue_file(&mut self, t: SimTime) -> Option<usize> {
+        first_overdue(
+            self.files.iter().map(|f| f.death),
+            &mut self.next_file_death,
+            t,
+        )
+    }
+
+    fn overdue_dir(&mut self, t: SimTime) -> Option<usize> {
+        first_overdue(
+            self.dirs.iter().map(|d| d.death),
+            &mut self.next_dir_death,
+            t,
+        )
+    }
 }
 
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -337,13 +462,7 @@ fn pick_parent(
 fn pick_update_target(c: &mut ClientState) -> usize {
     let roll: f64 = c.rng.gen_range(0.0..1.0);
     if roll < 0.45 {
-        // Most recently written.
-        c.files
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, f)| f.last_write)
-            .map(|(i, _)| i)
-            .unwrap_or(0)
+        c.latest_written()
     } else if roll < 0.85 {
         // Largest of a random handful (media re-tagging).
         let mut best = c.rng.gen_range(0..c.files.len());
@@ -502,7 +621,7 @@ impl ShardSim {
                         &self.files.new_dir_name(),
                         SimTime::ZERO,
                     ) {
-                        self.clients[i].dirs.push(DirRef {
+                        self.clients[i].push_dir(DirRef {
                             volume: vol,
                             node: node.node,
                             death: None,
@@ -545,7 +664,7 @@ impl ShardSim {
                             .blobs
                             .put(spec.hash, spec.size, None, SimTime::ZERO);
                         self.report.seeded_files += 1;
-                        self.clients[i].files.push(FileRef {
+                        self.clients[i].push_file(FileRef {
                             volume: vol,
                             node: node.node,
                             name: spec.name,
@@ -647,12 +766,10 @@ impl ShardSim {
     /// syncing back).
     fn sweep_overdue(&mut self, u: usize, sid: SessionId, t: SimTime) {
         for _ in 0..40 {
-            let overdue = self.clients[u]
-                .files
-                .iter()
-                .position(|f| f.death.is_some_and(|d| d <= t));
-            let Some(idx) = overdue else { break };
-            let f = self.clients[u].files.swap_remove(idx);
+            let Some(idx) = self.clients[u].overdue_file(t) else {
+                break;
+            };
+            let f = self.clients[u].remove_file(idx);
             self.report.unlinks += 1;
             self.report.ops_executed += 1;
             if self.retry(|b| b.unlink(sid, f.volume, f.node)).is_err() {
@@ -660,11 +777,9 @@ impl ShardSim {
             }
         }
         for _ in 0..8 {
-            let overdue = self.clients[u]
-                .dirs
-                .iter()
-                .position(|d| d.death.is_some_and(|dd| dd <= t));
-            let Some(idx) = overdue else { break };
+            let Some(idx) = self.clients[u].overdue_dir(t) else {
+                break;
+            };
             let d = self.clients[u].dirs.swap_remove(idx);
             self.report.unlinks += 1;
             self.report.ops_executed += 1;
@@ -840,17 +955,15 @@ impl ShardSim {
                     self.report.uploads_resumed += 1;
                     self.report.bytes_uploaded += sent;
                     let c = &mut self.clients[u];
-                    if let Some(f) = c
+                    if let Some(idx) = c
                         .files
-                        .iter_mut()
-                        .find(|f| f.volume == cu.volume && f.node == cu.node)
+                        .iter()
+                        .position(|f| f.volume == cu.volume && f.node == cu.node)
                     {
-                        f.size = cu.size;
-                        f.hash = cu.hash;
-                        f.last_write = t;
+                        c.rewrite_file(idx, cu.size, cu.hash, t);
                     } else {
                         let death = FileModel::sample_lifetime(&mut c.rng, false).map(|d| t + d);
-                        c.files.push(FileRef {
+                        c.push_file(FileRef {
                             volume: cu.volume,
                             node: cu.node,
                             name: cu.name,
@@ -949,7 +1062,7 @@ impl ShardSim {
                     self.report.bytes_uploaded += sent;
                     let c = &mut self.clients[u];
                     let death = FileModel::sample_lifetime(&mut c.rng, false).map(|d| t + d);
-                    c.files.push(FileRef {
+                    c.push_file(FileRef {
                         volume: vol,
                         node,
                         name,
@@ -1005,10 +1118,7 @@ impl ShardSim {
                         self.report.uploads_deduplicated += 1;
                     }
                     self.report.bytes_uploaded += sent;
-                    let f = &mut self.clients[u].files[idx];
-                    f.size = size;
-                    f.hash = hash;
-                    f.last_write = t;
+                    self.clients[u].rewrite_file(idx, size, hash, t);
                     true
                 }
                 Err(_) => false,
@@ -1030,7 +1140,7 @@ impl ShardSim {
             {
                 let c = &mut self.clients[u];
                 let death = FileModel::sample_lifetime(&mut c.rng, true).map(|d| t + d);
-                c.dirs.push(DirRef {
+                c.push_dir(DirRef {
                     volume: vol,
                     node: node.node,
                     death,
@@ -1056,7 +1166,7 @@ impl ShardSim {
                     self.report.uploads_deduplicated += 1;
                 }
                 self.report.bytes_uploaded += sent;
-                self.clients[u].files.push(FileRef {
+                self.clients[u].push_file(FileRef {
                     volume: vol,
                     node: node.node,
                     name: spec.name,
@@ -1083,14 +1193,7 @@ impl ShardSim {
                 c.files.iter().position(|f| f.size <= 4 * 1024)
             } else if c.rng.gen_range(0.0..1.0) < 0.12 {
                 // Fetch what was just written (RAW; sync to another device).
-                Some(
-                    c.files
-                        .iter()
-                        .enumerate()
-                        .max_by_key(|(_, f)| f.last_write)
-                        .map(|(i, _)| i)
-                        .unwrap_or(0),
-                )
+                Some(c.latest_written())
             } else {
                 // Mild size bias: popular big media is fetched more, which
                 // is what pushes the download byte share of >25MB files
@@ -1123,7 +1226,7 @@ impl ShardSim {
             }
             Err(_) => {
                 // Stale reference (e.g. volume deleted): drop it.
-                self.clients[u].files.swap_remove(idx);
+                self.clients[u].remove_file(idx);
                 false
             }
         }
@@ -1150,7 +1253,7 @@ impl ShardSim {
             Ok(node) => {
                 let c = &mut self.clients[u];
                 let death = FileModel::sample_lifetime(&mut c.rng, true).map(|d| t + d);
-                c.dirs.push(DirRef {
+                c.push_dir(DirRef {
                     volume: vol,
                     node: node.node,
                     death,
@@ -1164,20 +1267,12 @@ impl ShardSim {
     fn op_unlink(&mut self, u: usize, sid: SessionId, t: SimTime) -> bool {
         // Overdue file first (planned lifetime reached), then overdue dir,
         // then occasionally an old file.
-        let overdue_file = self.clients[u]
-            .files
-            .iter()
-            .position(|f| f.death.is_some_and(|d| d <= t));
-        if let Some(idx) = overdue_file {
-            let f = self.clients[u].files.swap_remove(idx);
+        if let Some(idx) = self.clients[u].overdue_file(t) {
+            let f = self.clients[u].remove_file(idx);
             self.report.unlinks += 1;
             return self.retry(|b| b.unlink(sid, f.volume, f.node)).is_ok();
         }
-        let overdue_dir = self.clients[u]
-            .dirs
-            .iter()
-            .position(|d| d.death.is_some_and(|dd| dd <= t));
-        if let Some(idx) = overdue_dir {
+        if let Some(idx) = self.clients[u].overdue_dir(t) {
             let d = self.clients[u].dirs.swap_remove(idx);
             // Cascades server-side; forget local files under that volume's
             // dir lazily (stale refs are swept on failed ops).
@@ -1193,7 +1288,7 @@ impl ShardSim {
                 let c = &mut self.clients[u];
                 c.rng.gen_range(0..c.files.len())
             };
-            let f = self.clients[u].files.swap_remove(idx);
+            let f = self.clients[u].remove_file(idx);
             self.report.unlinks += 1;
             return self.retry(|b| b.unlink(sid, f.volume, f.node)).is_ok();
         }
@@ -1259,8 +1354,7 @@ impl ShardSim {
         };
         let vol = self.clients[u].udfs.swap_remove(idx);
         let ok = self.retry(|b| b.delete_volume(sid, vol)).is_ok();
-        self.clients[u].files.retain(|f| f.volume != vol);
-        self.clients[u].dirs.retain(|d| d.volume != vol);
+        self.clients[u].forget_volume(vol);
         ok
     }
 }
@@ -1595,7 +1689,10 @@ impl Driver {
                 udfs: Vec::new(),
                 files: Vec::new(),
                 dirs: Vec::new(),
-                known_gen: HashMap::new(),
+                next_file_death: None,
+                next_dir_death: None,
+                latest_write: None,
+                known_gen: FxHashMap::default(),
                 pending_upload: None,
                 crashed_upload: None,
                 move_counter: 0,

@@ -35,6 +35,10 @@ enum Op {
         user: u8,
         name_seed: u8,
     },
+    DeleteUdf {
+        user: u8,
+        pick: u8,
+    },
     GetDelta {
         user: u8,
     },
@@ -59,6 +63,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
             name_seed
         }),
         (any::<u8>(), any::<u8>()).prop_map(|(user, name_seed)| Op::CreateUdf { user, name_seed }),
+        (any::<u8>(), any::<u8>()).prop_map(|(user, pick)| Op::DeleteUdf { user, pick }),
         any::<u8>().prop_map(|user| Op::GetDelta { user }),
     ]
 }
@@ -68,7 +73,8 @@ proptest! {
 
     /// Whatever the op sequence, the store never panics; generations are
     /// monotone; node counts equal live nodes; the content index's
-    /// refcounts match the number of live file nodes per hash.
+    /// refcounts match the number of live file nodes per hash; every live
+    /// volume is listed by exactly its owner.
     #[test]
     fn metastore_invariants_hold(ops in proptest::collection::vec(arb_op(), 1..120)) {
         let store = MetaStore::new(StoreConfig::default());
@@ -158,6 +164,19 @@ proptest! {
                     let uid = UserId::new(u as u64 + 1);
                     let _ = store.create_udf(uid, &format!("udf{name_seed}"), now);
                 }
+                Op::DeleteUdf { user, pick } => {
+                    let u = (user % USERS) as usize;
+                    let uid = UserId::new(u as u64 + 1);
+                    let udfs: Vec<_> = store.list_volumes(uid).unwrap()
+                        .into_iter().filter(|v| v.volume != roots[u]).collect();
+                    if udfs.is_empty() { continue; }
+                    let doomed = udfs[(*pick as usize) % udfs.len()].volume;
+                    // Somebody else's attempt is refused and changes nothing.
+                    let other = UserId::new((u as u64 + 1) % USERS as u64 + 1);
+                    prop_assert!(store.delete_volume(other, doomed).is_err());
+                    store.delete_volume(uid, doomed).unwrap();
+                    prop_assert!(store.list_volumes(uid).unwrap().iter().all(|v| v.volume != doomed));
+                }
                 Op::GetDelta { user } => {
                     let u = (user % USERS) as usize;
                     let uid = UserId::new(u as u64 + 1);
@@ -185,6 +204,22 @@ proptest! {
                     "model node {} must be live", node);
             }
         }
+        // Every live volume is listed by exactly its owner, and nothing
+        // else is listed.
+        let snapshot = store.volume_snapshot();
+        let mut listed = 0;
+        for u in 0..USERS as u64 {
+            let uid = UserId::new(u + 1);
+            let vols = store.list_volumes(uid).unwrap();
+            prop_assert!(vols.windows(2).all(|w| w[0].volume < w[1].volume), "sorted, no duplicates");
+            for v in &vols {
+                prop_assert_eq!(v.owner, uid);
+                prop_assert!(snapshot.iter().any(|s| s.volume == v.volume && s.owner == uid),
+                    "listed volume {} is not live", v.volume);
+            }
+            listed += vols.len();
+        }
+        prop_assert_eq!(listed, snapshot.len(), "a live volume is missing from its owner's list");
         // Dedup index: every positive refcount hash is reusable at its size;
         // every zero/negative is gone.
         for (hash, count) in &refcounts {
