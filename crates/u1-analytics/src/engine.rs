@@ -33,8 +33,6 @@ use crate::users::{
     ActiveOnlineSummary, ClassShares, OpMix, OpMixFold, PerUserTrafficFold, TrafficInequality,
 };
 use serde::Serialize;
-use std::time::Instant;
-use u1_core::timing::{saturating_nanos, Phase, PhaseTimers};
 use u1_core::{ApiOpKind, SimTime};
 use u1_trace::TraceRecord;
 
@@ -170,50 +168,29 @@ where
 /// [`plan_chunk_count`]), folds each on its own thread, tree-merges the
 /// partials in chunk order. Output is exactly equal to [`run_fold`] at
 /// every thread count.
-pub fn run_chunked<F>(seed: F, records: &[TraceRecord], threads: usize) -> F::Output
+pub fn run_chunked<F>(mut seed: F, records: &[TraceRecord], threads: usize) -> F::Output
 where
     F: TraceFold + Send,
 {
-    run_chunked_timed(seed, records, threads, &PhaseTimers::new())
-}
-
-/// [`run_chunked`] with phase accounting: chunk folds charge
-/// [`Phase::Fold`] (per worker, so the total is thread-seconds) and the
-/// merge reduction charges [`Phase::Merge`].
-pub fn run_chunked_timed<F>(
-    mut seed: F,
-    records: &[TraceRecord],
-    threads: usize,
-    timers: &PhaseTimers,
-) -> F::Output
-where
-    F: TraceFold + Send,
-{
-    fold_chunked_into(&mut seed, records, threads, timers);
+    fold_chunked_into(&mut seed, records, threads);
     seed.finish()
 }
 
-/// The non-finishing core of [`run_chunked_timed`]: chunk-parallel-folds
+/// The non-finishing core of [`run_chunked`]: chunk-parallel-folds
 /// `records` and merges the result into `seed`, leaving it open for more
 /// records. By the merge law, calling this once per contiguous piece of a
 /// sorted stream (in order) and finishing at the end equals one serial pass
 /// over the whole stream — which is what lets the off-disk path fold a
 /// month day by day without ever materializing it.
-pub fn fold_chunked_into<F>(
-    seed: &mut F,
-    records: &[TraceRecord],
-    threads: usize,
-    timers: &PhaseTimers,
-) where
+pub fn fold_chunked_into<F>(seed: &mut F, records: &[TraceRecord], threads: usize)
+where
     F: TraceFold + Send,
 {
     let chunks = plan_chunk_count(records.len(), host_clamped(threads));
     if chunks <= 1 {
-        let start = Instant::now();
         for rec in records {
             seed.feed(rec);
         }
-        timers.add(Phase::Fold, saturating_nanos(start));
         return;
     }
     let chunk_len = records.len().div_ceil(chunks);
@@ -223,11 +200,9 @@ pub fn fold_chunked_into<F>(
             .map(|chunk| {
                 let mut part = seed.new_partial();
                 scope.spawn(move || {
-                    let start = Instant::now();
                     for rec in chunk {
                         part.feed(rec);
                     }
-                    timers.add(Phase::Fold, saturating_nanos(start));
                     part
                 })
             })
@@ -237,11 +212,9 @@ pub fn fold_chunked_into<F>(
             .map(|h| h.join().expect("fold worker panicked"))
             .collect()
     });
-    let start = Instant::now();
     if let Some(merged) = tree_merge(partials) {
         seed.merge(merged);
     }
-    timers.add(Phase::Merge, saturating_nanos(start));
 }
 
 /// Configuration for the full experiment battery.
@@ -471,16 +444,6 @@ pub fn run_all_chunked(
     run_chunked(Battery::new(cfg), records, threads)
 }
 
-/// [`run_all_chunked`] with phase accounting (see [`run_chunked_timed`]).
-pub fn run_all_chunked_timed(
-    records: &[TraceRecord],
-    cfg: &EngineConfig,
-    threads: usize,
-    timers: &PhaseTimers,
-) -> EngineReport {
-    run_chunked_timed(Battery::new(cfg), records, threads, timers)
-}
-
 /// What the off-disk pass saw, alongside its report.
 #[derive(Debug)]
 pub struct OffDiskStats {
@@ -507,18 +470,6 @@ pub fn run_all_offdisk(
     cfg: &EngineConfig,
     threads: usize,
 ) -> std::io::Result<(EngineReport, OffDiskStats)> {
-    run_all_offdisk_timed(dir, cfg, threads, &PhaseTimers::new())
-}
-
-/// [`run_all_offdisk`] with phase accounting: day parses charge
-/// `Phase::Parse`/`Phase::Sort` inside the reader, folds and merges charge
-/// [`Phase::Fold`]/[`Phase::Merge`] as usual.
-pub fn run_all_offdisk_timed(
-    dir: &std::path::Path,
-    cfg: &EngineConfig,
-    threads: usize,
-    timers: &PhaseTimers,
-) -> std::io::Result<(EngineReport, OffDiskStats)> {
     let mut chunks = u1_trace::LogDirReader::new(dir).day_chunks(threads)?;
     let mut parse = u1_trace::ParseStats {
         skipped_files: chunks.skipped_files(),
@@ -527,12 +478,12 @@ pub fn run_all_offdisk_timed(
     let mut seed = Battery::new(cfg);
     let mut days = 0usize;
     let mut peak_chunk_records = 0usize;
-    while let Some(chunk) = chunks.next_day_timed(timers) {
+    while let Some(chunk) = chunks.next_day() {
         let chunk = chunk?;
         parse.absorb(&chunk.stats);
         days += 1;
         peak_chunk_records = peak_chunk_records.max(chunk.records.len());
-        fold_chunked_into(&mut seed, &chunk.records, threads, timers);
+        fold_chunked_into(&mut seed, &chunk.records, threads);
     }
     Ok((
         seed.finish(),

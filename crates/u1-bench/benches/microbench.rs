@@ -467,7 +467,7 @@ fn bench_sink_throughput(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_analytics(c: &mut Criterion) {
+fn bench_stats_kernels(c: &mut Criterion) {
     use rand::{Rng, SeedableRng};
     use u1_analytics::stats;
     let mut rng = rand::rngs::SmallRng::seed_from_u64(1);
@@ -525,6 +525,6 @@ criterion_group! {
     config = config();
     targets = bench_sha1, bench_protocol, bench_metastore, bench_contention,
               bench_latency_model, bench_trace, bench_trace_encode,
-              bench_sink_throughput, bench_analytics, bench_tier_sweep
+              bench_sink_throughput, bench_stats_kernels, bench_tier_sweep
 }
 criterion_main!(benches);

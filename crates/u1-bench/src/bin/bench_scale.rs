@@ -11,7 +11,8 @@
 //!   day-sharded logfiles straight to disk through `BufferedSink` →
 //!   [`u1_trace::DirSink`]; analytics then folds the month off disk one day
 //!   chunk at a time ([`u1_analytics::engine::run_all_offdisk`]), and a
-//!   second day-chunk pass computes the canonical trace SHA incrementally.
+//!   second day-chunk pass computes the canonical trace SHA incrementally
+//!   ([`u1_trace::CanonicalSha`]).
 //!   Peak memory is bounded by the biggest single day, not the month.
 //! * **in-memory** — the pre-existing path: the whole trace accumulated in
 //!   a `MemorySink`, analytics over the full slice. Memory grows linearly
@@ -19,8 +20,9 @@
 //!
 //! The parent asserts, per tier: identical canonical SHA and bit-identical
 //! analytics [`Fingerprint`] between the two modes; at the 2,500-user tier
-//! the SHA must equal the canonical hash pinned in `BENCH_throughput.json`;
-//! and across streamed tiers peak RSS must grow SUBLINEARLY in trace size.
+//! the SHA must equal [`WorkloadConfig::PAPER_SCALED_MONTH_SHA`] (the pin
+//! the tier-1 golden test asserts); and across streamed tiers peak RSS must
+//! grow SUBLINEARLY in trace size.
 //! Results land in `BENCH_scale.json`.
 //!
 //! Environment: `U1_SCALE_TIERS` (comma-separated user counts),
@@ -30,22 +32,15 @@
 
 use serde_json::json;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::io::Read as _;
 use std::path::Path;
 use std::time::Instant;
 use u1_bench::{mem, Fingerprint};
-use u1_core::Sha1;
-use u1_trace::LogDirReader;
+use u1_trace::{canonical_sha, CanonicalSha, LogDirReader};
 use u1_workload::WorkloadConfig;
 
 #[global_allocator]
 static ALLOC: mem::CountingAlloc = mem::CountingAlloc;
-
-/// The canonical 2,500-user month hash, pinned in `BENCH_throughput.json`
-/// and cross-checked here so the scale path can never silently fork the
-/// trace the rest of the repo is calibrated against.
-const CANONICAL_2500_SHA: &str = "276c0d2a4087360ada6eeef55bc5cc592668a01f";
 
 fn tier_cfg(users: u64) -> WorkloadConfig {
     WorkloadConfig {
@@ -63,18 +58,6 @@ fn analytics_threads() -> usize {
 /// One protocol line on stdout; everything human goes to stderr.
 fn put(key: &str, value: impl std::fmt::Display) {
     println!("scale.{key}={value}");
-}
-
-/// SHA-1 over the canonical trace in `(t, origin, seq)` order — the same
-/// formula as `bench_throughput` and the driver golden test.
-fn sha_of_records(sha: &mut Sha1, records: &[u1_trace::TraceRecord]) {
-    let mut line = String::with_capacity(160);
-    for r in records {
-        line.clear();
-        let _ = u1_trace::csvline::write_line(r, &mut line);
-        let _ = writeln!(line, "|{}|{}", r.origin, r.seq);
-        sha.update(line.as_bytes());
-    }
 }
 
 fn dir_bytes(dir: &Path) -> u64 {
@@ -111,7 +94,7 @@ fn run_streamed_tier(users: u64) {
         trace_bytes as f64 / 1e6
     );
 
-    let ecfg = u1_bench::engine_config_streamed(&scn);
+    let ecfg = u1_bench::engine_config(&scn);
     let started = Instant::now();
     let (report, stats) =
         u1_analytics::engine::run_all_offdisk(&dir, &ecfg, threads).expect("off-disk analytics");
@@ -123,7 +106,7 @@ fn run_streamed_tier(users: u64) {
     );
 
     let started = Instant::now();
-    let mut sha = Sha1::new();
+    let mut sha = CanonicalSha::new();
     let mut chunks = LogDirReader::new(&dir)
         .day_chunks(threads)
         .expect("day chunks");
@@ -131,7 +114,7 @@ fn run_streamed_tier(users: u64) {
     while let Some(chunk) = chunks.next_day() {
         let chunk = chunk.expect("read day chunk");
         records += chunk.records.len() as u64;
-        sha_of_records(&mut sha, &chunk.records);
+        sha.update(&chunk.records);
     }
     let sha_secs = started.elapsed().as_secs_f64();
     assert_eq!(records, report.summary.records, "SHA pass lost records");
@@ -150,7 +133,7 @@ fn run_streamed_tier(users: u64) {
     put("days", stats.days);
     put("peak_chunk_records", stats.peak_chunk_records);
     put("fingerprint", Fingerprint::of(&report).to_line());
-    put("sha", sha.finalize().to_hex());
+    put("sha", sha.finish());
     put("peak_rss_bytes", mem::peak_rss_bytes().unwrap_or(0));
     put("alloc_peak_bytes", mem::alloc_peak_bytes());
 }
@@ -170,14 +153,12 @@ fn run_inmemory_tier(users: u64) {
     );
 
     let ecfg = u1_bench::engine_config(&scn);
-    let timers = u1_core::timing::PhaseTimers::new();
     let started = Instant::now();
-    let report = u1_analytics::engine::run_all_chunked_timed(&scn.records, &ecfg, threads, &timers);
+    let report = u1_analytics::engine::run_all_chunked(&scn.records, &ecfg, threads);
     let analytics_secs = started.elapsed().as_secs_f64();
 
     let started = Instant::now();
-    let mut sha = Sha1::new();
-    sha_of_records(&mut sha, &scn.records);
+    let sha = canonical_sha(&scn.records);
     let sha_secs = started.elapsed().as_secs_f64();
 
     put("mode", "inmemory");
@@ -187,7 +168,7 @@ fn run_inmemory_tier(users: u64) {
     put("analytics_secs", format!("{analytics_secs:.6}"));
     put("sha_secs", format!("{sha_secs:.6}"));
     put("fingerprint", Fingerprint::of(&report).to_line());
-    put("sha", sha.finalize().to_hex());
+    put("sha", sha);
     put("peak_rss_bytes", mem::peak_rss_bytes().unwrap_or(0));
     put("alloc_peak_bytes", mem::alloc_peak_bytes());
 }
@@ -320,7 +301,8 @@ fn run_parent() {
         assert_eq!(streamed.records, inmemory.records);
         if users == 2_500 {
             assert_eq!(
-                streamed.sha, CANONICAL_2500_SHA,
+                streamed.sha,
+                WorkloadConfig::PAPER_SCALED_MONTH_SHA,
                 "2,500-user canonical trace hash changed"
             );
         }
@@ -429,12 +411,13 @@ fn run_parent() {
         &human,
         &json!({
             "host_cpus": host_cpus,
-            "canonical_2500_sha": CANONICAL_2500_SHA,
+            "canonical_2500_sha": WorkloadConfig::PAPER_SCALED_MONTH_SHA,
             "canonical_2500_verified": tiers.contains(&2_500),
             "rss_sublinear": rss_sublinear,
             "tiers": rows,
         }),
-    );
+    )
+    .expect("write BENCH_scale.json");
 }
 
 fn main() {

@@ -8,27 +8,25 @@
 //! * logfile parse (`LogDirReader::read_all_parallel`)   — ≥ 1.8x
 //! * chunked analytics (`run_all_chunked` at 4 threads)  — ≥ 2.5x
 //!
-//! Measures in-process (best-of-`U1_GATE_REPS`, default 2, to absorb
-//! scheduler noise) rather than parsing bench JSON, so the gate needs no
-//! JSON reader and cannot drift from the benches' output schema.
+//! Measures in-process, best-of-`U1_GATE_REPS` (default 2) to absorb
+//! scheduler noise, and prints where the 4-worker driver's thread time
+//! went (`DriverReport.timing`).
 //!
 //! On a host with fewer than 4 CPUs the gate prints a warning and exits 0 —
 //! a single- or dual-core container cannot exhibit 4-way scaling, and a
-//! fake failure there would train people to ignore the gate (see the
-//! `scaling_valid` flag the benches emit for the same reason).
+//! fake failure there would train people to ignore the gate.
 //!
-//! Environment overrides: `U1_USERS` / `U1_DAYS` / `U1_SEED` (workload
-//! size; defaults 600 x 4), `U1_GATE_REPS`, and the floors
-//! `U1_GATE_DRIVER_FLOOR`, `U1_GATE_PARSE_FLOOR`, `U1_GATE_CHUNKED_FLOOR`.
+//! Environment overrides: the harness's `U1_USERS` / `U1_DAYS` / `U1_SEED`
+//! / `U1_ATTACKS` (workload; defaults 600 x 4), `U1_GATE_REPS`, and the
+//! floors `U1_GATE_DRIVER_FLOOR`, `U1_GATE_PARSE_FLOOR`,
+//! `U1_GATE_CHUNKED_FLOOR`.
 
-use std::sync::Arc;
 use std::time::Instant;
 use u1_analytics::engine::{run_all_chunked, EngineReport};
-use u1_core::SimClock;
-use u1_server::{Backend, BackendConfig};
+use u1_bench::Scenario;
 use u1_trace::logfile::LogDirReader;
-use u1_trace::{BufferedSink, DirSink, MemorySink, TraceRecord, TraceSink};
-use u1_workload::{Driver, WorkloadConfig};
+use u1_trace::{DirSink, TraceSink};
+use u1_workload::WorkloadConfig;
 
 fn env_or<T: std::str::FromStr>(key: &str, default: T) -> T {
     std::env::var(key)
@@ -48,22 +46,11 @@ fn best_of<F: FnMut()>(reps: usize, mut f: F) -> f64 {
     best
 }
 
-fn run_driver(cfg: &WorkloadConfig, workers: usize) -> Vec<TraceRecord> {
-    let mut cfg = cfg.clone();
-    cfg.workers = workers;
-    let clock = SimClock::new();
-    let sink = Arc::new(MemorySink::new());
-    let backend_cfg = BackendConfig {
-        seed: cfg.seed ^ 0xBACC,
-        ..BackendConfig::default()
-    };
-    let backend = Arc::new(Backend::new(
-        backend_cfg,
-        Arc::new(clock.clone()),
-        Arc::new(BufferedSink::new(Arc::clone(&sink))),
-    ));
-    Driver::new(cfg, backend, clock).run();
-    sink.take_sorted()
+fn run_driver(cfg: &WorkloadConfig, workers: usize) -> Scenario {
+    u1_bench::run_scenario(WorkloadConfig {
+        workers,
+        ..cfg.clone()
+    })
 }
 
 fn main() {
@@ -73,7 +60,7 @@ fn main() {
     if host_cpus < 4 {
         eprintln!(
             "[scaling-gate] SKIP: host has {host_cpus} cpu(s); 4-way scaling \
-             floors need a >= 4-core host (scaling_valid=false)"
+             floors need a >= 4-core host"
         );
         return;
     }
@@ -82,10 +69,11 @@ fn main() {
     let parse_floor: f64 = env_or("U1_GATE_PARSE_FLOOR", 1.8);
     let chunked_floor: f64 = env_or("U1_GATE_CHUNKED_FLOOR", 2.5);
 
-    let mut cfg = WorkloadConfig::paper_scaled();
-    cfg.users = env_or("U1_USERS", 600);
-    cfg.days = env_or("U1_DAYS", 4);
-    cfg.seed = env_or("U1_SEED", cfg.seed);
+    let cfg = u1_bench::config_from_env(WorkloadConfig {
+        users: 600,
+        days: 4,
+        ..WorkloadConfig::paper_scaled()
+    });
 
     // Driver replay: workers=1 vs workers=4.
     let driver_serial = best_of(reps, || {
@@ -101,19 +89,25 @@ fn main() {
     );
 
     // One trace for the parse and analytics paths.
-    let records = run_driver(&cfg, 4);
-    let backend_defaults = BackendConfig::default();
-    let engine_cfg = u1_analytics::engine::EngineConfig::new(
-        cfg.horizon(),
-        backend_defaults.cluster.machines as usize,
-        backend_defaults.store.shards as usize,
+    let scenario = run_driver(&cfg, 4);
+    let t = &*scenario.report.timing;
+    eprintln!(
+        "[scaling-gate] driver 4w thread-seconds: run {:.2} park {:.2} flush {:.2} \
+         coordinator {:.2} seal {:.2}",
+        t.worker_run_nanos as f64 / 1e9,
+        t.barrier_park_nanos as f64 / 1e9,
+        t.day_flush_nanos as f64 / 1e9,
+        t.coordinator_nanos as f64 / 1e9,
+        t.seal_nanos as f64 / 1e9,
     );
+    let engine_cfg = u1_bench::engine_config(&scenario);
+    let records = &scenario.records;
 
     // Logfile parse: serial vs byte-range parallel over the dumped trace.
     let log_dir = u1_bench::out_dir().join("scaling-gate-logs");
     let _ = std::fs::remove_dir_all(&log_dir);
     let sink = DirSink::create(&log_dir).expect("create log dir");
-    for rec in &records {
+    for rec in records {
         sink.record(rec.clone());
     }
     sink.flush();
@@ -134,10 +128,10 @@ fn main() {
 
     // Chunked analytics: 1 thread vs 4 threads.
     let chunked_serial = best_of(reps, || {
-        std::hint::black_box::<EngineReport>(run_all_chunked(&records, &engine_cfg, 1));
+        std::hint::black_box::<EngineReport>(run_all_chunked(records, &engine_cfg, 1));
     });
     let chunked_parallel = best_of(reps, || {
-        std::hint::black_box::<EngineReport>(run_all_chunked(&records, &engine_cfg, 4));
+        std::hint::black_box::<EngineReport>(run_all_chunked(records, &engine_cfg, 4));
     });
     let chunked_speedup = chunked_serial / chunked_parallel;
     eprintln!(

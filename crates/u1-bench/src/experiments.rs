@@ -1,20 +1,67 @@
-//! One function per paper table/figure. Each prints the paper's rows or
-//! series and returns a JSON document with the measured values next to the
-//! paper's, so EXPERIMENTS.md can quote both.
+//! One function per paper table/figure, and [`TABLE`], the name → function
+//! table the `exp` binary dispatches over. Each experiment prints the
+//! paper's rows or series and writes a JSON document with the measured
+//! values next to the paper's, so EXPERIMENTS.md can quote both.
 //!
 //! Every record-derived experiment reads from a shared [`EngineReport`]
-//! produced by ONE streaming pass over the trace ([`crate::analyze`]);
-//! the harness no longer re-walks `scn.records` per experiment. The two
-//! volume experiments (Fig. 10/11) analyze the end-of-run metastore
-//! snapshot rather than the trace, and Fig. 17 runs its own mini-backend,
-//! so those keep their original inputs.
+//! produced by ONE streaming pass over the trace ([`crate::analyze`]). The
+//! two volume experiments (Fig. 10/11) analyze the end-of-run metastore
+//! snapshot rather than the trace; Fig. 17 and the fault experiment run
+//! their own backends and need no shared month.
 
 use crate::{bytes, emit, pct, Scenario};
 use serde_json::{json, Value};
+use std::io;
 use u1_analytics as ana;
 use u1_analytics::engine::EngineReport;
 use u1_core::{ApiOpKind, RpcClass, RpcKind};
 use u1_workload::calibration as cal;
+
+/// What an experiment runs on.
+#[derive(Clone, Copy)]
+pub enum Experiment {
+    /// The shared simulated month and its one-pass report.
+    Month(fn(&Scenario, &EngineReport) -> io::Result<()>),
+    /// Nothing shared: it builds what it needs.
+    Standalone(fn() -> io::Result<()>),
+}
+
+/// Every experiment by name (`exp <name>`; the name is also the JSON
+/// document's), in the order `exp all` runs them.
+#[rustfmt::skip]
+pub const TABLE: &[(&str, Experiment)] = {
+    use Experiment::{Month, Standalone};
+    &[
+        ("t3_summary", Month(|_, r| exp_t3_summary(r))),
+        ("f2a_traffic_timeseries", Month(|_, r| exp_f2a_traffic_timeseries(r))),
+        ("f2b_size_categories", Month(|_, r| exp_f2b_size_categories(r))),
+        ("f2c_rw_ratio", Month(|_, r| exp_f2c_rw_ratio(r))),
+        ("f3a_after_write", Month(|_, r| exp_f3a_after_write(r))),
+        ("f3b_after_read", Month(|_, r| exp_f3b_after_read(r))),
+        ("f3c_lifetimes", Month(|_, r| exp_f3c_lifetimes(r))),
+        ("f4a_dedup", Month(exp_f4a_dedup)),
+        ("f4b_sizes_by_ext", Month(|_, r| exp_f4b_sizes_by_ext(r))),
+        ("f4c_categories", Month(|_, r| exp_f4c_categories(r))),
+        ("f5_ddos", Month(exp_f5_ddos)),
+        ("f6_online_active", Month(|_, r| exp_f6_online_active(r))),
+        ("f7a_op_mix", Month(|_, r| exp_f7a_op_mix(r))),
+        ("f7b_user_traffic", Month(|_, r| exp_f7b_user_traffic(r))),
+        ("f7c_gini", Month(|_, r| exp_f7c_gini(r))),
+        ("f8_transitions", Month(|_, r| exp_f8_transitions(r))),
+        ("f9_burstiness", Month(|_, r| exp_f9_burstiness(r))),
+        ("f10_volume_contents", Month(|s, _| exp_f10_volume_contents(s))),
+        ("f11_volume_types", Month(|s, _| exp_f11_volume_types(s))),
+        ("f12_rpc_latency", Month(|_, r| exp_f12_rpc_latency(r))),
+        ("f13_rpc_scatter", Month(|_, r| exp_f13_rpc_scatter(r))),
+        ("f14_load_balance", Month(|_, r| exp_f14_load_balance(r))),
+        ("f15_auth_activity", Month(|_, r| exp_f15_auth_activity(r))),
+        ("f16_sessions", Month(|_, r| exp_f16_sessions(r))),
+        ("f17_uploadjobs", Standalone(exp_f17_uploadjobs)),
+        ("t1_findings", Month(|_, r| exp_t1_findings(r))),
+        ("ablations", Month(exp_ablations)),
+        ("faults", Standalone(|| exp_faults(DEFAULT_FAULTS))),
+    ]
+};
 
 fn fmt_series(series: &[f64], per_day: usize) -> String {
     // Compact day-by-day rendering: one line per day.
@@ -30,7 +77,7 @@ fn fmt_series(series: &[f64], per_day: usize) -> String {
 }
 
 /// Table 3: trace summary.
-pub fn exp_t3_summary(rep: &EngineReport) -> Value {
+pub fn exp_t3_summary(rep: &EngineReport) -> io::Result<()> {
     let s = &rep.summary;
     let human = format!(
         "Trace duration    {} days (paper: 30)\n\
@@ -57,12 +104,11 @@ pub fn exp_t3_summary(rep: &EngineReport) -> Value {
         "users": cal::PAPER_USERS, "sessions": cal::PAPER_SESSIONS,
         "transfer_ops": cal::PAPER_TRANSFER_OPS,
     }});
-    emit("t3_summary", &human, &j);
-    j
+    emit("t3_summary", &human, &j)
 }
 
 /// Fig. 2(a): traffic time series.
-pub fn exp_f2a_traffic_timeseries(rep: &EngineReport) -> Value {
+pub fn exp_f2a_traffic_timeseries(rep: &EngineReport) -> io::Result<()> {
     let ts = &rep.traffic;
     let swing = rep.diurnal_swing;
     let human = format!(
@@ -75,12 +121,11 @@ pub fn exp_f2a_traffic_timeseries(rep: &EngineReport) -> Value {
         "diurnal_swing": swing,
         "paper": {"diurnal_swing": 10.0},
     });
-    emit("f2a_traffic_timeseries", &human, &j);
-    j
+    emit("f2a_traffic_timeseries", &human, &j)
 }
 
 /// Fig. 2(b): traffic and ops per file-size category.
-pub fn exp_f2b_size_categories(rep: &EngineReport) -> Value {
+pub fn exp_f2b_size_categories(rep: &EngineReport) -> io::Result<()> {
     let s = &rep.size_shares;
     let mut human = String::from(
         "size (MB)     up-ops   up-bytes  down-ops down-bytes   (paper: >25MB = 79%/88% of bytes; <0.5MB = 84%/89% of ops)\n",
@@ -110,12 +155,11 @@ pub fn exp_f2b_size_categories(rep: &EngineReport) -> Value {
             "tiny_download_op_share": cal::TINY_FILE_DOWNLOAD_OP_SHARE,
         },
     });
-    emit("f2b_size_categories", &human, &j);
-    j
+    emit("f2b_size_categories", &human, &j)
 }
 
 /// Fig. 2(c): R/W ratio distribution + ACF.
-pub fn exp_f2c_rw_ratio(rep: &EngineReport) -> Value {
+pub fn exp_f2c_rw_ratio(rep: &EngineReport) -> io::Result<()> {
     let rw = &rep.rw;
     let outside = rw
         .acf
@@ -151,8 +195,7 @@ pub fn exp_f2c_rw_ratio(rep: &EngineReport) -> Value {
         "by_hour_of_day": rw.by_hour_of_day,
         "paper": {"median": cal::RW_RATIO_MEDIAN, "mean": cal::RW_RATIO_MEAN},
     });
-    emit("f2c_rw_ratio", &human, &j);
-    j
+    emit("f2c_rw_ratio", &human, &j)
 }
 
 fn dep_block(
@@ -200,7 +243,7 @@ fn dep_block(
 }
 
 /// Fig. 3(a): X-after-Write dependencies.
-pub fn exp_f3a_after_write(rep: &EngineReport) -> Value {
+pub fn exp_f3a_after_write(rep: &EngineReport) -> io::Result<()> {
     let a = &rep.dependencies;
     let (human, j) = dep_block(a, &ana::dependencies::Dependency::AFTER_WRITE);
     let human = format!(
@@ -209,12 +252,11 @@ pub fn exp_f3a_after_write(rep: &EngineReport) -> Value {
     );
     let j = json!({"after_write": j, "waw_under_1h": a.waw_under_1h,
                    "paper": {"waw": cal::WAW_SHARE, "raw": cal::RAW_SHARE, "daw": cal::DAW_SHARE}});
-    emit("f3a_after_write", &human, &j);
-    j
+    emit("f3a_after_write", &human, &j)
 }
 
 /// Fig. 3(b): X-after-Read dependencies + reads per file.
-pub fn exp_f3b_after_read(rep: &EngineReport) -> Value {
+pub fn exp_f3b_after_read(rep: &EngineReport) -> io::Result<()> {
     let a = &rep.dependencies;
     let (human, j) = dep_block(a, &ana::dependencies::Dependency::AFTER_READ);
     let human = format!(
@@ -230,12 +272,11 @@ pub fn exp_f3b_after_read(rep: &EngineReport) -> Value {
                    "reads_per_file_max": a.reads_per_file.max(),
                    "dying_files": a.dying_files, "deleted_files": a.deleted_files,
                    "paper": {"war": cal::WAR_SHARE, "rar": cal::RAR_SHARE, "dar": cal::DAR_SHARE}});
-    emit("f3b_after_read", &human, &j);
-    j
+    emit("f3b_after_read", &human, &j)
 }
 
 /// Fig. 3(c): node lifetimes.
-pub fn exp_f3c_lifetimes(rep: &EngineReport) -> Value {
+pub fn exp_f3c_lifetimes(rep: &EngineReport) -> io::Result<()> {
     let l = &rep.lifetimes;
     let human = format!(
         "files created {} — deleted in window {} (paper 28.9%), within 8h {} (paper 17.1%)\n\
@@ -256,12 +297,11 @@ pub fn exp_f3c_lifetimes(rep: &EngineReport) -> Value {
         "paper": {"file_month": cal::FILE_DEATH_IN_MONTH, "file_8h": cal::FILE_DEATH_IN_8H,
                    "dir_month": cal::DIR_DEATH_IN_MONTH, "dir_8h": cal::DIR_DEATH_IN_8H},
     });
-    emit("f3c_lifetimes", &human, &j);
-    j
+    emit("f3c_lifetimes", &human, &j)
 }
 
 /// Fig. 4(a): deduplication.
-pub fn exp_f4a_dedup(scn: &Scenario, rep: &EngineReport) -> Value {
+pub fn exp_f4a_dedup(scn: &Scenario, rep: &EngineReport) -> io::Result<()> {
     let d = &rep.dedup;
     let human = format!(
         "dedup ratio over uploads: {:.3} (paper: 0.171)\n\
@@ -279,12 +319,11 @@ pub fn exp_f4a_dedup(scn: &Scenario, rep: &EngineReport) -> Value {
         "unique_contents": d.unique_contents, "total_uploads": d.total_uploads,
         "paper": {"dedup_ratio": cal::DEDUP_RATIO, "singleton_fraction": 0.80},
     });
-    emit("f4a_dedup", &human, &j);
-    j
+    emit("f4a_dedup", &human, &j)
 }
 
 /// Fig. 4(b): file sizes per extension.
-pub fn exp_f4b_sizes_by_ext(rep: &EngineReport) -> Value {
+pub fn exp_f4b_sizes_by_ext(rep: &EngineReport) -> io::Result<()> {
     let s = &rep.size_by_ext;
     let mut human = format!(
         "all files: {} under 1MB (paper: 90%)\n  ext    median       p90\n",
@@ -305,12 +344,11 @@ pub fn exp_f4b_sizes_by_ext(rep: &EngineReport) -> Value {
     }
     let j = json!({"under_1mb": s.under_1mb_fraction, "by_ext": by_ext,
                    "paper": {"under_1mb": cal::FILES_UNDER_1MB}});
-    emit("f4b_sizes_by_ext", &human, &j);
-    j
+    emit("f4b_sizes_by_ext", &human, &j)
 }
 
 /// Fig. 4(c): category count vs storage share.
-pub fn exp_f4c_categories(rep: &EngineReport) -> Value {
+pub fn exp_f4c_categories(rep: &EngineReport) -> io::Result<()> {
     let t = &rep.taxonomy;
     let mut human =
         String::from("category      files   storage   (paper: Code most files/least bytes; Audio/Video most bytes)\n");
@@ -324,12 +362,11 @@ pub fn exp_f4c_categories(rep: &EngineReport) -> Value {
     }
     let j = json!({"categories": t.categories, "file_share": t.file_share,
                    "byte_share": t.byte_share});
-    emit("f4c_categories", &human, &j);
-    j
+    emit("f4c_categories", &human, &j)
 }
 
 /// Fig. 5: DDoS detection.
-pub fn exp_f5_ddos(scn: &Scenario, rep: &EngineReport) -> Value {
+pub fn exp_f5_ddos(scn: &Scenario, rep: &EngineReport) -> io::Result<()> {
     // Count attacks from the session/auth signature (Fig. 5's definition);
     // at small scale single heavy users can legitimately spike the storage
     // series, which the session/auth series are immune to.
@@ -366,12 +403,11 @@ pub fn exp_f5_ddos(scn: &Scenario, rep: &EngineReport) -> Value {
         "paper": {"attacks": 3, "attack_days": cal::ATTACK_DAYS,
                    "storage_multipliers": cal::ATTACK_API_MULTIPLIER},
     });
-    emit("f5_ddos", &human, &j);
-    j
+    emit("f5_ddos", &human, &j)
 }
 
 /// Fig. 6: online vs active users.
-pub fn exp_f6_online_active(rep: &EngineReport) -> Value {
+pub fn exp_f6_online_active(rep: &EngineReport) -> io::Result<()> {
     let s = &rep.active_online;
     let human = format!(
         "active/online ratio per hour: min {}, mean {}, max {} (paper: 3.49%–16.25%)",
@@ -381,12 +417,11 @@ pub fn exp_f6_online_active(rep: &EngineReport) -> Value {
     );
     let j = json!({"min": s.min_ratio, "mean": s.mean_ratio, "max": s.max_ratio,
                    "paper": {"min": cal::ACTIVE_OF_ONLINE_MIN, "max": cal::ACTIVE_OF_ONLINE_MAX}});
-    emit("f6_online_active", &human, &j);
-    j
+    emit("f6_online_active", &human, &j)
 }
 
 /// Fig. 7(a): operation mix.
-pub fn exp_f7a_op_mix(rep: &EngineReport) -> Value {
+pub fn exp_f7a_op_mix(rep: &EngineReport) -> io::Result<()> {
     let mix = &rep.op_mix;
     let mut human = String::from("operation            count\n");
     for (name, count) in &mix.counts {
@@ -395,12 +430,11 @@ pub fn exp_f7a_op_mix(rep: &EngineReport) -> Value {
         }
     }
     let j = json!({"counts": mix.counts.iter().map(|(n, c)| json!([n, c])).collect::<Vec<_>>()});
-    emit("f7a_op_mix", &human, &j);
-    j
+    emit("f7a_op_mix", &human, &j)
 }
 
 /// Fig. 7(b): per-user traffic distribution.
-pub fn exp_f7b_user_traffic(rep: &EngineReport) -> Value {
+pub fn exp_f7b_user_traffic(rep: &EngineReport) -> io::Result<()> {
     let t = &rep.inequality;
     let human = format!(
         "users who downloaded anything: {} (paper: 14%)\n\
@@ -414,12 +448,11 @@ pub fn exp_f7b_user_traffic(rep: &EngineReport) -> Value {
     let j = json!({"users_who_download": t.users_who_download,
                    "users_who_upload": t.users_who_upload,
                    "paper": {"download": 0.14, "upload": 0.25}});
-    emit("f7b_user_traffic", &human, &j);
-    j
+    emit("f7b_user_traffic", &human, &j)
 }
 
 /// Fig. 7(c): Lorenz curves and Gini.
-pub fn exp_f7c_gini(rep: &EngineReport) -> Value {
+pub fn exp_f7c_gini(rep: &EngineReport) -> io::Result<()> {
     let t = &rep.inequality;
     let human = format!(
         "upload Gini   {:.3} (paper: 0.8943)\n\
@@ -435,12 +468,11 @@ pub fn exp_f7c_gini(rep: &EngineReport) -> Value {
                    "upload_lorenz": t.upload_lorenz.points,
                    "paper": {"upload_gini": cal::GINI_UPLOAD, "download_gini": cal::GINI_DOWNLOAD,
                               "top1_share": cal::TOP1_TRAFFIC_SHARE}});
-    emit("f7c_gini", &human, &j);
-    j
+    emit("f7c_gini", &human, &j)
 }
 
 /// Fig. 8: transition graph.
-pub fn exp_f8_transitions(rep: &EngineReport) -> Value {
+pub fn exp_f8_transitions(rep: &EngineReport) -> io::Result<()> {
     let g = &rep.markov;
     let mut human = format!(
         "total transitions: {}\ntop edges (global probability):\n",
@@ -464,12 +496,11 @@ pub fn exp_f8_transitions(rep: &EngineReport) -> Value {
         "download_self": g.probability(ApiOpKind::Download, ApiOpKind::Download),
         "paper": {"upload_self": 0.167, "download_self": 0.158},
     });
-    emit("f8_transitions", &human, &j);
-    j
+    emit("f8_transitions", &human, &j)
 }
 
 /// Fig. 9: burstiness + power-law fits.
-pub fn exp_f9_burstiness(rep: &EngineReport) -> Value {
+pub fn exp_f9_burstiness(rep: &EngineReport) -> io::Result<()> {
     let up = &rep.burst_upload;
     let un = &rep.burst_unlink;
     let fit_line = |b: &ana::burstiness::Burstiness| match &b.fit {
@@ -499,12 +530,11 @@ pub fn exp_f9_burstiness(rep: &EngineReport) -> Value {
         "paper": {"upload": {"alpha": cal::UPLOAD_INTEROP_ALPHA, "theta": cal::UPLOAD_INTEROP_THETA},
                    "unlink": {"alpha": cal::UNLINK_INTEROP_ALPHA, "theta": cal::UNLINK_INTEROP_THETA}},
     });
-    emit("f9_burstiness", &human, &j);
-    j
+    emit("f9_burstiness", &human, &j)
 }
 
 /// Fig. 10: files vs dirs per volume.
-pub fn exp_f10_volume_contents(scn: &Scenario) -> Value {
+pub fn exp_f10_volume_contents(scn: &Scenario) -> io::Result<()> {
     let c = ana::volumes::volume_contents(&scn.volumes);
     let human = format!(
         "volumes: {}\n\
@@ -521,12 +551,11 @@ pub fn exp_f10_volume_contents(scn: &Scenario) -> Value {
                    "with_files": c.with_files, "with_dirs": c.with_dirs,
                    "over_1000_files": c.over_1000_files,
                    "paper": {"pearson": 0.998, "with_files": 0.60, "with_dirs": 0.32, "over_1000": 0.05}});
-    emit("f10_volume_contents", &human, &j);
-    j
+    emit("f10_volume_contents", &human, &j)
 }
 
 /// Fig. 11: UDF and shared volumes.
-pub fn exp_f11_volume_types(scn: &Scenario) -> Value {
+pub fn exp_f11_volume_types(scn: &Scenario) -> io::Result<()> {
     let t = ana::volumes::volume_types(&scn.volumes);
     let human = format!(
         "users: {}\nusers with >=1 UDF: {} (paper: 58%)\nusers involved in sharing: {} (paper: 1.8%)",
@@ -536,12 +565,11 @@ pub fn exp_f11_volume_types(scn: &Scenario) -> Value {
     );
     let j = json!({"users": t.users, "with_udf": t.users_with_udf, "with_share": t.users_with_share,
                    "paper": {"with_udf": cal::USERS_WITH_UDF, "with_share": cal::USERS_WITH_SHARE}});
-    emit("f11_volume_types", &human, &j);
-    j
+    emit("f11_volume_types", &human, &j)
 }
 
 /// Fig. 12: RPC service-time distributions.
-pub fn exp_f12_rpc_latency(rep: &EngineReport) -> Value {
+pub fn exp_f12_rpc_latency(rep: &EngineReport) -> io::Result<()> {
     let a = &rep.rpc;
     let mut human = String::from(
         "rpc                                    panel   class      n     median      p99   far(>10x med)\n",
@@ -567,12 +595,11 @@ pub fn exp_f12_rpc_latency(rep: &EngineReport) -> Value {
     }
     human.push_str("(paper: every RPC long-tailed, 7–22% far from median)");
     let j = json!({"profiles": rows, "paper": {"far_min": 0.07, "far_max": 0.22}});
-    emit("f12_rpc_latency", &human, &j);
-    j
+    emit("f12_rpc_latency", &human, &j)
 }
 
 /// Fig. 13: median service time vs frequency scatter.
-pub fn exp_f13_rpc_scatter(rep: &EngineReport) -> Value {
+pub fn exp_f13_rpc_scatter(rep: &EngineReport) -> io::Result<()> {
     let a = &rep.rpc;
     let read = a.class_median(RpcClass::Read);
     let write = a.class_median(RpcClass::Write);
@@ -594,12 +621,11 @@ pub fn exp_f13_rpc_scatter(rep: &EngineReport) -> Value {
                    "scatter": a.profiles.iter().filter(|p| p.count > 0)
                        .map(|p| json!([p.rpc, p.class, p.count, p.median_s])).collect::<Vec<_>>(),
                    "paper": {"cascade_over_read_min": 10.0}});
-    emit("f13_rpc_scatter", &human, &j);
-    j
+    emit("f13_rpc_scatter", &human, &j)
 }
 
 /// Fig. 14: load balance.
-pub fn exp_f14_load_balance(rep: &EngineReport) -> Value {
+pub fn exp_f14_load_balance(rep: &EngineReport) -> io::Result<()> {
     let lb = &rep.load_balance;
     let human = format!(
         "API servers, hourly: mean CV across machines {:.2} (high variance = poor short-window balance)\n\
@@ -612,12 +638,11 @@ pub fn exp_f14_load_balance(rep: &EngineReport) -> Value {
     let j = json!({"api_mean_cv": lb.api_mean_cv, "shard_mean_cv": lb.shard_mean_cv,
                    "shard_longrun_cv": lb.shard_longrun_cv,
                    "paper": {"longrun": cal::SHARD_LONGRUN_STDDEV}});
-    emit("f14_load_balance", &human, &j);
-    j
+    emit("f14_load_balance", &human, &j)
 }
 
 /// Fig. 15: auth/session activity.
-pub fn exp_f15_auth_activity(rep: &EngineReport) -> Value {
+pub fn exp_f15_auth_activity(rep: &EngineReport) -> io::Result<()> {
     let a = &rep.auth;
     let human = format!(
         "auth requests: diurnal swing {:.2}x (paper: 1.5–1.6x day-over-night)\n\
@@ -634,12 +659,11 @@ pub fn exp_f15_auth_activity(rep: &EngineReport) -> Value {
                    "paper": {"swing": cal::AUTH_DIURNAL_SWING,
                               "monday": cal::MONDAY_OVER_WEEKEND,
                               "failures": cal::AUTH_FAILURE_RATE}});
-    emit("f15_auth_activity", &human, &j);
-    j
+    emit("f15_auth_activity", &human, &j)
 }
 
 /// Fig. 16: session lengths and ops per session.
-pub fn exp_f16_sessions(rep: &EngineReport) -> Value {
+pub fn exp_f16_sessions(rep: &EngineReport) -> io::Result<()> {
     let s = &rep.sessions;
     let human = format!(
         "closed sessions: {}\n\
@@ -661,14 +685,13 @@ pub fn exp_f16_sessions(rep: &EngineReport) -> Value {
                               "active_fraction": cal::ACTIVE_SESSION_FRACTION,
                               "p80_ops": cal::ACTIVE_SESSION_P80_OPS,
                               "top20_share": cal::ACTIVE_SESSION_TOP20_OP_SHARE}});
-    emit("f16_sessions", &human, &j);
-    j
+    emit("f16_sessions", &human, &j)
 }
 
 /// Fig. 17 / Table 4: the upload state machine under interruption, resume,
 /// cancellation and week-old garbage collection. Self-contained: runs its
 /// own mini-backend rather than a whole month.
-pub fn exp_f17_uploadjobs() -> Value {
+pub fn exp_f17_uploadjobs() -> io::Result<()> {
     use std::sync::Arc;
     use u1_core::{ContentHash, NodeKind, SimClock, SimDuration, UserId};
     use u1_server::{Backend, BackendConfig};
@@ -765,12 +788,11 @@ pub fn exp_f17_uploadjobs() -> Value {
                        "completed": stats.multipart_completed,
                        "aborted": stats.multipart_aborted},
     });
-    emit("f17_uploadjobs", &human, &j);
-    j
+    emit("f17_uploadjobs", &human, &j)
 }
 
 /// Table 1: the findings checklist, computed from the shared report.
-pub fn exp_t1_findings(rep: &EngineReport) -> Value {
+pub fn exp_t1_findings(rep: &EngineReport) -> io::Result<()> {
     use ana::summary::Finding;
     let ddos = {
         let control: Vec<_> = rep
@@ -817,12 +839,11 @@ pub fn exp_t1_findings(rep: &EngineReport) -> Value {
     let holds = findings.iter().filter(|f| f.holds()).count();
     human.push_str(&format!("{holds}/{} findings hold", findings.len()));
     let j = json!({"findings": findings, "holds": holds, "total": findings.len()});
-    emit("t1_findings", &human, &j);
-    j
+    emit("t1_findings", &human, &j)
 }
 
 /// Ablations: quantify the design choices the paper discusses.
-pub fn exp_ablations(scn: &Scenario, rep: &EngineReport) -> Value {
+pub fn exp_ablations(scn: &Scenario, rep: &EngineReport) -> io::Result<()> {
     // (1) Dedup: bytes avoided = logical - stored uploads.
     let ded = &rep.dedup;
     let dedup_saving = ded.total_bytes.saturating_sub(ded.unique_bytes);
@@ -852,16 +873,20 @@ pub fn exp_ablations(scn: &Scenario, rep: &EngineReport) -> Value {
         "tiering": {"flat_monthly": flat, "tiered_monthly": tiered,
                      "cold_objects": sweep.cold_objects},
     });
-    emit("ablations", &human, &j);
-    j
+    emit("ablations", &human, &j)
 }
 
+/// The fault plan `exp faults` (and `exp all`) runs under: ~1% shard
+/// downtime plus light RPC/part/crash/notify/auth faults.
+pub const DEFAULT_FAULTS: &str = "shard=0.01,rpc=0.002,part=0.01,crash=0.01,notify=0.02,auth=0.005";
+
 /// Fault-injection experiment: the same small workload run fault-free and
-/// under a ~1% shard-downtime plan (plus light RPC/part/crash/notify
-/// faults), reporting error rates and retry-latency inflation from the
-/// trace tags. Self-contained like Fig. 17: it runs its own pair of
-/// scenarios rather than reusing the shared month.
-pub fn exp_faults() -> Value {
+/// under the plan `spec` names (`light`, or a `key=value` list — see
+/// [`FaultPlan::parse`](u1_core::fault::FaultPlan::parse)), reporting error
+/// rates and retry-latency inflation from the trace tags. Self-contained
+/// like Fig. 17: it runs its own pair of scenarios rather than reusing the
+/// shared month. A spec that does not parse is `InvalidInput`.
+pub fn exp_faults(spec: &str) -> io::Result<()> {
     use u1_core::fault::FaultPlan;
     use u1_core::SimDuration;
     use u1_workload::WorkloadConfig;
@@ -874,8 +899,8 @@ pub fn exp_faults() -> Value {
         seed_files: 0.5,
         workers: 0,
     };
-    let spec = "shard=0.01,rpc=0.002,part=0.01,crash=0.01,notify=0.02,auth=0.005";
-    let plan = FaultPlan::parse(spec, SimDuration::from_days(cfg.days)).expect("valid fault spec");
+    let plan = FaultPlan::parse(spec, SimDuration::from_days(cfg.days))
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
 
     let baseline = crate::run_scenario(cfg.clone());
     let faulted = crate::run_scenario_with_faults(cfg, plan);
@@ -943,6 +968,5 @@ pub fn exp_faults() -> Value {
             "report": fr, "faults": inj_f,
         },
     });
-    emit("faults", &human, &j);
-    j
+    emit("faults", &human, &j)
 }

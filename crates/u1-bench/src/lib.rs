@@ -1,16 +1,12 @@
 //! Experiment harness: regenerates every table and figure of the paper's
 //! evaluation (§4–§7) from a freshly simulated trace.
 //!
-//! Run one experiment:
+//! One binary, `exp`, over the name → function table in [`experiments`]:
 //!
 //! ```text
-//! cargo run --release -p u1-bench --bin exp_f7c_gini
-//! ```
-//!
-//! or everything at once (single simulation, all analyses):
-//!
-//! ```text
-//! cargo run --release -p u1-bench --bin exp_all
+//! cargo run --release -p u1-bench --bin exp -- all        # one simulation, every experiment
+//! cargo run --release -p u1-bench --bin exp -- f7c_gini   # one experiment
+//! cargo run --release -p u1-bench --bin exp -- faults --faults light
 //! ```
 //!
 //! Environment overrides: `U1_USERS`, `U1_DAYS`, `U1_SEED`, `U1_ATTACKS=0`,
@@ -18,6 +14,11 @@
 //!
 //! Every experiment prints a human-readable table (the paper row/series)
 //! and writes a JSON document so EXPERIMENTS.md numbers are regenerable.
+//!
+//! Performance is not measured here: `benchmark/` (BENCHMARK.json) is the
+//! repo's one benchmark. The two other binaries are gates over inputs no
+//! benchmark workload reaches — `bench_scale` (25k–100k-user tiers under
+//! an RSS ceiling) and `scaling_gate` (≥4-CPU speed-up floors).
 
 pub mod experiments;
 pub mod fingerprint;
@@ -26,38 +27,17 @@ pub mod scenario;
 
 pub use fingerprint::Fingerprint;
 pub use scenario::{
-    run_scenario, run_scenario_streamed, run_scenario_with_faults, scenario_from_env, Scenario,
-    StreamedScenario,
+    config_from_env, engine_config, run_scenario, run_scenario_streamed, run_scenario_with_faults,
+    scenario_from_env, Scenario, StreamedScenario,
 };
 
 use serde_json::Value;
 use std::io::Write;
 use std::path::PathBuf;
-use u1_analytics::engine::{EngineConfig, EngineReport};
-
-/// The engine configuration a scenario implies: its horizon, the backend's
-/// API-machine and store-shard counts, and the paper's default extension
-/// list / detector parameters.
-pub fn engine_config(scn: &Scenario) -> EngineConfig {
-    EngineConfig::new(
-        scn.horizon,
-        scn.backend.config().cluster.machines as usize,
-        scn.backend.config().store.shards as usize,
-    )
-}
-
-/// [`engine_config`] for a stream-to-disk run.
-pub fn engine_config_streamed(scn: &StreamedScenario) -> EngineConfig {
-    EngineConfig::new(
-        scn.horizon,
-        scn.backend.config().cluster.machines as usize,
-        scn.backend.config().store.shards as usize,
-    )
-}
+use u1_analytics::engine::EngineReport;
 
 /// ONE streaming pass over the scenario's trace producing everything the
-/// experiment battery reads (the legacy harness re-walked `scn.records`
-/// once per analyzer — ~30 passes for an `exp_all` run).
+/// experiment battery reads.
 pub fn analyze(scn: &Scenario) -> EngineReport {
     u1_analytics::engine::run_all(&scn.records, &engine_config(scn))
 }
@@ -69,18 +49,26 @@ pub fn out_dir() -> PathBuf {
         .unwrap_or_else(|_| PathBuf::from("target/experiments"))
 }
 
-/// Prints the human-readable block and persists the JSON document.
-pub fn emit(id: &str, human: &str, json: &Value) {
+/// Prints the human-readable block and persists the JSON document as
+/// `<out_dir>/<id>.json`. A document that cannot be written is an error,
+/// reported on stderr with its path — never a silent success.
+pub fn emit(id: &str, human: &str, json: &Value) -> std::io::Result<()> {
     println!("== {id} ==");
     println!("{human}");
     let dir = out_dir();
-    if std::fs::create_dir_all(&dir).is_ok() {
-        let path = dir.join(format!("{id}.json"));
-        if let Ok(mut f) = std::fs::File::create(&path) {
-            let _ = writeln!(f, "{}", serde_json::to_string_pretty(json).unwrap());
-            println!("[json: {}]", path.display());
-        }
-    }
+    let path = dir.join(format!("{id}.json"));
+    serde_json::to_string_pretty(json)
+        .map_err(std::io::Error::other)
+        .and_then(|text| {
+            std::fs::create_dir_all(&dir)?;
+            writeln!(std::fs::File::create(&path)?, "{text}")
+        })
+        .map_err(|e| {
+            eprintln!("[emit] cannot write {}: {e}", path.display());
+            e
+        })?;
+    println!("[json: {}]", path.display());
+    Ok(())
 }
 
 /// Formats a fraction as a percentage.

@@ -11,9 +11,9 @@ use std::sync::{Arc, OnceLock};
 use u1_analytics::engine::{run_all, run_all_offdisk};
 use u1_bench::scenario::{run_scenario_streamed, StreamedScenario};
 use u1_bench::{run_scenario, Scenario};
-use u1_core::{Sha1, SimClock};
+use u1_core::SimClock;
 use u1_server::{Backend, BackendConfig};
-use u1_trace::{BufferedSink, DirSink, LogDirReader, TraceRecord};
+use u1_trace::{canonical_sha, BufferedSink, DirSink, LogDirReader, TraceRecord};
 use u1_workload::{Driver, WorkloadConfig};
 
 /// The exact workload of the driver's golden test, whose canonical trace
@@ -30,17 +30,6 @@ fn golden_cfg(workers: usize) -> WorkloadConfig {
 }
 
 const GOLDEN_SHA: &str = "78be5180fee062f073b8838c0cb695e681de3f1b";
-
-/// SHA-1 over every canonical line plus its `(origin, seq)` stamp — the
-/// same digest the driver golden test computes.
-fn canonical_sha(records: &[TraceRecord]) -> String {
-    let mut buf = String::new();
-    for r in records {
-        buf.push_str(&u1_trace::csvline::to_line(r));
-        buf.push_str(&format!("|{}|{}\n", r.origin, r.seq));
-    }
-    Sha1::digest(buf.as_bytes()).to_hex()
-}
 
 fn in_memory() -> &'static Scenario {
     static SCN: OnceLock<Scenario> = OnceLock::new();

@@ -4,13 +4,13 @@
 //! wall-clock go?" without perturbing the thing being measured. This module
 //! provides:
 //!
-//! * [`Phase`] — the closed set of phases the driver, the parallel logfile
-//!   reader and the chunked analytics engine account time against,
+//! * [`Phase`] — the closed set of phases the driver and the wire tier's
+//!   reactor account time against,
 //! * [`PhaseTimers`] — a bank of cache-line-padded atomic nanosecond
 //!   counters, shared by reference across worker threads (relaxed ordering:
 //!   counters are only read after the workers have been joined),
 //! * [`PhaseNanos`] — a plain serializable snapshot of the bank, embedded in
-//!   `DriverReport` and in both committed bench JSONs,
+//!   `DriverReport`,
 //! * [`Measured`] — a transparent wrapper that *excludes* wall-clock
 //!   measurements from a report's `PartialEq`, so determinism asserts
 //!   (`report@1worker == report@4workers`, golden literal reports) keep
@@ -30,9 +30,7 @@ use serde::Serialize;
 
 /// Phases the parallel paths account time against.
 ///
-/// The driver uses the first five; the parallel logfile reader uses
-/// [`Phase::Parse`] and [`Phase::Sort`]; the chunked analytics engine uses
-/// [`Phase::Fold`] and [`Phase::Merge`]; the wire tier's reactor thread
+/// The driver uses the first five; the wire tier's reactor thread
 /// (DESIGN.md §15) splits its loop across the four `Net*` phases.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
@@ -47,14 +45,6 @@ pub enum Phase {
     Seal,
     /// The coordinator section itself (maintenance, GC, attack waves).
     Coordinator,
-    /// Parsing logfile bytes into trace records.
-    Parse,
-    /// The final stable sort merging per-range parse output.
-    Sort,
-    /// Feeding records through fold partials (chunk bodies).
-    Fold,
-    /// Merging fold partials back together (tree reduction).
-    Merge,
     /// Reactor: accepting connections and running admission control.
     NetAccept,
     /// Reactor: nonblocking socket reads and frame decoding.
@@ -66,7 +56,7 @@ pub enum Phase {
 }
 
 /// Number of distinct [`Phase`] values (size of a [`PhaseTimers`] bank).
-pub const PHASE_COUNT: usize = 13;
+pub const PHASE_COUNT: usize = 9;
 
 impl Phase {
     #[inline]
@@ -77,14 +67,10 @@ impl Phase {
             Phase::DayFlush => 2,
             Phase::Seal => 3,
             Phase::Coordinator => 4,
-            Phase::Parse => 5,
-            Phase::Sort => 6,
-            Phase::Fold => 7,
-            Phase::Merge => 8,
-            Phase::NetAccept => 9,
-            Phase::NetRead => 10,
-            Phase::NetServe => 11,
-            Phase::NetWrite => 12,
+            Phase::NetAccept => 5,
+            Phase::NetRead => 6,
+            Phase::NetServe => 7,
+            Phase::NetWrite => 8,
         }
     }
 }
@@ -165,10 +151,6 @@ impl PhaseTimers {
             day_flush_nanos: self.get(Phase::DayFlush),
             seal_nanos: self.get(Phase::Seal),
             coordinator_nanos: self.get(Phase::Coordinator),
-            parse_nanos: self.get(Phase::Parse),
-            sort_nanos: self.get(Phase::Sort),
-            fold_nanos: self.get(Phase::Fold),
-            merge_nanos: self.get(Phase::Merge),
             net_accept_nanos: self.get(Phase::NetAccept),
             net_read_nanos: self.get(Phase::NetRead),
             net_serve_nanos: self.get(Phase::NetServe),
@@ -203,14 +185,6 @@ pub struct PhaseNanos {
     pub seal_nanos: u64,
     /// Nanos in the coordinator section (maintenance/GC/attacks).
     pub coordinator_nanos: u64,
-    /// Thread-nanos parsing logfile bytes into records.
-    pub parse_nanos: u64,
-    /// Nanos in the final merge sort of parsed records.
-    pub sort_nanos: u64,
-    /// Thread-nanos feeding records through fold partials.
-    pub fold_nanos: u64,
-    /// Thread-nanos merging fold partials (tree reduction).
-    pub merge_nanos: u64,
     /// Reactor nanos accepting connections (admission control included).
     pub net_accept_nanos: u64,
     /// Reactor nanos in nonblocking reads and frame decoding.
@@ -274,15 +248,15 @@ mod tests {
     #[test]
     fn timers_accumulate_per_phase() {
         let t = PhaseTimers::new();
-        t.add(Phase::Parse, 5);
-        t.add(Phase::Parse, 7);
-        t.add(Phase::Merge, 11);
-        assert_eq!(t.get(Phase::Parse), 12);
-        assert_eq!(t.get(Phase::Merge), 11);
-        assert_eq!(t.get(Phase::Fold), 0);
+        t.add(Phase::Seal, 5);
+        t.add(Phase::Seal, 7);
+        t.add(Phase::NetWrite, 11);
+        assert_eq!(t.get(Phase::Seal), 12);
+        assert_eq!(t.get(Phase::NetWrite), 11);
+        assert_eq!(t.get(Phase::NetRead), 0);
         let snap = t.snapshot();
-        assert_eq!(snap.parse_nanos, 12);
-        assert_eq!(snap.merge_nanos, 11);
+        assert_eq!(snap.seal_nanos, 12);
+        assert_eq!(snap.net_write_nanos, 11);
         assert!(!snap.is_zero());
         assert!(PhaseNanos::default().is_zero());
     }
@@ -290,11 +264,11 @@ mod tests {
     #[test]
     fn time_charges_the_closure_to_the_phase() {
         let t = PhaseTimers::new();
-        let out = t.time(Phase::Fold, || 41 + 1);
+        let out = t.time(Phase::NetServe, || 41 + 1);
         assert_eq!(out, 42);
         // Elapsed time is nonnegative by construction; the counter may be 0
         // on a coarse clock, so only assert the other phases stayed zero.
-        assert_eq!(t.get(Phase::Merge), 0);
+        assert_eq!(t.get(Phase::NetWrite), 0);
     }
 
     #[test]
@@ -311,7 +285,7 @@ mod tests {
         let b = Report {
             ops: 3,
             timing: Measured(PhaseNanos {
-                parse_nanos: 999,
+                seal_nanos: 999,
                 ..PhaseNanos::default()
             }),
         };

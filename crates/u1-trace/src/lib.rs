@@ -9,6 +9,8 @@
 //!
 //! * [`TraceRecord`] / [`Payload`] — the typed event model,
 //! * [`csvline`] — the line format (one CSV line per record),
+//! * [`canonical`] — the canonical trace digest every pinned SHA is an
+//!   instance of,
 //! * [`sink`] — where running servers emit records ([`MemorySink`] for
 //!   in-process analysis, [`DirSink`] for paper-style logfile directories),
 //! * [`logfile`] — logfile naming, per-process day rotation, directory
@@ -17,12 +19,14 @@
 //!   releasing the dataset.
 
 pub mod anonymize;
+pub mod canonical;
 pub mod csvline;
 pub mod event;
 pub mod logfile;
 pub mod sink;
 
 pub use anonymize::Anonymizer;
+pub use canonical::{canonical_sha, CanonicalSha};
 pub use event::{Payload, SessionEvent, TraceRecord};
 pub use logfile::{
     logfile_name, parse_logfile_name, DayChunk, DayChunks, LogDirReader, ParseStats,

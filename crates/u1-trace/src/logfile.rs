@@ -33,7 +33,6 @@ use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use u1_core::timing::{saturating_nanos, Phase, PhaseTimers};
 use u1_core::{MachineId, ProcessId, SimTime};
 
 /// Floor on planned range size: below this, per-task overhead (open, seek,
@@ -307,11 +306,10 @@ fn read_files(files: &[LogfileEntry]) -> std::io::Result<(Vec<TraceRecord>, Pars
 /// Reads the given logfiles via planned byte ranges on a work-stealing
 /// cursor (see the module docs), concatenating per-range output in
 /// `(file, range)` order — byte-identical to [`read_files`] at every thread
-/// count. No sort; parse thread-time is charged to [`Phase::Parse`].
+/// count. No sort.
 fn read_files_parallel(
     files: &[LogfileEntry],
     threads: usize,
-    timers: &PhaseTimers,
 ) -> std::io::Result<(Vec<TraceRecord>, ParseStats)> {
     let threads = threads.max(1);
     if threads <= 1 || files.is_empty() {
@@ -338,7 +336,6 @@ fn read_files_parallel(
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| {
-                let t0 = std::time::Instant::now();
                 let mut buf = Vec::new();
                 loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
@@ -354,7 +351,6 @@ fn read_files_parallel(
                         slots[i] = Some(result);
                     }
                 }
-                timers.add(Phase::Parse, saturating_nanos(t0));
             });
         }
     });
@@ -440,15 +436,7 @@ impl LogDirReader {
     /// are counted and skipped, never fatal — matching the original
     /// pipeline's tolerance.
     pub fn read_all(&self) -> std::io::Result<(Vec<TraceRecord>, ParseStats)> {
-        let (files, skipped_files) = self.logfiles()?;
-        let mut stats = ParseStats {
-            skipped_files,
-            ..ParseStats::default()
-        };
-        let (mut records, read_stats) = read_files(&files)?;
-        stats.absorb(&read_stats);
-        sort_records(&mut records, |r| (r.t, 0, 0));
-        Ok((records, stats))
+        self.read_all_parallel(1)
     }
 
     /// [`Self::read_all`] parallelized over line-aligned byte ranges (see
@@ -463,31 +451,14 @@ impl LogDirReader {
         &self,
         threads: usize,
     ) -> std::io::Result<(Vec<TraceRecord>, ParseStats)> {
-        self.read_all_parallel_timed(threads, &PhaseTimers::new())
-    }
-
-    /// [`Self::read_all_parallel`], charging parse thread-time to
-    /// [`Phase::Parse`] and the final merge sort to [`Phase::Sort`] on the
-    /// given timer bank (how the bench JSONs get their per-phase blocks).
-    pub fn read_all_parallel_timed(
-        &self,
-        threads: usize,
-        timers: &PhaseTimers,
-    ) -> std::io::Result<(Vec<TraceRecord>, ParseStats)> {
         let (files, skipped_files) = self.logfiles()?;
-        let threads = threads.max(1);
-        if threads <= 1 || files.is_empty() {
-            return self.read_all();
-        }
         let mut stats = ParseStats {
             skipped_files,
             ..ParseStats::default()
         };
-        let (mut records, read_stats) = read_files_parallel(&files, threads, timers)?;
+        let (mut records, read_stats) = read_files_parallel(&files, threads)?;
         stats.absorb(&read_stats);
-        let t_sort = std::time::Instant::now();
         sort_records(&mut records, |r| (r.t, 0, 0));
-        timers.add(Phase::Sort, saturating_nanos(t_sort));
         Ok((records, stats))
     }
 
@@ -562,19 +533,11 @@ impl DayChunks {
     /// Reads, parses and canonically sorts the next day. `None` when every
     /// day has been consumed.
     pub fn next_day(&mut self) -> Option<std::io::Result<DayChunk>> {
-        self.next_day_timed(&PhaseTimers::new())
-    }
-
-    /// [`Self::next_day`], charging parse thread-time to [`Phase::Parse`]
-    /// and the canonical sort to [`Phase::Sort`].
-    pub fn next_day_timed(&mut self, timers: &PhaseTimers) -> Option<std::io::Result<DayChunk>> {
         let (day, files) = self.days.get(self.next)?;
         self.next += 1;
         Some(
-            read_files_parallel(files, self.threads, timers).map(|(mut records, stats)| {
-                let t_sort = std::time::Instant::now();
+            read_files_parallel(files, self.threads).map(|(mut records, stats)| {
                 sort_records(&mut records, |r| (r.t, r.origin, r.seq));
-                timers.add(Phase::Sort, saturating_nanos(t_sort));
                 DayChunk {
                     day: *day,
                     records,

@@ -166,23 +166,17 @@ pub struct MemorySink {
 
 impl Default for MemorySink {
     fn default() -> Self {
-        Self::with_stripes(STRIPES)
+        Self {
+            stripes: (0..STRIPES)
+                .map(|_| CachePadded::new(Mutex::new(Vec::new())))
+                .collect(),
+        }
     }
 }
 
 impl MemorySink {
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A sink with a custom stripe count (collision-free as long as
-    /// `stripes` is at least the number of distinct origins).
-    pub fn with_stripes(stripes: usize) -> Self {
-        Self {
-            stripes: (0..stripes.max(1))
-                .map(|_| CachePadded::new(Mutex::new(Vec::new())))
-                .collect(),
-        }
     }
 
     pub fn len(&self) -> usize {
@@ -379,15 +373,9 @@ pub struct BufferedSink<S: TraceSink> {
 
 impl<S: TraceSink> BufferedSink<S> {
     pub fn new(inner: S) -> Self {
-        Self::with_stripes(inner, STRIPES)
-    }
-
-    /// A buffer with a custom stripe count (collision-free as long as
-    /// `stripes` is at least the number of distinct origins).
-    pub fn with_stripes(inner: S, stripes: usize) -> Self {
         Self {
             inner,
-            stripes: (0..stripes.max(1))
+            stripes: (0..STRIPES)
                 .map(|_| CachePadded::new(Mutex::new(Vec::new())))
                 .collect(),
         }

@@ -17,13 +17,9 @@
 //! all pure functions of the fleet seed, independent of which transport
 //! carries the requests. Two runs (direct vs. wire) against identically
 //! seeded backends must produce identical [`FleetReport`]s and identical
-//! canonical trace hashes; `BENCH_wire` and the wire parity test enforce
-//! exactly that.
-//!
-//! [`run_concurrent`] is the load harness: real threads, one per client,
-//! real sockets, think times compressed by a scale factor, per-op service
-//! times sampled for the `BENCH_wire` latency histograms. It makes no
-//! determinism promises — that is what lockstep is for.
+//! canonical trace hashes; `tests/wire_fleet_parity.rs` enforces exactly
+//! that. (Load on the wire tier is the benchmark's job: `wire_loopback`
+//! in `benchmark/` drives it from a multiplexed open-loop client.)
 
 use crate::files::FileModel;
 use crate::markov;
@@ -106,18 +102,6 @@ impl FleetReport {
     }
 }
 
-/// One timed RPC from the concurrent fleet (for service-time histograms).
-#[derive(Debug, Clone, Copy)]
-pub struct ServiceSample {
-    /// Which client issued it (index into the fleet; `UserId(client + 1)`).
-    pub client: u32,
-    /// The op that was issued (Upload/Download cover the whole multi-RPC
-    /// exchange including content chunks).
-    pub op: ApiOpKind,
-    /// Wall-clock duration of the full request/response exchange.
-    pub nanos: u64,
-}
-
 /// What one client does next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Action {
@@ -126,7 +110,7 @@ enum Action {
     Close,
 }
 
-/// The session-model state of one client, shared by both runners.
+/// The session-model state of one client.
 struct ClientSim {
     token: Token,
     rng: SmallRng,
@@ -529,135 +513,6 @@ where
     total
 }
 
-/// Runs the fleet **concurrently**: one OS thread per client, real
-/// transports (typically TCP), think times divided by `time_scale`
-/// (capped at 50ms real sleep so month-scale gaps don't stall the bench).
-/// Returns the merged report and every op's wall-clock service time.
-pub fn run_concurrent<T, F>(
-    cfg: &FleetConfig,
-    tokens: &[Token],
-    time_scale: u64,
-    factory: F,
-) -> (FleetReport, Vec<ServiceSample>)
-where
-    T: Transport,
-    F: Fn(usize) -> T + Sync,
-{
-    assert_eq!(
-        tokens.len(),
-        cfg.users as usize,
-        "one token per fleet client"
-    );
-    assert!(time_scale > 0, "time_scale must be positive");
-    let results: Vec<(FleetReport, Vec<ServiceSample>)> = std::thread::scope(|scope| {
-        let factory = &factory;
-        let handles: Vec<_> = tokens
-            .iter()
-            .enumerate()
-            .map(|(i, tok)| {
-                let token = *tok;
-                scope.spawn(move || {
-                    run_one_concurrent(
-                        ClientSim::new(i as u32, token, cfg.seed, cfg.sessions_per_user),
-                        i,
-                        time_scale,
-                        factory,
-                    )
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_default())
-            .collect()
-    });
-    let mut total = FleetReport {
-        users: u64::from(cfg.users),
-        ..Default::default()
-    };
-    let mut samples = Vec::new();
-    for (report, s) in results {
-        total.absorb(&report);
-        samples.extend(s);
-    }
-    (total, samples)
-}
-
-fn run_one_concurrent<T, F>(
-    mut client: ClientSim,
-    index: usize,
-    time_scale: u64,
-    factory: &F,
-) -> (FleetReport, Vec<ServiceSample>)
-where
-    T: Transport,
-    F: Fn(usize) -> T,
-{
-    const MAX_SLEEP: std::time::Duration = std::time::Duration::from_millis(50);
-    let mut samples = Vec::new();
-    let first_gap = next_session_gap(&mut client.rng, &client.profile, SimTime::ZERO);
-    let mut now = SimTime::ZERO + first_gap;
-    let mut action = Action::Connect;
-    let mut transport: Option<T> = None;
-    loop {
-        let (next_action, next_at) = match action {
-            Action::Connect => {
-                if client.sessions_left == 0 {
-                    break;
-                }
-                let mut t = factory(index);
-                let started = std::time::Instant::now();
-                let next = client.connect(&mut t, now);
-                samples.push(ServiceSample {
-                    client: index as u32,
-                    op: ApiOpKind::Authenticate,
-                    nanos: u1_core::timing::saturating_nanos(started),
-                });
-                transport = Some(t);
-                next
-            }
-            Action::Op => match transport.as_mut() {
-                Some(t) => {
-                    let started = std::time::Instant::now();
-                    let before = client.last_op;
-                    let next = client.op(t, now);
-                    let issued = client.last_op;
-                    // `op` may have closed instead of issuing; only sample
-                    // real exchanges.
-                    if next.0 == Action::Op || issued != before {
-                        samples.push(ServiceSample {
-                            client: index as u32,
-                            op: issued,
-                            nanos: u1_core::timing::saturating_nanos(started),
-                        });
-                    }
-                    next
-                }
-                None => break,
-            },
-            Action::Close => match transport.as_mut() {
-                Some(t) => {
-                    let next = client.close(t, now);
-                    transport = None;
-                    next
-                }
-                None => break,
-            },
-        };
-        if next_action == Action::Connect && client.sessions_left == 0 {
-            break;
-        }
-        let gap_us = next_at.since(now).as_micros() / time_scale;
-        let sleep = std::time::Duration::from_micros(gap_us).min(MAX_SLEEP);
-        if !sleep.is_zero() {
-            std::thread::sleep(sleep);
-        }
-        now = next_at;
-        action = next_action;
-    }
-    (client.report, samples)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -702,34 +557,12 @@ mod tests {
             let report = run_lockstep(&cfg, &clock, &tokens, |_| {
                 DirectTransport::new(Arc::clone(&backend))
             });
-            let mut sha = u1_core::Sha1::new();
-            for r in sink.take_sorted() {
-                let mut line = String::new();
-                let _ = u1_trace::csvline::write_line(&r, &mut line);
-                sha.update(line.as_bytes());
-            }
             reports.push(report);
-            hashes.push(sha.finalize().to_hex());
+            hashes.push(u1_trace::canonical_sha(&sink.take_sorted()));
         }
         assert_eq!(reports[0], reports[1]);
         assert_eq!(hashes[0], hashes[1]);
         assert!(reports[0].ops_executed > 0, "fleet did real work");
         assert_eq!(reports[0].sessions, 16, "8 users x 2 sessions");
-    }
-
-    #[test]
-    fn concurrent_mode_completes_and_counts() {
-        let cfg = FleetConfig {
-            users: 4,
-            sessions_per_user: 1,
-            seed: 9,
-        };
-        let (backend, _clock, _sink) = fleet_backend(cfg.seed);
-        let tokens = register(&backend, cfg.users);
-        let (report, samples) = run_concurrent(&cfg, &tokens, 1_000_000, |_| {
-            DirectTransport::new(Arc::clone(&backend))
-        });
-        assert_eq!(report.sessions, 4);
-        assert!(samples.len() as u64 >= report.sessions);
     }
 }

@@ -31,5 +31,5 @@ pub mod sessions;
 pub mod users;
 
 pub use driver::{Driver, DriverReport, WorkloadConfig};
-pub use fleet::{run_concurrent, run_lockstep, FleetConfig, FleetReport, ServiceSample};
+pub use fleet::{run_lockstep, FleetConfig, FleetReport};
 pub use users::UserClass;

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use ubuntuone::analytics as ana;
 use ubuntuone::core::{ApiOpKind, SimClock};
 use ubuntuone::server::{Backend, BackendConfig};
-use ubuntuone::trace::MemorySink;
+use ubuntuone::trace::{canonical_sha, MemorySink};
 use ubuntuone::workload::{Driver, WorkloadConfig};
 
 struct Run {
@@ -28,10 +28,14 @@ fn run_month() -> Run {
 }
 
 fn run_cfg(cfg: WorkloadConfig) -> Run {
+    run_on(cfg, BackendConfig::default())
+}
+
+fn run_on(cfg: WorkloadConfig, backend_cfg: BackendConfig) -> Run {
     let clock = SimClock::new();
     let sink = Arc::new(MemorySink::new());
     let backend = Arc::new(Backend::new(
-        BackendConfig::default(),
+        backend_cfg,
         Arc::new(clock.clone()),
         sink.clone(),
     ));
@@ -243,4 +247,23 @@ fn trace_is_reproducible_bit_for_bit() {
     for (x, y) in a.records.iter().zip(b.records.iter()).step_by(1000) {
         assert_eq!(x, y);
     }
+}
+
+/// The trace the repo is calibrated against: the 2,500 x 30 `paper_scaled()`
+/// month, wired as the experiment harness wires it. Minutes in a debug
+/// build, so CI runs it with
+/// `cargo test --release --test month_simulation -- --ignored`.
+#[test]
+#[ignore = "the full 2,500-user month; run in release with --ignored"]
+fn golden_paper_scaled_month_sha() {
+    let cfg = WorkloadConfig::paper_scaled();
+    let backend_cfg = BackendConfig {
+        seed: cfg.seed ^ 0xBACC,
+        ..BackendConfig::default()
+    };
+    let run = run_on(cfg, backend_cfg);
+    assert_eq!(
+        canonical_sha(&run.records),
+        WorkloadConfig::PAPER_SCALED_MONTH_SHA
+    );
 }

@@ -10,13 +10,12 @@
 //! divergence — a reordered RPC, an extra session-table touch, a
 //! different upload part schedule — shows up as a hash mismatch.
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 use ubuntuone::auth::AuthConfig;
 use ubuntuone::client::{DirectTransport, TcpTransport};
-use ubuntuone::core::{Sha1, SimClock, UserId};
+use ubuntuone::core::{SimClock, UserId};
 use ubuntuone::server::{Backend, BackendConfig, TcpServer};
-use ubuntuone::trace::{csvline, MemorySink, TraceRecord};
+use ubuntuone::trace::{canonical_sha, MemorySink};
 use ubuntuone::workload::{fleet, FleetConfig, FleetReport};
 
 /// Expected canonical trace SHA-1 for the golden fleet scenario below.
@@ -56,20 +55,6 @@ fn register(backend: &Backend, users: u32) -> Vec<ubuntuone::auth::Token> {
         .collect()
 }
 
-// Same canonicalization as `bench_throughput`: every trace line plus its
-// origin/seq stamp, in `take_sorted()` order.
-fn canonical_trace_hash(records: &[TraceRecord]) -> String {
-    let mut sha = Sha1::new();
-    let mut line = String::with_capacity(160);
-    for r in records {
-        line.clear();
-        let _ = csvline::write_line(r, &mut line);
-        let _ = writeln!(line, "|{}|{}", r.origin, r.seq);
-        sha.update(line.as_bytes());
-    }
-    sha.finalize().to_hex()
-}
-
 fn run_direct(cfg: &FleetConfig) -> (FleetReport, String) {
     let clock = Arc::new(SimClock::new());
     let (backend, sink) = measurement_backend(clock.clone());
@@ -77,7 +62,7 @@ fn run_direct(cfg: &FleetConfig) -> (FleetReport, String) {
     let report = fleet::run_lockstep(cfg, &clock, &tokens, |_| {
         DirectTransport::new(Arc::clone(&backend))
     });
-    (report, canonical_trace_hash(&sink.take_sorted()))
+    (report, canonical_sha(&sink.take_sorted()))
 }
 
 fn run_wire(cfg: &FleetConfig) -> (FleetReport, String) {
@@ -92,7 +77,7 @@ fn run_wire(cfg: &FleetConfig) -> (FleetReport, String) {
             .with_sparse_content()
     });
     server.shutdown();
-    (report, canonical_trace_hash(&sink.take_sorted()))
+    (report, canonical_sha(&sink.take_sorted()))
 }
 
 #[test]
