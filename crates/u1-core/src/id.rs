@@ -198,17 +198,22 @@ impl ContentHash {
         s
     }
 
-    /// Writes the 40-char hex form into `out` without allocating — the
-    /// per-record trace serialization path uses this on every transfer line.
-    pub fn write_hex<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+    /// The 40 hex digits as ASCII bytes, for encoders that build a line as
+    /// bytes (the trace serializer does, on every transfer line).
+    pub fn hex_bytes(&self) -> [u8; 40] {
         const HEX: &[u8; 16] = b"0123456789abcdef";
         let mut buf = [0u8; 40];
-        for (i, b) in self.0.iter().enumerate() {
-            buf[i * 2] = HEX[(b >> 4) as usize];
-            buf[i * 2 + 1] = HEX[(b & 0xf) as usize];
+        for (pair, b) in buf.chunks_exact_mut(2).zip(&self.0) {
+            pair[0] = HEX[(b >> 4) as usize];
+            pair[1] = HEX[(b & 0xf) as usize];
         }
-        // The buffer is built from the hex alphabet above, so it is ASCII.
-        out.write_str(std::str::from_utf8(&buf).unwrap_or("-"))
+        buf
+    }
+
+    /// Writes the 40-char hex form into `out` without allocating.
+    pub fn write_hex<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+        // Built from the hex alphabet, so it is ASCII.
+        out.write_str(std::str::from_utf8(&self.hex_bytes()).unwrap_or("-"))
     }
 
     /// Parses the 40-char hex form produced by [`ContentHash::to_hex`].

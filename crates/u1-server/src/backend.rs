@@ -574,4 +574,11 @@ impl Backend {
     pub fn flush_trace_origin(&self, origin: u32) {
         self.sink.flush_origin(origin);
     }
+
+    /// Tells the trace sink that no record with `t < before` will be
+    /// emitted any more. The driver's coordinator calls this at every day
+    /// barrier, once every partition has stopped at `before`.
+    pub fn seal_trace_before(&self, before: SimTime) {
+        self.sink.seal_before(before);
+    }
 }

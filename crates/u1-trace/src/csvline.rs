@@ -26,95 +26,81 @@
 //! lines of a fault-free run are byte-identical to the pre-fault format.
 
 use crate::event::{Payload, SessionEvent, TraceRecord};
+use std::cell::Cell;
 use std::fmt;
 use u1_core::{
     ApiOpKind, ContentHash, ErrorClass, MachineId, NodeId, NodeKind, ProcessId, RpcKind, SessionId,
     ShardId, SimTime, UserId, VolumeId,
 };
 
-/// Writes a `u64` as decimal digits without going through `core::fmt`'s
-/// generic machinery: digits are produced backwards into a stack buffer and
-/// emitted as one `write_str`. This is the innermost loop of trace
-/// emission — every line carries at least a timestamp and a handful of ids.
-fn write_u64<W: fmt::Write>(out: &mut W, mut v: u64) -> fmt::Result {
+/// `00` to `99`, two bytes each: a number is written two digits a division.
+const DIGIT_PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
+2021222324252627282930313233343536373839\
+4041424344454647484950515253545556575859\
+6061626364656667686970717273747576777879\
+8081828384858687888990919293949596979899";
+
+/// Appends `prefix` and then `v` in decimal. Digits are produced backwards
+/// into a stack buffer, two at a time, and appended as one slice. This is
+/// the innermost loop of trace emission — every line carries at least a
+/// timestamp and a handful of prefixed ids like `s17` / `u4` / `v0` / `n99`.
+fn put_u64(out: &mut Vec<u8>, prefix: &[u8], mut v: u64) {
+    out.extend_from_slice(prefix);
     let mut buf = [0u8; 20];
     let mut i = buf.len();
-    loop {
-        i -= 1;
-        buf[i] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
+    while v >= 100 {
+        let pair = (v % 100) as usize * 2;
+        v /= 100;
+        i -= 2;
+        buf[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
     }
-    // Only ASCII digits were written, so the slice is valid UTF-8.
-    out.write_str(std::str::from_utf8(&buf[i..]).unwrap_or("0"))
-}
-
-/// Writes a prefixed id like `s17` / `u4` / `v0` / `n99`.
-fn write_id<W: fmt::Write>(out: &mut W, prefix: &str, raw: u64) -> fmt::Result {
-    out.write_str(prefix)?;
-    write_u64(out, raw)
-}
-
-/// Writes the extension field. [`u1_core::Ext`] is sanitized at
-/// construction with exactly the rules this serializer used to apply per
-/// line (`[a-z0-9]`, max 16 chars), so emission is a plain copy; `-` when
-/// nothing survived sanitization.
-fn write_ext<W: fmt::Write>(out: &mut W, ext: &u1_core::Ext) -> fmt::Result {
-    if ext.is_empty() {
-        out.write_char('-')
+    if v >= 10 {
+        let pair = v as usize * 2;
+        i -= 2;
+        buf[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
     } else {
-        out.write_str(ext.as_str())
+        i -= 1;
+        buf[i] = b'0' + v as u8;
     }
+    out.extend_from_slice(&buf[i..]);
 }
 
-/// Serializes a record as one CSV line (no trailing newline) into any
-/// [`fmt::Write`] — typically an amortized per-thread `String` buffer. This
-/// is the allocation-free core; [`to_line`] is a thin compatibility wrapper.
-pub fn write_line<W: fmt::Write>(rec: &TraceRecord, out: &mut W) -> fmt::Result {
-    write_u64(out, rec.t.as_micros())?;
-    write_payload(rec, out)?;
+/// The one encoder: appends `rec` to `out` as one CSV line with its `\n`,
+/// with or without the `o=`/`q=` stamps. Every byte it writes is ASCII
+/// (digits, the fixed labels, a sanitized [`u1_core::Ext`]), which nothing
+/// here checks — the `fmt::Write` wrappers below do, once per line.
+pub(crate) fn encode_line(rec: &TraceRecord, stamped: bool, out: &mut Vec<u8>) {
+    put_u64(out, b"", rec.t.as_micros());
+    put_payload(rec, out);
     // Fault tags ride as optional trailing fields so fault-free lines stay
     // byte-identical to the pre-fault format.
     if rec.attempt > 1 {
-        out.write_str(",a=")?;
-        write_u64(out, rec.attempt as u64)?;
+        put_u64(out, b",a=", rec.attempt as u64);
     }
     if let Some(class) = rec.error_class {
-        out.write_str(",ec=")?;
-        out.write_str(class.label())?;
+        out.extend_from_slice(b",ec=");
+        out.extend_from_slice(class.label().as_bytes());
     }
-    Ok(())
+    if stamped {
+        put_u64(out, b",o=", rec.origin as u64);
+        put_u64(out, b",q=", rec.seq);
+    }
+    out.push(b'\n');
 }
 
-/// [`write_line`] plus the synthetic origin/sequence stamps as trailing
-/// `o=`/`q=` fields (after the fault tags). The paper's logfile schema has
-/// no such columns — plain [`write_line`] stays byte-identical to it — but
-/// a *stamped* trace directory can be read back into the exact canonical
-/// `(t, origin, seq)` order, which is what lets the stream-to-disk pipeline
-/// reproduce the in-memory golden trace hash bit for bit.
-pub fn write_line_stamped<W: fmt::Write>(rec: &TraceRecord, out: &mut W) -> fmt::Result {
-    write_line(rec, out)?;
-    out.write_str(",o=")?;
-    write_u64(out, rec.origin as u64)?;
-    out.write_str(",q=")?;
-    write_u64(out, rec.seq)
-}
-
-fn write_payload<W: fmt::Write>(rec: &TraceRecord, out: &mut W) -> fmt::Result {
+fn put_payload(rec: &TraceRecord, out: &mut Vec<u8>) {
     match &rec.payload {
         Payload::Session {
             event,
             session,
             user,
         } => {
-            out.write_str(match event {
-                SessionEvent::Open => ",session,open,",
-                SessionEvent::Close => ",session,close,",
-            })?;
-            write_id(out, "s", session.raw())?;
-            write_id(out, ",u", user.raw())
+            let head: &[u8] = match event {
+                SessionEvent::Open => b",session,open,s",
+                SessionEvent::Close => b",session,close,s",
+            };
+            put_u64(out, head, session.raw());
+            put_u64(out, b",u", user.raw());
         }
         Payload::Storage {
             op,
@@ -129,30 +115,36 @@ fn write_payload<W: fmt::Write>(rec: &TraceRecord, out: &mut W) -> fmt::Result {
             success,
             duration_us,
         } => {
-            out.write_str(",storage_done,")?;
-            out.write_str(op.label())?;
-            write_id(out, ",s", session.raw())?;
-            write_id(out, ",u", user.raw())?;
-            write_id(out, ",v", volume.raw())?;
+            out.extend_from_slice(b",storage_done,");
+            out.extend_from_slice(op.label().as_bytes());
+            put_u64(out, b",s", session.raw());
+            put_u64(out, b",u", user.raw());
+            put_u64(out, b",v", volume.raw());
             match node {
-                Some(n) => write_id(out, ",n", n.raw())?,
-                None => out.write_str(",-")?,
+                Some(n) => put_u64(out, b",n", n.raw()),
+                None => out.extend_from_slice(b",-"),
             }
-            out.write_str(match kind {
-                Some(NodeKind::File) => ",file,",
-                Some(NodeKind::Directory) => ",dir,",
-                None => ",-,",
-            })?;
-            write_u64(out, *size)?;
-            out.write_char(',')?;
+            let kind: &[u8] = match kind {
+                Some(NodeKind::File) => b",file,",
+                Some(NodeKind::Directory) => b",dir,",
+                None => b",-,",
+            };
+            put_u64(out, kind, *size);
+            out.push(b',');
             match hash {
-                Some(h) => h.write_hex(out)?,
-                None => out.write_char('-')?,
+                Some(h) => out.extend_from_slice(&h.hex_bytes()),
+                None => out.push(b'-'),
             }
-            out.write_char(',')?;
-            write_ext(out, ext)?;
-            out.write_str(if *success { ",ok," } else { ",err," })?;
-            write_u64(out, *duration_us)
+            out.push(b',');
+            // `Ext` is sanitized at construction (`[a-z0-9]`, max 16 chars),
+            // so emission is a plain copy; `-` when nothing survived.
+            if ext.is_empty() {
+                out.push(b'-');
+            } else {
+                out.extend_from_slice(ext.as_str().as_bytes());
+            }
+            let status: &[u8] = if *success { b",ok," } else { b",err," };
+            put_u64(out, status, *duration_us);
         }
         Payload::Rpc {
             rpc,
@@ -160,18 +152,52 @@ fn write_payload<W: fmt::Write>(rec: &TraceRecord, out: &mut W) -> fmt::Result {
             user,
             service_us,
         } => {
-            out.write_str(",rpc,")?;
-            out.write_str(rpc.dal_name())?;
-            write_id(out, ",shard", shard.raw() as u64)?;
-            write_id(out, ",u", user.raw())?;
-            out.write_char(',')?;
-            write_u64(out, *service_us)
+            out.extend_from_slice(b",rpc,");
+            out.extend_from_slice(rpc.dal_name().as_bytes());
+            put_u64(out, b",shard", shard.raw() as u64);
+            put_u64(out, b",u", user.raw());
+            put_u64(out, b",", *service_us);
         }
         Payload::Auth { user, success } => {
-            write_id(out, ",auth,u", user.raw())?;
-            out.write_str(if *success { ",ok" } else { ",fail" })
+            put_u64(out, b",auth,u", user.raw());
+            out.extend_from_slice(if *success { b",ok" } else { b",fail" });
         }
     }
+}
+
+thread_local! {
+    /// The line the `fmt::Write` wrappers encode before handing it on as
+    /// text. Taken, not borrowed, while in use.
+    static LINE: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
+}
+
+/// [`encode_line`] into any [`fmt::Write`], without the `\n`: the line is
+/// encoded as bytes and checked to be text once, as a whole.
+fn write_encoded<W: fmt::Write>(rec: &TraceRecord, stamped: bool, out: &mut W) -> fmt::Result {
+    let mut line = LINE.take();
+    line.clear();
+    encode_line(rec, stamped, &mut line);
+    let text = std::str::from_utf8(&line[..line.len() - 1]);
+    let written = text.map_err(|_| fmt::Error).and_then(|s| out.write_str(s));
+    LINE.set(line);
+    written
+}
+
+/// Serializes a record as one CSV line (no trailing newline) into any
+/// [`fmt::Write`] — typically an amortized per-thread `String` buffer —
+/// without allocating; [`to_line`] is a thin compatibility wrapper.
+pub fn write_line<W: fmt::Write>(rec: &TraceRecord, out: &mut W) -> fmt::Result {
+    write_encoded(rec, false, out)
+}
+
+/// [`write_line`] plus the synthetic origin/sequence stamps as trailing
+/// `o=`/`q=` fields (after the fault tags). The paper's logfile schema has
+/// no such columns — plain [`write_line`] stays byte-identical to it — but
+/// a *stamped* trace directory can be read back into the exact canonical
+/// `(t, origin, seq)` order, which is what lets the stream-to-disk pipeline
+/// reproduce the in-memory golden trace hash bit for bit.
+pub fn write_line_stamped<W: fmt::Write>(rec: &TraceRecord, out: &mut W) -> fmt::Result {
+    write_encoded(rec, true, out)
 }
 
 /// Serializes a record to one CSV line (no trailing newline). Compatibility
@@ -638,6 +664,50 @@ mod tests {
             let back = from_line(&streamed, rec.machine, rec.process).expect("parse");
             assert_eq!(back.payload.request_type(), rec.payload.request_type());
         }
+    }
+
+    #[test]
+    fn decimal_encoder_agrees_with_display_at_every_length() {
+        // Every digit count, odd and even, and the pair-table edges.
+        let mut values = vec![0, 9, 10, 11, 99, 100, 101, 109, 110, 999, 1000, u64::MAX];
+        values.extend((1..20).flat_map(|n| {
+            let p = 10u64.pow(n);
+            [p - 1, p, p + 7]
+        }));
+        for v in values {
+            let mut out = b"x=".to_vec();
+            put_u64(&mut out, b",n", v);
+            assert_eq!(String::from_utf8(out).unwrap(), format!("x=,n{v}"));
+        }
+    }
+
+    #[test]
+    fn encoded_line_is_the_written_line_plus_newline() {
+        let mut rec = mk(Payload::Storage {
+            op: ApiOpKind::Upload,
+            session: SessionId::new(17),
+            user: UserId::new(4),
+            volume: VolumeId::new(0),
+            node: Some(NodeId::new(99)),
+            kind: Some(NodeKind::File),
+            size: 1_048_576,
+            hash: Some(ContentHash::EMPTY),
+            ext: "jpg".into(),
+            success: true,
+            duration_us: 15_000,
+        });
+        (rec.t, rec.origin, rec.seq) = (SimTime::from_micros(8_640_012_345), 3, 70);
+        let plain = "8640012345,storage_done,upload,s17,u4,v0,n99,file,1048576,\
+                     da39a3ee5e6b4b0d3255bfef95601890afd80709,jpg,ok,15000";
+        assert_eq!(to_line(&rec), plain);
+        // Appended, not overwritten: a batch is one buffer of whole lines.
+        let mut bytes = b"first\n".to_vec();
+        encode_line(&rec, false, &mut bytes);
+        encode_line(&rec, true, &mut bytes);
+        assert_eq!(
+            String::from_utf8(bytes).unwrap(),
+            format!("first\n{plain}\n{plain},o=3,q=70\n")
+        );
     }
 
     #[test]

@@ -370,7 +370,7 @@ fn read_files_parallel(
 }
 
 /// Sorts `records` by `key` with equal keys left in their current order —
-/// what `sort_by_key` gives — moving no 144-byte record more than once:
+/// what `sort_by_key` gives — moving no 136-byte record more than once:
 /// records already in order stay put; otherwise compact `(key, index)`
 /// entries are sorted and the records gathered once in that order. The index
 /// makes entries distinct, so any sort yields the stable order; the merge sort
@@ -379,7 +379,7 @@ fn sort_records(records: &mut Vec<TraceRecord>, key: impl Fn(&TraceRecord) -> (S
     if records.windows(2).all(|w| key(&w[0]) <= key(&w[1])) {
         return;
     }
-    // Unreachable: 2^32 records are 618 GB, read into memory before this.
+    // Unreachable: 2^32 records are 584 GB, read into memory before this.
     assert!(u32::try_from(records.len()).is_ok(), "chunk too large");
     let mut order: Vec<(SimTime, u32, u64, u32)> = records
         .iter()

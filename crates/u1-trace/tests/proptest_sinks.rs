@@ -1,10 +1,10 @@
 //! Property tests for the in-memory trace path: whatever interleaving of
-//! `record` / `record_run` / `flush_origin` / `flush` a set of producers
-//! goes through, `MemorySink::take_sorted` — bare or behind a
+//! `record` / `record_run` / `flush_origin` / `flush` / `seal_before` a set
+//! of producers goes through, `MemorySink::take_sorted` — bare or behind a
 //! `BufferedSink` — returns the stable sort by `(t, origin, seq)` of
-//! everything recorded, `len()` is exact after every call, and a
-//! `BufferedSink` delivers each origin's records in emission order out of
-//! one allocation per chunk at most.
+//! everything recorded, `len()` is exact after every call (a seal moves
+//! records, it drops none), and a `BufferedSink` delivers each origin's
+//! records in emission order out of one allocation per chunk at most.
 //!
 //! The previous `MemorySink` — one flat `Vec` per origin filled by
 //! `append`, merged one record per heap operation — lives on only here, as
@@ -189,6 +189,13 @@ enum Step {
         origin: u32,
     },
     Flush,
+    /// One `seal_before`, at the bound `quarters / 4` of the way from the
+    /// producers' first timestamp to their latest (never below the previous
+    /// seal's): anywhere from "nothing yet" to "everything so far", as a
+    /// rule inside some origin's chunk and below records already delivered.
+    Seal {
+        quarters: u64,
+    },
 }
 
 fn arb_stamp() -> impl Strategy<Value = Stamp> {
@@ -221,6 +228,9 @@ fn arb_step(origins: u32) -> impl Strategy<Value = Step> {
         }),
         origin.prop_map(|origin| Step::FlushOrigin { origin }),
         Just(Step::Flush),
+        // Twice: a seal as often as the two kinds of flush together.
+        (0u64..5).prop_map(|quarters| Step::Seal { quarters }),
+        (0u64..5).prop_map(|quarters| Step::Seal { quarters }),
     ]
 }
 
@@ -237,11 +247,21 @@ struct Producers {
     serial: u64,
 }
 
+/// Where every producer's clock starts.
+const EPOCH_US: u64 = 1_000_000;
+
 impl Producers {
+    /// The timestamp `quarters / 4` of the way from the epoch to the latest
+    /// clock.
+    fn bound(&self, quarters: u64) -> SimTime {
+        let latest = self.clock_us.iter().copied().max().unwrap_or(EPOCH_US);
+        SimTime::from_micros(EPOCH_US + (latest - EPOCH_US) * quarters / 4)
+    }
+
     fn mint(&mut self, origin: u32, stamp: Stamp) -> TraceRecord {
         let slot = origin as usize;
         if self.clock_us.len() <= slot {
-            self.clock_us.resize(slot + 1, 1_000_000);
+            self.clock_us.resize(slot + 1, EPOCH_US);
             self.next_seq.resize(slot + 1, 0);
         }
         self.serial += 1;
@@ -316,6 +336,7 @@ proptest! {
         let mut producers = Producers::default();
         let mut model = DeliveryModel::default();
         let mut everything: Vec<TraceRecord> = Vec::new();
+        let mut sealed_before = SimTime::ZERO;
 
         for step in history {
             match step {
@@ -353,6 +374,16 @@ proptest! {
                     bare.flush();
                     buffered.flush();
                 }
+                Step::Seal { quarters } => {
+                    // Bounds never go back, though they may repeat. A
+                    // `BackInTime` or `Legacy` record emitted after this
+                    // may lie below it all the same: the sinks must cope.
+                    sealed_before = sealed_before.max(producers.bound(quarters));
+                    // A buffered sink delivers what it holds, then forwards.
+                    model.flush();
+                    bare.seal_before(sealed_before);
+                    buffered.seal_before(sealed_before);
+                }
             }
             prop_assert_eq!(bare.len(), everything.len());
             prop_assert_eq!(inner.len(), model.delivered);
@@ -374,6 +405,48 @@ proptest! {
         prop_assert!(inner.take_sorted().is_empty());
         prop_assert_eq!((bare.len(), inner.len()), (0, 0));
         prop_assert!(bare.is_empty());
+    }
+}
+
+/// A producer that breaks its promise: after a seal it emits a record below
+/// the bound. The sink counts it and `take_sorted` still returns the
+/// canonical order — per record and through a `BufferedSink`.
+#[test]
+fn a_record_below_an_earlier_seal_still_comes_out_in_canonical_order() {
+    for through_buffer in [false, true] {
+        let inner = Arc::new(MemorySink::new());
+        let buffered = BufferedSink::new(Arc::clone(&inner));
+        let sink: &dyn TraceSink = if through_buffer { &buffered } else { &*inner };
+        let mut producers = Producers::default();
+        let mut everything: Vec<TraceRecord> = Vec::new();
+        let mut emit = |producers: &mut Producers, origin, len, stamp| {
+            for _ in 0..len {
+                let rec = producers.mint(origin, stamp);
+                sink.record(rec.clone());
+                everything.push(rec);
+            }
+        };
+
+        emit(&mut producers, 1, CHUNK + 7, Stamp::Clocked);
+        emit(&mut producers, 2, 40, Stamp::Clocked);
+        sink.seal_before(producers.bound(2));
+        assert_eq!(inner.late_records(), 0);
+        // `BackInTime` halves the clock at least: far below the bound, which
+        // origin 1's clock (the latest) has passed.
+        emit(&mut producers, 1, 1, Stamp::BackInTime);
+        emit(&mut producers, 1, 300, Stamp::Clocked);
+        sink.seal_before(producers.bound(4));
+        assert_eq!(inner.late_records(), 1);
+        emit(&mut producers, 1, 9, Stamp::Clocked);
+        sink.flush();
+
+        assert_eq!(inner.len(), everything.len());
+        everything.sort_by_key(merge_key);
+        assert!(
+            inner.take_sorted() == everything,
+            "through_buffer={through_buffer}"
+        );
+        assert_eq!(inner.late_records(), 0);
     }
 }
 

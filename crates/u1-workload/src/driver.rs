@@ -26,9 +26,10 @@
 //! event counts each shard actually processed the previous day. Workers run
 //! a day of virtual time at a time, drain their own partitions' buffered
 //! trace runs ([`Backend::flush_trace_origin`]) *before* parking, then park
-//! on a barrier while the coordinator runs its own events for the day and
+//! on a barrier while the coordinator runs its own events for the day,
 //! seals the content-index epoch ([`Backend::seal_content_epoch`]), making
-//! the day's cross-partition dedup state globally visible. Because no
+//! the day's cross-partition dedup state globally visible, and seals the
+//! day's trace ([`Backend::seal_trace_before`]). Because no
 //! mutable state is keyed by thread or by global arrival order — packing
 //! and flush scheduling only move *when* work happens on the wall clock,
 //! never *what* the simulation computes — the report and the
@@ -1872,9 +1873,13 @@ impl Driver {
                     timers.add(Phase::Seal, saturating_nanos(t_seal));
                     // Every shard origin was drained by its worker before
                     // parking; only the coordinator's own day records
-                    // (attacks, maintenance) remain buffered.
+                    // (attacks, maintenance) remain buffered. With them
+                    // delivered the day is complete: every partition's
+                    // clock stands at `day_end`, so the sink may settle
+                    // everything before it.
                     let t_flush = std::time::Instant::now();
                     backend.flush_trace_origin(coord_origin);
+                    backend.seal_trace_before(day_end);
                     timers.add(Phase::DayFlush, saturating_nanos(t_flush));
                     if day + 1 < days {
                         for (slot, bin) in assignments.iter().zip(pack_lpt(&deltas, workers)) {
@@ -1939,6 +1944,9 @@ mod tests {
             workers,
         };
         let report = Driver::new(cfg, backend, clock).run();
+        // The driver sealed the trace at every day barrier; nothing it
+        // emitted afterwards may lie before one.
+        assert_eq!(sink.late_records(), 0);
         (report, sink.take_sorted())
     }
 
@@ -1981,10 +1989,13 @@ mod tests {
     #[test]
     fn worker_count_does_not_change_results() {
         let (r1, t1) = run_quick_with(1);
-        for workers in [2, 4, 8] {
-            let (r, t) = run_quick_with(workers);
-            assert_eq!(r1, r, "report differs at workers={workers}");
-            assert_eq!(t1, t, "canonical trace differs at workers={workers}");
+        for buffered in [false, true] {
+            for workers in [1, 2, 4, 8] {
+                let (r, t) = run_on(BackendConfig::default(), false, workers, buffered);
+                let at = format!("workers={workers} buffered={buffered}");
+                assert_eq!(r1, r, "report differs at {at}");
+                assert_eq!(t1, t, "canonical trace differs at {at}");
+            }
         }
     }
 
@@ -2063,6 +2074,14 @@ mod tests {
                 // timings; listed so the literal stays exhaustive.
                 timing: Measured(PhaseNanos::default()),
             }
+        );
+        // The same through a `BufferedSink`, the way the month is run: whole
+        // chunks delivered, sealed day by day.
+        let (buffered_report, buffered_records) = run_on(BackendConfig::default(), true, 0, true);
+        assert_eq!(buffered_report, report);
+        assert_eq!(
+            u1_trace::canonical_sha(&buffered_records),
+            "78be5180fee062f073b8838c0cb695e681de3f1b"
         );
     }
 
