@@ -122,7 +122,7 @@ pub fn distinct_attacks(episodes: &[Episode]) -> Vec<(usize, usize, f64)> {
 
 /// Streaming state behind [`detect`]: the three Fig. 5 hourly count series.
 /// Counts are integers, so chunk merges add exactly and the episode search
-/// at finish sees the same series the legacy three-pass binning built.
+/// at finish sees the series one serial pass builds.
 pub struct DdosFold {
     horizon: SimTime,
     cfg: DetectorConfig,

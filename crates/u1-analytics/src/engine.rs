@@ -1,15 +1,13 @@
 //! The streaming fold/merge analytics engine.
 //!
-//! Every mergeable analyzer implements [`TraceFold`]: records are `feed`
-//! one at a time, partial states from disjoint contiguous chunks are
-//! `merge`d earlier←later, and `finish` produces the same output the legacy
-//! slice-based free function produced. The legacy functions are now thin
-//! wrappers over their folds, so the two paths cannot drift.
+//! Every analyzer implements [`TraceFold`]: records are `feed` one at a
+//! time, partial states from disjoint contiguous chunks are `merge`d
+//! earlier←later, and `finish` produces the output. The per-analyzer slice
+//! functions (`rpc_analysis(&records, ..)` and friends) are one-line
+//! [`run_fold`] wrappers over the same folds.
 //!
 //! [`Battery`] bundles every fold the experiment harness needs and feeds
-//! them all from ONE pass over the trace (the legacy battery made one pass
-//! per analyzer — ~30 passes for an EXPERIMENTS.md regeneration).
-//! [`run_all_chunked`] splits the record slice into contiguous chunks
+//! them all from ONE pass over the trace. [`run_all_chunked`] splits the record slice into contiguous chunks
 //! (adaptively sized — see [`plan_chunk_count`]), folds each on its own
 //! thread and tree-merges the partials in chunk order; the result is
 //! exactly equal to the serial pass (see DESIGN.md §10 for the determinism
@@ -39,8 +37,8 @@ use u1_trace::TraceRecord;
 /// A streaming, mergeable analysis.
 ///
 /// Laws the differential tests pin down:
-/// * **fold == slice**: feeding a sorted slice record-by-record and
-///   finishing equals the legacy slice analyzer exactly.
+/// * **battery == analyzer**: a fold fed as one field of the [`Battery`]
+///   finishes exactly as it does fed alone through [`run_fold`].
 /// * **merge is associative** and respects concatenation: for any split of
 ///   a sorted slice into contiguous chunks, folding each chunk into a
 ///   partial (from [`TraceFold::new_partial`]) and merging earlier←later

@@ -140,8 +140,8 @@ pub struct LoadBalance {
 }
 
 /// Streaming state behind [`load_balance`]. Grid cells are integer request
-/// counts, so chunk merges add exactly and the f64 conversion at finish
-/// matches the legacy accumulate-as-f64 bit-for-bit.
+/// counts, so chunk merges add exactly and the one f64 conversion at
+/// finish is exact.
 pub struct LoadBalanceFold {
     horizon: SimTime,
     machines: usize,

@@ -5,27 +5,6 @@ use serde::Serialize;
 use u1_core::{ApiOpKind, FxHashMap, FxHashSet, SimDuration, SimTime};
 use u1_trace::{Payload, SessionEvent, TraceRecord};
 
-/// Sums `weight(record)` into fixed-width bins covering `[0, horizon)`.
-pub fn bin_sum(
-    records: &[TraceRecord],
-    horizon: SimTime,
-    bin: SimDuration,
-    mut weight: impl FnMut(&TraceRecord) -> Option<f64>,
-) -> Vec<f64> {
-    assert!(bin.as_micros() > 0);
-    let bins = horizon.as_micros().div_ceil(bin.as_micros()) as usize;
-    let mut out = vec![0.0; bins.max(1)];
-    for rec in records {
-        if rec.t >= horizon {
-            continue;
-        }
-        if let Some(w) = weight(rec) {
-            out[rec.t.bin_index(bin) as usize] += w;
-        }
-    }
-    out
-}
-
 /// Fig. 2(a): upload/download GBytes per hour.
 #[derive(Debug, Clone, Serialize)]
 pub struct TrafficSeries {
@@ -35,8 +14,7 @@ pub struct TrafficSeries {
 
 /// Streaming state behind [`traffic_per_hour`]. Bins accumulate as `u64`
 /// (sizes are integers), so chunk merges add exactly; per-hour sums stay far
-/// below 2^53, so the f64 conversion at [`TraceFold::finish`] is exact and
-/// bit-identical to the legacy f64 accumulation.
+/// below 2^53, so the f64 conversion at [`TraceFold::finish`] is exact.
 pub struct TrafficFold {
     horizon: SimTime,
     upload: Vec<u64>,

@@ -8,50 +8,12 @@
 //! "to avoid overloading the authentication service". The paper measures
 //! that 2.76% of authentication requests from API servers failed (§7.3).
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use u1_core::partition::{origin_seed, OriginBank};
 use u1_core::{CoreError, CoreResult, FxHashMap, SimDuration, SimTime, UserId};
-
-/// Per-partition-origin RNG streams (see [`u1_core::partition`]).
-///
-/// Transient-failure rolls must come from a stream owned by the calling
-/// driver partition: with one shared stream, the interleaving of concurrent
-/// partitions would decide which request eats which roll, and results would
-/// depend on worker count. Origin 0 (threads without a partition context)
-/// keeps the legacy seed bit-for-bit; other origins derive their stream
-/// from it.
-struct OriginRngs {
-    seed: u64,
-    streams: RwLock<FxHashMap<u32, Arc<Mutex<SmallRng>>>>,
-}
-
-impl OriginRngs {
-    fn new(seed: u64) -> Self {
-        Self {
-            seed,
-            streams: RwLock::default(),
-        }
-    }
-
-    fn current(&self) -> Arc<Mutex<SmallRng>> {
-        let origin = u1_core::partition::current_origin();
-        if let Some(rng) = self.streams.read().get(&origin) {
-            return Arc::clone(rng);
-        }
-        let mut streams = self.streams.write();
-        Arc::clone(streams.entry(origin).or_insert_with(|| {
-            let seed = if origin == 0 {
-                self.seed
-            } else {
-                u1_core::rngx::derive_seed(self.seed, "auth-origin", origin as u64)
-            };
-            Arc::new(Mutex::new(SmallRng::seed_from_u64(seed)))
-        }))
-    }
-}
 
 /// An OAuth-style bearer token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -107,7 +69,12 @@ pub struct AuthService {
     config: AuthConfig,
     tokens: RwLock<FxHashMap<Token, TokenEntry>>,
     by_user: RwLock<FxHashMap<UserId, Token>>,
-    rng: OriginRngs,
+    seed: u64,
+    /// Token bytes and transient-failure rolls come from a stream owned by
+    /// the calling driver partition: with one shared stream the
+    /// interleaving of concurrent partitions would decide which request
+    /// eats which roll, and results would depend on worker count.
+    rngs: OriginBank<SmallRng>,
     issued: AtomicU64,
     validations: AtomicU64,
     transient_failures: AtomicU64,
@@ -120,12 +87,20 @@ impl AuthService {
             config,
             tokens: RwLock::default(),
             by_user: RwLock::default(),
-            rng: OriginRngs::new(seed),
+            seed,
+            rngs: OriginBank::default(),
             issued: AtomicU64::new(0),
             validations: AtomicU64::new(0),
             transient_failures: AtomicU64::new(0),
             rejections: AtomicU64::new(0),
         }
+    }
+
+    fn with_rng<R>(&self, f: impl FnOnce(&mut SmallRng) -> R) -> R {
+        self.rngs.with(
+            |origin| SmallRng::seed_from_u64(origin_seed(self.seed, "auth-origin", origin)),
+            f,
+        )
     }
 
     /// First-contact flow: exchanges (already verified) credentials for a
@@ -136,7 +111,7 @@ impl AuthService {
             return *tok;
         }
         let mut raw = [0u8; 16];
-        self.rng.current().lock().fill(&mut raw);
+        self.with_rng(|rng| rng.fill(&mut raw));
         let token = Token(raw);
         self.issued.fetch_add(1, Ordering::Relaxed);
         self.tokens.write().insert(
@@ -156,7 +131,7 @@ impl AuthService {
     pub fn get_user_id_from_token(&self, token: Token, now: SimTime) -> CoreResult<UserId> {
         self.validations.fetch_add(1, Ordering::Relaxed);
         if self.config.transient_failure_rate > 0.0 {
-            let roll: f64 = self.rng.current().lock().gen_range(0.0..1.0);
+            let roll: f64 = self.with_rng(|rng| rng.gen_range(0.0..1.0));
             if roll < self.config.transient_failure_rate {
                 self.transient_failures.fetch_add(1, Ordering::Relaxed);
                 return Err(CoreError::unavailable("auth service timeout"));

@@ -37,11 +37,6 @@ pub fn peak_rss_bytes() -> Option<u64> {
     proc_status_bytes("VmHWM")
 }
 
-/// Current resident set size (`VmRSS`), bytes.
-pub fn current_rss_bytes() -> Option<u64> {
-    proc_status_bytes("VmRSS")
-}
-
 static ALLOC_CURRENT: AtomicU64 = AtomicU64::new(0);
 static ALLOC_PEAK: AtomicU64 = AtomicU64::new(0);
 
@@ -110,24 +105,5 @@ unsafe impl GlobalAlloc for CountingAlloc {
             }
         }
         p
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn proc_status_readers_return_plausible_values() {
-        // Only meaningful on Linux; elsewhere both are None and that's fine.
-        if std::path::Path::new("/proc/self/status").exists() {
-            // Current first: the mark only rises, so a sibling test growing
-            // the heap between the two reads cannot put it below this value.
-            let cur = current_rss_bytes().expect("VmRSS present on Linux");
-            let peak = peak_rss_bytes().expect("VmHWM present on Linux");
-            assert!(peak >= cur, "high-water mark below current RSS");
-            // A running test binary occupies at least a few hundred kB.
-            assert!(cur > 100 * 1024);
-        }
     }
 }

@@ -8,7 +8,6 @@ use u1_core::{ContentHash, CoreError, CoreResult, NodeId, NodeKind, SessionId, U
 use u1_proto::conn::{ClientConn, ClientEvent};
 use u1_proto::msg::{NodeInfo, Push, Request, RequestId, Response, VolumeInfo};
 use u1_proto::tcp;
-use u1_server::api::UploadOutcome;
 use u1_server::Backend;
 
 /// Result of an upload as the client sees it.
@@ -195,32 +194,14 @@ impl Transport for DirectTransport {
         size: u64,
         data: Option<Vec<u8>>,
     ) -> CoreResult<UploadResult> {
-        let sid = self.sid()?;
-        match self.backend.begin_upload(sid, volume, node, hash, size)? {
-            UploadOutcome::Deduplicated { .. } => Ok(UploadResult {
-                deduplicated: true,
-                bytes_sent: 0,
-            }),
-            UploadOutcome::Started { upload } => {
-                let mut remaining = size.max(1);
-                let mut offset = 0usize;
-                while remaining > 0 {
-                    let part = remaining.min(u1_blobstore_part_size());
-                    let chunk = data.as_ref().map(|d| {
-                        let end = (offset + part as usize).min(d.len());
-                        d[offset.min(d.len())..end].to_vec()
-                    });
-                    self.backend.upload_chunk(sid, upload, part, chunk)?;
-                    offset += part as usize;
-                    remaining -= part;
-                }
-                let c = self.backend.commit_upload(sid, upload)?;
-                Ok(UploadResult {
-                    deduplicated: false,
-                    bytes_sent: c.bytes_transferred,
-                })
-            }
-        }
+        let (deduplicated, bytes_sent) = self
+            .backend
+            .upload_file_with_recovery(self.sid()?, volume, node, hash, size, data.as_deref(), None)
+            .map_err(|fail| fail.error)?;
+        Ok(UploadResult {
+            deduplicated,
+            bytes_sent,
+        })
     }
 
     fn download(
@@ -248,10 +229,6 @@ impl Transport for DirectTransport {
     fn session(&self) -> Option<SessionId> {
         self.session
     }
-}
-
-fn u1_blobstore_part_size() -> u64 {
-    u1_blobstore::PART_SIZE
 }
 
 /// Most a download reserves on the strength of the announced size alone;
@@ -537,7 +514,7 @@ impl Transport for TcpTransport {
                     // sequences and trace records.
                     let mut remaining = size.max(1);
                     while remaining > 0 {
-                        let part = remaining.min(u1_blobstore_part_size());
+                        let part = remaining.min(u1_blobstore::PART_SIZE);
                         self.call_one(Request::UploadChunkSparse { upload, len: part })?;
                         sent += part;
                         remaining -= part;
@@ -664,5 +641,51 @@ impl Transport for TcpTransport {
 
     fn session(&self) -> Option<SessionId> {
         self.session
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use u1_core::{Sha1, SimClock};
+    use u1_server::BackendConfig;
+    use u1_trace::NullSink;
+
+    /// Real bytes through the in-process transport: the server's upload
+    /// loop cuts them into S3 parts, and the download hands them back.
+    #[test]
+    fn direct_upload_with_real_bytes_round_trips_through_download() {
+        let cfg = BackendConfig {
+            auth: u1_auth::AuthConfig {
+                transient_failure_rate: 0.0,
+                token_ttl: None,
+            },
+            store_real_bytes: true,
+            ..Default::default()
+        };
+        let backend = Arc::new(Backend::new(
+            cfg,
+            Arc::new(SimClock::new()),
+            Arc::new(NullSink),
+        ));
+        let token = backend.register_user(UserId::new(1));
+        let mut t = DirectTransport::new(backend);
+        t.authenticate(token).unwrap();
+        let root = t.list_volumes().unwrap()[0].volume;
+        // One byte more than a part: two parts, the second a single byte.
+        let data: Vec<u8> = (0..=u1_blobstore::PART_SIZE)
+            .map(|i| (i % 251) as u8)
+            .collect();
+        let hash = Sha1::digest(&data);
+        let node = t
+            .make_node(root, None, NodeKind::File, "two-parts.bin")
+            .unwrap();
+        let up = t
+            .upload(root, node.node, hash, data.len() as u64, Some(data.clone()))
+            .unwrap();
+        assert_eq!((up.deduplicated, up.bytes_sent), (false, data.len() as u64));
+        let (size, got_hash, got) = t.download(root, node.node).unwrap();
+        assert_eq!((size, got_hash), (data.len() as u64, hash));
+        assert!(got.unwrap() == data, "bytes survive the part schedule");
     }
 }

@@ -94,19 +94,6 @@ impl SimTime {
         debug_assert!(bin.0 > 0);
         self.0 / bin.0
     }
-
-    /// Formats as `dayD hh:mm:ss` (trace-relative), used in log lines.
-    pub fn format_trace(self) -> String {
-        let s = self.as_secs();
-        format!(
-            "d{:02} {:02}:{:02}:{:02}.{:06}",
-            self.day_index(),
-            (s / 3600) % 24,
-            (s / 60) % 60,
-            s % 60,
-            self.0 % MICROS_PER_SEC
-        )
-    }
 }
 
 impl std::ops::Add<SimDuration> for SimTime {

@@ -22,11 +22,11 @@
 //!   pure function of `(shard, virtual time)` — it does not matter which
 //!   thread asks, or in which order.
 //! * **Bernoulli rolls** (RPC timeouts, blob part-put failures, notification
-//!   drops, client crashes) draw from a per-*origin* RNG bank, exactly like
-//!   the latency model's `LatencyBank`: each partition of the parallel
-//!   driver is pinned to one origin, processes its events in a deterministic
-//!   order regardless of which worker thread it lands on, and therefore
-//!   consumes its own RNG stream in a deterministic order.
+//!   drops, client crashes) draw from a per-*origin* RNG stream
+//!   ([`OriginBank`], like the latency models): each partition of the
+//!   parallel driver is pinned to one origin, processes its events in a
+//!   deterministic order regardless of which worker thread it lands on, and
+//!   therefore consumes its own RNG stream in a deterministic order.
 //!
 //! With [`FaultPlan::none()`] every probability is zero and every window
 //! count is zero: no RNG is ever constructed, no decision ever fires, and
@@ -44,12 +44,12 @@
 
 use crate::clock::{SimDuration, SimTime};
 use crate::fxhash::FxHashMap;
-use crate::partition;
+use crate::partition::OriginBank;
 use crate::rngx;
 use rand::rngs::SmallRng;
 use rand::Rng;
 use std::cell::Cell;
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, RwLock};
 
 /// Classification of a failed (or fault-affected) operation, carried on
 /// trace records so the analytics engine can compute per-class error rates.
@@ -325,22 +325,13 @@ impl Default for FaultPlan {
 // Injector
 // ---------------------------------------------------------------------------
 
-/// One per-origin RNG stream per component, mirroring the latency model's
-/// bank: origin `o` draws from `derive_seed(seed, label, o)`, so decisions
-/// depend only on the partition and its draw order — never on the thread.
+/// One RNG stream per origin per component ([`OriginBank`]): origin `o`
+/// draws from `sub_rng(seed, label, o)`, so decisions depend only on the
+/// partition and its draw order — never on the thread.
 struct Bank {
     label: &'static str,
     seed: u64,
-    rngs: RwLock<FxHashMap<u32, Arc<Mutex<SmallRng>>>>,
-}
-
-/// Locks a mutex, tolerating poisoning (a poisoned RNG is still a valid
-/// RNG; determinism only needs the draw order, which poisoning preserves).
-fn lock_tolerant<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
+    rngs: OriginBank<SmallRng>,
 }
 
 impl Bank {
@@ -348,7 +339,7 @@ impl Bank {
         Self {
             label,
             seed,
-            rngs: RwLock::new(FxHashMap::default()),
+            rngs: OriginBank::default(),
         }
     }
 
@@ -356,31 +347,10 @@ impl Bank {
         if p <= 0.0 {
             return false;
         }
-        let origin = partition::current_origin();
-        let rng = {
-            let map = match self.rngs.read() {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            map.get(&origin).cloned()
-        };
-        let rng = match rng {
-            Some(r) => r,
-            None => {
-                let mut map = match self.rngs.write() {
-                    Ok(g) => g,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
-                Arc::clone(map.entry(origin).or_insert_with(|| {
-                    Arc::new(Mutex::new(rngx::sub_rng(
-                        self.seed,
-                        self.label,
-                        origin as u64,
-                    )))
-                }))
-            }
-        };
-        let sample: f64 = lock_tolerant(&rng).gen_range(0.0..1.0);
+        let sample: f64 = self.rngs.with(
+            |origin| rngx::sub_rng(self.seed, self.label, u64::from(origin)),
+            |rng| rng.gen_range(0.0..1.0),
+        );
         sample < p
     }
 }
@@ -624,8 +594,10 @@ mod tests {
         }
         assert!(!inj.shard_down(3, SimTime::from_secs(10)));
         assert!(!inj.auth_down(SimTime::from_secs(10)));
-        // No RNG bank was ever materialized.
-        assert!(inj.rpc.rngs.read().expect("lock").is_empty());
+        // No RNG stream was ever materialized.
+        inj.rpc
+            .rngs
+            .for_each(|origin, _| panic!("stream for origin {origin}"));
     }
 
     #[test]
@@ -652,8 +624,8 @@ mod tests {
         };
         let inj = FaultInjector::new(plan, 7);
         let base: Vec<bool> = (0..64).map(|_| inj.part_put_fails()).collect();
-        let ctx = partition::PartitionCtx::new(3);
-        let _g = partition::install(ctx);
+        let ctx = crate::partition::PartitionCtx::new(3);
+        let _g = crate::partition::install(ctx);
         let other: Vec<bool> = (0..64).map(|_| inj.part_put_fails()).collect();
         assert_ne!(base, other, "distinct origins must not share a stream");
     }

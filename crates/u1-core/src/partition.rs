@@ -16,14 +16,20 @@
 //! - `SessionTable::open` derives origin-tagged session ids, keeping id
 //!   assignment independent of cross-partition interleaving.
 //!
-//! When no context is installed everything falls back to origin 0 with the
-//! legacy global counters — single-threaded callers (unit tests, live TCP
-//! mode) behave exactly as before.
+//! - [`OriginBank`] keeps one lazily created state per origin (a latency
+//!   model, an RNG stream, a load view) and [`origin_seed`] seeds it, so no
+//!   stochastic component is shared between partitions.
+//!
+//! When no context is installed everything falls back to origin 0 and the
+//! callers' own global counters: single-threaded callers (unit tests) and
+//! the live TCP reactor, which serves every connection from one thread.
 
 use crate::clock::SimTime;
+use crate::fxhash::FxHashMap;
+use crate::rngx;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
 /// Per-partition state installed on a worker thread while it runs that
 /// partition. One context per partition per run; it persists across days so
@@ -102,7 +108,7 @@ pub fn current_time() -> Option<SimTime> {
 }
 
 /// Next `(origin, seq)` stamp for a trace record; `None` without a context
-/// (callers then use the legacy `(0, 0)` stamp).
+/// (callers then use the `(0, 0)` stamp).
 pub fn next_trace_stamp() -> Option<(u32, u64)> {
     with_current(|ctx| {
         (
@@ -122,9 +128,107 @@ pub fn next_session_id() -> Option<u64> {
     })
 }
 
+/// Seed of `origin`'s private stream of a component seeded with `root`:
+/// origin 0 keeps the root seed, every other origin derives its own from
+/// `(root, label, origin)`.
+pub fn origin_seed(root: u64, label: &str, origin: u32) -> u64 {
+    if origin == 0 {
+        root
+    } else {
+        rngx::derive_seed(root, label, u64::from(origin))
+    }
+}
+
+/// One `T` per partition origin, created the first time that origin asks.
+///
+/// Anything stochastic or load-dependent the back-end keeps (service-time
+/// models, failure rolls, session placement) would make results depend on
+/// how concurrent partitions interleave if it were shared. A bank gives the
+/// calling partition its own instance: a partition runs its events in a
+/// deterministic order on whichever worker thread it lands on, so it
+/// consumes its instance in a deterministic order too.
+#[derive(Debug)]
+pub struct OriginBank<T> {
+    slots: RwLock<FxHashMap<u32, Arc<Mutex<T>>>>,
+}
+
+impl<T> Default for OriginBank<T> {
+    fn default() -> Self {
+        Self {
+            slots: RwLock::default(),
+        }
+    }
+}
+
+/// A poisoned slot still holds valid state (determinism only needs the
+/// order of use, which a panic elsewhere does not change).
+fn lock_slot<T>(slot: &Mutex<T>) -> MutexGuard<'_, T> {
+    slot.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl<T> OriginBank<T> {
+    /// Runs `f` on the calling partition's instance, building it with
+    /// `make(origin)` on first use. Only that instance is locked while `f`
+    /// runs.
+    pub fn with<R>(&self, make: impl FnOnce(u32) -> T, f: impl FnOnce(&mut T) -> R) -> R {
+        let origin = current_origin();
+        let existing = self
+            .slots
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&origin)
+            .cloned();
+        let slot = existing.unwrap_or_else(|| {
+            let mut slots = self.slots.write().unwrap_or_else(PoisonError::into_inner);
+            Arc::clone(
+                slots
+                    .entry(origin)
+                    .or_insert_with(|| Arc::new(Mutex::new(make(origin)))),
+            )
+        });
+        let mut state = lock_slot(&slot);
+        f(&mut state)
+    }
+
+    /// Visits every instance created so far, in no particular order
+    /// (diagnostics: the caller must not depend on it).
+    pub fn for_each(&self, mut f: impl FnMut(u32, &T)) {
+        let slots = self.slots.read().unwrap_or_else(PoisonError::into_inner);
+        for (origin, slot) in slots.iter() {
+            f(*origin, &lock_slot(slot));
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn bank_without_a_context_is_origin_zero_on_the_root_seed() {
+        let bank = OriginBank::default();
+        let seed = bank.with(|origin| origin_seed(77, "x", origin), |seed| *seed);
+        assert_eq!(seed, 77, "origin 0 keeps the root seed");
+        let mut seen = Vec::new();
+        bank.for_each(|origin, seed| seen.push((origin, *seed)));
+        assert_eq!(seen, vec![(0, 77)]);
+        assert_eq!(origin_seed(77, "x", 3), rngx::derive_seed(77, "x", 3));
+        assert_ne!(origin_seed(77, "x", 3), origin_seed(77, "y", 3));
+    }
+
+    #[test]
+    fn bank_gives_each_installed_context_its_own_state() {
+        let bank: OriginBank<Vec<u32>> = OriginBank::default();
+        for origin in [4, 9, 4] {
+            let _g = install(PartitionCtx::new(origin));
+            // `make` runs once per origin; later calls find the state.
+            bank.with(|o| vec![o], |state| state.push(origin * 10));
+        }
+        let mut seen = Vec::new();
+        bank.for_each(|origin, state| seen.push((origin, state.clone())));
+        seen.sort();
+        assert_eq!(seen, vec![(4, vec![4, 40, 40]), (9, vec![9, 90])]);
+    }
 
     #[test]
     fn defaults_apply_without_a_context() {

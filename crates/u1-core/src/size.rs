@@ -30,9 +30,6 @@ impl ByteSize {
     pub const fn as_u64(self) -> u64 {
         self.0
     }
-    pub fn as_mib_f64(self) -> f64 {
-        self.0 as f64 / MIB as f64
-    }
 }
 
 impl std::ops::Add for ByteSize {

@@ -4,8 +4,7 @@
 //! wall-clock go?" without perturbing the thing being measured. This module
 //! provides:
 //!
-//! * [`Phase`] — the closed set of phases the driver and the wire tier's
-//!   reactor account time against,
+//! * [`Phase`] — the closed set of phases the driver accounts time against,
 //! * [`PhaseTimers`] — a bank of cache-line-padded atomic nanosecond
 //!   counters, shared by reference across worker threads (relaxed ordering:
 //!   counters are only read after the workers have been joined),
@@ -28,10 +27,7 @@ use std::time::Instant;
 
 use serde::Serialize;
 
-/// Phases the parallel paths account time against.
-///
-/// The driver uses the first five; the wire tier's reactor thread
-/// (DESIGN.md §15) splits its loop across the four `Net*` phases.
+/// Phases the parallel driver accounts time against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// Worker threads advancing shard simulations (`run_until`).
@@ -45,18 +41,10 @@ pub enum Phase {
     Seal,
     /// The coordinator section itself (maintenance, GC, attack waves).
     Coordinator,
-    /// Reactor: accepting connections and running admission control.
-    NetAccept,
-    /// Reactor: nonblocking socket reads and frame decoding.
-    NetRead,
-    /// Reactor: dispatching decoded requests into backend handlers.
-    NetServe,
-    /// Reactor: draining per-connection send queues to sockets.
-    NetWrite,
 }
 
 /// Number of distinct [`Phase`] values (size of a [`PhaseTimers`] bank).
-pub const PHASE_COUNT: usize = 9;
+pub const PHASE_COUNT: usize = 5;
 
 impl Phase {
     #[inline]
@@ -67,10 +55,6 @@ impl Phase {
             Phase::DayFlush => 2,
             Phase::Seal => 3,
             Phase::Coordinator => 4,
-            Phase::NetAccept => 5,
-            Phase::NetRead => 6,
-            Phase::NetServe => 7,
-            Phase::NetWrite => 8,
         }
     }
 }
@@ -129,15 +113,6 @@ impl PhaseTimers {
             .fetch_add(nanos, Ordering::Relaxed);
     }
 
-    /// Runs `f`, charging its elapsed time to `phase`.
-    #[inline]
-    pub fn time<R>(&self, phase: Phase, f: impl FnOnce() -> R) -> R {
-        let start = Instant::now();
-        let out = f();
-        self.add(phase, saturating_nanos(start));
-        out
-    }
-
     /// Current value of one phase counter.
     pub fn get(&self, phase: Phase) -> u64 {
         self.banks[phase.index()].0.load(Ordering::Relaxed)
@@ -151,10 +126,6 @@ impl PhaseTimers {
             day_flush_nanos: self.get(Phase::DayFlush),
             seal_nanos: self.get(Phase::Seal),
             coordinator_nanos: self.get(Phase::Coordinator),
-            net_accept_nanos: self.get(Phase::NetAccept),
-            net_read_nanos: self.get(Phase::NetRead),
-            net_serve_nanos: self.get(Phase::NetServe),
-            net_write_nanos: self.get(Phase::NetWrite),
         }
     }
 }
@@ -185,14 +156,6 @@ pub struct PhaseNanos {
     pub seal_nanos: u64,
     /// Nanos in the coordinator section (maintenance/GC/attacks).
     pub coordinator_nanos: u64,
-    /// Reactor nanos accepting connections (admission control included).
-    pub net_accept_nanos: u64,
-    /// Reactor nanos in nonblocking reads and frame decoding.
-    pub net_read_nanos: u64,
-    /// Reactor nanos dispatching requests into backend handlers.
-    pub net_serve_nanos: u64,
-    /// Reactor nanos draining send queues to sockets.
-    pub net_write_nanos: u64,
 }
 
 impl PhaseNanos {
@@ -250,25 +213,15 @@ mod tests {
         let t = PhaseTimers::new();
         t.add(Phase::Seal, 5);
         t.add(Phase::Seal, 7);
-        t.add(Phase::NetWrite, 11);
+        t.add(Phase::Coordinator, 11);
         assert_eq!(t.get(Phase::Seal), 12);
-        assert_eq!(t.get(Phase::NetWrite), 11);
-        assert_eq!(t.get(Phase::NetRead), 0);
+        assert_eq!(t.get(Phase::Coordinator), 11);
+        assert_eq!(t.get(Phase::DayFlush), 0);
         let snap = t.snapshot();
         assert_eq!(snap.seal_nanos, 12);
-        assert_eq!(snap.net_write_nanos, 11);
+        assert_eq!(snap.coordinator_nanos, 11);
         assert!(!snap.is_zero());
         assert!(PhaseNanos::default().is_zero());
-    }
-
-    #[test]
-    fn time_charges_the_closure_to_the_phase() {
-        let t = PhaseTimers::new();
-        let out = t.time(Phase::NetServe, || 41 + 1);
-        assert_eq!(out, 42);
-        // Elapsed time is nonnegative by construction; the counter may be 0
-        // on a coarse clock, so only assert the other phases stayed zero.
-        assert_eq!(t.get(Phase::NetWrite), 0);
     }
 
     #[test]

@@ -159,7 +159,8 @@ impl Workspace {
     }
 
     /// Renders the full lock graph as JSON for the `lock-graph.json`
-    /// review artifact: nodes, edges (with both sites), and cycles.
+    /// review artifact: nodes, edges (with the files of both sites), and
+    /// cycles.
     pub fn lock_graph_json(&self) -> String {
         let mut nodes: Vec<&str> = Vec::new();
         for e in &self.edges {
@@ -179,21 +180,31 @@ impl Workspace {
             out.push_str(&format!("\"{}\"", json_escape(n)));
         }
         out.push_str("],\n  \"edges\": [\n");
-        let mut edges: Vec<&LockEdge> = self.edges.iter().collect();
-        edges.sort_by(|a, b| {
-            (&a.held, &a.acquired, &a.held_site).cmp(&(&b.held, &b.acquired, &b.held_site))
-        });
-        for (i, e) in edges.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"held\": \"{}\", \"acquired\": \"{}\", \"held_site\": \"{}\", \
-                 \"acquired_site\": \"{}\", \"via\": \"{}\"}}{}\n",
-                json_escape(&e.held),
-                json_escape(&e.acquired),
-                json_escape(&e.held_site),
-                json_escape(&e.acquired_site),
-                json_escape(&e.via),
-                if i + 1 < edges.len() { "," } else { "" }
-            ));
+        // Sites are exported as file paths only: the committed graph must
+        // not change when an edit merely moves a lock to another line. Edges
+        // that then read the same (one per call site of a helper, say) are
+        // one edge.
+        let site_path = |site: &str| json_escape(site.rsplit_once(':').map_or(site, |(p, _)| p));
+        let mut rows: Vec<String> = self
+            .edges
+            .iter()
+            .map(|e| {
+                format!(
+                    "{{\"held\": \"{}\", \"acquired\": \"{}\", \"held_site\": \"{}\", \
+                     \"acquired_site\": \"{}\", \"via\": \"{}\"}}",
+                    json_escape(&e.held),
+                    json_escape(&e.acquired),
+                    site_path(&e.held_site),
+                    site_path(&e.acquired_site),
+                    json_escape(&e.via),
+                )
+            })
+            .collect();
+        rows.sort_unstable();
+        rows.dedup();
+        for (i, row) in rows.iter().enumerate() {
+            let sep = if i + 1 < rows.len() { "," } else { "" };
+            out.push_str(&format!("    {row}{sep}\n"));
         }
         out.push_str("  ],\n  \"cycles\": [\n");
         let cycles = self.cycles();

@@ -37,8 +37,9 @@ use crate::model::{matching_brace, FnSpan, SourceFile};
 const ACQUIRE_METHODS: &[&str] = &["lock", "read", "write"];
 
 /// Method-chain links that pass a guard through unchanged (std poisoning
-/// adapters); a binding fed through only these still holds the guard.
-const GUARD_CHAIN: &[&str] = &["unwrap", "expect"];
+/// adapters, `unwrap_or_else(PoisonError::into_inner)` among them); a
+/// binding fed through only these still holds the guard.
+const GUARD_CHAIN: &[&str] = &["unwrap", "expect", "unwrap_or_else"];
 
 /// Idents that mark a function as feeding trace/report/JSON output.
 const SINK_TYPE_IDENTS: &[&str] = &["TraceRecord", "DriverReport", "EngineReport", "FaultFold"];
@@ -1092,14 +1093,16 @@ fn f(&self) {
 fn f(&self) -> Result<(), E> {
     let g = self.table.lock().unwrap();
     let h = self.other.lock()?;
+    let p = self.third.read().unwrap_or_else(PoisonError::into_inner);
     touch();
     Ok(())
 }
 "#;
         let f = &facts_of(src).fns[0];
-        assert_eq!(f.acquisitions.len(), 2);
+        assert_eq!(f.acquisitions.len(), 3);
         assert_eq!(f.acquisitions[0].guard_name.as_deref(), Some("g"));
         assert_eq!(f.acquisitions[1].guard_name.as_deref(), Some("h"));
+        assert_eq!(f.acquisitions[2].guard_name.as_deref(), Some("p"));
         let touch = f.calls.iter().find(|c| c.name == "touch").unwrap();
         assert!((f.acquisitions[1].live_first..=f.acquisitions[1].live_last).contains(&touch.tok));
     }

@@ -210,6 +210,27 @@ fn cli_lock_graph_flag_writes_artifact() {
         json.contains("[\"u1-metastore/index\", \"u1-metastore/journal\", \"u1-metastore/index\"]"),
         "{json}"
     );
+
+    // Exported edges name files, not lines (an edit above a lock must not
+    // change the committed graph), and each edge appears once: `twice`
+    // calls `bump` at two sites under one guard.
+    let edges: Vec<&str> = json.lines().filter(|l| l.contains("\"held\":")).collect();
+    assert!(
+        edges.iter().all(|e| !e.contains(".rs:")),
+        "line number in an exported site: {json}"
+    );
+    assert!(
+        edges
+            .iter()
+            .all(|e| e.contains("\"held_site\": \"crates/u1-metastore/src/locks.rs\"")),
+        "{json}"
+    );
+    let twice = edges.iter().filter(|e| e.contains("twice -> bump")).count();
+    assert_eq!(twice, 1, "{json}");
+    let mut distinct = edges.clone();
+    distinct.sort_unstable();
+    distinct.dedup();
+    assert_eq!(distinct.len(), edges.len(), "duplicate edge: {json}");
 }
 
 #[test]

@@ -49,4 +49,17 @@ impl Ordered {
         let h = self.tail.lock();
         *g - *h
     }
+
+    /// Two calls of one helper under one guard: one `head -> tail` edge in
+    /// the exported graph, not one per call site.
+    pub fn twice(&self) -> u64 {
+        let g = self.head.lock();
+        self.bump();
+        self.bump();
+        *g
+    }
+
+    fn bump(&self) {
+        *self.tail.lock() += 1;
+    }
 }

@@ -1,11 +1,9 @@
 //! The striped, epoch-visibility cross-user content index (file-level
 //! dedup, §3.3/§5.3).
 //!
-//! The legacy index was one `RwLock<HashMap<ContentHash, ContentRow>>` —
-//! a write lock on every commit and unlink, i.e. the single hottest point
-//! of cross-shard contention in the whole store. This version fixes both
-//! the *contention* and the *determinism* problem of running partitions in
-//! parallel:
+//! Every commit and unlink of every shard lands here, so the index has to
+//! solve both the *contention* and the *determinism* problem of running
+//! partitions in parallel:
 //!
 //! * **Striping** — rows are spread over [`STRIPES`] independent locks by
 //!   hash byte, so concurrent commits rarely collide.
@@ -18,9 +16,8 @@
 //!   on thread interleaving — the same seed gives the same dedup decisions
 //!   at any worker count.
 //!
-//! With a single origin (every unit test, live TCP mode, the serial
-//! driver's coordinator-free paths) an origin sees all of its own deltas
-//! immediately, which is exactly the legacy immediate-visibility semantics.
+//! With a single origin (every unit test, live TCP mode) the origin sees
+//! all of its own deltas immediately: visibility is immediate.
 
 use crate::model::ContentRow;
 use parking_lot::Mutex;
@@ -117,8 +114,7 @@ impl ContentIndex {
     }
 
     /// Drops one reference from `origin`. Returns `true` when the origin's
-    /// view of the refcount reached zero — the caller deletes the blob,
-    /// exactly like the legacy remove-at-zero path.
+    /// view of the refcount reached zero — the caller deletes the blob.
     pub fn decref(&self, hash: ContentHash, origin: u32) -> bool {
         let mut guard = self.stripe(hash).lock();
         let stripe = &mut *guard;
@@ -134,8 +130,8 @@ impl ContentIndex {
         });
         entry.delta -= 1;
         // Exactly zero: the last visible reference went away right now. A
-        // negative view means an unbalanced release (legacy semantics:
-        // decref of an untracked hash is a no-op).
+        // negative view means an unbalanced release (decref of an
+        // untracked hash is a no-op).
         let zeroed = committed + entry.delta == 0;
         if zeroed {
             entry.view_zeroed = true;
@@ -241,8 +237,8 @@ impl ContentIndex {
 
     /// Global-view aggregate over committed rows plus all pending deltas:
     /// `(distinct_contents, unique_bytes, total_bytes)`. Single-origin
-    /// callers get exact legacy numbers; mid-epoch multi-origin callers get
-    /// the state a seal would commit.
+    /// callers get exact numbers; mid-epoch multi-origin callers get the
+    /// state a seal would commit.
     pub fn fold_stats(&self) -> (usize, u64, u64) {
         let mut count = 0usize;
         let mut unique = 0u64;

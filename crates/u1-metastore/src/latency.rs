@@ -16,7 +16,7 @@
 //! We model each RPC's service time as a log-normal body around a per-class
 //! median with a Pareto-amplified tail mixed in at a per-RPC tail
 //! probability, plus a per-row surcharge for cascades. Parameters live in
-//! [`LatencyProfile`] so ablation benches can turn the tail off and show its
+//! [`LatencyProfile`] so an ablation can turn the tail off and show its
 //! effect.
 
 use rand::rngs::SmallRng;

@@ -181,15 +181,6 @@ impl Shard {
         self.nodes.len()
     }
 
-    pub fn uploadjob_count(&self) -> usize {
-        self.uploadjobs.len()
-    }
-
-    /// Distinct names interned on this shard (observability only).
-    pub fn interned_names(&self) -> usize {
-        self.names.len()
-    }
-
     // ----- slab plumbing ----------------------------------------------
 
     fn intern_name(&mut self, s: &str) -> CoreResult<NameId> {

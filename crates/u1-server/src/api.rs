@@ -711,8 +711,9 @@ impl Backend {
         Ok(())
     }
 
-    /// The whole upload in one call — what the virtual-time client uses.
-    /// Chunks at the 5MB S3 part size.
+    /// The whole upload in one call, fault-free callers' form of
+    /// [`Backend::upload_file_with_recovery`]: no content bytes, nothing to
+    /// resume.
     pub fn upload_file(
         &self,
         session: SessionId,
@@ -721,26 +722,17 @@ impl Backend {
         hash: ContentHash,
         size: u64,
     ) -> CoreResult<(bool, u64)> {
-        match self.begin_upload(session, volume, node, hash, size)? {
-            UploadOutcome::Deduplicated { .. } => Ok((true, 0)),
-            UploadOutcome::Started { upload } => {
-                let mut remaining = size.max(1);
-                while remaining > 0 {
-                    let part = remaining.min(u1_blobstore::PART_SIZE);
-                    self.upload_chunk(session, upload, part, None)?;
-                    remaining -= part;
-                }
-                let committed = self.commit_upload(session, upload)?;
-                Ok((false, committed.bytes_transferred))
-            }
-        }
+        self.upload_file_with_recovery(session, volume, node, hash, size, None, None)
+            .map_err(|fail| fail.error)
     }
 
-    /// [`Backend::upload_file`] with crash recovery: `resume` continues an
-    /// interrupted upload job from its last recorded part instead of
-    /// restarting the transfer. With `resume: None` and no injected
-    /// faults, the call sequence (and hence the trace) is exactly that of
-    /// `upload_file`: begin, chunk loop, commit.
+    /// The upload schedule (Appendix A): the dedup probe, then the file's
+    /// bytes in parts of the 5MB S3 part size, then the commit. Returns
+    /// (deduplicated, bytes transferred). `data` carries the content when
+    /// the caller has real bytes (live mode); without it only lengths
+    /// travel. `resume` continues an interrupted upload job from its last
+    /// recorded part instead of restarting the transfer.
+    #[allow(clippy::too_many_arguments)]
     pub fn upload_file_with_recovery(
         &self,
         session: SessionId,
@@ -748,6 +740,7 @@ impl Backend {
         node: NodeId,
         hash: ContentHash,
         size: u64,
+        data: Option<&[u8]>,
         resume: Option<UploadId>,
     ) -> Result<(bool, u64), UploadFailure> {
         let fail =
@@ -770,12 +763,18 @@ impl Backend {
                 UploadOutcome::Started { upload } => (upload, 0),
             },
         };
-        let mut remaining = size.max(1).saturating_sub(received);
-        while remaining > 0 {
-            let part = remaining.min(u1_blobstore::PART_SIZE);
-            self.upload_chunk(session, upload, part, None)
+        // An empty file still travels as one (1-byte-long, empty) part.
+        let total = size.max(1);
+        let mut sent = received.min(total);
+        while sent < total {
+            let part = (total - sent).min(u1_blobstore::PART_SIZE);
+            let bytes = data.map(|d| {
+                let at = |offset: u64| usize::try_from(offset).map_or(d.len(), |o| o.min(d.len()));
+                d[at(sent)..at(sent + part)].to_vec()
+            });
+            self.upload_chunk(session, upload, part, bytes)
                 .map_err(fail(Some(upload)))?;
-            remaining -= part;
+            sent += part;
         }
         let committed = self
             .commit_upload(session, upload)
@@ -990,6 +989,37 @@ mod tests {
         assert_eq!(b.blobs.stats().objects, 1);
     }
 
+    /// `upload_file` is the recovery entry point with nothing to resume:
+    /// the same upload through either emits the same trace records.
+    #[test]
+    fn upload_file_and_recovery_without_resume_emit_the_same_records() {
+        let run = |recovery: bool| {
+            let (b, sink, _clock) = backend();
+            let h = open(&b, 1);
+            let v = b.list_volumes(h.session).unwrap()[0].volume;
+            let n = b
+                .make_node(h.session, v, None, NodeKind::File, "film.avi")
+                .unwrap();
+            let hash = ContentHash::from_content_id(21);
+            let size = (12 << 20) + 5; // three parts
+            let upload = || {
+                if recovery {
+                    b.upload_file_with_recovery(h.session, v, n.node, hash, size, None, None)
+                        .map_err(|fail| fail.error)
+                } else {
+                    b.upload_file(h.session, v, n.node, hash, size)
+                }
+            };
+            assert_eq!(upload(), Ok((false, size)));
+            // And again: the dedup probe answers, nothing travels.
+            assert_eq!(upload(), Ok((true, 0)));
+            sink.take_sorted()
+        };
+        let (plain, recovery) = (run(false), run(true));
+        assert!(plain.len() > 10, "begin, three parts, commit, dedup probe");
+        assert_eq!(plain, recovery);
+    }
+
     #[test]
     fn incomplete_upload_cannot_commit_but_can_resume() {
         let (b, _sink, _clock) = backend();
@@ -1037,7 +1067,7 @@ mod tests {
         // The recovery path continues the same job: only the two missing
         // parts travel again, then the commit lands.
         let (dedup, sent) = b
-            .upload_file_with_recovery(h.session, v, n.node, hash, size, Some(upload))
+            .upload_file_with_recovery(h.session, v, n.node, hash, size, None, Some(upload))
             .unwrap();
         assert!(!dedup);
         assert_eq!(sent, size);
@@ -1089,7 +1119,7 @@ mod tests {
         assert!(!b.blobs.contains(hash), "no half-written object");
         // A resume attempt after the GC finds nothing to continue from.
         let err = b
-            .upload_file_with_recovery(h.session, v, n.node, hash, 10 << 20, Some(upload))
+            .upload_file_with_recovery(h.session, v, n.node, hash, 10 << 20, None, Some(upload))
             .unwrap_err();
         assert!(err.resume.is_none(), "job reaped: nothing to resume");
     }

@@ -7,12 +7,13 @@ use crate::push::{PushRouter, VolumeEvent};
 use crate::session::{SessionHandle, SessionTable};
 use crate::tokencache::{TokenCache, TokenCacheStats};
 use crossbeam::channel::Receiver;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use u1_auth::{AuthConfig, AuthService};
 use u1_blobstore::BlobStore;
 use u1_core::fault::{self, ErrorClass, FaultInjector, FaultPlan};
+use u1_core::partition::{origin_seed, OriginBank};
 use u1_core::{
     ApiOpKind, Clock, ContentHash, CoreError, CoreResult, FxHashMap, NodeId, NodeKind, RpcKind,
     SimDuration, SimTime, UserId, VolumeId,
@@ -80,45 +81,6 @@ pub struct BackendFaultStats {
     pub notify_dropped: u64,
 }
 
-/// Per-partition-origin latency models.
-///
-/// Service-time sampling is stochastic: with a single shared model, the
-/// interleaving of concurrent driver partitions would decide which RPC
-/// draws which sample, making traces depend on worker count. Each origin
-/// gets its own independently seeded [`LatencyModel`]; origin 0 (threads
-/// without a partition context) keeps the legacy seed bit-for-bit.
-pub(crate) struct LatencyBank {
-    profile: LatencyProfile,
-    seed: u64,
-    models: RwLock<FxHashMap<u32, Arc<Mutex<LatencyModel>>>>,
-}
-
-impl LatencyBank {
-    fn new(profile: LatencyProfile, seed: u64) -> Self {
-        Self {
-            profile,
-            seed,
-            models: RwLock::default(),
-        }
-    }
-
-    pub(crate) fn current(&self) -> Arc<Mutex<LatencyModel>> {
-        let origin = u1_core::partition::current_origin();
-        if let Some(m) = self.models.read().get(&origin) {
-            return Arc::clone(m);
-        }
-        let mut models = self.models.write();
-        Arc::clone(models.entry(origin).or_insert_with(|| {
-            let seed = if origin == 0 {
-                self.seed
-            } else {
-                u1_core::rngx::derive_seed(self.seed, "latency-origin", origin as u64)
-            };
-            Arc::new(Mutex::new(LatencyModel::new(self.profile.clone(), seed)))
-        }))
-    }
-}
-
 /// The U1 back-end.
 pub struct Backend {
     pub(crate) cfg: BackendConfig,
@@ -130,7 +92,10 @@ pub struct Backend {
     pub(crate) cluster: Cluster,
     pub sessions: SessionTable,
     pub push_router: PushRouter,
-    pub(crate) latency: LatencyBank,
+    /// Service-time sampling is stochastic: with one shared model the
+    /// interleaving of concurrent driver partitions would decide which RPC
+    /// draws which sample, so each origin samples from its own.
+    latency: OriginBank<LatencyModel>,
     pub(crate) sink: Arc<dyn TraceSink>,
     /// The memcached-style token cache (`None` when disabled).
     pub(crate) token_cache: Option<TokenCache>,
@@ -162,7 +127,6 @@ impl Backend {
             blobs.set_faults(Arc::clone(&faults));
         }
         let auth = AuthService::new(cfg.auth.clone(), cfg.seed ^ 0xA117);
-        let latency = LatencyBank::new(cfg.latency.clone(), cfg.seed ^ 0x1A7);
         let cluster = Cluster::new(cfg.cluster.clone());
         let broker = Broker::new();
         let mut subscriptions = Vec::new();
@@ -183,7 +147,7 @@ impl Backend {
             cluster,
             sessions: SessionTable::new(),
             push_router: PushRouter::new(),
-            latency,
+            latency: OriginBank::default(),
             sink,
             token_cache,
             faults,
@@ -275,13 +239,18 @@ impl Backend {
         rpc: RpcKind,
         cascade_rows: u64,
     ) -> (SimDuration, CoreResult<()>) {
-        let model = self.latency.current();
         let policy = self.faults.plan().rpc_retry;
         let outer_attempt = fault::current_attempt();
         let mut total = SimDuration::ZERO;
         let mut attempt = 1u32;
         loop {
-            let d = model.lock().sample(rpc, cascade_rows);
+            let d = self.latency.with(
+                |origin| {
+                    let seed = origin_seed(self.cfg.seed ^ 0x1A7, "latency-origin", origin);
+                    LatencyModel::new(self.cfg.latency.clone(), seed)
+                },
+                |model| model.sample(rpc, cascade_rows),
+            );
             total = total + d;
             let timed_out = !self.faults.is_none() && self.faults.rpc_timeout();
             fault::set_attempt(attempt);

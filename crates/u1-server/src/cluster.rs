@@ -15,11 +15,10 @@
 //! own deterministic history, so slot assignments (and hence the
 //! machine/process columns of the trace) do not depend on how many worker
 //! threads the partitions were packed onto. Threads without a partition
-//! context share the origin-0 view and see exactly the legacy behavior.
+//! context (the live reactor) share the origin-0 view.
 
-use parking_lot::{Mutex, RwLock};
-use std::sync::Arc;
-use u1_core::{FxHashMap, MachineId, ProcessId};
+use u1_core::partition::OriginBank;
+use u1_core::{MachineId, ProcessId};
 
 /// Topology parameters.
 #[derive(Debug, Clone)]
@@ -57,7 +56,7 @@ struct SlotLoad {
 pub struct Cluster {
     slots: Vec<Slot>,
     /// One private load view per partition origin, created on first use.
-    views: RwLock<FxHashMap<u32, Arc<Mutex<Vec<SlotLoad>>>>>,
+    views: OriginBank<Vec<SlotLoad>>,
     config: ClusterConfig,
 }
 
@@ -75,7 +74,7 @@ impl Cluster {
         }
         Self {
             slots,
-            views: RwLock::default(),
+            views: OriginBank::default(),
             config,
         }
     }
@@ -88,37 +87,32 @@ impl Cluster {
         (self.config.machines as usize) * (self.config.processes_per_machine as usize)
     }
 
-    fn view(&self, origin: u32) -> Arc<Mutex<Vec<SlotLoad>>> {
-        if let Some(v) = self.views.read().get(&origin) {
-            return Arc::clone(v);
-        }
-        let mut views = self.views.write();
-        Arc::clone(
-            views.entry(origin).or_insert_with(|| {
-                Arc::new(Mutex::new(vec![SlotLoad::default(); self.slots.len()]))
-            }),
-        )
+    /// Runs `f` on the calling partition's load view.
+    fn with_view<R>(&self, f: impl FnOnce(&mut Vec<SlotLoad>) -> R) -> R {
+        self.views
+            .with(|_| vec![SlotLoad::default(); self.slots.len()], f)
     }
 
     /// Places a new session on the least-loaded process (§4's policy)
     /// according to the calling partition's own view. Ties break on slot
     /// order, which keeps placement deterministic.
     pub fn place_session(&self) -> Slot {
-        let view = self.view(u1_core::partition::current_origin());
-        let mut loads = view.lock();
-        // Manual argmin rather than `min_by_key(..).expect(..)`: the
-        // constructor guarantees ≥ 1 slot, and U1L001 keeps unwrap-style
-        // panic paths out of the serving tiers.
-        let mut idx = 0;
-        for i in 1..loads.len() {
-            if loads[i].active_sessions < loads[idx].active_sessions {
-                idx = i;
+        let idx = self.with_view(|loads| {
+            // Manual argmin rather than `min_by_key(..).expect(..)`: the
+            // constructor guarantees ≥ 1 slot, and U1L001 keeps unwrap-style
+            // panic paths out of the serving tiers.
+            let mut idx = 0;
+            for i in 1..loads.len() {
+                if loads[i].active_sessions < loads[idx].active_sessions {
+                    idx = i;
+                }
             }
-        }
-        if let Some(best) = loads.get_mut(idx) {
-            best.active_sessions += 1;
-            best.total_sessions += 1;
-        }
+            if let Some(best) = loads.get_mut(idx) {
+                best.active_sessions += 1;
+                best.total_sessions += 1;
+            }
+            idx
+        });
         self.slots.get(idx).copied().unwrap_or(Slot {
             machine: MachineId::new(0),
             process: ProcessId::new(0),
@@ -129,10 +123,10 @@ impl Cluster {
     /// partition's view; a release from a different origin than the
     /// placement (e.g. a coordinator-driven ban) saturates at zero.
     pub fn release_session(&self, slot: Slot) {
-        let view = self.view(u1_core::partition::current_origin());
-        let mut loads = view.lock();
         if let Some(idx) = self.slots.iter().position(|s| *s == slot) {
-            loads[idx].active_sessions = loads[idx].active_sessions.saturating_sub(1);
+            self.with_view(|loads| {
+                loads[idx].active_sessions = loads[idx].active_sessions.saturating_sub(1);
+            });
         }
     }
 
@@ -140,11 +134,11 @@ impl Cluster {
     /// (diagnostics).
     pub fn active_sessions(&self) -> Vec<(Slot, u64)> {
         let mut totals = vec![0u64; self.slots.len()];
-        for view in self.views.read().values() {
-            for (t, l) in totals.iter_mut().zip(view.lock().iter()) {
+        self.views.for_each(|_, view| {
+            for (t, l) in totals.iter_mut().zip(view) {
                 *t += l.active_sessions;
             }
-        }
+        });
         self.slots.iter().copied().zip(totals).collect()
     }
 }

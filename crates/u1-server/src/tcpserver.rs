@@ -36,7 +36,6 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use u1_auth::Token;
 use u1_core::fxhash::FxHashMap;
-use u1_core::timing::{Phase, PhaseNanos, PhaseTimers};
 use u1_core::{CoreError, NodeKind};
 use u1_net::{Interest, Poller};
 use u1_proto::conn::{ServerConn, ServerEvent};
@@ -150,7 +149,6 @@ impl WireCounters {
 struct Shared {
     shutdown: AtomicBool,
     counters: WireCounters,
-    timers: PhaseTimers,
 }
 
 /// A running TCP server.
@@ -182,7 +180,6 @@ impl TcpServer {
         let shared = Arc::new(Shared {
             shutdown: AtomicBool::new(false),
             counters: WireCounters::default(),
-            timers: PhaseTimers::new(),
         });
         let shared2 = Arc::clone(&shared);
         let reactor = std::thread::Builder::new()
@@ -214,11 +211,6 @@ impl TcpServer {
     /// Admission and lifecycle counters, as of now.
     pub fn stats(&self) -> WireStats {
         self.shared.counters.snapshot()
-    }
-
-    /// Cumulative reactor time by phase (NetAccept/NetRead/NetServe/NetWrite).
-    pub fn phase_nanos(&self) -> PhaseNanos {
-        self.shared.timers.snapshot()
     }
 
     /// Stops accepting, drains queued bytes (bounded by
@@ -344,11 +336,7 @@ impl Reactor {
     /// Accepts until the backlog is empty, applying admission control.
     fn accept_ready(&mut self) {
         loop {
-            let accepted = self
-                .shared
-                .timers
-                .time(Phase::NetAccept, || self.listener.accept());
-            let (stream, peer) = match accepted {
+            let (stream, peer) = match self.listener.accept() {
                 Ok(pair) => pair,
                 Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
                 Err(_) => return,
@@ -418,7 +406,6 @@ impl Reactor {
         let Some(conn) = self.conns.get_mut(&token) else {
             return; // torn down earlier this batch
         };
-        let timers = &self.shared.timers;
         let mut taken = 0;
         let verdict = 'read: loop {
             // Draining connections take no more input; neither does one
@@ -430,7 +417,7 @@ impl Reactor {
             {
                 return;
             }
-            let n = match timers.time(Phase::NetRead, || read_once(&mut conn.stream, buf)) {
+            let n = match read_once(&mut conn.stream, buf) {
                 Ok(ReadOutcome::Bytes(n)) => n,
                 Ok(ReadOutcome::WouldBlock) => return,
                 Ok(ReadOutcome::Closed) => {
@@ -459,9 +446,9 @@ impl Reactor {
                         };
                         queue(conn, id, resp)
                     }
-                    ServerEvent::Request { id, req } => timers.time(Phase::NetServe, || {
+                    ServerEvent::Request { id, req } => {
                         dispatch(&self.backend, &self.shared.counters, conn, id, req)
-                    }),
+                    }
                 };
                 if !keep {
                     break 'read Cause::Protocol;
@@ -512,15 +499,9 @@ impl Reactor {
                 }
             }
 
-            if !conn.sendq.is_empty() {
-                let flushed = self
-                    .shared
-                    .timers
-                    .time(Phase::NetWrite, || conn.sendq.write_to(&mut conn.stream));
-                if flushed.is_err() {
-                    doomed.push((token, Cause::Eof));
-                    continue;
-                }
+            if !conn.sendq.is_empty() && conn.sendq.write_to(&mut conn.stream).is_err() {
+                doomed.push((token, Cause::Eof));
+                continue;
             }
 
             if conn.sendq.queued_bytes() > self.cfg.send_budget_bytes {

@@ -45,6 +45,7 @@ use crate::sessions::{self, SessionPlan};
 use crate::users::{sample_profile, UserClass, UserProfile};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::{Arc, Barrier, Mutex};
@@ -845,9 +846,10 @@ impl ShardSim {
 
     /// One logical upload under the failure model: an injected client crash
     /// abandons the job mid-transfer (to be resumed at the next session, or
-    /// reaped by the weekly GC); otherwise the transfer runs in the retry
-    /// loop, carrying the upload-job id across attempts so a retry resumes
-    /// from the last recorded part instead of restarting the stream.
+    /// reaped by the weekly GC); otherwise the transfer runs under
+    /// [`ShardSim::retry`], carrying the upload-job id across attempts so a
+    /// retry resumes from the last recorded part instead of restarting the
+    /// stream. With no fault plan neither can happen and this is one call.
     #[allow(clippy::too_many_arguments)]
     fn do_upload(
         &mut self,
@@ -859,47 +861,17 @@ impl ShardSim {
         hash: ContentHash,
         size: u64,
     ) -> CoreResult<(bool, u64)> {
-        if self.faults.is_none() {
-            // Identical call sequence to the pre-fault driver.
-            return self.backend.upload_file(sid, vol, node, hash, size);
-        }
         if self.faults.client_crashes() {
             return self.crash_mid_upload(u, sid, vol, node, name, hash, size);
         }
-        let now = u1_core::partition::current_time().unwrap_or(SimTime::ZERO);
-        if !self.breaker.allows(now) {
-            self.report.breaker_fastfails += 1;
-            return Err(CoreError::unavailable("circuit open"));
-        }
-        let policy = self.retry_policy;
-        let mut resume = None;
-        let mut attempt = 1u32;
-        loop {
-            fault::set_attempt(attempt);
-            match self
-                .backend
-                .upload_file_with_recovery(sid, vol, node, hash, size, resume)
-            {
-                Ok(v) => {
-                    self.breaker.record_success();
-                    fault::set_attempt(1);
-                    return Ok(v);
-                }
-                Err(fail) => {
-                    let transient = matches!(fail.error, CoreError::Unavailable(_));
-                    if transient {
-                        self.breaker.record_failure(now);
-                    }
-                    if !transient || attempt >= policy.max_attempts {
-                        fault::set_attempt(1);
-                        return Err(fail.error);
-                    }
-                    resume = fail.resume;
-                    self.report.client_retries += 1;
-                    attempt += 1;
-                }
-            }
-        }
+        let resume = Cell::new(None);
+        self.retry(|b| {
+            b.upload_file_with_recovery(sid, vol, node, hash, size, None, resume.get())
+                .map_err(|fail| {
+                    resume.set(fail.resume);
+                    fail.error
+                })
+        })
     }
 
     /// Simulates the client dying mid-transfer: begin the upload, put about
@@ -957,6 +929,7 @@ impl ShardSim {
                 cu.node,
                 cu.hash,
                 cu.size,
+                None,
                 Some(cu.upload),
             ) {
                 Ok((_, sent)) => {
@@ -1891,8 +1864,8 @@ impl Driver {
             }
         });
         self.clock.set(horizon);
-        // Run-final full flush: leftover buffers (legacy origin 0 emitters,
-        // anything recorded outside a partition ctx) and sink I/O flushing.
+        // Run-final full flush: leftover buffers (anything recorded outside
+        // a partition ctx) and sink I/O flushing.
         self.backend.flush_trace();
         let mut report = self.coordinator.report.clone();
         for shard in &shards {
@@ -2235,5 +2208,81 @@ mod tests {
         assert!(report.uploads > 150, "need volume: {report:?}");
         let frac = report.upload_updates as f64 / report.uploads as f64;
         assert!((0.04..=0.20).contains(&frac), "update fraction {frac}");
+    }
+
+    /// ROADMAP item 4, "name them op by op": a fault-free run still counts
+    /// `op_errors` — every one a race of the session model with itself, none
+    /// a server fault. Each failed `storage_done` record must fall in this
+    /// written list and come with the earlier record that explains it:
+    ///
+    /// * `Unlink` / `Move` / `Download` of a node that no longer exists: the
+    ///   client unlinked a directory earlier, the server removed everything
+    ///   below it in the same cascade, and the client forgets such files
+    ///   lazily ("stale refs are swept on failed ops", `op_unlink`).
+    /// * `CreateUdf` refused as a duplicate: UDFs are named by how many the
+    ///   client has (`udf{n+1}`), so after a `DeleteVolume` the next name can
+    ///   be one still in use.
+    ///
+    /// Anything else — a failed listing, delta, make or upload, a failure
+    /// carrying an injected error class, a failed op of an attack bot —
+    /// fails the test. (An upload whose node went with a cascade is refused
+    /// in `begin_upload` before anything is logged: it counts in
+    /// `op_errors`, which is therefore at least the number of records here.)
+    #[test]
+    fn fault_free_failures_are_named_session_model_races() {
+        use u1_trace::Payload;
+        let clock = SimClock::new();
+        let sink = Arc::new(MemorySink::new());
+        let backend = Arc::new(Backend::new(
+            BackendConfig::default(),
+            Arc::new(clock.clone()),
+            sink.clone(),
+        ));
+        let report = Driver::new(WorkloadConfig::quick(), backend, clock).run();
+        let records = sink.take_sorted();
+
+        // What a later failure may be explained by, per (user, volume).
+        let mut dir_cascades = std::collections::HashSet::new();
+        let mut udf_deleted = std::collections::HashSet::new();
+        let mut failures: std::collections::BTreeMap<&str, u64> = Default::default();
+        for rec in &records {
+            let Payload::Storage {
+                op,
+                user,
+                volume,
+                kind,
+                success,
+                ..
+            } = &rec.payload
+            else {
+                continue;
+            };
+            if *success {
+                match op {
+                    ApiOpKind::Unlink if *kind == Some(NodeKind::Directory) => {
+                        dir_cascades.insert((*user, *volume));
+                    }
+                    ApiOpKind::DeleteVolume => {
+                        udf_deleted.insert(*user);
+                    }
+                    _ => {}
+                }
+                continue;
+            }
+            assert_eq!(rec.error_class, None, "injected fault in {rec:?}");
+            let explained = match op {
+                ApiOpKind::Unlink | ApiOpKind::Move | ApiOpKind::Download => {
+                    // `kind: None` is the server saying the node is gone.
+                    kind.is_none() && dir_cascades.contains(&(*user, *volume))
+                }
+                ApiOpKind::CreateUdf => udf_deleted.contains(user),
+                _ => false,
+            };
+            assert!(explained, "unexplained failure: {rec:?}");
+            *failures.entry(op.label()).or_default() += 1;
+        }
+        let named: u64 = failures.values().sum();
+        assert!(named > 0, "the quick run no longer exercises the races");
+        assert!(report.op_errors >= named, "{report:?} vs {failures:?}");
     }
 }

@@ -16,20 +16,15 @@
 //! * [`attack`] — the three DDoS episodes of §5.4,
 //! * [`driver`] — the discrete-event loop that replays all of the above
 //!   against a [`u1_server::Backend`] under a virtual clock, producing a
-//!   month of trace in seconds,
-//! * [`fleet`] — a closed-loop client fleet generic over the
-//!   [`u1_client::Transport`], used to prove the wire tier serves the
-//!   exact same byte stream as the in-process path.
+//!   month of trace in seconds.
 
 pub mod attack;
 pub mod calibration;
 pub mod driver;
 pub mod files;
-pub mod fleet;
 pub mod markov;
 pub mod sessions;
 pub mod users;
 
 pub use driver::{Driver, DriverReport, WorkloadConfig};
-pub use fleet::{run_lockstep, FleetConfig, FleetReport};
 pub use users::UserClass;

@@ -51,15 +51,6 @@ impl UserClass {
             UserClass::Heavy
         }
     }
-
-    /// Whether sessions of this class may carry data-management work.
-    pub fn does_uploads(self) -> bool {
-        matches!(self, UserClass::UploadOnly | UserClass::Heavy)
-    }
-
-    pub fn does_downloads(self) -> bool {
-        matches!(self, UserClass::DownloadOnly | UserClass::Heavy)
-    }
 }
 
 /// A user's static profile.
