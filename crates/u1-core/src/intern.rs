@@ -19,7 +19,7 @@
 //!
 //! Every `usize → u32` conversion at an arena boundary is checked
 //! ([`to_u32`]): arena exhaustion is a cold `None`, never a truncating
-//! cast (lint U1L002) and never a panic.
+//! cast and never a panic.
 
 use crate::fxhash::FxHashMap;
 use serde::{Serialize, SerializeKey, Value};

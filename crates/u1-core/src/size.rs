@@ -18,14 +18,8 @@ impl ByteSize {
     pub const fn new(bytes: u64) -> Self {
         Self(bytes)
     }
-    pub const fn kib(k: u64) -> Self {
-        Self(k * KIB)
-    }
     pub const fn mib(m: u64) -> Self {
         Self(m * MIB)
-    }
-    pub const fn gib(g: u64) -> Self {
-        Self(g * GIB)
     }
     pub const fn as_u64(self) -> u64 {
         self.0
@@ -148,9 +142,9 @@ mod tests {
     #[test]
     fn byte_size_formats() {
         assert_eq!(ByteSize(512).to_string(), "512B");
-        assert_eq!(ByteSize::kib(2).to_string(), "2.0KiB");
+        assert_eq!(ByteSize(2 * KIB).to_string(), "2.0KiB");
         assert_eq!(ByteSize::mib(3).to_string(), "3.0MiB");
-        assert_eq!(ByteSize::gib(1).to_string(), "1.00GiB");
+        assert_eq!(ByteSize(GIB).to_string(), "1.00GiB");
         assert_eq!(ByteSize(2 * TIB).to_string(), "2.00TiB");
     }
 

@@ -133,7 +133,7 @@ impl PhaseTimers {
 /// Elapsed nanoseconds since `start`, clamped into `u64`.
 ///
 /// `u64::MAX` nanoseconds is ~584 years, so the clamp is theoretical; it
-/// exists so the truncating-cast lint (U1L002) has nothing to flag.
+/// exists so no `as` cast can silently truncate the `u128`.
 #[inline]
 pub fn saturating_nanos(start: Instant) -> u64 {
     u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)

@@ -7,9 +7,9 @@ use std::fmt::Write as _;
 /// One rule violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule ID, e.g. `U1L001`.
+    /// Rule ID, e.g. `U1L005`.
     pub rule: &'static str,
-    /// Short rule slug, e.g. `no-panic`.
+    /// Short rule slug, e.g. `no-float-eq`.
     pub slug: &'static str,
     /// Workspace-relative path.
     pub path: String,
@@ -17,26 +17,19 @@ pub struct Finding {
     pub col: usize,
     /// Human message for this occurrence.
     pub message: String,
-    /// Trimmed text of the offending source line (baseline key material).
+    /// Trimmed text of the offending source line (the rendered snippet).
     pub line_text: String,
 }
 
 impl Finding {
-    /// Baseline identity: rule + file + trimmed line text. Line *numbers*
-    /// are deliberately excluded so unrelated edits above a baselined
-    /// violation do not invalidate the baseline.
-    pub fn baseline_key(&self) -> String {
-        format!("{}|{}|{}", self.rule, self.path, self.line_text)
-    }
-
     /// rustc-style rendering:
     ///
     /// ```text
-    /// error[U1L001]: `unwrap()` in serving-tier non-test code
-    ///   --> crates/u1-server/src/tcpserver.rs:216:14
-    ///    |
-    /// 216|     handle.join().unwrap();
-    ///    |
+    /// error[U1L005]: exact float `==` comparison in u1-analytics; …
+    ///   --> crates/u1-analytics/src/stats.rs:216:14
+    ///     |
+    /// 216 | if gini == 0.0 {
+    ///     |
     /// ```
     pub fn render_text(&self) -> String {
         let mut out = String::new();
@@ -86,22 +79,22 @@ mod tests {
 
     fn finding() -> Finding {
         Finding {
-            rule: "U1L001",
-            slug: "no-panic",
-            path: "crates/u1-server/src/tcpserver.rs".into(),
+            rule: "U1L005",
+            slug: "no-float-eq",
+            path: "crates/u1-analytics/src/stats.rs".into(),
             line: 216,
             col: 14,
-            message: "`unwrap()` in serving-tier non-test code".into(),
-            line_text: "handle.join().unwrap();".into(),
+            message: "exact float `==` comparison in u1-analytics".into(),
+            line_text: "if gini == 0.0 {".into(),
         }
     }
 
     #[test]
     fn text_rendering_is_rustc_shaped() {
         let text = finding().render_text();
-        assert!(text.starts_with("error[U1L001]:"));
-        assert!(text.contains("--> crates/u1-server/src/tcpserver.rs:216:14"));
-        assert!(text.contains("216 | handle.join().unwrap();"));
+        assert!(text.starts_with("error[U1L005]:"));
+        assert!(text.contains("--> crates/u1-analytics/src/stats.rs:216:14"));
+        assert!(text.contains("216 | if gini == 0.0 {"));
     }
 
     #[test]
@@ -111,15 +104,6 @@ mod tests {
         let json = f.render_json();
         assert!(json.contains(r#""message":"bad \"quote\"""#));
         assert!(json.contains(r#""line":216"#));
-        assert!(json.contains(r#""snippet":"handle.join().unwrap();""#));
-    }
-
-    #[test]
-    fn baseline_key_ignores_line_number() {
-        let mut a = finding();
-        let mut b = finding();
-        a.line = 10;
-        b.line = 99;
-        assert_eq!(a.baseline_key(), b.baseline_key());
+        assert!(json.contains(r#""snippet":"if gini == 0.0 {""#));
     }
 }

@@ -406,7 +406,7 @@ mod tests {
 
     #[test]
     fn comments_are_captured_with_lines() {
-        let src = "let x = 1; // u1-lint: allow(U1L001) — reason\n// another\n";
+        let src = "let x = 1; // u1-lint: allow(U1L005) — reason\n// another\n";
         let lexed = lex(src);
         assert_eq!(lexed.comments.len(), 2);
         assert_eq!(lexed.comments[0].line, 1);

@@ -1,23 +1,22 @@
-//! u1-lint: workspace analyzer enforcing U1 back-end invariants that
-//! clippy cannot express (see DESIGN.md, "Static analysis & lint policy").
+//! u1-lint: workspace analyzer for the U1 back-end invariants that neither
+//! clippy nor the compiler can check (see DESIGN.md §7, "Static analysis &
+//! lint policy"). Panics on request paths and truncating casts in wire code
+//! are clippy's job (each serving crate denies the panic lints in its own
+//! `[lints.clippy]` table, u1-proto also `cast_possible_truncation`);
+//! message coverage is the compiler's exhaustive `match` plus the u1-proto
+//! codec round-trip tests.
 //!
-//! | Rule   | Slug                 | Scope                         |
-//! |--------|----------------------|-------------------------------|
-//! | U1L001 | `no-panic`           | serving tiers, non-test code  |
-//! | U1L002 | `no-truncating-cast` | wire/frame/codec files        |
-//! | U1L003 | `msg-exhaustive`     | u1-proto msg.rs vs codec.rs   |
-//! | U1L004 | `async-blocking`     | async fn bodies, all crates   |
-//! | U1L005 | `no-float-eq`        | u1-analytics                  |
-//! | U1L006 | `lock-order`         | workspace lock graph cycles   |
-//! | U1L007 | `guard-across-blocking` | guards spanning blocking ops |
-//! | U1L008 | `nondet-flow`        | hash iteration / wall clock on output paths |
+//! | Rule   | Slug                    | Scope                                       |
+//! |--------|-------------------------|---------------------------------------------|
+//! | U1L005 | `no-float-eq`           | u1-analytics, including `== 0.0`            |
+//! | U1L006 | `lock-order`            | workspace lock graph cycles                 |
+//! | U1L007 | `guard-across-blocking` | guards spanning blocking ops                |
+//! | U1L008 | `nondet-flow`           | hash iteration / wall clock on output paths |
 //!
 //! Findings are suppressible per line with
 //! `// u1-lint: allow(<rule>) — <reason>` (rule ID or slug; the reason is
-//! mandatory) and grandfathered via a baseline file for incremental
-//! burn-down.
+//! mandatory). There is no baseline: `check` fails on any finding.
 
-pub mod baseline;
 pub mod callgraph;
 pub mod diag;
 pub mod facts;
@@ -25,16 +24,9 @@ pub mod lexer;
 pub mod model;
 pub mod rules;
 
-use baseline::{Baseline, MatchOutcome};
 use diag::Finding;
 use model::SourceFile;
 use std::path::Path;
-
-/// Default baseline location, relative to the workspace root.
-pub const BASELINE_FILE: &str = "lint-baseline.txt";
-
-/// Default lock-graph artifact location, relative to the workspace root.
-pub const LOCK_GRAPH_FILE: &str = "lock-graph.json";
 
 /// Full analysis output: findings plus the lock-graph review artifact.
 pub struct Analysis {
@@ -44,7 +36,7 @@ pub struct Analysis {
 }
 
 /// Parses and analyzes the given files (paths must be workspace-relative).
-/// Suppressed findings are dropped here; baseline filtering is separate.
+/// Suppressed findings are dropped here.
 pub fn analyze_sources(sources: &[(String, String)]) -> Vec<Finding> {
     analyze_sources_full(sources).findings
 }
@@ -93,14 +85,6 @@ pub fn analyze_workspace_full(root: &Path) -> std::io::Result<Analysis> {
     Ok(analyze_sources_full(&sources))
 }
 
-/// Applies the baseline at `baseline_path` to raw findings.
-pub fn apply_baseline(
-    findings: Vec<Finding>,
-    baseline_path: &Path,
-) -> std::io::Result<MatchOutcome> {
-    Ok(Baseline::load(baseline_path)?.matches(findings))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,14 +92,14 @@ mod tests {
     #[test]
     fn suppression_filters_by_id_and_slug() {
         let src = "\
-fn serve() {
-    let a = x.unwrap(); // u1-lint: allow(U1L001) — recovery handled by supervisor
-    let b = y.unwrap(); // u1-lint: allow(no-panic) — recovery handled by supervisor
-    let c = z.unwrap();
+fn cut(g: f64, h: f64, k: f64) -> bool {
+    let a = g == 0.0; // u1-lint: allow(U1L005) — exact sentinel written by the caller
+    let b = h == 0.0; // u1-lint: allow(no-float-eq) — exact sentinel written by the caller
+    a && b && k == 0.0
 }
 ";
         let findings = analyze_sources(&[(
-            "crates/u1-server/src/handler.rs".to_string(),
+            "crates/u1-analytics/src/stats.rs".to_string(),
             src.to_string(),
         )]);
         assert_eq!(findings.len(), 1);
@@ -124,10 +108,10 @@ fn serve() {
 
     #[test]
     fn findings_are_sorted_by_location() {
-        let src = "fn serve() { b.unwrap(); }\nfn serve2() { a.unwrap(); }\n";
+        let src = "fn f(b: f64) -> bool { b == 0.0 }\nfn g(a: f64) -> bool { a != 1.0 }\n";
         let findings = analyze_sources(&[
-            ("crates/u1-server/src/z.rs".to_string(), src.to_string()),
-            ("crates/u1-server/src/a.rs".to_string(), src.to_string()),
+            ("crates/u1-analytics/src/z.rs".to_string(), src.to_string()),
+            ("crates/u1-analytics/src/a.rs".to_string(), src.to_string()),
         ]);
         assert_eq!(findings.len(), 4);
         assert!(findings[0].path < findings[2].path);

@@ -1,35 +1,27 @@
 //! CLI for the u1-lint workspace analyzer.
 //!
 //! ```text
-//! cargo run -p u1-lint -- check            # human diagnostics, exit 1 on new/stale findings
+//! cargo run -p u1-lint -- check            # human diagnostics, exit 1 on any finding
 //! cargo run -p u1-lint -- check --json     # one JSON object per finding, for CI
 //! cargo run -p u1-lint -- check --lock-graph lock-graph.json  # also export the lock graph
-//! cargo run -p u1-lint -- baseline         # rewrite lint-baseline.txt from current state
 //! ```
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use u1_lint::baseline::Baseline;
-use u1_lint::BASELINE_FILE;
 
 struct Args {
-    command: String,
     json: bool,
     root: PathBuf,
-    baseline: PathBuf,
     lock_graph: Option<PathBuf>,
 }
 
 fn usage() -> ! {
     eprintln!(
-        "usage: u1-lint <check|baseline> [--json] [--root DIR] [--baseline FILE] [--lock-graph FILE]\n\
+        "usage: u1-lint check [--json] [--root DIR] [--lock-graph FILE]\n\
          \n\
-         check     analyze the workspace; exit 1 on findings not in the baseline\n\
-         \u{20}          or on stale baseline entries\n\
-         baseline  rewrite the baseline file from the current findings\n\
-         --json    (check) emit one JSON object per finding instead of text\n\
+         check     analyze the workspace; exit 1 on any finding\n\
+         --json    emit one JSON object per finding instead of text\n\
          --root    workspace root (default: the root this binary was built in)\n\
-         --baseline  baseline path (default: <root>/{BASELINE_FILE})\n\
          --lock-graph  also write the workspace lock-acquisition graph (JSON)"
     );
     std::process::exit(2)
@@ -45,32 +37,23 @@ fn parse_args() -> Args {
         .unwrap_or_else(|| PathBuf::from("."));
 
     let mut argv = std::env::args().skip(1);
-    let Some(command) = argv.next() else { usage() };
-    if !matches!(command.as_str(), "check" | "baseline") {
+    if argv.next().as_deref() != Some("check") {
         usage();
     }
     let mut args = Args {
-        command,
         json: false,
         root: default_root,
-        baseline: PathBuf::new(),
         lock_graph: None,
     };
     while let Some(flag) = argv.next() {
         match flag.as_str() {
             "--json" => args.json = true,
             "--root" => args.root = argv.next().map(PathBuf::from).unwrap_or_else(|| usage()),
-            "--baseline" => {
-                args.baseline = argv.next().map(PathBuf::from).unwrap_or_else(|| usage())
-            }
             "--lock-graph" => {
                 args.lock_graph = Some(argv.next().map(PathBuf::from).unwrap_or_else(|| usage()))
             }
             _ => usage(),
         }
-    }
-    if args.baseline.as_os_str().is_empty() {
-        args.baseline = args.root.join(BASELINE_FILE);
     }
     args
 }
@@ -96,58 +79,18 @@ fn main() -> ExitCode {
         }
     }
 
-    if args.command == "baseline" {
-        let rendered = Baseline::render(&findings);
-        if let Err(e) = std::fs::write(&args.baseline, rendered) {
-            eprintln!("u1-lint: failed to write {}: {e}", args.baseline.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "u1-lint: wrote {} entries to {}",
-            findings.len(),
-            args.baseline.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let outcome = match u1_lint::apply_baseline(findings, &args.baseline) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("u1-lint: failed to read {}: {e}", args.baseline.display());
-            return ExitCode::from(2);
-        }
-    };
-
     if args.json {
-        for f in &outcome.new {
+        for f in &findings {
             println!("{}", f.render_json());
         }
     } else {
-        for f in &outcome.new {
+        for f in &findings {
             print!("{}", f.render_text());
         }
-        eprintln!(
-            "u1-lint: {} new finding(s), {} baselined, {} stale baseline entr(ies)",
-            outcome.new.len(),
-            outcome.baselined.len(),
-            outcome.stale.len()
-        );
-    }
-    // Stale entries go to stderr in both modes: a baseline entry matching
-    // nothing means the debt it grandfathered is gone and the file must be
-    // regenerated, so `check` fails rather than letting it rot.
-    for (key, count) in &outcome.stale {
-        eprintln!(
-            "u1-lint: stale baseline entry (matched nothing — rerun `u1-lint baseline`): {key}{}",
-            if *count > 1 {
-                format!(" (×{count})")
-            } else {
-                String::new()
-            }
-        );
+        eprintln!("u1-lint: {} finding(s)", findings.len());
     }
 
-    if outcome.new.is_empty() && outcome.stale.is_empty() {
+    if findings.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

@@ -1,6 +1,6 @@
 //! Source-file model: lexed tokens plus the structural spans rules need —
-//! test-only regions (`#[cfg(test)]` mods, `#[test]` fns), function bodies
-//! (with the `async` flag), and the escape-hatch suppressions.
+//! test-only regions (`#[cfg(test)]` mods, `#[test]` fns), function bodies,
+//! and the escape-hatch suppressions.
 
 use crate::lexer::{lex, Comment, Token, TokenKind};
 use std::path::{Path, PathBuf};
@@ -28,7 +28,6 @@ impl Span {
 #[derive(Debug, Clone)]
 pub struct FnSpan {
     pub name: String,
-    pub is_async: bool,
     /// Token index of the `fn` keyword: the signature (incl. return type)
     /// spans `header_tok..body.first_tok`.
     pub header_tok: usize,
@@ -56,8 +55,6 @@ pub struct SourceFile {
     pub rel_path: String,
     /// Crate directory name (`u1-proto`), when under `crates/`.
     pub crate_name: Option<String>,
-    /// File stem (`codec` for `codec.rs`).
-    pub stem: String,
     pub lines: Vec<String>,
     pub tokens: Vec<Token>,
     pub comments: Vec<Comment>,
@@ -73,7 +70,6 @@ impl SourceFile {
         let test_spans = find_test_spans(&tokens);
         let fns = find_fns(&tokens);
         let suppressions = find_suppressions(&lexed.comments, &tokens);
-        let path = Path::new(rel_path);
         let crate_name = rel_path
             .strip_prefix("crates/")
             .and_then(|rest| rest.split('/').next())
@@ -81,10 +77,6 @@ impl SourceFile {
         SourceFile {
             rel_path: rel_path.to_string(),
             crate_name,
-            stem: path
-                .file_stem()
-                .map(|s| s.to_string_lossy().into_owned())
-                .unwrap_or_default(),
             lines: src.lines().map(str::to_string).collect(),
             tokens,
             comments: lexed.comments,
@@ -99,7 +91,7 @@ impl SourceFile {
         self.test_spans.iter().any(|s| s.contains_tok(idx))
     }
 
-    /// The trimmed source line (1-based), for baseline keys.
+    /// The trimmed source line (1-based), for diagnostics.
     pub fn line_text(&self, line: usize) -> &str {
         self.lines
             .get(line.wrapping_sub(1))
@@ -272,8 +264,8 @@ fn find_impl_owners(tokens: &[Token]) -> Vec<(usize, usize, String)> {
     out
 }
 
-/// Finds every `fn` item and its body, noting whether the header carries
-/// `async` and which `impl` block (if any) owns it.
+/// Finds every `fn` item and its body, noting which `impl` block (if any)
+/// owns it.
 fn find_fns(tokens: &[Token]) -> Vec<FnSpan> {
     let impls = find_impl_owners(tokens);
     let mut fns = Vec::new();
@@ -284,24 +276,6 @@ fn find_fns(tokens: &[Token]) -> Vec<FnSpan> {
         let Some(name) = tokens.get(i + 1).and_then(|t| t.kind.ident()) else {
             continue;
         };
-        // `async` appears among the modifiers directly before `fn`
-        // (`pub async unsafe extern "C" fn …`). Walk back over modifiers.
-        let mut j = i;
-        let mut is_async = false;
-        while j > 0 {
-            j -= 1;
-            match &tokens[j].kind {
-                TokenKind::Ident(m)
-                    if ["pub", "const", "unsafe", "extern", "async"].contains(&m.as_str()) =>
-                {
-                    if m == "async" {
-                        is_async = true;
-                    }
-                }
-                TokenKind::Text | TokenKind::Punct(')') | TokenKind::Punct('(') => {}
-                _ => break,
-            }
-        }
         // Body: first `{` after the signature, skipping any `->` return
         // type and where clause (neither contains braces in this codebase's
         // style; const-generic braces would need a real parser).
@@ -316,7 +290,6 @@ fn find_fns(tokens: &[Token]) -> Vec<FnSpan> {
                     .map(|(_, _, n)| n.clone());
                 fns.push(FnSpan {
                     name: name.to_string(),
-                    is_async,
                     header_tok: i,
                     owner,
                     body: span_between(tokens, open, end),
@@ -392,15 +365,6 @@ mod tests {
     }
 
     #[test]
-    fn async_fns_are_flagged() {
-        let src = "pub async fn handler() { step().await; }\nfn sync_one() {}\n";
-        let f = SourceFile::parse("crates/u1-x/src/lib.rs", src);
-        assert_eq!(f.fns.len(), 2);
-        assert!(f.fns[0].is_async && f.fns[0].name == "handler");
-        assert!(!f.fns[1].is_async);
-    }
-
-    #[test]
     fn impl_owners_are_resolved() {
         let src = r#"
 struct Stripe;
@@ -431,22 +395,22 @@ fn free() {}
     #[test]
     fn suppression_requires_reason() {
         let src = "\
-let a = x.unwrap(); // u1-lint: allow(U1L001) — startup path, config is validated
-let b = y.unwrap(); // u1-lint: allow(U1L001)
+let a = x == 0.0; // u1-lint: allow(U1L005) — exact sentinel written by the caller
+let b = y == 0.0; // u1-lint: allow(U1L005)
 ";
         let f = SourceFile::parse("crates/u1-x/src/lib.rs", src);
-        assert!(f.is_suppressed("U1L001", 1));
+        assert!(f.is_suppressed("U1L005", 1));
         assert!(
-            !f.is_suppressed("U1L001", 2),
+            !f.is_suppressed("U1L005", 2),
             "reason-less hatch must not count"
         );
-        assert!(!f.is_suppressed("U1L002", 1), "other rules are not covered");
+        assert!(!f.is_suppressed("U1L008", 1), "other rules are not covered");
     }
 
     #[test]
     fn suppression_on_previous_line_covers_next() {
-        let src = "// u1-lint: allow(U1L002) - legacy framing\nlet n = x as u32;\n";
+        let src = "// u1-lint: allow(U1L008) - timing only\nlet t = SystemTime::now();\n";
         let f = SourceFile::parse("crates/u1-x/src/lib.rs", src);
-        assert!(f.is_suppressed("U1L002", 2));
+        assert!(f.is_suppressed("U1L008", 2));
     }
 }

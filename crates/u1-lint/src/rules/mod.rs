@@ -1,30 +1,14 @@
-//! Rule registry. Every rule sees the whole workspace (cross-file rules
-//! like the codec exhaustiveness audit need that); single-file rules just
-//! iterate. Suppression filtering happens centrally in the engine, not in
-//! the rules.
+//! Rule registry. Every rule sees the whole workspace (the call-graph
+//! rules need that); single-file rules just iterate. Suppression filtering
+//! happens centrally in the engine, not in the rules.
 
-pub mod async_blocking;
 pub mod float_eq;
 pub mod guard_blocking;
 pub mod lock_order;
-pub mod msg_exhaustive;
-pub mod no_panic;
 pub mod nondet_flow;
-pub mod truncating_cast;
 
 use crate::diag::Finding;
 use crate::model::SourceFile;
-
-/// Crates whose non-test code serves requests and therefore must not panic
-/// (rule U1L001). Mirrors the tier split in DESIGN.md.
-pub const SERVING_TIERS: &[&str] = &[
-    "u1-server",
-    "u1-proto",
-    "u1-metastore",
-    "u1-blobstore",
-    "u1-notify",
-    "u1-auth",
-];
 
 pub trait Rule {
     fn id(&self) -> &'static str;
@@ -35,10 +19,6 @@ pub trait Rule {
 /// All rules, in ID order.
 pub fn all() -> Vec<Box<dyn Rule>> {
     vec![
-        Box::new(no_panic::NoPanic),
-        Box::new(truncating_cast::TruncatingCast),
-        Box::new(msg_exhaustive::MsgExhaustive),
-        Box::new(async_blocking::AsyncBlocking),
         Box::new(float_eq::FloatEq),
         Box::new(lock_order::LockOrder),
         Box::new(guard_blocking::GuardBlocking),
@@ -46,7 +26,7 @@ pub fn all() -> Vec<Box<dyn Rule>> {
     ]
 }
 
-/// Shared constructor so findings are keyed consistently.
+/// Shared constructor so every rule fills a finding the same way.
 pub(crate) fn finding(
     rule: &'static str,
     slug: &'static str,

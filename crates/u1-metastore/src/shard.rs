@@ -173,10 +173,6 @@ impl Shard {
         }
     }
 
-    pub fn user_count(&self) -> usize {
-        self.user_rows.len()
-    }
-
     pub fn node_count(&self) -> usize {
         self.nodes.len()
     }

@@ -648,11 +648,6 @@ impl MetaStore {
         self.contents.fold_stats().0
     }
 
-    /// Per-shard user counts — raw material for load-balance sanity checks.
-    pub fn users_per_shard(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.read().user_count()).collect()
-    }
-
     /// End-of-trace snapshot of every volume: owner, kind, live file and
     /// directory counts. Feeds the §6.3 volume analyses (Figs. 10–11).
     pub fn volume_snapshot(&self) -> Vec<VolumeSnapshot> {

@@ -78,10 +78,6 @@ impl<T: Clone + Send + 'static> Broker<T> {
         self.subscribers.write().remove(&id);
     }
 
-    pub fn subscriber_count(&self) -> usize {
-        self.subscribers.read().len()
-    }
-
     /// Publishes an event to every subscriber except `from` (the publishing
     /// process delivers to its own clients directly — the footnote-4
     /// fast path).
@@ -164,7 +160,6 @@ mod tests {
         broker.publish_except(None, 7);
         assert_eq!(drain(&rx_a), vec![7]);
         assert_eq!(drain(&rx_b), Vec::<u32>::new());
-        assert_eq!(broker.subscriber_count(), 1);
         let _ = a;
     }
 

@@ -693,11 +693,29 @@ mod tests {
         assert_eq!(back, msg);
     }
 
+    /// Asserts `samples` hold a value of every listed variant. The list
+    /// expands to a `match` with no wildcard, so a variant added to msg.rs
+    /// fails to compile here until it is listed, and once listed fails this
+    /// check until it has a sample (which the caller then round-trips).
+    macro_rules! assert_every_variant {
+        ($samples:expr, $($variant:pat),+ $(,)?) => {{
+            let seen: Vec<&str> = $samples
+                .iter()
+                .map(|s| match s {
+                    $($variant => stringify!($variant),)+
+                })
+                .collect();
+            for variant in [$(stringify!($variant)),+] {
+                assert!(seen.contains(&variant), "no round-trip sample for `{variant}`");
+            }
+        }};
+    }
+
     #[test]
     fn all_request_variants_round_trip() {
         let v = VolumeId::new(3);
         let n = NodeId::new(9);
-        for req in [
+        let samples = [
             Request::Authenticate {
                 token: vec![1, 2, 3],
             },
@@ -755,7 +773,31 @@ mod tests {
             Request::GetContent { volume: v, node: n },
             Request::Ping,
             Request::Bye,
-        ] {
+        ];
+        assert_every_variant!(
+            samples,
+            Request::Authenticate { .. },
+            Request::QuerySetCaps { .. },
+            Request::ListVolumes,
+            Request::ListShares,
+            Request::CreateUdf { .. },
+            Request::DeleteVolume { .. },
+            Request::MakeFile { .. },
+            Request::MakeDir { .. },
+            Request::Unlink { .. },
+            Request::Move { .. },
+            Request::GetDelta { .. },
+            Request::RescanFromScratch { .. },
+            Request::BeginUpload { .. },
+            Request::UploadChunk { .. },
+            Request::UploadChunkSparse { .. },
+            Request::CommitUpload { .. },
+            Request::CancelUpload { .. },
+            Request::GetContent { .. },
+            Request::Ping,
+            Request::Bye,
+        );
+        for req in samples {
             round_trip(Message::Request { id: 88, req });
         }
     }
@@ -763,7 +805,7 @@ mod tests {
     #[test]
     fn all_response_variants_round_trip() {
         let hash = ContentHash::from_content_id(1);
-        for resp in [
+        let samples = [
             Response::Ok,
             Response::Error {
                 code: "not_found".into(),
@@ -831,14 +873,32 @@ mod tests {
             },
             Response::ContentEnd,
             Response::Pong,
-        ] {
+        ];
+        assert_every_variant!(
+            samples,
+            Response::Ok,
+            Response::Error { .. },
+            Response::AuthOk { .. },
+            Response::Capabilities { .. },
+            Response::Volumes { .. },
+            Response::VolumeCreated { .. },
+            Response::NodeCreated { .. },
+            Response::Delta { .. },
+            Response::UploadBegun { .. },
+            Response::UploadDone { .. },
+            Response::ContentBegin { .. },
+            Response::ContentChunk { .. },
+            Response::ContentEnd,
+            Response::Pong,
+        );
+        for resp in samples {
             round_trip(Message::Response { id: 7, resp });
         }
     }
 
     #[test]
     fn all_push_variants_round_trip() {
-        for push in [
+        let samples = [
             Push::VolumeChanged {
                 volume: VolumeId::new(1),
                 generation: 3,
@@ -850,7 +910,14 @@ mod tests {
             Push::VolumeDeleted {
                 volume: VolumeId::new(2),
             },
-        ] {
+        ];
+        assert_every_variant!(
+            samples,
+            Push::VolumeChanged { .. },
+            Push::VolumeCreated { .. },
+            Push::VolumeDeleted { .. },
+        );
+        for push in samples {
             round_trip(Message::Push(push));
         }
     }

@@ -5,6 +5,12 @@
 //! for byte and event for event, from the two-step reference
 //! (`codec::encode` + `encode_frame`, `next_frame` + `codec::decode`).
 
+// Test-only code: the reference decoder helper may `expect`, and a
+// `let … else` on a message built two lines above is `unreachable!`.
+// clippy.toml's in-test allowances cover neither (a helper outside
+// `#[test]`, and `unreachable` has no in-test option).
+#![allow(clippy::expect_used, clippy::unreachable)]
+
 use bytes::{Bytes, BytesMut};
 use proptest::prelude::*;
 use u1_core::{ContentHash, NodeId, NodeKind, SessionId, UploadId, UserId, VolumeId, VolumeKind};

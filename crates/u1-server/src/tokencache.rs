@@ -21,18 +21,6 @@ pub struct TokenCacheStats {
     pub misses: u64,
 }
 
-impl TokenCacheStats {
-    /// Hit rate in `[0, 1]`; 0 when the cache saw no lookups.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// A sharded, TTL-aware token → user cache.
 pub struct TokenCache {
     ttl: SimDuration,
@@ -139,7 +127,6 @@ mod tests {
         assert!(c.is_empty());
         let s = c.stats();
         assert_eq!((s.hits, s.misses), (1, 2));
-        assert!((s.hit_rate() - 1.0 / 3.0).abs() < 1e-9);
     }
 
     #[test]
