@@ -5,7 +5,7 @@ use crate::stats::{cv, fit_power_law, Ecdf, PowerLawFit};
 use serde::Serialize;
 use std::collections::HashMap;
 use u1_core::{ApiOpKind, FxHashMap, SimTime};
-use u1_trace::{Payload, TraceRecord};
+use u1_trace::{StorageDone, TraceRecord};
 
 /// Burstiness analysis of one operation type.
 #[derive(Debug, Serialize)]
@@ -30,12 +30,12 @@ pub fn interop_times(records: &[TraceRecord], op: ApiOpKind) -> Vec<f64> {
     let mut last: HashMap<u64, SimTime> = HashMap::new();
     let mut gaps = Vec::new();
     for rec in records {
-        if let Payload::Storage {
+        if let Some(StorageDone {
             op: got,
             user,
             success: true,
             ..
-        } = &rec.payload
+        }) = rec.payload.storage()
         {
             if *got != op {
                 continue;
@@ -81,12 +81,12 @@ impl TraceFold for BurstinessFold {
     }
 
     fn feed(&mut self, rec: &TraceRecord) {
-        if let Payload::Storage {
+        if let Some(StorageDone {
             op: got,
             user,
             success: true,
             ..
-        } = &rec.payload
+        }) = rec.payload.storage()
         {
             if *got != self.op {
                 return;

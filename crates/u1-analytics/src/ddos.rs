@@ -159,7 +159,7 @@ impl TraceFold for DdosFold {
         match &rec.payload {
             Payload::Session { .. } => self.session[h] += 1,
             Payload::Auth { .. } => self.auth[h] += 1,
-            Payload::Storage { .. } => self.storage[h] += 1,
+            Payload::Storage(_) => self.storage[h] += 1,
             _ => {}
         }
     }

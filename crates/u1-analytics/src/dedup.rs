@@ -4,7 +4,7 @@ use crate::engine::TraceFold;
 use crate::stats::Ecdf;
 use serde::Serialize;
 use u1_core::{ApiOpKind, ContentHash, FxHashMap};
-use u1_trace::{Payload, TraceRecord};
+use u1_trace::{StorageDone, TraceRecord};
 
 /// Fig. 4(a): distribution of logical copies per distinct content, and the
 /// dedup ratio `dr = 1 - D_unique / D_total`.
@@ -54,13 +54,13 @@ impl TraceFold for DedupFold {
     }
 
     fn feed(&mut self, rec: &TraceRecord) {
-        if let Payload::Storage {
+        if let Some(StorageDone {
             op: ApiOpKind::Upload,
             success: true,
             hash: Some(hash),
             size,
             ..
-        } = &rec.payload
+        }) = rec.payload.storage()
         {
             let entry = self.per_hash.entry(*hash).or_insert((0, *size));
             entry.0 += 1;

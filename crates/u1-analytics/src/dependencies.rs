@@ -10,7 +10,7 @@ use crate::engine::TraceFold;
 use crate::stats::Ecdf;
 use serde::Serialize;
 use u1_core::{ApiOpKind, FxHashMap, NodeKind, SimDuration, SimTime};
-use u1_trace::{Payload, TraceRecord};
+use u1_trace::{StorageDone, TraceRecord};
 
 /// The six dependency kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
@@ -140,13 +140,13 @@ impl TraceFold for DependencyFold {
     }
 
     fn feed(&mut self, rec: &TraceRecord) {
-        let Payload::Storage {
+        let Some(StorageDone {
             op,
             success: true,
             node: Some(node),
             kind,
             ..
-        } = &rec.payload
+        }) = rec.payload.storage()
         else {
             return;
         };
@@ -343,12 +343,12 @@ impl TraceFold for LifetimeFold {
     }
 
     fn feed(&mut self, rec: &TraceRecord) {
-        let Payload::Storage {
+        let Some(StorageDone {
             op,
             success: true,
             node: Some(node),
             ..
-        } = &rec.payload
+        }) = rec.payload.storage()
         else {
             return;
         };

@@ -15,7 +15,7 @@
 use crate::engine::TraceFold;
 use serde::Serialize;
 use u1_core::fault::ErrorClass;
-use u1_trace::{Payload, TraceRecord};
+use u1_trace::{StorageDone, TraceRecord};
 
 /// How many records carried one error class.
 #[derive(Debug, Serialize)]
@@ -105,11 +105,11 @@ impl TraceFold for FaultFold {
             self.retried += 1;
         }
         self.max_attempt = self.max_attempt.max(rec.attempt);
-        if let Payload::Storage {
+        if let Some(StorageDone {
             success,
             duration_us,
             ..
-        } = &rec.payload
+        }) = rec.payload.storage()
         {
             self.storage_ops += 1;
             if !success {
@@ -190,6 +190,7 @@ mod tests {
     use crate::engine::run_chunks;
     use crate::testkit::*;
     use u1_core::ApiOpKind::Upload;
+    use u1_trace::Payload;
 
     fn tagged(mut rec: TraceRecord, attempt: u32, class: Option<ErrorClass>) -> TraceRecord {
         rec.attempt = attempt;
@@ -198,12 +199,8 @@ mod tests {
     }
 
     fn with_duration(mut rec: TraceRecord, us: u64) -> TraceRecord {
-        if let Payload::Storage {
-            ref mut duration_us,
-            ..
-        } = rec.payload
-        {
-            *duration_us = us;
+        if let Payload::Storage(done) = &mut rec.payload {
+            done.duration_us = us;
         }
         rec
     }
@@ -215,11 +212,8 @@ mod tests {
         user: u64,
     ) -> TraceRecord {
         let mut rec = op(t, kind, session, user);
-        if let Payload::Storage {
-            ref mut success, ..
-        } = rec.payload
-        {
-            *success = false;
+        if let Payload::Storage(done) = &mut rec.payload {
+            done.success = false;
         }
         rec
     }

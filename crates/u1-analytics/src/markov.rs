@@ -47,18 +47,13 @@ impl TransitionGraph {
 /// Make node).
 fn chain_state(rec: &TraceRecord) -> Option<(u64, ApiOpKind)> {
     match &rec.payload {
-        Payload::Storage {
-            op,
-            user,
-            success: true,
-            ..
-        } => {
-            let op = match op {
+        Payload::Storage(done) if done.success => {
+            let op = match done.op {
                 ApiOpKind::MakeDir => ApiOpKind::MakeFile, // collapse to Make
                 ApiOpKind::OpenSession | ApiOpKind::CloseSession => return None,
-                other => *other,
+                other => other,
             };
-            Some((user.raw(), op))
+            Some((done.user.raw(), op))
         }
         Payload::Auth {
             user,
@@ -267,8 +262,8 @@ mod tests {
     #[test]
     fn failed_ops_are_excluded() {
         let mut bad = transfer(at(2), Upload, 1, 1, 1, 10, 1, "a");
-        if let Payload::Storage { success, .. } = &mut bad.payload {
-            *success = false;
+        if let Payload::Storage(done) = &mut bad.payload {
+            done.success = false;
         }
         let recs = vec![transfer(at(1), Upload, 1, 1, 1, 10, 1, "a"), bad];
         let g = transition_graph(&recs);

@@ -183,7 +183,7 @@ impl TraceFold for LoadBalanceFold {
             return;
         }
         match &rec.payload {
-            Payload::Storage { .. } | Payload::Session { .. } => {
+            Payload::Storage(_) | Payload::Session { .. } => {
                 let h = rec.t.bin_index(SimDuration::from_hours(1)) as usize;
                 let m = (rec.machine.raw() as usize) % self.machines;
                 self.api[h][m] += 1;

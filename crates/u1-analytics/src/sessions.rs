@@ -220,13 +220,8 @@ impl TraceFold for SessionFold {
                 self.open_at.insert(session.raw(), rec.t);
                 self.opened.insert(session.raw());
             }
-            Payload::Storage {
-                op,
-                session,
-                success: true,
-                ..
-            } if op.is_data_management() => {
-                *self.data_ops.entry(session.raw()).or_default() += 1;
+            Payload::Storage(done) if done.success && done.op.is_data_management() => {
+                *self.data_ops.entry(done.session.raw()).or_default() += 1;
             }
             Payload::Session {
                 event: SessionEvent::Close,

@@ -6,7 +6,7 @@ use crate::stats::{acf, Acf, Ecdf};
 use crate::timeseries::{self, TrafficSeries};
 use serde::Serialize;
 use u1_core::{ApiOpKind, ContentHash, FileCategory, FxHashMap, SimTime, SizeCategory};
-use u1_trace::{Payload, TraceRecord};
+use u1_trace::{StorageDone, TraceRecord};
 
 /// Fig. 2(b): per size-bucket shares of operations and bytes, separately
 /// for uploads and downloads.
@@ -42,12 +42,12 @@ impl TraceFold for SizeCategoryFold {
     }
 
     fn feed(&mut self, rec: &TraceRecord) {
-        if let Payload::Storage {
+        if let Some(StorageDone {
             op,
             success: true,
             size,
             ..
-        } = &rec.payload
+        }) = rec.payload.storage()
         {
             let idx = SizeCategory::ALL
                 .iter()
@@ -208,14 +208,14 @@ impl TraceFold for UpdateFold {
     }
 
     fn feed(&mut self, rec: &TraceRecord) {
-        if let Payload::Storage {
+        if let Some(StorageDone {
             op: ApiOpKind::Upload,
             success: true,
             node: Some(node),
             hash,
             size,
             ..
-        } = &rec.payload
+        }) = rec.payload.storage()
         {
             self.uploads += 1;
             self.upload_bytes += size;
@@ -340,14 +340,14 @@ impl TraceFold for TaxonomyFold {
     }
 
     fn feed(&mut self, rec: &TraceRecord) {
-        if let Payload::Storage {
+        if let Some(StorageDone {
             op: ApiOpKind::Upload,
             success: true,
             node: Some(node),
             size,
             ext,
             ..
-        } = &rec.payload
+        }) = rec.payload.storage()
         {
             self.node_cat
                 .insert(node.raw(), (FileCategory::of_extension(ext), *size));
@@ -428,13 +428,13 @@ impl TraceFold for SizeByExtFold {
     }
 
     fn feed(&mut self, rec: &TraceRecord) {
-        if let Payload::Storage {
+        if let Some(StorageDone {
             op: ApiOpKind::Upload,
             success: true,
             size,
             ext,
             ..
-        } = &rec.payload
+        }) = rec.payload.storage()
         {
             self.all.push(*size as f64);
             if self.exts.iter().any(|e| e.as_str() == ext.as_str()) {

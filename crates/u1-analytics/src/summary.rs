@@ -62,24 +62,18 @@ impl TraceFold for SummaryFold {
                 event: SessionEvent::Open,
                 ..
             } => self.sessions += 1,
-            Payload::Storage {
-                op,
-                success: true,
-                node,
-                size,
-                ..
-            } => {
-                if let Some(n) = node {
+            Payload::Storage(done) if done.success => {
+                if let Some(n) = done.node {
                     self.files.insert(n.raw());
                 }
-                match op {
+                match done.op {
                     ApiOpKind::Upload => {
                         self.transfer_ops += 1;
-                        self.upload_bytes += size;
+                        self.upload_bytes += done.size;
                     }
                     ApiOpKind::Download => {
                         self.transfer_ops += 1;
-                        self.download_bytes += size;
+                        self.download_bytes += done.size;
                     }
                     _ => {}
                 }

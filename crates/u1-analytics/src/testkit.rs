@@ -5,7 +5,7 @@ use u1_core::{
     ApiOpKind, ContentHash, MachineId, NodeId, NodeKind, ProcessId, RpcKind, SessionId, ShardId,
     SimTime, UserId, VolumeId,
 };
-use u1_trace::{Payload, SessionEvent, TraceRecord};
+use u1_trace::{Payload, SessionEvent, StorageDone, TraceRecord};
 
 /// Where a synthetic record is "logged".
 pub fn at(t_secs: u64) -> SimTime {
@@ -56,7 +56,7 @@ pub fn op(t: SimTime, op: ApiOpKind, session: u64, user: u64) -> TraceRecord {
         t,
         MachineId::new(0),
         ProcessId::new(0),
-        Payload::Storage {
+        Payload::Storage(Box::new(StorageDone {
             op,
             session: SessionId::new(session),
             user: UserId::new(user),
@@ -68,7 +68,7 @@ pub fn op(t: SimTime, op: ApiOpKind, session: u64, user: u64) -> TraceRecord {
             ext: u1_core::Ext::EMPTY,
             success: true,
             duration_us: 100,
-        },
+        })),
     )
 }
 
@@ -88,7 +88,7 @@ pub fn transfer(
         t,
         MachineId::new(0),
         ProcessId::new(0),
-        Payload::Storage {
+        Payload::Storage(Box::new(StorageDone {
             op: kind,
             session: SessionId::new(session),
             user: UserId::new(user),
@@ -100,7 +100,7 @@ pub fn transfer(
             ext: u1_core::Ext::new(ext),
             success: true,
             duration_us: 1000,
-        },
+        })),
     )
 }
 
@@ -117,7 +117,7 @@ pub fn node_op(
         t,
         MachineId::new(0),
         ProcessId::new(0),
-        Payload::Storage {
+        Payload::Storage(Box::new(StorageDone {
             op,
             session: SessionId::new(session),
             user: UserId::new(user),
@@ -129,7 +129,7 @@ pub fn node_op(
             ext: u1_core::Ext::EMPTY,
             success: true,
             duration_us: 100,
-        },
+        })),
     )
 }
 

@@ -3,7 +3,7 @@
 use crate::engine::TraceFold;
 use serde::Serialize;
 use u1_core::{ApiOpKind, FxHashMap, FxHashSet, SimDuration, SimTime};
-use u1_trace::{Payload, SessionEvent, TraceRecord};
+use u1_trace::{Payload, SessionEvent, StorageDone, TraceRecord};
 
 /// Fig. 2(a): upload/download GBytes per hour.
 #[derive(Debug, Clone, Serialize)]
@@ -50,12 +50,12 @@ impl TraceFold for TrafficFold {
         if rec.t >= self.horizon {
             return;
         }
-        if let Payload::Storage {
+        if let Some(StorageDone {
             op,
             success: true,
             size,
             ..
-        } = &rec.payload
+        }) = rec.payload.storage()
         {
             let i = rec.t.bin_index(SimDuration::from_hours(1)) as usize;
             match op {
@@ -128,7 +128,7 @@ impl TraceFold for RequestsFold {
             (&rec.payload, self.family),
             (Payload::Session { .. }, RequestFamily::Session)
                 | (Payload::Auth { .. }, RequestFamily::Auth)
-                | (Payload::Storage { .. }, RequestFamily::Storage)
+                | (Payload::Storage(_), RequestFamily::Storage)
                 | (Payload::Rpc { .. }, RequestFamily::Rpc)
         );
         if matched {
@@ -245,14 +245,11 @@ impl TraceFold for OnlineActiveFold {
                     self.pending_closes.push((session.raw(), user.raw(), rec.t));
                 }
             }
-            Payload::Storage {
-                op,
-                user,
-                success: true,
-                ..
-            } if op.is_data_management() && rec.t < self.horizon => {
+            Payload::Storage(done)
+                if done.success && done.op.is_data_management() && rec.t < self.horizon =>
+            {
                 self.active[rec.t.bin_index(SimDuration::from_hours(1)) as usize]
-                    .insert(user.raw());
+                    .insert(done.user.raw());
             }
             _ => {}
         }
@@ -328,8 +325,8 @@ mod tests {
     #[test]
     fn failed_transfers_do_not_count() {
         let mut rec = transfer(at(1), Upload, 1, 1, 1, 1000, 1, "txt");
-        if let u1_trace::Payload::Storage { success, .. } = &mut rec.payload {
-            *success = false;
+        if let u1_trace::Payload::Storage(done) = &mut rec.payload {
+            done.success = false;
         }
         let ts = traffic_per_hour(&[rec], SimTime::from_hours(1));
         assert_eq!(ts.upload_bytes, vec![0.0]);

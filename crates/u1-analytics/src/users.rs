@@ -7,7 +7,7 @@ use crate::timeseries::OnlineActiveSeries;
 use serde::Serialize;
 use std::collections::HashMap;
 use u1_core::{ApiOpKind, FxHashMap, SimTime};
-use u1_trace::{Payload, SessionEvent, TraceRecord};
+use u1_trace::{Payload, SessionEvent, StorageDone, TraceRecord};
 
 /// Fig. 7(a): operation counts per type. Session open/close and
 /// authentications are included as in the paper's bar chart.
@@ -44,7 +44,7 @@ impl TraceFold for OpMixFold {
 
     fn feed(&mut self, rec: &TraceRecord) {
         match &rec.payload {
-            Payload::Storage { op, .. } => *self.map.entry(*op).or_default() += 1,
+            Payload::Storage(done) => *self.map.entry(done.op).or_default() += 1,
             Payload::Session { event, .. } => {
                 let op = match event {
                     SessionEvent::Open => ApiOpKind::OpenSession,
@@ -113,24 +113,24 @@ impl TraceFold for PerUserTrafficFold {
     }
 
     fn feed(&mut self, rec: &TraceRecord) {
-        match &rec.payload {
-            Payload::Storage {
+        match rec.payload.storage() {
+            Some(StorageDone {
                 op: ApiOpKind::Upload,
                 success: true,
                 user,
                 size,
                 ..
-            } => self.map.entry(user.raw()).or_default().upload += size,
-            Payload::Storage {
+            }) => self.map.entry(user.raw()).or_default().upload += size,
+            Some(StorageDone {
                 op: ApiOpKind::Download,
                 success: true,
                 user,
                 size,
                 ..
-            } => self.map.entry(user.raw()).or_default().download += size,
+            }) => self.map.entry(user.raw()).or_default().download += size,
             // Every user that appears at all is part of the population.
-            p => {
-                self.map.entry(p.user().raw()).or_default();
+            _ => {
+                self.map.entry(rec.payload.user().raw()).or_default();
             }
         }
     }

@@ -214,8 +214,9 @@ const EXT_MAX: usize = 16;
 /// A file extension in the trace serializer's canonical form: at most
 /// `EXT_MAX` (16) bytes, ASCII alphanumerics only, lowercased. Sanitization
 /// happens *once*, at construction, instead of on every serialized line —
-/// and the type is `Copy` (17 bytes), so `Payload::Storage` carries no
-/// heap string.
+/// and the type is `Copy` (17 bytes), so a `storage_done` record's
+/// extension lives inline in its `StorageDone` box, not in a heap string of
+/// its own.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Ext {
     len: u8,

@@ -1340,12 +1340,12 @@ mod tests {
         assert!(b.download(h.session, v, NodeId::new(424242)).is_err());
         let recs = sink.take_sorted();
         assert!(recs.iter().any(|r| matches!(
-            &r.payload,
-            u1_trace::Payload::Storage {
+            r.payload.storage(),
+            Some(u1_trace::StorageDone {
                 op: ApiOpKind::Download,
                 success: false,
                 ..
-            }
+            })
         )));
     }
 
@@ -1404,13 +1404,13 @@ mod tests {
                         assert!(!b.blobs.contains(hash), "unreferenced blob left behind");
                     }
                     assert!(sink.take_sorted().iter().any(|r| matches!(
-                        &r.payload,
-                        u1_trace::Payload::Storage {
+                        r.payload.storage(),
+                        Some(u1_trace::StorageDone {
                             op: ApiOpKind::DeleteVolume,
                             volume,
                             success: false,
                             ..
-                        } if *volume == udf.volume
+                        }) if *volume == udf.volume
                     )));
                     u1_core::fault::clear_tags();
                     return;

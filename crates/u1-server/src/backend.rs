@@ -21,7 +21,7 @@ use u1_core::{
 use u1_metastore::{LatencyModel, LatencyProfile, MetaStore, StoreConfig};
 use u1_notify::{Broker, SubscriberId};
 use u1_proto::msg::Push;
-use u1_trace::{Payload, TraceRecord, TraceSink};
+use u1_trace::{Payload, StorageDone, TraceRecord, TraceSink};
 
 /// Everything tunable about the back-end.
 #[derive(Clone)]
@@ -312,7 +312,7 @@ impl Backend {
             self.now(),
             h.slot.machine,
             h.slot.process,
-            Payload::Storage {
+            Payload::Storage(Box::new(StorageDone {
                 op,
                 session: h.session,
                 user: h.user,
@@ -324,7 +324,7 @@ impl Backend {
                 ext: u1_core::Ext::new(ext),
                 success,
                 duration_us: duration.as_micros(),
-            },
+            })),
         ));
     }
 

@@ -47,17 +47,11 @@ impl Anonymizer {
                 session.0 = self.permute(session.0);
                 user.0 = self.permute(user.0);
             }
-            Payload::Storage {
-                session,
-                user,
-                volume,
-                node,
-                ..
-            } => {
-                session.0 = self.permute(session.0);
-                user.0 = self.permute(user.0);
-                volume.0 = self.permute(volume.0);
-                if let Some(n) = node {
+            Payload::Storage(done) => {
+                done.session.0 = self.permute(done.session.0);
+                done.user.0 = self.permute(done.user.0);
+                done.volume.0 = self.permute(done.volume.0);
+                if let Some(n) = &mut done.node {
                     n.0 = self.permute(n.0);
                 }
                 // Extension is kept: it is the category signal §5.3 needs and

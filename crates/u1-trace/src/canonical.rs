@@ -60,7 +60,7 @@ pub fn canonical_sha(records: &[TraceRecord]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{Payload, SessionEvent};
+    use crate::event::{Payload, SessionEvent, StorageDone};
     use u1_core::{
         ApiOpKind, ContentHash, MachineId, NodeId, NodeKind, ProcessId, RpcKind, SessionId,
         ShardId, SimTime, UserId, VolumeId,
@@ -103,7 +103,7 @@ mod tests {
                 12,
                 3,
                 42,
-                Payload::Storage {
+                Payload::Storage(Box::new(StorageDone {
                     op: ApiOpKind::Upload,
                     session: SessionId::new(17),
                     user: UserId::new(4),
@@ -115,7 +115,7 @@ mod tests {
                     ext: "jpg".into(),
                     success: true,
                     duration_us: 15_000,
-                },
+                })),
             ),
         ]
     }

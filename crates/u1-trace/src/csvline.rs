@@ -25,7 +25,7 @@
 //! Both are omitted at their defaults (first attempt, no error), so the
 //! lines of a fault-free run are byte-identical to the pre-fault format.
 
-use crate::event::{Payload, SessionEvent, TraceRecord};
+use crate::event::{Payload, SessionEvent, StorageDone, TraceRecord};
 use std::cell::Cell;
 use std::fmt;
 use u1_core::{
@@ -102,19 +102,20 @@ fn put_payload(rec: &TraceRecord, out: &mut Vec<u8>) {
             put_u64(out, head, session.raw());
             put_u64(out, b",u", user.raw());
         }
-        Payload::Storage {
-            op,
-            session,
-            user,
-            volume,
-            node,
-            kind,
-            size,
-            hash,
-            ext,
-            success,
-            duration_us,
-        } => {
+        Payload::Storage(done) => {
+            let StorageDone {
+                op,
+                session,
+                user,
+                volume,
+                node,
+                kind,
+                size,
+                hash,
+                ext,
+                success,
+                duration_us,
+            } = &**done;
             out.extend_from_slice(b",storage_done,");
             out.extend_from_slice(op.label().as_bytes());
             put_u64(out, b",s", session.raw());
@@ -363,7 +364,9 @@ pub fn parse_line(
             session: SessionId::new(cur.id(b"s", "bad session id")?),
             user: UserId::new(cur.id(b"u", "bad user")?),
         },
-        b"storage_done" => Payload::Storage {
+        // The box is allocated once every field has parsed, so a malformed
+        // line allocates nothing.
+        b"storage_done" => Payload::Storage(Box::new(StorageDone {
             op: ApiOpKind::from_label_bytes(cur.field()).ok_or(LineError { reason: "bad op" })?,
             session: SessionId::new(cur.id(b"s", "bad session id")?),
             user: UserId::new(cur.id(b"u", "bad user")?),
@@ -396,7 +399,7 @@ pub fn parse_line(
                 _ => return err("bad status"),
             },
             duration_us: cur.number("bad duration")?,
-        },
+        })),
         b"rpc" => Payload::Rpc {
             rpc: RpcKind::from_dal_name_bytes(cur.field())
                 .ok_or(LineError { reason: "bad rpc" })?,
@@ -487,7 +490,7 @@ mod tests {
 
     #[test]
     fn storage_round_trip_full_and_minimal() {
-        round_trip(mk(Payload::Storage {
+        round_trip(mk(Payload::Storage(Box::new(StorageDone {
             op: ApiOpKind::Upload,
             session: SessionId::new(17),
             user: UserId::new(4),
@@ -499,8 +502,8 @@ mod tests {
             ext: "jpg".into(),
             success: true,
             duration_us: 15_000,
-        }));
-        round_trip(mk(Payload::Storage {
+        }))));
+        round_trip(mk(Payload::Storage(Box::new(StorageDone {
             op: ApiOpKind::ListVolumes,
             session: SessionId::new(1),
             user: UserId::new(2),
@@ -512,7 +515,7 @@ mod tests {
             ext: u1_core::Ext::EMPTY,
             success: false,
             duration_us: 10,
-        }));
+        }))));
     }
 
     #[test]
@@ -568,7 +571,7 @@ mod tests {
 
     #[test]
     fn sanitizes_hostile_extension() {
-        let rec = mk(Payload::Storage {
+        let rec = mk(Payload::Storage(Box::new(StorageDone {
             op: ApiOpKind::Upload,
             session: SessionId::new(1),
             user: UserId::new(1),
@@ -580,12 +583,12 @@ mod tests {
             ext: "J,P\nG".into(),
             success: true,
             duration_us: 1,
-        });
+        })));
         let line = to_line(&rec);
         assert!(!line.contains('\n'));
         let back = from_line(&line, rec.machine, rec.process).unwrap();
         match back.payload {
-            Payload::Storage { ext, .. } => assert_eq!(ext, "jpg"),
+            Payload::Storage(done) => assert_eq!(done.ext, "jpg"),
             _ => panic!("wrong payload"),
         }
     }
@@ -601,7 +604,7 @@ mod tests {
             ("verylongextension", "verylongextensio", "verylongextensio"), // >16 truncated
             ("a.b-c_d", "abcd", "abcd"),                                   // punctuation stripped
         ] {
-            let rec = mk(Payload::Storage {
+            let rec = mk(Payload::Storage(Box::new(StorageDone {
                 op: ApiOpKind::Upload,
                 session: SessionId::new(1),
                 user: UserId::new(1),
@@ -613,13 +616,13 @@ mod tests {
                 ext: raw.into(),
                 success: true,
                 duration_us: 1,
-            });
+            })));
             let line = to_line(&rec);
             let fields: Vec<&str> = line.split(',').collect();
             assert_eq!(fields[10], field, "raw ext {raw:?}, line was: {line}");
             let back = from_line(&line, rec.machine, rec.process).expect("parse");
             match back.payload {
-                Payload::Storage { ext, .. } => assert_eq!(ext, parsed, "raw ext {raw:?}"),
+                Payload::Storage(done) => assert_eq!(done.ext, parsed, "raw ext {raw:?}"),
                 _ => panic!("wrong payload"),
             }
         }
@@ -633,7 +636,7 @@ mod tests {
                 session: SessionId::new(u64::MAX),
                 user: UserId::new(0),
             }),
-            mk(Payload::Storage {
+            mk(Payload::Storage(Box::new(StorageDone {
                 op: ApiOpKind::Download,
                 session: SessionId::new(7),
                 user: UserId::new(1_294_794),
@@ -645,7 +648,7 @@ mod tests {
                 ext: "OgG".into(),
                 success: false,
                 duration_us: 0,
-            }),
+            }))),
             mk(Payload::Rpc {
                 rpc: RpcKind::GetNode,
                 shard: ShardId::new(9),
@@ -683,7 +686,7 @@ mod tests {
 
     #[test]
     fn encoded_line_is_the_written_line_plus_newline() {
-        let mut rec = mk(Payload::Storage {
+        let mut rec = mk(Payload::Storage(Box::new(StorageDone {
             op: ApiOpKind::Upload,
             session: SessionId::new(17),
             user: UserId::new(4),
@@ -695,7 +698,7 @@ mod tests {
             ext: "jpg".into(),
             success: true,
             duration_us: 15_000,
-        });
+        })));
         (rec.t, rec.origin, rec.seq) = (SimTime::from_micros(8_640_012_345), 3, 70);
         let plain = "8640012345,storage_done,upload,s17,u4,v0,n99,file,1048576,\
                      da39a3ee5e6b4b0d3255bfef95601890afd80709,jpg,ok,15000";
@@ -729,7 +732,7 @@ mod tests {
         assert_eq!(back.error_class, Some(ErrorClass::Timeout));
         assert_eq!(back, rec);
         // Tags on storage lines too.
-        let mut rec = mk(Payload::Storage {
+        let mut rec = mk(Payload::Storage(Box::new(StorageDone {
             op: ApiOpKind::Upload,
             session: SessionId::new(1),
             user: UserId::new(2),
@@ -741,7 +744,7 @@ mod tests {
             ext: "txt".into(),
             success: false,
             duration_us: 77,
-        });
+        })));
         rec.error_class = Some(ErrorClass::ShardUnavailable);
         round_trip(rec);
         // Bad tag values are rejected, not ignored.

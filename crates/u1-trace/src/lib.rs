@@ -7,7 +7,7 @@
 //!
 //! This crate reproduces that pipeline:
 //!
-//! * [`TraceRecord`] / [`Payload`] — the typed event model,
+//! * [`TraceRecord`] / [`Payload`] / [`StorageDone`] — the typed event model,
 //! * [`csvline`] — the line format (one CSV line per record),
 //! * [`canonical`] — the canonical trace digest every pinned SHA is an
 //!   instance of,
@@ -27,7 +27,7 @@ pub mod sink;
 
 pub use anonymize::Anonymizer;
 pub use canonical::{canonical_sha, CanonicalSha};
-pub use event::{Payload, SessionEvent, TraceRecord};
+pub use event::{Payload, SessionEvent, StorageDone, TraceRecord};
 pub use logfile::{
     logfile_name, parse_logfile_name, DayChunk, DayChunks, LogDirReader, ParseStats,
 };

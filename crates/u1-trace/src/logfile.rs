@@ -369,31 +369,12 @@ fn read_files_parallel(
     Ok((records, stats))
 }
 
-/// Sorts `records` by `key` with equal keys left in their current order —
-/// what `sort_by_key` gives — moving no 136-byte record more than once:
-/// records already in order stay put; otherwise compact `(key, index)`
-/// entries are sorted and the records gathered once in that order. The index
-/// makes entries distinct, so any sort yields the stable order; the merge sort
-/// is used because a day is files laid end to end, each already in order.
-fn sort_records(records: &mut Vec<TraceRecord>, key: impl Fn(&TraceRecord) -> (SimTime, u32, u64)) {
-    if records.windows(2).all(|w| key(&w[0]) <= key(&w[1])) {
-        return;
-    }
-    // Unreachable: 2^32 records are 584 GB, read into memory before this.
-    assert!(u32::try_from(records.len()).is_ok(), "chunk too large");
-    let mut order: Vec<(SimTime, u32, u64, u32)> = records
-        .iter()
-        .zip(0u32..)
-        .map(|(rec, index)| {
-            let (t, origin, seq) = key(rec);
-            (t, origin, seq, index)
-        })
-        .collect();
-    order.sort();
-    *records = order
-        .iter()
-        .map(|&(_, _, _, index)| records[index as usize].clone())
-        .collect();
+/// Sorts `records` by `key` with equal keys left in their current order. A
+/// record is 56 bytes, so the stable sort moves the records themselves: it
+/// finds the sorted runs a day's files are laid end to end in and merges
+/// them, and leaves records already in order where they are.
+fn sort_records(records: &mut [TraceRecord], key: impl Fn(&TraceRecord) -> (SimTime, u32, u64)) {
+    records.sort_by_key(key);
 }
 
 /// Reads a directory of trace logfiles.
@@ -850,10 +831,93 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// The sort helper against the sort it replaced: per-origin runs laid end
-    /// to end, then with records displaced, many sharing a timestamp and all
-    /// the legacy `(0, 0)` stamp — equal keys must keep their input order,
-    /// exactly as the stable `sort_by_key` leaves them.
+    /// A sorted trace handed to a buffered stamped `DirSink` as one borrowed
+    /// batch — how the off-disk path writes it — goes to the files as it is:
+    /// every file's lines come out in canonical order, and the day chunks
+    /// read back are the batch, record for record, boxed payloads included.
+    #[test]
+    fn a_sorted_batch_reads_back_from_a_buffered_dir_sink_as_it_was() {
+        use crate::event::StorageDone;
+        use crate::sink::BufferedSink;
+        use u1_core::{ApiOpKind, ContentHash, NodeId, NodeKind, RpcKind, ShardId, VolumeId};
+
+        let dir = std::env::temp_dir().join(format!("u1-logdir-batch-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let mut batch = Vec::new();
+        for i in 0..600u64 {
+            let (origin, user) = ((i % 5) as u32, UserId::new(i % 13));
+            let payload = match i % 4 {
+                0 => Payload::Session {
+                    event: SessionEvent::Open,
+                    session: SessionId::new(i),
+                    user,
+                },
+                1 => Payload::Rpc {
+                    rpc: RpcKind::GetNode,
+                    shard: ShardId::new((i % 3) as u16),
+                    user,
+                    service_us: i,
+                },
+                _ => Payload::Storage(Box::new(StorageDone {
+                    op: ApiOpKind::Upload,
+                    session: SessionId::new(i),
+                    user,
+                    volume: VolumeId::new(0),
+                    node: Some(NodeId::new(i)),
+                    kind: Some(NodeKind::File),
+                    size: i * 1000,
+                    // Every other storage line without hash and extension.
+                    hash: (i % 4 == 2).then(|| ContentHash::from_content_id(i)),
+                    ext: u1_core::Ext::new(if i % 4 == 2 { "jpg" } else { "" }),
+                    success: true,
+                    duration_us: 7,
+                })),
+            };
+            // Three days, each over all six (machine, process) pairs, with
+            // timestamps shared across origins.
+            let t = SimTime::from_secs((i / 6 % 3) * 86_400 + i / 7);
+            let mut rec = TraceRecord::new(
+                t,
+                MachineId::new((i % 3) as u16),
+                ProcessId::new((i % 2) as u16),
+                payload,
+            );
+            (rec.origin, rec.seq) = (origin, i);
+            batch.push(rec);
+        }
+        batch.sort_by_key(|r| (r.t, r.origin, r.seq));
+
+        let sink = BufferedSink::new(DirSink::create_stamped(&dir).unwrap());
+        sink.record_batch(&batch);
+        sink.flush();
+        assert_eq!(sink.io_errors(), 0);
+
+        let reader = LogDirReader::new(&dir);
+        let (files, _) = reader.logfiles().unwrap();
+        assert_eq!(files.len(), 3 * 3 * 2);
+        for (path, machine, process, _day) in &files {
+            let (recs, stats) = read_logfile(path, *machine, *process).unwrap();
+            assert_eq!(stats.malformed, 0);
+            assert!(
+                recs.windows(2)
+                    .all(|w| (w[0].t, w[0].origin, w[0].seq) < (w[1].t, w[1].origin, w[1].seq)),
+                "{path:?} is out of canonical order"
+            );
+        }
+        let mut chunks = reader.day_chunks(2).unwrap();
+        let mut read_back = Vec::new();
+        while let Some(chunk) = chunks.next_day() {
+            read_back.extend(chunk.unwrap().records);
+        }
+        assert_eq!(read_back, batch);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The sort helper against the stable sort by key, which is all it may
+    /// be, however it gets there: per-origin runs laid end to end, then with
+    /// records displaced, many sharing a timestamp and all the legacy
+    /// `(0, 0)` stamp — equal keys must keep their input order, exactly as
+    /// `sort_by_key` leaves them.
     #[test]
     fn sort_records_is_the_stable_sort_by_key() {
         let mut records = Vec::new();

@@ -64,9 +64,11 @@ fn origin_slot<T: Default>(slots: &mut PerOrigin<T>, origin: u32) -> &mut T {
 pub trait TraceSink: Send + Sync {
     fn record(&self, rec: TraceRecord);
 
-    /// Accepts a batch of records. The default forwards record by record;
-    /// sinks with per-record locking override this to take their lock once
-    /// per batch instead.
+    /// Accepts a borrowed batch of records. The default copies it record by
+    /// record into [`TraceSink::record`], the copy a sink that keeps records
+    /// has to make; sinks that only look at records ([`DirSink`],
+    /// [`NullSink`]) or pass them on ([`BufferedSink`]) override it and copy
+    /// nothing.
     fn record_batch(&self, recs: &[TraceRecord]) {
         for rec in recs {
             self.record(rec.clone());
@@ -74,8 +76,8 @@ pub trait TraceSink: Send + Sync {
     }
 
     /// Like [`TraceSink::record_batch`] but drains `recs`, moving the
-    /// records instead of cloning them (a `Storage` record owns its `ext`
-    /// string). [`BufferedSink`] flushes through this path.
+    /// records instead of cloning them (a `storage_done` record owns its
+    /// box). [`BufferedSink`] flushes through this path.
     fn record_batch_owned(&self, recs: &mut Vec<TraceRecord>) {
         for rec in recs.drain(..) {
             self.record(rec);
@@ -467,10 +469,12 @@ fn merge_runs_into(mut runs: Vec<ChunkedRun>, out: &mut Vec<TraceRecord>) {
 /// at day boundaries). If the inner sink only drained the chunk, the same
 /// allocation is filled again; if it kept it, a new one is opened on the
 /// next record. Either way a chunk is allocated at its final size, never
-/// regrown. Because each origin is emitted by exactly one thread and
-/// delivered to the inner sink in emission order, buffering never changes
-/// the canonical `(t, origin, seq)` trace — only the interleaving of
-/// already-concurrent origins.
+/// regrown. A borrowed [`TraceSink::record_batch`] is not copied into the
+/// chunks: everything buffered is delivered first, then the batch goes to
+/// the inner sink's `record_batch` as it is. Because each origin is emitted
+/// by exactly one thread and delivered to the inner sink in emission order,
+/// buffering never changes the canonical `(t, origin, seq)` trace — only
+/// the interleaving of already-concurrent origins.
 pub struct BufferedSink<S: TraceSink> {
     inner: S,
     stripes: Vec<CachePadded<Mutex<PerOrigin<Vec<TraceRecord>>>>>,
@@ -494,24 +498,6 @@ impl<S: TraceSink> BufferedSink<S> {
 
     fn stripe(&self, origin: u32) -> &Mutex<PerOrigin<Vec<TraceRecord>>> {
         &self.stripes[origin as usize % self.stripes.len()]
-    }
-
-    /// Lets `put` add to `origin`'s open chunk (opened at full size if there
-    /// is none) under its stripe lock, and delivers the chunk if that filled
-    /// it: at exactly `BUFFER_FLUSH_THRESHOLD` records.
-    fn fill(&self, origin: u32, put: impl FnOnce(&mut Vec<TraceRecord>)) {
-        let full = {
-            let mut buffers = self.stripe(origin).lock();
-            let buffer = origin_slot(&mut buffers, origin);
-            if buffer.capacity() == 0 {
-                buffer.reserve_exact(BUFFER_FLUSH_THRESHOLD);
-            }
-            put(buffer);
-            (buffer.len() >= BUFFER_FLUSH_THRESHOLD).then(|| std::mem::take(buffer))
-        };
-        if let Some(chunk) = full {
-            self.deliver(origin, chunk);
-        }
     }
 
     /// Delivers every origin's part-filled chunk.
@@ -547,22 +533,30 @@ impl<S: TraceSink> BufferedSink<S> {
 }
 
 impl<S: TraceSink> TraceSink for BufferedSink<S> {
+    /// Adds `rec` to its origin's open chunk (opened at full size if there
+    /// is none) under the stripe lock, and delivers the chunk once that
+    /// fills it: at exactly `BUFFER_FLUSH_THRESHOLD` records.
     fn record(&self, rec: TraceRecord) {
-        self.fill(rec.origin, |buffer| buffer.push(rec));
+        let origin = rec.origin;
+        let full = {
+            let mut buffers = self.stripe(origin).lock();
+            let buffer = origin_slot(&mut buffers, origin);
+            if buffer.capacity() == 0 {
+                buffer.reserve_exact(BUFFER_FLUSH_THRESHOLD);
+            }
+            buffer.push(rec);
+            (buffer.len() >= BUFFER_FLUSH_THRESHOLD).then(|| std::mem::take(buffer))
+        };
+        if let Some(chunk) = full {
+            self.deliver(origin, chunk);
+        }
     }
 
     fn record_batch(&self, recs: &[TraceRecord]) {
-        // One stripe lock per same-origin span (and per chunk it fills).
-        for mut span in recs.chunk_by(|a, b| a.origin == b.origin) {
-            while let Some(first) = span.first() {
-                self.fill(first.origin, |buffer| {
-                    let room = BUFFER_FLUSH_THRESHOLD.saturating_sub(buffer.len());
-                    let (fits, rest) = span.split_at(room.min(span.len()));
-                    buffer.extend_from_slice(fits);
-                    span = rest;
-                });
-            }
-        }
+        // A batch is already one hand-off: pass it on as it is, borrowed,
+        // after what is buffered, so each origin still arrives in order.
+        self.deliver_all();
+        self.inner.record_batch(recs);
     }
 
     fn record_batch_owned(&self, recs: &mut Vec<TraceRecord>) {
@@ -950,28 +944,28 @@ mod tests {
 
     #[test]
     fn buffered_sink_batches_like_it_records() {
-        // A slice of same-origin spans around the chunk size must leave the
-        // inner sink exactly what per-record emission leaves it.
+        // Same-origin spans around the chunk size, after a few records the
+        // buffer still holds: a batch is delivered whole, behind them, and
+        // leaves the inner sink what per-record emission and a flush leave.
         let chunk = BUFFER_FLUSH_THRESHOLD as u64;
         let mut recs = Vec::new();
         for (origin, len) in [(1, chunk - 1), (2, 3), (1, 2), (2, 2 * chunk + 1), (1, 0)] {
             let start = recs.len() as u64;
             recs.extend((start..start + len).map(|i| rec_origin(i, origin, i)));
         }
+        let (buffered, batch) = recs.split_at(7);
         let by_record = std::sync::Arc::new(MemorySink::new());
         let by_batch = std::sync::Arc::new(MemorySink::new());
         let one = BufferedSink::new(std::sync::Arc::clone(&by_record));
         let all = BufferedSink::new(std::sync::Arc::clone(&by_batch));
         recs.iter().for_each(|r| one.record(r.clone()));
-        all.record_batch(&recs);
-        assert_eq!(by_batch.len(), by_record.len());
-        assert_eq!(
-            by_batch.len(),
-            3 * BUFFER_FLUSH_THRESHOLD,
-            "whole chunks only"
-        );
+        buffered.iter().for_each(|r| all.record(r.clone()));
+        assert!(by_batch.is_empty());
+        all.record_batch(batch);
+        assert_eq!(by_batch.len(), recs.len(), "nothing is left buffered");
         one.flush();
         all.flush();
+        assert_eq!(by_batch.len(), recs.len());
         assert_eq!(by_batch.take_sorted(), by_record.take_sorted());
     }
 

@@ -11,7 +11,7 @@ use u1_core::{
     SessionId, ShardId, SimTime, UserId, VolumeId,
 };
 use u1_trace::csvline::{self, parse_line, LineError};
-use u1_trace::{Payload, SessionEvent, TraceRecord};
+use u1_trace::{Payload, SessionEvent, StorageDone, TraceRecord};
 
 const MACHINE: MachineId = MachineId::new(3);
 const PROCESS: ProcessId = ProcessId::new(9);
@@ -92,7 +92,7 @@ fn oracle_from_line(line: &str) -> Result<TraceRecord, LineError> {
                 _ => return oracle_err("bad status"),
             };
             let duration_us = oracle_u64(fields.next().unwrap_or(""), "bad duration")?;
-            Payload::Storage {
+            Payload::Storage(Box::new(StorageDone {
                 op,
                 session,
                 user,
@@ -104,7 +104,7 @@ fn oracle_from_line(line: &str) -> Result<TraceRecord, LineError> {
                 ext,
                 success,
                 duration_us,
-            }
+            }))
         }
         "rpc" => {
             let name = fields.next().unwrap_or("");
@@ -221,7 +221,7 @@ fn arb_payload() -> impl Strategy<Value = Payload> {
     )
         .prop_map(
             |(op, (s, u, v), node, file, size, content, ext, success, duration_us)| {
-                Payload::Storage {
+                Payload::Storage(Box::new(StorageDone {
                     op: ApiOpKind::ALL[op],
                     session: SessionId::new(s),
                     user: UserId::new(u),
@@ -239,7 +239,7 @@ fn arb_payload() -> impl Strategy<Value = Payload> {
                     ext,
                     success,
                     duration_us,
-                }
+                }))
             },
         );
     let rpc = (

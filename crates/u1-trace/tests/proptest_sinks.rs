@@ -1,10 +1,12 @@
 //! Property tests for the in-memory trace path: whatever interleaving of
-//! `record` / `record_run` / `flush_origin` / `flush` / `seal_before` a set
-//! of producers goes through, `MemorySink::take_sorted` — bare or behind a
-//! `BufferedSink` — returns the stable sort by `(t, origin, seq)` of
-//! everything recorded, `len()` is exact after every call (a seal moves
-//! records, it drops none), and a `BufferedSink` delivers each origin's
-//! records in emission order out of one allocation per chunk at most.
+//! `record` / `record_run` / `record_batch` / `flush_origin` / `flush` /
+//! `seal_before` a set of producers goes through, `MemorySink::take_sorted`
+//! — bare or behind a `BufferedSink` — returns the stable sort by
+//! `(t, origin, seq)` of everything recorded, `len()` is exact after every
+//! call (a seal moves records, it drops none), and a `BufferedSink` delivers
+//! each origin's records in emission order out of one allocation per chunk
+//! at most. The records are `session` and `storage_done` lines, so boxed
+//! payloads go through every split, merge and seal.
 //!
 //! The previous `MemorySink` — one flat `Vec` per origin filled by
 //! `append`, merged one record per heap operation — lives on only here, as
@@ -17,8 +19,13 @@ use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
-use u1_core::{MachineId, ProcessId, SessionId, SimTime, UserId};
-use u1_trace::{BufferedSink, MemorySink, Payload, SessionEvent, TraceRecord, TraceSink};
+use u1_core::{
+    ApiOpKind, ContentHash, MachineId, NodeId, NodeKind, ProcessId, SessionId, SimTime, UserId,
+    VolumeId,
+};
+use u1_trace::{
+    BufferedSink, MemorySink, Payload, SessionEvent, StorageDone, TraceRecord, TraceSink,
+};
 
 /// `BUFFER_FLUSH_THRESHOLD` of `sink.rs`: records per chunk. The `len()`
 /// model below depends on it, so a drift shows up as a failure here.
@@ -185,6 +192,13 @@ enum Step {
         len: usize,
         stamp: Stamp,
     },
+    /// One borrowed `record_batch` of `len` records of origins
+    /// `1..=origins`, interleaved in `(t, origin, seq)` order.
+    Batch {
+        origins: u32,
+        len: usize,
+        stamp: Stamp,
+    },
     FlushOrigin {
         origin: u32,
     },
@@ -221,8 +235,13 @@ fn arb_step(origins: u32) -> impl Strategy<Value = Step> {
             len,
             stamp
         }),
-        (origin.clone(), len, arb_stamp()).prop_map(|(origin, len, stamp)| Step::Run {
+        (origin.clone(), len.clone(), arb_stamp()).prop_map(|(origin, len, stamp)| Step::Run {
             origin,
+            len,
+            stamp
+        }),
+        (1..origins + 1, len, arb_stamp()).prop_map(|(origins, len, stamp)| Step::Batch {
+            origins,
             len,
             stamp
         }),
@@ -273,15 +292,34 @@ impl Producers {
             Stamp::Clocked | Stamp::Legacy => self.clock_us[slot],
             Stamp::BackInTime => self.clock_us[slot] / (2 + self.serial % 3),
         };
+        let (session, user) = (SessionId::new(self.serial), UserId::new(u64::from(origin)));
+        // Two records in three are `storage_done`: one with a hash and an
+        // extension, one with neither.
+        let payload = match self.serial % 3 {
+            0 => Payload::Session {
+                event: SessionEvent::Open,
+                session,
+                user,
+            },
+            full => Payload::Storage(Box::new(StorageDone {
+                op: ApiOpKind::Upload,
+                session,
+                user,
+                volume: VolumeId::new(0),
+                node: Some(NodeId::new(self.serial)),
+                kind: Some(NodeKind::File),
+                size: self.serial * 10,
+                hash: (full == 1).then(|| ContentHash::from_content_id(self.serial)),
+                ext: u1_core::Ext::new(if full == 1 { "jpg" } else { "" }),
+                success: true,
+                duration_us: 5,
+            })),
+        };
         let mut rec = TraceRecord::new(
             SimTime::from_micros(t),
             MachineId::new(0),
             ProcessId::new(0),
-            Payload::Session {
-                event: SessionEvent::Open,
-                session: SessionId::new(self.serial),
-                user: UserId::new(u64::from(origin)),
-            },
+            payload,
         );
         if stamp == Stamp::Legacy {
             (rec.origin, rec.seq) = (0, 0);
@@ -290,6 +328,15 @@ impl Producers {
             self.next_seq[slot] += 1;
         }
         rec
+    }
+
+    /// `len` records of origins `1..=origins` in turn, in canonical order.
+    fn batch(&mut self, origins: u32, len: usize, stamp: Stamp) -> Vec<TraceRecord> {
+        let mut batch: Vec<TraceRecord> = (0..len)
+            .map(|i| self.mint(1 + i as u32 % origins, stamp))
+            .collect();
+        batch.sort_by_key(merge_key);
+        batch
     }
 }
 
@@ -363,6 +410,16 @@ proptest! {
                     buffered.record_run(run_origin, &mut run.clone());
                     oracle.record_run(run_origin, &mut run.clone());
                     everything.extend(run);
+                }
+                Step::Batch { origins, len, stamp } => {
+                    let batch = producers.batch(origins, len, stamp);
+                    // A buffered sink delivers what it holds, then the batch.
+                    model.flush();
+                    model.delivered += batch.len();
+                    bare.record_batch(&batch);
+                    buffered.record_batch(&batch);
+                    batch.iter().for_each(|rec| oracle.record(rec.clone()));
+                    everything.extend(batch);
                 }
                 Step::FlushOrigin { origin } => {
                     model.flush_origin(origin);
@@ -454,10 +511,10 @@ fn a_record_below_an_earlier_seal_still_comes_out_in_canonical_order() {
 // BufferedSink over a sink that only looks at what it is handed.
 // ---------------------------------------------------------------------------
 
-/// Checks each run as it arrives — single-origin, every sequence number
-/// the one after the origin's previous — and drains it, leaving the
-/// allocation with the caller like the default `record_run` does. Holds no
-/// records, so it allocates nothing itself.
+/// Checks each run and each batch as it arrives — a run single-origin, and
+/// in both every sequence number the one after its origin's previous — and
+/// drains runs, leaving the allocation with the caller like the default
+/// `record_run` does. Holds no records, so it allocates nothing itself.
 #[derive(Default)]
 struct CheckingSink {
     state: Mutex<CheckingState>,
@@ -472,6 +529,21 @@ struct CheckingState {
     problem: Option<String>,
 }
 
+impl CheckingState {
+    /// `rec` arrives as part of a delivery for `origin`.
+    fn check(&mut self, origin: u32, rec: &TraceRecord) {
+        let expected = self.next_seq[origin as usize];
+        if (rec.origin, rec.seq) != (origin, expected) && self.problem.is_none() {
+            self.problem = Some(format!(
+                "origin {origin}: got ({}, {}) where seq {expected} was due",
+                rec.origin, rec.seq
+            ));
+        }
+        self.next_seq[origin as usize] = rec.seq + 1;
+        self.records += 1;
+    }
+}
+
 impl TraceSink for CheckingSink {
     fn record(&self, rec: TraceRecord) {
         self.record_run(rec.origin, &mut vec![rec]);
@@ -482,15 +554,14 @@ impl TraceSink for CheckingSink {
         s.runs += 1;
         s.largest_run = s.largest_run.max(run.len());
         for rec in run.drain(..) {
-            let expected = s.next_seq[origin as usize];
-            if (rec.origin, rec.seq) != (origin, expected) && s.problem.is_none() {
-                s.problem = Some(format!(
-                    "origin {origin}: got ({}, {}) where seq {expected} was due",
-                    rec.origin, rec.seq
-                ));
-            }
-            s.next_seq[origin as usize] = rec.seq + 1;
-            s.records += 1;
+            s.check(origin, &rec);
+        }
+    }
+
+    fn record_batch(&self, recs: &[TraceRecord]) {
+        let mut s = self.state.lock();
+        for rec in recs {
+            s.check(rec.origin, rec);
         }
     }
 }
@@ -510,11 +581,20 @@ proptest! {
         let mut origins_seen = std::collections::BTreeSet::new();
 
         let before = LARGE_REQUESTS.with(Cell::get);
+        // Chunk-sized requests the test makes itself, minting batches.
+        let mut minting = 0;
         for (origin, len, action) in steps {
             let origin = origin % origins + 1;
             match action {
                 0 => buffered.flush_origin(origin),
                 1 => buffered.flush(),
+                2 => {
+                    let mark = LARGE_REQUESTS.with(Cell::get);
+                    let batch = producers.batch(origin, LENGTHS[len], Stamp::Clocked);
+                    minting += LARGE_REQUESTS.with(Cell::get) - mark;
+                    buffered.record_batch(&batch);
+                    recorded += batch.len();
+                }
                 _ => {
                     for _ in 0..LENGTHS[len] {
                         buffered.record(producers.mint(origin, Stamp::Clocked));
@@ -527,7 +607,7 @@ proptest! {
             }
         }
         buffered.flush();
-        let large_requests = LARGE_REQUESTS.with(Cell::get) - before;
+        let large_requests = LARGE_REQUESTS.with(Cell::get) - before - minting;
 
         let state = checking.state.lock();
         prop_assert!(state.problem.is_none(), "{:?}", state.problem);
@@ -535,7 +615,8 @@ proptest! {
         prop_assert!(state.largest_run <= CHUNK, "a run of {} records", state.largest_run);
         // The inner sink drains what it is handed, so an origin fills the
         // one chunk it opened over and over: never more than one
-        // allocation per chunk's worth of records, and none per flush.
+        // allocation per chunk's worth of records, and none per flush or
+        // batch — a batch is passed on, not copied into chunks.
         prop_assert!(
             large_requests <= origins_seen.len() as u64,
             "{large_requests} chunk-sized allocations for {} origins, {recorded} records in {} runs",

@@ -2230,7 +2230,7 @@ mod tests {
     /// `op_errors`, which is therefore at least the number of records here.)
     #[test]
     fn fault_free_failures_are_named_session_model_races() {
-        use u1_trace::Payload;
+        use u1_trace::StorageDone;
         let clock = SimClock::new();
         let sink = Arc::new(MemorySink::new());
         let backend = Arc::new(Backend::new(
@@ -2246,14 +2246,14 @@ mod tests {
         let mut udf_deleted = std::collections::HashSet::new();
         let mut failures: std::collections::BTreeMap<&str, u64> = Default::default();
         for rec in &records {
-            let Payload::Storage {
+            let Some(StorageDone {
                 op,
                 user,
                 volume,
                 kind,
                 success,
                 ..
-            } = &rec.payload
+            }) = rec.payload.storage()
             else {
                 continue;
             };
