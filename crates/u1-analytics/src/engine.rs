@@ -660,7 +660,7 @@ mod tests {
         for day in 0..3u64 {
             for (i, mut rec) in mixed_records().into_iter().enumerate() {
                 rec.t = SimTime::from_micros(rec.t.as_micros() + day * 86_400 * 1_000_000);
-                rec.origin = (i % 3) as u32;
+                rec.origin = (i % 3) as u16;
                 rec.seq = (day as usize * 10_000 + i) as u64;
                 recs.push(rec);
             }

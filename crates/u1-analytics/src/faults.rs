@@ -40,7 +40,7 @@ pub struct FaultAnalysis {
     /// Records whose attempt tag exceeds 1 (i.e. produced by a retry).
     pub retried: u64,
     /// Largest attempt number observed anywhere in the trace.
-    pub max_attempt: u32,
+    pub max_attempt: u8,
     /// All `storage_done` records, and the failed subset.
     pub storage_ops: u64,
     pub storage_failures: u64,
@@ -74,7 +74,7 @@ pub struct FaultFold {
     records: u64,
     class_counts: [u64; ErrorClass::ALL.len()],
     retried: u64,
-    max_attempt: u32,
+    max_attempt: u8,
     storage_ops: u64,
     storage_failures: u64,
     first_try_ops: u64,
@@ -192,7 +192,7 @@ mod tests {
     use u1_core::ApiOpKind::Upload;
     use u1_trace::Payload;
 
-    fn tagged(mut rec: TraceRecord, attempt: u32, class: Option<ErrorClass>) -> TraceRecord {
+    fn tagged(mut rec: TraceRecord, attempt: u8, class: Option<ErrorClass>) -> TraceRecord {
         rec.attempt = attempt;
         rec.error_class = class;
         rec

@@ -108,18 +108,18 @@ impl ErrorClass {
 // ---------------------------------------------------------------------------
 
 thread_local! {
-    static ATTEMPT: Cell<u32> = const { Cell::new(1) };
+    static ATTEMPT: Cell<u8> = const { Cell::new(1) };
     static ERROR_CLASS: Cell<Option<ErrorClass>> = const { Cell::new(None) };
 }
 
 /// Current attempt number stamped onto new trace records (1 = first try).
-pub fn current_attempt() -> u32 {
+pub fn current_attempt() -> u8 {
     ATTEMPT.with(Cell::get)
 }
 
 /// Sets the attempt tag; retry loops call this before each re-issue and
 /// reset it (to 1) when the operation resolves.
-pub fn set_attempt(n: u32) {
+pub fn set_attempt(n: u8) {
     ATTEMPT.with(|a| a.set(n.max(1)));
 }
 
@@ -149,8 +149,9 @@ pub fn clear_tags() {
 /// jitter) so retry schedules replay exactly.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
-    /// Total attempts including the first (1 = no retries).
-    pub max_attempts: u32,
+    /// Total attempts including the first (1 = no retries). Retry budgets
+    /// are single digits; a `u8` keeps the attempt tag a byte.
+    pub max_attempts: u8,
     /// Backoff before the first retry.
     pub base: SimDuration,
     /// Upper bound on any single backoff delay.
@@ -180,7 +181,7 @@ impl RetryPolicy {
 
     /// Backoff delay before issuing attempt `attempt + 1` (i.e. after the
     /// failure of `attempt`, 1-based). Saturates at `cap`.
-    pub fn backoff(&self, attempt: u32) -> SimDuration {
+    pub fn backoff(&self, attempt: u8) -> SimDuration {
         let base = self.base.as_micros();
         let shift = attempt.saturating_sub(1).min(20);
         let delay = base.saturating_mul(1u64 << shift);

@@ -36,7 +36,9 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 /// the counters stay monotone for the whole window.
 #[derive(Debug)]
 pub struct PartitionCtx {
-    origin: u32,
+    /// A shard index, or the coordinator's one past the last shard: shard
+    /// counts are `u16`, so every origin fits one.
+    origin: u16,
     /// Current virtual time of this partition, in µs.
     time: AtomicU64,
     /// Monotone per-origin trace-record sequence.
@@ -46,7 +48,7 @@ pub struct PartitionCtx {
 }
 
 impl PartitionCtx {
-    pub fn new(origin: u32) -> Arc<Self> {
+    pub fn new(origin: u16) -> Arc<Self> {
         Arc::new(Self {
             origin,
             time: AtomicU64::new(0),
@@ -55,7 +57,7 @@ impl PartitionCtx {
         })
     }
 
-    pub fn origin(&self) -> u32 {
+    pub fn origin(&self) -> u16 {
         self.origin
     }
 
@@ -99,7 +101,7 @@ fn with_current<T>(f: impl FnOnce(&PartitionCtx) -> T) -> Option<T> {
 
 /// Origin of the partition running on this thread; 0 when none is installed.
 pub fn current_origin() -> u32 {
-    with_current(|ctx| ctx.origin).unwrap_or(0)
+    with_current(|ctx| u32::from(ctx.origin)).unwrap_or(0)
 }
 
 /// This partition's virtual time, if a context is installed.
@@ -109,7 +111,7 @@ pub fn current_time() -> Option<SimTime> {
 
 /// Next `(origin, seq)` stamp for a trace record; `None` without a context
 /// (callers then use the `(0, 0)` stamp).
-pub fn next_trace_stamp() -> Option<(u32, u64)> {
+pub fn next_trace_stamp() -> Option<(u16, u64)> {
     with_current(|ctx| {
         (
             ctx.origin,
@@ -124,7 +126,7 @@ pub fn next_trace_stamp() -> Option<(u32, u64)> {
 pub fn next_session_id() -> Option<u64> {
     with_current(|ctx| {
         let seq = ctx.session_seq.fetch_add(1, Ordering::Relaxed) + 1;
-        ((ctx.origin as u64 + 1) << 40) | seq
+        ((u64::from(ctx.origin) + 1) << 40) | seq
     })
 }
 
@@ -219,10 +221,10 @@ mod tests {
     #[test]
     fn bank_gives_each_installed_context_its_own_state() {
         let bank: OriginBank<Vec<u32>> = OriginBank::default();
-        for origin in [4, 9, 4] {
+        for origin in [4u16, 9, 4] {
             let _g = install(PartitionCtx::new(origin));
             // `make` runs once per origin; later calls find the state.
-            bank.with(|o| vec![o], |state| state.push(origin * 10));
+            bank.with(|o| vec![o], |state| state.push(u32::from(origin) * 10));
         }
         let mut seen = Vec::new();
         bank.for_each(|origin, state| seen.push((origin, state.clone())));

@@ -87,13 +87,29 @@ impl LatencyProfile {
 #[derive(Debug)]
 pub struct LatencyModel {
     profile: LatencyProfile,
+    /// Per [`RpcKind`] (in `RpcKind::ALL` order), what the profile implies
+    /// for it; fixed at construction so a sample derives nothing.
+    per_rpc: [RpcParams; RpcKind::ALL.len()],
     rng: SmallRng,
+}
+
+/// One RPC's share of the profile.
+#[derive(Debug, Clone, Copy)]
+struct RpcParams {
+    /// `ln` of its class median: the log-normal body's `mu`.
+    ln_median: f64,
+    tail_prob: f64,
 }
 
 impl LatencyModel {
     pub fn new(profile: LatencyProfile, seed: u64) -> Self {
+        let per_rpc = RpcKind::ALL.map(|rpc| RpcParams {
+            ln_median: profile.median_for(rpc.class()).ln(),
+            tail_prob: tail_prob_of(&profile, rpc),
+        });
         Self {
             profile,
+            per_rpc,
             rng: SmallRng::seed_from_u64(seed),
         }
     }
@@ -106,32 +122,40 @@ impl LatencyModel {
     /// `[tail_prob_min, tail_prob_max]` so each RPC keeps a stable tail
     /// weight across the run, as in Fig. 12 ("from 7% to 22%").
     pub fn tail_prob(&self, rpc: RpcKind) -> f64 {
-        let span = self.profile.tail_prob_max - self.profile.tail_prob_min;
-        if span <= 0.0 {
-            return self.profile.tail_prob_min.max(0.0);
-        }
-        let h = rngx::derive_seed(0xC0FFEE, rpc.dal_name(), 0);
-        self.profile.tail_prob_min + span * ((h % 10_000) as f64 / 10_000.0)
+        self.per_rpc[rpc as usize].tail_prob
     }
 
     /// Samples the service time for one RPC invocation. `cascade_rows` is
     /// the number of rows a cascade RPC touched (0 for non-cascades).
     pub fn sample(&mut self, rpc: RpcKind, cascade_rows: u64) -> SimDuration {
-        let median = self.profile.median_for(rpc.class());
+        let RpcParams {
+            ln_median,
+            tail_prob,
+        } = self.per_rpc[rpc as usize];
         // Log-normal with the requested median: mu = ln(median).
-        let body = rngx::sample_lognormal(&mut self.rng, median.ln(), self.profile.body_sigma);
+        let body = rngx::sample_lognormal(&mut self.rng, ln_median, self.profile.body_sigma);
         let mut service = body;
         if rpc.class() == RpcClass::Cascade {
             service += cascade_rows as f64 * self.profile.per_row_s;
         }
-        let p_tail = self.tail_prob(rpc);
-        if p_tail > 0.0 && self.rng.gen_range(0.0..1.0) < p_tail {
+        if tail_prob > 0.0 && self.rng.gen_range(0.0..1.0) < tail_prob {
             // Tail event: amplify by a Pareto factor >= 6x.
             let amp = rngx::sample_pareto(&mut self.rng, self.profile.tail_alpha, 6.0);
             service *= amp;
         }
         SimDuration::from_secs_f64(service.min(self.profile.max_service_s))
     }
+}
+
+/// `rpc`'s tail probability under `profile`: a fixed point of
+/// `[tail_prob_min, tail_prob_max]` hashed from the RPC's name.
+fn tail_prob_of(profile: &LatencyProfile, rpc: RpcKind) -> f64 {
+    let span = profile.tail_prob_max - profile.tail_prob_min;
+    if span <= 0.0 {
+        return profile.tail_prob_min.max(0.0);
+    }
+    let h = rngx::derive_seed(0xC0FFEE, rpc.dal_name(), 0);
+    profile.tail_prob_min + span * ((h % 10_000) as f64 / 10_000.0)
 }
 
 #[cfg(test)]
@@ -211,6 +235,25 @@ mod tests {
             big > small + 1.0,
             "1000 rows at 2ms each ≈ +2s, got {small} -> {big}"
         );
+    }
+
+    /// `RpcKind::ALL` lists the kinds in declaration order, so `rpc as
+    /// usize` finds each kind's own parameters.
+    #[test]
+    fn per_rpc_parameters_are_each_kind_s_own() {
+        let profile = LatencyProfile::default();
+        let m = LatencyModel::new(profile.clone(), 6);
+        for (i, rpc) in RpcKind::ALL.into_iter().enumerate() {
+            assert_eq!(rpc as usize, i, "{rpc:?}");
+            assert_eq!(
+                m.tail_prob(rpc).to_bits(),
+                tail_prob_of(&profile, rpc).to_bits()
+            );
+            assert_eq!(
+                m.per_rpc[i].ln_median.to_bits(),
+                profile.median_for(rpc.class()).ln().to_bits()
+            );
+        }
     }
 
     #[test]

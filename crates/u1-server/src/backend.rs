@@ -242,7 +242,7 @@ impl Backend {
         let policy = self.faults.plan().rpc_retry;
         let outer_attempt = fault::current_attempt();
         let mut total = SimDuration::ZERO;
-        let mut attempt = 1u32;
+        let mut attempt = 1u8;
         loop {
             let d = self.latency.with(
                 |origin| {

@@ -67,7 +67,7 @@ mod tests {
     };
 
     fn fixture() -> Vec<TraceRecord> {
-        let stamped = |secs: u64, origin: u32, seq: u64, payload: Payload| TraceRecord {
+        let stamped = |secs: u64, origin: u16, seq: u64, payload: Payload| TraceRecord {
             t: SimTime::from_secs(secs),
             machine: MachineId::new(2),
             process: ProcessId::new(7),

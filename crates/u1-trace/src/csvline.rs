@@ -75,14 +75,14 @@ pub(crate) fn encode_line(rec: &TraceRecord, stamped: bool, out: &mut Vec<u8>) {
     // Fault tags ride as optional trailing fields so fault-free lines stay
     // byte-identical to the pre-fault format.
     if rec.attempt > 1 {
-        put_u64(out, b",a=", rec.attempt as u64);
+        put_u64(out, b",a=", u64::from(rec.attempt));
     }
     if let Some(class) = rec.error_class {
         out.extend_from_slice(b",ec=");
         out.extend_from_slice(class.label().as_bytes());
     }
     if stamped {
-        put_u64(out, b",o=", rec.origin as u64);
+        put_u64(out, b",o=", u64::from(rec.origin));
         put_u64(out, b",q=", rec.seq);
     }
     out.push(b'\n');
@@ -808,6 +808,23 @@ mod tests {
         );
     }
 
+    /// `o=` and `a=` parse into the record's own widths: one past the
+    /// largest origin or attempt is a bad line, not a wrapped number.
+    #[test]
+    fn stamps_and_tags_past_their_width_are_malformed() {
+        let (m, p) = (MachineId::new(0), ProcessId::new(0));
+        let widest = parse_line(b"5,auth,u1,ok,a=255,o=65535", m, p).expect("parse");
+        assert_eq!((widest.attempt, widest.origin), (u8::MAX, u16::MAX));
+        for (bad, reason) in [
+            ("5,auth,u1,ok,o=65536", "bad origin"),
+            ("5,auth,u1,ok,a=256", "bad attempt"),
+            ("5,auth,u1,ok,o=4294967296", "bad origin"),
+            ("5,auth,u1,ok,a=4294967296", "bad attempt"),
+        ] {
+            assert_eq!(from_line(bad, m, p), Err(LineError { reason }), "{bad}");
+        }
+    }
+
     #[test]
     fn malformed_lines_are_rejected_not_panicking() {
         let m = MachineId::new(0);
@@ -822,6 +839,8 @@ mod tests {
             "5,auth,u1,maybe",
             "5,frobnicate,u1",
             "5,storage_done,upload,s1,u1,v0,n1,file,1,zzzz,-,ok,1",
+            "5,auth,u1,ok,o=65536",
+            "5,auth,u1,ok,a=256",
         ] {
             assert!(from_line(bad, m, p).is_err(), "should reject: {bad:?}");
         }

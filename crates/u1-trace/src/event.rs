@@ -24,7 +24,7 @@ pub enum Payload {
     },
     /// A completed API operation (request type `storage_done`): the unit the
     /// paper's storage-workload and user-behavior analyses consume. Boxed:
-    /// it is the one large variant, so every other record stays 56 bytes.
+    /// it is the one large variant, so every other record stays 48 bytes.
     Storage(Box<StorageDone>),
     /// An RPC against the metadata store (request type `rpc`), with its
     /// service time — the raw material for Figs. 12–14.
@@ -107,16 +107,18 @@ pub struct TraceRecord {
     pub process: ProcessId,
     /// Simulation partition that produced this record (0 when the producer
     /// ran without a [`u1_core::PartitionCtx`]). Synthetic — not part of the
-    /// paper's logfile schema, so CSV round trips reset it to 0.
-    pub origin: u32,
+    /// paper's logfile schema, so CSV round trips reset it to 0. A shard
+    /// index or the coordinator's, so 16 bits, like the shard count.
+    pub origin: u16,
     /// Monotone per-origin sequence number; ties with `origin` break
     /// equal-timestamp records deterministically regardless of worker count.
     pub seq: u64,
     /// Which attempt of a retried operation produced this record (1 = first
     /// try). Filled from the thread-local tag set by retry loops (see
     /// [`u1_core::fault`]); always 1 in fault-free runs, and serialized only
-    /// when > 1 so fault-free traces stay byte-identical.
-    pub attempt: u32,
+    /// when > 1 so fault-free traces stay byte-identical. Retry budgets are
+    /// single digits, so one byte.
+    pub attempt: u8,
     /// Error classification when this record was produced under an injected
     /// fault; `None` (and unserialized) otherwise.
     pub error_class: Option<ErrorClass>,
@@ -167,11 +169,12 @@ mod tests {
 
     /// Every trace stage moves records by value — sink chunks, the seal's
     /// merge, the day sort, each fold — so the record's size is its cost.
-    /// The `storage_done` fields sit behind a box to keep it here.
+    /// The `storage_done` fields sit behind a box to keep it here, and the
+    /// narrow `origin` and `attempt` share one word with the small fields.
     #[test]
-    fn a_record_is_56_bytes() {
+    fn a_record_is_48_bytes() {
         assert_eq!(std::mem::size_of::<Payload>(), 24);
-        assert_eq!(std::mem::size_of::<TraceRecord>(), 56);
+        assert_eq!(std::mem::size_of::<TraceRecord>(), 48);
     }
 
     #[test]

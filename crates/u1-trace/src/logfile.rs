@@ -370,10 +370,10 @@ fn read_files_parallel(
 }
 
 /// Sorts `records` by `key` with equal keys left in their current order. A
-/// record is 56 bytes, so the stable sort moves the records themselves: it
+/// record is 48 bytes, so the stable sort moves the records themselves: it
 /// finds the sorted runs a day's files are laid end to end in and merges
 /// them, and leaves records already in order where they are.
-fn sort_records(records: &mut [TraceRecord], key: impl Fn(&TraceRecord) -> (SimTime, u32, u64)) {
+fn sort_records(records: &mut [TraceRecord], key: impl Fn(&TraceRecord) -> (SimTime, u16, u64)) {
     records.sort_by_key(key);
 }
 
@@ -585,9 +585,10 @@ mod tests {
             sink.flush();
         }
         // Corrupt one file with garbage lines and drop in a foreign file.
-        // Five of the lines are malformed; the blank line and the lone `\r`
-        // are not lines at all. None of the bytes after the second line
-        // would get past a reader that insists on UTF-8.
+        // Seven of the lines are malformed (two only by an origin or an
+        // attempt one past its width); the blank line and the lone `\r` are
+        // not lines at all. None of the bytes after the fourth line would
+        // get past a reader that insists on UTF-8.
         let garbage_target = fs::read_dir(dir).unwrap().next().unwrap().unwrap().path();
         {
             let mut f = fs::OpenOptions::new()
@@ -596,6 +597,8 @@ mod tests {
                 .unwrap();
             writeln!(f, "totally,bogus,line").unwrap();
             writeln!(f, "12345,frobnicate").unwrap();
+            writeln!(f, "4800000000,auth,u1,ok,o=65536").unwrap();
+            writeln!(f, "4800000000,auth,u1,ok,a=256").unwrap();
             f.write_all(b"\xff\xfe\x80 not text\n").unwrap();
             f.write_all(b"77,auth,u\0,ok\n").unwrap();
             f.write_all(b"\r\n\n").unwrap();
@@ -613,8 +616,8 @@ mod tests {
 
         let (records, stats) = LogDirReader::new(&dir).read_all().unwrap();
         assert_eq!(stats.parsed, 50);
-        assert_eq!(stats.malformed, 5);
-        assert_eq!(stats.lines, 55);
+        assert_eq!(stats.malformed, 7);
+        assert_eq!(stats.lines, 57);
         assert_eq!(stats.skipped_files, 1);
         assert!(stats.malformed_fraction() > 0.0);
         assert_eq!(records.len(), 50);
@@ -654,7 +657,7 @@ mod tests {
 
         let reader = LogDirReader::new(&dir);
         let (serial, serial_stats) = reader.read_all().unwrap();
-        assert_eq!((serial.len(), serial_stats.malformed), (50, 5));
+        assert_eq!((serial.len(), serial_stats.malformed), (50, 7));
         for threads in [1, 2, 4, 8] {
             let (par, par_stats) = reader.read_all_parallel(threads).unwrap();
             assert_eq!(par_stats, serial_stats, "stats differ at {threads} threads");
@@ -683,7 +686,7 @@ mod tests {
             .find(|(path, _, _, _)| fs::read(path).unwrap().contains(&0xff))
             .expect("the corrupted file");
         let (whole, whole_stats) = read_logfile(path, *machine, *process).unwrap();
-        assert_eq!(whole_stats.malformed, 5);
+        assert_eq!(whole_stats.malformed, 7);
         for split in 0..=fs::metadata(path).unwrap().len() {
             let (recs, stats) = read_logfile_at_splits(path, *machine, *process, &[split]).unwrap();
             assert_eq!(stats, whole_stats, "stats differ split at byte {split}");
@@ -783,7 +786,7 @@ mod tests {
             let sink = DirSink::create_stamped(&dir).unwrap();
             let mut i = 0u64;
             for day in 0..3u64 {
-                for origin in 0..4u32 {
+                for origin in 0..4u16 {
                     for seq in 0..25u64 {
                         // Deliberate cross-origin timestamp collisions: t
                         // depends on seq but not origin.
@@ -794,7 +797,7 @@ mod tests {
                             Payload::Session {
                                 event: SessionEvent::Open,
                                 session: SessionId::new(i),
-                                user: UserId::new(origin as u64),
+                                user: UserId::new(u64::from(origin)),
                             },
                         );
                         rec.origin = origin;
@@ -845,7 +848,7 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         let mut batch = Vec::new();
         for i in 0..600u64 {
-            let (origin, user) = ((i % 5) as u32, UserId::new(i % 13));
+            let (origin, user) = ((i % 5) as u16, UserId::new(i % 13));
             let payload = match i % 4 {
                 0 => Payload::Session {
                     event: SessionEvent::Open,
@@ -936,14 +939,14 @@ mod tests {
                 (rec.origin, rec.seq) = if run % 2 == 0 {
                     (0, 0)
                 } else {
-                    (run as u32, i)
+                    (run as u16, i)
                 };
                 records.push(rec);
             }
         }
         let mut state = 0x9E37_79B9u64;
         for round in 0..4 {
-            type Key = fn(&TraceRecord) -> (SimTime, u32, u64);
+            type Key = fn(&TraceRecord) -> (SimTime, u16, u64);
             for key in [(|r| (r.t, 0, 0)) as Key, |r| (r.t, r.origin, r.seq)] {
                 let mut expected = records.clone();
                 expected.sort_by_key(key);

@@ -317,9 +317,10 @@ impl MemorySink {
 
 impl TraceSink for MemorySink {
     fn record(&self, rec: TraceRecord) {
-        let stripe = rec.origin as usize % self.stripes.len();
+        let origin = u32::from(rec.origin);
+        let stripe = origin as usize % self.stripes.len();
         let mut runs = self.stripes[stripe].lock();
-        Self::push(origin_slot(&mut runs, rec.origin), rec);
+        Self::push(origin_slot(&mut runs, origin), rec);
     }
 
     fn record_batch_owned(&self, recs: &mut Vec<TraceRecord>) {
@@ -327,9 +328,9 @@ impl TraceSink for MemorySink {
         let mut drained = recs.drain(..).peekable();
         while let Some(rec) = drained.next() {
             let origin = rec.origin;
-            let stripe = origin as usize % self.stripes.len();
+            let stripe = usize::from(origin) % self.stripes.len();
             let mut runs = self.stripes[stripe].lock();
-            let run = origin_slot(&mut runs, origin);
+            let run = origin_slot(&mut runs, u32::from(origin));
             Self::push(run, rec);
             while let Some(next) = drained.next_if(|r| r.origin == origin) {
                 Self::push(run, next);
@@ -390,7 +391,7 @@ fn split_head(run: &mut ChunkedRun, before: Option<SimTime>) -> ChunkedRun {
 }
 
 /// Merge key for the k-way merge: the canonical `(t, origin, seq)` order.
-type MergeKey = (SimTime, u32, u64);
+type MergeKey = (SimTime, u16, u64);
 
 fn merge_key(rec: &TraceRecord) -> MergeKey {
     (rec.t, rec.origin, rec.seq)
@@ -537,7 +538,7 @@ impl<S: TraceSink> TraceSink for BufferedSink<S> {
     /// is none) under the stripe lock, and delivers the chunk once that
     /// fills it: at exactly `BUFFER_FLUSH_THRESHOLD` records.
     fn record(&self, rec: TraceRecord) {
-        let origin = rec.origin;
+        let origin = u32::from(rec.origin);
         let full = {
             let mut buffers = self.stripe(origin).lock();
             let buffer = origin_slot(&mut buffers, origin);
@@ -828,7 +829,7 @@ mod tests {
         )
     }
 
-    fn rec_origin(t_secs: u64, origin: u32, seq: u64) -> TraceRecord {
+    fn rec_origin(t_secs: u64, origin: u16, seq: u64) -> TraceRecord {
         let mut r = rec(t_secs, 0, 0);
         r.origin = origin;
         r.seq = seq;
@@ -853,7 +854,7 @@ mod tests {
         // Three origins, interleaved timestamps; origin 33 shares stripe 1
         // with origin 1, exercising the per-stripe multi-run path.
         for (t, origin, seq) in [
-            (5u64, 1u32, 0u64),
+            (5u64, 1u16, 0u64),
             (9, 1, 1),
             (9, 33, 0),
             (12, 33, 1),
@@ -863,7 +864,7 @@ mod tests {
             sink.record(rec_origin(t, origin, seq));
         }
         let recs = sink.take_sorted();
-        let keys: Vec<(u64, u32, u64)> = recs
+        let keys: Vec<(u64, u16, u64)> = recs
             .iter()
             .map(|r| (r.t.as_secs(), r.origin, r.seq))
             .collect();
@@ -874,7 +875,7 @@ mod tests {
     }
 
     /// Canonical keys of a trace, timestamps in seconds.
-    fn keys(recs: &[TraceRecord]) -> Vec<(u64, u32, u64)> {
+    fn keys(recs: &[TraceRecord]) -> Vec<(u64, u16, u64)> {
         recs.iter()
             .map(|r| (r.t.as_secs(), r.origin, r.seq))
             .collect()
@@ -933,7 +934,7 @@ mod tests {
         let inner = std::sync::Arc::new(MemorySink::new());
         let buffered = BufferedSink::new(std::sync::Arc::clone(&inner));
         for i in 0..100 {
-            buffered.record(rec_origin(i, (i % 3) as u32, i));
+            buffered.record(rec_origin(i, (i % 3) as u16, i));
         }
         // Through an `Arc<dyn TraceSink>`, as the backend holds it.
         let shared: std::sync::Arc<dyn TraceSink> = std::sync::Arc::new(buffered);
@@ -974,7 +975,7 @@ mod tests {
         let inner = std::sync::Arc::new(MemorySink::new());
         let buffered = BufferedSink::new(std::sync::Arc::clone(&inner));
         for i in 0..100 {
-            buffered.record(rec_origin(i, (i % 3) as u32, i));
+            buffered.record(rec_origin(i, (i % 3) as u16, i));
         }
         assert!(inner.is_empty(), "nothing reaches inner before flush");
         buffered.flush();
@@ -986,7 +987,7 @@ mod tests {
         let inner = std::sync::Arc::new(MemorySink::new());
         let buffered = BufferedSink::new(std::sync::Arc::clone(&inner));
         for i in 0..30u64 {
-            buffered.record(rec_origin(i, (i % 3) as u32, i));
+            buffered.record(rec_origin(i, (i % 3) as u16, i));
         }
         buffered.flush_origin(1);
         assert_eq!(inner.len(), 10, "only origin 1's run is delivered");
@@ -1057,7 +1058,7 @@ mod tests {
         .enumerate()
         .map(|(i, (t, process))| {
             let mut r = rec(t, 0, process);
-            (r.origin, r.seq) = (process as u32, i as u64);
+            (r.origin, r.seq) = (process, i as u64);
             r
         })
         .collect();

@@ -149,7 +149,7 @@ fn oracle_from_line(line: &str) -> Result<TraceRecord, LineError> {
     rec.error_class = None;
     for field in fields {
         if let Some(v) = field.strip_prefix("a=") {
-            rec.attempt = v.parse::<u32>().map_err(|_| LineError {
+            rec.attempt = v.parse::<u8>().map_err(|_| LineError {
                 reason: "bad attempt",
             })?;
         } else if let Some(v) = field.strip_prefix("ec=") {
@@ -157,7 +157,7 @@ fn oracle_from_line(line: &str) -> Result<TraceRecord, LineError> {
                 reason: "bad error class",
             })?);
         } else if let Some(v) = field.strip_prefix("o=") {
-            rec.origin = v.parse::<u32>().map_err(|_| LineError {
+            rec.origin = v.parse::<u16>().map_err(|_| LineError {
                 reason: "bad origin",
             })?;
         } else if let Some(v) = field.strip_prefix("q=") {
@@ -268,9 +268,9 @@ fn arb_record() -> impl Strategy<Value = TraceRecord> {
     (
         arb_u64(),
         arb_payload(),
-        prop_oneof![Just(1u32), 2u32..9, Just(u32::MAX)],
+        prop_oneof![Just(1u8), 2u8..9, Just(u8::MAX)],
         proptest::option::of(0usize..ErrorClass::ALL.len()),
-        prop_oneof![Just(0u32), any::<u32>()],
+        prop_oneof![Just(0u16), any::<u16>(), Just(u16::MAX)],
         arb_u64(),
     )
         .prop_map(|(t, payload, attempt, class, origin, seq)| TraceRecord {
@@ -338,11 +338,15 @@ fn arb_field() -> impl Strategy<Value = Vec<u8>> {
         b"shard3",
         b"shard65536",
         b"a=2",
+        b"a=255",
+        b"a=256",
         b"a=4294967296",
         b"a=",
         b"ec=timeout",
         b"ec=nope",
         b"o=7",
+        b"o=65535",
+        b"o=65536",
         b"o=4294967296",
         b"q=18446744073709551615",
         b"q=x",
@@ -476,8 +480,11 @@ fn numbers_stop_exactly_at_their_type_s_maximum() {
         assert!(user(bad).is_err(), "user {bad:?}");
     }
     let origin = |n: &str| parse(format!("5,auth,u1,ok,o={n}")).map(|r| r.origin);
-    assert_eq!(origin("4294967295"), Ok(u32::MAX));
-    assert!(origin("4294967296").is_err());
+    assert_eq!(origin("65535"), Ok(u16::MAX));
+    assert!(origin("65536").is_err());
+    let attempt = |n: &str| parse(format!("5,auth,u1,ok,a={n}")).map(|r| r.attempt);
+    assert_eq!(attempt("255"), Ok(u8::MAX));
+    assert!(attempt("256").is_err());
     let shard = |n: &str| parse(format!("5,rpc,dal.move,shard{n},u1,9"));
     assert!(shard("65535").is_ok());
     assert!(shard("65536").is_err());

@@ -85,11 +85,11 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 #[derive(Default)]
 struct OracleSink {
-    runs: Vec<(u32, Vec<TraceRecord>)>,
+    runs: Vec<(u16, Vec<TraceRecord>)>,
 }
 
 impl OracleSink {
-    fn run_slot(&mut self, origin: u32) -> &mut Vec<TraceRecord> {
+    fn run_slot(&mut self, origin: u16) -> &mut Vec<TraceRecord> {
         let idx = match self.runs.iter().position(|(o, _)| *o == origin) {
             Some(i) => i,
             None => {
@@ -104,7 +104,7 @@ impl OracleSink {
         self.run_slot(rec.origin).push(rec);
     }
 
-    fn record_run(&mut self, origin: u32, recs: &mut Vec<TraceRecord>) {
+    fn record_run(&mut self, origin: u16, recs: &mut Vec<TraceRecord>) {
         self.run_slot(origin).append(recs);
     }
 
@@ -126,7 +126,7 @@ impl OracleSink {
     }
 }
 
-type MergeKey = (SimTime, u32, u64);
+type MergeKey = (SimTime, u16, u64);
 
 fn merge_key(rec: &TraceRecord) -> MergeKey {
     (rec.t, rec.origin, rec.seq)
@@ -182,25 +182,25 @@ enum Stamp {
 enum Step {
     /// `len` calls of `record`.
     Records {
-        origin: u32,
+        origin: u16,
         len: usize,
         stamp: Stamp,
     },
     /// One `record_run` of `len` records.
     Run {
-        origin: u32,
+        origin: u16,
         len: usize,
         stamp: Stamp,
     },
     /// One borrowed `record_batch` of `len` records of origins
     /// `1..=origins`, interleaved in `(t, origin, seq)` order.
     Batch {
-        origins: u32,
+        origins: u16,
         len: usize,
         stamp: Stamp,
     },
     FlushOrigin {
-        origin: u32,
+        origin: u16,
     },
     Flush,
     /// One `seal_before`, at the bound `quarters / 4` of the way from the
@@ -221,7 +221,7 @@ fn arb_stamp() -> impl Strategy<Value = Stamp> {
 }
 
 /// Steps over origins `1..=origins` (origin 0 is the legacy emitter's).
-fn arb_step(origins: u32) -> impl Strategy<Value = Step> {
+fn arb_step(origins: u16) -> impl Strategy<Value = Step> {
     let origin = (0..origins).prop_map(|o| o + 1);
     let len = (0usize..LENGTHS.len()).prop_map(|i| LENGTHS[i]);
     prop_oneof![
@@ -254,7 +254,7 @@ fn arb_step(origins: u32) -> impl Strategy<Value = Step> {
 }
 
 fn arb_history() -> impl Strategy<Value = Vec<Step>> {
-    (1u32..13).prop_flat_map(|origins| proptest::collection::vec(arb_step(origins), 1..14))
+    (1u16..13).prop_flat_map(|origins| proptest::collection::vec(arb_step(origins), 1..14))
 }
 
 /// Mints the records of a history: per-origin clocks and sequence numbers,
@@ -277,8 +277,8 @@ impl Producers {
         SimTime::from_micros(EPOCH_US + (latest - EPOCH_US) * quarters / 4)
     }
 
-    fn mint(&mut self, origin: u32, stamp: Stamp) -> TraceRecord {
-        let slot = origin as usize;
+    fn mint(&mut self, origin: u16, stamp: Stamp) -> TraceRecord {
+        let slot = usize::from(origin);
         if self.clock_us.len() <= slot {
             self.clock_us.resize(slot + 1, EPOCH_US);
             self.next_seq.resize(slot + 1, 0);
@@ -331,9 +331,9 @@ impl Producers {
     }
 
     /// `len` records of origins `1..=origins` in turn, in canonical order.
-    fn batch(&mut self, origins: u32, len: usize, stamp: Stamp) -> Vec<TraceRecord> {
+    fn batch(&mut self, origins: u16, len: usize, stamp: Stamp) -> Vec<TraceRecord> {
         let mut batch: Vec<TraceRecord> = (0..len)
-            .map(|i| self.mint(1 + i as u32 % origins, stamp))
+            .map(|i| self.mint(1 + i as u16 % origins, stamp))
             .collect();
         batch.sort_by_key(merge_key);
         batch
@@ -349,8 +349,8 @@ struct DeliveryModel {
 }
 
 impl DeliveryModel {
-    fn record(&mut self, origin: u32) {
-        let slot = origin as usize;
+    fn record(&mut self, origin: u16) {
+        let slot = usize::from(origin);
         if self.pending.len() <= slot {
             self.pending.resize(slot + 1, 0);
         }
@@ -360,8 +360,8 @@ impl DeliveryModel {
         }
     }
 
-    fn flush_origin(&mut self, origin: u32) {
-        if let Some(p) = self.pending.get_mut(origin as usize) {
+    fn flush_origin(&mut self, origin: u16) {
+        if let Some(p) = self.pending.get_mut(usize::from(origin)) {
             self.delivered += std::mem::take(p);
         }
     }
@@ -406,8 +406,8 @@ proptest! {
                     for rec in &run {
                         model.record(rec.origin);
                     }
-                    bare.record_run(run_origin, &mut run.clone());
-                    buffered.record_run(run_origin, &mut run.clone());
+                    bare.record_run(u32::from(run_origin), &mut run.clone());
+                    buffered.record_run(u32::from(run_origin), &mut run.clone());
                     oracle.record_run(run_origin, &mut run.clone());
                     everything.extend(run);
                 }
@@ -423,8 +423,8 @@ proptest! {
                 }
                 Step::FlushOrigin { origin } => {
                     model.flush_origin(origin);
-                    bare.flush_origin(origin);
-                    buffered.flush_origin(origin);
+                    bare.flush_origin(u32::from(origin));
+                    buffered.flush_origin(u32::from(origin));
                 }
                 Step::Flush => {
                     model.flush();
@@ -533,7 +533,7 @@ impl CheckingState {
     /// `rec` arrives as part of a delivery for `origin`.
     fn check(&mut self, origin: u32, rec: &TraceRecord) {
         let expected = self.next_seq[origin as usize];
-        if (rec.origin, rec.seq) != (origin, expected) && self.problem.is_none() {
+        if (u32::from(rec.origin), rec.seq) != (origin, expected) && self.problem.is_none() {
             self.problem = Some(format!(
                 "origin {origin}: got ({}, {}) where seq {expected} was due",
                 rec.origin, rec.seq
@@ -546,7 +546,7 @@ impl CheckingState {
 
 impl TraceSink for CheckingSink {
     fn record(&self, rec: TraceRecord) {
-        self.record_run(rec.origin, &mut vec![rec]);
+        self.record_run(u32::from(rec.origin), &mut vec![rec]);
     }
 
     fn record_run(&self, origin: u32, run: &mut Vec<TraceRecord>) {
@@ -561,7 +561,7 @@ impl TraceSink for CheckingSink {
     fn record_batch(&self, recs: &[TraceRecord]) {
         let mut s = self.state.lock();
         for rec in recs {
-            s.check(rec.origin, rec);
+            s.check(u32::from(rec.origin), rec);
         }
     }
 }
@@ -571,8 +571,8 @@ proptest! {
 
     #[test]
     fn buffered_sink_delivers_in_emission_order_from_one_allocation_per_chunk(
-        origins in 1u32..13,
-        steps in proptest::collection::vec((0u32..12, 0usize..LENGTHS.len(), 0u8..10), 1..14),
+        origins in 1u16..13,
+        steps in proptest::collection::vec((0u16..12, 0usize..LENGTHS.len(), 0u8..10), 1..14),
     ) {
         let checking = Arc::new(CheckingSink::default());
         let buffered = BufferedSink::new(Arc::clone(&checking));
@@ -586,7 +586,7 @@ proptest! {
         for (origin, len, action) in steps {
             let origin = origin % origins + 1;
             match action {
-                0 => buffered.flush_origin(origin),
+                0 => buffered.flush_origin(u32::from(origin)),
                 1 => buffered.flush(),
                 2 => {
                     let mark = LARGE_REQUESTS.with(Cell::get);

@@ -819,7 +819,7 @@ impl ShardSim {
             return Err(CoreError::unavailable("circuit open"));
         }
         let policy = self.retry_policy;
-        let mut attempt = 1u32;
+        let mut attempt = 1u8;
         loop {
             fault::set_attempt(attempt);
             match f(&self.backend) {
@@ -1588,11 +1588,11 @@ pub struct Driver {
 
 impl Driver {
     pub fn new(cfg: WorkloadConfig, backend: Arc<Backend>, clock: u1_core::SimClock) -> Self {
-        let shard_count = backend.store.num_shards() as usize;
+        let shard_count = backend.store.num_shards();
         // Shard partitions use namespaces 0..shard_count; the coordinator
         // takes the one past the end. Strided file models keep every
         // partition's names and synthetic content ids disjoint.
-        let stride = shard_count as u64 + 1;
+        let stride = u64::from(shard_count) + 1;
         let expected_files = cfg.users * 60;
         // The client-side view of the fault plane: the backend's plan, but
         // its own derived seed stream, so injected client crashes are
@@ -1604,11 +1604,11 @@ impl Driver {
         let retry_policy = backend.config().fault.client_retry;
         let shards = (0..shard_count)
             .map(|s| ShardSim {
-                origin: s as u32,
-                ctx: PartitionCtx::new(s as u32),
+                origin: u32::from(s),
+                ctx: PartitionCtx::new(s),
                 backend: Arc::clone(&backend),
                 clients: Vec::new(),
-                files: FileModel::with_partition(expected_files, cfg.seed, s as u64, stride),
+                files: FileModel::with_partition(expected_files, cfg.seed, u64::from(s), stride),
                 queue: BinaryHeap::new(),
                 seq: 0,
                 report: DriverReport::default(),
@@ -1620,10 +1620,15 @@ impl Driver {
             })
             .collect();
         let coordinator = CoordinatorSim {
-            ctx: PartitionCtx::new(shard_count as u32),
+            ctx: PartitionCtx::new(shard_count),
             backend: Arc::clone(&backend),
             rng: SmallRng::seed_from_u64(rngx::derive_seed(cfg.seed, "driver", 0)),
-            files: FileModel::with_partition(expected_files, cfg.seed, shard_count as u64, stride),
+            files: FileModel::with_partition(
+                expected_files,
+                cfg.seed,
+                u64::from(shard_count),
+                stride,
+            ),
             queue: BinaryHeap::new(),
             seq: 0,
             attacks: Vec::new(),
@@ -1756,7 +1761,7 @@ impl Driver {
             0 => shard_count.max(1),
             w => w.min(shard_count).max(1),
         };
-        let coord_origin = self.coordinator.ctx.origin();
+        let coord_origin = u32::from(self.coordinator.ctx.origin());
         // One lock per shard partition: shards migrate between workers when
         // the day-boundary re-pack moves them, so they cannot be owned by
         // one thread's stack. Workers lock only their assigned shards while
