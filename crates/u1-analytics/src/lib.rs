@@ -33,6 +33,10 @@
 //! changing any output bit. [`engine::run_all`] evaluates the whole battery
 //! in a single pass over the records.
 
+// `float_cmp` is denied for the kernels (Cargo.toml); unit tests compare
+// results of small exact inputs against their exact expected values.
+#![cfg_attr(test, allow(clippy::float_cmp))]
+
 pub mod burstiness;
 pub mod ddos;
 pub mod dedup;

@@ -141,8 +141,8 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
         vx += (x - mx).powi(2);
         vy += (y - my).powi(2);
     }
-    // `vx`/`vy` are sums of squares, so `<= 0.0` is exactly the
-    // degenerate-variance check without a float `==` (U1L005).
+    // `vx`/`vy` are sums of squares, never negative, so `<= 0.0` is exactly
+    // the zero-variance check without comparing floats for equality.
     if vx <= 0.0 || vy <= 0.0 {
         return f64::NAN;
     }

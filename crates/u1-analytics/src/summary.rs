@@ -124,7 +124,8 @@ pub struct Finding {
 impl Finding {
     pub fn holds(&self) -> bool {
         // A zero paper value makes the relative band meaningless; compare
-        // absolutely instead (without a float `==`, per U1L005).
+        // absolutely instead. The test is `< EPSILON`, not `== 0.0`, so a
+        // paper value that is zero only after rounding counts as zero too.
         if self.paper_value.abs() < f64::EPSILON {
             return self.measured.abs() <= self.tolerance;
         }

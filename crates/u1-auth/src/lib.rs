@@ -8,11 +8,11 @@
 //! "to avoid overloading the authentication service". The paper measures
 //! that 2.76% of authentication requests from API servers failed (§7.3).
 
-use parking_lot::RwLock;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicU64, Ordering};
 use u1_core::partition::{origin_seed, OriginBank};
+use u1_core::sync::RwLock;
 use u1_core::{CoreError, CoreResult, FxHashMap, SimDuration, SimTime, UserId};
 
 /// An OAuth-style bearer token.

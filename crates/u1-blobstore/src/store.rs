@@ -2,11 +2,11 @@
 
 use crate::multipart::{MultipartError, MultipartUpload};
 use crate::tier::Tier;
-use parking_lot::RwLock;
 use std::collections::hash_map::Entry;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use u1_core::{ContentHash, FaultInjector, FxHashMap, SimTime};
+use u1_core::sync::RwLock;
+use u1_core::{ContentHash, FaultInjector, FxHashMap, InstalledFaults, SimTime};
 
 /// Metadata of a stored object.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,7 +66,7 @@ pub struct BlobStore {
     mp_aborted: AtomicU64,
     part_put_failures: AtomicU64,
     /// Fault-injection plane; `None` (the default) never fails a part-put.
-    faults: RwLock<Option<Arc<FaultInjector>>>,
+    faults: InstalledFaults,
 }
 
 impl BlobStore {
@@ -77,7 +77,7 @@ impl BlobStore {
     /// Installs the run's fault injector; part-puts then fail with the
     /// plan's `part_put_p` probability.
     pub fn set_faults(&self, injector: Arc<FaultInjector>) {
-        *self.faults.write() = Some(injector);
+        self.faults.install(injector);
     }
 
     /// Whether an object with this content identity exists.
@@ -180,12 +180,10 @@ impl BlobStore {
         data_len: u64,
         data: Option<Vec<u8>>,
     ) -> Result<(), MultipartError> {
-        if let Some(faults) = self.faults.read().as_ref() {
-            if faults.part_put_fails() {
-                self.part_put_failures.fetch_add(1, Ordering::Relaxed);
-                u1_core::fault::set_error_class(Some(u1_core::fault::ErrorClass::PartPut));
-                return Err(MultipartError::PartPutFailed);
-            }
+        if self.faults.fires(FaultInjector::part_put_fails) {
+            self.part_put_failures.fetch_add(1, Ordering::Relaxed);
+            u1_core::fault::set_error_class(Some(u1_core::fault::ErrorClass::PartPut));
+            return Err(MultipartError::PartPutFailed);
         }
         let mut mps = self.multiparts.write();
         let mp = mps

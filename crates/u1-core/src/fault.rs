@@ -46,10 +46,11 @@ use crate::clock::{SimDuration, SimTime};
 use crate::fxhash::FxHashMap;
 use crate::partition::OriginBank;
 use crate::rngx;
+use crate::sync::{Rank, RwLock};
 use rand::rngs::SmallRng;
 use rand::Rng;
 use std::cell::Cell;
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
 /// Classification of a failed (or fault-affected) operation, carried on
 /// trace records so the analytics engine can compute per-class error rates.
@@ -471,10 +472,7 @@ impl FaultInjector {
             return false;
         }
         let cached = {
-            let map = match self.shard_windows.read() {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
+            let map = self.shard_windows.read();
             map.get(&shard).cloned()
         };
         let windows = match cached {
@@ -487,10 +485,7 @@ impl FaultInjector {
                     self.plan.shard_outage_len,
                     self.plan.horizon,
                 ));
-                let mut map = match self.shard_windows.write() {
-                    Ok(g) => g,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
+                let mut map = self.shard_windows.write();
                 Arc::clone(map.entry(shard).or_insert(w))
             }
         };
@@ -508,6 +503,29 @@ impl std::fmt::Debug for FaultInjector {
         f.debug_struct("FaultInjector")
             .field("plan", &self.plan)
             .finish_non_exhaustive()
+    }
+}
+
+/// A store's slot for the run's [`FaultInjector`], empty until
+/// [`install`](Self::install): an empty slot never fires. Rolls run under
+/// its read lock ([`Rank::InstalledFaults`]), below the injector's own locks.
+#[derive(Debug)]
+pub struct InstalledFaults(RwLock<Option<Arc<FaultInjector>>>);
+
+impl Default for InstalledFaults {
+    fn default() -> Self {
+        Self(RwLock::ranked(Rank::InstalledFaults, None))
+    }
+}
+
+impl InstalledFaults {
+    pub fn install(&self, injector: Arc<FaultInjector>) {
+        *self.0.write() = Some(injector);
+    }
+
+    /// `roll` on the installed injector; `false` when none is installed.
+    pub fn fires(&self, roll: impl FnOnce(&FaultInjector) -> bool) -> bool {
+        self.0.read().as_deref().is_some_and(roll)
     }
 }
 

@@ -12,7 +12,8 @@
 //!   of the paper can be reproduced in virtual time on a laptop,
 //! * the file-type taxonomy of §5.3 (categories and extensions),
 //! * the file-size categories used by Fig. 2(b),
-//! * deterministic RNG plumbing used across the workload generator.
+//! * deterministic RNG plumbing used across the workload generator,
+//! * the workspace's locks, each ranked in one lock order ([`sync`]).
 
 pub mod clock;
 pub mod error;
@@ -25,12 +26,15 @@ pub mod partition;
 pub mod rngx;
 pub mod sha1;
 pub mod size;
+pub mod sync;
 pub mod taxonomy;
 pub mod timing;
 
 pub use clock::{Clock, RealClock, SimClock, SimDuration, SimTime};
 pub use error::{CoreError, CoreResult};
-pub use fault::{CircuitBreaker, ErrorClass, FaultInjector, FaultPlan, RetryPolicy};
+pub use fault::{
+    CircuitBreaker, ErrorClass, FaultInjector, FaultPlan, InstalledFaults, RetryPolicy,
+};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use id::{
     ContentHash, MachineId, NodeId, NodeKind, ProcessId, SessionId, ShardId, UploadId, UserId,

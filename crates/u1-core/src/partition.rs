@@ -27,9 +27,10 @@
 use crate::clock::SimTime;
 use crate::fxhash::FxHashMap;
 use crate::rngx;
+use crate::sync::{Mutex, Rank, RwLock};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
+use std::sync::Arc;
 
 /// Per-partition state installed on a worker thread while it runs that
 /// partition. One context per partition per run; it persists across days so
@@ -157,15 +158,9 @@ pub struct OriginBank<T> {
 impl<T> Default for OriginBank<T> {
     fn default() -> Self {
         Self {
-            slots: RwLock::default(),
+            slots: RwLock::ranked(Rank::BankSlots, FxHashMap::default()),
         }
     }
-}
-
-/// A poisoned slot still holds valid state (determinism only needs the
-/// order of use, which a panic elsewhere does not change).
-fn lock_slot<T>(slot: &Mutex<T>) -> MutexGuard<'_, T> {
-    slot.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl<T> OriginBank<T> {
@@ -174,30 +169,25 @@ impl<T> OriginBank<T> {
     /// runs.
     pub fn with<R>(&self, make: impl FnOnce(u32) -> T, f: impl FnOnce(&mut T) -> R) -> R {
         let origin = current_origin();
-        let existing = self
-            .slots
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&origin)
-            .cloned();
+        let existing = self.slots.read().get(&origin).cloned();
         let slot = existing.unwrap_or_else(|| {
-            let mut slots = self.slots.write().unwrap_or_else(PoisonError::into_inner);
+            let mut slots = self.slots.write();
             Arc::clone(
                 slots
                     .entry(origin)
                     .or_insert_with(|| Arc::new(Mutex::new(make(origin)))),
             )
         });
-        let mut state = lock_slot(&slot);
+        let mut state = slot.lock();
         f(&mut state)
     }
 
     /// Visits every instance created so far, in no particular order
     /// (diagnostics: the caller must not depend on it).
     pub fn for_each(&self, mut f: impl FnMut(u32, &T)) {
-        let slots = self.slots.read().unwrap_or_else(PoisonError::into_inner);
+        let slots = self.slots.read();
         for (origin, slot) in slots.iter() {
-            f(*origin, &lock_slot(slot));
+            f(*origin, &slot.lock());
         }
     }
 }

@@ -18,9 +18,8 @@
 //!   counters touched by different workers do not false-share a line.
 //!
 //! Everything here measures with [`std::time::Instant`] (monotonic); no
-//! wall-clock (`SystemTime`) or OS entropy is involved, so the nondet-flow
-//! lint (U1L008) stays quiet and — more importantly — nothing measured here
-//! can feed back into simulation state.
+//! wall-clock (`SystemTime`, banned by `clippy.toml`) or OS entropy is
+//! involved, and nothing measured here feeds back into simulation state.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;

@@ -20,8 +20,8 @@
 //! all of its own deltas immediately: visibility is immediate.
 
 use crate::model::ContentRow;
-use parking_lot::Mutex;
 use std::collections::hash_map::Entry;
+use u1_core::sync::Mutex;
 use u1_core::{ContentHash, FxHashMap, SimTime};
 
 /// Number of index stripes. Power of two, comfortably above any plausible

@@ -30,12 +30,12 @@
 use crate::contents::{ContentIndex, SealOutcome};
 use crate::model::{ContentRow, ShareRow, UploadJobRow, UserRow, VolumeRow};
 use crate::shard::{DeadNode, Shard};
-use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use u1_core::sync::RwLock;
 use u1_core::{
-    ContentHash, CoreError, CoreResult, ErrorClass, FaultInjector, FxHashMap, NodeId, NodeKind,
-    ShardId, SimDuration, SimTime, UploadId, UserId, VolumeId,
+    ContentHash, CoreError, CoreResult, ErrorClass, FaultInjector, FxHashMap, InstalledFaults,
+    NodeId, NodeKind, ShardId, SimDuration, SimTime, UploadId, UserId, VolumeId,
 };
 
 /// Stripe count for the `volume_owner` routing map.
@@ -111,7 +111,7 @@ pub struct MetaStore {
     next_upload: StridedAlloc,
     /// Fault-injection plane; `None` (the default) means every shard is
     /// always up.
-    faults: RwLock<Option<Arc<FaultInjector>>>,
+    faults: InstalledFaults,
 }
 
 #[derive(Debug, Default)]
@@ -136,7 +136,7 @@ impl MetaStore {
             next_volume: StridedAlloc::new(config.shards),
             next_node: StridedAlloc::new(config.shards),
             next_upload: StridedAlloc::new(config.shards),
-            faults: RwLock::new(None),
+            faults: InstalledFaults::default(),
             config,
         }
     }
@@ -146,7 +146,7 @@ impl MetaStore {
     /// [`CoreError::unavailable`] (App. A: the metadata cluster degrades
     /// per-shard, not as a whole).
     pub fn set_faults(&self, injector: Arc<FaultInjector>) {
-        *self.faults.write() = Some(injector);
+        self.faults.install(injector);
     }
 
     /// Fails if `user`'s shard is inside an unavailability window at the
@@ -154,13 +154,10 @@ impl MetaStore {
     /// points, mirroring where U1 routes "operations by user identifier to
     /// the appropriate shard".
     fn check_shard_up(&self, user: UserId) -> CoreResult<()> {
-        let down = match self.faults.read().as_ref() {
-            None => return Ok(()),
-            Some(faults) => {
-                let now = u1_core::partition::current_time().unwrap_or(SimTime::ZERO);
-                faults.shard_down(self.shard_of(user).raw() as u64, now)
-            }
-        };
+        let down = self.faults.fires(|faults| {
+            let now = u1_core::partition::current_time().unwrap_or(SimTime::ZERO);
+            faults.shard_down(self.shard_of(user).raw() as u64, now)
+        });
         if down {
             u1_core::fault::set_error_class(Some(ErrorClass::ShardUnavailable));
             return Err(CoreError::unavailable(format!(

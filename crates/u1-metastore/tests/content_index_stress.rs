@@ -19,12 +19,12 @@
 //!   seal reports every surviving hash dead, all probes miss, the blob
 //!   model is empty, and `fold_stats` is all-zero.
 
-use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Arc, Barrier};
+use u1_core::sync::Mutex;
 use u1_core::{ContentHash, SimTime};
 use u1_metastore::ContentIndex;
 
@@ -52,7 +52,9 @@ fn verify_sealed_view(
     blobs: &Mutex<HashSet<ContentHash>>,
     round: usize,
 ) {
-    let blobs = blobs.lock();
+    // A copy: the index's stripe locks are leaves too, so none may be
+    // taken while `blobs` is held.
+    let blobs = blobs.lock().clone();
     for (id, want) in expected.iter().enumerate() {
         let want = want.load(Ordering::SeqCst);
         let got = idx.probe(hash_of(id), 0).map(|row| row.refcount as i64);

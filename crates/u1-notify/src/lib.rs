@@ -13,9 +13,9 @@
 //! its own `VolumeEvent`.
 
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
-use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use u1_core::sync::RwLock;
 
 /// Identifies one subscriber (one API server process).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]

@@ -7,13 +7,13 @@ use crate::push::{PushRouter, VolumeEvent};
 use crate::session::{SessionHandle, SessionTable};
 use crate::tokencache::{TokenCache, TokenCacheStats};
 use crossbeam::channel::Receiver;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use u1_auth::{AuthConfig, AuthService};
 use u1_blobstore::BlobStore;
 use u1_core::fault::{self, ErrorClass, FaultInjector, FaultPlan};
 use u1_core::partition::{origin_seed, OriginBank};
+use u1_core::sync::Mutex;
 use u1_core::{
     ApiOpKind, Clock, ContentHash, CoreError, CoreResult, FxHashMap, NodeId, NodeKind, RpcKind,
     SimDuration, SimTime, UserId, VolumeId,

@@ -8,8 +8,8 @@
 
 use crate::cluster::Slot;
 use crossbeam::channel::Sender;
-use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
+use u1_core::sync::RwLock;
 use u1_core::{FxHashMap, SessionId, UserId, VolumeId};
 use u1_proto::msg::Push;
 

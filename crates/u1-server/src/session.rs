@@ -6,8 +6,8 @@
 //! the parallel workload driver.
 
 use crate::cluster::Slot;
-use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
+use u1_core::sync::RwLock;
 use u1_core::{FxHashMap, SessionId, SimTime, UserId};
 
 /// Number of independent lock stripes for the live/by-user maps.

@@ -7,9 +7,9 @@
 //! tokens never contend on one lock, TTL-aware (memcached entries expire),
 //! with hit/miss counters surfaced in the workload driver's report.
 
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use u1_auth::Token;
+use u1_core::sync::Mutex;
 use u1_core::{FxHashMap, SimDuration, SimTime, UserId};
 
 const SHARDS: usize = 16;

@@ -32,7 +32,7 @@ use std::fs;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use u1_core::sync::Mutex;
 use u1_core::{MachineId, ProcessId, SimTime};
 
 /// Floor on planned range size: below this, per-task overhead (open, seek,
@@ -347,16 +347,12 @@ fn read_files_parallel(
                     let result =
                         read_range_into(path, *machine, *process, range, &mut buf, &mut records)
                             .map(|stats| (records, stats));
-                    if let Ok(mut slots) = slots.lock() {
-                        slots[i] = Some(result);
-                    }
+                    slots.lock()[i] = Some(result);
                 }
             });
         }
     });
-    let slots = slots
-        .into_inner()
-        .map_err(|_| std::io::Error::other("parse worker panicked"))?;
+    let slots = slots.into_inner();
     let mut stats = ParseStats::default();
     let mut records = Vec::new();
     for (task, slot) in tasks.iter().zip(slots) {

@@ -13,7 +13,6 @@
 
 use crate::csvline;
 use crate::event::TraceRecord;
-use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -22,6 +21,7 @@ use std::fs::{self, File};
 use std::io::{BufWriter, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use u1_core::sync::{Mutex, Rank};
 use u1_core::{CachePadded, MachineId, ProcessId, SimTime};
 
 /// Stripe count used by the lock-sharded sinks below. Origins (driver
@@ -32,7 +32,7 @@ use u1_core::{CachePadded, MachineId, ProcessId, SimTime};
 /// `origin % STRIPES`; origins are small dense integers (one per metastore
 /// shard plus the coordinator — 11 by default), so 32 stripes is a perfect
 /// collision-free partition up to 32 driver partitions. Each stripe lock is
-/// additionally padded to its own cache line: a `parking_lot` mutex plus a
+/// additionally padded to its own cache line: a mutex plus a
 /// `Vec` header is well under 64 bytes, so unpadded neighbours would
 /// false-share a line between workers even when their locks never collide.
 const STRIPES: usize = 32;
@@ -204,7 +204,7 @@ struct Sealed {
 /// does the whole merge there, into a vector of fresh pages beside the full
 /// set of runs.
 ///
-/// Lock order: `sealed`, then a stripe.
+/// Lock order: `sealed` ([`Rank::SealedPrefix`]), then a stripe.
 #[derive(Debug)]
 pub struct MemorySink {
     stripes: Vec<CachePadded<Mutex<PerOrigin<ChunkedRun>>>>,
@@ -217,7 +217,7 @@ impl Default for MemorySink {
             stripes: (0..STRIPES)
                 .map(|_| CachePadded::new(Mutex::new(Vec::new())))
                 .collect(),
-            sealed: Mutex::new(Sealed::default()),
+            sealed: Mutex::ranked(Rank::SealedPrefix, Sealed::default()),
         }
     }
 }
@@ -616,19 +616,30 @@ thread_local! {
     static LINE_BUF: RefCell<Vec<u8>> = RefCell::new(Vec::with_capacity(256));
 }
 
+/// One [`DirSink`] stripe: the day-rotated writers of the (machine,
+/// process) pairs hashing to it, padded to a cache line.
+type WriterStripe = CachePadded<Mutex<HashMap<(MachineId, ProcessId), DayWriter>>>;
+
 /// Writes paper-style logfiles under a directory: one file per
 /// (machine, process, day), rotated as simulated days advance. The writer
 /// map is striped by (machine, process) so concurrent processes don't
 /// contend on one global lock.
 ///
+/// A stripe lock ([`Rank::LogWriters`]) is held across the file I/O of its
+/// writers on purpose; it is what keeps three promises:
+///
+/// * **Log-line atomicity.** A span of whole serialized lines is written in
+///   one `write_all` under the lock, so lines of processes sharing a stripe
+///   never tear or interleave.
+/// * **Day rotation.** The old day's writer is flushed and retired before
+///   the stripe accepts a line for the new day.
+/// * **Flush completeness.** [`TraceSink::flush`] drains each stripe under
+///   its lock, so no line written before the call is missed.
+///
 /// I/O errors do not abort the process: the sink degrades by dropping that
 /// (process, day)'s records, counting the failure in
 /// [`DirSink::io_errors`] and keeping the first error message in
-/// [`DirSink::first_io_error`].
-/// One [`DirSink`] stripe: the day-rotated writers of the (machine,
-/// process) pairs hashing to it, padded to a cache line.
-type WriterStripe = CachePadded<Mutex<HashMap<(MachineId, ProcessId), DayWriter>>>;
-
+/// [`DirSink::first_io_error`] (a leaf lock, taken under the stripe).
 pub struct DirSink {
     dir: PathBuf,
     stripes: Vec<WriterStripe>,
@@ -661,7 +672,7 @@ impl DirSink {
         Ok(Self {
             dir,
             stripes: (0..STRIPES)
-                .map(|_| CachePadded::new(Mutex::new(HashMap::new())))
+                .map(|_| CachePadded::new(Mutex::ranked(Rank::LogWriters, HashMap::new())))
                 .collect(),
             stamped,
             io_errors: CachePadded::new(AtomicU64::new(0)),
@@ -734,7 +745,6 @@ impl DirSink {
                     // the original "one log file per server/service and day".
                     let (_, old) = o.insert((day, self.open(machine, process, day)));
                     if let Some(mut w) = old {
-                        // u1-lint: allow(U1L007) — day rotation must retire the old writer before the stripe accepts new lines; the stripe lock is that ordering
                         if let Err(e) = w.flush() {
                             self.note_io_error(|| format!("flush trace logfile: {e}"));
                         }
@@ -747,7 +757,6 @@ impl DirSink {
             }
         };
         if let Some(w) = &mut slot.1 {
-            // u1-lint: allow(U1L007) — whole serialized lines per write under the stripe lock is the log-line atomicity contract (no torn lines across processes)
             if let Err(e) = w.write_all(lines) {
                 // Degrade exactly like a failed open: count it, drop the
                 // writer so the stream goes quiet for the rest of the day
@@ -789,7 +798,6 @@ impl TraceSink for DirSink {
         for stripe in &self.stripes {
             for (_, slot) in stripe.lock().iter_mut() {
                 if let Some(w) = &mut slot.1 {
-                    // u1-lint: allow(U1L007) — flush() drains each stripe under its lock so no line written before the flush call can be missed
                     if let Err(e) = w.flush() {
                         slot.1 = None;
                         self.note_io_error(|| format!("flush trace logfile: {e}"));

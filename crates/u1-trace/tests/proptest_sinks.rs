@@ -12,13 +12,13 @@
 //! `append`, merged one record per heap operation — lives on only here, as
 //! the oracle.
 
-use parking_lot::Mutex;
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
+use u1_core::sync::Mutex;
 use u1_core::{
     ApiOpKind, ContentHash, MachineId, NodeId, NodeKind, ProcessId, SessionId, SimTime, UserId,
     VolumeId,

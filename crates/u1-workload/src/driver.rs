@@ -48,11 +48,12 @@ use rand::{Rng, SeedableRng};
 use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::{Arc, Barrier};
 use u1_auth::Token;
 use u1_blobstore::PART_SIZE;
 use u1_core::fault::{self, CircuitBreaker, FaultInjector, RetryPolicy};
 use u1_core::partition::PartitionCtx;
+use u1_core::sync::{Mutex, Rank};
 use u1_core::timing::{saturating_nanos, Measured, Phase, PhaseNanos, PhaseTimers};
 use u1_core::{
     rngx, ApiOpKind, ContentHash, CoreError, CoreResult, FxHashMap, NodeKind, SessionId,
@@ -1767,14 +1768,19 @@ impl Driver {
         // one thread's stack. Workers lock only their assigned shards while
         // running a day; the coordinator locks each briefly while every
         // worker is parked — the locks are never contended, they only carry
-        // ownership across days.
-        let shards: Vec<Mutex<ShardSim>> = self.shards.drain(..).map(Mutex::new).collect();
+        // ownership across days. A worker runs the back-end under its
+        // shard's lock, so that lock ranks below every other one.
+        let shards: Vec<Mutex<ShardSim>> = self
+            .shards
+            .drain(..)
+            .map(|sim| Mutex::ranked(Rank::DriverShard, sim))
+            .collect();
         // Day 0 packs by client count (the only load signal available
         // before anything ran); each later day re-packs by the event count
         // each shard actually processed the previous day.
         let init_weights: Vec<u64> = shards
             .iter()
-            .map(|s| s.lock().expect("shard lock poisoned").clients.len() as u64)
+            .map(|s| s.lock().clients.len() as u64)
             .collect();
         let assignments: Vec<Mutex<Vec<usize>>> = pack_lpt(&init_weights, workers)
             .into_iter()
@@ -1795,11 +1801,9 @@ impl Driver {
                     for day in 0..days {
                         let day_end = SimTime::from_days(day + 1).min(horizon);
                         mine.clear();
-                        mine.extend_from_slice(
-                            &assignments[w].lock().expect("assignment lock poisoned"),
-                        );
+                        mine.extend_from_slice(&assignments[w].lock());
                         for &i in &mine {
-                            let mut sim = shards[i].lock().expect("shard lock poisoned");
+                            let mut sim = shards[i].lock();
                             let _g = u1_core::partition::install(sim.ctx.clone());
                             let t_run = std::time::Instant::now();
                             sim.run_until(day_end);
@@ -1835,7 +1839,7 @@ impl Driver {
                     // every worker is parked on the barrier.
                     let mut baseline = coordinator.report.clone();
                     for (i, shard) in shards.iter().enumerate() {
-                        let sim = shard.lock().expect("shard lock poisoned");
+                        let sim = shard.lock();
                         baseline.absorb(&sim.report);
                         deltas[i] = sim.events_processed - prev_events[i];
                         prev_events[i] = sim.events_processed;
@@ -1861,7 +1865,7 @@ impl Driver {
                     timers.add(Phase::DayFlush, saturating_nanos(t_flush));
                     if day + 1 < days {
                         for (slot, bin) in assignments.iter().zip(pack_lpt(&deltas, workers)) {
-                            *slot.lock().expect("assignment lock poisoned") = bin;
+                            *slot.lock() = bin;
                         }
                     }
                 }
@@ -1874,7 +1878,7 @@ impl Driver {
         self.backend.flush_trace();
         let mut report = self.coordinator.report.clone();
         for shard in &shards {
-            report.absorb(&shard.lock().expect("shard lock poisoned").report);
+            report.absorb(&shard.lock().report);
         }
         report.users = self.cfg.users;
         report.timing = Measured(timers.snapshot());
@@ -1997,6 +2001,51 @@ mod tests {
         // Identical input ⇒ identical packing (the repack is wall-clock
         // only, but the schedule itself must be reproducible).
         assert_eq!(pack_lpt(&[5, 9, 1, 7, 3], 2), pack_lpt(&[5, 9, 1, 7, 3], 2));
+    }
+
+    /// Setup shares one volume along a ring over the sharers in global user
+    /// order: each sharer receives from the one before it. Nothing in the
+    /// trace or the report depends on who shares with whom, so the output
+    /// pins cannot see a reordered ring (a hash-ordered one passes them
+    /// all); this test pins the order itself.
+    #[test]
+    fn shares_ring_the_sharers_in_global_user_order() {
+        let clock = SimClock::new();
+        let backend = Arc::new(Backend::new(
+            BackendConfig::default(),
+            Arc::new(clock.clone()),
+            Arc::new(MemorySink::new()),
+        ));
+        let cfg = WorkloadConfig {
+            users: 600,
+            days: 1,
+            seed: 11,
+            attacks: false,
+            seed_files: 0.0,
+            workers: 0,
+        };
+        let mut driver = Driver::new(cfg, Arc::clone(&backend), clock);
+        driver.setup();
+        let mut sharers: Vec<UserId> = driver
+            .shards
+            .iter()
+            .flat_map(|s| &s.clients)
+            .filter(|c| c.profile.shares)
+            .map(|c| c.user)
+            .collect();
+        sharers.sort_unstable();
+        assert!(sharers.len() >= 3, "only {} sharers", sharers.len());
+        for (k, &to) in sharers.iter().enumerate() {
+            let from = sharers[(k + sharers.len() - 1) % sharers.len()];
+            let owners: Vec<UserId> = backend
+                .store
+                .list_shares(to)
+                .expect("no faults installed")
+                .into_iter()
+                .map(|(_, owner)| owner)
+                .collect();
+            assert_eq!(owners, [from], "shares received by {to}");
+        }
     }
 
     /// Locks the exact observable output of the driver — full report plus a
