@@ -75,9 +75,10 @@ impl BlobStore {
     }
 
     /// Installs the run's fault injector; part-puts then fail with the
-    /// plan's `part_put_p` probability.
-    pub fn set_faults(&self, injector: Arc<FaultInjector>) {
-        self.faults.install(injector);
+    /// plan's `part_put_p` probability. Only the first call installs; it
+    /// returns `false` and changes nothing once an injector is installed.
+    pub fn set_faults(&self, injector: Arc<FaultInjector>) -> bool {
+        self.faults.install(injector)
     }
 
     /// Whether an object with this content identity exists.

@@ -8,6 +8,7 @@ use u1_core::{ContentHash, CoreError, CoreResult, NodeId, NodeKind, SessionId, U
 use u1_proto::conn::{ClientConn, ClientEvent};
 use u1_proto::msg::{NodeInfo, Push, Request, RequestId, Response, VolumeInfo};
 use u1_proto::tcp;
+use u1_server::api::node_info;
 use u1_server::Backend;
 
 /// Result of an upload as the client sees it.
@@ -179,11 +180,15 @@ impl Transport for DirectTransport {
         volume: VolumeId,
         from_generation: u64,
     ) -> CoreResult<(u64, Vec<NodeInfo>)> {
-        self.backend.get_delta(self.sid()?, volume, from_generation)
+        let (generation, rows) = self
+            .backend
+            .get_delta(self.sid()?, volume, from_generation)?;
+        Ok((generation, rows.into_iter().map(node_info).collect()))
     }
 
     fn rescan_from_scratch(&mut self, volume: VolumeId) -> CoreResult<(u64, Vec<NodeInfo>)> {
-        self.backend.rescan_from_scratch(self.sid()?, volume)
+        let (generation, rows) = self.backend.rescan_from_scratch(self.sid()?, volume)?;
+        Ok((generation, rows.into_iter().map(node_info).collect()))
     }
 
     fn upload(

@@ -46,11 +46,11 @@ use crate::clock::{SimDuration, SimTime};
 use crate::fxhash::FxHashMap;
 use crate::partition::OriginBank;
 use crate::rngx;
-use crate::sync::{Rank, RwLock};
+use crate::sync::RwLock;
 use rand::rngs::SmallRng;
 use rand::Rng;
 use std::cell::Cell;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Classification of a failed (or fault-affected) operation, carried on
 /// trace records so the analytics engine can compute per-class error rates.
@@ -507,25 +507,22 @@ impl std::fmt::Debug for FaultInjector {
 }
 
 /// A store's slot for the run's [`FaultInjector`], empty until
-/// [`install`](Self::install): an empty slot never fires. Rolls run under
-/// its read lock ([`Rank::InstalledFaults`]), below the injector's own locks.
-#[derive(Debug)]
-pub struct InstalledFaults(RwLock<Option<Arc<FaultInjector>>>);
-
-impl Default for InstalledFaults {
-    fn default() -> Self {
-        Self(RwLock::ranked(Rank::InstalledFaults, None))
-    }
-}
+/// [`install`](Self::install): an empty slot never fires. The slot is set
+/// once and never changes after, so a roll reads it without a lock.
+#[derive(Debug, Default)]
+pub struct InstalledFaults(OnceLock<Arc<FaultInjector>>);
 
 impl InstalledFaults {
-    pub fn install(&self, injector: Arc<FaultInjector>) {
-        *self.0.write() = Some(injector);
+    /// Installs `injector` into an empty slot and returns `true`. The first
+    /// install wins: on a filled slot this returns `false`, and the
+    /// injector installed first keeps deciding every roll.
+    pub fn install(&self, injector: Arc<FaultInjector>) -> bool {
+        self.0.set(injector).is_ok()
     }
 
     /// `roll` on the installed injector; `false` when none is installed.
     pub fn fires(&self, roll: impl FnOnce(&FaultInjector) -> bool) -> bool {
-        self.0.read().as_deref().is_some_and(roll)
+        self.0.get().is_some_and(|injector| roll(injector))
     }
 }
 
@@ -617,6 +614,24 @@ mod tests {
         inj.rpc
             .rngs
             .for_each(|origin, _| panic!("stream for origin {origin}"));
+    }
+
+    #[test]
+    fn an_empty_slot_never_fires_and_the_first_install_wins() {
+        let slot = InstalledFaults::default();
+        assert!(!slot.fires(|_| true), "nothing installed");
+        let first = Arc::new(FaultInjector::new(FaultPlan::none(), 1));
+        let second = Arc::new(FaultInjector::new(
+            FaultPlan::light(SimDuration::from_days(1)),
+            2,
+        ));
+        assert!(slot.install(first));
+        assert!(!slot.install(second), "a filled slot refuses");
+        assert!(slot.fires(|_| true));
+        assert!(
+            !slot.fires(|inj| !inj.is_none()),
+            "the first injector still decides"
+        );
     }
 
     #[test]

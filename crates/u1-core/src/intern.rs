@@ -77,6 +77,25 @@ impl Name {
         }
     }
 
+    /// Formats `args` straight into a name, as `format!(..).into()` would,
+    /// without building a `String` first when the text fits inline.
+    pub fn from_fmt(args: fmt::Arguments<'_>) -> Self {
+        let mut w = NameWriter {
+            len: 0,
+            buf: [0; NAME_INLINE],
+            spill: None,
+        };
+        // `NameWriter` never fails, so neither does `write_fmt`.
+        let _ = fmt::Write::write_fmt(&mut w, args);
+        match w.spill {
+            Some(long) => Name::Heap(long.into_boxed_str()),
+            None => Name::Inline {
+                len: w.len as u8,
+                buf: w.buf,
+            },
+        }
+    }
+
     pub fn as_str(&self) -> &str {
         match self {
             // Construction copied from a valid &str prefix, so the bytes
@@ -92,6 +111,30 @@ impl Name {
     /// True when the text fits inline (no heap allocation happened).
     pub fn is_inline(&self) -> bool {
         matches!(self, Name::Inline { .. })
+    }
+}
+
+/// [`Name::from_fmt`]'s sink: the inline buffer until the text outgrows
+/// it, then one `String`.
+struct NameWriter {
+    len: usize,
+    buf: [u8; NAME_INLINE],
+    spill: Option<String>,
+}
+
+impl fmt::Write for NameWriter {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        if let Some(long) = &mut self.spill {
+            long.push_str(s);
+        } else if let Some(dst) = self.buf.get_mut(self.len..self.len + s.len()) {
+            dst.copy_from_slice(s.as_bytes());
+            self.len += s.len();
+        } else {
+            // The buffer holds whole `&str` pieces, so it is valid UTF-8.
+            let head = std::str::from_utf8(&self.buf[..self.len]).unwrap_or_default();
+            self.spill = Some([head, s].concat());
+        }
+        Ok(())
     }
 }
 
@@ -354,12 +397,18 @@ impl NameId {
     }
 }
 
-/// Span of one interned string inside the arena buffer.
+/// Span of one interned string inside the arena buffer, and the next id
+/// whose text has the same hash ([`NO_NEXT`] ends the chain).
 #[derive(Clone, Copy)]
 struct Span {
     start: u32,
     len: u32,
+    next: u32,
 }
+
+/// End of a hash chain. No id takes this value: the arena is full one id
+/// before it.
+const NO_NEXT: u32 = u32::MAX;
 
 /// A deduplicating string interner: all text lives in ONE contiguous
 /// buffer, each distinct string gets one [`NameId`], and equal strings
@@ -373,9 +422,10 @@ struct Span {
 pub struct NameArena {
     buf: String,
     spans: Vec<Span>,
-    /// FxHash of the string → candidate ids (collision chains are resolved
-    /// by comparing the actual text).
-    index: FxHashMap<u64, Vec<NameId>>,
+    /// FxHash of the string → the newest id with that hash. Older ids with
+    /// the same hash chain on through their spans' `next`; a chain is
+    /// resolved by comparing the actual text.
+    index: FxHashMap<u64, NameId>,
 }
 
 impl NameArena {
@@ -391,34 +441,48 @@ impl NameArena {
     }
 
     /// Interns `s`, returning its id (existing or new). `None` only when an
-    /// arena limit would be exceeded (≥ 2³² distinct strings or ≥ 4 GiB of
-    /// text) — checked, never truncated.
+    /// arena limit would be exceeded (≥ 2³² − 1 distinct strings or ≥ 4 GiB
+    /// of text) — checked, never truncated.
     pub fn intern(&mut self, s: &str) -> Option<NameId> {
-        let h = Self::hash_str(s);
-        if let Some(ids) = self.index.get(&h) {
-            for &id in ids {
-                if self.resolve(id) == s {
-                    return Some(id);
-                }
-            }
+        self.intern_hashed(Self::hash_str(s), s)
+    }
+
+    fn intern_hashed(&mut self, h: u64, s: &str) -> Option<NameId> {
+        if let Some(id) = self.lookup_hashed(h, s) {
+            return Some(id);
         }
-        let id = NameId(to_u32(self.spans.len())?);
+        let id = to_u32(self.spans.len()).filter(|&id| id != NO_NEXT)?;
         let start = to_u32(self.buf.len())?;
         let len = to_u32(s.len())?;
         // The span end must also fit in u32.
         to_u32(self.buf.len() + s.len())?;
         self.buf.push_str(s);
-        self.spans.push(Span { start, len });
-        self.index.entry(h).or_default().push(id);
-        Some(id)
+        let next = self
+            .index
+            .insert(h, NameId(id))
+            .map_or(NO_NEXT, NameId::raw);
+        self.spans.push(Span { start, len, next });
+        Some(NameId(id))
     }
 
     /// The id `s` is interned under, if any — a non-inserting probe (the
     /// make-node idempotency check: a name that was never interned cannot
     /// name a live node).
     pub fn lookup(&self, s: &str) -> Option<NameId> {
-        let ids = self.index.get(&Self::hash_str(s))?;
-        ids.iter().copied().find(|&id| self.resolve(id) == s)
+        self.lookup_hashed(Self::hash_str(s), s)
+    }
+
+    fn lookup_hashed(&self, h: u64, s: &str) -> Option<NameId> {
+        let mut id = *self.index.get(&h)?;
+        loop {
+            if self.resolve(id) == s {
+                return Some(id);
+            }
+            match self.spans.get(id.0 as usize)?.next {
+                NO_NEXT => return None,
+                next => id = NameId(next),
+            }
+        }
     }
 
     /// The text behind `id`. Ids from a different arena index arbitrary
@@ -547,6 +611,18 @@ mod tests {
     }
 
     #[test]
+    fn name_from_fmt_matches_format() {
+        for n in [0u64, 7, 123_456_789, u64::MAX] {
+            for ext in ["c", "docx", "averyveryverylongextension"] {
+                let want = format!("f{n}.{ext}");
+                let got = Name::from_fmt(format_args!("f{n}.{ext}"));
+                assert_eq!(got.as_str(), want);
+                assert_eq!(got.is_inline(), want.len() <= NAME_INLINE, "{want}");
+            }
+        }
+    }
+
+    #[test]
     fn name_equality_ordering_hashing_follow_the_text() {
         use std::collections::HashSet;
         let a = Name::new("aaa");
@@ -601,6 +677,27 @@ mod tests {
         let e = arena.intern("").unwrap();
         assert_eq!(arena.resolve(e), "");
         assert_eq!(arena.lookup(""), Some(e));
+    }
+
+    #[test]
+    fn name_arena_resolves_a_hash_chain_by_text() {
+        let mut arena = NameArena::new();
+        let other = arena.intern("other").unwrap();
+        // Three names forced onto one hash: one chain through the spans.
+        let ids: Vec<NameId> = ["a", "b", "c"]
+            .iter()
+            .map(|s| arena.intern_hashed(7, s).unwrap())
+            .collect();
+        assert_eq!(ids, vec![NameId(1), NameId(2), NameId(3)], "ids in order");
+        for (s, id) in ["a", "b", "c"].iter().zip(&ids) {
+            assert_eq!(arena.lookup_hashed(7, s), Some(*id));
+            assert_eq!(arena.intern_hashed(7, s), Some(*id), "no duplicate");
+            assert_eq!(arena.resolve(*id), *s);
+        }
+        assert_eq!(arena.lookup_hashed(7, "d"), None);
+        assert_eq!(arena.lookup_hashed(7, "other"), None, "text, not hash");
+        assert_eq!(arena.lookup("other"), Some(other));
+        assert_eq!(arena.len(), 4);
     }
 
     #[test]

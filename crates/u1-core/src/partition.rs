@@ -25,12 +25,11 @@
 //! the live TCP reactor, which serves every connection from one thread.
 
 use crate::clock::SimTime;
-use crate::fxhash::FxHashMap;
 use crate::rngx;
-use crate::sync::{Mutex, Rank, RwLock};
+use crate::sync::Mutex;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Per-partition state installed on a worker thread while it runs that
 /// partition. One context per partition per run; it persists across days so
@@ -102,7 +101,11 @@ fn with_current<T>(f: impl FnOnce(&PartitionCtx) -> T) -> Option<T> {
 
 /// Origin of the partition running on this thread; 0 when none is installed.
 pub fn current_origin() -> u32 {
-    with_current(|ctx| u32::from(ctx.origin)).unwrap_or(0)
+    u32::from(origin_or_zero())
+}
+
+fn origin_or_zero() -> u16 {
+    with_current(|ctx| ctx.origin).unwrap_or(0)
 }
 
 /// This partition's virtual time, if a context is installed.
@@ -134,13 +137,17 @@ pub fn next_session_id() -> Option<u64> {
 /// Seed of `origin`'s private stream of a component seeded with `root`:
 /// origin 0 keeps the root seed, every other origin derives its own from
 /// `(root, label, origin)`.
-pub fn origin_seed(root: u64, label: &str, origin: u32) -> u64 {
+pub fn origin_seed(root: u64, label: &str, origin: u16) -> u64 {
     if origin == 0 {
         root
     } else {
         rngx::derive_seed(root, label, u64::from(origin))
     }
 }
+
+/// Origins per page of an [`OriginBank`]'s page table, and pages per table:
+/// `PAGE * PAGE` slots cover every `u16` origin.
+const PAGE: usize = 256;
 
 /// One `T` per partition origin, created the first time that origin asks.
 ///
@@ -150,15 +157,21 @@ pub fn origin_seed(root: u64, label: &str, origin: u32) -> u64 {
 /// calling partition its own instance: a partition runs its events in a
 /// deterministic order on whichever worker thread it lands on, so it
 /// consumes its instance in a deterministic order too.
-#[derive(Debug)]
+///
+/// The instances sit in a two-level page table indexed by the origin's high
+/// and low byte. Pages and slots are set once, on first use, and never
+/// replaced, so finding an origin's slot takes no lock and no hash; only
+/// the slot's own mutex is taken, and only its partition contends for it.
 pub struct OriginBank<T> {
-    slots: RwLock<FxHashMap<u32, Arc<Mutex<T>>>>,
+    pages: [OnceLock<Box<Page<T>>>; PAGE],
 }
+
+type Page<T> = [OnceLock<Mutex<T>>; PAGE];
 
 impl<T> Default for OriginBank<T> {
     fn default() -> Self {
         Self {
-            slots: RwLock::ranked(Rank::BankSlots, FxHashMap::default()),
+            pages: [const { OnceLock::new() }; PAGE],
         }
     }
 }
@@ -167,28 +180,37 @@ impl<T> OriginBank<T> {
     /// Runs `f` on the calling partition's instance, building it with
     /// `make(origin)` on first use. Only that instance is locked while `f`
     /// runs.
-    pub fn with<R>(&self, make: impl FnOnce(u32) -> T, f: impl FnOnce(&mut T) -> R) -> R {
-        let origin = current_origin();
-        let existing = self.slots.read().get(&origin).cloned();
-        let slot = existing.unwrap_or_else(|| {
-            let mut slots = self.slots.write();
-            Arc::clone(
-                slots
-                    .entry(origin)
-                    .or_insert_with(|| Arc::new(Mutex::new(make(origin)))),
-            )
-        });
+    pub fn with<R>(&self, make: impl FnOnce(u16) -> T, f: impl FnOnce(&mut T) -> R) -> R {
+        let origin = origin_or_zero();
+        let [hi, lo] = origin.to_be_bytes();
+        let page =
+            self.pages[usize::from(hi)].get_or_init(|| Box::new([const { OnceLock::new() }; PAGE]));
+        let slot = page[usize::from(lo)].get_or_init(|| Mutex::new(make(origin)));
         let mut state = slot.lock();
         f(&mut state)
     }
 
-    /// Visits every instance created so far, in no particular order
-    /// (diagnostics: the caller must not depend on it).
-    pub fn for_each(&self, mut f: impl FnMut(u32, &T)) {
-        let slots = self.slots.read();
-        for (origin, slot) in slots.iter() {
-            f(*origin, &slot.lock());
+    /// Visits every instance created so far, once each, in origin order.
+    pub fn for_each(&self, mut f: impl FnMut(u16, &T)) {
+        for (origin, slot) in self.slots() {
+            f(origin, &slot.lock());
         }
+    }
+
+    fn slots(&self) -> impl Iterator<Item = (u16, &Mutex<T>)> {
+        (0..=u8::MAX).zip(&self.pages).flat_map(|(hi, page)| {
+            (0..=u8::MAX)
+                .zip(page.get().into_iter().flat_map(|p| p.iter()))
+                .filter_map(move |(lo, slot)| Some((u16::from_be_bytes([hi, lo]), slot.get()?)))
+        })
+    }
+}
+
+impl<T> std::fmt::Debug for OriginBank<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("OriginBank")
+            .field("origins", &self.slots().count())
+            .finish()
     }
 }
 
@@ -210,16 +232,47 @@ mod tests {
 
     #[test]
     fn bank_gives_each_installed_context_its_own_state() {
-        let bank: OriginBank<Vec<u32>> = OriginBank::default();
-        for origin in [4u16, 9, 4] {
+        let bank: OriginBank<Vec<u16>> = OriginBank::default();
+        let made = std::cell::Cell::new(0);
+        // Both ends of each page, and of the table, twice each.
+        let origins = [0u16, 3, 255, 256, 65535];
+        for origin in origins.into_iter().chain(origins) {
             let _g = install(PartitionCtx::new(origin));
-            // `make` runs once per origin; later calls find the state.
-            bank.with(|o| vec![o], |state| state.push(u32::from(origin) * 10));
+            bank.with(
+                |o| {
+                    made.set(made.get() + 1);
+                    vec![o]
+                },
+                |state| state.push(origin),
+            );
         }
+        assert_eq!(made.get(), origins.len(), "`make` runs once per origin");
         let mut seen = Vec::new();
         bank.for_each(|origin, state| seen.push((origin, state.clone())));
-        seen.sort();
-        assert_eq!(seen, vec![(4, vec![4, 40, 40]), (9, vec![9, 90])]);
+        let want: Vec<_> = origins.iter().map(|&o| (o, vec![o, o, o])).collect();
+        assert_eq!(seen, want, "each origin once, in origin order");
+    }
+
+    #[test]
+    fn threads_racing_to_create_a_slot_share_one_state() {
+        let bank: OriginBank<u32> = OriginBank::default();
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for t in 0..4u16 {
+                let (bank, start) = (&bank, &start);
+                // Two threads per origin, each origin on its own page.
+                s.spawn(move || {
+                    let _g = install(PartitionCtx::new(t % 2 * 300));
+                    start.wait();
+                    for _ in 0..1000 {
+                        bank.with(|_| 0, |n| *n += 1);
+                    }
+                });
+            }
+        });
+        let mut seen = Vec::new();
+        bank.for_each(|origin, n| seen.push((origin, *n)));
+        assert_eq!(seen, vec![(0, 2000), (300, 2000)]);
     }
 
     #[test]

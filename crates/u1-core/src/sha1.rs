@@ -61,79 +61,103 @@ impl Sha1 {
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
             self.buf_len += take;
             data = &data[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
+            if self.buf_len < 64 {
+                return;
             }
+            let block = self.buf;
+            self.compress(&block);
+            self.buf_len = 0;
         }
-        while data.len() >= 64 {
-            let (block, rest) = data.split_at(64);
-            let mut b = [0u8; 64];
-            b.copy_from_slice(block);
-            self.compress(&b);
-            data = rest;
+        let (blocks, rest) = data.as_chunks::<64>();
+        for block in blocks {
+            self.compress(block);
         }
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
-        }
+        self.buf[..rest.len()].copy_from_slice(rest);
+        self.buf_len = rest.len();
     }
 
     /// Completes the hash and returns the 160-bit digest.
     pub fn finalize(mut self) -> ContentHash {
         let bit_len = self.len.wrapping_mul(8);
-        // Padding: 0x80, zeros, then the 64-bit big-endian bit length.
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
+        // Padding: 0x80, zeros up to byte 56 of a block, then the 64-bit
+        // big-endian bit length. `buf_len < 64` always holds here, and when
+        // fewer than 9 bytes are left the length spills into a second block.
+        let n = self.buf_len;
+        self.buf[n] = 0x80;
+        self.buf[n + 1..].fill(0);
+        if n >= 56 {
+            let block = self.buf;
+            self.compress(&block);
+            self.buf = [0; 64];
         }
-        // `update` would count the length bytes into `len`, but `bit_len` is
-        // already captured, so writing directly into the buffer is fine.
-        self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
+        self.buf[56..].copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buf;
         self.compress(&block);
         let mut out = [0u8; 20];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        for (bytes, word) in out.chunks_exact_mut(4).zip(self.state) {
+            bytes.copy_from_slice(&word.to_be_bytes());
         }
         ContentHash::new(out)
     }
 
     fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 80];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        // The message schedule as a ring of 16 words: round `i >= 16`
+        // overwrites `w[i % 16]`, which held `w[i - 16]`, with `w[i]`.
+        let mut w = [0u32; 16];
+        for (word, bytes) in w.iter_mut().zip(block.as_chunks::<4>().0) {
+            *word = u32::from_be_bytes(*bytes);
         }
-        for i in 16..80 {
-            w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
+        let mut s = self.state;
+        for i in 0..20 {
+            let [_, b, c, d, _] = s;
+            s = round(
+                s,
+                (d ^ (b & (c ^ d))).wrapping_add(0x5A82_7999),
+                word(&mut w, i),
+            );
         }
-        let [mut a, mut b, mut c, mut d, mut e] = self.state;
-        for (i, &wi) in w.iter().enumerate() {
-            let (f, k) = match i {
-                0..=19 => ((b & c) | ((!b) & d), 0x5A827999),
-                20..=39 => (b ^ c ^ d, 0x6ED9EBA1),
-                40..=59 => ((b & c) | (b & d) | (c & d), 0x8F1BBCDC),
-                _ => (b ^ c ^ d, 0xCA62C1D6),
-            };
-            let tmp = a
-                .rotate_left(5)
-                .wrapping_add(f)
-                .wrapping_add(e)
-                .wrapping_add(k)
-                .wrapping_add(wi);
-            e = d;
-            d = c;
-            c = b.rotate_left(30);
-            b = a;
-            a = tmp;
+        for i in 20..40 {
+            let [_, b, c, d, _] = s;
+            s = round(s, (b ^ c ^ d).wrapping_add(0x6ED9_EBA1), word(&mut w, i));
         }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
+        for i in 40..60 {
+            let [_, b, c, d, _] = s;
+            s = round(
+                s,
+                ((b & c) | (d & (b | c))).wrapping_add(0x8F1B_BCDC),
+                word(&mut w, i),
+            );
+        }
+        for i in 60..80 {
+            let [_, b, c, d, _] = s;
+            s = round(s, (b ^ c ^ d).wrapping_add(0xCA62_C1D6), word(&mut w, i));
+        }
+        for (h, x) in self.state.iter_mut().zip(s) {
+            *h = h.wrapping_add(x);
+        }
     }
+}
+
+/// Schedule word `i` of the current block, computed in place from the ring.
+#[inline(always)]
+fn word(w: &mut [u32; 16], i: usize) -> u32 {
+    if i < 16 {
+        return w[i];
+    }
+    let x = (w[(i + 13) & 15] ^ w[(i + 8) & 15] ^ w[(i + 2) & 15] ^ w[i & 15]).rotate_left(1);
+    w[i & 15] = x;
+    x
+}
+
+/// One SHA-1 round on `[a, b, c, d, e]`, given the round's `f + k`.
+#[inline(always)]
+fn round([a, b, c, d, e]: [u32; 5], fk: u32, w: u32) -> [u32; 5] {
+    let t = a
+        .rotate_left(5)
+        .wrapping_add(fk)
+        .wrapping_add(e)
+        .wrapping_add(w);
+    [t, a, b.rotate_left(30), c, d]
 }
 
 #[cfg(test)]
@@ -181,13 +205,32 @@ mod tests {
 
     #[test]
     fn lengths_around_block_boundary() {
-        // Known-good via reference implementation behavior: identical input,
-        // different lengths near 55/56/64 bytes must produce distinct digests
-        // and be internally consistent when re-hashed.
-        let mut seen = std::collections::HashSet::new();
-        for len in 50..70 {
-            let data = vec![0x5au8; len];
-            assert!(seen.insert(Sha1::digest(&data)), "collision at len {len}");
+        // Expected digests from Python's `hashlib.sha1(b"\x5a" * n)`: each
+        // length puts the padding's 0x80 and the bit length at a different
+        // place relative to a block boundary.
+        for (len, want) in [
+            (55, "55b80d96c523566d3c8a3b8de03a5549fd04915c"),
+            (56, "bfe3466cd0dcd5e29b11e7885010fa7c61b737a6"),
+            (63, "7db05d8e931f0a6731328e4923fbda65ced2f5db"),
+            (64, "eece723b8a411e8c53e7bf49514234da5d394236"),
+            (65, "f9619e0496c7fbeff2f2b4f3f93ed379329fe7d6"),
+            (119, "791fa3ef300032b7b8efab39b22dead4327cba55"),
+            (120, "856ffb270b6b9340b620653753dfc5bafaff0a1f"),
+        ] {
+            assert_eq!(hex(&vec![0x5au8; len]), want, "len {len}");
+        }
+    }
+
+    #[test]
+    fn content_ids_hash_their_big_endian_bytes() {
+        // Expected: `hashlib.sha1(struct.pack(">Q", id))`.
+        for (id, want) in [
+            (0, "05fe405753166f125559e7c9ac558654f107c7e9"),
+            (1, "cb473678976f425d6ec1339838f11011007ad27d"),
+            (1 << 32, "aa38f215908cd7aafcf9f8ba28ad78f24c4405bf"),
+            (u64::MAX, "be673e8a56eaa9d8c1d35064866701c11ef8e089"),
+        ] {
+            assert_eq!(ContentHash::from_content_id(id).to_hex(), want, "id {id}");
         }
     }
 }

@@ -29,11 +29,6 @@ pub enum Rank {
     /// A driver shard partition (`u1-workload`): the worker runs the
     /// partition's day, and so the whole back-end, under it.
     DriverShard,
-    /// A store's installed `FaultInjector` (metastore, blobstore): a fault
-    /// roll locks the injector's banks and outage windows under it.
-    InstalledFaults,
-    /// `OriginBank`'s origin → slot map: `for_each` locks each slot under it.
-    BankSlots,
     /// `MemorySink`'s sealed prefix: a seal, and `len`, lock each stripe
     /// under it, one at a time.
     SealedPrefix,
@@ -95,10 +90,8 @@ impl Order {
 
 /// Every rank, indexed by its bit.
 #[cfg(debug_assertions)]
-const RANKS: [Rank; 6] = [
+const RANKS: [Rank; 4] = [
     Rank::DriverShard,
-    Rank::InstalledFaults,
-    Rank::BankSlots,
     Rank::SealedPrefix,
     Rank::LogWriters,
     Rank::Leaf,
@@ -266,7 +259,7 @@ mod tests {
 
     #[test]
     fn in_order_acquires_and_reacquires_after_drop_pass() {
-        let slots = RwLock::ranked(Rank::BankSlots, 1);
+        let slots = RwLock::ranked(Rank::DriverShard, 1);
         let prefix = Mutex::ranked(Rank::SealedPrefix, 2);
         let leaf = Mutex::new(3);
         {
@@ -287,16 +280,16 @@ mod tests {
     #[cfg(debug_assertions)]
     fn out_of_order_acquire_panics_and_leaves_the_held_set_as_it_was() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
-        let low = Mutex::ranked(Rank::BankSlots, ());
+        let low = Mutex::ranked(Rank::DriverShard, ());
         let high = Mutex::ranked(Rank::LogWriters, ());
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let _h = high.lock();
             let _l = low.lock();
         }));
-        let message = outcome.expect_err("BankSlots under LogWriters must panic");
+        let message = outcome.expect_err("DriverShard under LogWriters must panic");
         assert_eq!(
             message.downcast_ref::<String>().map(String::as_str),
-            Some("lock order: taking a BankSlots lock while holding a LogWriters lock")
+            Some("lock order: taking a DriverShard lock while holding a LogWriters lock")
         );
         // The guard taken before the panic gave its rank back on unwind.
         let _l = low.lock();

@@ -144,9 +144,10 @@ impl MetaStore {
     /// Installs the run's fault injector; requests routed to a shard inside
     /// one of its unavailability windows then fail with
     /// [`CoreError::unavailable`] (App. A: the metadata cluster degrades
-    /// per-shard, not as a whole).
-    pub fn set_faults(&self, injector: Arc<FaultInjector>) {
-        self.faults.install(injector);
+    /// per-shard, not as a whole). Only the first call installs; it
+    /// returns `false` and changes nothing once an injector is installed.
+    pub fn set_faults(&self, injector: Arc<FaultInjector>) -> bool {
+        self.faults.install(injector)
     }
 
     /// Fails if `user`'s shard is inside an unavailability window at the

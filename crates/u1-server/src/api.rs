@@ -15,6 +15,7 @@ use u1_core::{
     ApiOpKind, ContentHash, CoreError, CoreResult, NodeId, NodeKind, RpcKind, SessionId,
     SimDuration, UploadId, UserId, VolumeId, VolumeKind,
 };
+use u1_metastore::NodeRow;
 use u1_proto::msg::{NodeInfo, Push, VolumeInfo};
 use u1_trace::SessionEvent;
 
@@ -64,12 +65,14 @@ fn volume_info(row: &u1_metastore::VolumeRow, owner: Option<UserId>) -> VolumeIn
     }
 }
 
-fn node_info(row: &u1_metastore::NodeRow) -> NodeInfo {
+/// A node row as the protocol carries it. Listing handlers return rows;
+/// whoever encodes a listing for a client converts each row here, once.
+pub fn node_info(row: NodeRow) -> NodeInfo {
     NodeInfo {
         node: row.node,
         kind: row.kind,
         parent: row.parent,
-        name: row.name.clone(),
+        name: row.name,
         size: row.size,
         hash: row.content,
         generation: row.generation,
@@ -402,7 +405,7 @@ impl Backend {
                 generation: row.generation,
             },
         );
-        Ok(node_info(&row))
+        Ok(node_info(row))
     }
 
     /// Unlink.
@@ -472,16 +475,17 @@ impl Backend {
                 generation: row.generation,
             },
         );
-        Ok(node_info(&row))
+        Ok(node_info(row))
     }
 
-    /// GetDelta: changes since a known generation.
+    /// GetDelta: changes since a known generation, as the shard's rows
+    /// ([`node_info`] converts one for the wire).
     pub fn get_delta(
         &self,
         session: SessionId,
         volume: VolumeId,
         from_generation: u64,
-    ) -> CoreResult<(u64, Vec<NodeInfo>)> {
+    ) -> CoreResult<(u64, Vec<NodeRow>)> {
         let h = self.session(session)?;
         let d1 = self.rpc(h.slot, h.user, RpcKind::GetVolumeId, 0)?;
         let d2 = self.rpc(h.slot, h.user, RpcKind::GetDelta, 0)?;
@@ -498,16 +502,16 @@ impl Backend {
             result.is_ok(),
             d1 + d2,
         );
-        let (generation, rows) = result?;
-        Ok((generation, rows.iter().map(node_info).collect()))
+        result
     }
 
-    /// RescanFromScratch: the full-volume cascade read.
+    /// RescanFromScratch: the full-volume cascade read, as the shard's rows
+    /// ([`node_info`] converts one for the wire).
     pub fn rescan_from_scratch(
         &self,
         session: SessionId,
         volume: VolumeId,
-    ) -> CoreResult<(u64, Vec<NodeInfo>)> {
+    ) -> CoreResult<(u64, Vec<NodeRow>)> {
         let h = self.session(session)?;
         let result = self.store.get_from_scratch(h.user, volume);
         let rows = result.as_ref().map(|(_, v)| v.len() as u64).unwrap_or(0);
@@ -524,8 +528,7 @@ impl Backend {
             result.is_ok(),
             d,
         );
-        let (generation, nodes) = result?;
-        Ok((generation, nodes.iter().map(node_info).collect()))
+        result
     }
 
     // ----- transfers (Appendix A) ----------------------------------------------

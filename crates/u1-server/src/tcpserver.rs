@@ -23,7 +23,7 @@
 //! Shutdown drains: accepting stops, queued bytes are flushed, and any
 //! connection still unflushed at `drain_timeout` is force-closed.
 
-use crate::api::UploadOutcome;
+use crate::api::{node_info, UploadOutcome};
 use crate::backend::Backend;
 use crate::session::SessionHandle;
 use std::collections::HashMap;
@@ -748,24 +748,24 @@ fn dispatch(
                     volume,
                     from_generation,
                 } => match backend.get_delta(sid, volume, from_generation) {
-                    Ok((generation, nodes)) => queue(
+                    Ok((generation, rows)) => queue(
                         conn,
                         Response::Delta {
                             volume,
                             generation,
-                            nodes,
+                            nodes: rows.into_iter().map(node_info).collect(),
                         },
                     ),
                     Err(e) => queue(conn, err_response(&e)),
                 },
                 Request::RescanFromScratch { volume } => {
                     match backend.rescan_from_scratch(sid, volume) {
-                        Ok((generation, nodes)) => queue(
+                        Ok((generation, rows)) => queue(
                             conn,
                             Response::Delta {
                                 volume,
                                 generation,
-                                nodes,
+                                nodes: rows.into_iter().map(node_info).collect(),
                             },
                         ),
                         Err(e) => queue(conn, err_response(&e)),

@@ -337,6 +337,10 @@ impl ClientState {
         self.files.swap_remove(idx)
     }
 
+    fn dirs_in(&self, vol: VolumeId) -> impl Iterator<Item = &DirRef> {
+        self.dirs.iter().filter(move |d| d.volume == vol)
+    }
+
     /// Forgets every file and directory of a deleted volume.
     fn forget_volume(&mut self, vol: VolumeId) {
         self.latest_write = None;
@@ -639,21 +643,16 @@ impl ShardSim {
                         });
                     }
                 }
+                // A parent is the nth of this volume's directories, found
+                // by counting: no per-file list of candidates.
+                let n_vol_dirs = self.clients[i].dirs_in(vol).count();
                 for _ in 0..n_files {
                     let spec = self.files.new_file(&mut rng);
-                    let parent = if rng.gen_range(0.0..1.0) < 0.4 {
+                    let parent = if rng.gen_range(0.0..1.0) < 0.4 || n_vol_dirs == 0 {
                         None
                     } else {
-                        let dirs: Vec<_> = self.clients[i]
-                            .dirs
-                            .iter()
-                            .filter(|d| d.volume == vol)
-                            .collect();
-                        if dirs.is_empty() {
-                            None
-                        } else {
-                            Some(dirs[rng.gen_range(0..dirs.len())].node)
-                        }
+                        let nth = rng.gen_range(0..n_vol_dirs);
+                        self.clients[i].dirs_in(vol).nth(nth).map(|d| d.node)
                     };
                     if let Ok(node) = self.backend.store.make_node(
                         user,

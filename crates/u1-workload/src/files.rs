@@ -182,14 +182,15 @@ impl FileModel {
         }
     }
 
-    /// The fixed (size, ext) identity of a popular content rank, derived
-    /// from the pool seed alone. Dedup requires matching hash AND size, so
-    /// every drawer of a rank must agree on its size without coordination.
-    fn popular_identity(&self, rank: u64) -> (u64, &'static str) {
+    /// The fixed (size, ext) identity of a popular content rank, with the
+    /// extension's category, derived from the pool seed alone. Dedup
+    /// requires matching hash AND size, so every drawer of a rank must agree
+    /// on its size without coordination.
+    fn popular_identity(&self, rank: u64) -> (u64, &'static str, FileCategory) {
         let mut rng = rngx::sub_rng(self.pool_seed, "popular-content", rank);
         let ext = self.sample_ext(&mut rng);
-        let size = Self::sample_size(&mut rng, FileCategory::of_extension(ext));
-        (size, ext)
+        let category = FileCategory::of_extension(ext);
+        (Self::sample_size(&mut rng, category), ext, category)
     }
 
     fn sample_ext(&self, rng: &mut SmallRng) -> &'static str {
@@ -244,18 +245,18 @@ impl FileModel {
         let ext = self.sample_ext(rng);
         let category = FileCategory::of_extension(ext);
         let default_size = Self::sample_size(rng, category);
-        let (content_id, size, ext) = if rng.gen_range(0.0..1.0) < self.pool.p_popular {
+        let (content_id, size, ext, category) = if rng.gen_range(0.0..1.0) < self.pool.p_popular {
             let rank = rngx::sample_zipf(rng, self.pool.popular, self.pool.zipf_s);
-            let (size, ext) = self.popular_identity(rank);
-            (rank, size, ext)
+            let (size, ext, category) = self.popular_identity(rank);
+            (rank, size, ext, category)
         } else {
-            (self.pool.unique(), default_size, ext)
+            (self.pool.unique(), default_size, ext, category)
         };
         self.next_name += self.name_stride;
         FileSpec {
-            name: format!("f{}.{}", self.next_name, ext).into(),
+            name: Name::from_fmt(format_args!("f{}.{}", self.next_name, ext)),
             ext,
-            category: FileCategory::of_extension(ext),
+            category,
             size,
             content_id,
             hash: ContentHash::from_content_id(content_id),
@@ -276,7 +277,7 @@ impl FileModel {
     /// Fresh directory name (short enough to stay inline in [`Name`]).
     pub fn new_dir_name(&mut self) -> Name {
         self.next_name += self.name_stride;
-        format!("dir{}", self.next_name).into()
+        Name::from_fmt(format_args!("dir{}", self.next_name))
     }
 }
 
