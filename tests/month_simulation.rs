@@ -3,8 +3,10 @@
 //! the same checks the experiment harness reports, as hard assertions with
 //! scale-tolerant bands.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use ubuntuone::analytics as ana;
+use ubuntuone::analytics::engine::{run_all, EngineConfig};
+use ubuntuone::core::sha1::Sha1;
 use ubuntuone::core::{ApiOpKind, SimClock};
 use ubuntuone::server::{Backend, BackendConfig};
 use ubuntuone::trace::{canonical_sha, MemorySink};
@@ -16,14 +18,18 @@ struct Run {
     backend: Arc<Backend>,
 }
 
-fn run_month() -> Run {
-    run_cfg(WorkloadConfig {
-        users: 320,
-        days: 30,
-        seed: 0xFEED,
-        attacks: true,
-        seed_files: 1.0,
-        workers: 0,
+/// The 320-user month, simulated once and shared by the tests that read it.
+fn run_month() -> &'static Run {
+    static MONTH: OnceLock<Run> = OnceLock::new();
+    MONTH.get_or_init(|| {
+        run_cfg(WorkloadConfig {
+            users: 320,
+            days: 30,
+            seed: 0xFEED,
+            attacks: true,
+            seed_files: 1.0,
+            workers: 0,
+        })
     })
 }
 
@@ -228,6 +234,25 @@ fn month_trace_reproduces_paper_shapes() {
         (0.005..=0.10).contains(&auth.auth_failure_fraction),
         "auth failures {} (paper 0.0276)",
         auth.auth_failure_fraction
+    );
+}
+
+/// The whole analytics battery over the month, pinned by the SHA-1 of its
+/// compact JSON: any change to any reported number fails here.
+#[test]
+fn month_report_is_pinned() {
+    let run = run_month();
+    assert_eq!(run.records.len(), 417_772);
+    let store = &run.backend.config().store;
+    let cfg = EngineConfig::new(
+        run.horizon,
+        run.backend.config().cluster.machines as usize,
+        store.shards as usize,
+    );
+    let json = serde_json::to_string(&run_all(&run.records, &cfg)).expect("report serializes");
+    assert_eq!(
+        Sha1::digest(json.as_bytes()).to_hex(),
+        "a9aa667a60666376d98003a16989fa6838e94f67"
     );
 }
 
