@@ -109,3 +109,46 @@ fn all_writes_one_json_per_table_entry() {
     assert_eq!(written, expected);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The smoke-size paper reproduction prints exactly the committed text.
+/// Every table and figure of the paper passes through this stdout, so a
+/// change to any reported number, format or experiment shows up here as a
+/// diff. `U1_OUT_DIR` is relative, so the `[json: …]` lines do not depend
+/// on where the run happens. When a change moves the output on purpose,
+/// regenerate the golden from the repository root with
+///
+/// ```text
+/// U1_USERS=300 U1_DAYS=5 U1_OUT_DIR=target/exp-smoke cargo run --release -q -p u1-bench --bin exp -- all > crates/u1-bench/tests/golden/exp_all_smoke.stdout
+/// ```
+#[test]
+fn all_smoke_prints_the_golden_stdout() {
+    let golden = include_str!("golden/exp_all_smoke.stdout");
+    let cwd = scratch("smoke");
+    std::fs::create_dir_all(&cwd).expect("scratch dir");
+    let out = Command::new(env!("CARGO_BIN_EXE_exp"))
+        .arg("all")
+        .current_dir(&cwd)
+        .envs([
+            ("U1_USERS", "300"),
+            ("U1_DAYS", "5"),
+            ("U1_OUT_DIR", "target/exp-smoke"),
+        ])
+        .output()
+        .expect("run exp");
+    let _ = std::fs::remove_dir_all(&cwd);
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
+    if stdout != golden {
+        let line = stdout
+            .lines()
+            .zip(golden.lines())
+            .position(|(a, b)| a != b)
+            .unwrap_or(stdout.lines().count().min(golden.lines().count()));
+        panic!(
+            "`exp all` stdout differs from the golden at line {}:\n  got    {:?}\n  golden {:?}",
+            line + 1,
+            stdout.lines().nth(line),
+            golden.lines().nth(line)
+        );
+    }
+}
