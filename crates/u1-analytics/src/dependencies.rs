@@ -380,6 +380,10 @@ impl TraceFold for LifetimeFold {
     }
 
     fn merge(&mut self, later: Self) {
+        // The later chunk's provisional counts first: the replay below may
+        // take one of them back.
+        self.files_created += later.files_created;
+        self.dirs_created += later.dirs_created;
         // Replay the later chunk's boundary events, in time order, against
         // our (earlier) creation state.
         let mut kept = Vec::new();
@@ -408,8 +412,6 @@ impl TraceFold for LifetimeFold {
         self.created.extend(later.created);
         self.file_lt.extend(later.file_lt);
         self.dir_lt.extend(later.dir_lt);
-        self.files_created += later.files_created;
-        self.dirs_created += later.dirs_created;
     }
 
     fn finish(self) -> LifetimeAnalysis {

@@ -161,3 +161,26 @@ pub fn on_machine(mut rec: TraceRecord, machine: u16) -> TraceRecord {
     rec.machine = MachineId::new(machine);
     rec
 }
+
+/// Relabels every user, session, volume and node id as `x·φ + k` (wrapping;
+/// φ = 0x9E3779B97F4A7C15 is odd, so this is a bijection on `u64`). No
+/// report may depend on what an id is, only on which records share one.
+pub fn relabel(mut rec: TraceRecord, k: u64) -> TraceRecord {
+    let f = |x: u64| x.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(k);
+    match &mut rec.payload {
+        Payload::Session { session, user, .. } => {
+            *session = SessionId::new(f(session.raw()));
+            *user = UserId::new(f(user.raw()));
+        }
+        Payload::Storage(done) => {
+            done.session = SessionId::new(f(done.session.raw()));
+            done.user = UserId::new(f(done.user.raw()));
+            done.volume = VolumeId::new(f(done.volume.raw()));
+            done.node = done.node.map(|n| NodeId::new(f(n.raw())));
+        }
+        Payload::Rpc { user, .. } | Payload::Auth { user, .. } => {
+            *user = UserId::new(f(user.raw()));
+        }
+    }
+    rec
+}
