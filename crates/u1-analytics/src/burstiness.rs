@@ -1,7 +1,7 @@
 //! Inter-operation time burstiness and power-law fits (§6.2, Fig. 9).
 
-use crate::engine::TraceFold;
-use crate::stats::{cv, fit_power_law, Ecdf, PowerLawFit};
+use crate::engine::{completed, Ends};
+use crate::stats::{cv, fit_power_law, secs, Ecdf, PowerLawFit};
 use serde::Serialize;
 use std::collections::HashMap;
 use u1_core::{ApiOpKind, FxHashMap, SimTime};
@@ -51,135 +51,66 @@ pub fn interop_times(records: &[TraceRecord], op: ApiOpKind) -> Vec<f64> {
     gaps
 }
 
-/// Streaming state behind [`burstiness`]. A partial keeps each user's first
-/// and last matching timestamp so the merge can measure the gap that spans
-/// the chunk boundary. `finish` sorts the gaps before fitting, so the same
-/// multiset of gaps — however it was chunked — yields bit-identical output.
-pub struct BurstinessFold {
-    op: ApiOpKind,
-    first: FxHashMap<u64, SimTime>,
-    last: FxHashMap<u64, SimTime>,
-    gaps: Vec<f64>,
-}
-
-impl BurstinessFold {
-    pub fn new(op: ApiOpKind) -> Self {
-        Self {
-            op,
-            first: FxHashMap::default(),
-            last: FxHashMap::default(),
-            gaps: Vec::new(),
-        }
+/// Keeps the gap (microseconds) between two of a user's operations; equal
+/// timestamps make no gap.
+fn gap(gaps: &mut Vec<u64>, (prev, t): (SimTime, SimTime)) {
+    let us = t.since(prev).as_micros();
+    if us > 0 {
+        gaps.push(us);
     }
 }
 
-impl TraceFold for BurstinessFold {
-    type Output = Burstiness;
-
-    fn new_partial(&self) -> Self {
-        BurstinessFold::new(self.op)
+/// One operation at `t` by a user whose operations so far are `ends`.
+pub(crate) fn step(gaps: &mut Vec<u64>, ends: &mut Ends<SimTime>, t: SimTime) {
+    if let Some(prev) = ends.push(t) {
+        gap(gaps, (prev, t));
     }
+}
 
-    fn feed(&mut self, rec: &TraceRecord) {
-        if let Some(StorageDone {
-            op: got,
-            user,
-            success: true,
-            ..
-        }) = rec.payload.storage()
-        {
-            if *got != self.op {
-                return;
-            }
-            match self.last.insert(user.raw(), rec.t) {
-                Some(prev) => {
-                    let gap = rec.t.since(prev).as_secs_f64();
-                    if gap > 0.0 {
-                        self.gaps.push(gap);
-                    }
-                }
-                None => {
-                    self.first.insert(user.raw(), rec.t);
-                }
-            }
-        }
+/// Appends the same user's operations in the chunk after this one,
+/// measuring the gap that spans the boundary.
+pub(crate) fn join(gaps: &mut Vec<u64>, earlier: &mut Ends<SimTime>, later: Ends<SimTime>) {
+    if let Some(pair) = earlier.join(later) {
+        gap(gaps, pair);
     }
+}
 
-    fn merge(&mut self, mut later: Self) {
-        // Boundary gaps must be measured while both sides are intact.
-        for (user, t) in &later.first {
-            if let Some(prev) = self.last.get(user) {
-                let gap = t.since(*prev).as_secs_f64();
-                if gap > 0.0 {
-                    self.gaps.push(gap);
-                }
-            }
-        }
-        // `last`: the later chunk's timestamp wins. Merge the smaller map
-        // into the larger; when the later map is the base, earlier entries
-        // only fill absent keys.
-        if later.last.len() > self.last.len() {
-            std::mem::swap(&mut self.last, &mut later.last);
-            for (user, t) in later.last.drain() {
-                self.last.entry(user).or_insert(t);
-            }
-        } else {
-            for (user, t) in later.last {
-                self.last.insert(user, t);
-            }
-        }
-        // `first`: the earlier chunk's timestamp wins — the mirror image.
-        if later.first.len() > self.first.len() {
-            std::mem::swap(&mut self.first, &mut later.first);
-            for (user, t) in later.first.drain() {
-                self.first.insert(user, t);
-            }
-        } else {
-            for (user, t) in later.first {
-                self.first.entry(user).or_insert(t);
-            }
-        }
-        // Gap buffers: append onto whichever side is larger. `finish` sorts
-        // before fitting, so only the multiset matters.
-        if later.gaps.len() > self.gaps.len() {
-            std::mem::swap(&mut self.gaps, &mut later.gaps);
-        }
-        self.gaps.append(&mut later.gaps);
-    }
-
-    fn finish(mut self) -> Burstiness {
-        self.gaps.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let gaps = self.gaps;
-        let fit = fit_power_law(&gaps, 0.35);
-        let n = gaps.len();
-        let cv = cv(&gaps);
-        let ecdf = Ecdf::from_sorted(gaps);
-        let ccdf = if ecdf.is_empty() {
-            Vec::new()
-        } else {
-            let lo = ecdf.min().max(1e-3);
-            let hi = ecdf.max();
-            (0..40)
-                .map(|i| {
-                    let x = lo * (hi / lo).powf(i as f64 / 39.0);
-                    (x, ecdf.ccdf(x))
-                })
-                .collect()
-        };
-        Burstiness {
-            op: self.op.display_name(),
-            gaps: n,
-            cv,
-            fit,
-            ccdf,
-            ecdf,
-        }
+/// Fig. 9 from every gap of `op`. The gaps sort before fitting, so the
+/// same multiset of gaps, however it was gathered, gives the same output.
+pub(crate) fn finish(op: ApiOpKind, gaps: Vec<u64>) -> Burstiness {
+    let ecdf = Ecdf::from_ints(gaps, secs);
+    let fit = fit_power_law(ecdf.samples(), 0.35);
+    let cv = cv(ecdf.samples());
+    let ccdf = if ecdf.is_empty() {
+        Vec::new()
+    } else {
+        let lo = ecdf.min().max(1e-3);
+        let hi = ecdf.max();
+        (0..40)
+            .map(|i| {
+                let x = lo * (hi / lo).powf(i as f64 / 39.0);
+                (x, ecdf.ccdf(x))
+            })
+            .collect()
+    };
+    Burstiness {
+        op: op.display_name(),
+        gaps: ecdf.len(),
+        cv,
+        fit,
+        ccdf,
+        ecdf,
     }
 }
 
 /// Full Fig. 9 analysis for one operation type.
 pub fn burstiness(records: &[TraceRecord], op: ApiOpKind) -> Burstiness {
-    crate::engine::run_fold(BurstinessFold::new(op), records)
+    let mut users: FxHashMap<u64, Ends<SimTime>> = FxHashMap::default();
+    let mut gaps = Vec::new();
+    for (t, done) in completed(records).filter(|(_, done)| done.op == op) {
+        step(&mut gaps, users.entry(done.user.raw()).or_default(), t);
+    }
+    finish(op, gaps)
 }
 
 #[cfg(test)]
@@ -224,7 +155,7 @@ mod tests {
         let serial = burstiness(&recs, Upload);
         for split in 0..=recs.len() {
             let (a, b) = recs.split_at(split);
-            let got = crate::engine::run_chunks(BurstinessFold::new(Upload), &[a, b]);
+            let got = chunked(&[a, b], SimTime::from_days(1)).burst_upload;
             assert_eq!(got.gaps, serial.gaps, "split={split}");
             assert_eq!(
                 serde_json::to_value(&got.ecdf),

@@ -6,9 +6,9 @@
 //! countermeasures — this module is that automation, and the harness
 //! verifies it rediscovers the three injected attacks.
 
-use crate::engine::TraceFold;
+use crate::timeseries::{column, hour_bins, hour_of, Hour};
 use serde::Serialize;
-use u1_core::{SimDuration, SimTime};
+use u1_core::SimTime;
 use u1_trace::{Payload, TraceRecord};
 
 /// A detected attack episode.
@@ -120,88 +120,42 @@ pub fn distinct_attacks(episodes: &[Episode]) -> Vec<(usize, usize, f64)> {
     spans
 }
 
-/// Streaming state behind [`detect`]: the three Fig. 5 hourly count series.
-/// Counts are integers, so chunk merges add exactly and the episode search
-/// at finish sees the series one serial pass builds.
-pub struct DdosFold {
-    horizon: SimTime,
-    cfg: DetectorConfig,
-    session: Vec<u64>,
-    auth: Vec<u64>,
-    storage: Vec<u64>,
-}
-
-impl DdosFold {
-    pub fn new(horizon: SimTime, cfg: DetectorConfig) -> Self {
-        let bins = crate::timeseries::hour_bins(horizon);
-        Self {
-            horizon,
-            cfg,
-            session: vec![0; bins],
-            auth: vec![0; bins],
-            storage: vec![0; bins],
-        }
-    }
-}
-
-impl TraceFold for DdosFold {
-    type Output = DdosReport;
-
-    fn new_partial(&self) -> Self {
-        DdosFold::new(self.horizon, self.cfg.clone())
-    }
-
-    fn feed(&mut self, rec: &TraceRecord) {
-        if rec.t >= self.horizon {
-            return;
-        }
-        let h = rec.t.bin_index(SimDuration::from_hours(1)) as usize;
-        match &rec.payload {
-            Payload::Session { .. } => self.session[h] += 1,
-            Payload::Auth { .. } => self.auth[h] += 1,
-            Payload::Storage(_) => self.storage[h] += 1,
-            _ => {}
-        }
-    }
-
-    fn merge(&mut self, later: Self) {
-        for (d, s) in self.session.iter_mut().zip(later.session) {
-            *d += s;
-        }
-        for (d, s) in self.auth.iter_mut().zip(later.auth) {
-            *d += s;
-        }
-        for (d, s) in self.storage.iter_mut().zip(later.storage) {
-            *d += s;
-        }
-    }
-
-    fn finish(self) -> DdosReport {
-        let to_f64 = |v: Vec<u64>| -> Vec<f64> { v.into_iter().map(|c| c as f64).collect() };
-        let session = to_f64(self.session);
-        let auth = to_f64(self.auth);
-        let storage = to_f64(self.storage);
-        let mut episodes = detect_series(&session, "session", &self.cfg);
-        episodes.extend(detect_series(&auth, "auth", &self.cfg));
-        episodes.extend(detect_series(&storage, "storage", &self.cfg));
-        episodes.sort_by_key(|e| (e.start_hour, e.signal));
-        DdosReport {
-            episodes,
-            session_per_hour: session,
-            auth_per_hour: auth,
-            storage_per_hour: storage,
-        }
+/// Fig. 5 from the hourly session, auth and storage request counts.
+pub(crate) fn report(hours: &[Hour], cfg: &DetectorConfig) -> DdosReport {
+    let session = column(hours, |h| h.session);
+    let auth = column(hours, |h| h.auth);
+    let storage = column(hours, |h| h.storage);
+    let mut episodes = detect_series(&session, "session", cfg);
+    episodes.extend(detect_series(&auth, "auth", cfg));
+    episodes.extend(detect_series(&storage, "storage", cfg));
+    episodes.sort_by_key(|e| (e.start_hour, e.signal));
+    DdosReport {
+        episodes,
+        session_per_hour: session,
+        auth_per_hour: auth,
+        storage_per_hour: storage,
     }
 }
 
 pub fn detect(records: &[TraceRecord], horizon: SimTime, cfg: &DetectorConfig) -> DdosReport {
-    crate::engine::run_fold(DdosFold::new(horizon, cfg.clone()), records)
+    let mut hours = vec![Hour::default(); hour_bins(horizon)];
+    for rec in records.iter().filter(|rec| rec.t < horizon) {
+        let h = &mut hours[hour_of(rec.t)];
+        match &rec.payload {
+            Payload::Session { .. } => h.session += 1,
+            Payload::Auth { .. } => h.auth += 1,
+            Payload::Storage(_) => h.storage += 1,
+            Payload::Rpc { .. } => {}
+        }
+    }
+    report(&hours, cfg)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::testkit::*;
+    use u1_core::SimDuration;
 
     #[test]
     fn flat_series_has_no_episodes() {
@@ -294,7 +248,7 @@ mod tests {
         let serial = detect(&recs, horizon, &cfg);
         for chunk_len in [1usize, 997, 4096] {
             let chunks: Vec<&[_]> = recs.chunks(chunk_len).collect();
-            let got = crate::engine::run_chunks(DdosFold::new(horizon, cfg.clone()), &chunks);
+            let got = chunked(&chunks, horizon).ddos;
             assert_eq!(got.episodes, serial.episodes, "chunk_len={chunk_len}");
             assert_eq!(got.auth_per_hour, serial.auth_per_hour);
         }

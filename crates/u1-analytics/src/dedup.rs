@@ -1,10 +1,10 @@
 //! File-level deduplication analysis (§5.3, Fig. 4(a)).
 
-use crate::engine::TraceFold;
-use crate::stats::Ecdf;
+use crate::engine::completed;
+use crate::stats::{float, Ecdf};
 use serde::Serialize;
 use u1_core::{ApiOpKind, ContentHash, FxHashMap};
-use u1_trace::{StorageDone, TraceRecord};
+use u1_trace::TraceRecord;
 
 /// Fig. 4(a): distribution of logical copies per distinct content, and the
 /// dedup ratio `dr = 1 - D_unique / D_total`.
@@ -25,100 +25,62 @@ pub struct DedupAnalysis {
     pub max_copies: u64,
 }
 
-/// Streaming state behind [`dedup_analysis`]: copies and last-seen size per
-/// content hash. Merging adds copy counts; the later chunk's size wins,
-/// matching the serial "size of the last upload" rule.
-pub struct DedupFold {
-    per_hash: FxHashMap<ContentHash, (u64, u64)>, // hash -> (copies, size)
+/// The uploads of one content: how many, and the size of the last one.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Copies {
+    copies: u64,
+    size: u64,
 }
 
-impl DedupFold {
-    pub fn new() -> Self {
-        Self {
-            per_hash: FxHashMap::default(),
-        }
+impl Copies {
+    pub(crate) fn add(&mut self, size: u64) {
+        self.copies += 1;
+        self.size = size;
+    }
+
+    /// Adds the same content's uploads in the chunk after this one, whose
+    /// last upload's size wins.
+    pub(crate) fn join(&mut self, later: Copies) {
+        self.copies += later.copies;
+        self.size = later.size;
     }
 }
 
-impl Default for DedupFold {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl TraceFold for DedupFold {
-    type Output = DedupAnalysis;
-
-    fn new_partial(&self) -> Self {
-        DedupFold::new()
-    }
-
-    fn feed(&mut self, rec: &TraceRecord) {
-        if let Some(StorageDone {
-            op: ApiOpKind::Upload,
-            success: true,
-            hash: Some(hash),
-            size,
-            ..
-        }) = rec.payload.storage()
-        {
-            let entry = self.per_hash.entry(*hash).or_insert((0, *size));
-            entry.0 += 1;
-            entry.1 = *size;
-        }
-    }
-
-    fn merge(&mut self, mut later: Self) {
-        // Copies are additive; the recorded size is the LATER chunk's last
-        // upload. Accumulate into whichever map is larger.
-        if later.per_hash.len() > self.per_hash.len() {
-            std::mem::swap(&mut self.per_hash, &mut later.per_hash);
-            // Base is now the later chunk: earlier copies add in, but the
-            // later chunk's size stands for hashes it already saw.
-            for (hash, (copies, size)) in later.per_hash.drain() {
-                let entry = self.per_hash.entry(hash).or_insert((0, size));
-                entry.0 += copies;
-            }
+/// Fig. 4(a) over every uploaded content's copies.
+pub(crate) fn dedup<'a>(contents: impl Iterator<Item = &'a Copies> + Clone) -> DedupAnalysis {
+    let unique_contents = contents.clone().count() as u64;
+    let total_uploads: u64 = contents.clone().map(|c| c.copies).sum();
+    let unique_bytes: u64 = contents.clone().map(|c| c.size).sum();
+    let total_bytes: u64 = contents.clone().map(|c| c.copies * c.size).sum();
+    let singletons = contents.clone().filter(|c| c.copies == 1).count() as u64;
+    DedupAnalysis {
+        unique_contents,
+        total_uploads,
+        unique_bytes,
+        total_bytes,
+        dedup_ratio: if total_bytes == 0 {
+            0.0
         } else {
-            for (hash, (copies, size)) in later.per_hash {
-                let entry = self.per_hash.entry(hash).or_insert((0, size));
-                entry.0 += copies;
-                entry.1 = size;
-            }
-        }
-    }
-
-    fn finish(self) -> DedupAnalysis {
-        let per_hash = self.per_hash;
-        let unique_contents = per_hash.len() as u64;
-        let total_uploads: u64 = per_hash.values().map(|(c, _)| *c).sum();
-        let unique_bytes: u64 = per_hash.values().map(|(_, s)| *s).sum();
-        let total_bytes: u64 = per_hash.values().map(|(c, s)| c * s).sum();
-        let singletons = per_hash.values().filter(|(c, _)| *c == 1).count() as u64;
-        let copies: Vec<f64> = per_hash.values().map(|(c, _)| *c as f64).collect();
-        DedupAnalysis {
-            unique_contents,
-            total_uploads,
-            unique_bytes,
-            total_bytes,
-            dedup_ratio: if total_bytes == 0 {
-                0.0
-            } else {
-                1.0 - unique_bytes as f64 / total_bytes as f64
-            },
-            singleton_fraction: if unique_contents == 0 {
-                0.0
-            } else {
-                singletons as f64 / unique_contents as f64
-            },
-            max_copies: per_hash.values().map(|(c, _)| *c).max().unwrap_or(0),
-            copies_per_content: Ecdf::new(copies),
-        }
+            1.0 - unique_bytes as f64 / total_bytes as f64
+        },
+        singleton_fraction: if unique_contents == 0 {
+            0.0
+        } else {
+            singletons as f64 / unique_contents as f64
+        },
+        max_copies: contents.clone().map(|c| c.copies).max().unwrap_or(0),
+        copies_per_content: Ecdf::from_ints(contents.map(|c| c.copies).collect(), float),
     }
 }
 
 pub fn dedup_analysis(records: &[TraceRecord]) -> DedupAnalysis {
-    crate::engine::run_fold(DedupFold::new(), records)
+    let mut per_hash: FxHashMap<ContentHash, Copies> = FxHashMap::default();
+    for (_, done) in completed(records) {
+        if let (ApiOpKind::Upload, Some(hash)) = (done.op, done.hash) {
+            per_hash.entry(hash).or_default().add(done.size);
+        }
+    }
+    dedup(per_hash.values())
 }
 
 #[cfg(test)]

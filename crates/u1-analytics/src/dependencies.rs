@@ -6,11 +6,11 @@
 //! dependencies: WAW/RAW/DAW (after a write) and WAR/RAR/DAR (after a
 //! read), collecting the inter-operation time for each.
 
-use crate::engine::TraceFold;
-use crate::stats::Ecdf;
+use crate::engine::completed;
+use crate::stats::{float, secs, Ecdf};
 use serde::Serialize;
 use u1_core::{ApiOpKind, FxHashMap, NodeKind, SimDuration, SimTime};
-use u1_trace::{StorageDone, TraceRecord};
+use u1_trace::TraceRecord;
 
 /// The six dependency kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
@@ -68,11 +68,23 @@ pub struct DependencyAnalysis {
     pub total_files: u64,
 }
 
-#[derive(Clone, Copy, PartialEq)]
-enum Ev {
+/// A file node event: Write (upload), Read (download) or Delete (unlink).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Ev {
     W,
     R,
     D,
+}
+
+impl Ev {
+    pub(crate) fn of(op: ApiOpKind) -> Option<Ev> {
+        match op {
+            ApiOpKind::Upload => Some(Ev::W),
+            ApiOpKind::Download => Some(Ev::R),
+            ApiOpKind::Unlink => Some(Ev::D),
+            _ => None,
+        }
+    }
 }
 
 fn classify(prev: Ev, ev: Ev) -> Option<Dependency> {
@@ -87,180 +99,118 @@ fn classify(prev: Ev, ev: Ev) -> Option<Dependency> {
     }
 }
 
-/// Per-node event chain inside one chunk: the first event (which may pair
-/// with an earlier chunk's last event at merge) and the running last state
+/// A file node's event chain within one chunk: its first event (which may
+/// pair with an earlier chunk's last at merge) and the running last one
 /// (`None` after a delete — nothing meaningful follows a delete).
-struct Chain {
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Chain {
     first: (Ev, SimTime),
     last: Option<(Ev, SimTime)>,
 }
 
-/// Streaming state behind [`dependency_analysis`].
-pub struct DependencyFold {
-    nodes: FxHashMap<u64, Chain>,
-    gaps: FxHashMap<Dependency, Vec<f64>>,
-    reads: FxHashMap<u64, u64>,
+/// Inter-operation gaps (microseconds) per dependency, in declaration
+/// order, plus the delete counts.
+#[derive(Debug, Default)]
+pub(crate) struct Deps {
+    gaps: [Vec<u64>; 6],
     dying: u64,
     deleted: u64,
 }
 
-impl DependencyFold {
-    pub fn new() -> Self {
-        Self {
-            nodes: FxHashMap::default(),
-            gaps: FxHashMap::default(),
-            reads: FxHashMap::default(),
-            dying: 0,
-            deleted: 0,
-        }
-    }
-
-    fn record_pair(&mut self, prev: Ev, prev_t: SimTime, ev: Ev, t: SimTime) {
+impl Deps {
+    fn pair(&mut self, (prev, prev_t): (Ev, SimTime), ev: Ev, t: SimTime) {
         if let Some(dep) = classify(prev, ev) {
             let gap = t.since(prev_t);
-            self.gaps.entry(dep).or_default().push(gap.as_secs_f64());
+            self.gaps[dep as usize].push(gap.as_micros());
             if ev == Ev::D && gap > SimDuration::from_days(1) {
                 self.dying += 1;
             }
         }
     }
-}
 
-impl Default for DependencyFold {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl TraceFold for DependencyFold {
-    type Output = DependencyAnalysis;
-
-    fn new_partial(&self) -> Self {
-        DependencyFold::new()
-    }
-
-    fn feed(&mut self, rec: &TraceRecord) {
-        let Some(StorageDone {
-            op,
-            success: true,
-            node: Some(node),
-            kind,
-            ..
-        }) = rec.payload.storage()
-        else {
-            return;
-        };
-        if *kind == Some(NodeKind::Directory) {
-            return;
-        }
-        let ev = match op {
-            ApiOpKind::Upload => Ev::W,
-            ApiOpKind::Download => Ev::R,
-            ApiOpKind::Unlink => Ev::D,
-            _ => return,
-        };
-        let node = node.raw();
-        if ev == Ev::R {
-            *self.reads.entry(node).or_default() += 1;
-        }
-        let next = (ev != Ev::D).then_some((ev, rec.t));
-        match self.nodes.get_mut(&node) {
-            Some(chain) => {
-                let prev = chain.last;
-                chain.last = next;
-                if let Some((p, p_t)) = prev {
-                    self.record_pair(p, p_t, ev, rec.t);
+    /// One successful event on a file node, whose chain and download
+    /// count are `chain` and `reads`.
+    pub(crate) fn event(&mut self, chain: &mut Option<Chain>, reads: &mut u64, ev: Ev, t: SimTime) {
+        *reads += u64::from(ev == Ev::R);
+        self.deleted += u64::from(ev == Ev::D);
+        let next = (ev != Ev::D).then_some((ev, t));
+        match chain {
+            Some(c) => {
+                if let Some(prev) = std::mem::replace(&mut c.last, next) {
+                    self.pair(prev, ev, t);
                 }
             }
             None => {
-                self.nodes.insert(
-                    node,
-                    Chain {
-                        first: (ev, rec.t),
-                        last: next,
-                    },
-                );
+                *chain = Some(Chain {
+                    first: (ev, t),
+                    last: next,
+                })
             }
-        }
-        if ev == Ev::D {
-            self.deleted += 1;
         }
     }
 
-    fn merge(&mut self, later: Self) {
-        for (node, chain) in later.nodes {
-            match self.nodes.get_mut(&node) {
-                Some(mine) => {
-                    let boundary = mine.last;
-                    mine.last = chain.last;
-                    if let Some((prev, prev_t)) = boundary {
-                        let (ev, t) = chain.first;
-                        self.record_pair(prev, prev_t, ev, t);
-                    }
-                }
-                None => {
-                    self.nodes.insert(node, chain);
+    /// Appends the same node's chain in the chunk after this one, pairing
+    /// the two events that span the boundary.
+    pub(crate) fn join(&mut self, earlier: &mut Option<Chain>, later: Option<Chain>) {
+        match (earlier.as_mut(), later) {
+            (Some(mine), Some(next)) => {
+                if let Some(prev) = std::mem::replace(&mut mine.last, next.last) {
+                    self.pair(prev, next.first.0, next.first.1);
                 }
             }
+            (None, next) if next.is_some() => *earlier = next,
+            _ => {}
         }
-        for (dep, xs) in later.gaps {
-            self.gaps.entry(dep).or_default().extend(xs);
-        }
-        for (node, c) in later.reads {
-            *self.reads.entry(node).or_default() += c;
+    }
+
+    /// Adds the gaps and counts of the chunk after this one.
+    pub(crate) fn merge(&mut self, later: Deps) {
+        for (mine, theirs) in self.gaps.iter_mut().zip(later.gaps) {
+            mine.extend(theirs);
         }
         self.dying += later.dying;
         self.deleted += later.deleted;
     }
 
-    fn finish(mut self) -> DependencyAnalysis {
-        let pct =
-            |gaps: &FxHashMap<Dependency, Vec<f64>>, dep: Dependency, limit: SimDuration| -> f64 {
-                gaps.get(&dep)
-                    .map(|v| {
-                        if v.is_empty() {
-                            0.0
-                        } else {
-                            v.iter().filter(|&&g| g <= limit.as_secs_f64()).count() as f64
-                                / v.len() as f64
-                        }
-                    })
-                    .unwrap_or(0.0)
-            };
-        let waw_under_1h = pct(
-            &self.gaps,
-            Dependency::WriteAfterWrite,
-            SimDuration::from_hours(1),
-        );
-        let rar_under_1d = pct(
-            &self.gaps,
-            Dependency::ReadAfterRead,
-            SimDuration::from_days(1),
-        );
-
-        let all_deps = Dependency::AFTER_WRITE
+    /// The analysis, given every file node's download count and how many
+    /// file nodes had a chain.
+    pub(crate) fn finish(self, reads: impl Iterator<Item = u64>, files: u64) -> DependencyAnalysis {
+        let times: Vec<(Dependency, Ecdf)> = Dependency::AFTER_WRITE
             .into_iter()
-            .chain(Dependency::AFTER_READ);
+            .chain(Dependency::AFTER_READ)
+            .zip(self.gaps)
+            .map(|(dep, gaps)| (dep, Ecdf::from_ints(gaps, secs)))
+            .collect();
+        // The ECDF is sorted, so its CDF at `limit` is the fraction of gaps
+        // at most `limit` (0 when there are none).
+        let under =
+            |dep: Dependency, limit: SimDuration| times[dep as usize].1.cdf(limit.as_secs_f64());
         DependencyAnalysis {
-            counts: all_deps
-                .clone()
-                .map(|d| (d, self.gaps.get(&d).map(|v| v.len() as u64).unwrap_or(0)))
-                .collect(),
-            times: all_deps
-                .map(|d| (d, Ecdf::new(self.gaps.remove(&d).unwrap_or_default())))
-                .collect(),
-            reads_per_file: Ecdf::new(self.reads.values().map(|&c| c as f64).collect()),
-            waw_under_1h,
-            rar_under_1d,
+            counts: times.iter().map(|(d, e)| (*d, e.len() as u64)).collect(),
+            reads_per_file: Ecdf::from_ints(reads.filter(|&c| c > 0).collect(), float),
+            waw_under_1h: under(Dependency::WriteAfterWrite, SimDuration::from_hours(1)),
+            rar_under_1d: under(Dependency::ReadAfterRead, SimDuration::from_days(1)),
+            times,
             dying_files: self.dying,
             deleted_files: self.deleted,
-            total_files: self.nodes.len() as u64,
+            total_files: files,
         }
     }
 }
 
 pub fn dependency_analysis(records: &[TraceRecord]) -> DependencyAnalysis {
-    crate::engine::run_fold(DependencyFold::new(), records)
+    let mut nodes: FxHashMap<u64, (Option<Chain>, u64)> = FxHashMap::default();
+    let mut deps = Deps::default();
+    for (t, done) in completed(records) {
+        if let (Some(node), Some(ev)) = (done.node, Ev::of(done.op)) {
+            if done.kind != Some(NodeKind::Directory) {
+                let (chain, reads) = nodes.entry(node.raw()).or_default();
+                deps.event(chain, reads, ev, t);
+            }
+        }
+    }
+    let files = nodes.len() as u64;
+    deps.finish(nodes.into_values().map(|(_, reads)| reads), files)
 }
 
 /// Fig. 3(c): node lifetimes — Make(kind) to Unlink, per node kind.
@@ -278,174 +228,101 @@ pub struct LifetimeAnalysis {
     pub dir_mortality_8h: f64,
 }
 
-/// A make/unlink event that could not be resolved against chunk-local state
-/// and must replay, in time order, against earlier chunks at merge.
-enum LtEvent {
-    Make { node: u64, kind: NodeKind },
-    Unlink { node: u64, t: SimTime },
-}
+/// A node's live creation: its kind and when it was (last) made.
+pub(crate) type Created = Option<(NodeKind, SimTime)>;
 
-/// Streaming state behind [`lifetime_analysis`].
-///
-/// A Make whose node is absent from the chunk-local `created` map is counted
-/// provisionally and recorded as a boundary event; if the merge finds the
-/// node already created in an earlier chunk, the provisional count is taken
-/// back (matching the serial pass, which only counts first creations but
-/// still refreshes the creation record). Unlinks that found nothing local
-/// stay pending and resolve against earlier chunks the same way.
-pub struct LifetimeFold {
-    created: FxHashMap<u64, (NodeKind, SimTime)>,
-    file_lt: Vec<f64>,
-    dir_lt: Vec<f64>,
+/// Lifetimes (microseconds) of unlinked nodes and creation counts, per
+/// node kind.
+#[derive(Debug, Default)]
+pub(crate) struct Lifetimes {
+    file_lt: Vec<u64>,
+    dir_lt: Vec<u64>,
     files_created: u64,
     dirs_created: u64,
-    boundary: Vec<LtEvent>,
 }
 
-impl LifetimeFold {
-    pub fn new() -> Self {
-        Self {
-            created: FxHashMap::default(),
-            file_lt: Vec::new(),
-            dir_lt: Vec::new(),
-            files_created: 0,
-            dirs_created: 0,
-            boundary: Vec::new(),
-        }
-    }
-
-    fn push_lifetime(&mut self, kind: NodeKind, secs: f64) {
+impl Lifetimes {
+    pub(crate) fn created(&mut self, kind: NodeKind) -> &mut u64 {
         match kind {
-            NodeKind::File => self.file_lt.push(secs),
-            NodeKind::Directory => self.dir_lt.push(secs),
+            NodeKind::File => &mut self.files_created,
+            NodeKind::Directory => &mut self.dirs_created,
         }
     }
 
-    fn uncount_make(&mut self, kind: NodeKind) {
-        match kind {
-            NodeKind::File => self.files_created -= 1,
-            NodeKind::Directory => self.dirs_created -= 1,
-        }
-    }
-}
-
-impl Default for LifetimeFold {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl TraceFold for LifetimeFold {
-    type Output = LifetimeAnalysis;
-
-    fn new_partial(&self) -> Self {
-        LifetimeFold::new()
+    /// A make. Only a node's first make counts; a re-make refreshes the
+    /// creation time uncounted. Returns whether this one counted.
+    pub(crate) fn make(&mut self, created: &mut Created, kind: NodeKind, t: SimTime) -> bool {
+        let counted = created.replace((kind, t)).is_none();
+        *self.created(kind) += u64::from(counted);
+        counted
     }
 
-    fn feed(&mut self, rec: &TraceRecord) {
-        let Some(StorageDone {
-            op,
-            success: true,
-            node: Some(node),
-            ..
-        }) = rec.payload.storage()
-        else {
-            return;
+    /// An unlink: a lifetime if the node's creation is on record, else
+    /// `false`.
+    pub(crate) fn unlink(&mut self, created: &mut Created, t: SimTime) -> bool {
+        let Some((kind, t0)) = created.take() else {
+            return false;
         };
-        let node = node.raw();
-        match op {
-            ApiOpKind::MakeFile | ApiOpKind::MakeDir => {
-                let kind = if *op == ApiOpKind::MakeFile {
-                    NodeKind::File
-                } else {
-                    NodeKind::Directory
-                };
-                if self.created.insert(node, (kind, rec.t)).is_none() {
-                    match kind {
-                        NodeKind::File => self.files_created += 1,
-                        NodeKind::Directory => self.dirs_created += 1,
-                    }
-                    self.boundary.push(LtEvent::Make { node, kind });
-                }
-            }
-            ApiOpKind::Unlink => {
-                if let Some((kind, t0)) = self.created.remove(&node) {
-                    self.push_lifetime(kind, rec.t.since(t0).as_secs_f64());
-                } else {
-                    self.boundary.push(LtEvent::Unlink { node, t: rec.t });
-                }
-            }
-            _ => {}
+        let lt = t.since(t0).as_micros();
+        match kind {
+            NodeKind::File => self.file_lt.push(lt),
+            NodeKind::Directory => self.dir_lt.push(lt),
         }
+        true
     }
 
-    fn merge(&mut self, later: Self) {
-        // The later chunk's provisional counts first: the replay below may
-        // take one of them back.
-        self.files_created += later.files_created;
-        self.dirs_created += later.dirs_created;
-        // Replay the later chunk's boundary events, in time order, against
-        // our (earlier) creation state.
-        let mut kept = Vec::new();
-        for ev in later.boundary {
-            match ev {
-                LtEvent::Make { node, kind } => {
-                    if self.created.remove(&node).is_some() {
-                        // The node already existed, so the serial pass would
-                        // not have counted this Make; the later chunk's own
-                        // state carries the refreshed creation record.
-                        self.uncount_make(kind);
-                    } else {
-                        kept.push(ev);
-                    }
-                }
-                LtEvent::Unlink { node, t } => {
-                    if let Some((kind, t0)) = self.created.remove(&node) {
-                        self.push_lifetime(kind, t.since(t0).as_secs_f64());
-                    } else {
-                        kept.push(ev);
-                    }
-                }
-            }
-        }
-        self.boundary.extend(kept);
-        self.created.extend(later.created);
+    /// Adds the lifetimes and counts of the chunk after this one.
+    pub(crate) fn merge(&mut self, later: Lifetimes) {
         self.file_lt.extend(later.file_lt);
         self.dir_lt.extend(later.dir_lt);
+        self.files_created += later.files_created;
+        self.dirs_created += later.dirs_created;
     }
 
-    fn finish(self) -> LifetimeAnalysis {
+    pub(crate) fn finish(self) -> LifetimeAnalysis {
         let eight_h = SimDuration::from_hours(8).as_secs_f64();
-        let frac8 = |v: &[f64], total: u64| {
+        let frac = |n: usize, total: u64| {
             if total == 0 {
                 0.0
             } else {
-                v.iter().filter(|&&x| x <= eight_h).count() as f64 / total as f64
+                n as f64 / total as f64
             }
         };
+        let within_8h = |lt: &[u64]| lt.iter().filter(|&&us| secs(us) <= eight_h).count();
         LifetimeAnalysis {
-            file_mortality: if self.files_created == 0 {
-                0.0
-            } else {
-                self.file_lt.len() as f64 / self.files_created as f64
-            },
-            dir_mortality: if self.dirs_created == 0 {
-                0.0
-            } else {
-                self.dir_lt.len() as f64 / self.dirs_created as f64
-            },
-            file_mortality_8h: frac8(&self.file_lt, self.files_created),
-            dir_mortality_8h: frac8(&self.dir_lt, self.dirs_created),
+            file_mortality: frac(self.file_lt.len(), self.files_created),
+            dir_mortality: frac(self.dir_lt.len(), self.dirs_created),
+            file_mortality_8h: frac(within_8h(&self.file_lt), self.files_created),
+            dir_mortality_8h: frac(within_8h(&self.dir_lt), self.dirs_created),
             files_created: self.files_created,
             dirs_created: self.dirs_created,
-            file_lifetimes: Ecdf::new(self.file_lt),
-            dir_lifetimes: Ecdf::new(self.dir_lt),
+            file_lifetimes: Ecdf::from_ints(self.file_lt, secs),
+            dir_lifetimes: Ecdf::from_ints(self.dir_lt, secs),
         }
+    }
+}
+
+/// The node kind a make creates.
+pub(crate) fn made(op: ApiOpKind) -> Option<NodeKind> {
+    match op {
+        ApiOpKind::MakeFile => Some(NodeKind::File),
+        ApiOpKind::MakeDir => Some(NodeKind::Directory),
+        _ => None,
     }
 }
 
 pub fn lifetime_analysis(records: &[TraceRecord]) -> LifetimeAnalysis {
-    crate::engine::run_fold(LifetimeFold::new(), records)
+    let mut nodes: FxHashMap<u64, Created> = FxHashMap::default();
+    let mut lt = Lifetimes::default();
+    for (t, done) in completed(records) {
+        let Some(node) = done.node else { continue };
+        if let Some(kind) = made(done.op) {
+            lt.make(nodes.entry(node.raw()).or_default(), kind, t);
+        } else if done.op == ApiOpKind::Unlink {
+            lt.unlink(nodes.entry(node.raw()).or_default(), t);
+        }
+    }
+    lt.finish()
 }
 
 #[cfg(test)]
@@ -543,7 +420,7 @@ mod tests {
         let serial = dependency_analysis(&recs);
         for split in 0..=recs.len() {
             let (a, b) = recs.split_at(split);
-            let got = crate::engine::run_chunks(DependencyFold::new(), &[a, b]);
+            let got = chunked(&[a, b], SimTime::from_days(3)).dependencies;
             assert_eq!(
                 serde_json::to_value(&got),
                 serde_json::to_value(&serial),
@@ -552,7 +429,7 @@ mod tests {
         }
         // Single-record chunks exercise every boundary at once.
         let chunks: Vec<&[_]> = recs.chunks(1).collect();
-        let got = crate::engine::run_chunks(DependencyFold::new(), &chunks);
+        let got = chunked(&chunks, SimTime::from_days(3)).dependencies;
         assert_eq!(serde_json::to_value(&got), serde_json::to_value(&serial));
     }
 
@@ -575,7 +452,7 @@ mod tests {
         assert_eq!(serial.file_lifetimes.median(), 3_600.0);
         for split in 0..=recs.len() {
             let (a, b) = recs.split_at(split);
-            let got = crate::engine::run_chunks(LifetimeFold::new(), &[a, b]);
+            let got = chunked(&[a, b], SimTime::from_days(3)).lifetimes;
             assert_eq!(
                 serde_json::to_value(&got),
                 serde_json::to_value(&serial),
@@ -583,7 +460,7 @@ mod tests {
             );
         }
         let chunks: Vec<&[_]> = recs.chunks(1).collect();
-        let got = crate::engine::run_chunks(LifetimeFold::new(), &chunks);
+        let got = chunked(&chunks, SimTime::from_days(3)).lifetimes;
         assert_eq!(serde_json::to_value(&got), serde_json::to_value(&serial));
     }
 }

@@ -1,44 +1,40 @@
 //! The streaming fold/merge analytics engine.
 //!
-//! Every analyzer implements [`TraceFold`]: records are `feed` one at a
-//! time, partial states from disjoint contiguous chunks are `merge`d
-//! earlier←later, and `finish` produces the output. The per-analyzer slice
-//! functions (`rpc_analysis(&records, ..)` and friends) are one-line
-//! [`run_fold`] wrappers over the same folds.
-//!
-//! [`Battery`] bundles every fold the experiment harness needs and feeds
-//! them all from ONE pass over the trace. [`run_all_chunked`] splits the record slice into contiguous chunks
+//! [`Battery`] is the one [`TraceFold`]: it folds every analysis of the
+//! report from ONE decode of each record, and merges partial states from
+//! disjoint contiguous chunks earlier←later (see the battery module and
+//! DESIGN.md §10). The standalone analyzers (`rpc_analysis(&records)` and
+//! friends) are plain serial passes over the same per-analysis steps, so
+//! the battery's report can be checked against them field by field.
+//! [`run_all_chunked`] splits the record slice into contiguous chunks
 //! (adaptively sized — see [`plan_chunk_count`]), folds each on its own
 //! thread and tree-merges the partials in chunk order; the result is
 //! exactly equal to the serial pass (see DESIGN.md §10 for the determinism
 //! argument and §13 for the scaling model).
 
-use crate::burstiness::BurstinessFold;
-use crate::ddos::{DdosFold, DdosReport, DetectorConfig};
-use crate::dedup::{DedupAnalysis, DedupFold};
-use crate::dependencies::{DependencyAnalysis, DependencyFold, LifetimeAnalysis, LifetimeFold};
-use crate::faults::{FaultAnalysis, FaultFold};
-use crate::markov::{MarkovFold, TransitionGraph};
-use crate::rpc::{LoadBalance, LoadBalanceFold, RpcAnalysis, RpcFold};
-use crate::sessions::{AuthActivity, AuthActivityFold, SessionAnalysis, SessionFold};
+pub use crate::battery::Battery;
+use crate::ddos::{DdosReport, DetectorConfig};
+use crate::dedup::DedupAnalysis;
+use crate::dependencies::{DependencyAnalysis, LifetimeAnalysis};
+use crate::faults::FaultAnalysis;
+use crate::markov::TransitionGraph;
+use crate::rpc::{LoadBalance, RpcAnalysis};
+use crate::sessions::{AuthActivity, SessionAnalysis};
 use crate::storage::{
-    RwRatioAnalysis, SizeByExtFold, SizeByExtension, SizeCategoryFold, SizeCategoryShares,
-    TaxonomyFold, TaxonomyShares, UpdateAnalysis, UpdateFold,
+    RwRatioAnalysis, SizeByExtension, SizeCategoryShares, TaxonomyShares, UpdateAnalysis,
 };
-use crate::summary::{SummaryFold, TraceSummary};
-use crate::timeseries::{OnlineActiveFold, OnlineActiveSeries, TrafficFold, TrafficSeries};
-use crate::users::{
-    ActiveOnlineSummary, ClassShares, OpMix, OpMixFold, PerUserTrafficFold, TrafficInequality,
-};
+use crate::summary::TraceSummary;
+use crate::timeseries::{OnlineActiveSeries, TrafficSeries};
+use crate::users::{ActiveOnlineSummary, ClassShares, OpMix, TrafficInequality};
 use serde::Serialize;
-use u1_core::{ApiOpKind, SimTime};
-use u1_trace::TraceRecord;
+use u1_core::SimTime;
+use u1_trace::{StorageDone, TraceRecord};
 
 /// A streaming, mergeable analysis.
 ///
 /// Laws the differential tests pin down:
-/// * **battery == analyzer**: a fold fed as one field of the [`Battery`]
-///   finishes exactly as it does fed alone through [`run_fold`].
+/// * **battery == analyzer**: every field of the [`Battery`]'s report
+///   equals the standalone analyzer function over the same records.
 /// * **merge is associative** and respects concatenation: for any split of
 ///   a sorted slice into contiguous chunks, folding each chunk into a
 ///   partial (from [`TraceFold::new_partial`]) and merging earlier←later
@@ -60,6 +56,49 @@ pub trait TraceFold: Sized {
 
     /// Finalizes into the analyzer's output.
     fn finish(self) -> Self::Output;
+}
+
+/// The successful `storage_done` records of a trace, with their times: the
+/// input of most standalone analyzers.
+pub(crate) fn completed(records: &[TraceRecord]) -> impl Iterator<Item = (SimTime, &StorageDone)> {
+    records
+        .iter()
+        .filter_map(|rec| Some((rec.t, rec.payload.storage().filter(|done| done.success)?)))
+}
+
+/// The first and last value one entity showed within one chunk of the
+/// trace: all a merge needs to see the pair that spans a chunk boundary.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Ends<T> {
+    first: Option<T>,
+    last: Option<T>,
+}
+
+impl<T> Default for Ends<T> {
+    fn default() -> Self {
+        Self {
+            first: None,
+            last: None,
+        }
+    }
+}
+
+impl<T: Copy> Ends<T> {
+    /// Records `x`, returning the value it follows, if any.
+    pub(crate) fn push(&mut self, x: T) -> Option<T> {
+        let prev = self.last.replace(x);
+        self.first = self.first.or(Some(x));
+        prev
+    }
+
+    /// Appends the same entity's ends in the chunk after this one,
+    /// returning the pair that spans the boundary, if any.
+    pub(crate) fn join(&mut self, later: Ends<T>) -> Option<(T, T)> {
+        let pair = self.last.zip(later.first);
+        self.first = self.first.or(later.first);
+        self.last = later.last.or(self.last);
+        pair
+    }
 }
 
 /// One serial pass: feed every record, then finish.
@@ -276,156 +315,6 @@ pub struct EngineReport {
     pub auth: AuthActivity,
     pub sessions: SessionAnalysis,
     pub faults: FaultAnalysis,
-}
-
-/// All registered folds, fed simultaneously. Itself a [`TraceFold`], so the
-/// whole battery chunk-parallelizes like any single analyzer.
-pub struct Battery {
-    cfg: EngineConfig,
-    summary: SummaryFold,
-    traffic: TrafficFold,
-    online_active: OnlineActiveFold,
-    size_shares: SizeCategoryFold,
-    updates: UpdateFold,
-    taxonomy: TaxonomyFold,
-    size_by_ext: SizeByExtFold,
-    dedup: DedupFold,
-    dependencies: DependencyFold,
-    lifetimes: LifetimeFold,
-    ddos: DdosFold,
-    op_mix: OpMixFold,
-    per_user: PerUserTrafficFold,
-    markov: MarkovFold,
-    burst_upload: BurstinessFold,
-    burst_unlink: BurstinessFold,
-    rpc: RpcFold,
-    load_balance: LoadBalanceFold,
-    auth: AuthActivityFold,
-    sessions: SessionFold,
-    faults: FaultFold,
-}
-
-impl Battery {
-    pub fn new(cfg: &EngineConfig) -> Self {
-        Self {
-            summary: SummaryFold::new(cfg.horizon),
-            traffic: TrafficFold::new(cfg.horizon),
-            online_active: OnlineActiveFold::new(cfg.horizon),
-            size_shares: SizeCategoryFold::new(),
-            updates: UpdateFold::new(),
-            taxonomy: TaxonomyFold::new(),
-            size_by_ext: SizeByExtFold::new(cfg.exts.clone()),
-            dedup: DedupFold::new(),
-            dependencies: DependencyFold::new(),
-            lifetimes: LifetimeFold::new(),
-            ddos: DdosFold::new(cfg.horizon, cfg.ddos.clone()),
-            op_mix: OpMixFold::new(),
-            per_user: PerUserTrafficFold::new(),
-            markov: MarkovFold::new(),
-            burst_upload: BurstinessFold::new(ApiOpKind::Upload),
-            burst_unlink: BurstinessFold::new(ApiOpKind::Unlink),
-            rpc: RpcFold::new(),
-            load_balance: LoadBalanceFold::new(
-                cfg.horizon,
-                cfg.machines,
-                cfg.shards,
-                cfg.lb_minutes,
-            ),
-            auth: AuthActivityFold::new(cfg.horizon),
-            sessions: SessionFold::new(),
-            faults: FaultFold::new(),
-            cfg: cfg.clone(),
-        }
-    }
-}
-
-impl TraceFold for Battery {
-    type Output = EngineReport;
-
-    fn new_partial(&self) -> Self {
-        Battery::new(&self.cfg)
-    }
-
-    fn feed(&mut self, rec: &TraceRecord) {
-        self.summary.feed(rec);
-        self.traffic.feed(rec);
-        self.online_active.feed(rec);
-        self.size_shares.feed(rec);
-        self.updates.feed(rec);
-        self.taxonomy.feed(rec);
-        self.size_by_ext.feed(rec);
-        self.dedup.feed(rec);
-        self.dependencies.feed(rec);
-        self.lifetimes.feed(rec);
-        self.ddos.feed(rec);
-        self.op_mix.feed(rec);
-        self.per_user.feed(rec);
-        self.markov.feed(rec);
-        self.burst_upload.feed(rec);
-        self.burst_unlink.feed(rec);
-        self.rpc.feed(rec);
-        self.load_balance.feed(rec);
-        self.auth.feed(rec);
-        self.sessions.feed(rec);
-        self.faults.feed(rec);
-    }
-
-    fn merge(&mut self, later: Self) {
-        self.summary.merge(later.summary);
-        self.traffic.merge(later.traffic);
-        self.online_active.merge(later.online_active);
-        self.size_shares.merge(later.size_shares);
-        self.updates.merge(later.updates);
-        self.taxonomy.merge(later.taxonomy);
-        self.size_by_ext.merge(later.size_by_ext);
-        self.dedup.merge(later.dedup);
-        self.dependencies.merge(later.dependencies);
-        self.lifetimes.merge(later.lifetimes);
-        self.ddos.merge(later.ddos);
-        self.op_mix.merge(later.op_mix);
-        self.per_user.merge(later.per_user);
-        self.markov.merge(later.markov);
-        self.burst_upload.merge(later.burst_upload);
-        self.burst_unlink.merge(later.burst_unlink);
-        self.rpc.merge(later.rpc);
-        self.load_balance.merge(later.load_balance);
-        self.auth.merge(later.auth);
-        self.sessions.merge(later.sessions);
-        self.faults.merge(later.faults);
-    }
-
-    fn finish(self) -> EngineReport {
-        let traffic = self.traffic.finish();
-        let online_active = self.online_active.finish();
-        let per_user = self.per_user.finish();
-        EngineReport {
-            summary: self.summary.finish(),
-            diurnal_swing: crate::storage::upload_diurnal_swing_from_series(&traffic),
-            rw: crate::storage::rw_ratio_from_series(&traffic),
-            active_online: crate::users::active_online_summary_from_series(&online_active),
-            size_shares: self.size_shares.finish(),
-            updates: self.updates.finish(),
-            taxonomy: self.taxonomy.finish(),
-            size_by_ext: self.size_by_ext.finish(),
-            dedup: self.dedup.finish(),
-            dependencies: self.dependencies.finish(),
-            lifetimes: self.lifetimes.finish(),
-            ddos: self.ddos.finish(),
-            op_mix: self.op_mix.finish(),
-            inequality: crate::users::traffic_inequality_from_traffic(&per_user),
-            class_shares: crate::users::class_shares_from_traffic(&per_user),
-            markov: self.markov.finish(),
-            burst_upload: self.burst_upload.finish(),
-            burst_unlink: self.burst_unlink.finish(),
-            rpc: self.rpc.finish(),
-            load_balance: self.load_balance.finish(),
-            auth: self.auth.finish(),
-            sessions: self.sessions.finish(),
-            faults: self.faults.finish(),
-            traffic,
-            online_active,
-        }
-    }
 }
 
 /// One pass over the trace, all analyses at once.

@@ -12,7 +12,6 @@
 //! chunk-parallel run is bit-identical to the serial pass (the engine's
 //! standing determinism law — see [`crate::engine`]).
 
-use crate::engine::TraceFold;
 use serde::Serialize;
 use u1_core::fault::ErrorClass;
 use u1_trace::{StorageDone, TraceRecord};
@@ -66,11 +65,11 @@ fn class_index(c: ErrorClass) -> usize {
     }
 }
 
-/// Streaming state behind [`fault_analysis`]. Integer sums only, so
-/// `merge` is plain addition (plus a `max` for the attempt high-water
-/// mark, which is associative and commutative).
-#[derive(Default)]
-pub struct FaultFold {
+/// The counts behind [`fault_analysis`]. Integer sums only, so `merge` is
+/// plain addition (plus a `max` for the attempt high-water mark, which is
+/// associative and commutative).
+#[derive(Debug, Default)]
+pub(crate) struct FaultCounts {
     records: u64,
     class_counts: [u64; ErrorClass::ALL.len()],
     retried: u64,
@@ -83,20 +82,8 @@ pub struct FaultFold {
     retried_dur_us: u64,
 }
 
-impl FaultFold {
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl TraceFold for FaultFold {
-    type Output = FaultAnalysis;
-
-    fn new_partial(&self) -> Self {
-        FaultFold::new()
-    }
-
-    fn feed(&mut self, rec: &TraceRecord) {
+impl FaultCounts {
+    pub(crate) fn feed(&mut self, rec: &TraceRecord) {
         self.records += 1;
         if let Some(class) = rec.error_class {
             self.class_counts[class_index(class)] += 1;
@@ -124,7 +111,7 @@ impl TraceFold for FaultFold {
         }
     }
 
-    fn merge(&mut self, later: Self) {
+    pub(crate) fn merge(&mut self, later: &FaultCounts) {
         self.records += later.records;
         for (d, s) in self.class_counts.iter_mut().zip(later.class_counts) {
             *d += s;
@@ -139,7 +126,7 @@ impl TraceFold for FaultFold {
         self.retried_dur_us += later.retried_dur_us;
     }
 
-    fn finish(self) -> FaultAnalysis {
+    pub(crate) fn finish(&self) -> FaultAnalysis {
         let mean_s = |sum_us: u64, n: u64| {
             if n == 0 {
                 0.0
@@ -181,13 +168,14 @@ impl TraceFold for FaultFold {
 
 /// Error rates and retry-latency inflation from one trace.
 pub fn fault_analysis(records: &[TraceRecord]) -> FaultAnalysis {
-    crate::engine::run_fold(FaultFold::new(), records)
+    let mut counts = FaultCounts::default();
+    records.iter().for_each(|rec| counts.feed(rec));
+    counts.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::run_chunks;
     use crate::testkit::*;
     use u1_core::ApiOpKind::Upload;
     use u1_trace::Payload;
@@ -286,7 +274,7 @@ mod tests {
         let serial = serde_json::to_value(&fault_analysis(&recs));
         for split in [1usize, 2, 7, 30] {
             let chunks: Vec<&[TraceRecord]> = recs.chunks(split).collect();
-            let chunked = serde_json::to_value(&run_chunks(FaultFold::new(), &chunks));
+            let chunked = serde_json::to_value(&chunked(&chunks, at(60)).faults);
             assert_eq!(chunked, serial, "chunk size {split}");
         }
     }

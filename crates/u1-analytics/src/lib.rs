@@ -28,15 +28,19 @@
 //! * [`ddos`] — attack detection from request-rate anomalies (Fig. 5),
 //! * [`summary`] — Table 3 and the Table 1 findings check.
 //!
-//! Every analyzer is implemented as an [`engine::TraceFold`]: a streaming
-//! fold that can also run chunk-parallel and merge partial states without
-//! changing any output bit. [`engine::run_all`] evaluates the whole battery
-//! in a single pass over the records.
+//! [`engine::run_all`] evaluates every analysis in a single pass over the
+//! records: the [`engine::Battery`] decodes each record once and keeps
+//! per-user, per-node, per-session and per-content state in one table per
+//! entity kind. It is an [`engine::TraceFold`], so it also runs
+//! chunk-parallel and merges partial states without changing any output
+//! bit. Each analyzer module's standalone function is a plain serial pass
+//! over the same per-analysis steps.
 
 // `float_cmp` is denied for the kernels (Cargo.toml); unit tests compare
 // results of small exact inputs against their exact expected values.
 #![cfg_attr(test, allow(clippy::float_cmp))]
 
+mod battery;
 pub mod burstiness;
 pub mod ddos;
 pub mod dedup;

@@ -5,7 +5,7 @@
 //! trace: order every user's operations (storage + authentications) by
 //! time and count transitions.
 
-use crate::engine::TraceFold;
+use crate::engine::Ends;
 use serde::Serialize;
 use u1_core::{ApiOpKind, FxHashMap};
 use u1_trace::{Payload, TraceRecord};
@@ -42,19 +42,22 @@ impl TransitionGraph {
     }
 }
 
-/// Normalizes a record to a chain state, or `None` if it doesn't belong in
-/// Fig. 8 (MakeFile/MakeDir collapse into "Make" as the figure shows one
-/// Make node).
+/// The Fig. 8 state of a successful storage op, or `None` if it does not
+/// belong in the chain (MakeFile/MakeDir collapse into "Make" as the
+/// figure shows one Make node).
+pub(crate) fn chain_op(op: ApiOpKind) -> Option<ApiOpKind> {
+    match op {
+        ApiOpKind::MakeDir => Some(ApiOpKind::MakeFile),
+        ApiOpKind::OpenSession | ApiOpKind::CloseSession => None,
+        other => Some(other),
+    }
+}
+
+/// Normalizes a record to a (user, chain state), or `None` if it doesn't
+/// belong in Fig. 8.
 fn chain_state(rec: &TraceRecord) -> Option<(u64, ApiOpKind)> {
     match &rec.payload {
-        Payload::Storage(done) if done.success => {
-            let op = match done.op {
-                ApiOpKind::MakeDir => ApiOpKind::MakeFile, // collapse to Make
-                ApiOpKind::OpenSession | ApiOpKind::CloseSession => return None,
-                other => other,
-            };
-            Some((done.user.raw(), op))
-        }
+        Payload::Storage(done) if done.success => Some((done.user.raw(), chain_op(done.op)?)),
         Payload::Auth {
             user,
             success: true,
@@ -63,117 +66,70 @@ fn chain_state(rec: &TraceRecord) -> Option<(u64, ApiOpKind)> {
     }
 }
 
-/// Streaming state behind [`transition_graph`]. Besides the edge counters,
-/// a partial keeps each user's first and last chain state so the merge can
-/// count the one boundary-straddling transition per user.
-pub struct MarkovFold {
-    counts: FxHashMap<(ApiOpKind, ApiOpKind), u64>,
-    from_totals: FxHashMap<ApiOpKind, u64>,
+const OPS: usize = ApiOpKind::ALL.len();
+
+/// Transition counts, indexed `[from][to]` by `ApiOpKind` declaration
+/// order. A state's outgoing total is its row's sum.
+#[derive(Debug)]
+pub(crate) struct Transitions {
+    counts: [[u64; OPS]; OPS],
     total: u64,
-    first: FxHashMap<u64, ApiOpKind>,
-    last: FxHashMap<u64, ApiOpKind>,
 }
 
-impl MarkovFold {
-    pub fn new() -> Self {
+impl Default for Transitions {
+    fn default() -> Self {
         Self {
-            counts: FxHashMap::default(),
-            from_totals: FxHashMap::default(),
+            counts: [[0; OPS]; OPS],
             total: 0,
-            first: FxHashMap::default(),
-            last: FxHashMap::default(),
         }
     }
+}
 
-    fn count_edge(&mut self, from: ApiOpKind, to: ApiOpKind) {
-        *self.counts.entry((from, to)).or_default() += 1;
-        *self.from_totals.entry(from).or_default() += 1;
+impl Transitions {
+    fn edge(&mut self, (from, to): (ApiOpKind, ApiOpKind)) {
+        self.counts[from as usize][to as usize] += 1;
         self.total += 1;
     }
-}
 
-impl Default for MarkovFold {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl TraceFold for MarkovFold {
-    type Output = TransitionGraph;
-
-    fn new_partial(&self) -> Self {
-        MarkovFold::new()
+    /// One chain state of a user whose chain so far is `ends`.
+    pub(crate) fn step(&mut self, ends: &mut Ends<ApiOpKind>, op: ApiOpKind) {
+        if let Some(prev) = ends.push(op) {
+            self.edge((prev, op));
+        }
     }
 
-    fn feed(&mut self, rec: &TraceRecord) {
-        let Some((user, op)) = chain_state(rec) else {
-            return;
-        };
-        match self.last.insert(user, op) {
-            Some(prev) => self.count_edge(prev, op),
-            None => {
-                self.first.insert(user, op);
+    /// Appends the same user's chain in the chunk after this one, counting
+    /// the transition that spans the boundary.
+    pub(crate) fn join(&mut self, earlier: &mut Ends<ApiOpKind>, later: Ends<ApiOpKind>) {
+        if let Some(pair) = earlier.join(later) {
+            self.edge(pair);
+        }
+    }
+
+    /// Adds the counts of the chunk after this one.
+    pub(crate) fn merge(&mut self, later: &Transitions) {
+        for (mine, theirs) in self.counts.iter_mut().zip(&later.counts) {
+            for (m, t) in mine.iter_mut().zip(theirs) {
+                *m += t;
             }
-        }
-    }
-
-    fn merge(&mut self, mut later: Self) {
-        // The boundary transition: our last op per user flows into the later
-        // chunk's first op for the same user. Measure while both sides are
-        // intact.
-        for (user, first_op) in &later.first {
-            if let Some(prev) = self.last.get(user).copied() {
-                self.count_edge(prev, *first_op);
-            }
-        }
-        // The edge counters are additive, so accumulate into whichever map
-        // is larger — `finish` sorts, so map identity is invisible.
-        if later.counts.len() > self.counts.len() {
-            std::mem::swap(&mut self.counts, &mut later.counts);
-        }
-        for (key, c) in later.counts.drain() {
-            *self.counts.entry(key).or_default() += c;
-        }
-        if later.from_totals.len() > self.from_totals.len() {
-            std::mem::swap(&mut self.from_totals, &mut later.from_totals);
-        }
-        for (op, c) in later.from_totals.drain() {
-            *self.from_totals.entry(op).or_default() += c;
         }
         self.total += later.total;
-        // `last`: the later chunk wins; when the later map is the base,
-        // earlier entries only fill absent keys.
-        if later.last.len() > self.last.len() {
-            std::mem::swap(&mut self.last, &mut later.last);
-            for (user, op) in later.last.drain() {
-                self.last.entry(user).or_insert(op);
-            }
-        } else {
-            for (user, op) in later.last {
-                self.last.insert(user, op);
-            }
-        }
-        // `first`: the earlier chunk wins — the mirror image.
-        if later.first.len() > self.first.len() {
-            std::mem::swap(&mut self.first, &mut later.first);
-            for (user, op) in later.first.drain() {
-                self.first.insert(user, op);
-            }
-        } else {
-            for (user, op) in later.first {
-                self.first.entry(user).or_insert(op);
-            }
-        }
     }
 
-    fn finish(self) -> TransitionGraph {
-        let mut edges: Vec<Edge> = self
-            .counts
-            .iter()
-            .map(|((from, to), c)| Edge {
+    pub(crate) fn finish(&self) -> TransitionGraph {
+        let seen = || {
+            ApiOpKind::ALL.into_iter().flat_map(|from| {
+                ApiOpKind::ALL.into_iter().filter_map(move |to| {
+                    let c = self.counts[from as usize][to as usize];
+                    (c > 0).then_some((from, to, c))
+                })
+            })
+        };
+        let mut edges: Vec<Edge> = seen()
+            .map(|(from, to, c)| Edge {
                 from: from.display_name(),
                 to: to.display_name(),
-                probability: *c as f64 / self.total.max(1) as f64,
+                probability: c as f64 / self.total.max(1) as f64,
             })
             .collect();
         edges.sort_by(|a, b| {
@@ -182,14 +138,13 @@ impl TraceFold for MarkovFold {
                 .unwrap()
                 .then_with(|| (a.from, a.to).cmp(&(b.from, b.to)))
         });
-        let mut conditional: Vec<(&'static str, &'static str, f64)> = self
-            .counts
-            .iter()
-            .map(|((from, to), c)| {
+        let mut conditional: Vec<(&'static str, &'static str, f64)> = seen()
+            .map(|(from, to, c)| {
+                let out: u64 = self.counts[from as usize].iter().sum();
                 (
                     from.display_name(),
                     to.display_name(),
-                    *c as f64 / self.from_totals[from].max(1) as f64,
+                    c as f64 / out.max(1) as f64,
                 )
             })
             .collect();
@@ -203,7 +158,12 @@ impl TraceFold for MarkovFold {
 }
 
 pub fn transition_graph(records: &[TraceRecord]) -> TransitionGraph {
-    crate::engine::run_fold(MarkovFold::new(), records)
+    let mut users: FxHashMap<u64, Ends<ApiOpKind>> = FxHashMap::default();
+    let mut transitions = Transitions::default();
+    for (user, op) in records.iter().filter_map(chain_state) {
+        transitions.step(users.entry(user).or_default(), op);
+    }
+    transitions.finish()
 }
 
 #[cfg(test)]
@@ -282,7 +242,7 @@ mod tests {
         let serial = transition_graph(&recs);
         for split in 0..=recs.len() {
             let (a, b) = recs.split_at(split);
-            let got = crate::engine::run_chunks(MarkovFold::new(), &[a, b]);
+            let got = chunked(&[a, b], at(60)).markov;
             assert_eq!(
                 got.total_transitions, serial.total_transitions,
                 "split={split}"

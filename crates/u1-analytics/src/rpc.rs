@@ -1,10 +1,10 @@
 //! Metadata-store RPC performance and load balance (§7.1–§7.2,
 //! Figs. 12–14).
 
-use crate::engine::TraceFold;
-use crate::stats::{cv, mean, stddev, Ecdf};
+use crate::stats::{cv, mean, secs, stddev, Ecdf};
+use crate::timeseries::{hour_bins, hour_of};
 use serde::Serialize;
-use u1_core::{FxHashMap, RpcClass, RpcKind, SimDuration, SimTime};
+use u1_core::{MachineId, RpcClass, RpcKind, ShardId, SimDuration, SimTime};
 use u1_trace::{Payload, TraceRecord};
 
 /// One RPC's service-time profile (a line in one Fig. 12 panel and a point
@@ -47,63 +47,24 @@ impl RpcAnalysis {
     }
 }
 
-/// Streaming state behind [`rpc_analysis`]: service-time samples per RPC
-/// kind. Merging concatenates; the per-kind ECDFs sort at finish.
-pub struct RpcFold {
-    samples: FxHashMap<RpcKind, Vec<f64>>,
-}
+/// Service times (microseconds) per RPC kind, indexed by declaration order,
+/// which is [`RpcKind::ALL`]'s.
+pub(crate) type RpcSamples = [Vec<u64>; RpcKind::ALL.len()];
 
-impl RpcFold {
-    pub fn new() -> Self {
-        Self {
-            samples: FxHashMap::default(),
-        }
-    }
-}
-
-impl Default for RpcFold {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl TraceFold for RpcFold {
-    type Output = RpcAnalysis;
-
-    fn new_partial(&self) -> Self {
-        RpcFold::new()
-    }
-
-    fn feed(&mut self, rec: &TraceRecord) {
-        if let Payload::Rpc {
-            rpc, service_us, ..
-        } = &rec.payload
-        {
-            self.samples
-                .entry(*rpc)
-                .or_default()
-                .push(*service_us as f64 / 1e6);
-        }
-    }
-
-    fn merge(&mut self, later: Self) {
-        for (rpc, xs) in later.samples {
-            self.samples.entry(rpc).or_default().extend(xs);
-        }
-    }
-
-    fn finish(mut self) -> RpcAnalysis {
-        let mut profiles = Vec::new();
-        for rpc in RpcKind::ALL {
-            let xs = self.samples.remove(&rpc).unwrap_or_default();
-            let ecdf = Ecdf::new(xs);
+/// Figs. 12–13 from every RPC kind's service times.
+pub(crate) fn analysis(samples: RpcSamples) -> RpcAnalysis {
+    let profiles = RpcKind::ALL
+        .into_iter()
+        .zip(samples)
+        .map(|(rpc, us)| {
+            let ecdf = Ecdf::from_ints(us, secs);
             let median = ecdf.median();
             let far = if ecdf.is_empty() {
                 0.0
             } else {
                 1.0 - ecdf.cdf(10.0 * median)
             };
-            profiles.push(RpcProfile {
+            RpcProfile {
                 rpc: rpc.dal_name(),
                 class: rpc.class().label(),
                 panel: rpc.figure12_panel(),
@@ -113,14 +74,23 @@ impl TraceFold for RpcFold {
                 max_s: ecdf.max(),
                 far_from_median: far,
                 ecdf,
-            });
-        }
-        RpcAnalysis { profiles }
-    }
+            }
+        })
+        .collect();
+    RpcAnalysis { profiles }
 }
 
 pub fn rpc_analysis(records: &[TraceRecord]) -> RpcAnalysis {
-    crate::engine::run_fold(RpcFold::new(), records)
+    let mut samples = RpcSamples::default();
+    for rec in records {
+        if let Payload::Rpc {
+            rpc, service_us, ..
+        } = &rec.payload
+        {
+            samples[*rpc as usize].push(*service_us);
+        }
+    }
+    analysis(samples)
 }
 
 /// Fig. 14: load balance across API machines (hourly) and store shards
@@ -139,11 +109,11 @@ pub struct LoadBalance {
     pub shard_longrun_cv: f64,
 }
 
-/// Streaming state behind [`load_balance`]. Grid cells are integer request
-/// counts, so chunk merges add exactly and the one f64 conversion at
-/// finish is exact.
-pub struct LoadBalanceFold {
-    horizon: SimTime,
+/// The request counts behind [`load_balance`]. Grid cells are integer
+/// request counts, so chunk merges add exactly and the one f64 conversion
+/// at finish is exact.
+#[derive(Debug)]
+pub(crate) struct LoadGrid {
     machines: usize,
     shards: usize,
     minutes: usize,
@@ -152,84 +122,60 @@ pub struct LoadBalanceFold {
     shard_totals: Vec<u64>,
 }
 
-impl LoadBalanceFold {
-    pub fn new(horizon: SimTime, machines: usize, shards: usize, minutes_window: usize) -> Self {
-        let hours = horizon
-            .as_micros()
-            .div_ceil(SimDuration::from_hours(1).as_micros()) as usize;
+impl LoadGrid {
+    pub(crate) fn new(horizon: SimTime, machines: usize, shards: usize, minutes: usize) -> Self {
         // Shards are binned per minute over a window (the paper plots 60
         // minutes) — a full month per minute would be enormous.
         Self {
-            horizon,
             machines,
             shards,
-            minutes: minutes_window,
-            api: vec![vec![0; machines]; hours.max(1)],
-            shard: vec![vec![0; shards]; minutes_window.max(1)],
+            minutes,
+            api: vec![vec![0; machines]; hour_bins(horizon)],
+            shard: vec![vec![0; shards]; minutes.max(1)],
             shard_totals: vec![0; shards],
         }
     }
-}
 
-impl TraceFold for LoadBalanceFold {
-    type Output = LoadBalance;
-
-    fn new_partial(&self) -> Self {
-        LoadBalanceFold::new(self.horizon, self.machines, self.shards, self.minutes)
+    /// An API request (session or storage record) in hour `h`.
+    pub(crate) fn api(&mut self, h: usize, machine: MachineId) {
+        self.api[h][machine.raw() as usize % self.machines] += 1;
     }
 
-    fn feed(&mut self, rec: &TraceRecord) {
-        if rec.t >= self.horizon {
-            return;
-        }
-        match &rec.payload {
-            Payload::Storage(_) | Payload::Session { .. } => {
-                let h = rec.t.bin_index(SimDuration::from_hours(1)) as usize;
-                let m = (rec.machine.raw() as usize) % self.machines;
-                self.api[h][m] += 1;
-            }
-            Payload::Rpc { shard: s, .. } => {
-                let idx = (s.raw() as usize) % self.shards;
-                self.shard_totals[idx] += 1;
-                let minute = rec.t.bin_index(SimDuration::from_mins(1)) as usize;
-                if minute < self.minutes {
-                    self.shard[minute][idx] += 1;
-                }
-            }
-            _ => {}
+    /// An RPC at `t`, inside the horizon.
+    pub(crate) fn rpc(&mut self, t: SimTime, shard: ShardId) {
+        let idx = shard.raw() as usize % self.shards;
+        self.shard_totals[idx] += 1;
+        let minute = t.bin_index(SimDuration::from_mins(1)) as usize;
+        if minute < self.minutes {
+            self.shard[minute][idx] += 1;
         }
     }
 
-    fn merge(&mut self, later: Self) {
-        for (dst, src) in self.api.iter_mut().zip(later.api) {
+    /// Adds the counts of the chunk after this one.
+    pub(crate) fn merge(&mut self, later: &LoadGrid) {
+        let add = |dst: &mut Vec<u64>, src: &Vec<u64>| {
             for (d, s) in dst.iter_mut().zip(src) {
                 *d += s;
             }
-        }
-        for (dst, src) in self.shard.iter_mut().zip(later.shard) {
-            for (d, s) in dst.iter_mut().zip(src) {
-                *d += s;
-            }
-        }
-        for (d, s) in self.shard_totals.iter_mut().zip(later.shard_totals) {
-            *d += s;
-        }
+        };
+        let rows = self.api.iter_mut().chain(&mut self.shard);
+        rows.zip(later.api.iter().chain(&later.shard))
+            .for_each(|(dst, src)| add(dst, src));
+        add(&mut self.shard_totals, &later.shard_totals);
     }
 
-    fn finish(self) -> LoadBalance {
-        let to_f64 = |rows: Vec<Vec<u64>>| -> Vec<Vec<f64>> {
-            rows.into_iter()
-                .map(|r| r.into_iter().map(|c| c as f64).collect())
+    pub(crate) fn finish(&self) -> LoadBalance {
+        let to_f64 = |rows: &[Vec<u64>]| -> Vec<Vec<f64>> {
+            rows.iter()
+                .map(|r| r.iter().map(|&c| c as f64).collect())
                 .collect()
         };
-        let api = to_f64(self.api);
-        let shard = to_f64(self.shard);
-        let shard_totals: Vec<f64> = self.shard_totals.into_iter().map(|c| c as f64).collect();
+        let api = to_f64(&self.api);
+        let shard = to_f64(&self.shard);
+        let shard_totals: Vec<f64> = self.shard_totals.iter().map(|&c| c as f64).collect();
         let summarize = |rows: &[Vec<f64>]| -> Vec<(f64, f64)> {
             rows.iter().map(|r| (mean(r), stddev(r))).collect()
         };
-        let api_hourly = summarize(&api);
-        let shard_minutely = summarize(&shard);
         let mean_cv = |rows: &[Vec<f64>]| {
             let cvs: Vec<f64> = rows
                 .iter()
@@ -242,8 +188,8 @@ impl TraceFold for LoadBalanceFold {
             api_mean_cv: mean_cv(&api),
             shard_mean_cv: mean_cv(&shard),
             shard_longrun_cv: cv(&shard_totals),
-            api_hourly,
-            shard_minutely,
+            api_hourly: summarize(&api),
+            shard_minutely: summarize(&shard),
         }
     }
 }
@@ -255,10 +201,15 @@ pub fn load_balance(
     shards: usize,
     minutes_window: usize,
 ) -> LoadBalance {
-    crate::engine::run_fold(
-        LoadBalanceFold::new(horizon, machines, shards, minutes_window),
-        records,
-    )
+    let mut grid = LoadGrid::new(horizon, machines, shards, minutes_window);
+    for rec in records.iter().filter(|rec| rec.t < horizon) {
+        match &rec.payload {
+            Payload::Storage(_) | Payload::Session { .. } => grid.api(hour_of(rec.t), rec.machine),
+            Payload::Rpc { shard, .. } => grid.rpc(rec.t, *shard),
+            Payload::Auth { .. } => {}
+        }
+    }
+    grid.finish()
 }
 
 #[cfg(test)]

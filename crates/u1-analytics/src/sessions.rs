@@ -1,9 +1,9 @@
 //! Session and authentication analyses (§7.3, Figs. 15–16).
 
-use crate::engine::TraceFold;
-use crate::stats::Ecdf;
+use crate::stats::{float, secs, Ecdf};
+use crate::timeseries::{column, hour_bins, hour_of, Hour};
 use serde::Serialize;
-use u1_core::{FxHashMap, FxHashSet, SimDuration, SimTime};
+use u1_core::{FxHashMap, SimTime};
 use u1_trace::{Payload, SessionEvent, TraceRecord};
 
 /// Fig. 15: authentication and session-management activity.
@@ -19,110 +19,71 @@ pub struct AuthActivity {
     pub monday_over_weekend: f64,
 }
 
-/// Streaming state behind [`auth_activity`].
-pub struct AuthActivityFold {
-    horizon: SimTime,
-    auth_bins: Vec<u64>,
-    session_bins: Vec<u64>,
-    auth_total: u64,
-    auth_failed: u64,
-}
-
-impl AuthActivityFold {
-    pub fn new(horizon: SimTime) -> Self {
-        let bins = horizon
-            .as_micros()
-            .div_ceil(SimDuration::from_hours(1).as_micros()) as usize;
-        Self {
-            horizon,
-            auth_bins: vec![0; bins.max(1)],
-            session_bins: vec![0; bins.max(1)],
-            auth_total: 0,
-            auth_failed: 0,
+/// Fig. 15 from the hourly auth and session counts and the auth totals.
+pub(crate) fn auth_activity_of(hours: &[Hour], total: u64, failed: u64) -> AuthActivity {
+    let auth_per_hour = column(hours, |h| h.auth);
+    let session_events_per_hour = column(hours, |h| h.session);
+    // Day (10:00–16:00) vs night (00:00–05:00) means.
+    let mut day = Vec::new();
+    let mut night = Vec::new();
+    let mut monday = Vec::new();
+    let mut weekend = Vec::new();
+    for (i, &v) in auth_per_hour.iter().enumerate() {
+        let t = SimTime::from_hours(i as u64);
+        match t.hour_of_day() {
+            10..=16 => day.push(v),
+            0..=5 => night.push(v),
+            _ => {}
         }
-    }
-}
-
-impl TraceFold for AuthActivityFold {
-    type Output = AuthActivity;
-
-    fn new_partial(&self) -> Self {
-        AuthActivityFold::new(self.horizon)
-    }
-
-    fn feed(&mut self, rec: &TraceRecord) {
-        match &rec.payload {
-            Payload::Auth { success, .. } => {
-                self.auth_total += 1;
-                self.auth_failed += u64::from(!success);
-                if rec.t < self.horizon {
-                    self.auth_bins[rec.t.bin_index(SimDuration::from_hours(1)) as usize] += 1;
-                }
-            }
-            Payload::Session { .. } if rec.t < self.horizon => {
-                self.session_bins[rec.t.bin_index(SimDuration::from_hours(1)) as usize] += 1;
-            }
+        match t.day_of_week() {
+            0 => monday.push(v),
+            5 | 6 => weekend.push(v),
             _ => {}
         }
     }
-
-    fn merge(&mut self, later: Self) {
-        for (dst, src) in self.auth_bins.iter_mut().zip(later.auth_bins) {
-            *dst += src;
+    let ratio = |a: &[f64], b: &[f64]| {
+        let (ma, mb) = (crate::stats::mean(a), crate::stats::mean(b));
+        if mb > 0.0 {
+            ma / mb
+        } else {
+            f64::NAN
         }
-        for (dst, src) in self.session_bins.iter_mut().zip(later.session_bins) {
-            *dst += src;
-        }
-        self.auth_total += later.auth_total;
-        self.auth_failed += later.auth_failed;
-    }
-
-    fn finish(self) -> AuthActivity {
-        let auth_per_hour: Vec<f64> = self.auth_bins.iter().map(|&c| c as f64).collect();
-        let session_events_per_hour: Vec<f64> =
-            self.session_bins.iter().map(|&c| c as f64).collect();
-        // Day (10:00–16:00) vs night (00:00–05:00) means.
-        let mut day = Vec::new();
-        let mut night = Vec::new();
-        let mut monday = Vec::new();
-        let mut weekend = Vec::new();
-        for (i, &v) in auth_per_hour.iter().enumerate() {
-            let t = SimTime::from_hours(i as u64);
-            match t.hour_of_day() {
-                10..=16 => day.push(v),
-                0..=5 => night.push(v),
-                _ => {}
-            }
-            match t.day_of_week() {
-                0 => monday.push(v),
-                5 | 6 => weekend.push(v),
-                _ => {}
-            }
-        }
-        let ratio = |a: &[f64], b: &[f64]| {
-            let (ma, mb) = (crate::stats::mean(a), crate::stats::mean(b));
-            if mb > 0.0 {
-                ma / mb
-            } else {
-                f64::NAN
-            }
-        };
-        AuthActivity {
-            diurnal_swing: ratio(&day, &night),
-            monday_over_weekend: ratio(&monday, &weekend),
-            auth_failure_fraction: if self.auth_total == 0 {
-                0.0
-            } else {
-                self.auth_failed as f64 / self.auth_total as f64
-            },
-            auth_per_hour,
-            session_events_per_hour,
-        }
+    };
+    AuthActivity {
+        diurnal_swing: ratio(&day, &night),
+        monday_over_weekend: ratio(&monday, &weekend),
+        auth_failure_fraction: if total == 0 {
+            0.0
+        } else {
+            failed as f64 / total as f64
+        },
+        auth_per_hour,
+        session_events_per_hour,
     }
 }
 
 pub fn auth_activity(records: &[TraceRecord], horizon: SimTime) -> AuthActivity {
-    crate::engine::run_fold(AuthActivityFold::new(horizon), records)
+    let mut hours = vec![Hour::default(); hour_bins(horizon)];
+    let (mut total, mut failed) = (0, 0);
+    for rec in records {
+        let hour = (rec.t < horizon).then(|| &mut hours[hour_of(rec.t)]);
+        match &rec.payload {
+            Payload::Auth { success, .. } => {
+                total += 1;
+                failed += u64::from(!success);
+                if let Some(h) = hour {
+                    h.auth += 1;
+                }
+            }
+            Payload::Session { .. } => {
+                if let Some(h) = hour {
+                    h.session += 1;
+                }
+            }
+            _ => {}
+        }
+    }
+    auth_activity_of(&hours, total, failed)
 }
 
 /// Fig. 16: session lengths and per-session storage operations.
@@ -146,183 +107,226 @@ pub struct SessionAnalysis {
     pub top20_op_share: f64,
 }
 
-/// Streaming state behind [`session_analysis`].
-///
-/// The serial pass classifies a session as *active* by looking up its data
-/// op count at close time — and that count is never cleared, so it includes
-/// ops from every record before the close, even a previous use of the same
-/// session id. Replaying that across chunks needs:
-/// * `pending_closes` — closes with no local open; they bind to an earlier
-///   chunk's open at merge time, carrying the op count seen so far so the
-///   activity check stays "ops strictly before the close".
-/// * `inactive_closes` — closes already matched and counted, but classified
-///   inactive using only local knowledge; an earlier chunk holding data ops
-///   for that session upgrades them to active at merge time.
-pub struct SessionFold {
-    open_at: FxHashMap<u64, SimTime>,
-    opened: FxHashSet<u64>,
-    data_ops: FxHashMap<u64, u64>,
-    lengths: Vec<f64>,
-    active_lengths: Vec<f64>,
-    closed: u64,
-    closed_active: u64,
-    pending_closes: Vec<(u64, SimTime, u64)>, // (session, close time, ops before)
-    inactive_closes: Vec<(u64, f64)>,         // (session, length)
-}
-
-impl SessionFold {
-    pub fn new() -> Self {
-        Self {
-            open_at: FxHashMap::default(),
-            opened: FxHashSet::default(),
-            data_ops: FxHashMap::default(),
-            lengths: Vec::new(),
-            active_lengths: Vec::new(),
-            closed: 0,
-            closed_active: 0,
-            pending_closes: Vec::new(),
-            inactive_closes: Vec::new(),
-        }
-    }
-
-    fn record_close(&mut self, session: u64, len: f64, active: bool) {
-        self.closed += 1;
-        self.lengths.push(len);
-        if active {
-            self.closed_active += 1;
-            self.active_lengths.push(len);
+/// Fig. 16 from the closed sessions' lengths (microseconds), those of the
+/// active ones, and every session's data-op count.
+pub(crate) fn session_analysis_of(
+    lengths: Vec<u64>,
+    active_lengths: Vec<u64>,
+    data_ops: impl Iterator<Item = u64>,
+) -> SessionAnalysis {
+    let closed = lengths.len() as u64;
+    let lengths = Ecdf::from_ints(lengths, secs);
+    let active_lengths = Ecdf::from_ints(active_lengths, secs);
+    let ops = Ecdf::from_ints(data_ops.filter(|&c| c > 0).collect(), float);
+    let top20_share = {
+        let sorted = ops.samples();
+        let cut = (sorted.len() as f64 * 0.8) as usize;
+        let total: f64 = sorted.iter().sum();
+        if total > 0.0 {
+            sorted[cut..].iter().sum::<f64>() / total
         } else {
-            self.inactive_closes.push((session, len));
+            0.0
         }
-    }
-}
-
-impl Default for SessionFold {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl TraceFold for SessionFold {
-    type Output = SessionAnalysis;
-
-    fn new_partial(&self) -> Self {
-        SessionFold::new()
-    }
-
-    fn feed(&mut self, rec: &TraceRecord) {
-        match &rec.payload {
-            Payload::Session {
-                event: SessionEvent::Open,
-                session,
-                ..
-            } => {
-                self.open_at.insert(session.raw(), rec.t);
-                self.opened.insert(session.raw());
-            }
-            Payload::Storage(done) if done.success && done.op.is_data_management() => {
-                *self.data_ops.entry(done.session.raw()).or_default() += 1;
-            }
-            Payload::Session {
-                event: SessionEvent::Close,
-                session,
-                ..
-            } => {
-                let s = session.raw();
-                if let Some(t0) = self.open_at.remove(&s) {
-                    let len = rec.t.since(t0).as_secs_f64();
-                    let active = self.data_ops.contains_key(&s);
-                    self.record_close(s, len, active);
-                } else if !self.opened.contains(&s) {
-                    // No open seen locally at all: may bind to an earlier
-                    // chunk's open. Ops-before snapshot keeps the activity
-                    // check restricted to records preceding this close.
-                    let ops_before = self.data_ops.get(&s).copied().unwrap_or(0);
-                    self.pending_closes.push((s, rec.t, ops_before));
-                }
-                // An open existed locally but was already consumed: the
-                // serial pass drops such a close silently.
-            }
-            _ => {}
-        }
-    }
-
-    fn merge(&mut self, later: Self) {
-        for (s, t_close, ops_before) in later.pending_closes {
-            if let Some(t0) = self.open_at.remove(&s) {
-                let len = t_close.since(t0).as_secs_f64();
-                let active = ops_before > 0 || self.data_ops.contains_key(&s);
-                self.record_close(s, len, active);
-            } else if !self.opened.contains(&s) {
-                let ops_here = self.data_ops.get(&s).copied().unwrap_or(0);
-                self.pending_closes
-                    .push((s, t_close, ops_before + ops_here));
-            }
-        }
-        // Closes the later chunk classified inactive become active if this
-        // (earlier) chunk saw data ops for the session.
-        for (s, len) in later.inactive_closes {
-            if self.data_ops.contains_key(&s) {
-                self.closed_active += 1;
-                self.active_lengths.push(len);
-            } else {
-                self.inactive_closes.push((s, len));
-            }
-        }
-        // Later re-opens overwrite (lose) earlier unclosed opens.
-        for s in &later.opened {
-            self.open_at.remove(s);
-        }
-        self.opened.extend(later.opened);
-        self.open_at.extend(later.open_at);
-        for (s, c) in later.data_ops {
-            *self.data_ops.entry(s).or_default() += c;
-        }
-        self.lengths.extend(later.lengths);
-        self.active_lengths.extend(later.active_lengths);
-        self.closed += later.closed;
-        self.closed_active += later.closed_active;
-    }
-
-    fn finish(self) -> SessionAnalysis {
-        // Pending closes that never found an open are dropped, as in the
-        // serial pass.
-        let closed = self.closed;
-        let closed_active = self.closed_active;
-        let lengths = Ecdf::new(self.lengths);
-        let ops: Vec<f64> = self.data_ops.values().map(|&c| c as f64).collect();
-        let ops_ecdf = Ecdf::new(ops.clone());
-        let top20_share = {
-            let mut sorted = ops;
-            sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            let cut = (sorted.len() as f64 * 0.8) as usize;
-            let total: f64 = sorted.iter().sum();
-            if total > 0.0 {
-                sorted[cut..].iter().sum::<f64>() / total
-            } else {
-                0.0
-            }
-        };
-        SessionAnalysis {
-            sessions: closed,
-            under_1s: lengths.cdf(1.0),
-            under_8h: lengths.cdf(8.0 * 3600.0),
-            active_fraction: if closed == 0 {
-                0.0
-            } else {
-                closed_active as f64 / closed as f64
-            },
-            p80_ops: ops_ecdf.quantile(0.8),
-            top20_op_share: top20_share,
-            lengths,
-            active_lengths: Ecdf::new(self.active_lengths),
-            ops_per_active_session: ops_ecdf,
-        }
+    };
+    SessionAnalysis {
+        sessions: closed,
+        under_1s: lengths.cdf(1.0),
+        under_8h: lengths.cdf(8.0 * 3600.0),
+        active_fraction: if closed == 0 {
+            0.0
+        } else {
+            active_lengths.len() as f64 / closed as f64
+        },
+        p80_ops: ops.quantile(0.8),
+        top20_op_share: top20_share,
+        lengths,
+        active_lengths,
+        ops_per_active_session: ops,
     }
 }
 
 pub fn session_analysis(records: &[TraceRecord]) -> SessionAnalysis {
-    crate::engine::run_fold(SessionFold::new(), records)
+    // Session id -> (open time if open, data ops so far). The op count is
+    // never cleared, so a reused id inherits it.
+    let mut sessions: FxHashMap<u64, (Option<SimTime>, u64)> = FxHashMap::default();
+    let (mut lengths, mut active_lengths) = (Vec::new(), Vec::new());
+    for rec in records {
+        match &rec.payload {
+            Payload::Session { event, session, .. } => {
+                let (open, ops) = sessions.entry(session.raw()).or_default();
+                if *event == SessionEvent::Open {
+                    *open = Some(rec.t);
+                } else if let Some(t0) = open.take() {
+                    let len = rec.t.since(t0).as_micros();
+                    lengths.push(len);
+                    if *ops > 0 {
+                        active_lengths.push(len);
+                    }
+                }
+            }
+            Payload::Storage(done) if done.success && done.op.is_data_management() => {
+                sessions.entry(done.session.raw()).or_default().1 += 1;
+            }
+            _ => {}
+        }
+    }
+    session_analysis_of(
+        lengths,
+        active_lengths,
+        sessions.into_values().map(|(_, ops)| ops),
+    )
+}
+
+/// One session id's state within one chunk of the trace.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct SessionRow {
+    /// The user slot and time of the open not yet closed.
+    pub open: Option<(u32, SimTime)>,
+    /// Whether this chunk saw an open of the id at all.
+    pub opened: bool,
+    /// Successful data-management ops under the id so far; never cleared.
+    pub data_ops: u64,
+}
+
+/// A close that saw no open in its chunk: it may pair with an earlier
+/// chunk's open at merge. `ops_before` keeps the activity check to the ops
+/// that preceded the close.
+#[derive(Debug, Clone, Copy)]
+struct PendingClose {
+    session: u32,
+    user: u32,
+    t: SimTime,
+    ops_before: u64,
+}
+
+/// Session pairing for Fig. 16 and for Fig. 6's online hours, over the
+/// battery's session rows. Besides the lengths, a chunk keeps what its
+/// merge needs:
+/// * `pending` — closes with no open in the chunk;
+/// * `inactive` — closes matched here but classified inactive on local
+///   knowledge alone; an earlier chunk with data ops for the session
+///   upgrades them at merge.
+#[derive(Debug, Default)]
+pub(crate) struct SessionLog {
+    lengths: Vec<u64>,
+    active_lengths: Vec<u64>,
+    pending: Vec<PendingClose>,
+    inactive: Vec<(u32, u64)>,
+}
+
+impl SessionLog {
+    fn closed(&mut self, session: u32, len: u64, active: bool) {
+        self.lengths.push(len);
+        if active {
+            self.active_lengths.push(len);
+        } else {
+            self.inactive.push((session, len));
+        }
+    }
+
+    /// A close of session slot `session` by `user` at `t`. Returns the user
+    /// and start of the online span it ends, if it is known yet: the
+    /// paired open's, or — the open having been consumed already — the
+    /// close's own instant.
+    pub(crate) fn close(
+        &mut self,
+        session: u32,
+        row: &mut SessionRow,
+        user: u32,
+        t: SimTime,
+    ) -> Option<(u32, SimTime)> {
+        if let Some((u, from)) = row.open.take() {
+            self.closed(session, t.since(from).as_micros(), row.data_ops > 0);
+            Some((u, from))
+        } else if row.opened {
+            Some((user, t))
+        } else {
+            self.pending.push(PendingClose {
+                session,
+                user,
+                t,
+                ops_before: row.data_ops,
+            });
+            None
+        }
+    }
+
+    /// Appends the chunk after this one. `rows` are this chunk's session
+    /// rows, `later_rows` the later chunk's, whose slot `i` is
+    /// `session_slot[i]` here; its user slots map through `user_slot`.
+    /// Online spans found on the way go to `online`.
+    pub(crate) fn merge(
+        &mut self,
+        later: SessionLog,
+        rows: &mut [SessionRow],
+        later_rows: Vec<SessionRow>,
+        (session_slot, user_slot): (&[u32], &[u32]),
+        mut online: impl FnMut(u32, SimTime, SimTime),
+    ) {
+        // Closes that found no open in the later chunk bind here, in order.
+        for p in later.pending {
+            let session = session_slot[p.session as usize];
+            let user = user_slot[p.user as usize];
+            let row = &mut rows[session as usize];
+            if let Some((u, from)) = row.open.take() {
+                let active = p.ops_before > 0 || row.data_ops > 0;
+                self.closed(session, p.t.since(from).as_micros(), active);
+                online(u, from, p.t);
+            } else if row.opened {
+                online(user, p.t, p.t);
+            } else {
+                self.pending.push(PendingClose {
+                    session,
+                    user,
+                    ops_before: p.ops_before + row.data_ops,
+                    ..p
+                });
+            }
+        }
+        // Closes the later chunk classified inactive become active if this
+        // chunk saw data ops for the session.
+        for (s, len) in later.inactive {
+            let s = session_slot[s as usize];
+            if rows[s as usize].data_ops > 0 {
+                self.active_lengths.push(len);
+            } else {
+                self.inactive.push((s, len));
+            }
+        }
+        // A later open replaces (loses) an earlier unclosed one.
+        for (theirs, &s) in later_rows.into_iter().zip(session_slot) {
+            let mine = &mut rows[s as usize];
+            if theirs.opened {
+                mine.open = theirs.open.map(|(u, t)| (user_slot[u as usize], t));
+            }
+            mine.opened |= theirs.opened;
+            mine.data_ops += theirs.data_ops;
+        }
+        self.lengths.extend(later.lengths);
+        self.active_lengths.extend(later.active_lengths);
+    }
+
+    /// Finishes Fig. 16, sending Fig. 6 the online spans still open: a
+    /// close that never found an open marks its own instant, and an open
+    /// never closed stays online to the end of the trace.
+    pub(crate) fn finish(
+        self,
+        rows: &[SessionRow],
+        end: SimTime,
+        mut online: impl FnMut(u32, SimTime, SimTime),
+    ) -> SessionAnalysis {
+        for p in &self.pending {
+            online(p.user, p.t, p.t);
+        }
+        for (u, from) in rows.iter().filter_map(|row| row.open) {
+            online(u, from, end);
+        }
+        session_analysis_of(
+            self.lengths,
+            self.active_lengths,
+            rows.iter().map(|row| row.data_ops),
+        )
+    }
 }
 
 #[cfg(test)]
@@ -330,6 +334,7 @@ mod tests {
     use super::*;
     use crate::testkit::*;
     use u1_core::ApiOpKind::*;
+    use u1_core::SimDuration;
 
     #[test]
     fn session_lengths_and_activity_split() {
@@ -380,7 +385,7 @@ mod tests {
         let serial = session_analysis(&recs);
         for split in 0..=recs.len() {
             let (a, b) = recs.split_at(split);
-            let got = crate::engine::run_chunks(SessionFold::new(), &[a, b]);
+            let got = chunked(&[a, b], at(3600)).sessions;
             assert_eq!(got.sessions, serial.sessions, "split={split}");
             assert_eq!(
                 serde_json::to_value(&got),

@@ -1,6 +1,7 @@
 //! The numeric kit shared by every analyzer.
 
 use serde::Serialize;
+use u1_core::SimDuration;
 
 /// An empirical CDF over `f64` samples.
 #[derive(Debug, Clone, Serialize)]
@@ -26,8 +27,23 @@ impl Ecdf {
         Self { sorted: samples }
     }
 
+    /// [`Ecdf::new`] over integer samples (microseconds, bytes, counts):
+    /// they sort as integers, then become `f64` through `to_f64` in place,
+    /// in the same allocation. `to_f64` must be non-decreasing, as every
+    /// unit conversion is, so the converted samples are already in order
+    /// and the result equals `new` over them.
+    pub(crate) fn from_ints(mut samples: Vec<u64>, to_f64: impl Fn(u64) -> f64) -> Self {
+        samples.sort_unstable();
+        Self::from_sorted(samples.into_iter().map(to_f64).collect())
+    }
+
     pub fn len(&self) -> usize {
         self.sorted.len()
+    }
+
+    /// The samples, in ascending order.
+    pub(crate) fn samples(&self) -> &[f64] {
+        &self.sorted
     }
 
     pub fn is_empty(&self) -> bool {
@@ -100,6 +116,16 @@ impl Ecdf {
         }
         out
     }
+}
+
+/// Microseconds as seconds, exactly as `SimDuration::as_secs_f64` converts.
+pub(crate) fn secs(us: u64) -> f64 {
+    SimDuration::from_micros(us).as_secs_f64()
+}
+
+/// Integer counts as `f64`.
+pub(crate) fn float(x: u64) -> f64 {
+    x as f64
 }
 
 /// Arithmetic mean.

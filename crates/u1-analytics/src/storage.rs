@@ -1,12 +1,12 @@
 //! Storage-workload analyses (§5.1, §5.3): size-category traffic shares,
 //! R/W ratios, update overhead, file-type taxonomy and size distributions.
 
-use crate::engine::TraceFold;
-use crate::stats::{acf, Acf, Ecdf};
+use crate::engine::completed;
+use crate::stats::{acf, float, Acf, Ecdf};
 use crate::timeseries::{self, TrafficSeries};
 use serde::Serialize;
-use u1_core::{ApiOpKind, ContentHash, FileCategory, FxHashMap, SimTime, SizeCategory};
-use u1_trace::{StorageDone, TraceRecord};
+use u1_core::{ApiOpKind, ByteSize, ContentHash, FileCategory, FxHashMap, SimTime, SizeCategory};
+use u1_trace::TraceRecord;
 
 /// Fig. 2(b): per size-bucket shares of operations and bytes, separately
 /// for uploads and downloads.
@@ -19,55 +19,29 @@ pub struct SizeCategoryShares {
     pub download_byte_share: Vec<f64>,
 }
 
-/// Streaming state behind [`size_category_shares`].
-#[derive(Default)]
-pub struct SizeCategoryFold {
+/// Transfer ops and bytes per size bucket, in [`SizeCategory::ALL`] order.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SizeCounts {
     up_ops: [u64; 5],
     up_bytes: [u64; 5],
     down_ops: [u64; 5],
     down_bytes: [u64; 5],
 }
 
-impl SizeCategoryFold {
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl TraceFold for SizeCategoryFold {
-    type Output = SizeCategoryShares;
-
-    fn new_partial(&self) -> Self {
-        Self::default()
-    }
-
-    fn feed(&mut self, rec: &TraceRecord) {
-        if let Some(StorageDone {
-            op,
-            success: true,
-            size,
-            ..
-        }) = rec.payload.storage()
-        {
-            let idx = SizeCategory::ALL
-                .iter()
-                .position(|c| *c == SizeCategory::of(u1_core::ByteSize(*size)))
-                .expect("category");
-            match op {
-                ApiOpKind::Upload => {
-                    self.up_ops[idx] += 1;
-                    self.up_bytes[idx] += size;
-                }
-                ApiOpKind::Download => {
-                    self.down_ops[idx] += 1;
-                    self.down_bytes[idx] += size;
-                }
-                _ => {}
-            }
-        }
+impl SizeCounts {
+    /// Counts one successful storage op, if it moved file contents.
+    pub(crate) fn add(&mut self, op: ApiOpKind, size: u64) {
+        let i = SizeCategory::of(ByteSize(size)) as usize;
+        let (ops, bytes) = match op {
+            ApiOpKind::Upload => (&mut self.up_ops, &mut self.up_bytes),
+            ApiOpKind::Download => (&mut self.down_ops, &mut self.down_bytes),
+            _ => return,
+        };
+        ops[i] += 1;
+        bytes[i] += size;
     }
 
-    fn merge(&mut self, later: Self) {
+    pub(crate) fn merge(&mut self, later: &SizeCounts) {
         for i in 0..5 {
             self.up_ops[i] += later.up_ops[i];
             self.up_bytes[i] += later.up_bytes[i];
@@ -76,8 +50,8 @@ impl TraceFold for SizeCategoryFold {
         }
     }
 
-    fn finish(self) -> SizeCategoryShares {
-        let share = |xs: [u64; 5]| -> Vec<f64> {
+    pub(crate) fn finish(&self) -> SizeCategoryShares {
+        let share = |xs: &[u64; 5]| -> Vec<f64> {
             let total: u64 = xs.iter().sum();
             xs.iter()
                 .map(|&x| {
@@ -91,16 +65,20 @@ impl TraceFold for SizeCategoryFold {
         };
         SizeCategoryShares {
             categories: SizeCategory::ALL.iter().map(|c| c.label()).collect(),
-            upload_op_share: share(self.up_ops),
-            upload_byte_share: share(self.up_bytes),
-            download_op_share: share(self.down_ops),
-            download_byte_share: share(self.down_bytes),
+            upload_op_share: share(&self.up_ops),
+            upload_byte_share: share(&self.up_bytes),
+            download_op_share: share(&self.down_ops),
+            download_byte_share: share(&self.down_bytes),
         }
     }
 }
 
 pub fn size_category_shares(records: &[TraceRecord]) -> SizeCategoryShares {
-    crate::engine::run_fold(SizeCategoryFold::new(), records)
+    let mut counts = SizeCounts::default();
+    for (_, done) in completed(records) {
+        counts.add(done.op, done.size);
+    }
+    counts.finish()
 }
 
 /// Fig. 2(c): the hourly R/W (download/upload bytes) ratio series, its
@@ -156,7 +134,7 @@ pub fn rw_ratio(records: &[TraceRecord], horizon: SimTime) -> RwRatioAnalysis {
 }
 
 /// §5.1: updates — uploads to a node that already had different content.
-#[derive(Debug, Clone, Serialize, PartialEq)]
+#[derive(Debug, Clone, Default, Serialize, PartialEq)]
 pub struct UpdateAnalysis {
     pub uploads: u64,
     pub update_uploads: u64,
@@ -166,142 +144,112 @@ pub struct UpdateAnalysis {
     pub update_traffic_fraction: f64,
 }
 
-type Content = (Option<ContentHash>, u64);
+/// What an upload carried: its content (the hash, or the battery's slot for
+/// it) and its size.
+pub(crate) type Content<C> = (Option<C>, u64);
 
-/// Streaming state behind [`update_analysis`]. An "update" compares each
-/// upload with the node's *previous* upload, so a chunk's first upload of a
-/// node cannot be classified locally: the partial keeps both the first and
-/// the last content seen per node, and the merge classifies the one
-/// boundary-straddling pair per node.
-pub struct UpdateFold {
-    // node -> (first upload content in this partial, last upload content).
-    nodes: FxHashMap<u64, (Content, Content)>,
-    uploads: u64,
-    update_uploads: u64,
-    upload_bytes: u64,
-    update_bytes: u64,
+/// One node's successful uploads within one chunk of the trace. An
+/// "update" compares each upload with the node's *previous* one, so the
+/// chunk's first upload is kept for the merge to compare with the earlier
+/// chunk's last. The last upload's file category is the node's for Fig.
+/// 4(c), which counts each node once, as last written.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Uploads<C> {
+    pub first: Content<C>,
+    pub last: Content<C>,
+    pub category: FileCategory,
 }
 
-impl UpdateFold {
-    pub fn new() -> Self {
-        Self {
-            nodes: FxHashMap::default(),
-            uploads: 0,
-            update_uploads: 0,
-            upload_bytes: 0,
-            update_bytes: 0,
-        }
-    }
-}
-
-impl Default for UpdateFold {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl TraceFold for UpdateFold {
-    type Output = UpdateAnalysis;
-
-    fn new_partial(&self) -> Self {
-        UpdateFold::new()
+impl UpdateAnalysis {
+    fn count_update(&mut self, bytes: u64) {
+        self.update_uploads += 1;
+        self.update_bytes += bytes;
     }
 
-    fn feed(&mut self, rec: &TraceRecord) {
-        if let Some(StorageDone {
-            op: ApiOpKind::Upload,
-            success: true,
-            node: Some(node),
-            hash,
-            size,
-            ..
-        }) = rec.payload.storage()
-        {
-            self.uploads += 1;
-            self.upload_bytes += size;
-            let content: Content = (*hash, *size);
-            match self.nodes.get_mut(&node.raw()) {
-                Some((_, last)) => {
-                    // The paper's definition: "an upload of an existing file
-                    // that has distinct hash/size".
-                    if *last != content {
-                        self.update_uploads += 1;
-                        self.update_bytes += size;
-                    }
-                    *last = content;
+    /// One successful upload to a node.
+    pub(crate) fn upload<C: Copy + PartialEq>(
+        &mut self,
+        node: &mut Option<Uploads<C>>,
+        content: Content<C>,
+        category: FileCategory,
+    ) {
+        self.uploads += 1;
+        self.upload_bytes += content.1;
+        match node {
+            Some(seen) => {
+                // The paper's definition: "an upload of an existing file
+                // that has distinct hash/size".
+                if seen.last != content {
+                    self.count_update(content.1);
                 }
-                None => {
-                    self.nodes.insert(node.raw(), (content, content));
-                }
+                seen.last = content;
+                seen.category = category;
+            }
+            None => {
+                *node = Some(Uploads {
+                    first: content,
+                    last: content,
+                    category,
+                })
             }
         }
     }
 
-    fn merge(&mut self, mut later: Self) {
+    /// Appends the same node's uploads in the chunk after this one,
+    /// classifying the one upload pair that spans the boundary.
+    pub(crate) fn join<C: Copy + PartialEq>(
+        &mut self,
+        earlier: &mut Option<Uploads<C>>,
+        later: Option<Uploads<C>>,
+    ) {
+        match (earlier.as_mut(), later) {
+            (Some(seen), Some(next)) => {
+                if seen.last != next.first {
+                    self.count_update(next.first.1);
+                }
+                seen.last = next.last;
+                seen.category = next.category;
+            }
+            (None, next) if next.is_some() => *earlier = next,
+            _ => {}
+        }
+    }
+
+    /// Adds the counts of the chunk after this one.
+    pub(crate) fn merge(&mut self, later: &UpdateAnalysis) {
         self.uploads += later.uploads;
-        self.upload_bytes += later.upload_bytes;
         self.update_uploads += later.update_uploads;
+        self.upload_bytes += later.upload_bytes;
         self.update_bytes += later.update_bytes;
-        if later.nodes.len() > self.nodes.len() {
-            // Iterate the smaller (earlier) map into the later one. The
-            // boundary pair is still (earlier last → later first); the
-            // merged span keeps the earlier first and the later last.
-            std::mem::swap(&mut self.nodes, &mut later.nodes);
-            for (node, (first, last)) in later.nodes.drain() {
-                match self.nodes.get_mut(&node) {
-                    Some((their_first, _)) => {
-                        if last != *their_first {
-                            self.update_uploads += 1;
-                            self.update_bytes += their_first.1;
-                        }
-                        *their_first = first;
-                    }
-                    None => {
-                        self.nodes.insert(node, (first, last));
-                    }
-                }
-            }
-        } else {
-            for (node, (first, last)) in later.nodes {
-                match self.nodes.get_mut(&node) {
-                    Some((_, my_last)) => {
-                        // The later chunk's first upload of this node follows
-                        // our last one: classify that boundary pair now.
-                        if *my_last != first {
-                            self.update_uploads += 1;
-                            self.update_bytes += first.1;
-                        }
-                        *my_last = last;
-                    }
-                    None => {
-                        self.nodes.insert(node, (first, last));
-                    }
-                }
-            }
-        }
     }
 
-    fn finish(self) -> UpdateAnalysis {
-        let mut out = UpdateAnalysis {
-            uploads: self.uploads,
-            update_uploads: self.update_uploads,
-            upload_bytes: self.upload_bytes,
-            update_bytes: self.update_bytes,
-            update_op_fraction: 0.0,
-            update_traffic_fraction: 0.0,
-        };
-        if out.uploads > 0 {
-            out.update_op_fraction = out.update_uploads as f64 / out.uploads as f64;
+    pub(crate) fn finish(mut self) -> UpdateAnalysis {
+        if self.uploads > 0 {
+            self.update_op_fraction = self.update_uploads as f64 / self.uploads as f64;
         }
-        if out.upload_bytes > 0 {
-            out.update_traffic_fraction = out.update_bytes as f64 / out.upload_bytes as f64;
+        if self.upload_bytes > 0 {
+            self.update_traffic_fraction = self.update_bytes as f64 / self.upload_bytes as f64;
         }
-        out
+        self
     }
+}
+
+/// The successful uploads to a node, with the node's id.
+fn node_uploads(records: &[TraceRecord]) -> impl Iterator<Item = (u64, &u1_trace::StorageDone)> {
+    completed(records).filter_map(|(_, done)| match (done.op, done.node) {
+        (ApiOpKind::Upload, Some(node)) => Some((node.raw(), done)),
+        _ => None,
+    })
 }
 
 pub fn update_analysis(records: &[TraceRecord]) -> UpdateAnalysis {
-    crate::engine::run_fold(UpdateFold::new(), records)
+    let mut nodes: FxHashMap<u64, Option<Uploads<ContentHash>>> = FxHashMap::default();
+    let mut out = UpdateAnalysis::default();
+    for (node, done) in node_uploads(records) {
+        let seen = nodes.entry(node).or_default();
+        out.upload(seen, (done.hash, done.size), FileCategory::Other);
+    }
+    out.finish()
 }
 
 /// Fig. 4(c): per-category share of files and of storage bytes.
@@ -312,86 +260,31 @@ pub struct TaxonomyShares {
     pub byte_share: Vec<f64>,
 }
 
-/// Streaming state behind [`taxonomy_shares`]: last-writer-wins per node,
-/// so merging extends with the later chunk's entries winning.
-pub struct TaxonomyFold {
-    node_cat: FxHashMap<u64, (FileCategory, u64)>,
-}
-
-impl TaxonomyFold {
-    pub fn new() -> Self {
-        Self {
-            node_cat: FxHashMap::default(),
-        }
+/// Fig. 4(c) over every uploaded node's category and size as last written.
+pub(crate) fn taxonomy(nodes: impl Iterator<Item = (FileCategory, u64)>) -> TaxonomyShares {
+    let mut files = [0u64; 7];
+    let mut bytes = [0u64; 7];
+    for (cat, size) in nodes {
+        files[cat as usize] += 1;
+        bytes[cat as usize] += size;
     }
-}
-
-impl Default for TaxonomyFold {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl TraceFold for TaxonomyFold {
-    type Output = TaxonomyShares;
-
-    fn new_partial(&self) -> Self {
-        TaxonomyFold::new()
-    }
-
-    fn feed(&mut self, rec: &TraceRecord) {
-        if let Some(StorageDone {
-            op: ApiOpKind::Upload,
-            success: true,
-            node: Some(node),
-            size,
-            ext,
-            ..
-        }) = rec.payload.storage()
-        {
-            self.node_cat
-                .insert(node.raw(), (FileCategory::of_extension(ext), *size));
-        }
-    }
-
-    fn merge(&mut self, mut later: Self) {
-        // Last writer wins. When the later (winning) map is larger, make it
-        // the base and let earlier entries only fill absent nodes.
-        if later.node_cat.len() > self.node_cat.len() {
-            std::mem::swap(&mut self.node_cat, &mut later.node_cat);
-            for (node, v) in later.node_cat.drain() {
-                self.node_cat.entry(node).or_insert(v);
-            }
-        } else {
-            self.node_cat.extend(later.node_cat);
-        }
-    }
-
-    fn finish(self) -> TaxonomyShares {
-        let mut files: FxHashMap<FileCategory, u64> = FxHashMap::default();
-        let mut bytes: FxHashMap<FileCategory, u64> = FxHashMap::default();
-        for (cat, size) in self.node_cat.values() {
-            *files.entry(*cat).or_default() += 1;
-            *bytes.entry(*cat).or_default() += size;
-        }
-        let total_files: u64 = files.values().sum();
-        let total_bytes: u64 = bytes.values().sum();
-        TaxonomyShares {
-            categories: FileCategory::ALL.iter().map(|c| c.label()).collect(),
-            file_share: FileCategory::ALL
-                .iter()
-                .map(|c| files.get(c).copied().unwrap_or(0) as f64 / total_files.max(1) as f64)
-                .collect(),
-            byte_share: FileCategory::ALL
-                .iter()
-                .map(|c| bytes.get(c).copied().unwrap_or(0) as f64 / total_bytes.max(1) as f64)
-                .collect(),
-        }
+    let share = |xs: &[u64; 7]| {
+        let total = xs.iter().sum::<u64>().max(1) as f64;
+        xs.iter().map(|&x| x as f64 / total).collect()
+    };
+    TaxonomyShares {
+        categories: FileCategory::ALL.iter().map(|c| c.label()).collect(),
+        file_share: share(&files),
+        byte_share: share(&bytes),
     }
 }
 
 pub fn taxonomy_shares(records: &[TraceRecord]) -> TaxonomyShares {
-    crate::engine::run_fold(TaxonomyFold::new(), records)
+    let mut nodes: FxHashMap<u64, (FileCategory, u64)> = FxHashMap::default();
+    for (node, done) in node_uploads(records) {
+        nodes.insert(node, (FileCategory::of_extension(&done.ext), done.size));
+    }
+    taxonomy(nodes.into_values())
 }
 
 /// Fig. 4(b): size ECDF for all uploaded files plus chosen extensions.
@@ -402,87 +295,37 @@ pub struct SizeByExtension {
     pub under_1mb_fraction: f64,
 }
 
-/// Streaming state behind [`size_by_extension`]. The ECDF sorts at finish,
-/// so chunk concatenation order never shows in the output.
-pub struct SizeByExtFold {
-    exts: Vec<String>,
-    all: Vec<f64>,
-    per: FxHashMap<String, Vec<f64>>,
-}
-
-impl SizeByExtFold {
-    pub fn new(exts: Vec<String>) -> Self {
-        Self {
-            exts,
-            all: Vec::new(),
-            per: FxHashMap::default(),
-        }
-    }
-}
-
-impl TraceFold for SizeByExtFold {
-    type Output = SizeByExtension;
-
-    fn new_partial(&self) -> Self {
-        SizeByExtFold::new(self.exts.clone())
-    }
-
-    fn feed(&mut self, rec: &TraceRecord) {
-        if let Some(StorageDone {
-            op: ApiOpKind::Upload,
-            success: true,
-            size,
-            ext,
-            ..
-        }) = rec.payload.storage()
-        {
-            self.all.push(*size as f64);
-            if self.exts.iter().any(|e| e.as_str() == ext.as_str()) {
-                self.per
-                    .entry(ext.to_string())
-                    .or_default()
-                    .push(*size as f64);
-            }
-        }
-    }
-
-    fn merge(&mut self, mut later: Self) {
-        // Multiset buffers: the ECDFs sort at finish, so append onto
-        // whichever side is larger instead of always copying `later`.
-        if later.all.len() > self.all.len() {
-            std::mem::swap(&mut self.all, &mut later.all);
-        }
-        self.all.append(&mut later.all);
-        if later.per.len() > self.per.len() {
-            std::mem::swap(&mut self.per, &mut later.per);
-        }
-        for (ext, mut sizes) in later.per.drain() {
-            let mine = self.per.entry(ext).or_default();
-            if sizes.len() > mine.len() {
-                std::mem::swap(mine, &mut sizes);
-            }
-            mine.append(&mut sizes);
-        }
-    }
-
-    fn finish(mut self) -> SizeByExtension {
-        let all = Ecdf::new(self.all);
-        let under_1mb_fraction = all.cdf(1_000_000.0);
-        SizeByExtension {
-            under_1mb_fraction,
-            by_ext: self
-                .exts
-                .iter()
-                .filter_map(|e| self.per.remove(e).map(|v| (e.to_string(), Ecdf::new(v))))
-                .collect(),
-            all,
-        }
+/// Fig. 4(b) from the upload sizes: all of them, and those of each
+/// requested extension (`per[i]` holds `exts[i]`'s; an extension with no
+/// uploads gets no curve).
+pub(crate) fn size_by_ext<E: AsRef<str>>(
+    all: Vec<u64>,
+    per: Vec<Vec<u64>>,
+    exts: &[E],
+) -> SizeByExtension {
+    let all = Ecdf::from_ints(all, float);
+    SizeByExtension {
+        under_1mb_fraction: all.cdf(1_000_000.0),
+        by_ext: exts
+            .iter()
+            .zip(per)
+            .filter(|(_, sizes)| !sizes.is_empty())
+            .map(|(e, sizes)| (e.as_ref().to_string(), Ecdf::from_ints(sizes, float)))
+            .collect(),
+        all,
     }
 }
 
 pub fn size_by_extension(records: &[TraceRecord], exts: &[&str]) -> SizeByExtension {
-    let exts = exts.iter().map(|e| e.to_string()).collect();
-    crate::engine::run_fold(SizeByExtFold::new(exts), records)
+    let mut all = Vec::new();
+    let mut per = vec![Vec::new(); exts.len()];
+    for (_, done) in completed(records).filter(|(_, done)| done.op == ApiOpKind::Upload) {
+        all.push(done.size);
+        if let Some(i) = exts.iter().position(|e| *e == done.ext.as_str()) {
+            per[i].push(done.size);
+        }
+    }
+    size_by_ext(all, per, exts)
 }
 
 /// Diurnal swing of upload traffic from an already-computed hourly series.
@@ -566,7 +409,7 @@ mod tests {
         let serial = update_analysis(&recs);
         for split in 0..=recs.len() {
             let (a, b) = recs.split_at(split);
-            let got = crate::engine::run_chunks(UpdateFold::new(), &[a, b]);
+            let got = chunked(&[a, b], at(60)).updates;
             assert_eq!(got, serial, "split={split}");
         }
     }

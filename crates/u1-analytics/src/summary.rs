@@ -1,12 +1,11 @@
 //! Table 3 (trace summary) and the Table 1 findings check.
 
-use crate::engine::TraceFold;
 use serde::Serialize;
 use u1_core::{ApiOpKind, FxHashSet, SimTime};
 use u1_trace::{Payload, SessionEvent, TraceRecord};
 
 /// Table 3: "Summary of the trace".
-#[derive(Debug, Clone, Serialize, PartialEq)]
+#[derive(Debug, Clone, Default, Serialize, PartialEq)]
 pub struct TraceSummary {
     pub trace_days: u64,
     pub records: u64,
@@ -18,96 +17,55 @@ pub struct TraceSummary {
     pub download_bytes: u64,
 }
 
-/// Streaming state behind [`trace_summary`]. The user/file id sets are
-/// `FxHashSet` — pure u64 membership dominates this pass and SipHash was
-/// the bottleneck.
-pub struct SummaryFold {
-    horizon: SimTime,
-    records: u64,
-    users: FxHashSet<u64>,
-    files: FxHashSet<u64>,
-    sessions: u64,
-    transfer_ops: u64,
-    upload_bytes: u64,
-    download_bytes: u64,
-}
-
-impl SummaryFold {
-    pub fn new(horizon: SimTime) -> Self {
-        Self {
-            horizon,
-            records: 0,
-            users: FxHashSet::default(),
-            files: FxHashSet::default(),
-            sessions: 0,
-            transfer_ops: 0,
-            upload_bytes: 0,
-            download_bytes: 0,
+impl TraceSummary {
+    /// Counts one successful storage op, if it moved file contents.
+    pub(crate) fn add_transfer(&mut self, op: ApiOpKind, size: u64) {
+        match op {
+            ApiOpKind::Upload => self.upload_bytes += size,
+            ApiOpKind::Download => self.download_bytes += size,
+            _ => return,
         }
-    }
-}
-
-impl TraceFold for SummaryFold {
-    type Output = TraceSummary;
-
-    fn new_partial(&self) -> Self {
-        SummaryFold::new(self.horizon)
+        self.transfer_ops += 1;
     }
 
-    fn feed(&mut self, rec: &TraceRecord) {
-        self.records += 1;
-        self.users.insert(rec.payload.user().raw());
-        match &rec.payload {
-            Payload::Session {
-                event: SessionEvent::Open,
-                ..
-            } => self.sessions += 1,
-            Payload::Storage(done) if done.success => {
-                if let Some(n) = done.node {
-                    self.files.insert(n.raw());
-                }
-                match done.op {
-                    ApiOpKind::Upload => {
-                        self.transfer_ops += 1;
-                        self.upload_bytes += done.size;
-                    }
-                    ApiOpKind::Download => {
-                        self.transfer_ops += 1;
-                        self.download_bytes += done.size;
-                    }
-                    _ => {}
-                }
-            }
-            _ => {}
-        }
-    }
-
-    fn merge(&mut self, later: Self) {
+    /// Adds the counts of the chunk after this one. The distinct-id counts
+    /// are not additive; the battery sets them from its tables at finish.
+    pub(crate) fn merge(&mut self, later: &TraceSummary) {
         self.records += later.records;
-        self.users.extend(later.users);
-        self.files.extend(later.files);
         self.sessions += later.sessions;
         self.transfer_ops += later.transfer_ops;
         self.upload_bytes += later.upload_bytes;
         self.download_bytes += later.download_bytes;
     }
-
-    fn finish(self) -> TraceSummary {
-        TraceSummary {
-            trace_days: self.horizon.day_index(),
-            records: self.records,
-            unique_users: self.users.len() as u64,
-            unique_files: self.files.len() as u64,
-            sessions: self.sessions,
-            transfer_ops: self.transfer_ops,
-            upload_bytes: self.upload_bytes,
-            download_bytes: self.download_bytes,
-        }
-    }
 }
 
 pub fn trace_summary(records: &[TraceRecord], horizon: SimTime) -> TraceSummary {
-    crate::engine::run_fold(SummaryFold::new(horizon), records)
+    let mut users = FxHashSet::default();
+    let mut files = FxHashSet::default();
+    let mut s = TraceSummary {
+        trace_days: horizon.day_index(),
+        records: records.len() as u64,
+        ..TraceSummary::default()
+    };
+    for rec in records {
+        users.insert(rec.payload.user().raw());
+        match &rec.payload {
+            Payload::Session {
+                event: SessionEvent::Open,
+                ..
+            } => s.sessions += 1,
+            Payload::Storage(done) if done.success => {
+                if let Some(n) = done.node {
+                    files.insert(n.raw());
+                }
+                s.add_transfer(done.op, done.size);
+            }
+            _ => {}
+        }
+    }
+    s.unique_users = users.len() as u64;
+    s.unique_files = files.len() as u64;
+    s
 }
 
 /// One Table 1 finding with the paper's value and ours.

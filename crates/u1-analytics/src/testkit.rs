@@ -1,6 +1,7 @@
 //! Compact builders for trace records, used by this crate's unit tests and
 //! by downstream integration tests. Not part of the stable API surface.
 
+use crate::engine::{run_chunks, Battery, EngineConfig, EngineReport};
 use u1_core::{
     ApiOpKind, ContentHash, MachineId, NodeId, NodeKind, ProcessId, RpcKind, SessionId, ShardId,
     SimTime, UserId, VolumeId,
@@ -160,6 +161,13 @@ pub fn rpc_on(
 pub fn on_machine(mut rec: TraceRecord, machine: u16) -> TraceRecord {
     rec.machine = MachineId::new(machine);
     rec
+}
+
+/// The battery over `chunks`, contiguous pieces of one sorted trace, each
+/// folded alone and merged in order: what the chunk-split tests compare
+/// with the standalone analyzers.
+pub fn chunked(chunks: &[&[TraceRecord]], horizon: SimTime) -> EngineReport {
+    run_chunks(Battery::new(&EngineConfig::new(horizon, 1, 1)), chunks)
 }
 
 /// Relabels every user, session, volume and node id as `x·φ + k` (wrapping;

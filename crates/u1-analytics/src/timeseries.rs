@@ -1,9 +1,8 @@
 //! Time-binned request and traffic series (Figs. 2(a), 5, 6, 15).
 
-use crate::engine::TraceFold;
 use serde::Serialize;
 use u1_core::{ApiOpKind, FxHashMap, FxHashSet, SimDuration, SimTime};
-use u1_trace::{Payload, SessionEvent, StorageDone, TraceRecord};
+use u1_trace::{Payload, SessionEvent, TraceRecord};
 
 /// Fig. 2(a): upload/download GBytes per hour.
 #[derive(Debug, Clone, Serialize)]
@@ -12,15 +11,7 @@ pub struct TrafficSeries {
     pub download_bytes: Vec<f64>,
 }
 
-/// Streaming state behind [`traffic_per_hour`]. Bins accumulate as `u64`
-/// (sizes are integers), so chunk merges add exactly; per-hour sums stay far
-/// below 2^53, so the f64 conversion at [`TraceFold::finish`] is exact.
-pub struct TrafficFold {
-    horizon: SimTime,
-    upload: Vec<u64>,
-    download: Vec<u64>,
-}
-
+/// Hour bins covering `[0, horizon)`, at least one.
 pub(crate) fn hour_bins(horizon: SimTime) -> usize {
     let bins = horizon
         .as_micros()
@@ -28,63 +19,64 @@ pub(crate) fn hour_bins(horizon: SimTime) -> usize {
     bins.max(1)
 }
 
-impl TrafficFold {
-    pub fn new(horizon: SimTime) -> Self {
-        let bins = hour_bins(horizon);
-        Self {
-            horizon,
-            upload: vec![0; bins],
-            download: vec![0; bins],
+/// The hour bin `t` falls into.
+pub(crate) fn hour_of(t: SimTime) -> usize {
+    t.bin_index(SimDuration::from_hours(1)) as usize
+}
+
+/// The per-hour counts behind the hourly series of Figs. 2(a), 5 and 15:
+/// integers, so chunk merges add exactly, and far below 2^53, so the `f64`
+/// conversion at finish is exact.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Hour {
+    pub session: u64,
+    pub auth: u64,
+    pub storage: u64,
+    pub up: u64,
+    pub down: u64,
+}
+
+impl Hour {
+    pub(crate) fn add(&mut self, later: &Hour) {
+        self.session += later.session;
+        self.auth += later.auth;
+        self.storage += later.storage;
+        self.up += later.up;
+        self.down += later.down;
+    }
+
+    /// Adds one successful transfer's bytes.
+    pub(crate) fn add_transfer(&mut self, op: ApiOpKind, size: u64) {
+        match op {
+            ApiOpKind::Upload => self.up += size,
+            ApiOpKind::Download => self.down += size,
+            _ => {}
         }
     }
 }
 
-impl TraceFold for TrafficFold {
-    type Output = TrafficSeries;
+/// One count of every hour, as `f64`.
+pub(crate) fn column(hours: &[Hour], count: impl Fn(&Hour) -> u64) -> Vec<f64> {
+    hours.iter().map(|h| count(h) as f64).collect()
+}
 
-    fn new_partial(&self) -> Self {
-        TrafficFold::new(self.horizon)
-    }
-
-    fn feed(&mut self, rec: &TraceRecord) {
-        if rec.t >= self.horizon {
-            return;
-        }
-        if let Some(StorageDone {
-            op,
-            success: true,
-            size,
-            ..
-        }) = rec.payload.storage()
-        {
-            let i = rec.t.bin_index(SimDuration::from_hours(1)) as usize;
-            match op {
-                ApiOpKind::Upload => self.upload[i] += size,
-                ApiOpKind::Download => self.download[i] += size,
-                _ => {}
-            }
-        }
-    }
-
-    fn merge(&mut self, later: Self) {
-        for (dst, src) in self.upload.iter_mut().zip(later.upload) {
-            *dst += src;
-        }
-        for (dst, src) in self.download.iter_mut().zip(later.download) {
-            *dst += src;
-        }
-    }
-
-    fn finish(self) -> TrafficSeries {
+impl TrafficSeries {
+    pub(crate) fn of(hours: &[Hour]) -> Self {
         TrafficSeries {
-            upload_bytes: self.upload.into_iter().map(|b| b as f64).collect(),
-            download_bytes: self.download.into_iter().map(|b| b as f64).collect(),
+            upload_bytes: column(hours, |h| h.up),
+            download_bytes: column(hours, |h| h.down),
         }
     }
 }
 
 pub fn traffic_per_hour(records: &[TraceRecord], horizon: SimTime) -> TrafficSeries {
-    crate::engine::run_fold(TrafficFold::new(horizon), records)
+    let mut hours = vec![Hour::default(); hour_bins(horizon)];
+    for (t, done) in crate::engine::completed(records) {
+        if t < horizon {
+            hours[hour_of(t)].add_transfer(done.op, done.size);
+        }
+    }
+    TrafficSeries::of(&hours)
 }
 
 /// Fig. 5 / Fig. 15 request families.
@@ -96,64 +88,26 @@ pub enum RequestFamily {
     Rpc,
 }
 
-/// Streaming state behind [`requests_per_hour`].
-pub struct RequestsFold {
-    horizon: SimTime,
-    family: RequestFamily,
-    bins: Vec<u64>,
-}
-
-impl RequestsFold {
-    pub fn new(horizon: SimTime, family: RequestFamily) -> Self {
-        Self {
-            horizon,
-            family,
-            bins: vec![0; hour_bins(horizon)],
-        }
-    }
-}
-
-impl TraceFold for RequestsFold {
-    type Output = Vec<f64>;
-
-    fn new_partial(&self) -> Self {
-        RequestsFold::new(self.horizon, self.family)
-    }
-
-    fn feed(&mut self, rec: &TraceRecord) {
-        if rec.t >= self.horizon {
-            return;
-        }
-        let matched = matches!(
-            (&rec.payload, self.family),
-            (Payload::Session { .. }, RequestFamily::Session)
-                | (Payload::Auth { .. }, RequestFamily::Auth)
-                | (Payload::Storage(_), RequestFamily::Storage)
-                | (Payload::Rpc { .. }, RequestFamily::Rpc)
-        );
-        if matched {
-            self.bins[rec.t.bin_index(SimDuration::from_hours(1)) as usize] += 1;
-        }
-    }
-
-    fn merge(&mut self, later: Self) {
-        for (dst, src) in self.bins.iter_mut().zip(later.bins) {
-            *dst += src;
-        }
-    }
-
-    fn finish(self) -> Vec<f64> {
-        self.bins.into_iter().map(|c| c as f64).collect()
-    }
-}
-
 /// Requests per hour for one family.
 pub fn requests_per_hour(
     records: &[TraceRecord],
     horizon: SimTime,
     family: RequestFamily,
 ) -> Vec<f64> {
-    crate::engine::run_fold(RequestsFold::new(horizon, family), records)
+    let mut bins = vec![0u64; hour_bins(horizon)];
+    for rec in records.iter().filter(|rec| rec.t < horizon) {
+        let matched = matches!(
+            (&rec.payload, family),
+            (Payload::Session { .. }, RequestFamily::Session)
+                | (Payload::Auth { .. }, RequestFamily::Auth)
+                | (Payload::Storage(_), RequestFamily::Storage)
+                | (Payload::Rpc { .. }, RequestFamily::Rpc)
+        );
+        if matched {
+            bins[hour_of(rec.t)] += 1;
+        }
+    }
+    bins.into_iter().map(|c| c as f64).collect()
 }
 
 /// Fig. 6: online vs active users per hour. A user is *online* in an hour
@@ -165,143 +119,139 @@ pub struct OnlineActiveSeries {
     pub active: Vec<u64>,
 }
 
-/// Streaming state behind [`online_active_per_hour`].
-///
-/// Sessions may span chunk boundaries, so a partial keeps three pieces of
-/// boundary state besides its hour-bin user sets:
-/// * `open_at` — sessions opened here and not yet closed,
-/// * `opened` — every session that was EVER opened in this partial. A later
-///   `Open` for the same id overwrites (loses) an earlier unclosed open in
-///   the serial pass, and a `Close` that arrives after a local open existed
-///   must take the serial code's fallback arm rather than bind an even
-///   earlier chunk's open — both checks need the full open history.
-/// * `pending_closes` — closes that saw no local open at all; they bind to
-///   an earlier chunk's `open_at` at merge time, in order.
-pub struct OnlineActiveFold {
-    horizon: SimTime,
-    bins: usize,
-    online: Vec<FxHashSet<u64>>,
-    active: Vec<FxHashSet<u64>>,
-    open_at: FxHashMap<u64, (u64, SimTime)>, // session -> (user, open time)
-    opened: FxHashSet<u64>,
-    pending_closes: Vec<(u64, u64, SimTime)>, // (session, close user, close time)
+/// The hours a session online from `from` to `to` overlaps, clamped to the
+/// `bins` hours of the trace.
+fn span(from: SimTime, to: SimTime, bins: usize) -> std::ops::Range<usize> {
+    hour_of(from)..hour_of(to).min(bins - 1) + 1
 }
 
-impl OnlineActiveFold {
-    pub fn new(horizon: SimTime) -> Self {
-        let bins = horizon
-            .as_micros()
-            .div_ceil(SimDuration::from_hours(1).as_micros()) as usize;
-        Self {
-            horizon,
-            bins,
-            online: vec![FxHashSet::default(); bins.max(1)],
-            active: vec![FxHashSet::default(); bins.max(1)],
-            open_at: FxHashMap::default(),
-            opened: FxHashSet::default(),
-            pending_closes: Vec::new(),
-        }
-    }
-
-    fn mark_online(&mut self, user: u64, from: SimTime, to: SimTime) {
-        let hour = SimDuration::from_hours(1);
-        let first = from.bin_index(hour) as usize;
-        let last = (to.bin_index(hour) as usize).min(self.bins.saturating_sub(1));
-        for slot in self.online.iter_mut().take(last + 1).skip(first) {
-            slot.insert(user);
-        }
-    }
+/// The end of the trace, where sessions still open count online until.
+pub(crate) fn last_instant(horizon: SimTime) -> SimTime {
+    SimTime::from_micros(horizon.as_micros().saturating_sub(1))
 }
 
-impl TraceFold for OnlineActiveFold {
-    type Output = OnlineActiveSeries;
-
-    fn new_partial(&self) -> Self {
-        OnlineActiveFold::new(self.horizon)
-    }
-
-    fn feed(&mut self, rec: &TraceRecord) {
+pub fn online_active_per_hour(records: &[TraceRecord], horizon: SimTime) -> OnlineActiveSeries {
+    let bins = hour_bins(horizon);
+    let mut online = vec![FxHashSet::<u64>::default(); bins];
+    let mut active = vec![FxHashSet::<u64>::default(); bins];
+    let mark = |online: &mut [FxHashSet<u64>], user: u64, from: SimTime, to: SimTime| {
+        for h in span(from, to, bins) {
+            online[h].insert(user);
+        }
+    };
+    let mut open_at: FxHashMap<u64, (u64, SimTime)> = FxHashMap::default();
+    for rec in records {
         match &rec.payload {
             Payload::Session {
-                event: SessionEvent::Open,
+                event,
                 session,
                 user,
             } => {
-                self.open_at.insert(session.raw(), (user.raw(), rec.t));
-                self.opened.insert(session.raw());
-            }
-            Payload::Session {
-                event: SessionEvent::Close,
-                session,
-                user,
-            } => {
-                if let Some((u, from)) = self.open_at.remove(&session.raw()) {
-                    self.mark_online(u, from, rec.t.min(self.horizon));
-                } else if self.opened.contains(&session.raw()) {
-                    // The open this close pairs with was already consumed
-                    // locally: the serial pass falls back to a point mark.
-                    self.mark_online(user.raw(), rec.t, rec.t.min(self.horizon));
+                if *event == SessionEvent::Open {
+                    open_at.insert(session.raw(), (user.raw(), rec.t));
                 } else {
-                    self.pending_closes.push((session.raw(), user.raw(), rec.t));
+                    // A close with no open left to pair marks its own hour.
+                    let (u, from) = open_at
+                        .remove(&session.raw())
+                        .unwrap_or((user.raw(), rec.t));
+                    mark(&mut online, u, from, rec.t.min(horizon));
                 }
             }
             Payload::Storage(done)
-                if done.success && done.op.is_data_management() && rec.t < self.horizon =>
+                if done.success && done.op.is_data_management() && rec.t < horizon =>
             {
-                self.active[rec.t.bin_index(SimDuration::from_hours(1)) as usize]
-                    .insert(done.user.raw());
+                active[hour_of(rec.t)].insert(done.user.raw());
             }
             _ => {}
         }
     }
-
-    fn merge(&mut self, later: Self) {
-        let horizon = self.horizon;
-        // Closes that found no open in the later chunk bind here, in order.
-        for (session, user, t) in later.pending_closes {
-            if let Some((u, from)) = self.open_at.remove(&session) {
-                self.mark_online(u, from, t.min(horizon));
-            } else if self.opened.contains(&session) {
-                self.mark_online(user, t, t.min(horizon));
-            } else {
-                self.pending_closes.push((session, user, t));
-            }
-        }
-        // Any session re-opened later overwrites (loses) an unclosed earlier
-        // open, exactly as the serial `open_at.insert` would.
-        for session in &later.opened {
-            self.open_at.remove(session);
-        }
-        self.opened.extend(later.opened);
-        self.open_at.extend(later.open_at);
-        for (dst, src) in self.online.iter_mut().zip(later.online) {
-            dst.extend(src);
-        }
-        for (dst, src) in self.active.iter_mut().zip(later.active) {
-            dst.extend(src);
-        }
+    for (u, from) in open_at.into_values() {
+        mark(&mut online, u, from, last_instant(horizon));
     }
-
-    fn finish(mut self) -> OnlineActiveSeries {
-        let horizon = self.horizon;
-        // Closes that never found an open anywhere: serial fallback arm.
-        for (_, user, t) in std::mem::take(&mut self.pending_closes) {
-            self.mark_online(user, t, t.min(horizon));
-        }
-        // Sessions still open at the end of the trace were online until then.
-        let end = SimTime::from_micros(horizon.as_micros().saturating_sub(1));
-        for (_, (u, from)) in std::mem::take(&mut self.open_at) {
-            self.mark_online(u, from, end);
-        }
-        OnlineActiveSeries {
-            online: self.online.into_iter().map(|s| s.len() as u64).collect(),
-            active: self.active.into_iter().map(|s| s.len() as u64).collect(),
-        }
+    OnlineActiveSeries {
+        online: online.iter().map(|s| s.len() as u64).collect(),
+        active: active.iter().map(|s| s.len() as u64).collect(),
     }
 }
 
-pub fn online_active_per_hour(records: &[TraceRecord], horizon: SimTime) -> OnlineActiveSeries {
-    crate::engine::run_fold(OnlineActiveFold::new(horizon), records)
+/// The battery's form of Fig. 6's per-hour user sets: one bit per hour in
+/// a row per user slot, for online and for active. Marking is a bit-or,
+/// merging is a row-wise or, and the per-hour counts come out at finish.
+pub(crate) struct UserHours {
+    bins: usize,
+    words: usize,
+    online: Vec<u64>,
+    active: Vec<u64>,
+}
+
+impl UserHours {
+    pub(crate) fn new(horizon: SimTime) -> Self {
+        let bins = hour_bins(horizon);
+        Self {
+            bins,
+            words: bins.div_ceil(64),
+            online: Vec::new(),
+            active: Vec::new(),
+        }
+    }
+
+    /// `user`'s row of `bits`, grown to hold it.
+    fn row(bits: &mut Vec<u64>, words: usize, user: usize) -> &mut [u64] {
+        let end = (user + 1) * words;
+        if bits.len() < end {
+            bits.resize(end, 0);
+        }
+        &mut bits[end - words..end]
+    }
+
+    /// `user` was online from `from` to `to`.
+    pub(crate) fn online(&mut self, user: usize, from: SimTime, to: SimTime) {
+        let row = Self::row(&mut self.online, self.words, user);
+        for h in span(from, to, self.bins) {
+            row[h / 64] |= 1 << (h % 64);
+        }
+    }
+
+    /// `user` issued a data-management op in hour `h`.
+    pub(crate) fn active(&mut self, user: usize, h: usize) {
+        Self::row(&mut self.active, self.words, user)[h / 64] |= 1 << (h % 64);
+    }
+
+    /// Ors in the chunk after this one, whose user slot `i` is `slot[i]`
+    /// here.
+    pub(crate) fn merge(&mut self, later: UserHours, slot: &[u32]) {
+        for (mine, theirs) in [
+            (&mut self.online, later.online),
+            (&mut self.active, later.active),
+        ] {
+            for (user, row) in theirs.chunks(self.words).enumerate() {
+                let dst = Self::row(mine, self.words, slot[user] as usize);
+                for (d, s) in dst.iter_mut().zip(row) {
+                    *d |= s;
+                }
+            }
+        }
+    }
+
+    pub(crate) fn finish(self) -> OnlineActiveSeries {
+        let count = |bits: &[u64]| {
+            let mut per_hour = vec![0u64; self.bins];
+            for row in bits.chunks(self.words) {
+                for (w, &word) in row.iter().enumerate() {
+                    let mut word = word;
+                    while word != 0 {
+                        per_hour[w * 64 + word.trailing_zeros() as usize] += 1;
+                        word &= word - 1;
+                    }
+                }
+            }
+            per_hour
+        };
+        OnlineActiveSeries {
+            online: count(&self.online),
+            active: count(&self.active),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -390,7 +340,7 @@ mod tests {
         for split in 0..=recs.len() {
             let (a, b) = recs.split_at(split);
             let chunks = [a, b];
-            let got = crate::engine::run_chunks(OnlineActiveFold::new(horizon), &chunks);
+            let got = chunked(&chunks, horizon).online_active;
             assert_eq!(got.online, serial.online, "split={split}");
             assert_eq!(got.active, serial.active, "split={split}");
         }

@@ -1,13 +1,12 @@
 //! User-behavior analyses (§6.1, Figs. 6–7): operation mix, per-user
 //! traffic, inequality, activity classes.
 
-use crate::engine::TraceFold;
 use crate::stats::{lorenz, Ecdf, Lorenz};
 use crate::timeseries::OnlineActiveSeries;
 use serde::Serialize;
 use std::collections::HashMap;
 use u1_core::{ApiOpKind, FxHashMap, SimTime};
-use u1_trace::{Payload, SessionEvent, StorageDone, TraceRecord};
+use u1_trace::{Payload, SessionEvent, TraceRecord};
 
 /// Fig. 7(a): operation counts per type. Session open/close and
 /// authentications are included as in the paper's bar chart.
@@ -16,67 +15,39 @@ pub struct OpMix {
     pub counts: Vec<(&'static str, u64)>,
 }
 
-/// Streaming state behind [`op_mix`].
-pub struct OpMixFold {
-    map: FxHashMap<ApiOpKind, u64>,
-}
+/// Operation counts, indexed by `ApiOpKind` declaration order.
+pub(crate) type OpCounts = [u64; ApiOpKind::ALL.len()];
 
-impl OpMixFold {
-    pub fn new() -> Self {
-        Self {
-            map: FxHashMap::default(),
-        }
+/// The Fig. 7(a) operation a record counts as, if any.
+pub(crate) fn op_of(payload: &Payload) -> Option<ApiOpKind> {
+    match payload {
+        Payload::Storage(done) => Some(done.op),
+        Payload::Session { event, .. } => Some(match event {
+            SessionEvent::Open => ApiOpKind::OpenSession,
+            SessionEvent::Close => ApiOpKind::CloseSession,
+        }),
+        Payload::Auth { .. } => Some(ApiOpKind::Authenticate),
+        Payload::Rpc { .. } => None,
     }
 }
 
-impl Default for OpMixFold {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl TraceFold for OpMixFold {
-    type Output = OpMix;
-
-    fn new_partial(&self) -> Self {
-        OpMixFold::new()
-    }
-
-    fn feed(&mut self, rec: &TraceRecord) {
-        match &rec.payload {
-            Payload::Storage(done) => *self.map.entry(done.op).or_default() += 1,
-            Payload::Session { event, .. } => {
-                let op = match event {
-                    SessionEvent::Open => ApiOpKind::OpenSession,
-                    SessionEvent::Close => ApiOpKind::CloseSession,
-                };
-                *self.map.entry(op).or_default() += 1;
-            }
-            Payload::Auth { .. } => *self.map.entry(ApiOpKind::Authenticate).or_default() += 1,
-            Payload::Rpc { .. } => {}
-        }
-    }
-
-    fn merge(&mut self, later: Self) {
-        for (op, count) in later.map {
-            *self.map.entry(op).or_default() += count;
-        }
-    }
-
-    fn finish(self) -> OpMix {
-        // Built over ApiOpKind::ALL then stable-sorted, so map iteration
-        // order never reaches the output.
-        let mut counts: Vec<(&'static str, u64)> = ApiOpKind::ALL
-            .iter()
-            .map(|op| (op.display_name(), self.map.get(op).copied().unwrap_or(0)))
-            .collect();
-        counts.sort_by_key(|(_, c)| std::cmp::Reverse(*c));
-        OpMix { counts }
-    }
+pub(crate) fn op_mix_of(counts: &OpCounts) -> OpMix {
+    // Built over ApiOpKind::ALL then stable-sorted, so the output order
+    // depends on the counts alone.
+    let mut counts: Vec<(&'static str, u64)> = ApiOpKind::ALL
+        .iter()
+        .map(|&op| (op.display_name(), counts[op as usize]))
+        .collect();
+    counts.sort_by_key(|(_, c)| std::cmp::Reverse(*c));
+    OpMix { counts }
 }
 
 pub fn op_mix(records: &[TraceRecord]) -> OpMix {
-    crate::engine::run_fold(OpMixFold::new(), records)
+    let mut counts = [0; ApiOpKind::ALL.len()];
+    for op in records.iter().filter_map(|rec| op_of(&rec.payload)) {
+        counts[op as usize] += 1;
+    }
+    op_mix_of(&counts)
 }
 
 /// Per-user transferred bytes.
@@ -86,74 +57,27 @@ pub struct UserTraffic {
     pub download: u64,
 }
 
-/// Streaming state behind [`per_user_traffic`].
-pub struct PerUserTrafficFold {
-    map: FxHashMap<u64, UserTraffic>,
-}
-
-impl PerUserTrafficFold {
-    pub fn new() -> Self {
-        Self {
-            map: FxHashMap::default(),
+impl UserTraffic {
+    /// Counts one successful storage op, if it moved file contents.
+    pub(crate) fn add(&mut self, op: ApiOpKind, size: u64) {
+        match op {
+            ApiOpKind::Upload => self.upload += size,
+            ApiOpKind::Download => self.download += size,
+            _ => {}
         }
-    }
-}
-
-impl Default for PerUserTrafficFold {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl TraceFold for PerUserTrafficFold {
-    type Output = HashMap<u64, UserTraffic>;
-
-    fn new_partial(&self) -> Self {
-        PerUserTrafficFold::new()
-    }
-
-    fn feed(&mut self, rec: &TraceRecord) {
-        match rec.payload.storage() {
-            Some(StorageDone {
-                op: ApiOpKind::Upload,
-                success: true,
-                user,
-                size,
-                ..
-            }) => self.map.entry(user.raw()).or_default().upload += size,
-            Some(StorageDone {
-                op: ApiOpKind::Download,
-                success: true,
-                user,
-                size,
-                ..
-            }) => self.map.entry(user.raw()).or_default().download += size,
-            // Every user that appears at all is part of the population.
-            _ => {
-                self.map.entry(rec.payload.user().raw()).or_default();
-            }
-        }
-    }
-
-    fn merge(&mut self, mut later: Self) {
-        // Purely additive: accumulate into whichever map is larger.
-        if later.map.len() > self.map.len() {
-            std::mem::swap(&mut self.map, &mut later.map);
-        }
-        for (user, t) in later.map.drain() {
-            let entry = self.map.entry(user).or_default();
-            entry.upload += t.upload;
-            entry.download += t.download;
-        }
-    }
-
-    fn finish(self) -> HashMap<u64, UserTraffic> {
-        self.map.into_iter().collect()
     }
 }
 
 pub fn per_user_traffic(records: &[TraceRecord]) -> HashMap<u64, UserTraffic> {
-    crate::engine::run_fold(PerUserTrafficFold::new(), records)
+    // Every user that appears at all is part of the population.
+    let mut users: FxHashMap<u64, UserTraffic> = FxHashMap::default();
+    for rec in records {
+        let traffic = users.entry(rec.payload.user().raw()).or_default();
+        if let Some(done) = rec.payload.storage().filter(|done| done.success) {
+            traffic.add(done.op, done.size);
+        }
+    }
+    users.into_iter().collect()
 }
 
 /// Fig. 7(b)/(c): per-user traffic distribution and inequality.
@@ -173,24 +97,30 @@ pub struct TrafficInequality {
 }
 
 /// Derives the inequality report from an already-computed per-user traffic
-/// map. Every statistic sorts or sums symmetrically, so map iteration order
-/// never shows in the output.
+/// map.
 pub fn traffic_inequality_from_traffic(per_user: &HashMap<u64, UserTraffic>) -> TrafficInequality {
-    let users = per_user.len() as u64;
-    let downloaders = per_user.values().filter(|t| t.download > 0).count() as f64;
-    let uploaders = per_user.values().filter(|t| t.upload > 0).count() as f64;
+    inequality(per_user.values())
+}
+
+/// The inequality report over every user's traffic. Every statistic sorts
+/// or sums symmetrically, so the order of the users never shows.
+pub(crate) fn inequality<'a>(
+    per_user: impl Iterator<Item = &'a UserTraffic> + Clone,
+) -> TrafficInequality {
+    let users = per_user.clone().count() as u64;
+    let downloaders = per_user.clone().filter(|t| t.download > 0).count() as f64;
+    let uploaders = per_user.clone().filter(|t| t.upload > 0).count() as f64;
     let up: Vec<f64> = per_user
-        .values()
+        .clone()
         .filter(|t| t.upload > 0)
         .map(|t| t.upload as f64)
         .collect();
     let down: Vec<f64> = per_user
-        .values()
+        .clone()
         .filter(|t| t.download > 0)
         .map(|t| t.download as f64)
         .collect();
     let mut total: Vec<f64> = per_user
-        .values()
         .map(|t| (t.upload + t.download) as f64)
         .filter(|&x| x > 0.0)
         .collect();
@@ -255,9 +185,15 @@ pub struct ClassShares {
 
 /// Derives class shares from an already-computed per-user traffic map.
 pub fn class_shares_from_traffic(per_user: &HashMap<u64, UserTraffic>) -> ClassShares {
-    let n = per_user.len().max(1) as f64;
+    class_shares_of(per_user.values())
+}
+
+/// Class shares over every user's traffic.
+pub(crate) fn class_shares_of<'a>(per_user: impl Iterator<Item = &'a UserTraffic>) -> ClassShares {
+    let mut n = 0usize;
     let mut counts = [0u64; 4];
-    for t in per_user.values() {
+    for t in per_user {
+        n += 1;
         let idx = match classify(t) {
             TrafficClass::Occasional => 0,
             TrafficClass::UploadOnly => 1,
@@ -266,6 +202,7 @@ pub fn class_shares_from_traffic(per_user: &HashMap<u64, UserTraffic>) -> ClassS
         };
         counts[idx] += 1;
     }
+    let n = n.max(1) as f64;
     ClassShares {
         occasional: counts[0] as f64 / n,
         upload_only: counts[1] as f64 / n,
