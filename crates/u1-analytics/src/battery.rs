@@ -27,13 +27,68 @@ use crate::summary::TraceSummary;
 use crate::timeseries::{hour_bins, hour_of, last_instant, Hour, TrafficSeries, UserHours};
 use crate::users::{OpCounts, UserTraffic};
 use std::hash::Hash;
-use u1_core::{ApiOpKind, ContentHash, Ext, FileCategory, FxHashMap, IdArena, NodeKind, SimTime};
+use std::ops::{Index, IndexMut};
+use u1_core::{ApiOpKind, ContentHash, Ext, FileCategory, FxHashMap, NodeKind, SimTime};
 use u1_trace::{Payload, SessionEvent, StorageDone, TraceRecord};
 
+/// Rows per page of [`Rows`].
+const PAGE: usize = 1 << 10;
+
+/// A table's rows, in pages of [`PAGE`]. A table grows by a page and never
+/// copies its rows into a block twice their size: a block that large needs
+/// fresh memory, while pages fit in what the heap already holds.
+struct Rows<R> {
+    pages: Vec<Vec<R>>,
+}
+
+impl<R> Rows<R> {
+    fn len(&self) -> usize {
+        self.pages.len().saturating_sub(1) * PAGE + self.pages.last().map_or(0, Vec::len)
+    }
+
+    fn push(&mut self, row: R) {
+        match self.pages.last_mut() {
+            Some(page) if page.len() < PAGE => page.push(row),
+            _ => {
+                let mut page = Vec::with_capacity(PAGE);
+                page.push(row);
+                self.pages.push(page);
+            }
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &R> + Clone {
+        self.pages.iter().flatten()
+    }
+}
+
+impl<R> Index<usize> for Rows<R> {
+    type Output = R;
+
+    fn index(&self, slot: usize) -> &R {
+        &self.pages[slot / PAGE][slot % PAGE]
+    }
+}
+
+impl<R> IndexMut<usize> for Rows<R> {
+    fn index_mut(&mut self, slot: usize) -> &mut R {
+        &mut self.pages[slot / PAGE][slot % PAGE]
+    }
+}
+
+impl<R> IntoIterator for Rows<R> {
+    type Item = R;
+    type IntoIter = std::iter::Flatten<std::vec::IntoIter<Vec<R>>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.pages.into_iter().flatten()
+    }
+}
+
 /// One entity kind's id → slot table and its rows.
-struct Table<K: Hash + Eq + Copy, R> {
-    ids: IdArena<K>,
-    rows: Vec<R>,
+struct Table<K, R> {
+    slots: FxHashMap<K, u32>,
+    rows: Rows<R>,
     /// The last key looked up and its slot: consecutive records often name
     /// the same entity (an operation's RPCs follow it).
     last: Option<(K, usize)>,
@@ -42,43 +97,47 @@ struct Table<K: Hash + Eq + Copy, R> {
 impl<K: Hash + Eq + Copy, R: Default> Table<K, R> {
     fn new() -> Self {
         Self {
-            ids: IdArena::new(),
-            rows: Vec::new(),
+            slots: FxHashMap::default(),
+            rows: Rows { pages: Vec::new() },
             last: None,
         }
     }
 
-    /// The slot of `key`, with a default row on first sight.
+    /// The slot of `key`, with a default row on first sight. Slots stay
+    /// below `u32::MAX`, which rows may use to mean "no slot".
     fn slot(&mut self, key: K) -> usize {
         if let Some((k, slot)) = self.last {
             if k == key {
                 return slot;
             }
         }
-        let slot = self
-            .ids
-            .intern(key)
-            .expect("fewer than 2^32 ids per entity") as usize;
-        if slot == self.rows.len() {
-            self.rows.push(R::default());
-        }
+        let rows = &mut self.rows;
+        let slot = *self.slots.entry(key).or_insert_with(|| {
+            let slot = u32::try_from(rows.len())
+                .ok()
+                .filter(|&s| s < u32::MAX)
+                .expect("fewer than 2^32 - 1 ids per entity kind");
+            rows.push(R::default());
+            slot
+        }) as usize;
         self.last = Some((key, slot));
         slot
     }
 
     /// Moves `later`'s keys into this table (new keys get default rows).
-    /// Returns, in later's slot order, each key's slot here and later's
-    /// row for it.
-    fn absorb(&mut self, later: Table<K, R>) -> (Vec<u32>, Vec<R>) {
-        let slots = (0..later.rows.len() as u32)
-            .map(|s| {
-                let key = later.ids.key_of(s).expect("one key per row");
-                self.slot(key) as u32
-            })
-            .collect();
+    /// Returns, indexed by later's slots, each key's slot here, and later's
+    /// rows.
+    fn absorb(&mut self, later: Table<K, R>) -> (Vec<u32>, Rows<R>) {
+        let mut slots = vec![0; later.rows.len()];
+        for (key, s) in later.slots {
+            slots[s as usize] = self.slot(key) as u32;
+        }
         (slots, later.rows)
     }
 }
+
+/// A node row's upload content when the upload carried no hash.
+const NO_CONTENT: u32 = u32::MAX;
 
 /// Everything the battery keeps per user.
 #[derive(Default)]
@@ -90,7 +149,7 @@ struct User {
 }
 
 /// Everything the battery keeps per node. Upload contents are content
-/// slots.
+/// slots, or [`NO_CONTENT`].
 #[derive(Default)]
 struct Node {
     uploads: Option<Uploads<u32>>,
@@ -244,7 +303,7 @@ impl Battery {
         if let Some(curve) = ext.curve {
             self.ext_sizes[curve].push(done.size);
         }
-        let content = done.hash.map(|hash| {
+        let content = done.hash.map_or(NO_CONTENT, |hash| {
             let slot = self.contents.slot(hash);
             self.contents.rows[slot].add(done.size);
             slot as u32
@@ -371,9 +430,10 @@ impl TraceFold for Battery {
         for (mut theirs, &s) in rows.into_iter().zip(&node_slot) {
             let mine = &mut self.nodes.rows[s as usize];
             if let Some(up) = theirs.uploads.as_mut() {
-                for content in [&mut up.first.0, &mut up.last.0] {
-                    *content = content.map(|c| content_slot[c as usize]);
-                }
+                up.map_contents(|c| match c {
+                    NO_CONTENT => c,
+                    c => content_slot[c as usize],
+                });
             }
             self.updates.join(&mut mine.uploads, theirs.uploads);
             self.deps.join(&mut mine.chain, theirs.chain);
@@ -422,7 +482,7 @@ impl TraceFold for Battery {
         let horizon = self.cfg.horizon;
         let mut user_hours = self.user_hours;
         let sessions = self.session_log.finish(
-            &self.sessions.rows,
+            self.sessions.rows.iter(),
             last_instant(horizon),
             Battery::online(&mut user_hours, horizon),
         );
@@ -445,7 +505,7 @@ impl TraceFold for Battery {
             taxonomy: crate::storage::taxonomy(
                 nodes
                     .iter()
-                    .filter_map(|n| n.uploads.map(|up| (up.category, up.last.1))),
+                    .filter_map(|n| n.uploads.map(|up| (up.category, up.last_size))),
             ),
             size_by_ext: crate::storage::size_by_ext(
                 self.upload_sizes,

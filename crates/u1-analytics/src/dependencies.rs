@@ -101,11 +101,23 @@ fn classify(prev: Ev, ev: Ev) -> Option<Dependency> {
 
 /// A file node's event chain within one chunk: its first event (which may
 /// pair with an earlier chunk's last at merge) and the running last one
-/// (`None` after a delete — nothing meaningful follows a delete).
+/// (`None` after a delete — nothing meaningful follows a delete). Flat, so
+/// it packs into 24 bytes.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Chain {
-    first: (Ev, SimTime),
-    last: Option<(Ev, SimTime)>,
+    first: Ev,
+    first_t: SimTime,
+    last: Option<Ev>,
+    last_t: SimTime,
+}
+
+impl Chain {
+    /// Replaces the last event, returning the one it follows.
+    fn push(&mut self, next: Option<Ev>, t: SimTime) -> Option<(Ev, SimTime)> {
+        let prev = self.last.map(|ev| (ev, self.last_t));
+        (self.last, self.last_t) = (next, t);
+        prev
+    }
 }
 
 /// Inter-operation gaps (microseconds) per dependency, in declaration
@@ -133,17 +145,19 @@ impl Deps {
     pub(crate) fn event(&mut self, chain: &mut Option<Chain>, reads: &mut u64, ev: Ev, t: SimTime) {
         *reads += u64::from(ev == Ev::R);
         self.deleted += u64::from(ev == Ev::D);
-        let next = (ev != Ev::D).then_some((ev, t));
+        let next = (ev != Ev::D).then_some(ev);
         match chain {
             Some(c) => {
-                if let Some(prev) = std::mem::replace(&mut c.last, next) {
+                if let Some(prev) = c.push(next, t) {
                     self.pair(prev, ev, t);
                 }
             }
             None => {
                 *chain = Some(Chain {
-                    first: (ev, t),
+                    first: ev,
+                    first_t: t,
                     last: next,
+                    last_t: t,
                 })
             }
         }
@@ -154,8 +168,8 @@ impl Deps {
     pub(crate) fn join(&mut self, earlier: &mut Option<Chain>, later: Option<Chain>) {
         match (earlier.as_mut(), later) {
             (Some(mine), Some(next)) => {
-                if let Some(prev) = std::mem::replace(&mut mine.last, next.last) {
-                    self.pair(prev, next.first.0, next.first.1);
+                if let Some(prev) = mine.push(next.last, next.last_t) {
+                    self.pair(prev, next.first, next.first_t);
                 }
             }
             (None, next) if next.is_some() => *earlier = next,

@@ -3,6 +3,7 @@
 use crate::stats::{float, secs, Ecdf};
 use crate::timeseries::{column, hour_bins, hour_of, Hour};
 use serde::Serialize;
+use std::ops::IndexMut;
 use u1_core::{FxHashMap, SimTime};
 use u1_trace::{Payload, SessionEvent, TraceRecord};
 
@@ -258,8 +259,8 @@ impl SessionLog {
     pub(crate) fn merge(
         &mut self,
         later: SessionLog,
-        rows: &mut [SessionRow],
-        later_rows: Vec<SessionRow>,
+        rows: &mut impl IndexMut<usize, Output = SessionRow>,
+        later_rows: impl IntoIterator<Item = SessionRow>,
         (session_slot, user_slot): (&[u32], &[u32]),
         mut online: impl FnMut(u32, SimTime, SimTime),
     ) {
@@ -309,22 +310,22 @@ impl SessionLog {
     /// Finishes Fig. 16, sending Fig. 6 the online spans still open: a
     /// close that never found an open marks its own instant, and an open
     /// never closed stays online to the end of the trace.
-    pub(crate) fn finish(
+    pub(crate) fn finish<'a>(
         self,
-        rows: &[SessionRow],
+        rows: impl Iterator<Item = &'a SessionRow> + Clone,
         end: SimTime,
         mut online: impl FnMut(u32, SimTime, SimTime),
     ) -> SessionAnalysis {
         for p in &self.pending {
             online(p.user, p.t, p.t);
         }
-        for (u, from) in rows.iter().filter_map(|row| row.open) {
+        for (u, from) in rows.clone().filter_map(|row| row.open) {
             online(u, from, end);
         }
         session_analysis_of(
             self.lengths,
             self.active_lengths,
-            rows.iter().map(|row| row.data_ops),
+            rows.map(|row| row.data_ops),
         )
     }
 }

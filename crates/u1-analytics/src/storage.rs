@@ -144,20 +144,43 @@ pub struct UpdateAnalysis {
     pub update_traffic_fraction: f64,
 }
 
-/// What an upload carried: its content (the hash, or the battery's slot for
-/// it) and its size.
-pub(crate) type Content<C> = (Option<C>, u64);
+/// What an upload carried: its content — the hash, if any, or the
+/// battery's slot for it — and its size.
+pub(crate) type Content<C> = (C, u64);
 
 /// One node's successful uploads within one chunk of the trace. An
 /// "update" compares each upload with the node's *previous* one, so the
 /// chunk's first upload is kept for the merge to compare with the earlier
 /// chunk's last. The last upload's file category is the node's for Fig.
-/// 4(c), which counts each node once, as last written.
+/// 4(c), which counts each node once, as last written. Flat, so that with
+/// `u32` content slots it packs into 32 bytes.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Uploads<C> {
-    pub first: Content<C>,
-    pub last: Content<C>,
+    first: C,
+    first_size: u64,
+    last: C,
+    pub last_size: u64,
     pub category: FileCategory,
+}
+
+impl<C: Copy> Uploads<C> {
+    fn first(&self) -> Content<C> {
+        (self.first, self.first_size)
+    }
+
+    fn last(&self) -> Content<C> {
+        (self.last, self.last_size)
+    }
+
+    fn set_last(&mut self, (content, size): Content<C>, category: FileCategory) {
+        (self.last, self.last_size, self.category) = (content, size, category);
+    }
+
+    /// Renames both contents.
+    pub(crate) fn map_contents(&mut self, f: impl Fn(C) -> C) {
+        self.first = f(self.first);
+        self.last = f(self.last);
+    }
 }
 
 impl UpdateAnalysis {
@@ -179,16 +202,17 @@ impl UpdateAnalysis {
             Some(seen) => {
                 // The paper's definition: "an upload of an existing file
                 // that has distinct hash/size".
-                if seen.last != content {
+                if seen.last() != content {
                     self.count_update(content.1);
                 }
-                seen.last = content;
-                seen.category = category;
+                seen.set_last(content, category);
             }
             None => {
                 *node = Some(Uploads {
-                    first: content,
-                    last: content,
+                    first: content.0,
+                    first_size: content.1,
+                    last: content.0,
+                    last_size: content.1,
                     category,
                 })
             }
@@ -204,11 +228,10 @@ impl UpdateAnalysis {
     ) {
         match (earlier.as_mut(), later) {
             (Some(seen), Some(next)) => {
-                if seen.last != next.first {
-                    self.count_update(next.first.1);
+                if seen.last() != next.first() {
+                    self.count_update(next.first_size);
                 }
-                seen.last = next.last;
-                seen.category = next.category;
+                seen.set_last(next.last(), next.category);
             }
             (None, next) if next.is_some() => *earlier = next,
             _ => {}
@@ -243,7 +266,7 @@ fn node_uploads(records: &[TraceRecord]) -> impl Iterator<Item = (u64, &u1_trace
 }
 
 pub fn update_analysis(records: &[TraceRecord]) -> UpdateAnalysis {
-    let mut nodes: FxHashMap<u64, Option<Uploads<ContentHash>>> = FxHashMap::default();
+    let mut nodes: FxHashMap<u64, Option<Uploads<Option<ContentHash>>>> = FxHashMap::default();
     let mut out = UpdateAnalysis::default();
     for (node, done) in node_uploads(records) {
         let seen = nodes.entry(node).or_default();

@@ -89,8 +89,8 @@ fn measure<R>(work: impl FnOnce() -> R) -> (R, Cost) {
 const BUDGET: &[(&str, Cost)] = &[(
     "analytics: engine::run_all over the quick month",
     Cost {
-        allocs: 1_847,
-        bytes: 12_136_629,
+        allocs: 1_795,
+        bytes: 8_670_661,
     },
 )];
 
