@@ -109,6 +109,17 @@ pub struct LoadBalance {
     pub shard_longrun_cv: f64,
 }
 
+/// `id % n`, skipping the division when `id < n`, as every machine and
+/// shard id of the cluster that wrote the trace is.
+fn wrap(id: u16, n: usize) -> usize {
+    let id = usize::from(id);
+    if id < n {
+        id
+    } else {
+        id % n
+    }
+}
+
 /// The request counts behind [`load_balance`]. Grid cells are integer
 /// request counts, so chunk merges add exactly and the one f64 conversion
 /// at finish is exact.
@@ -138,12 +149,12 @@ impl LoadGrid {
 
     /// An API request (session or storage record) in hour `h`.
     pub(crate) fn api(&mut self, h: usize, machine: MachineId) {
-        self.api[h][machine.raw() as usize % self.machines] += 1;
+        self.api[h][wrap(machine.raw(), self.machines)] += 1;
     }
 
     /// An RPC at `t`, inside the horizon.
     pub(crate) fn rpc(&mut self, t: SimTime, shard: ShardId) {
-        let idx = shard.raw() as usize % self.shards;
+        let idx = wrap(shard.raw(), self.shards);
         self.shard_totals[idx] += 1;
         let minute = t.bin_index(SimDuration::from_mins(1)) as usize;
         if minute < self.minutes {
