@@ -1,7 +1,7 @@
 //! File-level deduplication analysis (§5.3, Fig. 4(a)).
 
 use crate::engine::completed;
-use crate::stats::{float, Ecdf};
+use crate::stats::Ecdf;
 use serde::Serialize;
 use u1_core::{ApiOpKind, ContentHash, FxHashMap};
 use u1_trace::TraceRecord;
@@ -69,7 +69,7 @@ pub(crate) fn dedup<'a>(contents: impl Iterator<Item = &'a Copies> + Clone) -> D
             singletons as f64 / unique_contents as f64
         },
         max_copies: contents.clone().map(|c| c.copies).max().unwrap_or(0),
-        copies_per_content: Ecdf::from_ints(contents.map(|c| c.copies).collect(), float),
+        copies_per_content: Ecdf::from_ints(contents.map(|c| c.copies).collect(), |c| c as f64),
     }
 }
 

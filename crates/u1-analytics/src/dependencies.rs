@@ -7,7 +7,7 @@
 //! read), collecting the inter-operation time for each.
 
 use crate::engine::completed;
-use crate::stats::{float, secs, Ecdf};
+use crate::stats::{secs, Ecdf};
 use serde::Serialize;
 use u1_core::{ApiOpKind, FxHashMap, NodeKind, SimDuration, SimTime};
 use u1_trace::TraceRecord;
@@ -201,7 +201,7 @@ impl Deps {
             |dep: Dependency, limit: SimDuration| times[dep as usize].1.cdf(limit.as_secs_f64());
         DependencyAnalysis {
             counts: times.iter().map(|(d, e)| (*d, e.len() as u64)).collect(),
-            reads_per_file: Ecdf::from_ints(reads.filter(|&c| c > 0).collect(), float),
+            reads_per_file: Ecdf::from_ints(reads.filter(|&c| c > 0).collect(), |c| c as f64),
             waw_under_1h: under(Dependency::WriteAfterWrite, SimDuration::from_hours(1)),
             rar_under_1d: under(Dependency::ReadAfterRead, SimDuration::from_days(1)),
             times,

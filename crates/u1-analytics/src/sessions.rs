@@ -1,6 +1,6 @@
 //! Session and authentication analyses (§7.3, Figs. 15–16).
 
-use crate::stats::{float, secs, Ecdf};
+use crate::stats::{secs, Ecdf};
 use crate::timeseries::{column, hour_bins, hour_of, Hour};
 use serde::Serialize;
 use std::ops::IndexMut;
@@ -118,7 +118,7 @@ pub(crate) fn session_analysis_of(
     let closed = lengths.len() as u64;
     let lengths = Ecdf::from_ints(lengths, secs);
     let active_lengths = Ecdf::from_ints(active_lengths, secs);
-    let ops = Ecdf::from_ints(data_ops.filter(|&c| c > 0).collect(), float);
+    let ops = Ecdf::from_ints(data_ops.filter(|&c| c > 0).collect(), |c| c as f64);
     let top20_share = {
         let sorted = ops.samples();
         let cut = (sorted.len() as f64 * 0.8) as usize;

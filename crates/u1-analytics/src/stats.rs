@@ -123,11 +123,6 @@ pub(crate) fn secs(us: u64) -> f64 {
     SimDuration::from_micros(us).as_secs_f64()
 }
 
-/// Integer counts as `f64`.
-pub(crate) fn float(x: u64) -> f64 {
-    x as f64
-}
-
 /// Arithmetic mean.
 pub fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {

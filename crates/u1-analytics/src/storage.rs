@@ -2,7 +2,7 @@
 //! R/W ratios, update overhead, file-type taxonomy and size distributions.
 
 use crate::engine::completed;
-use crate::stats::{acf, float, Acf, Ecdf};
+use crate::stats::{acf, Acf, Ecdf};
 use crate::timeseries::{self, TrafficSeries};
 use serde::Serialize;
 use u1_core::{ApiOpKind, ByteSize, ContentHash, FileCategory, FxHashMap, SimTime, SizeCategory};
@@ -326,14 +326,14 @@ pub(crate) fn size_by_ext<E: AsRef<str>>(
     per: Vec<Vec<u64>>,
     exts: &[E],
 ) -> SizeByExtension {
-    let all = Ecdf::from_ints(all, float);
+    let all = Ecdf::from_ints(all, |s| s as f64);
     SizeByExtension {
         under_1mb_fraction: all.cdf(1_000_000.0),
         by_ext: exts
             .iter()
             .zip(per)
             .filter(|(_, sizes)| !sizes.is_empty())
-            .map(|(e, sizes)| (e.as_ref().to_string(), Ecdf::from_ints(sizes, float)))
+            .map(|(e, sizes)| (e.as_ref().to_string(), Ecdf::from_ints(sizes, |s| s as f64)))
             .collect(),
         all,
     }
