@@ -47,7 +47,7 @@ thread_local! {
     static LARGE_REQUESTS: Cell<u64> = const { Cell::new(0) };
 }
 
-struct CountingAlloc;
+struct LargeRequestTally;
 
 fn note(size: usize) {
     if size >= LARGE {
@@ -58,7 +58,7 @@ fn note(size: usize) {
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract; the counter is a const-initialised
 // thread-local `Cell` with no destructor, so touching it never allocates.
-unsafe impl GlobalAlloc for CountingAlloc {
+unsafe impl GlobalAlloc for LargeRequestTally {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note(layout.size());
         // SAFETY: the caller's `layout` is passed through as received.
@@ -77,7 +77,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 }
 
 #[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
+static ALLOC: LargeRequestTally = LargeRequestTally;
 
 // ---------------------------------------------------------------------------
 // The oracle: the sink this crate had before chunks.

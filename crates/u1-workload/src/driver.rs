@@ -87,8 +87,8 @@ impl WorkloadConfig {
     /// [`paper_scaled`](Self::paper_scaled) month against a default backend
     /// seeded `seed ^ 0xBACC` — the wiring of the experiment harness. The
     /// trace the rest of the repo is calibrated against; pinned by
-    /// `golden_paper_scaled_month_sha` in `tests/month_simulation.rs` and
-    /// cross-checked by `bench_scale` at its 2,500-user tier.
+    /// `golden_paper_scaled_month_sha` in `tests/month_simulation.rs` and,
+    /// streamed to disk and read back, by u1-bench's `scale_tier_2500`.
     pub const PAPER_SCALED_MONTH_SHA: &'static str = "276c0d2a4087360ada6eeef55bc5cc592668a01f";
 
     /// The default measurement-scale configuration used by the experiment

@@ -174,16 +174,10 @@ fn bans_are_lifted_only_where_allowed() {
                 "raw locks outside sync.rs"
             );
         }
-        if text.contains("clippy::disallowed_methods") {
-            assert!(
-                matches!(
-                    rel.as_str(),
-                    "crates/u1-core/src/clock.rs" | "crates/u1-core/src/rngx.rs"
-                ) || rel.starts_with("crates/u1-bench/"),
-                "{rel}: wall-clock time and entropy are allowed only in u1-core's \
-                 clock.rs / rngx.rs and in u1-bench"
-            );
-        }
+        assert!(
+            !text.contains("clippy::disallowed_methods"),
+            "{rel}: wall-clock time and entropy are allowed nowhere"
+        );
     }
 }
 

@@ -34,12 +34,12 @@ fn note(size: usize) {
     BYTES.with(|n| n.set(n.get() + size as u64));
 }
 
-struct CountingAlloc;
+struct TallyAlloc;
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract; the counters are const-initialised
 // thread-local `Cell`s with no destructor, so touching them never allocates.
-unsafe impl GlobalAlloc for CountingAlloc {
+unsafe impl GlobalAlloc for TallyAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note(layout.size());
         // SAFETY: the caller's `layout` is passed through as received.
@@ -58,7 +58,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 }
 
 #[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
+static ALLOC: TallyAlloc = TallyAlloc;
 
 /// What one piece of work cost: allocation calls (a `realloc` counts as
 /// one) and the bytes they requested.
