@@ -1,11 +1,9 @@
 //! Inter-operation time burstiness and power-law fits (§6.2, Fig. 9).
 
-use crate::engine::{completed, Ends};
+use crate::engine::Ends;
 use crate::stats::{cv, fit_power_law, secs, Ecdf, PowerLawFit};
 use serde::Serialize;
-use std::collections::HashMap;
-use u1_core::{ApiOpKind, FxHashMap, SimTime};
-use u1_trace::{StorageDone, TraceRecord};
+use u1_core::{ApiOpKind, SimTime};
 
 /// Burstiness analysis of one operation type.
 #[derive(Debug, Serialize)]
@@ -22,33 +20,6 @@ pub struct Burstiness {
     pub fit: Option<PowerLawFit>,
     /// CCDF samples for plotting `(x, P(X >= x))`.
     pub ccdf: Vec<(f64, f64)>,
-}
-
-/// Computes per-user inter-arrival gaps of `op` operations across the whole
-/// trace (gaps span sessions — that is where the heavy tail lives).
-pub fn interop_times(records: &[TraceRecord], op: ApiOpKind) -> Vec<f64> {
-    let mut last: HashMap<u64, SimTime> = HashMap::new();
-    let mut gaps = Vec::new();
-    for rec in records {
-        if let Some(StorageDone {
-            op: got,
-            user,
-            success: true,
-            ..
-        }) = rec.payload.storage()
-        {
-            if *got != op {
-                continue;
-            }
-            if let Some(prev) = last.insert(user.raw(), rec.t) {
-                let gap = rec.t.since(prev).as_secs_f64();
-                if gap > 0.0 {
-                    gaps.push(gap);
-                }
-            }
-        }
-    }
-    gaps
 }
 
 /// Keeps the gap (microseconds) between two of a user's operations; equal
@@ -103,16 +74,6 @@ pub(crate) fn finish(op: ApiOpKind, gaps: Vec<u64>) -> Burstiness {
     }
 }
 
-/// Full Fig. 9 analysis for one operation type.
-pub fn burstiness(records: &[TraceRecord], op: ApiOpKind) -> Burstiness {
-    let mut users: FxHashMap<u64, Ends<SimTime>> = FxHashMap::default();
-    let mut gaps = Vec::new();
-    for (t, done) in completed(records).filter(|(_, done)| done.op == op) {
-        step(&mut gaps, users.entry(done.user.raw()).or_default(), t);
-    }
-    finish(op, gaps)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,9 +88,8 @@ mod tests {
             transfer(at(10), Upload, 1, 1, 3, 10, 3, "a"), // user 1 gap: 10
             transfer(at(25), Upload, 2, 2, 4, 10, 4, "a"), // user 2 gap: 20
         ];
-        let mut gaps = interop_times(&recs, Upload);
-        gaps.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        assert_eq!(gaps, vec![10.0, 20.0]);
+        let b = chunked(&[&recs], at(60)).burst_upload;
+        assert_eq!(b.ecdf.samples(), [10.0, 20.0]);
     }
 
     #[test]
@@ -139,8 +99,9 @@ mod tests {
             node_op(at(5), Unlink, 1, 1, 1, u1_core::NodeKind::File),
             transfer(at(10), Upload, 1, 1, 2, 10, 2, "a"),
         ];
-        assert_eq!(interop_times(&recs, Upload), vec![10.0]);
-        assert!(interop_times(&recs, Unlink).is_empty());
+        let report = chunked(&[&recs], at(60));
+        assert_eq!(report.burst_upload.ecdf.samples(), [10.0]);
+        assert!(report.burst_unlink.ecdf.is_empty());
     }
 
     #[test]
@@ -152,7 +113,8 @@ mod tests {
             transfer(at(25), Upload, 2, 2, 4, 10, 4, "a"),
             transfer(at(90), Upload, 1, 1, 5, 10, 5, "a"),
         ];
-        let serial = burstiness(&recs, Upload);
+        let serial = chunked(&[&recs], SimTime::from_days(1)).burst_upload;
+        assert_eq!(serial.ecdf.samples(), [10.0, 20.0, 80.0]);
         for split in 0..=recs.len() {
             let (a, b) = recs.split_at(split);
             let got = chunked(&[a, b], SimTime::from_days(1)).burst_upload;
@@ -184,7 +146,7 @@ mod tests {
                 "a",
             ));
         }
-        let b = burstiness(&recs, Upload);
+        let b = chunked(&[&recs], at(60)).burst_upload;
         assert_eq!(b.gaps, 29_999);
         let fit = b.fit.expect("fit");
         assert!((fit.alpha - 1.54).abs() < 0.12, "alpha {}", fit.alpha);
@@ -212,7 +174,7 @@ mod tests {
                 "a",
             ));
         }
-        let b = burstiness(&recs, Upload);
+        let b = chunked(&[&recs], at(60)).burst_upload;
         assert!((b.cv - 1.0).abs() < 0.1, "exponential cv {}", b.cv);
     }
 }

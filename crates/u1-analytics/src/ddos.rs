@@ -6,10 +6,8 @@
 //! countermeasures — this module is that automation, and the harness
 //! verifies it rediscovers the three injected attacks.
 
-use crate::timeseries::{column, hour_bins, hour_of, Hour};
+use crate::timeseries::{column, Hour};
 use serde::Serialize;
-use u1_core::SimTime;
-use u1_trace::{Payload, TraceRecord};
 
 /// A detected attack episode.
 #[derive(Debug, Clone, Serialize, PartialEq)]
@@ -137,25 +135,11 @@ pub(crate) fn report(hours: &[Hour], cfg: &DetectorConfig) -> DdosReport {
     }
 }
 
-pub fn detect(records: &[TraceRecord], horizon: SimTime, cfg: &DetectorConfig) -> DdosReport {
-    let mut hours = vec![Hour::default(); hour_bins(horizon)];
-    for rec in records.iter().filter(|rec| rec.t < horizon) {
-        let h = &mut hours[hour_of(rec.t)];
-        match &rec.payload {
-            Payload::Session { .. } => h.session += 1,
-            Payload::Auth { .. } => h.auth += 1,
-            Payload::Storage(_) => h.storage += 1,
-            Payload::Rpc { .. } => {}
-        }
-    }
-    report(&hours, cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::testkit::*;
-    use u1_core::SimDuration;
+    use u1_core::{SimDuration, SimTime};
 
     #[test]
     fn flat_series_has_no_episodes() {
@@ -224,7 +208,7 @@ mod tests {
                 ));
             }
         }
-        let report = detect(&recs, SimTime::from_days(5), &DetectorConfig::default());
+        let report = chunked(&[&recs], SimTime::from_days(5)).ddos;
         let attacks = distinct_attacks(&report.episodes);
         assert_eq!(attacks.len(), 1);
         assert_eq!(attacks[0].0 / 24, 2, "attack on day 2");
@@ -244,8 +228,8 @@ mod tests {
             }
         }
         let horizon = SimTime::from_days(5);
-        let cfg = DetectorConfig::default();
-        let serial = detect(&recs, horizon, &cfg);
+        let serial = chunked(&[&recs], horizon).ddos;
+        assert_eq!(serial.episodes.len(), 1);
         for chunk_len in [1usize, 997, 4096] {
             let chunks: Vec<&[_]> = recs.chunks(chunk_len).collect();
             let got = chunked(&chunks, horizon).ddos;

@@ -1,10 +1,7 @@
 //! File-level deduplication analysis (§5.3, Fig. 4(a)).
 
-use crate::engine::completed;
 use crate::stats::Ecdf;
 use serde::Serialize;
-use u1_core::{ApiOpKind, ContentHash, FxHashMap};
-use u1_trace::TraceRecord;
 
 /// Fig. 4(a): distribution of logical copies per distinct content, and the
 /// dedup ratio `dr = 1 - D_unique / D_total`.
@@ -73,19 +70,8 @@ pub(crate) fn dedup<'a>(contents: impl Iterator<Item = &'a Copies> + Clone) -> D
     }
 }
 
-pub fn dedup_analysis(records: &[TraceRecord]) -> DedupAnalysis {
-    let mut per_hash: FxHashMap<ContentHash, Copies> = FxHashMap::default();
-    for (_, done) in completed(records) {
-        if let (ApiOpKind::Upload, Some(hash)) = (done.op, done.hash) {
-            per_hash.entry(hash).or_default().add(done.size);
-        }
-    }
-    dedup(per_hash.values())
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::testkit::*;
     use u1_core::ApiOpKind::Upload;
 
@@ -97,7 +83,7 @@ mod tests {
             transfer(at(3), Upload, 1, 3, 3, 100, 42, "mp3"), // again
             transfer(at(4), Upload, 1, 1, 4, 300, 7, "pdf"),  // unique
         ];
-        let d = dedup_analysis(&recs);
+        let d = chunked(&[&recs], at(60)).dedup;
         assert_eq!(d.unique_contents, 2);
         assert_eq!(d.total_uploads, 4);
         assert_eq!(d.unique_bytes, 400);
@@ -109,7 +95,7 @@ mod tests {
 
     #[test]
     fn empty_trace_is_zero() {
-        let d = dedup_analysis(&[]);
+        let d = chunked(&[], at(60)).dedup;
         assert_eq!(d.dedup_ratio, 0.0);
         assert_eq!(d.unique_contents, 0);
         assert!(d.copies_per_content.is_empty());
@@ -121,7 +107,7 @@ mod tests {
             transfer(at(1), Upload, 1, 1, 1, 100, 1, "a"),
             transfer(at(2), u1_core::ApiOpKind::Download, 1, 1, 1, 100, 1, "a"),
         ];
-        let d = dedup_analysis(&recs);
+        let d = chunked(&[&recs], at(60)).dedup;
         assert_eq!(d.total_uploads, 1);
     }
 }

@@ -6,11 +6,9 @@
 //! dependencies: WAW/RAW/DAW (after a write) and WAR/RAR/DAR (after a
 //! read), collecting the inter-operation time for each.
 
-use crate::engine::completed;
 use crate::stats::{secs, Ecdf};
 use serde::Serialize;
-use u1_core::{ApiOpKind, FxHashMap, NodeKind, SimDuration, SimTime};
-use u1_trace::TraceRecord;
+use u1_core::{ApiOpKind, NodeKind, SimDuration, SimTime};
 
 /// The six dependency kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
@@ -212,21 +210,6 @@ impl Deps {
     }
 }
 
-pub fn dependency_analysis(records: &[TraceRecord]) -> DependencyAnalysis {
-    let mut nodes: FxHashMap<u64, (Option<Chain>, u64)> = FxHashMap::default();
-    let mut deps = Deps::default();
-    for (t, done) in completed(records) {
-        if let (Some(node), Some(ev)) = (done.node, Ev::of(done.op)) {
-            if done.kind != Some(NodeKind::Directory) {
-                let (chain, reads) = nodes.entry(node.raw()).or_default();
-                deps.event(chain, reads, ev, t);
-            }
-        }
-    }
-    let files = nodes.len() as u64;
-    deps.finish(nodes.into_values().map(|(_, reads)| reads), files)
-}
-
 /// Fig. 3(c): node lifetimes — Make(kind) to Unlink, per node kind.
 #[derive(Debug, Serialize)]
 pub struct LifetimeAnalysis {
@@ -325,20 +308,6 @@ pub(crate) fn made(op: ApiOpKind) -> Option<NodeKind> {
     }
 }
 
-pub fn lifetime_analysis(records: &[TraceRecord]) -> LifetimeAnalysis {
-    let mut nodes: FxHashMap<u64, Created> = FxHashMap::default();
-    let mut lt = Lifetimes::default();
-    for (t, done) in completed(records) {
-        let Some(node) = done.node else { continue };
-        if let Some(kind) = made(done.op) {
-            lt.make(nodes.entry(node.raw()).or_default(), kind, t);
-        } else if done.op == ApiOpKind::Unlink {
-            lt.unlink(nodes.entry(node.raw()).or_default(), t);
-        }
-    }
-    lt.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -358,7 +327,7 @@ mod tests {
             transfer(at(100), Download, 1, 2, 2, 10, 4, "b"), // RAW
             node_op(at(200), Unlink, 1, 2, 2, u1_core::NodeKind::File), // DAR
         ];
-        let a = dependency_analysis(&recs);
+        let a = chunked(&[&recs], SimTime::from_days(3)).dependencies;
         let count = |d: Dependency| a.counts.iter().find(|(k, _)| *k == d).unwrap().1;
         assert_eq!(count(Dependency::WriteAfterWrite), 1);
         assert_eq!(count(Dependency::ReadAfterWrite), 2);
@@ -379,7 +348,7 @@ mod tests {
             transfer(at(0), Upload, 1, 1, 2, 10, 2, "a"),
             node_op(at(3_600), Unlink, 1, 1, 2, u1_core::NodeKind::File),
         ];
-        let a = dependency_analysis(&recs);
+        let a = chunked(&[&recs], SimTime::from_days(3)).dependencies;
         assert_eq!(a.dying_files, 1);
         assert_eq!(a.deleted_files, 2);
     }
@@ -394,7 +363,7 @@ mod tests {
             transfer(at(0), Upload, 1, 1, 2, 10, 2, "a"),
             transfer(at(1), Download, 1, 1, 2, 10, 2, "a"),
         ];
-        let a = dependency_analysis(&recs);
+        let a = chunked(&[&recs], SimTime::from_days(3)).dependencies;
         assert_eq!(a.reads_per_file.len(), 2);
         assert_eq!(a.reads_per_file.max(), 3.0);
     }
@@ -407,7 +376,7 @@ mod tests {
             node_op(at(3_600), Unlink, 1, 1, 1, u1_core::NodeKind::File),
             node_op(at(0), MakeFile, 1, 1, 3, u1_core::NodeKind::File), // survives
         ];
-        let l = lifetime_analysis(&recs);
+        let l = chunked(&[&recs], SimTime::from_days(3)).lifetimes;
         assert_eq!(l.files_created, 2);
         assert_eq!(l.dirs_created, 1);
         assert!((l.file_mortality - 0.5).abs() < 1e-9);
@@ -431,7 +400,7 @@ mod tests {
             transfer(at(2 * 86_400 + 5), Upload, 1, 3, 3, 10, 5, "c"),
             transfer(at(2 * 86_400 + 9), Download, 1, 3, 3, 10, 5, "c"),
         ];
-        let serial = dependency_analysis(&recs);
+        let serial = chunked(&[&recs], SimTime::from_days(3)).dependencies;
         for split in 0..=recs.len() {
             let (a, b) = recs.split_at(split);
             let got = chunked(&[a, b], SimTime::from_days(3)).dependencies;
@@ -461,7 +430,7 @@ mod tests {
             node_op(at(5_000), Unlink, 1, 1, 3, u1_core::NodeKind::File), // never created: ignored
             node_op(at(6_000), Unlink, 1, 1, 2, u1_core::NodeKind::Directory),
         ];
-        let serial = lifetime_analysis(&recs);
+        let serial = chunked(&[&recs], SimTime::from_days(3)).lifetimes;
         assert_eq!(serial.files_created, 2);
         assert_eq!(serial.file_lifetimes.median(), 3_600.0);
         for split in 0..=recs.len() {

@@ -3,9 +3,10 @@
 //! [`Battery`] is the one [`TraceFold`]: it folds every analysis of the
 //! report from ONE decode of each record, and merges partial states from
 //! disjoint contiguous chunks earlier←later (see the battery module and
-//! DESIGN.md §10). The standalone analyzers (`rpc_analysis(&records)` and
-//! friends) are plain serial passes over the same per-analysis steps, so
-//! the battery's report can be checked against them field by field.
+//! DESIGN.md §10). It is the only implementation of the figures: every
+//! statistic of the paper is a field of the [`EngineReport`] that
+//! [`run_all`] returns. A test-only reference (`tests/oracle`) recomputes
+//! each field from the paper's definitions, with no code in common.
 //! [`run_all_chunked`] splits the record slice into contiguous chunks
 //! (adaptively sized — see [`plan_chunk_count`]), folds each on its own
 //! thread and tree-merges the partials in chunk order; the result is
@@ -28,13 +29,14 @@ use crate::timeseries::{OnlineActiveSeries, TrafficSeries};
 use crate::users::{ActiveOnlineSummary, ClassShares, OpMix, TrafficInequality};
 use serde::Serialize;
 use u1_core::SimTime;
-use u1_trace::{StorageDone, TraceRecord};
+use u1_trace::TraceRecord;
 
 /// A streaming, mergeable analysis.
 ///
 /// Laws the differential tests pin down:
-/// * **battery == analyzer**: every field of the [`Battery`]'s report
-///   equals the standalone analyzer function over the same records.
+/// * **battery == oracle**: every field of the [`Battery`]'s report
+///   equals the test-only reference computed from the paper's
+///   definitions, exactly or within a stated error bound.
 /// * **merge is associative** and respects concatenation: for any split of
 ///   a sorted slice into contiguous chunks, folding each chunk into a
 ///   partial (from [`TraceFold::new_partial`]) and merging earlier←later
@@ -54,16 +56,8 @@ pub trait TraceFold: Sized {
     /// one's. `self` is the earlier chunk.
     fn merge(&mut self, later: Self);
 
-    /// Finalizes into the analyzer's output.
+    /// Finalizes into the fold's output.
     fn finish(self) -> Self::Output;
-}
-
-/// The successful `storage_done` records of a trace, with their times: the
-/// input of most standalone analyzers.
-pub(crate) fn completed(records: &[TraceRecord]) -> impl Iterator<Item = (SimTime, &StorageDone)> {
-    records
-        .iter()
-        .filter_map(|rec| Some((rec.t, rec.payload.storage().filter(|done| done.success)?)))
 }
 
 /// The first and last value one entity showed within one chunk of the

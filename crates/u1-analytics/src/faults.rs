@@ -23,7 +23,7 @@ pub struct ClassCount {
     pub count: u64,
 }
 
-/// Output of [`fault_analysis`] / the battery's `faults` section.
+/// The battery's `faults` section.
 ///
 /// Under `FaultPlan::none()` every count is zero and every rate/mean is
 /// `0.0` — the struct itself is the "nothing happened" witness.
@@ -65,7 +65,7 @@ fn class_index(c: ErrorClass) -> usize {
     }
 }
 
-/// The counts behind [`fault_analysis`]. Integer sums only, so `merge` is
+/// The counts behind [`FaultAnalysis`]. Integer sums only, so `merge` is
 /// plain addition (plus a `max` for the attempt high-water mark, which is
 /// associative and commutative).
 #[derive(Debug, Default)]
@@ -166,13 +166,6 @@ impl FaultCounts {
     }
 }
 
-/// Error rates and retry-latency inflation from one trace.
-pub fn fault_analysis(records: &[TraceRecord]) -> FaultAnalysis {
-    let mut counts = FaultCounts::default();
-    records.iter().for_each(|rec| counts.feed(rec));
-    counts.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,7 +206,7 @@ mod tests {
             op(at(2), Upload, 1, 1),
             session_close(at(3), 1, 1),
         ];
-        let a = fault_analysis(&recs);
+        let a = chunked(&[&recs], at(60)).faults;
         assert_eq!(a.tagged, 0);
         assert_eq!(a.retried, 0);
         assert_eq!(a.max_attempt, 1);
@@ -241,7 +234,7 @@ mod tests {
                 Some(ErrorClass::ShardUnavailable),
             ),
         ];
-        let a = fault_analysis(&recs);
+        let a = chunked(&[&recs], at(60)).faults;
         assert_eq!(a.tagged, 2);
         assert_eq!(a.retried, 1);
         assert_eq!(a.max_attempt, 3);
@@ -271,7 +264,7 @@ mod tests {
                 }
             })
             .collect();
-        let serial = serde_json::to_value(&fault_analysis(&recs));
+        let serial = serde_json::to_value(&chunked(&[&recs], at(60)).faults);
         for split in [1usize, 2, 7, 30] {
             let chunks: Vec<&[TraceRecord]> = recs.chunks(split).collect();
             let chunked = serde_json::to_value(&chunked(&chunks, at(60)).faults);

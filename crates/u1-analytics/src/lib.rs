@@ -3,7 +3,8 @@
 //!
 //! The input is always a timestamp-sorted `&[TraceRecord]` (from a
 //! [`u1_trace::MemorySink`] or a merged logfile directory read). Each
-//! analyzer module mirrors one slice of the paper:
+//! module holds the report type and the fold steps of one slice of the
+//! paper:
 //!
 //! * [`stats`] — the numeric kit: ECDF, quantiles, histograms, Gini/Lorenz,
 //!   autocorrelation, power-law MLE, Pearson correlation,
@@ -33,8 +34,9 @@
 //! per-user, per-node, per-session and per-content state in one table per
 //! entity kind. It is an [`engine::TraceFold`], so it also runs
 //! chunk-parallel and merges partial states without changing any output
-//! bit. Each analyzer module's standalone function is a plain serial pass
-//! over the same per-analysis steps.
+//! bit. It is the only way to compute a figure; the crate's tests check
+//! every field against a reference built from the paper's definitions
+//! (`tests/oracle`).
 
 // `float_cmp` is denied for the kernels (Cargo.toml); unit tests compare
 // results of small exact inputs against their exact expected values.

@@ -7,8 +7,7 @@
 
 use crate::engine::Ends;
 use serde::Serialize;
-use u1_core::{ApiOpKind, FxHashMap};
-use u1_trace::{Payload, TraceRecord};
+use u1_core::ApiOpKind;
 
 /// One directed edge of the graph with its global probability.
 #[derive(Debug, Clone, Serialize)]
@@ -50,19 +49,6 @@ pub(crate) fn chain_op(op: ApiOpKind) -> Option<ApiOpKind> {
         ApiOpKind::MakeDir => Some(ApiOpKind::MakeFile),
         ApiOpKind::OpenSession | ApiOpKind::CloseSession => None,
         other => Some(other),
-    }
-}
-
-/// Normalizes a record to a (user, chain state), or `None` if it doesn't
-/// belong in Fig. 8.
-fn chain_state(rec: &TraceRecord) -> Option<(u64, ApiOpKind)> {
-    match &rec.payload {
-        Payload::Storage(done) if done.success => Some((done.user.raw(), chain_op(done.op)?)),
-        Payload::Auth {
-            user,
-            success: true,
-        } => Some((user.raw(), ApiOpKind::Authenticate)),
-        _ => None,
     }
 }
 
@@ -157,18 +143,8 @@ impl Transitions {
     }
 }
 
-pub fn transition_graph(records: &[TraceRecord]) -> TransitionGraph {
-    let mut users: FxHashMap<u64, Ends<ApiOpKind>> = FxHashMap::default();
-    let mut transitions = Transitions::default();
-    for (user, op) in records.iter().filter_map(chain_state) {
-        transitions.step(users.entry(user).or_default(), op);
-    }
-    transitions.finish()
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::testkit::*;
     use u1_core::ApiOpKind::*;
 
@@ -183,7 +159,7 @@ mod tests {
             op(at(2), ListVolumes, 2, 2),
             op(at(4), ListShares, 2, 2),
         ];
-        let g = transition_graph(&recs);
+        let g = chunked(&[&recs], at(60)).markov;
         assert_eq!(g.total_transitions, 3);
         assert!((g.probability(Upload, Upload) - 1.0 / 3.0).abs() < 1e-9);
         assert!((g.probability(Upload, Download) - 1.0 / 3.0).abs() < 1e-9);
@@ -197,7 +173,7 @@ mod tests {
             node_op(at(1), MakeDir, 1, 1, 1, u1_core::NodeKind::Directory),
             node_op(at(2), MakeFile, 1, 1, 2, u1_core::NodeKind::File),
         ];
-        let g = transition_graph(&recs);
+        let g = chunked(&[&recs], at(60)).markov;
         assert!((g.probability(MakeFile, MakeFile) - 1.0).abs() < 1e-9);
     }
 
@@ -208,7 +184,7 @@ mod tests {
             op(at(2), ListVolumes, 1, 1),
             op(at(3), ListShares, 1, 1),
         ];
-        let g = transition_graph(&recs);
+        let g = chunked(&[&recs], at(60)).markov;
         assert!(g.probability(Authenticate, ListVolumes) > 0.0);
         // Conditional: from Authenticate, everything went to ListVolumes.
         let cond = g
@@ -222,11 +198,11 @@ mod tests {
     #[test]
     fn failed_ops_are_excluded() {
         let mut bad = transfer(at(2), Upload, 1, 1, 1, 10, 1, "a");
-        if let Payload::Storage(done) = &mut bad.payload {
+        if let u1_trace::Payload::Storage(done) = &mut bad.payload {
             done.success = false;
         }
         let recs = vec![transfer(at(1), Upload, 1, 1, 1, 10, 1, "a"), bad];
-        let g = transition_graph(&recs);
+        let g = chunked(&[&recs], at(60)).markov;
         assert_eq!(g.total_transitions, 0);
     }
 
@@ -239,7 +215,8 @@ mod tests {
             transfer(at(4), Download, 2, 2, 2, 10, 2, "a"),
             transfer(at(5), Upload, 1, 1, 3, 10, 3, "a"),
         ];
-        let serial = transition_graph(&recs);
+        let serial = chunked(&[&recs], at(60)).markov;
+        assert_eq!(serial.total_transitions, 3);
         for split in 0..=recs.len() {
             let (a, b) = recs.split_at(split);
             let got = chunked(&[a, b], at(60)).markov;

@@ -2,10 +2,9 @@
 //! Figs. 12–14).
 
 use crate::stats::{cv, mean, secs, stddev, Ecdf};
-use crate::timeseries::{hour_bins, hour_of};
+use crate::timeseries::hour_bins;
 use serde::Serialize;
 use u1_core::{MachineId, RpcClass, RpcKind, ShardId, SimDuration, SimTime};
-use u1_trace::{Payload, TraceRecord};
 
 /// One RPC's service-time profile (a line in one Fig. 12 panel and a point
 /// in Fig. 13).
@@ -80,19 +79,6 @@ pub(crate) fn analysis(samples: RpcSamples) -> RpcAnalysis {
     RpcAnalysis { profiles }
 }
 
-pub fn rpc_analysis(records: &[TraceRecord]) -> RpcAnalysis {
-    let mut samples = RpcSamples::default();
-    for rec in records {
-        if let Payload::Rpc {
-            rpc, service_us, ..
-        } = &rec.payload
-        {
-            samples[*rpc as usize].push(*service_us);
-        }
-    }
-    analysis(samples)
-}
-
 /// Fig. 14: load balance across API machines (hourly) and store shards
 /// (per minute).
 #[derive(Debug, Serialize)]
@@ -120,7 +106,7 @@ fn wrap(id: u16, n: usize) -> usize {
     }
 }
 
-/// The request counts behind [`load_balance`]. Grid cells are integer
+/// The request counts behind [`LoadBalance`]. Grid cells are integer
 /// request counts, so chunk merges add exactly and the one f64 conversion
 /// at finish is exact.
 #[derive(Debug)]
@@ -205,27 +191,10 @@ impl LoadGrid {
     }
 }
 
-pub fn load_balance(
-    records: &[TraceRecord],
-    horizon: SimTime,
-    machines: usize,
-    shards: usize,
-    minutes_window: usize,
-) -> LoadBalance {
-    let mut grid = LoadGrid::new(horizon, machines, shards, minutes_window);
-    for rec in records.iter().filter(|rec| rec.t < horizon) {
-        match &rec.payload {
-            Payload::Storage(_) | Payload::Session { .. } => grid.api(hour_of(rec.t), rec.machine),
-            Payload::Rpc { shard, .. } => grid.rpc(rec.t, *shard),
-            Payload::Auth { .. } => {}
-        }
-    }
-    grid.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{run_all, EngineConfig};
     use crate::testkit::*;
     use u1_core::ApiOpKind::Upload;
 
@@ -238,7 +207,7 @@ mod tests {
         // One 10s outlier.
         recs.push(rpc_on(at(200), 0, 0, RpcKind::GetNode, 1, 0, 10_000_000));
         recs.push(rpc_on(at(201), 0, 0, RpcKind::DeleteVolume, 1, 0, 500_000));
-        let a = rpc_analysis(&recs);
+        let a = chunked(&[&recs], at(300)).rpc;
         let node = a.profile(RpcKind::GetNode).unwrap();
         assert_eq!(node.count, 101);
         assert!((node.median_s - 0.001).abs() < 1e-9);
@@ -265,12 +234,13 @@ mod tests {
                 }
             }
         }
-        let lb = load_balance(&balanced, SimTime::from_hours(3), 2, 2, 60);
+        let cfg = EngineConfig::new(SimTime::from_hours(3), 2, 2);
+        let lb = run_all(&balanced, &cfg).load_balance;
         assert!(lb.api_mean_cv < 1e-9, "balanced cv {}", lb.api_mean_cv);
 
         // Skewed: everything on machine 0.
         let skewed: Vec<_> = balanced.iter().cloned().map(|r| on_machine(r, 0)).collect();
-        let lb = load_balance(&skewed, SimTime::from_hours(3), 2, 2, 60);
+        let lb = run_all(&skewed, &cfg).load_balance;
         assert!(lb.api_mean_cv > 0.9, "skewed cv {}", lb.api_mean_cv);
     }
 
@@ -282,13 +252,14 @@ mod tests {
                 recs.push(rpc_on(at(k), 0, 0, RpcKind::GetNode, 1, s, 100));
             }
         }
-        let lb = load_balance(&recs, SimTime::from_hours(1), 1, 4, 60);
+        let cfg = EngineConfig::new(SimTime::from_hours(1), 1, 4);
+        let lb = run_all(&recs, &cfg).load_balance;
         assert!(lb.shard_longrun_cv < 1e-9);
         // Unbalance one shard.
         for k in 0..100u64 {
             recs.push(rpc_on(at(k), 0, 0, RpcKind::GetNode, 1, 0, 100));
         }
-        let lb = load_balance(&recs, SimTime::from_hours(1), 1, 4, 60);
+        let lb = run_all(&recs, &cfg).load_balance;
         assert!(lb.shard_longrun_cv > 0.5);
     }
 }

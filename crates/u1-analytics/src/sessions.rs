@@ -1,11 +1,10 @@
 //! Session and authentication analyses (§7.3, Figs. 15–16).
 
 use crate::stats::{secs, Ecdf};
-use crate::timeseries::{column, hour_bins, hour_of, Hour};
+use crate::timeseries::{column, Hour};
 use serde::Serialize;
 use std::ops::IndexMut;
-use u1_core::{FxHashMap, SimTime};
-use u1_trace::{Payload, SessionEvent, TraceRecord};
+use u1_core::SimTime;
 
 /// Fig. 15: authentication and session-management activity.
 #[derive(Debug, Serialize)]
@@ -61,30 +60,6 @@ pub(crate) fn auth_activity_of(hours: &[Hour], total: u64, failed: u64) -> AuthA
         auth_per_hour,
         session_events_per_hour,
     }
-}
-
-pub fn auth_activity(records: &[TraceRecord], horizon: SimTime) -> AuthActivity {
-    let mut hours = vec![Hour::default(); hour_bins(horizon)];
-    let (mut total, mut failed) = (0, 0);
-    for rec in records {
-        let hour = (rec.t < horizon).then(|| &mut hours[hour_of(rec.t)]);
-        match &rec.payload {
-            Payload::Auth { success, .. } => {
-                total += 1;
-                failed += u64::from(!success);
-                if let Some(h) = hour {
-                    h.auth += 1;
-                }
-            }
-            Payload::Session { .. } => {
-                if let Some(h) = hour {
-                    h.session += 1;
-                }
-            }
-            _ => {}
-        }
-    }
-    auth_activity_of(&hours, total, failed)
 }
 
 /// Fig. 16: session lengths and per-session storage operations.
@@ -144,38 +119,6 @@ pub(crate) fn session_analysis_of(
         active_lengths,
         ops_per_active_session: ops,
     }
-}
-
-pub fn session_analysis(records: &[TraceRecord]) -> SessionAnalysis {
-    // Session id -> (open time if open, data ops so far). The op count is
-    // never cleared, so a reused id inherits it.
-    let mut sessions: FxHashMap<u64, (Option<SimTime>, u64)> = FxHashMap::default();
-    let (mut lengths, mut active_lengths) = (Vec::new(), Vec::new());
-    for rec in records {
-        match &rec.payload {
-            Payload::Session { event, session, .. } => {
-                let (open, ops) = sessions.entry(session.raw()).or_default();
-                if *event == SessionEvent::Open {
-                    *open = Some(rec.t);
-                } else if let Some(t0) = open.take() {
-                    let len = rec.t.since(t0).as_micros();
-                    lengths.push(len);
-                    if *ops > 0 {
-                        active_lengths.push(len);
-                    }
-                }
-            }
-            Payload::Storage(done) if done.success && done.op.is_data_management() => {
-                sessions.entry(done.session.raw()).or_default().1 += 1;
-            }
-            _ => {}
-        }
-    }
-    session_analysis_of(
-        lengths,
-        active_lengths,
-        sessions.into_values().map(|(_, ops)| ops),
-    )
 }
 
 /// One session id's state within one chunk of the trace.
@@ -347,7 +290,7 @@ mod tests {
             session_close(at(50), 2, 2), // cold, 50s
             session_open(at(200), 3, 3), // never closes: not counted
         ];
-        let s = session_analysis(&recs);
+        let s = chunked(&[&recs], at(3600)).sessions;
         assert_eq!(s.sessions, 2);
         assert!((s.active_fraction - 0.5).abs() < 1e-9);
         assert_eq!(s.lengths.len(), 2);
@@ -365,7 +308,7 @@ mod tests {
             session_open(at(10), 2, 2),
             session_close(at(20), 2, 2),
         ];
-        let s = session_analysis(&recs);
+        let s = chunked(&[&recs], at(3600)).sessions;
         assert!((s.under_1s - 0.5).abs() < 1e-9);
     }
 
@@ -383,7 +326,11 @@ mod tests {
             session_close(at(130), 1, 1), // active via stale count
             session_close(at(140), 1, 1), // double close: dropped
         ];
-        let serial = session_analysis(&recs);
+        let serial = chunked(&[&recs], at(3600)).sessions;
+        // Sessions 1 (100 s, active), 2 (90 s, cold) and 1 again (10 s,
+        // active through the inherited count).
+        assert_eq!(serial.lengths.samples(), [10.0, 90.0, 100.0]);
+        assert_eq!(serial.active_lengths.samples(), [10.0, 100.0]);
         for split in 0..=recs.len() {
             let (a, b) = recs.split_at(split);
             let got = chunked(&[a, b], at(3600)).sessions;
@@ -415,7 +362,7 @@ mod tests {
             ));
         }
         let horizon = SimTime::from_days(3);
-        let a = auth_activity(&recs, horizon);
+        let a = chunked(&[&recs], horizon).auth;
         assert!(a.diurnal_swing > 2.0, "swing {}", a.diurnal_swing);
         assert!((a.auth_failure_fraction - 2.0 / 70.0).abs() < 1e-9);
         assert_eq!(a.auth_per_hour.iter().sum::<f64>() as u64, 70);
@@ -435,7 +382,7 @@ mod tests {
         }
         let mut sorted = recs;
         sorted.sort_by_key(|r| r.t);
-        let s = session_analysis(&sorted);
+        let s = chunked(&[&sorted], at(3600)).sessions;
         assert!(s.top20_op_share > 0.95, "share {}", s.top20_op_share);
         assert_eq!(s.active_fraction, 1.0);
     }

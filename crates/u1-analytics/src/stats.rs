@@ -1,4 +1,4 @@
-//! The numeric kit shared by every analyzer.
+//! The numeric kit shared by every analysis.
 
 use serde::Serialize;
 use u1_core::SimDuration;
@@ -42,7 +42,7 @@ impl Ecdf {
     }
 
     /// The samples, in ascending order.
-    pub(crate) fn samples(&self) -> &[f64] {
+    pub fn samples(&self) -> &[f64] {
         &self.sorted
     }
 

@@ -1,12 +1,10 @@
 //! Storage-workload analyses (§5.1, §5.3): size-category traffic shares,
 //! R/W ratios, update overhead, file-type taxonomy and size distributions.
 
-use crate::engine::completed;
 use crate::stats::{acf, Acf, Ecdf};
-use crate::timeseries::{self, TrafficSeries};
+use crate::timeseries::TrafficSeries;
 use serde::Serialize;
-use u1_core::{ApiOpKind, ByteSize, ContentHash, FileCategory, FxHashMap, SimTime, SizeCategory};
-use u1_trace::TraceRecord;
+use u1_core::{ApiOpKind, ByteSize, FileCategory, SizeCategory};
 
 /// Fig. 2(b): per size-bucket shares of operations and bytes, separately
 /// for uploads and downloads.
@@ -73,14 +71,6 @@ impl SizeCounts {
     }
 }
 
-pub fn size_category_shares(records: &[TraceRecord]) -> SizeCategoryShares {
-    let mut counts = SizeCounts::default();
-    for (_, done) in completed(records) {
-        counts.add(done.op, done.size);
-    }
-    counts.finish()
-}
-
 /// Fig. 2(c): the hourly R/W (download/upload bytes) ratio series, its
 /// distribution, autocorrelation, and the 6am–3pm hour-of-day profile.
 #[derive(Debug, Clone, Serialize)]
@@ -96,9 +86,8 @@ pub struct RwRatioAnalysis {
     pub by_hour_of_day: Vec<f64>,
 }
 
-/// Derives the R/W analysis from an already-computed hourly traffic series —
-/// the single-pass battery computes the series once and shares it.
-pub fn rw_ratio_from_series(ts: &TrafficSeries) -> RwRatioAnalysis {
+/// The R/W analysis of the hourly traffic series.
+pub(crate) fn rw_ratio_from_series(ts: &TrafficSeries) -> RwRatioAnalysis {
     // Hours with negligible volume produce degenerate ratios (a scaled-down
     // population has near-empty night hours the production system never
     // had); require at least 2% of the mean hourly volume on both sides.
@@ -127,10 +116,6 @@ pub fn rw_ratio_from_series(ts: &TrafficSeries) -> RwRatioAnalysis {
             .collect(),
         hourly,
     }
-}
-
-pub fn rw_ratio(records: &[TraceRecord], horizon: SimTime) -> RwRatioAnalysis {
-    rw_ratio_from_series(&timeseries::traffic_per_hour(records, horizon))
 }
 
 /// §5.1: updates — uploads to a node that already had different content.
@@ -257,24 +242,6 @@ impl UpdateAnalysis {
     }
 }
 
-/// The successful uploads to a node, with the node's id.
-fn node_uploads(records: &[TraceRecord]) -> impl Iterator<Item = (u64, &u1_trace::StorageDone)> {
-    completed(records).filter_map(|(_, done)| match (done.op, done.node) {
-        (ApiOpKind::Upload, Some(node)) => Some((node.raw(), done)),
-        _ => None,
-    })
-}
-
-pub fn update_analysis(records: &[TraceRecord]) -> UpdateAnalysis {
-    let mut nodes: FxHashMap<u64, Option<Uploads<Option<ContentHash>>>> = FxHashMap::default();
-    let mut out = UpdateAnalysis::default();
-    for (node, done) in node_uploads(records) {
-        let seen = nodes.entry(node).or_default();
-        out.upload(seen, (done.hash, done.size), FileCategory::Other);
-    }
-    out.finish()
-}
-
 /// Fig. 4(c): per-category share of files and of storage bytes.
 #[derive(Debug, Clone, Serialize)]
 pub struct TaxonomyShares {
@@ -300,14 +267,6 @@ pub(crate) fn taxonomy(nodes: impl Iterator<Item = (FileCategory, u64)>) -> Taxo
         file_share: share(&files),
         byte_share: share(&bytes),
     }
-}
-
-pub fn taxonomy_shares(records: &[TraceRecord]) -> TaxonomyShares {
-    let mut nodes: FxHashMap<u64, (FileCategory, u64)> = FxHashMap::default();
-    for (node, done) in node_uploads(records) {
-        nodes.insert(node, (FileCategory::of_extension(&done.ext), done.size));
-    }
-    taxonomy(nodes.into_values())
 }
 
 /// Fig. 4(b): size ECDF for all uploaded files plus chosen extensions.
@@ -339,20 +298,9 @@ pub(crate) fn size_by_ext<E: AsRef<str>>(
     }
 }
 
-pub fn size_by_extension(records: &[TraceRecord], exts: &[&str]) -> SizeByExtension {
-    let mut all = Vec::new();
-    let mut per = vec![Vec::new(); exts.len()];
-    for (_, done) in completed(records).filter(|(_, done)| done.op == ApiOpKind::Upload) {
-        all.push(done.size);
-        if let Some(i) = exts.iter().position(|e| *e == done.ext.as_str()) {
-            per[i].push(done.size);
-        }
-    }
-    size_by_ext(all, per, exts)
-}
-
-/// Diurnal swing of upload traffic from an already-computed hourly series.
-pub fn upload_diurnal_swing_from_series(ts: &TrafficSeries) -> f64 {
+/// Diurnal swing of upload traffic (Fig. 2(a)'s "up to 10x higher"): the
+/// busiest hour of day's mean over the quietest's.
+pub(crate) fn upload_diurnal_swing_from_series(ts: &TrafficSeries) -> f64 {
     let mut by_hour = vec![Vec::new(); 24];
     for (i, up) in ts.upload_bytes.iter().enumerate() {
         by_hour[i % 24].push(*up);
@@ -363,16 +311,11 @@ pub fn upload_diurnal_swing_from_series(ts: &TrafficSeries) -> f64 {
     peak / trough
 }
 
-/// Diurnal swing of upload traffic (Fig. 2(a)'s "up to 10x higher").
-pub fn upload_diurnal_swing(records: &[TraceRecord], horizon: SimTime) -> f64 {
-    upload_diurnal_swing_from_series(&timeseries::traffic_per_hour(records, horizon))
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::testkit::*;
     use u1_core::ApiOpKind::*;
+    use u1_core::SimTime;
 
     #[test]
     fn size_shares_split_ops_and_bytes() {
@@ -383,7 +326,7 @@ mod tests {
             transfer(at(3), Upload, 1, 1, 3, 3_000, 3, "txt"),
             transfer(at(4), Upload, 1, 1, 4, 100_000_000, 4, "iso"),
         ];
-        let s = size_category_shares(&recs);
+        let s = chunked(&[&recs], at(60)).size_shares;
         assert!((s.upload_op_share[0] - 0.75).abs() < 1e-9, "{s:?}");
         assert!(s.upload_byte_share[4] > 0.99, "{s:?}");
         assert_eq!(s.download_op_share.iter().sum::<f64>(), 0.0);
@@ -398,7 +341,7 @@ mod tests {
             transfer(at(3700), Upload, 1, 1, 2, 100, 2, "a"),
             transfer(at(3800), Download, 1, 1, 2, 50, 2, "a"),
         ];
-        let rw = rw_ratio(&recs, SimTime::from_hours(2));
+        let rw = chunked(&[&recs], SimTime::from_hours(2)).rw;
         assert_eq!(rw.hourly, vec![2.0, 0.5]);
         assert!((rw.mean - 1.25).abs() < 1e-9);
         assert_eq!(rw.by_hour_of_day[0], 2.0);
@@ -413,7 +356,7 @@ mod tests {
             transfer(at(3), Upload, 1, 1, 7, 120, 2, "txt"), // update
             transfer(at(4), Upload, 1, 1, 8, 50, 3, "txt"),  // other node, first
         ];
-        let u = update_analysis(&recs);
+        let u = chunked(&[&recs], at(60)).updates;
         assert_eq!(u.uploads, 4);
         assert_eq!(u.update_uploads, 1);
         assert_eq!(u.update_bytes, 120);
@@ -429,7 +372,8 @@ mod tests {
             transfer(at(4), Upload, 1, 1, 8, 50, 3, "txt"),
             transfer(at(5), Upload, 1, 1, 8, 60, 4, "txt"),
         ];
-        let serial = update_analysis(&recs);
+        let serial = chunked(&[&recs], at(60)).updates;
+        assert_eq!((serial.update_uploads, serial.update_bytes), (2, 180));
         for split in 0..=recs.len() {
             let (a, b) = recs.split_at(split);
             let got = chunked(&[a, b], at(60)).updates;
@@ -444,7 +388,7 @@ mod tests {
             transfer(at(2), Upload, 1, 1, 1, 30, 2, "c"), // updated same node
             transfer(at(3), Upload, 1, 1, 2, 4_000, 3, "mp3"),
         ];
-        let t = taxonomy_shares(&recs);
+        let t = chunked(&[&recs], at(60)).taxonomy;
         let code_idx = t.categories.iter().position(|c| *c == "code").unwrap();
         let av_idx = t
             .categories
@@ -462,7 +406,8 @@ mod tests {
             transfer(at(2), Upload, 1, 1, 2, 5_000_000, 2, "mp3"),
             transfer(at(3), Upload, 1, 1, 3, 200, 3, "txt"),
         ];
-        let s = size_by_extension(&recs, &["jpg", "mp3"]);
+        // The default configuration asks for jpg, mp3 and four more.
+        let s = chunked(&[&recs], at(60)).size_by_ext;
         assert_eq!(s.all.len(), 3);
         assert_eq!(s.by_ext.len(), 2);
         assert!((s.under_1mb_fraction - 2.0 / 3.0).abs() < 1e-9);

@@ -1,8 +1,7 @@
 //! Table 3 (trace summary) and the Table 1 findings check.
 
 use serde::Serialize;
-use u1_core::{ApiOpKind, FxHashSet, SimTime};
-use u1_trace::{Payload, SessionEvent, TraceRecord};
+use u1_core::ApiOpKind;
 
 /// Table 3: "Summary of the trace".
 #[derive(Debug, Clone, Default, Serialize, PartialEq)]
@@ -39,35 +38,6 @@ impl TraceSummary {
     }
 }
 
-pub fn trace_summary(records: &[TraceRecord], horizon: SimTime) -> TraceSummary {
-    let mut users = FxHashSet::default();
-    let mut files = FxHashSet::default();
-    let mut s = TraceSummary {
-        trace_days: horizon.day_index(),
-        records: records.len() as u64,
-        ..TraceSummary::default()
-    };
-    for rec in records {
-        users.insert(rec.payload.user().raw());
-        match &rec.payload {
-            Payload::Session {
-                event: SessionEvent::Open,
-                ..
-            } => s.sessions += 1,
-            Payload::Storage(done) if done.success => {
-                if let Some(n) = done.node {
-                    files.insert(n.raw());
-                }
-                s.add_transfer(done.op, done.size);
-            }
-            _ => {}
-        }
-    }
-    s.unique_users = users.len() as u64;
-    s.unique_files = files.len() as u64;
-    s
-}
-
 /// One Table 1 finding with the paper's value and ours.
 #[derive(Debug, Clone, Serialize)]
 pub struct Finding {
@@ -97,6 +67,7 @@ mod tests {
     use super::*;
     use crate::testkit::*;
     use u1_core::ApiOpKind::*;
+    use u1_core::SimTime;
 
     #[test]
     fn summary_counts_the_basics() {
@@ -107,7 +78,7 @@ mod tests {
             transfer(at(4), Upload, 1, 2, 11, 50, 2, "a"),
             session_close(at(5), 1, 1),
         ];
-        let s = trace_summary(&recs, SimTime::from_days(30));
+        let s = chunked(&[&recs], SimTime::from_days(30)).summary;
         assert_eq!(s.trace_days, 30);
         assert_eq!(s.unique_users, 2);
         assert_eq!(s.unique_files, 2);

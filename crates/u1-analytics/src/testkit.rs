@@ -164,8 +164,9 @@ pub fn on_machine(mut rec: TraceRecord, machine: u16) -> TraceRecord {
 }
 
 /// The battery over `chunks`, contiguous pieces of one sorted trace, each
-/// folded alone and merged in order: what the chunk-split tests compare
-/// with the standalone analyzers.
+/// folded alone and merged in order. `chunked(&[&records], horizon)` is
+/// the one-chunk report the unit tests read; the split tests compare the
+/// report of every split with it.
 pub fn chunked(chunks: &[&[TraceRecord]], horizon: SimTime) -> EngineReport {
     run_chunks(Battery::new(&EngineConfig::new(horizon, 1, 1)), chunks)
 }

@@ -1,8 +1,7 @@
 //! Time-binned request and traffic series (Figs. 2(a), 5, 6, 15).
 
 use serde::Serialize;
-use u1_core::{ApiOpKind, FxHashMap, FxHashSet, SimDuration, SimTime};
-use u1_trace::{Payload, SessionEvent, TraceRecord};
+use u1_core::{ApiOpKind, SimDuration, SimTime};
 
 /// Fig. 2(a): upload/download GBytes per hour.
 #[derive(Debug, Clone, Serialize)]
@@ -69,47 +68,6 @@ impl TrafficSeries {
     }
 }
 
-pub fn traffic_per_hour(records: &[TraceRecord], horizon: SimTime) -> TrafficSeries {
-    let mut hours = vec![Hour::default(); hour_bins(horizon)];
-    for (t, done) in crate::engine::completed(records) {
-        if t < horizon {
-            hours[hour_of(t)].add_transfer(done.op, done.size);
-        }
-    }
-    TrafficSeries::of(&hours)
-}
-
-/// Fig. 5 / Fig. 15 request families.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub enum RequestFamily {
-    Session,
-    Auth,
-    Storage,
-    Rpc,
-}
-
-/// Requests per hour for one family.
-pub fn requests_per_hour(
-    records: &[TraceRecord],
-    horizon: SimTime,
-    family: RequestFamily,
-) -> Vec<f64> {
-    let mut bins = vec![0u64; hour_bins(horizon)];
-    for rec in records.iter().filter(|rec| rec.t < horizon) {
-        let matched = matches!(
-            (&rec.payload, family),
-            (Payload::Session { .. }, RequestFamily::Session)
-                | (Payload::Auth { .. }, RequestFamily::Auth)
-                | (Payload::Storage(_), RequestFamily::Storage)
-                | (Payload::Rpc { .. }, RequestFamily::Rpc)
-        );
-        if matched {
-            bins[hour_of(rec.t)] += 1;
-        }
-    }
-    bins.into_iter().map(|c| c as f64).collect()
-}
-
 /// Fig. 6: online vs active users per hour. A user is *online* in an hour
 /// if one of their sessions overlaps it; *active* if they issued a
 /// data-management operation in it (§6.1's definitions).
@@ -128,50 +86,6 @@ fn span(from: SimTime, to: SimTime, bins: usize) -> std::ops::Range<usize> {
 /// The end of the trace, where sessions still open count online until.
 pub(crate) fn last_instant(horizon: SimTime) -> SimTime {
     SimTime::from_micros(horizon.as_micros().saturating_sub(1))
-}
-
-pub fn online_active_per_hour(records: &[TraceRecord], horizon: SimTime) -> OnlineActiveSeries {
-    let bins = hour_bins(horizon);
-    let mut online = vec![FxHashSet::<u64>::default(); bins];
-    let mut active = vec![FxHashSet::<u64>::default(); bins];
-    let mark = |online: &mut [FxHashSet<u64>], user: u64, from: SimTime, to: SimTime| {
-        for h in span(from, to, bins) {
-            online[h].insert(user);
-        }
-    };
-    let mut open_at: FxHashMap<u64, (u64, SimTime)> = FxHashMap::default();
-    for rec in records {
-        match &rec.payload {
-            Payload::Session {
-                event,
-                session,
-                user,
-            } => {
-                if *event == SessionEvent::Open {
-                    open_at.insert(session.raw(), (user.raw(), rec.t));
-                } else {
-                    // A close with no open left to pair marks its own hour.
-                    let (u, from) = open_at
-                        .remove(&session.raw())
-                        .unwrap_or((user.raw(), rec.t));
-                    mark(&mut online, u, from, rec.t.min(horizon));
-                }
-            }
-            Payload::Storage(done)
-                if done.success && done.op.is_data_management() && rec.t < horizon =>
-            {
-                active[hour_of(rec.t)].insert(done.user.raw());
-            }
-            _ => {}
-        }
-    }
-    for (u, from) in open_at.into_values() {
-        mark(&mut online, u, from, last_instant(horizon));
-    }
-    OnlineActiveSeries {
-        online: online.iter().map(|s| s.len() as u64).collect(),
-        active: active.iter().map(|s| s.len() as u64).collect(),
-    }
 }
 
 /// The battery's form of Fig. 6's per-hour user sets: one bit per hour in
@@ -267,7 +181,7 @@ mod tests {
             transfer(at(200), Download, 1, 1, 1, 500, 1, "txt"),
             transfer(at(3700), Upload, 1, 1, 2, 2000, 2, "txt"),
         ];
-        let ts = traffic_per_hour(&recs, SimTime::from_hours(2));
+        let ts = chunked(&[&recs], SimTime::from_hours(2)).traffic;
         assert_eq!(ts.upload_bytes, vec![1000.0, 2000.0]);
         assert_eq!(ts.download_bytes, vec![500.0, 0.0]);
     }
@@ -278,7 +192,7 @@ mod tests {
         if let u1_trace::Payload::Storage(done) = &mut rec.payload {
             done.success = false;
         }
-        let ts = traffic_per_hour(&[rec], SimTime::from_hours(1));
+        let ts = chunked(&[&[rec]], SimTime::from_hours(1)).traffic;
         assert_eq!(ts.upload_bytes, vec![0.0]);
     }
 
@@ -290,15 +204,10 @@ mod tests {
             op(at(12), ListVolumes, 1, 1),
             rpc_on(at(13), 0, 0, u1_core::RpcKind::GetNode, 1, 0, 100),
         ];
-        let horizon = SimTime::from_hours(1);
-        for (family, expected) in [
-            (RequestFamily::Session, 1.0),
-            (RequestFamily::Auth, 1.0),
-            (RequestFamily::Storage, 1.0),
-            (RequestFamily::Rpc, 1.0),
-        ] {
-            assert_eq!(requests_per_hour(&recs, horizon, family), vec![expected]);
-        }
+        let ddos = chunked(&[&recs], SimTime::from_hours(1)).ddos;
+        assert_eq!(ddos.session_per_hour, vec![1.0]);
+        assert_eq!(ddos.auth_per_hour, vec![1.0]);
+        assert_eq!(ddos.storage_per_hour, vec![1.0]);
     }
 
     #[test]
@@ -311,7 +220,7 @@ mod tests {
             transfer(at(3800), Upload, 1, 7, 1, 10, 1, "txt"),
             session_close(at(2 * 3600 + 30), 1, 7),
         ];
-        let series = online_active_per_hour(&recs, SimTime::from_hours(3));
+        let series = chunked(&[&recs], SimTime::from_hours(3)).online_active;
         assert_eq!(series.online, vec![1, 1, 1]);
         assert_eq!(series.active, vec![0, 1, 0]);
     }
@@ -319,14 +228,14 @@ mod tests {
     #[test]
     fn unclosed_sessions_count_online_to_the_end() {
         let recs = vec![session_open(at(10), 1, 7)];
-        let series = online_active_per_hour(&recs, SimTime::from_hours(2));
+        let series = chunked(&[&recs], SimTime::from_hours(2)).online_active;
         assert_eq!(series.online, vec![1, 1]);
     }
 
     #[test]
     fn chunked_online_active_handles_boundary_sessions() {
         // Session spans the chunk boundary; a re-open overwrites; a stray
-        // close takes the fallback arm. Every split must equal serial.
+        // close takes the fallback arm. Every split must equal one chunk.
         let recs = vec![
             session_open(at(10), 1, 7),
             session_open(at(20), 2, 8),
@@ -336,7 +245,9 @@ mod tests {
             session_close(at(7400), 3, 9), // never opened: fallback
         ];
         let horizon = SimTime::from_hours(4);
-        let serial = online_active_per_hour(&recs, horizon);
+        let serial = chunked(&[&recs], horizon).online_active;
+        assert_eq!(serial.online, vec![1, 2, 2, 0]);
+        assert_eq!(serial.active, vec![0, 0, 0, 0]);
         for split in 0..=recs.len() {
             let (a, b) = recs.split_at(split);
             let chunks = [a, b];

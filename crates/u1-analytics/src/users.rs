@@ -4,9 +4,8 @@
 use crate::stats::{lorenz, Ecdf, Lorenz};
 use crate::timeseries::OnlineActiveSeries;
 use serde::Serialize;
-use std::collections::HashMap;
-use u1_core::{ApiOpKind, FxHashMap, SimTime};
-use u1_trace::{Payload, SessionEvent, TraceRecord};
+use u1_core::ApiOpKind;
+use u1_trace::{Payload, SessionEvent};
 
 /// Fig. 7(a): operation counts per type. Session open/close and
 /// authentications are included as in the paper's bar chart.
@@ -42,14 +41,6 @@ pub(crate) fn op_mix_of(counts: &OpCounts) -> OpMix {
     OpMix { counts }
 }
 
-pub fn op_mix(records: &[TraceRecord]) -> OpMix {
-    let mut counts = [0; ApiOpKind::ALL.len()];
-    for op in records.iter().filter_map(|rec| op_of(&rec.payload)) {
-        counts[op as usize] += 1;
-    }
-    op_mix_of(&counts)
-}
-
 /// Per-user transferred bytes.
 #[derive(Debug, Clone, Default, Serialize)]
 pub struct UserTraffic {
@@ -68,18 +59,6 @@ impl UserTraffic {
     }
 }
 
-pub fn per_user_traffic(records: &[TraceRecord]) -> HashMap<u64, UserTraffic> {
-    // Every user that appears at all is part of the population.
-    let mut users: FxHashMap<u64, UserTraffic> = FxHashMap::default();
-    for rec in records {
-        let traffic = users.entry(rec.payload.user().raw()).or_default();
-        if let Some(done) = rec.payload.storage().filter(|done| done.success) {
-            traffic.add(done.op, done.size);
-        }
-    }
-    users.into_iter().collect()
-}
-
 /// Fig. 7(b)/(c): per-user traffic distribution and inequality.
 #[derive(Debug, Serialize)]
 pub struct TrafficInequality {
@@ -94,12 +73,6 @@ pub struct TrafficInequality {
     pub download_lorenz: Lorenz,
     /// Share of total traffic generated by the top 1% of active users.
     pub top1_share: f64,
-}
-
-/// Derives the inequality report from an already-computed per-user traffic
-/// map.
-pub fn traffic_inequality_from_traffic(per_user: &HashMap<u64, UserTraffic>) -> TrafficInequality {
-    inequality(per_user.values())
 }
 
 /// The inequality report over every user's traffic. Every statistic sorts
@@ -143,10 +116,6 @@ pub(crate) fn inequality<'a>(
     }
 }
 
-pub fn traffic_inequality(records: &[TraceRecord]) -> TrafficInequality {
-    traffic_inequality_from_traffic(&per_user_traffic(records))
-}
-
 /// §6.1's user classes, computed post-hoc from traffic exactly as Drago et
 /// al. define them: occasional < 10KB total; three orders of magnitude of
 /// up/down imbalance ⇒ upload-only / download-only; the rest heavy.
@@ -183,11 +152,6 @@ pub struct ClassShares {
     pub heavy: f64,
 }
 
-/// Derives class shares from an already-computed per-user traffic map.
-pub fn class_shares_from_traffic(per_user: &HashMap<u64, UserTraffic>) -> ClassShares {
-    class_shares_of(per_user.values())
-}
-
 /// Class shares over every user's traffic.
 pub(crate) fn class_shares_of<'a>(per_user: impl Iterator<Item = &'a UserTraffic>) -> ClassShares {
     let mut n = 0usize;
@@ -211,10 +175,6 @@ pub(crate) fn class_shares_of<'a>(per_user: impl Iterator<Item = &'a UserTraffic
     }
 }
 
-pub fn class_shares(records: &[TraceRecord]) -> ClassShares {
-    class_shares_from_traffic(&per_user_traffic(records))
-}
-
 /// Fig. 6 summary: the range of active/online ratios across hours.
 #[derive(Debug, Clone, Serialize)]
 pub struct ActiveOnlineSummary {
@@ -223,8 +183,10 @@ pub struct ActiveOnlineSummary {
     pub mean_ratio: f64,
 }
 
-/// Derives the Fig. 6 summary from an already-computed hourly series.
-pub fn active_online_summary_from_series(series: &OnlineActiveSeries) -> ActiveOnlineSummary {
+/// The Fig. 6 summary of the hourly online and active counts.
+pub(crate) fn active_online_summary_from_series(
+    series: &OnlineActiveSeries,
+) -> ActiveOnlineSummary {
     let ratios: Vec<f64> = series
         .online
         .iter()
@@ -239,15 +201,12 @@ pub fn active_online_summary_from_series(series: &OnlineActiveSeries) -> ActiveO
     }
 }
 
-pub fn active_online_summary(records: &[TraceRecord], horizon: SimTime) -> ActiveOnlineSummary {
-    active_online_summary_from_series(&crate::timeseries::online_active_per_hour(records, horizon))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::testkit::*;
     use u1_core::ApiOpKind::*;
+    use u1_core::SimTime;
 
     #[test]
     fn op_mix_counts_sessions_and_auth() {
@@ -259,7 +218,7 @@ mod tests {
             transfer(at(4), Upload, 1, 1, 2, 10, 2, "a"),
             session_close(at(5), 1, 1),
         ];
-        let mix = op_mix(&recs);
+        let mix = chunked(&[&recs], at(60)).op_mix;
         let get = |name: &str| mix.counts.iter().find(|(n, _)| *n == name).unwrap().1;
         assert_eq!(get("Upload"), 2);
         assert_eq!(get("Open Session"), 1);
@@ -302,7 +261,7 @@ mod tests {
             100,
             "a",
         ));
-        let t = traffic_inequality(&recs);
+        let t = chunked(&[&recs], at(200)).inequality;
         assert_eq!(t.users, 100);
         assert!((t.users_who_upload - 1.0).abs() < 1e-9);
         assert_eq!(t.users_who_download, 0.0);
@@ -316,7 +275,7 @@ mod tests {
             session_open(at(1), 1, 42),
             transfer(at(2), Upload, 2, 7, 1, 100, 1, "a"),
         ];
-        let t = traffic_inequality(&recs);
+        let t = chunked(&[&recs], at(200)).inequality;
         assert_eq!(t.users, 2);
         assert!((t.users_who_upload - 0.5).abs() < 1e-9);
     }
@@ -330,7 +289,7 @@ mod tests {
             session_close(at(7000), 1, 1),
             session_close(at(7000), 2, 2),
         ];
-        let s = active_online_summary(&recs, SimTime::from_hours(2));
+        let s = chunked(&[&recs], SimTime::from_hours(2)).active_online;
         assert!((s.max_ratio - 0.5).abs() < 1e-9); // hour 0: 1 active / 2 online
         assert_eq!(s.min_ratio, 0.0); // hour 1: 0 active / 2 online
     }

@@ -905,8 +905,8 @@ pub fn exp_faults(spec: &str) -> io::Result<()> {
     let baseline = crate::run_scenario(cfg.clone());
     let faulted = crate::run_scenario_with_faults(cfg, plan);
 
-    let base_f = ana::faults::fault_analysis(&baseline.records);
-    let inj_f = ana::faults::fault_analysis(&faulted.records);
+    let base_f = crate::analyze(&baseline).faults;
+    let inj_f = crate::analyze(&faulted).faults;
     let br = &baseline.report;
     let fr = &faulted.report;
 

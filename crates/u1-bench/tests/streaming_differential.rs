@@ -1,15 +1,21 @@
-//! Differential coverage for the streaming analytics engine: on a
-//! deterministic quick-scale scenario, every converted analyzer's streaming
-//! result must be EXACTLY equal (bitwise, via serialized JSON — the
-//! vendored stub compares float bits, so NaN == NaN) to the legacy
-//! slice-based result, at adversarial chunk splits, and `merge` must be
-//! associative.
+//! The streaming analytics engine on a deterministic simulated month (200
+//! users × 4 days, attacks on):
+//! * every report field agrees with the reference built from the paper's
+//!   definitions (`u1-analytics/tests/oracle`), serially and merged from
+//!   chunks cut at day boundaries;
+//! * the merge is exact at adversarial splits: halves, thirds, ragged
+//!   edges, day boundaries and single-record chunks all give the serial
+//!   report (compared as JSON, whose vendored comparison takes float bits,
+//!   so NaN == NaN);
+//! * the merge is associative.
+
+#[path = "../../u1-analytics/tests/oracle/mod.rs"]
+mod oracle;
 
 use std::sync::OnceLock;
 use u1_analytics as ana;
 use u1_analytics::engine::{run_all, run_chunks, Battery, EngineReport, TraceFold};
 use u1_bench::{run_scenario, Scenario};
-use u1_core::ApiOpKind;
 use u1_trace::TraceRecord;
 use u1_workload::WorkloadConfig;
 
@@ -35,125 +41,20 @@ fn report() -> &'static EngineReport {
     })
 }
 
-fn assert_json_eq<A: serde::Serialize, B: serde::Serialize>(streaming: &A, legacy: &B, what: &str) {
-    assert_eq!(
-        serde_json::to_value(streaming),
-        serde_json::to_value(legacy),
-        "streaming != legacy slice output for {what}"
-    );
-}
-
-/// Every battery field against the legacy free function it wraps — the
-/// single-pass report must match per-analyzer slice results exactly.
+/// Every report field against the reference, on the serial report and on
+/// one merged from chunks cut at every day boundary (which cuts sessions,
+/// chains and gaps that span midnight).
 #[test]
-fn battery_fields_equal_legacy_analyzers_exactly() {
+fn report_agrees_with_the_reference_on_the_month() {
     let scn = scenario();
-    let rep = report();
-    let recs = &scn.records;
-    let horizon = scn.horizon;
     let cfg = u1_bench::engine_config(scn);
-    let exts: Vec<&str> = cfg.exts.iter().map(String::as_str).collect();
-
-    assert_json_eq(
-        &rep.summary,
-        &ana::summary::trace_summary(recs, horizon),
-        "summary",
-    );
-    assert_json_eq(
-        &rep.traffic,
-        &ana::timeseries::traffic_per_hour(recs, horizon),
-        "traffic",
-    );
-    assert_eq!(
-        rep.diurnal_swing.to_bits(),
-        ana::storage::upload_diurnal_swing(recs, horizon).to_bits(),
-        "diurnal_swing"
-    );
-    assert_json_eq(
-        &rep.online_active,
-        &ana::timeseries::online_active_per_hour(recs, horizon),
-        "online_active",
-    );
-    assert_json_eq(
-        &rep.active_online,
-        &ana::users::active_online_summary(recs, horizon),
-        "active_online",
-    );
-    assert_json_eq(
-        &rep.size_shares,
-        &ana::storage::size_category_shares(recs),
-        "size_shares",
-    );
-    assert_json_eq(&rep.rw, &ana::storage::rw_ratio(recs, horizon), "rw");
-    assert_json_eq(
-        &rep.updates,
-        &ana::storage::update_analysis(recs),
-        "updates",
-    );
-    assert_json_eq(
-        &rep.taxonomy,
-        &ana::storage::taxonomy_shares(recs),
-        "taxonomy",
-    );
-    assert_json_eq(
-        &rep.size_by_ext,
-        &ana::storage::size_by_extension(recs, &exts),
-        "size_by_ext",
-    );
-    assert_json_eq(&rep.dedup, &ana::dedup::dedup_analysis(recs), "dedup");
-    assert_json_eq(
-        &rep.dependencies,
-        &ana::dependencies::dependency_analysis(recs),
-        "dependencies",
-    );
-    assert_json_eq(
-        &rep.lifetimes,
-        &ana::dependencies::lifetime_analysis(recs),
-        "lifetimes",
-    );
-    assert_json_eq(
-        &rep.ddos,
-        &ana::ddos::detect(recs, horizon, &cfg.ddos),
-        "ddos",
-    );
-    assert_json_eq(&rep.op_mix, &ana::users::op_mix(recs), "op_mix");
-    assert_json_eq(
-        &rep.inequality,
-        &ana::users::traffic_inequality(recs),
-        "inequality",
-    );
-    assert_json_eq(
-        &rep.class_shares,
-        &ana::users::class_shares(recs),
-        "class_shares",
-    );
-    assert_json_eq(&rep.markov, &ana::markov::transition_graph(recs), "markov");
-    assert_json_eq(
-        &rep.burst_upload,
-        &ana::burstiness::burstiness(recs, ApiOpKind::Upload),
-        "burst_upload",
-    );
-    assert_json_eq(
-        &rep.burst_unlink,
-        &ana::burstiness::burstiness(recs, ApiOpKind::Unlink),
-        "burst_unlink",
-    );
-    assert_json_eq(&rep.rpc, &ana::rpc::rpc_analysis(recs), "rpc");
-    assert_json_eq(
-        &rep.load_balance,
-        &ana::rpc::load_balance(recs, horizon, cfg.machines, cfg.shards, cfg.lb_minutes),
-        "load_balance",
-    );
-    assert_json_eq(
-        &rep.auth,
-        &ana::sessions::auth_activity(recs, horizon),
-        "auth",
-    );
-    assert_json_eq(
-        &rep.sessions,
-        &ana::sessions::session_analysis(recs),
-        "sessions",
-    );
+    oracle::check(report(), &scn.records, &cfg);
+    let chunks: Vec<&[TraceRecord]> = scn
+        .records
+        .chunk_by(|a, b| a.t.day_index() == b.t.day_index())
+        .collect();
+    assert!(chunks.len() > 1, "the month spans several days");
+    oracle::check(&run_chunks(Battery::new(&cfg), &chunks), &scn.records, &cfg);
 }
 
 /// Splits the records at a set of adversarial offsets and checks the merged

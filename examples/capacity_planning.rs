@@ -8,7 +8,7 @@
 //! ```
 
 use std::sync::Arc;
-use ubuntuone::analytics as ana;
+use ubuntuone::analytics::engine::{run_all, EngineConfig};
 use ubuntuone::blobstore::{tier, TierPolicy};
 use ubuntuone::core::SimClock;
 use ubuntuone::metastore::StoreConfig;
@@ -41,9 +41,9 @@ fn run_with_shards(shards: u16) -> (f64, f64, f64) {
     let horizon = cfg.horizon();
     Driver::new(cfg, Arc::clone(&backend), clock).run();
     let records = sink.take_sorted();
-    let lb = ana::rpc::load_balance(&records, horizon, 6, shards as usize, 60);
-    let rpc = ana::rpc::rpc_analysis(&records);
-    let read_median = rpc.class_median(ubuntuone::core::RpcClass::Read);
+    let report = run_all(&records, &EngineConfig::new(horizon, 6, shards as usize));
+    let lb = &report.load_balance;
+    let read_median = report.rpc.class_median(ubuntuone::core::RpcClass::Read);
     (lb.shard_mean_cv, lb.shard_longrun_cv, read_median)
 }
 

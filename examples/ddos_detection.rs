@@ -9,6 +9,7 @@
 
 use std::sync::Arc;
 use ubuntuone::analytics::ddos;
+use ubuntuone::analytics::engine::{run_all, EngineConfig};
 use ubuntuone::core::SimClock;
 use ubuntuone::server::{Backend, BackendConfig};
 use ubuntuone::trace::MemorySink;
@@ -41,7 +42,12 @@ fn main() {
     );
 
     let records = sink.take_sorted();
-    let detection = ddos::detect(&records, horizon, &ddos::DetectorConfig::default());
+    let engine = EngineConfig::new(
+        horizon,
+        backend.config().cluster.machines as usize,
+        backend.config().store.shards as usize,
+    );
+    let detection = run_all(&records, &engine).ddos;
 
     println!("\nhourly session requests around the attacks (days 4-5):");
     for h in 96..144 {

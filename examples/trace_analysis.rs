@@ -9,8 +9,8 @@
 //! ```
 
 use std::sync::Arc;
-use ubuntuone::analytics as ana;
-use ubuntuone::core::{ApiOpKind, SimClock, SimTime};
+use ubuntuone::analytics::engine::{run_all, EngineConfig};
+use ubuntuone::core::SimClock;
 use ubuntuone::server::{Backend, BackendConfig};
 use ubuntuone::trace::{Anonymizer, DirSink, LogDirReader};
 use ubuntuone::workload::{Driver, WorkloadConfig};
@@ -56,26 +56,27 @@ fn main() {
     // 3. Anonymize, as Canonical did before releasing the dataset.
     Anonymizer::new(0xC0FFEE).anonymize_all(&mut records);
 
-    // 4. Analyze.
-    let summary = ana::summary::trace_summary(&records, horizon);
+    // 4. Analyze: one pass, every figure (6 API machines, 10 shards).
+    let report = run_all(&records, &EngineConfig::new(horizon, 6, 10));
+    let summary = &report.summary;
     println!(
         "\nTable-3-style summary: {} users, {} files, {} sessions, {} transfer ops",
         summary.unique_users, summary.unique_files, summary.sessions, summary.transfer_ops
     );
 
-    let mix = ana::users::op_mix(&records);
+    let mix = &report.op_mix;
     println!("\ntop operations:");
     for (name, count) in mix.counts.iter().take(8) {
         println!("  {name:<16} {count:>8}");
     }
 
-    let dedup = ana::dedup::dedup_analysis(&records);
+    let dedup = &report.dedup;
     println!(
         "\ndedup ratio {:.3} over {} uploads of {} distinct contents",
         dedup.dedup_ratio, dedup.total_uploads, dedup.unique_contents
     );
 
-    let sessions = ana::sessions::session_analysis(&records);
+    let sessions = &report.sessions;
     println!(
         "sessions: {:.1}% under 1s, {:.1}% under 8h, {:.1}% active",
         sessions.under_1s * 100.0,
@@ -83,7 +84,7 @@ fn main() {
         sessions.active_fraction * 100.0
     );
 
-    let burst = ana::burstiness::burstiness(&records, ApiOpKind::Upload);
+    let burst = &report.burst_upload;
     println!(
         "upload inter-op times: CV {:.1} (bursty, non-Poisson){}",
         burst.cv,
@@ -96,7 +97,7 @@ fn main() {
             .unwrap_or_default()
     );
 
-    let lb = ana::rpc::load_balance(&records, horizon, 6, 10, 60);
+    let lb = &report.load_balance;
     println!(
         "load balance: API hourly CV {:.2}; shard long-run imbalance {:.1}%",
         lb.api_mean_cv,
@@ -112,5 +113,4 @@ fn main() {
             println!("  {line}");
         }
     }
-    let _ = SimTime::ZERO; // silence potential unused import on some configs
 }

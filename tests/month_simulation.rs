@@ -1,11 +1,11 @@
 //! Virtual-time integration: simulate a small population over a full
 //! 30-day window and assert that the trace reproduces the paper's shapes —
 //! the same checks the experiment harness reports, as hard assertions with
-//! scale-tolerant bands.
+//! scale-tolerant bands, read from the month's one analytics report.
 
 use std::sync::{Arc, OnceLock};
 use ubuntuone::analytics as ana;
-use ubuntuone::analytics::engine::{run_all, EngineConfig};
+use ubuntuone::analytics::engine::{run_all, EngineConfig, EngineReport};
 use ubuntuone::core::sha1::Sha1;
 use ubuntuone::core::{ApiOpKind, SimClock};
 use ubuntuone::server::{Backend, BackendConfig};
@@ -30,6 +30,21 @@ fn run_month() -> &'static Run {
             seed_files: 1.0,
             workers: 0,
         })
+    })
+}
+
+/// The month's one analytics pass, shared by the shape and pin tests.
+fn month_report() -> &'static EngineReport {
+    static REPORT: OnceLock<EngineReport> = OnceLock::new();
+    REPORT.get_or_init(|| {
+        let run = run_month();
+        let backend = run.backend.config();
+        let cfg = EngineConfig::new(
+            run.horizon,
+            backend.cluster.machines as usize,
+            backend.store.shards as usize,
+        );
+        run_all(&run.records, &cfg)
     })
 }
 
@@ -63,9 +78,10 @@ fn month_trace_reproduces_paper_shapes() {
         "substantial trace: {}",
         records.len()
     );
+    let report = month_report();
 
     // --- Table 3 basics -------------------------------------------------
-    let summary = ana::summary::trace_summary(records, run.horizon);
+    let summary = &report.summary;
     assert_eq!(summary.trace_days, 30);
     assert!(summary.sessions > 3_000);
     assert!(summary.transfer_ops > 1_500);
@@ -73,7 +89,7 @@ fn month_trace_reproduces_paper_shapes() {
     assert!((0.5..=2.5).contains(&rw), "overall R/W {rw} (paper 1.14)");
 
     // --- Fig. 2(b): small files dominate ops, huge files dominate bytes --
-    let sizes = ana::storage::size_category_shares(records);
+    let sizes = &report.size_shares;
     assert!(
         sizes.upload_op_share[0] > 0.6,
         "tiny-file upload ops {} (paper 0.84)",
@@ -86,21 +102,17 @@ fn month_trace_reproduces_paper_shapes() {
     );
 
     // --- Fig. 4(a)/(b): dedup and file sizes -----------------------------
-    let dedup = ana::dedup::dedup_analysis(records);
+    let dedup = &report.dedup;
     assert!(
         (0.08..=0.35).contains(&dedup.dedup_ratio),
         "dedup ratio {} (paper 0.171)",
         dedup.dedup_ratio
     );
-    let by_size = ana::storage::size_by_extension(records, &[]);
-    assert!(
-        by_size.under_1mb_fraction > 0.75,
-        "files under 1MB {} (paper 0.90)",
-        by_size.under_1mb_fraction
-    );
+    let under_1mb = report.size_by_ext.under_1mb_fraction;
+    assert!(under_1mb > 0.75, "files under 1MB {under_1mb} (paper 0.90)");
 
     // --- §5.1: update overhead -------------------------------------------
-    let upd = ana::storage::update_analysis(records);
+    let upd = &report.updates;
     assert!(
         (0.04..=0.25).contains(&upd.update_op_fraction),
         "update op fraction {} (paper 0.1005)",
@@ -112,7 +124,7 @@ fn month_trace_reproduces_paper_shapes() {
     );
 
     // --- Fig. 7(c): inequality -------------------------------------------
-    let ineq = ana::users::traffic_inequality(records);
+    let ineq = &report.inequality;
     assert!(
         ineq.upload_lorenz.gini > 0.75,
         "upload gini {} (paper 0.894)",
@@ -128,7 +140,7 @@ fn month_trace_reproduces_paper_shapes() {
     );
 
     // --- Fig. 9: burstiness ----------------------------------------------
-    let burst = ana::burstiness::burstiness(records, ApiOpKind::Upload);
+    let burst = &report.burst_upload;
     assert!(
         burst.cv > 2.0,
         "upload inter-op CV {} — not Poisson",
@@ -143,12 +155,12 @@ fn month_trace_reproduces_paper_shapes() {
     }
 
     // --- Fig. 8: transfer self-transitions dominate -----------------------
-    let graph = ana::markov::transition_graph(records);
+    let graph = &report.markov;
     let upload_self = graph.probability(ApiOpKind::Upload, ApiOpKind::Upload);
     assert!(upload_self > 0.01, "upload self-loop {upload_self}");
 
     // --- Figs. 12–13: RPC latency classes ---------------------------------
-    let rpc = ana::rpc::rpc_analysis(records);
+    let rpc = &report.rpc;
     let read = rpc.class_median(ubuntuone::core::RpcClass::Read);
     let write = rpc.class_median(ubuntuone::core::RpcClass::Write);
     let cascade = rpc.class_median(ubuntuone::core::RpcClass::Cascade);
@@ -162,7 +174,7 @@ fn month_trace_reproduces_paper_shapes() {
     );
 
     // --- Fig. 16: sessions -------------------------------------------------
-    let sess = ana::sessions::session_analysis(records);
+    let sess = &report.sessions;
     assert!(
         (0.2..=0.45).contains(&sess.under_1s),
         "sub-second sessions {} (paper 0.32)",
@@ -185,7 +197,7 @@ fn month_trace_reproduces_paper_shapes() {
     );
 
     // --- Fig. 5: the three attacks are discoverable ------------------------
-    let eps = ana::ddos::detect(records, run.horizon, &Default::default()).episodes;
+    let eps = &report.ddos.episodes;
     let control: Vec<_> = eps
         .iter()
         .filter(|e| e.signal != "storage")
@@ -224,7 +236,7 @@ fn month_trace_reproduces_paper_shapes() {
     );
 
     // --- Fig. 15: auth diurnality -------------------------------------------
-    let auth = ana::sessions::auth_activity(records, run.horizon);
+    let auth = &report.auth;
     assert!(
         auth.diurnal_swing > 1.2,
         "auth day/night swing {} (paper 1.5-1.6)",
@@ -241,15 +253,8 @@ fn month_trace_reproduces_paper_shapes() {
 /// compact JSON: any change to any reported number fails here.
 #[test]
 fn month_report_is_pinned() {
-    let run = run_month();
-    assert_eq!(run.records.len(), 417_772);
-    let store = &run.backend.config().store;
-    let cfg = EngineConfig::new(
-        run.horizon,
-        run.backend.config().cluster.machines as usize,
-        store.shards as usize,
-    );
-    let json = serde_json::to_string(&run_all(&run.records, &cfg)).expect("report serializes");
+    assert_eq!(run_month().records.len(), 417_772);
+    let json = serde_json::to_string(month_report()).expect("report serializes");
     assert_eq!(
         Sha1::digest(json.as_bytes()).to_hex(),
         "a9aa667a60666376d98003a16989fa6838e94f67"

@@ -1,7 +1,7 @@
 //! The analytics battery's output, pinned byte for byte.
 //!
 //! The other report tests pin relations between entry points (serial ==
-//! chunked == off-disk, battery == standalone analyzer). A change that moves
+//! chunked == off-disk, battery == reference oracle). A change that moves
 //! one number the same way everywhere passes all of them. This test pins the
 //! content itself: the compact JSON of `run_all` over the quick month has
 //! one SHA-1, and every entry point must reproduce it.

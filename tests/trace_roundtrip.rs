@@ -1,13 +1,13 @@
 //! Trace pipeline integration: a simulated trace written to paper-format
-//! logfiles, read back, merged and anonymized must support the same
-//! analyses as the in-memory records — the fidelity Canonical's release
-//! pipeline needed.
+//! logfiles, read back, merged and anonymized must give the same analytics
+//! report, byte for byte, as the in-memory records — the fidelity
+//! Canonical's release pipeline needed.
 
 use std::sync::Arc;
-use ubuntuone::analytics as ana;
-use ubuntuone::core::SimClock;
+use ubuntuone::analytics::engine::{run_all, EngineConfig};
+use ubuntuone::core::{SimClock, SimTime};
 use ubuntuone::server::{Backend, BackendConfig};
-use ubuntuone::trace::{Anonymizer, DirSink, LogDirReader, MemorySink, TraceSink};
+use ubuntuone::trace::{Anonymizer, DirSink, LogDirReader, MemorySink, TraceRecord, TraceSink};
 use ubuntuone::workload::{Driver, WorkloadConfig};
 
 fn cfg() -> WorkloadConfig {
@@ -21,11 +21,21 @@ fn cfg() -> WorkloadConfig {
     }
 }
 
+/// The compact JSON of the whole analytics report over `records`.
+fn report_json(records: &[TraceRecord], backend: &Backend, horizon: SimTime) -> String {
+    let cfg = EngineConfig::new(
+        horizon,
+        backend.config().cluster.machines as usize,
+        backend.config().store.shards as usize,
+    );
+    serde_json::to_string(&run_all(records, &cfg)).expect("report serializes")
+}
+
 /// A sink that tees into memory and a logfile directory at once.
 struct Tee(Arc<MemorySink>, DirSink);
 
 impl TraceSink for Tee {
-    fn record(&self, rec: ubuntuone::trace::TraceRecord) {
+    fn record(&self, rec: TraceRecord) {
         self.0.record(rec.clone());
         self.1.record(rec);
     }
@@ -61,17 +71,11 @@ fn logfile_round_trip_preserves_every_analysis_input() {
     for (a, b) in direct.iter().zip(from_disk.iter()) {
         assert_eq!(a.t, b.t);
     }
-    // Analyses computed from both sources agree exactly.
-    let s1 = ana::summary::trace_summary(&direct, horizon);
-    let s2 = ana::summary::trace_summary(&from_disk, horizon);
-    assert_eq!(s1, s2);
-    let d1 = ana::dedup::dedup_analysis(&direct);
-    let d2 = ana::dedup::dedup_analysis(&from_disk);
-    assert_eq!(d1.dedup_ratio, d2.dedup_ratio);
-    assert_eq!(d1.unique_contents, d2.unique_contents);
-    let u1 = ana::storage::update_analysis(&direct);
-    let u2 = ana::storage::update_analysis(&from_disk);
-    assert_eq!(u1, u2);
+    // The whole report computed from both sources agrees byte for byte.
+    assert_eq!(
+        report_json(&direct, &backend, horizon),
+        report_json(&from_disk, &backend, horizon)
+    );
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -101,27 +105,11 @@ fn anonymization_preserves_all_aggregate_statistics() {
     assert_ne!(raw_users, anon_users, "ids must be scrambled");
     assert_eq!(raw_users.len(), anon_users.len(), "…but stay distinct");
 
-    // ...while every aggregate analysis is untouched: per-user correlation
-    // survives the keyed bijection.
-    let s1 = ana::summary::trace_summary(&original, horizon);
-    let s2 = ana::summary::trace_summary(&anonymized, horizon);
-    assert_eq!(s1.unique_users, s2.unique_users);
-    assert_eq!(s1.unique_files, s2.unique_files);
-    assert_eq!(s1.upload_bytes, s2.upload_bytes);
-
-    let g1 = ana::users::traffic_inequality(&original);
-    let g2 = ana::users::traffic_inequality(&anonymized);
-    assert!((g1.upload_lorenz.gini - g2.upload_lorenz.gini).abs() < 1e-12);
-    assert!((g1.top1_share - g2.top1_share).abs() < 1e-12);
-
-    let b1 = ana::burstiness::interop_times(&original, ubuntuone::core::ApiOpKind::Upload);
-    let b2 = ana::burstiness::interop_times(&anonymized, ubuntuone::core::ApiOpKind::Upload);
-    let sum1: f64 = b1.iter().sum();
-    let sum2: f64 = b2.iter().sum();
-    assert_eq!(b1.len(), b2.len());
-    assert!((sum1 - sum2).abs() < 1e-6);
-
-    let dep1 = ana::dependencies::dependency_analysis(&original);
-    let dep2 = ana::dependencies::dependency_analysis(&anonymized);
-    assert_eq!(dep1.counts, dep2.counts);
+    // ...while the whole report is untouched: the keyed bijection keeps
+    // every per-user, per-session and per-node correlation, and the
+    // extensions.
+    assert_eq!(
+        report_json(&original, &backend, horizon),
+        report_json(&anonymized, &backend, horizon)
+    );
 }
