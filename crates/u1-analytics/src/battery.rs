@@ -17,7 +17,7 @@
 use crate::burstiness;
 use crate::dedup::Copies;
 use crate::dependencies::{made, Chain, Created, Deps, Ev, Lifetimes};
-use crate::engine::{Ends, EngineConfig, EngineReport, TraceFold};
+use crate::engine::{Ends, EngineConfig, EngineReport, TraceFold, EXTS};
 use crate::faults::FaultCounts;
 use crate::markov::{chain_op, Transitions};
 use crate::rpc::{LoadGrid, RpcSamples};
@@ -220,7 +220,7 @@ impl Battery {
             sizes: SizeCounts::default(),
             updates: UpdateAnalysis::default(),
             upload_sizes: Vec::new(),
-            ext_sizes: vec![Vec::new(); cfg.exts.len()],
+            ext_sizes: vec![Vec::new(); EXTS.len()],
             deps: Deps::default(),
             lifetimes: Lifetimes::default(),
             unresolved: Vec::new(),
@@ -228,7 +228,7 @@ impl Battery {
             upload_gaps: Vec::new(),
             unlink_gaps: Vec::new(),
             rpc: RpcSamples::default(),
-            load: LoadGrid::new(cfg.horizon, cfg.machines, cfg.shards, cfg.lb_minutes),
+            load: LoadGrid::new(cfg.horizon, cfg.machines, cfg.shards),
             auths: 0,
             auth_failures: 0,
             session_log: SessionLog::default(),
@@ -294,10 +294,9 @@ impl Battery {
     /// A successful upload's sizes and content; returns what its node
     /// records of it.
     fn upload(&mut self, done: &StorageDone) -> (Content<u32>, FileCategory) {
-        let exts = &self.cfg.exts;
         let ext = *self.exts.entry(done.ext).or_insert_with(|| ExtInfo {
             category: FileCategory::of_extension(&done.ext),
-            curve: exts.iter().position(|e| e.as_str() == done.ext.as_str()),
+            curve: EXTS.iter().position(|&e| e == done.ext.as_str()),
         });
         self.upload_sizes.push(done.size);
         if let Some(curve) = ext.curve {
@@ -507,18 +506,14 @@ impl TraceFold for Battery {
                     .iter()
                     .filter_map(|n| n.uploads.map(|up| (up.category, up.last_size))),
             ),
-            size_by_ext: crate::storage::size_by_ext(
-                self.upload_sizes,
-                self.ext_sizes,
-                &self.cfg.exts,
-            ),
+            size_by_ext: crate::storage::size_by_ext(self.upload_sizes, self.ext_sizes),
             dedup: crate::dedup::dedup(self.contents.rows.iter()),
             dependencies: self.deps.finish(
                 nodes.iter().map(|n| n.reads),
                 nodes.iter().filter(|n| n.chain.is_some()).count() as u64,
             ),
             lifetimes: self.lifetimes.finish(),
-            ddos: crate::ddos::report(&self.hours, &self.cfg.ddos),
+            ddos: crate::ddos::report(&self.hours),
             op_mix: crate::users::op_mix_of(&self.ops),
             inequality: crate::users::inequality(users()),
             class_shares: crate::users::class_shares_of(users()),

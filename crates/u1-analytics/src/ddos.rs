@@ -27,30 +27,16 @@ impl Episode {
     }
 }
 
-/// Detection parameters.
-#[derive(Debug, Clone)]
-pub struct DetectorConfig {
-    /// An hour is anomalous when its count exceeds `threshold ×` the
-    /// trailing-window median.
-    pub threshold: f64,
-    /// Trailing window, hours.
-    pub window: usize,
-    /// Minimum absolute count for an anomaly (suppresses cold-start noise).
-    pub min_count: f64,
-}
+/// An hour is anomalous when its count exceeds `THRESHOLD ×` the
+/// trailing-window median.
+const THRESHOLD: f64 = 4.0;
+/// Trailing window, hours.
+const WINDOW: usize = 48;
+/// Minimum absolute count for an anomaly (suppresses cold-start noise).
+const MIN_COUNT: f64 = 50.0;
 
-impl Default for DetectorConfig {
-    fn default() -> Self {
-        Self {
-            threshold: 4.0,
-            window: 48,
-            min_count: 50.0,
-        }
-    }
-}
-
-fn trailing_median(series: &[f64], i: usize, window: usize) -> f64 {
-    let lo = i.saturating_sub(window);
+fn trailing_median(series: &[f64], i: usize) -> f64 {
+    let lo = i.saturating_sub(WINDOW);
     let mut slice: Vec<f64> = series[lo..i].to_vec();
     if slice.is_empty() {
         return f64::MAX; // nothing to compare against yet
@@ -59,15 +45,15 @@ fn trailing_median(series: &[f64], i: usize, window: usize) -> f64 {
     slice[slice.len() / 2].max(1.0)
 }
 
-fn detect_series(series: &[f64], signal: &'static str, cfg: &DetectorConfig) -> Vec<Episode> {
+fn detect_series(series: &[f64], signal: &'static str) -> Vec<Episode> {
     let mut episodes: Vec<Episode> = Vec::new();
     let mut current: Option<Episode> = None;
     for (i, &v) in series.iter().enumerate() {
-        let baseline = trailing_median(series, i, cfg.window);
+        let baseline = trailing_median(series, i);
         let mult = v / baseline;
         // Warm-up guard: the trailing median needs a day of history before
         // diurnal ramps stop looking anomalous.
-        let anomalous = i >= 24 && v >= cfg.min_count && mult >= cfg.threshold;
+        let anomalous = i >= 24 && v >= MIN_COUNT && mult >= THRESHOLD;
         match (&mut current, anomalous) {
             (None, true) => {
                 current = Some(Episode {
@@ -119,13 +105,13 @@ pub fn distinct_attacks(episodes: &[Episode]) -> Vec<(usize, usize, f64)> {
 }
 
 /// Fig. 5 from the hourly session, auth and storage request counts.
-pub(crate) fn report(hours: &[Hour], cfg: &DetectorConfig) -> DdosReport {
+pub(crate) fn report(hours: &[Hour]) -> DdosReport {
     let session = column(hours, |h| h.session);
     let auth = column(hours, |h| h.auth);
     let storage = column(hours, |h| h.storage);
-    let mut episodes = detect_series(&session, "session", cfg);
-    episodes.extend(detect_series(&auth, "auth", cfg));
-    episodes.extend(detect_series(&storage, "storage", cfg));
+    let mut episodes = detect_series(&session, "session");
+    episodes.extend(detect_series(&auth, "auth"));
+    episodes.extend(detect_series(&storage, "storage"));
     episodes.sort_by_key(|e| (e.start_hour, e.signal));
     DdosReport {
         episodes,
@@ -144,7 +130,7 @@ mod tests {
     #[test]
     fn flat_series_has_no_episodes() {
         let series = vec![100.0; 200];
-        assert!(detect_series(&series, "auth", &DetectorConfig::default()).is_empty());
+        assert!(detect_series(&series, "auth").is_empty());
     }
 
     #[test]
@@ -152,7 +138,7 @@ mod tests {
         let mut series = vec![100.0; 100];
         series[60] = 1500.0;
         series[61] = 1500.0;
-        let eps = detect_series(&series, "auth", &DetectorConfig::default());
+        let eps = detect_series(&series, "auth");
         assert_eq!(eps.len(), 1);
         assert_eq!(eps[0].start_hour, 60);
         assert_eq!(eps[0].end_hour, 61);
@@ -164,7 +150,7 @@ mod tests {
         // A 10x spike on a nearly-zero baseline is below min_count.
         let mut series = vec![1.0; 100];
         series[50] = 10.0;
-        assert!(detect_series(&series, "auth", &DetectorConfig::default()).is_empty());
+        assert!(detect_series(&series, "auth").is_empty());
     }
 
     #[test]

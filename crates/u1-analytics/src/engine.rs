@@ -14,7 +14,7 @@
 //! argument and §13 for the scaling model).
 
 pub use crate::battery::Battery;
-use crate::ddos::{DdosReport, DetectorConfig};
+use crate::ddos::DdosReport;
 use crate::dedup::DedupAnalysis;
 use crate::dependencies::{DependencyAnalysis, LifetimeAnalysis};
 use crate::faults::FaultAnalysis;
@@ -248,7 +248,15 @@ where
     }
 }
 
-/// Configuration for the full experiment battery.
+/// Per-minute load-balance window of Fig. 14, minutes (the paper plots
+/// 60).
+pub const LB_MINUTES: usize = 60;
+
+/// Extensions for the Fig. 4(b) size-by-extension curves.
+pub const EXTS: [&str; 6] = ["jpg", "mp3", "pdf", "doc", "java", "zip"];
+
+/// The trace's dimensions, which the full experiment battery takes as
+/// inputs.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Trace horizon (bins cover `[0, horizon)`).
@@ -257,12 +265,6 @@ pub struct EngineConfig {
     pub machines: usize,
     /// Metadata-store shards for the Fig. 14 load-balance grid.
     pub shards: usize,
-    /// Per-minute load-balance window, minutes (the paper plots 60).
-    pub lb_minutes: usize,
-    /// Extensions for the Fig. 4(b) size-by-extension curves.
-    pub exts: Vec<String>,
-    /// DDoS detector parameters.
-    pub ddos: DetectorConfig,
 }
 
 impl EngineConfig {
@@ -271,12 +273,6 @@ impl EngineConfig {
             horizon,
             machines,
             shards,
-            lb_minutes: 60,
-            exts: ["jpg", "mp3", "pdf", "doc", "java", "zip"]
-                .iter()
-                .map(|s| s.to_string())
-                .collect(),
-            ddos: DetectorConfig::default(),
         }
     }
 }

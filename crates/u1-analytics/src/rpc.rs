@@ -1,6 +1,7 @@
 //! Metadata-store RPC performance and load balance (§7.1–§7.2,
 //! Figs. 12–14).
 
+use crate::engine::LB_MINUTES;
 use crate::stats::{cv, mean, secs, stddev, Ecdf};
 use crate::timeseries::hour_bins;
 use serde::Serialize;
@@ -113,22 +114,20 @@ fn wrap(id: u16, n: usize) -> usize {
 pub(crate) struct LoadGrid {
     machines: usize,
     shards: usize,
-    minutes: usize,
     api: Vec<Vec<u64>>,
     shard: Vec<Vec<u64>>,
     shard_totals: Vec<u64>,
 }
 
 impl LoadGrid {
-    pub(crate) fn new(horizon: SimTime, machines: usize, shards: usize, minutes: usize) -> Self {
-        // Shards are binned per minute over a window (the paper plots 60
-        // minutes) — a full month per minute would be enormous.
+    pub(crate) fn new(horizon: SimTime, machines: usize, shards: usize) -> Self {
+        // Shards are binned per minute over a window — a full month per
+        // minute would be enormous.
         Self {
             machines,
             shards,
-            minutes,
             api: vec![vec![0; machines]; hour_bins(horizon)],
-            shard: vec![vec![0; shards]; minutes.max(1)],
+            shard: vec![vec![0; shards]; LB_MINUTES],
             shard_totals: vec![0; shards],
         }
     }
@@ -143,7 +142,7 @@ impl LoadGrid {
         let idx = wrap(shard.raw(), self.shards);
         self.shard_totals[idx] += 1;
         let minute = t.bin_index(SimDuration::from_mins(1)) as usize;
-        if minute < self.minutes {
+        if minute < LB_MINUTES {
             self.shard[minute][idx] += 1;
         }
     }

@@ -1,6 +1,7 @@
 //! Storage-workload analyses (§5.1, §5.3): size-category traffic shares,
 //! R/W ratios, update overhead, file-type taxonomy and size distributions.
 
+use crate::engine::EXTS;
 use crate::stats::{acf, Acf, Ecdf};
 use crate::timeseries::TrafficSeries;
 use serde::Serialize;
@@ -278,21 +279,17 @@ pub struct SizeByExtension {
 }
 
 /// Fig. 4(b) from the upload sizes: all of them, and those of each
-/// requested extension (`per[i]` holds `exts[i]`'s; an extension with no
+/// extension of [`EXTS`] (`per[i]` holds `EXTS[i]`'s; an extension with no
 /// uploads gets no curve).
-pub(crate) fn size_by_ext<E: AsRef<str>>(
-    all: Vec<u64>,
-    per: Vec<Vec<u64>>,
-    exts: &[E],
-) -> SizeByExtension {
+pub(crate) fn size_by_ext(all: Vec<u64>, per: Vec<Vec<u64>>) -> SizeByExtension {
     let all = Ecdf::from_ints(all, |s| s as f64);
     SizeByExtension {
         under_1mb_fraction: all.cdf(1_000_000.0),
-        by_ext: exts
+        by_ext: EXTS
             .iter()
             .zip(per)
             .filter(|(_, sizes)| !sizes.is_empty())
-            .map(|(e, sizes)| (e.as_ref().to_string(), Ecdf::from_ints(sizes, |s| s as f64)))
+            .map(|(e, sizes)| (e.to_string(), Ecdf::from_ints(sizes, |s| s as f64)))
             .collect(),
         all,
     }

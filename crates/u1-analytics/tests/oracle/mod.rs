@@ -22,7 +22,7 @@ use u1_analytics::burstiness::Burstiness;
 use u1_analytics::ddos::DdosReport;
 use u1_analytics::dedup::DedupAnalysis;
 use u1_analytics::dependencies::{DependencyAnalysis, LifetimeAnalysis};
-use u1_analytics::engine::{EngineConfig, EngineReport};
+use u1_analytics::engine::{EngineConfig, EngineReport, EXTS, LB_MINUTES};
 use u1_analytics::faults::{ClassCount, FaultAnalysis};
 use u1_analytics::markov::{Edge, TransitionGraph};
 use u1_analytics::rpc::{LoadBalance, RpcAnalysis, RpcProfile};
@@ -97,7 +97,7 @@ pub fn check(report: &EngineReport, recs: &[TraceRecord], cfg: &EngineConfig) {
     check_summary(summary, recs, cfg.horizon);
     check_traffic(traffic, *diurnal_swing, rw, &hourly);
     check_online(online_active, active_online, recs, cfg.horizon);
-    check_sizes(size_shares, size_by_ext, recs, &cfg.exts);
+    check_sizes(size_shares, size_by_ext, recs);
     check_nodes(updates, taxonomy, recs);
     check_dedup(dedup, recs);
     check_dependencies(dependencies, recs);
@@ -488,12 +488,7 @@ fn check_online(
 
 // ---- Fig. 2(b), 4(b) ----------------------------------------------------------
 
-fn check_sizes(
-    shares: &SizeCategoryShares,
-    by_ext: &SizeByExtension,
-    recs: &[TraceRecord],
-    exts: &[String],
-) {
+fn check_sizes(shares: &SizeCategoryShares, by_ext: &SizeByExtension, recs: &[TraceRecord]) {
     let SizeCategoryShares {
         categories,
         upload_op_share,
@@ -557,10 +552,10 @@ fn check_sizes(
         frac(small, sizes.len() as u64),
     );
     // One curve per requested extension that was uploaded, in request order.
-    let want: Vec<(&String, Vec<u64>)> = exts
+    let want: Vec<(&str, Vec<u64>)> = EXTS
         .iter()
-        .map(|e| {
-            let of_ext = uploads.iter().filter(|d| d.ext.as_str() == e.as_str());
+        .map(|&e| {
+            let of_ext = uploads.iter().filter(|d| d.ext.as_str() == e);
             (e, of_ext.map(|d| d.size).collect::<Vec<u64>>())
         })
         .filter(|(_, s)| !s.is_empty())
@@ -1287,10 +1282,10 @@ fn check_load(lb: &LoadBalance, recs: &[TraceRecord], cfg: &EngineConfig) {
         shard_longrun_cv,
     } = lb;
     // API requests (session and storage records) per hour and machine;
-    // RPCs per shard in total and per minute over the first `lb_minutes`.
+    // RPCs per shard in total and per minute over the first `LB_MINUTES`.
     // Ids beyond the configured counts wrap around.
     let mut api = vec![vec![0u64; cfg.machines]; hours(cfg.horizon)];
-    let mut minutes = vec![vec![0u64; cfg.shards]; cfg.lb_minutes.max(1)];
+    let mut minutes = vec![vec![0u64; cfg.shards]; LB_MINUTES];
     let mut totals = vec![0u64; cfg.shards];
     for r in recs.iter().filter(|r| r.t < cfg.horizon) {
         match &r.payload {
@@ -1301,7 +1296,7 @@ fn check_load(lb: &LoadBalance, recs: &[TraceRecord], cfg: &EngineConfig) {
                 let s = usize::from(shard.raw()) % cfg.shards;
                 totals[s] += 1;
                 let minute = (r.t.as_micros() / 60_000_000) as usize;
-                if minute < cfg.lb_minutes {
+                if minute < LB_MINUTES {
                     minutes[minute][s] += 1;
                 }
             }

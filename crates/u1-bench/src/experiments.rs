@@ -852,10 +852,9 @@ pub fn exp_ablations(scn: &Scenario, rep: &EngineReport) -> io::Result<()> {
     let upd = &rep.updates;
     let delta_saving = (upd.update_bytes as f64 * 0.9) as u64;
     // (3) Warm/cold tiering on the blob store (§9 suggestion).
-    let policy = u1_blobstore::TierPolicy::default();
-    let sweep = u1_blobstore::tier::tier_sweep(&scn.backend.blobs, &policy, scn.horizon);
-    let flat = sweep.monthly_cost_flat(&policy);
-    let tiered = sweep.monthly_cost(&policy);
+    let sweep = u1_blobstore::tier::tier_sweep(&scn.backend.blobs, scn.horizon);
+    let flat = sweep.monthly_cost_flat();
+    let tiered = sweep.monthly_cost();
     let human = format!(
         "dedup-off ablation: {} extra bytes would hit S3 ({} of upload volume)\n\
          delta-updates ablation: shipping 10%-deltas would save {} ({} of upload traffic)\n\

@@ -21,4 +21,4 @@ pub mod tier;
 
 pub use multipart::{MultipartError, MultipartUpload, PART_SIZE};
 pub use store::{BlobStore, BlobStoreStats, ObjectMeta};
-pub use tier::{Tier, TierPolicy, TierSweepReport};
+pub use tier::{Tier, TierSweepReport};

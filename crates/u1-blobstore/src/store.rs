@@ -13,7 +13,9 @@ use u1_core::{ContentHash, FaultInjector, FxHashMap, InstalledFaults, SimTime};
 pub struct ObjectMeta {
     pub hash: ContentHash,
     pub size: u64,
-    pub stored_at: SimTime,
+    /// The latest simulated instant of a store or GET. Concurrent driver
+    /// partitions sit at different instants, so writers keep the later one
+    /// rather than whichever ran last.
     pub last_access: SimTime,
     pub tier: Tier,
     /// Number of GETs served for this object.
@@ -95,8 +97,18 @@ impl BlobStore {
         self.insert_if_absent(hash, size, data, now);
     }
 
+    /// Brings back an object that a partition deleted on its own view of a
+    /// refcount that survived the epoch, and stamps its access at `now`
+    /// (the epoch's close) whether or not another partition's store put it
+    /// back first: which of the two ran first is thread interleaving. Not
+    /// client traffic, so the PUT and upload counters do not move.
+    pub fn restore(&self, hash: ContentHash, size: u64, now: SimTime) {
+        self.insert_if_absent(hash, size, None, now);
+    }
+
     /// Stores the object unless its content identity is already present,
-    /// and returns the stored object's metadata either way.
+    /// and returns the stored object's metadata either way. Storing present
+    /// content counts as an access at `now`.
     fn insert_if_absent(
         &self,
         hash: ContentHash,
@@ -105,13 +117,16 @@ impl BlobStore {
         now: SimTime,
     ) -> ObjectMeta {
         match self.objects.write().entry(hash) {
-            Entry::Occupied(existing) => existing.get().meta.clone(),
+            Entry::Occupied(mut existing) => {
+                let meta = &mut existing.get_mut().meta;
+                meta.last_access = meta.last_access.max(now);
+                meta.clone()
+            }
             Entry::Vacant(slot) => {
                 self.bytes_stored.fetch_add(size, Ordering::Relaxed);
                 let meta = ObjectMeta {
                     hash,
                     size,
-                    stored_at: now,
                     last_access: now,
                     tier: Tier::Hot,
                     reads: 0,
@@ -132,7 +147,7 @@ impl BlobStore {
         self.get_ops.fetch_add(1, Ordering::Relaxed);
         let mut objects = self.objects.write();
         let obj = objects.get_mut(&hash)?;
-        obj.meta.last_access = now;
+        obj.meta.last_access = obj.meta.last_access.max(now);
         obj.meta.reads += 1;
         obj.meta.tier = Tier::Hot;
         self.bytes_downloaded
@@ -282,6 +297,40 @@ mod tests {
         assert!(s.delete(h(1)));
         assert!(!s.delete(h(1)));
         assert!(s.get(h(1), SimTime::ZERO).is_none());
+    }
+
+    /// Two partitions at different simulated instants may GET or store the
+    /// same object in either wall-clock order; the later instant wins both
+    /// ways.
+    #[test]
+    fn accesses_keep_the_later_time() {
+        let s = BlobStore::new();
+        let last_access = || s.head(h(1)).unwrap().last_access;
+        s.put(h(1), 100, None, SimTime::from_secs(3));
+        s.get(h(1), SimTime::from_secs(10));
+        s.get(h(1), SimTime::from_secs(5));
+        assert_eq!(last_access(), SimTime::from_secs(10));
+        s.put(h(1), 100, None, SimTime::ZERO);
+        assert_eq!(last_access(), SimTime::from_secs(10));
+        s.put(h(1), 100, None, SimTime::from_secs(12));
+        assert_eq!(last_access(), SimTime::from_secs(12));
+    }
+
+    /// A restore at the epoch's close leaves the same object whether or not
+    /// another partition's store brought it back first.
+    #[test]
+    fn restore_stamps_the_epoch_close_either_way() {
+        let (raced, alone) = (BlobStore::new(), BlobStore::new());
+        for s in [&raced, &alone] {
+            s.put(h(1), 100, None, SimTime::ZERO);
+            s.delete(h(1));
+        }
+        raced.put(h(1), 100, None, SimTime::from_secs(60));
+        for s in [&raced, &alone] {
+            s.restore(h(1), 100, SimTime::from_days(1));
+        }
+        assert_eq!(raced.head(h(1)), alone.head(h(1)));
+        assert_eq!(alone.head(h(1)).unwrap().last_access, SimTime::from_days(1));
     }
 
     #[test]

@@ -20,31 +20,15 @@ pub enum Tier {
     Cold,
 }
 
-/// Demotion thresholds and per-tier monthly prices.
-#[derive(Debug, Clone)]
-pub struct TierPolicy {
-    /// Unaccessed for this long ⇒ demote Hot → Warm.
-    pub warm_after: SimDuration,
-    /// Unaccessed for this long ⇒ demote Warm → Cold.
-    pub cold_after: SimDuration,
-    /// $/GB/month per tier. Defaults approximate 2014 S3 standard vs
-    /// reduced-redundancy vs Glacier pricing.
-    pub hot_price: f64,
-    pub warm_price: f64,
-    pub cold_price: f64,
-}
-
-impl Default for TierPolicy {
-    fn default() -> Self {
-        Self {
-            warm_after: SimDuration::from_days(7),
-            cold_after: SimDuration::from_days(21),
-            hot_price: 0.030,
-            warm_price: 0.024,
-            cold_price: 0.010,
-        }
-    }
-}
+/// Unaccessed for this long ⇒ demote Hot → Warm.
+const WARM_AFTER: SimDuration = SimDuration::from_days(7);
+/// Unaccessed for this long ⇒ demote Warm → Cold.
+const COLD_AFTER: SimDuration = SimDuration::from_days(21);
+// $/GB/month per tier, approximating 2014 S3 standard vs
+// reduced-redundancy vs Glacier pricing.
+const HOT_PRICE: f64 = 0.030;
+const WARM_PRICE: f64 = 0.024;
+const COLD_PRICE: f64 = 0.010;
 
 /// Outcome of one tier sweep.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -60,29 +44,29 @@ pub struct TierSweepReport {
 }
 
 impl TierSweepReport {
-    /// Monthly storage bill under `policy`.
-    pub fn monthly_cost(&self, policy: &TierPolicy) -> f64 {
+    /// Monthly storage bill.
+    pub fn monthly_cost(&self) -> f64 {
         const GB: f64 = 1_000_000_000.0;
-        self.hot_bytes as f64 / GB * policy.hot_price
-            + self.warm_bytes as f64 / GB * policy.warm_price
-            + self.cold_bytes as f64 / GB * policy.cold_price
+        self.hot_bytes as f64 / GB * HOT_PRICE
+            + self.warm_bytes as f64 / GB * WARM_PRICE
+            + self.cold_bytes as f64 / GB * COLD_PRICE
     }
 
     /// The bill if everything stayed Hot — the no-tiering baseline.
-    pub fn monthly_cost_flat(&self, policy: &TierPolicy) -> f64 {
+    pub fn monthly_cost_flat(&self) -> f64 {
         const GB: f64 = 1_000_000_000.0;
-        (self.hot_bytes + self.warm_bytes + self.cold_bytes) as f64 / GB * policy.hot_price
+        (self.hot_bytes + self.warm_bytes + self.cold_bytes) as f64 / GB * HOT_PRICE
     }
 }
 
 /// Runs one demotion sweep over the store.
-pub fn tier_sweep(store: &BlobStore, policy: &TierPolicy, now: SimTime) -> TierSweepReport {
+pub fn tier_sweep(store: &BlobStore, now: SimTime) -> TierSweepReport {
     let mut report = TierSweepReport::default();
     store.for_each_meta_mut(|meta| {
         let idle = now.since(meta.last_access);
-        let new_tier = if idle > policy.cold_after {
+        let new_tier = if idle > COLD_AFTER {
             Tier::Cold
-        } else if idle > policy.warm_after {
+        } else if idle > WARM_AFTER {
             Tier::Warm
         } else {
             meta.tier
@@ -125,19 +109,18 @@ mod tests {
     #[test]
     fn objects_demote_with_idleness_and_promote_on_access() {
         let store = BlobStore::new();
-        let policy = TierPolicy::default();
         store.put(h(1), 1_000, None, SimTime::ZERO);
         store.put(h(2), 2_000, None, SimTime::ZERO);
 
         // Day 10: both idle > 7d ⇒ warm.
-        let report = tier_sweep(&store, &policy, SimTime::from_days(10));
+        let report = tier_sweep(&store, SimTime::from_days(10));
         assert_eq!(report.warm_objects, 2);
         assert_eq!(report.demoted_to_warm, 2);
 
         // Access object 1 at day 20; sweep at day 25: 1 is hot again
         // (accessed 5d ago), 2 idle 25d ⇒ cold.
         store.get(h(1), SimTime::from_days(20));
-        let report = tier_sweep(&store, &policy, SimTime::from_days(25));
+        let report = tier_sweep(&store, SimTime::from_days(25));
         assert_eq!(report.hot_objects, 1);
         assert_eq!(report.cold_objects, 1);
         assert_eq!(report.hot_bytes, 1_000);
@@ -147,14 +130,13 @@ mod tests {
     #[test]
     fn tiering_reduces_the_bill() {
         let store = BlobStore::new();
-        let policy = TierPolicy::default();
         for i in 0..100 {
             store.put(h(i), 1_000_000_000, None, SimTime::ZERO); // 1GB each
         }
-        let report = tier_sweep(&store, &policy, SimTime::from_days(30));
+        let report = tier_sweep(&store, SimTime::from_days(30));
         assert_eq!(report.cold_objects, 100);
-        let tiered = report.monthly_cost(&policy);
-        let flat = report.monthly_cost_flat(&policy);
+        let tiered = report.monthly_cost();
+        let flat = report.monthly_cost_flat();
         assert!(
             tiered < flat * 0.5,
             "cold storage should cut cost: {tiered} vs {flat}"
@@ -165,7 +147,7 @@ mod tests {
     fn fresh_objects_stay_hot() {
         let store = BlobStore::new();
         store.put(h(1), 10, None, SimTime::from_days(29));
-        let report = tier_sweep(&store, &TierPolicy::default(), SimTime::from_days(30));
+        let report = tier_sweep(&store, SimTime::from_days(30));
         assert_eq!(report.hot_objects, 1);
         assert_eq!(report.demoted_to_warm, 0);
     }

@@ -160,8 +160,8 @@ pub struct RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// Default server-side policy for the API→DAL path: 3 attempts,
-    /// 100 ms base, 2 s cap.
+    /// Server-side policy for the API→DAL path: 3 attempts, 100 ms base,
+    /// 2 s cap.
     pub fn dal_default() -> Self {
         Self {
             max_attempts: 3,
@@ -170,8 +170,8 @@ impl RetryPolicy {
         }
     }
 
-    /// Default client-side policy used by the workload driver: 3 attempts,
-    /// 500 ms base, 8 s cap.
+    /// Client-side policy used by the workload driver: 3 attempts, 500 ms
+    /// base, 8 s cap.
     pub fn client_default() -> Self {
         Self {
             max_attempts: 3,
@@ -219,10 +219,6 @@ pub struct FaultPlan {
     /// Horizon over which outage windows are scheduled (normally the run's
     /// simulated duration).
     pub horizon: SimDuration,
-    /// Server-side retry policy on the API→DAL path.
-    pub rpc_retry: RetryPolicy,
-    /// Client-side retry policy used by the workload driver.
-    pub client_retry: RetryPolicy,
 }
 
 impl FaultPlan {
@@ -238,8 +234,6 @@ impl FaultPlan {
             auth_outages: 0,
             auth_outage_len: SimDuration::ZERO,
             horizon: SimDuration::ZERO,
-            rpc_retry: RetryPolicy::dal_default(),
-            client_retry: RetryPolicy::client_default(),
         }
     }
 
@@ -533,32 +527,25 @@ impl InstalledFaults {
 /// Client-side per-shard circuit breaker, owned by one driver partition (so
 /// it needs no synchronization and stays deterministic).
 ///
-/// Closed → open after `threshold` consecutive failures; while open,
-/// [`CircuitBreaker::allows`] fast-fails requests until `cooldown` has
+/// Closed → open after 5 consecutive failures; while open,
+/// [`CircuitBreaker::allows`] fast-fails requests until a 60 s cooldown has
 /// elapsed, then lets one probe through (half-open). A success closes the
 /// breaker; a failure re-opens it for another cooldown.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CircuitBreaker {
-    threshold: u32,
-    cooldown: SimDuration,
     consecutive_failures: u32,
     open_until: Option<SimTime>,
 }
 
-impl CircuitBreaker {
-    pub fn new(threshold: u32, cooldown: SimDuration) -> Self {
-        Self {
-            threshold: threshold.max(1),
-            cooldown,
-            consecutive_failures: 0,
-            open_until: None,
-        }
-    }
+/// Consecutive failures that open a [`CircuitBreaker`].
+const BREAKER_THRESHOLD: u32 = 5;
+/// How long an open [`CircuitBreaker`] fast-fails before its probe.
+const BREAKER_COOLDOWN: SimDuration = SimDuration::from_secs(60);
 
-    /// Default driver policy: open after 5 consecutive failures, 60 s
-    /// cooldown.
-    pub fn driver_default() -> Self {
-        CircuitBreaker::new(5, SimDuration::from_secs(60))
+impl CircuitBreaker {
+    /// A closed breaker.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// May a request be issued at `now`? `false` means fast-fail without
@@ -582,10 +569,10 @@ impl CircuitBreaker {
 
     pub fn record_failure(&mut self, now: SimTime) {
         self.consecutive_failures = self.consecutive_failures.saturating_add(1);
-        if self.consecutive_failures >= self.threshold {
-            self.open_until = Some(now + self.cooldown);
+        if self.consecutive_failures >= BREAKER_THRESHOLD {
+            self.open_until = Some(now + BREAKER_COOLDOWN);
             // Re-arm: a half-open probe failure re-opens immediately.
-            self.consecutive_failures = self.threshold;
+            self.consecutive_failures = BREAKER_THRESHOLD;
         }
     }
 
@@ -725,11 +712,12 @@ mod tests {
 
     #[test]
     fn circuit_breaker_opens_cools_down_and_probes() {
-        let mut cb = CircuitBreaker::new(3, SimDuration::from_secs(60));
+        let mut cb = CircuitBreaker::new();
         let t0 = SimTime::from_secs(1000);
         assert!(cb.allows(t0));
-        cb.record_failure(t0);
-        cb.record_failure(t0);
+        for _ in 1..BREAKER_THRESHOLD {
+            cb.record_failure(t0);
+        }
         assert!(cb.allows(t0), "below threshold stays closed");
         cb.record_failure(t0);
         assert!(cb.is_open(t0));

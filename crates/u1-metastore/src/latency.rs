@@ -15,85 +15,54 @@
 //!
 //! We model each RPC's service time as a log-normal body around a per-class
 //! median with a Pareto-amplified tail mixed in at a per-RPC tail
-//! probability, plus a per-row surcharge for cascades. Parameters live in
-//! [`LatencyProfile`] so an ablation can turn the tail off and show its
-//! effect.
+//! probability, plus a per-row surcharge for cascades. The parameters are
+//! the calibrated constants below.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use u1_core::rngx;
 use u1_core::{RpcClass, RpcKind, SimDuration};
 
-/// Tunable parameters of the service-time model.
-#[derive(Debug, Clone)]
-pub struct LatencyProfile {
-    /// Median service time per class, in seconds.
-    pub read_median_s: f64,
-    pub write_median_s: f64,
-    pub cascade_median_s: f64,
-    /// Log-normal sigma of the body (dispersion around the median).
-    pub body_sigma: f64,
-    /// Probability that a sample lands in the heavy tail. Per the paper this
-    /// varies per RPC in [0.07, 0.22]; we derive a per-RPC value in that
-    /// range deterministically from the RPC kind.
-    pub tail_prob_min: f64,
-    pub tail_prob_max: f64,
-    /// Pareto exponent of the tail amplifier (smaller ⇒ heavier).
-    pub tail_alpha: f64,
-    /// Upper clamp on any single service time, seconds.
-    pub max_service_s: f64,
-    /// Extra seconds per cascaded row (delete_volume / get_from_scratch
-    /// touch every node of the volume).
-    pub per_row_s: f64,
-}
+// Median service time per class, in seconds. Calibrated so the Fig. 12
+// CDFs span ~1ms..100s with medians read ≈ 3ms, write ≈ 12ms,
+// cascade ≈ 120ms (Fig. 13's spread).
+const READ_MEDIAN_S: f64 = 0.003;
+const WRITE_MEDIAN_S: f64 = 0.012;
+const CASCADE_MEDIAN_S: f64 = 0.120;
+/// Log-normal sigma of the body (dispersion around the median).
+const BODY_SIGMA: f64 = 0.85;
+/// Probability that a sample lands in the heavy tail. Per the paper this
+/// varies per RPC in [0.07, 0.22]; we derive a per-RPC value in that range
+/// deterministically from the RPC kind.
+const TAIL_PROB_MIN: f64 = 0.07;
+const TAIL_PROB_MAX: f64 = 0.22;
+/// Pareto exponent of the tail amplifier (smaller ⇒ heavier).
+const TAIL_ALPHA: f64 = 1.15;
+/// Upper clamp on any single service time, seconds.
+const MAX_SERVICE_S: f64 = 100.0;
+/// Extra seconds per cascaded row (delete_volume / get_from_scratch touch
+/// every node of the volume).
+const PER_ROW_S: f64 = 0.002;
 
-impl Default for LatencyProfile {
-    fn default() -> Self {
-        Self {
-            // Calibrated so the Fig. 12 CDFs span ~1ms..100s with medians
-            // read ≈ 3ms, write ≈ 12ms, cascade ≈ 120ms (Fig. 13's spread).
-            read_median_s: 0.003,
-            write_median_s: 0.012,
-            cascade_median_s: 0.120,
-            body_sigma: 0.85,
-            tail_prob_min: 0.07,
-            tail_prob_max: 0.22,
-            tail_alpha: 1.15,
-            max_service_s: 100.0,
-            per_row_s: 0.002,
-        }
-    }
-}
-
-impl LatencyProfile {
-    /// A profile with the long tail disabled — the ablation baseline.
-    pub fn no_tail(mut self) -> Self {
-        self.tail_prob_min = 0.0;
-        self.tail_prob_max = 0.0;
-        self
-    }
-
-    /// Median for a class.
-    pub fn median_for(&self, class: RpcClass) -> f64 {
-        match class {
-            RpcClass::Read => self.read_median_s,
-            RpcClass::Write => self.write_median_s,
-            RpcClass::Cascade => self.cascade_median_s,
-        }
+/// Median for a class.
+fn median_s(class: RpcClass) -> f64 {
+    match class {
+        RpcClass::Read => READ_MEDIAN_S,
+        RpcClass::Write => WRITE_MEDIAN_S,
+        RpcClass::Cascade => CASCADE_MEDIAN_S,
     }
 }
 
 /// Stateful sampler. Deterministic given its seed.
 #[derive(Debug)]
 pub struct LatencyModel {
-    profile: LatencyProfile,
-    /// Per [`RpcKind`] (in `RpcKind::ALL` order), what the profile implies
+    /// Per [`RpcKind`] (in `RpcKind::ALL` order), what the constants imply
     /// for it; fixed at construction so a sample derives nothing.
     per_rpc: [RpcParams; RpcKind::ALL.len()],
     rng: SmallRng,
 }
 
-/// One RPC's share of the profile.
+/// One RPC's share of the model.
 #[derive(Debug, Clone, Copy)]
 struct RpcParams {
     /// `ln` of its class median: the log-normal body's `mu`.
@@ -102,25 +71,20 @@ struct RpcParams {
 }
 
 impl LatencyModel {
-    pub fn new(profile: LatencyProfile, seed: u64) -> Self {
+    pub fn new(seed: u64) -> Self {
         let per_rpc = RpcKind::ALL.map(|rpc| RpcParams {
-            ln_median: profile.median_for(rpc.class()).ln(),
-            tail_prob: tail_prob_of(&profile, rpc),
+            ln_median: median_s(rpc.class()).ln(),
+            tail_prob: tail_prob_of(rpc),
         });
         Self {
-            profile,
             per_rpc,
             rng: SmallRng::seed_from_u64(seed),
         }
     }
 
-    pub fn profile(&self) -> &LatencyProfile {
-        &self.profile
-    }
-
-    /// The per-RPC tail probability: deterministic within
-    /// `[tail_prob_min, tail_prob_max]` so each RPC keeps a stable tail
-    /// weight across the run, as in Fig. 12 ("from 7% to 22%").
+    /// The per-RPC tail probability: deterministic within [0.07, 0.22] so
+    /// each RPC keeps a stable tail weight across the run, as in Fig. 12
+    /// ("from 7% to 22%").
     pub fn tail_prob(&self, rpc: RpcKind) -> f64 {
         self.per_rpc[rpc as usize].tail_prob
     }
@@ -133,29 +97,26 @@ impl LatencyModel {
             tail_prob,
         } = self.per_rpc[rpc as usize];
         // Log-normal with the requested median: mu = ln(median).
-        let body = rngx::sample_lognormal(&mut self.rng, ln_median, self.profile.body_sigma);
+        let body = rngx::sample_lognormal(&mut self.rng, ln_median, BODY_SIGMA);
         let mut service = body;
         if rpc.class() == RpcClass::Cascade {
-            service += cascade_rows as f64 * self.profile.per_row_s;
+            service += cascade_rows as f64 * PER_ROW_S;
         }
-        if tail_prob > 0.0 && self.rng.gen_range(0.0..1.0) < tail_prob {
+        if self.rng.gen_range(0.0..1.0) < tail_prob {
             // Tail event: amplify by a Pareto factor >= 6x.
-            let amp = rngx::sample_pareto(&mut self.rng, self.profile.tail_alpha, 6.0);
+            let amp = rngx::sample_pareto(&mut self.rng, TAIL_ALPHA, 6.0);
             service *= amp;
         }
-        SimDuration::from_secs_f64(service.min(self.profile.max_service_s))
+        SimDuration::from_secs_f64(service.min(MAX_SERVICE_S))
     }
 }
 
-/// `rpc`'s tail probability under `profile`: a fixed point of
-/// `[tail_prob_min, tail_prob_max]` hashed from the RPC's name.
-fn tail_prob_of(profile: &LatencyProfile, rpc: RpcKind) -> f64 {
-    let span = profile.tail_prob_max - profile.tail_prob_min;
-    if span <= 0.0 {
-        return profile.tail_prob_min.max(0.0);
-    }
+/// `rpc`'s tail probability: a fixed point of
+/// `[TAIL_PROB_MIN, TAIL_PROB_MAX]` hashed from the RPC's name.
+fn tail_prob_of(rpc: RpcKind) -> f64 {
+    let span = TAIL_PROB_MAX - TAIL_PROB_MIN;
     let h = rngx::derive_seed(0xC0FFEE, rpc.dal_name(), 0);
-    profile.tail_prob_min + span * ((h % 10_000) as f64 / 10_000.0)
+    TAIL_PROB_MIN + span * ((h % 10_000) as f64 / 10_000.0)
 }
 
 #[cfg(test)]
@@ -173,7 +134,7 @@ mod tests {
 
     #[test]
     fn class_medians_are_ordered_read_write_cascade() {
-        let mut m = LatencyModel::new(LatencyProfile::default(), 1);
+        let mut m = LatencyModel::new(1);
         let r = median(sample_many(&mut m, RpcKind::GetNode, 4000));
         let w = median(sample_many(&mut m, RpcKind::MakeFile, 4000));
         let c = median(sample_many(&mut m, RpcKind::DeleteVolume, 4000));
@@ -187,7 +148,7 @@ mod tests {
 
     #[test]
     fn tails_are_heavy_but_bounded() {
-        let mut m = LatencyModel::new(LatencyProfile::default(), 2);
+        let mut m = LatencyModel::new(2);
         let xs = sample_many(&mut m, RpcKind::GetNode, 20_000);
         let med = median(xs.clone());
         let far = xs.iter().filter(|&&x| x > 10.0 * med).count() as f64 / xs.len() as f64;
@@ -197,7 +158,7 @@ mod tests {
 
     #[test]
     fn per_rpc_tail_prob_spans_the_paper_range() {
-        let m = LatencyModel::new(LatencyProfile::default(), 3);
+        let m = LatencyModel::new(3);
         let mut lo = f64::MAX;
         let mut hi: f64 = 0.0;
         for rpc in RpcKind::ALL {
@@ -210,17 +171,8 @@ mod tests {
     }
 
     #[test]
-    fn no_tail_profile_kills_the_tail() {
-        let mut m = LatencyModel::new(LatencyProfile::default().no_tail(), 4);
-        let xs = sample_many(&mut m, RpcKind::GetNode, 20_000);
-        let med = median(xs.clone());
-        let far = xs.iter().filter(|&&x| x > 20.0 * med).count() as f64 / xs.len() as f64;
-        assert!(far < 0.005, "tail should be gone, got {far}");
-    }
-
-    #[test]
     fn cascade_cost_scales_with_rows() {
-        let mut m = LatencyModel::new(LatencyProfile::default().no_tail(), 5);
+        let mut m = LatencyModel::new(5);
         let small = median(
             (0..2000)
                 .map(|_| m.sample(RpcKind::DeleteVolume, 1).as_secs_f64())
@@ -241,25 +193,21 @@ mod tests {
     /// usize` finds each kind's own parameters.
     #[test]
     fn per_rpc_parameters_are_each_kind_s_own() {
-        let profile = LatencyProfile::default();
-        let m = LatencyModel::new(profile.clone(), 6);
+        let m = LatencyModel::new(6);
         for (i, rpc) in RpcKind::ALL.into_iter().enumerate() {
             assert_eq!(rpc as usize, i, "{rpc:?}");
-            assert_eq!(
-                m.tail_prob(rpc).to_bits(),
-                tail_prob_of(&profile, rpc).to_bits()
-            );
+            assert_eq!(m.tail_prob(rpc).to_bits(), tail_prob_of(rpc).to_bits());
             assert_eq!(
                 m.per_rpc[i].ln_median.to_bits(),
-                profile.median_for(rpc.class()).ln().to_bits()
+                median_s(rpc.class()).ln().to_bits()
             );
         }
     }
 
     #[test]
     fn determinism_given_seed() {
-        let mut a = LatencyModel::new(LatencyProfile::default(), 9);
-        let mut b = LatencyModel::new(LatencyProfile::default(), 9);
+        let mut a = LatencyModel::new(9);
+        let mut b = LatencyModel::new(9);
         for _ in 0..100 {
             assert_eq!(
                 a.sample(RpcKind::GetDelta, 0),

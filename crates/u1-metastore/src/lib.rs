@@ -27,6 +27,6 @@ pub mod shard;
 pub mod store;
 
 pub use contents::{ContentIndex, SealOutcome};
-pub use latency::{LatencyModel, LatencyProfile};
+pub use latency::LatencyModel;
 pub use model::{ContentRow, NodeRow, ShareRow, UploadJobRow, UploadState, UserRow, VolumeRow};
 pub use store::{MetaStore, StoreConfig};

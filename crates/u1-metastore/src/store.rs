@@ -46,19 +46,17 @@ const OWNER_STRIPES: usize = 64;
 pub struct StoreConfig {
     /// Number of shards; production U1 ran 10 (§3.4).
     pub shards: u16,
-    /// Upload jobs untouched for this long are garbage collected
-    /// (Appendix A: one week).
-    pub uploadjob_max_age: SimDuration,
 }
 
 impl Default for StoreConfig {
     fn default() -> Self {
-        Self {
-            shards: 10,
-            uploadjob_max_age: SimDuration::from_days(7),
-        }
+        Self { shards: 10 }
     }
 }
+
+/// Upload jobs untouched for this long are garbage collected (Appendix A:
+/// one week).
+const UPLOADJOB_MAX_AGE: SimDuration = SimDuration::from_days(7);
 
 /// Result of an operation that may release content references.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
@@ -604,10 +602,9 @@ impl MetaStore {
     /// The periodic garbage collection over every shard. Returns the reaped
     /// jobs so the object store can abort their multipart uploads.
     pub fn gc_uploadjobs(&self, now: SimTime) -> Vec<UploadJobRow> {
-        let max_age = self.config.uploadjob_max_age;
         let mut reaped = Vec::new();
         for shard in &self.shards {
-            reaped.extend(shard.write().gc_uploadjobs(now, max_age));
+            reaped.extend(shard.write().gc_uploadjobs(now, UPLOADJOB_MAX_AGE));
         }
         reaped
     }

@@ -11,14 +11,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use u1_auth::{AuthConfig, AuthService};
 use u1_blobstore::BlobStore;
-use u1_core::fault::{self, ErrorClass, FaultInjector, FaultPlan};
+use u1_core::fault::{self, ErrorClass, FaultInjector, FaultPlan, RetryPolicy};
 use u1_core::partition::{origin_seed, OriginBank};
 use u1_core::sync::Mutex;
 use u1_core::{
     ApiOpKind, Clock, ContentHash, CoreError, CoreResult, FxHashMap, NodeId, NodeKind, RpcKind,
     SimDuration, SimTime, UserId, VolumeId,
 };
-use u1_metastore::{LatencyModel, LatencyProfile, MetaStore, StoreConfig};
+use u1_metastore::{LatencyModel, MetaStore, StoreConfig};
 use u1_notify::{Broker, SubscriberId};
 use u1_proto::msg::Push;
 use u1_trace::{Payload, StorageDone, TraceRecord, TraceSink};
@@ -29,12 +29,8 @@ pub struct BackendConfig {
     pub cluster: ClusterConfig,
     pub store: StoreConfig,
     pub auth: AuthConfig,
-    pub latency: LatencyProfile,
     /// Root seed for every stochastic model inside the back-end.
     pub seed: u64,
-    /// Effective client↔S3 forwarding bandwidth used to account transfer
-    /// time into upload/download durations (bytes/second).
-    pub transfer_bandwidth: u64,
     /// Keep real object bytes (live mode) or sizes only (measurement mode).
     pub store_real_bytes: bool,
     /// TTL of the API tier's token cache (the paper's memcached tier,
@@ -55,15 +51,17 @@ impl Default for BackendConfig {
             cluster: ClusterConfig::default(),
             store: StoreConfig::default(),
             auth: AuthConfig::default(),
-            latency: LatencyProfile::default(),
             seed: 0xD1CE,
-            transfer_bandwidth: 10 * 1024 * 1024,
             store_real_bytes: false,
             auth_cache_ttl: None,
             fault: FaultPlan::none(),
         }
     }
 }
+
+/// Effective client↔S3 forwarding bandwidth used to account transfer time
+/// into upload/download durations (bytes/second).
+const TRANSFER_BANDWIDTH: u64 = 10 * 1024 * 1024;
 
 /// Fault-plane counters owned by the backend, read once at the end of a
 /// run (like the token-cache stats) rather than summed per partition.
@@ -239,7 +237,7 @@ impl Backend {
         rpc: RpcKind,
         cascade_rows: u64,
     ) -> (SimDuration, CoreResult<()>) {
-        let policy = self.faults.plan().rpc_retry;
+        let policy = RetryPolicy::dal_default();
         let outer_attempt = fault::current_attempt();
         let mut total = SimDuration::ZERO;
         let mut attempt = 1u8;
@@ -247,7 +245,7 @@ impl Backend {
             let d = self.latency.with(
                 |origin| {
                     let seed = origin_seed(self.cfg.seed ^ 0x1A7, "latency-origin", origin);
-                    LatencyModel::new(self.cfg.latency.clone(), seed)
+                    LatencyModel::new(seed)
                 },
                 |model| model.sample(rpc, cascade_rows),
             );
@@ -352,7 +350,7 @@ impl Backend {
 
     /// Transfer-time component of an upload/download.
     pub(crate) fn transfer_time(&self, bytes: u64) -> SimDuration {
-        SimDuration::from_secs_f64(bytes as f64 / self.cfg.transfer_bandwidth as f64)
+        SimDuration::from_secs_f64(bytes as f64 / TRANSFER_BANDWIDTH as f64)
     }
 
     // ----- push fan-out ----------------------------------------------------
@@ -479,9 +477,7 @@ impl Backend {
             self.blobs.delete(hash);
         }
         for (hash, size) in outcome.live {
-            if !self.blobs.contains(hash) {
-                self.blobs.put(hash, size, None, now);
-            }
+            self.blobs.restore(hash, size, now);
         }
     }
 

@@ -540,7 +540,6 @@ struct ShardSim {
     /// Client-side view of the fault plane (its own seed stream, distinct
     /// from the backend's): used only for injected client crashes.
     faults: Arc<FaultInjector>,
-    retry_policy: RetryPolicy,
     /// One breaker per partition — a partition *is* one metastore shard,
     /// which is exactly the failure domain the outage windows cover.
     breaker: CircuitBreaker,
@@ -818,7 +817,7 @@ impl ShardSim {
             self.report.breaker_fastfails += 1;
             return Err(CoreError::unavailable("circuit open"));
         }
-        let policy = self.retry_policy;
+        let policy = RetryPolicy::client_default();
         let mut attempt = 1u8;
         loop {
             fault::set_attempt(attempt);
@@ -1601,7 +1600,6 @@ impl Driver {
             backend.config().fault.clone(),
             rngx::derive_seed(cfg.seed, "client-faults", 0),
         ));
-        let retry_policy = backend.config().fault.client_retry;
         let shards = (0..shard_count)
             .map(|s| ShardSim {
                 origin: u32::from(s),
@@ -1613,8 +1611,7 @@ impl Driver {
                 seq: 0,
                 report: DriverReport::default(),
                 faults: Arc::clone(&faults),
-                retry_policy,
-                breaker: CircuitBreaker::driver_default(),
+                breaker: CircuitBreaker::new(),
                 events_processed: 0,
                 dir_scratch: Vec::new(),
             })
@@ -1908,6 +1905,16 @@ mod tests {
     /// built from `backend_cfg`, emitting per record or, with `buffered`,
     /// through a `BufferedSink`.
     fn run_on(backend_cfg: BackendConfig, attacks: bool, workers: usize, buffered: bool) -> Run {
+        run_keeping_backend(backend_cfg, attacks, workers, buffered).0
+    }
+
+    /// [`run_on`], also handing back the backend the run left behind.
+    fn run_keeping_backend(
+        backend_cfg: BackendConfig,
+        attacks: bool,
+        workers: usize,
+        buffered: bool,
+    ) -> (Run, Arc<Backend>) {
         let clock = SimClock::new();
         let sink = Arc::new(MemorySink::new());
         let emit: Arc<dyn u1_trace::TraceSink> = if buffered {
@@ -1924,11 +1931,11 @@ mod tests {
             seed_files: 0.5,
             workers,
         };
-        let report = Driver::new(cfg, backend, clock).run();
+        let report = Driver::new(cfg, Arc::clone(&backend), clock).run();
         // The driver sealed the trace at every day barrier; nothing it
         // emitted afterwards may lie before one.
         assert_eq!(sink.late_records(), 0);
-        (report, sink.take_sorted())
+        ((report, sink.take_sorted()), backend)
     }
 
     fn run_quick_with(workers: usize) -> Run {
@@ -1969,13 +1976,24 @@ mod tests {
 
     #[test]
     fn worker_count_does_not_change_results() {
-        let (r1, t1) = run_quick_with(1);
+        // A week and a half past the start: objects last touched before
+        // day 1.5 of the 3-day run demote to Warm and the rest stay Hot, so
+        // the sweep reads every object's last access time.
+        let now = SimTime::from_hours(7 * 24 + 36);
+        let run = |workers, buffered| {
+            let (run, backend) =
+                run_keeping_backend(BackendConfig::default(), false, workers, buffered);
+            (run, u1_blobstore::tier::tier_sweep(&backend.blobs, now))
+        };
+        let ((r1, t1), s1) = run(1, false);
+        assert!(s1.hot_objects > 0 && s1.warm_objects > 0, "{s1:?}");
         for buffered in [false, true] {
             for workers in [1, 2, 4, 8] {
-                let (r, t) = run_on(BackendConfig::default(), false, workers, buffered);
+                let ((r, t), s) = run(workers, buffered);
                 let at = format!("workers={workers} buffered={buffered}");
                 assert_eq!(r1, r, "report differs at {at}");
                 assert_eq!(t1, t, "canonical trace differs at {at}");
+                assert_eq!(s1, s, "blob tiers differ at {at}");
             }
         }
     }

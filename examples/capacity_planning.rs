@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 use ubuntuone::analytics::engine::{run_all, EngineConfig};
-use ubuntuone::blobstore::{tier, TierPolicy};
+use ubuntuone::blobstore::tier;
 use ubuntuone::core::SimClock;
 use ubuntuone::metastore::StoreConfig;
 use ubuntuone::server::{Backend, BackendConfig};
@@ -21,10 +21,7 @@ fn run_with_shards(shards: u16) -> (f64, f64, f64) {
     let sink = Arc::new(MemorySink::new());
     let backend = Arc::new(Backend::new(
         BackendConfig {
-            store: StoreConfig {
-                shards,
-                ..Default::default()
-            },
+            store: StoreConfig { shards },
             ..Default::default()
         },
         Arc::new(clock.clone()),
@@ -82,10 +79,9 @@ fn main() {
     };
     let horizon = cfg.horizon();
     Driver::new(cfg, Arc::clone(&backend), clock).run();
-    let policy = TierPolicy::default();
-    let sweep = tier::tier_sweep(&backend.blobs, &policy, horizon);
-    let flat = sweep.monthly_cost_flat(&policy);
-    let tiered = sweep.monthly_cost(&policy);
+    let sweep = tier::tier_sweep(&backend.blobs, horizon);
+    let flat = sweep.monthly_cost_flat();
+    let tiered = sweep.monthly_cost();
     println!("\nobject-store tiering after one month:");
     println!(
         "  hot {} / warm {} / cold {} objects",
