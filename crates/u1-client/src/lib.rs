@@ -1,27 +1,19 @@
-//! The U1 desktop client (§3.3), reproduced as a library.
+//! How a U1 desktop client (§3.3) reaches the service: the storage
+//! protocol's client calls behind one [`Transport`] trait, over two paths.
 //!
-//! The real client was a Python daemon that watched `~/Ubuntu One` with
-//! inotify, kept sync metadata in `~/.cache/ubuntuone`, held a persistent
-//! TCP connection for pushes, hashed every file with SHA-1 before upload
-//! (server-side dedup), compressed transfers, and — deliberately — did
-//! **not** implement delta updates, file bundling or sync deferment, which
-//! the paper repeatedly calls out as a source of overhead (§3.3, §5.1).
+//! * [`DirectTransport`] calls the back-end's handlers in process
+//!   (measurement mode: no socket, no codec).
+//! * [`TcpTransport`] speaks the storage protocol over a real TCP
+//!   connection (live mode), buffering pushes between responses.
 //!
-//! Layers:
-//!
-//! * [`transport`] — how a client reaches the service: [`DirectTransport`]
-//!   (in-process, virtual-time measurement mode) or [`TcpTransport`] (a real
-//!   protocol connection, live mode). Both expose the same [`Transport`]
-//!   trait, so the sync engine is oblivious to the wire.
-//! * [`localfs`] — the client-side mirror of each volume and the
-//!   inotify-like local event queue.
-//! * [`sync`] — the sync engine: reacts to local events by uploading /
-//!   unlinking, and to server pushes by fetching deltas and downloading.
+//! The client's *behaviour* — hash before upload so the server can
+//! deduplicate, a full re-upload on every update (no delta updates, no
+//! bundling, no sync deferment, §3.3, §5.1), a delta and a download after
+//! every push — is modelled by the workload driver in `u1-workload`, which
+//! is where the traces come from. `examples/quickstart.rs` and
+//! `examples/shared_folder.rs` issue the same §3.2 workflow call by call
+//! through a transport.
 
-pub mod localfs;
-pub mod sync;
 pub mod transport;
 
-pub use localfs::{LocalEvent, LocalFile, LocalVolume};
-pub use sync::{SyncEngine, SyncStats};
 pub use transport::{DirectTransport, TcpTransport, Transport, UploadResult};

@@ -52,7 +52,8 @@ pub trait Transport {
     ) -> CoreResult<(u64, Vec<NodeInfo>)>;
     fn rescan_from_scratch(&mut self, volume: VolumeId) -> CoreResult<(u64, Vec<NodeInfo>)>;
     /// Uploads content for an existing file node. `data` carries real bytes
-    /// in live mode; in measurement mode only `size` matters.
+    /// in live mode; in measurement mode (`None`) only `size` matters, and
+    /// a server that stores real bytes refuses the upload.
     fn upload(
         &mut self,
         volume: VolumeId,
@@ -78,8 +79,8 @@ pub trait Transport {
 // Direct (in-process) transport
 // ---------------------------------------------------------------------------
 
-/// Calls the backend's handlers directly. Used by the virtual-time workload
-/// driver, where thousands of client actors share one process.
+/// Calls the backend's handlers directly, in process: the measurement-mode
+/// path, with no socket and no codec between client and back-end.
 pub struct DirectTransport {
     backend: Arc<Backend>,
     session: Option<SessionId>,
@@ -253,10 +254,6 @@ pub struct TcpTransport {
     pushes: Vec<Push>,
     session: Option<SessionId>,
     buf: Vec<u8>,
-    /// Send `UploadChunkSparse` instead of zero-filled `UploadChunk`s when
-    /// the caller provides no content bytes. Only valid against a
-    /// measurement-mode server (real-byte servers reject sparse chunks).
-    sparse_content: bool,
 }
 
 impl TcpTransport {
@@ -269,18 +266,7 @@ impl TcpTransport {
             pushes: Vec::new(),
             session: None,
             buf: vec![0u8; 64 * 1024],
-            sparse_content: false,
         })
-    }
-
-    /// Switches content-less uploads to the sparse wire path: one
-    /// `UploadChunkSparse` per S3 part, mirroring `DirectTransport`'s part
-    /// schedule byte-for-byte in the back-end trace without shipping (or
-    /// even allocating) filler. Use against measurement-mode servers; a
-    /// real-byte server refuses sparse chunks.
-    pub fn with_sparse_content(mut self) -> Self {
-        self.sparse_content = true;
-        self
     }
 
     /// Writes one framed request.
@@ -511,41 +497,43 @@ impl Transport for TcpTransport {
             }),
             Response::UploadBegun { upload, .. } => {
                 let mut sent = 0u64;
-                if data.is_none() && self.sparse_content {
-                    // Measurement mode: declare part lengths without
-                    // materializing bytes — the same part schedule as
+                match data {
+                    // No content bytes: declare part lengths without
+                    // materializing any — the same part schedule as
                     // `DirectTransport` (one `UploadChunkSparse` per S3
                     // part), so both paths produce identical back-end RPC
-                    // sequences and trace records.
-                    let mut remaining = size.max(1);
-                    while remaining > 0 {
-                        let part = remaining.min(u1_blobstore::PART_SIZE);
-                        self.call_one(Request::UploadChunkSparse { upload, len: part })?;
-                        sent += part;
-                        remaining -= part;
+                    // sequences and trace records. A real-bytes server
+                    // refuses sparse chunks, so the upload fails there
+                    // instead of storing bytes the caller never had.
+                    None => {
+                        let mut remaining = size.max(1);
+                        while remaining > 0 {
+                            let part = remaining.min(u1_blobstore::PART_SIZE);
+                            self.call_one(Request::UploadChunkSparse { upload, len: part })?;
+                            sent += part;
+                            remaining -= part;
+                        }
                     }
-                } else {
-                    // Live bytes (zero filler when the caller names a size
-                    // but no content): wire chunks are bounded by the frame
+                    // Live bytes: wire chunks are bounded by the frame
                     // limit, not the S3 part size; 1MB keeps frames
-                    // comfortable.
-                    let bytes = data.unwrap_or_else(|| vec![0u8; size as usize]);
-                    const WIRE_CHUNK: usize = 1024 * 1024;
-                    let filler = [0u8];
-                    let chunks = if bytes.is_empty() {
-                        filler.chunks(1)
-                    } else {
-                        bytes.chunks(WIRE_CHUNK)
-                    };
-                    // Each chunk is framed straight from the caller's
-                    // buffer.
-                    for chunk in chunks {
-                        let (id, frame) = self
-                            .conn
-                            .upload_chunk(upload, chunk)
-                            .map_err(encode_error)?;
-                        self.round_trip(id, &frame)?;
-                        sent += chunk.len() as u64;
+                    // comfortable. Each chunk is framed straight from the
+                    // caller's buffer.
+                    Some(bytes) => {
+                        const WIRE_CHUNK: usize = 1024 * 1024;
+                        let filler = [0u8];
+                        let chunks = if bytes.is_empty() {
+                            filler.chunks(1)
+                        } else {
+                            bytes.chunks(WIRE_CHUNK)
+                        };
+                        for chunk in chunks {
+                            let (id, frame) = self
+                                .conn
+                                .upload_chunk(upload, chunk)
+                                .map_err(encode_error)?;
+                            self.round_trip(id, &frame)?;
+                            sent += chunk.len() as u64;
+                        }
                     }
                 }
                 match self.call_one(Request::CommitUpload { upload })? {

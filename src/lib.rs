@@ -16,8 +16,8 @@
 //! * [`notify`] — the RabbitMQ-like notification broker,
 //! * [`server`] — the back-end itself (gateway, API handlers, upload state
 //!   machine, push fan-out, live TCP front-end),
-//! * [`client`] — the desktop client (sync engine over direct or TCP
-//!   transports),
+//! * [`client`] — the desktop client's transports (in-process or over
+//!   TCP, one `Transport` trait),
 //! * [`workload`] — the calibrated synthetic population and the
 //!   discrete-event driver,
 //! * [`trace`] — the paper-format trace pipeline,
@@ -25,8 +25,9 @@
 //!
 //! # Quickstart
 //!
-//! See `examples/quickstart.rs` — start a backend, connect a syncing
-//! client over TCP, upload, download, push-sync a second device.
+//! See `examples/quickstart.rs` — start a backend, connect a client over
+//! TCP, upload, and have a second device download the file and, after a
+//! push, its edit, checking the bytes and SHA-1 each time.
 
 pub use u1_analytics as analytics;
 pub use u1_auth as auth;

@@ -1,12 +1,15 @@
 //! End-to-end integration over real TCP: the full client↔server protocol
 //! stack, multi-device push sync, interrupted-connection behavior, and
 //! abuse handling — the live-mode counterpart of the virtual-time
-//! measurement pipeline.
+//! measurement pipeline. Each client step is a protocol call, and every
+//! check is on what the server returned.
 
+use std::net::SocketAddr;
 use std::sync::Arc;
-use ubuntuone::auth::AuthConfig;
-use ubuntuone::client::{LocalEvent, SyncEngine, TcpTransport, Transport};
-use ubuntuone::core::{NodeKind, RealClock, Sha1, UserId};
+use ubuntuone::auth::{AuthConfig, Token};
+use ubuntuone::client::{TcpTransport, Transport};
+use ubuntuone::core::{NodeKind, RealClock, Sha1, UserId, VolumeId};
+use ubuntuone::proto::msg::{NodeInfo, Push};
 use ubuntuone::server::{tcpserver::TcpServer, Backend, BackendConfig};
 use ubuntuone::trace::{MemorySink, Payload, SessionEvent};
 
@@ -26,6 +29,56 @@ fn live_backend() -> (Arc<Backend>, TcpServer, Arc<MemorySink>) {
     ));
     let server = TcpServer::start(Arc::clone(&backend), "127.0.0.1:0").expect("bind");
     (backend, server, sink)
+}
+
+/// The Fig. 8 start-up: Authenticate → QuerySetCaps → ListVolumes →
+/// ListShares → GetDelta from 0 on the root volume. Returns the device, its
+/// root volume and that volume's generation.
+fn start_up(addr: SocketAddr, token: Token) -> (TcpTransport, VolumeId, u64) {
+    let mut device = TcpTransport::connect(addr).unwrap();
+    device.authenticate(token).unwrap();
+    device
+        .query_set_caps(&["volumes", "generations", "dedup"])
+        .unwrap();
+    let root = device.list_volumes().unwrap()[0].volume;
+    device.list_shares().unwrap();
+    let (generation, _) = device.get_delta(root, 0).unwrap();
+    (device, root, generation)
+}
+
+/// Answers `device`'s pushes as the desktop client does — a GetDelta from
+/// `*known` for each `VolumeChanged` past it on `volume` — until a delta
+/// row satisfies `wanted`. The push crosses broker + TCP asynchronously,
+/// so this polls. Returns the row and the number of pushes seen.
+fn await_delta(
+    device: &mut TcpTransport,
+    volume: VolumeId,
+    known: &mut u64,
+    wanted: impl Fn(&NodeInfo) -> bool,
+) -> (NodeInfo, usize) {
+    let mut pushes = 0;
+    for _ in 0..200 {
+        std::thread::sleep(std::time::Duration::from_millis(10));
+        for push in device.poll_pushes() {
+            pushes += 1;
+            let Push::VolumeChanged {
+                volume: v,
+                generation,
+            } = push
+            else {
+                continue;
+            };
+            if v != volume || generation <= *known {
+                continue;
+            }
+            let (generation, rows) = device.get_delta(volume, *known).unwrap();
+            *known = generation;
+            if let Some(row) = rows.into_iter().find(|r| wanted(r)) {
+                return (row, pushes);
+            }
+        }
+    }
+    panic!("no wanted delta row after {pushes} pushes");
 }
 
 #[test]
@@ -91,57 +144,118 @@ fn cross_user_dedup_over_tcp() {
 fn second_device_receives_push_over_tcp() {
     let (backend, server, _sink) = live_backend();
     let token = backend.register_user(UserId::new(7));
-    let mut dev1 = SyncEngine::new(TcpTransport::connect(server.local_addr()).unwrap());
-    let mut dev2 = SyncEngine::new(TcpTransport::connect(server.local_addr()).unwrap());
-    dev1.connect(token).unwrap();
-    dev2.connect(token).unwrap();
-    let root = dev1.root_volume().unwrap();
+    let (mut dev1, root, _) = start_up(server.local_addr(), token);
+    let (mut dev2, _, mut known) = start_up(server.local_addr(), token);
 
     let content = b"push me".to_vec();
-    dev1.handle_local_event(
+    let hash = Sha1::digest(&content);
+    let node = dev1
+        .make_node(root, None, NodeKind::File, "pushed.txt")
+        .unwrap();
+    dev1.upload(
         root,
-        LocalEvent::FileWritten {
-            name: "pushed.txt".into(),
-            parent: None,
-            hash: Sha1::digest(&content),
-            size: content.len() as u64,
-        },
+        node.node,
+        hash,
+        content.len() as u64,
+        Some(content.clone()),
     )
     .unwrap();
 
-    // The push crosses broker + TCP asynchronously.
-    let mut converged = false;
-    for _ in 0..100 {
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        dev2.handle_pushes().unwrap();
-        if dev2
-            .volume(root)
-            .and_then(|v| v.find_by_name(None, "pushed.txt"))
-            .is_some()
-        {
-            converged = true;
-            break;
-        }
-    }
-    assert!(converged, "device 2 never converged");
-    assert!(dev2.stats.pushes_handled >= 1);
+    let (row, pushes) = await_delta(&mut dev2, root, &mut known, |r| {
+        r.name == "pushed.txt" && r.hash.is_some()
+    });
+    assert!(pushes >= 1);
+    assert_eq!((row.node, row.hash), (node.node, Some(hash)));
+    let (size, got_hash, data) = dev2.download(root, row.node).unwrap();
+    let data = data.expect("a real-bytes server returns content");
+    assert_eq!((size, got_hash), (content.len() as u64, hash));
+    assert_eq!(data, content, "device 2 gets device 1's bytes");
+    assert_eq!(
+        Sha1::digest(&data),
+        hash,
+        "and they hash to the declared SHA-1"
+    );
     server.shutdown();
 }
 
 #[test]
-fn dropped_connection_closes_session_and_upload_resumes() {
+fn unlink_reaches_second_device_as_push_and_tombstone() {
+    let (backend, server, _sink) = live_backend();
+    let token = backend.register_user(UserId::new(8));
+    let (mut dev1, root, _) = start_up(server.local_addr(), token);
+    let (mut dev2, _, mut known) = start_up(server.local_addr(), token);
+
+    let content = b"short-lived".to_vec();
+    let node = dev1
+        .make_node(root, None, NodeKind::File, "temp.bin")
+        .unwrap();
+    dev1.upload(
+        root,
+        node.node,
+        Sha1::digest(&content),
+        content.len() as u64,
+        Some(content),
+    )
+    .unwrap();
+    await_delta(&mut dev2, root, &mut known, |r| {
+        r.node == node.node && r.hash.is_some()
+    });
+
+    dev1.unlink(root, node.node).unwrap();
+    let (row, pushes) = await_delta(&mut dev2, root, &mut known, |r| r.node == node.node);
+    assert!(pushes >= 1, "the unlink is pushed");
+    assert!(row.is_dead, "the delta carries a tombstone: {row:?}");
+    let (_, rows) = dev2.get_delta(root, 0).unwrap();
+    assert!(
+        rows.iter().all(|r| r.node != node.node || r.is_dead),
+        "no live row for the unlinked file"
+    );
+    server.shutdown();
+}
+
+#[test]
+fn upload_without_content_is_refused_by_a_real_bytes_server() {
+    let (backend, server, _sink) = live_backend();
+    let token = backend.register_user(UserId::new(5));
+    let mut t = TcpTransport::connect(server.local_addr()).unwrap();
+    t.authenticate(token).unwrap();
+    let root = t.list_volumes().unwrap()[0].volume;
+    let node = t
+        .make_node(root, None, NodeKind::File, "claimed.bin")
+        .unwrap();
+    // A size and a hash but no bytes: the sizes-only upload of the
+    // measurement path, which a server keeping real content must refuse
+    // rather than store anything under that hash.
+    let claimed = b"bytes the caller never sends";
+    let result = t.upload(
+        root,
+        node.node,
+        Sha1::digest(claimed),
+        claimed.len() as u64,
+        None,
+    );
+    assert!(
+        result.is_err(),
+        "upload without content succeeded: {result:?}"
+    );
+    assert_eq!(backend.blobs.stats().objects, 0, "no object stored");
+    t.close();
+    server.shutdown();
+}
+
+#[test]
+fn dropped_connection_is_reaped_and_its_node_takes_a_fresh_upload() {
     let (backend, server, sink) = live_backend();
     let token = backend.register_user(UserId::new(3));
 
-    // Device connects and dies mid-upload (the NAT-cut behavior behind the
-    // paper's 32%-under-1s sessions).
+    // A device makes a file and its connection drops before any upload
+    // (the NAT-cut behavior behind the paper's 32%-under-1s sessions): no
+    // Bye, the socket just closes.
     {
         let mut t = TcpTransport::connect(server.local_addr()).unwrap();
         t.authenticate(token).unwrap();
         let root = t.list_volumes().unwrap()[0].volume;
         let _node = t.make_node(root, None, NodeKind::File, "half.bin").unwrap();
-        // Abruptly drop the connection without closing the upload.
-        t.close();
     }
     // Server notices EOF and closes the session.
     let mut closed = false;
@@ -155,7 +269,7 @@ fn dropped_connection_closes_session_and_upload_resumes() {
     assert!(closed, "server must reap the dead session");
 
     // Reconnect: same token, fresh session; the file node is still there
-    // and the upload completes now.
+    // and an upload to it completes.
     let mut t = TcpTransport::connect(server.local_addr()).unwrap();
     t.authenticate(token).unwrap();
     let root = t.list_volumes().unwrap()[0].volume;

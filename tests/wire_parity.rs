@@ -263,9 +263,7 @@ fn run_wire() -> (Vec<String>, String) {
     let server = TcpServer::start(Arc::clone(&backend), "127.0.0.1:0").expect("bind reactor");
     let addr = server.local_addr();
     let transcript = run_script(&clock, &backend, &tokens, || {
-        TcpTransport::connect(addr)
-            .expect("loopback connect")
-            .with_sparse_content()
+        TcpTransport::connect(addr).expect("loopback connect")
     });
     server.shutdown();
     (transcript, canonical_sha(&sink.take_sorted()))
