@@ -44,7 +44,7 @@ pub struct AuthConfig {
 impl Default for AuthConfig {
     fn default() -> Self {
         Self {
-            transient_failure_rate: 0.0276,
+            transient_failure_rate: u1_core::paper::AUTH_FAILURE_RATE.value,
             token_ttl: None,
         }
     }

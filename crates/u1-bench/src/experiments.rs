@@ -8,14 +8,18 @@
 //! two volume experiments (Fig. 10/11) analyze the end-of-run metastore
 //! snapshot rather than the trace; Fig. 17 and the fault experiment run
 //! their own backends and need no shared month.
+//!
+//! An experiment's scalar comparisons with the paper are a list of
+//! [`paper::Row`]s, each with the key of its measured value in the
+//! document; one renderer prints them and files them under `paper`.
 
 use crate::{bytes, emit, pct, Scenario};
 use serde_json::{json, Value};
 use std::io;
 use u1_analytics as ana;
 use u1_analytics::engine::EngineReport;
+use u1_core::paper::{self, Row};
 use u1_core::{ApiOpKind, RpcClass, RpcKind};
-use u1_workload::calibration as cal;
 
 /// What an experiment runs on.
 #[derive(Clone, Copy)]
@@ -63,6 +67,78 @@ pub const TABLE: &[(&str, Experiment)] = {
     ]
 };
 
+/// How a measured value and its paper row print: a fraction as a
+/// percentage, a number or an `x` ratio with this many decimals, or bytes.
+#[derive(Clone, Copy)]
+enum Fmt {
+    Pct,
+    Fixed(usize),
+    Times(usize),
+    Bytes,
+}
+use Fmt::{Bytes, Fixed, Pct, Times};
+
+impl Fmt {
+    /// `x` as measured or, with two more decimals and trailing zeros
+    /// dropped, as the paper states it.
+    fn show(self, x: f64, paper: bool) -> String {
+        let fixed = |x: f64, n: usize| {
+            if paper {
+                let digits = format!("{x:.*}", n + 2);
+                digits
+                    .trim_end_matches('0')
+                    .trim_end_matches('.')
+                    .to_string()
+            } else {
+                format!("{x:.n$}")
+            }
+        };
+        match self {
+            Pct => format!("{}%", fixed(x * 100.0, 1)),
+            Fixed(n) => fixed(x, n),
+            Times(n) => format!("{}x", fixed(x, n)),
+            Bytes => bytes(x as u64),
+        }
+    }
+}
+
+/// Emits document `id`: `human`, then a table of `vs`, each entry a paper
+/// row, the measured value's key in `doc` (object keys and array indices
+/// joined by `.`) and how both print. `doc` gains a `paper` object filing
+/// each row's id, source and value under the measured value's key.
+fn emit_vs(id: &str, mut human: String, mut doc: Value, vs: &[(Row, &str, Fmt)]) -> io::Result<()> {
+    if !human.is_empty() && !human.ends_with('\n') {
+        human.push('\n');
+    }
+    human.push_str(&format!(
+        "{:<28} {:>10} {:>10}  source",
+        "", "measured", "paper"
+    ));
+    let mut paper = serde_json::Map::new();
+    for &(row, key, fmt) in vs {
+        let measured = key
+            .split('.')
+            .try_fold(&doc, |v, step| match v {
+                Value::Object(map) => map.get(step),
+                Value::Array(items) => items.get(step.parse::<usize>().ok()?),
+                _ => None,
+            })
+            .and_then(Value::as_f64)
+            .unwrap_or(f64::NAN);
+        let (measured, stated) = (fmt.show(measured, false), fmt.show(row.value, true));
+        human.push_str(&format!(
+            "\n{key:<28} {measured:>10} {stated:>10}  {}",
+            row.source
+        ));
+        let entry = json!({"id": row.id, "source": row.source, "value": row.value});
+        paper.insert(key.to_string(), entry);
+    }
+    if let Value::Object(map) = &mut doc {
+        map.insert("paper".into(), Value::Object(paper));
+    }
+    emit(id, &human, &doc)
+}
+
 fn fmt_series(series: &[f64], per_day: usize) -> String {
     // Compact day-by-day rendering: one line per day.
     let mut out = String::new();
@@ -80,56 +156,41 @@ fn fmt_series(series: &[f64], per_day: usize) -> String {
 pub fn exp_t3_summary(rep: &EngineReport) -> io::Result<()> {
     let s = &rep.summary;
     let human = format!(
-        "Trace duration    {} days (paper: 30)\n\
-         Records           {}\n\
-         Unique user IDs   {} (paper: 1,294,794 at 1:{} scale)\n\
+        "Records           {}\n\
          Unique files      {}\n\
-         User sessions     {}\n\
-         Transfer ops      {}\n\
-         Upload traffic    {} (paper: 105TB)\n\
-         Download traffic  {} (paper: 120TB)\n\
-         R/W traffic ratio {:.2} (paper: 120/105 = 1.14)",
-        s.trace_days,
+         R/W traffic ratio {:.2}",
         s.records,
-        s.unique_users,
-        cal::PAPER_USERS / s.unique_users.max(1),
         s.unique_files,
-        s.sessions,
-        s.transfer_ops,
-        bytes(s.upload_bytes),
-        bytes(s.download_bytes),
         s.download_bytes as f64 / s.upload_bytes.max(1) as f64,
     );
-    let j = json!({"summary": s, "paper": {
-        "users": cal::PAPER_USERS, "sessions": cal::PAPER_SESSIONS,
-        "transfer_ops": cal::PAPER_TRANSFER_OPS,
-    }});
-    emit("t3_summary", &human, &j)
+    let vs = [
+        (paper::TRACE_DAYS, "summary.trace_days", Fixed(0)),
+        (paper::USERS, "summary.unique_users", Fixed(0)),
+        (paper::SESSIONS, "summary.sessions", Fixed(0)),
+        (paper::TRANSFER_OPS, "summary.transfer_ops", Fixed(0)),
+        (paper::UPLOAD_BYTES, "summary.upload_bytes", Bytes),
+        (paper::DOWNLOAD_BYTES, "summary.download_bytes", Bytes),
+    ];
+    emit_vs("t3_summary", human, json!({"summary": s}), &vs)
 }
 
 /// Fig. 2(a): traffic time series.
 pub fn exp_f2a_traffic_timeseries(rep: &EngineReport) -> io::Result<()> {
     let ts = &rep.traffic;
-    let swing = rep.diurnal_swing;
     let human = format!(
-        "Upload GB/hour by day:\n{}\nDiurnal upload swing (peak/trough of hour-of-day means): {swing:.1}x (paper: up to 10x)",
+        "Upload bytes per hour, by day:\n{}",
         fmt_series(&ts.upload_bytes, 24)
     );
-    let j = json!({
-        "upload_bytes_per_hour": ts.upload_bytes,
-        "download_bytes_per_hour": ts.download_bytes,
-        "diurnal_swing": swing,
-        "paper": {"diurnal_swing": 10.0},
-    });
-    emit("f2a_traffic_timeseries", &human, &j)
+    let j = json!({"upload_bytes_per_hour": ts.upload_bytes, "download_bytes_per_hour": ts.download_bytes,
+                   "diurnal_swing": rep.diurnal_swing});
+    let vs = [(paper::UPLOAD_DIURNAL_SWING, "diurnal_swing", Times(1))];
+    emit_vs("f2a_traffic_timeseries", human, j, &vs)
 }
 
 /// Fig. 2(b): traffic and ops per file-size category.
 pub fn exp_f2b_size_categories(rep: &EngineReport) -> io::Result<()> {
     let s = &rep.size_shares;
-    let mut human = String::from(
-        "size (MB)     up-ops   up-bytes  down-ops down-bytes   (paper: >25MB = 79%/88% of bytes; <0.5MB = 84%/89% of ops)\n",
-    );
+    let mut human = String::from("size (MB)     up-ops   up-bytes  down-ops down-bytes\n");
     for (i, cat) in s.categories.iter().enumerate() {
         human.push_str(&format!(
             "{:>9}   {:>7}   {:>7}   {:>7}   {:>7}\n",
@@ -140,22 +201,19 @@ pub fn exp_f2b_size_categories(rep: &EngineReport) -> io::Result<()> {
             pct(s.download_byte_share[i]),
         ));
     }
-    let j = json!({
-        "shares": {
-            "categories": s.categories,
-            "upload_op_share": s.upload_op_share,
-            "upload_byte_share": s.upload_byte_share,
-            "download_op_share": s.download_op_share,
-            "download_byte_share": s.download_byte_share,
-        },
-        "paper": {
-            "huge_upload_byte_share": cal::HUGE_FILE_UPLOAD_TRAFFIC_SHARE,
-            "huge_download_byte_share": cal::HUGE_FILE_DOWNLOAD_TRAFFIC_SHARE,
-            "tiny_upload_op_share": cal::TINY_FILE_UPLOAD_OP_SHARE,
-            "tiny_download_op_share": cal::TINY_FILE_DOWNLOAD_OP_SHARE,
-        },
-    });
-    emit("f2b_size_categories", &human, &j)
+    let j = json!({"shares": {
+        "categories": s.categories, "upload_op_share": s.upload_op_share,
+        "upload_byte_share": s.upload_byte_share, "download_op_share": s.download_op_share,
+        "download_byte_share": s.download_byte_share}});
+    // Category 0 holds the paper's tiny files (<0.5MB), category 4 its huge ones (>25MB).
+    #[rustfmt::skip]
+    let vs = [
+        (paper::HUGE_FILE_UPLOAD_BYTE_SHARE, "shares.upload_byte_share.4", Pct),
+        (paper::HUGE_FILE_DOWNLOAD_BYTE_SHARE, "shares.download_byte_share.4", Pct),
+        (paper::TINY_FILE_UPLOAD_OP_SHARE, "shares.upload_op_share.0", Pct),
+        (paper::TINY_FILE_DOWNLOAD_OP_SHARE, "shares.download_op_share.0", Pct),
+    ];
+    emit_vs("f2b_size_categories", human, j, &vs)
 }
 
 /// Fig. 2(c): R/W ratio distribution + ACF.
@@ -172,11 +230,9 @@ pub fn exp_f2c_rw_ratio(rep: &EngineReport) -> io::Result<()> {
         .map(|h| format!("{h}h:{:.2}", rw.by_hour_of_day[h]))
         .collect();
     let human = format!(
-        "R/W ratio: median {:.2} (paper 1.14), mean {:.2} (paper 1.17), min {:.2}, max {:.2}\n\
+        "R/W ratio: min {:.2}, max {:.2}\n\
          ACF: {}/{} lags outside the 95% bound ±{:.3} → {}\n\
-         Hour-of-day means 6am→3pm (paper: linear decay): {}",
-        rw.median,
-        rw.mean,
+         Hour-of-day means 6am→3pm: {}",
         rw.min,
         rw.max,
         outside,
@@ -189,39 +245,29 @@ pub fn exp_f2c_rw_ratio(rep: &EngineReport) -> io::Result<()> {
         },
         morning.join(" "),
     );
-    let j = json!({
-        "median": rw.median, "mean": rw.mean,
-        "acf_outside_fraction": outside as f64 / rw.acf.lags.len().max(1) as f64,
-        "by_hour_of_day": rw.by_hour_of_day,
-        "paper": {"median": cal::RW_RATIO_MEDIAN, "mean": cal::RW_RATIO_MEAN},
-    });
-    emit("f2c_rw_ratio", &human, &j)
+    let j = json!({"median": rw.median, "mean": rw.mean,
+                   "acf_outside_fraction": outside as f64 / rw.acf.lags.len().max(1) as f64,
+                   "by_hour_of_day": rw.by_hour_of_day});
+    let vs = [
+        (paper::RW_RATIO_MEDIAN, "median", Fixed(2)),
+        (paper::RW_RATIO_MEAN, "mean", Fixed(2)),
+    ];
+    emit_vs("f2c_rw_ratio", human, j, &vs)
 }
 
 fn dep_block(
     analysis: &ana::dependencies::DependencyAnalysis,
     deps: &[ana::dependencies::Dependency],
 ) -> (String, Value) {
-    let total: u64 = deps
-        .iter()
-        .map(|d| {
-            analysis
-                .counts
-                .iter()
-                .find(|(k, _)| k == d)
-                .map(|(_, c)| *c)
-                .unwrap_or(0)
-        })
-        .sum();
+    let count = |d: &ana::dependencies::Dependency| {
+        let mut counts = analysis.counts.iter();
+        counts.find(|(k, _)| k == d).map_or(0, |(_, c)| *c)
+    };
+    let total: u64 = deps.iter().map(count).sum();
     let mut human = String::new();
     let mut j = serde_json::Map::new();
     for d in deps {
-        let count = analysis
-            .counts
-            .iter()
-            .find(|(k, _)| k == d)
-            .map(|(_, c)| *c)
-            .unwrap_or(0);
+        let count = count(d);
         let ecdf = analysis.times.iter().find(|(k, _)| k == d).map(|(_, e)| e);
         let med = ecdf.map(|e| e.median()).unwrap_or(f64::NAN);
         let under_1h = ecdf.map(|e| e.cdf(3600.0)).unwrap_or(0.0);
@@ -246,13 +292,14 @@ fn dep_block(
 pub fn exp_f3a_after_write(rep: &EngineReport) -> io::Result<()> {
     let a = &rep.dependencies;
     let (human, j) = dep_block(a, &ana::dependencies::Dependency::AFTER_WRITE);
-    let human = format!(
-        "{human}  WAW under 1h: {} (paper: 80%)\n  (paper shares: WAW 44%, RAW 30%, DAW 26%)",
-        pct(a.waw_under_1h)
-    );
-    let j = json!({"after_write": j, "waw_under_1h": a.waw_under_1h,
-                   "paper": {"waw": cal::WAW_SHARE, "raw": cal::RAW_SHARE, "daw": cal::DAW_SHARE}});
-    emit("f3a_after_write", &human, &j)
+    let j = json!({"after_write": j, "waw_under_1h": a.waw_under_1h});
+    let vs = [
+        (paper::WAW_SHARE, "after_write.WAW.share", Pct),
+        (paper::RAW_SHARE, "after_write.RAW.share", Pct),
+        (paper::DAW_SHARE, "after_write.DAW.share", Pct),
+        (paper::WAW_UNDER_1H, "waw_under_1h", Pct),
+    ];
+    emit_vs("f3a_after_write", human, j, &vs)
 }
 
 /// Fig. 3(b): X-after-Read dependencies + reads per file.
@@ -260,8 +307,7 @@ pub fn exp_f3b_after_read(rep: &EngineReport) -> io::Result<()> {
     let a = &rep.dependencies;
     let (human, j) = dep_block(a, &ana::dependencies::Dependency::AFTER_READ);
     let human = format!(
-        "{human}  RAR under 1 day: {} (paper: ~40%)\n  reads/file: median {:.0}, p99 {:.0}, max {:.0} (long tail)\n  dying files (>1 day quiet before delete): {} of {} deleted\n  (paper shares: WAR 10%, RAR 66%, DAR 24%)",
-        pct(a.rar_under_1d),
+        "{human}  reads/file: median {:.0}, p99 {:.0}, max {:.0} (long tail)\n  dying files (>1 day quiet before delete): {} of {} deleted",
         a.reads_per_file.median(),
         a.reads_per_file.quantile(0.99),
         a.reads_per_file.max(),
@@ -270,65 +316,61 @@ pub fn exp_f3b_after_read(rep: &EngineReport) -> io::Result<()> {
     );
     let j = json!({"after_read": j, "rar_under_1d": a.rar_under_1d,
                    "reads_per_file_max": a.reads_per_file.max(),
-                   "dying_files": a.dying_files, "deleted_files": a.deleted_files,
-                   "paper": {"war": cal::WAR_SHARE, "rar": cal::RAR_SHARE, "dar": cal::DAR_SHARE}});
-    emit("f3b_after_read", &human, &j)
+                   "dying_files": a.dying_files, "deleted_files": a.deleted_files});
+    let vs = [
+        (paper::WAR_SHARE, "after_read.WAR.share", Pct),
+        (paper::RAR_SHARE, "after_read.RAR.share", Pct),
+        (paper::DAR_SHARE, "after_read.DAR.share", Pct),
+        (paper::RAR_UNDER_1D, "rar_under_1d", Pct),
+    ];
+    emit_vs("f3b_after_read", human, j, &vs)
 }
 
 /// Fig. 3(c): node lifetimes.
 pub fn exp_f3c_lifetimes(rep: &EngineReport) -> io::Result<()> {
     let l = &rep.lifetimes;
     let human = format!(
-        "files created {} — deleted in window {} (paper 28.9%), within 8h {} (paper 17.1%)\n\
-         dirs  created {} — deleted in window {} (paper 31.5%), within 8h {} (paper 12.9%)\n\
+        "files created {}\n\
+         dirs  created {}\n\
          median deleted-file lifetime: {:.0}s; median deleted-dir lifetime: {:.0}s",
         l.files_created,
-        pct(l.file_mortality),
-        pct(l.file_mortality_8h),
         l.dirs_created,
-        pct(l.dir_mortality),
-        pct(l.dir_mortality_8h),
         l.file_lifetimes.median(),
         l.dir_lifetimes.median(),
     );
-    let j = json!({
-        "file_mortality": l.file_mortality, "file_mortality_8h": l.file_mortality_8h,
-        "dir_mortality": l.dir_mortality, "dir_mortality_8h": l.dir_mortality_8h,
-        "paper": {"file_month": cal::FILE_DEATH_IN_MONTH, "file_8h": cal::FILE_DEATH_IN_8H,
-                   "dir_month": cal::DIR_DEATH_IN_MONTH, "dir_8h": cal::DIR_DEATH_IN_8H},
-    });
-    emit("f3c_lifetimes", &human, &j)
+    let j = json!({"file_mortality": l.file_mortality, "file_mortality_8h": l.file_mortality_8h,
+                   "dir_mortality": l.dir_mortality, "dir_mortality_8h": l.dir_mortality_8h});
+    let vs = [
+        (paper::FILE_DEATH_IN_MONTH, "file_mortality", Pct),
+        (paper::FILE_DEATH_IN_8H, "file_mortality_8h", Pct),
+        (paper::DIR_DEATH_IN_MONTH, "dir_mortality", Pct),
+        (paper::DIR_DEATH_IN_8H, "dir_mortality_8h", Pct),
+    ];
+    emit_vs("f3c_lifetimes", human, j, &vs)
 }
 
 /// Fig. 4(a): deduplication.
 pub fn exp_f4a_dedup(scn: &Scenario, rep: &EngineReport) -> io::Result<()> {
     let d = &rep.dedup;
     let human = format!(
-        "dedup ratio over uploads: {:.3} (paper: 0.171)\n\
-         store-level dedup ratio (live contents): {:.3}\n\
-         contents uploaded once: {} (paper: ~80% have no duplicates)\n\
+        "store-level dedup ratio (live contents): {:.3}\n\
          most-duplicated content: {} copies (long tail / hot spot)",
-        d.dedup_ratio,
-        scn.store_dedup_ratio,
-        pct(d.singleton_fraction),
-        d.max_copies,
+        scn.store_dedup_ratio, d.max_copies,
     );
-    let j = json!({
-        "dedup_ratio": d.dedup_ratio, "store_dedup_ratio": scn.store_dedup_ratio,
-        "singleton_fraction": d.singleton_fraction, "max_copies": d.max_copies,
-        "unique_contents": d.unique_contents, "total_uploads": d.total_uploads,
-        "paper": {"dedup_ratio": cal::DEDUP_RATIO, "singleton_fraction": 0.80},
-    });
-    emit("f4a_dedup", &human, &j)
+    let j = json!({"dedup_ratio": d.dedup_ratio, "store_dedup_ratio": scn.store_dedup_ratio,
+                   "singleton_fraction": d.singleton_fraction, "max_copies": d.max_copies,
+                   "unique_contents": d.unique_contents, "total_uploads": d.total_uploads});
+    let vs = [
+        (paper::DEDUP_RATIO, "dedup_ratio", Fixed(3)),
+        (paper::SINGLETON_CONTENTS, "singleton_fraction", Pct),
+    ];
+    emit_vs("f4a_dedup", human, j, &vs)
 }
 
 /// Fig. 4(b): file sizes per extension.
 pub fn exp_f4b_sizes_by_ext(rep: &EngineReport) -> io::Result<()> {
     let s = &rep.size_by_ext;
-    let mut human = format!(
-        "all files: {} under 1MB (paper: 90%)\n  ext    median       p90\n",
-        pct(s.under_1mb_fraction)
-    );
+    let mut human = String::from("  ext    median       p90\n");
     let mut by_ext = serde_json::Map::new();
     for (ext, e) in &s.by_ext {
         human.push_str(&format!(
@@ -342,16 +384,15 @@ pub fn exp_f4b_sizes_by_ext(rep: &EngineReport) -> io::Result<()> {
             json!({"median": e.median(), "p90": e.quantile(0.9), "n": e.len()}),
         );
     }
-    let j = json!({"under_1mb": s.under_1mb_fraction, "by_ext": by_ext,
-                   "paper": {"under_1mb": cal::FILES_UNDER_1MB}});
-    emit("f4b_sizes_by_ext", &human, &j)
+    let j = json!({"under_1mb": s.under_1mb_fraction, "by_ext": by_ext});
+    let vs = [(paper::FILES_UNDER_1MB, "under_1mb", Pct)];
+    emit_vs("f4b_sizes_by_ext", human, j, &vs)
 }
 
 /// Fig. 4(c): category count vs storage share.
 pub fn exp_f4c_categories(rep: &EngineReport) -> io::Result<()> {
     let t = &rep.taxonomy;
-    let mut human =
-        String::from("category      files   storage   (paper: Code most files/least bytes; Audio/Video most bytes)\n");
+    let mut human = String::from("category      files   storage\n");
     for (i, cat) in t.categories.iter().enumerate() {
         human.push_str(&format!(
             "{:<12} {:>7} {:>9}\n",
@@ -367,21 +408,8 @@ pub fn exp_f4c_categories(rep: &EngineReport) -> io::Result<()> {
 
 /// Fig. 5: DDoS detection.
 pub fn exp_f5_ddos(scn: &Scenario, rep: &EngineReport) -> io::Result<()> {
-    // Count attacks from the session/auth signature (Fig. 5's definition);
-    // at small scale single heavy users can legitimately spike the storage
-    // series, which the session/auth series are immune to.
-    let control_eps: Vec<_> = rep
-        .ddos
-        .episodes
-        .iter()
-        .filter(|e| e.signal != "storage")
-        .cloned()
-        .collect();
-    let attacks = ana::ddos::distinct_attacks(&control_eps);
-    let mut human = format!(
-        "distinct attack episodes detected: {} (paper: 3, on days 4, 5 and 26)\n",
-        attacks.len()
-    );
+    let attacks = control_attacks(rep);
+    let mut human = format!("distinct attack episodes detected: {}\n", attacks.len());
     for (start, end, peak) in &attacks {
         human.push_str(&format!(
             "  day {:>2} hours {}..{}: peak {:.1}x over baseline\n",
@@ -400,24 +428,34 @@ pub fn exp_f5_ddos(scn: &Scenario, rep: &EngineReport) -> io::Result<()> {
         "ground_truth": {"attack_sessions": scn.report.attack_sessions,
                           "attack_ops": scn.report.attack_ops,
                           "users_banned": scn.report.users_banned},
-        "paper": {"attacks": 3, "attack_days": cal::ATTACK_DAYS,
-                   "storage_multipliers": cal::ATTACK_API_MULTIPLIER},
     });
     emit("f5_ddos", &human, &j)
+}
+
+/// The distinct attacks in the session/auth signature (Fig. 5's
+/// definition). At small scale single heavy users can legitimately spike
+/// the storage series, which the session/auth series are immune to.
+fn control_attacks(rep: &EngineReport) -> Vec<(usize, usize, f64)> {
+    let control: Vec<_> = rep
+        .ddos
+        .episodes
+        .iter()
+        .filter(|e| e.signal != "storage")
+        .cloned()
+        .collect();
+    ana::ddos::distinct_attacks(&control)
 }
 
 /// Fig. 6: online vs active users.
 pub fn exp_f6_online_active(rep: &EngineReport) -> io::Result<()> {
     let s = &rep.active_online;
-    let human = format!(
-        "active/online ratio per hour: min {}, mean {}, max {} (paper: 3.49%–16.25%)",
-        pct(s.min_ratio),
-        pct(s.mean_ratio),
-        pct(s.max_ratio)
-    );
-    let j = json!({"min": s.min_ratio, "mean": s.mean_ratio, "max": s.max_ratio,
-                   "paper": {"min": cal::ACTIVE_OF_ONLINE_MIN, "max": cal::ACTIVE_OF_ONLINE_MAX}});
-    emit("f6_online_active", &human, &j)
+    let human = format!("active/online ratio per hour: mean {}", pct(s.mean_ratio));
+    let j = json!({"min": s.min_ratio, "mean": s.mean_ratio, "max": s.max_ratio});
+    let vs = [
+        (paper::ACTIVE_OF_ONLINE_MIN, "min", Pct),
+        (paper::ACTIVE_OF_ONLINE_MAX, "max", Pct),
+    ];
+    emit_vs("f6_online_active", human, j, &vs)
 }
 
 /// Fig. 7(a): operation mix.
@@ -437,38 +475,32 @@ pub fn exp_f7a_op_mix(rep: &EngineReport) -> io::Result<()> {
 pub fn exp_f7b_user_traffic(rep: &EngineReport) -> io::Result<()> {
     let t = &rep.inequality;
     let human = format!(
-        "users who downloaded anything: {} (paper: 14%)\n\
-         users who uploaded anything:   {} (paper: 25%)\n\
-         active uploader median: {}, p99: {}",
-        pct(t.users_who_download),
-        pct(t.users_who_upload),
+        "active uploader median: {}, p99: {}",
         bytes(t.upload_cdf.median() as u64),
         bytes(t.upload_cdf.quantile(0.99) as u64),
     );
     let j = json!({"users_who_download": t.users_who_download,
-                   "users_who_upload": t.users_who_upload,
-                   "paper": {"download": 0.14, "upload": 0.25}});
-    emit("f7b_user_traffic", &human, &j)
+                   "users_who_upload": t.users_who_upload});
+    let vs = [
+        (paper::USERS_WHO_DOWNLOAD, "users_who_download", Pct),
+        (paper::USERS_WHO_UPLOAD, "users_who_upload", Pct),
+    ];
+    emit_vs("f7b_user_traffic", human, j, &vs)
 }
 
 /// Fig. 7(c): Lorenz curves and Gini.
 pub fn exp_f7c_gini(rep: &EngineReport) -> io::Result<()> {
     let t = &rep.inequality;
-    let human = format!(
-        "upload Gini   {:.3} (paper: 0.8943)\n\
-         download Gini {:.3} (paper: 0.8966)\n\
-         top 1% of active users hold {} of traffic (paper: 65.6%)",
-        t.upload_lorenz.gini,
-        t.download_lorenz.gini,
-        pct(t.top1_share),
-    );
     let j = json!({"upload_gini": t.upload_lorenz.gini,
                    "download_gini": t.download_lorenz.gini,
                    "top1_share": t.top1_share,
-                   "upload_lorenz": t.upload_lorenz.points,
-                   "paper": {"upload_gini": cal::GINI_UPLOAD, "download_gini": cal::GINI_DOWNLOAD,
-                              "top1_share": cal::TOP1_TRAFFIC_SHARE}});
-    emit("f7c_gini", &human, &j)
+                   "upload_lorenz": t.upload_lorenz.points});
+    let vs = [
+        (paper::GINI_UPLOAD, "upload_gini", Fixed(3)),
+        (paper::GINI_DOWNLOAD, "download_gini", Fixed(3)),
+        (paper::TOP1_TRAFFIC_SHARE, "top1_share", Pct),
+    ];
+    emit_vs("f7c_gini", String::new(), j, &vs)
 }
 
 /// Fig. 8: transition graph.
@@ -484,19 +516,17 @@ pub fn exp_f8_transitions(rep: &EngineReport) -> io::Result<()> {
             e.from, e.to, e.probability
         ));
     }
-    human.push_str(&format!(
-        "upload self-loop {:.3} (paper: 0.167), download self-loop {:.3} (paper: 0.158)",
-        g.probability(ApiOpKind::Upload, ApiOpKind::Upload),
-        g.probability(ApiOpKind::Download, ApiOpKind::Download),
-    ));
     let j = json!({
         "total": g.total_transitions,
         "top_edges": g.edges.iter().take(20).map(|e| json!([e.from, e.to, e.probability])).collect::<Vec<_>>(),
         "upload_self": g.probability(ApiOpKind::Upload, ApiOpKind::Upload),
         "download_self": g.probability(ApiOpKind::Download, ApiOpKind::Download),
-        "paper": {"upload_self": 0.167, "download_self": 0.158},
     });
-    emit("f8_transitions", &human, &j)
+    let vs = [
+        (paper::UPLOAD_SELF_LOOP, "upload_self", Fixed(3)),
+        (paper::DOWNLOAD_SELF_LOOP, "download_self", Fixed(3)),
+    ];
+    emit_vs("f8_transitions", human, j, &vs)
 }
 
 /// Fig. 9: burstiness + power-law fits.
@@ -504,15 +534,12 @@ pub fn exp_f9_burstiness(rep: &EngineReport) -> io::Result<()> {
     let up = &rep.burst_upload;
     let un = &rep.burst_unlink;
     let fit_line = |b: &ana::burstiness::Burstiness| match &b.fit {
-        Some(f) => format!(
-            "alpha {:.2}, theta {:.1}s over {} tail samples",
-            f.alpha, f.theta, f.tail_n
-        ),
+        Some(f) => format!("fit over {} tail samples", f.tail_n),
         None => "insufficient samples".into(),
     };
     let human = format!(
-        "Upload inter-op times: {} gaps, CV {:.1} (Poisson would be 1.0) — fit {} (paper: alpha 1.54, theta 41.4)\n\
-         Unlink inter-op times: {} gaps, CV {:.1} — fit {} (paper: alpha 1.44, theta 19.5)\n\
+        "Upload inter-op times: {} gaps, CV {:.1} (Poisson would be 1.0) — {}\n\
+         Unlink inter-op times: {} gaps, CV {:.1} — {}\n\
          span: {:.2}s .. {:.0}s ({} decades)",
         up.gaps,
         up.cv,
@@ -527,48 +554,45 @@ pub fn exp_f9_burstiness(rep: &EngineReport) -> io::Result<()> {
     let j = json!({
         "upload": {"gaps": up.gaps, "cv": up.cv, "fit": up.fit.as_ref().map(|f| json!({"alpha": f.alpha, "theta": f.theta}))},
         "unlink": {"gaps": un.gaps, "cv": un.cv, "fit": un.fit.as_ref().map(|f| json!({"alpha": f.alpha, "theta": f.theta}))},
-        "paper": {"upload": {"alpha": cal::UPLOAD_INTEROP_ALPHA, "theta": cal::UPLOAD_INTEROP_THETA},
-                   "unlink": {"alpha": cal::UNLINK_INTEROP_ALPHA, "theta": cal::UNLINK_INTEROP_THETA}},
     });
-    emit("f9_burstiness", &human, &j)
+    let vs = [
+        (paper::UPLOAD_INTEROP_ALPHA, "upload.fit.alpha", Fixed(2)),
+        (paper::UPLOAD_INTEROP_THETA, "upload.fit.theta", Fixed(1)),
+        (paper::UNLINK_INTEROP_ALPHA, "unlink.fit.alpha", Fixed(2)),
+        (paper::UNLINK_INTEROP_THETA, "unlink.fit.theta", Fixed(1)),
+    ];
+    emit_vs("f9_burstiness", human, j, &vs)
 }
 
 /// Fig. 10: files vs dirs per volume.
 pub fn exp_f10_volume_contents(scn: &Scenario) -> io::Result<()> {
     let c = ana::volumes::volume_contents(&scn.volumes);
-    let human = format!(
-        "volumes: {}\n\
-         files/dirs Pearson correlation: {:.3} (paper: 0.998)\n\
-         volumes with >=1 file: {} (paper: ~60%); with >=1 dir: {} (paper: ~32%)\n\
-         volumes with >1000 files: {} (paper: ~5%)",
-        c.volumes,
-        c.files_dirs_pearson,
-        pct(c.with_files),
-        pct(c.with_dirs),
-        pct(c.over_1000_files),
-    );
     let j = json!({"volumes": c.volumes, "pearson": c.files_dirs_pearson,
                    "with_files": c.with_files, "with_dirs": c.with_dirs,
-                   "over_1000_files": c.over_1000_files,
-                   "paper": {"pearson": 0.998, "with_files": 0.60, "with_dirs": 0.32, "over_1000": 0.05}});
-    emit("f10_volume_contents", &human, &j)
+                   "over_1000_files": c.over_1000_files});
+    let vs = [
+        (paper::FILES_DIRS_PEARSON, "pearson", Fixed(3)),
+        (paper::VOLUMES_WITH_FILES, "with_files", Pct),
+        (paper::VOLUMES_WITH_DIRS, "with_dirs", Pct),
+        (paper::VOLUMES_OVER_1000_FILES, "over_1000_files", Pct),
+    ];
+    let human = format!("volumes: {}", c.volumes);
+    emit_vs("f10_volume_contents", human, j, &vs)
 }
 
 /// Fig. 11: UDF and shared volumes.
 pub fn exp_f11_volume_types(scn: &Scenario) -> io::Result<()> {
     let t = ana::volumes::volume_types(&scn.volumes);
-    let human = format!(
-        "users: {}\nusers with >=1 UDF: {} (paper: 58%)\nusers involved in sharing: {} (paper: 1.8%)",
-        t.users,
-        pct(t.users_with_udf),
-        pct(t.users_with_share),
-    );
-    let j = json!({"users": t.users, "with_udf": t.users_with_udf, "with_share": t.users_with_share,
-                   "paper": {"with_udf": cal::USERS_WITH_UDF, "with_share": cal::USERS_WITH_SHARE}});
-    emit("f11_volume_types", &human, &j)
+    let j =
+        json!({"users": t.users, "with_udf": t.users_with_udf, "with_share": t.users_with_share});
+    let vs = [
+        (paper::USERS_WITH_UDF, "with_udf", Pct),
+        (paper::USERS_WITH_SHARE, "with_share", Pct),
+    ];
+    emit_vs("f11_volume_types", format!("users: {}", t.users), j, &vs)
 }
 
-/// Fig. 12: RPC service-time distributions.
+/// Fig. 12: RPC service-time distributions (Table 1 checks their tails).
 pub fn exp_f12_rpc_latency(rep: &EngineReport) -> io::Result<()> {
     let a = &rep.rpc;
     let mut human = String::from(
@@ -593,9 +617,7 @@ pub fn exp_f12_rpc_latency(rep: &EngineReport) -> io::Result<()> {
                           "n": p.count, "median_s": p.median_s, "p99_s": p.p99_s,
                           "far_from_median": p.far_from_median}));
     }
-    human.push_str("(paper: every RPC long-tailed, 7–22% far from median)");
-    let j = json!({"profiles": rows, "paper": {"far_min": 0.07, "far_max": 0.22}});
-    emit("f12_rpc_latency", &human, &j)
+    emit("f12_rpc_latency", &human, &json!({"profiles": rows}))
 }
 
 /// Fig. 13: median service time vs frequency scatter.
@@ -604,24 +626,19 @@ pub fn exp_f13_rpc_scatter(rep: &EngineReport) -> io::Result<()> {
     let read = a.class_median(RpcClass::Read);
     let write = a.class_median(RpcClass::Write);
     let cascade = a.class_median(RpcClass::Cascade);
+    let count = |rpc| a.profile(rpc).map_or(0, |p| p.count);
     let human = format!(
         "class medians: read {read:.4}s < write {write:.4}s < cascade {cascade:.4}s\n\
-         cascade/read ratio: {:.0}x (paper: more than one order of magnitude)\n\
          cascades are rare: delete_volume n={}, get_from_scratch n={}",
-        cascade / read,
-        a.profile(RpcKind::DeleteVolume)
-            .map(|p| p.count)
-            .unwrap_or(0),
-        a.profile(RpcKind::GetFromScratch)
-            .map(|p| p.count)
-            .unwrap_or(0),
+        count(RpcKind::DeleteVolume),
+        count(RpcKind::GetFromScratch),
     );
     let j = json!({"read_median": read, "write_median": write, "cascade_median": cascade,
                    "cascade_over_read": cascade / read,
                    "scatter": a.profiles.iter().filter(|p| p.count > 0)
-                       .map(|p| json!([p.rpc, p.class, p.count, p.median_s])).collect::<Vec<_>>(),
-                   "paper": {"cascade_over_read_min": 10.0}});
-    emit("f13_rpc_scatter", &human, &j)
+                       .map(|p| json!([p.rpc, p.class, p.count, p.median_s])).collect::<Vec<_>>()});
+    let vs = [(paper::CASCADE_OVER_READ, "cascade_over_read", Times(0))];
+    emit_vs("f13_rpc_scatter", human, j, &vs)
 }
 
 /// Fig. 14: load balance.
@@ -629,63 +646,49 @@ pub fn exp_f14_load_balance(rep: &EngineReport) -> io::Result<()> {
     let lb = &rep.load_balance;
     let human = format!(
         "API servers, hourly: mean CV across machines {:.2} (high variance = poor short-window balance)\n\
-         store shards, per-minute: mean CV across shards {:.2}\n\
-         long-run shard imbalance (stddev/mean of totals): {} (paper: 4.9%)",
-        lb.api_mean_cv,
-        lb.shard_mean_cv,
-        pct(lb.shard_longrun_cv),
+         store shards, per-minute: mean CV across shards {:.2}",
+        lb.api_mean_cv, lb.shard_mean_cv,
     );
     let j = json!({"api_mean_cv": lb.api_mean_cv, "shard_mean_cv": lb.shard_mean_cv,
-                   "shard_longrun_cv": lb.shard_longrun_cv,
-                   "paper": {"longrun": cal::SHARD_LONGRUN_STDDEV}});
-    emit("f14_load_balance", &human, &j)
+                   "shard_longrun_cv": lb.shard_longrun_cv});
+    let vs = [(paper::SHARD_LONGRUN_IMBALANCE, "shard_longrun_cv", Pct)];
+    emit_vs("f14_load_balance", human, j, &vs)
 }
 
 /// Fig. 15: auth/session activity.
 pub fn exp_f15_auth_activity(rep: &EngineReport) -> io::Result<()> {
     let a = &rep.auth;
-    let human = format!(
-        "auth requests: diurnal swing {:.2}x (paper: 1.5–1.6x day-over-night)\n\
-         Monday over weekend: {:.2}x (paper: ~1.15x)\n\
-         auth failure fraction: {} (paper: 2.76%)",
-        a.diurnal_swing,
-        a.monday_over_weekend,
-        pct(a.auth_failure_fraction),
-    );
     let j = json!({"diurnal_swing": a.diurnal_swing,
                    "monday_over_weekend": a.monday_over_weekend,
                    "auth_failure_fraction": a.auth_failure_fraction,
-                   "auth_per_hour": a.auth_per_hour,
-                   "paper": {"swing": cal::AUTH_DIURNAL_SWING,
-                              "monday": cal::MONDAY_OVER_WEEKEND,
-                              "failures": cal::AUTH_FAILURE_RATE}});
-    emit("f15_auth_activity", &human, &j)
+                   "auth_per_hour": a.auth_per_hour});
+    let vs = [
+        (paper::AUTH_DIURNAL_SWING, "diurnal_swing", Times(2)),
+        (paper::MONDAY_OVER_WEEKEND, "monday_over_weekend", Times(2)),
+        (paper::AUTH_FAILURE_RATE, "auth_failure_fraction", Pct),
+    ];
+    emit_vs("f15_auth_activity", String::new(), j, &vs)
 }
 
 /// Fig. 16: session lengths and ops per session.
 pub fn exp_f16_sessions(rep: &EngineReport) -> io::Result<()> {
     let s = &rep.sessions;
-    let human = format!(
-        "closed sessions: {}\n\
-         under 1s: {} (paper: 32%); under 8h: {} (paper: 97%)\n\
-         active sessions: {} (paper: 5.57%)\n\
-         p80 ops per active session: {:.0} (paper: 92)\n\
-         top-20% active sessions hold {} of data ops (paper: 96.7%)",
-        s.sessions,
-        pct(s.under_1s),
-        pct(s.under_8h),
-        pct(s.active_fraction),
-        s.p80_ops,
-        pct(s.top20_op_share),
-    );
     let j = json!({"sessions": s.sessions, "under_1s": s.under_1s, "under_8h": s.under_8h,
                    "active_fraction": s.active_fraction, "p80_ops": s.p80_ops,
-                   "top20_op_share": s.top20_op_share,
-                   "paper": {"under_1s": cal::SESSION_UNDER_1S, "under_8h": cal::SESSION_UNDER_8H,
-                              "active_fraction": cal::ACTIVE_SESSION_FRACTION,
-                              "p80_ops": cal::ACTIVE_SESSION_P80_OPS,
-                              "top20_share": cal::ACTIVE_SESSION_TOP20_OP_SHARE}});
-    emit("f16_sessions", &human, &j)
+                   "top20_op_share": s.top20_op_share});
+    let vs = [
+        (paper::SESSIONS_UNDER_1S, "under_1s", Pct),
+        (paper::SESSIONS_UNDER_8H, "under_8h", Pct),
+        (paper::ACTIVE_SESSIONS, "active_fraction", Pct),
+        (paper::ACTIVE_SESSION_P80_OPS, "p80_ops", Fixed(0)),
+        (paper::ACTIVE_SESSION_TOP20_OP_SHARE, "top20_op_share", Pct),
+    ];
+    emit_vs(
+        "f16_sessions",
+        format!("closed sessions: {}", s.sessions),
+        j,
+        &vs,
+    )
 }
 
 /// Fig. 17 / Table 4: the upload state machine under interruption, resume,
@@ -732,33 +735,22 @@ pub fn exp_f17_uploadjobs() -> io::Result<()> {
             u1_server::api::UploadOutcome::Started { upload } => upload,
             u1_server::api::UploadOutcome::Deduplicated { .. } => continue,
         };
-        backend
-            .upload_chunk(h.session, upload, 5 << 20, None)
-            .unwrap();
+        let chunk = |len| {
+            backend.upload_chunk(h.session, upload, len, None).unwrap();
+        };
+        chunk(5 << 20);
         match i % 6 {
-            0 | 1 => {
-                // Clean finish.
-                backend
-                    .upload_chunk(h.session, upload, 5 << 20, None)
-                    .unwrap();
-                backend
-                    .upload_chunk(h.session, upload, size - (10 << 20), None)
-                    .unwrap();
+            // 0 and 1 finish cleanly; 2 and 3 are interrupted: the commit
+            // is refused, and the upload resumes.
+            0..=3 => {
+                if i % 6 >= 2 {
+                    assert!(backend.commit_upload(h.session, upload).is_err());
+                    resumed += 1;
+                }
+                chunk(5 << 20);
+                chunk(size - (10 << 20));
                 backend.commit_upload(h.session, upload).unwrap();
                 committed += 1;
-            }
-            2 | 3 => {
-                // Interrupted: commit refused; resume; commit.
-                assert!(backend.commit_upload(h.session, upload).is_err());
-                backend
-                    .upload_chunk(h.session, upload, 5 << 20, None)
-                    .unwrap();
-                backend
-                    .upload_chunk(h.session, upload, size - (10 << 20), None)
-                    .unwrap();
-                backend.commit_upload(h.session, upload).unwrap();
-                committed += 1;
-                resumed += 1;
             }
             4 => {
                 backend.cancel_upload(h.session, upload).unwrap();
@@ -793,17 +785,6 @@ pub fn exp_f17_uploadjobs() -> io::Result<()> {
 
 /// Table 1: the findings checklist, computed from the shared report.
 pub fn exp_t1_findings(rep: &EngineReport) -> io::Result<()> {
-    use ana::summary::Finding;
-    let ddos = {
-        let control: Vec<_> = rep
-            .ddos
-            .episodes
-            .iter()
-            .filter(|e| e.signal != "storage")
-            .cloned()
-            .collect();
-        ana::ddos::distinct_attacks(&control)
-    };
     let far_mean = {
         let xs: Vec<f64> = rep
             .rpc
@@ -814,18 +795,29 @@ pub fn exp_t1_findings(rep: &EngineReport) -> io::Result<()> {
             .collect();
         ana::stats::mean(&xs)
     };
-    let findings = vec![
-        Finding { id: "files<1MB", statement: "90% of files are smaller than 1MB", paper_value: 0.90, measured: rep.size_by_ext.under_1mb_fraction, tolerance: 0.08 },
-        Finding { id: "update-traffic", statement: "18.5% of upload traffic is caused by file updates", paper_value: 0.1847, measured: rep.updates.update_traffic_fraction, tolerance: 0.6 },
-        Finding { id: "dedup", statement: "deduplication ratio of 17%", paper_value: 0.171, measured: rep.dedup.dedup_ratio, tolerance: 0.5 },
-        Finding { id: "ddos", statement: "3 DDoS attacks in one month", paper_value: 3.0, measured: ddos.len() as f64, tolerance: 0.35 },
-        Finding { id: "top1%", statement: "1% of users generate 65% of the traffic (finite-sample-limited: ideal Pareto at this scale gives ~0.49)", paper_value: 0.656, measured: rep.inequality.top1_share, tolerance: 0.50 },
-        Finding { id: "bursty", statement: "user inter-op times are bursty (CV >> 1)", paper_value: 10.0, measured: rep.burst_upload.cv, tolerance: 3.0 },
-        Finding { id: "rpc-tails", statement: "7–22% of RPC service times far from median", paper_value: 0.145, measured: far_mean, tolerance: 0.8 },
-        Finding { id: "auth-failures", statement: "2.76% of auth requests fail", paper_value: 0.0276, measured: rep.auth.auth_failure_fraction, tolerance: 2.5 },
-        Finding { id: "active-sessions", statement: "5.57% of sessions are active", paper_value: 0.0557, measured: rep.sessions.active_fraction, tolerance: 0.6 },
-        Finding { id: "sessions<8h", statement: "97% of sessions shorter than 8h", paper_value: 0.97, measured: rep.sessions.under_8h, tolerance: 0.05 },
+    #[rustfmt::skip]
+    let checks = [
+        (paper::FILES_UNDER_1MB, rep.size_by_ext.under_1mb_fraction, 0.08),
+        (paper::UPDATE_TRAFFIC, rep.updates.update_traffic_fraction, 0.6),
+        (paper::DEDUP_RATIO, rep.dedup.dedup_ratio, 0.5),
+        (paper::ATTACKS, control_attacks(rep).len() as f64, 0.35),
+        (paper::TOP1_TRAFFIC_SHARE, rep.inequality.top1_share, 0.50),
+        (paper::BURSTY, rep.burst_upload.cv, 3.0),
+        (paper::RPC_TAILS, far_mean, 0.8),
+        (paper::AUTH_FAILURE_RATE, rep.auth.auth_failure_fraction, 2.5),
+        (paper::ACTIVE_SESSIONS, rep.sessions.active_fraction, 0.6),
+        (paper::SESSIONS_UNDER_8H, rep.sessions.under_8h, 0.05),
     ];
+    let findings: Vec<ana::summary::Finding> = checks
+        .iter()
+        .map(|&(row, measured, tolerance)| ana::summary::Finding {
+            id: row.id,
+            statement: row.statement.unwrap_or_default(),
+            paper_value: row.value,
+            measured,
+            tolerance,
+        })
+        .collect();
     let mut human = String::from("finding                paper     measured   holds?\n");
     for f in &findings {
         human.push_str(&format!(
@@ -914,58 +906,25 @@ pub fn exp_faults(spec: &str) -> io::Result<()> {
         .iter()
         .map(|c| format!("    {:<18} {}\n", c.class, c.count))
         .collect();
-    let human = format!(
-        "fault plan: {spec}\n\n\
-         {:<28} {:>10} {:>10}\n\
-         {:<28} {:>10} {:>10}\n\
-         {:<28} {:>10} {:>10}\n\
-         {:<28} {:>10.4} {:>10.4}\n\
-         {:<28} {:>10} {:>10}\n\
-         {:<28} {:>10} {:>10}\n\
-         {:<28} {:>10} {:>10}\n\
-         {:<28} {:>10} {:>10}\n\
-         {:<28} {:>10} {:>10}\n\
-         {:<28} {:>10.2} {:>10.2}\n\
-         error classes (faulted):\n{class_rows}",
-        "",
-        "baseline",
-        "faulted",
-        "sessions opened",
-        br.sessions_opened,
-        fr.sessions_opened,
-        "ops executed",
-        br.ops_executed,
-        fr.ops_executed,
-        "storage error rate",
-        base_f.storage_error_rate,
-        inj_f.storage_error_rate,
-        "rpc timeouts",
-        br.rpc_timeouts,
-        fr.rpc_timeouts,
-        "server rpc retries",
-        br.rpc_retries,
-        fr.rpc_retries,
-        "client retries",
-        br.client_retries,
-        fr.client_retries,
-        "uploads interrupted/resumed",
-        br.uploads_interrupted,
-        fr.uploads_interrupted,
-        "auth fallbacks / rescans",
-        fr.auth_fallbacks,
-        fr.rescans_forced,
-        "retry latency inflation",
-        base_f.retry_latency_inflation,
-        inj_f.retry_latency_inflation,
-    );
-    let j = json!({
-        "plan": spec,
-        "baseline": {
-            "report": br, "faults": base_f,
-        },
-        "faulted": {
-            "report": fr, "faults": inj_f,
-        },
-    });
+    #[rustfmt::skip]
+    let table = [
+        ("", "baseline".to_string(), "faulted".to_string()),
+        ("sessions opened", br.sessions_opened.to_string(), fr.sessions_opened.to_string()),
+        ("ops executed", br.ops_executed.to_string(), fr.ops_executed.to_string()),
+        ("storage error rate", format!("{:.4}", base_f.storage_error_rate), format!("{:.4}", inj_f.storage_error_rate)),
+        ("rpc timeouts", br.rpc_timeouts.to_string(), fr.rpc_timeouts.to_string()),
+        ("server rpc retries", br.rpc_retries.to_string(), fr.rpc_retries.to_string()),
+        ("client retries", br.client_retries.to_string(), fr.client_retries.to_string()),
+        ("uploads interrupted/resumed", br.uploads_interrupted.to_string(), fr.uploads_interrupted.to_string()),
+        ("auth fallbacks / rescans", fr.auth_fallbacks.to_string(), fr.rescans_forced.to_string()),
+        ("retry latency inflation", format!("{:.2}", base_f.retry_latency_inflation), format!("{:.2}", inj_f.retry_latency_inflation)),
+    ];
+    let rows: String = table
+        .iter()
+        .map(|(label, base, faulted)| format!("{label:<28} {base:>10} {faulted:>10}\n"))
+        .collect();
+    let human = format!("fault plan: {spec}\n\n{rows}error classes (faulted):\n{class_rows}");
+    let j = json!({"plan": spec, "baseline": {"report": br, "faults": base_f},
+                   "faulted": {"report": fr, "faults": inj_f}});
     emit("faults", &human, &j)
 }

@@ -1,6 +1,7 @@
 //! The `exp` binary and its name → function table: every experiment the
 //! docs name resolves, usage errors exit 2, a document that cannot be
-//! written exits 1, and `exp all` writes one JSON per table entry.
+//! written exits 1, and `exp all` writes one JSON per table entry, which
+//! between them name every paper row.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -107,6 +108,18 @@ fn all_writes_one_json_per_table_entry() {
     let mut expected: Vec<String> = TABLE.iter().map(|(n, _)| format!("{n}.json")).collect();
     expected.sort();
     assert_eq!(written, expected);
+    // Every paper row is rendered: its id is in some document.
+    let documents: String = written
+        .iter()
+        .map(|name| std::fs::read_to_string(dir.join(name)).expect("read document"))
+        .collect();
+    for row in u1_core::paper::ROWS {
+        assert!(
+            documents.contains(&format!("\"{}\"", row.id)),
+            "paper row `{}` appears in no JSON document",
+            row.id
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -8,7 +8,7 @@
 //! mode, examples and integration tests) or a [`SimClock`] that the
 //! discrete-event driver advances explicitly (measurement mode).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -22,15 +22,11 @@ pub const MICROS_PER_SEC: u64 = 1_000_000;
 /// The paper's trace window opens on 2014-01-11 00:00 UTC; helper methods
 /// that need calendar structure (hour of day, day of week) assume the window
 /// starts at midnight on a **Saturday**, which is what 2014-01-11 was.
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize, Debug,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Debug)]
 pub struct SimTime(pub u64);
 
 /// A span of simulated time in microseconds.
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize, Debug,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Debug)]
 pub struct SimDuration(pub u64);
 
 impl SimTime {

@@ -54,7 +54,7 @@ use std::sync::{Arc, OnceLock};
 
 /// Classification of a failed (or fault-affected) operation, carried on
 /// trace records so the analytics engine can compute per-class error rates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize)]
 #[repr(u8)]
 pub enum ErrorClass {
     /// A DAL RPC exceeded its timeout budget (injected on the API→DAL path).

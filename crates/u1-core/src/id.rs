@@ -5,14 +5,14 @@
 //! reproduction routinely simulates tens of millions of events; the types
 //! below make it impossible to confuse, say, a volume id with a node id.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 macro_rules! impl_u64_id {
     ($(#[$meta:meta])* $name:ident, $prefix:literal) => {
         $(#[$meta])*
         #[derive(
-            Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
+            Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Default,
         )]
         pub struct $name(pub u64);
 
@@ -79,9 +79,7 @@ impl_u64_id!(
 
 /// A shard of the metadata store. The production cluster had 10 shards of
 /// 2 servers each (§3.4); operations are routed to shards by user id.
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default, Debug,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Default, Debug)]
 pub struct ShardId(pub u16);
 
 impl ShardId {
@@ -101,9 +99,7 @@ impl fmt::Display for ShardId {
 
 /// A physical machine in the Canonical datacenter. API/RPC processes ran on
 /// 6 machines named after fruit (the paper shows `whitecurrant`).
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default, Debug,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Default, Debug)]
 pub struct MachineId(pub u16);
 
 impl MachineId {
@@ -143,9 +139,7 @@ impl fmt::Display for MachineId {
 
 /// An API/RPC server process. Unique within a machine (§4): "the identifier
 /// of the process is unique within a machine".
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default, Debug,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Default, Debug)]
 pub struct ProcessId(pub u16);
 
 impl ProcessId {
@@ -165,7 +159,7 @@ impl fmt::Display for ProcessId {
 
 /// The SHA-1 digest of a file's contents. U1 desktop clients send this hash
 /// before uploading so the server can deduplicate at file granularity (§3.3).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct ContentHash(pub [u8; 20]);
 
 impl ContentHash {
@@ -245,7 +239,7 @@ impl fmt::Display for ContentHash {
 }
 
 /// Whether a node is a file or a directory.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize)]
 pub enum NodeKind {
     File,
     Directory,
@@ -261,7 +255,7 @@ impl NodeKind {
 }
 
 /// The three volume kinds of §3.1.1.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize)]
 pub enum VolumeKind {
     /// The predefined `~/Ubuntu One` volume with id 0.
     Root,

@@ -245,8 +245,6 @@ impl SerializeKey for Name {
     }
 }
 
-impl serde::Deserialize for Name {}
-
 // ---------------------------------------------------------------------------
 // Ext: fixed-size sanitized extension
 // ---------------------------------------------------------------------------
@@ -378,8 +376,6 @@ impl SerializeKey for Ext {
         self.as_str().to_string()
     }
 }
-
-impl serde::Deserialize for Ext {}
 
 // ---------------------------------------------------------------------------
 // NameArena: deduplicating string arena

@@ -12,6 +12,8 @@
 //!   of the paper can be reproduced in virtual time on a laptop,
 //! * the file-type taxonomy of §5.3 (categories and extensions),
 //! * the file-size categories used by Fig. 2(b),
+//! * every number from the paper that some code reads, each once, with its
+//!   section or figure ([`paper`]),
 //! * deterministic RNG plumbing used across the workload generator,
 //! * the workspace's locks, each ranked in one lock order ([`sync`]).
 
@@ -22,6 +24,7 @@ pub mod fxhash;
 pub mod id;
 pub mod intern;
 pub mod op;
+pub mod paper;
 pub mod partition;
 pub mod rngx;
 pub mod sha1;

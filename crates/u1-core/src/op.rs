@@ -5,13 +5,13 @@
 //! RPC calls, the trace crate logs both, and the analytics crate aggregates
 //! them back into the paper's figures.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// A client-visible API operation of the U1 storage protocol (Table 2),
 /// plus the session bookkeeping events the trace distinguishes (§4: request
 /// types `storage`/`storage_done`, `rpc`, `session`).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize)]
 pub enum ApiOpKind {
     /// Establish a session from an OAuth token.
     Authenticate,
@@ -177,7 +177,7 @@ impl fmt::Display for ApiOpKind {
 /// A DAL (data-access-layer) RPC against the metadata store. The union of
 /// the `Related RPC` column of Table 2 and the upload RPCs of Table 4, plus
 /// the authentication RPC of Fig. 12(c).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize)]
 pub enum RpcKind {
     // Table 2: file-system management.
     ListVolumes,
@@ -208,7 +208,7 @@ pub enum RpcKind {
 }
 
 /// The three RPC cost classes of Fig. 13.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize)]
 pub enum RpcClass {
     /// Lockless parallel reads against a shard pair.
     Read,

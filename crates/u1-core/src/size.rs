@@ -1,6 +1,6 @@
 //! Byte quantities and the file-size categories of Fig. 2(b).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 pub const KIB: u64 = 1 << 10;
@@ -9,9 +9,7 @@ pub const GIB: u64 = 1 << 30;
 pub const TIB: u64 = 1 << 40;
 
 /// A byte count with humane formatting.
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize, Debug,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Debug)]
 pub struct ByteSize(pub u64);
 
 impl ByteSize {
@@ -64,7 +62,7 @@ impl fmt::Display for ByteSize {
 
 /// The five file-size buckets of Fig. 2(b): `x<0.5`, `0.5<x<1`, `1<x<5`,
 /// `5<x<25`, `25<x` (MBytes).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize)]
 pub enum SizeCategory {
     /// < 0.5 MB
     Tiny,

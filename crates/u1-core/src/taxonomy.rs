@@ -5,11 +5,11 @@
 //! Compressed (plus an implicit Other) — and studied the number-of-files vs
 //! storage-share trade-off per category (Fig. 4(c)).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// One of the paper's file categories.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize)]
 pub enum FileCategory {
     Pics,
     Code,

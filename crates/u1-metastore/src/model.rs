@@ -1,12 +1,12 @@
 //! Table rows of the metadata store.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use u1_core::{
     ContentHash, Name, NodeId, NodeKind, ShardId, SimTime, UploadId, UserId, VolumeId, VolumeKind,
 };
 
 /// A user account row.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct UserRow {
     pub user: UserId,
     pub shard: ShardId,
@@ -19,7 +19,7 @@ pub struct UserRow {
 /// A volume row. The `generation` is the monotone change counter clients
 /// diff against with `GetDelta` (§3.4.2: clients compare local state with
 /// the server side "on every connection (generation point)").
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct VolumeRow {
     pub volume: VolumeId,
     pub owner: UserId,
@@ -36,7 +36,7 @@ pub struct VolumeRow {
 /// A node row (file or directory). Deleted nodes become tombstones
 /// (`is_live = false`) so deltas can report deletions; delete-volume drops
 /// rows entirely.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct NodeRow {
     pub node: NodeId,
     pub volume: VolumeId,
@@ -58,7 +58,7 @@ pub struct NodeRow {
 
 /// Cross-user content index row: one per distinct SHA-1, counting logical
 /// links (the basis of the dedup analysis in Fig. 4(a)).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct ContentRow {
     pub hash: ContentHash,
     pub size: u64,
@@ -69,7 +69,7 @@ pub struct ContentRow {
 
 /// A share grant: `shared_by` exposes `volume` to `shared_to` (Table 2's
 /// ListShares vocabulary).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct ShareRow {
     pub volume: VolumeId,
     pub shared_by: UserId,
@@ -78,7 +78,7 @@ pub struct ShareRow {
 }
 
 /// Lifecycle states of a multipart upload job (Fig. 17).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum UploadState {
     /// Created by `make_uploadjob`, no S3 multipart id yet.
     Created,
@@ -92,7 +92,7 @@ pub enum UploadState {
 /// Server-side state of a multipart file transfer between the client and
 /// the object store (Appendix A). Persisted in the metadata store for the
 /// whole life of the upload so interrupted transfers can resume.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct UploadJobRow {
     pub upload: UploadId,
     pub user: UserId,

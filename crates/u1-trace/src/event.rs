@@ -1,20 +1,20 @@
 //! The typed trace event model.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use u1_core::{
     ApiOpKind, ContentHash, ErrorClass, Ext, MachineId, NodeId, NodeKind, ProcessId, RpcKind,
     SessionId, ShardId, SimTime, UserId, VolumeId,
 };
 
 /// Session lifecycle events (request type `session` in the original trace).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize)]
 pub enum SessionEvent {
     Open,
     Close,
 }
 
 /// The payload of one trace line.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug, Serialize)]
 pub enum Payload {
     /// Session opened/closed on an API server process.
     Session {
@@ -70,7 +70,7 @@ impl Payload {
 }
 
 /// The fields of a `storage_done` line, behind [`Payload::Storage`]'s box.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug, Serialize)]
 pub struct StorageDone {
     pub op: ApiOpKind,
     pub session: SessionId,
@@ -93,7 +93,7 @@ pub struct StorageDone {
 }
 
 /// One line of the trace: where it was logged, when, and what happened.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug, Serialize)]
 pub struct TraceRecord {
     /// Timestamp. Timestamps are NTP-synchronized-but-not-dependable across
     /// servers, exactly as §4 warns; under the parallel driver even one

@@ -7,8 +7,7 @@
 //! 245× and 6.7× for the three attacks), decaying within an hour of the
 //! manual response (banning the user and deleting the content).
 
-use crate::calibration;
-use u1_core::{SimDuration, SimTime};
+use u1_core::{paper, SimDuration, SimTime};
 
 /// One scripted attack.
 #[derive(Debug, Clone)]
@@ -33,9 +32,9 @@ impl AttackScript {
     /// (Jan 15, Jan 16, Feb 6 → window days 4, 5 and 26), starting in the
     /// late morning.
     pub fn paper_attacks() -> Vec<AttackScript> {
-        calibration::ATTACK_DAYS
+        paper::ATTACK_DAYS
             .iter()
-            .zip(calibration::ATTACK_API_MULTIPLIER.iter())
+            .zip(paper::ATTACK_API_MULTIPLIER.iter())
             .enumerate()
             .map(|(i, (&day, &storage_multiplier))| AttackScript {
                 start: SimTime::from_hours(day * 24 + 10),

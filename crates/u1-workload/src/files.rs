@@ -3,7 +3,7 @@
 
 use rand::rngs::SmallRng;
 use rand::Rng;
-use u1_core::rngx;
+use u1_core::{paper, rngx};
 use u1_core::{ContentHash, FileCategory, Name, SimDuration};
 
 /// Extension frequency weights, shaped to Fig. 4(c): Code holds the most
@@ -213,13 +213,13 @@ impl FileModel {
     pub fn sample_lifetime(rng: &mut SmallRng, is_dir: bool) -> Option<SimDuration> {
         let (p_8h, p_month) = if is_dir {
             (
-                crate::calibration::DIR_DEATH_IN_8H,
-                crate::calibration::DIR_DEATH_IN_MONTH,
+                paper::DIR_DEATH_IN_8H.value,
+                paper::DIR_DEATH_IN_MONTH.value,
             )
         } else {
             (
-                crate::calibration::FILE_DEATH_IN_8H,
-                crate::calibration::FILE_DEATH_IN_MONTH,
+                paper::FILE_DEATH_IN_8H.value,
+                paper::FILE_DEATH_IN_MONTH.value,
             )
         };
         let u: f64 = rng.gen_range(0.0..1.0);
@@ -385,8 +385,12 @@ mod tests {
         }
         let f8 = die_8h as f64 / n as f64;
         let fm = die_month as f64 / n as f64;
-        assert!((f8 - 0.171).abs() < 0.02, "8h mortality {f8}");
-        assert!((fm - 0.289).abs() < 0.02, "month mortality {fm}");
+        for (got, row) in [
+            (f8, paper::FILE_DEATH_IN_8H),
+            (fm, paper::FILE_DEATH_IN_MONTH),
+        ] {
+            assert!((got - row.value).abs() < 0.02, "{} {got}", row.id);
+        }
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! The original dataset (758GB, 1.29M users, 30 days) is not available, so
 //! this crate synthesizes a client population whose behavior matches every
-//! distribution §5–§7 of the paper publishes. Calibration targets are
-//! centralized in [`calibration`] with section references; the other
-//! modules turn them into generators:
+//! distribution §5–§7 of the paper publishes. The paper's numbers live in
+//! [`u1_core::paper`] with section references; these modules turn them
+//! into generators:
 //!
 //! * [`files`] — extensions, per-category sizes, content popularity (dedup),
 //!   planned node lifetimes,
@@ -19,7 +19,6 @@
 //!   month of trace in seconds.
 
 pub mod attack;
-pub mod calibration;
 pub mod driver;
 pub mod files;
 pub mod markov;

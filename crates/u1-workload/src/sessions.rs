@@ -1,9 +1,9 @@
 //! Session arrivals, durations and the active/cold split.
 
-use crate::calibration;
 use crate::users::{UserClass, UserProfile};
 use rand::rngs::SmallRng;
 use rand::Rng;
+use u1_core::paper;
 use u1_core::rngx;
 use u1_core::{SimDuration, SimTime};
 
@@ -19,7 +19,7 @@ pub fn diurnal_factor(t: SimTime) -> f64 {
         1.25, 1.10, 0.95, 0.75, 0.55, 0.40, // 18–23
     ];
     let day_factor = match t.day_of_week() {
-        0 => calibration::MONDAY_OVER_WEEKEND, // Monday peak (Fig. 15)
+        0 => paper::MONDAY_OVER_WEEKEND.value, // Monday peak (Fig. 15)
         5 | 6 => 0.92,                         // weekend dip
         _ => 1.05,
     };
@@ -142,13 +142,13 @@ pub fn interop_gap_with_mode(rng: &mut SmallRng, metadata_op: bool, bulk: bool) 
 pub fn interop_gap(rng: &mut SmallRng, metadata_op: bool) -> SimDuration {
     let (alpha, theta) = if metadata_op {
         (
-            calibration::UNLINK_INTEROP_ALPHA,
-            calibration::UNLINK_INTEROP_THETA,
+            paper::UNLINK_INTEROP_ALPHA.value,
+            paper::UNLINK_INTEROP_THETA.value,
         )
     } else {
         (
-            calibration::UPLOAD_INTEROP_ALPHA,
-            calibration::UPLOAD_INTEROP_THETA,
+            paper::UPLOAD_INTEROP_ALPHA.value,
+            paper::UPLOAD_INTEROP_THETA.value,
         )
     };
     if rng.gen_range(0.0..1.0) < 0.58 {
@@ -245,7 +245,7 @@ mod tests {
         assert!(max > 1_000.0, "long pauses exist: max {max}");
         // The tail beyond theta should be roughly power-law: compare CCDF
         // decay over one decade with the expected alpha.
-        let theta = calibration::UPLOAD_INTEROP_THETA;
+        let theta = paper::UPLOAD_INTEROP_THETA.value;
         let c1 = gaps.iter().filter(|&&g| g >= theta).count() as f64;
         let c10 = gaps.iter().filter(|&&g| g >= 10.0 * theta).count() as f64;
         let alpha_est = (c1 / c10).log10();

@@ -10,13 +10,11 @@
 
 use rand::rngs::SmallRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
-use u1_core::rngx;
-
-use crate::calibration;
+use serde::Serialize;
+use u1_core::{paper, rngx};
 
 /// The §6.1 activity classes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum UserClass {
     /// Transfers < 10KB over the month; mostly just online.
     Occasional,
@@ -38,13 +36,13 @@ impl UserClass {
     /// Samples a class with the paper's shares.
     pub fn sample(rng: &mut SmallRng) -> UserClass {
         let u: f64 = rng.gen_range(0.0..1.0);
-        if u < calibration::CLASS_OCCASIONAL {
+        if u < paper::CLASS_OCCASIONAL {
             UserClass::Occasional
-        } else if u < calibration::CLASS_OCCASIONAL + calibration::CLASS_UPLOAD_ONLY {
+        } else if u < paper::CLASS_OCCASIONAL + paper::CLASS_UPLOAD_ONLY {
             UserClass::UploadOnly
-        } else if u < calibration::CLASS_OCCASIONAL
-            + calibration::CLASS_UPLOAD_ONLY
-            + calibration::CLASS_DOWNLOAD_ONLY
+        } else if u < paper::CLASS_OCCASIONAL
+            + paper::CLASS_UPLOAD_ONLY
+            + paper::CLASS_DOWNLOAD_ONLY
         {
             UserClass::DownloadOnly
         } else {
@@ -102,8 +100,8 @@ pub fn sample_profile(rng: &mut SmallRng) -> UserProfile {
         class,
         weight,
         sessions_per_day,
-        has_udf: rng.gen_range(0.0..1.0) < calibration::USERS_WITH_UDF,
-        shares: rng.gen_range(0.0..1.0) < calibration::USERS_WITH_SHARE,
+        has_udf: rng.gen_range(0.0..1.0) < paper::USERS_WITH_UDF.value,
+        shares: rng.gen_range(0.0..1.0) < paper::USERS_WITH_SHARE.value,
     }
 }
 
@@ -147,10 +145,10 @@ mod tests {
             }
         }
         let f = |c: u32| c as f64 / n as f64;
-        assert!((f(counts[0]) - 0.8582).abs() < 0.01);
-        assert!((f(counts[1]) - 0.0722).abs() < 0.005);
-        assert!((f(counts[2]) - 0.0234).abs() < 0.004);
-        assert!((f(counts[3]) - 0.0462).abs() < 0.005);
+        assert!((f(counts[0]) - paper::CLASS_OCCASIONAL).abs() < 0.01);
+        assert!((f(counts[1]) - paper::CLASS_UPLOAD_ONLY).abs() < 0.005);
+        assert!((f(counts[2]) - paper::CLASS_DOWNLOAD_ONLY).abs() < 0.004);
+        assert!((f(counts[3]) - paper::CLASS_HEAVY).abs() < 0.005);
     }
 
     #[test]
@@ -181,8 +179,8 @@ mod tests {
             udf += p.has_udf as u32;
             share += p.shares as u32;
         }
-        assert!(((udf as f64 / n as f64) - 0.58).abs() < 0.01);
-        assert!(((share as f64 / n as f64) - 0.018).abs() < 0.004);
+        assert!(((udf as f64 / n as f64) - paper::USERS_WITH_UDF.value).abs() < 0.01);
+        assert!(((share as f64 / n as f64) - paper::USERS_WITH_SHARE.value).abs() < 0.004);
     }
 
     #[test]
