@@ -203,26 +203,9 @@ pub fn run_chunked<F>(mut seed: F, records: &[TraceRecord], threads: usize) -> F
 where
     F: TraceFold + Send,
 {
-    fold_chunked_into(&mut seed, records, threads);
-    seed.finish()
-}
-
-/// The non-finishing core of [`run_chunked`]: chunk-parallel-folds
-/// `records` and merges the result into `seed`, leaving it open for more
-/// records. By the merge law, calling this once per contiguous piece of a
-/// sorted stream (in order) and finishing at the end equals one serial pass
-/// over the whole stream — which is what lets the off-disk path fold a
-/// month day by day without ever materializing it.
-pub fn fold_chunked_into<F>(seed: &mut F, records: &[TraceRecord], threads: usize)
-where
-    F: TraceFold + Send,
-{
     let chunks = plan_chunk_count(records.len(), host_clamped(threads));
     if chunks <= 1 {
-        for rec in records {
-            seed.feed(rec);
-        }
-        return;
+        return run_fold(seed, records);
     }
     let chunk_len = records.len().div_ceil(chunks);
     let partials: Vec<F> = std::thread::scope(|scope| {
@@ -246,6 +229,7 @@ where
     if let Some(merged) = tree_merge(partials) {
         seed.merge(merged);
     }
+    seed.finish()
 }
 
 /// Per-minute load-balance window of Fig. 14, minutes (the paper plots
@@ -335,13 +319,13 @@ pub struct OffDiskStats {
 }
 
 /// The bounded-memory analytics path: folds a *stamped* trace directory
-/// (see `DirSink::create_stamped`) day by day — read one day, sort it into
-/// canonical `(t, origin, seq)` order, chunk-parallel-fold it into the
-/// running battery, drop it, next day. Day files partition the trace by
-/// `t.day_index()`, so the concatenation of the sorted days is the exact
-/// canonical record sequence and, by the merge law, the report equals
-/// [`run_all`] over the fully materialized trace bit for bit — while peak
-/// memory stays at one day's records.
+/// (see `DirSink::create_stamped`) day by day — read one day (`threads`
+/// files parsed at once), sort it into canonical `(t, origin, seq)` order,
+/// feed it to the running battery, drop it, next day. Day files partition
+/// the trace by `t.day_index()`, so the concatenation of the sorted days is
+/// the exact canonical record sequence and the report equals [`run_all`]
+/// over the fully materialized trace bit for bit — while peak memory stays
+/// at one day's records.
 pub fn run_all_offdisk(
     dir: &std::path::Path,
     cfg: &EngineConfig,
@@ -360,7 +344,9 @@ pub fn run_all_offdisk(
         parse.absorb(&chunk.stats);
         days += 1;
         peak_chunk_records = peak_chunk_records.max(chunk.records.len());
-        fold_chunked_into(&mut seed, &chunk.records, threads);
+        for rec in &chunk.records {
+            seed.feed(rec);
+        }
     }
     Ok((
         seed.finish(),

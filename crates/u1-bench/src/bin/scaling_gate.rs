@@ -5,12 +5,14 @@
 //! host), pinned in DESIGN.md §13:
 //!
 //! * driver replay (`Driver::run` at `workers = 4`)      — ≥ 2.5x
-//! * logfile parse (`LogDirReader::read_all_parallel`)   — ≥ 1.8x
+//! * logfile parse (draining `LogDirReader::day_chunks`) — ≥ 1.8x
 //! * chunked analytics (`run_all_chunked` at 4 threads)  — ≥ 2.5x
 //!
 //! Measures in-process, best of 2 runs to absorb scheduler noise, and
 //! prints where the 4-worker driver's thread time went
-//! (`DriverReport.timing`).
+//! (`DriverReport.timing`). The parse and analytics legs run over the trace
+//! of the last 4-worker driver run; the parse leg reads it back from a
+//! dumped logfile directory a day at a time, one file per task.
 //!
 //! On a host with fewer than 4 CPUs the gate prints a warning and exits 0 —
 //! a single- or dual-core container cannot exhibit 4-way scaling, and a
@@ -19,8 +21,9 @@
 //! Environment overrides: only the harness's workload knobs, `U1_USERS` /
 //! `U1_DAYS` / `U1_SEED` / `U1_ATTACKS` (defaults 600 x 4).
 
+use std::hint::black_box;
 use std::time::Instant;
-use u1_analytics::engine::{run_all_chunked, EngineReport};
+use u1_analytics::engine::run_all_chunked;
 use u1_bench::Scenario;
 use u1_trace::logfile::LogDirReader;
 use u1_trace::{DirSink, TraceSink};
@@ -32,15 +35,30 @@ const DRIVER_FLOOR: f64 = 2.5;
 const PARSE_FLOOR: f64 = 1.8;
 const CHUNKED_FLOOR: f64 = 2.5;
 
-/// Wall-clock of the fastest of [`REPS`] runs of `f`.
-fn best_of<F: FnMut()>(mut f: F) -> f64 {
+/// Wall-clock of the fastest of [`REPS`] runs of `f`, and the last run's
+/// result. Earlier results are dropped outside the timed span.
+fn best_of<T>(mut f: impl FnMut() -> T) -> (f64, T) {
     let mut best = f64::INFINITY;
+    let mut last = None;
     for _ in 0..REPS {
+        drop(last.take());
         let started = Instant::now();
-        f();
+        let out = f();
         best = best.min(started.elapsed().as_secs_f64());
+        last = Some(out);
     }
-    best
+    (best, last.expect("REPS is at least 1"))
+}
+
+/// Reads a logfile directory back a day at a time with `threads` files
+/// parsed at once; returns the records read.
+fn drain_days(reader: &LogDirReader, threads: usize) -> usize {
+    let mut chunks = reader.day_chunks(threads).expect("day_chunks");
+    let mut records = 0;
+    while let Some(chunk) = chunks.next_day() {
+        records += chunk.expect("day chunk").records.len();
+    }
+    records
 }
 
 fn run_driver(cfg: &WorkloadConfig, workers: usize) -> Scenario {
@@ -67,21 +85,15 @@ fn main() {
         ..WorkloadConfig::paper_scaled()
     });
 
-    // Driver replay: workers=1 vs workers=4.
-    let driver_serial = best_of(|| {
-        run_driver(&cfg, 1);
-    });
-    let driver_parallel = best_of(|| {
-        run_driver(&cfg, 4);
-    });
+    // Driver replay: workers=1 vs workers=4. The last 4-worker run's trace
+    // feeds the parse and analytics legs.
+    let (driver_serial, _) = best_of(|| run_driver(&cfg, 1));
+    let (driver_parallel, scenario) = best_of(|| run_driver(&cfg, 4));
     let driver_speedup = driver_serial / driver_parallel;
     eprintln!(
         "[scaling-gate] driver: 1w {driver_serial:.2}s, 4w {driver_parallel:.2}s \
          -> {driver_speedup:.2}x (floor {DRIVER_FLOOR:.2}x)"
     );
-
-    // One trace for the parse and analytics paths.
-    let scenario = run_driver(&cfg, 4);
     let t = &*scenario.report.timing;
     eprintln!(
         "[scaling-gate] driver 4w thread-seconds: run {:.2} park {:.2} flush {:.2} \
@@ -95,7 +107,8 @@ fn main() {
     let engine_cfg = u1_bench::engine_config(&scenario);
     let records = &scenario.records;
 
-    // Logfile parse: serial vs byte-range parallel over the dumped trace.
+    // Logfile parse: the dumped trace read back by day, 1 file at a time vs
+    // 4 files at once.
     let log_dir = u1_bench::out_dir().join("scaling-gate-logs");
     let _ = std::fs::remove_dir_all(&log_dir);
     let sink = DirSink::create(&log_dir).expect("create log dir");
@@ -105,26 +118,19 @@ fn main() {
     sink.flush();
     assert_eq!(sink.io_errors(), 0, "log dump hit I/O errors");
     let reader = LogDirReader::new(&log_dir);
-    let parse_serial = best_of(|| {
-        std::hint::black_box(reader.read_all().expect("serial read"));
-    });
-    let parse_parallel = best_of(|| {
-        std::hint::black_box(reader.read_all_parallel(4).expect("parallel read"));
-    });
+    let (parse_serial, read_serial) = best_of(|| drain_days(&reader, 1));
+    let (parse_parallel, read_parallel) = best_of(|| drain_days(&reader, 4));
     let _ = std::fs::remove_dir_all(&log_dir);
+    assert_eq!((read_serial, read_parallel), (records.len(), records.len()));
     let parse_speedup = parse_serial / parse_parallel;
     eprintln!(
-        "[scaling-gate] parse: serial {parse_serial:.2}s, x4 {parse_parallel:.2}s \
+        "[scaling-gate] parse: x1 {parse_serial:.2}s, x4 {parse_parallel:.2}s \
          -> {parse_speedup:.2}x (floor {PARSE_FLOOR:.2}x)"
     );
 
     // Chunked analytics: 1 thread vs 4 threads.
-    let chunked_serial = best_of(|| {
-        std::hint::black_box::<EngineReport>(run_all_chunked(records, &engine_cfg, 1));
-    });
-    let chunked_parallel = best_of(|| {
-        std::hint::black_box::<EngineReport>(run_all_chunked(records, &engine_cfg, 4));
-    });
+    let (chunked_serial, _) = best_of(|| black_box(run_all_chunked(records, &engine_cfg, 1)));
+    let (chunked_parallel, _) = best_of(|| black_box(run_all_chunked(records, &engine_cfg, 4)));
     let chunked_speedup = chunked_serial / chunked_parallel;
     eprintln!(
         "[scaling-gate] chunked: x1 {chunked_serial:.2}s, x4 {chunked_parallel:.2}s \

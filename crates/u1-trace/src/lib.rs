@@ -14,7 +14,8 @@
 //! * [`sink`] — where running servers emit records ([`MemorySink`] for
 //!   in-process analysis, [`DirSink`] for paper-style logfile directories),
 //! * [`logfile`] — logfile naming, per-process day rotation, directory
-//!   reading with malformed-line tolerance, and timestamp merge,
+//!   reading (whole or a day at a time, one file per task) with
+//!   malformed-line tolerance, and timestamp merge,
 //! * [`anonymize`] — the keyed id-scrambling pass Canonical applied before
 //!   releasing the dataset.
 

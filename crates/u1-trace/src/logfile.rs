@@ -5,43 +5,25 @@
 //! sequential; a merged, timestamp-sorted view is what the analyses consume;
 //! ~1% of lines may fail to parse and are skipped (and counted).
 //!
-//! There is one read path. A file (or a byte range of one) is read once into
-//! a buffer the caller reuses, lines are found by scanning it for `\n`, and
-//! each goes through [`csvline::parse_line`] as bytes, straight into the
+//! There is one read path, and its unit is the file. A file is read whole
+//! into a buffer the caller reuses, lines are found by scanning it for `\n`,
+//! and each goes through [`csvline::parse_line`] as bytes, straight into the
 //! caller's record vector. Nothing checks that a file is UTF-8: a line of
 //! garbage — binary bytes, a NUL, half a record — is one
 //! [`ParseStats::malformed`] count like any other line that does not parse;
 //! a line holding nothing but `\r` is blank and not counted at all.
 //!
-//! [`LogDirReader::read_all_parallel`] splits files into *byte ranges aligned
-//! to line boundaries* (each task seeks into its own handle, so one big file
-//! does not serialize the read on one task) and concatenates per-range output
-//! in `(file, range)` order — identical to the serial [`LogDirReader::read_all`].
-//!
-//! Range-split convention: a range `[start, end)` owns every line whose
-//! *first byte* lies in the range. A task with `start > 0` starts reading at
-//! `start - 1` and discards through the first `\n` (that line's first byte
-//! is owned by an earlier range), and the last line of a range may extend
-//! past `end` (later ranges skip it by the same rule). Every line is
-//! therefore parsed exactly once no matter where the split points land —
-//! mid-line, on a boundary, or past EOF.
+//! A day read with more than one thread ([`LogDirReader::day_chunks`]) parses
+//! one file per task, largest file first, and appends the files' records in
+//! path order: records and counters are the same at every thread count.
 
 use crate::csvline;
 use crate::event::TraceRecord;
 use std::fs;
-use std::io::{Read, Seek, SeekFrom};
+use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use u1_core::sync::Mutex;
-use u1_core::{MachineId, ProcessId, SimTime};
-
-/// Floor on planned range size: below this, per-task overhead (open, seek,
-/// partial-line skip) beats the parallelism. Small files still parse as a
-/// single range each.
-const MIN_RANGE_BYTES: u64 = 256 * 1024;
-
-/// How much is read at a time past a range's end to finish its last line.
-const TAIL_BYTES: u64 = 256;
+use u1_core::{MachineId, ProcessId};
 
 /// Bytes of logfile per record, for reserving the record vector before a
 /// read: on the low side of real traces (stamped lines average 78 bytes).
@@ -102,8 +84,7 @@ impl ParseStats {
         }
     }
 
-    /// Folds another file's (or directory shard's) counters into this one —
-    /// the merge used by the parallel reader.
+    /// Folds another file's (or day's) counters into this one.
     pub fn absorb(&mut self, other: &ParseStats) {
         self.files += other.files;
         self.lines += other.lines;
@@ -113,49 +94,27 @@ impl ParseStats {
     }
 }
 
-/// The read path: parses every line of `path` whose first byte lies in
-/// `[start, end)` (the module-level split convention; `end == u64::MAX` for
-/// a whole file) onto the end of `records`, and returns the range's counters
-/// with `files == 0`. The bytes are read once into `buf`, whose old contents
-/// are dropped and whose allocation the caller keeps for the next file.
-/// Malformed lines are counted and skipped, never fatal.
-fn read_range_into(
+/// The read path: parses every line of `path` onto the end of `records` and
+/// returns the file's counters (`files == 1`). The bytes are read once into
+/// `buf`, whose old contents are dropped and whose allocation the caller
+/// keeps for the next file. Malformed lines are counted and skipped, never
+/// fatal.
+fn read_file_into(
     path: &Path,
     machine: MachineId,
     process: ProcessId,
-    (start, end): (u64, u64),
     buf: &mut Vec<u8>,
     records: &mut Vec<TraceRecord>,
 ) -> std::io::Result<ParseStats> {
-    let mut stats = ParseStats::default();
-    if start >= end {
-        return Ok(stats);
-    }
-    let mut file = fs::File::open(path)?;
-    // One byte early: if that byte is a `\n`, `start` is a line boundary;
-    // if not, it belongs to a line an earlier range owns, dropped below.
-    let from = start.saturating_sub(1);
-    if from > 0 {
-        file.seek(SeekFrom::Start(from))?;
-    }
-    buf.clear();
-    let mut want = end - from;
-    let mut got = file.by_ref().take(want).read_to_end(buf)? as u64;
-    // The range's last line may run past `end`: read on to its `\n` or EOF.
-    let mut unseen = buf.len().saturating_sub(1);
-    while got == want && !buf[unseen..].contains(&b'\n') {
-        unseen = buf.len();
-        want = TAIL_BYTES;
-        got = file.by_ref().take(want).read_to_end(buf)? as u64;
-    }
-    // Where `end` falls in the buffer: lines starting before it are ours.
-    let owned = (end - from).min(buf.len() as u64) as usize;
-    records.reserve(owned / RESERVE_BYTES_PER_RECORD);
-    let mut pos = match start {
-        0 => 0,
-        _ => csvline::find_byte(buf, b'\n').map_or(buf.len(), |newline| newline + 1),
+    let mut stats = ParseStats {
+        files: 1,
+        ..ParseStats::default()
     };
-    while pos < owned {
+    buf.clear();
+    fs::File::open(path)?.read_to_end(buf)?;
+    records.reserve(buf.len() / RESERVE_BYTES_PER_RECORD);
+    let mut pos = 0;
+    while pos < buf.len() {
         let rest = &buf[pos..];
         let mut line = &rest[..csvline::find_byte(rest, b'\n').unwrap_or(rest.len())];
         pos += line.len() + 1;
@@ -177,200 +136,72 @@ fn read_range_into(
     Ok(stats)
 }
 
-/// Parses a single logfile into records plus its own [`ParseStats`]
-/// (`files == 1`).
-pub fn read_logfile(
-    path: &Path,
-    machine: MachineId,
-    process: ProcessId,
-) -> std::io::Result<(Vec<TraceRecord>, ParseStats)> {
-    let (records, mut stats) = read_logfile_range(path, machine, process, 0, u64::MAX)?;
-    stats.files = 1;
-    Ok((records, stats))
-}
-
-/// Parses the byte range `[start, end)` of one logfile: every line whose
-/// first byte lies in the range, following the module-level split
-/// convention. Returns records plus stats with `files == 0` — the caller
-/// attributes the file once (on the range with `start == 0`), so summing
-/// range stats in order reproduces the serial per-file [`ParseStats`]
-/// exactly.
-pub fn read_logfile_range(
-    path: &Path,
-    machine: MachineId,
-    process: ProcessId,
-    start: u64,
-    end: u64,
-) -> std::io::Result<(Vec<TraceRecord>, ParseStats)> {
-    let (mut buf, mut records) = (Vec::new(), Vec::new());
-    let stats = read_range_into(path, machine, process, (start, end), &mut buf, &mut records)?;
-    Ok((records, stats))
-}
-
-/// Parses one logfile serially but through the range reader, splitting at
-/// the given byte offsets (unsorted, duplicate, mid-line, or past-EOF
-/// offsets are all fine). A verification helper: output must be identical
-/// to [`read_logfile`] for *any* split set, which is what the differential
-/// tests assert with adversarial offsets.
-pub fn read_logfile_at_splits(
-    path: &Path,
-    machine: MachineId,
-    process: ProcessId,
-    splits: &[u64],
-) -> std::io::Result<(Vec<TraceRecord>, ParseStats)> {
-    let len = fs::metadata(path)?.len();
-    let mut points: Vec<u64> = splits.iter().map(|&s| s.min(len)).collect();
-    points.push(0);
-    points.push(len);
-    points.sort_unstable();
-    points.dedup();
-    let mut records = Vec::new();
-    let mut stats = ParseStats {
-        files: 1,
-        ..ParseStats::default()
-    };
-    let mut buf = Vec::new();
-    for w in points.windows(2) {
-        let range = (w[0], w[1]);
-        let read = read_range_into(path, machine, process, range, &mut buf, &mut records)?;
-        stats.absorb(&read);
-    }
-    Ok((records, stats))
-}
-
-/// One planned parse task: the byte range `[start, end)` of file index
-/// `file`. `first` marks the range that attributes the file itself (stats
-/// `files` count) so per-file stats stay identical to serial.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct RangeTask {
-    file: usize,
-    first: bool,
-    start: u64,
-    end: u64,
-}
-
-/// Plans line-boundary-agnostic byte ranges over the files: roughly
-/// `threads * 4` equal-size tasks across the total byte count (for load
-/// balance under the work-stealing cursor), floored at [`MIN_RANGE_BYTES`],
-/// each file split independently. Empty files yield one empty range so
-/// they are still counted.
-fn plan_ranges(sizes: &[u64], threads: usize) -> Vec<RangeTask> {
-    let total: u64 = sizes.iter().sum();
-    let target_tasks = (threads * 4).max(1) as u64;
-    let bytes_per_task = (total / target_tasks).max(MIN_RANGE_BYTES);
-    let mut tasks = Vec::new();
-    for (file, &len) in sizes.iter().enumerate() {
-        let ranges = (len / bytes_per_task).max(1);
-        let chunk = len.div_ceil(ranges).max(1);
-        let mut start = 0u64;
-        loop {
-            let end = (start + chunk).min(len);
-            tasks.push(RangeTask {
-                file,
-                first: start == 0,
-                start,
-                end,
-            });
-            if end >= len {
-                break;
-            }
-            start = end;
-        }
-    }
-    tasks
-}
-
 /// A parsed logfile path with the origin and day encoded in its name.
 type LogfileEntry = (PathBuf, MachineId, ProcessId, u64);
 
-/// Reads the given logfiles serially, concatenating records in file order
-/// (no sort — callers pick their own ordering key): every file is parsed
-/// straight onto the end of one vector, reserved once from the files' sizes.
-fn read_files(files: &[LogfileEntry]) -> std::io::Result<(Vec<TraceRecord>, ParseStats)> {
-    let mut stats = ParseStats::default();
-    let sizes = files
-        .iter()
-        .map(|(path, ..)| fs::metadata(path).map(|m| m.len()));
-    let bytes = sizes.sum::<std::io::Result<u64>>()?;
-    let mut records = Vec::with_capacity(bytes as usize / RESERVE_BYTES_PER_RECORD);
-    let mut buf = Vec::new();
-    for (path, machine, process, _day) in files {
-        let whole = (0, u64::MAX);
-        let read = read_range_into(path, *machine, *process, whole, &mut buf, &mut records)?;
-        stats.absorb(&read);
-        stats.files += 1;
-    }
-    Ok((records, stats))
-}
+/// One file's read: its records and counters.
+type FileRead = std::io::Result<(Vec<TraceRecord>, ParseStats)>;
 
-/// Reads the given logfiles via planned byte ranges on a work-stealing
-/// cursor (see the module docs), concatenating per-range output in
-/// `(file, range)` order — byte-identical to [`read_files`] at every thread
-/// count. No sort.
-fn read_files_parallel(
-    files: &[LogfileEntry],
-    threads: usize,
-) -> std::io::Result<(Vec<TraceRecord>, ParseStats)> {
-    let threads = threads.max(1);
-    if threads <= 1 || files.is_empty() {
-        return read_files(files);
-    }
+/// Reads the given logfiles and concatenates their records in the order
+/// given (no sort — callers pick their own ordering key) onto one vector,
+/// reserved once from the files' sizes.
+///
+/// With one file, or `threads <= 1`, or a single-core host, the files are
+/// read one after another straight onto that vector. Otherwise
+/// `min(threads, files, cores)` workers claim files off an atomic cursor,
+/// largest first, each into a vector of its own, and the files' vectors are
+/// appended in the given order: the result is the serial one at every
+/// thread count.
+fn read_files(files: &[LogfileEntry], threads: usize) -> FileRead {
     let sizes = files
         .iter()
-        .map(|(path, _, _, _)| fs::metadata(path).map(|m| m.len()))
+        .map(|(path, ..)| fs::metadata(path).map(|m| m.len()))
         .collect::<std::io::Result<Vec<u64>>>()?;
-    let tasks = plan_ranges(&sizes, threads);
-    type TaskResult = std::io::Result<(Vec<TraceRecord>, ParseStats)>;
-    let slots: Mutex<Vec<Option<TaskResult>>> =
-        Mutex::new((0..tasks.len()).map(|_| None).collect());
-    let next = AtomicUsize::new(0);
-    // Tasks are planned for the REQUESTED thread count (so granularity
-    // and the range/merge logic are identical on every host), but the
-    // worker pool is capped at the host's cores: extra OS threads just
-    // time-slice the same cores over disjoint buffers. Pure scheduling —
-    // tasks drain off the cursor, output is position-indexed.
-    let cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let workers = threads.min(tasks.len()).min(cpus.max(1));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut buf = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(task) = tasks.get(i) else {
-                        break;
-                    };
-                    let (path, machine, process, _day) = &files[task.file];
-                    let (range, mut records) = ((task.start, task.end), Vec::new());
-                    let result =
-                        read_range_into(path, *machine, *process, range, &mut buf, &mut records)
-                            .map(|stats| (records, stats));
-                    slots.lock()[i] = Some(result);
-                }
-            });
-        }
-    });
-    let slots = slots.into_inner();
+    let bytes: u64 = sizes.iter().sum();
+    let mut records = Vec::with_capacity(bytes as usize / RESERVE_BYTES_PER_RECORD);
     let mut stats = ParseStats::default();
-    let mut records = Vec::new();
-    for (task, slot) in tasks.iter().zip(slots) {
-        let (mut recs, range_stats) =
-            slot.ok_or_else(|| std::io::Error::other("parse task missing"))??;
-        stats.absorb(&range_stats);
-        stats.files += usize::from(task.first);
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let workers = threads.min(files.len()).min(cpus);
+    if workers <= 1 {
+        let mut buf = Vec::new();
+        for (path, machine, process, _day) in files {
+            let read = read_file_into(path, *machine, *process, &mut buf, &mut records)?;
+            stats.absorb(&read);
+        }
+        return Ok((records, stats));
+    }
+    // Largest first, so the last file claimed is a small one; the stable
+    // sort leaves equal sizes in path order.
+    let mut claims: Vec<usize> = (0..files.len()).collect();
+    claims.sort_by_key(|&i| std::cmp::Reverse(sizes[i]));
+    let next = AtomicUsize::new(0);
+    let mut reads: Vec<(usize, FileRead)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let (mut buf, mut done) = (Vec::new(), Vec::new());
+                    while let Some(&i) = claims.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        let (path, machine, process, _day) = &files[i];
+                        let mut recs = Vec::new();
+                        let read = read_file_into(path, *machine, *process, &mut buf, &mut recs);
+                        done.push((i, read.map(|file_stats| (recs, file_stats))));
+                    }
+                    done
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("parse worker panicked"))
+            .collect()
+    });
+    reads.sort_unstable_by_key(|&(i, _)| i);
+    for (_, read) in reads {
+        let (mut recs, file_stats) = read?;
+        stats.absorb(&file_stats);
         records.append(&mut recs);
     }
     Ok((records, stats))
-}
-
-/// Sorts `records` by `key` with equal keys left in their current order. A
-/// record is 48 bytes, so the stable sort moves the records themselves: it
-/// finds the sorted runs a day's files are laid end to end in and merges
-/// them, and leaves records already in order where they are.
-fn sort_records(records: &mut [TraceRecord], key: impl Fn(&TraceRecord) -> (SimTime, u16, u64)) {
-    records.sort_by_key(key);
 }
 
 /// Reads a directory of trace logfiles.
@@ -409,33 +240,14 @@ impl LogDirReader {
     }
 
     /// Reads and merges every logfile, returning records sorted by
-    /// timestamp (stable within ties) plus parse statistics. Malformed lines
-    /// are counted and skipped, never fatal — matching the original
-    /// pipeline's tolerance.
+    /// timestamp (stable within ties, so equal timestamps keep path order)
+    /// plus parse statistics. Malformed lines are counted and skipped, never
+    /// fatal — matching the original pipeline's tolerance.
     pub fn read_all(&self) -> std::io::Result<(Vec<TraceRecord>, ParseStats)> {
-        self.read_all_parallel(1)
-    }
-
-    /// [`Self::read_all`] parallelized over line-aligned byte ranges (see
-    /// the module docs for the split convention): every file is split into
-    /// ~equal byte ranges, tasks are claimed off an atomic cursor, and each
-    /// task seeks its own file handle — so one large file parallelizes
-    /// instead of serializing on a single per-file task. Per-range output
-    /// is concatenated in `(file, range)` order — the exact byte order of
-    /// the serial reader — and stable-sorted by timestamp, so records *and*
-    /// per-file stats are identical to `read_all` at every thread count.
-    pub fn read_all_parallel(
-        &self,
-        threads: usize,
-    ) -> std::io::Result<(Vec<TraceRecord>, ParseStats)> {
         let (files, skipped_files) = self.logfiles()?;
-        let mut stats = ParseStats {
-            skipped_files,
-            ..ParseStats::default()
-        };
-        let (mut records, read_stats) = read_files_parallel(&files, threads)?;
-        stats.absorb(&read_stats);
-        sort_records(&mut records, |r| (r.t, 0, 0));
+        let (mut records, mut stats) = read_files(&files, 1)?;
+        stats.skipped_files = skipped_files;
+        records.sort_by_key(|r| r.t);
         Ok((records, stats))
     }
 
@@ -512,16 +324,14 @@ impl DayChunks {
     pub fn next_day(&mut self) -> Option<std::io::Result<DayChunk>> {
         let (day, files) = self.days.get(self.next)?;
         self.next += 1;
-        Some(
-            read_files_parallel(files, self.threads).map(|(mut records, stats)| {
-                sort_records(&mut records, |r| (r.t, r.origin, r.seq));
-                DayChunk {
-                    day: *day,
-                    records,
-                    stats,
-                }
-            }),
-        )
+        Some(read_files(files, self.threads).map(|(mut records, stats)| {
+            records.sort_by_key(|r| (r.t, r.origin, r.seq));
+            DayChunk {
+                day: *day,
+                records,
+                stats,
+            }
+        }))
     }
 }
 
@@ -531,7 +341,7 @@ mod tests {
     use crate::event::{Payload, SessionEvent};
     use crate::sink::{DirSink, TraceSink};
     use std::io::Write;
-    use u1_core::{SessionId, UserId};
+    use u1_core::{SessionId, SimTime, UserId};
 
     #[test]
     fn logfile_names_round_trip() {
@@ -627,25 +437,26 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn parallel_read_is_identical_to_serial_at_every_thread_count() {
-        let dir = std::env::temp_dir().join(format!("u1-logdir-par-test-{}", std::process::id()));
-        let _ = write_corrupted_dir(&dir);
-
-        let reader = LogDirReader::new(&dir);
-        let (serial, serial_stats) = reader.read_all().unwrap();
-        for threads in [1, 2, 3, 8, 64] {
-            let (par, par_stats) = reader.read_all_parallel(threads).unwrap();
-            assert_eq!(par_stats, serial_stats, "stats differ at {threads} threads");
-            assert_eq!(par, serial, "records differ at {threads} threads");
+    /// Drains `day_chunks(threads)`: the days' records end to end, and
+    /// their counters summed with the directory's skipped files.
+    fn read_by_day(reader: &LogDirReader, threads: usize) -> (Vec<TraceRecord>, ParseStats) {
+        let mut chunks = reader.day_chunks(threads).unwrap();
+        let mut stats = ParseStats {
+            skipped_files: chunks.skipped_files(),
+            ..ParseStats::default()
+        };
+        let mut all = Vec::new();
+        while let Some(chunk) = chunks.next_day() {
+            let chunk = chunk.unwrap();
+            stats.absorb(&chunk.stats);
+            all.extend(chunk.records);
         }
-        let _ = fs::remove_dir_all(&dir);
+        (all, stats)
     }
 
     /// Bytes that are not text cost one malformed line each, on every read
-    /// path alike: the directory reads (serial, parallel, by day) and the
-    /// range reader split at every byte offset of the corrupted file all
-    /// return the serial result, records and counters.
+    /// path alike: the whole-directory read, the day chunks at every thread
+    /// count, and the corrupted file read on its own.
     #[test]
     fn bytes_that_are_not_text_are_malformed_lines_on_every_read_path() {
         let dir = std::env::temp_dir().join(format!("u1-logdir-bytes-test-{}", std::process::id()));
@@ -654,24 +465,10 @@ mod tests {
         let reader = LogDirReader::new(&dir);
         let (serial, serial_stats) = reader.read_all().unwrap();
         assert_eq!((serial.len(), serial_stats.malformed), (50, 7));
+        // Every record is from day 0 with a timestamp of its own, so the one
+        // day chunk is the whole directory in the same order.
         for threads in [1, 2, 4, 8] {
-            let (par, par_stats) = reader.read_all_parallel(threads).unwrap();
-            assert_eq!(par_stats, serial_stats, "stats differ at {threads} threads");
-            assert_eq!(par, serial, "records differ at {threads} threads");
-
-            // Every record is from day 0 with a timestamp of its own, so the
-            // one day chunk is the whole directory in the same order.
-            let mut chunks = reader.day_chunks(threads).unwrap();
-            let mut stats = ParseStats {
-                skipped_files: chunks.skipped_files(),
-                ..ParseStats::default()
-            };
-            let mut all = Vec::new();
-            while let Some(chunk) = chunks.next_day() {
-                let chunk = chunk.unwrap();
-                stats.absorb(&chunk.stats);
-                all.extend(chunk.records);
-            }
+            let (all, stats) = read_by_day(&reader, threads);
             assert_eq!(stats, serial_stats, "day stats differ at {threads} threads");
             assert_eq!(all, serial, "day records differ at {threads} threads");
         }
@@ -681,89 +478,84 @@ mod tests {
             .iter()
             .find(|(path, _, _, _)| fs::read(path).unwrap().contains(&0xff))
             .expect("the corrupted file");
-        let (whole, whole_stats) = read_logfile(path, *machine, *process).unwrap();
-        assert_eq!(whole_stats.malformed, 7);
-        for split in 0..=fs::metadata(path).unwrap().len() {
-            let (recs, stats) = read_logfile_at_splits(path, *machine, *process, &[split]).unwrap();
-            assert_eq!(stats, whole_stats, "stats differ split at byte {split}");
-            assert_eq!(recs, whole, "records differ split at byte {split}");
-        }
+        let mut recs = Vec::new();
+        let stats = read_file_into(path, *machine, *process, &mut Vec::new(), &mut recs).unwrap();
+        assert_eq!((stats.files, stats.malformed), (1, 7));
+        assert_eq!(stats.parsed, recs.len());
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// Satellite for the byte-range reader: adversarial split points — mid
-    /// line, every line boundary, past EOF, degenerate zero-width — must
-    /// reproduce the serial per-file records and [`ParseStats`] exactly,
-    /// including on an empty file and a file whose final line has no
-    /// trailing newline.
+    /// The day chunks at 1/2/4/8 threads over a directory holding an empty
+    /// logfile, a file whose last line has no trailing newline and the
+    /// non-text bytes of [`write_corrupted_dir`]: records and summed stats
+    /// equal the one-thread read, and so does [`LogDirReader::read_all`].
     #[test]
-    fn range_reader_survives_adversarial_split_points() {
-        let dir = std::env::temp_dir().join(format!("u1-logdir-split-test-{}", std::process::id()));
-        let _ = write_corrupted_dir(&dir);
-        // Adversarial additions: an empty (but valid-named) logfile and a
-        // file whose final line lacks the trailing newline.
-        let empty = dir.join("production-whitecurrant-7-day00.csv");
-        fs::write(&empty, b"").unwrap();
-        let target = dir.join("production-whitecurrant-1-day00.csv");
-        let mut bytes = fs::read(&target).unwrap_or_default();
-        if bytes.last() == Some(&b'\n') {
-            bytes.pop();
-            fs::write(&target, &bytes).unwrap();
-        }
-
-        let (files, _) = LogDirReader::new(&dir).logfiles().unwrap();
-        assert!(files.iter().any(|(p, _, _, _)| p == &empty));
-        for (path, machine, process, _day) in &files {
-            let (serial, serial_stats) = read_logfile(path, *machine, *process).unwrap();
-            let len = fs::metadata(path).unwrap().len();
-            let splits: Vec<Vec<u64>> = vec![
-                vec![],                              // no split at all
-                vec![0, len, len + 10_000],          // boundaries + past EOF
-                vec![1],                             // mid first line
-                vec![len / 2],                       // mid file
-                vec![len.saturating_sub(1)],         // inside the final line
-                (0..len).step_by(7).collect(),       // dense, mostly mid-line
-                (0..=len).collect(),                 // every byte a split
-                vec![len / 3, len / 3, 2 * len / 3], // duplicates
-            ];
-            for split in &splits {
-                let (recs, stats) =
-                    read_logfile_at_splits(path, *machine, *process, split).unwrap();
-                assert_eq!(
-                    stats, serial_stats,
-                    "per-file stats differ at splits {split:?} for {path:?}"
-                );
-                assert_eq!(
-                    recs, serial,
-                    "records differ at splits {split:?} for {path:?}"
-                );
-            }
-        }
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    /// The directory-level byte-range reader at thread counts 1/2/4/8 on a
-    /// directory containing an empty file and a no-trailing-newline file:
-    /// records and stats byte-identical to serial, and the planner actually
-    /// splits a large file into multiple ranges.
-    #[test]
-    fn byte_range_parallel_read_matches_serial_with_edge_files() {
-        let dir = std::env::temp_dir().join(format!("u1-logdir-range-test-{}", std::process::id()));
+    fn day_chunks_match_the_serial_read_with_edge_files() {
+        let dir = std::env::temp_dir().join(format!("u1-logdir-edge-test-{}", std::process::id()));
         let _ = write_corrupted_dir(&dir);
         fs::write(dir.join("production-whitecurrant-7-day00.csv"), b"").unwrap();
         let target = dir.join("production-whitecurrant-1-day00.csv");
-        let mut bytes = fs::read(&target).unwrap_or_default();
-        if bytes.last() == Some(&b'\n') {
-            bytes.pop();
-            fs::write(&target, &bytes).unwrap();
-        }
+        let mut bytes = fs::read(&target).unwrap();
+        assert_eq!(bytes.pop(), Some(b'\n'));
+        fs::write(&target, &bytes).unwrap();
 
         let reader = LogDirReader::new(&dir);
-        let (serial, serial_stats) = reader.read_all().unwrap();
-        for threads in [1, 2, 4, 8] {
-            let (par, par_stats) = reader.read_all_parallel(threads).unwrap();
+        let (serial, serial_stats) = read_by_day(&reader, 1);
+        assert_eq!((serial.len(), serial_stats.files), (50, 13));
+        for threads in [2, 4, 8] {
+            let (par, par_stats) = read_by_day(&reader, threads);
             assert_eq!(par_stats, serial_stats, "stats differ at {threads} threads");
             assert_eq!(par, serial, "records differ at {threads} threads");
+        }
+        assert_eq!(reader.read_all().unwrap(), (serial, serial_stats));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// An unstamped directory carries no `(origin, seq)` to break timestamp
+    /// ties, so the file order does: records with equal timestamps come
+    /// back in the path order of their files, from the whole-directory
+    /// read and from the day chunks at every thread count — even though a
+    /// day read with more than one thread claims the larger, later file
+    /// first.
+    #[test]
+    fn equal_timestamps_keep_path_order_in_an_unstamped_directory() {
+        let dir = std::env::temp_dir().join(format!("u1-logdir-ties-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let auth = |t: u64, process: u16, user: u64| {
+            TraceRecord::new(
+                SimTime::from_secs(t),
+                MachineId::new(0),
+                ProcessId::new(process),
+                Payload::Auth {
+                    user: UserId::new(user),
+                    success: true,
+                },
+            )
+        };
+        // File "-1-" sorts first; "-2-" is larger, so it is claimed first.
+        let first = (0..4).map(|i| auth(i * 10, 1, 100 + i));
+        let second = (0..40).map(|i| auth(i, 2, 200 + i));
+        let mut expected: Vec<TraceRecord> = first.chain(second).collect();
+        {
+            let sink = DirSink::create(&dir).unwrap();
+            for rec in &expected {
+                sink.record(rec.clone());
+            }
+            sink.flush();
+        }
+        // Each tie is broken by file: the first file's record, then the
+        // second's.
+        expected.sort_by_key(|r| r.t);
+        let key = |recs: &[TraceRecord]| -> Vec<(SimTime, Payload)> {
+            recs.iter().map(|r| (r.t, r.payload.clone())).collect()
+        };
+        let expected = key(&expected);
+
+        let reader = LogDirReader::new(&dir);
+        assert_eq!(key(&reader.read_all().unwrap().0), expected, "read_all");
+        for threads in [1, 2, 4] {
+            let (all, _) = read_by_day(&reader, threads);
+            assert_eq!(key(&all), expected, "day chunks at {threads} threads");
         }
         let _ = fs::remove_dir_all(&dir);
     }
@@ -894,8 +686,10 @@ mod tests {
         let reader = LogDirReader::new(&dir);
         let (files, _) = reader.logfiles().unwrap();
         assert_eq!(files.len(), 3 * 3 * 2);
+        let (mut buf, mut recs) = (Vec::new(), Vec::new());
         for (path, machine, process, _day) in &files {
-            let (recs, stats) = read_logfile(path, *machine, *process).unwrap();
+            recs.clear();
+            let stats = read_file_into(path, *machine, *process, &mut buf, &mut recs).unwrap();
             assert_eq!(stats.malformed, 0);
             assert!(
                 recs.windows(2)
@@ -910,87 +704,5 @@ mod tests {
         }
         assert_eq!(read_back, batch);
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    /// The sort helper against the stable sort by key, which is all it may
-    /// be, however it gets there: per-origin runs laid end to end, then with
-    /// records displaced, many sharing a timestamp and all the legacy
-    /// `(0, 0)` stamp — equal keys must keep their input order, exactly as
-    /// `sort_by_key` leaves them.
-    #[test]
-    fn sort_records_is_the_stable_sort_by_key() {
-        let mut records = Vec::new();
-        for run in 0..5u64 {
-            for i in 0..40u64 {
-                let mut rec = TraceRecord::new(
-                    SimTime::from_secs((i * 7 + run) / 3),
-                    MachineId::new(run as u16),
-                    ProcessId::new(0),
-                    Payload::Auth {
-                        // Tells records with equal keys apart.
-                        user: UserId::new(run * 100 + i),
-                        success: true,
-                    },
-                );
-                (rec.origin, rec.seq) = if run % 2 == 0 {
-                    (0, 0)
-                } else {
-                    (run as u16, i)
-                };
-                records.push(rec);
-            }
-        }
-        let mut state = 0x9E37_79B9u64;
-        for round in 0..4 {
-            type Key = fn(&TraceRecord) -> (SimTime, u16, u64);
-            for key in [(|r| (r.t, 0, 0)) as Key, |r| (r.t, r.origin, r.seq)] {
-                let mut expected = records.clone();
-                expected.sort_by_key(key);
-                let mut sorted = records.clone();
-                sort_records(&mut sorted, key);
-                assert_eq!(sorted, expected, "round {round}");
-                // Already in order: left as it is.
-                sort_records(&mut sorted, key);
-                assert_eq!(sorted, expected, "round {round}, second sort");
-            }
-            for _ in 0..30 {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                let (a, b) = (
-                    (state >> 33) as usize % records.len(),
-                    (state >> 13) as usize % records.len(),
-                );
-                records.swap(a, b);
-            }
-        }
-    }
-
-    /// The range planner: every byte covered exactly once, per-file `first`
-    /// flags, empty files kept, large files split.
-    #[test]
-    fn range_planner_covers_every_byte_exactly_once() {
-        let sizes = [3 * MIN_RANGE_BYTES + 17, 0, 1, MIN_RANGE_BYTES];
-        let tasks = plan_ranges(&sizes, 4);
-        for (file, &len) in sizes.iter().enumerate() {
-            let mine: Vec<&RangeTask> = tasks.iter().filter(|t| t.file == file).collect();
-            assert!(!mine.is_empty(), "file {file} lost");
-            assert!(mine[0].first && mine[0].start == 0);
-            assert!(mine[1..].iter().all(|t| !t.first));
-            assert_eq!(mine.last().unwrap().end, len);
-            for w in mine.windows(2) {
-                assert_eq!(w[0].end, w[1].start, "gap/overlap in file {file}");
-            }
-        }
-        // The big file actually split; the empty file still has one task.
-        assert!(tasks.iter().filter(|t| t.file == 0).count() > 1);
-        assert_eq!(
-            tasks
-                .iter()
-                .filter(|t| t.file == 1)
-                .map(|t| (t.start, t.end))
-                .collect::<Vec<_>>(),
-            vec![(0, 0)]
-        );
     }
 }
