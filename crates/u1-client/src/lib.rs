@@ -1,10 +1,18 @@
 //! How a U1 desktop client (§3.3) reaches the service: the storage
-//! protocol's client calls behind one [`Transport`] trait, over two paths.
+//! protocol's client calls behind one [`Transport`] trait. Each call
+//! becomes protocol requests, and one implementation of the trait sends
+//! them over either of two links to `u1_server::Backend::serve`.
 //!
-//! * [`DirectTransport`] calls the back-end's handlers in process
-//!   (measurement mode: no socket, no codec).
+//! * [`DirectTransport`] calls `serve` in process (measurement mode: no
+//!   socket, no codec).
 //! * [`TcpTransport`] speaks the storage protocol over a real TCP
 //!   connection (live mode), buffering pushes between responses.
+//!
+//! So both links send the same requests. An upload without content
+//! bytes declares one `UploadChunkSparse` per 5 MiB S3 part (a server
+//! that stores real bytes refuses them); real bytes travel as 1 MiB
+//! `UploadChunk`s — framed straight from the caller's buffer over TCP —
+//! and an empty file as one 1-byte chunk.
 //!
 //! The client's *behaviour* — hash before upload so the server can
 //! deduplicate, a full re-upload on every update (no delta updates, no

@@ -1,14 +1,18 @@
-//! Client transports: the same operations over two very different paths.
+//! Client transports: the storage protocol's calls, typed once, over two
+//! links to [`Backend::serve`] — a direct call, or a TCP connection.
 
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;
 use u1_auth::Token;
-use u1_core::{ContentHash, CoreError, CoreResult, NodeId, NodeKind, SessionId, UserId, VolumeId};
+use u1_core::{
+    ContentHash, CoreError, CoreResult, NodeId, NodeKind, SessionId, UploadId, UserId, VolumeId,
+    VolumeKind,
+};
 use u1_proto::conn::{ClientConn, ClientEvent};
 use u1_proto::msg::{NodeInfo, Push, Request, RequestId, Response, VolumeInfo};
 use u1_proto::tcp;
-use u1_server::api::node_info;
+use u1_server::api::{Served, SessionState};
 use u1_server::Backend;
 
 /// Result of an upload as the client sees it.
@@ -75,77 +79,101 @@ pub trait Transport {
     fn session(&self) -> Option<SessionId>;
 }
 
-// ---------------------------------------------------------------------------
-// Direct (in-process) transport
-// ---------------------------------------------------------------------------
+/// Content bytes per `UploadChunk` when the caller has real bytes. A wire
+/// chunk is bounded by the frame limit, not the S3 part size, and 1 MiB
+/// keeps frames comfortable. Both links use it, so a live upload is the
+/// same sequence of back-end calls in process and over TCP.
+const CONTENT_CHUNK: usize = 1024 * 1024;
 
-/// Calls the backend's handlers directly, in process: the measurement-mode
-/// path, with no socket and no codec between client and back-end.
-pub struct DirectTransport {
-    backend: Arc<Backend>,
-    session: Option<SessionId>,
-    push_rx: Option<crossbeam::channel::Receiver<Push>>,
-    /// Register for pushes? Cold clients (crashed/quiet) may skip it.
-    subscribe_pushes: bool,
-}
+/// Most a download reserves on the strength of the announced size alone;
+/// a larger file grows the buffer as its bytes actually arrive.
+const MAX_PREALLOC: usize = 64 * 1024 * 1024;
 
-impl DirectTransport {
-    pub fn new(backend: Arc<Backend>) -> Self {
-        Self {
-            backend,
-            session: None,
-            push_rx: None,
-            subscribe_pushes: true,
+/// The seam under the typed calls: how one protocol request reaches
+/// [`Backend::serve`], and what it answered. [`Transport`] is implemented
+/// once, over this.
+trait Link {
+    /// Sends one request and returns `serve`'s answer, an error response
+    /// as the error it stands for.
+    fn call(&mut self, req: Request) -> CoreResult<Served>;
+
+    /// `UploadChunk` of borrowed bytes.
+    fn send_chunk(&mut self, upload: UploadId, data: &[u8]) -> CoreResult<()> {
+        self.respond(Request::UploadChunk {
+            upload,
+            data: data.to_vec(),
+        })
+        .map(drop)
+    }
+
+    /// Pushes received since the last poll.
+    fn take_pushes(&mut self) -> Vec<Push>;
+
+    /// The session id, once authenticated and until closed.
+    fn session_id(&self) -> Option<SessionId>;
+
+    /// Drops the link after its goodbye.
+    fn disconnect(&mut self);
+
+    /// [`Link::call`] for a request answered by one response.
+    fn respond(&mut self, req: Request) -> CoreResult<Response> {
+        match self.call(req)? {
+            Served::Response(resp) => Ok(resp),
+            Served::Content { .. } => Err(CoreError::invalid("unexpected content")),
         }
     }
-
-    /// Disables push subscription (for modeling clients that never receive
-    /// notifications).
-    pub fn without_pushes(mut self) -> Self {
-        self.subscribe_pushes = false;
-        self
-    }
-
-    fn sid(&self) -> CoreResult<SessionId> {
-        self.session
-            .ok_or_else(|| CoreError::invalid("not authenticated"))
-    }
 }
 
-impl Transport for DirectTransport {
+fn unexpected(resp: &Response) -> CoreError {
+    CoreError::invalid(format!("unexpected {}", resp.label()))
+}
+
+impl<L: Link> Transport for L {
     fn authenticate(&mut self, token: Token) -> CoreResult<(SessionId, UserId)> {
-        let h = self.backend.open_session(token)?;
-        if self.subscribe_pushes {
-            let (tx, rx) = crossbeam::channel::unbounded();
-            self.backend.push_router.register(h.session, tx);
-            self.push_rx = Some(rx);
+        match self.respond(Request::Authenticate {
+            token: token.as_bytes().to_vec(),
+        })? {
+            Response::AuthOk { session, user } => Ok((session, user)),
+            other => Err(unexpected(&other)),
         }
-        self.session = Some(h.session);
-        Ok((h.session, h.user))
     }
 
     fn query_set_caps(&mut self, caps: &[&str]) -> CoreResult<()> {
-        let sid = self.sid()?;
-        self.backend
-            .query_set_caps(sid, caps.iter().map(|s| s.to_string()).collect())?;
-        Ok(())
+        self.respond(Request::QuerySetCaps {
+            caps: caps.iter().map(|s| s.to_string()).collect(),
+        })
+        .map(drop)
     }
 
     fn list_volumes(&mut self) -> CoreResult<Vec<VolumeInfo>> {
-        self.backend.list_volumes(self.sid()?)
+        match self.respond(Request::ListVolumes)? {
+            Response::Volumes { volumes } => Ok(volumes),
+            other => Err(unexpected(&other)),
+        }
     }
 
     fn list_shares(&mut self) -> CoreResult<Vec<VolumeInfo>> {
-        self.backend.list_shares(self.sid()?)
+        match self.respond(Request::ListShares)? {
+            Response::Volumes { volumes } => Ok(volumes),
+            other => Err(unexpected(&other)),
+        }
     }
 
     fn create_udf(&mut self, name: &str) -> CoreResult<VolumeInfo> {
-        self.backend.create_udf(self.sid()?, name)
+        match self.respond(Request::CreateUdf { name: name.into() })? {
+            Response::VolumeCreated { volume, generation } => Ok(VolumeInfo {
+                volume,
+                kind: VolumeKind::UserDefined,
+                generation,
+                owner: None,
+                node_count: 0,
+            }),
+            other => Err(unexpected(&other)),
+        }
     }
 
     fn delete_volume(&mut self, volume: VolumeId) -> CoreResult<()> {
-        self.backend.delete_volume(self.sid()?, volume)?;
-        Ok(())
+        self.respond(Request::DeleteVolume { volume }).map(drop)
     }
 
     fn make_node(
@@ -155,13 +183,36 @@ impl Transport for DirectTransport {
         kind: NodeKind,
         name: &str,
     ) -> CoreResult<NodeInfo> {
-        self.backend
-            .make_node(self.sid()?, volume, parent, kind, name)
+        let parent_id = parent.unwrap_or(NodeId::new(0));
+        let req = match kind {
+            NodeKind::File => Request::MakeFile {
+                volume,
+                parent: parent_id,
+                name: name.into(),
+            },
+            NodeKind::Directory => Request::MakeDir {
+                volume,
+                parent: parent_id,
+                name: name.into(),
+            },
+        };
+        match self.respond(req)? {
+            Response::NodeCreated { node, generation } => Ok(NodeInfo {
+                node,
+                kind,
+                parent,
+                name: name.into(),
+                size: 0,
+                hash: None,
+                generation,
+                is_dead: false,
+            }),
+            other => Err(unexpected(&other)),
+        }
     }
 
     fn unlink(&mut self, volume: VolumeId, node: NodeId) -> CoreResult<()> {
-        self.backend.unlink(self.sid()?, volume, node)?;
-        Ok(())
+        self.respond(Request::Unlink { volume, node }).map(drop)
     }
 
     fn move_node(
@@ -171,9 +222,13 @@ impl Transport for DirectTransport {
         new_parent: Option<NodeId>,
         new_name: &str,
     ) -> CoreResult<()> {
-        self.backend
-            .move_node(self.sid()?, volume, node, new_parent, new_name)?;
-        Ok(())
+        self.respond(Request::Move {
+            volume,
+            node,
+            new_parent: new_parent.unwrap_or(NodeId::new(0)),
+            new_name: new_name.into(),
+        })
+        .map(drop)
     }
 
     fn get_delta(
@@ -181,15 +236,24 @@ impl Transport for DirectTransport {
         volume: VolumeId,
         from_generation: u64,
     ) -> CoreResult<(u64, Vec<NodeInfo>)> {
-        let (generation, rows) = self
-            .backend
-            .get_delta(self.sid()?, volume, from_generation)?;
-        Ok((generation, rows.into_iter().map(node_info).collect()))
+        match self.respond(Request::GetDelta {
+            volume,
+            from_generation,
+        })? {
+            Response::Delta {
+                generation, nodes, ..
+            } => Ok((generation, nodes)),
+            other => Err(unexpected(&other)),
+        }
     }
 
     fn rescan_from_scratch(&mut self, volume: VolumeId) -> CoreResult<(u64, Vec<NodeInfo>)> {
-        let (generation, rows) = self.backend.rescan_from_scratch(self.sid()?, volume)?;
-        Ok((generation, rows.into_iter().map(node_info).collect()))
+        match self.respond(Request::RescanFromScratch { volume })? {
+            Response::Delta {
+                generation, nodes, ..
+            } => Ok((generation, nodes)),
+            other => Err(unexpected(&other)),
+        }
     }
 
     fn upload(
@@ -200,14 +264,58 @@ impl Transport for DirectTransport {
         size: u64,
         data: Option<Vec<u8>>,
     ) -> CoreResult<UploadResult> {
-        let (deduplicated, bytes_sent) = self
-            .backend
-            .upload_file_with_recovery(self.sid()?, volume, node, hash, size, data.as_deref(), None)
-            .map_err(|fail| fail.error)?;
-        Ok(UploadResult {
-            deduplicated,
-            bytes_sent,
-        })
+        let upload = match self.respond(Request::BeginUpload {
+            volume,
+            node,
+            hash,
+            size,
+        })? {
+            Response::UploadDone { .. } => {
+                return Ok(UploadResult {
+                    deduplicated: true,
+                    bytes_sent: 0,
+                })
+            }
+            Response::UploadBegun { upload, .. } => upload,
+            other => return Err(unexpected(&other)),
+        };
+        let mut sent = 0u64;
+        match data {
+            // No content bytes: declare part lengths without materializing
+            // any, one `UploadChunkSparse` per S3 part — the part schedule
+            // of the driver's uploads, so both produce the same back-end
+            // calls and trace records. A real-bytes server refuses sparse
+            // chunks, so the upload fails there instead of storing bytes
+            // the caller never had.
+            None => {
+                let total = size.max(1);
+                while sent < total {
+                    let len = (total - sent).min(u1_blobstore::PART_SIZE);
+                    self.respond(Request::UploadChunkSparse { upload, len })?;
+                    sent += len;
+                }
+            }
+            // Live bytes: `CONTENT_CHUNK`-sized chunks of the caller's
+            // buffer; an empty file travels as one one-byte chunk.
+            Some(bytes) => {
+                let chunks = if bytes.is_empty() {
+                    [0u8].chunks(1)
+                } else {
+                    bytes.chunks(CONTENT_CHUNK)
+                };
+                for chunk in chunks {
+                    self.send_chunk(upload, chunk)?;
+                    sent += chunk.len() as u64;
+                }
+            }
+        }
+        match self.respond(Request::CommitUpload { upload })? {
+            Response::UploadDone { .. } => Ok(UploadResult {
+                deduplicated: false,
+                bytes_sent: sent,
+            }),
+            other => Err(unexpected(&other)),
+        }
     }
 
     fn download(
@@ -215,34 +323,76 @@ impl Transport for DirectTransport {
         volume: VolumeId,
         node: NodeId,
     ) -> CoreResult<(u64, ContentHash, Option<Vec<u8>>)> {
-        self.backend.download(self.sid()?, volume, node)
+        match self.call(Request::GetContent { volume, node })? {
+            Served::Content { size, hash, data } => Ok((size, hash, data)),
+            Served::Response(other) => Err(unexpected(&other)),
+        }
     }
 
     fn poll_pushes(&mut self) -> Vec<Push> {
-        match &self.push_rx {
-            Some(rx) => u1_notify::drain(rx),
-            None => Vec::new(),
-        }
+        self.take_pushes()
     }
 
     fn close(&mut self) {
-        if let Some(sid) = self.session.take() {
-            let _ = self.backend.close_session(sid);
+        // A live session says goodbye and waits for the answer: `serve`
+        // closes the session *before* answering, so by the time `close`
+        // returns the teardown is globally ordered, on either link.
+        if self.session_id().is_some() {
+            let _ = self.call(Request::Bye);
         }
-        self.push_rx = None;
+        self.disconnect();
     }
 
     fn session(&self) -> Option<SessionId> {
-        self.session
+        self.session_id()
     }
 }
 
-/// Most a download reserves on the strength of the announced size alone;
-/// a larger file grows the buffer as its bytes actually arrive.
-const MAX_PREALLOC: usize = 64 * 1024 * 1024;
+// ---------------------------------------------------------------------------
+// Direct (in-process) link
+// ---------------------------------------------------------------------------
+
+/// Calls [`Backend::serve`] in process: the measurement-mode path, with no
+/// socket and no codec between client and back-end.
+pub struct DirectTransport {
+    backend: Arc<Backend>,
+    state: SessionState,
+}
+
+impl DirectTransport {
+    pub fn new(backend: Arc<Backend>) -> Self {
+        Self {
+            backend,
+            state: SessionState::new(true),
+        }
+    }
+
+    /// Disables push subscription (for modeling clients that never receive
+    /// notifications).
+    pub fn without_pushes(mut self) -> Self {
+        self.state = SessionState::new(false);
+        self
+    }
+}
+
+impl Link for DirectTransport {
+    fn call(&mut self, req: Request) -> CoreResult<Served> {
+        self.backend.serve(&mut self.state, req)
+    }
+
+    fn take_pushes(&mut self) -> Vec<Push> {
+        self.state.pushes().map_or_else(Vec::new, u1_notify::drain)
+    }
+
+    fn session_id(&self) -> Option<SessionId> {
+        self.state.handle().map(|h| h.session)
+    }
+
+    fn disconnect(&mut self) {}
+}
 
 // ---------------------------------------------------------------------------
-// TCP transport
+// TCP link
 // ---------------------------------------------------------------------------
 
 /// A real protocol connection. Requests are issued synchronously (one
@@ -309,8 +459,8 @@ impl TcpTransport {
         }
     }
 
-    /// Sends a framed single-response request and unwraps its response,
-    /// converting protocol errors.
+    /// Sends a framed single-response request and returns its response,
+    /// an error response as the error it stands for.
     fn round_trip(&mut self, id: RequestId, frame: &[u8]) -> CoreResult<Response> {
         self.send(frame)?;
         let mut last = None;
@@ -322,242 +472,9 @@ impl TcpTransport {
         }
     }
 
-    fn call_one(&mut self, req: Request) -> CoreResult<Response> {
-        let (id, frame) = self.conn.request(req).map_err(encode_error)?;
-        self.round_trip(id, &frame)
-    }
-}
-
-fn encode_error(e: u1_proto::ConnError) -> CoreError {
-    CoreError::invalid(format!("encode: {e}"))
-}
-
-/// Reconstitutes a typed [`CoreError`] from its wire form, so TCP clients
-/// observe the same error kinds as in-process ones.
-fn wire_error(code: &str, message: String) -> CoreError {
-    match code {
-        "not_found" => CoreError::not_found(message),
-        "conflict" => CoreError::conflict(message),
-        "denied" => CoreError::permission_denied(message),
-        "unavailable" => CoreError::unavailable(message),
-        _ => CoreError::invalid(message),
-    }
-}
-
-impl Transport for TcpTransport {
-    fn authenticate(&mut self, token: Token) -> CoreResult<(SessionId, UserId)> {
-        match self.call_one(Request::Authenticate {
-            token: token.as_bytes().to_vec(),
-        })? {
-            Response::AuthOk { session, user } => {
-                self.session = Some(session);
-                Ok((session, user))
-            }
-            other => Err(CoreError::invalid(format!("unexpected {}", other.label()))),
-        }
-    }
-
-    fn query_set_caps(&mut self, caps: &[&str]) -> CoreResult<()> {
-        self.call_one(Request::QuerySetCaps {
-            caps: caps.iter().map(|s| s.to_string()).collect(),
-        })?;
-        Ok(())
-    }
-
-    fn list_volumes(&mut self) -> CoreResult<Vec<VolumeInfo>> {
-        match self.call_one(Request::ListVolumes)? {
-            Response::Volumes { volumes } => Ok(volumes),
-            other => Err(CoreError::invalid(format!("unexpected {}", other.label()))),
-        }
-    }
-
-    fn list_shares(&mut self) -> CoreResult<Vec<VolumeInfo>> {
-        match self.call_one(Request::ListShares)? {
-            Response::Volumes { volumes } => Ok(volumes),
-            other => Err(CoreError::invalid(format!("unexpected {}", other.label()))),
-        }
-    }
-
-    fn create_udf(&mut self, name: &str) -> CoreResult<VolumeInfo> {
-        match self.call_one(Request::CreateUdf { name: name.into() })? {
-            Response::VolumeCreated { volume, generation } => Ok(VolumeInfo {
-                volume,
-                kind: u1_core::VolumeKind::UserDefined,
-                generation,
-                owner: None,
-                node_count: 0,
-            }),
-            other => Err(CoreError::invalid(format!("unexpected {}", other.label()))),
-        }
-    }
-
-    fn delete_volume(&mut self, volume: VolumeId) -> CoreResult<()> {
-        self.call_one(Request::DeleteVolume { volume })?;
-        Ok(())
-    }
-
-    fn make_node(
-        &mut self,
-        volume: VolumeId,
-        parent: Option<NodeId>,
-        kind: NodeKind,
-        name: &str,
-    ) -> CoreResult<NodeInfo> {
-        let parent_id = parent.unwrap_or(NodeId::new(0));
-        let req = match kind {
-            NodeKind::File => Request::MakeFile {
-                volume,
-                parent: parent_id,
-                name: name.into(),
-            },
-            NodeKind::Directory => Request::MakeDir {
-                volume,
-                parent: parent_id,
-                name: name.into(),
-            },
-        };
-        match self.call_one(req)? {
-            Response::NodeCreated { node, generation } => Ok(NodeInfo {
-                node,
-                kind,
-                parent,
-                name: name.into(),
-                size: 0,
-                hash: None,
-                generation,
-                is_dead: false,
-            }),
-            other => Err(CoreError::invalid(format!("unexpected {}", other.label()))),
-        }
-    }
-
-    fn unlink(&mut self, volume: VolumeId, node: NodeId) -> CoreResult<()> {
-        self.call_one(Request::Unlink { volume, node })?;
-        Ok(())
-    }
-
-    fn move_node(
-        &mut self,
-        volume: VolumeId,
-        node: NodeId,
-        new_parent: Option<NodeId>,
-        new_name: &str,
-    ) -> CoreResult<()> {
-        self.call_one(Request::Move {
-            volume,
-            node,
-            new_parent: new_parent.unwrap_or(NodeId::new(0)),
-            new_name: new_name.into(),
-        })?;
-        Ok(())
-    }
-
-    fn get_delta(
-        &mut self,
-        volume: VolumeId,
-        from_generation: u64,
-    ) -> CoreResult<(u64, Vec<NodeInfo>)> {
-        match self.call_one(Request::GetDelta {
-            volume,
-            from_generation,
-        })? {
-            Response::Delta {
-                generation, nodes, ..
-            } => Ok((generation, nodes)),
-            other => Err(CoreError::invalid(format!("unexpected {}", other.label()))),
-        }
-    }
-
-    fn rescan_from_scratch(&mut self, volume: VolumeId) -> CoreResult<(u64, Vec<NodeInfo>)> {
-        match self.call_one(Request::RescanFromScratch { volume })? {
-            Response::Delta {
-                generation, nodes, ..
-            } => Ok((generation, nodes)),
-            other => Err(CoreError::invalid(format!("unexpected {}", other.label()))),
-        }
-    }
-
-    fn upload(
-        &mut self,
-        volume: VolumeId,
-        node: NodeId,
-        hash: ContentHash,
-        size: u64,
-        data: Option<Vec<u8>>,
-    ) -> CoreResult<UploadResult> {
-        match self.call_one(Request::BeginUpload {
-            volume,
-            node,
-            hash,
-            size,
-        })? {
-            Response::UploadDone { .. } => Ok(UploadResult {
-                deduplicated: true,
-                bytes_sent: 0,
-            }),
-            Response::UploadBegun { upload, .. } => {
-                let mut sent = 0u64;
-                match data {
-                    // No content bytes: declare part lengths without
-                    // materializing any — the same part schedule as
-                    // `DirectTransport` (one `UploadChunkSparse` per S3
-                    // part), so both paths produce identical back-end RPC
-                    // sequences and trace records. A real-bytes server
-                    // refuses sparse chunks, so the upload fails there
-                    // instead of storing bytes the caller never had.
-                    None => {
-                        let mut remaining = size.max(1);
-                        while remaining > 0 {
-                            let part = remaining.min(u1_blobstore::PART_SIZE);
-                            self.call_one(Request::UploadChunkSparse { upload, len: part })?;
-                            sent += part;
-                            remaining -= part;
-                        }
-                    }
-                    // Live bytes: wire chunks are bounded by the frame
-                    // limit, not the S3 part size; 1MB keeps frames
-                    // comfortable. Each chunk is framed straight from the
-                    // caller's buffer.
-                    Some(bytes) => {
-                        const WIRE_CHUNK: usize = 1024 * 1024;
-                        let filler = [0u8];
-                        let chunks = if bytes.is_empty() {
-                            filler.chunks(1)
-                        } else {
-                            bytes.chunks(WIRE_CHUNK)
-                        };
-                        for chunk in chunks {
-                            let (id, frame) = self
-                                .conn
-                                .upload_chunk(upload, chunk)
-                                .map_err(encode_error)?;
-                            self.round_trip(id, &frame)?;
-                            sent += chunk.len() as u64;
-                        }
-                    }
-                }
-                match self.call_one(Request::CommitUpload { upload })? {
-                    Response::UploadDone { .. } => Ok(UploadResult {
-                        deduplicated: false,
-                        bytes_sent: sent,
-                    }),
-                    other => Err(CoreError::invalid(format!("unexpected {}", other.label()))),
-                }
-            }
-            other => Err(CoreError::invalid(format!("unexpected {}", other.label()))),
-        }
-    }
-
-    fn download(
-        &mut self,
-        volume: VolumeId,
-        node: NodeId,
-    ) -> CoreResult<(u64, ContentHash, Option<Vec<u8>>)> {
-        let (id, frame) = self
-            .conn
-            .request(Request::GetContent { volume, node })
-            .map_err(encode_error)?;
-        self.send(&frame)?;
+    /// Sends a framed `GetContent` and collects its stream.
+    fn content(&mut self, id: RequestId, frame: &[u8]) -> CoreResult<Served> {
+        self.send(frame)?;
         let mut size = 0u64;
         let mut hash = None;
         let mut data = Vec::new();
@@ -577,26 +494,57 @@ impl Transport for TcpTransport {
             }
             Response::ContentEnd => {}
             Response::Error { code, message } => refused = Some(wire_error(&code, message)),
-            other => {
-                refused = Some(CoreError::invalid(format!("unexpected {}", other.label())));
-            }
+            other => refused = Some(unexpected(&other)),
         })?;
         if let Some(e) = refused {
             return Err(e);
         }
         let hash = hash.ok_or_else(|| CoreError::invalid("missing content header"))?;
         // A chunkless stream with a nonzero declared size is measurement
-        // mode: the server accounted the transfer but holds no bytes —
-        // mirror `DirectTransport` by reporting `None`.
-        let data = if !chunks_seen && size > 0 {
-            None
-        } else {
-            Some(data)
-        };
-        Ok((size, hash, data))
+        // mode: the server accounted the transfer but holds no bytes, and
+        // `serve` answered with none.
+        let data = (chunks_seen || size == 0).then_some(data);
+        Ok(Served::Content { size, hash, data })
+    }
+}
+
+fn encode_error(e: u1_proto::ConnError) -> CoreError {
+    CoreError::invalid(format!("encode: {e}"))
+}
+
+/// Reconstitutes a typed [`CoreError`] from its wire form, so TCP clients
+/// observe the same error kinds as in-process ones.
+fn wire_error(code: &str, message: String) -> CoreError {
+    match code {
+        "not_found" => CoreError::not_found(message),
+        "conflict" => CoreError::conflict(message),
+        "denied" => CoreError::permission_denied(message),
+        "unavailable" => CoreError::unavailable(message),
+        _ => CoreError::invalid(message),
+    }
+}
+
+impl Link for TcpTransport {
+    fn call(&mut self, req: Request) -> CoreResult<Served> {
+        let content = matches!(req, Request::GetContent { .. });
+        let (id, frame) = self.conn.request(req).map_err(encode_error)?;
+        if content {
+            return self.content(id, &frame);
+        }
+        let resp = self.round_trip(id, &frame)?;
+        if let Response::AuthOk { session, .. } = &resp {
+            self.session = Some(*session);
+        }
+        Ok(Served::Response(resp))
     }
 
-    fn poll_pushes(&mut self) -> Vec<Push> {
+    /// Frames the chunk straight from the caller's buffer.
+    fn send_chunk(&mut self, upload: UploadId, data: &[u8]) -> CoreResult<()> {
+        let (id, frame) = self.conn.upload_chunk(upload, data).map_err(encode_error)?;
+        self.round_trip(id, &frame).map(drop)
+    }
+
+    fn take_pushes(&mut self) -> Vec<Push> {
         // Opportunistically read anything already buffered on the socket.
         let _ = self.stream.set_nonblocking(true);
         loop {
@@ -620,65 +568,14 @@ impl Transport for TcpTransport {
         std::mem::take(&mut self.pushes)
     }
 
-    fn close(&mut self) {
-        // A live session says goodbye and waits for the acknowledgement:
-        // the server closes the session *before* answering, so by the time
-        // `close` returns the teardown is globally ordered — matching
-        // `DirectTransport::close`, whose `close_session` call is
-        // synchronous. An unauthenticated connection just disconnects.
-        if self.session.take().is_some() {
-            let _ = self.call_one(Request::Bye);
-        }
-        let _ = self.stream.shutdown(std::net::Shutdown::Both);
-    }
-
-    fn session(&self) -> Option<SessionId> {
+    fn session_id(&self) -> Option<SessionId> {
         self.session
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use u1_core::{Sha1, SimClock};
-    use u1_server::BackendConfig;
-    use u1_trace::NullSink;
-
-    /// Real bytes through the in-process transport: the server's upload
-    /// loop cuts them into S3 parts, and the download hands them back.
-    #[test]
-    fn direct_upload_with_real_bytes_round_trips_through_download() {
-        let cfg = BackendConfig {
-            auth: u1_auth::AuthConfig {
-                transient_failure_rate: 0.0,
-                token_ttl: None,
-            },
-            store_real_bytes: true,
-            ..Default::default()
-        };
-        let backend = Arc::new(Backend::new(
-            cfg,
-            Arc::new(SimClock::new()),
-            Arc::new(NullSink),
-        ));
-        let token = backend.register_user(UserId::new(1));
-        let mut t = DirectTransport::new(backend);
-        t.authenticate(token).unwrap();
-        let root = t.list_volumes().unwrap()[0].volume;
-        // One byte more than a part: two parts, the second a single byte.
-        let data: Vec<u8> = (0..=u1_blobstore::PART_SIZE)
-            .map(|i| (i % 251) as u8)
-            .collect();
-        let hash = Sha1::digest(&data);
-        let node = t
-            .make_node(root, None, NodeKind::File, "two-parts.bin")
-            .unwrap();
-        let up = t
-            .upload(root, node.node, hash, data.len() as u64, Some(data.clone()))
-            .unwrap();
-        assert_eq!((up.deduplicated, up.bytes_sent), (false, data.len() as u64));
-        let (size, got_hash, got) = t.download(root, node.node).unwrap();
-        assert_eq!((size, got_hash), (data.len() as u64, hash));
-        assert!(got.unwrap() == data, "bytes survive the part schedule");
+    /// The server closes the connection after answering `Bye`; an
+    /// unauthenticated one just disconnects.
+    fn disconnect(&mut self) {
+        self.session = None;
+        let _ = self.stream.shutdown(std::net::Shutdown::Both);
     }
 }

@@ -1,6 +1,12 @@
 //! API-server operation handlers — the server side of every Table-2
 //! operation, shared by live TCP mode and virtual-time measurement mode.
 //!
+//! [`Backend::serve`] is the API server's one translation (§3, Appendix A):
+//! a storage-protocol [`Request`] of one session in, the handler calls
+//! that implement it, one answer out. The reactor and both client
+//! transports reach the handlers through it; the workload driver calls
+//! them directly.
+//!
 //! Each handler:
 //! 1. resolves the session,
 //! 2. executes the operation's DAL RPCs against the metadata store, with a
@@ -16,7 +22,7 @@ use u1_core::{
     SimDuration, UploadId, UserId, VolumeId, VolumeKind,
 };
 use u1_metastore::NodeRow;
-use u1_proto::msg::{NodeInfo, Push, VolumeInfo};
+use u1_proto::msg::{NodeInfo, Push, Request, Response, VolumeInfo};
 use u1_trace::SessionEvent;
 
 /// Result of `begin_upload`.
@@ -66,8 +72,8 @@ fn volume_info(row: &u1_metastore::VolumeRow, owner: Option<UserId>) -> VolumeIn
 }
 
 /// A node row as the protocol carries it. Listing handlers return rows;
-/// whoever encodes a listing for a client converts each row here, once.
-pub fn node_info(row: NodeRow) -> NodeInfo {
+/// [`Backend::serve`] converts each row here, once.
+fn node_info(row: NodeRow) -> NodeInfo {
     NodeInfo {
         node: row.node,
         kind: row.kind,
@@ -80,7 +86,228 @@ pub fn node_info(row: NodeRow) -> NodeInfo {
     }
 }
 
+/// One client's session as [`Backend::serve`] keeps it between requests:
+/// the back-end session once authenticated, and the channel its pushes
+/// arrive on when the client subscribed to them.
+#[derive(Debug)]
+pub struct SessionState {
+    handle: Option<SessionHandle>,
+    pushes: Option<crossbeam::channel::Receiver<Push>>,
+    subscribe: bool,
+}
+
+impl SessionState {
+    /// A client that has not authenticated yet; `subscribe_pushes`
+    /// registers it for pushes when it does.
+    pub fn new(subscribe_pushes: bool) -> Self {
+        SessionState {
+            handle: None,
+            pushes: None,
+            subscribe: subscribe_pushes,
+        }
+    }
+
+    /// The back-end session, once authenticated.
+    pub fn handle(&self) -> Option<&SessionHandle> {
+        self.handle.as_ref()
+    }
+
+    /// Where this session's pushes arrive, when it subscribed.
+    pub fn pushes(&self) -> Option<&crossbeam::channel::Receiver<Push>> {
+        self.pushes.as_ref()
+    }
+
+    fn sid(&self) -> CoreResult<SessionId> {
+        self.handle
+            .as_ref()
+            .map(|h| h.session)
+            .ok_or_else(|| CoreError::permission_denied("no session"))
+    }
+}
+
+/// What [`Backend::serve`] answers one request with.
+#[derive(Debug)]
+pub enum Served {
+    /// Every request but `GetContent`: its one response.
+    Response(Response),
+    /// `GetContent`: the file's size and hash, and its bytes when the
+    /// back-end stores real bytes. A connection frames them as
+    /// `ContentBegin`, `ContentChunk`s and `ContentEnd`.
+    Content {
+        size: u64,
+        hash: ContentHash,
+        data: Option<Vec<u8>>,
+    },
+}
+
+/// The protocol's "no node" (`0`) as a parent: the volume's root.
+fn parent_of(id: NodeId) -> Option<NodeId> {
+    (id.raw() != 0).then_some(id)
+}
+
+/// The answer to a request whose handler returns nothing the protocol
+/// carries.
+fn done<T>(_: T) -> Response {
+    Response::Ok
+}
+
+fn created(n: NodeInfo) -> Response {
+    Response::NodeCreated {
+        node: n.node,
+        generation: n.generation,
+    }
+}
+
+fn delta(volume: VolumeId, (generation, rows): (u64, Vec<NodeRow>)) -> Response {
+    Response::Delta {
+        volume,
+        generation,
+        nodes: rows.into_iter().map(node_info).collect(),
+    }
+}
+
 impl Backend {
+    /// Serves one protocol request of the session `state` holds. Control
+    /// requests need no session: `Ping`; `Authenticate` (a second one on
+    /// the same session is a conflict and leaves the first intact);
+    /// `QuerySetCaps` (accepted as asked, and traced only once there is a
+    /// session); `Bye`, which closes the session *before* answering so a
+    /// client that waits for the answer sees its teardown ordered. Every
+    /// other request without a session is `denied`.
+    pub fn serve(&self, state: &mut SessionState, req: Request) -> CoreResult<Served> {
+        let resp = match req {
+            Request::Ping => Response::Pong,
+            Request::Authenticate { token } => {
+                if state.handle.is_some() {
+                    return Err(CoreError::conflict("already authenticated"));
+                }
+                let token = u1_auth::Token::from_bytes(&token)
+                    .ok_or_else(|| CoreError::invalid("malformed token"))?;
+                let h = self.open_session(token)?;
+                if state.subscribe {
+                    let (tx, rx) = crossbeam::channel::unbounded();
+                    self.push_router.register(h.session, tx);
+                    state.pushes = Some(rx);
+                }
+                let resp = Response::AuthOk {
+                    session: h.session,
+                    user: h.user,
+                };
+                state.handle = Some(h);
+                resp
+            }
+            Request::QuerySetCaps { caps } => Response::Capabilities {
+                accepted: match &state.handle {
+                    Some(h) => self.query_set_caps(h.session, caps)?,
+                    None => caps,
+                },
+            },
+            Request::Bye => {
+                if let Some(h) = state.handle.take() {
+                    state.pushes = None;
+                    let _ = self.close_session(h.session);
+                }
+                Response::Ok
+            }
+            Request::ListVolumes => Response::Volumes {
+                volumes: self.list_volumes(state.sid()?)?,
+            },
+            Request::ListShares => Response::Volumes {
+                volumes: self.list_shares(state.sid()?)?,
+            },
+            Request::CreateUdf { name } => {
+                let v = self.create_udf(state.sid()?, &name)?;
+                Response::VolumeCreated {
+                    volume: v.volume,
+                    generation: v.generation,
+                }
+            }
+            Request::DeleteVolume { volume } => done(self.delete_volume(state.sid()?, volume)?),
+            Request::MakeFile {
+                volume,
+                parent,
+                name,
+            } => {
+                let kind = NodeKind::File;
+                created(self.make_node(state.sid()?, volume, parent_of(parent), kind, &name)?)
+            }
+            Request::MakeDir {
+                volume,
+                parent,
+                name,
+            } => {
+                let kind = NodeKind::Directory;
+                created(self.make_node(state.sid()?, volume, parent_of(parent), kind, &name)?)
+            }
+            Request::Unlink { volume, node } => done(self.unlink(state.sid()?, volume, node)?),
+            Request::Move {
+                volume,
+                node,
+                new_parent,
+                new_name,
+            } => done(self.move_node(
+                state.sid()?,
+                volume,
+                node,
+                parent_of(new_parent),
+                &new_name,
+            )?),
+            Request::GetDelta {
+                volume,
+                from_generation,
+            } => delta(
+                volume,
+                self.get_delta(state.sid()?, volume, from_generation)?,
+            ),
+            Request::RescanFromScratch { volume } => {
+                delta(volume, self.rescan_from_scratch(state.sid()?, volume)?)
+            }
+            Request::BeginUpload {
+                volume,
+                node,
+                hash,
+                size,
+            } => match self.begin_upload(state.sid()?, volume, node, hash, size)? {
+                UploadOutcome::Deduplicated { node, generation } => Response::UploadDone {
+                    node,
+                    generation,
+                    hash,
+                },
+                UploadOutcome::Started { upload } => Response::UploadBegun {
+                    upload,
+                    reusable: false,
+                },
+            },
+            Request::UploadChunk { upload, data } => {
+                done(self.upload_chunk(state.sid()?, upload, data.len() as u64, Some(data))?)
+            }
+            Request::UploadChunkSparse { upload, len } => {
+                let sid = state.sid()?;
+                // Sparse chunks exist for the measurement path only; a
+                // server storing real bytes must not account content it
+                // never received.
+                if self.cfg.store_real_bytes {
+                    return Err(CoreError::invalid("sparse chunk on a real-bytes server"));
+                }
+                done(self.upload_chunk(sid, upload, len, None)?)
+            }
+            Request::CommitUpload { upload } => {
+                let c = self.commit_upload(state.sid()?, upload)?;
+                Response::UploadDone {
+                    node: c.node,
+                    generation: c.generation,
+                    hash: c.hash,
+                }
+            }
+            Request::CancelUpload { upload } => done(self.cancel_upload(state.sid()?, upload)?),
+            Request::GetContent { volume, node } => {
+                let (size, hash, data) = self.download(state.sid()?, volume, node)?;
+                return Ok(Served::Content { size, hash, data });
+            }
+        };
+        Ok(Served::Response(resp))
+    }
+
     fn session(&self, session: SessionId) -> CoreResult<SessionHandle> {
         self.sessions
             .get(session)
@@ -478,8 +705,7 @@ impl Backend {
         Ok(node_info(row))
     }
 
-    /// GetDelta: changes since a known generation, as the shard's rows
-    /// ([`node_info`] converts one for the wire).
+    /// GetDelta: changes since a known generation, as the shard's rows.
     pub fn get_delta(
         &self,
         session: SessionId,
@@ -505,8 +731,7 @@ impl Backend {
         result
     }
 
-    /// RescanFromScratch: the full-volume cascade read, as the shard's rows
-    /// ([`node_info`] converts one for the wire).
+    /// RescanFromScratch: the full-volume cascade read, as the shard's rows.
     pub fn rescan_from_scratch(
         &self,
         session: SessionId,
@@ -714,28 +939,11 @@ impl Backend {
         Ok(())
     }
 
-    /// The whole upload in one call, fault-free callers' form of
-    /// [`Backend::upload_file_with_recovery`]: no content bytes, nothing to
-    /// resume.
-    pub fn upload_file(
-        &self,
-        session: SessionId,
-        volume: VolumeId,
-        node: NodeId,
-        hash: ContentHash,
-        size: u64,
-    ) -> CoreResult<(bool, u64)> {
-        self.upload_file_with_recovery(session, volume, node, hash, size, None, None)
-            .map_err(|fail| fail.error)
-    }
-
-    /// The upload schedule (Appendix A): the dedup probe, then the file's
-    /// bytes in parts of the 5MB S3 part size, then the commit. Returns
-    /// (deduplicated, bytes transferred). `data` carries the content when
-    /// the caller has real bytes (live mode); without it only lengths
-    /// travel. `resume` continues an interrupted upload job from its last
-    /// recorded part instead of restarting the transfer.
-    #[allow(clippy::too_many_arguments)]
+    /// The upload schedule (Appendix A) with no content bytes: the dedup
+    /// probe, then one size-only part per 5MB of S3 part size, then the
+    /// commit. Returns (deduplicated, bytes transferred). `resume`
+    /// continues an interrupted upload job from its last recorded part
+    /// instead of restarting the transfer.
     pub fn upload_file_with_recovery(
         &self,
         session: SessionId,
@@ -743,7 +951,6 @@ impl Backend {
         node: NodeId,
         hash: ContentHash,
         size: u64,
-        data: Option<&[u8]>,
         resume: Option<UploadId>,
     ) -> Result<(bool, u64), UploadFailure> {
         let fail =
@@ -771,11 +978,7 @@ impl Backend {
         let mut sent = received.min(total);
         while sent < total {
             let part = (total - sent).min(u1_blobstore::PART_SIZE);
-            let bytes = data.map(|d| {
-                let at = |offset: u64| usize::try_from(offset).map_or(d.len(), |o| o.min(d.len()));
-                d[at(sent)..at(sent + part)].to_vec()
-            });
-            self.upload_chunk(session, upload, part, bytes)
+            self.upload_chunk(session, upload, part, None)
                 .map_err(fail(Some(upload)))?;
             sent += part;
         }
@@ -855,6 +1058,19 @@ mod tests {
     fn open(b: &Backend, user: u64) -> SessionHandle {
         let token = b.register_user(UserId::new(user));
         b.open_session(token).unwrap()
+    }
+
+    /// A fresh upload of size-only parts, with nothing to resume.
+    fn upload(
+        b: &Backend,
+        h: &SessionHandle,
+        volume: VolumeId,
+        node: NodeId,
+        hash: ContentHash,
+        size: u64,
+    ) -> CoreResult<(bool, u64)> {
+        b.upload_file_with_recovery(h.session, volume, node, hash, size, None)
+            .map_err(|fail| fail.error)
     }
 
     #[test]
@@ -978,49 +1194,80 @@ mod tests {
             .unwrap();
         let hash = ContentHash::from_content_id(77);
 
-        let (dedup, sent) = b
-            .upload_file(h1.session, v1, n1.node, hash, 8_000_000)
-            .unwrap();
+        let (dedup, sent) = upload(&b, &h1, v1, n1.node, hash, 8_000_000).unwrap();
         assert!(!dedup);
         assert_eq!(sent, 8_000_000);
-        let (dedup, sent) = b
-            .upload_file(h2.session, v2, n2.node, hash, 8_000_000)
-            .unwrap();
+        let (dedup, sent) = upload(&b, &h2, v2, n2.node, hash, 8_000_000).unwrap();
         assert!(dedup, "cross-user dedup should hit");
         assert_eq!(sent, 0);
         assert!((b.store.dedup_ratio() - 0.5).abs() < 1e-9);
         assert_eq!(b.blobs.stats().objects, 1);
     }
 
-    /// `upload_file` is the recovery entry point with nothing to resume:
-    /// the same upload through either emits the same trace records.
+    /// The driver's one-call upload and a protocol client's BeginUpload,
+    /// sparse parts and CommitUpload through `serve` are the same back-end
+    /// calls: the same upload either way emits the same trace records.
     #[test]
-    fn upload_file_and_recovery_without_resume_emit_the_same_records() {
-        let run = |recovery: bool| {
-            let (b, sink, _clock) = backend();
-            let h = open(&b, 1);
-            let v = b.list_volumes(h.session).unwrap()[0].volume;
+    fn recovery_upload_and_served_requests_emit_the_same_records() {
+        let run = |served: bool| {
+            let sink = Arc::new(MemorySink::new());
+            let cfg = BackendConfig {
+                auth: u1_auth::AuthConfig {
+                    transient_failure_rate: 0.0,
+                    token_ttl: None,
+                },
+                ..Default::default()
+            };
+            let b = Backend::new(cfg, Arc::new(SimClock::new()), sink.clone());
+            let token = b.register_user(UserId::new(1));
+            let mut state = SessionState::new(false);
+            let auth = Request::Authenticate {
+                token: token.as_bytes().to_vec(),
+            };
+            b.serve(&mut state, auth).unwrap();
+            let sid = state.sid().unwrap();
+            let v = b.list_volumes(sid).unwrap()[0].volume;
             let n = b
-                .make_node(h.session, v, None, NodeKind::File, "film.avi")
-                .unwrap();
+                .make_node(sid, v, None, NodeKind::File, "film.avi")
+                .unwrap()
+                .node;
             let hash = ContentHash::from_content_id(21);
-            let size = (12 << 20) + 5; // three parts
-            let upload = || {
-                if recovery {
-                    b.upload_file_with_recovery(h.session, v, n.node, hash, size, None, None)
-                        .map_err(|fail| fail.error)
-                } else {
-                    b.upload_file(h.session, v, n.node, hash, size)
+            let part = u1_blobstore::PART_SIZE;
+            let size = 2 * part + 5; // three parts
+            let mut upload = || -> CoreResult<(bool, u64)> {
+                if !served {
+                    return b
+                        .upload_file_with_recovery(sid, v, n, hash, size, None)
+                        .map_err(|fail| fail.error);
                 }
+                let begin = Request::BeginUpload {
+                    volume: v,
+                    node: n,
+                    hash,
+                    size,
+                };
+                let upload = match b.serve(&mut state, begin)? {
+                    Served::Response(Response::UploadBegun { upload, .. }) => upload,
+                    Served::Response(Response::UploadDone { .. }) => return Ok((true, 0)),
+                    other => panic!("begin: {other:?}"),
+                };
+                for len in [part, part, 5] {
+                    b.serve(&mut state, Request::UploadChunkSparse { upload, len })?;
+                }
+                b.serve(&mut state, Request::CommitUpload { upload })?;
+                Ok((false, size))
             };
             assert_eq!(upload(), Ok((false, size)));
             // And again: the dedup probe answers, nothing travels.
             assert_eq!(upload(), Ok((true, 0)));
             sink.take_sorted()
         };
-        let (plain, recovery) = (run(false), run(true));
-        assert!(plain.len() > 10, "begin, three parts, commit, dedup probe");
-        assert_eq!(plain, recovery);
+        let (recovery, served) = (run(false), run(true));
+        assert!(
+            recovery.len() > 10,
+            "begin, three parts, commit, dedup probe"
+        );
+        assert_eq!(recovery, served);
     }
 
     #[test]
@@ -1070,7 +1317,7 @@ mod tests {
         // The recovery path continues the same job: only the two missing
         // parts travel again, then the commit lands.
         let (dedup, sent) = b
-            .upload_file_with_recovery(h.session, v, n.node, hash, size, None, Some(upload))
+            .upload_file_with_recovery(h.session, v, n.node, hash, size, Some(upload))
             .unwrap();
         assert!(!dedup);
         assert_eq!(sent, size);
@@ -1122,7 +1369,7 @@ mod tests {
         assert!(!b.blobs.contains(hash), "no half-written object");
         // A resume attempt after the GC finds nothing to continue from.
         let err = b
-            .upload_file_with_recovery(h.session, v, n.node, hash, 10 << 20, None, Some(upload))
+            .upload_file_with_recovery(h.session, v, n.node, hash, 10 << 20, Some(upload))
             .unwrap_err();
         assert!(err.resume.is_none(), "job reaped: nothing to resume");
     }
@@ -1180,7 +1427,7 @@ mod tests {
             .make_node(h.session, v, None, NodeKind::File, "f.bin")
             .unwrap();
         let hash = ContentHash::from_content_id(3);
-        b.upload_file(h.session, v, n.node, hash, 1000).unwrap();
+        upload(&b, &h, v, n.node, hash, 1000).unwrap();
         assert!(b.blobs.contains(hash));
         b.unlink(h.session, v, n.node).unwrap();
         assert!(!b.blobs.contains(hash), "S3 object deleted with last ref");
@@ -1240,8 +1487,7 @@ mod tests {
             .make_node(h.session, v, None, NodeKind::File, "warez.zip")
             .unwrap();
         let hash = ContentHash::from_content_id(666);
-        b.upload_file(h.session, v, n.node, hash, 50_000_000)
-            .unwrap();
+        upload(&b, &h, v, n.node, hash, 50_000_000).unwrap();
 
         let evicted = b.ban_user(UserId::new(66));
         assert_eq!(evicted, 1);
@@ -1394,7 +1640,7 @@ mod tests {
                             NodeKind::File,
                             &format!("f{i}"),
                         )
-                        .and_then(|n| b.upload_file(h.session, udf.volume, n.node, hash, 1000));
+                        .and_then(|n| upload(&b, &h, udf.volume, n.node, hash, 1000));
                     if uploaded.is_ok() {
                         stored.push(hash);
                     }

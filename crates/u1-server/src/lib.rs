@@ -21,7 +21,9 @@
 //! synchronous so the same code path serves
 //!
 //! * **live mode** — [`tcpserver::TcpServer`] accepts real protocol
-//!   connections and dispatches decoded requests, and
+//!   connections and hands each decoded request to [`Backend::serve`],
+//!   the one request path that the in-process client transport uses too,
+//!   and
 //! * **measurement mode** — the workload driver calls handlers directly
 //!   under a virtual clock, producing month-scale traces in seconds.
 //!

@@ -865,7 +865,7 @@ impl ShardSim {
         }
         let resume = Cell::new(None);
         self.retry(|b| {
-            b.upload_file_with_recovery(sid, vol, node, hash, size, None, resume.get())
+            b.upload_file_with_recovery(sid, vol, node, hash, size, resume.get())
                 .map_err(|fail| {
                     resume.set(fail.resume);
                     fail.error
@@ -928,7 +928,6 @@ impl ShardSim {
                 cu.node,
                 cu.hash,
                 cu.size,
-                None,
                 Some(cu.upload),
             ) {
                 Ok((_, sent)) => {
@@ -1524,12 +1523,13 @@ impl CoordinatorSim {
                                     NodeKind::File,
                                     &spec.name,
                                 ) {
-                                    let _ = self.backend.upload_file(
+                                    let _ = self.backend.upload_file_with_recovery(
                                         h.session,
                                         root.volume,
                                         node.node,
                                         spec.hash,
                                         spec.size,
+                                        None,
                                     );
                                 }
                             }
