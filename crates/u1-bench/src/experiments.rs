@@ -696,7 +696,9 @@ pub fn exp_f16_sessions(rep: &EngineReport) -> io::Result<()> {
 /// own mini-backend rather than a whole month.
 pub fn exp_f17_uploadjobs() -> io::Result<()> {
     use std::sync::Arc;
-    use u1_core::{ContentHash, NodeKind, SimClock, SimDuration, UserId};
+    use u1_core::{ContentHash, NodeId, SimClock, SimDuration, UserId};
+    use u1_proto::msg::{Request, Response};
+    use u1_server::api::{Served, SessionState};
     use u1_server::{Backend, BackendConfig};
     use u1_trace::MemorySink;
 
@@ -713,8 +715,20 @@ pub fn exp_f17_uploadjobs() -> io::Result<()> {
         Arc::new(MemorySink::new()),
     ));
     let token = backend.register_user(UserId::new(1));
-    let h = backend.open_session(token).unwrap();
-    let v = backend.list_volumes(h.session).unwrap()[0].volume;
+    let mut state = SessionState::new(false);
+    // Every request here is answered by one response; `None` is a refusal.
+    let mut call = |req| match backend.serve(&mut state, req) {
+        Ok(Served::Response(resp)) => Some(resp),
+        _ => None,
+    };
+    let auth = Request::Authenticate {
+        token: token.as_bytes().to_vec(),
+    };
+    call(auth).expect("authenticate");
+    let Some(Response::Volumes { volumes }) = call(Request::ListVolumes) else {
+        panic!("no volumes");
+    };
+    let v = volumes[0].volume;
 
     let mut committed = 0u64;
     let mut resumed = 0u64;
@@ -724,36 +738,45 @@ pub fn exp_f17_uploadjobs() -> io::Result<()> {
     let size = 12u64 << 20;
     let mut abandoned = Vec::new();
     for i in 0..30u64 {
-        let node = backend
-            .make_node(h.session, v, None, NodeKind::File, &format!("f{i}.iso"))
-            .unwrap();
+        let make = Request::MakeFile {
+            volume: v,
+            parent: NodeId::new(0),
+            name: format!("f{i}.iso"),
+        };
+        let Some(Response::NodeCreated { node, .. }) = call(make) else {
+            panic!("make f{i}.iso");
+        };
         let hash = ContentHash::from_content_id(1000 + i);
-        let outcome = backend
-            .begin_upload(h.session, v, node.node, hash, size)
-            .unwrap();
-        let upload = match outcome {
-            u1_server::api::UploadOutcome::Started { upload } => upload,
-            u1_server::api::UploadOutcome::Deduplicated { .. } => continue,
+        let begin = Request::BeginUpload {
+            volume: v,
+            node,
+            hash,
+            size,
         };
-        let chunk = |len| {
-            backend.upload_chunk(h.session, upload, len, None).unwrap();
+        // A dedup hit answers `UploadDone`: nothing to upload.
+        let Some(Response::UploadBegun { upload, .. }) = call(begin) else {
+            continue;
         };
-        chunk(5 << 20);
+        let part = |len| Request::UploadChunkSparse { upload, len };
+        call(part(5 << 20)).expect("part");
         match i % 6 {
             // 0 and 1 finish cleanly; 2 and 3 are interrupted: the commit
-            // is refused, and the upload resumes.
+            // is refused, and the upload resumes from the job's one part.
             0..=3 => {
                 if i % 6 >= 2 {
-                    assert!(backend.commit_upload(h.session, upload).is_err());
+                    assert!(call(Request::CommitUpload { upload }).is_none());
+                    let offset = 5 << 20;
+                    let resume = call(Request::ResumeUpload { upload });
+                    assert_eq!(resume, Some(Response::UploadBegun { upload, offset }));
                     resumed += 1;
                 }
-                chunk(5 << 20);
-                chunk(size - (10 << 20));
-                backend.commit_upload(h.session, upload).unwrap();
+                call(part(5 << 20)).expect("part");
+                call(part(size - (10 << 20))).expect("part");
+                call(Request::CommitUpload { upload }).expect("commit");
                 committed += 1;
             }
             4 => {
-                backend.cancel_upload(h.session, upload).unwrap();
+                call(Request::CancelUpload { upload }).expect("cancel");
                 cancelled += 1;
             }
             _ => abandoned.push(upload),

@@ -58,7 +58,8 @@ impl MultipartUpload {
         }
     }
 
-    /// Appends a part. `data` carries real bytes in live mode.
+    /// Appends a part. `data` carries real bytes in live mode: at most
+    /// `len` of them, fewer when the part runs past the object's end.
     pub fn add_part(&mut self, len: u64, data: Option<Vec<u8>>) -> Result<(), MultipartError> {
         if len == 0 {
             return Err(MultipartError::EmptyPart);
@@ -66,7 +67,7 @@ impl MultipartUpload {
         self.part_sizes.push(len);
         match (self.data.as_mut(), data) {
             (Some(buf), Some(bytes)) => {
-                debug_assert_eq!(bytes.len() as u64, len);
+                debug_assert!(bytes.len() as u64 <= len);
                 buf.extend_from_slice(&bytes);
             }
             // Any size-only part degrades the whole upload to size-only.
@@ -83,9 +84,13 @@ impl MultipartUpload {
         self.part_sizes.iter().sum()
     }
 
-    /// Consumes the upload into (size, bytes-if-live).
+    /// Consumes the upload into (size, bytes-if-live). A live object is
+    /// as large as the bytes it holds.
     pub fn into_object(self) -> (u64, Option<Vec<u8>>) {
-        (self.part_sizes.iter().sum(), self.data)
+        match self.data {
+            Some(bytes) => (bytes.len() as u64, Some(bytes)),
+            None => (self.part_sizes.iter().sum(), None),
+        }
     }
 }
 

@@ -774,39 +774,49 @@ impl Shard {
     }
 
     /// `dal.get_delta` — every node changed after `from_generation`,
-    /// including tombstones, plus the current generation.
-    pub fn get_delta(
+    /// including tombstones, plus the current generation. Each row goes
+    /// through `row` in the one collect, so a caller that answers with
+    /// another type than [`NodeRow`] allocates its list once.
+    pub fn get_delta<T>(
         &self,
         volume: VolumeId,
         from_generation: u64,
-    ) -> CoreResult<(u64, Vec<NodeRow>)> {
+        row: impl FnMut(NodeRow) -> T,
+    ) -> CoreResult<(u64, Vec<T>)> {
         let vidx = self.volume_idx(volume)?;
         let vol = &self.volume_slots[vidx as usize];
         // The log is sorted by generation (monotone appends), each node
         // live exactly once at its current generation — so the read is a
         // binary search plus a filtered scan, never a volume scan.
         let start = vol.log.partition_point(|&(g, _)| g <= from_generation);
-        let changed: Vec<NodeRow> = vol.log[start..]
+        let changed = vol.log[start..]
             .iter()
             .filter(|&&(g, s)| self.node_slots[s as usize].generation == g)
             .map(|&(_, s)| self.node_row(s))
+            .map(row)
             .collect();
         Ok((vol.generation, changed))
     }
 
     /// `dal.get_from_scratch` — the cascade read: every live node of the
-    /// volume (what a fresh client mirrors).
-    pub fn get_from_scratch(&self, volume: VolumeId) -> CoreResult<(u64, Vec<NodeRow>)> {
+    /// volume (what a fresh client mirrors), in node order. Each row goes
+    /// through `row` as the list is built, as in [`Shard::get_delta`].
+    pub fn get_from_scratch<T>(
+        &self,
+        volume: VolumeId,
+        row: impl FnMut(NodeRow) -> T,
+    ) -> CoreResult<(u64, Vec<T>)> {
         let vidx = self.volume_idx(volume)?;
         let vol = &self.volume_slots[vidx as usize];
-        let mut live: Vec<NodeRow> = vol
+        let mut live: Vec<u32> = vol
             .members
             .iter()
-            .filter(|&&s| self.node_slots[s as usize].is_live)
-            .map(|&s| self.node_row(s))
+            .copied()
+            .filter(|&s| self.node_slots[s as usize].is_live)
             .collect();
-        live.sort_by_key(|n| n.node);
-        Ok((vol.generation, live))
+        live.sort_by_key(|&s| self.node_slots[s as usize].node);
+        let rows = live.into_iter().map(|s| self.node_row(s)).map(row);
+        Ok((vol.generation, rows.collect()))
     }
 
     // ----- upload jobs (Appendix A) -------------------------------------
@@ -869,13 +879,13 @@ impl Shard {
         Ok(())
     }
 
-    /// `dal.add_part_to_uploadjob`.
+    /// `dal.add_part_to_uploadjob`. Returns the bytes the job now holds.
     pub fn add_part_to_uploadjob(
         &mut self,
         upload: UploadId,
         part_size: u64,
         now: SimTime,
-    ) -> CoreResult<UploadJobRow> {
+    ) -> CoreResult<u64> {
         let job = self
             .uploadjobs
             .get_mut(&upload)
@@ -888,7 +898,7 @@ impl Shard {
         }
         job.part_sizes.push(part_size);
         job.touched_at = now;
-        Ok(job.clone())
+        Ok(job.bytes_received())
     }
 
     /// `dal.touch_uploadjob` — client liveness check on a job.
@@ -1118,17 +1128,17 @@ mod tests {
                 SimTime::ZERO,
             )
             .unwrap();
-        let (gen1, delta) = shard.get_delta(root, 0).unwrap();
+        let (gen1, delta) = shard.get_delta(root, 0, |r| r).unwrap();
         assert_eq!(gen1, 1);
         assert_eq!(delta.len(), 1);
         // No changes since gen1.
-        let (_, delta) = shard.get_delta(root, gen1).unwrap();
+        let (_, delta) = shard.get_delta(root, gen1, |r| r).unwrap();
         assert!(delta.is_empty());
         // Unlink produces a tombstone entry.
         shard
             .unlink(user, root, n.node, SimTime::from_secs(1))
             .unwrap();
-        let (gen2, delta) = shard.get_delta(root, gen1).unwrap();
+        let (gen2, delta) = shard.get_delta(root, gen1, |r| r).unwrap();
         assert_eq!(gen2, 2);
         assert_eq!(delta.len(), 1);
         assert!(!delta[0].is_live);
@@ -1249,7 +1259,7 @@ mod tests {
             .unwrap();
         assert_eq!(udf2.generation, 0);
         assert_eq!(udf2.node_count, 0);
-        let (generation, live) = shard.get_from_scratch(udf2.volume).unwrap();
+        let (generation, live) = shard.get_from_scratch(udf2.volume, |r| r).unwrap();
         assert_eq!(generation, 0);
         assert!(live.is_empty(), "recycled volume slot must start empty");
         // Node slots are recycled too: new nodes land in the new volume.
@@ -1266,7 +1276,7 @@ mod tests {
             .unwrap();
         assert_eq!(n.name, "fresh");
         assert_eq!(n.generation, 1);
-        let (_, delta) = shard.get_delta(udf2.volume, 0).unwrap();
+        let (_, delta) = shard.get_delta(udf2.volume, 0, |r| r).unwrap();
         assert_eq!(delta.len(), 1, "delta must not see the old volume's log");
         // The old volume's ids are gone.
         assert!(shard.get_node(udf2.volume, NodeId::new(10)).is_err());
@@ -1304,16 +1314,16 @@ mod tests {
             last_generation = row.generation;
         }
         // From generation zero, exactly one (current) entry is visible.
-        let (generation, delta) = shard.get_delta(root, 0).unwrap();
+        let (generation, delta) = shard.get_delta(root, 0, |r| r).unwrap();
         assert_eq!(generation, last_generation);
         assert_eq!(delta.len(), 1);
         assert_eq!(delta[0].generation, last_generation);
         assert_eq!(delta[0].size, 300);
         // From just before the last change, still exactly one.
-        let (_, delta) = shard.get_delta(root, last_generation - 1).unwrap();
+        let (_, delta) = shard.get_delta(root, last_generation - 1, |r| r).unwrap();
         assert_eq!(delta.len(), 1);
         // From the current generation, nothing.
-        let (_, delta) = shard.get_delta(root, last_generation).unwrap();
+        let (_, delta) = shard.get_delta(root, last_generation, |r| r).unwrap();
         assert!(delta.is_empty());
     }
 
@@ -1374,10 +1384,8 @@ mod tests {
         shard
             .add_part_to_uploadjob(up, 5_000_000, SimTime::ZERO)
             .unwrap();
-        let job = shard
-            .add_part_to_uploadjob(up, 5_000_000, SimTime::ZERO)
-            .unwrap();
-        assert!(job.is_complete());
+        let received = shard.add_part_to_uploadjob(up, 5_000_000, SimTime::ZERO);
+        assert_eq!(received, Ok(10_000_000), "every declared byte");
         // GC: a week-old untouched job is reaped, a fresh one is not.
         let week = SimDuration::from_days(7);
         let reaped = shard.gc_uploadjobs(SimTime::from_days(3), week);

@@ -495,18 +495,34 @@ impl MetaStore {
         volume: VolumeId,
         from_generation: u64,
     ) -> CoreResult<(u64, Vec<crate::model::NodeRow>)> {
-        let owner = self.authorize(actor, volume)?;
-        self.shard(owner).read().get_delta(volume, from_generation)
+        self.get_delta_as(actor, volume, from_generation, |row| row)
     }
 
-    /// `dal.get_from_scratch`.
-    pub fn get_from_scratch(
+    /// [`MetaStore::get_delta`] with each row turned into `T` in the one
+    /// collect that builds the list.
+    pub fn get_delta_as<T>(
         &self,
         actor: UserId,
         volume: VolumeId,
-    ) -> CoreResult<(u64, Vec<crate::model::NodeRow>)> {
+        from_generation: u64,
+        row: impl FnMut(crate::model::NodeRow) -> T,
+    ) -> CoreResult<(u64, Vec<T>)> {
         let owner = self.authorize(actor, volume)?;
-        self.shard(owner).read().get_from_scratch(volume)
+        self.shard(owner)
+            .read()
+            .get_delta(volume, from_generation, row)
+    }
+
+    /// `dal.get_from_scratch`, each row turned into `T` as the list is
+    /// built.
+    pub fn get_from_scratch<T>(
+        &self,
+        actor: UserId,
+        volume: VolumeId,
+        row: impl FnMut(crate::model::NodeRow) -> T,
+    ) -> CoreResult<(u64, Vec<T>)> {
+        let owner = self.authorize(actor, volume)?;
+        self.shard(owner).read().get_from_scratch(volume, row)
     }
 
     // ----- upload jobs ----------------------------------------------------
@@ -572,14 +588,14 @@ impl MetaStore {
             .set_uploadjob_multipart_id(upload, multipart_id, now)
     }
 
-    /// `dal.add_part_to_uploadjob`.
+    /// `dal.add_part_to_uploadjob`. Returns the bytes the job now holds.
     pub fn add_part_to_uploadjob(
         &self,
         actor: UserId,
         upload: UploadId,
         part_size: u64,
         now: SimTime,
-    ) -> CoreResult<UploadJobRow> {
+    ) -> CoreResult<u64> {
         self.uploadjob_shard(actor, upload)?
             .write()
             .add_part_to_uploadjob(upload, part_size, now)

@@ -132,6 +132,7 @@ mod req_tag {
     pub const PING: u8 = 18;
     pub const UPLOAD_CHUNK_SPARSE: u8 = 19;
     pub const BYE: u8 = 20;
+    pub const RESUME_UPLOAD: u8 = 21;
 }
 
 fn put_request(buf: &mut impl BufMut, req: &Request) {
@@ -225,6 +226,10 @@ fn put_request(buf: &mut impl BufMut, req: &Request) {
             wire::put_uvarint(buf, upload.raw());
             wire::put_uvarint(buf, *len);
         }
+        Request::ResumeUpload { upload } => {
+            buf.put_u8(RESUME_UPLOAD);
+            wire::put_uvarint(buf, upload.raw());
+        }
         Request::CommitUpload { upload } => {
             buf.put_u8(COMMIT_UPLOAD);
             wire::put_uvarint(buf, upload.raw());
@@ -315,6 +320,9 @@ fn get_request(buf: &mut impl Buf) -> WireResult<Request> {
             upload: UploadId::new(wire::get_uvarint(buf)?),
             len: wire::get_uvarint(buf)?,
         },
+        RESUME_UPLOAD => Request::ResumeUpload {
+            upload: UploadId::new(wire::get_uvarint(buf)?),
+        },
         COMMIT_UPLOAD => Request::CommitUpload {
             upload: UploadId::new(wire::get_uvarint(buf)?),
         },
@@ -399,10 +407,10 @@ fn put_response(buf: &mut impl BufMut, resp: &Response) {
                 put_node_info(buf, n);
             }
         }
-        Response::UploadBegun { upload, reusable } => {
+        Response::UploadBegun { upload, offset } => {
             buf.put_u8(UPLOAD_BEGUN);
             wire::put_uvarint(buf, upload.raw());
-            buf.put_u8(u8::from(*reusable));
+            wire::put_uvarint(buf, *offset);
         }
         Response::UploadDone {
             node,
@@ -491,11 +499,7 @@ fn get_response(buf: &mut impl Buf) -> WireResult<Response> {
         }
         UPLOAD_BEGUN => Response::UploadBegun {
             upload: UploadId::new(wire::get_uvarint(buf)?),
-            reusable: match wire::get_u8(buf)? {
-                0 => false,
-                1 => true,
-                d => return Err(WireError::BadDiscriminant(d)),
-            },
+            offset: wire::get_uvarint(buf)?,
         },
         UPLOAD_DONE => Response::UploadDone {
             node: NodeId::new(wire::get_uvarint(buf)?),
@@ -764,6 +768,9 @@ mod tests {
                 upload: UploadId::new(7),
                 len: 5 * 1024 * 1024,
             },
+            Request::ResumeUpload {
+                upload: UploadId::new(7),
+            },
             Request::CommitUpload {
                 upload: UploadId::new(7),
             },
@@ -791,6 +798,7 @@ mod tests {
             Request::BeginUpload { .. },
             Request::UploadChunk { .. },
             Request::UploadChunkSparse { .. },
+            Request::ResumeUpload { .. },
             Request::CommitUpload { .. },
             Request::CancelUpload { .. },
             Request::GetContent { .. },
@@ -860,7 +868,7 @@ mod tests {
             },
             Response::UploadBegun {
                 upload: UploadId::new(4),
-                reusable: true,
+                offset: 5 << 20,
             },
             Response::UploadDone {
                 node: NodeId::new(3),

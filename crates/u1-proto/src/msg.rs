@@ -110,8 +110,8 @@ pub enum Request {
         volume: VolumeId,
     },
     /// Start an upload. The client sends the SHA-1 *before* any content so
-    /// the server can deduplicate (§3.3); `reusable: true` in the response
-    /// means no bytes need to be transferred.
+    /// the server can deduplicate (§3.3): a hit answers `UploadDone` and no
+    /// bytes need to be transferred, a miss `UploadBegun` with a new job.
     BeginUpload {
         volume: VolumeId,
         node: NodeId,
@@ -132,6 +132,13 @@ pub enum Request {
     UploadChunkSparse {
         upload: UploadId,
         len: u64,
+    },
+    /// Continue an upload job an earlier session left unfinished (Fig. 17:
+    /// jobs exist so an interrupted upload resumes). Answered by
+    /// `UploadBegun` with the bytes the job already holds; `not_found` once
+    /// the weekly GC has reaped the job.
+    ResumeUpload {
+        upload: UploadId,
     },
     /// Commit a finished upload.
     CommitUpload {
@@ -176,6 +183,7 @@ impl Request {
             Request::BeginUpload { .. } => "begin_upload",
             Request::UploadChunk { .. } => "upload_chunk",
             Request::UploadChunkSparse { .. } => "upload_chunk_sparse",
+            Request::ResumeUpload { .. } => "resume_upload",
             Request::CommitUpload { .. } => "commit_upload",
             Request::CancelUpload { .. } => "cancel_upload",
             Request::GetContent { .. } => "get_content",
@@ -228,8 +236,9 @@ pub enum Response {
     },
     UploadBegun {
         upload: UploadId,
-        /// Dedup hit: content already known, no transfer needed (§3.3).
-        reusable: bool,
+        /// Bytes the job already holds: 0 for a new job, the parts received
+        /// so far for a resumed one. The client sends from here on.
+        offset: u64,
     },
     UploadDone {
         node: NodeId,

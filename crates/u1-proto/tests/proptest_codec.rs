@@ -92,6 +92,9 @@ fn arb_request() -> impl Strategy<Value = Request> {
             .prop_map(|(upload, data)| Request::UploadChunk { upload, data }),
         upload
             .clone()
+            .prop_map(|upload| Request::ResumeUpload { upload }),
+        upload
+            .clone()
             .prop_map(|upload| Request::CommitUpload { upload }),
         (upload.clone(), any::<u64>())
             .prop_map(|(upload, len)| Request::UploadChunkSparse { upload, len }),
@@ -178,9 +181,9 @@ fn arb_response() -> impl Strategy<Value = Response> {
                 generation: g,
                 nodes,
             }),
-        (any::<u64>(), any::<bool>()).prop_map(|(u, reusable)| Response::UploadBegun {
+        (any::<u64>(), any::<u64>()).prop_map(|(u, offset)| Response::UploadBegun {
             upload: UploadId::new(u),
-            reusable,
+            offset,
         }),
         (any::<u64>(), any::<u64>(), arb_hash()).prop_map(|(n, g, hash)| Response::UploadDone {
             node: NodeId::new(n),

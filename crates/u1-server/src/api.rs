@@ -3,9 +3,9 @@
 //!
 //! [`Backend::serve`] is the API server's one translation (§3, Appendix A):
 //! a storage-protocol [`Request`] of one session in, the handler calls
-//! that implement it, one answer out. The reactor and both client
-//! transports reach the handlers through it; the workload driver calls
-//! them directly.
+//! that implement it, one answer out. It is the only way in: the reactor,
+//! both client transports and the workload driver all send requests, and
+//! the handlers are private to it.
 //!
 //! Each handler:
 //! 1. resolves the session,
@@ -25,41 +25,15 @@ use u1_metastore::NodeRow;
 use u1_proto::msg::{NodeInfo, Push, Request, Response, VolumeInfo};
 use u1_trace::SessionEvent;
 
-/// Result of `begin_upload`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum UploadOutcome {
-    /// Content already known — no bytes need to travel (§3.3 dedup).
-    Deduplicated { node: NodeId, generation: u64 },
-    /// A multipart upload job was created; stream chunks then commit.
-    Started { upload: UploadId },
-}
-
-/// Result of a committed upload.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CommittedUpload {
-    pub node: NodeId,
-    pub generation: u64,
-    pub hash: ContentHash,
-    pub bytes_transferred: u64,
-}
-
-/// A failed [`Backend::upload_file_with_recovery`] attempt. When `resume`
-/// is `Some`, an upload job exists server-side and a later attempt can pick
-/// up from the last part that arrived instead of restarting — the §3
-/// rationale for upload jobs. `None` means nothing survived (the failure
-/// predates job creation, or the job itself is gone).
-#[derive(Debug, Clone)]
-pub struct UploadFailure {
-    pub resume: Option<UploadId>,
-    pub error: CoreError,
-}
-
 fn ext_of(name: &str) -> &str {
     match name.rsplit_once('.') {
         Some((stem, ext)) if !stem.is_empty() && !ext.is_empty() => ext,
         _ => "",
     }
 }
+
+/// The volume of an op that concerns none: a listing, a capability query.
+const NO_VOLUME: VolumeId = VolumeId::new(0);
 
 fn volume_info(row: &u1_metastore::VolumeRow, owner: Option<UserId>) -> VolumeInfo {
     VolumeInfo {
@@ -71,8 +45,15 @@ fn volume_info(row: &u1_metastore::VolumeRow, owner: Option<UserId>) -> VolumeIn
     }
 }
 
-/// A node row as the protocol carries it. Listing handlers return rows;
-/// [`Backend::serve`] converts each row here, once.
+/// A volume shared to the user, as listings carry it.
+fn shared_info((row, owner): &(u1_metastore::VolumeRow, UserId)) -> VolumeInfo {
+    VolumeInfo {
+        kind: VolumeKind::Shared,
+        ..volume_info(row, Some(*owner))
+    }
+}
+
+/// A node row as the protocol carries it.
 fn node_info(row: NodeRow) -> NodeInfo {
     NodeInfo {
         node: row.node,
@@ -151,18 +132,18 @@ fn done<T>(_: T) -> Response {
     Response::Ok
 }
 
+fn delta(volume: VolumeId, (generation, nodes): (u64, Vec<NodeInfo>)) -> Response {
+    Response::Delta {
+        volume,
+        generation,
+        nodes,
+    }
+}
+
 fn created(n: NodeInfo) -> Response {
     Response::NodeCreated {
         node: n.node,
         generation: n.generation,
-    }
-}
-
-fn delta(volume: VolumeId, (generation, rows): (u64, Vec<NodeRow>)) -> Response {
-    Response::Delta {
-        volume,
-        generation,
-        nodes: rows.into_iter().map(node_info).collect(),
     }
 }
 
@@ -267,16 +248,10 @@ impl Backend {
                 node,
                 hash,
                 size,
-            } => match self.begin_upload(state.sid()?, volume, node, hash, size)? {
-                UploadOutcome::Deduplicated { node, generation } => Response::UploadDone {
-                    node,
-                    generation,
-                    hash,
-                },
-                UploadOutcome::Started { upload } => Response::UploadBegun {
-                    upload,
-                    reusable: false,
-                },
+            } => self.begin_upload(state.sid()?, volume, node, hash, size)?,
+            Request::ResumeUpload { upload } => Response::UploadBegun {
+                upload,
+                offset: self.resume_upload(state.sid()?, upload)?,
             },
             Request::UploadChunk { upload, data } => {
                 done(self.upload_chunk(state.sid()?, upload, data.len() as u64, Some(data))?)
@@ -291,14 +266,7 @@ impl Backend {
                 }
                 done(self.upload_chunk(sid, upload, len, None)?)
             }
-            Request::CommitUpload { upload } => {
-                let c = self.commit_upload(state.sid()?, upload)?;
-                Response::UploadDone {
-                    node: c.node,
-                    generation: c.generation,
-                    hash: c.hash,
-                }
-            }
+            Request::CommitUpload { upload } => self.commit_upload(state.sid()?, upload)?,
             Request::CancelUpload { upload } => done(self.cancel_upload(state.sid()?, upload)?),
             Request::GetContent { volume, node } => {
                 let (size, hash, data) = self.download(state.sid()?, volume, node)?;
@@ -306,6 +274,11 @@ impl Backend {
             }
         };
         Ok(Served::Response(resp))
+    }
+
+    /// Logs an op that names no node: a listing, a delta, a volume op.
+    fn log_op(&self, h: &SessionHandle, op: ApiOpKind, volume: VolumeId, ok: bool, d: SimDuration) {
+        self.log_storage(h, op, volume, None, None, 0, None, "", ok, d);
     }
 
     fn session(&self, session: SessionId) -> CoreResult<SessionHandle> {
@@ -347,7 +320,7 @@ impl Backend {
     /// memcached-style token cache when one is configured, else with one
     /// `auth.get_user_id_from_token` RPC — then establish the session on
     /// the least-loaded process.
-    pub fn open_session(&self, token: u1_auth::Token) -> CoreResult<SessionHandle> {
+    fn open_session(&self, token: u1_auth::Token) -> CoreResult<SessionHandle> {
         let slot = self.cluster.place_session();
         if !self.faults.is_none() && self.faults.auth_down(self.now()) {
             // Auth-service outage window: the SSO backend is unreachable.
@@ -420,7 +393,7 @@ impl Backend {
 
     /// Ends a session (client disconnect, NAT cut, crash — they all look
     /// the same: the TCP connection dies, §3.1.1).
-    pub fn close_session(&self, session: SessionId) -> CoreResult<()> {
+    fn close_session(&self, session: SessionId) -> CoreResult<()> {
         let (handle, _ops, _data_ops) = self
             .sessions
             .close(session)
@@ -432,98 +405,49 @@ impl Backend {
     }
 
     /// Capability negotiation (appears in the Fig. 8 startup flow).
-    pub fn query_set_caps(&self, session: SessionId, caps: Vec<String>) -> CoreResult<Vec<String>> {
+    fn query_set_caps(&self, session: SessionId, caps: Vec<String>) -> CoreResult<Vec<String>> {
         let h = self.session(session)?;
-        self.log_storage(
-            &h,
-            ApiOpKind::QuerySetCaps,
-            VolumeId::new(0),
-            None,
-            None,
-            0,
-            None,
-            "",
-            true,
-            SimDuration::from_micros(50),
-        );
+        let d = SimDuration::from_micros(50);
+        self.log_op(&h, ApiOpKind::QuerySetCaps, NO_VOLUME, true, d);
         Ok(caps)
     }
 
     // ----- volume operations -------------------------------------------------
 
     /// ListVolumes: all volumes of the user — root, UDFs and shares.
-    pub fn list_volumes(&self, session: SessionId) -> CoreResult<Vec<VolumeInfo>> {
+    fn list_volumes(&self, session: SessionId) -> CoreResult<Vec<VolumeInfo>> {
         let h = self.session(session)?;
         let d = self.rpc(h.slot, h.user, RpcKind::ListVolumes, 0)?;
         let result = self.store.list_volumes(h.user).map(|owned| {
             let mut vols: Vec<VolumeInfo> = owned.iter().map(|v| volume_info(v, None)).collect();
             if let Ok(shares) = self.store.list_shares(h.user) {
-                vols.extend(shares.iter().map(|(v, owner)| {
-                    let mut info = volume_info(v, Some(*owner));
-                    info.kind = VolumeKind::Shared;
-                    info
-                }));
+                vols.extend(shares.iter().map(shared_info));
             }
             vols
         });
-        self.log_storage(
-            &h,
-            ApiOpKind::ListVolumes,
-            VolumeId::new(0),
-            None,
-            None,
-            0,
-            None,
-            "",
-            result.is_ok(),
-            d,
-        );
+        self.log_op(&h, ApiOpKind::ListVolumes, NO_VOLUME, result.is_ok(), d);
         result
     }
 
     /// ListShares: only the volumes shared *to* this user.
-    pub fn list_shares(&self, session: SessionId) -> CoreResult<Vec<VolumeInfo>> {
+    fn list_shares(&self, session: SessionId) -> CoreResult<Vec<VolumeInfo>> {
         let h = self.session(session)?;
         let d = self.rpc(h.slot, h.user, RpcKind::ListShares, 0)?;
-        let result = self.store.list_shares(h.user).map(|shares| {
-            shares
-                .iter()
-                .map(|(v, owner)| {
-                    let mut info = volume_info(v, Some(*owner));
-                    info.kind = VolumeKind::Shared;
-                    info
-                })
-                .collect::<Vec<_>>()
-        });
-        self.log_storage(
-            &h,
-            ApiOpKind::ListShares,
-            VolumeId::new(0),
-            None,
-            None,
-            0,
-            None,
-            "",
-            result.is_ok(),
-            d,
-        );
+        let shares = self.store.list_shares(h.user);
+        let result = shares.map(|shares| shares.iter().map(shared_info).collect::<Vec<_>>());
+        self.log_op(&h, ApiOpKind::ListShares, NO_VOLUME, result.is_ok(), d);
         result
     }
 
     /// CreateUDF.
-    pub fn create_udf(&self, session: SessionId, name: &str) -> CoreResult<VolumeInfo> {
+    fn create_udf(&self, session: SessionId, name: &str) -> CoreResult<VolumeInfo> {
         let h = self.session(session)?;
         let d = self.rpc(h.slot, h.user, RpcKind::CreateUdf, 0)?;
         let result = self.store.create_udf(h.user, name, self.now());
-        self.log_storage(
+        self.log_op(
             &h,
             ApiOpKind::CreateUdf,
             result.as_ref().map(|v| v.volume).unwrap_or_default(),
-            None,
-            None,
-            0,
-            None,
-            "",
             result.is_ok(),
             d,
         );
@@ -545,7 +469,7 @@ impl Backend {
     }
 
     /// DeleteVolume — the cascade operation.
-    pub fn delete_volume(&self, session: SessionId, volume: VolumeId) -> CoreResult<u64> {
+    fn delete_volume(&self, session: SessionId, volume: VolumeId) -> CoreResult<u64> {
         let h = self.session(session)?;
         // The cascade runs first: its size is what the RPC's service time
         // is sampled from. So by the time the RPC can fail the rows are
@@ -559,15 +483,10 @@ impl Backend {
                 self.blobs.delete(*hash);
             }
         }
-        self.log_storage(
+        self.log_op(
             &h,
             ApiOpKind::DeleteVolume,
             volume,
-            None,
-            None,
-            0,
-            None,
-            "",
             result.is_ok() && rpc.is_ok(),
             d,
         );
@@ -590,7 +509,7 @@ impl Backend {
 
     /// Make (file or directory): creates the metadata entry; for files this
     /// "normally precedes a file upload" (Table 2).
-    pub fn make_node(
+    fn make_node(
         &self,
         session: SessionId,
         volume: VolumeId,
@@ -636,7 +555,7 @@ impl Backend {
     }
 
     /// Unlink.
-    pub fn unlink(&self, session: SessionId, volume: VolumeId, node: NodeId) -> CoreResult<u64> {
+    fn unlink(&self, session: SessionId, volume: VolumeId, node: NodeId) -> CoreResult<u64> {
         let h = self.session(session)?;
         let d = self.rpc(h.slot, h.user, RpcKind::UnlinkNode, 0)?;
         // Capture identity before deletion for the trace record.
@@ -668,7 +587,7 @@ impl Backend {
     }
 
     /// Move.
-    pub fn move_node(
+    fn move_node(
         &self,
         session: SessionId,
         volume: VolumeId,
@@ -705,54 +624,36 @@ impl Backend {
         Ok(node_info(row))
     }
 
-    /// GetDelta: changes since a known generation, as the shard's rows.
-    pub fn get_delta(
+    /// GetDelta: changes since a known generation, built as the protocol
+    /// carries them in the store's one collect.
+    fn get_delta(
         &self,
         session: SessionId,
         volume: VolumeId,
         from_generation: u64,
-    ) -> CoreResult<(u64, Vec<NodeRow>)> {
+    ) -> CoreResult<(u64, Vec<NodeInfo>)> {
         let h = self.session(session)?;
         let d1 = self.rpc(h.slot, h.user, RpcKind::GetVolumeId, 0)?;
         let d2 = self.rpc(h.slot, h.user, RpcKind::GetDelta, 0)?;
-        let result = self.store.get_delta(h.user, volume, from_generation);
-        self.log_storage(
-            &h,
-            ApiOpKind::GetDelta,
-            volume,
-            None,
-            None,
-            0,
-            None,
-            "",
-            result.is_ok(),
-            d1 + d2,
-        );
+        let result = self
+            .store
+            .get_delta_as(h.user, volume, from_generation, node_info);
+        self.log_op(&h, ApiOpKind::GetDelta, volume, result.is_ok(), d1 + d2);
         result
     }
 
-    /// RescanFromScratch: the full-volume cascade read, as the shard's rows.
-    pub fn rescan_from_scratch(
+    /// RescanFromScratch: the full-volume cascade read, built as the
+    /// protocol carries it.
+    fn rescan_from_scratch(
         &self,
         session: SessionId,
         volume: VolumeId,
-    ) -> CoreResult<(u64, Vec<NodeRow>)> {
+    ) -> CoreResult<(u64, Vec<NodeInfo>)> {
         let h = self.session(session)?;
-        let result = self.store.get_from_scratch(h.user, volume);
+        let result = self.store.get_from_scratch(h.user, volume, node_info);
         let rows = result.as_ref().map(|(_, v)| v.len() as u64).unwrap_or(0);
         let d = self.rpc(h.slot, h.user, RpcKind::GetFromScratch, rows)?;
-        self.log_storage(
-            &h,
-            ApiOpKind::RescanFromScratch,
-            volume,
-            None,
-            None,
-            0,
-            None,
-            "",
-            result.is_ok(),
-            d,
-        );
+        self.log_op(&h, ApiOpKind::RescanFromScratch, volume, result.is_ok(), d);
         result
     }
 
@@ -760,14 +661,14 @@ impl Backend {
 
     /// Upload phase 1: the dedup probe and, on a miss, upload-job setup.
     /// The client sent the SHA-1 *before* any content (§3.3).
-    pub fn begin_upload(
+    fn begin_upload(
         &self,
         session: SessionId,
         volume: VolumeId,
         node: NodeId,
         hash: ContentHash,
         size: u64,
-    ) -> CoreResult<UploadOutcome> {
+    ) -> CoreResult<Response> {
         let h = self.session(session)?;
         let mut d = self.rpc(h.slot, h.user, RpcKind::GetReusableContent, 0)?;
         let node_row = self.store.get_node(h.user, volume, node)?;
@@ -804,9 +705,10 @@ impl Backend {
                     generation: row.generation,
                 },
             );
-            return Ok(UploadOutcome::Deduplicated {
+            return Ok(Response::UploadDone {
                 node,
                 generation: row.generation,
+                hash,
             });
         }
         // Miss: set up the multipart upload job.
@@ -818,12 +720,23 @@ impl Backend {
         self.rpc(h.slot, h.user, RpcKind::SetUploadJobMultipartId, 0)?;
         self.store
             .set_uploadjob_multipart_id(h.user, job.upload, mp, self.now())?;
-        Ok(UploadOutcome::Started { upload: job.upload })
+        Ok(Response::UploadBegun {
+            upload: job.upload,
+            offset: 0,
+        })
+    }
+
+    /// `ResumeUpload`: the bytes an unfinished job already holds. Reads the
+    /// job where the client left it, with no RPC; a job the weekly GC
+    /// reaped is `not_found`.
+    fn resume_upload(&self, session: SessionId, upload: UploadId) -> CoreResult<u64> {
+        let h = self.session(session)?;
+        Ok(self.store.get_uploadjob(h.user, upload)?.bytes_received())
     }
 
     /// Upload phase 2: one chunk. The API server forwards it to the object
     /// store as a multipart part and records it in the upload job.
-    pub fn upload_chunk(
+    fn upload_chunk(
         &self,
         session: SessionId,
         upload: UploadId,
@@ -835,27 +748,21 @@ impl Backend {
         // Put the part *before* recording it in the upload job: a failed
         // put must leave no metadata claiming bytes the object store never
         // received, or a later commit would complete a short multipart.
-        let mp = self
-            .store
-            .get_uploadjob(h.user, upload)?
+        let job = self.store.get_uploadjob(h.user, upload)?;
+        let mp = job
             .multipart_id
             .ok_or_else(|| CoreError::invalid("uploadjob has no multipart id"))?;
-        self.blobs
-            .upload_part(
-                mp,
-                len,
-                if self.cfg.store_real_bytes {
-                    data
-                } else {
-                    None
-                },
-            )
-            .map_err(|e| match e {
-                u1_blobstore::MultipartError::PartPutFailed => {
-                    CoreError::unavailable(e.to_string())
-                }
-                other => CoreError::invalid(other.to_string()),
-            })?;
+        // Live bytes beyond the declared size are not content: an empty
+        // file travels as one one-byte part and commits as no bytes.
+        let owed = job.declared_size.saturating_sub(job.bytes_received());
+        let data = data.filter(|_| self.cfg.store_real_bytes).map(|mut d| {
+            d.truncate(usize::try_from(owed).unwrap_or(usize::MAX));
+            d
+        });
+        self.blobs.upload_part(mp, len, data).map_err(|e| match e {
+            u1_blobstore::MultipartError::PartPutFailed => CoreError::unavailable(e.to_string()),
+            other => CoreError::invalid(other.to_string()),
+        })?;
         self.store
             .add_part_to_uploadjob(h.user, upload, len, self.now())?;
         Ok(())
@@ -863,11 +770,7 @@ impl Backend {
 
     /// Upload phase 3: commit. Completes the S3 multipart, attaches content
     /// to the node, deletes the upload job, logs the Upload operation.
-    pub fn commit_upload(
-        &self,
-        session: SessionId,
-        upload: UploadId,
-    ) -> CoreResult<CommittedUpload> {
+    fn commit_upload(&self, session: SessionId, upload: UploadId) -> CoreResult<Response> {
         let h = self.session(session)?;
         let mut d = self.rpc(h.slot, h.user, RpcKind::GetUploadJob, 0)?;
         let job = self.store.get_uploadjob(h.user, upload)?;
@@ -920,16 +823,15 @@ impl Backend {
                 generation: row.generation,
             },
         );
-        Ok(CommittedUpload {
+        Ok(Response::UploadDone {
             node: job.node,
             generation: row.generation,
             hash: job.hash,
-            bytes_transferred: job.declared_size,
         })
     }
 
     /// Client-side cancellation of an in-flight upload.
-    pub fn cancel_upload(&self, session: SessionId, upload: UploadId) -> CoreResult<()> {
+    fn cancel_upload(&self, session: SessionId, upload: UploadId) -> CoreResult<()> {
         let h = self.session(session)?;
         self.rpc(h.slot, h.user, RpcKind::DeleteUploadJob, 0)?;
         let job = self.store.delete_uploadjob(h.user, upload)?;
@@ -939,57 +841,8 @@ impl Backend {
         Ok(())
     }
 
-    /// The upload schedule (Appendix A) with no content bytes: the dedup
-    /// probe, then one size-only part per 5MB of S3 part size, then the
-    /// commit. Returns (deduplicated, bytes transferred). `resume`
-    /// continues an interrupted upload job from its last recorded part
-    /// instead of restarting the transfer.
-    pub fn upload_file_with_recovery(
-        &self,
-        session: SessionId,
-        volume: VolumeId,
-        node: NodeId,
-        hash: ContentHash,
-        size: u64,
-        resume: Option<UploadId>,
-    ) -> Result<(bool, u64), UploadFailure> {
-        let fail =
-            |resume: Option<UploadId>| move |error: CoreError| UploadFailure { resume, error };
-        let (upload, received) = match resume {
-            Some(upload) => {
-                // If the job was reaped (week-old GC) this fails NotFound
-                // with `resume: None`: nothing left to continue from.
-                let job = self
-                    .session(session)
-                    .and_then(|h| self.store.get_uploadjob(h.user, upload))
-                    .map_err(fail(None))?;
-                (upload, job.bytes_received())
-            }
-            None => match self
-                .begin_upload(session, volume, node, hash, size)
-                .map_err(fail(None))?
-            {
-                UploadOutcome::Deduplicated { .. } => return Ok((true, 0)),
-                UploadOutcome::Started { upload } => (upload, 0),
-            },
-        };
-        // An empty file still travels as one (1-byte-long, empty) part.
-        let total = size.max(1);
-        let mut sent = received.min(total);
-        while sent < total {
-            let part = (total - sent).min(u1_blobstore::PART_SIZE);
-            self.upload_chunk(session, upload, part, None)
-                .map_err(fail(Some(upload)))?;
-            sent += part;
-        }
-        let committed = self
-            .commit_upload(session, upload)
-            .map_err(fail(Some(upload)))?;
-        Ok((false, committed.bytes_transferred))
-    }
-
     /// Download (GetContent). Returns (size, hash, bytes-if-live).
-    pub fn download(
+    fn download(
         &self,
         session: SessionId,
         volume: VolumeId,
@@ -1040,7 +893,9 @@ mod tests {
     use u1_core::{Sha1, SimClock};
     use u1_trace::MemorySink;
 
-    fn backend() -> (Arc<Backend>, Arc<MemorySink>, Arc<SimClock>) {
+    /// A back-end with no transient auth failures; `store_real_bytes`
+    /// keeps content bytes, otherwise uploads travel as size-only parts.
+    fn backend(store_real_bytes: bool) -> (Arc<Backend>, Arc<MemorySink>, Arc<SimClock>) {
         let clock = Arc::new(SimClock::new());
         let sink = Arc::new(MemorySink::new());
         let cfg = BackendConfig {
@@ -1048,35 +903,101 @@ mod tests {
                 transient_failure_rate: 0.0,
                 token_ttl: None,
             },
-            store_real_bytes: true,
+            store_real_bytes,
             ..Default::default()
         };
         let backend = Arc::new(Backend::new(cfg, clock.clone(), sink.clone()));
         (backend, sink, clock)
     }
 
-    fn open(b: &Backend, user: u64) -> SessionHandle {
+    /// A served session of a new user, and its handle.
+    fn served(b: &Backend, user: u64) -> (SessionState, SessionHandle) {
         let token = b.register_user(UserId::new(user));
-        b.open_session(token).unwrap()
+        let mut state = SessionState::new(false);
+        let auth = Request::Authenticate {
+            token: token.as_bytes().to_vec(),
+        };
+        b.serve(&mut state, auth).unwrap();
+        let h = state.handle().unwrap().clone();
+        (state, h)
     }
 
-    /// A fresh upload of size-only parts, with nothing to resume.
+    fn call(b: &Backend, state: &mut SessionState, req: Request) -> CoreResult<Response> {
+        match b.serve(state, req)? {
+            Served::Response(resp) => Ok(resp),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    /// The §3.2 upload sequence in size-only parts: `BeginUpload` (or
+    /// `ResumeUpload` of `resume`), the parts still owed, `CommitUpload`.
+    /// Answers whether the dedup probe hit.
     fn upload(
         b: &Backend,
-        h: &SessionHandle,
-        volume: VolumeId,
-        node: NodeId,
+        state: &mut SessionState,
+        (volume, node): (VolumeId, NodeId),
         hash: ContentHash,
         size: u64,
-    ) -> CoreResult<(bool, u64)> {
-        b.upload_file_with_recovery(h.session, volume, node, hash, size, None)
-            .map_err(|fail| fail.error)
+        resume: Option<UploadId>,
+    ) -> CoreResult<bool> {
+        let begin = match resume {
+            Some(upload) => Request::ResumeUpload { upload },
+            None => Request::BeginUpload {
+                volume,
+                node,
+                hash,
+                size,
+            },
+        };
+        let (upload, mut sent) = match call(b, state, begin)? {
+            Response::UploadBegun { upload, offset } => (upload, offset),
+            Response::UploadDone { .. } => return Ok(true),
+            other => panic!("begin: {other:?}"),
+        };
+        let total = size.max(1);
+        while sent < total {
+            let len = (total - sent).min(u1_blobstore::PART_SIZE);
+            call(b, state, Request::UploadChunkSparse { upload, len })?;
+            sent += len;
+        }
+        call(b, state, Request::CommitUpload { upload })?;
+        Ok(false)
+    }
+
+    /// Begins an upload that misses the dedup probe and returns its job.
+    fn begin(
+        b: &Backend,
+        h: &SessionHandle,
+        at: (VolumeId, NodeId),
+        id: u64,
+        size: u64,
+    ) -> UploadId {
+        let hash = ContentHash::from_content_id(id);
+        match b.begin_upload(h.session, at.0, at.1, hash, size).unwrap() {
+            Response::UploadBegun { upload, offset: 0 } => upload,
+            other => panic!("{other:?}"),
+        }
+    }
+
+    fn part_rpcs(sink: &MemorySink) -> usize {
+        sink.take_sorted()
+            .iter()
+            .filter(|r| {
+                matches!(
+                    r.payload,
+                    u1_trace::Payload::Rpc {
+                        rpc: RpcKind::AddPartToUploadJob,
+                        ..
+                    }
+                )
+            })
+            .count()
     }
 
     #[test]
     fn session_lifecycle_with_auth() {
-        let (b, sink, _clock) = backend();
-        let h = open(&b, 1);
+        let (b, sink, _clock) = backend(false);
+        let (_, h) = served(&b, 1);
         assert_eq!(b.sessions.live_count(), 1);
         b.close_session(h.session).unwrap();
         assert_eq!(b.sessions.live_count(), 0);
@@ -1139,7 +1060,7 @@ mod tests {
 
     #[test]
     fn bad_token_is_rejected_and_logged() {
-        let (b, sink, _clock) = backend();
+        let (b, sink, _clock) = backend(false);
         let bogus = u1_auth::Token([7u8; 16]);
         assert!(b.open_session(bogus).is_err());
         let recs = sink.take_sorted();
@@ -1152,27 +1073,25 @@ mod tests {
 
     #[test]
     fn full_upload_download_round_trip_with_real_bytes() {
-        let (b, _sink, _clock) = backend();
-        let h = open(&b, 1);
+        let (b, _sink, _clock) = backend(true);
+        let (_, h) = served(&b, 1);
         let root = b.list_volumes(h.session).unwrap()[0].volume;
         let node = b
             .make_node(h.session, root, None, NodeKind::File, "hello.txt")
             .unwrap();
         let data = b"hello, personal cloud".to_vec();
         let hash = Sha1::digest(&data);
-
-        match b
-            .begin_upload(h.session, root, node.node, hash, data.len() as u64)
+        let size = data.len() as u64;
+        let Response::UploadBegun { upload, .. } = b
+            .begin_upload(h.session, root, node.node, hash, size)
             .unwrap()
-        {
-            UploadOutcome::Started { upload } => {
-                b.upload_chunk(h.session, upload, data.len() as u64, Some(data.clone()))
-                    .unwrap();
-                let committed = b.commit_upload(h.session, upload).unwrap();
-                assert_eq!(committed.hash, hash);
-            }
-            other => panic!("expected Started, got {other:?}"),
-        }
+        else {
+            panic!("expected a new upload job");
+        };
+        b.upload_chunk(h.session, upload, size, Some(data.clone()))
+            .unwrap();
+        let committed = b.commit_upload(h.session, upload).unwrap();
+        assert!(matches!(committed, Response::UploadDone { hash: h, .. } if h == hash));
         let (size, got_hash, got_data) = b.download(h.session, root, node.node).unwrap();
         assert_eq!(size, data.len() as u64);
         assert_eq!(got_hash, hash);
@@ -1181,9 +1100,9 @@ mod tests {
 
     #[test]
     fn second_upload_of_same_content_deduplicates() {
-        let (b, _sink, _clock) = backend();
-        let h1 = open(&b, 1);
-        let h2 = open(&b, 2);
+        let (b, _sink, _clock) = backend(false);
+        let (mut s1, h1) = served(&b, 1);
+        let (mut s2, h2) = served(&b, 2);
         let v1 = b.list_volumes(h1.session).unwrap()[0].volume;
         let v2 = b.list_volumes(h2.session).unwrap()[0].volume;
         let n1 = b
@@ -1194,102 +1113,70 @@ mod tests {
             .unwrap();
         let hash = ContentHash::from_content_id(77);
 
-        let (dedup, sent) = upload(&b, &h1, v1, n1.node, hash, 8_000_000).unwrap();
-        assert!(!dedup);
-        assert_eq!(sent, 8_000_000);
-        let (dedup, sent) = upload(&b, &h2, v2, n2.node, hash, 8_000_000).unwrap();
-        assert!(dedup, "cross-user dedup should hit");
-        assert_eq!(sent, 0);
+        assert_eq!(
+            upload(&b, &mut s1, (v1, n1.node), hash, 8_000_000, None),
+            Ok(false)
+        );
+        let dedup = upload(&b, &mut s2, (v2, n2.node), hash, 8_000_000, None);
+        assert_eq!(dedup, Ok(true), "cross-user dedup should hit");
         assert!((b.store.dedup_ratio() - 0.5).abs() < 1e-9);
         assert_eq!(b.blobs.stats().objects, 1);
     }
 
-    /// The driver's one-call upload and a protocol client's BeginUpload,
-    /// sparse parts and CommitUpload through `serve` are the same back-end
-    /// calls: the same upload either way emits the same trace records.
+    /// A resumed upload is the fresh one minus the parts the job already
+    /// holds: after the crash, the records of `ResumeUpload` and the rest
+    /// equal the fresh upload's records from its second part on, and the
+    /// lookup itself emits nothing.
     #[test]
-    fn recovery_upload_and_served_requests_emit_the_same_records() {
-        let run = |served: bool| {
-            let sink = Arc::new(MemorySink::new());
-            let cfg = BackendConfig {
-                auth: u1_auth::AuthConfig {
-                    transient_failure_rate: 0.0,
-                    token_ttl: None,
-                },
-                ..Default::default()
-            };
-            let b = Backend::new(cfg, Arc::new(SimClock::new()), sink.clone());
-            let token = b.register_user(UserId::new(1));
-            let mut state = SessionState::new(false);
-            let auth = Request::Authenticate {
-                token: token.as_bytes().to_vec(),
-            };
-            b.serve(&mut state, auth).unwrap();
-            let sid = state.sid().unwrap();
-            let v = b.list_volumes(sid).unwrap()[0].volume;
+    fn a_resumed_upload_emits_the_fresh_one_from_where_it_stopped() {
+        let run = |crash: bool| {
+            let (b, sink, _clock) = backend(false);
+            let (mut s, h) = served(&b, 1);
+            let v = b.list_volumes(h.session).unwrap()[0].volume;
             let n = b
-                .make_node(sid, v, None, NodeKind::File, "film.avi")
+                .make_node(h.session, v, None, NodeKind::File, "film.avi")
                 .unwrap()
                 .node;
             let hash = ContentHash::from_content_id(21);
-            let part = u1_blobstore::PART_SIZE;
-            let size = 2 * part + 5; // three parts
-            let mut upload = || -> CoreResult<(bool, u64)> {
-                if !served {
-                    return b
-                        .upload_file_with_recovery(sid, v, n, hash, size, None)
-                        .map_err(|fail| fail.error);
-                }
-                let begin = Request::BeginUpload {
-                    volume: v,
-                    node: n,
-                    hash,
-                    size,
-                };
-                let upload = match b.serve(&mut state, begin)? {
-                    Served::Response(Response::UploadBegun { upload, .. }) => upload,
-                    Served::Response(Response::UploadDone { .. }) => return Ok((true, 0)),
-                    other => panic!("begin: {other:?}"),
-                };
-                for len in [part, part, 5] {
-                    b.serve(&mut state, Request::UploadChunkSparse { upload, len })?;
-                }
-                b.serve(&mut state, Request::CommitUpload { upload })?;
-                Ok((false, size))
-            };
-            assert_eq!(upload(), Ok((false, size)));
+            let size = 2 * u1_blobstore::PART_SIZE + 5; // three parts
+            let resume = crash.then(|| {
+                let upload = begin(&b, &h, (v, n), 21, size);
+                b.upload_chunk(h.session, upload, u1_blobstore::PART_SIZE, None)
+                    .unwrap();
+                upload
+            });
+            let _ = sink.take_sorted();
+            assert_eq!(upload(&b, &mut s, (v, n), hash, size, resume), Ok(false));
             // And again: the dedup probe answers, nothing travels.
-            assert_eq!(upload(), Ok((true, 0)));
+            assert_eq!(upload(&b, &mut s, (v, n), hash, size, None), Ok(true));
             sink.take_sorted()
         };
-        let (recovery, served) = (run(false), run(true));
-        assert!(
-            recovery.len() > 10,
-            "begin, three parts, commit, dedup probe"
-        );
-        assert_eq!(recovery, served);
+        let (fresh, resumed) = (run(false), run(true));
+        // Fresh: probe miss (1 rpc), job setup (2 rpcs), three parts,
+        // commit (3 rpcs + op), dedup hit (2 rpcs + op).
+        let strip = |recs: &[u1_trace::TraceRecord]| -> Vec<String> {
+            recs.iter().map(|r| format!("{:?}", r.payload)).collect()
+        };
+        let (fresh, resumed) = (strip(&fresh), strip(&resumed));
+        assert_eq!(fresh.len(), resumed.len() + 4, "{fresh:#?}\n{resumed:#?}");
+        assert_eq!(fresh[4..], resumed[..]);
     }
 
     #[test]
     fn incomplete_upload_cannot_commit_but_can_resume() {
-        let (b, _sink, _clock) = backend();
-        let h = open(&b, 1);
+        let (b, _sink, _clock) = backend(false);
+        let (_, h) = served(&b, 1);
         let v = b.list_volumes(h.session).unwrap()[0].volume;
         let n = b
             .make_node(h.session, v, None, NodeKind::File, "big.iso")
             .unwrap();
-        let hash = ContentHash::from_content_id(5);
         let size = 12 * 1024 * 1024u64;
-        let upload = match b.begin_upload(h.session, v, n.node, hash, size).unwrap() {
-            UploadOutcome::Started { upload } => upload,
-            other => panic!("{other:?}"),
-        };
+        let upload = begin(&b, &h, (v, n.node), 5, size);
         b.upload_chunk(h.session, upload, 5 << 20, None).unwrap();
         // Interrupted: commit refuses.
         assert!(b.commit_upload(h.session, upload).is_err());
         // Resume: the job remembers the received parts.
-        let job = b.store.get_uploadjob(h.user, upload).unwrap();
-        assert_eq!(job.bytes_received(), 5 << 20);
+        assert_eq!(b.resume_upload(h.session, upload), Ok(5 << 20));
         b.upload_chunk(h.session, upload, 5 << 20, None).unwrap();
         b.upload_chunk(h.session, upload, size - (10 << 20), None)
             .unwrap();
@@ -1298,63 +1185,41 @@ mod tests {
 
     #[test]
     fn crashed_upload_resumes_from_last_part_not_from_scratch() {
-        let (b, sink, _clock) = backend();
-        let h = open(&b, 1);
+        let (b, sink, _clock) = backend(false);
+        let (mut s, h) = served(&b, 1);
         let v = b.list_volumes(h.session).unwrap()[0].volume;
         let n = b
             .make_node(h.session, v, None, NodeKind::File, "video.avi")
             .unwrap();
-        let hash = ContentHash::from_content_id(9);
         let size = 12 << 20; // three 5MB parts
-        let upload = match b.begin_upload(h.session, v, n.node, hash, size).unwrap() {
-            UploadOutcome::Started { upload } => upload,
-            other => panic!("{other:?}"),
-        };
+        let job = begin(&b, &h, (v, n.node), 9, size);
         // Client crashes after the first part.
-        b.upload_chunk(h.session, upload, 5 << 20, None).unwrap();
+        b.upload_chunk(h.session, job, 5 << 20, None).unwrap();
         let _ = sink.take_sorted();
 
-        // The recovery path continues the same job: only the two missing
-        // parts travel again, then the commit lands.
-        let (dedup, sent) = b
-            .upload_file_with_recovery(h.session, v, n.node, hash, size, Some(upload))
-            .unwrap();
-        assert!(!dedup);
-        assert_eq!(sent, size);
-        let part_rpcs = sink
-            .take_sorted()
-            .iter()
-            .filter(|r| {
-                matches!(
-                    r.payload,
-                    u1_trace::Payload::Rpc {
-                        rpc: RpcKind::AddPartToUploadJob,
-                        ..
-                    }
-                )
-            })
-            .count();
-        assert_eq!(part_rpcs, 2, "resume must not re-send the first part");
+        // The resumed sequence continues the same job: only the two
+        // missing parts travel again, then the commit lands.
+        let hash = ContentHash::from_content_id(9);
+        let resumed = upload(&b, &mut s, (v, n.node), hash, size, Some(job));
+        assert_eq!(resumed, Ok(false));
+        assert_eq!(
+            part_rpcs(&sink),
+            2,
+            "resume must not re-send the first part"
+        );
         assert!(b.blobs.contains(hash));
-        assert!(b.store.get_uploadjob(h.user, upload).is_err(), "job gone");
+        assert!(b.store.get_uploadjob(h.user, job).is_err(), "job gone");
     }
 
     #[test]
     fn gc_reaps_crashed_uploads_leaving_no_orphaned_parts() {
-        let (b, _sink, clock) = backend();
-        let h = open(&b, 1);
+        let (b, _sink, clock) = backend(false);
+        let (mut s, h) = served(&b, 1);
         let v = b.list_volumes(h.session).unwrap()[0].volume;
         let n = b
             .make_node(h.session, v, None, NodeKind::File, "orphan.iso")
             .unwrap();
-        let hash = ContentHash::from_content_id(11);
-        let upload = match b
-            .begin_upload(h.session, v, n.node, hash, 10 << 20)
-            .unwrap()
-        {
-            UploadOutcome::Started { upload } => upload,
-            other => panic!("{other:?}"),
-        };
+        let upload = begin(&b, &h, (v, n.node), 11, 10 << 20);
         b.upload_chunk(h.session, upload, 5 << 20, None).unwrap();
         // The client vanishes; a week later the daily sweep finds the job.
         clock.set(u1_core::SimTime::from_days(8));
@@ -1366,17 +1231,18 @@ mod tests {
             stats.multipart_completed + stats.multipart_aborted,
             "no multipart (and hence no part bytes) left dangling"
         );
-        assert!(!b.blobs.contains(hash), "no half-written object");
+        assert!(
+            !b.blobs.contains(ContentHash::from_content_id(11)),
+            "no half-written object"
+        );
         // A resume attempt after the GC finds nothing to continue from.
-        let err = b
-            .upload_file_with_recovery(h.session, v, n.node, hash, 10 << 20, Some(upload))
-            .unwrap_err();
-        assert!(err.resume.is_none(), "job reaped: nothing to resume");
+        let err = call(&b, &mut s, Request::ResumeUpload { upload }).unwrap_err();
+        assert!(matches!(err, CoreError::NotFound(_)), "job reaped: {err:?}");
     }
 
     #[test]
     fn push_notification_reaches_other_device_of_same_user() {
-        let (b, _sink, _clock) = backend();
+        let (b, _sink, _clock) = backend(false);
         let token = b.register_user(UserId::new(1));
         let h1 = b.open_session(token).unwrap();
         let h2 = b.open_session(token).unwrap(); // second device
@@ -1393,9 +1259,9 @@ mod tests {
 
     #[test]
     fn push_notification_reaches_share_recipient() {
-        let (b, _sink, _clock) = backend();
-        let h1 = open(&b, 1);
-        let h2 = open(&b, 2);
+        let (b, _sink, _clock) = backend(false);
+        let (_, h1) = served(&b, 1);
+        let (_, h2) = served(&b, 2);
         let (tx, rx) = crossbeam::channel::unbounded();
         b.push_router.register(h2.session, tx);
         let udf = b.create_udf(h1.session, "Shared").unwrap();
@@ -1420,14 +1286,14 @@ mod tests {
 
     #[test]
     fn unlink_releases_unreferenced_content_from_blobstore() {
-        let (b, _sink, _clock) = backend();
-        let h = open(&b, 1);
+        let (b, _sink, _clock) = backend(false);
+        let (mut s, h) = served(&b, 1);
         let v = b.list_volumes(h.session).unwrap()[0].volume;
         let n = b
             .make_node(h.session, v, None, NodeKind::File, "f.bin")
             .unwrap();
         let hash = ContentHash::from_content_id(3);
-        upload(&b, &h, v, n.node, hash, 1000).unwrap();
+        upload(&b, &mut s, (v, n.node), hash, 1000, None).unwrap();
         assert!(b.blobs.contains(hash));
         b.unlink(h.session, v, n.node).unwrap();
         assert!(!b.blobs.contains(hash), "S3 object deleted with last ref");
@@ -1435,8 +1301,8 @@ mod tests {
 
     #[test]
     fn get_delta_tracks_changes() {
-        let (b, _sink, _clock) = backend();
-        let h = open(&b, 1);
+        let (b, _sink, _clock) = backend(false);
+        let (_, h) = served(&b, 1);
         let v = b.list_volumes(h.session).unwrap()[0].volume;
         let (gen0, delta) = b.get_delta(h.session, v, 0).unwrap();
         assert_eq!(gen0, 0);
@@ -1451,25 +1317,13 @@ mod tests {
 
     #[test]
     fn maintenance_reaps_stale_uploadjobs() {
-        let (b, _sink, clock) = backend();
-        let h = open(&b, 1);
+        let (b, _sink, clock) = backend(false);
+        let (_, h) = served(&b, 1);
         let v = b.list_volumes(h.session).unwrap()[0].volume;
         let n = b
             .make_node(h.session, v, None, NodeKind::File, "stale.bin")
             .unwrap();
-        let upload = match b
-            .begin_upload(
-                h.session,
-                v,
-                n.node,
-                ContentHash::from_content_id(1),
-                10 << 20,
-            )
-            .unwrap()
-        {
-            UploadOutcome::Started { upload } => upload,
-            other => panic!("{other:?}"),
-        };
+        let upload = begin(&b, &h, (v, n.node), 1, 10 << 20);
         b.upload_chunk(h.session, upload, 5 << 20, None).unwrap();
         clock.set(u1_core::SimTime::from_days(8));
         assert_eq!(b.run_maintenance(), 1);
@@ -1479,15 +1333,15 @@ mod tests {
 
     #[test]
     fn ban_user_removes_sessions_content_and_token() {
-        let (b, _sink, _clock) = backend();
-        let token = b.register_user(UserId::new(66));
-        let h = b.open_session(token).unwrap();
+        let (b, _sink, _clock) = backend(false);
+        let (mut s, h) = served(&b, 66);
         let v = b.list_volumes(h.session).unwrap()[0].volume;
         let n = b
             .make_node(h.session, v, None, NodeKind::File, "warez.zip")
             .unwrap();
         let hash = ContentHash::from_content_id(666);
-        upload(&b, &h, v, n.node, hash, 50_000_000).unwrap();
+        upload(&b, &mut s, (v, n.node), hash, 50_000_000, None).unwrap();
+        let token = b.register_user(UserId::new(66));
 
         let evicted = b.ban_user(UserId::new(66));
         assert_eq!(evicted, 1);
@@ -1582,8 +1436,8 @@ mod tests {
 
     #[test]
     fn failed_ops_are_logged_as_failures() {
-        let (b, sink, _clock) = backend();
-        let h = open(&b, 1);
+        let (b, sink, _clock) = backend(false);
+        let (_, h) = served(&b, 1);
         let v = b.list_volumes(h.session).unwrap()[0].volume;
         let _ = sink.take_sorted();
         assert!(b.download(h.session, v, NodeId::new(424242)).is_err());
@@ -1624,9 +1478,14 @@ mod tests {
         // opening sessions and filling fresh volumes until a delete whose
         // volume held content runs out of retries.
         for round in 0..500 {
-            let Ok(h) = b.open_session(token) else {
-                continue;
+            let mut s = SessionState::new(false);
+            let auth = Request::Authenticate {
+                token: token.as_bytes().to_vec(),
             };
+            if b.serve(&mut s, auth).is_err() {
+                continue;
+            }
+            let h = s.handle().unwrap().clone();
             if let Ok(udf) = b.create_udf(h.session, &format!("v{round}")) {
                 let mut stored = Vec::new();
                 for i in 0..3 {
@@ -1640,7 +1499,7 @@ mod tests {
                             NodeKind::File,
                             &format!("f{i}"),
                         )
-                        .and_then(|n| upload(&b, &h, udf.volume, n.node, hash, 1000));
+                        .and_then(|n| upload(&b, &mut s, (udf.volume, n.node), hash, 1000, None));
                     if uploaded.is_ok() {
                         stored.push(hash);
                     }

@@ -509,7 +509,7 @@ impl Backend {
                             self.blobs.delete(hash);
                         }
                     }
-                } else if let Ok((_, nodes)) = self.store.get_from_scratch(user, v.volume) {
+                } else if let Ok((_, nodes)) = self.store.get_from_scratch(user, v.volume, |n| n) {
                     for n in nodes {
                         if n.parent.is_none() {
                             if let Ok(released) =

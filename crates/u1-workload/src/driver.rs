@@ -8,6 +8,13 @@
 //! logged through the backend's trace sink, producing the dataset the
 //! analytics crate consumes.
 //!
+//! Each simulated client speaks the storage protocol: it is one
+//! [`SessionState`], an op draws its targets and builds a
+//! [`Request`], and [`Backend::serve`] answers it, as it answers a socket
+//! client. An upload is the §3.2 request sequence, resumed after a crash
+//! with `ResumeUpload`. Only population seeding, maintenance and the
+//! attack response reach past `serve`, into the store and the back-end.
+//!
 //! # Parallel execution
 //!
 //! The client population is partitioned by metastore shard
@@ -45,7 +52,6 @@ use crate::sessions::{self, SessionPlan};
 use crate::users::{sample_profile, UserClass, UserProfile};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::{Arc, Barrier};
@@ -56,10 +62,11 @@ use u1_core::partition::PartitionCtx;
 use u1_core::sync::{Mutex, Rank};
 use u1_core::timing::{saturating_nanos, Measured, Phase, PhaseNanos, PhaseTimers};
 use u1_core::{
-    rngx, ApiOpKind, ContentHash, CoreError, CoreResult, FxHashMap, NodeKind, SessionId,
+    rngx, ApiOpKind, ContentHash, CoreError, CoreResult, FxHashMap, Name, NodeId, NodeKind,
     SimDuration, SimTime, UploadId, UserId, VolumeId,
 };
-use u1_server::api::UploadOutcome;
+use u1_proto::msg::{Request, Response};
+use u1_server::api::{Served, SessionState};
 use u1_server::Backend;
 
 /// Workload parameters.
@@ -215,6 +222,8 @@ impl DriverReport {
     }
 }
 
+/// A file the client keeps. Until its upload lands it is only what
+/// `BeginUpload` declares, and `death` and `last_write` are set on landing.
 #[derive(Debug, Clone)]
 struct FileRef {
     volume: VolumeId,
@@ -233,18 +242,6 @@ struct DirRef {
     death: Option<SimTime>,
 }
 
-/// An upload a (simulated) client crash left behind: enough to resume the
-/// job from its last recorded part at the next session.
-#[derive(Debug, Clone)]
-struct CrashedUpload {
-    volume: VolumeId,
-    node: u1_core::NodeId,
-    name: u1_core::Name,
-    hash: ContentHash,
-    size: u64,
-    upload: UploadId,
-}
-
 struct ClientState {
     user: UserId,
     token: Token,
@@ -253,7 +250,8 @@ struct ClientState {
     /// (`sub_rng(seed, "client", user-1)`), so the draw sequence is
     /// independent of how clients across partitions interleave.
     rng: SmallRng,
-    session: Option<SessionId>,
+    /// The client's protocol session, authenticated while it is online.
+    session: SessionState,
     session_end: SimTime,
     ops_left: u64,
     last_op: ApiOpKind,
@@ -274,10 +272,11 @@ struct ClientState {
     /// may have changed the answer and the next use has to scan again.
     latest_write: Option<usize>,
     known_gen: FxHashMap<VolumeId, u64>,
-    pending_upload: Option<(VolumeId, u1_core::NodeId, u1_core::Name, ContentHash, u64)>,
+    pending_upload: Option<FileRef>,
     /// Survives session ends (that is its whole point): a crashed upload
-    /// is resumed at the next session, or abandoned once the GC reaps it.
-    crashed_upload: Option<CrashedUpload>,
+    /// is resumed from its job at the next session, or abandoned once the
+    /// GC reaps the job.
+    crashed_upload: Option<(FileRef, UploadId)>,
     move_counter: u64,
     /// Machine-paced session (large planned op volume syncs at server
     /// turnaround speed, not human think time).
@@ -525,6 +524,61 @@ fn class_filter(c: &mut ClientState, mut op: ApiOpKind, t: SimTime) -> ApiOpKind
     }
 }
 
+/// One upload as the §3.2 request sequence on `session`: `BeginUpload`, or
+/// `ResumeUpload` of the job in `job`, then one `UploadChunkSparse` per S3
+/// part still owed, then `CommitUpload`. With `crash` the client dies after
+/// half the parts, with no commit or cancel: that ends as `unavailable`.
+/// `job` holds the upload job once the server has one and keeps holding it
+/// through a later failure, so a retry resumes it; a failed resume leaves
+/// it empty. Answers whether the dedup probe hit.
+fn send_upload(
+    backend: &Backend,
+    session: &mut SessionState,
+    up: &FileRef,
+    job: &mut Option<UploadId>,
+    crash: bool,
+) -> CoreResult<bool> {
+    let begin = match job.take() {
+        Some(upload) => Request::ResumeUpload { upload },
+        None => Request::BeginUpload {
+            volume: up.volume,
+            node: up.node,
+            hash: up.hash,
+            size: up.size,
+        },
+    };
+    let (upload, mut sent) = match backend.serve(session, begin)? {
+        Served::Response(Response::UploadBegun { upload, offset }) => (upload, offset),
+        // The dedup probe hit: the content is already stored.
+        Served::Response(Response::UploadDone { .. }) => return Ok(true),
+        other => return Err(CoreError::invalid(format!("begin answered {other:?}"))),
+    };
+    *job = Some(upload);
+    // An empty file still travels as one (1-byte-long, empty) part.
+    let total = up.size.max(1);
+    let mut parts = if crash {
+        total.div_ceil(PART_SIZE) / 2
+    } else {
+        u64::MAX
+    };
+    while sent < total && parts > 0 {
+        let len = (total - sent).min(PART_SIZE);
+        if let Err(e) = backend.serve(session, Request::UploadChunkSparse { upload, len }) {
+            if crash {
+                break;
+            }
+            return Err(e);
+        }
+        sent += len;
+        parts -= 1;
+    }
+    if crash {
+        return Err(CoreError::unavailable("client crashed mid-upload"));
+    }
+    backend.serve(session, Request::CommitUpload { upload })?;
+    Ok(false)
+}
+
 /// One partition of the parallel driver: the clients whose users live on a
 /// single metastore shard, with their own event queue, file-name/content
 /// namespace, and trace origin.
@@ -698,12 +752,14 @@ impl ShardSim {
         };
         self.push_event(t + gap, EventKind::SessionStart(u as u32));
 
-        if self.clients[u].session.is_some() {
+        if self.clients[u].session.handle().is_some() {
             return; // still connected; skip this arrival
         }
-        let token = self.clients[u].token;
-        match self.backend.open_session(token) {
-            Ok(handle) => {
+        let auth = Request::Authenticate {
+            token: self.clients[u].token.as_bytes().to_vec(),
+        };
+        match self.send(u, auth) {
+            Ok(_) => {
                 self.report.sessions_opened += 1;
                 let plan: SessionPlan = {
                     let c = &mut self.clients[u];
@@ -711,7 +767,6 @@ impl ShardSim {
                 };
                 {
                     let c = &mut self.clients[u];
-                    c.session = Some(handle.session);
                     c.session_end = t + plan.duration;
                     c.ops_left = plan.planned_ops;
                     c.bulk = plan.planned_ops > 3_000;
@@ -719,23 +774,28 @@ impl ShardSim {
                 }
                 self.push_event(t + plan.duration, EventKind::SessionEnd(u as u32));
 
-                let sid = handle.session;
                 if !self.faults.is_none() {
-                    self.recover_session_state(u, sid, t);
+                    self.recover_session_state(u, t);
                 }
                 // Startup chatter: a fraction of (re)connections list
                 // volumes/shares; active sessions always do (Fig. 8 flow).
                 let long_enough = plan.duration > SimDuration::from_secs(2);
                 if long_enough && (plan.active || self.clients[u].rng.gen_range(0.0..1.0) < 0.15) {
-                    let _ = self.backend.query_set_caps(sid, vec!["generations".into()]);
-                    let _ = self.backend.list_volumes(sid);
+                    let _ = self.send(u, caps());
+                    let _ = self.send(u, Request::ListVolumes);
                     if self.clients[u].rng.gen_range(0.0..1.0) < 0.6 {
-                        let _ = self.backend.list_shares(sid);
+                        let _ = self.send(u, Request::ListShares);
                     }
                     // Generation-point check.
                     let root = self.clients[u].root;
                     let from = *self.clients[u].known_gen.get(&root).unwrap_or(&0);
-                    if let Ok((generation, _)) = self.backend.get_delta(sid, root, from) {
+                    let delta = Request::GetDelta {
+                        volume: root,
+                        from_generation: from,
+                    };
+                    if let Ok(Served::Response(Response::Delta { generation, .. })) =
+                        self.send(u, delta)
+                    {
                         self.clients[u].known_gen.insert(root, generation);
                     }
                 }
@@ -743,7 +803,7 @@ impl ShardSim {
                     // Deletions made while offline sync at reconnect: sweep
                     // files whose planned lifetime expired (this is what
                     // realizes the Fig. 3(c) mortality profile).
-                    self.sweep_overdue(u, sid, t);
+                    self.sweep_overdue(u, t);
                     let gap = {
                         let c = &mut self.clients[u];
                         sessions::interop_gap_with_mode(&mut c.rng, false, c.bulk)
@@ -761,19 +821,16 @@ impl ShardSim {
     }
 
     fn on_session_end(&mut self, u: usize, t: SimTime) {
-        if let Some(sid) = self.clients[u].session {
-            if t >= self.clients[u].session_end {
-                let _ = self.backend.close_session(sid);
-                self.clients[u].session = None;
-                self.clients[u].ops_left = 0;
-                self.clients[u].pending_upload = None;
-            }
+        if self.clients[u].session.handle().is_some() && t >= self.clients[u].session_end {
+            let _ = self.send(u, Request::Bye);
+            self.clients[u].ops_left = 0;
+            self.clients[u].pending_upload = None;
         }
     }
 
     /// Unlinks up to 40 overdue nodes at session start (offline deletions
     /// syncing back).
-    fn sweep_overdue(&mut self, u: usize, sid: SessionId, t: SimTime) {
+    fn sweep_overdue(&mut self, u: usize, t: SimTime) {
         for _ in 0..40 {
             let Some(idx) = self.clients[u].overdue_file(t) else {
                 break;
@@ -781,7 +838,8 @@ impl ShardSim {
             let f = self.clients[u].remove_file(idx);
             self.report.unlinks += 1;
             self.report.ops_executed += 1;
-            if self.retry(|b| b.unlink(sid, f.volume, f.node)).is_err() {
+            let (volume, node) = (f.volume, f.node);
+            if self.call(u, Request::Unlink { volume, node }).is_err() {
                 self.report.op_errors += 1;
             }
         }
@@ -792,13 +850,29 @@ impl ShardSim {
             let d = self.clients[u].dirs.swap_remove(idx);
             self.report.unlinks += 1;
             self.report.ops_executed += 1;
-            if self.retry(|b| b.unlink(sid, d.volume, d.node)).is_err() {
+            let (volume, node) = (d.volume, d.node);
+            if self.call(u, Request::Unlink { volume, node }).is_err() {
                 self.report.op_errors += 1;
             }
         }
     }
 
-    // ----- client-side failure handling -------------------------------------
+    // ----- the protocol ------------------------------------------------------
+
+    /// Sends one request of client `u` through [`Backend::serve`], once.
+    fn send(&mut self, u: usize, req: Request) -> CoreResult<Served> {
+        self.backend.serve(&mut self.clients[u].session, req)
+    }
+
+    /// The executor of every op: sends one request of client `u` under
+    /// [`ShardSim::retry`]. Fault-free there is one attempt, and the request
+    /// itself goes out; each retry sends a copy.
+    fn call(&mut self, u: usize, req: Request) -> CoreResult<Served> {
+        if self.faults.is_none() {
+            return self.send(u, req);
+        }
+        self.retry(u, |b, s| b.serve(s, req.clone()))
+    }
 
     /// Client-side retry with bounded exponential backoff, fronted by a
     /// per-partition circuit breaker (a partition *is* one metastore shard,
@@ -808,9 +882,14 @@ impl ShardSim {
     ///
     /// Only `unavailable` errors are retried; anything else (not-found,
     /// permission, invalid) is a real answer, not a fault.
-    fn retry<T>(&mut self, f: impl Fn(&Backend) -> CoreResult<T>) -> CoreResult<T> {
+    fn retry<T>(
+        &mut self,
+        u: usize,
+        mut f: impl FnMut(&Backend, &mut SessionState) -> CoreResult<T>,
+    ) -> CoreResult<T> {
+        let session = &mut self.clients[u].session;
         if self.faults.is_none() {
-            return f(&self.backend);
+            return f(&self.backend, session);
         }
         let now = u1_core::partition::current_time().unwrap_or(SimTime::ZERO);
         if !self.breaker.allows(now) {
@@ -821,7 +900,7 @@ impl ShardSim {
         let mut attempt = 1u8;
         loop {
             fault::set_attempt(attempt);
-            match f(&self.backend) {
+            match f(&self.backend, session) {
                 Ok(v) => {
                     self.breaker.record_success();
                     fault::set_attempt(1);
@@ -843,75 +922,33 @@ impl ShardSim {
         }
     }
 
-    /// One logical upload under the failure model: an injected client crash
-    /// abandons the job mid-transfer (to be resumed at the next session, or
-    /// reaped by the weekly GC); otherwise the transfer runs under
-    /// [`ShardSim::retry`], carrying the upload-job id across attempts so a
-    /// retry resumes from the last recorded part instead of restarting the
-    /// stream. With no fault plan neither can happen and this is one call.
-    #[allow(clippy::too_many_arguments)]
-    fn do_upload(
-        &mut self,
-        u: usize,
-        sid: SessionId,
-        vol: VolumeId,
-        node: u1_core::NodeId,
-        name: &str,
-        hash: ContentHash,
-        size: u64,
-    ) -> CoreResult<(bool, u64)> {
-        if self.faults.client_crashes() {
-            return self.crash_mid_upload(u, sid, vol, node, name, hash, size);
-        }
-        let resume = Cell::new(None);
-        self.retry(|b| {
-            b.upload_file_with_recovery(sid, vol, node, hash, size, resume.get())
-                .map_err(|fail| {
-                    resume.set(fail.resume);
-                    fail.error
-                })
-        })
-    }
-
-    /// Simulates the client dying mid-transfer: begin the upload, put about
-    /// half the parts, then vanish without commit or cancel. The abandoned
-    /// job is what the resume path (`recover_session_state`) and the weekly
-    /// GC (Appendix A upload jobs) exist for.
-    #[allow(clippy::too_many_arguments)]
-    fn crash_mid_upload(
-        &mut self,
-        u: usize,
-        sid: SessionId,
-        vol: VolumeId,
-        node: u1_core::NodeId,
-        name: &str,
-        hash: ContentHash,
-        size: u64,
-    ) -> CoreResult<(bool, u64)> {
-        let upload = match self.backend.begin_upload(sid, vol, node, hash, size)? {
-            UploadOutcome::Deduplicated { .. } => return Ok((true, 0)),
-            UploadOutcome::Started { upload } => upload,
-        };
-        let total = size.max(1);
-        let parts = total.div_ceil(PART_SIZE);
-        let mut sent = 0u64;
-        for _ in 0..parts / 2 {
-            let part = (total - sent).min(PART_SIZE);
-            if self.backend.upload_chunk(sid, upload, part, None).is_err() {
-                break;
+    /// One logical upload under the failure model, counted in the report
+    /// when it lands. An injected client crash abandons the job after half
+    /// its parts (to be resumed at the next session, or reaped by the
+    /// weekly GC); otherwise the whole request sequence is the unit
+    /// [`ShardSim::retry`] repeats, and a repeat resumes the job from its
+    /// last recorded part instead of restarting the stream. With no fault
+    /// plan neither can happen and this is one sequence.
+    fn do_upload(&mut self, u: usize, up: &FileRef) -> CoreResult<()> {
+        let mut job = None;
+        let dedup = if self.faults.client_crashes() {
+            let session = &mut self.clients[u].session;
+            let outcome = send_upload(&self.backend, session, up, &mut job, true);
+            if let Some(upload) = job.filter(|_| outcome.is_err()) {
+                self.clients[u].crashed_upload = Some((up.clone(), upload));
+                self.report.uploads_interrupted += 1;
             }
-            sent += part;
+            outcome
+        } else {
+            self.retry(u, |b, s| send_upload(b, s, up, &mut job, false))
+        }?;
+        self.report.uploads += 1;
+        if dedup {
+            self.report.uploads_deduplicated += 1;
+        } else {
+            self.report.bytes_uploaded += up.size;
         }
-        self.clients[u].crashed_upload = Some(CrashedUpload {
-            volume: vol,
-            node,
-            name: name.into(),
-            hash,
-            size,
-            upload,
-        });
-        self.report.uploads_interrupted += 1;
-        Err(CoreError::unavailable("client crashed mid-upload"))
+        Ok(())
     }
 
     /// Post-(re)connect recovery, run right after a session opens when the
@@ -920,65 +957,52 @@ impl ShardSim {
     /// dropped while we were away — the client can't know *what* changed,
     /// only that its generation point can't be trusted (the paper's
     /// rescan-from-scratch path).
-    fn recover_session_state(&mut self, u: usize, sid: SessionId, t: SimTime) {
-        if let Some(cu) = self.clients[u].crashed_upload.take() {
-            match self.backend.upload_file_with_recovery(
-                sid,
-                cu.volume,
-                cu.node,
-                cu.hash,
-                cu.size,
-                Some(cu.upload),
-            ) {
-                Ok((_, sent)) => {
+    fn recover_session_state(&mut self, u: usize, t: SimTime) {
+        if let Some((up, upload)) = self.clients[u].crashed_upload.take() {
+            let mut job = Some(upload);
+            let session = &mut self.clients[u].session;
+            match send_upload(&self.backend, session, &up, &mut job, false) {
+                Ok(_) => {
                     self.report.uploads += 1;
                     self.report.uploads_resumed += 1;
-                    self.report.bytes_uploaded += sent;
+                    self.report.bytes_uploaded += up.size;
                     let c = &mut self.clients[u];
                     if let Some(idx) = c
                         .files
                         .iter()
-                        .position(|f| f.volume == cu.volume && f.node == cu.node)
+                        .position(|f| f.volume == up.volume && f.node == up.node)
                     {
-                        c.rewrite_file(idx, cu.size, cu.hash, t);
+                        c.rewrite_file(idx, up.size, up.hash, t);
                     } else {
                         let death = FileModel::sample_lifetime(&mut c.rng, false).map(|d| t + d);
                         c.push_file(FileRef {
-                            volume: cu.volume,
-                            node: cu.node,
-                            name: cu.name,
-                            size: cu.size,
-                            hash: cu.hash,
                             death,
                             last_write: t,
+                            ..up
                         });
                     }
                 }
-                Err(fail) if fail.resume.is_none() => {
-                    // The job was reaped by the weekly GC (or the node is
-                    // gone): nothing left to continue from.
-                    self.report.uploads_abandoned += 1;
-                }
-                Err(_) => {
-                    // Still transiently failing; keep it for next session.
-                    self.clients[u].crashed_upload = Some(cu);
-                }
+                // The job was reaped by the weekly GC (or the node is
+                // gone): nothing left to continue from.
+                Err(_) if job.is_none() => self.report.uploads_abandoned += 1,
+                // Still transiently failing; keep it for next session.
+                Err(_) => self.clients[u].crashed_upload = Some((up, upload)),
             }
         }
         let user = self.clients[u].user;
-        for vol in self.backend.take_missed_notify(user) {
+        for volume in self.backend.take_missed_notify(user) {
             self.report.rescans_forced += 1;
-            let _ = self.backend.rescan_from_scratch(sid, vol);
+            let _ = self.send(u, Request::RescanFromScratch { volume });
         }
     }
 
     // ----- operations -------------------------------------------------------
 
     fn on_op(&mut self, u: usize, t: SimTime) {
-        let Some(sid) = self.clients[u].session else {
-            return;
-        };
-        if t >= self.clients[u].session_end || self.clients[u].ops_left == 0 {
+        if self.clients[u].session.handle().is_none()
+            || t >= self.clients[u].session_end
+            || self.clients[u].ops_left == 0
+        {
             return;
         }
         self.clients[u].ops_left -= 1;
@@ -988,7 +1012,7 @@ impl ShardSim {
             let proposed = markov::next_op(&mut c.rng, c.last_op);
             class_filter(c, proposed, t)
         };
-        self.execute_op(u, sid, op, t);
+        self.execute_op(u, op, t);
         self.clients[u].last_op = op;
 
         if self.clients[u].ops_left > 0 {
@@ -1001,28 +1025,26 @@ impl ShardSim {
         }
     }
 
-    fn execute_op(&mut self, u: usize, sid: SessionId, op: ApiOpKind, t: SimTime) {
+    fn execute_op(&mut self, u: usize, op: ApiOpKind, t: SimTime) {
         use ApiOpKind::*;
         self.report.ops_executed += 1;
         let ok = match op {
-            Upload => self.op_upload(u, sid, t),
-            Download => self.op_download(u, sid),
-            MakeFile => self.op_make_file(u, sid, t),
-            MakeDir => self.op_make_dir(u, sid, t),
-            Unlink => self.op_unlink(u, sid, t),
-            Move => self.op_move(u, sid),
-            GetDelta => self.op_get_delta(u, sid),
-            ListVolumes => self.retry(|b| b.list_volumes(sid)).is_ok(),
-            ListShares => self.retry(|b| b.list_shares(sid)).is_ok(),
-            CreateUdf => self.op_create_udf(u, sid),
-            DeleteVolume => self.op_delete_volume(u, sid),
+            Upload => self.op_upload(u, t),
+            Download => self.op_download(u),
+            MakeFile => self.op_make_file(u, t),
+            MakeDir => self.op_make_dir(u, t),
+            Unlink => self.op_unlink(u, t),
+            Move => self.op_move(u),
+            GetDelta => self.op_get_delta(u),
+            ListVolumes => self.call(u, Request::ListVolumes).is_ok(),
+            ListShares => self.call(u, Request::ListShares).is_ok(),
+            CreateUdf => self.op_create_udf(u),
+            DeleteVolume => self.op_delete_volume(u),
             RescanFromScratch => {
-                let vol = self.clients[u].root;
-                self.retry(|b| b.rescan_from_scratch(sid, vol)).is_ok()
+                let volume = self.clients[u].root;
+                self.call(u, Request::RescanFromScratch { volume }).is_ok()
             }
-            QuerySetCaps => self
-                .retry(|b| b.query_set_caps(sid, vec!["generations".into()]))
-                .is_ok(),
+            QuerySetCaps => self.call(u, caps()).is_ok(),
             Authenticate | OpenSession | CloseSession => true,
         };
         if !ok {
@@ -1030,31 +1052,49 @@ impl ShardSim {
         }
     }
 
-    fn op_upload(&mut self, u: usize, sid: SessionId, t: SimTime) -> bool {
+    /// `MakeFile` / `MakeDir` under `parent` (`None`: the volume's root):
+    /// the new node, if the server made one.
+    fn make(
+        &mut self,
+        u: usize,
+        volume: VolumeId,
+        parent: Option<NodeId>,
+        kind: NodeKind,
+        name: &Name,
+    ) -> Option<NodeId> {
+        let (parent, name) = (parent.unwrap_or(NodeId::new(0)), name.as_str().into());
+        let req = match kind {
+            NodeKind::File => Request::MakeFile {
+                volume,
+                parent,
+                name,
+            },
+            NodeKind::Directory => Request::MakeDir {
+                volume,
+                parent,
+                name,
+            },
+        };
+        match self.call(u, req) {
+            Ok(Served::Response(Response::NodeCreated { node, .. })) => Some(node),
+            _ => None,
+        }
+    }
+
+    fn op_upload(&mut self, u: usize, t: SimTime) -> bool {
         // A Make that preceded us?
-        if let Some((vol, node, name, hash, size)) = self.clients[u].pending_upload.take() {
-            return match self.do_upload(u, sid, vol, node, &name, hash, size) {
-                Ok((dedup, sent)) => {
-                    self.report.uploads += 1;
-                    if dedup {
-                        self.report.uploads_deduplicated += 1;
-                    }
-                    self.report.bytes_uploaded += sent;
-                    let c = &mut self.clients[u];
-                    let death = FileModel::sample_lifetime(&mut c.rng, false).map(|d| t + d);
-                    c.push_file(FileRef {
-                        volume: vol,
-                        node,
-                        name,
-                        size,
-                        hash,
-                        death,
-                        last_write: t,
-                    });
-                    true
-                }
-                Err(_) => false,
-            };
+        if let Some(up) = self.clients[u].pending_upload.take() {
+            if self.do_upload(u, &up).is_err() {
+                return false;
+            }
+            let c = &mut self.clients[u];
+            let death = FileModel::sample_lifetime(&mut c.rng, false).map(|d| t + d);
+            c.push_file(FileRef {
+                death,
+                last_write: t,
+                ..up
+            });
+            return true;
         }
         // Re-write an existing file? The U1 client re-uploads on any change;
         // §5.1 finds 10.05% of uploads carry *distinct* hash/size (updates),
@@ -1065,10 +1105,11 @@ impl ShardSim {
             !c.files.is_empty() && c.rng.gen_range(0.0..1.0) < 0.18
         };
         if is_rewrite {
-            let (idx, vol, node, name, hash, size, distinct) = {
+            let (idx, up, distinct) = {
                 let c = &mut self.clients[u];
                 let idx = pick_update_target(c);
-                let old_size = c.files[idx].size;
+                let f = &c.files[idx];
+                let (old_size, old_hash) = (f.size, f.hash);
                 let distinct = c.rng.gen_range(0.0..1.0) < 0.55;
                 let (hash, size) = if distinct {
                     let (_, h, s) = self.files.updated_file(&mut c.rng, old_size);
@@ -1076,38 +1117,28 @@ impl ShardSim {
                 } else {
                     // Same content re-uploaded: the dedup probe
                     // short-circuits.
-                    (c.files[idx].hash, old_size)
+                    (old_hash, old_size)
                 };
-                (
-                    idx,
-                    c.files[idx].volume,
-                    c.files[idx].node,
-                    c.files[idx].name.clone(),
+                let up = FileRef {
                     hash,
                     size,
-                    distinct,
-                )
+                    ..c.files[idx].clone()
+                };
+                (idx, up, distinct)
             };
-            return match self.do_upload(u, sid, vol, node, &name, hash, size) {
-                Ok((dedup, sent)) => {
-                    self.report.uploads += 1;
-                    if distinct {
-                        self.report.upload_updates += 1;
-                    }
-                    if dedup {
-                        self.report.uploads_deduplicated += 1;
-                    }
-                    self.report.bytes_uploaded += sent;
-                    self.clients[u].rewrite_file(idx, size, hash, t);
-                    true
-                }
-                Err(_) => false,
-            };
+            if self.do_upload(u, &up).is_err() {
+                return false;
+            }
+            if distinct {
+                self.report.upload_updates += 1;
+            }
+            self.clients[u].rewrite_file(idx, up.size, up.hash, t);
+            return true;
         }
         // Brand-new file: Make then upload in one chain step.
         if self.clients[u].files.len() > 4_000 {
             // Hygiene cap: treat as an update instead of growing unboundedly.
-            return self.op_get_delta(u, sid);
+            return self.op_get_delta(u);
         }
         // Directory growth tracks file growth (users sync whole folders),
         // keeping per-volume file:dir ratios stable — the Fig. 10
@@ -1115,14 +1146,12 @@ impl ShardSim {
         if self.clients[u].rng.gen_range(0.0..1.0) < 0.15 {
             let vol = pick_volume(&mut self.clients[u]);
             let name = self.files.new_dir_name();
-            if let Ok(node) =
-                self.retry(|b| b.make_node(sid, vol, None, NodeKind::Directory, &name))
-            {
+            if let Some(node) = self.make(u, vol, None, NodeKind::Directory, &name) {
                 let c = &mut self.clients[u];
                 let death = FileModel::sample_lifetime(&mut c.rng, true).map(|d| t + d);
                 c.push_dir(DirRef {
                     volume: vol,
-                    node: node.node,
+                    node,
                     death,
                 });
             }
@@ -1135,35 +1164,28 @@ impl ShardSim {
         }
         let vol = pick_volume(&mut self.clients[u]);
         let parent = pick_parent(&mut self.clients[u], vol, &mut self.dir_scratch);
-        let Ok(node) = self.retry(|b| b.make_node(sid, vol, parent, NodeKind::File, &spec.name))
-        else {
+        let Some(node) = self.make(u, vol, parent, NodeKind::File, &spec.name) else {
             return false;
         };
-        match self.do_upload(u, sid, vol, node.node, &spec.name, spec.hash, spec.size) {
-            Ok((dedup, sent)) => {
-                self.report.uploads += 1;
-                if dedup {
-                    self.report.uploads_deduplicated += 1;
-                }
-                self.report.bytes_uploaded += sent;
-                self.clients[u].push_file(FileRef {
-                    volume: vol,
-                    node: node.node,
-                    name: spec.name,
-                    size: spec.size,
-                    hash: spec.hash,
-                    death: spec.lifetime.map(|d| t + d),
-                    last_write: t,
-                });
-                true
-            }
-            Err(_) => false,
+        let up = FileRef {
+            volume: vol,
+            node,
+            name: spec.name,
+            size: spec.size,
+            hash: spec.hash,
+            death: spec.lifetime.map(|d| t + d),
+            last_write: t,
+        };
+        if self.do_upload(u, &up).is_err() {
+            return false;
         }
+        self.clients[u].push_file(up);
+        true
     }
 
-    fn op_download(&mut self, u: usize, sid: SessionId) -> bool {
+    fn op_download(&mut self, u: usize) -> bool {
         if self.clients[u].files.is_empty() {
-            return self.op_get_delta(u, sid);
+            return self.op_get_delta(u);
         }
         let occasional = self.clients[u].profile.class == UserClass::Occasional;
         let idx = {
@@ -1189,22 +1211,20 @@ impl ShardSim {
             }
         };
         let Some(idx) = idx else {
-            return self.op_get_delta(u, sid);
+            return self.op_get_delta(u);
         };
         if occasional {
             self.clients[u].tiny_budget = self.clients[u].tiny_budget.saturating_sub(1);
         }
-        let (vol, node) = (
-            self.clients[u].files[idx].volume,
-            self.clients[u].files[idx].node,
-        );
-        match self.retry(|b| b.download(sid, vol, node)) {
-            Ok((size, _, _)) => {
+        let f = &self.clients[u].files[idx];
+        let (volume, node) = (f.volume, f.node);
+        match self.call(u, Request::GetContent { volume, node }) {
+            Ok(Served::Content { size, .. }) => {
                 self.report.downloads += 1;
                 self.report.bytes_downloaded += size;
                 true
             }
-            Err(_) => {
+            _ => {
                 // Stale reference (e.g. volume deleted): drop it.
                 self.clients[u].remove_file(idx);
                 false
@@ -1212,130 +1232,139 @@ impl ShardSim {
         }
     }
 
-    fn op_make_file(&mut self, u: usize, sid: SessionId, _t: SimTime) -> bool {
+    fn op_make_file(&mut self, u: usize, t: SimTime) -> bool {
         let spec = self.files.new_file(&mut self.clients[u].rng);
         let vol = pick_volume(&mut self.clients[u]);
         let parent = pick_parent(&mut self.clients[u], vol, &mut self.dir_scratch);
-        match self.retry(|b| b.make_node(sid, vol, parent, NodeKind::File, &spec.name)) {
-            Ok(node) => {
-                self.clients[u].pending_upload =
-                    Some((vol, node.node, spec.name, spec.hash, spec.size));
-                true
-            }
-            Err(_) => false,
-        }
+        let Some(node) = self.make(u, vol, parent, NodeKind::File, &spec.name) else {
+            return false;
+        };
+        self.clients[u].pending_upload = Some(FileRef {
+            volume: vol,
+            node,
+            name: spec.name,
+            size: spec.size,
+            hash: spec.hash,
+            death: None,
+            last_write: t,
+        });
+        true
     }
 
-    fn op_make_dir(&mut self, u: usize, sid: SessionId, t: SimTime) -> bool {
+    fn op_make_dir(&mut self, u: usize, t: SimTime) -> bool {
         let vol = pick_volume(&mut self.clients[u]);
         let name = self.files.new_dir_name();
-        match self.retry(|b| b.make_node(sid, vol, None, NodeKind::Directory, &name)) {
-            Ok(node) => {
-                let c = &mut self.clients[u];
-                let death = FileModel::sample_lifetime(&mut c.rng, true).map(|d| t + d);
-                c.push_dir(DirRef {
-                    volume: vol,
-                    node: node.node,
-                    death,
-                });
-                true
-            }
-            Err(_) => false,
-        }
+        let Some(node) = self.make(u, vol, None, NodeKind::Directory, &name) else {
+            return false;
+        };
+        let c = &mut self.clients[u];
+        let death = FileModel::sample_lifetime(&mut c.rng, true).map(|d| t + d);
+        c.push_dir(DirRef {
+            volume: vol,
+            node,
+            death,
+        });
+        true
     }
 
-    fn op_unlink(&mut self, u: usize, sid: SessionId, t: SimTime) -> bool {
+    fn op_unlink(&mut self, u: usize, t: SimTime) -> bool {
         // Overdue file first (planned lifetime reached), then overdue dir,
         // then occasionally an old file.
-        if let Some(idx) = self.clients[u].overdue_file(t) {
+        let (volume, node) = if let Some(idx) = self.clients[u].overdue_file(t) {
             let f = self.clients[u].remove_file(idx);
-            self.report.unlinks += 1;
-            return self.retry(|b| b.unlink(sid, f.volume, f.node)).is_ok();
-        }
-        if let Some(idx) = self.clients[u].overdue_dir(t) {
-            let d = self.clients[u].dirs.swap_remove(idx);
+            (f.volume, f.node)
+        } else if let Some(idx) = self.clients[u].overdue_dir(t) {
             // Cascades server-side; forget local files under that volume's
             // dir lazily (stale refs are swept on failed ops).
-            self.report.unlinks += 1;
-            return self.retry(|b| b.unlink(sid, d.volume, d.node)).is_ok();
-        }
-        let pick_old = {
+            let d = self.clients[u].dirs.swap_remove(idx);
+            (d.volume, d.node)
+        } else {
             let c = &mut self.clients[u];
-            !c.files.is_empty() && c.rng.gen_range(0.0..1.0) < 0.4
-        };
-        if pick_old {
-            let idx = {
-                let c = &mut self.clients[u];
-                c.rng.gen_range(0..c.files.len())
-            };
+            if c.files.is_empty() || c.rng.gen_range(0.0..1.0) >= 0.4 {
+                // Nothing to delete: degrade to a metadata check.
+                return self.op_get_delta(u);
+            }
+            let idx = c.rng.gen_range(0..c.files.len());
             let f = self.clients[u].remove_file(idx);
-            self.report.unlinks += 1;
-            return self.retry(|b| b.unlink(sid, f.volume, f.node)).is_ok();
-        }
-        // Nothing to delete: degrade to a metadata check.
-        self.op_get_delta(u, sid)
+            (f.volume, f.node)
+        };
+        self.report.unlinks += 1;
+        self.call(u, Request::Unlink { volume, node }).is_ok()
     }
 
-    fn op_move(&mut self, u: usize, sid: SessionId) -> bool {
+    fn op_move(&mut self, u: usize) -> bool {
         if self.clients[u].files.is_empty() {
-            return self.op_get_delta(u, sid);
+            return self.op_get_delta(u);
         }
-        let (idx, vol, node, new_name) = {
+        let (idx, volume, node, name) = {
             let c = &mut self.clients[u];
             let idx = c.rng.gen_range(0..c.files.len());
             c.move_counter += 1;
-            let counter = c.move_counter;
             let f = &c.files[idx];
-            (idx, f.volume, f.node, format!("r{counter}_{}", f.name))
+            let name = Name::from_fmt(format_args!("r{}_{}", c.move_counter, f.name));
+            (idx, f.volume, f.node, name)
         };
-        let new_parent = pick_parent(&mut self.clients[u], vol, &mut self.dir_scratch);
-        match self.retry(|b| b.move_node(sid, vol, node, new_parent, &new_name)) {
-            Ok(_) => {
-                self.clients[u].files[idx].name = new_name.into();
-                true
-            }
-            Err(_) => false,
+        let new_parent = pick_parent(&mut self.clients[u], volume, &mut self.dir_scratch);
+        let req = Request::Move {
+            volume,
+            node,
+            new_parent: new_parent.unwrap_or(NodeId::new(0)),
+            new_name: name.as_str().into(),
+        };
+        if self.call(u, req).is_err() {
+            return false;
         }
+        self.clients[u].files[idx].name = name;
+        true
     }
 
-    fn op_get_delta(&mut self, u: usize, sid: SessionId) -> bool {
-        let vol = pick_volume(&mut self.clients[u]);
-        let from = *self.clients[u].known_gen.get(&vol).unwrap_or(&0);
-        match self.retry(|b| b.get_delta(sid, vol, from)) {
-            Ok((generation, _)) => {
-                self.clients[u].known_gen.insert(vol, generation);
-                true
-            }
-            Err(_) => false,
-        }
+    fn op_get_delta(&mut self, u: usize) -> bool {
+        let volume = pick_volume(&mut self.clients[u]);
+        let from_generation = *self.clients[u].known_gen.get(&volume).unwrap_or(&0);
+        let req = Request::GetDelta {
+            volume,
+            from_generation,
+        };
+        let Ok(Served::Response(Response::Delta { generation, .. })) = self.call(u, req) else {
+            return false;
+        };
+        self.clients[u].known_gen.insert(volume, generation);
+        true
     }
 
-    fn op_create_udf(&mut self, u: usize, sid: SessionId) -> bool {
+    fn op_create_udf(&mut self, u: usize) -> bool {
         if self.clients[u].udfs.len() >= 3 || !self.clients[u].profile.has_udf {
-            return self.op_get_delta(u, sid);
+            return self.op_get_delta(u);
         }
         let name = format!("udf{}", self.clients[u].udfs.len() + 1);
-        match self.retry(|b| b.create_udf(sid, &name)) {
-            Ok(v) => {
-                self.clients[u].udfs.push(v.volume);
-                true
-            }
-            Err(_) => false,
-        }
+        let Ok(Served::Response(Response::VolumeCreated { volume, .. })) =
+            self.call(u, Request::CreateUdf { name })
+        else {
+            return false;
+        };
+        self.clients[u].udfs.push(volume);
+        true
     }
 
-    fn op_delete_volume(&mut self, u: usize, sid: SessionId) -> bool {
+    fn op_delete_volume(&mut self, u: usize) -> bool {
         if self.clients[u].udfs.is_empty() {
-            return self.retry(|b| b.list_volumes(sid)).is_ok();
+            return self.call(u, Request::ListVolumes).is_ok();
         }
         let idx = {
             let c = &mut self.clients[u];
             c.rng.gen_range(0..c.udfs.len())
         };
-        let vol = self.clients[u].udfs.swap_remove(idx);
-        let ok = self.retry(|b| b.delete_volume(sid, vol)).is_ok();
-        self.clients[u].forget_volume(vol);
+        let volume = self.clients[u].udfs.swap_remove(idx);
+        let ok = self.call(u, Request::DeleteVolume { volume }).is_ok();
+        self.clients[u].forget_volume(volume);
         ok
+    }
+}
+
+/// The capability every client asks for at startup (Fig. 8).
+fn caps() -> Request {
+    Request::QuerySetCaps {
+        caps: vec!["generations".into()],
     }
 }
 
@@ -1475,7 +1504,7 @@ impl CoordinatorSim {
 
         // Attacker's distributed files (fetched fresh each wave; empty
         // after the ban's cleanup).
-        let attacker_files: Vec<(VolumeId, u1_core::NodeId)> = self
+        let attacker_files: Vec<(VolumeId, NodeId)> = self
             .backend
             .store
             .get_root(user)
@@ -1483,7 +1512,7 @@ impl CoordinatorSim {
             .and_then(|root| {
                 self.backend
                     .store
-                    .get_from_scratch(user, root.volume)
+                    .get_from_scratch(user, root.volume, |n| n)
                     .ok()
                     .map(|(_, nodes)| {
                         nodes
@@ -1496,8 +1525,12 @@ impl CoordinatorSim {
             .unwrap_or_default();
 
         for _ in 0..bot_sessions.min(5_000) {
-            match self.backend.open_session(token) {
-                Ok(h) => {
+            let mut bot = SessionState::new(false);
+            let auth = Request::Authenticate {
+                token: token.as_bytes().to_vec(),
+            };
+            match self.backend.serve(&mut bot, auth) {
+                Ok(_) => {
                     self.report.attack_sessions += 1;
                     // Each bot leeches a few ops from the shared account.
                     let ops = self.rng.gen_range(1..=8).min(bot_ops_budget.max(1));
@@ -1508,34 +1541,41 @@ impl CoordinatorSim {
                         bot_ops_budget -= 1;
                         self.report.attack_ops += 1;
                         if !attacker_files.is_empty() && self.rng.gen_range(0.0..1.0) < 0.85 {
-                            let (v, n) =
+                            let (volume, node) =
                                 attacker_files[self.rng.gen_range(0..attacker_files.len())];
-                            let _ = self.backend.download(h.session, v, n);
+                            let _ = self
+                                .backend
+                                .serve(&mut bot, Request::GetContent { volume, node });
                         } else {
                             // Leech uploads: push new content through the
                             // shared account.
                             let spec = self.files.new_file(&mut self.rng);
                             if let Ok(root) = self.backend.store.get_root(user) {
-                                if let Ok(node) = self.backend.make_node(
-                                    h.session,
-                                    root.volume,
-                                    None,
-                                    NodeKind::File,
-                                    &spec.name,
-                                ) {
-                                    let _ = self.backend.upload_file_with_recovery(
-                                        h.session,
-                                        root.volume,
-                                        node.node,
-                                        spec.hash,
-                                        spec.size,
-                                        None,
-                                    );
+                                let make = Request::MakeFile {
+                                    volume: root.volume,
+                                    parent: NodeId::new(0),
+                                    name: spec.name.as_str().into(),
+                                };
+                                if let Ok(Served::Response(Response::NodeCreated {
+                                    node, ..
+                                })) = self.backend.serve(&mut bot, make)
+                                {
+                                    let up = FileRef {
+                                        volume: root.volume,
+                                        node,
+                                        name: spec.name,
+                                        size: spec.size,
+                                        hash: spec.hash,
+                                        death: None,
+                                        last_write: t,
+                                    };
+                                    let _ =
+                                        send_upload(&self.backend, &mut bot, &up, &mut None, false);
                                 }
                             }
                         }
                     }
-                    let _ = self.backend.close_session(h.session);
+                    let _ = self.backend.serve(&mut bot, Request::Bye);
                 }
                 Err(_) => {
                     // Post-ban: a storm of failing authentications.
@@ -1665,7 +1705,7 @@ impl Driver {
                 token,
                 profile,
                 rng: rngx::sub_rng(self.cfg.seed, "client", i),
-                session: None,
+                session: SessionState::new(false),
                 session_end: SimTime::ZERO,
                 ops_left: 0,
                 last_op: ApiOpKind::Authenticate,
@@ -2161,9 +2201,31 @@ mod tests {
     /// Half 2: a *nonzero* plan is deterministic — same seed and plan give
     /// the same faults, retries, and trace regardless of worker count —
     /// and actually fires (visible retries / error classes in the trace).
+    /// The one-worker trace and the client-side fault counters are pinned:
+    /// this is the run through the retry, breaker, crash and forced-rescan
+    /// branches. The light plan crashes two uploads, and neither client
+    /// comes back within the three days, so nothing resumes and nothing is
+    /// abandoned here.
     #[test]
     fn faulted_run_is_deterministic_across_worker_counts() {
         let (r1, t1) = run_faulted(1);
+        assert_eq!(t1.len(), 8500);
+        assert_eq!(
+            u1_trace::canonical_sha(&t1),
+            "4e53bd4a99aa8b3ebbc79167a770b43331bd935d"
+        );
+        assert_eq!(
+            (
+                r1.uploads_interrupted,
+                r1.uploads_resumed,
+                r1.uploads_abandoned,
+                r1.rescans_forced,
+                r1.client_retries,
+                r1.breaker_fastfails,
+            ),
+            (2, 0, 0, 1, 9, 12),
+            "{r1:?}"
+        );
         for workers in [2, 4, 8] {
             let (r, t) = run_faulted(workers);
             assert_eq!(r1, r, "faulted report differs at workers={workers}");

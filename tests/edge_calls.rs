@@ -1,19 +1,26 @@
 //! The calls at the edge of a session get one answer, whichever transport
 //! carries them: both reach the back-end through `Backend::serve`, so a
 //! call made before authenticating, a second authentication, a
-//! content-less upload to a server that stores real bytes and a live
-//! upload of more than one chunk end the same way in process and over TCP.
-//! Each case runs on a fresh back-end through both transports, and the
-//! outcomes are compared.
+//! content-less upload to a server that stores real bytes, a live upload
+//! of more than one chunk, an empty file and an upload resumed in a later
+//! session end the same way in process and over TCP. Each case runs on a
+//! fresh back-end through both links, and the outcomes are compared.
 
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
 use ubuntuone::auth::AuthConfig;
+use ubuntuone::blobstore::PART_SIZE;
 use ubuntuone::client::{DirectTransport, TcpTransport, Transport};
 use ubuntuone::core::{
-    ApiOpKind, ContentHash, CoreResult, NodeKind, RpcKind, Sha1, SimClock, UserId,
+    ApiOpKind, ContentHash, CoreResult, NodeId, NodeKind, RpcKind, Sha1, SimClock, SimTime,
+    UploadId, UserId,
 };
+use ubuntuone::proto::conn::{ClientConn, ClientEvent};
+use ubuntuone::proto::msg::{Request, Response};
+use ubuntuone::server::api::{Served, SessionState};
 use ubuntuone::server::{Backend, BackendConfig, TcpServer};
-use ubuntuone::trace::{MemorySink, Payload};
+use ubuntuone::trace::{canonical_sha, MemorySink, Payload};
 
 /// One case's outcome: `ok`, or the error kind.
 fn kind<T>(r: CoreResult<T>) -> String {
@@ -21,6 +28,10 @@ fn kind<T>(r: CoreResult<T>) -> String {
 }
 
 fn backend(store_real_bytes: bool) -> (Arc<Backend>, Arc<MemorySink>) {
+    backend_on(store_real_bytes, Arc::new(SimClock::new()))
+}
+
+fn backend_on(store_real_bytes: bool, clock: Arc<SimClock>) -> (Arc<Backend>, Arc<MemorySink>) {
     let sink = Arc::new(MemorySink::new());
     let backend = Arc::new(Backend::new(
         BackendConfig {
@@ -31,7 +42,7 @@ fn backend(store_real_bytes: bool) -> (Arc<Backend>, Arc<MemorySink>) {
             store_real_bytes,
             ..Default::default()
         },
-        Arc::new(SimClock::new()),
+        clock,
         sink.clone(),
     ));
     (backend, sink)
@@ -179,4 +190,173 @@ fn a_live_upload_is_chunked_alike_and_round_trips() {
         ]
     );
     assert_eq!(direct, wire);
+}
+
+/// An empty file with real bytes travels as one one-byte chunk, and the
+/// back-end keeps none of it: the download hands back no bytes.
+#[test]
+fn an_empty_file_downloads_as_no_bytes() {
+    let (direct, wire) = both(true, |t, backend, _| {
+        let token = backend.register_user(UserId::new(1));
+        t.authenticate(token).expect("authenticate");
+        let root = t.list_volumes().expect("volumes")[0].volume;
+        let node = t
+            .make_node(root, None, NodeKind::File, "empty.txt")
+            .expect("make")
+            .node;
+        let hash = Sha1::digest(b"");
+        let up = kind(t.upload(root, node, hash, 0, Some(Vec::new())));
+        let got = t.download(root, node).expect("download");
+        t.close();
+        vec![up, format!("{got:?}")]
+    });
+    let want = format!("(0, {:?}, Some([]))", Sha1::digest(b""));
+    assert_eq!(direct, ["ok".to_string(), want]);
+    assert_eq!(direct, wire);
+}
+
+/// Raw request frames: `serve` in process, or one TCP connection.
+enum Link {
+    Direct(Arc<Backend>, SessionState),
+    Wire(TcpStream, ClientConn),
+}
+
+impl Link {
+    /// One request's response, or the error's wire code.
+    fn call(&mut self, req: Request) -> Result<Response, String> {
+        let resp = match self {
+            Link::Direct(backend, state) => match backend.serve(state, req) {
+                Ok(Served::Response(resp)) => resp,
+                Ok(content) => panic!("{content:?}"),
+                Err(e) => return Err(e.code().to_string()),
+            },
+            Link::Wire(stream, conn) => {
+                let (id, frame) = conn.request(req).expect("encode");
+                stream.write_all(&frame).expect("send");
+                let mut buf = [0u8; 4096];
+                'read: loop {
+                    let n = stream.read(&mut buf).expect("recv");
+                    assert!(n > 0, "server closed mid-call");
+                    for ev in conn.on_bytes(&buf[..n]).expect("protocol") {
+                        if let ClientEvent::Response { id: got, resp } = ev {
+                            assert_eq!(got, id);
+                            break 'read resp;
+                        }
+                    }
+                }
+            }
+        };
+        match resp {
+            Response::Error { code, .. } => Err(code),
+            resp => Ok(resp),
+        }
+    }
+}
+
+/// Raw links to one back-end, and every answer they got.
+struct Script {
+    backend: Arc<Backend>,
+    server: Option<TcpServer>,
+    answers: Vec<String>,
+}
+
+impl Script {
+    /// A new connection over TCP when the script has a server, else a new
+    /// in-process session.
+    fn connect(&self) -> Link {
+        match &self.server {
+            Some(server) => {
+                let stream = TcpStream::connect(server.local_addr()).expect("connect");
+                Link::Wire(stream, ClientConn::new())
+            }
+            None => Link::Direct(Arc::clone(&self.backend), SessionState::new(false)),
+        }
+    }
+
+    fn call(&mut self, link: &mut Link, req: Request) -> Result<Response, String> {
+        let answer = link.call(req);
+        self.answers.push(format!("{answer:?}"));
+        answer
+    }
+
+    /// Authenticates `link` as user 1, makes a file in its root and sends
+    /// the first of its upload's two parts.
+    fn start(&mut self, link: &mut Link, name: &str) -> UploadId {
+        let token = self.backend.register_user(UserId::new(1));
+        let auth = Request::Authenticate {
+            token: token.as_bytes().to_vec(),
+        };
+        self.call(link, auth).expect("authenticate");
+        let root = self.backend.store.get_root(UserId::new(1)).expect("root");
+        let make = Request::MakeFile {
+            volume: root.volume,
+            parent: NodeId::new(0),
+            name: name.into(),
+        };
+        let Ok(Response::NodeCreated { node, .. }) = self.call(link, make) else {
+            panic!("make {name}");
+        };
+        let begin = Request::BeginUpload {
+            volume: root.volume,
+            node,
+            hash: ContentHash::from_content_id(node.raw()),
+            size: PART_SIZE + 5,
+        };
+        let Ok(Response::UploadBegun { upload, .. }) = self.call(link, begin) else {
+            panic!("begin {name}");
+        };
+        let part = Request::UploadChunkSparse {
+            upload,
+            len: PART_SIZE,
+        };
+        self.call(link, part).expect("first part");
+        upload
+    }
+}
+
+/// §3.2 with an interruption: begin, one sparse part, goodbye; a new
+/// session resumes the job from the part it holds and commits it. A job
+/// the weekly GC reaped has nothing left to resume.
+#[test]
+fn an_upload_resumes_in_a_later_session_alike_on_both_links() {
+    let run = |wire: bool| {
+        let clock = Arc::new(SimClock::new());
+        let (backend, sink) = backend_on(false, Arc::clone(&clock));
+        let server =
+            wire.then(|| TcpServer::start(Arc::clone(&backend), "127.0.0.1:0").expect("bind"));
+        let mut s = Script {
+            backend: Arc::clone(&backend),
+            server,
+            answers: Vec::new(),
+        };
+        let mut first = s.connect();
+        let upload = s.start(&mut first, "film.avi");
+        s.call(&mut first, Request::Bye).expect("bye");
+        let mut second = s.connect();
+        let token = backend.register_user(UserId::new(1)).as_bytes().to_vec();
+        s.call(&mut second, Request::Authenticate { token })
+            .expect("authenticate again");
+        let resumed = s.call(&mut second, Request::ResumeUpload { upload });
+        let offset = PART_SIZE;
+        assert_eq!(resumed, Ok(Response::UploadBegun { upload, offset }));
+        s.call(&mut second, Request::UploadChunkSparse { upload, len: 5 })
+            .expect("last part");
+        s.call(&mut second, Request::CommitUpload { upload })
+            .expect("commit");
+        s.call(&mut second, Request::Bye).expect("bye");
+
+        let mut third = s.connect();
+        let upload = s.start(&mut third, "disk.iso");
+        clock.set(SimTime::from_days(8));
+        assert_eq!(backend.run_maintenance(), 1, "the GC reaps the job");
+        let reaped = s.call(&mut third, Request::ResumeUpload { upload });
+        assert_eq!(reaped, Err("not_found".to_string()));
+        s.call(&mut third, Request::Bye).expect("bye");
+        drop((first, second, third));
+        if let Some(server) = s.server.take() {
+            server.shutdown();
+        }
+        (s.answers, canonical_sha(&sink.take_sorted()))
+    };
+    assert_eq!(run(false), run(true));
 }

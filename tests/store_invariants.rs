@@ -192,7 +192,7 @@ proptest! {
         // Final invariants.
         for u in 0..USERS as usize {
             let uid = UserId::new(u as u64 + 1);
-            let (_, live) = store.get_from_scratch(uid, roots[u]).unwrap();
+            let (_, live) = store.get_from_scratch(uid, roots[u], |n| n).unwrap();
             let vol = store.list_volumes(uid).unwrap()
                 .into_iter().find(|v| v.volume == roots[u]).unwrap();
             prop_assert_eq!(vol.node_count as usize, live.len(),
@@ -246,8 +246,10 @@ proptest! {
         premature_commits in 0usize..3,
         cancel_at in proptest::option::of(0usize..8),
     ) {
+        use ubuntuone::core::NodeId;
+        use ubuntuone::proto::msg::{Request, Response};
+        use ubuntuone::server::api::{Served, SessionState};
         use ubuntuone::server::{Backend, BackendConfig};
-        use ubuntuone::server::api::UploadOutcome;
         use ubuntuone::trace::MemorySink;
         use std::sync::Arc;
 
@@ -260,42 +262,57 @@ proptest! {
             Arc::new(MemorySink::new()),
         ));
         let token = backend.register_user(UserId::new(1));
-        let h = backend.open_session(token).unwrap();
-        let v = backend.list_volumes(h.session).unwrap()[0].volume;
-        let node = backend.make_node(h.session, v, None, NodeKind::File, "x.bin").unwrap();
+        let mut state = SessionState::new(false);
+        // Every request here is answered by one response; `None` is a refusal.
+        let mut call = |req| match backend.serve(&mut state, req) {
+            Ok(Served::Response(resp)) => Some(resp),
+            _ => None,
+        };
+        call(Request::Authenticate { token: token.as_bytes().to_vec() }).expect("authenticate");
+        let Some(Response::Volumes { volumes }) = call(Request::ListVolumes) else {
+            panic!("no volumes");
+        };
+        let v = volumes[0].volume;
+        let make = Request::MakeFile { volume: v, parent: NodeId::new(0), name: "x.bin".into() };
+        let Some(Response::NodeCreated { node, .. }) = call(make) else {
+            panic!("make x.bin");
+        };
         let total: u64 = chunks.iter().sum();
         let hash = ContentHash::from_content_id(total);
 
-        let upload = match backend.begin_upload(h.session, v, node.node, hash, total).unwrap() {
-            UploadOutcome::Started { upload } => upload,
-            UploadOutcome::Deduplicated { .. } => return Ok(()),
+        let begin = Request::BeginUpload { volume: v, node, hash, size: total };
+        let upload = match call(begin) {
+            Some(Response::UploadBegun { upload, .. }) => upload,
+            _ => return Ok(()),
         };
+        let part = |len| Request::UploadChunkSparse { upload, len };
 
         let mut sent = 0u64;
         let mut cancelled = false;
         for (i, chunk) in chunks.iter().enumerate() {
             if Some(i) == cancel_at {
-                backend.cancel_upload(h.session, upload).unwrap();
+                call(Request::CancelUpload { upload }).expect("cancel");
                 cancelled = true;
                 break;
             }
             if i < premature_commits && sent < total {
                 // Premature commit must be refused, and must not destroy
                 // progress.
-                prop_assert!(backend.commit_upload(h.session, upload).is_err());
+                prop_assert!(call(Request::CommitUpload { upload }).is_none());
             }
-            backend.upload_chunk(h.session, upload, *chunk, None).unwrap();
+            call(part(*chunk)).expect("part");
             sent += chunk;
         }
         if !cancelled {
-            let committed = backend.commit_upload(h.session, upload).unwrap();
-            prop_assert_eq!(committed.bytes_transferred, total);
+            let committed = call(Request::CommitUpload { upload });
+            let done = matches!(committed, Some(Response::UploadDone { hash: h, .. }) if h == hash);
+            prop_assert!(done, "commit answered {:?}", committed);
             let meta = backend.blobs.head(hash).expect("object stored");
             prop_assert_eq!(meta.size, total, "no torn object");
         } else {
             prop_assert!(!backend.blobs.contains(hash), "cancelled upload leaves nothing");
             // The job is gone: further chunks are rejected.
-            prop_assert!(backend.upload_chunk(h.session, upload, 1, None).is_err());
+            prop_assert!(call(part(1)).is_none());
         }
     }
 }
