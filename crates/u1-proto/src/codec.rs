@@ -715,11 +715,10 @@ mod tests {
         }};
     }
 
-    #[test]
-    fn all_request_variants_round_trip() {
+    fn request_samples() -> [Request; 21] {
         let v = VolumeId::new(3);
         let n = NodeId::new(9);
-        let samples = [
+        [
             Request::Authenticate {
                 token: vec![1, 2, 3],
             },
@@ -780,7 +779,12 @@ mod tests {
             Request::GetContent { volume: v, node: n },
             Request::Ping,
             Request::Bye,
-        ];
+        ]
+    }
+
+    #[test]
+    fn all_request_variants_round_trip() {
+        let samples = request_samples();
         assert_every_variant!(
             samples,
             Request::Authenticate { .. },
@@ -810,10 +814,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn all_response_variants_round_trip() {
+    fn response_samples() -> [Response; 14] {
         let hash = ContentHash::from_content_id(1);
-        let samples = [
+        [
             Response::Ok,
             Response::Error {
                 code: "not_found".into(),
@@ -881,7 +884,12 @@ mod tests {
             },
             Response::ContentEnd,
             Response::Pong,
-        ];
+        ]
+    }
+
+    #[test]
+    fn all_response_variants_round_trip() {
+        let samples = response_samples();
         assert_every_variant!(
             samples,
             Response::Ok,
@@ -904,9 +912,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn all_push_variants_round_trip() {
-        let samples = [
+    fn push_samples() -> [Push; 3] {
+        [
             Push::VolumeChanged {
                 volume: VolumeId::new(1),
                 generation: 3,
@@ -918,7 +925,12 @@ mod tests {
             Push::VolumeDeleted {
                 volume: VolumeId::new(2),
             },
-        ];
+        ]
+    }
+
+    #[test]
+    fn all_push_variants_round_trip() {
+        let samples = push_samples();
         assert_every_variant!(
             samples,
             Push::VolumeChanged { .. },
@@ -928,6 +940,30 @@ mod tests {
         for push in samples {
             round_trip(Message::Push(push));
         }
+    }
+
+    /// The bytes of every round-trip sample, framed as the connections
+    /// frame them, are pinned: a round trip still passes when the encoder
+    /// and the decoder drift the same way, this does not.
+    #[test]
+    fn every_sample_encodes_to_the_pinned_bytes() {
+        let messages = request_samples()
+            .into_iter()
+            .map(|req| Message::Request { id: 88, req })
+            .chain(
+                response_samples()
+                    .into_iter()
+                    .map(|resp| Message::Response { id: 7, resp }),
+            )
+            .chain(push_samples().into_iter().map(Message::Push));
+        let mut sha = u1_core::Sha1::new();
+        for msg in messages {
+            sha.update(&encode_framed(&msg).expect("fits"));
+        }
+        assert_eq!(
+            sha.finalize().to_hex(),
+            "986d499ece36abf8d5249883108af30f5994eb57"
+        );
     }
 
     #[test]
@@ -958,5 +994,71 @@ mod tests {
         // Truncated mid-message.
         assert_eq!(decode(&[KIND_REQUEST]), Err(WireError::Truncated));
         assert_eq!(decode(&[]), Err(WireError::Truncated));
+        // A list one past its cap is refused on its count, before any
+        // element is read: `msg` ends in an empty list, whose count `n`
+        // replaces.
+        let with_count = |msg: Message, n: u64| {
+            let mut buf = BytesMut::new();
+            encode(&msg, &mut buf);
+            let mut body = buf.to_vec();
+            assert_eq!(body.pop(), Some(0));
+            wire::put_uvarint(&mut body, n);
+            decode(&body)
+        };
+        let caps = |caps| Message::Request {
+            id: 1,
+            req: Request::QuerySetCaps { caps },
+        };
+        let accepted = |accepted| Message::Response {
+            id: 1,
+            resp: Response::Capabilities { accepted },
+        };
+        let volumes = Message::Response {
+            id: 1,
+            resp: Response::Volumes { volumes: vec![] },
+        };
+        let delta = |nodes| Message::Response {
+            id: 1,
+            resp: Response::Delta {
+                volume: VolumeId::new(1),
+                generation: 2,
+                nodes,
+            },
+        };
+        assert_eq!(
+            with_count(caps(vec![]), 1024),
+            Err(WireError::Truncated),
+            "1,024 strings are allowed"
+        );
+        assert_eq!(with_count(caps(vec![]), 1025), Err(WireError::BadLength));
+        assert_eq!(
+            with_count(accepted(vec![]), 1025),
+            Err(WireError::BadLength)
+        );
+        assert_eq!(with_count(volumes, 1_000_001), Err(WireError::BadLength));
+        assert_eq!(
+            with_count(delta(vec![]), 10_000_001),
+            Err(WireError::BadLength)
+        );
+        // `is_dead`, a node's last byte, is 0 or 1.
+        let node = NodeInfo {
+            node: NodeId::new(3),
+            kind: NodeKind::File,
+            parent: None,
+            name: "x".into(),
+            size: 1,
+            hash: None,
+            generation: 2,
+            is_dead: false,
+        };
+        let mut buf = BytesMut::new();
+        encode(&delta(vec![node]), &mut buf);
+        let last = buf.len() - 1;
+        buf[last] = 2;
+        assert_eq!(decode(&buf), Err(WireError::BadDiscriminant(2)));
+        // And 1,025 real strings are refused the same way.
+        let mut buf = BytesMut::new();
+        encode(&caps(vec![String::new(); 1025]), &mut buf);
+        assert_eq!(decode(&buf), Err(WireError::BadLength));
     }
 }
