@@ -1,576 +1,358 @@
 //! Binary codec for [`Message`].
 //!
 //! Layout: one kind byte (request/response/push), a varint request id where
-//! applicable, one variant tag byte, then the variant's fields using the
+//! applicable, one variant tag byte, then the variant's fields in wire
+//! order, each in the form its `Wire` impl gives it on top of the
 //! [`crate::wire`] primitives. Unknown tags decode to
 //! [`WireError::BadDiscriminant`] rather than panicking.
+//!
+//! The wire format is written once, in the `messages!` tables below: one
+//! line per variant of [`Request`], [`Response`] and [`Push`], giving its
+//! tag, its label and its fields in wire order. Each table generates that
+//! type's encoder, its decoder and its `label()`. A message is added with
+//! one variant in [`crate::msg`] and one line here; the encoder's `match`
+//! has no wildcard, so a variant without a line does not compile, and
+//! neither does a tag used twice.
 
 use crate::frame::{build_frame, FrameError};
 use crate::msg::{Message, NodeInfo, Push, Request, RequestId, Response, VolumeInfo};
 use crate::wire::{self, WireError, WireResult};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use u1_core::{NodeId, NodeKind, SessionId, UploadId, UserId, VolumeId, VolumeKind};
+use bytes::{BufMut, Bytes, BytesMut};
+use u1_core::{
+    ContentHash, Name, NodeId, NodeKind, SessionId, UploadId, UserId, VolumeId, VolumeKind,
+};
 
 const KIND_REQUEST: u8 = 1;
 const KIND_RESPONSE: u8 = 2;
 const KIND_PUSH: u8 = 3;
 
-fn put_volume_kind(buf: &mut impl BufMut, k: VolumeKind) {
-    buf.put_u8(match k {
-        VolumeKind::Root => 0,
-        VolumeKind::UserDefined => 1,
-        VolumeKind::Shared => 2,
-    });
+/// A value with one wire form: `put` appends it, `get` reads it back.
+trait Wire {
+    fn put(&self, buf: &mut BytesMut);
+    fn get(buf: &mut &[u8]) -> WireResult<Self>
+    where
+        Self: Sized;
 }
 
-fn get_volume_kind(buf: &mut impl Buf) -> WireResult<VolumeKind> {
-    match wire::get_u8(buf)? {
-        0 => Ok(VolumeKind::Root),
-        1 => Ok(VolumeKind::UserDefined),
-        2 => Ok(VolumeKind::Shared),
-        d => Err(WireError::BadDiscriminant(d)),
+impl Wire for u64 {
+    fn put(&self, buf: &mut BytesMut) {
+        wire::put_uvarint(buf, *self);
+    }
+    fn get(buf: &mut &[u8]) -> WireResult<Self> {
+        wire::get_uvarint(buf)
     }
 }
 
-fn put_node_kind(buf: &mut impl BufMut, k: NodeKind) {
-    buf.put_u8(match k {
-        NodeKind::File => 0,
-        NodeKind::Directory => 1,
-    });
-}
-
-fn get_node_kind(buf: &mut impl Buf) -> WireResult<NodeKind> {
-    match wire::get_u8(buf)? {
-        0 => Ok(NodeKind::File),
-        1 => Ok(NodeKind::Directory),
-        d => Err(WireError::BadDiscriminant(d)),
+/// Request ids: a varint that must fit 32 bits.
+impl Wire for u32 {
+    fn put(&self, buf: &mut BytesMut) {
+        wire::put_uvarint(buf, u64::from(*self));
+    }
+    fn get(buf: &mut &[u8]) -> WireResult<Self> {
+        wire::get_uvarint_u32(buf)
     }
 }
 
-fn put_opt_hash(buf: &mut impl BufMut, h: &Option<u1_core::ContentHash>) {
-    match h {
-        None => buf.put_u8(0),
-        Some(h) => {
-            buf.put_u8(1);
-            wire::put_hash(buf, h);
+macro_rules! varint_ids {
+    ($($id:ty),+) => {$(
+        impl Wire for $id {
+            fn put(&self, buf: &mut BytesMut) {
+                self.raw().put(buf);
+            }
+            fn get(buf: &mut &[u8]) -> WireResult<Self> {
+                u64::get(buf).map(Self::from)
+            }
+        }
+    )+};
+}
+
+varint_ids!(UserId, VolumeId, NodeId, SessionId, UploadId);
+
+/// Borrowed bytes; the chunk framers send payloads from here.
+impl Wire for [u8] {
+    fn put(&self, buf: &mut BytesMut) {
+        wire::put_bytes(buf, self);
+    }
+}
+
+impl Wire for Vec<u8> {
+    fn put(&self, buf: &mut BytesMut) {
+        self.as_slice().put(buf);
+    }
+    fn get(buf: &mut &[u8]) -> WireResult<Self> {
+        wire::get_bytes(buf)
+    }
+}
+
+impl Wire for String {
+    fn put(&self, buf: &mut BytesMut) {
+        wire::put_str(buf, self);
+    }
+    fn get(buf: &mut &[u8]) -> WireResult<Self> {
+        wire::get_str(buf)
+    }
+}
+
+impl Wire for Name {
+    fn put(&self, buf: &mut BytesMut) {
+        wire::put_str(buf, self);
+    }
+    fn get(buf: &mut &[u8]) -> WireResult<Self> {
+        wire::get_str(buf).map(Name::from)
+    }
+}
+
+impl Wire for ContentHash {
+    fn put(&self, buf: &mut BytesMut) {
+        wire::put_hash(buf, self);
+    }
+    fn get(buf: &mut &[u8]) -> WireResult<Self> {
+        wire::get_hash(buf)
+    }
+}
+
+/// A strict 0/1 byte.
+impl Wire for bool {
+    fn put(&self, buf: &mut BytesMut) {
+        buf.put_u8(u8::from(*self));
+    }
+    fn get(buf: &mut &[u8]) -> WireResult<Self> {
+        match wire::get_u8(buf)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            d => Err(WireError::BadDiscriminant(d)),
         }
     }
 }
 
-fn get_opt_hash(buf: &mut impl Buf) -> WireResult<Option<u1_core::ContentHash>> {
-    match wire::get_u8(buf)? {
-        0 => Ok(None),
-        1 => Ok(Some(wire::get_hash(buf)?)),
-        d => Err(WireError::BadDiscriminant(d)),
+/// Fieldless enums travel as one byte each; any other byte is refused.
+macro_rules! byte_enums {
+    ($($ty:ident { $($byte:literal => $variant:ident),+ })+) => {$(
+        impl Wire for $ty {
+            fn put(&self, buf: &mut BytesMut) {
+                buf.put_u8(match self {
+                    $($ty::$variant => $byte,)+
+                });
+            }
+            fn get(buf: &mut &[u8]) -> WireResult<Self> {
+                match wire::get_u8(buf)? {
+                    $($byte => Ok($ty::$variant),)+
+                    d => Err(WireError::BadDiscriminant(d)),
+                }
+            }
+        }
+    )+};
+}
+
+byte_enums! {
+    VolumeKind { 0 => Root, 1 => UserDefined, 2 => Shared }
+    NodeKind { 0 => File, 1 => Directory }
+}
+
+/// A presence byte (a strict bool), then the value when present.
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, buf: &mut BytesMut) {
+        self.is_some().put(buf);
+        if let Some(v) = self {
+            v.put(buf);
+        }
+    }
+    fn get(buf: &mut &[u8]) -> WireResult<Self> {
+        Ok(if bool::get(buf)? {
+            Some(T::get(buf)?)
+        } else {
+            None
+        })
     }
 }
 
-fn put_volume_info(buf: &mut impl BufMut, v: &VolumeInfo) {
-    wire::put_uvarint(buf, v.volume.raw());
-    put_volume_kind(buf, v.kind);
-    wire::put_uvarint(buf, v.generation);
-    wire::put_opt_uvarint(buf, v.owner.map(|u| u.raw()));
-    wire::put_uvarint(buf, v.node_count);
+/// An element of a counted list, and the most elements a list may declare.
+trait Listed: Wire + Sized {
+    const MAX: usize;
 }
 
-fn get_volume_info(buf: &mut impl Buf) -> WireResult<VolumeInfo> {
-    Ok(VolumeInfo {
-        volume: VolumeId::new(wire::get_uvarint(buf)?),
-        kind: get_volume_kind(buf)?,
-        generation: wire::get_uvarint(buf)?,
-        owner: wire::get_opt_uvarint(buf)?.map(UserId::new),
-        node_count: wire::get_uvarint(buf)?,
-    })
+impl Listed for String {
+    const MAX: usize = 1024;
 }
 
-fn put_node_info(buf: &mut impl BufMut, n: &NodeInfo) {
-    wire::put_uvarint(buf, n.node.raw());
-    put_node_kind(buf, n.kind);
-    wire::put_opt_uvarint(buf, n.parent.map(|p| p.raw()));
-    wire::put_str(buf, &n.name);
-    wire::put_uvarint(buf, n.size);
-    put_opt_hash(buf, &n.hash);
-    wire::put_uvarint(buf, n.generation);
-    buf.put_u8(u8::from(n.is_dead));
+impl Listed for VolumeInfo {
+    const MAX: usize = 1_000_000;
 }
 
-fn get_node_info(buf: &mut impl Buf) -> WireResult<NodeInfo> {
-    Ok(NodeInfo {
-        node: NodeId::new(wire::get_uvarint(buf)?),
-        kind: get_node_kind(buf)?,
-        parent: wire::get_opt_uvarint(buf)?.map(NodeId::new),
-        name: wire::get_str(buf)?.into(),
-        size: wire::get_uvarint(buf)?,
-        hash: get_opt_hash(buf)?,
-        generation: wire::get_uvarint(buf)?,
-        is_dead: match wire::get_u8(buf)? {
-            0 => false,
-            1 => true,
+impl Listed for NodeInfo {
+    const MAX: usize = 10_000_000;
+}
+
+/// A varint count, then the elements. A count is only a claim, so at most
+/// 1,024 elements are reserved before they arrive.
+impl<T: Listed> Wire for Vec<T> {
+    fn put(&self, buf: &mut BytesMut) {
+        wire::put_uvarint(buf, self.len() as u64);
+        for v in self {
+            v.put(buf);
+        }
+    }
+    fn get(buf: &mut &[u8]) -> WireResult<Self> {
+        let n = wire::get_uvarint_len(buf)?;
+        if n > T::MAX {
+            return Err(WireError::BadLength);
+        }
+        let mut out = Vec::with_capacity(n.min(1024));
+        for _ in 0..n {
+            out.push(T::get(buf)?);
+        }
+        Ok(out)
+    }
+}
+
+/// Structs travel as their fields, in the order listed.
+macro_rules! structs {
+    ($($ty:ident { $($field:ident),+ })+) => {$(
+        impl Wire for $ty {
+            fn put(&self, buf: &mut BytesMut) {
+                $(self.$field.put(buf);)+
+            }
+            fn get(buf: &mut &[u8]) -> WireResult<Self> {
+                Ok(Self { $($field: Wire::get(buf)?),+ })
+            }
+        }
+    )+};
+}
+
+structs! {
+    VolumeInfo { volume, kind, generation, owner, node_count }
+    NodeInfo { node, kind, parent, name, size, hash, generation, is_dead }
+}
+
+/// One table per message kind: each line is `tag, "label", Variant { fields
+/// in wire order }`. A variant travels as its tag byte, then its fields.
+macro_rules! messages {
+    ($(
+        $kind:ident {
+            $($tag:literal, $label:literal, $variant:ident $({ $($field:ident),+ })?,)+
+        }
+    )+) => {$(
+        impl $kind {
+            /// Short label for logging and diagnostics.
+            pub fn label(&self) -> &'static str {
+                match self {
+                    $(Self::$variant { .. } => $label,)+
+                }
+            }
+
+            fn tag(&self) -> u8 {
+                match self {
+                    $(Self::$variant { .. } => $tag,)+
+                }
+            }
+        }
+
+        impl Wire for $kind {
+            fn put(&self, buf: &mut BytesMut) {
+                buf.put_u8(self.tag());
+                match self {
+                    $(Self::$variant $({ $($field),+ })? => {
+                        $($($field.put(buf);)+)?
+                    })+
+                }
+            }
+
+            // A tag listed twice is a compile error, not a dead line.
+            #[deny(unreachable_patterns)]
+            fn get(buf: &mut &[u8]) -> WireResult<Self> {
+                Ok(match wire::get_u8(buf)? {
+                    $($tag => Self::$variant $({ $($field: Wire::get(buf)?),+ })?,)+
+                    d => return Err(WireError::BadDiscriminant(d)),
+                })
+            }
+        }
+    )+};
+}
+
+messages! {
+    Request {
+        1, "authenticate", Authenticate { token },
+        2, "query_set_caps", QuerySetCaps { caps },
+        3, "list_volumes", ListVolumes,
+        4, "list_shares", ListShares,
+        5, "create_udf", CreateUdf { name },
+        6, "delete_volume", DeleteVolume { volume },
+        7, "make_file", MakeFile { volume, parent, name },
+        8, "make_dir", MakeDir { volume, parent, name },
+        9, "unlink", Unlink { volume, node },
+        10, "move", Move { volume, node, new_parent, new_name },
+        11, "get_delta", GetDelta { volume, from_generation },
+        12, "rescan_from_scratch", RescanFromScratch { volume },
+        13, "begin_upload", BeginUpload { volume, node, hash, size },
+        14, "upload_chunk", UploadChunk { upload, data },
+        15, "commit_upload", CommitUpload { upload },
+        16, "cancel_upload", CancelUpload { upload },
+        17, "get_content", GetContent { volume, node },
+        18, "ping", Ping,
+        19, "upload_chunk_sparse", UploadChunkSparse { upload, len },
+        20, "bye", Bye,
+        21, "resume_upload", ResumeUpload { upload },
+    }
+    Response {
+        1, "ok", Ok,
+        2, "error", Error { code, message },
+        3, "auth_ok", AuthOk { session, user },
+        4, "capabilities", Capabilities { accepted },
+        5, "volumes", Volumes { volumes },
+        6, "volume_created", VolumeCreated { volume, generation },
+        7, "node_created", NodeCreated { node, generation },
+        8, "delta", Delta { volume, generation, nodes },
+        9, "upload_begun", UploadBegun { upload, offset },
+        10, "upload_done", UploadDone { node, generation, hash },
+        11, "content_begin", ContentBegin { size, hash },
+        12, "content_chunk", ContentChunk { data },
+        13, "content_end", ContentEnd,
+        14, "pong", Pong,
+    }
+    Push {
+        1, "volume_changed", VolumeChanged { volume, generation },
+        2, "volume_created", VolumeCreated { volume, kind },
+        3, "volume_deleted", VolumeDeleted { volume },
+    }
+}
+
+fn put_head(buf: &mut BytesMut, kind: u8, id: RequestId) {
+    buf.put_u8(kind);
+    id.put(buf);
+}
+
+impl Wire for Message {
+    fn put(&self, buf: &mut BytesMut) {
+        match self {
+            Message::Request { id, req } => {
+                put_head(buf, KIND_REQUEST, *id);
+                req.put(buf);
+            }
+            Message::Response { id, resp } => {
+                put_head(buf, KIND_RESPONSE, *id);
+                resp.put(buf);
+            }
+            Message::Push(push) => {
+                buf.put_u8(KIND_PUSH);
+                push.put(buf);
+            }
+        }
+    }
+
+    fn get(buf: &mut &[u8]) -> WireResult<Self> {
+        Ok(match wire::get_u8(buf)? {
+            KIND_REQUEST => Message::Request {
+                id: Wire::get(buf)?,
+                req: Wire::get(buf)?,
+            },
+            KIND_RESPONSE => Message::Response {
+                id: Wire::get(buf)?,
+                resp: Wire::get(buf)?,
+            },
+            KIND_PUSH => Message::Push(Wire::get(buf)?),
             d => return Err(WireError::BadDiscriminant(d)),
-        },
-    })
-}
-
-mod req_tag {
-    pub const AUTHENTICATE: u8 = 1;
-    pub const QUERY_SET_CAPS: u8 = 2;
-    pub const LIST_VOLUMES: u8 = 3;
-    pub const LIST_SHARES: u8 = 4;
-    pub const CREATE_UDF: u8 = 5;
-    pub const DELETE_VOLUME: u8 = 6;
-    pub const MAKE_FILE: u8 = 7;
-    pub const MAKE_DIR: u8 = 8;
-    pub const UNLINK: u8 = 9;
-    pub const MOVE: u8 = 10;
-    pub const GET_DELTA: u8 = 11;
-    pub const RESCAN: u8 = 12;
-    pub const BEGIN_UPLOAD: u8 = 13;
-    pub const UPLOAD_CHUNK: u8 = 14;
-    pub const COMMIT_UPLOAD: u8 = 15;
-    pub const CANCEL_UPLOAD: u8 = 16;
-    pub const GET_CONTENT: u8 = 17;
-    pub const PING: u8 = 18;
-    pub const UPLOAD_CHUNK_SPARSE: u8 = 19;
-    pub const BYE: u8 = 20;
-    pub const RESUME_UPLOAD: u8 = 21;
-}
-
-fn put_request(buf: &mut impl BufMut, req: &Request) {
-    use req_tag::*;
-    match req {
-        Request::Authenticate { token } => {
-            buf.put_u8(AUTHENTICATE);
-            wire::put_bytes(buf, token);
-        }
-        Request::QuerySetCaps { caps } => {
-            buf.put_u8(QUERY_SET_CAPS);
-            wire::put_uvarint(buf, caps.len() as u64);
-            for c in caps {
-                wire::put_str(buf, c);
-            }
-        }
-        Request::ListVolumes => buf.put_u8(LIST_VOLUMES),
-        Request::ListShares => buf.put_u8(LIST_SHARES),
-        Request::CreateUdf { name } => {
-            buf.put_u8(CREATE_UDF);
-            wire::put_str(buf, name);
-        }
-        Request::DeleteVolume { volume } => {
-            buf.put_u8(DELETE_VOLUME);
-            wire::put_uvarint(buf, volume.raw());
-        }
-        Request::MakeFile {
-            volume,
-            parent,
-            name,
-        } => {
-            buf.put_u8(MAKE_FILE);
-            wire::put_uvarint(buf, volume.raw());
-            wire::put_uvarint(buf, parent.raw());
-            wire::put_str(buf, name);
-        }
-        Request::MakeDir {
-            volume,
-            parent,
-            name,
-        } => {
-            buf.put_u8(MAKE_DIR);
-            wire::put_uvarint(buf, volume.raw());
-            wire::put_uvarint(buf, parent.raw());
-            wire::put_str(buf, name);
-        }
-        Request::Unlink { volume, node } => {
-            buf.put_u8(UNLINK);
-            wire::put_uvarint(buf, volume.raw());
-            wire::put_uvarint(buf, node.raw());
-        }
-        Request::Move {
-            volume,
-            node,
-            new_parent,
-            new_name,
-        } => {
-            buf.put_u8(MOVE);
-            wire::put_uvarint(buf, volume.raw());
-            wire::put_uvarint(buf, node.raw());
-            wire::put_uvarint(buf, new_parent.raw());
-            wire::put_str(buf, new_name);
-        }
-        Request::GetDelta {
-            volume,
-            from_generation,
-        } => {
-            buf.put_u8(GET_DELTA);
-            wire::put_uvarint(buf, volume.raw());
-            wire::put_uvarint(buf, *from_generation);
-        }
-        Request::RescanFromScratch { volume } => {
-            buf.put_u8(RESCAN);
-            wire::put_uvarint(buf, volume.raw());
-        }
-        Request::BeginUpload {
-            volume,
-            node,
-            hash,
-            size,
-        } => {
-            buf.put_u8(BEGIN_UPLOAD);
-            wire::put_uvarint(buf, volume.raw());
-            wire::put_uvarint(buf, node.raw());
-            wire::put_hash(buf, hash);
-            wire::put_uvarint(buf, *size);
-        }
-        Request::UploadChunk { upload, data } => put_upload_chunk(buf, *upload, data),
-        Request::UploadChunkSparse { upload, len } => {
-            buf.put_u8(UPLOAD_CHUNK_SPARSE);
-            wire::put_uvarint(buf, upload.raw());
-            wire::put_uvarint(buf, *len);
-        }
-        Request::ResumeUpload { upload } => {
-            buf.put_u8(RESUME_UPLOAD);
-            wire::put_uvarint(buf, upload.raw());
-        }
-        Request::CommitUpload { upload } => {
-            buf.put_u8(COMMIT_UPLOAD);
-            wire::put_uvarint(buf, upload.raw());
-        }
-        Request::CancelUpload { upload } => {
-            buf.put_u8(CANCEL_UPLOAD);
-            wire::put_uvarint(buf, upload.raw());
-        }
-        Request::GetContent { volume, node } => {
-            buf.put_u8(GET_CONTENT);
-            wire::put_uvarint(buf, volume.raw());
-            wire::put_uvarint(buf, node.raw());
-        }
-        Request::Ping => buf.put_u8(PING),
-        Request::Bye => buf.put_u8(BYE),
+        })
     }
-}
-
-fn put_upload_chunk(buf: &mut impl BufMut, upload: UploadId, data: &[u8]) {
-    buf.put_u8(req_tag::UPLOAD_CHUNK);
-    wire::put_uvarint(buf, upload.raw());
-    wire::put_bytes(buf, data);
-}
-
-fn get_request(buf: &mut impl Buf) -> WireResult<Request> {
-    use req_tag::*;
-    Ok(match wire::get_u8(buf)? {
-        AUTHENTICATE => Request::Authenticate {
-            token: wire::get_bytes(buf)?,
-        },
-        QUERY_SET_CAPS => {
-            let n = wire::get_uvarint_len(buf)?;
-            if n > 1024 {
-                return Err(WireError::BadLength);
-            }
-            let mut caps = Vec::with_capacity(n);
-            for _ in 0..n {
-                caps.push(wire::get_str(buf)?);
-            }
-            Request::QuerySetCaps { caps }
-        }
-        LIST_VOLUMES => Request::ListVolumes,
-        LIST_SHARES => Request::ListShares,
-        CREATE_UDF => Request::CreateUdf {
-            name: wire::get_str(buf)?,
-        },
-        DELETE_VOLUME => Request::DeleteVolume {
-            volume: VolumeId::new(wire::get_uvarint(buf)?),
-        },
-        MAKE_FILE => Request::MakeFile {
-            volume: VolumeId::new(wire::get_uvarint(buf)?),
-            parent: NodeId::new(wire::get_uvarint(buf)?),
-            name: wire::get_str(buf)?,
-        },
-        MAKE_DIR => Request::MakeDir {
-            volume: VolumeId::new(wire::get_uvarint(buf)?),
-            parent: NodeId::new(wire::get_uvarint(buf)?),
-            name: wire::get_str(buf)?,
-        },
-        UNLINK => Request::Unlink {
-            volume: VolumeId::new(wire::get_uvarint(buf)?),
-            node: NodeId::new(wire::get_uvarint(buf)?),
-        },
-        MOVE => Request::Move {
-            volume: VolumeId::new(wire::get_uvarint(buf)?),
-            node: NodeId::new(wire::get_uvarint(buf)?),
-            new_parent: NodeId::new(wire::get_uvarint(buf)?),
-            new_name: wire::get_str(buf)?,
-        },
-        GET_DELTA => Request::GetDelta {
-            volume: VolumeId::new(wire::get_uvarint(buf)?),
-            from_generation: wire::get_uvarint(buf)?,
-        },
-        RESCAN => Request::RescanFromScratch {
-            volume: VolumeId::new(wire::get_uvarint(buf)?),
-        },
-        BEGIN_UPLOAD => Request::BeginUpload {
-            volume: VolumeId::new(wire::get_uvarint(buf)?),
-            node: NodeId::new(wire::get_uvarint(buf)?),
-            hash: wire::get_hash(buf)?,
-            size: wire::get_uvarint(buf)?,
-        },
-        UPLOAD_CHUNK => Request::UploadChunk {
-            upload: UploadId::new(wire::get_uvarint(buf)?),
-            data: wire::get_bytes(buf)?,
-        },
-        UPLOAD_CHUNK_SPARSE => Request::UploadChunkSparse {
-            upload: UploadId::new(wire::get_uvarint(buf)?),
-            len: wire::get_uvarint(buf)?,
-        },
-        RESUME_UPLOAD => Request::ResumeUpload {
-            upload: UploadId::new(wire::get_uvarint(buf)?),
-        },
-        COMMIT_UPLOAD => Request::CommitUpload {
-            upload: UploadId::new(wire::get_uvarint(buf)?),
-        },
-        CANCEL_UPLOAD => Request::CancelUpload {
-            upload: UploadId::new(wire::get_uvarint(buf)?),
-        },
-        GET_CONTENT => Request::GetContent {
-            volume: VolumeId::new(wire::get_uvarint(buf)?),
-            node: NodeId::new(wire::get_uvarint(buf)?),
-        },
-        PING => Request::Ping,
-        BYE => Request::Bye,
-        d => return Err(WireError::BadDiscriminant(d)),
-    })
-}
-
-mod resp_tag {
-    pub const OK: u8 = 1;
-    pub const ERROR: u8 = 2;
-    pub const AUTH_OK: u8 = 3;
-    pub const CAPABILITIES: u8 = 4;
-    pub const VOLUMES: u8 = 5;
-    pub const VOLUME_CREATED: u8 = 6;
-    pub const NODE_CREATED: u8 = 7;
-    pub const DELTA: u8 = 8;
-    pub const UPLOAD_BEGUN: u8 = 9;
-    pub const UPLOAD_DONE: u8 = 10;
-    pub const CONTENT_BEGIN: u8 = 11;
-    pub const CONTENT_CHUNK: u8 = 12;
-    pub const CONTENT_END: u8 = 13;
-    pub const PONG: u8 = 14;
-}
-
-fn put_response(buf: &mut impl BufMut, resp: &Response) {
-    use resp_tag::*;
-    match resp {
-        Response::Ok => buf.put_u8(OK),
-        Response::Error { code, message } => {
-            buf.put_u8(ERROR);
-            wire::put_str(buf, code);
-            wire::put_str(buf, message);
-        }
-        Response::AuthOk { session, user } => {
-            buf.put_u8(AUTH_OK);
-            wire::put_uvarint(buf, session.raw());
-            wire::put_uvarint(buf, user.raw());
-        }
-        Response::Capabilities { accepted } => {
-            buf.put_u8(CAPABILITIES);
-            wire::put_uvarint(buf, accepted.len() as u64);
-            for c in accepted {
-                wire::put_str(buf, c);
-            }
-        }
-        Response::Volumes { volumes } => {
-            buf.put_u8(VOLUMES);
-            wire::put_uvarint(buf, volumes.len() as u64);
-            for v in volumes {
-                put_volume_info(buf, v);
-            }
-        }
-        Response::VolumeCreated { volume, generation } => {
-            buf.put_u8(VOLUME_CREATED);
-            wire::put_uvarint(buf, volume.raw());
-            wire::put_uvarint(buf, *generation);
-        }
-        Response::NodeCreated { node, generation } => {
-            buf.put_u8(NODE_CREATED);
-            wire::put_uvarint(buf, node.raw());
-            wire::put_uvarint(buf, *generation);
-        }
-        Response::Delta {
-            volume,
-            generation,
-            nodes,
-        } => {
-            buf.put_u8(DELTA);
-            wire::put_uvarint(buf, volume.raw());
-            wire::put_uvarint(buf, *generation);
-            wire::put_uvarint(buf, nodes.len() as u64);
-            for n in nodes {
-                put_node_info(buf, n);
-            }
-        }
-        Response::UploadBegun { upload, offset } => {
-            buf.put_u8(UPLOAD_BEGUN);
-            wire::put_uvarint(buf, upload.raw());
-            wire::put_uvarint(buf, *offset);
-        }
-        Response::UploadDone {
-            node,
-            generation,
-            hash,
-        } => {
-            buf.put_u8(UPLOAD_DONE);
-            wire::put_uvarint(buf, node.raw());
-            wire::put_uvarint(buf, *generation);
-            wire::put_hash(buf, hash);
-        }
-        Response::ContentBegin { size, hash } => {
-            buf.put_u8(CONTENT_BEGIN);
-            wire::put_uvarint(buf, *size);
-            wire::put_hash(buf, hash);
-        }
-        Response::ContentChunk { data } => put_content_chunk(buf, data),
-        Response::ContentEnd => buf.put_u8(CONTENT_END),
-        Response::Pong => buf.put_u8(PONG),
-    }
-}
-
-fn put_content_chunk(buf: &mut impl BufMut, data: &[u8]) {
-    buf.put_u8(resp_tag::CONTENT_CHUNK);
-    wire::put_bytes(buf, data);
-}
-
-fn get_response(buf: &mut impl Buf) -> WireResult<Response> {
-    use resp_tag::*;
-    Ok(match wire::get_u8(buf)? {
-        OK => Response::Ok,
-        ERROR => Response::Error {
-            code: wire::get_str(buf)?,
-            message: wire::get_str(buf)?,
-        },
-        AUTH_OK => Response::AuthOk {
-            session: SessionId::new(wire::get_uvarint(buf)?),
-            user: UserId::new(wire::get_uvarint(buf)?),
-        },
-        CAPABILITIES => {
-            let n = wire::get_uvarint_len(buf)?;
-            if n > 1024 {
-                return Err(WireError::BadLength);
-            }
-            let mut accepted = Vec::with_capacity(n);
-            for _ in 0..n {
-                accepted.push(wire::get_str(buf)?);
-            }
-            Response::Capabilities { accepted }
-        }
-        VOLUMES => {
-            let n = wire::get_uvarint_len(buf)?;
-            if n > 1_000_000 {
-                return Err(WireError::BadLength);
-            }
-            let mut volumes = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                volumes.push(get_volume_info(buf)?);
-            }
-            Response::Volumes { volumes }
-        }
-        VOLUME_CREATED => Response::VolumeCreated {
-            volume: VolumeId::new(wire::get_uvarint(buf)?),
-            generation: wire::get_uvarint(buf)?,
-        },
-        NODE_CREATED => Response::NodeCreated {
-            node: NodeId::new(wire::get_uvarint(buf)?),
-            generation: wire::get_uvarint(buf)?,
-        },
-        DELTA => {
-            let volume = VolumeId::new(wire::get_uvarint(buf)?);
-            let generation = wire::get_uvarint(buf)?;
-            let n = wire::get_uvarint_len(buf)?;
-            if n > 10_000_000 {
-                return Err(WireError::BadLength);
-            }
-            let mut nodes = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                nodes.push(get_node_info(buf)?);
-            }
-            Response::Delta {
-                volume,
-                generation,
-                nodes,
-            }
-        }
-        UPLOAD_BEGUN => Response::UploadBegun {
-            upload: UploadId::new(wire::get_uvarint(buf)?),
-            offset: wire::get_uvarint(buf)?,
-        },
-        UPLOAD_DONE => Response::UploadDone {
-            node: NodeId::new(wire::get_uvarint(buf)?),
-            generation: wire::get_uvarint(buf)?,
-            hash: wire::get_hash(buf)?,
-        },
-        CONTENT_BEGIN => Response::ContentBegin {
-            size: wire::get_uvarint(buf)?,
-            hash: wire::get_hash(buf)?,
-        },
-        CONTENT_CHUNK => Response::ContentChunk {
-            data: wire::get_bytes(buf)?,
-        },
-        CONTENT_END => Response::ContentEnd,
-        PONG => Response::Pong,
-        d => return Err(WireError::BadDiscriminant(d)),
-    })
-}
-
-mod push_tag {
-    pub const VOLUME_CHANGED: u8 = 1;
-    pub const VOLUME_CREATED: u8 = 2;
-    pub const VOLUME_DELETED: u8 = 3;
-}
-
-fn put_push(buf: &mut impl BufMut, push: &Push) {
-    use push_tag::*;
-    match push {
-        Push::VolumeChanged { volume, generation } => {
-            buf.put_u8(VOLUME_CHANGED);
-            wire::put_uvarint(buf, volume.raw());
-            wire::put_uvarint(buf, *generation);
-        }
-        Push::VolumeCreated { volume, kind } => {
-            buf.put_u8(VOLUME_CREATED);
-            wire::put_uvarint(buf, volume.raw());
-            put_volume_kind(buf, *kind);
-        }
-        Push::VolumeDeleted { volume } => {
-            buf.put_u8(VOLUME_DELETED);
-            wire::put_uvarint(buf, volume.raw());
-        }
-    }
-}
-
-fn get_push(buf: &mut impl Buf) -> WireResult<Push> {
-    use push_tag::*;
-    Ok(match wire::get_u8(buf)? {
-        VOLUME_CHANGED => Push::VolumeChanged {
-            volume: VolumeId::new(wire::get_uvarint(buf)?),
-            generation: wire::get_uvarint(buf)?,
-        },
-        VOLUME_CREATED => Push::VolumeCreated {
-            volume: VolumeId::new(wire::get_uvarint(buf)?),
-            kind: get_volume_kind(buf)?,
-        },
-        VOLUME_DELETED => Push::VolumeDeleted {
-            volume: VolumeId::new(wire::get_uvarint(buf)?),
-        },
-        d => return Err(WireError::BadDiscriminant(d)),
-    })
-}
-
-fn put_request_head(buf: &mut impl BufMut, id: RequestId) {
-    buf.put_u8(KIND_REQUEST);
-    wire::put_uvarint(buf, u64::from(id));
-}
-
-fn put_response_head(buf: &mut impl BufMut, id: RequestId) {
-    buf.put_u8(KIND_RESPONSE);
-    wire::put_uvarint(buf, u64::from(id));
 }
 
 /// Room for everything in a message except its variable-length fields:
@@ -605,28 +387,11 @@ fn room_for(msg: &Message) -> usize {
         }
 }
 
-fn put_message(buf: &mut impl BufMut, msg: &Message) {
-    match msg {
-        Message::Request { id, req } => {
-            put_request_head(buf, *id);
-            put_request(buf, req);
-        }
-        Message::Response { id, resp } => {
-            put_response_head(buf, *id);
-            put_response(buf, resp);
-        }
-        Message::Push(push) => {
-            buf.put_u8(KIND_PUSH);
-            put_push(buf, push);
-        }
-    }
-}
-
 /// Encodes a message into `buf`, reserving its size first so a large
 /// payload is copied once and never moved by buffer growth.
 pub fn encode(msg: &Message, buf: &mut BytesMut) {
     buf.reserve(room_for(msg));
-    put_message(buf, msg);
+    msg.put(buf);
 }
 
 /// Encodes `msg` as a complete frame, length prefix included — byte for
@@ -634,7 +399,7 @@ pub fn encode(msg: &Message, buf: &mut BytesMut) {
 /// from a single buffer sized up front. Fails when the body exceeds
 /// [`crate::frame::MAX_FRAME_LEN`].
 pub fn encode_framed(msg: &Message) -> Result<Bytes, FrameError> {
-    build_frame(room_for(msg), |buf| put_message(buf, msg))
+    build_frame(room_for(msg), |buf| msg.put(buf))
 }
 
 /// The frame of `Request::UploadChunk { upload, data }` under request `id`,
@@ -645,42 +410,34 @@ pub fn frame_upload_chunk(
     upload: UploadId,
     data: &[u8],
 ) -> Result<Bytes, FrameError> {
+    let tag = Request::UploadChunk {
+        upload,
+        data: Vec::new(),
+    }
+    .tag();
     build_frame(FIXED_PART + data.len(), |buf| {
-        put_request_head(buf, id);
-        put_upload_chunk(buf, upload, data);
+        put_head(buf, KIND_REQUEST, id);
+        buf.put_u8(tag);
+        upload.put(buf);
+        data.put(buf);
     })
 }
 
 /// The frame of `Response::ContentChunk { data }` answering request `id`,
 /// built from borrowed payload bytes.
 pub fn frame_content_chunk(id: RequestId, data: &[u8]) -> Result<Bytes, FrameError> {
+    let tag = Response::ContentChunk { data: Vec::new() }.tag();
     build_frame(FIXED_PART + data.len(), |buf| {
-        put_response_head(buf, id);
-        put_content_chunk(buf, data);
+        put_head(buf, KIND_RESPONSE, id);
+        buf.put_u8(tag);
+        data.put(buf);
     })
 }
 
 /// Decodes one message from a complete frame body. Trailing bytes are an
 /// error — frames carry exactly one message.
 pub fn decode(mut body: &[u8]) -> WireResult<Message> {
-    let msg = match wire::get_u8(&mut body)? {
-        KIND_REQUEST => {
-            let id = wire::get_uvarint_u32(&mut body)?;
-            Message::Request {
-                id,
-                req: get_request(&mut body)?,
-            }
-        }
-        KIND_RESPONSE => {
-            let id = wire::get_uvarint_u32(&mut body)?;
-            Message::Response {
-                id,
-                resp: get_response(&mut body)?,
-            }
-        }
-        KIND_PUSH => Message::Push(get_push(&mut body)?),
-        d => return Err(WireError::BadDiscriminant(d)),
-    };
+    let msg = Message::get(&mut body)?;
     wire::expect_eof(&body)?;
     Ok(msg)
 }

@@ -22,7 +22,9 @@
 //!
 //! Byte-level layout is the codec's concern (varints and length-prefixed
 //! strings per [`crate::wire`], one message per length-prefixed frame per
-//! [`crate::frame`]); this module is the vocabulary.
+//! [`crate::frame`]); this module is the vocabulary. Each variant's tag,
+//! label and field order are one line of a table in [`crate::codec`],
+//! which also generates `label()`.
 
 use u1_core::{
     ContentHash, Name, NodeId, NodeKind, SessionId, UploadId, UserId, VolumeId, VolumeKind,
@@ -165,33 +167,6 @@ pub enum Request {
 }
 
 impl Request {
-    /// Short label for logging/diagnostics.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Request::Authenticate { .. } => "authenticate",
-            Request::QuerySetCaps { .. } => "query_set_caps",
-            Request::ListVolumes => "list_volumes",
-            Request::ListShares => "list_shares",
-            Request::CreateUdf { .. } => "create_udf",
-            Request::DeleteVolume { .. } => "delete_volume",
-            Request::MakeFile { .. } => "make_file",
-            Request::MakeDir { .. } => "make_dir",
-            Request::Unlink { .. } => "unlink",
-            Request::Move { .. } => "move",
-            Request::GetDelta { .. } => "get_delta",
-            Request::RescanFromScratch { .. } => "rescan_from_scratch",
-            Request::BeginUpload { .. } => "begin_upload",
-            Request::UploadChunk { .. } => "upload_chunk",
-            Request::UploadChunkSparse { .. } => "upload_chunk_sparse",
-            Request::ResumeUpload { .. } => "resume_upload",
-            Request::CommitUpload { .. } => "commit_upload",
-            Request::CancelUpload { .. } => "cancel_upload",
-            Request::GetContent { .. } => "get_content",
-            Request::Ping => "ping",
-            Request::Bye => "bye",
-        }
-    }
-
     /// True for the requests allowed before authentication completes.
     pub fn allowed_unauthenticated(&self) -> bool {
         matches!(
@@ -257,25 +232,6 @@ pub enum Response {
 }
 
 impl Response {
-    pub fn label(&self) -> &'static str {
-        match self {
-            Response::Ok => "ok",
-            Response::Error { .. } => "error",
-            Response::AuthOk { .. } => "auth_ok",
-            Response::Capabilities { .. } => "capabilities",
-            Response::Volumes { .. } => "volumes",
-            Response::VolumeCreated { .. } => "volume_created",
-            Response::NodeCreated { .. } => "node_created",
-            Response::Delta { .. } => "delta",
-            Response::UploadBegun { .. } => "upload_begun",
-            Response::UploadDone { .. } => "upload_done",
-            Response::ContentBegin { .. } => "content_begin",
-            Response::ContentChunk { .. } => "content_chunk",
-            Response::ContentEnd => "content_end",
-            Response::Pong => "pong",
-        }
-    }
-
     /// Whether this response terminates its request (content streams only
     /// end at `ContentEnd`/`Error`).
     pub fn is_final(&self) -> bool {
