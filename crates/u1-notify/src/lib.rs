@@ -12,9 +12,9 @@
 //! The broker is generic over the event type; the server crate publishes
 //! its own `VolumeEvent`.
 
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use u1_core::sync::RwLock;
 
 /// Identifies one subscriber (one API server process).
@@ -68,7 +68,7 @@ impl<T: Clone + Send + 'static> Broker<T> {
     /// and the receiving end of its queue.
     pub fn subscribe(&self) -> (SubscriberId, Receiver<T>) {
         let id = SubscriberId(self.next_id.fetch_add(1, Ordering::Relaxed));
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         self.subscribers.write().insert(id, tx);
         (id, rx)
     }
@@ -123,13 +123,7 @@ impl<T: Clone + Send + 'static> Broker<T> {
 
 /// Drains every event currently queued for a subscriber without blocking.
 pub fn drain<T>(rx: &Receiver<T>) -> Vec<T> {
-    let mut out = Vec::new();
-    loop {
-        match rx.try_recv() {
-            Ok(ev) => out.push(ev),
-            Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => return out,
-        }
-    }
+    rx.try_iter().collect()
 }
 
 #[cfg(test)]

@@ -6,8 +6,8 @@ use crate::cluster::{Cluster, ClusterConfig, Slot};
 use crate::push::{PushRouter, VolumeEvent};
 use crate::session::{SessionHandle, SessionTable};
 use crate::tokencache::{TokenCache, TokenCacheStats};
-use crossbeam::channel::Receiver;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 use u1_auth::{AuthConfig, AuthService};
 use u1_blobstore::BlobStore;
@@ -110,8 +110,9 @@ pub struct Backend {
     /// deterministic, while cross-shard entries would race the reader.
     missed_notify: Mutex<FxHashMap<UserId, Vec<VolumeId>>>,
     /// One broker subscription per API process; drained synchronously after
-    /// every publish (`pump_broker`).
-    subscriptions: Vec<(Slot, SubscriberId, Receiver<VolumeEvent>)>,
+    /// every publish (`pump_broker`). A channel receiver is not `Sync`, so
+    /// each is behind a lock, held only while its queue is drained.
+    subscriptions: Vec<(Slot, SubscriberId, Mutex<Receiver<VolumeEvent>>)>,
     slot_to_sub: FxHashMap<(u16, u16), SubscriberId>,
 }
 
@@ -132,7 +133,7 @@ impl Backend {
         for (slot, _) in cluster.active_sessions() {
             let (id, rx) = broker.subscribe();
             slot_to_sub.insert((slot.machine.raw(), slot.process.raw()), id);
-            subscriptions.push((slot, id, rx));
+            subscriptions.push((slot, id, Mutex::new(rx)));
         }
         let token_cache = cfg.auth_cache_ttl.map(TokenCache::new);
         Self {
@@ -425,7 +426,9 @@ impl Backend {
     /// also usable directly in tests.
     pub fn pump_broker(&self) {
         for (slot, _, rx) in &self.subscriptions {
-            for ev in u1_notify::drain(rx) {
+            // Drained before delivering: delivery takes other leaf locks.
+            let events = u1_notify::drain(&rx.lock());
+            for ev in events {
                 for user in &ev.targets {
                     for sess in self.sessions.sessions_of(*user) {
                         if sess.session != ev.origin_session && sess.slot == *slot {

@@ -7,8 +7,8 @@
 //! so the same-process shortcut of footnote 4 is observable.
 
 use crate::cluster::Slot;
-use crossbeam::channel::Sender;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::Sender;
 use u1_core::sync::RwLock;
 use u1_core::{FxHashMap, SessionId, UserId, VolumeId};
 use u1_proto::msg::Push;
@@ -87,7 +87,7 @@ impl PushRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::unbounded;
+    use std::sync::mpsc::channel;
 
     fn push() -> Push {
         Push::VolumeChanged {
@@ -99,10 +99,10 @@ mod tests {
     #[test]
     fn delivery_reaches_registered_endpoint() {
         let router = PushRouter::new();
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         router.register(SessionId::new(1), tx);
         router.deliver(SessionId::new(1), push(), true);
-        assert_eq!(rx.len(), 1);
+        assert_eq!(rx.try_iter().count(), 1);
         assert_eq!(router.stats(), (1, 0, 0));
     }
 
@@ -116,18 +116,18 @@ mod tests {
     #[test]
     fn unregister_stops_delivery() {
         let router = PushRouter::new();
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         router.register(SessionId::new(1), tx);
         router.unregister(SessionId::new(1));
         router.deliver(SessionId::new(1), push(), false);
-        assert!(rx.is_empty());
+        assert!(rx.try_recv().is_err());
         assert_eq!(router.stats(), (0, 0, 1));
     }
 
     #[test]
     fn local_and_remote_paths_are_counted_separately() {
         let router = PushRouter::new();
-        let (tx, _rx) = unbounded();
+        let (tx, _rx) = channel();
         router.register(SessionId::new(1), tx);
         router.deliver(SessionId::new(1), push(), true);
         router.deliver(SessionId::new(1), push(), false);
