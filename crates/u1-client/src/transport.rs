@@ -466,7 +466,7 @@ impl TcpTransport {
         let mut last = None;
         self.recv(id, |resp| last = Some(resp))?;
         match last {
-            Some(Response::Error { code, message }) => Err(wire_error(&code, message)),
+            Some(Response::Error { code, message }) => Err(CoreError::from_code(&code, message)),
             Some(resp) => Ok(resp),
             None => Err(CoreError::invalid("no response")),
         }
@@ -493,7 +493,9 @@ impl TcpTransport {
                 data.extend_from_slice(&d);
             }
             Response::ContentEnd => {}
-            Response::Error { code, message } => refused = Some(wire_error(&code, message)),
+            Response::Error { code, message } => {
+                refused = Some(CoreError::from_code(&code, message))
+            }
             other => refused = Some(unexpected(&other)),
         })?;
         if let Some(e) = refused {
@@ -510,18 +512,6 @@ impl TcpTransport {
 
 fn encode_error(e: u1_proto::ConnError) -> CoreError {
     CoreError::invalid(format!("encode: {e}"))
-}
-
-/// Reconstitutes a typed [`CoreError`] from its wire form, so TCP clients
-/// observe the same error kinds as in-process ones.
-fn wire_error(code: &str, message: String) -> CoreError {
-    match code {
-        "not_found" => CoreError::not_found(message),
-        "conflict" => CoreError::conflict(message),
-        "denied" => CoreError::permission_denied(message),
-        "unavailable" => CoreError::unavailable(message),
-        _ => CoreError::invalid(message),
-    }
 }
 
 impl Link for TcpTransport {

@@ -34,7 +34,8 @@ impl CoreError {
         CoreError::Unavailable(what.into())
     }
 
-    /// Short machine-readable code used in trace log lines.
+    /// Short machine-readable code used in trace log lines and in the
+    /// protocol's error responses.
     pub fn code(&self) -> &'static str {
         match self {
             CoreError::NotFound(_) => "not_found",
@@ -42,6 +43,31 @@ impl CoreError {
             CoreError::Invalid(_) => "invalid",
             CoreError::PermissionDenied(_) => "denied",
             CoreError::Unavailable(_) => "unavailable",
+        }
+    }
+
+    /// The inverse of [`CoreError::code`]: the error a code names, carrying
+    /// `message`. An unknown code is `Invalid`. With [`CoreError::message`]
+    /// this turns an error response back into the error that was answered.
+    pub fn from_code(code: &str, message: impl Into<String>) -> Self {
+        let message = message.into();
+        match code {
+            "not_found" => CoreError::NotFound(message),
+            "conflict" => CoreError::Conflict(message),
+            "denied" => CoreError::PermissionDenied(message),
+            "unavailable" => CoreError::Unavailable(message),
+            _ => CoreError::Invalid(message),
+        }
+    }
+
+    /// The text the error carries, without the kind its `Display` adds.
+    pub fn message(&self) -> &str {
+        match self {
+            CoreError::NotFound(s)
+            | CoreError::Conflict(s)
+            | CoreError::Invalid(s)
+            | CoreError::PermissionDenied(s)
+            | CoreError::Unavailable(s) => s,
         }
     }
 }
@@ -75,5 +101,19 @@ mod tests {
         assert_eq!(CoreError::invalid("x").code(), "invalid");
         assert_eq!(CoreError::permission_denied("x").code(), "denied");
         assert_eq!(CoreError::unavailable("x").code(), "unavailable");
+    }
+
+    #[test]
+    fn code_and_message_rebuild_the_error() {
+        for e in [
+            CoreError::not_found("session s5"),
+            CoreError::conflict("x"),
+            CoreError::invalid("y"),
+            CoreError::permission_denied("z"),
+            CoreError::unavailable(""),
+        ] {
+            assert_eq!(CoreError::from_code(e.code(), e.message()), e);
+        }
+        assert_eq!(CoreError::from_code("?", "m"), CoreError::invalid("m"));
     }
 }

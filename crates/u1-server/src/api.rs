@@ -17,6 +17,7 @@
 
 use crate::backend::Backend;
 use crate::session::SessionHandle;
+use std::sync::mpsc::{channel, Receiver};
 use u1_core::{
     ApiOpKind, ContentHash, CoreError, CoreResult, NodeId, NodeKind, RpcKind, SessionId,
     SimDuration, UploadId, UserId, VolumeId, VolumeKind,
@@ -73,7 +74,7 @@ fn node_info(row: NodeRow) -> NodeInfo {
 #[derive(Debug)]
 pub struct SessionState {
     handle: Option<SessionHandle>,
-    pushes: Option<crossbeam::channel::Receiver<Push>>,
+    pushes: Option<Receiver<Push>>,
     subscribe: bool,
 }
 
@@ -94,7 +95,7 @@ impl SessionState {
     }
 
     /// Where this session's pushes arrive, when it subscribed.
-    pub fn pushes(&self) -> Option<&crossbeam::channel::Receiver<Push>> {
+    pub fn pushes(&self) -> Option<&Receiver<Push>> {
         self.pushes.as_ref()
     }
 
@@ -102,8 +103,15 @@ impl SessionState {
         self.handle
             .as_ref()
             .map(|h| h.session)
-            .ok_or_else(|| CoreError::permission_denied("no session"))
+            .ok_or_else(unauthenticated)
     }
+}
+
+/// The answer to a request that needs a session, sent before one exists:
+/// the same error whether `serve` or the reactor's connection state finds
+/// it.
+pub(crate) fn unauthenticated() -> CoreError {
+    CoreError::permission_denied("authenticate first")
 }
 
 /// What [`Backend::serve`] answers one request with.
@@ -166,7 +174,7 @@ impl Backend {
                     .ok_or_else(|| CoreError::invalid("malformed token"))?;
                 let h = self.open_session(token)?;
                 if state.subscribe {
-                    let (tx, rx) = crossbeam::channel::unbounded();
+                    let (tx, rx) = channel();
                     self.push_router.register(h.session, tx);
                     state.pushes = Some(rx);
                 }
@@ -1246,7 +1254,7 @@ mod tests {
         let token = b.register_user(UserId::new(1));
         let h1 = b.open_session(token).unwrap();
         let h2 = b.open_session(token).unwrap(); // second device
-        let (tx, rx) = crossbeam::channel::unbounded();
+        let (tx, rx) = channel();
         b.push_router.register(h2.session, tx);
         let v = b.list_volumes(h1.session).unwrap()[0].volume;
         b.make_node(h1.session, v, None, NodeKind::File, "new.txt")
@@ -1262,7 +1270,7 @@ mod tests {
         let (b, _sink, _clock) = backend(false);
         let (_, h1) = served(&b, 1);
         let (_, h2) = served(&b, 2);
-        let (tx, rx) = crossbeam::channel::unbounded();
+        let (tx, rx) = channel();
         b.push_router.register(h2.session, tx);
         let udf = b.create_udf(h1.session, "Shared").unwrap();
         b.create_share(h1.user, udf.volume, h2.user).unwrap();
@@ -1417,7 +1425,7 @@ mod tests {
         let token = b.register_user(UserId::new(1));
         let h1 = b.open_session(token).unwrap();
         let h2 = b.open_session(token).unwrap(); // second device
-        let (tx, rx) = crossbeam::channel::unbounded();
+        let (tx, rx) = channel();
         b.push_router.register(h2.session, tx);
         let v = b.list_volumes(h1.session).unwrap()[0].volume;
         b.make_node(h1.session, v, None, NodeKind::File, "lost.txt")

@@ -27,7 +27,7 @@
 //! Shutdown drains: accepting stops, queued bytes are flushed, and any
 //! connection still unflushed at `drain_timeout` is force-closed.
 
-use crate::api::{Served, SessionState};
+use crate::api::{unauthenticated, Served, SessionState};
 use crate::backend::Backend;
 use std::collections::HashMap;
 use std::io::Write;
@@ -235,10 +235,12 @@ impl Drop for TcpServer {
     }
 }
 
+/// `e` as an error response: its code and its bare text, which the client
+/// turns back into the same error (`CoreError::from_code`).
 fn err_response(e: &CoreError) -> Response {
     Response::Error {
         code: e.code().to_string(),
-        message: e.to_string(),
+        message: e.message().to_string(),
     }
 }
 
@@ -441,8 +443,7 @@ impl Reactor {
                 let keep = match ev {
                     ServerEvent::Unauthenticated { id } => {
                         conn.closing = Some(Cause::Flushed);
-                        let denied = CoreError::permission_denied("authenticate first");
-                        queue(conn, id, err_response(&denied))
+                        queue(conn, id, err_response(&unauthenticated()))
                     }
                     ServerEvent::Request { id, req } => {
                         dispatch(&self.backend, &self.shared.counters, conn, id, req)

@@ -77,6 +77,28 @@ fn a_data_call_before_authenticating_is_denied() {
     assert_eq!(direct, wire);
 }
 
+/// An error reaches the client as the value the back-end returned, text
+/// included, and not only as the same kind.
+#[test]
+fn an_error_is_the_same_value_on_both_links() {
+    fn error<T>(r: CoreResult<T>) -> String {
+        r.map_or_else(|e| format!("{e:?}"), |_| "ok".into())
+    }
+    let (direct, wire) = both(false, |t, _, _| vec![error(t.list_volumes())]);
+    assert_eq!(direct, [r#"PermissionDenied("authenticate first")"#]);
+    assert_eq!(direct, wire);
+    let (direct, wire) = both(false, |t, backend, _| {
+        let token = backend.register_user(UserId::new(1));
+        t.authenticate(token).expect("authenticate");
+        let root = t.list_volumes().expect("volumes")[0].volume;
+        let missing = error(t.unlink(root, NodeId::new(999)));
+        t.close();
+        vec![missing]
+    });
+    assert_eq!(direct, [r#"NotFound("node n999")"#]);
+    assert_eq!(direct, wire);
+}
+
 #[test]
 fn caps_before_authenticating_are_accepted_and_not_traced() {
     let (direct, wire) = both(false, |t, backend, sink| {
