@@ -92,7 +92,7 @@ pub enum UploadState {
 /// Server-side state of a multipart file transfer between the client and
 /// the object store (Appendix A). Persisted in the metadata store for the
 /// whole life of the upload so interrupted transfers can resume.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct UploadJobRow {
     pub upload: UploadId,
     pub user: UserId,
@@ -103,8 +103,8 @@ pub struct UploadJobRow {
     pub state: UploadState,
     /// The object-store multipart upload id, once requested.
     pub multipart_id: Option<u64>,
-    /// Sizes of the parts uploaded so far.
-    pub part_sizes: Vec<u64>,
+    /// Bytes received so far: the sum of the parts' sizes.
+    pub bytes_received: u64,
     pub created_at: SimTime,
     /// Last client activity; the GC reaps jobs untouched for a week
     /// (`dal.touch_uploadjob`).
@@ -112,14 +112,9 @@ pub struct UploadJobRow {
 }
 
 impl UploadJobRow {
-    /// Bytes received so far.
-    pub fn bytes_received(&self) -> u64 {
-        self.part_sizes.iter().sum()
-    }
-
     /// Whether every declared byte has arrived.
     pub fn is_complete(&self) -> bool {
-        self.bytes_received() >= self.declared_size
+        self.bytes_received >= self.declared_size
     }
 }
 
@@ -138,16 +133,14 @@ mod tests {
             declared_size: 12 * 1024 * 1024,
             state: UploadState::Created,
             multipart_id: None,
-            part_sizes: vec![],
+            bytes_received: 0,
             created_at: SimTime::ZERO,
             touched_at: SimTime::ZERO,
         };
         assert!(!job.is_complete());
-        job.part_sizes.push(5 * 1024 * 1024);
-        job.part_sizes.push(5 * 1024 * 1024);
-        assert_eq!(job.bytes_received(), 10 * 1024 * 1024);
+        job.bytes_received += 10 * 1024 * 1024;
         assert!(!job.is_complete());
-        job.part_sizes.push(2 * 1024 * 1024);
+        job.bytes_received += 2 * 1024 * 1024;
         assert!(job.is_complete());
     }
 }

@@ -843,11 +843,11 @@ impl Shard {
             declared_size,
             state: UploadState::Created,
             multipart_id: None,
-            part_sizes: Vec::new(),
+            bytes_received: 0,
             created_at: now,
             touched_at: now,
         };
-        self.uploadjobs.insert(upload, row.clone());
+        self.uploadjobs.insert(upload, row);
         Ok(row)
     }
 
@@ -855,7 +855,7 @@ impl Shard {
     pub fn get_uploadjob(&self, upload: UploadId) -> CoreResult<UploadJobRow> {
         self.uploadjobs
             .get(&upload)
-            .cloned()
+            .copied()
             .ok_or_else(|| CoreError::not_found(format!("uploadjob {upload}")))
     }
 
@@ -896,9 +896,9 @@ impl Shard {
         if part_size == 0 {
             return Err(CoreError::invalid("empty upload part"));
         }
-        job.part_sizes.push(part_size);
+        job.bytes_received += part_size;
         job.touched_at = now;
-        Ok(job.bytes_received())
+        Ok(job.bytes_received)
     }
 
     /// `dal.touch_uploadjob` — client liveness check on a job.

@@ -739,7 +739,7 @@ impl Backend {
     /// reaped is `not_found`.
     fn resume_upload(&self, session: SessionId, upload: UploadId) -> CoreResult<u64> {
         let h = self.session(session)?;
-        Ok(self.store.get_uploadjob(h.user, upload)?.bytes_received())
+        Ok(self.store.get_uploadjob(h.user, upload)?.bytes_received)
     }
 
     /// Upload phase 2: one chunk. The API server forwards it to the object
@@ -762,7 +762,7 @@ impl Backend {
             .ok_or_else(|| CoreError::invalid("uploadjob has no multipart id"))?;
         // Live bytes beyond the declared size are not content: an empty
         // file travels as one one-byte part and commits as no bytes.
-        let owed = job.declared_size.saturating_sub(job.bytes_received());
+        let owed = job.declared_size.saturating_sub(job.bytes_received);
         let data = data.filter(|_| self.cfg.store_real_bytes).map(|mut d| {
             d.truncate(usize::try_from(owed).unwrap_or(usize::MAX));
             d
@@ -785,7 +785,7 @@ impl Backend {
         if !job.is_complete() {
             return Err(CoreError::invalid(format!(
                 "upload {upload} incomplete: {}/{} bytes",
-                job.bytes_received(),
+                job.bytes_received,
                 job.declared_size
             )));
         }

@@ -1955,14 +1955,6 @@ mod tests {
         workers: usize,
         buffered: bool,
     ) -> (Run, Arc<Backend>) {
-        let clock = SimClock::new();
-        let sink = Arc::new(MemorySink::new());
-        let emit: Arc<dyn u1_trace::TraceSink> = if buffered {
-            Arc::new(u1_trace::BufferedSink::new(Arc::clone(&sink)))
-        } else {
-            sink.clone()
-        };
-        let backend = Arc::new(Backend::new(backend_cfg, Arc::new(clock.clone()), emit));
         let cfg = WorkloadConfig {
             users: 120,
             days: 3,
@@ -1971,6 +1963,23 @@ mod tests {
             seed_files: 0.5,
             workers,
         };
+        run_config(backend_cfg, cfg, buffered)
+    }
+
+    /// Runs `cfg` against a backend built from `backend_cfg`.
+    fn run_config(
+        backend_cfg: BackendConfig,
+        cfg: WorkloadConfig,
+        buffered: bool,
+    ) -> (Run, Arc<Backend>) {
+        let clock = SimClock::new();
+        let sink = Arc::new(MemorySink::new());
+        let emit: Arc<dyn u1_trace::TraceSink> = if buffered {
+            Arc::new(u1_trace::BufferedSink::new(Arc::clone(&sink)))
+        } else {
+            sink.clone()
+        };
+        let backend = Arc::new(Backend::new(backend_cfg, Arc::new(clock.clone()), emit));
         let report = Driver::new(cfg, Arc::clone(&backend), clock).run();
         // The driver sealed the trace at every day barrier; nothing it
         // emitted afterwards may lie before one.
@@ -2196,6 +2205,32 @@ mod tests {
             ..Default::default()
         };
         run_on(backend_cfg, false, workers, false)
+    }
+
+    /// A crashed upload is resumed at its client's next session, or
+    /// abandoned when the weekly GC reaped its job first: the two branches
+    /// of `recover_session_state`. Eighteen days leave room for a client
+    /// to stay away longer than the GC's week.
+    #[test]
+    fn crashed_uploads_are_resumed_or_abandoned() {
+        let days = 18;
+        let backend_cfg = BackendConfig {
+            fault: u1_core::fault::FaultPlan::parse("crash=0.3", SimDuration::from_days(days))
+                .expect("spec"),
+            ..Default::default()
+        };
+        let cfg = WorkloadConfig {
+            users: 80,
+            days,
+            seed: 11,
+            attacks: false,
+            seed_files: 0.5,
+            workers: 1,
+        };
+        let ((r, _), _) = run_config(backend_cfg, cfg, false);
+        assert!(r.uploads_resumed > 0, "{r:?}");
+        assert!(r.uploads_abandoned > 0, "{r:?}");
+        assert!(r.uploadjobs_reaped >= r.uploads_abandoned, "{r:?}");
     }
 
     /// Half 2: a *nonzero* plan is deterministic — same seed and plan give
