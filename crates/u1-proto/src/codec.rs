@@ -27,6 +27,9 @@ const KIND_RESPONSE: u8 = 2;
 const KIND_PUSH: u8 = 3;
 
 /// A value with one wire form: `put` appends it, `get` reads it back.
+///
+/// Every `get` is `#[inline]`: without the hint a small message's decode
+/// keeps a call per nesting level and runs about a third slower.
 trait Wire {
     fn put(&self, buf: &mut BytesMut);
     fn get(buf: &mut &[u8]) -> WireResult<Self>
@@ -38,6 +41,7 @@ impl Wire for u64 {
     fn put(&self, buf: &mut BytesMut) {
         wire::put_uvarint(buf, *self);
     }
+    #[inline]
     fn get(buf: &mut &[u8]) -> WireResult<Self> {
         wire::get_uvarint(buf)
     }
@@ -48,6 +52,7 @@ impl Wire for u32 {
     fn put(&self, buf: &mut BytesMut) {
         wire::put_uvarint(buf, u64::from(*self));
     }
+    #[inline]
     fn get(buf: &mut &[u8]) -> WireResult<Self> {
         wire::get_uvarint_u32(buf)
     }
@@ -59,6 +64,7 @@ macro_rules! varint_ids {
             fn put(&self, buf: &mut BytesMut) {
                 self.raw().put(buf);
             }
+            #[inline]
             fn get(buf: &mut &[u8]) -> WireResult<Self> {
                 u64::get(buf).map(Self::from)
             }
@@ -79,6 +85,7 @@ impl Wire for Vec<u8> {
     fn put(&self, buf: &mut BytesMut) {
         self.as_slice().put(buf);
     }
+    #[inline]
     fn get(buf: &mut &[u8]) -> WireResult<Self> {
         wire::get_bytes(buf)
     }
@@ -88,6 +95,7 @@ impl Wire for String {
     fn put(&self, buf: &mut BytesMut) {
         wire::put_str(buf, self);
     }
+    #[inline]
     fn get(buf: &mut &[u8]) -> WireResult<Self> {
         wire::get_str(buf)
     }
@@ -97,6 +105,7 @@ impl Wire for Name {
     fn put(&self, buf: &mut BytesMut) {
         wire::put_str(buf, self);
     }
+    #[inline]
     fn get(buf: &mut &[u8]) -> WireResult<Self> {
         wire::get_str(buf).map(Name::from)
     }
@@ -106,6 +115,7 @@ impl Wire for ContentHash {
     fn put(&self, buf: &mut BytesMut) {
         wire::put_hash(buf, self);
     }
+    #[inline]
     fn get(buf: &mut &[u8]) -> WireResult<Self> {
         wire::get_hash(buf)
     }
@@ -116,6 +126,7 @@ impl Wire for bool {
     fn put(&self, buf: &mut BytesMut) {
         buf.put_u8(u8::from(*self));
     }
+    #[inline]
     fn get(buf: &mut &[u8]) -> WireResult<Self> {
         match wire::get_u8(buf)? {
             0 => Ok(false),
@@ -134,6 +145,7 @@ macro_rules! byte_enums {
                     $($ty::$variant => $byte,)+
                 });
             }
+            #[inline]
             fn get(buf: &mut &[u8]) -> WireResult<Self> {
                 match wire::get_u8(buf)? {
                     $($byte => Ok($ty::$variant),)+
@@ -157,6 +169,7 @@ impl<T: Wire> Wire for Option<T> {
             v.put(buf);
         }
     }
+    #[inline]
     fn get(buf: &mut &[u8]) -> WireResult<Self> {
         Ok(if bool::get(buf)? {
             Some(T::get(buf)?)
@@ -192,6 +205,7 @@ impl<T: Listed> Wire for Vec<T> {
             v.put(buf);
         }
     }
+    #[inline]
     fn get(buf: &mut &[u8]) -> WireResult<Self> {
         let n = wire::get_uvarint_len(buf)?;
         if n > T::MAX {
@@ -212,6 +226,7 @@ macro_rules! structs {
             fn put(&self, buf: &mut BytesMut) {
                 $(self.$field.put(buf);)+
             }
+            #[inline]
             fn get(buf: &mut &[u8]) -> WireResult<Self> {
                 Ok(Self { $($field: Wire::get(buf)?),+ })
             }
@@ -259,6 +274,7 @@ macro_rules! messages {
 
             // A tag listed twice is a compile error, not a dead line.
             #[deny(unreachable_patterns)]
+            #[inline]
             fn get(buf: &mut &[u8]) -> WireResult<Self> {
                 Ok(match wire::get_u8(buf)? {
                     $($tag => Self::$variant $({ $($field: Wire::get(buf)?),+ })?,)+
@@ -339,6 +355,7 @@ impl Wire for Message {
         }
     }
 
+    #[inline]
     fn get(buf: &mut &[u8]) -> WireResult<Self> {
         Ok(match wire::get_u8(buf)? {
             KIND_REQUEST => Message::Request {
