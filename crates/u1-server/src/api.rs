@@ -785,8 +785,7 @@ impl Backend {
         if !job.is_complete() {
             return Err(CoreError::invalid(format!(
                 "upload {upload} incomplete: {}/{} bytes",
-                job.bytes_received,
-                job.declared_size
+                job.bytes_received, job.declared_size
             )));
         }
         let mp = job
