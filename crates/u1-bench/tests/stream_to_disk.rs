@@ -8,8 +8,7 @@
 //!
 //! The two `scale_tier_*` tests are the scale check of that path: the
 //! `paper_scaled()` month at 2,500 and 25,000 users, streamed and folded off
-//! disk, with its canonical trace SHA, report SHA and (at 25k) peak RSS
-//! pinned. They are `#[ignore]`d — minutes and gigabytes — and each must run
+//! disk, with its canonical trace SHA, report SHA and peak RSS pinned. They are `#[ignore]`d — minutes and gigabytes — and each must run
 //! in a process of its own, because the peak RSS a process reports never
 //! falls:
 //!
@@ -207,34 +206,45 @@ fn tier(users: u64, records: u64, trace_sha: &str, report_sha: &str) -> u64 {
     peak_rss
 }
 
+/// Fails unless `peak_rss` is within `max`, both in bytes.
+fn assert_peak_within(peak_rss: u64, max: u64) {
+    assert!(
+        peak_rss <= max,
+        "peak RSS {peak_rss} bytes over the {max}-byte bound"
+    );
+}
+
 /// The calibrated month; its trace SHA is the repo's golden
-/// [`WorkloadConfig::PAPER_SCALED_MONTH_SHA`].
+/// [`WorkloadConfig::PAPER_SCALED_MONTH_SHA`]. Its peak is the fold's or
+/// the day writer's, not the back end's, and moves by about ±6% from run
+/// to run (199–224 MiB on a 2-vCPU host): the bound is the highest of
+/// those plus 15%.
 #[test]
 #[ignore = "the 2,500-user month on disk; run in release with --ignored --exact"]
 fn scale_tier_2500() {
-    tier(
+    const MAX_PEAK_RSS: u64 = 258 << 20;
+    let peak_rss = tier(
         2_500,
         5_227_121,
         WorkloadConfig::PAPER_SCALED_MONTH_SHA,
         "33f7c2c6307af0544fece3815fd9911b208dc797",
     );
+    assert_peak_within(peak_rss, MAX_PEAK_RSS);
 }
 
 /// Ten times the calibrated month, and the memory bound of the streamed
 /// path: the month's trace is never whole in memory, so peak RSS stays far
-/// below the 6.4 GiB the in-memory run of the same month takes.
+/// below the 6.4 GiB the in-memory run of the same month takes. The bound
+/// is the measured peak (1.49–1.53 GiB on a 2-vCPU host) plus 15%.
 #[test]
 #[ignore = "the 25,000-user month, ~2 minutes and ~4 GB of disk; run in release with --ignored --exact"]
 fn scale_tier_25k() {
-    const MAX_PEAK_RSS: u64 = 3584 << 20;
+    const MAX_PEAK_RSS: u64 = 1_802 << 20;
     let peak_rss = tier(
         25_000,
         53_934_295,
         "50524cf6a2d303415e0a0ebe0a617d91e566be98",
         "0a4a601ce7395498d4d1ce76c7770e521d913c29",
     );
-    assert!(
-        peak_rss <= MAX_PEAK_RSS,
-        "peak RSS {peak_rss} bytes over the {MAX_PEAK_RSS}-byte bound"
-    );
+    assert_peak_within(peak_rss, MAX_PEAK_RSS);
 }

@@ -22,12 +22,29 @@ pub struct ObjectMeta {
     pub reads: u64,
 }
 
+/// A stored object: its [`ObjectMeta`] less the hash the map key already
+/// holds (the public metadata is built on the way out), and its bytes.
 #[derive(Debug)]
 struct StoredObject {
-    meta: ObjectMeta,
+    size: u64,
+    last_access: SimTime,
+    reads: u64,
+    tier: Tier,
     /// Present in live mode (real bytes); `None` in measurement mode where
-    /// only sizes matter. Either way `meta.size` is authoritative.
+    /// only sizes matter. Either way `size` is authoritative.
     data: Option<Vec<u8>>,
+}
+
+impl StoredObject {
+    fn meta(&self, hash: ContentHash) -> ObjectMeta {
+        ObjectMeta {
+            hash,
+            size: self.size,
+            last_access: self.last_access,
+            tier: self.tier,
+            reads: self.reads,
+        }
+    }
 }
 
 /// Aggregate counters, the raw material for storage-cost accounting.
@@ -55,7 +72,7 @@ pub struct BlobStore {
     objects: RwLock<FxHashMap<ContentHash, StoredObject>>,
     multiparts: RwLock<FxHashMap<u64, MultipartUpload>>,
     next_multipart: AtomicU64,
-    /// Sum of `meta.size` over `objects`, updated under the `objects` write
+    /// Sum of `size` over `objects`, updated under the `objects` write
     /// lock by every insert and remove so `stats()` never walks the map.
     bytes_stored: AtomicU64,
     put_ops: AtomicU64,
@@ -118,24 +135,20 @@ impl BlobStore {
     ) -> ObjectMeta {
         match self.objects.write().entry(hash) {
             Entry::Occupied(mut existing) => {
-                let meta = &mut existing.get_mut().meta;
-                meta.last_access = meta.last_access.max(now);
-                meta.clone()
+                let obj = existing.get_mut();
+                obj.last_access = obj.last_access.max(now);
+                obj.meta(hash)
             }
             Entry::Vacant(slot) => {
                 self.bytes_stored.fetch_add(size, Ordering::Relaxed);
-                let meta = ObjectMeta {
-                    hash,
+                slot.insert(StoredObject {
                     size,
                     last_access: now,
-                    tier: Tier::Hot,
                     reads: 0,
-                };
-                slot.insert(StoredObject {
-                    meta: meta.clone(),
+                    tier: Tier::Hot,
                     data,
-                });
-                meta
+                })
+                .meta(hash)
             }
         }
     }
@@ -147,17 +160,16 @@ impl BlobStore {
         self.get_ops.fetch_add(1, Ordering::Relaxed);
         let mut objects = self.objects.write();
         let obj = objects.get_mut(&hash)?;
-        obj.meta.last_access = obj.meta.last_access.max(now);
-        obj.meta.reads += 1;
-        obj.meta.tier = Tier::Hot;
-        self.bytes_downloaded
-            .fetch_add(obj.meta.size, Ordering::Relaxed);
-        Some((obj.meta.clone(), obj.data.clone()))
+        obj.last_access = obj.last_access.max(now);
+        obj.reads += 1;
+        obj.tier = Tier::Hot;
+        self.bytes_downloaded.fetch_add(obj.size, Ordering::Relaxed);
+        Some((obj.meta(hash), obj.data.clone()))
     }
 
     /// Peeks metadata without counting an access.
     pub fn head(&self, hash: ContentHash) -> Option<ObjectMeta> {
-        self.objects.read().get(&hash).map(|o| o.meta.clone())
+        self.objects.read().get(&hash).map(|o| o.meta(hash))
     }
 
     /// DELETE. Returns true if the object existed.
@@ -165,8 +177,7 @@ impl BlobStore {
         self.delete_ops.fetch_add(1, Ordering::Relaxed);
         match self.objects.write().remove(&hash) {
             Some(obj) => {
-                self.bytes_stored
-                    .fetch_sub(obj.meta.size, Ordering::Relaxed);
+                self.bytes_stored.fetch_sub(obj.size, Ordering::Relaxed);
                 true
             }
             None => false,
@@ -268,11 +279,16 @@ impl BlobStore {
     }
 
     /// Applies `f` to every object's metadata (tier sweeps, reports), in no
-    /// particular order. `f` must leave `size` alone: `stats()` reports a
-    /// counter, not a sum over the objects.
+    /// particular order, and keeps what it does to `last_access`, `tier`
+    /// and `reads`. Changes to `hash` and `size` are dropped: `stats()`
+    /// reports a counter, not a sum over the objects.
     pub fn for_each_meta_mut(&self, mut f: impl FnMut(&mut ObjectMeta)) {
-        for obj in self.objects.write().values_mut() {
-            f(&mut obj.meta);
+        for (&hash, obj) in self.objects.write().iter_mut() {
+            let mut meta = obj.meta(hash);
+            f(&mut meta);
+            obj.last_access = meta.last_access;
+            obj.tier = meta.tier;
+            obj.reads = meta.reads;
         }
     }
 }

@@ -44,6 +44,15 @@ struct Delta {
     view_zeroed: bool,
 }
 
+/// A committed row of the index: the [`ContentRow`] less the hash its map
+/// key already holds. [`ContentIndex::probe`] builds the public row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Committed {
+    size: u64,
+    refcount: u64,
+    first_seen: SimTime,
+}
+
 /// Both maps are keyed by SHA-1 digests (already uniform) and probed on
 /// every upload, unlink and download, so they use the Fx hasher; neither is
 /// iterated anywhere order could reach an output (`seal` sorts what it
@@ -51,7 +60,7 @@ struct Delta {
 #[derive(Debug, Default)]
 struct Stripe {
     /// Rows visible to every origin (folded at the last seal).
-    committed: FxHashMap<ContentHash, ContentRow>,
+    committed: FxHashMap<ContentHash, Committed>,
     /// Same-epoch deltas, visible only to their origin.
     pending: FxHashMap<(ContentHash, u32), Delta>,
 }
@@ -175,10 +184,11 @@ impl ContentIndex {
         for stripe in &self.stripes {
             let mut stripe = stripe.lock();
             deltas.clear();
+            // Taken, not drained: an epoch's deltas can run to megabytes,
+            // and a drained map would keep that capacity until the next.
             deltas.extend(
-                stripe
-                    .pending
-                    .drain()
+                std::mem::take(&mut stripe.pending)
+                    .into_iter()
                     .map(|((hash, _origin), delta)| (hash, delta)),
             );
             deltas.sort_unstable_by_key(|&(hash, _)| hash);
@@ -220,8 +230,7 @@ impl ContentIndex {
                         if zeroed {
                             out.live.push((hash, size));
                         }
-                        slot.insert(ContentRow {
-                            hash,
+                        slot.insert(Committed {
                             size,
                             refcount,
                             first_seen,
@@ -367,12 +376,11 @@ mod tests {
                     .min()
                     .unwrap_or(SimTime::ZERO);
                 let folded = match stripe.committed.get(&hash) {
-                    Some(row) => ContentRow {
+                    Some(row) => Committed {
                         refcount: row.refcount.saturating_add_signed(total),
-                        ..row.clone()
+                        ..*row
                     },
-                    None => ContentRow {
-                        hash,
+                    None => Committed {
                         size,
                         refcount: total.max(0) as u64,
                         first_seen,

@@ -35,7 +35,8 @@ pub struct VolumeRow {
 
 /// A node row (file or directory). Deleted nodes become tombstones
 /// (`is_live = false`) so deltas can report deletions; delete-volume drops
-/// rows entirely.
+/// rows entirely. No creation or change time: nothing reads one, and a
+/// node's last change is its `generation`.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct NodeRow {
     pub node: NodeId,
@@ -52,8 +53,6 @@ pub struct NodeRow {
     /// Volume generation at which this row last changed.
     pub generation: u64,
     pub is_live: bool,
-    pub created_at: SimTime,
-    pub changed_at: SimTime,
 }
 
 /// Cross-user content index row: one per distinct SHA-1, counting logical

@@ -13,19 +13,29 @@
 //! # Storage layout (memory-bounded scale path)
 //!
 //! Rows are *not* stored as the DTO types of [`crate::model`]. Internally a
-//! shard is slab-allocated and index-linked:
+//! shard is slab-allocated and index-linked, and every per-node structure
+//! is sized for the node count, the one that grows with the population:
 //!
 //! * All node/volume names live interned in one per-shard
 //!   [`NameArena`]; slots carry a 4-byte [`NameId`], and name equality on
 //!   the `make_node` idempotency probe is a u32 compare.
 //! * Nodes live in a `Vec<NodeSlot>` slab addressed by dense `u32`
-//!   indices; the sparse strided [`NodeId`]s map to slots through one
-//!   `FxHashMap`. Slots are recycled through a free list — but only by
-//!   `delete_volume`, which also drops every per-volume index that could
-//!   reference them, so no stale slot reference can survive reuse.
+//!   indices. A slot is 72 bytes and owns no allocation: the parent is a
+//!   raw id (`0` for the volume root; ids start at 1), and there are no
+//!   timestamps, which nothing read. Slots are recycled through a free list
+//!   — but only by `delete_volume`, which also drops every per-volume index
+//!   that could reference them, so no stale slot reference can survive
+//!   reuse.
+//! * Node ids map to slots through a dense `Vec<u32>`, not a hash map: the
+//!   store hands this shard the ids `first, first + stride, …` (see
+//!   `StridedAlloc`), so `(id - first) / stride` is an ordinal that indexes
+//!   it, 4 bytes per id drawn.
+//! * A directory's live children sit in a side table keyed by its slot,
+//!   with an entry only while it has any, so a file slot carries no list.
 //! * Volumes live in a `Vec<VolumeSlot>` slab the same way; each volume
 //!   slot *owns* its secondary indexes (live-name map, change log, member
-//!   list), so the cascade delete is a wholesale drop.
+//!   list), so the cascade delete is a wholesale drop. The live-name map's
+//!   key packs `(parent ordinal + 1, name)` into one `u64`.
 //! * Each user's volume-slot indices sit beside their row
 //!   (`user_volumes`), so `list_volumes` and the UDF duplicate-name probe
 //!   touch that user's handful of volumes. No request path iterates a slab
@@ -39,6 +49,17 @@
 //!   its old entry stale *for free*), and range reads are a binary search
 //!   plus a scan. Stale entries are compacted away once they outnumber the
 //!   members.
+//!
+//! What one file node costs in these tables, before and after the compact
+//! layout (hash-map buckets counted at their size, before load-factor
+//! slack):
+//!
+//! | table | before | after |
+//! |---|---|---|
+//! | node slot | 120 B (timestamps, `Option` parent, children `Vec`) | 72 B |
+//! | id → slot | 16 B `FxHashMap<NodeId, u32>` bucket + control byte | 4 B `Vec<u32>` entry |
+//! | live name | 32 B bucket, `(Option<NodeId>, NameId)` key | 16 B bucket, `u64` key |
+//! | directory children | 24 B `Vec` header in every slot | 32 B bucket per non-empty directory |
 //!
 //! Public methods still speak DTO rows; they are materialized on the way
 //! out (a [`Name`] is built from the arena text — inline, no allocation,
@@ -60,25 +81,27 @@ pub struct DeadNode {
     pub size: u64,
 }
 
-/// Slab storage of one node row. 4-byte interned name, no heap strings;
-/// the only owned allocation is the live-children list of directories.
+/// Slab storage of one node row: a 4-byte interned name, no heap strings,
+/// no owned allocation.
 #[derive(Debug, Clone)]
 struct NodeSlot {
     node: NodeId,
     volume: VolumeId,
-    parent: Option<NodeId>,
-    kind: NodeKind,
-    name: NameId,
+    /// The parent's raw id; `0` for a node at the volume root.
+    parent: u64,
     content: Option<ContentHash>,
     size: u64,
     generation: u64,
+    name: NameId,
+    kind: NodeKind,
     is_live: bool,
-    created_at: SimTime,
-    changed_at: SimTime,
-    /// Live children (directories only), kept sorted ascending so the
-    /// unlink cascade walk is iteration-order-free — the same order the
-    /// previous `BTreeSet` index produced.
-    children: Vec<NodeId>,
+}
+
+const _: () = assert!(std::mem::size_of::<NodeSlot>() == 72);
+
+/// The parent a raw parent id names (`0`: none, the volume root).
+fn parent_of(raw: u64) -> Option<NodeId> {
+    (raw != 0).then(|| NodeId::new(raw))
 }
 
 /// Slab storage of one volume row plus the secondary indexes it owns.
@@ -98,9 +121,10 @@ struct VolumeSlot {
     /// Every node slot ever created in this volume (live and tombstoned),
     /// in creation order. Backs `get_from_scratch` and the cascade delete.
     members: Vec<u32>,
-    /// Live `(parent, name)` → node slot. Backs `make_node`'s idempotency
-    /// probe without scanning the volume.
-    live_names: FxHashMap<(Option<NodeId>, NameId), u32>,
+    /// Live `(parent, name)` → node slot, the pair packed by
+    /// [`Shard::name_key`]. Backs `make_node`'s idempotency probe without
+    /// scanning the volume.
+    live_names: FxHashMap<u64, u32>,
     /// Append-only change log `(generation, node slot)`, sorted because
     /// generations are monotone (same-generation unlink batches are
     /// appended sorted by node id). An entry is live iff the slot still
@@ -131,10 +155,18 @@ impl Default for VolumeSlot {
 /// one live entry, so short logs are never worth rewriting).
 const LOG_COMPACT_FLOOR: usize = 64;
 
+/// The id → slot entry of an id that names no node (never used, its
+/// make was idempotent, or its volume was deleted).
+const NO_SLOT: u32 = u32::MAX;
+
 /// The mutable tables of one shard.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Shard {
     pub id: ShardId,
+    /// The first node id the store draws for this shard, and the distance
+    /// between its ids: node `first + k * stride` has ordinal `k`.
+    first_node: u64,
+    stride: u64,
     /// All node and volume names, interned once per distinct string.
     names: NameArena,
     /// Dense user index; users are never deleted, so no free list.
@@ -147,34 +179,38 @@ pub struct Shard {
     volumes: FxHashMap<VolumeId, u32>,
     volume_slots: Vec<VolumeSlot>,
     free_volumes: Vec<u32>,
-    nodes: FxHashMap<NodeId, u32>,
+    /// Node ordinal → slot, [`NO_SLOT`] where no node is.
+    nodes: Vec<u32>,
     node_slots: Vec<NodeSlot>,
     free_nodes: Vec<u32>,
+    /// Directory slot → its live children, sorted ascending so the unlink
+    /// cascade walk is iteration-order-free (the order the earlier
+    /// `BTreeSet` index produced). No entry for a directory without any.
+    children: FxHashMap<u32, Vec<NodeId>>,
     uploadjobs: FxHashMap<UploadId, UploadJobRow>,
 }
 
-fn child_insert(children: &mut Vec<NodeId>, id: NodeId) {
-    if let Err(pos) = children.binary_search(&id) {
-        children.insert(pos, id);
-    }
-}
-
-fn child_remove(children: &mut Vec<NodeId>, id: NodeId) {
-    if let Ok(pos) = children.binary_search(&id) {
-        children.remove(pos);
-    }
-}
-
 impl Shard {
-    pub fn new(id: ShardId) -> Self {
+    /// Shard `id` of a store of `shards` shards, whose node ids are the
+    /// ones the store's strided allocator draws for it.
+    pub fn new(id: ShardId, shards: u16) -> Self {
         Self {
             id,
-            ..Default::default()
+            first_node: u64::from(id.raw()) + 1,
+            stride: u64::from(shards.max(1)),
+            names: NameArena::default(),
+            users: IdArena::default(),
+            user_rows: Vec::new(),
+            user_volumes: Vec::new(),
+            volumes: FxHashMap::default(),
+            volume_slots: Vec::new(),
+            free_volumes: Vec::new(),
+            nodes: Vec::new(),
+            node_slots: Vec::new(),
+            free_nodes: Vec::new(),
+            children: FxHashMap::default(),
+            uploadjobs: FxHashMap::default(),
         }
-    }
-
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
     }
 
     // ----- slab plumbing ----------------------------------------------
@@ -185,12 +221,56 @@ impl Shard {
             .ok_or_else(|| CoreError::invalid("name arena exhausted"))
     }
 
+    /// The ordinal of `node` among this shard's ids; `None` for an id the
+    /// store never draws here (0 included).
+    fn ordinal(&self, node: NodeId) -> Option<usize> {
+        let offset = node.raw().checked_sub(self.first_node)?;
+        if offset % self.stride != 0 {
+            return None;
+        }
+        usize::try_from(offset / self.stride).ok()
+    }
+
+    /// The slot of `node`, live or tombstoned.
+    fn node_slot(&self, node: NodeId) -> Option<u32> {
+        let slot = *self.nodes.get(self.ordinal(node)?)?;
+        (slot != NO_SLOT).then_some(slot)
+    }
+
+    /// Points `node`'s id → slot entry at `slot`. Ordinals stay below
+    /// `u32::MAX`, so [`Shard::name_key`] can pack one beside a name.
+    fn index_node(&mut self, node: NodeId, slot: u32) -> CoreResult<()> {
+        let ord = self
+            .ordinal(node)
+            .filter(|&ord| ord < NO_SLOT as usize)
+            .ok_or_else(|| {
+                CoreError::invalid(format!("node id {node} not drawn for this shard"))
+            })?;
+        if ord >= self.nodes.len() {
+            self.nodes.resize(ord + 1, NO_SLOT);
+        }
+        self.nodes[ord] = slot;
+        Ok(())
+    }
+
+    /// The live-name key of `name` under the parent with raw id `parent`
+    /// (`0`: the volume root): the parent's ordinal + 1 in the high half,
+    /// the name in the low. Parents are indexed nodes, whose ordinals are
+    /// below `u32::MAX`, so distinct pairs get distinct keys.
+    fn name_key(&self, parent: u64, name: NameId) -> u64 {
+        let parent = self
+            .ordinal(NodeId::new(parent))
+            .map_or(0, |ord| ord as u64 + 1);
+        (parent << 32) | u64::from(name.raw())
+    }
+
     fn alloc_node_slot(&mut self, slot: NodeSlot) -> CoreResult<u32> {
         if let Some(free) = self.free_nodes.pop() {
             self.node_slots[free as usize] = slot;
             Ok(free)
         } else {
             let idx = to_u32(self.node_slots.len())
+                .filter(|&idx| idx != NO_SLOT)
                 .ok_or_else(|| CoreError::invalid("node slab exhausted"))?;
             self.node_slots.push(slot);
             Ok(idx)
@@ -209,21 +289,46 @@ impl Shard {
         }
     }
 
+    /// Adds `child` to the live children of the directory `parent`.
+    fn child_insert(&mut self, parent: Option<NodeId>, child: NodeId) {
+        let Some(pslot) = parent.and_then(|p| self.node_slot(p)) else {
+            return;
+        };
+        let kids = self.children.entry(pslot).or_default();
+        if let Err(pos) = kids.binary_search(&child) {
+            kids.insert(pos, child);
+        }
+    }
+
+    /// Removes `child` from the live children of the directory `parent`,
+    /// dropping the directory's entry once it has none.
+    fn child_remove(&mut self, parent: Option<NodeId>, child: NodeId) {
+        let Some(pslot) = parent.and_then(|p| self.node_slot(p)) else {
+            return;
+        };
+        if let Some(kids) = self.children.get_mut(&pslot) {
+            if let Ok(pos) = kids.binary_search(&child) {
+                kids.remove(pos);
+            }
+            if kids.is_empty() {
+                self.children.remove(&pslot);
+            }
+        }
+    }
+
     /// Materializes the DTO row for a node slot.
     fn node_row(&self, slot: u32) -> NodeRow {
         let s = &self.node_slots[slot as usize];
         NodeRow {
             node: s.node,
             volume: s.volume,
-            parent: s.parent,
+            parent: parent_of(s.parent),
             kind: s.kind,
             name: Name::new(self.names.resolve(s.name)),
             content: s.content,
             size: s.size,
             generation: s.generation,
             is_live: s.is_live,
-            created_at: s.created_at,
-            changed_at: s.changed_at,
         }
     }
 
@@ -262,6 +367,16 @@ impl Shard {
             return Err(CoreError::permission_denied(format!("volume {volume}")));
         }
         Ok(idx)
+    }
+
+    /// The slot of a live node of `volume`.
+    fn live_node_slot(&self, volume: VolumeId, node: NodeId) -> CoreResult<u32> {
+        self.node_slot(node)
+            .filter(|&s| {
+                let n = &self.node_slots[s as usize];
+                n.volume == volume && n.is_live
+            })
+            .ok_or_else(|| CoreError::not_found(format!("node {node}")))
     }
 
     /// Drops log entries whose slot has since moved to a newer generation.
@@ -439,7 +554,7 @@ impl Shard {
         let slot = std::mem::take(&mut self.volume_slots[vidx as usize]);
         let mut dead = Vec::with_capacity(slot.members.len());
         for nslot in slot.members {
-            let n = &mut self.node_slots[nslot as usize];
+            let n = &self.node_slots[nslot as usize];
             if n.is_live {
                 dead.push(DeadNode {
                     node: n.node,
@@ -448,8 +563,13 @@ impl Shard {
                     size: n.size,
                 });
             }
-            n.children = Vec::new();
-            self.nodes.remove(&n.node);
+            let (node, kind) = (n.node, n.kind);
+            if kind == NodeKind::Directory {
+                self.children.remove(&nslot);
+            }
+            if let Some(entry) = self.ordinal(node).and_then(|ord| self.nodes.get_mut(ord)) {
+                *entry = NO_SLOT;
+            }
             self.free_nodes.push(nslot);
         }
         // Abandon any in-flight uploads into the deleted volume.
@@ -464,15 +584,13 @@ impl Shard {
 
     // ----- nodes -------------------------------------------------------
 
+    /// Checks `parent` is a live directory of `volume` (`None`, the volume
+    /// root, always is).
     fn check_parent(&self, volume: VolumeId, parent: Option<NodeId>) -> CoreResult<()> {
         let Some(parent) = parent else {
             return Ok(());
         };
-        match self
-            .nodes
-            .get(&parent)
-            .map(|&s| &self.node_slots[s as usize])
-        {
+        match self.node_slot(parent).map(|s| &self.node_slots[s as usize]) {
             Some(p) if p.volume == volume && p.is_live && p.kind == NodeKind::Directory => Ok(()),
             Some(_) => Err(CoreError::invalid(format!(
                 "parent {parent} is not a live directory of {volume}"
@@ -485,7 +603,6 @@ impl Shard {
     /// live node with the same name exists under the same parent, it is
     /// returned unchanged — "this operation ... normally precedes a file
     /// upload" (Table 2), and the desktop client re-issues it freely.
-    #[allow(clippy::too_many_arguments)]
     pub fn make_node(
         &mut self,
         owner: UserId,
@@ -494,19 +611,19 @@ impl Shard {
         parent: Option<NodeId>,
         kind: NodeKind,
         name: &str,
-        now: SimTime,
     ) -> CoreResult<NodeRow> {
         if name.is_empty() {
             return Err(CoreError::invalid("empty node name"));
         }
         let vidx = self.owned_volume_idx(owner, volume)?;
         self.check_parent(volume, parent)?;
+        let parent_raw = parent.map_or(0, NodeId::raw);
         // Idempotency probe: only interned names can collide, so a miss in
         // the arena is a miss in the volume.
         if let Some(existing) = self.names.lookup(name).and_then(|id| {
             self.volume_slots[vidx as usize]
                 .live_names
-                .get(&(parent, id))
+                .get(&self.name_key(parent_raw, id))
                 .copied()
         }) {
             if self.node_slots[existing as usize].kind != kind {
@@ -526,49 +643,37 @@ impl Shard {
         let nslot = self.alloc_node_slot(NodeSlot {
             node: node_id,
             volume,
-            parent,
-            kind,
-            name: name_id,
+            parent: parent_raw,
             content: None,
             size: 0,
             generation,
+            name: name_id,
+            kind,
             is_live: true,
-            created_at: now,
-            changed_at: now,
-            children: Vec::new(),
         })?;
-        self.nodes.insert(node_id, nslot);
+        self.index_node(node_id, nslot)?;
+        let key = self.name_key(parent_raw, name_id);
         {
             let vol = &mut self.volume_slots[vidx as usize];
             vol.members.push(nslot);
-            vol.live_names.insert((parent, name_id), nslot);
+            vol.live_names.insert(key, nslot);
             vol.log.push((generation, nslot));
         }
-        if let Some(p) = parent {
-            if let Some(&pslot) = self.nodes.get(&p) {
-                child_insert(&mut self.node_slots[pslot as usize].children, node_id);
-            }
-        }
+        self.child_insert(parent, node_id);
         Ok(self.node_row(nslot))
     }
 
     /// `dal.get_node`.
     pub fn get_node(&self, volume: VolumeId, node: NodeId) -> CoreResult<NodeRow> {
-        match self.nodes.get(&node) {
-            Some(&s)
-                if self.node_slots[s as usize].volume == volume
-                    && self.node_slots[s as usize].is_live =>
-            {
-                Ok(self.node_row(s))
-            }
-            _ => Err(CoreError::not_found(format!("node {node} in {volume}"))),
+        match self.live_node_slot(volume, node) {
+            Ok(s) => Ok(self.node_row(s)),
+            Err(_) => Err(CoreError::not_found(format!("node {node} in {volume}"))),
         }
     }
 
     /// `dal.make_content` — attaches uploaded content to a file node (the
     /// "equivalent of an inode", Table 4). Returns the replaced content, if
     /// any, so the caller can drop its dedup reference.
-    #[allow(clippy::too_many_arguments)]
     pub fn make_content(
         &mut self,
         owner: UserId,
@@ -576,7 +681,6 @@ impl Shard {
         node: NodeId,
         hash: ContentHash,
         size: u64,
-        now: SimTime,
     ) -> CoreResult<(NodeRow, Option<ContentHash>)> {
         let vidx = self.owned_volume_idx(owner, volume)?;
         // The generation advances before the node lookup — a failed
@@ -586,15 +690,7 @@ impl Shard {
             vol.generation += 1;
             vol.generation
         };
-        let nslot = self
-            .nodes
-            .get(&node)
-            .copied()
-            .filter(|&s| {
-                let n = &self.node_slots[s as usize];
-                n.volume == volume && n.is_live
-            })
-            .ok_or_else(|| CoreError::not_found(format!("node {node}")))?;
+        let nslot = self.live_node_slot(volume, node)?;
         let row = &mut self.node_slots[nslot as usize];
         if row.kind != NodeKind::File {
             return Err(CoreError::invalid("make_content on a directory"));
@@ -603,7 +699,6 @@ impl Shard {
         row.content = Some(hash);
         row.size = size;
         row.generation = generation;
-        row.changed_at = now;
         // The old log entry went stale the moment the slot's generation
         // moved; just append the new one.
         self.volume_slots[vidx as usize]
@@ -621,28 +716,19 @@ impl Shard {
         owner: UserId,
         volume: VolumeId,
         node: NodeId,
-        now: SimTime,
     ) -> CoreResult<Vec<DeadNode>> {
         let vidx = self.owned_volume_idx(owner, volume)?;
-        let root = self
-            .nodes
-            .get(&node)
-            .copied()
-            .filter(|&s| {
-                let n = &self.node_slots[s as usize];
-                n.volume == volume && n.is_live
-            })
-            .map(|s| self.node_slots[s as usize].node)
-            .ok_or_else(|| CoreError::not_found(format!("node {node}")))?;
+        let root = self.live_node_slot(volume, node)?;
         // Collect the subtree over the sorted live-children lists — the
         // same traversal order the previous `BTreeSet` index produced.
         let mut doomed = vec![root];
         let mut queue = vec![root];
         while let Some(cur) = queue.pop() {
-            if let Some(&s) = self.nodes.get(&cur) {
-                let kids = &self.node_slots[s as usize].children;
-                doomed.extend(kids.iter().copied());
-                queue.extend(kids.iter().copied());
+            if let Some(kids) = self.children.get(&cur) {
+                let kids = kids.iter().filter_map(|&k| self.node_slot(k));
+                let start = doomed.len();
+                doomed.extend(kids);
+                queue.extend_from_slice(&doomed[start..]);
             }
         }
         let generation = {
@@ -653,34 +739,25 @@ impl Shard {
         };
         let mut dead = Vec::with_capacity(doomed.len());
         let mut batch: Vec<(NodeId, u32)> = Vec::with_capacity(doomed.len());
-        for nid in doomed {
-            // Doomed ids were collected from live rows above; a missing row
-            // means nothing to kill, not an error.
-            let Some(&nslot) = self.nodes.get(&nid) else {
-                continue;
-            };
-            let (parent, name_id) = {
+        for nslot in doomed {
+            let (nid, kind, parent, name_id) = {
                 let row = &mut self.node_slots[nslot as usize];
                 row.is_live = false;
                 row.generation = generation;
-                row.changed_at = now;
                 dead.push(DeadNode {
                     node: row.node,
                     kind: row.kind,
                     content: row.content,
                     size: row.size,
                 });
-                row.children = Vec::new();
-                (row.parent, row.name)
+                (row.node, row.kind, row.parent, row.name)
             };
-            self.volume_slots[vidx as usize]
-                .live_names
-                .remove(&(parent, name_id));
-            if let Some(p) = parent {
-                if let Some(&pslot) = self.nodes.get(&p) {
-                    child_remove(&mut self.node_slots[pslot as usize].children, nid);
-                }
+            if kind == NodeKind::Directory {
+                self.children.remove(&nslot);
             }
+            let key = self.name_key(parent, name_id);
+            self.volume_slots[vidx as usize].live_names.remove(&key);
+            self.child_remove(parent_of(parent), nid);
             batch.push((nid, nslot));
         }
         // The whole batch shares one generation; append in node order so
@@ -694,7 +771,6 @@ impl Shard {
     }
 
     /// `dal.move`.
-    #[allow(clippy::too_many_arguments)]
     pub fn move_node(
         &mut self,
         owner: UserId,
@@ -702,7 +778,6 @@ impl Shard {
         node: NodeId,
         new_parent: Option<NodeId>,
         new_name: &str,
-        now: SimTime,
     ) -> CoreResult<NodeRow> {
         if new_name.is_empty() {
             return Err(CoreError::invalid("empty node name"));
@@ -716,9 +791,8 @@ impl Shard {
                     return Err(CoreError::invalid("move would create a cycle"));
                 }
                 match self
-                    .nodes
-                    .get(&cursor)
-                    .and_then(|&s| self.node_slots[s as usize].parent)
+                    .node_slot(cursor)
+                    .and_then(|s| parent_of(self.node_slots[s as usize].parent))
                 {
                     Some(p) => cursor = p,
                     None => break,
@@ -730,41 +804,26 @@ impl Shard {
             vol.generation += 1;
             vol.generation
         };
-        let nslot = self
-            .nodes
-            .get(&node)
-            .copied()
-            .filter(|&s| {
-                let n = &self.node_slots[s as usize];
-                n.volume == volume && n.is_live
-            })
-            .ok_or_else(|| CoreError::not_found(format!("node {node}")))?;
+        let nslot = self.live_node_slot(volume, node)?;
         let new_name_id = self.intern_name(new_name)?;
-        let (old_parent, old_name_id) = {
+        let new_parent_raw = new_parent.map_or(0, NodeId::raw);
+        let (old_parent_raw, old_name_id) = {
             let row = &mut self.node_slots[nslot as usize];
-            let old_parent = row.parent;
+            let old_parent = std::mem::replace(&mut row.parent, new_parent_raw);
             let old_name_id = std::mem::replace(&mut row.name, new_name_id);
-            row.parent = new_parent;
             row.generation = generation;
-            row.changed_at = now;
             (old_parent, old_name_id)
         };
+        let old_key = self.name_key(old_parent_raw, old_name_id);
+        let new_key = self.name_key(new_parent_raw, new_name_id);
         {
             let vol = &mut self.volume_slots[vidx as usize];
-            vol.live_names.remove(&(old_parent, old_name_id));
-            vol.live_names.insert((new_parent, new_name_id), nslot);
+            vol.live_names.remove(&old_key);
+            vol.live_names.insert(new_key, nslot);
         }
-        if old_parent != new_parent {
-            if let Some(p) = old_parent {
-                if let Some(&pslot) = self.nodes.get(&p) {
-                    child_remove(&mut self.node_slots[pslot as usize].children, node);
-                }
-            }
-            if let Some(p) = new_parent {
-                if let Some(&pslot) = self.nodes.get(&p) {
-                    child_insert(&mut self.node_slots[pslot as usize].children, node);
-                }
-            }
+        if old_parent_raw != new_parent_raw {
+            self.child_remove(parent_of(old_parent_raw), node);
+            self.child_insert(new_parent, node);
         }
         self.volume_slots[vidx as usize]
             .log
@@ -943,7 +1002,7 @@ mod tests {
     use super::*;
 
     fn setup() -> (Shard, UserId, VolumeId) {
-        let mut shard = Shard::new(ShardId::new(0));
+        let mut shard = Shard::new(ShardId::new(0), 1);
         let user = UserId::new(1);
         let root = VolumeId::new(100);
         shard.create_user(user, root, SimTime::ZERO).unwrap();
@@ -973,15 +1032,7 @@ mod tests {
     fn make_node_bumps_generation_and_count() {
         let (mut shard, user, root) = setup();
         let n1 = shard
-            .make_node(
-                user,
-                root,
-                NodeId::new(1),
-                None,
-                NodeKind::File,
-                "a.txt",
-                SimTime::ZERO,
-            )
+            .make_node(user, root, NodeId::new(1), None, NodeKind::File, "a.txt")
             .unwrap();
         assert_eq!(n1.generation, 1);
         let vol = shard.get_volume(root).unwrap();
@@ -993,40 +1044,16 @@ mod tests {
     fn make_node_is_idempotent_on_name() {
         let (mut shard, user, root) = setup();
         let n1 = shard
-            .make_node(
-                user,
-                root,
-                NodeId::new(1),
-                None,
-                NodeKind::File,
-                "a",
-                SimTime::ZERO,
-            )
+            .make_node(user, root, NodeId::new(1), None, NodeKind::File, "a")
             .unwrap();
         let n2 = shard
-            .make_node(
-                user,
-                root,
-                NodeId::new(2),
-                None,
-                NodeKind::File,
-                "a",
-                SimTime::ZERO,
-            )
+            .make_node(user, root, NodeId::new(2), None, NodeKind::File, "a")
             .unwrap();
         assert_eq!(n1.node, n2.node, "same name resolves to same node");
         assert_eq!(shard.get_volume(root).unwrap().node_count, 1);
         // Same name but different kind is a conflict.
         assert!(shard
-            .make_node(
-                user,
-                root,
-                NodeId::new(3),
-                None,
-                NodeKind::Directory,
-                "a",
-                SimTime::ZERO
-            )
+            .make_node(user, root, NodeId::new(3), None, NodeKind::Directory, "a")
             .is_err());
     }
 
@@ -1041,21 +1068,12 @@ mod tests {
                 NodeId::new(1),
                 Some(NodeId::new(99)),
                 NodeKind::File,
-                "a",
-                SimTime::ZERO
+                "a"
             )
             .is_err());
         // File as parent.
         shard
-            .make_node(
-                user,
-                root,
-                NodeId::new(1),
-                None,
-                NodeKind::File,
-                "f",
-                SimTime::ZERO,
-            )
+            .make_node(user, root, NodeId::new(1), None, NodeKind::File, "f")
             .unwrap();
         assert!(shard
             .make_node(
@@ -1064,8 +1082,7 @@ mod tests {
                 NodeId::new(2),
                 Some(NodeId::new(1)),
                 NodeKind::File,
-                "b",
-                SimTime::ZERO
+                "b"
             )
             .is_err());
     }
@@ -1074,15 +1091,7 @@ mod tests {
     fn unlink_directory_cascades() {
         let (mut shard, user, root) = setup();
         let dir = shard
-            .make_node(
-                user,
-                root,
-                NodeId::new(1),
-                None,
-                NodeKind::Directory,
-                "d",
-                SimTime::ZERO,
-            )
+            .make_node(user, root, NodeId::new(1), None, NodeKind::Directory, "d")
             .unwrap();
         let sub = shard
             .make_node(
@@ -1092,7 +1101,6 @@ mod tests {
                 Some(dir.node),
                 NodeKind::Directory,
                 "sub",
-                SimTime::ZERO,
             )
             .unwrap();
         shard
@@ -1103,12 +1111,9 @@ mod tests {
                 Some(sub.node),
                 NodeKind::File,
                 "f",
-                SimTime::ZERO,
             )
             .unwrap();
-        let dead = shard
-            .unlink(user, root, dir.node, SimTime::from_secs(5))
-            .unwrap();
+        let dead = shard.unlink(user, root, dir.node).unwrap();
         assert_eq!(dead.len(), 3);
         assert_eq!(shard.get_volume(root).unwrap().node_count, 0);
         assert!(shard.get_node(root, NodeId::new(3)).is_err());
@@ -1118,15 +1123,7 @@ mod tests {
     fn delta_reports_changes_and_tombstones() {
         let (mut shard, user, root) = setup();
         let n = shard
-            .make_node(
-                user,
-                root,
-                NodeId::new(1),
-                None,
-                NodeKind::File,
-                "a",
-                SimTime::ZERO,
-            )
+            .make_node(user, root, NodeId::new(1), None, NodeKind::File, "a")
             .unwrap();
         let (gen1, delta) = shard.get_delta(root, 0, |r| r).unwrap();
         assert_eq!(gen1, 1);
@@ -1135,9 +1132,7 @@ mod tests {
         let (_, delta) = shard.get_delta(root, gen1, |r| r).unwrap();
         assert!(delta.is_empty());
         // Unlink produces a tombstone entry.
-        shard
-            .unlink(user, root, n.node, SimTime::from_secs(1))
-            .unwrap();
+        shard.unlink(user, root, n.node).unwrap();
         let (gen2, delta) = shard.get_delta(root, gen1, |r| r).unwrap();
         assert_eq!(gen2, 2);
         assert_eq!(delta.len(), 1);
@@ -1148,43 +1143,68 @@ mod tests {
     fn make_content_replaces_and_reports_old_hash() {
         let (mut shard, user, root) = setup();
         let n = shard
-            .make_node(
-                user,
-                root,
-                NodeId::new(1),
-                None,
-                NodeKind::File,
-                "a",
-                SimTime::ZERO,
-            )
+            .make_node(user, root, NodeId::new(1), None, NodeKind::File, "a")
             .unwrap();
         let h1 = ContentHash::from_content_id(1);
         let h2 = ContentHash::from_content_id(2);
-        let (row, old) = shard
-            .make_content(user, root, n.node, h1, 100, SimTime::ZERO)
-            .unwrap();
+        let (row, old) = shard.make_content(user, root, n.node, h1, 100).unwrap();
         assert_eq!(old, None);
         assert_eq!(row.size, 100);
-        let (row, old) = shard
-            .make_content(user, root, n.node, h2, 200, SimTime::ZERO)
-            .unwrap();
+        let (row, old) = shard.make_content(user, root, n.node, h2, 200).unwrap();
         assert_eq!(old, Some(h1));
         assert_eq!(row.content, Some(h2));
+    }
+
+    /// Shard 3 of 10 holds the ids 4, 14, 24, …: its dense index finds
+    /// those, refuses the others, and the packed live-name key keeps the
+    /// same name under different parents apart.
+    #[test]
+    fn strided_ids_and_packed_name_keys() {
+        let mut shard = Shard::new(ShardId::new(3), 10);
+        let (user, root) = (UserId::new(3), VolumeId::new(4));
+        shard.create_user(user, root, SimTime::ZERO).unwrap();
+        let make = |shard: &mut Shard, id: u64, parent: Option<u64>, kind, name: &str| {
+            shard.make_node(
+                user,
+                root,
+                NodeId::new(id),
+                parent.map(NodeId::new),
+                kind,
+                name,
+            )
+        };
+        let a = make(&mut shard, 4, None, NodeKind::Directory, "d").unwrap();
+        let b = make(&mut shard, 24, None, NodeKind::Directory, "e").unwrap();
+        assert!(make(&mut shard, 5, None, NodeKind::File, "x").is_err());
+        assert!(shard.get_node(root, NodeId::new(14)).is_err());
+        assert!(shard.get_node(root, NodeId::new(0)).is_err());
+        // One name under the root, under `a` and under `b`: three nodes.
+        let f0 = make(&mut shard, 34, None, NodeKind::File, "f").unwrap();
+        let fa = make(&mut shard, 44, Some(4), NodeKind::File, "f").unwrap();
+        let fb = make(&mut shard, 54, Some(24), NodeKind::File, "f").unwrap();
+        assert_eq!(fa.parent, Some(a.node));
+        assert_eq!(fb.parent, Some(b.node));
+        assert_eq!(f0.parent, None);
+        let again = make(&mut shard, 64, Some(24), NodeKind::File, "f").unwrap();
+        assert_eq!(again.node, fb.node, "idempotent under its own parent");
+        // Moving `fa` under `b` re-keys it; unlinking `b` then takes both
+        // of its files.
+        shard
+            .move_node(user, root, fa.node, Some(b.node), "g")
+            .unwrap();
+        let dead = shard.unlink(user, root, b.node).unwrap();
+        let mut dead: Vec<u64> = dead.iter().map(|d| d.node.raw()).collect();
+        dead.sort_unstable();
+        assert_eq!(dead, vec![24, 44, 54]);
+        assert_eq!(shard.get_node(root, a.node).unwrap().name, "d");
+        assert_eq!(shard.get_node(root, f0.node).unwrap().name, "f");
     }
 
     #[test]
     fn move_rejects_cycles() {
         let (mut shard, user, root) = setup();
         let a = shard
-            .make_node(
-                user,
-                root,
-                NodeId::new(1),
-                None,
-                NodeKind::Directory,
-                "a",
-                SimTime::ZERO,
-            )
+            .make_node(user, root, NodeId::new(1), None, NodeKind::Directory, "a")
             .unwrap();
         let b = shard
             .make_node(
@@ -1194,17 +1214,14 @@ mod tests {
                 Some(a.node),
                 NodeKind::Directory,
                 "b",
-                SimTime::ZERO,
             )
             .unwrap();
         // a -> under b (its own child) must fail.
         assert!(shard
-            .move_node(user, root, a.node, Some(b.node), "a", SimTime::ZERO)
+            .move_node(user, root, a.node, Some(b.node), "a")
             .is_err());
         // b -> root level is fine.
-        let moved = shard
-            .move_node(user, root, b.node, None, "b2", SimTime::ZERO)
-            .unwrap();
+        let moved = shard.move_node(user, root, b.node, None, "b2").unwrap();
         assert_eq!(moved.parent, None);
         assert_eq!(moved.name, "b2");
     }
@@ -1217,15 +1234,7 @@ mod tests {
             .create_udf(user, VolumeId::new(200), "Photos", SimTime::ZERO)
             .unwrap();
         shard
-            .make_node(
-                user,
-                udf.volume,
-                NodeId::new(1),
-                None,
-                NodeKind::File,
-                "x",
-                SimTime::ZERO,
-            )
+            .make_node(user, udf.volume, NodeId::new(1), None, NodeKind::File, "x")
             .unwrap();
         let dead = shard.delete_volume(user, udf.volume).unwrap();
         assert_eq!(dead.len(), 1);
@@ -1249,7 +1258,6 @@ mod tests {
                     None,
                     NodeKind::File,
                     &format!("f{i}"),
-                    SimTime::ZERO,
                 )
                 .unwrap();
         }
@@ -1271,7 +1279,6 @@ mod tests {
                 None,
                 NodeKind::File,
                 "fresh",
-                SimTime::ZERO,
             )
             .unwrap();
         assert_eq!(n.name, "fresh");
@@ -1286,15 +1293,7 @@ mod tests {
     fn change_log_compaction_preserves_delta_semantics() {
         let (mut shard, user, root) = setup();
         let n = shard
-            .make_node(
-                user,
-                root,
-                NodeId::new(1),
-                None,
-                NodeKind::File,
-                "hot",
-                SimTime::ZERO,
-            )
+            .make_node(user, root, NodeId::new(1), None, NodeKind::File, "hot")
             .unwrap();
         // Rewrite the same file far past the compaction floor: the log
         // accumulates stale entries and must compact without losing the
@@ -1308,7 +1307,6 @@ mod tests {
                     n.node,
                     ContentHash::from_content_id(i + 1),
                     i + 1,
-                    SimTime::from_secs(i),
                 )
                 .unwrap();
             last_generation = row.generation;
@@ -1335,15 +1333,7 @@ mod tests {
             .create_user(other, VolumeId::new(300), SimTime::ZERO)
             .unwrap();
         assert!(matches!(
-            shard.make_node(
-                other,
-                root,
-                NodeId::new(9),
-                None,
-                NodeKind::File,
-                "x",
-                SimTime::ZERO
-            ),
+            shard.make_node(other, root, NodeId::new(9), None, NodeKind::File, "x"),
             Err(CoreError::PermissionDenied(_))
         ));
         assert!(matches!(
@@ -1356,15 +1346,7 @@ mod tests {
     fn uploadjob_lifecycle_and_gc() {
         let (mut shard, user, root) = setup();
         let n = shard
-            .make_node(
-                user,
-                root,
-                NodeId::new(1),
-                None,
-                NodeKind::File,
-                "big",
-                SimTime::ZERO,
-            )
+            .make_node(user, root, NodeId::new(1), None, NodeKind::File, "big")
             .unwrap();
         let up = UploadId::new(50);
         let h = ContentHash::from_content_id(9);
@@ -1434,7 +1416,7 @@ mod tests {
         fn per_user_volume_list_matches_a_scan_of_every_slot(
             steps in proptest::collection::vec((0u8..8, 0u64..7, 0u64..7, 0u8..5), 1..80),
         ) {
-            let mut shard = Shard::new(ShardId::new(0));
+            let mut shard = Shard::new(ShardId::new(0), 1);
             let mut next_volume = 100u64;
             let mut volumes: Vec<VolumeId> = Vec::new();
             for (kind, a, b, name) in steps {

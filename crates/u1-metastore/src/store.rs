@@ -71,7 +71,8 @@ pub struct Released {
 
 /// Per-shard strided id allocator: shard `s` draws `s+1, s+1+S, s+1+2S, …`
 /// so the sequences of different shards are disjoint and independent of
-/// cross-shard interleaving.
+/// cross-shard interleaving. A shard indexes its nodes by the `k` of that
+/// sequence (see [`crate::shard`]).
 #[derive(Debug)]
 struct StridedAlloc {
     counters: Vec<AtomicU64>,
@@ -122,7 +123,7 @@ impl MetaStore {
     pub fn new(config: StoreConfig) -> Self {
         assert!(config.shards > 0, "need at least one shard");
         let shards = (0..config.shards)
-            .map(|i| RwLock::new(Shard::new(ShardId::new(i))))
+            .map(|i| RwLock::new(Shard::new(ShardId::new(i), config.shards)))
             .collect();
         Self {
             shards,
@@ -357,7 +358,8 @@ impl MetaStore {
 
     // ----- nodes ---------------------------------------------------------
 
-    /// `dal.make_file` / `dal.make_dir`.
+    /// `dal.make_file` / `dal.make_dir`. Node rows keep no timestamps, so
+    /// `_now` is unused; it stays for the callers' sake.
     pub fn make_node(
         &self,
         actor: UserId,
@@ -365,13 +367,13 @@ impl MetaStore {
         parent: Option<NodeId>,
         kind: NodeKind,
         name: &str,
-        now: SimTime,
+        _now: SimTime,
     ) -> CoreResult<crate::model::NodeRow> {
         let owner = self.authorize(actor, volume)?;
         let node = self.alloc_node(owner);
         self.shard(owner)
             .write()
-            .make_node(owner, volume, node, parent, kind, name, now)
+            .make_node(owner, volume, node, parent, kind, name)
     }
 
     /// `dal.get_node`.
@@ -403,7 +405,7 @@ impl MetaStore {
         let (row, old) = self
             .shard(owner)
             .write()
-            .make_content(owner, volume, node, hash, size, now)?;
+            .make_content(owner, volume, node, hash, size)?;
         self.contents.incref(hash, size, now, origin);
         let mut released = None;
         if let Some(old_hash) = old {
@@ -458,21 +460,21 @@ impl MetaStore {
         self.contents.seal()
     }
 
-    /// `dal.unlink_node`.
+    /// `dal.unlink_node`. `_now` is unused, as in [`MetaStore::make_node`].
     pub fn unlink(
         &self,
         actor: UserId,
         volume: VolumeId,
         node: NodeId,
-        now: SimTime,
+        _now: SimTime,
     ) -> CoreResult<Released> {
         let owner = self.authorize(actor, volume)?;
-        let dead = self.shard(owner).write().unlink(owner, volume, node, now)?;
+        let dead = self.shard(owner).write().unlink(owner, volume, node)?;
         let unreferenced = self.release_contents(&dead);
         Ok(Released { dead, unreferenced })
     }
 
-    /// `dal.move`.
+    /// `dal.move`. `_now` is unused, as in [`MetaStore::make_node`].
     pub fn move_node(
         &self,
         actor: UserId,
@@ -480,12 +482,12 @@ impl MetaStore {
         node: NodeId,
         new_parent: Option<NodeId>,
         new_name: &str,
-        now: SimTime,
+        _now: SimTime,
     ) -> CoreResult<crate::model::NodeRow> {
         let owner = self.authorize(actor, volume)?;
         self.shard(owner)
             .write()
-            .move_node(owner, volume, node, new_parent, new_name, now)
+            .move_node(owner, volume, node, new_parent, new_name)
     }
 
     /// `dal.get_delta`.

@@ -404,7 +404,10 @@ impl Reactor {
 
     /// Reads the connection until its socket is empty, the peer is done,
     /// or [`READ_BUDGET`] is spent, feeding the protocol state machine and
-    /// dispatching what comes out.
+    /// dispatching what comes out. A read shorter than `buf` emptied the
+    /// socket: it is the last one, with no `WouldBlock` read to confirm it.
+    /// The poller is level-triggered, so bytes (or an EOF) that arrive
+    /// later report the socket again.
     fn conn_readable(&mut self, token: u64, buf: &mut [u8]) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return; // torn down earlier this batch
@@ -452,6 +455,9 @@ impl Reactor {
                 if !keep {
                     break 'read Cause::Protocol;
                 }
+            }
+            if n < buf.len() {
+                return;
             }
         };
         self.teardown(token, verdict);

@@ -169,7 +169,8 @@ pub struct DriverReport {
     /// session.
     pub uploads_resumed: u64,
     /// Crashed uploads whose job was gone (reaped by the weekly GC) when
-    /// the client came back.
+    /// the client came back, or that a later crash of the same client
+    /// displaced before it came back (the client keeps one).
     pub uploads_abandoned: u64,
     /// Rescans forced by a dropped change notification.
     pub rescans_forced: u64,
@@ -935,8 +936,13 @@ impl ShardSim {
             let session = &mut self.clients[u].session;
             let outcome = send_upload(&self.backend, session, up, &mut job, true);
             if let Some(upload) = job.filter(|_| outcome.is_err()) {
-                self.clients[u].crashed_upload = Some((up.clone(), upload));
                 self.report.uploads_interrupted += 1;
+                // The client remembers one crashed job: one it still held
+                // from an earlier crash is abandoned to the GC here.
+                let displaced = self.clients[u].crashed_upload.replace((up.clone(), upload));
+                if displaced.is_some() {
+                    self.report.uploads_abandoned += 1;
+                }
             }
             outcome
         } else {
@@ -1783,7 +1789,13 @@ impl Driver {
 
     /// Runs the whole window and returns the report. The trace lands in
     /// the backend's sink.
-    pub fn run(mut self) -> DriverReport {
+    pub fn run(self) -> DriverReport {
+        self.run_keeping_partitions().0
+    }
+
+    /// [`Driver::run`], also handing back the partitions, clients and all,
+    /// as the run left them.
+    fn run_keeping_partitions(mut self) -> (DriverReport, Vec<ShardSim>) {
         {
             let _g = u1_core::partition::install(self.coordinator.ctx.clone());
             self.setup();
@@ -1928,7 +1940,7 @@ impl Driver {
         report.notify_dropped = faults.notify_dropped;
         report.part_put_failures = self.backend.blobs.stats().part_put_failures;
         report.trace_io_errors = self.backend.trace_io_errors();
-        report
+        (report, shards.into_iter().map(Mutex::into_inner).collect())
     }
 }
 
@@ -2227,10 +2239,33 @@ mod tests {
             seed_files: 0.5,
             workers: 1,
         };
-        let ((r, _), _) = run_config(backend_cfg, cfg, false);
+        let clock = SimClock::new();
+        let sink = Arc::new(MemorySink::new());
+        let backend = Arc::new(Backend::new(backend_cfg, Arc::new(clock.clone()), sink));
+        let (r, partitions) =
+            Driver::new(cfg, Arc::clone(&backend), clock).run_keeping_partitions();
         assert!(r.uploads_resumed > 0, "{r:?}");
         assert!(r.uploads_abandoned > 0, "{r:?}");
-        assert!(r.uploadjobs_reaped >= r.uploads_abandoned, "{r:?}");
+        // Every interrupted upload is resumed, abandoned, or still held by
+        // its client at the end.
+        let held = partitions
+            .iter()
+            .flat_map(|p| &p.clients)
+            .filter(|c| c.crashed_upload.is_some())
+            .count() as u64;
+        assert_eq!(
+            r.uploads_interrupted,
+            r.uploads_resumed + r.uploads_abandoned + held,
+            "{r:?}"
+        );
+        // An abandoned job was reaped before its client came back, or was
+        // displaced and waits for the GC: reaping whatever is left counts
+        // every one.
+        let left = backend
+            .store
+            .gc_uploadjobs(SimTime::from_days(days + 8))
+            .len() as u64;
+        assert!(r.uploadjobs_reaped + left >= r.uploads_abandoned, "{r:?}");
     }
 
     /// Half 2: a *nonzero* plan is deterministic — same seed and plan give
