@@ -11,14 +11,18 @@
 //!
 //! Debug builds, and so every `cargo test`, check the order on each
 //! acquisition against a per-thread set of held ranks and panic on the
-//! first violation, before blocking. Release builds keep no rank and do no
-//! bookkeeping: a lock is the `std::sync` lock it wraps.
+//! first violation, before blocking. They also count every acquisition per
+//! rank, process-wide ([`acquisitions`]), so a test can pin how many locks a
+//! piece of work takes. Release builds keep no rank and do no bookkeeping:
+//! a lock is the `std::sync` lock it wraps.
 
 // The one place the raw locks are allowed (see `clippy.toml`).
 #![allow(clippy::disallowed_types)]
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
+#[cfg(debug_assertions)]
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::PoisonError;
 
 /// The lock order, lowest first: a thread holding a lock of some rank may
@@ -47,6 +51,17 @@ thread_local! {
     static HELD: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
 }
 
+/// Locks taken so far in this process, indexed by their rank's bit.
+#[cfg(debug_assertions)]
+static ACQUIRED: [AtomicU64; 4] = [const { AtomicU64::new(0) }; 4];
+
+/// How many locks of each rank this process has taken so far, lowest rank
+/// first. Debug builds only: a release lock keeps no rank.
+#[cfg(debug_assertions)]
+pub fn acquisitions() -> [(Rank, u64); 4] {
+    RANKS.map(|rank| (rank, ACQUIRED[rank as usize].load(Ordering::Relaxed)))
+}
+
 /// The rank a lock was built with; zero-sized in release builds.
 #[derive(Clone, Copy, Default)]
 struct Order {
@@ -64,7 +79,8 @@ impl Order {
     }
 
     /// Records that this thread takes a lock of this rank, or panics if the
-    /// thread already holds one of the same or a higher rank.
+    /// thread already holds one of the same or a higher rank, and counts
+    /// the acquisition.
     #[inline]
     fn claim(self) -> Held {
         #[cfg(debug_assertions)]
@@ -81,6 +97,8 @@ impl Order {
             }
             held.set(mask | bit);
         });
+        #[cfg(debug_assertions)]
+        ACQUIRED[self.rank as usize].fetch_add(1, Ordering::Relaxed);
         Held {
             #[cfg(debug_assertions)]
             rank: self.rank,
@@ -312,6 +330,18 @@ mod tests {
         let (leaf, prefix) = (RwLock::new(()), Mutex::ranked(Rank::SealedPrefix, ()));
         let _leaf = leaf.write();
         let _prefix = prefix.lock();
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    fn acquisitions_are_counted_per_rank() {
+        let taken = || acquisitions()[Rank::LogWriters as usize].1;
+        let before = taken();
+        let m = Mutex::ranked(Rank::LogWriters, ());
+        drop(m.lock());
+        drop(m.lock());
+        // Tests running beside this one may take such locks too.
+        assert!(taken() >= before + 2);
     }
 
     #[test]

@@ -13,6 +13,10 @@
 //! process-wide as what dropping that owner frees. They move when a table's
 //! layout does, which no wall-clock bound would notice.
 //!
+//! [`LOCKS`] pins the third count, in debug builds: how many
+//! `u1_core::sync` locks of each rank the driver takes over the quick
+//! month. One extra lock per request moves it by thousands.
+//!
 //! Adding a row: measure the work with [`measure`] (or the holding with
 //! [`freed_by`]), push it in [`measured_rows`], and pin its counts in
 //! [`BUDGET`].
@@ -22,6 +26,7 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 use ubuntuone::analytics::engine::{run_all, EngineConfig};
+use ubuntuone::core::sync::Rank;
 use ubuntuone::core::SimClock;
 use ubuntuone::server::{Backend, BackendConfig};
 use ubuntuone::trace::{MemorySink, TraceRecord};
@@ -174,11 +179,38 @@ const BUDGET: &[(&str, Cost)] = &[
     ),
 ];
 
+/// Locks of each rank the driver takes over the quick month on one worker,
+/// from `Driver::new` to the end of `run`. Only debug builds keep ranks,
+/// so a release build pins no row.
+const LOCKS: &[(Rank, u64)] = if cfg!(debug_assertions) {
+    &[
+        (Rank::DriverShard, 160),
+        (Rank::SealedPrefix, 7),
+        (Rank::LogWriters, 0),
+        (Rank::Leaf, 906_906),
+    ]
+} else {
+    &[]
+};
+
+/// Lock acquisitions, per rank.
+type Locks = Vec<(Rank, u64)>;
+
+/// Locks taken in this process so far, per rank; none in a release build.
+fn locks_taken() -> Locks {
+    #[cfg(debug_assertions)]
+    let taken = ubuntuone::core::sync::acquisitions().to_vec();
+    #[cfg(not(debug_assertions))]
+    let taken = Vec::new();
+    taken
+}
+
 /// The quick month on a default back end, through a plain `MemorySink`, on
 /// one worker: the trace is the same at any worker count, and what the
 /// back end holds at the end repeats exactly only on one. Returns the
-/// sorted trace, the engine's configuration and the back end's census.
-fn quick_month() -> (Vec<TraceRecord>, EngineConfig, [Cost; 3]) {
+/// sorted trace, the engine's configuration, the back end's census and the
+/// locks the driver took.
+fn quick_month() -> (Vec<TraceRecord>, EngineConfig, [Cost; 3], Locks) {
     let cfg = WorkloadConfig {
         workers: 1,
         ..WorkloadConfig::quick()
@@ -196,7 +228,13 @@ fn quick_month() -> (Vec<TraceRecord>, EngineConfig, [Cost; 3]) {
         Arc::new(clock.clone()),
         sink.clone(),
     ));
+    let before = locks_taken();
     Driver::new(cfg, Arc::clone(&backend), clock).run();
+    let locks = locks_taken()
+        .into_iter()
+        .zip(before)
+        .map(|((rank, after), (_, before))| (rank, after - before))
+        .collect();
     let Ok(backend) = Arc::try_unwrap(backend) else {
         panic!("the driver left the back end shared");
     };
@@ -209,23 +247,31 @@ fn quick_month() -> (Vec<TraceRecord>, EngineConfig, [Cost; 3]) {
         // What is left of `backend` drops here.
     };
     let rest = freed_since(before_rest);
-    (sink.take_sorted(), engine, [metastore, blobstore, rest])
+    (
+        sink.take_sorted(),
+        engine,
+        [metastore, blobstore, rest],
+        locks,
+    )
 }
 
-/// Every row of the budget, measured.
-fn measured_rows() -> Vec<(&'static str, Cost)> {
-    let (records, engine, [metastore, blobstore, rest]) = quick_month();
+/// Every row of the budget, measured, and the locks the month took.
+fn measured_rows() -> (Vec<(&'static str, Cost)>, Locks) {
+    let (records, engine, [metastore, blobstore, rest], locks) = quick_month();
     let (report, fold) = measure(|| run_all(&records, &engine));
     assert_eq!(report.summary.records, records.len() as u64);
-    vec![
+    let rows = vec![
         ("analytics: engine::run_all over the quick month", fold),
         ("held: the metastore after the quick month", metastore),
         ("held: the blobstore after the quick month", blobstore),
         ("held: the rest of the back end after the quick month", rest),
-    ]
+    ];
+    (rows, locks)
 }
 
 #[test]
 fn costs_match_the_pinned_budget() {
-    assert_eq!(measured_rows(), BUDGET);
+    let (rows, locks) = measured_rows();
+    assert_eq!(rows, BUDGET);
+    assert_eq!(locks, LOCKS, "lock acquisitions per rank");
 }

@@ -20,7 +20,7 @@ use ubuntuone::proto::conn::{ClientConn, ClientEvent};
 use ubuntuone::proto::msg::{Request, Response};
 use ubuntuone::server::api::{Served, SessionState};
 use ubuntuone::server::{Backend, BackendConfig, TcpServer};
-use ubuntuone::trace::{canonical_sha, MemorySink, Payload};
+use ubuntuone::trace::{canonical_sha, MemorySink, Payload, SessionEvent};
 
 /// One case's outcome: `ok`, or the error kind.
 fn kind<T>(r: CoreResult<T>) -> String {
@@ -381,4 +381,56 @@ fn an_upload_resumes_in_a_later_session_alike_on_both_links() {
         (s.answers, canonical_sha(&sink.take_sorted()))
     };
     assert_eq!(run(false), run(true));
+}
+
+/// A session that `ban_user` evicted stays in its client's hands: its next
+/// request answers `not_found` for the session, the same value on both
+/// links, and traces nothing; its goodbye adds no second `Close`.
+#[test]
+fn an_evicted_session_answers_not_found_and_closes_once() {
+    let run = |wire: bool| {
+        let (backend, sink) = backend(false);
+        let server =
+            wire.then(|| TcpServer::start(Arc::clone(&backend), "127.0.0.1:0").expect("bind"));
+        let mut t: Box<dyn Transport> = match &server {
+            Some(server) => Box::new(TcpTransport::connect(server.local_addr()).expect("connect")),
+            None => Box::new(DirectTransport::new(Arc::clone(&backend))),
+        };
+        let token = backend.register_user(UserId::new(1));
+        t.authenticate(token).expect("authenticate");
+        assert_eq!(backend.ban_user(UserId::new(1)), 1);
+        let mut records = sink.take_sorted();
+        let answer = t
+            .list_volumes()
+            .map_or_else(|e| format!("{e:?}"), |_| "ok".into());
+        let traced = sink.take_sorted().len();
+        t.close();
+        if let Some(server) = server {
+            server.shutdown();
+        }
+        records.extend(sink.take_sorted());
+        let closes = records
+            .iter()
+            .filter(|r| {
+                matches!(
+                    r.payload,
+                    Payload::Session {
+                        event: SessionEvent::Close,
+                        ..
+                    }
+                )
+            })
+            .count();
+        vec![
+            answer,
+            format!("traced: {traced}"),
+            format!("closes: {closes}"),
+        ]
+    };
+    let direct = run(false);
+    assert_eq!(
+        direct,
+        [r#"NotFound("session s1")"#, "traced: 0", "closes: 1"]
+    );
+    assert_eq!(direct, run(true));
 }
