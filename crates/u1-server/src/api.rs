@@ -7,20 +7,21 @@
 //! both client transports and the workload driver all send requests, and
 //! the handlers are private to it.
 //!
-//! Each handler:
-//! 1. resolves the session,
-//! 2. executes the operation's DAL RPCs against the metadata store, with a
+//! `serve` hands each handler the session's handle, once it has checked
+//! that the session is still open. Each handler:
+//! 1. executes the operation's DAL RPCs against the metadata store, with a
 //!    sampled service time and an `rpc` trace record per call,
-//! 3. performs any object-store work (multipart parts, GETs, deletes),
-//! 4. logs one `storage_done` record with the summed duration, and
-//! 5. pushes notifications to other affected clients.
+//! 2. performs any object-store work (multipart parts, GETs, deletes),
+//! 3. logs one `storage_done` record with the summed duration, and
+//! 4. pushes notifications to other affected clients.
 
 use crate::backend::Backend;
-use crate::session::SessionHandle;
-use std::sync::mpsc::{channel, Receiver};
+use crate::session::{Session, SessionHandle};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::Arc;
 use u1_core::{
-    ApiOpKind, ContentHash, CoreError, CoreResult, NodeId, NodeKind, RpcKind, SessionId,
-    SimDuration, UploadId, UserId, VolumeId, VolumeKind,
+    ApiOpKind, ContentHash, CoreError, CoreResult, NodeId, NodeKind, RpcKind, SimDuration,
+    UploadId, UserId, VolumeId, VolumeKind,
 };
 use u1_metastore::NodeRow;
 use u1_proto::msg::{NodeInfo, Push, Request, Response, VolumeInfo};
@@ -69,29 +70,30 @@ fn node_info(row: NodeRow) -> NodeInfo {
 }
 
 /// One client's session as [`Backend::serve`] keeps it between requests:
-/// the back-end session once authenticated, and the channel its pushes
-/// arrive on when the client subscribed to them.
+/// the back-end session's record once authenticated, and the channel its
+/// pushes arrive on when the client subscribed to them.
 #[derive(Debug)]
 pub struct SessionState {
-    handle: Option<SessionHandle>,
+    session: Option<Arc<Session>>,
     pushes: Option<Receiver<Push>>,
     subscribe: bool,
 }
 
 impl SessionState {
     /// A client that has not authenticated yet; `subscribe_pushes`
-    /// registers it for pushes when it does.
+    /// subscribes it to pushes when it does.
     pub fn new(subscribe_pushes: bool) -> Self {
         SessionState {
-            handle: None,
+            session: None,
             pushes: None,
             subscribe: subscribe_pushes,
         }
     }
 
-    /// The back-end session, once authenticated.
+    /// The back-end session, once authenticated and until the client says
+    /// goodbye (an evicted session keeps its handle).
     pub fn handle(&self) -> Option<&SessionHandle> {
-        self.handle.as_ref()
+        self.session.as_deref().map(|s| &s.handle)
     }
 
     /// Where this session's pushes arrive, when it subscribed.
@@ -99,11 +101,17 @@ impl SessionState {
         self.pushes.as_ref()
     }
 
-    fn sid(&self) -> CoreResult<SessionId> {
-        self.handle
-            .as_ref()
-            .map(|h| h.session)
-            .ok_or_else(unauthenticated)
+    /// The handle of a session that is still open: `denied` before
+    /// authenticating, `not_found` once evicted.
+    fn live(&self) -> CoreResult<&SessionHandle> {
+        match self.session.as_deref() {
+            None => Err(unauthenticated()),
+            Some(s) if s.is_closed() => Err(CoreError::not_found(format!(
+                "session {}",
+                s.handle.session
+            ))),
+            Some(s) => Ok(&s.handle),
+        }
     }
 }
 
@@ -167,58 +175,55 @@ impl Backend {
         let resp = match req {
             Request::Ping => Response::Pong,
             Request::Authenticate { token } => {
-                if state.handle.is_some() {
+                if state.session.is_some() {
                     return Err(CoreError::conflict("already authenticated"));
                 }
                 let token = u1_auth::Token::from_bytes(&token)
                     .ok_or_else(|| CoreError::invalid("malformed token"))?;
-                let h = self.open_session(token)?;
-                if state.subscribe {
-                    let (tx, rx) = channel();
-                    self.push_router.register(h.session, tx);
-                    state.pushes = Some(rx);
-                }
+                let (tx, rx) = state.subscribe.then(channel).unzip();
+                let session = self.open_session(token, tx)?;
+                state.pushes = rx;
                 let resp = Response::AuthOk {
-                    session: h.session,
-                    user: h.user,
+                    session: session.handle.session,
+                    user: session.handle.user,
                 };
-                state.handle = Some(h);
+                state.session = Some(session);
                 resp
             }
             Request::QuerySetCaps { caps } => Response::Capabilities {
-                accepted: match &state.handle {
-                    Some(h) => self.query_set_caps(h.session, caps)?,
+                accepted: match state.session {
+                    Some(_) => self.query_set_caps(state.live()?, caps),
                     None => caps,
                 },
             },
             Request::Bye => {
-                if let Some(h) = state.handle.take() {
+                if let Some(session) = state.session.take() {
                     state.pushes = None;
-                    let _ = self.close_session(h.session);
+                    self.close_session(&session);
                 }
                 Response::Ok
             }
             Request::ListVolumes => Response::Volumes {
-                volumes: self.list_volumes(state.sid()?)?,
+                volumes: self.list_volumes(state.live()?)?,
             },
             Request::ListShares => Response::Volumes {
-                volumes: self.list_shares(state.sid()?)?,
+                volumes: self.list_shares(state.live()?)?,
             },
             Request::CreateUdf { name } => {
-                let v = self.create_udf(state.sid()?, &name)?;
+                let v = self.create_udf(state.live()?, &name)?;
                 Response::VolumeCreated {
                     volume: v.volume,
                     generation: v.generation,
                 }
             }
-            Request::DeleteVolume { volume } => done(self.delete_volume(state.sid()?, volume)?),
+            Request::DeleteVolume { volume } => done(self.delete_volume(state.live()?, volume)?),
             Request::MakeFile {
                 volume,
                 parent,
                 name,
             } => {
                 let kind = NodeKind::File;
-                created(self.make_node(state.sid()?, volume, parent_of(parent), kind, &name)?)
+                created(self.make_node(state.live()?, volume, parent_of(parent), kind, &name)?)
             }
             Request::MakeDir {
                 volume,
@@ -226,16 +231,16 @@ impl Backend {
                 name,
             } => {
                 let kind = NodeKind::Directory;
-                created(self.make_node(state.sid()?, volume, parent_of(parent), kind, &name)?)
+                created(self.make_node(state.live()?, volume, parent_of(parent), kind, &name)?)
             }
-            Request::Unlink { volume, node } => done(self.unlink(state.sid()?, volume, node)?),
+            Request::Unlink { volume, node } => done(self.unlink(state.live()?, volume, node)?),
             Request::Move {
                 volume,
                 node,
                 new_parent,
                 new_name,
             } => done(self.move_node(
-                state.sid()?,
+                state.live()?,
                 volume,
                 node,
                 parent_of(new_parent),
@@ -246,38 +251,38 @@ impl Backend {
                 from_generation,
             } => delta(
                 volume,
-                self.get_delta(state.sid()?, volume, from_generation)?,
+                self.get_delta(state.live()?, volume, from_generation)?,
             ),
             Request::RescanFromScratch { volume } => {
-                delta(volume, self.rescan_from_scratch(state.sid()?, volume)?)
+                delta(volume, self.rescan_from_scratch(state.live()?, volume)?)
             }
             Request::BeginUpload {
                 volume,
                 node,
                 hash,
                 size,
-            } => self.begin_upload(state.sid()?, volume, node, hash, size)?,
+            } => self.begin_upload(state.live()?, volume, node, hash, size)?,
             Request::ResumeUpload { upload } => Response::UploadBegun {
                 upload,
-                offset: self.resume_upload(state.sid()?, upload)?,
+                offset: self.resume_upload(state.live()?, upload)?,
             },
             Request::UploadChunk { upload, data } => {
-                done(self.upload_chunk(state.sid()?, upload, data.len() as u64, Some(data))?)
+                done(self.upload_chunk(state.live()?, upload, data.len() as u64, Some(data))?)
             }
             Request::UploadChunkSparse { upload, len } => {
-                let sid = state.sid()?;
+                let h = state.live()?;
                 // Sparse chunks exist for the measurement path only; a
                 // server storing real bytes must not account content it
                 // never received.
                 if self.cfg.store_real_bytes {
                     return Err(CoreError::invalid("sparse chunk on a real-bytes server"));
                 }
-                done(self.upload_chunk(sid, upload, len, None)?)
+                done(self.upload_chunk(h, upload, len, None)?)
             }
-            Request::CommitUpload { upload } => self.commit_upload(state.sid()?, upload)?,
-            Request::CancelUpload { upload } => done(self.cancel_upload(state.sid()?, upload)?),
+            Request::CommitUpload { upload } => self.commit_upload(state.live()?, upload)?,
+            Request::CancelUpload { upload } => done(self.cancel_upload(state.live()?, upload)?),
             Request::GetContent { volume, node } => {
-                let (size, hash, data) = self.download(state.sid()?, volume, node)?;
+                let (size, hash, data) = self.download(state.live()?, volume, node)?;
                 return Ok(Served::Content { size, hash, data });
             }
         };
@@ -287,12 +292,6 @@ impl Backend {
     /// Logs an op that names no node: a listing, a delta, a volume op.
     fn log_op(&self, h: &SessionHandle, op: ApiOpKind, volume: VolumeId, ok: bool, d: SimDuration) {
         self.log_storage(h, op, volume, None, None, 0, None, "", ok, d);
-    }
-
-    fn session(&self, session: SessionId) -> CoreResult<SessionHandle> {
-        self.sessions
-            .get(session)
-            .ok_or_else(|| CoreError::not_found(format!("session {session}")))
     }
 
     // ----- provisioning ---------------------------------------------------
@@ -309,16 +308,8 @@ impl Backend {
     /// the recipient's live sessions.
     pub fn create_share(&self, owner: UserId, volume: VolumeId, to: UserId) -> CoreResult<()> {
         self.store.create_share(owner, volume, to, self.now())?;
-        for sess in self.sessions.sessions_of(to) {
-            self.push_router.deliver(
-                sess.session,
-                Push::VolumeCreated {
-                    volume,
-                    kind: VolumeKind::Shared,
-                },
-                true,
-            );
-        }
+        let kind = VolumeKind::Shared;
+        self.fan_out(vec![to], None, Push::VolumeCreated { volume, kind });
         Ok(())
     }
 
@@ -328,7 +319,11 @@ impl Backend {
     /// memcached-style token cache when one is configured, else with one
     /// `auth.get_user_id_from_token` RPC — then establish the session on
     /// the least-loaded process.
-    fn open_session(&self, token: u1_auth::Token) -> CoreResult<SessionHandle> {
+    fn open_session(
+        &self,
+        token: u1_auth::Token,
+        pushes: Option<Sender<Push>>,
+    ) -> CoreResult<Arc<Session>> {
         let slot = self.cluster.place_session();
         if !self.faults.is_none() && self.faults.auth_down(self.now()) {
             // Auth-service outage window: the SSO backend is unreachable.
@@ -342,7 +337,7 @@ impl Backend {
             {
                 self.auth_fallbacks
                     .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                return self.establish_session(slot, user);
+                return self.establish_session(slot, user, pushes);
             }
             u1_core::fault::set_error_class(Some(u1_core::fault::ErrorClass::AuthOutage));
             self.log_auth(slot, UserId::new(0), false);
@@ -354,7 +349,7 @@ impl Backend {
                 // Cache hit: no auth-service round trip at all, so neither
                 // the `GetUserIdFromToken` rpc record nor the `auth` record
                 // is emitted — exactly what memcached saved the real system.
-                return self.establish_session(slot, user);
+                return self.establish_session(slot, user, pushes);
             }
         }
         if let Err(e) = self.rpc(slot, UserId::new(0), RpcKind::GetUserIdFromToken, 0) {
@@ -367,7 +362,7 @@ impl Backend {
                 if let Some(cache) = &self.token_cache {
                     cache.insert(token, user, self.now());
                 }
-                self.establish_session(slot, user)
+                self.establish_session(slot, user, pushes)
             }
             Err(e) => {
                 self.log_auth(slot, UserId::new(0), false);
@@ -378,12 +373,13 @@ impl Backend {
     }
 
     /// Post-auth session start-up: the `GetUserData`/`GetRoot` reads, the
-    /// session-table entry and the `session open` trace record.
+    /// session's record and the `session open` trace record.
     fn establish_session(
         &self,
         slot: crate::cluster::Slot,
         user: UserId,
-    ) -> CoreResult<SessionHandle> {
+        pushes: Option<Sender<Push>>,
+    ) -> CoreResult<Arc<Session>> {
         let prep = self
             .rpc(slot, user, RpcKind::GetUserData, 0)
             .and_then(|_| self.rpc(slot, user, RpcKind::GetRoot, 0))
@@ -394,37 +390,32 @@ impl Backend {
             self.cluster.release_session(slot);
             return Err(e);
         }
-        let handle = self.sessions.open(user, slot, self.now());
-        self.log_session_event(&handle, SessionEvent::Open);
-        Ok(handle)
+        let session = self.sessions.open(user, slot, pushes);
+        self.log_session_event(&session.handle, SessionEvent::Open);
+        Ok(session)
     }
 
     /// Ends a session (client disconnect, NAT cut, crash — they all look
-    /// the same: the TCP connection dies, §3.1.1).
-    fn close_session(&self, session: SessionId) -> CoreResult<()> {
-        let (handle, _ops, _data_ops) = self
-            .sessions
-            .close(session)
-            .ok_or_else(|| CoreError::not_found(format!("session {session}")))?;
-        self.push_router.unregister(session);
-        self.cluster.release_session(handle.slot);
-        self.log_session_event(&handle, SessionEvent::Close);
-        Ok(())
+    /// the same: the TCP connection dies, §3.1.1). A session that was
+    /// already closed, by `ban_user`, is left as it is.
+    fn close_session(&self, session: &Session) {
+        if self.sessions.close(session) {
+            self.cluster.release_session(session.handle.slot);
+            self.log_session_event(&session.handle, SessionEvent::Close);
+        }
     }
 
     /// Capability negotiation (appears in the Fig. 8 startup flow).
-    fn query_set_caps(&self, session: SessionId, caps: Vec<String>) -> CoreResult<Vec<String>> {
-        let h = self.session(session)?;
+    fn query_set_caps(&self, h: &SessionHandle, caps: Vec<String>) -> Vec<String> {
         let d = SimDuration::from_micros(50);
-        self.log_op(&h, ApiOpKind::QuerySetCaps, NO_VOLUME, true, d);
-        Ok(caps)
+        self.log_op(h, ApiOpKind::QuerySetCaps, NO_VOLUME, true, d);
+        caps
     }
 
     // ----- volume operations -------------------------------------------------
 
     /// ListVolumes: all volumes of the user — root, UDFs and shares.
-    fn list_volumes(&self, session: SessionId) -> CoreResult<Vec<VolumeInfo>> {
-        let h = self.session(session)?;
+    fn list_volumes(&self, h: &SessionHandle) -> CoreResult<Vec<VolumeInfo>> {
         let d = self.rpc(h.slot, h.user, RpcKind::ListVolumes, 0)?;
         let result = self.store.list_volumes(h.user).map(|owned| {
             let mut vols: Vec<VolumeInfo> = owned.iter().map(|v| volume_info(v, None)).collect();
@@ -433,27 +424,25 @@ impl Backend {
             }
             vols
         });
-        self.log_op(&h, ApiOpKind::ListVolumes, NO_VOLUME, result.is_ok(), d);
+        self.log_op(h, ApiOpKind::ListVolumes, NO_VOLUME, result.is_ok(), d);
         result
     }
 
     /// ListShares: only the volumes shared *to* this user.
-    fn list_shares(&self, session: SessionId) -> CoreResult<Vec<VolumeInfo>> {
-        let h = self.session(session)?;
+    fn list_shares(&self, h: &SessionHandle) -> CoreResult<Vec<VolumeInfo>> {
         let d = self.rpc(h.slot, h.user, RpcKind::ListShares, 0)?;
         let shares = self.store.list_shares(h.user);
         let result = shares.map(|shares| shares.iter().map(shared_info).collect::<Vec<_>>());
-        self.log_op(&h, ApiOpKind::ListShares, NO_VOLUME, result.is_ok(), d);
+        self.log_op(h, ApiOpKind::ListShares, NO_VOLUME, result.is_ok(), d);
         result
     }
 
     /// CreateUDF.
-    fn create_udf(&self, session: SessionId, name: &str) -> CoreResult<VolumeInfo> {
-        let h = self.session(session)?;
+    fn create_udf(&self, h: &SessionHandle, name: &str) -> CoreResult<VolumeInfo> {
         let d = self.rpc(h.slot, h.user, RpcKind::CreateUdf, 0)?;
         let result = self.store.create_udf(h.user, name, self.now());
         self.log_op(
-            &h,
+            h,
             ApiOpKind::CreateUdf,
             result.as_ref().map(|v| v.volume).unwrap_or_default(),
             result.is_ok(),
@@ -461,24 +450,13 @@ impl Backend {
         );
         let row = result?;
         // The user's *other* devices learn about the new volume by push.
-        for sess in self.sessions.sessions_of(h.user) {
-            if sess.session != session {
-                self.push_router.deliver(
-                    sess.session,
-                    Push::VolumeCreated {
-                        volume: row.volume,
-                        kind: VolumeKind::UserDefined,
-                    },
-                    sess.slot == h.slot,
-                );
-            }
-        }
+        let (volume, kind) = (row.volume, VolumeKind::UserDefined);
+        self.fan_out(vec![h.user], Some(h), Push::VolumeCreated { volume, kind });
         Ok(volume_info(&row, None))
     }
 
     /// DeleteVolume — the cascade operation.
-    fn delete_volume(&self, session: SessionId, volume: VolumeId) -> CoreResult<u64> {
-        let h = self.session(session)?;
+    fn delete_volume(&self, h: &SessionHandle, volume: VolumeId) -> CoreResult<u64> {
         // The cascade runs first: its size is what the RPC's service time
         // is sampled from. So by the time the RPC can fail the rows are
         // gone, and the rest of the operation — deleting the blobs the
@@ -492,7 +470,7 @@ impl Backend {
             }
         }
         self.log_op(
-            &h,
+            h,
             ApiOpKind::DeleteVolume,
             volume,
             result.is_ok() && rpc.is_ok(),
@@ -501,15 +479,7 @@ impl Backend {
         rpc?;
         let released = result?;
         // Other devices of this user learn the volume is gone.
-        for sess in self.sessions.sessions_of(h.user) {
-            if sess.session != session {
-                self.push_router.deliver(
-                    sess.session,
-                    Push::VolumeDeleted { volume },
-                    sess.slot == h.slot,
-                );
-            }
-        }
+        self.fan_out(vec![h.user], Some(h), Push::VolumeDeleted { volume });
         Ok(released.dead.len() as u64)
     }
 
@@ -519,13 +489,12 @@ impl Backend {
     /// "normally precedes a file upload" (Table 2).
     fn make_node(
         &self,
-        session: SessionId,
+        h: &SessionHandle,
         volume: VolumeId,
         parent: Option<NodeId>,
         kind: NodeKind,
         name: &str,
     ) -> CoreResult<NodeInfo> {
-        let h = self.session(session)?;
         let rpc_kind = match kind {
             NodeKind::File => RpcKind::MakeFile,
             NodeKind::Directory => RpcKind::MakeDir,
@@ -539,7 +508,7 @@ impl Backend {
             .store
             .make_node(h.user, volume, parent, kind, name, self.now());
         self.log_storage(
-            &h,
+            h,
             op,
             volume,
             result.as_ref().ok().map(|n| n.node),
@@ -552,7 +521,7 @@ impl Backend {
         );
         let row = result?;
         self.notify_change(
-            &h,
+            h,
             volume,
             Push::VolumeChanged {
                 volume,
@@ -563,14 +532,13 @@ impl Backend {
     }
 
     /// Unlink.
-    fn unlink(&self, session: SessionId, volume: VolumeId, node: NodeId) -> CoreResult<u64> {
-        let h = self.session(session)?;
+    fn unlink(&self, h: &SessionHandle, volume: VolumeId, node: NodeId) -> CoreResult<u64> {
         let d = self.rpc(h.slot, h.user, RpcKind::UnlinkNode, 0)?;
         // Capture identity before deletion for the trace record.
         let pre = self.store.get_node(h.user, volume, node).ok();
         let result = self.store.unlink(h.user, volume, node, self.now());
         self.log_storage(
-            &h,
+            h,
             ApiOpKind::Unlink,
             volume,
             Some(node),
@@ -590,26 +558,25 @@ impl Backend {
             .get_delta(h.user, volume, u64::MAX)
             .map(|(g, _)| g)
             .unwrap_or(0);
-        self.notify_change(&h, volume, Push::VolumeChanged { volume, generation });
+        self.notify_change(h, volume, Push::VolumeChanged { volume, generation });
         Ok(released.dead.len() as u64)
     }
 
     /// Move.
     fn move_node(
         &self,
-        session: SessionId,
+        h: &SessionHandle,
         volume: VolumeId,
         node: NodeId,
         new_parent: Option<NodeId>,
         new_name: &str,
     ) -> CoreResult<NodeInfo> {
-        let h = self.session(session)?;
         let d = self.rpc(h.slot, h.user, RpcKind::Move, 0)?;
         let result = self
             .store
             .move_node(h.user, volume, node, new_parent, new_name, self.now());
         self.log_storage(
-            &h,
+            h,
             ApiOpKind::Move,
             volume,
             Some(node),
@@ -622,7 +589,7 @@ impl Backend {
         );
         let row = result?;
         self.notify_change(
-            &h,
+            h,
             volume,
             Push::VolumeChanged {
                 volume,
@@ -636,17 +603,16 @@ impl Backend {
     /// carries them in the store's one collect.
     fn get_delta(
         &self,
-        session: SessionId,
+        h: &SessionHandle,
         volume: VolumeId,
         from_generation: u64,
     ) -> CoreResult<(u64, Vec<NodeInfo>)> {
-        let h = self.session(session)?;
         let d1 = self.rpc(h.slot, h.user, RpcKind::GetVolumeId, 0)?;
         let d2 = self.rpc(h.slot, h.user, RpcKind::GetDelta, 0)?;
         let result = self
             .store
             .get_delta_as(h.user, volume, from_generation, node_info);
-        self.log_op(&h, ApiOpKind::GetDelta, volume, result.is_ok(), d1 + d2);
+        self.log_op(h, ApiOpKind::GetDelta, volume, result.is_ok(), d1 + d2);
         result
     }
 
@@ -654,14 +620,13 @@ impl Backend {
     /// protocol carries it.
     fn rescan_from_scratch(
         &self,
-        session: SessionId,
+        h: &SessionHandle,
         volume: VolumeId,
     ) -> CoreResult<(u64, Vec<NodeInfo>)> {
-        let h = self.session(session)?;
         let result = self.store.get_from_scratch(h.user, volume, node_info);
         let rows = result.as_ref().map(|(_, v)| v.len() as u64).unwrap_or(0);
         let d = self.rpc(h.slot, h.user, RpcKind::GetFromScratch, rows)?;
-        self.log_op(&h, ApiOpKind::RescanFromScratch, volume, result.is_ok(), d);
+        self.log_op(h, ApiOpKind::RescanFromScratch, volume, result.is_ok(), d);
         result
     }
 
@@ -671,13 +636,12 @@ impl Backend {
     /// The client sent the SHA-1 *before* any content (§3.3).
     fn begin_upload(
         &self,
-        session: SessionId,
+        h: &SessionHandle,
         volume: VolumeId,
         node: NodeId,
         hash: ContentHash,
         size: u64,
     ) -> CoreResult<Response> {
-        let h = self.session(session)?;
         let mut d = self.rpc(h.slot, h.user, RpcKind::GetReusableContent, 0)?;
         let node_row = self.store.get_node(h.user, volume, node)?;
         // The content index view is the source of truth for dedup: a hash
@@ -694,7 +658,7 @@ impl Backend {
                 self.blobs.delete(old);
             }
             self.log_storage(
-                &h,
+                h,
                 ApiOpKind::Upload,
                 volume,
                 Some(node),
@@ -706,7 +670,7 @@ impl Backend {
                 d,
             );
             self.notify_change(
-                &h,
+                h,
                 volume,
                 Push::VolumeChanged {
                     volume,
@@ -737,8 +701,7 @@ impl Backend {
     /// `ResumeUpload`: the bytes an unfinished job already holds. Reads the
     /// job where the client left it, with no RPC; a job the weekly GC
     /// reaped is `not_found`.
-    fn resume_upload(&self, session: SessionId, upload: UploadId) -> CoreResult<u64> {
-        let h = self.session(session)?;
+    fn resume_upload(&self, h: &SessionHandle, upload: UploadId) -> CoreResult<u64> {
         Ok(self.store.get_uploadjob(h.user, upload)?.bytes_received)
     }
 
@@ -746,12 +709,11 @@ impl Backend {
     /// store as a multipart part and records it in the upload job.
     fn upload_chunk(
         &self,
-        session: SessionId,
+        h: &SessionHandle,
         upload: UploadId,
         len: u64,
         data: Option<Vec<u8>>,
     ) -> CoreResult<()> {
-        let h = self.session(session)?;
         self.rpc(h.slot, h.user, RpcKind::AddPartToUploadJob, 0)?;
         // Put the part *before* recording it in the upload job: a failed
         // put must leave no metadata claiming bytes the object store never
@@ -778,8 +740,7 @@ impl Backend {
 
     /// Upload phase 3: commit. Completes the S3 multipart, attaches content
     /// to the node, deletes the upload job, logs the Upload operation.
-    fn commit_upload(&self, session: SessionId, upload: UploadId) -> CoreResult<Response> {
-        let h = self.session(session)?;
+    fn commit_upload(&self, h: &SessionHandle, upload: UploadId) -> CoreResult<Response> {
         let mut d = self.rpc(h.slot, h.user, RpcKind::GetUploadJob, 0)?;
         let job = self.store.get_uploadjob(h.user, upload)?;
         if !job.is_complete() {
@@ -811,7 +772,7 @@ impl Backend {
         let node_row = self.store.get_node(h.user, job.volume, job.node)?;
         d = d + self.transfer_time(job.declared_size);
         self.log_storage(
-            &h,
+            h,
             ApiOpKind::Upload,
             job.volume,
             Some(job.node),
@@ -823,7 +784,7 @@ impl Backend {
             d,
         );
         self.notify_change(
-            &h,
+            h,
             job.volume,
             Push::VolumeChanged {
                 volume: job.volume,
@@ -838,8 +799,7 @@ impl Backend {
     }
 
     /// Client-side cancellation of an in-flight upload.
-    fn cancel_upload(&self, session: SessionId, upload: UploadId) -> CoreResult<()> {
-        let h = self.session(session)?;
+    fn cancel_upload(&self, h: &SessionHandle, upload: UploadId) -> CoreResult<()> {
         self.rpc(h.slot, h.user, RpcKind::DeleteUploadJob, 0)?;
         let job = self.store.delete_uploadjob(h.user, upload)?;
         if let Some(mp) = job.multipart_id {
@@ -851,11 +811,10 @@ impl Backend {
     /// Download (GetContent). Returns (size, hash, bytes-if-live).
     fn download(
         &self,
-        session: SessionId,
+        h: &SessionHandle,
         volume: VolumeId,
         node: NodeId,
     ) -> CoreResult<(u64, ContentHash, Option<Vec<u8>>)> {
-        let h = self.session(session)?;
         let d = self.rpc(h.slot, h.user, RpcKind::GetNode, 0)?;
         let row = self.store.get_node(h.user, volume, node);
         let result = match &row {
@@ -877,7 +836,7 @@ impl Backend {
         };
         let size = result.as_ref().map(|(s, _, _)| *s).unwrap_or(0);
         self.log_storage(
-            &h,
+            h,
             ApiOpKind::Download,
             volume,
             Some(node),
@@ -919,8 +878,13 @@ mod tests {
 
     /// A served session of a new user, and its handle.
     fn served(b: &Backend, user: u64) -> (SessionState, SessionHandle) {
+        served_as(b, user, false)
+    }
+
+    /// [`served`], subscribed to pushes when `subscribe`.
+    fn served_as(b: &Backend, user: u64, subscribe: bool) -> (SessionState, SessionHandle) {
         let token = b.register_user(UserId::new(user));
-        let mut state = SessionState::new(false);
+        let mut state = SessionState::new(subscribe);
         let auth = Request::Authenticate {
             token: token.as_bytes().to_vec(),
         };
@@ -980,7 +944,7 @@ mod tests {
         size: u64,
     ) -> UploadId {
         let hash = ContentHash::from_content_id(id);
-        match b.begin_upload(h.session, at.0, at.1, hash, size).unwrap() {
+        match b.begin_upload(h, at.0, at.1, hash, size).unwrap() {
             Response::UploadBegun { upload, offset: 0 } => upload,
             other => panic!("{other:?}"),
         }
@@ -1004,9 +968,9 @@ mod tests {
     #[test]
     fn session_lifecycle_with_auth() {
         let (b, sink, _clock) = backend(false);
-        let (_, h) = served(&b, 1);
+        let (mut s, _) = served(&b, 1);
         assert_eq!(b.sessions.live_count(), 1);
-        b.close_session(h.session).unwrap();
+        call(&b, &mut s, Request::Bye).unwrap();
         assert_eq!(b.sessions.live_count(), 0);
         let recs = sink.take_sorted();
         let kinds: Vec<&str> = recs.iter().map(|r| r.payload.request_type()).collect();
@@ -1031,10 +995,10 @@ mod tests {
         let user = UserId::new(1);
         let token = b.register_user(user);
 
-        let h1 = b.open_session(token).unwrap();
-        b.close_session(h1.session).unwrap();
-        let h2 = b.open_session(token).unwrap();
-        b.close_session(h2.session).unwrap();
+        let s1 = b.open_session(token, None).unwrap();
+        b.close_session(&s1);
+        let s2 = b.open_session(token, None).unwrap();
+        b.close_session(&s2);
 
         let stats = b.token_cache_stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
@@ -1062,14 +1026,14 @@ mod tests {
 
         // Banning the user invalidates the cached token immediately.
         b.ban_user(user);
-        assert!(b.open_session(token).is_err());
+        assert!(b.open_session(token, None).is_err());
     }
 
     #[test]
     fn bad_token_is_rejected_and_logged() {
         let (b, sink, _clock) = backend(false);
         let bogus = u1_auth::Token([7u8; 16]);
-        assert!(b.open_session(bogus).is_err());
+        assert!(b.open_session(bogus, None).is_err());
         let recs = sink.take_sorted();
         let auth_fail = recs
             .iter()
@@ -1082,24 +1046,23 @@ mod tests {
     fn full_upload_download_round_trip_with_real_bytes() {
         let (b, _sink, _clock) = backend(true);
         let (_, h) = served(&b, 1);
-        let root = b.list_volumes(h.session).unwrap()[0].volume;
+        let root = b.list_volumes(&h).unwrap()[0].volume;
         let node = b
-            .make_node(h.session, root, None, NodeKind::File, "hello.txt")
+            .make_node(&h, root, None, NodeKind::File, "hello.txt")
             .unwrap();
         let data = b"hello, personal cloud".to_vec();
         let hash = Sha1::digest(&data);
         let size = data.len() as u64;
-        let Response::UploadBegun { upload, .. } = b
-            .begin_upload(h.session, root, node.node, hash, size)
-            .unwrap()
+        let Response::UploadBegun { upload, .. } =
+            b.begin_upload(&h, root, node.node, hash, size).unwrap()
         else {
             panic!("expected a new upload job");
         };
-        b.upload_chunk(h.session, upload, size, Some(data.clone()))
+        b.upload_chunk(&h, upload, size, Some(data.clone()))
             .unwrap();
-        let committed = b.commit_upload(h.session, upload).unwrap();
+        let committed = b.commit_upload(&h, upload).unwrap();
         assert!(matches!(committed, Response::UploadDone { hash: h, .. } if h == hash));
-        let (size, got_hash, got_data) = b.download(h.session, root, node.node).unwrap();
+        let (size, got_hash, got_data) = b.download(&h, root, node.node).unwrap();
         assert_eq!(size, data.len() as u64);
         assert_eq!(got_hash, hash);
         assert_eq!(got_data.unwrap(), data);
@@ -1110,13 +1073,13 @@ mod tests {
         let (b, _sink, _clock) = backend(false);
         let (mut s1, h1) = served(&b, 1);
         let (mut s2, h2) = served(&b, 2);
-        let v1 = b.list_volumes(h1.session).unwrap()[0].volume;
-        let v2 = b.list_volumes(h2.session).unwrap()[0].volume;
+        let v1 = b.list_volumes(&h1).unwrap()[0].volume;
+        let v2 = b.list_volumes(&h2).unwrap()[0].volume;
         let n1 = b
-            .make_node(h1.session, v1, None, NodeKind::File, "song.mp3")
+            .make_node(&h1, v1, None, NodeKind::File, "song.mp3")
             .unwrap();
         let n2 = b
-            .make_node(h2.session, v2, None, NodeKind::File, "same.mp3")
+            .make_node(&h2, v2, None, NodeKind::File, "same.mp3")
             .unwrap();
         let hash = ContentHash::from_content_id(77);
 
@@ -1139,16 +1102,16 @@ mod tests {
         let run = |crash: bool| {
             let (b, sink, _clock) = backend(false);
             let (mut s, h) = served(&b, 1);
-            let v = b.list_volumes(h.session).unwrap()[0].volume;
+            let v = b.list_volumes(&h).unwrap()[0].volume;
             let n = b
-                .make_node(h.session, v, None, NodeKind::File, "film.avi")
+                .make_node(&h, v, None, NodeKind::File, "film.avi")
                 .unwrap()
                 .node;
             let hash = ContentHash::from_content_id(21);
             let size = 2 * u1_blobstore::PART_SIZE + 5; // three parts
             let resume = crash.then(|| {
                 let upload = begin(&b, &h, (v, n), 21, size);
-                b.upload_chunk(h.session, upload, u1_blobstore::PART_SIZE, None)
+                b.upload_chunk(&h, upload, u1_blobstore::PART_SIZE, None)
                     .unwrap();
                 upload
             });
@@ -1173,35 +1136,32 @@ mod tests {
     fn incomplete_upload_cannot_commit_but_can_resume() {
         let (b, _sink, _clock) = backend(false);
         let (_, h) = served(&b, 1);
-        let v = b.list_volumes(h.session).unwrap()[0].volume;
-        let n = b
-            .make_node(h.session, v, None, NodeKind::File, "big.iso")
-            .unwrap();
+        let v = b.list_volumes(&h).unwrap()[0].volume;
+        let n = b.make_node(&h, v, None, NodeKind::File, "big.iso").unwrap();
         let size = 12 * 1024 * 1024u64;
         let upload = begin(&b, &h, (v, n.node), 5, size);
-        b.upload_chunk(h.session, upload, 5 << 20, None).unwrap();
+        b.upload_chunk(&h, upload, 5 << 20, None).unwrap();
         // Interrupted: commit refuses.
-        assert!(b.commit_upload(h.session, upload).is_err());
+        assert!(b.commit_upload(&h, upload).is_err());
         // Resume: the job remembers the received parts.
-        assert_eq!(b.resume_upload(h.session, upload), Ok(5 << 20));
-        b.upload_chunk(h.session, upload, 5 << 20, None).unwrap();
-        b.upload_chunk(h.session, upload, size - (10 << 20), None)
-            .unwrap();
-        assert!(b.commit_upload(h.session, upload).is_ok());
+        assert_eq!(b.resume_upload(&h, upload), Ok(5 << 20));
+        b.upload_chunk(&h, upload, 5 << 20, None).unwrap();
+        b.upload_chunk(&h, upload, size - (10 << 20), None).unwrap();
+        assert!(b.commit_upload(&h, upload).is_ok());
     }
 
     #[test]
     fn crashed_upload_resumes_from_last_part_not_from_scratch() {
         let (b, sink, _clock) = backend(false);
         let (mut s, h) = served(&b, 1);
-        let v = b.list_volumes(h.session).unwrap()[0].volume;
+        let v = b.list_volumes(&h).unwrap()[0].volume;
         let n = b
-            .make_node(h.session, v, None, NodeKind::File, "video.avi")
+            .make_node(&h, v, None, NodeKind::File, "video.avi")
             .unwrap();
         let size = 12 << 20; // three 5MB parts
         let job = begin(&b, &h, (v, n.node), 9, size);
         // Client crashes after the first part.
-        b.upload_chunk(h.session, job, 5 << 20, None).unwrap();
+        b.upload_chunk(&h, job, 5 << 20, None).unwrap();
         let _ = sink.take_sorted();
 
         // The resumed sequence continues the same job: only the two
@@ -1222,12 +1182,12 @@ mod tests {
     fn gc_reaps_crashed_uploads_leaving_no_orphaned_parts() {
         let (b, _sink, clock) = backend(false);
         let (mut s, h) = served(&b, 1);
-        let v = b.list_volumes(h.session).unwrap()[0].volume;
+        let v = b.list_volumes(&h).unwrap()[0].volume;
         let n = b
-            .make_node(h.session, v, None, NodeKind::File, "orphan.iso")
+            .make_node(&h, v, None, NodeKind::File, "orphan.iso")
             .unwrap();
         let upload = begin(&b, &h, (v, n.node), 11, 10 << 20);
-        b.upload_chunk(h.session, upload, 5 << 20, None).unwrap();
+        b.upload_chunk(&h, upload, 5 << 20, None).unwrap();
         // The client vanishes; a week later the daily sweep finds the job.
         clock.set(u1_core::SimTime::from_days(8));
         assert_eq!(b.run_maintenance(), 1);
@@ -1251,38 +1211,77 @@ mod tests {
     fn push_notification_reaches_other_device_of_same_user() {
         let (b, _sink, _clock) = backend(false);
         let token = b.register_user(UserId::new(1));
-        let h1 = b.open_session(token).unwrap();
-        let h2 = b.open_session(token).unwrap(); // second device
+        let s1 = b.open_session(token, None).unwrap();
         let (tx, rx) = channel();
-        b.push_router.register(h2.session, tx);
-        let v = b.list_volumes(h1.session).unwrap()[0].volume;
-        b.make_node(h1.session, v, None, NodeKind::File, "new.txt")
+        let s2 = b.open_session(token, Some(tx)).unwrap(); // second device
+        assert_ne!(s1.handle.slot, s2.handle.slot);
+        let v = b.list_volumes(&s1.handle).unwrap()[0].volume;
+        b.make_node(&s1.handle, v, None, NodeKind::File, "new.txt")
             .unwrap();
-        b.pump_broker();
         let pushes = u1_notify::drain(&rx);
         assert_eq!(pushes.len(), 1, "second device must be pushed");
         assert!(matches!(pushes[0], Push::VolumeChanged { .. }));
+        assert_eq!(b.push_router.stats(), (0, 1, 0), "through the broker");
+    }
+
+    /// Footnote 4: a session on the pusher's own API process is pushed
+    /// directly, and the pusher itself is not pushed.
+    #[test]
+    fn push_to_a_same_process_session_skips_the_broker() {
+        let cfg = BackendConfig {
+            cluster: crate::ClusterConfig {
+                machines: 1,
+                processes_per_machine: 1,
+            },
+            auth: u1_auth::AuthConfig {
+                transient_failure_rate: 0.0,
+                token_ttl: None,
+            },
+            ..Default::default()
+        };
+        let b = Backend::new(cfg, Arc::new(SimClock::new()), Arc::new(MemorySink::new()));
+        let token = b.register_user(UserId::new(1));
+        let (tx1, rx1) = channel();
+        let s1 = b.open_session(token, Some(tx1)).unwrap();
+        let (tx2, rx2) = channel();
+        let _s2 = b.open_session(token, Some(tx2)).unwrap();
+        let udf = b.create_udf(&s1.handle, "Photos").unwrap();
+        b.delete_volume(&s1.handle, udf.volume).unwrap();
+        assert!(
+            u1_notify::drain(&rx1).is_empty(),
+            "the pusher is not pushed"
+        );
+        let pushes = u1_notify::drain(&rx2);
+        assert!(
+            matches!(
+                pushes[..],
+                [Push::VolumeCreated { .. }, Push::VolumeDeleted { .. }]
+            ),
+            "{pushes:?}"
+        );
+        assert_eq!(b.push_router.stats(), (2, 0, 0));
+        assert_eq!(b.broker.stats().published, 0);
     }
 
     #[test]
     fn push_notification_reaches_share_recipient() {
         let (b, _sink, _clock) = backend(false);
         let (_, h1) = served(&b, 1);
-        let (_, h2) = served(&b, 2);
-        let (tx, rx) = channel();
-        b.push_router.register(h2.session, tx);
-        let udf = b.create_udf(h1.session, "Shared").unwrap();
+        let (s2, h2) = served_as(&b, 2, true);
+        let rx = s2.pushes().unwrap();
+        let udf = b.create_udf(&h1, "Shared").unwrap();
         b.create_share(h1.user, udf.volume, h2.user).unwrap();
-        // Recipient got VolumeCreated.
+        // Recipient got VolumeCreated; no session pushed it, so it went
+        // through the broker.
         assert!(matches!(
-            u1_notify::drain(&rx)[..],
+            u1_notify::drain(rx)[..],
             [Push::VolumeCreated { .. }]
         ));
+        assert_eq!(b.push_router.stats(), (0, 1, 0));
         // A change by the owner lands as VolumeChanged at the recipient.
-        b.make_node(h1.session, udf.volume, None, NodeKind::File, "x.pdf")
+        b.make_node(&h1, udf.volume, None, NodeKind::File, "x.pdf")
             .unwrap();
-        b.pump_broker();
-        let pushes = u1_notify::drain(&rx);
+        let pushes = u1_notify::drain(rx);
         assert!(
             pushes
                 .iter()
@@ -1295,14 +1294,12 @@ mod tests {
     fn unlink_releases_unreferenced_content_from_blobstore() {
         let (b, _sink, _clock) = backend(false);
         let (mut s, h) = served(&b, 1);
-        let v = b.list_volumes(h.session).unwrap()[0].volume;
-        let n = b
-            .make_node(h.session, v, None, NodeKind::File, "f.bin")
-            .unwrap();
+        let v = b.list_volumes(&h).unwrap()[0].volume;
+        let n = b.make_node(&h, v, None, NodeKind::File, "f.bin").unwrap();
         let hash = ContentHash::from_content_id(3);
         upload(&b, &mut s, (v, n.node), hash, 1000, None).unwrap();
         assert!(b.blobs.contains(hash));
-        b.unlink(h.session, v, n.node).unwrap();
+        b.unlink(&h, v, n.node).unwrap();
         assert!(!b.blobs.contains(hash), "S3 object deleted with last ref");
     }
 
@@ -1310,13 +1307,13 @@ mod tests {
     fn get_delta_tracks_changes() {
         let (b, _sink, _clock) = backend(false);
         let (_, h) = served(&b, 1);
-        let v = b.list_volumes(h.session).unwrap()[0].volume;
-        let (gen0, delta) = b.get_delta(h.session, v, 0).unwrap();
+        let v = b.list_volumes(&h).unwrap()[0].volume;
+        let (gen0, delta) = b.get_delta(&h, v, 0).unwrap();
         assert_eq!(gen0, 0);
         assert!(delta.is_empty());
-        b.make_node(h.session, v, None, NodeKind::Directory, "docs")
+        b.make_node(&h, v, None, NodeKind::Directory, "docs")
             .unwrap();
-        let (gen1, delta) = b.get_delta(h.session, v, gen0).unwrap();
+        let (gen1, delta) = b.get_delta(&h, v, gen0).unwrap();
         assert_eq!(gen1, 1);
         assert_eq!(delta.len(), 1);
         assert_eq!(delta[0].name, "docs");
@@ -1326,12 +1323,12 @@ mod tests {
     fn maintenance_reaps_stale_uploadjobs() {
         let (b, _sink, clock) = backend(false);
         let (_, h) = served(&b, 1);
-        let v = b.list_volumes(h.session).unwrap()[0].volume;
+        let v = b.list_volumes(&h).unwrap()[0].volume;
         let n = b
-            .make_node(h.session, v, None, NodeKind::File, "stale.bin")
+            .make_node(&h, v, None, NodeKind::File, "stale.bin")
             .unwrap();
         let upload = begin(&b, &h, (v, n.node), 1, 10 << 20);
-        b.upload_chunk(h.session, upload, 5 << 20, None).unwrap();
+        b.upload_chunk(&h, upload, 5 << 20, None).unwrap();
         clock.set(u1_core::SimTime::from_days(8));
         assert_eq!(b.run_maintenance(), 1);
         assert!(b.store.get_uploadjob(h.user, upload).is_err());
@@ -1342,9 +1339,9 @@ mod tests {
     fn ban_user_removes_sessions_content_and_token() {
         let (b, _sink, _clock) = backend(false);
         let (mut s, h) = served(&b, 66);
-        let v = b.list_volumes(h.session).unwrap()[0].volume;
+        let v = b.list_volumes(&h).unwrap()[0].volume;
         let n = b
-            .make_node(h.session, v, None, NodeKind::File, "warez.zip")
+            .make_node(&h, v, None, NodeKind::File, "warez.zip")
             .unwrap();
         let hash = ContentHash::from_content_id(666);
         upload(&b, &mut s, (v, n.node), hash, 50_000_000, None).unwrap();
@@ -1354,7 +1351,76 @@ mod tests {
         assert_eq!(evicted, 1);
         assert_eq!(b.sessions.live_count(), 0);
         assert!(!b.blobs.contains(hash), "fraudulent content deleted");
-        assert!(b.open_session(token).is_err(), "token revoked");
+        assert!(b.open_session(token, None).is_err(), "token revoked");
+    }
+
+    /// Four threads serve requests on one user's sessions while another
+    /// bans the user and the clients say goodbye, some mid-run: whichever
+    /// comes first, every session closes exactly once.
+    #[test]
+    fn concurrent_requests_ban_and_byes_close_each_session_once() {
+        let (b, sink, _clock) = backend(false);
+        let user = UserId::new(7);
+        let token = b.register_user(user).as_bytes().to_vec();
+        let root = b.store.get_root(user).unwrap().volume;
+        let start = std::sync::Barrier::new(5);
+        let served = std::sync::atomic::AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for t in 0..4 {
+                let (b, token, start, served) = (&b, &token, &start, &served);
+                scope.spawn(move || {
+                    let mut states: Vec<SessionState> = (0..4)
+                        .map(|_| {
+                            let mut s = SessionState::new(true);
+                            let token = token.clone();
+                            b.serve(&mut s, Request::Authenticate { token }).unwrap();
+                            s
+                        })
+                        .collect();
+                    start.wait();
+                    for round in 0..20 {
+                        for (i, s) in states.iter_mut().enumerate() {
+                            let _ = b.serve(s, Request::ListVolumes);
+                            let name = format!("t{t}-s{i}-r{round}");
+                            let make = Request::MakeFile {
+                                volume: root,
+                                parent: NodeId::new(0),
+                                name,
+                            };
+                            let _ = b.serve(s, make);
+                            served.fetch_add(2, std::sync::atomic::Ordering::Relaxed);
+                            if round == 10 && i % 2 == 0 {
+                                b.serve(s, Request::Bye).unwrap();
+                            }
+                        }
+                    }
+                    for s in &mut states {
+                        b.serve(s, Request::Bye).unwrap();
+                    }
+                });
+            }
+            scope.spawn(|| {
+                start.wait();
+                // Mid-run: a quarter of the requests have been served.
+                while served.load(std::sync::atomic::Ordering::Relaxed) < 160 {
+                    std::thread::yield_now();
+                }
+                b.ban_user(user);
+            });
+        });
+        assert_eq!(b.sessions.live_count(), 0);
+        let mut events = std::collections::BTreeMap::new();
+        for r in sink.take_sorted() {
+            if let u1_trace::Payload::Session { event, session, .. } = r.payload {
+                let counts = events.entry(session).or_insert((0, 0));
+                match event {
+                    SessionEvent::Open => counts.0 += 1,
+                    SessionEvent::Close => counts.1 += 1,
+                }
+            }
+        }
+        assert_eq!(events.len(), 16);
+        assert!(events.values().all(|c| *c == (1, 1)), "{events:?}");
     }
 
     #[test]
@@ -1388,18 +1454,18 @@ mod tests {
         // While the auth service is up, a session open populates the cache.
         clock.set(t_up);
         let token = b.register_user(UserId::new(1));
-        let h = b.open_session(token).unwrap();
-        b.close_session(h.session).unwrap();
+        let s = b.open_session(token, None).unwrap();
+        b.close_session(&s);
 
         // During the outage the memcached tier answers for the known
         // client; a token it has never seen has nowhere to go.
         clock.set(t_down);
-        let h = b.open_session(token).unwrap();
-        assert_eq!(h.user, UserId::new(1));
-        b.close_session(h.session).unwrap();
+        let s = b.open_session(token, None).unwrap();
+        assert_eq!(s.handle.user, UserId::new(1));
+        b.close_session(&s);
         assert_eq!(b.fault_stats().auth_fallbacks, 1);
         let stranger = b.register_user(UserId::new(2));
-        assert!(b.open_session(stranger).is_err());
+        assert!(b.open_session(stranger, None).is_err());
         assert_eq!(b.sessions.live_count(), 0);
         u1_core::fault::clear_tags();
     }
@@ -1422,14 +1488,12 @@ mod tests {
         };
         let b = Backend::new(cfg, clock, sink);
         let token = b.register_user(UserId::new(1));
-        let h1 = b.open_session(token).unwrap();
-        let h2 = b.open_session(token).unwrap(); // second device
+        let s1 = b.open_session(token, None).unwrap();
         let (tx, rx) = channel();
-        b.push_router.register(h2.session, tx);
-        let v = b.list_volumes(h1.session).unwrap()[0].volume;
-        b.make_node(h1.session, v, None, NodeKind::File, "lost.txt")
+        let _s2 = b.open_session(token, Some(tx)).unwrap(); // second device
+        let v = b.list_volumes(&s1.handle).unwrap()[0].volume;
+        b.make_node(&s1.handle, v, None, NodeKind::File, "lost.txt")
             .unwrap();
-        b.pump_broker();
         assert!(
             u1_notify::drain(&rx).is_empty(),
             "the push must have been dropped"
@@ -1445,9 +1509,9 @@ mod tests {
     fn failed_ops_are_logged_as_failures() {
         let (b, sink, _clock) = backend(false);
         let (_, h) = served(&b, 1);
-        let v = b.list_volumes(h.session).unwrap()[0].volume;
+        let v = b.list_volumes(&h).unwrap()[0].volume;
         let _ = sink.take_sorted();
-        assert!(b.download(h.session, v, NodeId::new(424242)).is_err());
+        assert!(b.download(&h, v, NodeId::new(424242)).is_err());
         let recs = sink.take_sorted();
         assert!(recs.iter().any(|r| matches!(
             r.payload.storage(),
@@ -1493,25 +1557,19 @@ mod tests {
                 continue;
             }
             let h = s.handle().unwrap().clone();
-            if let Ok(udf) = b.create_udf(h.session, &format!("v{round}")) {
+            if let Ok(udf) = b.create_udf(&h, &format!("v{round}")) {
                 let mut stored = Vec::new();
                 for i in 0..3 {
                     content += 1;
                     let hash = ContentHash::from_content_id(content);
                     let uploaded = b
-                        .make_node(
-                            h.session,
-                            udf.volume,
-                            None,
-                            NodeKind::File,
-                            &format!("f{i}"),
-                        )
+                        .make_node(&h, udf.volume, None, NodeKind::File, &format!("f{i}"))
                         .and_then(|n| upload(&b, &mut s, (udf.volume, n.node), hash, 1000, None));
                     if uploaded.is_ok() {
                         stored.push(hash);
                     }
                 }
-                let outcome = b.delete_volume(h.session, udf.volume);
+                let outcome = b.delete_volume(&h, udf.volume);
                 if matches!(outcome, Err(CoreError::Unavailable(_))) && !stored.is_empty() {
                     assert_eq!(b.store.owner_of(udf.volume), None, "the cascade ran");
                     for hash in stored {
@@ -1531,7 +1589,7 @@ mod tests {
                     return;
                 }
             }
-            let _ = b.close_session(h.session);
+            let _ = b.serve(&mut s, Request::Bye);
         }
         panic!("no delete_volume ran out of RPC retries in 500 rounds");
     }

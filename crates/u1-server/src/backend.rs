@@ -113,7 +113,6 @@ pub struct Backend {
     /// every publish (`pump_broker`). A channel receiver is not `Sync`, so
     /// each is behind a lock, held only while its queue is drained.
     subscriptions: Vec<(Slot, SubscriberId, Mutex<Receiver<VolumeEvent>>)>,
-    slot_to_sub: FxHashMap<(u16, u16), SubscriberId>,
 }
 
 impl Backend {
@@ -128,13 +127,14 @@ impl Backend {
         let auth = AuthService::new(cfg.auth.clone(), cfg.seed ^ 0xA117);
         let cluster = Cluster::new(cfg.cluster.clone());
         let broker = Broker::new();
-        let mut subscriptions = Vec::new();
-        let mut slot_to_sub = FxHashMap::default();
-        for (slot, _) in cluster.active_sessions() {
-            let (id, rx) = broker.subscribe();
-            slot_to_sub.insert((slot.machine.raw(), slot.process.raw()), id);
-            subscriptions.push((slot, id, Mutex::new(rx)));
-        }
+        let subscriptions = cluster
+            .active_sessions()
+            .into_iter()
+            .map(|(slot, _)| {
+                let (id, rx) = broker.subscribe();
+                (slot, id, Mutex::new(rx))
+            })
+            .collect();
         let token_cache = cfg.auth_cache_ttl.map(TokenCache::new);
         Self {
             cfg,
@@ -155,7 +155,6 @@ impl Backend {
             auth_fallbacks: AtomicU64::new(0),
             missed_notify: Mutex::default(),
             subscriptions,
-            slot_to_sub,
         }
     }
 
@@ -306,7 +305,6 @@ impl Backend {
         success: bool,
         duration: SimDuration,
     ) {
-        self.sessions.count_op(h.session, op.is_data_management());
         self.sink.record(TraceRecord::new(
             self.now(),
             h.slot.machine,
@@ -388,54 +386,54 @@ impl Backend {
             return;
         }
 
-        let mut remote_any = false;
+        self.fan_out(targets, Some(origin), push);
+    }
+
+    /// Delivers `push` to every live session of `targets` but the pushing
+    /// session. Sessions on the pusher's own API process get it directly
+    /// (§3.4.2 footnote 4); every other session gets it through the broker,
+    /// as does every session when no session pushed.
+    pub(crate) fn fan_out(&self, targets: Vec<UserId>, from: Option<&SessionHandle>, push: Push) {
+        let mut remote = false;
         for user in &targets {
-            for sess in self.sessions.sessions_of(*user) {
-                if sess.session == origin.session {
-                    continue;
+            self.sessions.for_each_of(*user, |s| match from {
+                Some(h) if s.handle.session == h.session => {}
+                Some(h) if s.handle.slot == h.slot => {
+                    self.push_router.deliver(s, push.clone(), true);
                 }
-                if sess.slot == origin.slot {
-                    // Same API process: immediate delivery, no broker.
-                    self.push_router.deliver(sess.session, push.clone(), true);
-                } else {
-                    remote_any = true;
-                }
-            }
+                _ => remote = true,
+            });
         }
-        if remote_any {
-            let from = self
-                .slot_to_sub
-                .get(&(origin.slot.machine.raw(), origin.slot.process.raw()))
-                .copied();
-            self.broker.publish_except(
-                from,
-                VolumeEvent {
-                    volume,
-                    targets,
-                    origin_session: origin.session,
-                    origin: origin.slot,
-                    push,
-                },
-            );
-            self.pump_broker();
+        if !remote {
+            return;
         }
+        let publisher = from.and_then(|h| {
+            let mut subs = self.subscriptions.iter();
+            subs.find(|(slot, ..)| *slot == h.slot)
+                .map(|(_, id, _)| *id)
+        });
+        let event = VolumeEvent {
+            targets,
+            origin_session: from.map(|h| h.session),
+            push,
+        };
+        self.broker.publish_except(publisher, event);
+        self.pump_broker();
     }
 
     /// Drains every process's broker queue, delivering pushes to the
-    /// sessions that process hosts. Called synchronously after publishes;
-    /// also usable directly in tests.
-    pub fn pump_broker(&self) {
+    /// sessions that process hosts. Runs synchronously after each publish.
+    fn pump_broker(&self) {
         for (slot, _, rx) in &self.subscriptions {
             // Drained before delivering: delivery takes other leaf locks.
             let events = u1_notify::drain(&rx.lock());
             for ev in events {
                 for user in &ev.targets {
-                    for sess in self.sessions.sessions_of(*user) {
-                        if sess.session != ev.origin_session && sess.slot == *slot {
-                            self.push_router
-                                .deliver(sess.session, ev.push.clone(), false);
+                    self.sessions.for_each_of(*user, |s| {
+                        if s.handle.slot == *slot && Some(s.handle.session) != ev.origin_session {
+                            self.push_router.deliver(s, ev.push.clone(), false);
                         }
-                    }
+                    });
                 }
             }
         }
@@ -498,7 +496,6 @@ impl Backend {
         }
         let evicted = self.sessions.evict_user(user);
         for h in &evicted {
-            self.push_router.unregister(h.session);
             self.cluster.release_session(h.slot);
             self.log_session_event(h, u1_trace::SessionEvent::Close);
         }

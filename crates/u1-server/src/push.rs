@@ -6,38 +6,29 @@
 //! the broker (the RabbitMQ stand-in). Counters distinguish the two paths
 //! so the same-process shortcut of footnote 4 is observable.
 
-use crate::cluster::Slot;
+use crate::session::Session;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::Sender;
-use u1_core::sync::RwLock;
-use u1_core::{FxHashMap, SessionId, UserId, VolumeId};
+use u1_core::{SessionId, UserId};
 use u1_proto::msg::Push;
 
 /// The event API servers exchange through the broker: "deliver this push to
 /// these users' sessions".
 #[derive(Debug, Clone)]
 pub struct VolumeEvent {
-    /// Volume that changed.
-    pub volume: VolumeId,
     /// Users whose clients should be notified.
     pub targets: Vec<UserId>,
-    /// The session that caused the change (not re-notified).
-    pub origin_session: SessionId,
-    /// The process that handled the change.
-    pub origin: Slot,
+    /// The session that caused the change (not re-notified), if any.
+    pub origin_session: Option<SessionId>,
     /// The push to deliver.
     pub push: Push,
 }
 
-/// Per-session delivery endpoints plus delivery statistics.
+/// Delivery statistics of the push fan-out.
 #[derive(Debug, Default)]
 pub struct PushRouter {
-    /// Sessions that asked to receive pushes (live TCP writers or sim-mode
-    /// client mailboxes). Cold sessions simply never register.
-    endpoints: RwLock<FxHashMap<SessionId, Sender<Push>>>,
     delivered_local: AtomicU64,
     delivered_remote: AtomicU64,
-    /// Pushes addressed to sessions with no registered endpoint.
+    /// Pushes addressed to sessions that did not subscribe to them.
     unroutable: AtomicU64,
 }
 
@@ -46,32 +37,17 @@ impl PushRouter {
         Self::default()
     }
 
-    /// Registers a delivery endpoint for a session.
-    pub fn register(&self, session: SessionId, tx: Sender<Push>) {
-        self.endpoints.write().insert(session, tx);
-    }
-
-    /// Unregisters on session close.
-    pub fn unregister(&self, session: SessionId) {
-        self.endpoints.write().remove(&session);
-    }
-
     /// Delivers a push to one session. `local` records which path was used
     /// (same-process fast path vs broker).
-    pub fn deliver(&self, session: SessionId, push: Push, local: bool) {
-        let sent = self
-            .endpoints
-            .read()
-            .get(&session)
-            .map(|tx| tx.send(push).is_ok())
-            .unwrap_or(false);
-        if !sent {
-            self.unroutable.fetch_add(1, Ordering::Relaxed);
+    pub fn deliver(&self, session: &Session, push: Push, local: bool) {
+        let counter = if !session.push(push) {
+            &self.unroutable
         } else if local {
-            self.delivered_local.fetch_add(1, Ordering::Relaxed);
+            &self.delivered_local
         } else {
-            self.delivered_remote.fetch_add(1, Ordering::Relaxed);
-        }
+            &self.delivered_remote
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 
     /// (delivered via same-process path, delivered via broker, unroutable)
@@ -87,7 +63,10 @@ impl PushRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::Slot;
+    use crate::session::SessionTable;
     use std::sync::mpsc::channel;
+    use u1_core::{MachineId, ProcessId, VolumeId};
 
     fn push() -> Push {
         Push::VolumeChanged {
@@ -96,41 +75,55 @@ mod tests {
         }
     }
 
+    fn slot() -> Slot {
+        Slot {
+            machine: MachineId::new(0),
+            process: ProcessId::new(0),
+        }
+    }
+
     #[test]
     fn delivery_reaches_registered_endpoint() {
-        let router = PushRouter::new();
+        let (router, table) = (PushRouter::new(), SessionTable::new());
         let (tx, rx) = channel();
-        router.register(SessionId::new(1), tx);
-        router.deliver(SessionId::new(1), push(), true);
+        let s = table.open(UserId::new(1), slot(), Some(tx));
+        router.deliver(&s, push(), true);
         assert_eq!(rx.try_iter().count(), 1);
         assert_eq!(router.stats(), (1, 0, 0));
     }
 
     #[test]
     fn unregistered_sessions_count_unroutable() {
-        let router = PushRouter::new();
-        router.deliver(SessionId::new(9), push(), false);
+        let (router, table) = (PushRouter::new(), SessionTable::new());
+        let cold = table.open(UserId::new(1), slot(), None);
+        router.deliver(&cold, push(), false);
         assert_eq!(router.stats(), (0, 0, 1));
     }
 
+    /// A closed session leaves its user's index, so no fan-out finds it;
+    /// a client that dropped its receiver is unroutable.
     #[test]
     fn unregister_stops_delivery() {
-        let router = PushRouter::new();
+        let (router, table) = (PushRouter::new(), SessionTable::new());
         let (tx, rx) = channel();
-        router.register(SessionId::new(1), tx);
-        router.unregister(SessionId::new(1));
-        router.deliver(SessionId::new(1), push(), false);
-        assert!(rx.try_recv().is_err());
+        let s = table.open(UserId::new(1), slot(), Some(tx));
+        assert!(table.close(&s));
+        let mut found = 0;
+        table.for_each_of(UserId::new(1), |_| found += 1);
+        assert_eq!(found, 0);
+        drop(rx);
+        router.deliver(&s, push(), false);
         assert_eq!(router.stats(), (0, 0, 1));
     }
 
     #[test]
     fn local_and_remote_paths_are_counted_separately() {
-        let router = PushRouter::new();
-        let (tx, _rx) = channel();
-        router.register(SessionId::new(1), tx);
-        router.deliver(SessionId::new(1), push(), true);
-        router.deliver(SessionId::new(1), push(), false);
+        let (router, table) = (PushRouter::new(), SessionTable::new());
+        let (tx, rx) = channel();
+        let s = table.open(UserId::new(1), slot(), Some(tx));
+        router.deliver(&s, push(), true);
+        router.deliver(&s, push(), false);
+        assert_eq!(rx.try_iter().count(), 2);
         assert_eq!(router.stats(), (1, 1, 0));
     }
 }

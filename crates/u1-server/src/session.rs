@@ -1,47 +1,64 @@
-//! The session table: one entry per live storage-protocol session.
+//! Live sessions: one shared record per session, indexed by user.
 //!
-//! Both maps are striped so concurrent driver partitions do not serialize on
-//! a single `RwLock` — `count_op` takes a write lock on every storage
-//! operation, which made a global map the hottest lock in the server under
-//! the parallel workload driver.
+//! A session lives in one place (§3.1.1): the record that opening it builds.
+//! The client's [`crate::api::SessionState`] holds it, and so does the
+//! table's entry for its user, which the push fan-out, `ban_user` and
+//! `live_count` read. Serving a request reads only the record's closed
+//! flag, and takes no lock. The user index is striped so concurrent driver
+//! partitions do not serialize on a single `RwLock`.
 
 use crate::cluster::Slot;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::Sender;
+use std::sync::Arc;
 use u1_core::sync::RwLock;
-use u1_core::{FxHashMap, SessionId, SimTime, UserId};
+use u1_core::{FxHashMap, SessionId, UserId};
+use u1_proto::msg::Push;
 
-/// Number of independent lock stripes for the live/by-user maps.
+/// Number of independent lock stripes of the user index.
 const SESSION_STRIPES: usize = 16;
 
-/// A live session's bookkeeping.
+/// Who a session belongs to and where it runs.
 #[derive(Debug, Clone)]
 pub struct SessionHandle {
     pub session: SessionId,
     pub user: UserId,
     pub slot: Slot,
-    pub opened_at: SimTime,
 }
 
+/// One live session's record.
 #[derive(Debug)]
-struct SessionEntry {
-    handle: SessionHandle,
-    ops: u64,
-    data_ops: u64,
+pub struct Session {
+    pub handle: SessionHandle,
+    /// Where its pushes go, when the client subscribed to them.
+    pushes: Option<Sender<Push>>,
+    closed: AtomicBool,
 }
 
-/// Thread-safe session registry.
+impl Session {
+    /// Whether the session has ended (goodbye, teardown or eviction).
+    pub fn is_closed(&self) -> bool {
+        self.closed.load(Ordering::Acquire)
+    }
+
+    /// Sends a push to the session's client; false when it did not
+    /// subscribe or is gone.
+    pub(crate) fn push(&self, push: Push) -> bool {
+        self.pushes.as_ref().is_some_and(|tx| tx.send(push).is_ok())
+    }
+}
+
+/// The live sessions of each user.
 #[derive(Debug)]
 pub struct SessionTable {
     next_id: AtomicU64,
-    live: Vec<RwLock<FxHashMap<SessionId, SessionEntry>>>,
-    by_user: Vec<RwLock<FxHashMap<UserId, Vec<SessionId>>>>,
+    by_user: Vec<RwLock<FxHashMap<UserId, Vec<Arc<Session>>>>>,
 }
 
 impl Default for SessionTable {
     fn default() -> Self {
         Self {
             next_id: AtomicU64::new(0),
-            live: (0..SESSION_STRIPES).map(|_| RwLock::default()).collect(),
             by_user: (0..SESSION_STRIPES).map(|_| RwLock::default()).collect(),
         }
     }
@@ -52,106 +69,76 @@ impl SessionTable {
         Self::default()
     }
 
-    fn live_stripe(&self, session: SessionId) -> &RwLock<FxHashMap<SessionId, SessionEntry>> {
-        &self.live[session.raw() as usize % SESSION_STRIPES]
-    }
-
-    fn user_stripe(&self, user: UserId) -> &RwLock<FxHashMap<UserId, Vec<SessionId>>> {
+    fn stripe(&self, user: UserId) -> &RwLock<FxHashMap<UserId, Vec<Arc<Session>>>> {
         &self.by_user[user.raw() as usize % SESSION_STRIPES]
     }
 
-    /// Registers a new session.
+    /// Registers a new session, with the channel its pushes go to.
     ///
     /// When the calling thread carries a [`u1_core::PartitionCtx`], the
     /// session id is derived from the partition's own counter — ids are then
     /// a pure function of (origin, per-origin arrival order), independent of
     /// how partitions are packed onto worker threads. Without a context the
     /// legacy global counter is used.
-    pub fn open(&self, user: UserId, slot: Slot, now: SimTime) -> SessionHandle {
+    pub fn open(&self, user: UserId, slot: Slot, pushes: Option<Sender<Push>>) -> Arc<Session> {
         let session = match u1_core::partition::next_session_id() {
             Some(id) => SessionId::new(id),
             None => SessionId::new(self.next_id.fetch_add(1, Ordering::Relaxed) + 1),
         };
-        let handle = SessionHandle {
-            session,
-            user,
-            slot,
-            opened_at: now,
-        };
-        self.live_stripe(session).write().insert(
-            session,
-            SessionEntry {
-                handle: handle.clone(),
-                ops: 0,
-                data_ops: 0,
+        let record = Arc::new(Session {
+            handle: SessionHandle {
+                session,
+                user,
+                slot,
             },
-        );
-        self.user_stripe(user)
-            .write()
-            .entry(user)
-            .or_default()
-            .push(session);
-        handle
+            pushes,
+            closed: AtomicBool::new(false),
+        });
+        let mut by_user = self.stripe(user).write();
+        by_user.entry(user).or_default().push(Arc::clone(&record));
+        record
     }
 
-    /// Removes a session; returns its handle and (ops, data_ops) counters.
-    pub fn close(&self, session: SessionId) -> Option<(SessionHandle, u64, u64)> {
-        let entry = self.live_stripe(session).write().remove(&session)?;
-        let mut by_user = self.user_stripe(entry.handle.user).write();
-        if let Some(v) = by_user.get_mut(&entry.handle.user) {
-            v.retain(|s| *s != session);
+    /// Closes a session; true for the one caller that closed it.
+    pub fn close(&self, record: &Session) -> bool {
+        if record.closed.swap(true, Ordering::AcqRel) {
+            return false;
+        }
+        let user = record.handle.user;
+        let mut by_user = self.stripe(user).write();
+        if let Some(v) = by_user.get_mut(&user) {
+            v.retain(|s| s.handle.session != record.handle.session);
             if v.is_empty() {
-                by_user.remove(&entry.handle.user);
+                by_user.remove(&user);
             }
         }
-        Some((entry.handle, entry.ops, entry.data_ops))
+        true
     }
 
-    pub fn get(&self, session: SessionId) -> Option<SessionHandle> {
-        self.live_stripe(session)
-            .read()
-            .get(&session)
-            .map(|e| e.handle.clone())
-    }
-
-    /// Counts an operation against a session. `data` marks data-management
-    /// operations (the active/cold session distinction of §7.3).
-    pub fn count_op(&self, session: SessionId, data: bool) {
-        if let Some(e) = self.live_stripe(session).write().get_mut(&session) {
-            e.ops += 1;
-            if data {
-                e.data_ops += 1;
-            }
+    /// Calls `f` with each live session of `user` (push targets — a user
+    /// may run several devices), under the user's stripe lock: `f` must
+    /// take no lock.
+    pub(crate) fn for_each_of(&self, user: UserId, mut f: impl FnMut(&Session)) {
+        if let Some(v) = self.stripe(user).read().get(&user) {
+            v.iter().for_each(|s| f(s));
         }
-    }
-
-    /// All live sessions of a user (push targets — a user may run several
-    /// devices).
-    pub fn sessions_of(&self, user: UserId) -> Vec<SessionHandle> {
-        let sids: Vec<SessionId> = self
-            .user_stripe(user)
-            .read()
-            .get(&user)
-            .cloned()
-            .unwrap_or_default();
-        sids.into_iter().filter_map(|sid| self.get(sid)).collect()
     }
 
     pub fn live_count(&self) -> usize {
-        self.live.iter().map(|s| s.read().len()).sum()
+        self.by_user
+            .iter()
+            .map(|s| s.read().values().map(Vec::len).sum::<usize>())
+            .sum()
     }
 
     /// Force-closes every session of a user (the §5.4 manual DDoS
-    /// countermeasure). Returns the closed handles.
+    /// countermeasure). Returns the sessions this call closed.
     pub fn evict_user(&self, user: UserId) -> Vec<SessionHandle> {
-        let sids: Vec<SessionId> = self
-            .user_stripe(user)
-            .read()
-            .get(&user)
-            .cloned()
-            .unwrap_or_default();
-        sids.into_iter()
-            .filter_map(|sid| self.close(sid).map(|(h, _, _)| h))
+        let sessions = self.stripe(user).write().remove(&user).unwrap_or_default();
+        sessions
+            .iter()
+            .filter(|s| !s.closed.swap(true, Ordering::AcqRel))
+            .map(|s| s.handle.clone())
             .collect()
     }
 }
@@ -171,15 +158,12 @@ mod tests {
     #[test]
     fn open_close_lifecycle() {
         let t = SessionTable::new();
-        let h = t.open(UserId::new(1), slot(), SimTime::ZERO);
+        let s = t.open(UserId::new(1), slot(), None);
         assert_eq!(t.live_count(), 1);
-        assert!(t.get(h.session).is_some());
-        t.count_op(h.session, true);
-        t.count_op(h.session, false);
-        let (handle, ops, data_ops) = t.close(h.session).unwrap();
-        assert_eq!(handle.user, UserId::new(1));
-        assert_eq!((ops, data_ops), (2, 1));
-        assert!(t.close(h.session).is_none());
+        assert!(!s.is_closed());
+        assert!(t.close(&s));
+        assert!(s.is_closed());
+        assert!(!t.close(&s), "a session closes once");
         assert_eq!(t.live_count(), 0);
     }
 
@@ -187,25 +171,31 @@ mod tests {
     fn multi_device_sessions_index_by_user() {
         let t = SessionTable::new();
         let u = UserId::new(9);
-        let h1 = t.open(u, slot(), SimTime::ZERO);
-        let h2 = t.open(u, slot(), SimTime::ZERO);
-        assert_ne!(h1.session, h2.session);
-        assert_eq!(t.sessions_of(u).len(), 2);
-        t.close(h1.session);
-        assert_eq!(t.sessions_of(u).len(), 1);
+        let s1 = t.open(u, slot(), None);
+        let s2 = t.open(u, slot(), None);
+        assert_ne!(s1.handle.session, s2.handle.session);
+        let count = |t: &SessionTable| {
+            let mut n = 0;
+            t.for_each_of(u, |_| n += 1);
+            n
+        };
+        assert_eq!(count(&t), 2);
+        t.close(&s1);
+        assert_eq!(count(&t), 1);
     }
 
     #[test]
     fn evict_user_closes_everything() {
         let t = SessionTable::new();
         let u = UserId::new(4);
-        t.open(u, slot(), SimTime::ZERO);
-        t.open(u, slot(), SimTime::ZERO);
-        t.open(UserId::new(5), slot(), SimTime::ZERO);
+        let s1 = t.open(u, slot(), None);
+        t.open(u, slot(), None);
+        t.open(UserId::new(5), slot(), None);
+        t.close(&s1);
         let evicted = t.evict_user(u);
-        assert_eq!(evicted.len(), 2);
+        assert_eq!(evicted.len(), 1, "the closed session is not evicted");
         assert_eq!(t.live_count(), 1);
-        assert!(t.sessions_of(u).is_empty());
+        assert!(t.evict_user(u).is_empty());
     }
 
     #[test]
@@ -213,10 +203,9 @@ mod tests {
         let t = SessionTable::new();
         let ctx = u1_core::PartitionCtx::new(3);
         let _guard = u1_core::partition::install(ctx);
-        let h = t.open(UserId::new(1), slot(), SimTime::ZERO);
+        let s = t.open(UserId::new(1), slot(), None);
         // Origin 3 => ids live in the (3 + 1) << 40 namespace.
-        assert_eq!(h.session.raw() >> 40, 4);
-        assert!(t.get(h.session).is_some());
-        assert!(t.close(h.session).is_some());
+        assert_eq!(s.handle.session.raw() >> 40, 4);
+        assert!(t.close(&s));
     }
 }

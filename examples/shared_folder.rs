@@ -105,7 +105,6 @@ fn main() {
     alice
         .upload(project.volume, draft.node, hash, 48_000, None)
         .expect("alice uploads");
-    backend.pump_broker();
     let delta = sync_pushes(&mut bob, project.volume, &mut bob_known);
     let bobs_copy = delta
         .iter()
@@ -138,12 +137,16 @@ fn main() {
     // Bob deletes the shared draft; the tombstone pushes back to Alice.
     bob.unlink(project.volume, bobs_copy.node)
         .expect("bob deletes");
-    backend.pump_broker();
     let delta = sync_pushes(&mut alice, project.volume, &mut alice_known);
     assert!(delta.iter().any(|n| n.node == draft.node && n.is_dead));
     println!("alice saw the deletion propagate back ✔");
 
+    // Four pushes, each through the broker: the share grant, which no
+    // session pushed, Alice's make and commit, and Bob's unlink. Footnote
+    // 4's direct path is for sessions on the pusher's own API process, and
+    // the two devices were placed on different ones.
     let (local, remote, unroutable) = backend.push_router.stats();
     println!("push routing: {local} same-process, {remote} via broker, {unroutable} unroutable");
+    assert_eq!((local, remote, unroutable), (0, 4, 0));
     println!("store dedup ratio: {:.3}", backend.store.dedup_ratio());
 }

@@ -173,8 +173,8 @@ const BUDGET: &[(&str, Cost)] = &[
     (
         "held: the rest of the back end after the quick month",
         Cost {
-            allocs: 141,
-            bytes: by_build(254_328, 246_896),
+            allocs: 135,
+            bytes: by_build(244_048, 237_192),
         },
     ),
 ];
@@ -187,7 +187,7 @@ const LOCKS: &[(Rank, u64)] = if cfg!(debug_assertions) {
         (Rank::DriverShard, 160),
         (Rank::SealedPrefix, 7),
         (Rank::LogWriters, 0),
-        (Rank::Leaf, 906_906),
+        (Rank::Leaf, 762_256),
     ]
 } else {
     &[]
