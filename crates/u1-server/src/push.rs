@@ -39,7 +39,7 @@ impl PushRouter {
 
     /// Delivers a push to one session. `local` records which path was used
     /// (same-process fast path vs broker).
-    pub fn deliver(&self, session: &Session, push: Push, local: bool) {
+    pub(crate) fn deliver(&self, session: &Session, push: Push, local: bool) {
         let counter = if !session.push(push) {
             &self.unroutable
         } else if local {

@@ -28,16 +28,18 @@ pub struct SessionHandle {
 
 /// One live session's record.
 #[derive(Debug)]
-pub struct Session {
-    pub handle: SessionHandle,
+pub(crate) struct Session {
+    pub(crate) handle: SessionHandle,
     /// Where its pushes go, when the client subscribed to them.
     pushes: Option<Sender<Push>>,
+    /// Set once, by the `swap` that closes the session (its Release half),
+    /// and read by `serve` (Acquire).
     closed: AtomicBool,
 }
 
 impl Session {
     /// Whether the session has ended (goodbye, teardown or eviction).
-    pub fn is_closed(&self) -> bool {
+    pub(crate) fn is_closed(&self) -> bool {
         self.closed.load(Ordering::Acquire)
     }
 
@@ -80,7 +82,12 @@ impl SessionTable {
     /// a pure function of (origin, per-origin arrival order), independent of
     /// how partitions are packed onto worker threads. Without a context the
     /// legacy global counter is used.
-    pub fn open(&self, user: UserId, slot: Slot, pushes: Option<Sender<Push>>) -> Arc<Session> {
+    pub(crate) fn open(
+        &self,
+        user: UserId,
+        slot: Slot,
+        pushes: Option<Sender<Push>>,
+    ) -> Arc<Session> {
         let session = match u1_core::partition::next_session_id() {
             Some(id) => SessionId::new(id),
             None => SessionId::new(self.next_id.fetch_add(1, Ordering::Relaxed) + 1),
@@ -100,7 +107,7 @@ impl SessionTable {
     }
 
     /// Closes a session; true for the one caller that closed it.
-    pub fn close(&self, record: &Session) -> bool {
+    pub(crate) fn close(&self, record: &Session) -> bool {
         if record.closed.swap(true, Ordering::AcqRel) {
             return false;
         }
@@ -133,7 +140,7 @@ impl SessionTable {
 
     /// Force-closes every session of a user (the §5.4 manual DDoS
     /// countermeasure). Returns the sessions this call closed.
-    pub fn evict_user(&self, user: UserId) -> Vec<SessionHandle> {
+    pub(crate) fn evict_user(&self, user: UserId) -> Vec<SessionHandle> {
         let sessions = self.stripe(user).write().remove(&user).unwrap_or_default();
         sessions
             .iter()
