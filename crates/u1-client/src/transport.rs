@@ -381,7 +381,9 @@ impl Link for DirectTransport {
     }
 
     fn take_pushes(&mut self) -> Vec<Push> {
-        self.state.pushes().map_or_else(Vec::new, u1_notify::drain)
+        self.state
+            .pushes()
+            .map_or_else(Vec::new, |rx| rx.try_iter().collect())
     }
 
     fn session_id(&self) -> Option<SessionId> {

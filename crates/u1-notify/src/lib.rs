@@ -1,16 +1,14 @@
-//! The inter-API-server notification broker (§3.4.2).
+//! A RabbitMQ-like publish/subscribe broker (§3.4.2), kept for one caller.
 //!
-//! When two related clients are online and one changes shared state, the
-//! API server handling the change must reach the API server holding the
-//! other client's TCP connection. U1 used RabbitMQ for this: every API
-//! server subscribes to a queue and publishes events that other servers
-//! deliver to their connected clients as pushes. Footnote 4 notes the
-//! shortcut we also expose: "if connected clients are handled by the same
-//! API process, their notifications are sent immediately, i.e. there is no
-//! need for inter-process communication with RabbitMQ".
+//! U1's API servers exchanged change events through RabbitMQ, so that the
+//! server handling a change could reach the server holding another
+//! client's TCP connection. The back end no longer queues anything: its
+//! push fan-out delivers each push straight to the target session.
 //!
-//! The broker is generic over the event type; the server crate publishes
-//! its own `VolumeEvent`.
+//! The only caller left is the benchmark's `notify.publish_ns` row in
+//! `benchmark/src/ledger.rs`, which times [`Broker::publish_except`] to 63
+//! subscribers. The crate goes with that row, in the benchmark change that
+//! cuts the benchmark's reach into the crates (ROADMAP item 34).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -27,13 +25,6 @@ pub struct BrokerStats {
     pub published: u64,
     /// Total copies enqueued across subscribers.
     pub delivered: u64,
-    /// Publishes that found no remote subscriber.
-    pub dropped: u64,
-    /// Events lost *before* reaching any queue — the fault-injection plane
-    /// models broker outages (RabbitMQ restart, queue overflow) by calling
-    /// [`Broker::note_lost`] instead of publishing. Affected clients learn
-    /// about the missed change by rescanning at their next session.
-    pub lost: u64,
 }
 
 /// An in-process message broker standing in for the RabbitMQ server.
@@ -42,8 +33,6 @@ pub struct Broker<T: Clone + Send + 'static> {
     next_id: AtomicU64,
     published: AtomicU64,
     delivered: AtomicU64,
-    dropped: AtomicU64,
-    lost: AtomicU64,
 }
 
 impl<T: Clone + Send + 'static> Default for Broker<T> {
@@ -59,8 +48,6 @@ impl<T: Clone + Send + 'static> Broker<T> {
             next_id: AtomicU64::new(1),
             published: AtomicU64::new(0),
             delivered: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            lost: AtomicU64::new(0),
         }
     }
 
@@ -73,14 +60,8 @@ impl<T: Clone + Send + 'static> Broker<T> {
         (id, rx)
     }
 
-    /// Removes a subscriber (process shutdown).
-    pub fn unsubscribe(&self, id: SubscriberId) {
-        self.subscribers.write().remove(&id);
-    }
-
-    /// Publishes an event to every subscriber except `from` (the publishing
-    /// process delivers to its own clients directly — the footnote-4
-    /// fast path).
+    /// Publishes an event to every subscriber except `from`, or to every
+    /// subscriber when `from` is `None`.
     pub fn publish_except(&self, from: Option<SubscriberId>, event: T) {
         self.published.fetch_add(1, Ordering::Relaxed);
         let subs = self.subscribers.read();
@@ -93,30 +74,13 @@ impl<T: Clone + Send + 'static> Broker<T> {
                 delivered += 1;
             }
         }
-        if delivered == 0 {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
         self.delivered.fetch_add(delivered, Ordering::Relaxed);
-    }
-
-    /// Publishes to everyone.
-    pub fn publish(&self, event: T) {
-        self.publish_except(None, event);
-    }
-
-    /// Accounts one event lost in the broker itself (injected fan-out
-    /// drop): the publisher decided not to enqueue it anywhere, simulating
-    /// a message that died inside RabbitMQ.
-    pub fn note_lost(&self) {
-        self.lost.fetch_add(1, Ordering::Relaxed);
     }
 
     pub fn stats(&self) -> BrokerStats {
         BrokerStats {
             published: self.published.load(Ordering::Relaxed),
             delivered: self.delivered.load(Ordering::Relaxed),
-            dropped: self.dropped.load(Ordering::Relaxed),
-            lost: self.lost.load(Ordering::Relaxed),
         }
     }
 }
@@ -146,44 +110,12 @@ mod tests {
     }
 
     #[test]
-    fn unsubscribe_stops_delivery() {
-        let broker: Broker<u32> = Broker::new();
-        let (a, rx_a) = broker.subscribe();
-        let (b, rx_b) = broker.subscribe();
-        broker.unsubscribe(b);
-        broker.publish_except(None, 7);
-        assert_eq!(drain(&rx_a), vec![7]);
-        assert_eq!(drain(&rx_b), Vec::<u32>::new());
-        let _ = a;
-    }
-
-    #[test]
-    fn publish_with_no_receivers_counts_as_dropped() {
-        let broker: Broker<u32> = Broker::new();
-        let (a, _rx) = broker.subscribe();
-        broker.publish_except(Some(a), 1);
-        assert_eq!(broker.stats().dropped, 1);
-    }
-
-    #[test]
-    fn lost_events_are_counted_separately_from_undeliverable_ones() {
-        let broker: Broker<u32> = Broker::new();
-        let (_a, rx) = broker.subscribe();
-        broker.note_lost();
-        broker.note_lost();
-        broker.publish(9);
-        let stats = broker.stats();
-        assert_eq!((stats.lost, stats.published, stats.dropped), (2, 1, 0));
-        assert_eq!(drain(&rx), vec![9], "lost events never reach queues");
-    }
-
-    #[test]
     fn events_queue_until_drained() {
         let broker: Broker<&'static str> = Broker::new();
         let (_a, rx) = broker.subscribe();
-        broker.publish("x");
-        broker.publish("y");
-        broker.publish("z");
+        broker.publish_except(None, "x");
+        broker.publish_except(None, "y");
+        broker.publish_except(None, "z");
         assert_eq!(drain(&rx), vec!["x", "y", "z"]);
         assert_eq!(drain(&rx), Vec::<&str>::new());
     }
@@ -198,7 +130,7 @@ mod tests {
             let b = Arc::clone(&broker);
             handles.push(std::thread::spawn(move || {
                 for i in 0..250 {
-                    b.publish(t * 1000 + i);
+                    b.publish_except(None, t * 1000 + i);
                 }
             }));
         }

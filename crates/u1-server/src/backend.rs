@@ -3,11 +3,10 @@
 //! tracing, push fan-out, maintenance, abuse response).
 
 use crate::cluster::{Cluster, ClusterConfig, Slot};
-use crate::push::{PushRouter, VolumeEvent};
+use crate::push::PushRouter;
 use crate::session::{SessionHandle, SessionTable};
 use crate::tokencache::{TokenCache, TokenCacheStats};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 use u1_auth::{AuthConfig, AuthService};
 use u1_blobstore::BlobStore;
@@ -19,7 +18,6 @@ use u1_core::{
     SimDuration, SimTime, UserId, VolumeId,
 };
 use u1_metastore::{LatencyModel, MetaStore, StoreConfig};
-use u1_notify::{Broker, SubscriberId};
 use u1_proto::msg::Push;
 use u1_trace::{Payload, StorageDone, TraceRecord, TraceSink};
 
@@ -86,7 +84,6 @@ pub struct Backend {
     pub store: MetaStore,
     pub blobs: BlobStore,
     pub auth: AuthService,
-    pub broker: Broker<VolumeEvent>,
     pub(crate) cluster: Cluster,
     pub sessions: SessionTable,
     pub push_router: PushRouter,
@@ -103,16 +100,13 @@ pub struct Backend {
     rpc_timeouts: AtomicU64,
     rpc_retries: AtomicU64,
     pub(crate) auth_fallbacks: AtomicU64,
+    notify_dropped: AtomicU64,
     /// Volumes whose change notification was dropped before it reached a
     /// user, keyed by that user. Only targets on the *origin's own shard*
     /// are recorded: the shard-parallel driver serializes all activity of
     /// one shard, so same-shard read-after-write on this map is
     /// deterministic, while cross-shard entries would race the reader.
     missed_notify: Mutex<FxHashMap<UserId, Vec<VolumeId>>>,
-    /// One broker subscription per API process; drained synchronously after
-    /// every publish (`pump_broker`). A channel receiver is not `Sync`, so
-    /// each is behind a lock, held only while its queue is drained.
-    subscriptions: Vec<(Slot, SubscriberId, Mutex<Receiver<VolumeEvent>>)>,
 }
 
 impl Backend {
@@ -126,15 +120,6 @@ impl Backend {
         }
         let auth = AuthService::new(cfg.auth.clone(), cfg.seed ^ 0xA117);
         let cluster = Cluster::new(cfg.cluster.clone());
-        let broker = Broker::new();
-        let subscriptions = cluster
-            .active_sessions()
-            .into_iter()
-            .map(|(slot, _)| {
-                let (id, rx) = broker.subscribe();
-                (slot, id, Mutex::new(rx))
-            })
-            .collect();
         let token_cache = cfg.auth_cache_ttl.map(TokenCache::new);
         Self {
             cfg,
@@ -142,7 +127,6 @@ impl Backend {
             store,
             blobs,
             auth,
-            broker,
             cluster,
             sessions: SessionTable::new(),
             push_router: PushRouter::new(),
@@ -153,8 +137,8 @@ impl Backend {
             rpc_timeouts: AtomicU64::new(0),
             rpc_retries: AtomicU64::new(0),
             auth_fallbacks: AtomicU64::new(0),
+            notify_dropped: AtomicU64::new(0),
             missed_notify: Mutex::default(),
-            subscriptions,
         }
     }
 
@@ -164,7 +148,7 @@ impl Backend {
             rpc_timeouts: self.rpc_timeouts.load(Ordering::Relaxed),
             rpc_retries: self.rpc_retries.load(Ordering::Relaxed),
             auth_fallbacks: self.auth_fallbacks.load(Ordering::Relaxed),
-            notify_dropped: self.broker.stats().lost,
+            notify_dropped: self.notify_dropped.load(Ordering::Relaxed),
         }
     }
 
@@ -356,8 +340,7 @@ impl Backend {
 
     /// Notifies every affected client of a volume change: the volume
     /// owner's and share recipients' live sessions, except the session that
-    /// caused it. Same-process sessions take the direct path; everything
-    /// else goes through the broker (§3.4.2 footnote 4).
+    /// caused it.
     pub(crate) fn notify_change(&self, origin: &SessionHandle, volume: VolumeId, push: Push) {
         let mut targets = Vec::new();
         if let Some(owner) = self.store.owner_of(volume) {
@@ -375,7 +358,7 @@ impl Backend {
             // their next session rescans the volume (see
             // `take_missed_notify` for why only same-shard targets are
             // recorded).
-            self.broker.note_lost();
+            self.notify_dropped.fetch_add(1, Ordering::Relaxed);
             let origin_shard = self.store.shard_of(origin.user);
             let mut missed = self.missed_notify.lock();
             for user in targets {
@@ -386,56 +369,22 @@ impl Backend {
             return;
         }
 
-        self.fan_out(targets, Some(origin), push);
+        self.fan_out(&targets, Some(origin), push);
     }
 
-    /// Delivers `push` to every live session of `targets` but the pushing
-    /// session. Sessions on the pusher's own API process get it directly
-    /// (§3.4.2 footnote 4); every other session gets it through the broker,
-    /// as does every session when no session pushed.
-    pub(crate) fn fan_out(&self, targets: Vec<UserId>, from: Option<&SessionHandle>, push: Push) {
-        let mut remote = false;
-        for user in &targets {
+    /// Delivers `push` once, down its own channel, to every live session of
+    /// `targets` but the pushing session. A session on the pusher's API
+    /// process counts as same-process (§3.4.2 footnote 4); any other, and
+    /// every session when no session pushed, counts as cross-process.
+    pub(crate) fn fan_out(&self, targets: &[UserId], from: Option<&SessionHandle>, push: Push) {
+        for user in targets {
             self.sessions.for_each_of(*user, |s| match from {
                 Some(h) if s.handle.session == h.session => {}
-                Some(h) if s.handle.slot == h.slot => {
-                    self.push_router.deliver(s, push.clone(), true);
+                _ => {
+                    let local = from.is_some_and(|h| s.handle.slot == h.slot);
+                    self.push_router.deliver(s, push.clone(), local);
                 }
-                _ => remote = true,
             });
-        }
-        if !remote {
-            return;
-        }
-        let publisher = from.and_then(|h| {
-            let mut subs = self.subscriptions.iter();
-            subs.find(|(slot, ..)| *slot == h.slot)
-                .map(|(_, id, _)| *id)
-        });
-        let event = VolumeEvent {
-            targets,
-            origin_session: from.map(|h| h.session),
-            push,
-        };
-        self.broker.publish_except(publisher, event);
-        self.pump_broker();
-    }
-
-    /// Drains every process's broker queue, delivering pushes to the
-    /// sessions that process hosts. Runs synchronously after each publish.
-    fn pump_broker(&self) {
-        for (slot, _, rx) in &self.subscriptions {
-            // Drained before delivering: delivery takes other leaf locks.
-            let events = u1_notify::drain(&rx.lock());
-            for ev in events {
-                for user in &ev.targets {
-                    self.sessions.for_each_of(*user, |s| {
-                        if s.handle.slot == *slot && Some(s.handle.session) != ev.origin_session {
-                            self.push_router.deliver(s, ev.push.clone(), false);
-                        }
-                    });
-                }
-            }
         }
     }
 

@@ -9,16 +9,18 @@
 //!                       │        │                 ▼                │
 //!                       │        │        metadata store (shards)   │
 //!                       │        ▼                                  │
-//!                       │   notification broker (RabbitMQ stand-in) │
+//!                       │   push fan-out to each target session     │
 //!                       └────────┼──────────────────────────────────┘
 //!                                ▼
 //!                        object store (S3 stand-in)
 //! ```
 //!
 //! The central type is [`Backend`]: it owns the metadata store, the object
-//! store, the auth service, the broker, the cluster topology (machines ×
-//! API/RPC processes), the session table and the trace sink. Handlers are
-//! synchronous so the same code path serves
+//! store, the auth service, the cluster topology (machines × API/RPC
+//! processes), the session table, the push counters and the trace sink. A
+//! push goes straight to each target session, same- or cross-process, so
+//! no broker sits between API processes. Handlers are synchronous so the
+//! same code path serves
 //!
 //! * **live mode** — [`tcpserver::TcpServer`] accepts real protocol
 //!   connections and hands each decoded request to [`Backend::serve`],
@@ -40,7 +42,6 @@ pub mod tokencache;
 
 pub use backend::{Backend, BackendConfig};
 pub use cluster::ClusterConfig;
-pub use push::VolumeEvent;
 pub use session::SessionHandle;
 pub use tcpserver::{ReactorConfig, TcpServer, WireStats};
 pub use tokencache::{TokenCache, TokenCacheStats};

@@ -1,27 +1,15 @@
 //! Push-notification routing (§3.4.2).
 //!
 //! Changes that affect other online clients are pushed over their session
-//! connections. The API process handling the change delivers to its own
-//! sessions directly; sessions held by other processes are reached through
-//! the broker (the RabbitMQ stand-in). Counters distinguish the two paths
-//! so the same-process shortcut of footnote 4 is observable.
+//! connections. `Backend::fan_out` sends each push once, straight down the
+//! target session's channel, and counts it as same-process when the
+//! session shares the pusher's API process (footnote 4's shortcut) and as
+//! cross-process otherwise, the traffic U1 carried over RabbitMQ. Nothing
+//! is queued between API processes.
 
 use crate::session::Session;
 use std::sync::atomic::{AtomicU64, Ordering};
-use u1_core::{SessionId, UserId};
 use u1_proto::msg::Push;
-
-/// The event API servers exchange through the broker: "deliver this push to
-/// these users' sessions".
-#[derive(Debug, Clone)]
-pub struct VolumeEvent {
-    /// Users whose clients should be notified.
-    pub targets: Vec<UserId>,
-    /// The session that caused the change (not re-notified), if any.
-    pub origin_session: Option<SessionId>,
-    /// The push to deliver.
-    pub push: Push,
-}
 
 /// Delivery statistics of the push fan-out.
 #[derive(Debug, Default)]
@@ -37,8 +25,8 @@ impl PushRouter {
         Self::default()
     }
 
-    /// Delivers a push to one session. `local` records which path was used
-    /// (same-process fast path vs broker).
+    /// Delivers a push to one session: one channel send and one counter.
+    /// `local` says whether the session shares the pusher's API process.
     pub(crate) fn deliver(&self, session: &Session, push: Push, local: bool) {
         let counter = if !session.push(push) {
             &self.unroutable
@@ -50,7 +38,7 @@ impl PushRouter {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// (delivered via same-process path, delivered via broker, unroutable)
+    /// (delivered same-process, delivered cross-process, unroutable)
     pub fn stats(&self) -> (u64, u64, u64) {
         (
             self.delivered_local.load(Ordering::Relaxed),
@@ -66,7 +54,7 @@ mod tests {
     use crate::cluster::Slot;
     use crate::session::SessionTable;
     use std::sync::mpsc::channel;
-    use u1_core::{MachineId, ProcessId, VolumeId};
+    use u1_core::{MachineId, ProcessId, UserId, VolumeId};
 
     fn push() -> Push {
         Push::VolumeChanged {

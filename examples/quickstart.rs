@@ -56,7 +56,7 @@ fn download_and_check(
 
 fn main() {
     // 1. The back-end: metadata store (10 shards), object store, auth
-    //    service, notification broker — all behind one TCP gateway.
+    //    service, push fan-out — all behind one TCP gateway.
     let sink = Arc::new(MemorySink::new());
     let backend = Arc::new(Backend::new(
         BackendConfig {
@@ -137,7 +137,7 @@ fn main() {
         .expect("upload the edit");
     let mut pushes = 0;
     let mut synced = false;
-    // Give the push a moment to traverse broker + TCP.
+    // Give the push a moment to cross processes and TCP.
     for _ in 0..50 {
         std::thread::sleep(std::time::Duration::from_millis(20));
         for push in device2.poll_pushes() {

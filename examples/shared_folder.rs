@@ -1,6 +1,6 @@
 //! Shared-folder collaboration (§3.2's synchronization workflow): Alice
-//! shares a folder with Bob; changes propagate by push through the
-//! notification broker; Bob's deletion syncs back to Alice; identical
+//! shares a folder with Bob; changes propagate by push across API
+//! processes; Bob's deletion syncs back to Alice; identical
 //! content between the two users is deduplicated server-side. Each client
 //! step is the protocol call the desktop client makes.
 //!
@@ -141,12 +141,12 @@ fn main() {
     assert!(delta.iter().any(|n| n.node == draft.node && n.is_dead));
     println!("alice saw the deletion propagate back ✔");
 
-    // Four pushes, each through the broker: the share grant, which no
-    // session pushed, Alice's make and commit, and Bob's unlink. Footnote
-    // 4's direct path is for sessions on the pusher's own API process, and
-    // the two devices were placed on different ones.
+    // Four pushes, each cross-process: the share grant, which no session
+    // pushed, Alice's make and commit, and Bob's unlink. Footnote 4's
+    // same-process path is for sessions on the pusher's own API process,
+    // and the two devices were placed on different ones.
     let (local, remote, unroutable) = backend.push_router.stats();
-    println!("push routing: {local} same-process, {remote} via broker, {unroutable} unroutable");
+    println!("push routing: {local} same-process, {remote} cross-process, {unroutable} unroutable");
     assert_eq!((local, remote, unroutable), (0, 4, 0));
     println!("store dedup ratio: {:.3}", backend.store.dedup_ratio());
 }

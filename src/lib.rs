@@ -13,7 +13,6 @@
 //! * [`blobstore`] — the S3-like object store with multipart uploads and
 //!   warm/cold tiering,
 //! * [`auth`] — the OAuth-style token service and per-server token cache,
-//! * [`notify`] — the RabbitMQ-like notification broker,
 //! * [`server`] — the back-end itself (gateway, API handlers, upload state
 //!   machine, push fan-out, live TCP front-end),
 //! * [`client`] — the desktop client's transports (in-process or over
@@ -35,7 +34,6 @@ pub use u1_blobstore as blobstore;
 pub use u1_client as client;
 pub use u1_core as core;
 pub use u1_metastore as metastore;
-pub use u1_notify as notify;
 pub use u1_proto as proto;
 pub use u1_server as server;
 pub use u1_trace as trace;

@@ -173,8 +173,8 @@ const BUDGET: &[(&str, Cost)] = &[
     (
         "held: the rest of the back end after the quick month",
         Cost {
-            allocs: 135,
-            bytes: by_build(244_048, 237_192),
+            allocs: 61,
+            bytes: by_build(200_512, 194_232),
         },
     ),
 ];

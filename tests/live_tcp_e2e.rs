@@ -48,7 +48,7 @@ fn start_up(addr: SocketAddr, token: Token) -> (TcpTransport, VolumeId, u64) {
 
 /// Answers `device`'s pushes as the desktop client does — a GetDelta from
 /// `*known` for each `VolumeChanged` past it on `volume` — until a delta
-/// row satisfies `wanted`. The push crosses broker + TCP asynchronously,
+/// row satisfies `wanted`. The push crosses TCP asynchronously,
 /// so this polls. Returns the row and the number of pushes seen.
 fn await_delta(
     device: &mut TcpTransport,
