@@ -20,5 +20,5 @@ pub mod store;
 pub mod tier;
 
 pub use multipart::{MultipartError, MultipartUpload, PART_SIZE};
-pub use store::{BlobStore, BlobStoreStats, ObjectMeta};
+pub use store::{Blob, BlobStore, BlobStoreStats, ObjectMeta};
 pub use tier::{Tier, TierSweepReport};

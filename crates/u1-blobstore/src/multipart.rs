@@ -59,7 +59,10 @@ impl MultipartUpload {
     }
 
     /// Appends a part. `data` carries real bytes in live mode: at most
-    /// `len` of them, fewer when the part runs past the object's end.
+    /// `len` of them, fewer when the part runs past the object's end. The
+    /// first part with bytes is adopted as the object's buffer, not copied,
+    /// so a one-part upload is stored with no copy; later parts are
+    /// appended to it.
     pub fn add_part(&mut self, len: u64, data: Option<Vec<u8>>) -> Result<(), MultipartError> {
         if len == 0 {
             return Err(MultipartError::EmptyPart);
@@ -68,7 +71,11 @@ impl MultipartUpload {
         match (self.data.as_mut(), data) {
             (Some(buf), Some(bytes)) => {
                 debug_assert!(bytes.len() as u64 <= len);
-                buf.extend_from_slice(&bytes);
+                if buf.is_empty() {
+                    *buf = bytes;
+                } else {
+                    buf.extend_from_slice(&bytes);
+                }
             }
             // Any size-only part degrades the whole upload to size-only.
             _ => self.data = None,
@@ -108,6 +115,17 @@ mod tests {
         let (size, data) = mp.into_object();
         assert_eq!(size, 5);
         assert_eq!(data.unwrap(), vec![1, 2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn first_live_part_is_adopted_not_copied() {
+        let mut mp = MultipartUpload::new(1, SimTime::ZERO);
+        let part = vec![1, 2, 3];
+        let at = part.as_ptr();
+        mp.add_part(3, Some(part)).unwrap();
+        let (_, data) = mp.into_object();
+        let stored = data.unwrap();
+        assert_eq!(stored.as_ptr(), at);
     }
 
     #[test]

@@ -22,6 +22,41 @@ pub struct ObjectMeta {
     pub reads: u64,
 }
 
+/// A stored object's bytes: one immutable buffer shared by the store and
+/// every reader it handed them to. Cloning a `Blob` copies a pointer, never
+/// the bytes. It reads as a `[u8]` and compares equal to a `Vec<u8>` of the
+/// same bytes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Blob(Arc<Vec<u8>>);
+
+impl Blob {
+    /// The bytes in a `Vec` of the caller's own: moved out when no one else
+    /// holds them, copied once otherwise.
+    pub fn into_vec(self) -> Vec<u8> {
+        Arc::try_unwrap(self.0).unwrap_or_else(|shared| shared.as_ref().clone())
+    }
+}
+
+/// Adopts the buffer: no byte is copied.
+impl From<Vec<u8>> for Blob {
+    fn from(bytes: Vec<u8>) -> Self {
+        Blob(Arc::new(bytes))
+    }
+}
+
+impl std::ops::Deref for Blob {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        &self.0
+    }
+}
+
+impl PartialEq<Vec<u8>> for Blob {
+    fn eq(&self, other: &Vec<u8>) -> bool {
+        *self.0 == *other
+    }
+}
+
 /// A stored object: its [`ObjectMeta`] less the hash the map key already
 /// holds (the public metadata is built on the way out), and its bytes.
 #[derive(Debug)]
@@ -32,7 +67,7 @@ struct StoredObject {
     tier: Tier,
     /// Present in live mode (real bytes); `None` in measurement mode where
     /// only sizes matter. Either way `size` is authoritative.
-    data: Option<Vec<u8>>,
+    data: Option<Blob>,
 }
 
 impl StoredObject {
@@ -146,17 +181,19 @@ impl BlobStore {
                     last_access: now,
                     reads: 0,
                     tier: Tier::Hot,
-                    data,
+                    data: data.map(Blob::from),
                 })
                 .meta(hash)
             }
         }
     }
 
-    /// GET: returns metadata and (in live mode) bytes. Records the access
-    /// for tiering. Cold-tier reads still succeed — tiering is a cost
-    /// model, not an availability model.
-    pub fn get(&self, hash: ContentHash, now: SimTime) -> Option<(ObjectMeta, Option<Vec<u8>>)> {
+    /// GET: returns metadata and (in live mode) a handle on the stored
+    /// bytes — a pointer copy taken under the write lock, never the bytes
+    /// themselves; they stay intact for the handle's holder after a delete
+    /// or a re-put. Records the access for tiering. Cold-tier reads still
+    /// succeed — tiering is a cost model, not an availability model.
+    pub fn get(&self, hash: ContentHash, now: SimTime) -> Option<(ObjectMeta, Option<Blob>)> {
         self.get_ops.fetch_add(1, Ordering::Relaxed);
         let mut objects = self.objects.write();
         let obj = objects.get_mut(&hash)?;
@@ -446,6 +483,91 @@ mod tests {
         s.complete_multipart(id, h(2), SimTime::ZERO).unwrap();
         let (_, data) = s.get(h(2), SimTime::ZERO).unwrap();
         assert_eq!(data.unwrap(), vec![1, 2, 3, 4, 5]);
+    }
+
+    /// A GET hands out the stored buffer itself, and a one-part multipart
+    /// upload stores its part's buffer: neither copies a byte.
+    #[test]
+    fn stored_bytes_are_shared_not_copied() {
+        let s = BlobStore::new();
+        let bytes = vec![7u8; 4096];
+        let put_at = bytes.as_ptr();
+        s.put(h(1), 4096, Some(bytes), SimTime::ZERO);
+        let first = s.get(h(1), SimTime::ZERO).and_then(|(_, b)| b).unwrap();
+        let second = s.get(h(1), SimTime::ZERO).and_then(|(_, b)| b).unwrap();
+        assert_eq!((first.as_ptr(), second.as_ptr()), (put_at, put_at));
+
+        let part = vec![9u8; 4096];
+        let part_at = part.as_ptr();
+        let id = s.initiate_multipart(SimTime::ZERO);
+        s.upload_part(id, 4096, Some(part)).unwrap();
+        s.complete_multipart(id, h(2), SimTime::ZERO).unwrap();
+        let stored = s.get(h(2), SimTime::ZERO).and_then(|(_, b)| b).unwrap();
+        assert_eq!(stored.as_ptr(), part_at);
+        // A handle the store still shares is copied out; the last holder's
+        // bytes are moved out.
+        let copy = first.into_vec();
+        assert_ne!(copy.as_ptr(), put_at);
+        assert!(copy == *second);
+        assert!(s.delete(h(2)));
+        let moved = stored.into_vec();
+        assert_eq!(moved.as_ptr(), part_at);
+    }
+
+    /// Four threads GET the same live objects while a fifth deletes and
+    /// re-puts them: every handle a GET returned keeps its bytes, before
+    /// and after the object it came from is gone.
+    #[test]
+    fn handles_keep_their_bytes_while_objects_are_deleted_and_re_put() {
+        const OBJECTS: u64 = 8;
+        const LEN: usize = 4096;
+        let bytes = |i: u64| -> Vec<u8> { (0..LEN).map(|j| (j as u64 * 31 + i) as u8).collect() };
+        let s = BlobStore::new();
+        for i in 0..OBJECTS {
+            s.put(h(i), LEN as u64, Some(bytes(i)), SimTime::ZERO);
+        }
+        let start = std::sync::Barrier::new(5);
+        let held: Vec<Vec<(u64, Blob)>> = std::thread::scope(|scope| {
+            let readers: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        let mut held = Vec::new();
+                        for round in 0..200 {
+                            for i in 0..OBJECTS {
+                                if let Some((meta, data)) = s.get(h(i), SimTime::ZERO) {
+                                    let blob = data.unwrap();
+                                    assert_eq!((meta.size, blob.len()), (LEN as u64, LEN));
+                                    assert!(blob == bytes(i), "object {i} torn on read");
+                                    if round % 10 == 0 {
+                                        held.push((i, blob));
+                                    }
+                                }
+                            }
+                        }
+                        held
+                    })
+                })
+                .collect();
+            scope.spawn(|| {
+                start.wait();
+                for _ in 0..200 {
+                    for i in 0..OBJECTS {
+                        s.delete(h(i));
+                        s.put(h(i), LEN as u64, Some(bytes(i)), SimTime::ZERO);
+                    }
+                }
+            });
+            readers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        for i in 0..OBJECTS {
+            assert!(s.delete(h(i)));
+        }
+        let held: Vec<_> = held.into_iter().flatten().collect();
+        assert!(!held.is_empty());
+        for (i, blob) in held {
+            assert!(blob == bytes(i), "object {i} changed under its handle");
+        }
     }
 
     proptest::proptest! {

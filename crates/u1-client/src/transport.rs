@@ -5,11 +5,12 @@ use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;
 use u1_auth::Token;
+use u1_blobstore::Blob;
 use u1_core::{
     ContentHash, CoreError, CoreResult, NodeId, NodeKind, SessionId, UploadId, UserId, VolumeId,
     VolumeKind,
 };
-use u1_proto::conn::{ClientConn, ClientEvent};
+use u1_proto::conn::{ClientConn, ClientEvent, Received};
 use u1_proto::msg::{NodeInfo, Push, Request, RequestId, Response, VolumeInfo};
 use u1_proto::tcp;
 use u1_server::api::{Served, SessionState};
@@ -324,7 +325,7 @@ impl<L: Link> Transport for L {
         node: NodeId,
     ) -> CoreResult<(u64, ContentHash, Option<Vec<u8>>)> {
         match self.call(Request::GetContent { volume, node })? {
-            Served::Content { size, hash, data } => Ok((size, hash, data)),
+            Served::Content { size, hash, data } => Ok((size, hash, data.map(Blob::into_vec))),
             Served::Response(other) => Err(unexpected(&other)),
         }
     }
@@ -430,35 +431,39 @@ impl TcpTransport {
 
     /// Blocks until request `id` has its final response, handing every
     /// response of the request to `on_resp` as it arrives (1 for ordinary
-    /// ops, begin/chunks/end for content streams) and buffering any pushes
-    /// seen along the way.
-    fn recv(&mut self, id: RequestId, mut on_resp: impl FnMut(Response)) -> CoreResult<()> {
-        loop {
+    /// ops, begin/chunks/end for content streams, a chunk's payload as a
+    /// slice of the receive buffer) and buffering any pushes seen along the
+    /// way.
+    fn recv(&mut self, id: RequestId, mut on_resp: impl FnMut(Received<'_>)) -> CoreResult<()> {
+        let mut done = false;
+        while !done {
             let n = tcp::read_some(&mut self.stream, &mut self.buf)
                 .map_err(|e| CoreError::unavailable(format!("recv: {e}")))?;
             if n == 0 {
                 return Err(CoreError::unavailable("connection closed"));
             }
-            let events = self
-                .conn
-                .on_bytes(&self.buf[..n])
-                .map_err(|e| CoreError::invalid(format!("protocol: {e}")))?;
-            for ev in events {
-                match ev {
-                    ClientEvent::Push(p) => self.pushes.push(p),
-                    ClientEvent::Response { id: got, resp } => {
-                        if got != id {
-                            return Err(CoreError::invalid("response id mismatch"));
-                        }
-                        let done = resp.is_final();
-                        on_resp(resp);
-                        if done {
-                            return Ok(());
-                        }
+            let (pushes, mut stray) = (&mut self.pushes, false);
+            self.conn
+                .on_bytes_with(&self.buf[..n], |received| match received {
+                    Received::Event(ClientEvent::Push(p)) => pushes.push(p),
+                    Received::Event(ClientEvent::Response { id: got, .. })
+                    | Received::Chunk { id: got, .. }
+                        if got != id =>
+                    {
+                        stray = true
                     }
-                }
+                    Received::Event(ClientEvent::Response { resp, .. }) => {
+                        done = resp.is_final();
+                        on_resp(Received::Event(ClientEvent::Response { id, resp }));
+                    }
+                    chunk @ Received::Chunk { .. } => on_resp(chunk),
+                })
+                .map_err(|e| CoreError::invalid(format!("protocol: {e}")))?;
+            if stray {
+                return Err(CoreError::invalid("response id mismatch"));
             }
         }
+        Ok(())
     }
 
     /// Sends a framed single-response request and returns its response,
@@ -466,7 +471,11 @@ impl TcpTransport {
     fn round_trip(&mut self, id: RequestId, frame: &[u8]) -> CoreResult<Response> {
         self.send(frame)?;
         let mut last = None;
-        self.recv(id, |resp| last = Some(resp))?;
+        self.recv(id, |received| {
+            if let Received::Event(ClientEvent::Response { resp, .. }) = received {
+                last = Some(resp);
+            }
+        })?;
         match last {
             Some(Response::Error { code, message }) => Err(CoreError::from_code(&code, message)),
             Some(resp) => Ok(resp),
@@ -474,7 +483,8 @@ impl TcpTransport {
         }
     }
 
-    /// Sends a framed `GetContent` and collects its stream.
+    /// Sends a framed `GetContent` and collects its stream, appending each
+    /// chunk's payload to the file buffer straight from the receive buffer.
     fn content(&mut self, id: RequestId, frame: &[u8]) -> CoreResult<Served> {
         self.send(frame)?;
         let mut size = 0u64;
@@ -482,23 +492,27 @@ impl TcpTransport {
         let mut data = Vec::new();
         let mut chunks_seen = false;
         let mut refused = None;
-        self.recv(id, |resp| match resp {
-            Response::ContentBegin { size: s, hash: h } => {
-                size = s;
-                hash = Some(h);
-                // One allocation for the whole file — up to a cap, because
-                // the size is the server's word.
-                data.reserve(usize::try_from(s).map_or(MAX_PREALLOC, |s| s.min(MAX_PREALLOC)));
-            }
-            Response::ContentChunk { data: d } => {
+        self.recv(id, |received| match received {
+            Received::Chunk { data: d, .. } => {
                 chunks_seen = true;
-                data.extend_from_slice(&d);
+                data.extend_from_slice(d);
             }
-            Response::ContentEnd => {}
-            Response::Error { code, message } => {
-                refused = Some(CoreError::from_code(&code, message))
-            }
-            other => refused = Some(unexpected(&other)),
+            Received::Event(ClientEvent::Response { resp, .. }) => match resp {
+                Response::ContentBegin { size: s, hash: h } => {
+                    size = s;
+                    hash = Some(h);
+                    // One allocation for the whole file — up to a cap,
+                    // because the size is the server's word.
+                    data.reserve(usize::try_from(s).map_or(MAX_PREALLOC, |s| s.min(MAX_PREALLOC)));
+                }
+                Response::ContentEnd => {}
+                Response::Error { code, message } => {
+                    refused = Some(CoreError::from_code(&code, message))
+                }
+                other => refused = Some(unexpected(&other)),
+            },
+            // `recv` keeps pushes for `poll_pushes`.
+            Received::Event(ClientEvent::Push(_)) => {}
         })?;
         if let Some(e) = refused {
             return Err(e);
@@ -507,7 +521,7 @@ impl TcpTransport {
         // A chunkless stream with a nonzero declared size is measurement
         // mode: the server accounted the transfer but holds no bytes, and
         // `serve` answered with none.
-        let data = (chunks_seen || size == 0).then_some(data);
+        let data = (chunks_seen || size == 0).then(|| Blob::from(data));
         Ok(Served::Content { size, hash, data })
     }
 }

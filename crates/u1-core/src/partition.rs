@@ -190,13 +190,6 @@ impl<T> OriginBank<T> {
         f(&mut state)
     }
 
-    /// Visits every instance created so far, once each, in origin order.
-    pub fn for_each(&self, mut f: impl FnMut(u16, &T)) {
-        for (origin, slot) in self.slots() {
-            f(origin, &slot.lock());
-        }
-    }
-
     fn slots(&self) -> impl Iterator<Item = (u16, &Mutex<T>)> {
         (0..=u8::MAX).zip(&self.pages).flat_map(|(hi, page)| {
             (0..=u8::MAX)
@@ -223,9 +216,8 @@ mod tests {
         let bank = OriginBank::default();
         let seed = bank.with(|origin| origin_seed(77, "x", origin), |seed| *seed);
         assert_eq!(seed, 77, "origin 0 keeps the root seed");
-        let mut seen = Vec::new();
-        bank.for_each(|origin, seed| seen.push((origin, *seed)));
-        assert_eq!(seen, vec![(0, 77)]);
+        assert_eq!(bank.with(|_| panic!("made twice"), |seed| *seed), 77);
+        assert_eq!(format!("{bank:?}"), "OriginBank { origins: 1 }");
         assert_eq!(origin_seed(77, "x", 3), rngx::derive_seed(77, "x", 3));
         assert_ne!(origin_seed(77, "x", 3), origin_seed(77, "y", 3));
     }
@@ -247,10 +239,11 @@ mod tests {
             );
         }
         assert_eq!(made.get(), origins.len(), "`make` runs once per origin");
-        let mut seen = Vec::new();
-        bank.for_each(|origin, state| seen.push((origin, state.clone())));
-        let want: Vec<_> = origins.iter().map(|&o| (o, vec![o, o, o])).collect();
-        assert_eq!(seen, want, "each origin once, in origin order");
+        for origin in origins {
+            let _g = install(PartitionCtx::new(origin));
+            let state = bank.with(|_| panic!("made twice"), |state| state.clone());
+            assert_eq!(state, [origin; 3], "origin {origin}");
+        }
     }
 
     #[test]
@@ -270,9 +263,11 @@ mod tests {
                 });
             }
         });
-        let mut seen = Vec::new();
-        bank.for_each(|origin, n| seen.push((origin, *n)));
-        assert_eq!(seen, vec![(0, 2000), (300, 2000)]);
+        for origin in [0, 300] {
+            let _g = install(PartitionCtx::new(origin));
+            assert_eq!(bank.with(|_| panic!("made twice"), |n| *n), 2000);
+        }
+        assert_eq!(format!("{bank:?}"), "OriginBank { origins: 2 }");
     }
 
     #[test]

@@ -459,6 +459,37 @@ pub fn decode(mut body: &[u8]) -> WireResult<Message> {
     Ok(msg)
 }
 
+/// A frame body decoded by [`decode_borrowed`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Decoded<'a> {
+    /// `Response::ContentChunk` answering request `id`, its payload a slice
+    /// of the frame body.
+    ContentChunk { id: RequestId, data: &'a [u8] },
+    /// Any other message, decoded as [`decode`] decodes it.
+    Message(Message),
+}
+
+/// [`decode`], except that a `ContentChunk`'s payload is left where it lies
+/// in `body` rather than copied into a message: a download appends it to
+/// its file with no copy in between. Same errors as [`decode`] on the same
+/// bytes.
+pub fn decode_borrowed(body: &[u8]) -> WireResult<Decoded<'_>> {
+    let mut buf = body;
+    if wire::get_u8(&mut buf)? == KIND_RESPONSE {
+        let id = u32::get(&mut buf)?;
+        if wire::get_u8(&mut buf)? == (Response::ContentChunk { data: Vec::new() }).tag() {
+            let len = wire::get_uvarint_len(&mut buf)?;
+            if len > buf.len() {
+                return Err(WireError::BadLength);
+            }
+            let (data, rest) = buf.split_at(len);
+            wire::expect_eof(&rest)?;
+            return Ok(Decoded::ContentChunk { id, data });
+        }
+    }
+    decode(body).map(Decoded::Message)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -30,7 +30,7 @@
 //! assert_eq!(events, vec![ClientEvent::Response { id, resp: Response::Pong }]);
 //! ```
 
-use crate::codec;
+use crate::codec::{self, Decoded};
 use crate::frame::{FrameDecoder, FrameError};
 use crate::msg::{Message, Push, Request, RequestId, Response};
 use crate::wire::WireError;
@@ -79,6 +79,16 @@ pub enum ClientEvent {
     Response { id: RequestId, resp: Response },
     /// An unsolicited push notification.
     Push(Push),
+}
+
+/// What [`ClientConn::on_bytes_with`] hands its consumer, one per frame.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Received<'a> {
+    /// A `Response::ContentChunk` answering request `id`: its payload,
+    /// borrowed from the receive buffer.
+    Chunk { id: RequestId, data: &'a [u8] },
+    /// Every other frame's event.
+    Event(ClientEvent),
 }
 
 /// Client half of a connection.
@@ -137,31 +147,78 @@ impl ClientConn {
         Ok((id, framed))
     }
 
-    /// Feeds received bytes; returns the complete events they produced.
+    /// Feeds received bytes; returns the complete events they produced, a
+    /// `ContentChunk`'s payload copied into its `Response`. This is
+    /// [`ClientConn::on_bytes_with`] with a consumer that collects.
     pub fn on_bytes(&mut self, data: &[u8]) -> Result<Vec<ClientEvent>, ConnError> {
         self.decoder.extend(data);
         let mut events = Vec::with_capacity(self.decoder.complete_frames());
-        while let Some(msg) = self.decoder.next_frame_with(codec::decode)? {
-            match msg? {
-                Message::Response { id, resp } => {
-                    if !self.pending.contains(&id) {
+        self.drain(|received| {
+            events.push(match received {
+                Received::Chunk { id, data } => ClientEvent::Response {
+                    id,
+                    resp: Response::ContentChunk {
+                        data: data.to_vec(),
+                    },
+                },
+                Received::Event(event) => event,
+            });
+        })?;
+        Ok(events)
+    }
+
+    /// Feeds received bytes and hands `consume` what each complete frame
+    /// held, in order: a `ContentChunk`'s payload as a slice of the receive
+    /// buffer, so a download copies it once, into its file; every other
+    /// frame as the event [`ClientConn::on_bytes`] would return. The first
+    /// error ends the call; frames consumed before it stay consumed.
+    pub fn on_bytes_with(
+        &mut self,
+        data: &[u8],
+        consume: impl FnMut(Received<'_>),
+    ) -> Result<(), ConnError> {
+        self.decoder.extend(data);
+        self.drain(consume)
+    }
+
+    /// The one decode loop: every complete frame buffered, checked against
+    /// the pending requests and handed to `consume`.
+    fn drain(&mut self, mut consume: impl FnMut(Received<'_>)) -> Result<(), ConnError> {
+        let (pending, session) = (&mut self.pending, &mut self.session);
+        let mut frame = |body: &[u8]| -> Result<(), ConnError> {
+            let (id, resp) = match codec::decode_borrowed(body)? {
+                Decoded::ContentChunk { id, data } => {
+                    if !pending.contains(&id) {
                         return Err(ConnError::Protocol("response to unknown request id"));
                     }
-                    if let Response::AuthOk { session, user } = &resp {
-                        self.session = Some((*session, *user));
-                    }
-                    if resp.is_final() {
-                        self.pending.remove(&id);
-                    }
-                    events.push(ClientEvent::Response { id, resp });
+                    consume(Received::Chunk { id, data });
+                    return Ok(());
                 }
-                Message::Push(push) => events.push(ClientEvent::Push(push)),
-                Message::Request { .. } => {
+                Decoded::Message(Message::Response { id, resp }) => (id, resp),
+                Decoded::Message(Message::Push(push)) => {
+                    consume(Received::Event(ClientEvent::Push(push)));
+                    return Ok(());
+                }
+                Decoded::Message(Message::Request { .. }) => {
                     return Err(ConnError::Protocol("server sent a request"));
                 }
+            };
+            if !pending.contains(&id) {
+                return Err(ConnError::Protocol("response to unknown request id"));
             }
+            if let Response::AuthOk { session: s, user } = &resp {
+                *session = Some((*s, *user));
+            }
+            if resp.is_final() {
+                pending.remove(&id);
+            }
+            consume(Received::Event(ClientEvent::Response { id, resp }));
+            Ok(())
+        };
+        while let Some(done) = self.decoder.next_frame_with(&mut frame)? {
+            done?;
         }
-        Ok(events)
+        Ok(())
     }
 }
 

@@ -15,7 +15,7 @@ use bytes::{Bytes, BytesMut};
 use proptest::prelude::*;
 use u1_core::{ContentHash, NodeId, NodeKind, SessionId, UploadId, UserId, VolumeId, VolumeKind};
 use u1_proto::codec;
-use u1_proto::conn::{ClientConn, ClientEvent, ConnError, ServerConn, ServerEvent};
+use u1_proto::conn::{ClientConn, ClientEvent, ConnError, Received, ServerConn, ServerEvent};
 use u1_proto::frame::{encode_frame, FrameDecoder, FrameError, MAX_FRAME_LEN};
 use u1_proto::msg::{Message, NodeInfo, Push, Request, Response, VolumeInfo};
 
@@ -371,6 +371,144 @@ proptest! {
             let pos = pos_seed % buf.len();
             buf[pos] = new_byte;
             let _ = codec::decode(&buf); // may fail, may decode to another message; must not panic
+        }
+    }
+}
+
+/// A `GetContent` answer to request 1 as the server frames it: begin,
+/// `chunks` with `pushes` interleaved (each after the chunk its index
+/// names), end, then what `stray` adds — nothing (0), a chunk for request 2,
+/// which was never sent (1), or a chunk for request 1 after its end (2).
+fn content_stream(chunks: &[Vec<u8>], pushes: &[(usize, Push)], stray: u8) -> Vec<u8> {
+    let server = ServerConn::new();
+    let mut stream = Vec::new();
+    let begin = Response::ContentBegin {
+        size: chunks.iter().map(|c| c.len() as u64).sum(),
+        hash: ContentHash::from_content_id(7),
+    };
+    stream.extend_from_slice(&server.respond(1, begin).expect("fits"));
+    for (i, chunk) in chunks.iter().enumerate() {
+        stream.extend_from_slice(&server.content_chunk(1, chunk).expect("fits"));
+        for (_, push) in pushes.iter().filter(|(at, _)| *at == i) {
+            stream.extend_from_slice(&server.push(push.clone()).expect("fits"));
+        }
+    }
+    stream.extend_from_slice(&server.respond(1, Response::ContentEnd).expect("fits"));
+    if stray > 0 {
+        let id = if stray == 1 { 2 } else { 1 };
+        stream.extend_from_slice(&server.content_chunk(id, b"stray").expect("fits"));
+    }
+    stream
+}
+
+/// `stream` in pieces, cut at every position in `cuts` (modulo its length).
+fn pieces<'a>(stream: &'a [u8], cuts: &[usize]) -> Vec<&'a [u8]> {
+    let mut at: Vec<usize> = cuts.iter().map(|c| c % (stream.len() + 1)).collect();
+    at.extend([0, stream.len()]);
+    at.sort_unstable();
+    at.dedup();
+    at.windows(2).map(|w| &stream[w[0]..w[1]]).collect()
+}
+
+/// A client with `GetContent` pending as request 1.
+fn downloading_client() -> ClientConn {
+    let mut client = ClientConn::new();
+    let (id, _) = client
+        .request(Request::GetContent {
+            volume: VolumeId::new(1),
+            node: NodeId::new(2),
+        })
+        .expect("fits");
+    assert_eq!(id, 1);
+    client
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A content stream cut at arbitrary byte boundaries: the payload
+    /// `on_bytes_with` streams out of the receive buffer is the
+    /// concatenation of the chunks `on_bytes` reports, every other event is
+    /// the same on both, and a chunk for a request that is not pending is
+    /// the same protocol error on both.
+    #[test]
+    fn streamed_content_is_the_collected_chunks_at_any_cuts(
+        chunks in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..3000), 0..6),
+        pushes in proptest::collection::vec((0usize..6, arb_push()), 0..4),
+        cuts in proptest::collection::vec(any::<usize>(), 0..12),
+        stray in 0u8..3,
+    ) {
+        let stream = content_stream(&chunks, &pushes, stray);
+        let pieces = pieces(&stream, &cuts);
+
+        let mut client = downloading_client();
+        let collected = pieces
+            .iter()
+            .try_fold(Vec::new(), |mut events, piece| {
+                events.extend(client.on_bytes(piece)?);
+                Ok::<_, ConnError>(events)
+            });
+
+        let mut client = downloading_client();
+        let (mut payload, mut others) = (Vec::new(), Vec::new());
+        let streamed = pieces.iter().try_for_each(|piece| {
+            client.on_bytes_with(piece, |received| match received {
+                Received::Chunk { id, data } => {
+                    assert_eq!(id, 1);
+                    payload.extend_from_slice(data);
+                }
+                Received::Event(event) => others.push(event),
+            })
+        });
+
+        if stray > 0 {
+            let unknown = Err(ConnError::Protocol("response to unknown request id"));
+            prop_assert_eq!(collected.map(drop), unknown.clone());
+            prop_assert_eq!(streamed, unknown);
+            return Ok(());
+        }
+        let collected = collected.expect("a well-formed stream");
+        streamed.expect("a well-formed stream");
+        let mut chunked = Vec::new();
+        let mut rest = Vec::new();
+        for event in collected {
+            match event {
+                ClientEvent::Response { resp: Response::ContentChunk { data }, .. } => {
+                    chunked.extend(data);
+                }
+                other => rest.push(other),
+            }
+        }
+        prop_assert_eq!(&payload, &chunked);
+        prop_assert_eq!(payload, chunks.concat());
+        prop_assert_eq!(&others, &rest);
+        prop_assert_eq!(others.len(), 2 + pushes.iter().filter(|(at, _)| *at < chunks.len()).count());
+        prop_assert_eq!(client.pending_count(), 0);
+    }
+
+    /// On any bytes, the borrowing decoder fails where `decode` fails, and
+    /// otherwise agrees with it.
+    #[test]
+    fn borrowed_decoding_agrees_with_decode_on_any_bytes(
+        msg in arb_message(),
+        junk in proptest::collection::vec(any::<u8>(), 0..64),
+        cut in any::<usize>(),
+    ) {
+        let mut body = BytesMut::new();
+        codec::encode(&msg, &mut body);
+        let whole: &[u8] = &body;
+        let cut = cut % (whole.len() + 1);
+        let mut spliced = whole[..cut].to_vec();
+        spliced.extend_from_slice(&junk);
+        for bytes in [whole, &whole[..cut], &spliced, &junk] {
+            let borrowed = codec::decode_borrowed(bytes).map(|decoded| match decoded {
+                codec::Decoded::ContentChunk { id, data } => Message::Response {
+                    id,
+                    resp: Response::ContentChunk { data: data.to_vec() },
+                },
+                codec::Decoded::Message(msg) => msg,
+            });
+            prop_assert_eq!(borrowed, codec::decode(bytes));
         }
     }
 }

@@ -19,6 +19,7 @@ use crate::backend::Backend;
 use crate::session::{Session, SessionHandle};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
+use u1_blobstore::Blob;
 use u1_core::{
     ApiOpKind, ContentHash, CoreError, CoreResult, NodeId, NodeKind, RpcKind, SimDuration,
     UploadId, UserId, VolumeId, VolumeKind,
@@ -128,12 +129,15 @@ pub enum Served {
     /// Every request but `GetContent`: its one response.
     Response(Response),
     /// `GetContent`: the file's size and hash, and its bytes when the
-    /// back-end stores real bytes. A connection frames them as
-    /// `ContentBegin`, `ContentChunk`s and `ContentEnd`.
+    /// back-end stores real bytes — the object store's own shared buffer,
+    /// not a copy of it. A connection frames them as `ContentBegin`,
+    /// `ContentChunk`s and `ContentEnd`, each chunk straight from the
+    /// buffer; an in-process caller that wants a `Vec` of its own takes it
+    /// with [`Blob::into_vec`].
     Content {
         size: u64,
         hash: ContentHash,
-        data: Option<Vec<u8>>,
+        data: Option<Blob>,
     },
 }
 
@@ -814,7 +818,7 @@ impl Backend {
         h: &SessionHandle,
         volume: VolumeId,
         node: NodeId,
-    ) -> CoreResult<(u64, ContentHash, Option<Vec<u8>>)> {
+    ) -> CoreResult<(u64, ContentHash, Option<Blob>)> {
         let d = self.rpc(h.slot, h.user, RpcKind::GetNode, 0)?;
         let row = self.store.get_node(h.user, volume, node);
         let result = match &row {

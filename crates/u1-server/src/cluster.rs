@@ -125,23 +125,16 @@ impl Cluster {
             });
         }
     }
-
-    /// Current active sessions per slot, summed over every partition's view
-    /// (diagnostics).
-    pub fn active_sessions(&self) -> Vec<(Slot, u64)> {
-        let mut totals = vec![0u64; self.slots.len()];
-        self.views.for_each(|_, view| {
-            for (t, l) in totals.iter_mut().zip(view) {
-                *t += l.active_sessions;
-            }
-        });
-        self.slots.iter().copied().zip(totals).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Active sessions per slot in the calling partition's view.
+    fn active(cluster: &Cluster) -> Vec<u64> {
+        cluster.with_view(|loads| loads.iter().map(|l| l.active_sessions).collect())
+    }
 
     #[test]
     fn placement_prefers_least_loaded() {
@@ -163,9 +156,9 @@ mod tests {
         // slot[0] may or may not have hosted `fifth`; place and verify the
         // chosen slot has minimal load.
         let placed = cluster.place_session();
-        let loads = cluster.active_sessions();
-        let placed_load = loads.iter().find(|(s, _)| *s == placed).unwrap().1;
-        assert!(loads.iter().all(|(_, l)| *l + 1 >= placed_load));
+        let loads = active(&cluster);
+        let placed_load = loads[cluster.slots.iter().position(|s| *s == placed).unwrap()];
+        assert!(loads.iter().all(|l| l + 1 >= placed_load));
     }
 
     #[test]
@@ -177,7 +170,7 @@ mod tests {
         let slot = cluster.place_session();
         cluster.release_session(slot);
         cluster.release_session(slot); // no underflow panic
-        assert_eq!(cluster.active_sessions()[0].1, 0);
+        assert_eq!(active(&cluster), [0]);
     }
 
     #[test]
@@ -193,11 +186,11 @@ mod tests {
         // A different origin starts from an empty view: its first placement
         // is slot 0 again, regardless of origin 0's load.
         let ctx = u1_core::PartitionCtx::new(7);
-        let _guard = u1_core::partition::install(ctx);
+        let guard = u1_core::partition::install(ctx);
         let c = cluster.place_session();
         assert_eq!(c, a);
-        // Diagnostics sum the views.
-        let total: u64 = cluster.active_sessions().iter().map(|(_, l)| *l).sum();
-        assert_eq!(total, 3);
+        assert_eq!(active(&cluster), [1, 0, 0, 0]);
+        drop(guard);
+        assert_eq!(active(&cluster), [1, 1, 0, 0]);
     }
 }

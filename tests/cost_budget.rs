@@ -17,6 +17,12 @@
 //! `u1_core::sync` locks of each rank the driver takes over the quick
 //! month. One extra lock per request moves it by thousands.
 //!
+//! The `live:` row counts copies: one live 1 MiB upload and download
+//! through the client and server connection state machines and
+//! `Backend::serve`, in memory. Its bytes are whole MiB per copy of the
+//! payload, so one extra copy of a bulk byte on either way moves it by a
+//! mebibyte.
+//!
 //! Adding a row: measure the work with [`measure`] (or the holding with
 //! [`freed_by`]), push it in [`measured_rows`], and pin its counts in
 //! [`BUDGET`].
@@ -26,10 +32,14 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 use ubuntuone::analytics::engine::{run_all, EngineConfig};
+use ubuntuone::auth::AuthConfig;
 use ubuntuone::core::sync::Rank;
-use ubuntuone::core::SimClock;
+use ubuntuone::core::{NodeId, Sha1, SimClock, UserId, VolumeId};
+use ubuntuone::proto::conn::{ClientConn, ClientEvent, Received, ServerConn, ServerEvent};
+use ubuntuone::proto::msg::{Request, Response};
+use ubuntuone::server::api::{Served, SessionState};
 use ubuntuone::server::{Backend, BackendConfig};
-use ubuntuone::trace::{MemorySink, TraceRecord};
+use ubuntuone::trace::{MemorySink, NullSink, TraceRecord};
 use ubuntuone::workload::{Driver, WorkloadConfig};
 
 // ---------------------------------------------------------------------------
@@ -167,7 +177,7 @@ const BUDGET: &[(&str, Cost)] = &[
         "held: the blobstore after the quick month",
         Cost {
             allocs: 2,
-            bytes: 663_876,
+            bytes: 532_804,
         },
     ),
     (
@@ -175,6 +185,16 @@ const BUDGET: &[(&str, Cost)] = &[
         Cost {
             allocs: 61,
             bytes: by_build(200_512, 194_232),
+        },
+    ),
+    // 2 MiB of payload, 2.0 allocated bytes per payload byte: a MiB each
+    // for the upload's frame, its decoded chunk, the download's chunk
+    // frames and the client's file; the rest is the small messages.
+    (
+        "live: one 1 MiB upload and download through the connections",
+        Cost {
+            allocs: 39,
+            bytes: 4_197_296,
         },
     ),
 ];
@@ -255,6 +275,153 @@ fn quick_month() -> (Vec<TraceRecord>, EngineConfig, [Cost; 3], Locks) {
     )
 }
 
+/// Payload bytes of the `live:` row's file.
+const FILE: usize = 1 << 20;
+
+/// What one socket read hands a connection in the `live:` row.
+const PIECE: usize = 64 * 1024;
+
+/// Payload bytes per `ContentChunk`, as the reactor frames a download.
+const DOWNLOAD_CHUNK: usize = 256 * 1024;
+
+/// A client connection and a server connection joined in memory over one
+/// session of a real-bytes back end; every frame crosses in [`PIECE`]s.
+struct Loopback {
+    backend: Backend,
+    state: SessionState,
+    client: ClientConn,
+    server: ServerConn,
+    volume: VolumeId,
+}
+
+impl Loopback {
+    fn new() -> Self {
+        let cfg = BackendConfig {
+            auth: AuthConfig {
+                transient_failure_rate: 0.0,
+                token_ttl: None,
+            },
+            store_real_bytes: true,
+            ..BackendConfig::default()
+        };
+        let backend = Backend::new(cfg, Arc::new(SimClock::new()), Arc::new(NullSink));
+        let token = backend.register_user(UserId::new(1));
+        let mut link = Loopback {
+            backend,
+            state: SessionState::new(false),
+            client: ClientConn::new(),
+            server: ServerConn::new(),
+            volume: VolumeId::new(0),
+        };
+        let Response::AuthOk { session, user } = link.call(Request::Authenticate {
+            token: token.as_bytes().to_vec(),
+        }) else {
+            panic!("authentication refused");
+        };
+        link.server.mark_authenticated(session, user);
+        let Response::Volumes { volumes } = link.call(Request::ListVolumes) else {
+            panic!("no volumes");
+        };
+        link.volume = volumes[0].volume;
+        link
+    }
+
+    /// Sends one framed request and returns the last response to it,
+    /// appending any content chunk's payload to `file` from the client's
+    /// receive buffer, as a download does.
+    fn exchange(&mut self, frame: &[u8], file: &mut Vec<u8>) -> Response {
+        let mut answers = Vec::new();
+        for piece in frame.chunks(PIECE) {
+            for event in self.server.on_bytes(piece).expect("request stream") {
+                let ServerEvent::Request { id, req } = event else {
+                    panic!("refused: {event:?}");
+                };
+                let respond = |resp| self.server.respond(id, resp).expect("fits");
+                match self.backend.serve(&mut self.state, req).expect("served") {
+                    Served::Response(resp) => answers.push(respond(resp)),
+                    Served::Content { size, hash, data } => {
+                        answers.push(respond(Response::ContentBegin { size, hash }));
+                        for chunk in data.as_deref().unwrap_or_default().chunks(DOWNLOAD_CHUNK) {
+                            answers.push(self.server.content_chunk(id, chunk).expect("fits"));
+                        }
+                        answers.push(respond(Response::ContentEnd));
+                    }
+                }
+            }
+        }
+        let mut last = None;
+        for answer in &answers {
+            for piece in answer.chunks(PIECE) {
+                self.client
+                    .on_bytes_with(piece, |received| match received {
+                        Received::Chunk { data, .. } => file.extend_from_slice(data),
+                        Received::Event(ClientEvent::Response { resp, .. }) => {
+                            if let Response::ContentBegin { size, .. } = resp {
+                                file.reserve(size as usize);
+                            }
+                            last = Some(resp);
+                        }
+                        Received::Event(ClientEvent::Push(push)) => panic!("{push:?}"),
+                    })
+                    .expect("answer stream");
+            }
+        }
+        last.expect("answered")
+    }
+
+    /// [`Loopback::exchange`] of a request with no content.
+    fn call(&mut self, req: Request) -> Response {
+        let (_, frame) = self.client.request(req).expect("fits");
+        self.exchange(&frame, &mut Vec::new())
+    }
+
+    /// Uploads `data` as a new file in one chunk and downloads it back.
+    fn round_trip(&mut self, name: &str, data: &[u8]) -> Vec<u8> {
+        let Response::NodeCreated { node, .. } = self.call(Request::MakeFile {
+            volume: self.volume,
+            parent: NodeId::new(0),
+            name: name.into(),
+        }) else {
+            panic!("make_file refused");
+        };
+        let Response::UploadBegun { upload, .. } = self.call(Request::BeginUpload {
+            volume: self.volume,
+            node,
+            hash: Sha1::digest(data),
+            size: data.len() as u64,
+        }) else {
+            panic!("begin_upload refused");
+        };
+        let (_, frame) = self.client.upload_chunk(upload, data).expect("fits");
+        assert_eq!(self.exchange(&frame, &mut Vec::new()), Response::Ok);
+        let committed = self.call(Request::CommitUpload { upload });
+        assert!(matches!(committed, Response::UploadDone { .. }));
+        let (_, frame) = self
+            .client
+            .request(Request::GetContent {
+                volume: self.volume,
+                node,
+            })
+            .expect("fits");
+        let mut file = Vec::new();
+        assert_eq!(self.exchange(&frame, &mut file), Response::ContentEnd);
+        file
+    }
+}
+
+/// One live 1 MiB upload and download through [`Loopback`], after a first
+/// one of other bytes has grown the connections' receive buffers: what a
+/// transfer costs on a connection in use.
+fn live_transfer() -> Cost {
+    let mut link = Loopback::new();
+    let file = |seed: u8| -> Vec<u8> { (0..FILE).map(|i| (i % 251) as u8 ^ seed).collect() };
+    let (warm, data) = (file(1), file(2));
+    assert_eq!(link.round_trip("warm.bin", &warm), warm);
+    let (back, cost) = measure(|| link.round_trip("file.bin", &data));
+    assert_eq!(back, data);
+    cost
+}
+
 /// Every row of the budget, measured, and the locks the month took.
 fn measured_rows() -> (Vec<(&'static str, Cost)>, Locks) {
     let (records, engine, [metastore, blobstore, rest], locks) = quick_month();
@@ -265,6 +432,10 @@ fn measured_rows() -> (Vec<(&'static str, Cost)>, Locks) {
         ("held: the metastore after the quick month", metastore),
         ("held: the blobstore after the quick month", blobstore),
         ("held: the rest of the back end after the quick month", rest),
+        (
+            "live: one 1 MiB upload and download through the connections",
+            live_transfer(),
+        ),
     ];
     (rows, locks)
 }
