@@ -473,21 +473,27 @@ pub enum Decoded<'a> {
 /// in `body` rather than copied into a message: a download appends it to
 /// its file with no copy in between. Same errors as [`decode`] on the same
 /// bytes.
+#[inline]
 pub fn decode_borrowed(body: &[u8]) -> WireResult<Decoded<'_>> {
     let mut buf = body;
-    if wire::get_u8(&mut buf)? == KIND_RESPONSE {
-        let id = u32::get(&mut buf)?;
-        if wire::get_u8(&mut buf)? == (Response::ContentChunk { data: Vec::new() }).tag() {
-            let len = wire::get_uvarint_len(&mut buf)?;
-            if len > buf.len() {
-                return Err(WireError::BadLength);
-            }
-            let (data, rest) = buf.split_at(len);
-            wire::expect_eof(&rest)?;
-            return Ok(Decoded::ContentChunk { id, data });
-        }
+    if wire::get_u8(&mut buf)? != KIND_RESPONSE {
+        return decode(body).map(Decoded::Message);
     }
-    decode(body).map(Decoded::Message)
+    let id = u32::get(&mut buf)?;
+    let chunk_tag = Response::ContentChunk { data: Vec::new() }.tag();
+    let Some(rest) = buf.strip_prefix(&[chunk_tag]) else {
+        let resp = Response::get(&mut buf)?;
+        wire::expect_eof(&buf)?;
+        return Ok(Decoded::Message(Message::Response { id, resp }));
+    };
+    buf = rest;
+    let len = wire::get_uvarint_len(&mut buf)?;
+    if len > buf.len() {
+        return Err(WireError::BadLength);
+    }
+    let (data, rest) = buf.split_at(len);
+    wire::expect_eof(&rest)?;
+    Ok(Decoded::ContentChunk { id, data })
 }
 
 #[cfg(test)]

@@ -182,43 +182,48 @@ impl ClientConn {
     }
 
     /// The one decode loop: every complete frame buffered, checked against
-    /// the pending requests and handed to `consume`.
+    /// the pending requests and handed to `consume`. A chunk is handed
+    /// over while its frame is still in the buffer; every other message
+    /// leaves the buffer decoded, as `codec::decode` returns it.
     fn drain(&mut self, mut consume: impl FnMut(Received<'_>)) -> Result<(), ConnError> {
-        let (pending, session) = (&mut self.pending, &mut self.session);
-        let mut frame = |body: &[u8]| -> Result<(), ConnError> {
-            let (id, resp) = match codec::decode_borrowed(body)? {
-                Decoded::ContentChunk { id, data } => {
-                    if !pending.contains(&id) {
+        loop {
+            let pending = &self.pending;
+            let in_place = |body: &[u8]| -> Result<Option<Message>, ConnError> {
+                match codec::decode_borrowed(body)? {
+                    Decoded::ContentChunk { id, data } => {
+                        if !pending.contains(&id) {
+                            return Err(ConnError::Protocol("response to unknown request id"));
+                        }
+                        consume(Received::Chunk { id, data });
+                        Ok(None)
+                    }
+                    Decoded::Message(msg) => Ok(Some(msg)),
+                }
+            };
+            let Some(decoded) = self.decoder.next_frame_with(in_place)? else {
+                return Ok(());
+            };
+            let event = match decoded? {
+                None => continue,
+                Some(Message::Response { id, resp }) => {
+                    if !self.pending.contains(&id) {
                         return Err(ConnError::Protocol("response to unknown request id"));
                     }
-                    consume(Received::Chunk { id, data });
-                    return Ok(());
+                    if let Response::AuthOk { session, user } = &resp {
+                        self.session = Some((*session, *user));
+                    }
+                    if resp.is_final() {
+                        self.pending.remove(&id);
+                    }
+                    ClientEvent::Response { id, resp }
                 }
-                Decoded::Message(Message::Response { id, resp }) => (id, resp),
-                Decoded::Message(Message::Push(push)) => {
-                    consume(Received::Event(ClientEvent::Push(push)));
-                    return Ok(());
-                }
-                Decoded::Message(Message::Request { .. }) => {
+                Some(Message::Push(push)) => ClientEvent::Push(push),
+                Some(Message::Request { .. }) => {
                     return Err(ConnError::Protocol("server sent a request"));
                 }
             };
-            if !pending.contains(&id) {
-                return Err(ConnError::Protocol("response to unknown request id"));
-            }
-            if let Response::AuthOk { session: s, user } = &resp {
-                *session = Some((*s, *user));
-            }
-            if resp.is_final() {
-                pending.remove(&id);
-            }
-            consume(Received::Event(ClientEvent::Response { id, resp }));
-            Ok(())
-        };
-        while let Some(done) = self.decoder.next_frame_with(&mut frame)? {
-            done?;
+            consume(Received::Event(event));
         }
-        Ok(())
     }
 }
 
