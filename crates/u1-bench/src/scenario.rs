@@ -50,8 +50,8 @@ pub fn run_scenario_with_faults(cfg: WorkloadConfig, fault: FaultPlan) -> Scenar
 
 /// [`run_scenario`], but streaming every record to stamped logfiles under
 /// `dir` as the simulation runs. The wiring is the same generic builder —
-/// same seeds, same `BufferedSink` per-origin runs, same flush-off-barrier
-/// machinery (the driver is sink-agnostic) — so the emitted record
+/// same seeds, same `BufferedSink` per-origin runs, same per-worker day
+/// flush (the driver is sink-agnostic) — so the emitted record
 /// sequence, and therefore the canonical `(t, origin, seq)` trace and its
 /// golden hash, match the in-memory mode exactly.
 pub fn run_scenario_streamed(

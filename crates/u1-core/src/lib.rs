@@ -49,4 +49,4 @@ pub use partition::PartitionCtx;
 pub use sha1::Sha1;
 pub use size::{ByteSize, SizeCategory};
 pub use taxonomy::FileCategory;
-pub use timing::{CachePadded, Measured, Phase, PhaseNanos, PhaseTimers};
+pub use timing::{CachePadded, Measured, PhaseNanos};

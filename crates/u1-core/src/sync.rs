@@ -30,9 +30,6 @@ use std::sync::PoisonError;
 /// is taken have a rank of their own below [`Rank::Leaf`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rank {
-    /// A driver shard partition (`u1-workload`): the worker runs the
-    /// partition's day, and so the whole back-end, under it.
-    DriverShard,
     /// `MemorySink`'s sealed prefix: a seal, and `len`, lock each stripe
     /// under it, one at a time.
     SealedPrefix,
@@ -53,12 +50,12 @@ thread_local! {
 
 /// Locks taken so far in this process, indexed by their rank's bit.
 #[cfg(debug_assertions)]
-static ACQUIRED: [AtomicU64; 4] = [const { AtomicU64::new(0) }; 4];
+static ACQUIRED: [AtomicU64; 3] = [const { AtomicU64::new(0) }; 3];
 
 /// How many locks of each rank this process has taken so far, lowest rank
 /// first. Debug builds only: a release lock keeps no rank.
 #[cfg(debug_assertions)]
-pub fn acquisitions() -> [(Rank, u64); 4] {
+pub fn acquisitions() -> [(Rank, u64); 3] {
     RANKS.map(|rank| (rank, ACQUIRED[rank as usize].load(Ordering::Relaxed)))
 }
 
@@ -108,12 +105,7 @@ impl Order {
 
 /// Every rank, indexed by its bit.
 #[cfg(debug_assertions)]
-const RANKS: [Rank; 4] = [
-    Rank::DriverShard,
-    Rank::SealedPrefix,
-    Rank::LogWriters,
-    Rank::Leaf,
-];
+const RANKS: [Rank; 3] = [Rank::SealedPrefix, Rank::LogWriters, Rank::Leaf];
 
 /// A guard's claim on its rank, given back when the guard drops.
 struct Held {
@@ -277,37 +269,37 @@ mod tests {
 
     #[test]
     fn in_order_acquires_and_reacquires_after_drop_pass() {
-        let slots = RwLock::ranked(Rank::DriverShard, 1);
-        let prefix = Mutex::ranked(Rank::SealedPrefix, 2);
+        let prefix = RwLock::ranked(Rank::SealedPrefix, 1);
+        let writers = Mutex::ranked(Rank::LogWriters, 2);
         let leaf = Mutex::new(3);
         {
-            let _s = slots.read();
-            let _p = prefix.lock();
+            let _p = prefix.read();
+            let _w = writers.lock();
             assert_eq!(*leaf.lock(), 3);
         }
         // Released out of order, each rank is free again.
-        let s = slots.write();
-        let p = prefix.lock();
-        drop(s);
+        let p = prefix.write();
+        let w = writers.lock();
         drop(p);
-        let _s = slots.read();
-        assert_eq!(*prefix.lock() + *leaf.lock(), 5);
+        drop(w);
+        let _p = prefix.read();
+        assert_eq!(*writers.lock() + *leaf.lock(), 5);
     }
 
     #[test]
     #[cfg(debug_assertions)]
     fn out_of_order_acquire_panics_and_leaves_the_held_set_as_it_was() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
-        let low = Mutex::ranked(Rank::DriverShard, ());
+        let low = Mutex::ranked(Rank::SealedPrefix, ());
         let high = Mutex::ranked(Rank::LogWriters, ());
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let _h = high.lock();
             let _l = low.lock();
         }));
-        let message = outcome.expect_err("DriverShard under LogWriters must panic");
+        let message = outcome.expect_err("SealedPrefix under LogWriters must panic");
         assert_eq!(
             message.downcast_ref::<String>().map(String::as_str),
-            Some("lock order: taking a DriverShard lock while holding a LogWriters lock")
+            Some("lock order: taking a SealedPrefix lock while holding a LogWriters lock")
         );
         // The guard taken before the panic gave its rank back on unwind.
         let _l = low.lock();

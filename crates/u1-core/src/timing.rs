@@ -4,12 +4,9 @@
 //! wall-clock go?" without perturbing the thing being measured. This module
 //! provides:
 //!
-//! * [`Phase`] — the closed set of phases the driver accounts time against,
-//! * [`PhaseTimers`] — a bank of cache-line-padded atomic nanosecond
-//!   counters, shared by reference across worker threads (relaxed ordering:
-//!   counters are only read after the workers have been joined),
-//! * [`PhaseNanos`] — a plain serializable snapshot of the bank, embedded in
-//!   `DriverReport`,
+//! * [`PhaseNanos`] — per-phase nanosecond counters, serializable and
+//!   embedded in `DriverReport`; each driver worker fills its own and the
+//!   driver sums them after the day's join,
 //! * [`Measured`] — a transparent wrapper that *excludes* wall-clock
 //!   measurements from a report's `PartialEq`, so determinism asserts
 //!   (`report@1worker == report@4workers`, golden literal reports) keep
@@ -21,42 +18,9 @@
 //! wall-clock (`SystemTime`, banned by `clippy.toml`) or OS entropy is
 //! involved, and nothing measured here feeds back into simulation state.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use serde::Serialize;
-
-/// Phases the parallel driver accounts time against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Phase {
-    /// Worker threads advancing shard simulations (`run_until`).
-    WorkerRun,
-    /// Worker threads parked at a day barrier waiting for stragglers plus
-    /// the coordinator section.
-    BarrierPark,
-    /// Draining `BufferedSink` day buffers (per-origin, on worker threads).
-    DayFlush,
-    /// Sealing the content-index epoch at a day boundary (coordinator).
-    Seal,
-    /// The coordinator section itself (maintenance, GC, attack waves).
-    Coordinator,
-}
-
-/// Number of distinct [`Phase`] values (size of a [`PhaseTimers`] bank).
-pub const PHASE_COUNT: usize = 5;
-
-impl Phase {
-    #[inline]
-    fn index(self) -> usize {
-        match self {
-            Phase::WorkerRun => 0,
-            Phase::BarrierPark => 1,
-            Phase::DayFlush => 2,
-            Phase::Seal => 3,
-            Phase::Coordinator => 4,
-        }
-    }
-}
 
 /// Pads the wrapped value out to its own cache line (64 bytes on every
 /// target we build for) so adjacent hot atomics written by different
@@ -87,48 +51,6 @@ impl<T> std::ops::DerefMut for CachePadded<T> {
     }
 }
 
-/// A bank of per-phase nanosecond counters, one cache line each.
-///
-/// Shared by reference (`&PhaseTimers`) across scoped worker threads.
-/// All operations are `Relaxed`: the bank is an accumulator, not a
-/// synchronization primitive — readers snapshot it only after the writers
-/// have been joined (or accept a racy-but-monotonic in-flight read).
-#[derive(Debug, Default)]
-pub struct PhaseTimers {
-    banks: [CachePadded<AtomicU64>; PHASE_COUNT],
-}
-
-impl PhaseTimers {
-    /// A fresh bank with every counter at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds `nanos` to `phase`'s counter.
-    #[inline]
-    pub fn add(&self, phase: Phase, nanos: u64) {
-        self.banks[phase.index()]
-            .0
-            .fetch_add(nanos, Ordering::Relaxed);
-    }
-
-    /// Current value of one phase counter.
-    pub fn get(&self, phase: Phase) -> u64 {
-        self.banks[phase.index()].0.load(Ordering::Relaxed)
-    }
-
-    /// Snapshots the whole bank into a serializable [`PhaseNanos`].
-    pub fn snapshot(&self) -> PhaseNanos {
-        PhaseNanos {
-            worker_run_nanos: self.get(Phase::WorkerRun),
-            barrier_park_nanos: self.get(Phase::BarrierPark),
-            day_flush_nanos: self.get(Phase::DayFlush),
-            seal_nanos: self.get(Phase::Seal),
-            coordinator_nanos: self.get(Phase::Coordinator),
-        }
-    }
-}
-
 /// Elapsed nanoseconds since `start`, clamped into `u64`.
 ///
 /// `u64::MAX` nanoseconds is ~584 years, so the clamp is theoretical; it
@@ -138,7 +60,7 @@ pub fn saturating_nanos(start: Instant) -> u64 {
     u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// A serializable snapshot of a [`PhaseTimers`] bank.
+/// Nanoseconds spent per phase of a driver run.
 ///
 /// Counters are cumulative across the whole run (summed over all workers,
 /// so a phase that ran on 4 threads for 1s of wall time reports ~4s of
@@ -147,7 +69,8 @@ pub fn saturating_nanos(start: Instant) -> u64 {
 pub struct PhaseNanos {
     /// Thread-nanos spent advancing shard simulations.
     pub worker_run_nanos: u64,
-    /// Thread-nanos workers spent parked at day barriers.
+    /// Thread-nanos workers spent waiting at each day's join for the
+    /// slowest worker.
     pub barrier_park_nanos: u64,
     /// Thread-nanos draining `BufferedSink` day buffers.
     pub day_flush_nanos: u64,
@@ -155,13 +78,6 @@ pub struct PhaseNanos {
     pub seal_nanos: u64,
     /// Nanos in the coordinator section (maintenance/GC/attacks).
     pub coordinator_nanos: u64,
-}
-
-impl PhaseNanos {
-    /// True when every counter is zero (timing was not collected).
-    pub fn is_zero(&self) -> bool {
-        *self == PhaseNanos::default()
-    }
 }
 
 /// A wall-clock measurement riding along an otherwise deterministic value.
@@ -208,22 +124,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn timers_accumulate_per_phase() {
-        let t = PhaseTimers::new();
-        t.add(Phase::Seal, 5);
-        t.add(Phase::Seal, 7);
-        t.add(Phase::Coordinator, 11);
-        assert_eq!(t.get(Phase::Seal), 12);
-        assert_eq!(t.get(Phase::Coordinator), 11);
-        assert_eq!(t.get(Phase::DayFlush), 0);
-        let snap = t.snapshot();
-        assert_eq!(snap.seal_nanos, 12);
-        assert_eq!(snap.coordinator_nanos, 11);
-        assert!(!snap.is_zero());
-        assert!(PhaseNanos::default().is_zero());
-    }
-
-    #[test]
     fn measured_is_invisible_to_equality() {
         #[derive(PartialEq, Debug)]
         struct Report {
@@ -248,6 +148,7 @@ mod tests {
 
     #[test]
     fn cache_padded_is_line_aligned() {
+        use std::sync::atomic::AtomicU64;
         assert!(std::mem::align_of::<CachePadded<AtomicU64>>() >= 64);
         assert!(std::mem::size_of::<CachePadded<AtomicU64>>() >= 64);
         let banks: [CachePadded<AtomicU64>; 2] = Default::default();

@@ -482,16 +482,16 @@ impl Backend {
     }
 
     /// Flushes only one origin's (driver partition's) buffered trace
-    /// records. Driver workers call this for their own shards at day
-    /// boundaries, before parking at the barrier, so the day flush runs in
+    /// records. Driver workers call this for their own shards at the end
+    /// of each day, before the day's join, so the day flush runs in
     /// parallel instead of serially on the coordinator.
     pub fn flush_trace_origin(&self, origin: u32) {
         self.sink.flush_origin(origin);
     }
 
     /// Tells the trace sink that no record with `t < before` will be
-    /// emitted any more. The driver's coordinator calls this at every day
-    /// barrier, once every partition has stopped at `before`.
+    /// emitted any more. The driver's coordinator calls this after every
+    /// day's join, once every partition has stopped at `before`.
     pub fn seal_trace_before(&self, before: SimTime) {
         self.sink.seal_before(before);
     }

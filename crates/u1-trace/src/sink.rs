@@ -103,15 +103,14 @@ pub trait TraceSink: Send + Sync {
     /// other origins' buffers untouched. The default is a no-op: sinks
     /// without per-origin buffering have already delivered everything.
     /// [`BufferedSink`] overrides this so each driver worker can drain its
-    /// own partitions' day buffers in parallel *before* parking at the day
-    /// barrier, instead of the coordinator draining every origin serially
-    /// while all workers wait.
+    /// own partitions' day buffers in parallel *before* the day's join,
+    /// instead of the coordinator draining every origin serially after it.
     fn flush_origin(&self, origin: u32) {
         let _ = origin;
     }
 
     /// The producer's promise that no record with `t < before` will arrive
-    /// any more (the driver makes it at every day barrier). A sink that
+    /// any more (the driver makes it after every day's join). A sink that
     /// orders its records may settle everything below the bound now instead
     /// of at the end; a record that breaks the promise is still a record and
     /// must not be lost or misplaced. The default does nothing.

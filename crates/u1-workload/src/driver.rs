@@ -27,23 +27,24 @@
 //! pure function of the seed and the partition, never of thread
 //! interleaving.
 //!
-//! Partitions are packed onto `cfg.workers` OS threads by *measured* load:
-//! day 0 uses client counts as the proxy, and every later day re-packs the
-//! shards LPT-style (heaviest first onto the least-loaded worker) using the
-//! event counts each shard actually processed the previous day. Workers run
-//! a day of virtual time at a time, drain their own partitions' buffered
-//! trace runs ([`Backend::flush_trace_origin`]) *before* parking, then park
-//! on a barrier while the coordinator runs its own events for the day,
-//! seals the content-index epoch ([`Backend::seal_content_epoch`]), making
-//! the day's cross-partition dedup state globally visible, and seals the
-//! day's trace ([`Backend::seal_trace_before`]). Because no
-//! mutable state is keyed by thread or by global arrival order — packing
-//! and flush scheduling only move *when* work happens on the wall clock,
-//! never *what* the simulation computes — the report and the
-//! canonically-sorted trace are identical for every worker count:
-//! `workers` is purely a wall-clock knob. Where the wall-clock goes is
-//! accounted per phase ([`u1_core::timing`]) and surfaced in
-//! [`DriverReport::timing`].
+//! Each simulated day is one fork-join. The shards are packed onto
+//! `cfg.workers` scoped threads by *measured* load: day 0 uses client
+//! counts as the proxy, and every later day re-packs the shards LPT-style
+//! (heaviest first onto the least-loaded worker) by the events each shard
+//! ran the day before. A worker borrows its shards mutably for the day,
+//! runs each one's events up to the day's end and drains its buffered trace
+//! run ([`Backend::flush_trace_origin`]). The join is the day boundary: on
+//! the calling thread, with no worker alive, the coordinator runs its own
+//! events for the day, seals the content-index epoch
+//! ([`Backend::seal_content_epoch`]), making the day's cross-partition
+//! dedup state globally visible, and seals the day's trace
+//! ([`Backend::seal_trace_before`]). Because no mutable state is keyed by
+//! thread or by global arrival order — packing and flush scheduling only
+//! move *when* work happens on the wall clock, never *what* the simulation
+//! computes — the report and the canonically-sorted trace are identical
+//! for every worker count: `workers` is purely a wall-clock knob. Where the
+//! wall-clock goes is accounted per phase ([`u1_core::timing`]) and
+//! surfaced in [`DriverReport::timing`].
 
 use crate::attack::AttackScript;
 use crate::files::{FileModel, FileSpec};
@@ -54,13 +55,13 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::{Arc, Barrier};
+use std::sync::Arc;
+use std::time::Instant;
 use u1_auth::Token;
 use u1_blobstore::PART_SIZE;
 use u1_core::fault::{self, CircuitBreaker, FaultInjector, RetryPolicy};
 use u1_core::partition::PartitionCtx;
-use u1_core::sync::{Mutex, Rank};
-use u1_core::timing::{saturating_nanos, Measured, Phase, PhaseNanos, PhaseTimers};
+use u1_core::timing::{saturating_nanos, Measured, PhaseNanos};
 use u1_core::{
     rngx, ApiOpKind, ContentHash, CoreError, CoreResult, FxHashMap, Name, NodeId, NodeKind,
     SimDuration, SimTime, UploadId, UserId, VolumeId,
@@ -184,8 +185,9 @@ pub struct DriverReport {
     /// Degraded-mode I/O errors swallowed by the trace sink (`DirSink`
     /// keeps running after a failed open/write; this surfaces the count).
     pub trace_io_errors: u64,
-    /// Per-phase wall-clock accounting for the run (worker run / barrier
-    /// park / day flush / seal / coordinator thread-nanos). Wrapped in
+    /// Per-phase wall-clock accounting for the run (worker run / wait at
+    /// the day's join / day flush / seal / coordinator thread-nanos), each
+    /// worker's summed after the join. Wrapped in
     /// [`Measured`] so it is invisible to `PartialEq`: two runs with the
     /// same seed produce equal reports but different timings, and the
     /// determinism asserts (golden literal, worker-count invariance) must
@@ -405,32 +407,51 @@ impl ClientState {
     }
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum EventKind {
+/// A partition's pending events, earliest first. Events due at the same
+/// instant come out in the order they were pushed: the push counter breaks
+/// the tie, so an event's own ordering is never consulted.
+struct Agenda<E> {
+    heap: BinaryHeap<Reverse<(SimTime, u64, E)>>,
+    seq: u64,
+}
+
+impl<E: Ord> Agenda<E> {
+    fn new() -> Self {
+        Self {
+            heap: BinaryHeap::new(),
+            seq: 0,
+        }
+    }
+
+    fn push(&mut self, t: SimTime, event: E) {
+        self.seq += 1;
+        self.heap.push(Reverse((t, self.seq, event)));
+    }
+
+    /// The earliest event due before `end`; one due at or past `end` stays
+    /// for the next day slice.
+    fn pop_before(&mut self, end: SimTime) -> Option<(SimTime, E)> {
+        let Reverse((t, _, _)) = self.heap.peek()?;
+        if *t >= end {
+            return None;
+        }
+        self.heap.pop().map(|Reverse((t, _, event))| (t, event))
+    }
+}
+
+/// A shard partition's events, each for one of its clients.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum ClientEvent {
     SessionStart(u32),
     Op(u32),
     SessionEnd(u32),
+}
+
+/// The coordinator partition's events.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum CoordEvent {
     Maintenance,
     AttackWave(u8),
-}
-
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Event {
-    t: SimTime,
-    seq: u64,
-    kind: EventKind,
-}
-
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.t, self.seq).cmp(&(other.t, other.seq))
-    }
-}
-
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
 }
 
 struct AttackState {
@@ -589,8 +610,7 @@ struct ShardSim {
     backend: Arc<Backend>,
     clients: Vec<ClientState>,
     files: FileModel,
-    queue: BinaryHeap<Reverse<Event>>,
-    seq: u64,
+    agenda: Agenda<ClientEvent>,
     report: DriverReport,
     /// Client-side view of the fault plane (its own seed stream, distinct
     /// from the backend's): used only for injected client crashes.
@@ -598,43 +618,43 @@ struct ShardSim {
     /// One breaker per partition — a partition *is* one metastore shard,
     /// which is exactly the failure domain the outage windows cover.
     breaker: CircuitBreaker,
-    /// Events processed since the start of the run. The day loop reads the
-    /// per-day delta to re-pack shards onto workers by measured load (a
-    /// wall-clock-only decision: the count never feeds back into events).
-    events_processed: u64,
+    /// Events run by the last [`ShardSim::run_until`]. The next day's
+    /// packing weighs the shard by it (a wall-clock-only decision: the
+    /// count never feeds back into events).
+    day_events: u64,
     /// Reusable scratch for [`pick_parent`]'s directory candidate list.
     dir_scratch: Vec<u1_core::NodeId>,
 }
 
 impl ShardSim {
-    fn push_event(&mut self, t: SimTime, kind: EventKind) {
-        self.seq += 1;
-        self.queue.push(Reverse(Event {
-            t,
-            seq: self.seq,
-            kind,
-        }));
-    }
-
     /// Runs every queued event with `t < end`. Events at or past `end` stay
     /// queued for the next day slice.
     fn run_until(&mut self, end: SimTime) {
-        while self.queue.peek().is_some_and(|Reverse(ev)| ev.t < end) {
-            let Some(Reverse(ev)) = self.queue.pop() else {
-                break;
-            };
-            self.ctx.set_time(ev.t);
+        self.day_events = 0;
+        while let Some((t, event)) = self.agenda.pop_before(end) {
+            self.ctx.set_time(t);
             fault::clear_tags();
-            self.events_processed += 1;
-            match ev.kind {
-                EventKind::SessionStart(u) => self.on_session_start(u as usize, ev.t),
-                EventKind::Op(u) => self.on_op(u as usize, ev.t),
-                EventKind::SessionEnd(u) => self.on_session_end(u as usize, ev.t),
-                EventKind::Maintenance | EventKind::AttackWave(_) => {
-                    unreachable!("coordinator event in a shard partition")
-                }
+            self.day_events += 1;
+            match event {
+                ClientEvent::SessionStart(u) => self.on_session_start(u as usize, t),
+                ClientEvent::Op(u) => self.on_op(u as usize, t),
+                ClientEvent::SessionEnd(u) => self.on_session_end(u as usize, t),
             }
         }
+    }
+
+    /// The shard's day on its worker: its events up to `end`, then its
+    /// buffered trace run, drained here, in parallel with the other
+    /// workers, rather than serially after the join. Per-origin order is
+    /// preserved, so the canonical trace is unchanged.
+    fn run_day(&mut self, end: SimTime, spent: &mut PhaseNanos) {
+        let _g = u1_core::partition::install(self.ctx.clone());
+        let t_run = Instant::now();
+        self.run_until(end);
+        spent.worker_run_nanos += saturating_nanos(t_run);
+        let t_flush = Instant::now();
+        self.backend.flush_trace_origin(self.origin);
+        spent.day_flush_nanos += saturating_nanos(t_flush);
     }
 
     /// Pre-trace state for this partition's clients: volumes, directories
@@ -751,7 +771,8 @@ impl ShardSim {
             let c = &mut self.clients[u];
             sessions::next_session_gap(&mut c.rng, &c.profile, t)
         };
-        self.push_event(t + gap, EventKind::SessionStart(u as u32));
+        self.agenda
+            .push(t + gap, ClientEvent::SessionStart(u as u32));
 
         if self.clients[u].session.handle().is_some() {
             return; // still connected; skip this arrival
@@ -773,7 +794,8 @@ impl ShardSim {
                     c.bulk = plan.planned_ops > 3_000;
                     c.last_op = ApiOpKind::Authenticate;
                 }
-                self.push_event(t + plan.duration, EventKind::SessionEnd(u as u32));
+                self.agenda
+                    .push(t + plan.duration, ClientEvent::SessionEnd(u as u32));
 
                 if !self.faults.is_none() {
                     self.recover_session_state(u, t);
@@ -809,14 +831,15 @@ impl ShardSim {
                         let c = &mut self.clients[u];
                         sessions::interop_gap_with_mode(&mut c.rng, false, c.bulk)
                     };
-                    self.push_event(t + gap, EventKind::Op(u as u32));
+                    self.agenda.push(t + gap, ClientEvent::Op(u as u32));
                 }
             }
             Err(_) => {
                 self.report.sessions_auth_failed += 1;
                 // Transient auth failure: the client retries shortly.
                 let retry = SimDuration::from_secs(self.clients[u].rng.gen_range(20..120));
-                self.push_event(t + retry, EventKind::SessionStart(u as u32));
+                self.agenda
+                    .push(t + retry, ClientEvent::SessionStart(u as u32));
             }
         }
     }
@@ -1027,7 +1050,7 @@ impl ShardSim {
                 let c = &mut self.clients[u];
                 sessions::interop_gap_with_mode(&mut c.rng, metadata, c.bulk)
             };
-            self.push_event(t + gap, EventKind::Op(u as u32));
+            self.agenda.push(t + gap, ClientEvent::Op(u as u32));
         }
     }
 
@@ -1375,16 +1398,15 @@ fn caps() -> Request {
 }
 
 /// The coordinator partition: owns the daily maintenance GC and the §5.4
-/// attack episodes. It runs between day slices, while every shard partition
-/// is parked on the barrier, so its cross-shard effects (bans, GC sweeps)
+/// attack episodes. It runs on the calling thread after each day's join,
+/// when no worker is alive, so its cross-shard effects (bans, GC sweeps)
 /// never race client activity.
 struct CoordinatorSim {
     ctx: Arc<PartitionCtx>,
     backend: Arc<Backend>,
     rng: SmallRng,
     files: FileModel,
-    queue: BinaryHeap<Reverse<Event>>,
-    seq: u64,
+    agenda: Agenda<CoordEvent>,
     attacks: Vec<AttackState>,
     report: DriverReport,
     /// Whole-population counters merged at the last day boundary — the
@@ -1397,28 +1419,13 @@ struct CoordinatorSim {
 }
 
 impl CoordinatorSim {
-    fn push_event(&mut self, t: SimTime, kind: EventKind) {
-        self.seq += 1;
-        self.queue.push(Reverse(Event {
-            t,
-            seq: self.seq,
-            kind,
-        }));
-    }
-
     fn run_until(&mut self, end: SimTime) {
-        while self.queue.peek().is_some_and(|Reverse(ev)| ev.t < end) {
-            let Some(Reverse(ev)) = self.queue.pop() else {
-                break;
-            };
-            self.ctx.set_time(ev.t);
+        while let Some((t, event)) = self.agenda.pop_before(end) {
+            self.ctx.set_time(t);
             fault::clear_tags();
-            match ev.kind {
-                EventKind::Maintenance => self.on_maintenance(ev.t),
-                EventKind::AttackWave(i) => self.on_attack_wave(i as usize, ev.t),
-                EventKind::SessionStart(_) | EventKind::Op(_) | EventKind::SessionEnd(_) => {
-                    unreachable!("client event in the coordinator partition")
-                }
+            match event {
+                CoordEvent::Maintenance => self.on_maintenance(t),
+                CoordEvent::AttackWave(i) => self.on_attack_wave(i as usize, t),
             }
         }
     }
@@ -1464,14 +1471,15 @@ impl CoordinatorSim {
                 token,
                 responded: false,
             });
-            self.push_event(start, EventKind::AttackWave(i as u8));
+            self.agenda.push(start, CoordEvent::AttackWave(i as u8));
         }
     }
 
     fn on_maintenance(&mut self, t: SimTime) {
         self.report.maintenance_runs += 1;
         self.report.uploadjobs_reaped += self.backend.run_maintenance() as u64;
-        self.push_event(t + SimDuration::from_days(1), EventKind::Maintenance);
+        self.agenda
+            .push(t + SimDuration::from_days(1), CoordEvent::Maintenance);
     }
 
     fn on_attack_wave(&mut self, i: usize, t: SimTime) {
@@ -1589,9 +1597,9 @@ impl CoordinatorSim {
                 }
             }
         }
-        self.push_event(
+        self.agenda.push(
             t + SimDuration::from_secs(60),
-            EventKind::AttackWave(i as u8),
+            CoordEvent::AttackWave(i as u8),
         );
     }
 }
@@ -1614,8 +1622,8 @@ fn pack_lpt(weights: &[u64], workers: usize) -> Vec<Vec<usize>> {
                 best = w;
             }
         }
-        // A zero-weight shard still costs a lock + queue peek; floor at 1
-        // so empty shards spread instead of piling onto one bin.
+        // A zero-weight shard still costs a queue peek and a flush; floor
+        // at 1 so empty shards spread instead of piling onto one bin.
         loads[best] += weights[i].max(1);
         bins[best].push(i);
     }
@@ -1653,12 +1661,11 @@ impl Driver {
                 backend: Arc::clone(&backend),
                 clients: Vec::new(),
                 files: FileModel::with_partition(expected_files, cfg.seed, u64::from(s), stride),
-                queue: BinaryHeap::new(),
-                seq: 0,
+                agenda: Agenda::new(),
                 report: DriverReport::default(),
                 faults: Arc::clone(&faults),
                 breaker: CircuitBreaker::new(),
-                events_processed: 0,
+                day_events: 0,
                 dir_scratch: Vec::new(),
             })
             .collect();
@@ -1672,8 +1679,7 @@ impl Driver {
                 u64::from(shard_count),
                 stride,
             ),
-            queue: BinaryHeap::new(),
-            seq: 0,
+            agenda: Agenda::new(),
             attacks: Vec::new(),
             report: DriverReport::default(),
             baseline: DriverReport::default(),
@@ -1774,12 +1780,13 @@ impl Driver {
                 let t0 = SimTime::from_micros(
                     gap.as_micros() % SimDuration::from_days(1).as_micros().max(1),
                 );
-                sim.push_event(t0, EventKind::SessionStart(u as u32));
+                sim.agenda.push(t0, ClientEvent::SessionStart(u as u32));
             }
         }
         // Daily maintenance at 03:00 (quiet hours).
         self.coordinator
-            .push_event(SimTime::from_hours(3), EventKind::Maintenance);
+            .agenda
+            .push(SimTime::from_hours(3), CoordEvent::Maintenance);
         // Attacks.
         if self.cfg.attacks {
             let cfg = self.cfg.clone();
@@ -1804,132 +1811,91 @@ impl Driver {
             self.backend.seal_content_epoch();
         }
         let horizon = self.cfg.horizon();
-        let days = self.cfg.days;
-        let shard_count = self.shards.len();
         let workers = match self.cfg.workers {
-            0 => shard_count.max(1),
-            w => w.min(shard_count).max(1),
+            0 => self.shards.len().max(1),
+            w => w.min(self.shards.len()).max(1),
         };
         let coord_origin = u32::from(self.coordinator.ctx.origin());
-        // One lock per shard partition: shards migrate between workers when
-        // the day-boundary re-pack moves them, so they cannot be owned by
-        // one thread's stack. Workers lock only their assigned shards while
-        // running a day; the coordinator locks each briefly while every
-        // worker is parked — the locks are never contended, they only carry
-        // ownership across days. A worker runs the back-end under its
-        // shard's lock, so that lock ranks below every other one.
-        let shards: Vec<Mutex<ShardSim>> = self
-            .shards
-            .drain(..)
-            .map(|sim| Mutex::ranked(Rank::DriverShard, sim))
-            .collect();
-        // Day 0 packs by client count (the only load signal available
-        // before anything ran); each later day re-packs by the event count
-        // each shard actually processed the previous day.
-        let init_weights: Vec<u64> = shards
-            .iter()
-            .map(|s| s.lock().clients.len() as u64)
-            .collect();
-        let assignments: Vec<Mutex<Vec<usize>>> = pack_lpt(&init_weights, workers)
-            .into_iter()
-            .map(Mutex::new)
-            .collect();
-        let timers = PhaseTimers::new();
-        let barrier = Barrier::new(workers + 1);
-        let coordinator = &mut self.coordinator;
-        let backend = &self.backend;
-        std::thread::scope(|s| {
-            for w in 0..workers {
-                let barrier = &barrier;
-                let shards = &shards;
-                let assignments = &assignments;
-                let timers = &timers;
-                s.spawn(move || {
-                    let mut mine: Vec<usize> = Vec::new();
-                    for day in 0..days {
-                        let day_end = SimTime::from_days(day + 1).min(horizon);
-                        mine.clear();
-                        mine.extend_from_slice(&assignments[w].lock());
-                        for &i in &mine {
-                            let mut sim = shards[i].lock();
-                            let _g = u1_core::partition::install(sim.ctx.clone());
-                            let t_run = std::time::Instant::now();
-                            sim.run_until(day_end);
-                            timers.add(Phase::WorkerRun, saturating_nanos(t_run));
-                            // Drain this partition's buffered day run *off*
-                            // the barrier: flushing in parallel here instead
-                            // of serially on the coordinator while everyone
-                            // waits. Per-origin order is preserved, so the
-                            // canonical trace is unchanged.
-                            let t_flush = std::time::Instant::now();
-                            backend.flush_trace_origin(sim.origin);
-                            timers.add(Phase::DayFlush, saturating_nanos(t_flush));
-                        }
-                        let t_park = std::time::Instant::now();
-                        // All partitions quiescent: let the coordinator run.
-                        barrier.wait();
-                        // Coordinator done; next day slice may start.
-                        barrier.wait();
-                        timers.add(Phase::BarrierPark, saturating_nanos(t_park));
-                    }
-                });
+        let mut timing = PhaseNanos::default();
+        for day in 0..self.cfg.days {
+            let day_end = SimTime::from_days(day + 1).min(horizon);
+            // Day 0 packs by client count (the only load signal before
+            // anything ran); each later day by the events each shard ran
+            // the day before.
+            let weights: Vec<u64> = self
+                .shards
+                .iter()
+                .map(|sim| match day {
+                    0 => sim.clients.len() as u64,
+                    _ => sim.day_events,
+                })
+                .collect();
+            let mut slots: Vec<Option<&mut ShardSim>> = self.shards.iter_mut().map(Some).collect();
+            // Each worker borrows its bin's shards for the day and hands
+            // back the time it spent and when it finished.
+            let spent: Vec<(PhaseNanos, Instant)> = std::thread::scope(|s| {
+                let handles: Vec<_> = pack_lpt(&weights, workers)
+                    .into_iter()
+                    .map(|bin| {
+                        let mine: Vec<&mut ShardSim> =
+                            bin.iter().filter_map(|&i| slots[i].take()).collect();
+                        s.spawn(move || {
+                            let mut spent = PhaseNanos::default();
+                            for sim in mine {
+                                sim.run_day(day_end, &mut spent);
+                            }
+                            (spent, Instant::now())
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                    .collect()
+            });
+            // The join is the day boundary: every shard has run the day and
+            // no worker is alive.
+            for (worker, finished) in spent {
+                timing.worker_run_nanos += worker.worker_run_nanos;
+                timing.day_flush_nanos += worker.day_flush_nanos;
+                timing.barrier_park_nanos += saturating_nanos(finished);
             }
-            let mut prev_events: Vec<u64> = vec![0; shard_count];
-            let mut deltas: Vec<u64> = vec![0; shard_count];
-            for day in 0..days {
-                let day_end = SimTime::from_days(day + 1).min(horizon);
-                barrier.wait();
-                {
-                    let _g = u1_core::partition::install(coordinator.ctx.clone());
-                    // Fold the parked shards' reports into the attack
-                    // baseline and read the per-day event deltas that drive
-                    // the next day's packing. The locks are uncontended:
-                    // every worker is parked on the barrier.
-                    let mut baseline = coordinator.report.clone();
-                    for (i, shard) in shards.iter().enumerate() {
-                        let sim = shard.lock();
-                        baseline.absorb(&sim.report);
-                        deltas[i] = sim.events_processed - prev_events[i];
-                        prev_events[i] = sim.events_processed;
-                    }
-                    coordinator.baseline = baseline;
-                    coordinator.baseline_window = day_end;
-                    let t_coord = std::time::Instant::now();
-                    coordinator.run_until(day_end);
-                    coordinator.ctx.set_time(day_end);
-                    timers.add(Phase::Coordinator, saturating_nanos(t_coord));
-                    let t_seal = std::time::Instant::now();
-                    backend.seal_content_epoch();
-                    timers.add(Phase::Seal, saturating_nanos(t_seal));
-                    // Every shard origin was drained by its worker before
-                    // parking; only the coordinator's own day records
-                    // (attacks, maintenance) remain buffered. With them
-                    // delivered the day is complete: every partition's
-                    // clock stands at `day_end`, so the sink may settle
-                    // everything before it.
-                    let t_flush = std::time::Instant::now();
-                    backend.flush_trace_origin(coord_origin);
-                    backend.seal_trace_before(day_end);
-                    timers.add(Phase::DayFlush, saturating_nanos(t_flush));
-                    if day + 1 < days {
-                        for (slot, bin) in assignments.iter().zip(pack_lpt(&deltas, workers)) {
-                            *slot.lock() = bin;
-                        }
-                    }
-                }
-                barrier.wait();
+            let _g = u1_core::partition::install(self.coordinator.ctx.clone());
+            // Fold the shards' reports into the attack baseline.
+            let coordinator = &mut self.coordinator;
+            let mut baseline = coordinator.report.clone();
+            for sim in &self.shards {
+                baseline.absorb(&sim.report);
             }
-        });
+            coordinator.baseline = baseline;
+            coordinator.baseline_window = day_end;
+            let t_coord = Instant::now();
+            coordinator.run_until(day_end);
+            coordinator.ctx.set_time(day_end);
+            timing.coordinator_nanos += saturating_nanos(t_coord);
+            let t_seal = Instant::now();
+            self.backend.seal_content_epoch();
+            timing.seal_nanos += saturating_nanos(t_seal);
+            // Every shard origin was drained by its worker; only the
+            // coordinator's own day records (attacks, maintenance) remain
+            // buffered. With them delivered the day is complete: every
+            // partition's clock stands at `day_end`, so the sink may settle
+            // everything before it.
+            let t_flush = Instant::now();
+            self.backend.flush_trace_origin(coord_origin);
+            self.backend.seal_trace_before(day_end);
+            timing.day_flush_nanos += saturating_nanos(t_flush);
+        }
         self.clock.set(horizon);
         // Run-final full flush: leftover buffers (anything recorded outside
         // a partition ctx) and sink I/O flushing.
         self.backend.flush_trace();
         let mut report = self.coordinator.report.clone();
-        for shard in &shards {
-            report.absorb(&shard.lock().report);
+        for sim in &self.shards {
+            report.absorb(&sim.report);
         }
         report.users = self.cfg.users;
-        report.timing = Measured(timers.snapshot());
+        report.timing = Measured(timing);
         let cache = self.backend.token_cache_stats();
         report.token_cache_hits = cache.hits;
         report.token_cache_misses = cache.misses;
@@ -1940,7 +1906,7 @@ impl Driver {
         report.notify_dropped = faults.notify_dropped;
         report.part_put_failures = self.backend.blobs.stats().part_put_failures;
         report.trace_io_errors = self.backend.trace_io_errors();
-        (report, shards.into_iter().map(Mutex::into_inner).collect())
+        (report, self.shards)
     }
 }
 
@@ -1993,8 +1959,8 @@ mod tests {
         };
         let backend = Arc::new(Backend::new(backend_cfg, Arc::new(clock.clone()), emit));
         let report = Driver::new(cfg, Arc::clone(&backend), clock).run();
-        // The driver sealed the trace at every day barrier; nothing it
-        // emitted afterwards may lie before one.
+        // The driver sealed the trace after every day's join; nothing it
+        // emitted afterwards may lie before one seal.
         assert_eq!(sink.late_records(), 0);
         ((report, sink.take_sorted()), backend)
     }
@@ -2079,6 +2045,51 @@ mod tests {
         // Identical input ⇒ identical packing (the repack is wall-clock
         // only, but the schedule itself must be reproducible).
         assert_eq!(pack_lpt(&[5, 9, 1, 7, 3], 2), pack_lpt(&[5, 9, 1, 7, 3], 2));
+    }
+
+    /// Events due at one instant run in the order they were pushed; the
+    /// canonical trace depends on it. The pushes go against the events'
+    /// own ordering, so a tie broken by the event instead fails.
+    #[test]
+    fn agenda_runs_simultaneous_events_in_push_order() {
+        let (early, t) = (SimTime::from_secs(1), SimTime::from_secs(5));
+        let mut agenda = Agenda::new();
+        agenda.push(t, ClientEvent::SessionEnd(2));
+        agenda.push(t, ClientEvent::Op(1));
+        agenda.push(early, ClientEvent::SessionEnd(7));
+        agenda.push(t, ClientEvent::SessionStart(0));
+        let order: Vec<_> =
+            std::iter::from_fn(|| agenda.pop_before(SimTime::from_days(1))).collect();
+        assert_eq!(
+            order,
+            vec![
+                (early, ClientEvent::SessionEnd(7)),
+                (t, ClientEvent::SessionEnd(2)),
+                (t, ClientEvent::Op(1)),
+                (t, ClientEvent::SessionStart(0)),
+            ]
+        );
+    }
+
+    /// A day slice runs what is due strictly before its end; an event due
+    /// at the end itself belongs to the next day.
+    #[test]
+    fn agenda_keeps_an_event_due_at_the_end_for_the_next_day() {
+        let (end, next) = (SimTime::from_days(1), SimTime::from_days(2));
+        let just_before = SimTime::from_micros(end.as_micros() - 1);
+        let mut agenda = Agenda::new();
+        agenda.push(end, CoordEvent::Maintenance);
+        agenda.push(just_before, CoordEvent::AttackWave(0));
+        assert_eq!(
+            agenda.pop_before(end),
+            Some((just_before, CoordEvent::AttackWave(0)))
+        );
+        assert_eq!(agenda.pop_before(end), None);
+        assert_eq!(
+            agenda.pop_before(next),
+            Some((end, CoordEvent::Maintenance))
+        );
+        assert_eq!(agenda.pop_before(next), None);
     }
 
     /// Setup shares one volume along a ring over the sharers in global user

@@ -2,7 +2,8 @@
 //! their own manifests, `clippy.toml` bans raw locks and the sources of
 //! nondeterminism, and CI's clippy step must not switch any of it back off.
 //! This test keeps every half of that live, and adds the one check clippy
-//! leaves out: float comparisons with zero in the statistics kernels.
+//! leaves out: float comparisons with zero in the statistics kernels. It
+//! also holds DESIGN.md under a size ceiling.
 
 use std::path::{Path, PathBuf};
 
@@ -260,4 +261,19 @@ fn the_float_zero_scan_sees_both_sides_and_every_spelling() {
     ] {
         assert!(!compares_with_float_zero(miss), "{miss}");
     }
+}
+
+/// DESIGN.md's size ceiling in bytes. The document describes the system as
+/// it is; measurements and history belong in CHANGES.md. A change may lower
+/// the ceiling; raising it needs a reason stated in CHANGES.md.
+const DESIGN_MAX_BYTES: usize = 75_919;
+
+#[test]
+fn design_doc_stays_under_its_ceiling() {
+    let len = read("DESIGN.md").len();
+    assert!(
+        len <= DESIGN_MAX_BYTES,
+        "DESIGN.md is {len} bytes, over its ceiling of {DESIGN_MAX_BYTES}: \
+         describe the system as it is and move measurements and history to CHANGES.md"
+    );
 }

@@ -204,10 +204,9 @@ const BUDGET: &[(&str, Cost)] = &[
 /// so a release build pins no row.
 const LOCKS: &[(Rank, u64)] = if cfg!(debug_assertions) {
     &[
-        (Rank::DriverShard, 160),
         (Rank::SealedPrefix, 7),
         (Rank::LogWriters, 0),
-        (Rank::Leaf, 762_256),
+        (Rank::Leaf, 762_243),
     ]
 } else {
     &[]
