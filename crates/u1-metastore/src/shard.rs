@@ -536,6 +536,13 @@ impl Shard {
         Ok(self.volume_row(self.volume_idx(volume)?))
     }
 
+    /// The owner of `volume`, if this shard hosts it.
+    pub fn volume_owner(&self, volume: VolumeId) -> Option<UserId> {
+        self.volumes
+            .get(&volume)
+            .map(|&idx| self.volume_slots[idx as usize].owner)
+    }
+
     /// `dal.delete_volume` — the cascade RPC: removes the volume and every
     /// node it contains. The root volume cannot be deleted.
     pub fn delete_volume(&mut self, owner: UserId, volume: VolumeId) -> CoreResult<Vec<DeadNode>> {

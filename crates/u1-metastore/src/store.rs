@@ -1,16 +1,22 @@
 //! The metadata store cluster: shard routing, the cross-user content index
 //! (file-level dedup), shares, and id allocation.
 //!
-//! Locking discipline — the store is built so that the common path touches
-//! exactly one shard lock plus at most one *stripe* of a global table, and
-//! no two locks of the same kind are ever held together:
+//! Routing needs no table. Users go to shard `user % S`, and every volume,
+//! node and upload-job id is drawn by its owner's shard `s` as `s+1, s+1+S,
+//! s+1+2S, …` (strided, so concurrent partitions draw disjoint,
+//! interleaving-independent sequences — the paper's "effectively lockless"
+//! user-per-shard model, taken at its word). An id therefore names its
+//! shard, `(raw - 1) % S`; id 0 names none.
 //!
-//! * **Shard locks** (`RwLock<Shard>`): at most one is held at a time,
-//!   except `list_shares`/`create_share`, which take the recipient's and
-//!   then the owner's shard *sequentially* (reads only, never nested).
-//! * **`volume_owner`** is striped by volume id: `authorize()` — on the
-//!   path of every request — read-locks a single stripe and releases it
-//!   before any shard lock is taken.
+//! Locking discipline — no two locks are ever held together:
+//!
+//! * **Shard locks** (`RwLock<Shard>`): one at a time. A volume request
+//!   read-locks the volume's shard to learn its owner (`authorize`),
+//!   releases it, then locks the same shard for the op. An upload-job
+//!   request by the volume's owner checks and serves under one lock; any
+//!   other actor is authorized first, as a volume request. Only
+//!   `list_shares`/`create_share` visit a second shard, the recipient's
+//!   and then the owner's, *sequentially* (reads only, never nested).
 //! * **`contents`** is a [`ContentIndex`]: striped by hash byte with
 //!   per-origin epoch visibility, so commits and unlinks from different
 //!   partitions neither contend nor observe each other mid-epoch (see the
@@ -21,11 +27,6 @@
 //!   `create_share`/`delete_volume`, and read-mostly thereafter. The lock
 //!   is always taken *after* any shard/stripe lock has been dropped, never
 //!   while holding one.
-//!
-//! Id allocation is per-shard and strided (shard `s` of `S` hands out
-//! `s+1, s+1+S, s+1+2S, …`), so concurrent partitions draw disjoint,
-//! interleaving-independent id sequences — the paper's "effectively
-//! lockless" user-per-shard model, taken at its word.
 
 use crate::contents::{ContentIndex, SealOutcome};
 use crate::model::{ContentRow, ShareRow, UploadJobRow, UserRow, VolumeRow};
@@ -37,9 +38,6 @@ use u1_core::{
     ContentHash, CoreError, CoreResult, ErrorClass, FaultInjector, FxHashMap, InstalledFaults,
     NodeId, NodeKind, ShardId, SimDuration, SimTime, UploadId, UserId, VolumeId,
 };
-
-/// Stripe count for the `volume_owner` routing map.
-const OWNER_STRIPES: usize = 64;
 
 /// Cluster configuration.
 #[derive(Debug, Clone)]
@@ -98,9 +96,6 @@ impl StridedAlloc {
 pub struct MetaStore {
     config: StoreConfig,
     shards: Vec<RwLock<Shard>>,
-    /// Global routing index: volume → owner, striped by volume id. Needed
-    /// because requests name volumes, while sharding is by user.
-    volume_owner: Vec<RwLock<FxHashMap<VolumeId, UserId>>>,
     /// Cross-user content index (dedup), striped with epoch visibility.
     contents: ContentIndex,
     /// Share grants, indexed both ways.
@@ -127,9 +122,6 @@ impl MetaStore {
             .collect();
         Self {
             shards,
-            volume_owner: (0..OWNER_STRIPES)
-                .map(|_| RwLock::new(FxHashMap::default()))
-                .collect(),
             contents: ContentIndex::new(),
             shares: RwLock::new(ShareTable::default()),
             next_volume: StridedAlloc::new(config.shards),
@@ -198,22 +190,24 @@ impl MetaStore {
         UploadId::new(self.next_upload.next(self.shard_of(owner)))
     }
 
-    fn owner_stripe(&self, volume: VolumeId) -> &RwLock<FxHashMap<VolumeId, UserId>> {
-        &self.volume_owner[volume.raw() as usize % OWNER_STRIPES]
+    /// The shard a volume or upload-job id names: every such id is drawn
+    /// by its owner's shard `s` of `S` as `s+1, s+1+S, …`, so `raw` lives
+    /// on shard `(raw - 1) % S`. Id 0 names none. Ids arrive from the
+    /// wire, so any `u64` is answered without a panic.
+    fn shard_named(&self, raw: u64) -> Option<&RwLock<Shard>> {
+        let k = raw.checked_sub(1)?;
+        self.shards.get((k % self.shards.len() as u64) as usize)
     }
 
     /// Resolves the owner of `volume` and checks `actor` may touch it:
     /// either as the owner or through a share grant. Returns the owner,
     /// whose shard hosts the volume's rows.
     fn authorize(&self, actor: UserId, volume: VolumeId) -> CoreResult<UserId> {
-        let owner = *self
-            .owner_stripe(volume)
-            .read()
-            .get(&volume)
+        let owner = self
+            .owner_of(volume)
             .ok_or_else(|| CoreError::not_found(format!("volume {volume}")))?;
-        // The volume's rows live on the owner's shard; fail here if that
-        // shard is inside an unavailability window (the routing tier is a
-        // separate, always-up index).
+        // Fail here if the owner's shard is inside an unavailability
+        // window; an unknown volume is `not_found` whether it is up or not.
         self.check_shard_up(owner)?;
         if owner == actor {
             return Ok(owner);
@@ -238,9 +232,7 @@ impl MetaStore {
     pub fn create_user(&self, user: UserId, now: SimTime) -> CoreResult<UserRow> {
         self.check_shard_up(user)?;
         let root = self.alloc_volume(user);
-        let row = self.shard(user).write().create_user(user, root, now)?;
-        self.owner_stripe(root).write().insert(root, user);
-        Ok(row)
+        self.shard(user).write().create_user(user, root, now)
     }
 
     /// `dal.get_user_data`.
@@ -328,19 +320,13 @@ impl MetaStore {
     pub fn create_udf(&self, user: UserId, name: &str, now: SimTime) -> CoreResult<VolumeRow> {
         self.check_shard_up(user)?;
         let volume = self.alloc_volume(user);
-        let row = self
-            .shard(user)
-            .write()
-            .create_udf(user, volume, name, now)?;
-        self.owner_stripe(volume).write().insert(volume, user);
-        Ok(row)
+        self.shard(user).write().create_udf(user, volume, name, now)
     }
 
     /// `dal.delete_volume` — the cascade delete.
     pub fn delete_volume(&self, actor: UserId, volume: VolumeId) -> CoreResult<Released> {
         let owner = self.authorize(actor, volume)?;
         let dead = self.shard(owner).write().delete_volume(owner, volume)?;
-        self.owner_stripe(volume).write().remove(&volume);
         // Drop share grants on the deleted volume.
         {
             let mut shares = self.shares.write();
@@ -552,29 +538,35 @@ impl MetaStore {
         )
     }
 
-    fn uploadjob_shard(&self, actor: UserId, upload: UploadId) -> CoreResult<&RwLock<Shard>> {
-        // Jobs live on the shard of the volume owner; callers hold the job
-        // id, so we search the actor's shard first (overwhelmingly the
-        // common case), then authorize through the job's volume.
-        let own = self.shard(actor);
-        if own.read().get_uploadjob(upload).is_ok() {
-            return Ok(own);
-        }
-        for shard in &self.shards {
-            let found = shard.read().get_uploadjob(upload).ok();
-            if let Some(job) = found {
-                self.authorize(actor, job.volume)?;
-                return Ok(shard);
+    /// Runs `op` on the shard that upload job `upload` names, once `actor`
+    /// may touch the job's volume. A job lives beside its volume, on the
+    /// volume owner's shard: the owner is checked and served under one
+    /// lock of it (with no shard-up check), anyone else is authorized on
+    /// the job's volume like any volume request, then served.
+    fn with_uploadjob<R>(
+        &self,
+        actor: UserId,
+        upload: UploadId,
+        op: impl FnOnce(&mut Shard) -> CoreResult<R>,
+    ) -> CoreResult<R> {
+        let shard = self
+            .shard_named(upload.raw())
+            .ok_or_else(|| CoreError::not_found(format!("uploadjob {upload}")))?;
+        let volume = {
+            let mut locked = shard.write();
+            let volume = locked.get_uploadjob(upload)?.volume;
+            if locked.volume_owner(volume) == Some(actor) {
+                return op(&mut locked);
             }
-        }
-        Err(CoreError::not_found(format!("uploadjob {upload}")))
+            volume
+        };
+        self.authorize(actor, volume)?;
+        op(&mut shard.write())
     }
 
     /// `dal.get_uploadjob`.
     pub fn get_uploadjob(&self, actor: UserId, upload: UploadId) -> CoreResult<UploadJobRow> {
-        self.uploadjob_shard(actor, upload)?
-            .read()
-            .get_uploadjob(upload)
+        self.with_uploadjob(actor, upload, |shard| shard.get_uploadjob(upload))
     }
 
     /// `dal.set_uploadjob_multipart_id`.
@@ -585,9 +577,9 @@ impl MetaStore {
         multipart_id: u64,
         now: SimTime,
     ) -> CoreResult<()> {
-        self.uploadjob_shard(actor, upload)?
-            .write()
-            .set_uploadjob_multipart_id(upload, multipart_id, now)
+        self.with_uploadjob(actor, upload, |shard| {
+            shard.set_uploadjob_multipart_id(upload, multipart_id, now)
+        })
     }
 
     /// `dal.add_part_to_uploadjob`. Returns the bytes the job now holds.
@@ -598,23 +590,19 @@ impl MetaStore {
         part_size: u64,
         now: SimTime,
     ) -> CoreResult<u64> {
-        self.uploadjob_shard(actor, upload)?
-            .write()
-            .add_part_to_uploadjob(upload, part_size, now)
+        self.with_uploadjob(actor, upload, |shard| {
+            shard.add_part_to_uploadjob(upload, part_size, now)
+        })
     }
 
     /// `dal.touch_uploadjob`.
     pub fn touch_uploadjob(&self, actor: UserId, upload: UploadId, now: SimTime) -> CoreResult<()> {
-        self.uploadjob_shard(actor, upload)?
-            .write()
-            .touch_uploadjob(upload, now)
+        self.with_uploadjob(actor, upload, |shard| shard.touch_uploadjob(upload, now))
     }
 
     /// `dal.delete_uploadjob`.
     pub fn delete_uploadjob(&self, actor: UserId, upload: UploadId) -> CoreResult<UploadJobRow> {
-        self.uploadjob_shard(actor, upload)?
-            .write()
-            .delete_uploadjob(upload)
+        self.with_uploadjob(actor, upload, |shard| shard.delete_uploadjob(upload))
     }
 
     /// The periodic garbage collection over every shard. Returns the reaped
@@ -639,7 +627,7 @@ impl MetaStore {
 
     /// The owner of a volume, if it exists.
     pub fn owner_of(&self, volume: VolumeId) -> Option<UserId> {
-        self.owner_stripe(volume).read().get(&volume).copied()
+        self.shard_named(volume.raw())?.read().volume_owner(volume)
     }
 
     // ----- measurement helpers ---------------------------------------------
@@ -936,13 +924,15 @@ mod tests {
         assert!(s.get_uploadjob(u, job.upload).is_err());
     }
 
+    fn denied<T: std::fmt::Debug>(r: CoreResult<T>) -> bool {
+        matches!(r, Err(CoreError::PermissionDenied(_)))
+    }
+
     #[test]
     fn other_users_cannot_touch_foreign_uploadjobs() {
         let s = store();
         let alice = UserId::new(1);
-        let eve = UserId::new(3);
         s.create_user(alice, now()).unwrap();
-        s.create_user(eve, now()).unwrap();
         let v = s.get_root(alice).unwrap().volume;
         let n = s
             .make_node(alice, v, None, NodeKind::File, "f", now())
@@ -950,7 +940,72 @@ mod tests {
         let job = s
             .make_uploadjob(alice, v, n.node, ContentHash::EMPTY, 100, now())
             .unwrap();
-        assert!(s.get_uploadjob(eve, job.upload).is_err());
-        assert!(s.add_part_to_uploadjob(eve, job.upload, 10, now()).is_err());
+        s.set_uploadjob_multipart_id(alice, job.upload, 7, now())
+            .unwrap();
+        // Eve lives on another shard; Mallory on Alice's own, where the job
+        // is stored.
+        for stranger in [UserId::new(3), UserId::new(11)] {
+            s.create_user(stranger, now()).unwrap();
+            let up = job.upload;
+            assert!(denied(s.get_uploadjob(stranger, up)), "{stranger}");
+            assert!(denied(s.set_uploadjob_multipart_id(stranger, up, 8, now())));
+            assert!(denied(s.add_part_to_uploadjob(stranger, up, 10, now())));
+            assert!(denied(s.touch_uploadjob(stranger, up, now())));
+            assert!(denied(s.delete_uploadjob(stranger, up)), "{stranger}");
+        }
+        // The job is as Alice left it.
+        assert_eq!(
+            s.get_uploadjob(alice, job.upload).unwrap().multipart_id,
+            Some(7)
+        );
+        assert_eq!(
+            s.add_part_to_uploadjob(alice, job.upload, 100, now()),
+            Ok(100)
+        );
+        assert!(s.delete_uploadjob(alice, job.upload).is_ok());
+    }
+
+    /// Routing reads the shard off a volume or upload id: `(raw - 1) % S`
+    /// must be the owner's shard for every id the store hands out, at any
+    /// shard count. Node ids are drawn the same way, and a shard indexes
+    /// its nodes by that stride.
+    #[test]
+    fn every_id_names_its_owners_shard() {
+        for shards in 1..=16u16 {
+            let s = MetaStore::new(StoreConfig { shards });
+            let named = |raw: u64| ((raw - 1) % u64::from(shards)) as u16;
+            for u in 0..u64::from(shards) * 2 + 3 {
+                let user = UserId::new(u);
+                let home = s.shard_of(user).raw();
+                s.create_user(user, now()).unwrap();
+                let udf = s.create_udf(user, "U", now()).unwrap();
+                for volume in [s.get_root(user).unwrap(), udf] {
+                    assert_eq!(named(volume.volume.raw()), home, "{shards}: {volume:?}");
+                    assert_eq!(s.owner_of(volume.volume), Some(user));
+                    let node = s
+                        .make_node(user, volume.volume, None, NodeKind::File, "f", now())
+                        .unwrap();
+                    assert_eq!(named(node.node.raw()), home, "{shards}: {node:?}");
+                    let job = s
+                        .make_uploadjob(
+                            user,
+                            volume.volume,
+                            node.node,
+                            ContentHash::EMPTY,
+                            1,
+                            now(),
+                        )
+                        .unwrap();
+                    assert_eq!(named(job.upload.raw()), home, "{shards}: {job:?}");
+                    assert_eq!(s.get_uploadjob(user, job.upload), Ok(job));
+                }
+            }
+            // Ids that name no row, or no shard, are unknown.
+            for raw in [0, u64::MAX] {
+                assert_eq!(s.owner_of(VolumeId::new(raw)), None);
+                let job = s.get_uploadjob(UserId::new(0), UploadId::new(raw));
+                assert!(matches!(job, Err(CoreError::NotFound(_))), "{raw}");
+            }
+        }
     }
 }

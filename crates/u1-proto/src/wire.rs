@@ -177,29 +177,6 @@ pub fn get_hash(buf: &mut impl Buf) -> WireResult<u1_core::ContentHash> {
     Ok(u1_core::ContentHash::new(raw))
 }
 
-/// Appends an `Option<u64>`-style presence-tagged varint.
-pub fn put_opt_uvarint(buf: &mut impl BufMut, v: Option<u64>) {
-    match v {
-        None => buf.put_u8(0),
-        Some(v) => {
-            buf.put_u8(1);
-            put_uvarint(buf, v);
-        }
-    }
-}
-
-/// Reads a presence-tagged varint.
-pub fn get_opt_uvarint(buf: &mut impl Buf) -> WireResult<Option<u64>> {
-    if !buf.has_remaining() {
-        return Err(WireError::Truncated);
-    }
-    match buf.get_u8() {
-        0 => Ok(None),
-        1 => Ok(Some(get_uvarint(buf)?)),
-        d => Err(WireError::BadDiscriminant(d)),
-    }
-}
-
 /// Reads a single discriminant byte.
 pub fn get_u8(buf: &mut impl Buf) -> WireResult<u8> {
     if !buf.has_remaining() {
@@ -318,20 +295,5 @@ mod tests {
         put_uvarint(&mut buf, 4096);
         let mut cur = buf.freeze();
         assert_eq!(get_uvarint_len(&mut cur).unwrap(), 4096);
-    }
-
-    #[test]
-    fn optional_varint_round_trip() {
-        for v in [None, Some(0u64), Some(12345)] {
-            let mut buf = BytesMut::new();
-            put_opt_uvarint(&mut buf, v);
-            let mut cur = buf.freeze();
-            assert_eq!(get_opt_uvarint(&mut cur).unwrap(), v);
-        }
-        let mut bad = &[9u8][..];
-        assert_eq!(
-            get_opt_uvarint(&mut bad),
-            Err(WireError::BadDiscriminant(9))
-        );
     }
 }

@@ -1353,6 +1353,85 @@ mod tests {
         assert_eq!(b.blobs.stats().multipart_aborted, 1);
     }
 
+    /// A stranger on the uploader's own shard (users 1 and 11 of 10
+    /// shards, where the job is stored) is refused every call on the
+    /// upload, and the uploader then finishes it.
+    #[test]
+    fn a_same_shard_stranger_cannot_touch_an_upload() {
+        let (b, _sink, _clock) = backend(false);
+        let (mut owner, h) = served(&b, 1);
+        let (mut stranger, other) = served(&b, 11);
+        assert_eq!(b.store.shard_of(h.user), b.store.shard_of(other.user));
+        let volume = b.store.get_root(h.user).unwrap().volume;
+        let make = Request::MakeFile {
+            volume,
+            parent: NodeId::new(0),
+            name: "f".into(),
+        };
+        let Response::NodeCreated { node, .. } = call(&b, &mut owner, make).unwrap() else {
+            panic!("make_file");
+        };
+        let (part, size) = (u1_blobstore::PART_SIZE, 2 * u1_blobstore::PART_SIZE);
+        let hash = ContentHash::from_content_id(1);
+        let begin = Request::BeginUpload {
+            volume,
+            node,
+            hash,
+            size,
+        };
+        let Response::UploadBegun { upload, .. } = call(&b, &mut owner, begin).unwrap() else {
+            panic!("begin");
+        };
+        let chunk = Request::UploadChunkSparse { upload, len: part };
+        call(&b, &mut owner, chunk.clone()).unwrap();
+        for req in [
+            Request::ResumeUpload { upload },
+            chunk.clone(),
+            Request::CommitUpload { upload },
+            Request::CancelUpload { upload },
+        ] {
+            let answer = call(&b, &mut stranger, req.clone()).map(drop);
+            assert_eq!(answer.map_err(|e| e.code()), Err("denied"), "{req:?}");
+        }
+        let resume = Request::ResumeUpload { upload };
+        let offset = Response::UploadBegun {
+            upload,
+            offset: part,
+        };
+        assert_eq!(call(&b, &mut owner, resume), Ok(offset));
+        call(&b, &mut owner, chunk).unwrap();
+        let commit = call(&b, &mut owner, Request::CommitUpload { upload });
+        assert!(
+            matches!(commit, Ok(Response::UploadDone { .. })),
+            "{commit:?}"
+        );
+    }
+
+    /// Ids come off the wire: a volume or upload id that names no row, or
+    /// no shard (0), is `not_found`, never a panic.
+    #[test]
+    fn ids_that_name_nothing_are_not_found() {
+        let (b, _sink, _clock) = backend(false);
+        let (mut s, _) = served(&b, 1);
+        for raw in [0, u64::MAX] {
+            let (volume, upload) = (VolumeId::new(raw), UploadId::new(raw));
+            for req in [
+                Request::GetDelta {
+                    volume,
+                    from_generation: 0,
+                },
+                Request::DeleteVolume { volume },
+                Request::ResumeUpload { upload },
+                Request::UploadChunkSparse { upload, len: 1 },
+                Request::CommitUpload { upload },
+                Request::CancelUpload { upload },
+            ] {
+                let answer = call(&b, &mut s, req.clone()).map(drop);
+                assert_eq!(answer.map_err(|e| e.code()), Err("not_found"), "{req:?}");
+            }
+        }
+    }
+
     #[test]
     fn ban_user_removes_sessions_content_and_token() {
         let (b, _sink, _clock) = backend(false);

@@ -45,18 +45,13 @@ pub struct Slot {
     pub process: ProcessId,
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct SlotLoad {
-    active_sessions: u64,
-    total_sessions: u64,
-}
-
 /// Tracks per-process load and places sessions.
 #[derive(Debug)]
 pub struct Cluster {
     slots: Vec<Slot>,
-    /// One private load view per partition origin, created on first use.
-    views: OriginBank<Vec<SlotLoad>>,
+    /// One private load view per partition origin, created on first use:
+    /// the active sessions of each slot.
+    views: OriginBank<Vec<u64>>,
     config: ClusterConfig,
 }
 
@@ -84,9 +79,8 @@ impl Cluster {
     }
 
     /// Runs `f` on the calling partition's load view.
-    fn with_view<R>(&self, f: impl FnOnce(&mut Vec<SlotLoad>) -> R) -> R {
-        self.views
-            .with(|_| vec![SlotLoad::default(); self.slots.len()], f)
+    fn with_view<R>(&self, f: impl FnOnce(&mut Vec<u64>) -> R) -> R {
+        self.views.with(|_| vec![0; self.slots.len()], f)
     }
 
     /// Places a new session on the least-loaded process (§4's policy)
@@ -99,13 +93,12 @@ impl Cluster {
             // clippy's `expect_used`.
             let mut idx = 0;
             for i in 1..loads.len() {
-                if loads[i].active_sessions < loads[idx].active_sessions {
+                if loads[i] < loads[idx] {
                     idx = i;
                 }
             }
             if let Some(best) = loads.get_mut(idx) {
-                best.active_sessions += 1;
-                best.total_sessions += 1;
+                *best += 1;
             }
             idx
         });
@@ -121,7 +114,7 @@ impl Cluster {
     pub fn release_session(&self, slot: Slot) {
         if let Some(idx) = self.slots.iter().position(|s| *s == slot) {
             self.with_view(|loads| {
-                loads[idx].active_sessions = loads[idx].active_sessions.saturating_sub(1);
+                loads[idx] = loads[idx].saturating_sub(1);
             });
         }
     }
@@ -133,7 +126,7 @@ mod tests {
 
     /// Active sessions per slot in the calling partition's view.
     fn active(cluster: &Cluster) -> Vec<u64> {
-        cluster.with_view(|loads| loads.iter().map(|l| l.active_sessions).collect())
+        cluster.with_view(|loads| loads.clone())
     }
 
     #[test]

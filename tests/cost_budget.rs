@@ -169,8 +169,8 @@ const BUDGET: &[(&str, Cost)] = &[
     (
         "held: the metastore after the quick month",
         Cost {
-            allocs: 2_894,
-            bytes: by_build(4_067_976, 4_066_872),
+            allocs: 2_829,
+            bytes: by_build(4_049_768, 4_049_176),
         },
     ),
     (
@@ -184,7 +184,7 @@ const BUDGET: &[(&str, Cost)] = &[
         "held: the rest of the back end after the quick month",
         Cost {
             allocs: 61,
-            bytes: by_build(200_512, 194_232),
+            bytes: by_build(194_176, 187_896),
         },
     ),
     // 2 MiB of payload, 2.0 allocated bytes per payload byte: a MiB each
@@ -206,7 +206,7 @@ const LOCKS: &[(Rank, u64)] = if cfg!(debug_assertions) {
     &[
         (Rank::SealedPrefix, 7),
         (Rank::LogWriters, 0),
-        (Rank::Leaf, 762_243),
+        (Rank::Leaf, 710_546),
     ]
 } else {
     &[]
