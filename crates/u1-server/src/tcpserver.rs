@@ -194,7 +194,7 @@ impl TcpServer {
                     shared: shared2,
                     cfg,
                     conns: FxHashMap::default(),
-                    throttle: HashMap::new(),
+                    throttle: Throttle::new(Instant::now()),
                     next_token: LISTENER + 1,
                 }
                 .run();
@@ -259,7 +259,6 @@ enum Cause {
 /// One live connection owned by the reactor.
 struct Conn {
     stream: TcpStream,
-    peer_ip: IpAddr,
     proto: ServerConn,
     sendq: SendQueue,
     /// What [`Backend::serve`] keeps of this connection's session.
@@ -280,9 +279,47 @@ struct Reactor {
     cfg: ReactorConfig,
     /// Keyed by poller token: our own counter, so the fast hasher is safe.
     conns: FxHashMap<u64, Conn>,
-    /// Keyed by peer address, which the peer chooses: default hasher.
-    throttle: HashMap<IpAddr, (Instant, u32)>,
+    throttle: Throttle,
     next_token: u64,
+}
+
+/// The per-IP accept throttle, over fixed windows: an address is admitted
+/// at most `accept_burst_per_ip` times in the `accept_window` that its
+/// first counted accept opened, and its next accept after that window
+/// opens a new one.
+struct Throttle {
+    /// Keyed by peer address, which the peer chooses: default hasher.
+    windows: HashMap<IpAddr, (Instant, u32)>,
+    /// When closed windows were last dropped.
+    swept: Instant,
+}
+
+impl Throttle {
+    fn new(now: Instant) -> Self {
+        Throttle {
+            windows: HashMap::new(),
+            swept: now,
+        }
+    }
+
+    /// Counts one accept from `ip` at `now`; false when it is over the
+    /// burst. Closed windows are dropped here, at most once a window, so
+    /// the map holds only the addresses judged in the last two windows and
+    /// a sweep visits no more entries than those windows' accepts made.
+    fn admit(&mut self, ip: IpAddr, now: Instant, cfg: &ReactorConfig) -> bool {
+        let window = cfg.accept_window;
+        if now.duration_since(self.swept) > window {
+            self.windows
+                .retain(|_, (start, _)| now.duration_since(*start) <= window);
+            self.swept = now;
+        }
+        let (start, count) = self.windows.entry(ip).or_insert((now, 0));
+        if now.duration_since(*start) > window {
+            (*start, *count) = (now, 0);
+        }
+        *count += 1;
+        *count <= cfg.accept_burst_per_ip
+    }
 }
 
 impl Reactor {
@@ -352,7 +389,7 @@ impl Reactor {
                     .fetch_add(1, Ordering::Relaxed);
                 continue; // dropping the stream closes it
             }
-            if !self.admit_ip(peer.ip()) {
+            if !self.throttle.admit(peer.ip(), Instant::now(), &self.cfg) {
                 self.shared
                     .counters
                     .refused_throttle
@@ -380,7 +417,6 @@ impl Reactor {
                 token,
                 Conn {
                     stream,
-                    peer_ip: peer.ip(),
                     proto: ServerConn::new(),
                     sendq: SendQueue::new(),
                     session: SessionState::new(true),
@@ -389,17 +425,6 @@ impl Reactor {
                 },
             );
         }
-    }
-
-    /// Sliding-window per-IP accept throttle.
-    fn admit_ip(&mut self, ip: IpAddr) -> bool {
-        let now = Instant::now();
-        let entry = self.throttle.entry(ip).or_insert((now, 0));
-        if now.duration_since(entry.0) > self.cfg.accept_window {
-            *entry = (now, 0);
-        }
-        entry.1 += 1;
-        entry.1 <= self.cfg.accept_burst_per_ip
     }
 
     /// Reads the connection until its socket is empty, the peer is done,
@@ -567,13 +592,6 @@ impl Reactor {
         };
         if let Some(c) = counter {
             c.fetch_add(1, Ordering::Relaxed);
-        }
-        // Stop the throttle map from growing without bound: the entry is
-        // only interesting while its window is hot.
-        if let Some((start, _)) = self.throttle.get(&conn.peer_ip) {
-            if start.elapsed() > self.cfg.accept_window {
-                self.throttle.remove(&conn.peer_ip);
-            }
         }
     }
 }
@@ -747,6 +765,31 @@ mod tests {
         assert_eq!(stats.refused_throttle, 1);
         assert_eq!(stats.accepted, 3);
         server.shutdown();
+    }
+
+    #[test]
+    fn throttle_forgets_closed_windows() {
+        let cfg = ReactorConfig {
+            accept_burst_per_ip: 1,
+            accept_window: Duration::from_secs(1),
+            ..Default::default()
+        };
+        let t0 = Instant::now();
+        let mut throttle = Throttle::new(t0);
+        let peer = |i: u32| IpAddr::from(std::net::Ipv4Addr::from(0x0a00_0000 + i));
+        // 5,000 one-shot peers within one window; the first is also
+        // refused once, so it was throttled too.
+        for i in 0..5_000 {
+            let t = t0 + Duration::from_micros(u64::from(i) * 100);
+            assert!(throttle.admit(peer(i), t, &cfg));
+        }
+        assert!(!throttle.admit(peer(0), t0 + Duration::from_millis(500), &cfg));
+        // Every one of their windows has closed: one admit forgets them all.
+        let later = t0 + Duration::from_secs(2);
+        assert!(throttle.admit(peer(0), later, &cfg));
+        assert_eq!(throttle.windows.len(), 1);
+        assert!(throttle.admit(peer(5_000), later, &cfg));
+        assert_eq!(throttle.windows.len(), 2);
     }
 
     #[test]
