@@ -30,9 +30,6 @@ use std::sync::PoisonError;
 /// is taken have a rank of their own below [`Rank::Leaf`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rank {
-    /// `MemorySink`'s sealed prefix: a seal, and `len`, lock each stripe
-    /// under it, one at a time.
-    SealedPrefix,
     /// A `DirSink` writer stripe: a failed open, write or flush records the
     /// first error under it.
     LogWriters,
@@ -50,12 +47,12 @@ thread_local! {
 
 /// Locks taken so far in this process, indexed by their rank's bit.
 #[cfg(debug_assertions)]
-static ACQUIRED: [AtomicU64; 3] = [const { AtomicU64::new(0) }; 3];
+static ACQUIRED: [AtomicU64; 2] = [const { AtomicU64::new(0) }; 2];
 
 /// How many locks of each rank this process has taken so far, lowest rank
 /// first. Debug builds only: a release lock keeps no rank.
 #[cfg(debug_assertions)]
-pub fn acquisitions() -> [(Rank, u64); 3] {
+pub fn acquisitions() -> [(Rank, u64); 2] {
     RANKS.map(|rank| (rank, ACQUIRED[rank as usize].load(Ordering::Relaxed)))
 }
 
@@ -105,7 +102,7 @@ impl Order {
 
 /// Every rank, indexed by its bit.
 #[cfg(debug_assertions)]
-const RANKS: [Rank; 3] = [Rank::SealedPrefix, Rank::LogWriters, Rank::Leaf];
+const RANKS: [Rank; 2] = [Rank::LogWriters, Rank::Leaf];
 
 /// A guard's claim on its rank, given back when the guard drops.
 struct Held {
@@ -269,37 +266,35 @@ mod tests {
 
     #[test]
     fn in_order_acquires_and_reacquires_after_drop_pass() {
-        let prefix = RwLock::ranked(Rank::SealedPrefix, 1);
-        let writers = Mutex::ranked(Rank::LogWriters, 2);
-        let leaf = Mutex::new(3);
+        let writers = RwLock::ranked(Rank::LogWriters, 1);
+        let leaf = Mutex::new(2);
         {
-            let _p = prefix.read();
-            let _w = writers.lock();
-            assert_eq!(*leaf.lock(), 3);
+            let _w = writers.read();
+            assert_eq!(*leaf.lock(), 2);
         }
         // Released out of order, each rank is free again.
-        let p = prefix.write();
-        let w = writers.lock();
-        drop(p);
+        let w = writers.write();
+        let l = leaf.lock();
         drop(w);
-        let _p = prefix.read();
-        assert_eq!(*writers.lock() + *leaf.lock(), 5);
+        drop(l);
+        let _w = writers.read();
+        assert_eq!(*leaf.lock(), 2);
     }
 
     #[test]
     #[cfg(debug_assertions)]
     fn out_of_order_acquire_panics_and_leaves_the_held_set_as_it_was() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
-        let low = Mutex::ranked(Rank::SealedPrefix, ());
-        let high = Mutex::ranked(Rank::LogWriters, ());
+        let low = Mutex::ranked(Rank::LogWriters, ());
+        let high = Mutex::new(());
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let _h = high.lock();
             let _l = low.lock();
         }));
-        let message = outcome.expect_err("SealedPrefix under LogWriters must panic");
+        let message = outcome.expect_err("LogWriters under Leaf must panic");
         assert_eq!(
             message.downcast_ref::<String>().map(String::as_str),
-            Some("lock order: taking a SealedPrefix lock while holding a LogWriters lock")
+            Some("lock order: taking a LogWriters lock while holding a Leaf lock")
         );
         // The guard taken before the panic gave its rank back on unwind.
         let _l = low.lock();
@@ -317,11 +312,11 @@ mod tests {
 
     #[test]
     #[cfg(debug_assertions)]
-    #[should_panic(expected = "taking a SealedPrefix lock while holding a Leaf lock")]
+    #[should_panic(expected = "taking a LogWriters lock while holding a Leaf lock")]
     fn a_ranked_lock_under_a_leaf_panics() {
-        let (leaf, prefix) = (RwLock::new(()), Mutex::ranked(Rank::SealedPrefix, ()));
+        let (leaf, writers) = (RwLock::new(()), Mutex::ranked(Rank::LogWriters, ()));
         let _leaf = leaf.write();
-        let _prefix = prefix.lock();
+        let _writers = writers.lock();
     }
 
     #[test]

@@ -4,43 +4,44 @@
 //! `flush` / `flush_origin` push buffered ones on, and `seal_before` passes
 //! down the producer's promise that everything below a timestamp has been
 //! emitted. [`BufferedSink`] fills one chunk per origin in front of any
-//! other sink. [`MemorySink`] keeps the trace in memory — per-origin runs
-//! of chunks, merged into one canonical prefix seal by seal, so a month
-//! sealed by day holds one copy of its trace — and hands it over in
-//! canonical `(t, origin, seq)` order. [`DirSink`] writes the paper's
-//! logfiles, one per (machine, process, day), a buffer of whole lines per
-//! write. [`NullSink`] drops everything.
+//! other sink. [`MemorySink`] keeps the trace in memory — one vector, a
+//! canonical prefix followed by the records not yet settled, which each
+//! seal merges and reorders in place, so a sealed day is held once — and
+//! hands it over in canonical `(t, origin, seq)` order. [`DirSink`] writes
+//! the paper's logfiles, one per (machine, process, day), a buffer of whole
+//! lines per write. [`NullSink`] drops everything.
 
 use crate::csvline;
-use crate::event::TraceRecord;
+use crate::event::{Payload, SessionEvent, TraceRecord};
 use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::collections::HashMap;
 use std::fs::{self, File};
 use std::io::{BufWriter, Write};
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use u1_core::sync::{Mutex, Rank};
-use u1_core::{CachePadded, MachineId, ProcessId, SimTime};
+use u1_core::{CachePadded, MachineId, ProcessId, SessionId, SimTime, UserId};
 
 /// Stripe count used by the lock-sharded sinks below. Origins (driver
 /// partitions) and (machine, process) pairs are spread across this many
 /// independent locks so concurrent emitters rarely contend.
 ///
-/// Origin-keyed sinks ([`MemorySink`], [`BufferedSink`]) stripe by
-/// `origin % STRIPES`; origins are small dense integers (one per metastore
-/// shard plus the coordinator — 11 by default), so 32 stripes is a perfect
-/// collision-free partition up to 32 driver partitions. Each stripe lock is
-/// additionally padded to its own cache line: a mutex plus a
-/// `Vec` header is well under 64 bytes, so unpadded neighbours would
-/// false-share a line between workers even when their locks never collide.
+/// [`BufferedSink`] stripes by `origin % STRIPES`; origins are small dense
+/// integers (one per metastore shard plus the coordinator — 11 by default),
+/// so 32 stripes is a perfect collision-free partition up to 32 driver
+/// partitions. Each stripe lock is additionally padded to its own cache
+/// line: a mutex plus a `Vec` header is well under 64 bytes, so unpadded
+/// neighbours would false-share a line between workers even when their
+/// locks never collide.
 const STRIPES: usize = 32;
 
 /// Records per chunk: [`BufferedSink`] fills a chunk of exactly this
 /// capacity per origin and hands it on when full (callers still flush
-/// explicitly at day boundaries), and [`MemorySink`] opens chunks of the
-/// same size for records that arrive one at a time.
+/// explicitly at day boundaries), and [`MemorySink`]'s seal reorders its
+/// records in blocks of the same size, so a chunk taken whole frees a block.
 const BUFFER_FLUSH_THRESHOLD: usize = 4096;
 
 /// One entry per origin hashing to a stripe. A stripe holds at most a
@@ -86,11 +87,10 @@ pub trait TraceSink: Send + Sync {
 
     /// Accepts one single-origin run in emission order — the shape
     /// [`BufferedSink`] flushes. `origin` is every record's origin stamp.
-    /// On return `run` is empty. A sink that leaves its allocation in place
-    /// (the default, which delegates to [`TraceSink::record_batch_owned`])
-    /// lets the caller fill the same buffer again; a sink that stores runs
-    /// (like [`MemorySink`]) takes the whole vector instead of re-pushing
-    /// record by record.
+    /// On return `run` is empty, and a sink that leaves its allocation in
+    /// place lets the caller fill the same buffer again: the default, which
+    /// delegates to [`TraceSink::record_batch_owned`], does, and so does
+    /// [`MemorySink`], which moves the whole run onto its store in one copy.
     fn record_run(&self, origin: u32, run: &mut Vec<TraceRecord>) {
         let _ = origin;
         self.record_batch_owned(run);
@@ -171,54 +171,38 @@ impl TraceSink for NullSink {
     }
 }
 
-/// One origin's records in arrival order, as a list of chunks, none of
-/// them empty. Each driver partition emits `(t, seq)`-monotonically, so a run
-/// is naturally sorted unless the producer bypassed the partition clock
-/// (legacy single-threaded emitters, tests).
-type ChunkedRun = Vec<Vec<TraceRecord>>;
-
-/// The settled part of the trace: what the seals so far have merged out of
-/// the per-origin runs.
+/// Collects records in memory, for analyses that skip the logfile round
+/// trip. The whole trace is one vector under one lock: the canonical
+/// prefix, then the records not yet settled, in arrival order. A run handed
+/// over by [`BufferedSink`] is moved onto the end and drained, so the buffer
+/// refills its own allocation and a record is stored once, where it lands.
+///
+/// [`TraceSink::seal_before`] settles everything below the bound: the
+/// origins' runs are merged into an order of unsettled positions, and that
+/// order is applied in place, block by block, so the merged records take
+/// the pages they arrived in. A month sealed day by day therefore holds one
+/// copy of its trace, and a seal needs beside it a `u32` per unsettled
+/// record and a few blocks; `take_sorted` — "seal everything, take the
+/// prefix" — has one day left to settle. Nothing is locked under the one
+/// lock, so it is a [`Rank::Leaf`].
 #[derive(Debug, Default)]
-struct Sealed {
-    /// In canonical `(t, origin, seq)` order as long as `late` is zero.
-    prefix: Vec<TraceRecord>,
+pub struct MemorySink {
+    store: Mutex<Store>,
+}
+
+/// A [`MemorySink`]'s records and what is known about them.
+#[derive(Debug, Default)]
+struct Store {
+    /// `records[..settled]` is in canonical `(t, origin, seq)` order as long
+    /// as `late` is zero; `records[settled..]` is the unsettled tail.
+    records: Vec<TraceRecord>,
+    settled: usize,
+    /// The tail as `(origin, len)` spans in arrival order, no two adjacent
+    /// spans of one origin.
+    spans: Vec<(u32, usize)>,
     /// Records a seal merged in below the key the prefix already ended on:
     /// a producer broke its [`TraceSink::seal_before`] promise.
     late: u64,
-}
-
-/// Collects records in memory, for analyses that skip the logfile round
-/// trip. Records wait as one chunked run per origin (striped by origin so
-/// concurrent driver partitions don't serialize on one lock): a run handed
-/// over by [`BufferedSink`] becomes the origin's next chunk as it is, so a
-/// record is written once, where it was buffered.
-///
-/// [`TraceSink::seal_before`] moves it once more: everything below the bound
-/// is merged out of the runs onto the end of a canonical prefix, and the
-/// chunks it came from go back to the allocator, where the next day's chunks
-/// find them. A month sealed day by day therefore holds one copy of its
-/// trace plus a day of chunks, and `take_sorted` — "seal everything, take
-/// the prefix" — has one day left to merge. A sink that is never sealed
-/// does the whole merge there, into a vector of fresh pages beside the full
-/// set of runs.
-///
-/// Lock order: `sealed` ([`Rank::SealedPrefix`]), then a stripe.
-#[derive(Debug)]
-pub struct MemorySink {
-    stripes: Vec<CachePadded<Mutex<PerOrigin<ChunkedRun>>>>,
-    sealed: Mutex<Sealed>,
-}
-
-impl Default for MemorySink {
-    fn default() -> Self {
-        Self {
-            stripes: (0..STRIPES)
-                .map(|_| CachePadded::new(Mutex::new(Vec::new())))
-                .collect(),
-            sealed: Mutex::ranked(Rank::SealedPrefix, Sealed::default()),
-        }
-    }
 }
 
 impl MemorySink {
@@ -227,19 +211,7 @@ impl MemorySink {
     }
 
     pub fn len(&self) -> usize {
-        // Held across the stripes so a concurrent seal cannot be seen half
-        // way, its records in neither place.
-        let sealed = self.sealed.lock();
-        let mut len = sealed.prefix.len();
-        for stripe in &self.stripes {
-            let runs = stripe.lock();
-            len += runs
-                .iter()
-                .flat_map(|(_, run)| run)
-                .map(Vec::len)
-                .sum::<usize>();
-        }
-        len
+        self.store.lock().records.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -250,48 +222,7 @@ impl MemorySink {
     /// already sealed. They come out of `take_sorted` in their canonical
     /// place all the same, at the price of one sort of the whole trace.
     pub fn late_records(&self) -> u64 {
-        self.sealed.lock().late
-    }
-
-    /// Appends one record to a run: into the last chunk while it has room,
-    /// else into a fresh chunk (never regrowing one).
-    fn push(run: &mut ChunkedRun, rec: TraceRecord) {
-        match run.last_mut() {
-            Some(last) if last.len() < last.capacity() => last.push(rec),
-            _ => {
-                let mut chunk = Vec::with_capacity(BUFFER_FLUSH_THRESHOLD);
-                chunk.push(rec);
-                run.push(chunk);
-            }
-        }
-    }
-
-    /// Merges every record below `before` (every record for `None`) out of
-    /// the runs onto the end of the prefix.
-    ///
-    /// Each run is monotonic in `(t, seq)` (verified, and stable-sorted if
-    /// a producer emitted out of order), so the k-way merge of the runs'
-    /// heads is exactly what a stable sort of those records by
-    /// `(t, origin, seq)` would produce: full keys collide only within one
-    /// origin's legacy `(0, 0)`-stamped records, whose emission order both
-    /// preserve. If no record below an earlier bound has arrived since, it
-    /// also starts at or above the key the prefix ends on.
-    fn seal(&self, sealed: &mut Sealed, before: Option<SimTime>) {
-        let mut heads: Vec<ChunkedRun> = Vec::new();
-        for stripe in &self.stripes {
-            for (_, run) in stripe.lock().iter_mut() {
-                let head = split_head(run, before);
-                if !head.is_empty() {
-                    heads.push(head);
-                }
-            }
-        }
-        let settled = sealed.prefix.len();
-        merge_runs_into(heads, &mut sealed.prefix);
-        let (old, new) = sealed.prefix.split_at(settled);
-        if let Some(end) = old.last().map(merge_key) {
-            sealed.late += new.partition_point(|r| merge_key(r) < end) as u64;
-        }
+        self.store.lock().late
     }
 
     /// Drains and returns all records in canonical order: sorted by
@@ -302,128 +233,192 @@ impl MemorySink {
     /// earlier seal, or they would have been part of it), so one stable
     /// sort repairs it.
     pub fn take_sorted(&self) -> Vec<TraceRecord> {
-        let Sealed { mut prefix, late } = {
-            let mut sealed = self.sealed.lock();
-            self.seal(&mut sealed, None);
-            std::mem::take(&mut *sealed)
+        let Store {
+            mut records, late, ..
+        } = {
+            let mut store = self.store.lock();
+            store.seal(None);
+            std::mem::take(&mut *store)
         };
         if late > 0 {
-            prefix.sort_by_key(merge_key);
+            records.sort_by_key(merge_key);
         }
-        prefix
+        // The last seal's filler blocks touched pages past the end; the
+        // caller keeps the trace for its analyses, so give them back.
+        records.shrink_to_fit();
+        records
+    }
+}
+
+impl Store {
+    /// Notes `len` more records of `origin` at the end of the tail.
+    fn push_span(&mut self, origin: u32, len: usize) {
+        match self.spans.last_mut() {
+            Some((last, n)) if *last == origin => *n += len,
+            _ if len == 0 => {}
+            _ => self.spans.push((origin, len)),
+        }
+    }
+
+    /// Settles every record below `before` (every record for `None`): they
+    /// move, in canonical order, to the front of the tail, which then ends
+    /// the prefix. What stays in the tail is kept origin by origin, each in
+    /// `(t, seq)` order.
+    ///
+    /// Each run is monotonic in `(t, seq)` (verified, and stable-sorted if
+    /// a producer emitted out of order), so the k-way merge of the runs'
+    /// heads is exactly what a stable sort of those records by
+    /// `(t, origin, seq)` would produce: full keys collide only within one
+    /// origin's legacy `(0, 0)`-stamped records, whose emission order both
+    /// preserve. If no record below an earlier bound has arrived since, it
+    /// also starts at or above the key the prefix ends on.
+    fn seal(&mut self, before: Option<SimTime>) {
+        let base = self.settled;
+        let tail = &self.records[base..];
+        if tail.is_empty() {
+            return;
+        }
+        let runs = origin_runs(tail, &self.spans);
+        let sources = runs.len();
+        let (order, kept) = merge_order(tail, runs, before);
+        let merged = order.len() - kept.iter().map(|(_, len)| len).sum::<usize>();
+        apply_order(&mut self.records, base, &order, sources);
+        self.settled = base + merged;
+        self.spans = kept;
+        if let Some(end) = base
+            .checked_sub(1)
+            .map(|last| merge_key(&self.records[last]))
+        {
+            let new = &self.records[base..self.settled];
+            self.late += new.partition_point(|r| merge_key(r) < end) as u64;
+        }
     }
 }
 
 impl TraceSink for MemorySink {
     fn record(&self, rec: TraceRecord) {
-        let origin = u32::from(rec.origin);
-        let stripe = origin as usize % self.stripes.len();
-        let mut runs = self.stripes[stripe].lock();
-        Self::push(origin_slot(&mut runs, origin), rec);
+        let mut store = self.store.lock();
+        store.push_span(u32::from(rec.origin), 1);
+        store.records.push(rec);
     }
 
     fn record_batch_owned(&self, recs: &mut Vec<TraceRecord>) {
-        // Take each contiguous same-origin span under one lock acquisition.
-        let mut drained = recs.drain(..).peekable();
-        while let Some(rec) = drained.next() {
-            let origin = rec.origin;
-            let stripe = usize::from(origin) % self.stripes.len();
-            let mut runs = self.stripes[stripe].lock();
-            let run = origin_slot(&mut runs, u32::from(origin));
-            Self::push(run, rec);
-            while let Some(next) = drained.next_if(|r| r.origin == origin) {
-                Self::push(run, next);
-            }
+        let mut store = self.store.lock();
+        for rec in recs.iter() {
+            store.push_span(u32::from(rec.origin), 1);
         }
+        store.records.append(recs);
     }
 
     fn record_run(&self, origin: u32, recs: &mut Vec<TraceRecord>) {
-        if recs.is_empty() {
-            return;
-        }
-        // The vector itself becomes the origin's next chunk: a pointer move
-        // under one lock acquisition. A partly filled buffer (a day-boundary
-        // flush) gives its unused tail back first.
-        let mut chunk = std::mem::take(recs);
-        chunk.shrink_to_fit();
-        let stripe = origin as usize % self.stripes.len();
-        let mut runs = self.stripes[stripe].lock();
-        origin_slot(&mut runs, origin).push(chunk);
+        // The records move onto the end; the emptied vector, allocation and
+        // all, stays with the caller to fill again.
+        let mut store = self.store.lock();
+        store.push_span(origin, recs.len());
+        store.records.append(recs);
     }
 
     fn seal_before(&self, before: SimTime) {
-        self.seal(&mut self.sealed.lock(), Some(before));
+        self.store.lock().seal(Some(before));
     }
 }
 
-/// Takes the records below `before` (all of them for `None`) off the front
-/// of `run`. The run is put back into `(t, seq)` order first if its producer
-/// emitted out of it, so what is taken is a sorted run and the bound falls at
-/// one point: whole chunks up to it, then a `partition_point` in the one
-/// chunk it divides.
-fn split_head(run: &mut ChunkedRun, before: Option<SimTime>) -> ChunkedRun {
-    let mut keys = run.iter().flatten().map(|r| (r.t, r.seq));
-    let mut prev = keys.next();
-    let sorted = keys.all(|key| {
-        let in_order = prev <= Some(key);
-        prev = Some(key);
-        in_order
-    });
-    if !sorted {
-        let mut flat: Vec<TraceRecord> = std::mem::take(run).into_iter().flatten().collect();
-        flat.sort_by_key(|r| (r.t, r.seq));
-        run.push(flat);
-    }
-    let Some(before) = before else {
-        return std::mem::take(run);
-    };
-    let whole = run.partition_point(|chunk| chunk.last().is_some_and(|r| r.t < before));
-    let mut head: ChunkedRun = run.drain(..whole).collect();
-    if let Some(divided) = run.first_mut() {
-        let at = divided.partition_point(|r| r.t < before);
-        if at > 0 {
-            let rest = divided.split_off(at);
-            head.push(std::mem::replace(divided, rest));
-        }
-    }
-    head
-}
-
-/// Merge key for the k-way merge: the canonical `(t, origin, seq)` order.
+/// Merge key: the canonical `(t, origin, seq)` order.
 type MergeKey = (SimTime, u16, u64);
 
 fn merge_key(rec: &TraceRecord) -> MergeKey {
     (rec.t, rec.origin, rec.seq)
 }
 
-/// Read position in one run during the merge. Chunks are freed as they are
-/// used up, so the merged output and its input never both exist in full.
-struct RunCursor {
-    chunks: std::vec::IntoIter<Vec<TraceRecord>>,
-    current: std::vec::IntoIter<TraceRecord>,
+/// One origin's unsettled records in `(t, seq)` order, as tail positions,
+/// yielded front to back.
+struct Run {
+    origin: u32,
+    positions: Positions,
 }
 
-impl RunCursor {
-    fn new(run: ChunkedRun) -> Self {
-        Self {
-            chunks: run.into_iter(),
-            current: Vec::new().into_iter(),
-        }
-    }
+enum Positions {
+    /// The spans the origin arrived in, its records already in order; the
+    /// first span left is trimmed as records are taken.
+    Spans(std::vec::IntoIter<Range<u32>>, Range<u32>),
+    /// One position per record, stable-sorted by `(t, seq)`: the producer
+    /// emitted out of order.
+    Sorted(std::vec::IntoIter<u32>),
+}
 
-    /// Key of the next record, stepping into the next chunk when the
-    /// current one is used up; `None` at the end of the run.
-    fn head_key(&mut self) -> Option<MergeKey> {
-        while self.current.as_slice().is_empty() {
-            self.current = self.chunks.next()?.into_iter();
+impl Run {
+    fn peek(&self) -> Option<u32> {
+        match &self.positions {
+            Positions::Spans(_, current) => (!current.is_empty()).then_some(current.start),
+            Positions::Sorted(positions) => positions.as_slice().first().copied(),
         }
-        self.current.as_slice().first().map(merge_key)
     }
 }
 
-/// K-way merges per-origin runs, each sorted by `(t, seq)`, onto the end of
-/// `out` in `(t, origin, seq)` order. Records of different runs never share
-/// a full key (the key includes the origin), so the merge is deterministic.
+impl Iterator for Run {
+    type Item = u32;
+
+    fn next(&mut self) -> Option<u32> {
+        match &mut self.positions {
+            Positions::Spans(rest, current) => {
+                let at = current.next()?;
+                if Range::is_empty(current) {
+                    *current = rest.next().unwrap_or_default();
+                }
+                Some(at)
+            }
+            Positions::Sorted(positions) => positions.next(),
+        }
+    }
+}
+
+/// Each origin's run of the tail, origins in order of first arrival. A run
+/// is verified to be in `(t, seq)` order, and stable-sorted if it is not.
+fn origin_runs(tail: &[TraceRecord], spans: &[(u32, usize)]) -> Vec<Run> {
+    let at = |p: u32| &tail[p as usize];
+    let mut by_origin: PerOrigin<Vec<Range<u32>>> = Vec::new();
+    let mut start = 0u32;
+    for &(origin, len) in spans {
+        let end = u32::try_from(len)
+            .ok()
+            .and_then(|len| start.checked_add(len))
+            .expect("positions are u32: a tail of fewer than 2^32 records");
+        origin_slot(&mut by_origin, origin).push(start..end);
+        start = end;
+    }
+    by_origin
+        .into_iter()
+        .map(|(origin, spans)| {
+            let mut keys = spans
+                .iter()
+                .flat_map(Range::clone)
+                .map(|p| (at(p).t, at(p).seq));
+            let mut prev = keys.next();
+            let sorted = keys.all(|key| {
+                let in_order = prev <= Some(key);
+                prev = Some(key);
+                in_order
+            });
+            let positions = if sorted {
+                let mut spans = spans.into_iter();
+                let first = spans.next().unwrap_or_default();
+                Positions::Spans(spans, first)
+            } else {
+                let mut positions: Vec<u32> = spans.into_iter().flatten().collect();
+                positions.sort_by_key(|&p| (at(p).t, at(p).seq));
+                Positions::Sorted(positions.into_iter())
+            };
+            Run { origin, positions }
+        })
+        .collect()
+}
+
+/// K-way merges the runs' records below `before` (all of them for `None`)
+/// into an order of tail positions, then appends each run's records left,
+/// run by run. Returns that order, a permutation of the tail's positions,
+/// and the spans of the records left. Records of different runs never
+/// share a full key (the key includes the origin), so the merge is
+/// deterministic.
 ///
 /// The merge gallops: the run with the smallest head keeps emitting until
 /// its next key passes the runner-up's head, so the heap is touched once
@@ -431,25 +426,28 @@ impl RunCursor {
 /// handful of records at one `(t, origin)`, and between two operations of
 /// one shard the other shards have usually emitted nothing earlier, so
 /// stretches are several records long.
-fn merge_runs_into(mut runs: Vec<ChunkedRun>, out: &mut Vec<TraceRecord>) {
-    if out.is_empty() && runs.len() == 1 && runs[0].len() == 1 {
-        *out = runs.pop().and_then(|mut run| run.pop()).unwrap_or_default();
-        return;
-    }
-    out.reserve(runs.iter().flatten().map(Vec::len).sum());
-    let mut cursors: Vec<RunCursor> = runs.into_iter().map(RunCursor::new).collect();
-    let mut heap: BinaryHeap<Reverse<(MergeKey, usize)>> = BinaryHeap::with_capacity(cursors.len());
-    for (i, cursor) in cursors.iter_mut().enumerate() {
-        if let Some(key) = cursor.head_key() {
+fn merge_order(
+    tail: &[TraceRecord],
+    mut runs: Vec<Run>,
+    before: Option<SimTime>,
+) -> (Vec<u32>, Vec<(u32, usize)>) {
+    let below = |run: &Run| {
+        let key = merge_key(&tail[run.peek()? as usize]);
+        before.is_none_or(|b| key.0 < b).then_some(key)
+    };
+    let mut order = Vec::with_capacity(tail.len());
+    let mut heap: BinaryHeap<Reverse<(MergeKey, usize)>> = BinaryHeap::with_capacity(runs.len());
+    for (i, run) in runs.iter().enumerate() {
+        if let Some(key) = below(run) {
             heap.push(Reverse((key, i)));
         }
     }
     while let Some(Reverse((_, i))) = heap.pop() {
         let bound = heap.peek().map(|Reverse((key, _))| *key);
-        let cursor = &mut cursors[i];
+        let run = &mut runs[i];
         let next = loop {
-            out.extend(cursor.current.next());
-            match cursor.head_key() {
+            order.extend(run.next());
+            match below(run) {
                 Some(key) if bound.is_none_or(|b| key < b) => {}
                 next => break next,
             }
@@ -458,6 +456,108 @@ fn merge_runs_into(mut runs: Vec<ChunkedRun>, out: &mut Vec<TraceRecord>) {
             heap.push(Reverse((key, i)));
         }
     }
+    let mut kept = Vec::new();
+    for run in runs {
+        let (origin, from) = (run.origin, order.len());
+        order.extend(run);
+        if order.len() > from {
+            kept.push((origin, order.len() - from));
+        }
+    }
+    (order, kept)
+}
+
+/// A record that holds a slot while the seal reorders: it owns no heap.
+fn filler() -> TraceRecord {
+    TraceRecord {
+        t: SimTime::ZERO,
+        machine: MachineId::new(0),
+        process: ProcessId::new(0),
+        origin: 0,
+        seq: 0,
+        attempt: 0,
+        error_class: None,
+        payload: Payload::Session {
+            event: SessionEvent::Open,
+            session: SessionId::new(0),
+            user: UserId::new(0),
+        },
+    }
+}
+
+/// Rearranges the tail `records[base..]` so that its `i`-th record is the
+/// one `order[i]` named, in place.
+///
+/// The tail is cut into blocks of [`BUFFER_FLUSH_THRESHOLD`] records. The
+/// reorder writes its output a block at a time, each into a block none of
+/// whose records is still to be taken, swapping every record it takes for
+/// a filler; when no block is free, a filler block is pushed at the end.
+/// While each run takes its positions front to back, it holds one
+/// part-taken block of its own, and a block shared by two spans waits for
+/// the later one, so about one filler block per run is needed (room for
+/// one more than there are `sources`, the runs the order was merged from,
+/// is reserved): a day of `month_1k` needs fewer, one of `month_wide`'s
+/// ten runs 13 or 14. An order that jumps about, a run that had to be
+/// sorted, may need many. Pushing them only when needed leaves the fewest
+/// pages past the end touched. Last, whole-block swaps put the output
+/// blocks in order, and the fillers are dropped.
+///
+/// Following the permutation's cycles record by record would need no
+/// filler at all, but it reads the tail in random order.
+fn apply_order(records: &mut Vec<TraceRecord>, base: usize, order: &[u32], sources: usize) {
+    const BLOCK: usize = BUFFER_FLUSH_THRESHOLD;
+    if order.iter().enumerate().all(|(i, &p)| p as usize == i) {
+        return;
+    }
+    let n = order.len();
+    let blocks = n.div_ceil(BLOCK);
+    records.reserve_exact(base + (blocks + sources + 1) * BLOCK - records.len());
+    records.resize_with(base + blocks * BLOCK, filler);
+    // Records of each block still to be taken; the filler blocks hold none.
+    let mut untaken: Vec<usize> = (0..blocks).map(|b| BLOCK.min(n - b * BLOCK)).collect();
+    let mut free: Vec<usize> = Vec::new();
+
+    // `home[j]`: the block that output block `j` was written into.
+    let mut home: Vec<usize> = Vec::with_capacity(blocks);
+    for out in order.chunks(BLOCK) {
+        let block = free.pop().unwrap_or_else(|| {
+            records.resize_with(records.len() + BLOCK, filler);
+            untaken.push(0);
+            untaken.len() - 1
+        });
+        let at = base + block * BLOCK;
+        for (slot, &p) in out.iter().enumerate() {
+            let p = p as usize;
+            records.swap(at + slot, base + p);
+            let source = p / BLOCK;
+            untaken[source] -= 1;
+            if untaken[source] == 0 {
+                free.push(source);
+            }
+        }
+        home.push(block);
+    }
+
+    // `held[b]`: the output block that block `b` holds, if any.
+    let mut held: Vec<Option<usize>> = vec![None; untaken.len()];
+    for (j, &b) in home.iter().enumerate() {
+        held[b] = Some(j);
+    }
+    for j in 0..blocks {
+        let b = home[j];
+        if b == j {
+            continue;
+        }
+        // Block `j` goes where output block `j` was, with whatever it held.
+        let (lo, hi) = (base + j.min(b) * BLOCK, base + j.max(b) * BLOCK);
+        let (front, back) = records.split_at_mut(hi);
+        front[lo..lo + BLOCK].swap_with_slice(&mut back[..BLOCK]);
+        held[b] = held[j];
+        if let Some(displaced) = held[j] {
+            home[displaced] = b;
+        }
+    }
+    records.truncate(base + n);
 }
 
 /// Buffers records per origin in front of an inner sink, so hot emission
@@ -858,14 +958,14 @@ mod tests {
     #[test]
     fn memory_sink_merges_origin_runs_into_canonical_order() {
         let sink = MemorySink::new();
-        // Three origins, interleaved timestamps; origin 33 shares stripe 1
-        // with origin 1, exercising the per-stripe multi-run path.
+        // Three origins, interleaved timestamps, each arriving in more
+        // than one span.
         for (t, origin, seq) in [
             (5u64, 1u16, 0u64),
-            (9, 1, 1),
             (9, 33, 0),
-            (12, 33, 1),
             (3, 2, 0),
+            (9, 1, 1),
+            (12, 33, 1),
             (9, 2, 1),
         ] {
             sink.record(rec_origin(t, origin, seq));
@@ -907,25 +1007,23 @@ mod tests {
         sink.seal_before(bound);
         assert_eq!(sink.len(), total, "a seal moves records, it drops none");
         let settled = {
-            let sealed = sink.sealed.lock();
-            assert!(sealed.prefix.iter().all(|r| r.t < bound));
-            assert!(sealed
-                .prefix
+            let store = sink.store.lock();
+            let (prefix, tail) = store.records.split_at(store.settled);
+            assert!(prefix.iter().all(|r| r.t < bound));
+            assert!(prefix
                 .windows(2)
                 .all(|w| merge_key(&w[0]) <= merge_key(&w[1])));
-            sealed.prefix.len()
+            assert!(tail.iter().all(|r| r.t >= bound));
+            // What is left is described origin by origin.
+            assert_eq!(store.spans, vec![(1, 6), (3, 1)]);
+            store.settled
         };
         // t = seq / 100 < 41 for origin 1's first 4100 records.
         assert_eq!(settled, 4100 + 5);
-        for stripe in &sink.stripes {
-            for (_, run) in stripe.lock().iter() {
-                assert!(run.iter().flatten().all(|r| r.t >= bound));
-            }
-        }
         // Sealing again, at the same bound or at none yet reached, is a no-op.
         sink.seal_before(bound);
         sink.seal_before(SimTime::ZERO);
-        assert_eq!(sink.sealed.lock().prefix.len(), settled);
+        assert_eq!(sink.store.lock().settled, settled);
         assert_eq!(sink.late_records(), 0);
 
         let recs = sink.take_sorted();
@@ -947,7 +1045,7 @@ mod tests {
         let shared: std::sync::Arc<dyn TraceSink> = std::sync::Arc::new(buffered);
         shared.seal_before(SimTime::from_secs(60));
         assert_eq!(inner.len(), 100, "buffered records were delivered");
-        assert_eq!(inner.sealed.lock().prefix.len(), 60);
+        assert_eq!(inner.store.lock().settled, 60);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! call (a seal moves records, it drops none), and a `BufferedSink` delivers
 //! each origin's records in emission order out of one allocation per chunk
 //! at most. The records are `session` and `storage_done` lines, so boxed
-//! payloads go through every split, merge and seal.
+//! payloads go through every merge, reorder and seal.
 //!
 //! The previous `MemorySink` — one flat `Vec` per origin filled by
 //! `append`, merged one record per heap operation — lives on only here, as
@@ -43,29 +43,55 @@ const LENGTHS: [usize; 6] = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 1];
 /// it at its final size makes one.
 const LARGE: usize = CHUNK / 4 * std::mem::size_of::<TraceRecord>();
 
+/// How many of this thread's last large requests [`LARGE_LOG`] keeps.
+const LOGGED: usize = 64;
+
 thread_local! {
     static LARGE_REQUESTS: Cell<u64> = const { Cell::new(0) };
+    /// This thread's large requests, `(bytes, is a realloc)`, the `i`-th at
+    /// `i % LOGGED`.
+    static LARGE_LOG: [Cell<(usize, bool)>; LOGGED] =
+        const { [const { Cell::new((0, false)) }; LOGGED] };
 }
 
 struct LargeRequestTally;
 
-fn note(size: usize) {
+fn note(size: usize, realloc: bool) {
     if size >= LARGE {
-        LARGE_REQUESTS.with(|n| n.set(n.get() + 1));
+        let i = LARGE_REQUESTS.with(|n| {
+            n.set(n.get() + 1);
+            n.get() - 1
+        });
+        LARGE_LOG.with(|log| log[i as usize % LOGGED].set((size, realloc)));
     }
 }
 
+/// This thread's large requests since the count read `mark`, oldest first.
+fn large_requests_since(mark: u64) -> Vec<(usize, bool)> {
+    let now = LARGE_REQUESTS.with(Cell::get);
+    assert!(
+        now - mark <= LOGGED as u64,
+        "the log keeps {LOGGED} requests"
+    );
+    LARGE_LOG.with(|log| {
+        (mark..now)
+            .map(|i| log[i as usize % LOGGED].get())
+            .collect()
+    })
+}
+
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a const-initialised
-// thread-local `Cell` with no destructor, so touching it never allocates.
+// upholds the `GlobalAlloc` contract; the counter and the log are
+// const-initialised thread-local `Cell`s with no destructor, so touching
+// them never allocates.
 unsafe impl GlobalAlloc for LargeRequestTally {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
+        note(layout.size(), false);
         // SAFETY: the caller's `layout` is passed through as received.
         unsafe { System.alloc(layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
+        note(new_size, true);
         // SAFETY: `ptr` and `layout` describe a live block of `System`'s,
         // as the caller guarantees.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -175,6 +201,15 @@ enum Stamp {
     /// Origin 0, sequence 0 on every record — an emitter without a
     /// partition context.
     Legacy,
+    /// A legacy emitter whose timestamps also jump backwards, as
+    /// `BackInTime`'s do: a run that must be sorted, with equal keys.
+    LegacyBackInTime,
+}
+
+impl Stamp {
+    fn is_legacy(self) -> bool {
+        matches!(self, Stamp::Legacy | Stamp::LegacyBackInTime)
+    }
 }
 
 /// One step of a generated history.
@@ -213,9 +248,10 @@ enum Step {
 }
 
 fn arb_stamp() -> impl Strategy<Value = Stamp> {
-    (0u8..8).prop_map(|roll| match roll {
+    (0u8..9).prop_map(|roll| match roll {
         0 => Stamp::BackInTime,
         1 => Stamp::Legacy,
+        2 => Stamp::LegacyBackInTime,
         _ => Stamp::Clocked,
     })
 }
@@ -290,7 +326,9 @@ impl Producers {
         }
         let t = match stamp {
             Stamp::Clocked | Stamp::Legacy => self.clock_us[slot],
-            Stamp::BackInTime => self.clock_us[slot] / (2 + self.serial % 3),
+            Stamp::BackInTime | Stamp::LegacyBackInTime => {
+                self.clock_us[slot] / (2 + self.serial % 3)
+            }
         };
         let (session, user) = (SessionId::new(self.serial), UserId::new(u64::from(origin)));
         // Two records in three are `storage_done`: one with a hash and an
@@ -321,7 +359,7 @@ impl Producers {
             ProcessId::new(0),
             payload,
         );
-        if stamp == Stamp::Legacy {
+        if stamp.is_legacy() {
             (rec.origin, rec.seq) = (0, 0);
         } else {
             (rec.origin, rec.seq) = (origin, self.next_seq[slot]);
@@ -376,93 +414,256 @@ proptest! {
 
     #[test]
     fn take_sorted_is_the_stable_canonical_sort_of_everything_recorded(history in arb_history()) {
-        let bare = MemorySink::new();
-        let inner = Arc::new(MemorySink::new());
-        let buffered = BufferedSink::new(Arc::clone(&inner));
-        let mut oracle = OracleSink::default();
-        let mut producers = Producers::default();
-        let mut model = DeliveryModel::default();
-        let mut everything: Vec<TraceRecord> = Vec::new();
-        let mut sealed_before = SimTime::ZERO;
+        canonical_sort_holds(history);
+    }
+}
 
-        for step in history {
-            match step {
-                Step::Records { origin, len, stamp } => {
-                    for _ in 0..len {
-                        let rec = producers.mint(origin, stamp);
-                        model.record(rec.origin);
-                        bare.record(rec.clone());
-                        buffered.record(rec.clone());
-                        oracle.record(rec.clone());
-                        everything.push(rec);
-                    }
-                }
-                Step::Run { origin, len, stamp } => {
-                    // A run is single-origin, so a legacy run goes to
-                    // origin 0 as a whole.
-                    let run: Vec<TraceRecord> =
-                        (0..len).map(|_| producers.mint(origin, stamp)).collect();
-                    let run_origin = if stamp == Stamp::Legacy { 0 } else { origin };
-                    for rec in &run {
-                        model.record(rec.origin);
-                    }
-                    bare.record_run(u32::from(run_origin), &mut run.clone());
-                    buffered.record_run(u32::from(run_origin), &mut run.clone());
-                    oracle.record_run(run_origin, &mut run.clone());
-                    everything.extend(run);
-                }
-                Step::Batch { origins, len, stamp } => {
-                    let batch = producers.batch(origins, len, stamp);
-                    // A buffered sink delivers what it holds, then the batch.
-                    model.flush();
-                    model.delivered += batch.len();
-                    bare.record_batch(&batch);
-                    buffered.record_batch(&batch);
-                    batch.iter().for_each(|rec| oracle.record(rec.clone()));
-                    everything.extend(batch);
-                }
-                Step::FlushOrigin { origin } => {
-                    model.flush_origin(origin);
-                    bare.flush_origin(u32::from(origin));
-                    buffered.flush_origin(u32::from(origin));
-                }
-                Step::Flush => {
-                    model.flush();
-                    bare.flush();
-                    buffered.flush();
-                }
-                Step::Seal { quarters } => {
-                    // Bounds never go back, though they may repeat. A
-                    // `BackInTime` or `Legacy` record emitted after this
-                    // may lie below it all the same: the sinks must cope.
-                    sealed_before = sealed_before.max(producers.bound(quarters));
-                    // A buffered sink delivers what it holds, then forwards.
-                    model.flush();
-                    bare.seal_before(sealed_before);
-                    buffered.seal_before(sealed_before);
+/// The property over histories that reach the edges of the seal's in-place
+/// reorder, which random histories hit only by chance.
+#[test]
+fn take_sorted_is_the_stable_canonical_sort_at_the_reorders_edges() {
+    use Stamp::{BackInTime, Clocked, LegacyBackInTime};
+    let histories: [&[Step]; 5] = [
+        // A tail shorter than one block, sealed twice.
+        &[
+            Step::Records {
+                origin: 1,
+                len: 40,
+                stamp: Clocked,
+            },
+            Step::Records {
+                origin: 2,
+                len: 39,
+                stamp: Clocked,
+            },
+            Step::Seal { quarters: 2 },
+            Step::Records {
+                origin: 1,
+                len: 20,
+                stamp: Clocked,
+            },
+            Step::Seal { quarters: 4 },
+        ],
+        // Tails that are not a multiple of a block.
+        &[
+            Step::Run {
+                origin: 1,
+                len: CHUNK + 1,
+                stamp: Clocked,
+            },
+            Step::Records {
+                origin: 2,
+                len: 39,
+                stamp: Clocked,
+            },
+            Step::Run {
+                origin: 3,
+                len: 3 * CHUNK + 1,
+                stamp: Clocked,
+            },
+            Step::Records {
+                origin: 1,
+                len: CHUNK - 1,
+                stamp: Clocked,
+            },
+            Step::Seal { quarters: 3 },
+            Step::Run {
+                origin: 2,
+                len: CHUNK + 1,
+                stamp: Clocked,
+            },
+            Step::Seal { quarters: 4 },
+        ],
+        // Records at the bound (a seal at the latest clock) and after it
+        // stay in the tail behind the settled head, through more seals.
+        &[
+            Step::Run {
+                origin: 1,
+                len: 3 * CHUNK + 1,
+                stamp: Clocked,
+            },
+            Step::Run {
+                origin: 2,
+                len: CHUNK + 1,
+                stamp: Clocked,
+            },
+            Step::Seal { quarters: 4 },
+            Step::Seal { quarters: 4 },
+            Step::Records {
+                origin: 2,
+                len: 40,
+                stamp: Clocked,
+            },
+            Step::Run {
+                origin: 3,
+                len: CHUNK,
+                stamp: Clocked,
+            },
+            Step::Seal { quarters: 2 },
+            Step::Seal { quarters: 4 },
+        ],
+        // A legacy run out of order across many more blocks than there
+        // are spare ones: its sorted positions take a third of every block
+        // before they free one, so the reorder pushes more filler blocks.
+        &[
+            Step::Run {
+                origin: 1,
+                len: 6 * CHUNK,
+                stamp: LegacyBackInTime,
+            },
+            Step::Run {
+                origin: 2,
+                len: CHUNK + 1,
+                stamp: Clocked,
+            },
+            Step::Records {
+                origin: 1,
+                len: CHUNK + 1,
+                stamp: LegacyBackInTime,
+            },
+            Step::Seal { quarters: 3 },
+            Step::Seal { quarters: 4 },
+        ],
+        // A record below an earlier seal.
+        &[
+            Step::Run {
+                origin: 1,
+                len: CHUNK + 7,
+                stamp: Clocked,
+            },
+            Step::Records {
+                origin: 2,
+                len: 40,
+                stamp: Clocked,
+            },
+            Step::Seal { quarters: 2 },
+            Step::Records {
+                origin: 1,
+                len: 1,
+                stamp: BackInTime,
+            },
+            Step::Records {
+                origin: 1,
+                len: 300,
+                stamp: Clocked,
+            },
+            Step::Seal { quarters: 4 },
+            Step::Records {
+                origin: 1,
+                len: 9,
+                stamp: Clocked,
+            },
+        ],
+    ];
+    for history in histories {
+        canonical_sort_holds(history.to_vec());
+    }
+}
+
+/// Runs `history` through a bare `MemorySink`, a `BufferedSink` in front of
+/// one and the oracle, checking `len()` after every step, and then that
+/// each hands back the stable sort by `(t, origin, seq)` of everything
+/// recorded.
+fn canonical_sort_holds(history: Vec<Step>) {
+    let bare = MemorySink::new();
+    let inner = Arc::new(MemorySink::new());
+    let buffered = BufferedSink::new(Arc::clone(&inner));
+    let mut oracle = OracleSink::default();
+    let mut producers = Producers::default();
+    let mut model = DeliveryModel::default();
+    let mut everything: Vec<TraceRecord> = Vec::new();
+    let mut sealed_before = SimTime::ZERO;
+
+    for step in history {
+        match step {
+            Step::Records { origin, len, stamp } => {
+                for _ in 0..len {
+                    let rec = producers.mint(origin, stamp);
+                    model.record(rec.origin);
+                    bare.record(rec.clone());
+                    buffered.record(rec.clone());
+                    oracle.record(rec.clone());
+                    everything.push(rec);
                 }
             }
-            prop_assert_eq!(bare.len(), everything.len());
-            prop_assert_eq!(inner.len(), model.delivered);
+            Step::Run { origin, len, stamp } => {
+                // A run is single-origin, so a legacy run goes to
+                // origin 0 as a whole.
+                let run: Vec<TraceRecord> =
+                    (0..len).map(|_| producers.mint(origin, stamp)).collect();
+                let run_origin = if stamp.is_legacy() { 0 } else { origin };
+                for rec in &run {
+                    model.record(rec.origin);
+                }
+                bare.record_run(u32::from(run_origin), &mut run.clone());
+                buffered.record_run(u32::from(run_origin), &mut run.clone());
+                oracle.record_run(run_origin, &mut run.clone());
+                everything.extend(run);
+            }
+            Step::Batch {
+                origins,
+                len,
+                stamp,
+            } => {
+                let batch = producers.batch(origins, len, stamp);
+                // A buffered sink delivers what it holds, then the batch.
+                model.flush();
+                model.delivered += batch.len();
+                bare.record_batch(&batch);
+                buffered.record_batch(&batch);
+                batch.iter().for_each(|rec| oracle.record(rec.clone()));
+                everything.extend(batch);
+            }
+            Step::FlushOrigin { origin } => {
+                model.flush_origin(origin);
+                bare.flush_origin(u32::from(origin));
+                buffered.flush_origin(u32::from(origin));
+            }
+            Step::Flush => {
+                model.flush();
+                bare.flush();
+                buffered.flush();
+            }
+            Step::Seal { quarters } => {
+                // Bounds never go back, though they may repeat. A
+                // `BackInTime` or `Legacy` record emitted after this
+                // may lie below it all the same: the sinks must cope.
+                sealed_before = sealed_before.max(producers.bound(quarters));
+                // A buffered sink delivers what it holds, then forwards.
+                model.flush();
+                bare.seal_before(sealed_before);
+                buffered.seal_before(sealed_before);
+            }
         }
-        buffered.flush();
-        prop_assert_eq!(inner.len(), everything.len());
-
-        // `sort_by_key` is stable: equal keys (one origin's legacy records)
-        // keep the order they were recorded in.
-        everything.sort_by_key(merge_key);
-        let from_oracle = oracle.take_sorted();
-        prop_assert!(from_oracle == everything, "the old sink disagrees with the stable sort");
-        let from_bare = bare.take_sorted();
-        prop_assert!(from_bare == everything, "bare MemorySink: wrong order or content");
-        let from_buffered = inner.take_sorted();
-        prop_assert!(from_buffered == everything, "BufferedSink<MemorySink>: wrong order or content");
-
-        prop_assert!(bare.take_sorted().is_empty());
-        prop_assert!(inner.take_sorted().is_empty());
-        prop_assert_eq!((bare.len(), inner.len()), (0, 0));
-        prop_assert!(bare.is_empty());
+        assert_eq!(bare.len(), everything.len());
+        assert_eq!(inner.len(), model.delivered);
     }
+    buffered.flush();
+    assert_eq!(inner.len(), everything.len());
+
+    // `sort_by_key` is stable: equal keys (one origin's legacy records)
+    // keep the order they were recorded in.
+    everything.sort_by_key(merge_key);
+    let from_oracle = oracle.take_sorted();
+    assert!(
+        from_oracle == everything,
+        "the old sink disagrees with the stable sort"
+    );
+    let from_bare = bare.take_sorted();
+    assert!(
+        from_bare == everything,
+        "bare MemorySink: wrong order or content"
+    );
+    let from_buffered = inner.take_sorted();
+    assert!(
+        from_buffered == everything,
+        "BufferedSink<MemorySink>: wrong order or content"
+    );
+
+    assert!(bare.take_sorted().is_empty());
+    assert!(inner.take_sorted().is_empty());
+    assert_eq!((bare.len(), inner.len()), (0, 0));
+    assert!(bare.is_empty());
 }
 
 /// A producer that breaks its promise: after a seal it emits a record below
@@ -626,22 +827,48 @@ proptest! {
     }
 }
 
-/// The other side of the hand-off: a `MemorySink` keeps every chunk it is
-/// handed, so the buffer opens a new one each time — at its final size.
+/// The other side of the hand-off: a `MemorySink` moves each chunk it is
+/// handed onto its store and leaves the allocation, so behind a
+/// `BufferedSink` each origin fills the one chunk it opened for the whole
+/// run, and the store grows by amortised doubling.
 #[test]
-fn chunks_handed_to_a_memory_sink_are_allocated_once_each() {
+fn behind_a_buffer_each_origin_fills_one_chunk_and_the_store_doubles() {
     let inner = Arc::new(MemorySink::new());
     let buffered = BufferedSink::new(Arc::clone(&inner));
     let mut producers = Producers::default();
-    let total = 5 * CHUNK + 17;
-    let before = LARGE_REQUESTS.with(Cell::get);
-    for _ in 0..total {
-        buffered.record(producers.mint(3, Stamp::Clocked));
+    let origins = [3, 5];
+    let per_origin = 5 * CHUNK + 17;
+    let recs: Vec<TraceRecord> = (0..per_origin)
+        .flat_map(|_| origins.map(|origin| producers.mint(origin, Stamp::Clocked)))
+        .collect();
+    // One record first, so the store's own growth is all reallocations and
+    // a fresh chunk-sized allocation can only be a buffer's.
+    inner.record(producers.mint(7, Stamp::Clocked));
+    let mark = LARGE_REQUESTS.with(Cell::get);
+    for rec in recs {
+        buffered.record(rec);
     }
     buffered.flush();
-    let large_requests = LARGE_REQUESTS.with(Cell::get) - before;
-    assert_eq!(inner.len(), total);
-    // Six chunks opened (five filled, one flushed part-full); shrinking the
-    // last one to fit does not count, it is far below a quarter chunk.
-    assert_eq!(large_requests, 6);
+    let requests = large_requests_since(mark);
+    assert_eq!(inner.len(), origins.len() * per_origin + 1);
+
+    let chunk_bytes = CHUNK * std::mem::size_of::<TraceRecord>();
+    let opened = requests.iter().filter(|&&(_, realloc)| !realloc).count();
+    assert_eq!(opened, origins.len(), "large requests: {requests:?}");
+    assert!(requests
+        .iter()
+        .all(|&(bytes, realloc)| realloc || bytes == chunk_bytes));
+
+    let grown: Vec<usize> = requests
+        .iter()
+        .filter(|&&(_, realloc)| realloc)
+        .map(|&(bytes, _)| bytes)
+        .collect();
+    assert!(
+        grown.windows(2).all(|w| w[1] >= 2 * w[0]),
+        "the store grew to {grown:?} bytes"
+    );
+    // 10 chunks' worth from one record's room: 4 doublings and the first
+    // step, at most.
+    assert!(grown.len() <= 5, "the store grew to {grown:?} bytes");
 }

@@ -267,7 +267,7 @@ fn the_float_zero_scan_sees_both_sides_and_every_spelling() {
 /// DESIGN.md's size ceiling in bytes. The document describes the system as
 /// it is; measurements and history belong in CHANGES.md. A change may lower
 /// the ceiling; raising it needs a reason stated in CHANGES.md.
-const DESIGN_MAX_BYTES: usize = 49_594;
+const DESIGN_MAX_BYTES: usize = 49_583;
 
 #[test]
 fn design_doc_stays_under_its_ceiling() {

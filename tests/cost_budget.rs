@@ -203,11 +203,7 @@ const BUDGET: &[(&str, Cost)] = &[
 /// from `Driver::new` to the end of `run`. Only debug builds keep ranks,
 /// so a release build pins no row.
 const LOCKS: &[(Rank, u64)] = if cfg!(debug_assertions) {
-    &[
-        (Rank::SealedPrefix, 7),
-        (Rank::LogWriters, 0),
-        (Rank::Leaf, 710_546),
-    ]
+    &[(Rank::LogWriters, 0), (Rank::Leaf, 710_329)]
 } else {
     &[]
 };
