@@ -18,7 +18,7 @@
 //! Two decision mechanisms are used, both worker-count-invariant:
 //!
 //! * **Outage windows** (shard and auth-service unavailability) are
-//!   precomputed from `derive_seed(seed, label, shard)` alone. A lookup is a
+//!   scheduled from `derive_seed(seed, label, shard)` alone. A lookup is a
 //!   pure function of `(shard, virtual time)` — it does not matter which
 //!   thread asks, or in which order.
 //! * **Bernoulli rolls** (RPC timeouts, blob part-put failures, notification
@@ -43,10 +43,8 @@
 //! serializes to nothing, keeping fault-free traces byte-identical.
 
 use crate::clock::{SimDuration, SimTime};
-use crate::fxhash::FxHashMap;
 use crate::partition::OriginBank;
 use crate::rngx;
-use crate::sync::RwLock;
 use rand::rngs::SmallRng;
 use rand::Rng;
 use std::cell::Cell;
@@ -353,9 +351,6 @@ impl Bank {
 
 /// Turns a [`FaultPlan`] into concrete, deterministic fault decisions.
 ///
-/// Sorted `(start, end)` outage windows for one component.
-type Windows = Vec<(SimTime, SimTime)>;
-
 /// Constructed once per run (the backend builds one from its config seed and
 /// the driver builds an independent one for client-side crash rolls). All
 /// methods are cheap no-ops when the plan [is none](FaultPlan::is_none).
@@ -366,9 +361,6 @@ pub struct FaultInjector {
     part: Bank,
     notify: Bank,
     crash: Bank,
-    /// Outage windows per shard, computed lazily (shard count is not known
-    /// here) from `derive_seed(seed, "fault-shard-window", shard)`.
-    shard_windows: RwLock<FxHashMap<u64, Arc<Windows>>>,
     /// Auth-service outage windows, computed eagerly.
     auth_windows: Vec<(SimTime, SimTime)>,
 }
@@ -418,7 +410,6 @@ impl FaultInjector {
             part: Bank::new("fault-part", seed),
             notify: Bank::new("fault-notify", seed),
             crash: Bank::new("fault-crash", seed),
-            shard_windows: RwLock::new(FxHashMap::default()),
             auth_windows,
             plan,
             seed,
@@ -460,29 +451,20 @@ impl FaultInjector {
     }
 
     /// Is metadata shard `shard` inside an unavailability window at `t`?
-    /// Pure function of `(seed, shard, t)` — worker-count invariant.
+    /// Pure function of `(seed, shard, t)` — worker-count invariant. The
+    /// shard's windows are scheduled afresh from
+    /// `sub_rng(seed, "fault-shard-window", shard)` on each call.
     pub fn shard_down(&self, shard: u64, t: SimTime) -> bool {
         if self.plan.shard_outages == 0 || self.plan.shard_outage_len == SimDuration::ZERO {
             return false;
         }
-        let cached = {
-            let map = self.shard_windows.read();
-            map.get(&shard).cloned()
-        };
-        let windows = match cached {
-            Some(w) => w,
-            None => {
-                let mut rng = rngx::sub_rng(self.seed, "fault-shard-window", shard);
-                let w = Arc::new(schedule_windows(
-                    &mut rng,
-                    self.plan.shard_outages,
-                    self.plan.shard_outage_len,
-                    self.plan.horizon,
-                ));
-                let mut map = self.shard_windows.write();
-                Arc::clone(map.entry(shard).or_insert(w))
-            }
-        };
+        let mut rng = rngx::sub_rng(self.seed, "fault-shard-window", shard);
+        let windows = schedule_windows(
+            &mut rng,
+            self.plan.shard_outages,
+            self.plan.shard_outage_len,
+            self.plan.horizon,
+        );
         in_windows(&windows, t)
     }
 

@@ -15,7 +15,7 @@
 //! * every number from the paper that some code reads, each once, with its
 //!   section or figure ([`paper`]),
 //! * deterministic RNG plumbing used across the workload generator,
-//! * the workspace's locks, each ranked in one lock order ([`sync`]).
+//! * the workspace's locks, never held two at a time ([`sync`]).
 
 pub mod clock;
 pub mod error;

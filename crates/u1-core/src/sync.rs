@@ -1,20 +1,20 @@
-//! Locks that know their place in the lock order.
+//! Locks that are never held two at a time.
 //!
 //! [`Mutex`] and [`RwLock`] wrap the `std::sync` locks with a non-poisoning
 //! API: `lock()`, `read()` and `write()` return guards directly, and a
-//! holder that panicked does not lock everyone else out. Each lock is built
-//! with a [`Rank`], and the variants of [`Rank`], in declaration order, are
-//! the workspace's lock-order table. A thread may take a lock only when its
-//! rank is strictly above every rank the thread already holds, so no two
-//! threads can wait on each other in a cycle. [`Rank::Leaf`] is the top
-//! rank and the default: nothing may be taken while a leaf is held.
+//! holder that panicked does not lock everyone else out. The workspace's
+//! whole lock discipline is one rule: a thread holds at most one of these
+//! locks at a time. No thread ever waits for a lock while holding one, so
+//! no two threads can wait on each other in a cycle. Code that needs two
+//! locked values copies what it needs out of the first guard and drops it
+//! before taking the second.
 //!
-//! Debug builds, and so every `cargo test`, check the order on each
-//! acquisition against a per-thread set of held ranks and panic on the
-//! first violation, before blocking. They also count every acquisition per
-//! rank, process-wide ([`acquisitions`]), so a test can pin how many locks a
-//! piece of work takes. Release builds keep no rank and do no bookkeeping:
-//! a lock is the `std::sync` lock it wraps.
+//! Debug builds, and so every `cargo test`, check the rule on each
+//! acquisition against a per-thread flag and panic on a nested acquire,
+//! before blocking. They also count every acquisition, process-wide
+//! ([`acquisitions`]), so a test can pin how many locks a piece of work
+//! takes. A lock itself is the `std::sync` lock it wraps in every build,
+//! and release builds keep no flag and no count.
 
 // The one place the raw locks are allowed (see `clippy.toml`).
 #![allow(clippy::disallowed_types)]
@@ -25,102 +25,55 @@ use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::PoisonError;
 
-/// The lock order, lowest first: a thread holding a lock of some rank may
-/// take only locks of a higher rank. Only locks that are held while another
-/// is taken have a rank of their own below [`Rank::Leaf`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Rank {
-    /// A `DirSink` writer stripe: a failed open, write or flush records the
-    /// first error under it.
-    LogWriters,
-    /// Every other lock. Nothing may be taken while a leaf is held.
-    #[default]
-    Leaf,
-}
+/// The panic message of a nested acquire.
+#[cfg(debug_assertions)]
+const NESTED: &str = "nested lock: this thread already holds a u1_core::sync lock";
 
 #[cfg(debug_assertions)]
 thread_local! {
-    /// Bit `r` is set while this thread holds a lock of rank `r`. Ranks are
-    /// taken in strictly increasing order, so no rank is held twice.
-    static HELD: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+    /// Whether this thread holds a lock.
+    static HOLDING: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
-/// Locks taken so far in this process, indexed by their rank's bit.
+/// Locks taken so far in this process.
 #[cfg(debug_assertions)]
-static ACQUIRED: [AtomicU64; 2] = [const { AtomicU64::new(0) }; 2];
+static ACQUIRED: AtomicU64 = AtomicU64::new(0);
 
-/// How many locks of each rank this process has taken so far, lowest rank
-/// first. Debug builds only: a release lock keeps no rank.
+/// How many locks this process has taken so far. Debug builds only: a
+/// release lock keeps no count.
 #[cfg(debug_assertions)]
-pub fn acquisitions() -> [(Rank, u64); 2] {
-    RANKS.map(|rank| (rank, ACQUIRED[rank as usize].load(Ordering::Relaxed)))
+pub fn acquisitions() -> u64 {
+    ACQUIRED.load(Ordering::Relaxed)
 }
 
-/// The rank a lock was built with; zero-sized in release builds.
-#[derive(Clone, Copy, Default)]
-struct Order {
-    #[cfg(debug_assertions)]
-    rank: Rank,
-}
+/// A guard's claim on its thread's one lock, given back when the guard
+/// drops. Zero-sized; release builds keep no claim.
+struct Held;
 
-impl Order {
-    #[cfg_attr(not(debug_assertions), allow(unused_variables))]
-    const fn new(rank: Rank) -> Self {
-        Self {
-            #[cfg(debug_assertions)]
-            rank,
-        }
-    }
-
-    /// Records that this thread takes a lock of this rank, or panics if the
-    /// thread already holds one of the same or a higher rank, and counts
-    /// the acquisition.
+impl Held {
+    /// Records that this thread takes a lock, or panics if it already holds
+    /// one, and counts the acquisition.
     #[inline]
-    fn claim(self) -> Held {
+    fn claim() -> Self {
         #[cfg(debug_assertions)]
-        HELD.with(|held| {
-            let bit = 1u32 << self.rank as u32;
-            let mask = held.get();
-            // A set bit at or above `bit` is a held rank >= this one.
-            if mask >= bit {
-                let highest = RANKS[(31 - mask.leading_zeros()) as usize];
-                panic!(
-                    "lock order: taking a {:?} lock while holding a {highest:?} lock",
-                    self.rank
-                );
-            }
-            held.set(mask | bit);
-        });
-        #[cfg(debug_assertions)]
-        ACQUIRED[self.rank as usize].fetch_add(1, Ordering::Relaxed);
-        Held {
-            #[cfg(debug_assertions)]
-            rank: self.rank,
+        {
+            HOLDING.with(|holding| assert!(!holding.replace(true), "{NESTED}"));
+            ACQUIRED.fetch_add(1, Ordering::Relaxed);
         }
+        Held
     }
-}
-
-/// Every rank, indexed by its bit.
-#[cfg(debug_assertions)]
-const RANKS: [Rank; 2] = [Rank::LogWriters, Rank::Leaf];
-
-/// A guard's claim on its rank, given back when the guard drops.
-struct Held {
-    #[cfg(debug_assertions)]
-    rank: Rank,
 }
 
 #[cfg(debug_assertions)]
 impl Drop for Held {
     fn drop(&mut self) {
-        HELD.with(|held| held.set(held.get() & !(1u32 << self.rank as u32)));
+        HOLDING.with(|holding| holding.set(false));
     }
 }
 
-/// A mutual-exclusion lock with a rank; see the [module docs](self).
+/// A mutual-exclusion lock; see the [module docs](self).
 #[derive(Default)]
 pub struct Mutex<T> {
-    order: Order,
     inner: std::sync::Mutex<T>,
 }
 
@@ -131,20 +84,14 @@ pub struct MutexGuard<'a, T> {
 }
 
 impl<T> Mutex<T> {
-    /// A [`Rank::Leaf`] lock.
     pub const fn new(value: T) -> Self {
-        Self::ranked(Rank::Leaf, value)
-    }
-
-    pub const fn ranked(rank: Rank, value: T) -> Self {
         Self {
-            order: Order::new(rank),
             inner: std::sync::Mutex::new(value),
         }
     }
 
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        let held = self.order.claim();
+        let held = Held::claim();
         MutexGuard {
             inner: self.inner.lock().unwrap_or_else(PoisonError::into_inner),
             _held: held,
@@ -160,7 +107,7 @@ impl<T> Mutex<T> {
 
 impl<T: fmt::Debug> fmt::Debug for Mutex<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // `try_lock` cannot block, so it takes no part in the order.
+        // `try_lock` cannot block, so it is not an acquire the rule counts.
         match self.inner.try_lock() {
             Ok(g) => f.debug_struct("Mutex").field("data", &&*g).finish(),
             Err(_) => f.debug_struct("Mutex").field("data", &"<locked>").finish(),
@@ -181,11 +128,10 @@ impl<T> DerefMut for MutexGuard<'_, T> {
     }
 }
 
-/// A reader-writer lock with a rank; see the [module docs](self). Readers
-/// are ranked like writers: a thread may not take a read lock twice either.
+/// A reader-writer lock; see the [module docs](self). A read lock is a lock
+/// like any other: a thread may not take one while it holds a lock either.
 #[derive(Default)]
 pub struct RwLock<T> {
-    order: Order,
     inner: std::sync::RwLock<T>,
 }
 
@@ -202,20 +148,14 @@ pub struct RwLockWriteGuard<'a, T> {
 }
 
 impl<T> RwLock<T> {
-    /// A [`Rank::Leaf`] lock.
     pub const fn new(value: T) -> Self {
-        Self::ranked(Rank::Leaf, value)
-    }
-
-    pub const fn ranked(rank: Rank, value: T) -> Self {
         Self {
-            order: Order::new(rank),
             inner: std::sync::RwLock::new(value),
         }
     }
 
     pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        let held = self.order.claim();
+        let held = Held::claim();
         RwLockReadGuard {
             inner: self.inner.read().unwrap_or_else(PoisonError::into_inner),
             _held: held,
@@ -223,7 +163,7 @@ impl<T> RwLock<T> {
     }
 
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        let held = self.order.claim();
+        let held = Held::claim();
         RwLockWriteGuard {
             inner: self.inner.write().unwrap_or_else(PoisonError::into_inner),
             _held: held,
@@ -263,81 +203,93 @@ impl<T> DerefMut for RwLockWriteGuard<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
-    #[test]
-    fn in_order_acquires_and_reacquires_after_drop_pass() {
-        let writers = RwLock::ranked(Rank::LogWriters, 1);
-        let leaf = Mutex::new(2);
-        {
-            let _w = writers.read();
-            assert_eq!(*leaf.lock(), 2);
+    /// The three ways to take a lock.
+    #[derive(Clone, Copy, Debug)]
+    enum Take {
+        Lock,
+        Read,
+        Write,
+    }
+
+    const TAKES: [Take; 3] = [Take::Lock, Take::Read, Take::Write];
+
+    /// One lock of each type.
+    #[derive(Default)]
+    struct Locks(Mutex<()>, RwLock<()>);
+
+    /// Runs `then` while holding one of `locks`, taken the way `take` says.
+    fn holding(locks: &Locks, take: Take, then: impl FnOnce()) {
+        match take {
+            Take::Lock => {
+                let _g = locks.0.lock();
+                then();
+            }
+            Take::Read => {
+                let _g = locks.1.read();
+                then();
+            }
+            Take::Write => {
+                let _g = locks.1.write();
+                then();
+            }
         }
-        // Released out of order, each rank is free again.
-        let w = writers.write();
-        let l = leaf.lock();
-        drop(w);
-        drop(l);
-        let _w = writers.read();
-        assert_eq!(*leaf.lock(), 2);
+    }
+
+    /// The message of a caught panic.
+    fn message(payload: &(dyn std::any::Any + Send)) -> Option<&str> {
+        payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
     }
 
     #[test]
     #[cfg(debug_assertions)]
-    fn out_of_order_acquire_panics_and_leaves_the_held_set_as_it_was() {
-        use std::panic::{catch_unwind, AssertUnwindSafe};
-        let low = Mutex::ranked(Rank::LogWriters, ());
-        let high = Mutex::new(());
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let _h = high.lock();
-            let _l = low.lock();
-        }));
-        let message = outcome.expect_err("LogWriters under Leaf must panic");
-        assert_eq!(
-            message.downcast_ref::<String>().map(String::as_str),
-            Some("lock order: taking a LogWriters lock while holding a Leaf lock")
-        );
-        // The guard taken before the panic gave its rank back on unwind.
-        let _l = low.lock();
-        let _h = high.lock();
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "taking a Leaf lock while holding a Leaf lock")]
-    fn anything_under_a_leaf_panics() {
-        let (a, b) = (Mutex::new(()), RwLock::<()>::default());
-        let _a = a.lock();
-        let _b = b.read();
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "taking a LogWriters lock while holding a Leaf lock")]
-    fn a_ranked_lock_under_a_leaf_panics() {
-        let (leaf, writers) = (RwLock::new(()), Mutex::ranked(Rank::LogWriters, ()));
-        let _leaf = leaf.write();
-        let _writers = writers.lock();
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    fn acquisitions_are_counted_per_rank() {
-        let taken = || acquisitions()[Rank::LogWriters as usize].1;
-        let before = taken();
-        let m = Mutex::ranked(Rank::LogWriters, ());
-        drop(m.lock());
-        drop(m.lock());
-        // Tests running beside this one may take such locks too.
-        assert!(taken() >= before + 2);
-    }
-
-    #[test]
-    fn ranks_are_indexed_by_their_bit() {
-        #[cfg(debug_assertions)]
-        for (i, rank) in RANKS.iter().enumerate() {
-            assert_eq!(*rank as usize, i);
+    fn every_nested_acquire_panics() {
+        for outer in TAKES {
+            for inner in TAKES {
+                let (a, b) = (Locks::default(), Locks::default());
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    holding(&a, outer, || holding(&b, inner, || ()));
+                }));
+                let payload = outcome.expect_err("a nested acquire must panic");
+                assert_eq!(
+                    message(&*payload),
+                    Some(NESTED),
+                    "{inner:?} under {outer:?}"
+                );
+            }
         }
-        assert_eq!(Rank::default(), Rank::Leaf);
+    }
+
+    #[test]
+    fn a_guard_gives_its_claim_back_on_unwind() {
+        for take in TAKES {
+            let (a, b) = (Locks::default(), Locks::default());
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                holding(&a, take, || panic!("while holding"));
+            }));
+            assert_eq!(message(&*outcome.unwrap_err()), Some("while holding"));
+            // The guard dropped on unwind, so this thread holds nothing.
+            for next in TAKES {
+                holding(&b, next, || ());
+                holding(&a, next, || ());
+            }
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    fn acquisitions_are_counted() {
+        let before = acquisitions();
+        let locks = Locks::default();
+        for take in TAKES {
+            holding(&locks, take, || ());
+        }
+        // Tests running beside this one take locks too.
+        assert!(acquisitions() >= before + 3);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! are easy to guess). Every answer a recipient gets must be `Ok`,
 //! `not_found` or `permission_denied`: a volume can vanish under it, and a
 //! job in the owner's unshared root volume is not its to touch. Debug
-//! builds also check the lock order on every acquisition, so a nested
-//! shard lock panics here.
+//! builds also check on every acquisition that no thread holds two locks,
+//! so a nested shard lock panics here.
 
 use std::thread;
 use u1_core::{ContentHash, CoreError, CoreResult, NodeKind, SimTime, UploadId, UserId, VolumeId};

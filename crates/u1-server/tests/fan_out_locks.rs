@@ -14,11 +14,6 @@ use u1_server::api::SessionState;
 use u1_server::{Backend, BackendConfig};
 use u1_trace::MemorySink;
 
-/// Locks of every rank taken so far in this process.
-fn locks_taken() -> u64 {
-    acquisitions().iter().map(|(_, n)| n).sum()
-}
-
 /// A fresh default back end (6 machines × 12 API processes) whose auth
 /// service never fails.
 fn backend() -> Backend {
@@ -47,9 +42,9 @@ fn make_file_locks(b: &Backend, user: UserId, pusher: &mut SessionState) -> Core
         parent: NodeId::new(0),
         name: "new.txt".into(),
     };
-    let before = locks_taken();
+    let before = acquisitions();
     b.serve(pusher, make)?;
-    Ok(locks_taken() - before)
+    Ok(acquisitions() - before)
 }
 
 /// The pushes that reached `state` so far.

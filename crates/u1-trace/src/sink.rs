@@ -9,7 +9,8 @@
 //! seal merges and reorders in place, so a sealed day is held once — and
 //! hands it over in canonical `(t, origin, seq)` order. [`DirSink`] writes
 //! the paper's logfiles, one per (machine, process, day), a buffer of whole
-//! lines per write. [`NullSink`] drops everything.
+//! lines per write. [`NullSink`] drops everything. No sink takes a lock
+//! while it holds one (`u1_core::sync`).
 
 use crate::csvline;
 use crate::event::{Payload, SessionEvent, TraceRecord};
@@ -22,14 +23,13 @@ use std::io::{BufWriter, Write};
 use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use u1_core::sync::{Mutex, Rank};
+use std::sync::OnceLock;
+use u1_core::sync::Mutex;
 use u1_core::{CachePadded, MachineId, ProcessId, SessionId, SimTime, UserId};
 
-/// Stripe count used by the lock-sharded sinks below. Origins (driver
-/// partitions) and (machine, process) pairs are spread across this many
-/// independent locks so concurrent emitters rarely contend.
-///
-/// [`BufferedSink`] stripes by `origin % STRIPES`; origins are small dense
+/// Stripe count of [`BufferedSink`]: origins (driver partitions) are spread
+/// across this many independent locks so concurrent emitters rarely
+/// contend. It stripes by `origin % STRIPES`; origins are small dense
 /// integers (one per metastore shard plus the coordinator — 11 by default),
 /// so 32 stripes is a perfect collision-free partition up to 32 driver
 /// partitions. Each stripe lock is additionally padded to its own cache
@@ -183,8 +183,7 @@ impl TraceSink for NullSink {
 /// the pages they arrived in. A month sealed day by day therefore holds one
 /// copy of its trace, and a seal needs beside it a `u32` per unsettled
 /// record and a few blocks; `take_sorted` — "seal everything, take the
-/// prefix" — has one day left to settle. Nothing is locked under the one
-/// lock, so it is a [`Rank::Leaf`].
+/// prefix" — has one day left to settle.
 #[derive(Debug, Default)]
 pub struct MemorySink {
     store: Mutex<Store>,
@@ -715,41 +714,36 @@ thread_local! {
     static LINE_BUF: RefCell<Vec<u8>> = RefCell::new(Vec::with_capacity(256));
 }
 
-/// One [`DirSink`] stripe: the day-rotated writers of the (machine,
-/// process) pairs hashing to it, padded to a cache line.
-type WriterStripe = CachePadded<Mutex<HashMap<(MachineId, ProcessId), DayWriter>>>;
-
 /// Writes paper-style logfiles under a directory: one file per
-/// (machine, process, day), rotated as simulated days advance. The writer
-/// map is striped by (machine, process) so concurrent processes don't
-/// contend on one global lock.
+/// (machine, process, day), rotated as simulated days advance.
 ///
-/// A stripe lock ([`Rank::LogWriters`]) is held across the file I/O of its
-/// writers on purpose; it is what keeps three promises:
+/// Every (machine, process)'s writer sits in one map under one lock, held
+/// across the file I/O of a write on purpose; it is what keeps three
+/// promises:
 ///
 /// * **Log-line atomicity.** A span of whole serialized lines is written in
-///   one `write_all` under the lock, so lines of processes sharing a stripe
-///   never tear or interleave.
+///   one `write_all` under the lock, so lines never tear or interleave.
 /// * **Day rotation.** The old day's writer is flushed and retired before
-///   the stripe accepts a line for the new day.
-/// * **Flush completeness.** [`TraceSink::flush`] drains each stripe under
-///   its lock, so no line written before the call is missed.
+///   the map accepts a line for the new day.
+/// * **Flush completeness.** [`TraceSink::flush`] drains every writer under
+///   the lock, so no line written before the call is missed.
+///
+/// The lines are encoded into a per-thread buffer before the lock is taken,
+/// so the lock covers the write and its I/O, not the encoding.
 ///
 /// I/O errors do not abort the process: the sink degrades by dropping that
 /// (process, day)'s records, counting the failure in
 /// [`DirSink::io_errors`] and keeping the first error message in
-/// [`DirSink::first_io_error`] (a leaf lock, taken under the stripe).
+/// [`DirSink::first_io_error`], which is set once and needs no lock.
 pub struct DirSink {
     dir: PathBuf,
-    stripes: Vec<WriterStripe>,
+    writers: Mutex<HashMap<(MachineId, ProcessId), DayWriter>>,
     /// Append `o=`/`q=` origin/sequence stamps to every line (see
     /// [`csvline::write_line_stamped`]). Off by default: plain mode emits
     /// the paper's exact logfile schema.
     stamped: bool,
-    // Padded: this counter sits next to the stripe array and is bumped on
-    // the degraded path while other threads stream through their stripes.
-    io_errors: CachePadded<AtomicU64>,
-    first_error: Mutex<Option<String>>,
+    io_errors: AtomicU64,
+    first_error: OnceLock<String>,
 }
 
 impl DirSink {
@@ -770,12 +764,10 @@ impl DirSink {
         fs::create_dir_all(&dir)?;
         Ok(Self {
             dir,
-            stripes: (0..STRIPES)
-                .map(|_| CachePadded::new(Mutex::ranked(Rank::LogWriters, HashMap::new())))
-                .collect(),
+            writers: Mutex::new(HashMap::new()),
             stamped,
-            io_errors: CachePadded::new(AtomicU64::new(0)),
-            first_error: Mutex::new(None),
+            io_errors: AtomicU64::new(0),
+            first_error: OnceLock::new(),
         })
     }
 
@@ -793,27 +785,13 @@ impl DirSink {
     /// Counts one degraded-mode I/O failure and keeps the first message.
     fn note_io_error(&self, msg: impl FnOnce() -> String) {
         self.io_errors.fetch_add(1, Ordering::Relaxed);
-        let mut slot = self.first_error.lock();
-        if slot.is_none() {
-            *slot = Some(msg());
-        }
+        self.first_error.get_or_init(msg);
     }
 
     /// The first I/O error observed, if any — enough to diagnose a
     /// misconfigured trace directory without aborting a multi-hour run.
     pub fn first_io_error(&self) -> Option<String> {
-        self.first_error.lock().clone()
-    }
-
-    fn stripe_of(machine: MachineId, process: ProcessId) -> usize {
-        // Fibonacci-hash the (machine, process) pair and take high bits:
-        // the old `machine*31 + process % STRIPES` folded the paper's small
-        // dense machine/process ids onto a handful of stripes (collisions
-        // between concurrent processes serialize their writers). The
-        // multiplicative mix spreads dense ids uniformly.
-        let key = ((machine.raw() as u64) << 32) | process.raw() as u64;
-        let mixed = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        (mixed >> 58) as usize % STRIPES
+        self.first_error.get().cloned()
     }
 
     fn open(&self, machine: MachineId, process: ProcessId, day: u64) -> Option<BufWriter<File>> {
@@ -835,7 +813,7 @@ impl DirSink {
     /// Appends pre-serialized whole lines (newlines included) to the right
     /// (machine, process, day) file.
     fn write_serialized(&self, machine: MachineId, process: ProcessId, day: u64, lines: &[u8]) {
-        let mut writers = self.stripes[Self::stripe_of(machine, process)].lock();
+        let mut writers = self.writers.lock();
         let entry = writers.entry((machine, process));
         let slot = match entry {
             std::collections::hash_map::Entry::Occupied(mut o) => {
@@ -894,13 +872,11 @@ impl TraceSink for DirSink {
     }
 
     fn flush(&self) {
-        for stripe in &self.stripes {
-            for (_, slot) in stripe.lock().iter_mut() {
-                if let Some(w) = &mut slot.1 {
-                    if let Err(e) = w.flush() {
-                        slot.1 = None;
-                        self.note_io_error(|| format!("flush trace logfile: {e}"));
-                    }
+        for (_, slot) in self.writers.lock().iter_mut() {
+            if let Some(w) = &mut slot.1 {
+                if let Err(e) = w.flush() {
+                    slot.1 = None;
+                    self.note_io_error(|| format!("flush trace logfile: {e}"));
                 }
             }
         }

@@ -3,8 +3,9 @@
 //! nondeterminism, and CI's clippy step must not switch any of it back off.
 //! This test keeps every half of that live, and adds the one check clippy
 //! leaves out: float comparisons with zero in the statistics kernels. It
-//! also holds DESIGN.md under a size ceiling, and holds every crate path it
-//! writes and every `DESIGN §N` cited elsewhere to the tree.
+//! also holds DESIGN.md under a size ceiling, holds every crate path it
+//! writes and every `DESIGN §N` cited elsewhere to the tree, and holds every
+//! dependency a manifest declares to code that names it.
 
 use std::path::{Path, PathBuf};
 
@@ -28,7 +29,7 @@ const PANIC_LINTS: &[&str] = &[
     "unreachable",
 ];
 
-/// Raw locks: every lock must be a ranked `u1_core::sync` lock.
+/// Raw locks: every lock must be a `u1_core::sync` lock.
 const DISALLOWED_TYPES: &[&str] = &["std::sync::Mutex", "std::sync::RwLock", "rand::rngs::OsRng"];
 
 /// Wall-clock time and entropy: a run is a function of its seed.
@@ -110,7 +111,7 @@ fn ci_clippy_step_allows_nothing_back() {
     );
     assert!(
         !ci.contains("u1-lint") && !ci.contains("lock-graph"),
-        "the lock order is checked by `u1_core::sync`, not by a CI step"
+        "the lock rule is checked by `u1_core::sync`, not by a CI step"
     );
 }
 
@@ -267,7 +268,7 @@ fn the_float_zero_scan_sees_both_sides_and_every_spelling() {
 /// DESIGN.md's size ceiling in bytes. The document describes the system as
 /// it is; measurements and history belong in CHANGES.md. A change may lower
 /// the ceiling; raising it needs a reason stated in CHANGES.md.
-const DESIGN_MAX_BYTES: usize = 49_583;
+const DESIGN_MAX_BYTES: usize = 49_566;
 
 #[test]
 fn design_doc_stays_under_its_ceiling() {
@@ -462,4 +463,87 @@ fn design_doc_names_only_what_exists() {
         }
     }
     assert!(missing.is_empty(), "{}", missing.join("\n"));
+}
+
+/// The names a manifest's `table` (`[dependencies]`, …) declares, spelled as
+/// code spells them (`u1-core` is `u1_core`).
+fn declared_dependencies(manifest: &str, table: &str) -> Vec<String> {
+    manifest
+        .lines()
+        .map(str::trim)
+        .skip_while(|l| *l != table)
+        .skip(1)
+        .take_while(|l| !l.starts_with('['))
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .filter_map(|l| l.split(['.', '=']).next())
+        .map(|name| name.trim().replace('-', "_"))
+        .collect()
+}
+
+/// Whether `text` names the crate `name` as `name::`, `use name` or
+/// `name!`.
+fn names_crate(text: &str, name: &str) -> bool {
+    text.match_indices(name).any(|(at, _)| {
+        let (before, after) = (&text[..at], &text[at + name.len()..]);
+        let whole = !before.ends_with(is_ident) && !after.starts_with(is_ident);
+        whole && (after.starts_with("::") || after.starts_with('!') || before.ends_with("use "))
+    })
+}
+
+/// Whether a `.rs` file under one of `dirs` of `package` names `name`.
+fn package_names(package: &Path, dirs: &[&str], name: &str) -> bool {
+    let mut files = Vec::new();
+    for dir in dirs {
+        let dir = package.join(dir);
+        if dir.is_dir() {
+            rust_files(&dir, &mut files);
+        }
+    }
+    files.iter().any(|file| {
+        let text = std::fs::read_to_string(file).expect("readable source");
+        names_crate(&text, name)
+    })
+}
+
+/// A manifest entry no code names still costs a build edge and misleads a
+/// reader about what the crate uses. Every `[dependencies]` entry of the
+/// root package and of each crate under `crates/` is named in its `src/`,
+/// and every `[dev-dependencies]` entry in its `src/`, `tests/`, `benches/`
+/// or `examples/`.
+#[test]
+fn every_declared_dependency_is_used() {
+    let root = workspace_root();
+    let mut packages = vec![root.clone()];
+    packages.extend(
+        workspace_crates()
+            .iter()
+            .map(|k| root.join("crates").join(k)),
+    );
+    let mut unused = Vec::new();
+    for package in packages {
+        let manifest_path = package.join("Cargo.toml");
+        let manifest = std::fs::read_to_string(&manifest_path).expect("Cargo.toml");
+        let rel = manifest_path
+            .strip_prefix(&root)
+            .unwrap_or(&manifest_path)
+            .display();
+        for (table, dirs) in [
+            ("[dependencies]", &["src"][..]),
+            (
+                "[dev-dependencies]",
+                &["src", "tests", "benches", "examples"][..],
+            ),
+        ] {
+            for name in declared_dependencies(&manifest, table) {
+                if !package_names(&package, dirs, &name) {
+                    unused.push(format!("{rel} {table} {name}"));
+                }
+            }
+        }
+    }
+    assert!(
+        unused.is_empty(),
+        "declared but named by no code:\n{}",
+        unused.join("\n")
+    );
 }

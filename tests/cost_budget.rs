@@ -14,8 +14,8 @@
 //! layout does, which no wall-clock bound would notice.
 //!
 //! [`LOCKS`] pins the third count, in debug builds: how many
-//! `u1_core::sync` locks of each rank the driver takes over the quick
-//! month. One extra lock per request moves it by thousands.
+//! `u1_core::sync` locks the driver takes over the quick month. One extra
+//! lock per request moves it by thousands.
 //!
 //! The `live:` row counts copies: one live 1 MiB upload and download
 //! through the client and server connection state machines and
@@ -33,7 +33,6 @@ use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 use ubuntuone::analytics::engine::{run_all, EngineConfig};
 use ubuntuone::auth::AuthConfig;
-use ubuntuone::core::sync::Rank;
 use ubuntuone::core::{NodeId, Sha1, SimClock, UserId, VolumeId};
 use ubuntuone::proto::conn::{ClientConn, ClientEvent, Received, ServerConn, ServerEvent};
 use ubuntuone::proto::msg::{Request, Response};
@@ -145,18 +144,6 @@ fn freed_by(release: impl FnOnce()) -> Cost {
 // The budget.
 // ---------------------------------------------------------------------------
 
-/// `debug` in a debug build, `release` in a release build: a
-/// `u1_core::sync` lock carries its lock-order rank only in debug builds,
-/// so the bytes held by an owner whose heap holds locks depend on the
-/// build.
-const fn by_build(debug: u64, release: u64) -> u64 {
-    if cfg!(debug_assertions) {
-        debug
-    } else {
-        release
-    }
-}
-
 /// The pinned table: one row per measured piece of work.
 const BUDGET: &[(&str, Cost)] = &[
     (
@@ -170,7 +157,7 @@ const BUDGET: &[(&str, Cost)] = &[
         "held: the metastore after the quick month",
         Cost {
             allocs: 2_829,
-            bytes: by_build(4_049_768, 4_049_176),
+            bytes: 4_049_176,
         },
     ),
     (
@@ -184,7 +171,7 @@ const BUDGET: &[(&str, Cost)] = &[
         "held: the rest of the back end after the quick month",
         Cost {
             allocs: 61,
-            bytes: by_build(194_176, 187_896),
+            bytes: 187_848,
         },
     ),
     // 2 MiB of payload, 2.0 allocated bytes per payload byte: a MiB each
@@ -199,24 +186,17 @@ const BUDGET: &[(&str, Cost)] = &[
     ),
 ];
 
-/// Locks of each rank the driver takes over the quick month on one worker,
-/// from `Driver::new` to the end of `run`. Only debug builds keep ranks,
-/// so a release build pins no row.
-const LOCKS: &[(Rank, u64)] = if cfg!(debug_assertions) {
-    &[(Rank::LogWriters, 0), (Rank::Leaf, 710_329)]
-} else {
-    &[]
-};
+/// Locks the driver takes over the quick month on one worker, from
+/// `Driver::new` to the end of `run`. Only debug builds count locks, so a
+/// release build checks none.
+const LOCKS: u64 = 710_329;
 
-/// Lock acquisitions, per rank.
-type Locks = Vec<(Rank, u64)>;
-
-/// Locks taken in this process so far, per rank; none in a release build.
-fn locks_taken() -> Locks {
+/// Locks taken in this process so far; none in a release build.
+fn locks_taken() -> u64 {
     #[cfg(debug_assertions)]
-    let taken = ubuntuone::core::sync::acquisitions().to_vec();
+    let taken = ubuntuone::core::sync::acquisitions();
     #[cfg(not(debug_assertions))]
-    let taken = Vec::new();
+    let taken = 0;
     taken
 }
 
@@ -225,7 +205,7 @@ fn locks_taken() -> Locks {
 /// back end holds at the end repeats exactly only on one. Returns the
 /// sorted trace, the engine's configuration, the back end's census and the
 /// locks the driver took.
-fn quick_month() -> (Vec<TraceRecord>, EngineConfig, [Cost; 3], Locks) {
+fn quick_month() -> (Vec<TraceRecord>, EngineConfig, [Cost; 3], u64) {
     let cfg = WorkloadConfig {
         workers: 1,
         ..WorkloadConfig::quick()
@@ -245,11 +225,7 @@ fn quick_month() -> (Vec<TraceRecord>, EngineConfig, [Cost; 3], Locks) {
     ));
     let before = locks_taken();
     Driver::new(cfg, Arc::clone(&backend), clock).run();
-    let locks = locks_taken()
-        .into_iter()
-        .zip(before)
-        .map(|((rank, after), (_, before))| (rank, after - before))
-        .collect();
+    let locks = locks_taken() - before;
     let Ok(backend) = Arc::try_unwrap(backend) else {
         panic!("the driver left the back end shared");
     };
@@ -418,7 +394,7 @@ fn live_transfer() -> Cost {
 }
 
 /// Every row of the budget, measured, and the locks the month took.
-fn measured_rows() -> (Vec<(&'static str, Cost)>, Locks) {
+fn measured_rows() -> (Vec<(&'static str, Cost)>, u64) {
     let (records, engine, [metastore, blobstore, rest], locks) = quick_month();
     let (report, fold) = measure(|| run_all(&records, &engine));
     assert_eq!(report.summary.records, records.len() as u64);
@@ -439,5 +415,7 @@ fn measured_rows() -> (Vec<(&'static str, Cost)>, Locks) {
 fn costs_match_the_pinned_budget() {
     let (rows, locks) = measured_rows();
     assert_eq!(rows, BUDGET);
-    assert_eq!(locks, LOCKS, "lock acquisitions per rank");
+    if cfg!(debug_assertions) {
+        assert_eq!(locks, LOCKS, "lock acquisitions");
+    }
 }
