@@ -1,6 +1,7 @@
 //! Client transports: the storage protocol's calls, typed once, over two
 //! links to [`Backend::serve`] — a direct call, or a TCP connection.
 
+use std::borrow::Cow;
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -98,11 +99,12 @@ trait Link {
     /// as the error it stands for.
     fn call(&mut self, req: Request) -> CoreResult<Served>;
 
-    /// `UploadChunk` of borrowed bytes.
-    fn send_chunk(&mut self, upload: UploadId, data: &[u8]) -> CoreResult<()> {
+    /// `UploadChunk` of the caller's bytes: moved into the request when
+    /// they are owned, copied when borrowed.
+    fn send_chunk(&mut self, upload: UploadId, data: Cow<'_, [u8]>) -> CoreResult<()> {
         self.respond(Request::UploadChunk {
             upload,
-            data: data.to_vec(),
+            data: data.into_owned(),
         })
         .map(drop)
     }
@@ -296,6 +298,11 @@ impl<L: Link> Transport for L {
                     sent += len;
                 }
             }
+            // A file of one chunk is that chunk: the caller's buffer moves.
+            Some(bytes) if (1..=CONTENT_CHUNK).contains(&bytes.len()) => {
+                sent = bytes.len() as u64;
+                self.send_chunk(upload, Cow::Owned(bytes))?;
+            }
             // Live bytes: `CONTENT_CHUNK`-sized chunks of the caller's
             // buffer; an empty file travels as one one-byte chunk.
             Some(bytes) => {
@@ -305,7 +312,7 @@ impl<L: Link> Transport for L {
                     bytes.chunks(CONTENT_CHUNK)
                 };
                 for chunk in chunks {
-                    self.send_chunk(upload, chunk)?;
+                    self.send_chunk(upload, Cow::Borrowed(chunk))?;
                     sent += chunk.len() as u64;
                 }
             }
@@ -545,8 +552,11 @@ impl Link for TcpTransport {
     }
 
     /// Frames the chunk straight from the caller's buffer.
-    fn send_chunk(&mut self, upload: UploadId, data: &[u8]) -> CoreResult<()> {
-        let (id, frame) = self.conn.upload_chunk(upload, data).map_err(encode_error)?;
+    fn send_chunk(&mut self, upload: UploadId, data: Cow<'_, [u8]>) -> CoreResult<()> {
+        let (id, frame) = self
+            .conn
+            .upload_chunk(upload, &data)
+            .map_err(encode_error)?;
         self.round_trip(id, &frame).map(drop)
     }
 

@@ -4,28 +4,29 @@
 //! `flush` / `flush_origin` push buffered ones on, and `seal_before` passes
 //! down the producer's promise that everything below a timestamp has been
 //! emitted. [`BufferedSink`] fills one chunk per origin in front of any
-//! other sink. [`MemorySink`] keeps the trace in memory — one vector, a
-//! canonical prefix followed by the records not yet settled, which each
-//! seal merges and reorders in place, so a sealed day is held once — and
-//! hands it over in canonical `(t, origin, seq)` order. [`DirSink`] writes
+//! other sink. [`MemorySink`] keeps the trace in memory — one compact
+//! append-only byte log per origin — and hands it over in canonical
+//! `(t, origin, seq)` order, merged and decoded in one pass. [`DirSink`] writes
 //! the paper's logfiles, one per (machine, process, day), a buffer of whole
 //! lines per write. [`NullSink`] drops everything. No sink takes a lock
 //! while it holds one (`u1_core::sync`).
 
 use crate::csvline;
-use crate::event::{Payload, SessionEvent, TraceRecord};
+use crate::event::{Payload, SessionEvent, StorageDone, TraceRecord};
 use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::collections::HashMap;
 use std::fs::{self, File};
 use std::io::{BufWriter, Write};
-use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use u1_core::sync::Mutex;
-use u1_core::{CachePadded, MachineId, ProcessId, SessionId, SimTime, UserId};
+use u1_core::{
+    ApiOpKind, CachePadded, ContentHash, ErrorClass, Ext, MachineId, NodeId, NodeKind, ProcessId,
+    RpcKind, SessionId, ShardId, SimTime, UserId, VolumeId,
+};
 
 /// Stripe count of [`BufferedSink`]: origins (driver partitions) are spread
 /// across this many independent locks so concurrent emitters rarely
@@ -40,8 +41,7 @@ const STRIPES: usize = 32;
 
 /// Records per chunk: [`BufferedSink`] fills a chunk of exactly this
 /// capacity per origin and hands it on when full (callers still flush
-/// explicitly at day boundaries), and [`MemorySink`]'s seal reorders its
-/// records in blocks of the same size, so a chunk taken whole frees a block.
+/// explicitly at day boundaries).
 const BUFFER_FLUSH_THRESHOLD: usize = 4096;
 
 /// One entry per origin hashing to a stripe. A stripe holds at most a
@@ -89,8 +89,8 @@ pub trait TraceSink: Send + Sync {
     /// [`BufferedSink`] flushes. `origin` is every record's origin stamp.
     /// On return `run` is empty, and a sink that leaves its allocation in
     /// place lets the caller fill the same buffer again: the default, which
-    /// delegates to [`TraceSink::record_batch_owned`], does, and so does
-    /// [`MemorySink`], which moves the whole run onto its store in one copy.
+    /// delegates to [`TraceSink::record_batch_owned`], does, and
+    /// [`MemorySink`] keeps that default.
     fn record_run(&self, origin: u32, run: &mut Vec<TraceRecord>) {
         let _ = origin;
         self.record_batch_owned(run);
@@ -172,35 +172,32 @@ impl TraceSink for NullSink {
 }
 
 /// Collects records in memory, for analyses that skip the logfile round
-/// trip. The whole trace is one vector under one lock: the canonical
-/// prefix, then the records not yet settled, in arrival order. A run handed
-/// over by [`BufferedSink`] is moved onto the end and drained, so the buffer
-/// refills its own allocation and a record is stored once, where it lands.
+/// trip, and hands them over in canonical `(t, origin, seq)` order.
 ///
-/// [`TraceSink::seal_before`] settles everything below the bound: the
-/// origins' runs are merged into an order of unsettled positions, and that
-/// order is applied in place, block by block, so the merged records take
-/// the pages they arrived in. A month sealed day by day therefore holds one
-/// copy of its trace, and a seal needs beside it a `u32` per unsettled
-/// record and a few blocks; `take_sorted` — "seal everything, take the
-/// prefix" — has one day left to settle.
+/// Each origin's records are encoded into one append-only byte [`Log`],
+/// about 16 bytes a record where a `TraceRecord` takes 48 and a
+/// `storage_done` box 104 more; the box is freed as its record is appended.
+/// A record that breaks its origin's `(t, seq)` order opens a new segment of
+/// the log, so each segment is in order. [`TraceSink::seal_before`] only
+/// notes its bound, and [`MemorySink::take_sorted`] merges every segment at
+/// once, decoding straight into the output: until then the trace is held
+/// once, compactly, and nothing is moved twice.
 #[derive(Debug, Default)]
 pub struct MemorySink {
     store: Mutex<Store>,
 }
 
-/// A [`MemorySink`]'s records and what is known about them.
+/// A [`MemorySink`]'s logs and what is known about them.
 #[derive(Debug, Default)]
 struct Store {
-    /// `records[..settled]` is in canonical `(t, origin, seq)` order as long
-    /// as `late` is zero; `records[settled..]` is the unsettled tail.
-    records: Vec<TraceRecord>,
-    settled: usize,
-    /// The tail as `(origin, len)` spans in arrival order, no two adjacent
-    /// spans of one origin.
-    spans: Vec<(u32, usize)>,
-    /// Records a seal merged in below the key the prefix already ended on:
-    /// a producer broke its [`TraceSink::seal_before`] promise.
+    /// One log per origin, in order of first arrival.
+    logs: Vec<Log>,
+    /// The log the last record went to: a run is all one origin's.
+    current: usize,
+    records: usize,
+    /// The highest bound sealed since the last `take_sorted`.
+    sealed: SimTime,
+    /// Records that arrived below `sealed`.
     late: u64,
 }
 
@@ -210,7 +207,7 @@ impl MemorySink {
     }
 
     pub fn len(&self) -> usize {
-        self.store.lock().records.len()
+        self.store.lock().records
     }
 
     pub fn is_empty(&self) -> bool {
@@ -218,236 +215,457 @@ impl MemorySink {
     }
 
     /// Records since the last `take_sorted` that arrived below a bound
-    /// already sealed. They come out of `take_sorted` in their canonical
-    /// place all the same, at the price of one sort of the whole trace.
+    /// already sealed: a producer broke its [`TraceSink::seal_before`]
+    /// promise. They come out of `take_sorted` in their canonical place all
+    /// the same, as every record is merged there.
     pub fn late_records(&self) -> u64 {
         self.store.lock().late
     }
 
     /// Drains and returns all records in canonical order: sorted by
     /// `(t, origin, seq)`, ties in the order they were recorded — what a
-    /// stable sort of everything recorded would give. The prefix is that
-    /// already unless a record arrived late; equal keys sit in it in
-    /// arrival order either way (a later seal's records arrived after the
-    /// earlier seal, or they would have been part of it), so one stable
-    /// sort repairs it.
+    /// stable sort of everything recorded would give. The logs are taken
+    /// out under the lock and merged outside it.
     pub fn take_sorted(&self) -> Vec<TraceRecord> {
-        let Store {
-            mut records, late, ..
-        } = {
-            let mut store = self.store.lock();
-            store.seal(None);
-            std::mem::take(&mut *store)
-        };
-        if late > 0 {
-            records.sort_by_key(merge_key);
-        }
-        // The last seal's filler blocks touched pages past the end; the
-        // caller keeps the trace for its analyses, so give them back.
-        records.shrink_to_fit();
-        records
+        let Store { logs, records, .. } = std::mem::take(&mut *self.store.lock());
+        merge(&logs, records)
     }
 }
 
 impl Store {
-    /// Notes `len` more records of `origin` at the end of the tail.
-    fn push_span(&mut self, origin: u32, len: usize) {
-        match self.spans.last_mut() {
-            Some((last, n)) if *last == origin => *n += len,
-            _ if len == 0 => {}
-            _ => self.spans.push((origin, len)),
+    fn append<'a>(&mut self, recs: impl IntoIterator<Item = &'a TraceRecord>) {
+        for rec in recs {
+            if rec.t < self.sealed {
+                self.late += 1;
+            }
+            self.log(rec.origin).push(rec);
+            self.records += 1;
         }
     }
 
-    /// Settles every record below `before` (every record for `None`): they
-    /// move, in canonical order, to the front of the tail, which then ends
-    /// the prefix. What stays in the tail is kept origin by origin, each in
-    /// `(t, seq)` order.
-    ///
-    /// Each run is monotonic in `(t, seq)` (verified, and stable-sorted if
-    /// a producer emitted out of order), so the k-way merge of the runs'
-    /// heads is exactly what a stable sort of those records by
-    /// `(t, origin, seq)` would produce: full keys collide only within one
-    /// origin's legacy `(0, 0)`-stamped records, whose emission order both
-    /// preserve. If no record below an earlier bound has arrived since, it
-    /// also starts at or above the key the prefix ends on.
-    fn seal(&mut self, before: Option<SimTime>) {
-        let base = self.settled;
-        let tail = &self.records[base..];
-        if tail.is_empty() {
-            return;
-        }
-        let runs = origin_runs(tail, &self.spans);
-        let sources = runs.len();
-        let (order, kept) = merge_order(tail, runs, before);
-        let merged = order.len() - kept.iter().map(|(_, len)| len).sum::<usize>();
-        apply_order(&mut self.records, base, &order, sources);
-        self.settled = base + merged;
-        self.spans = kept;
-        if let Some(end) = base
-            .checked_sub(1)
-            .map(|last| merge_key(&self.records[last]))
+    /// The log of `origin`, opened if there is none yet.
+    fn log(&mut self, origin: u16) -> &mut Log {
+        if self
+            .logs
+            .get(self.current)
+            .is_none_or(|log| log.origin != origin)
         {
-            let new = &self.records[base..self.settled];
-            self.late += new.partition_point(|r| merge_key(r) < end) as u64;
+            self.current = match self.logs.iter().position(|log| log.origin == origin) {
+                Some(i) => i,
+                None => {
+                    self.logs.push(Log::new(origin));
+                    self.logs.len() - 1
+                }
+            };
         }
+        &mut self.logs[self.current]
     }
 }
 
 impl TraceSink for MemorySink {
     fn record(&self, rec: TraceRecord) {
-        let mut store = self.store.lock();
-        store.push_span(u32::from(rec.origin), 1);
-        store.records.push(rec);
+        self.store.lock().append([&rec]);
     }
 
+    fn record_batch(&self, recs: &[TraceRecord]) {
+        self.store.lock().append(recs);
+    }
+
+    /// Encodes the records, then drops them outside the lock; the emptied
+    /// vector, allocation and all, stays with the caller to fill again
+    /// (`record_run`'s default comes here).
     fn record_batch_owned(&self, recs: &mut Vec<TraceRecord>) {
-        let mut store = self.store.lock();
-        for rec in recs.iter() {
-            store.push_span(u32::from(rec.origin), 1);
-        }
-        store.records.append(recs);
-    }
-
-    fn record_run(&self, origin: u32, recs: &mut Vec<TraceRecord>) {
-        // The records move onto the end; the emptied vector, allocation and
-        // all, stays with the caller to fill again.
-        let mut store = self.store.lock();
-        store.push_span(origin, recs.len());
-        store.records.append(recs);
+        self.store.lock().append(recs.iter());
+        recs.clear();
     }
 
     fn seal_before(&self, before: SimTime) {
-        self.store.lock().seal(Some(before));
+        let mut store = self.store.lock();
+        store.sealed = store.sealed.max(before);
     }
 }
 
 /// Merge key: the canonical `(t, origin, seq)` order.
 type MergeKey = (SimTime, u16, u64);
 
-fn merge_key(rec: &TraceRecord) -> MergeKey {
-    (rec.t, rec.origin, rec.seq)
-}
-
-/// One origin's unsettled records in `(t, seq)` order, as tail positions,
-/// yielded front to back.
-struct Run {
-    origin: u32,
-    positions: Positions,
-}
-
-enum Positions {
-    /// The spans the origin arrived in, its records already in order; the
-    /// first span left is trimmed as records are taken.
-    Spans(std::vec::IntoIter<Range<u32>>, Range<u32>),
-    /// One position per record, stable-sorted by `(t, seq)`: the producer
-    /// emitted out of order.
-    Sorted(std::vec::IntoIter<u32>),
-}
-
-impl Run {
-    fn peek(&self) -> Option<u32> {
-        match &self.positions {
-            Positions::Spans(_, current) => (!current.is_empty()).then_some(current.start),
-            Positions::Sorted(positions) => positions.as_slice().first().copied(),
-        }
-    }
-}
-
-impl Iterator for Run {
-    type Item = u32;
-
-    fn next(&mut self) -> Option<u32> {
-        match &mut self.positions {
-            Positions::Spans(rest, current) => {
-                let at = current.next()?;
-                if Range::is_empty(current) {
-                    *current = rest.next().unwrap_or_default();
-                }
-                Some(at)
-            }
-            Positions::Sorted(positions) => positions.next(),
-        }
-    }
-}
-
-/// Each origin's run of the tail, origins in order of first arrival. A run
-/// is verified to be in `(t, seq)` order, and stable-sorted if it is not.
-fn origin_runs(tail: &[TraceRecord], spans: &[(u32, usize)]) -> Vec<Run> {
-    let at = |p: u32| &tail[p as usize];
-    let mut by_origin: PerOrigin<Vec<Range<u32>>> = Vec::new();
-    let mut start = 0u32;
-    for &(origin, len) in spans {
-        let end = u32::try_from(len)
-            .ok()
-            .and_then(|len| start.checked_add(len))
-            .expect("positions are u32: a tail of fewer than 2^32 records");
-        origin_slot(&mut by_origin, origin).push(start..end);
-        start = end;
-    }
-    by_origin
-        .into_iter()
-        .map(|(origin, spans)| {
-            let mut keys = spans
-                .iter()
-                .flat_map(Range::clone)
-                .map(|p| (at(p).t, at(p).seq));
-            let mut prev = keys.next();
-            let sorted = keys.all(|key| {
-                let in_order = prev <= Some(key);
-                prev = Some(key);
-                in_order
-            });
-            let positions = if sorted {
-                let mut spans = spans.into_iter();
-                let first = spans.next().unwrap_or_default();
-                Positions::Spans(spans, first)
-            } else {
-                let mut positions: Vec<u32> = spans.into_iter().flatten().collect();
-                positions.sort_by_key(|&p| (at(p).t, at(p).seq));
-                Positions::Sorted(positions.into_iter())
-            };
-            Run { origin, positions }
-        })
-        .collect()
-}
-
-/// K-way merges the runs' records below `before` (all of them for `None`)
-/// into an order of tail positions, then appends each run's records left,
-/// run by run. Returns that order, a permutation of the tail's positions,
-/// and the spans of the records left. Records of different runs never
-/// share a full key (the key includes the origin), so the merge is
-/// deterministic.
+/// One origin's records, encoded back to back.
 ///
-/// The merge gallops: the run with the smallest head keeps emitting until
-/// its next key passes the runner-up's head, so the heap is touched once
-/// per such stretch instead of once per record. An operation emits its
+/// A record is a header byte, then `t` and `seq` as deltas from the
+/// previous record of its segment (a varint and a zigzag varint), then
+/// `machine` and `process` only when they differ from that record's,
+/// `attempt` only when it is not 1 and the error class only when there is
+/// one, then the payload's fields: ids, sizes and durations as varints,
+/// enums as a byte, a hash as its 20 bytes, an extension as its length and
+/// bytes. A segment's first record is encoded against nothing, so each
+/// segment decodes on its own.
+#[derive(Debug)]
+struct Log {
+    origin: u16,
+    bytes: Vec<u8>,
+    /// Where each segment starts in `bytes`, the first at 0.
+    segments: Vec<usize>,
+    /// The last record, which the next is encoded against.
+    last: Cursor,
+}
+
+/// What a record is encoded against: the previous record of its segment.
+#[derive(Debug, Clone, Copy, Default)]
+struct Cursor {
+    t: u64,
+    seq: u64,
+    /// `None` at a segment's start, so its first record writes its place.
+    place: Option<(MachineId, ProcessId)>,
+}
+
+// The header byte: the payload's kind in the low two bits, then what
+// follows the key.
+const KIND: u8 = 0b11;
+const SESSION: u8 = 0;
+const STORAGE: u8 = 1;
+const RPC: u8 = 2;
+const AUTH: u8 = 3;
+/// `machine` and `process` follow.
+const PLACE: u8 = 1 << 2;
+/// `attempt` follows: it is not 1.
+const ATTEMPT: u8 = 1 << 3;
+/// An error class follows.
+const ERROR: u8 = 1 << 4;
+/// A session's `Close`, a `storage_done`'s or an auth's `success`.
+const FLAG: u8 = 1 << 5;
+/// A `storage_done` has a node.
+const NODE: u8 = 1 << 6;
+/// A `storage_done` has a hash.
+const HASH: u8 = 1 << 7;
+
+/// A fieldless enum's variants by discriminant, built from its `ALL`: what
+/// the byte an enum is written as decodes to.
+macro_rules! by_discriminant {
+    ($all:expr, $len:expr) => {{
+        let all = $all;
+        let mut table = [all[0]; $len];
+        let mut i = 0;
+        while i < all.len() {
+            table[all[i] as usize] = all[i];
+            i += 1;
+        }
+        table
+    }};
+}
+
+const OPS: [ApiOpKind; 16] = by_discriminant!(ApiOpKind::ALL, 16);
+const RPCS: [RpcKind; 23] = by_discriminant!(RpcKind::ALL, 23);
+/// `ErrorClass` counts from 1.
+const ERRORS: [ErrorClass; 6] = by_discriminant!(ErrorClass::ALL, 6);
+/// A `storage_done`'s node kind, by the high bits of its op byte.
+const NODE_KINDS: [Option<NodeKind>; 3] = [None, Some(NodeKind::File), Some(NodeKind::Directory)];
+
+fn flag(on: bool, bit: u8) -> u8 {
+    if on {
+        bit
+    } else {
+        0
+    }
+}
+
+/// Appends `v` as a LEB128 varint.
+fn put(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// A wrapping difference as a varint-friendly unsigned: small magnitudes of
+/// either sign stay small.
+fn zigzag(d: u64) -> u64 {
+    (d << 1) ^ ((d as i64 >> 63) as u64)
+}
+
+fn unzigzag(z: u64) -> u64 {
+    (z >> 1) ^ (z & 1).wrapping_neg()
+}
+
+impl Log {
+    fn new(origin: u16) -> Self {
+        Log {
+            origin,
+            bytes: Vec::new(),
+            segments: Vec::new(),
+            last: Cursor::default(),
+        }
+    }
+
+    fn push(&mut self, rec: &TraceRecord) {
+        let (t, seq) = (rec.t.as_micros(), rec.seq);
+        if self.segments.is_empty() || (t, seq) < (self.last.t, self.last.seq) {
+            self.segments.push(self.bytes.len());
+            self.last = Cursor::default();
+        }
+        let place = Some((rec.machine, rec.process));
+        let payload = match &rec.payload {
+            Payload::Session { event, .. } => SESSION | flag(*event == SessionEvent::Close, FLAG),
+            Payload::Storage(done) => {
+                STORAGE
+                    | flag(done.success, FLAG)
+                    | flag(done.node.is_some(), NODE)
+                    | flag(done.hash.is_some(), HASH)
+            }
+            Payload::Rpc { .. } => RPC,
+            Payload::Auth { success, .. } => AUTH | flag(*success, FLAG),
+        };
+        let out = &mut self.bytes;
+        out.push(
+            payload
+                | flag(place != self.last.place, PLACE)
+                | flag(rec.attempt != 1, ATTEMPT)
+                | flag(rec.error_class.is_some(), ERROR),
+        );
+        put(out, t - self.last.t);
+        put(out, zigzag(seq.wrapping_sub(self.last.seq)));
+        if place != self.last.place {
+            put(out, rec.machine.raw().into());
+            put(out, rec.process.raw().into());
+        }
+        if rec.attempt != 1 {
+            out.push(rec.attempt);
+        }
+        if let Some(class) = rec.error_class {
+            out.push(class as u8);
+        }
+        match &rec.payload {
+            Payload::Session { session, user, .. } => {
+                put(out, session.raw());
+                put(out, user.raw());
+            }
+            Payload::Storage(done) => {
+                let kind = match done.kind {
+                    None => 0,
+                    Some(NodeKind::File) => 1,
+                    Some(NodeKind::Directory) => 2,
+                };
+                out.push(done.op as u8 | kind << 4);
+                put(out, done.session.raw());
+                put(out, done.user.raw());
+                put(out, done.volume.raw());
+                if let Some(node) = done.node {
+                    put(out, node.raw());
+                }
+                put(out, done.size);
+                if let Some(hash) = done.hash {
+                    out.extend_from_slice(hash.as_bytes());
+                }
+                out.push(done.ext.len() as u8);
+                out.extend_from_slice(done.ext.as_bytes());
+                put(out, done.duration_us);
+            }
+            Payload::Rpc {
+                rpc,
+                shard,
+                user,
+                service_us,
+            } => {
+                out.push(*rpc as u8);
+                put(out, shard.raw().into());
+                put(out, user.raw());
+                put(out, *service_us);
+            }
+            Payload::Auth { user, .. } => put(out, user.raw()),
+        }
+        self.last = Cursor { t, seq, place };
+    }
+
+    /// The log's segments, ready to decode, in arrival order.
+    fn segments(&self) -> impl Iterator<Item = Segment<'_>> {
+        let ends = self.segments.iter().skip(1).copied();
+        self.segments
+            .iter()
+            .zip(ends.chain([self.bytes.len()]))
+            .map(|(&start, end)| Segment::new(self.origin, &self.bytes[start..end]))
+    }
+}
+
+/// Reads one segment of a [`Log`] back, a record at a time.
+struct Segment<'a> {
+    origin: u16,
+    bytes: &'a [u8],
+    at: usize,
+    last: Cursor,
+    /// The next record's header byte and key, read ahead for the merge.
+    head: Option<(u8, MergeKey)>,
+}
+
+impl<'a> Segment<'a> {
+    fn new(origin: u16, bytes: &'a [u8]) -> Self {
+        let mut segment = Segment {
+            origin,
+            bytes,
+            at: 0,
+            last: Cursor::default(),
+            head: None,
+        };
+        segment.read_head();
+        segment
+    }
+
+    fn key(&self) -> Option<MergeKey> {
+        self.head.map(|(_, key)| key)
+    }
+
+    fn byte(&mut self) -> u8 {
+        let b = self.bytes[self.at];
+        self.at += 1;
+        b
+    }
+
+    fn varint(&mut self) -> u64 {
+        let (mut v, mut shift) = (0u64, 0);
+        loop {
+            let b = self.byte();
+            v |= u64::from(b & 0x7f) << shift;
+            if b < 0x80 {
+                return v;
+            }
+            shift += 7;
+        }
+    }
+
+    fn slice(&mut self, len: usize) -> &'a [u8] {
+        let bytes = &self.bytes[self.at..self.at + len];
+        self.at += len;
+        bytes
+    }
+
+    fn read_head(&mut self) {
+        self.head = if self.at < self.bytes.len() {
+            let head = self.byte();
+            let t = self.last.t + self.varint();
+            let seq = self.last.seq.wrapping_add(unzigzag(self.varint()));
+            Some((head, (SimTime::from_micros(t), self.origin, seq)))
+        } else {
+            None
+        };
+    }
+
+    /// Decodes the record whose head was read ahead, and reads the next
+    /// head.
+    fn next_record(&mut self) -> Option<TraceRecord> {
+        let (head, (t, origin, seq)) = self.head?;
+        let (machine, process) = if head & PLACE != 0 {
+            let machine = MachineId::new(self.varint() as u16);
+            (machine, ProcessId::new(self.varint() as u16))
+        } else {
+            self.last.place.unwrap_or_default()
+        };
+        let attempt = if head & ATTEMPT != 0 { self.byte() } else { 1 };
+        let error_class = (head & ERROR != 0).then(|| ERRORS[usize::from(self.byte())]);
+        let payload = match head & KIND {
+            SESSION => {
+                let session = SessionId::new(self.varint());
+                let event = if head & FLAG != 0 {
+                    SessionEvent::Close
+                } else {
+                    SessionEvent::Open
+                };
+                Payload::Session {
+                    event,
+                    session,
+                    user: UserId::new(self.varint()),
+                }
+            }
+            STORAGE => {
+                let op = self.byte();
+                let session = SessionId::new(self.varint());
+                let user = UserId::new(self.varint());
+                let volume = VolumeId::new(self.varint());
+                let node = (head & NODE != 0).then(|| NodeId::new(self.varint()));
+                let size = self.varint();
+                let hash = (head & HASH != 0).then(|| {
+                    let mut raw = [0u8; 20];
+                    raw.copy_from_slice(self.slice(20));
+                    ContentHash::new(raw)
+                });
+                let ext_len = usize::from(self.byte());
+                let ext = Ext::from_bytes(self.slice(ext_len));
+                Payload::Storage(Box::new(StorageDone {
+                    op: OPS[usize::from(op & 0x0f)],
+                    session,
+                    user,
+                    volume,
+                    node,
+                    kind: NODE_KINDS[usize::from(op >> 4)],
+                    size,
+                    hash,
+                    ext,
+                    success: head & FLAG != 0,
+                    duration_us: self.varint(),
+                }))
+            }
+            RPC => {
+                let rpc = RPCS[usize::from(self.byte())];
+                let shard = ShardId::new(self.varint() as u16);
+                let user = UserId::new(self.varint());
+                Payload::Rpc {
+                    rpc,
+                    shard,
+                    user,
+                    service_us: self.varint(),
+                }
+            }
+            _ => Payload::Auth {
+                user: UserId::new(self.varint()),
+                success: head & FLAG != 0,
+            },
+        };
+        self.last = Cursor {
+            t: t.as_micros(),
+            seq,
+            place: Some((machine, process)),
+        };
+        self.read_head();
+        Some(TraceRecord {
+            t,
+            machine,
+            process,
+            origin,
+            seq,
+            attempt,
+            error_class,
+            payload,
+        })
+    }
+}
+
+/// K-way merges every segment of `logs` by `(t, origin, seq)` into one
+/// vector of exactly `records` records. Segments of different origins never
+/// share a full key; segments of one origin are numbered in arrival order,
+/// and a tie goes to the lower number, so equal keys keep the order they
+/// were recorded in.
+///
+/// The merge gallops: the segment with the smallest head keeps emitting
+/// until its next key passes the runner-up's head, so the heap is touched
+/// once per such stretch instead of once per record. An operation emits its
 /// handful of records at one `(t, origin)`, and between two operations of
 /// one shard the other shards have usually emitted nothing earlier, so
 /// stretches are several records long.
-fn merge_order(
-    tail: &[TraceRecord],
-    mut runs: Vec<Run>,
-    before: Option<SimTime>,
-) -> (Vec<u32>, Vec<(u32, usize)>) {
-    let below = |run: &Run| {
-        let key = merge_key(&tail[run.peek()? as usize]);
-        before.is_none_or(|b| key.0 < b).then_some(key)
-    };
-    let mut order = Vec::with_capacity(tail.len());
-    let mut heap: BinaryHeap<Reverse<(MergeKey, usize)>> = BinaryHeap::with_capacity(runs.len());
-    for (i, run) in runs.iter().enumerate() {
-        if let Some(key) = below(run) {
+fn merge(logs: &[Log], records: usize) -> Vec<TraceRecord> {
+    let mut segments = Vec::with_capacity(logs.iter().map(|log| log.segments.len()).sum());
+    segments.extend(logs.iter().flat_map(Log::segments));
+    let mut out = Vec::with_capacity(records);
+    let mut heap: BinaryHeap<Reverse<(MergeKey, usize)>> =
+        BinaryHeap::with_capacity(segments.len());
+    for (i, segment) in segments.iter().enumerate() {
+        if let Some(key) = segment.key() {
             heap.push(Reverse((key, i)));
         }
     }
     while let Some(Reverse((_, i))) = heap.pop() {
-        let bound = heap.peek().map(|Reverse((key, _))| *key);
-        let run = &mut runs[i];
+        let bound = heap.peek().map(|Reverse(top)| *top);
+        let segment = &mut segments[i];
         let next = loop {
-            order.extend(run.next());
-            match below(run) {
-                Some(key) if bound.is_none_or(|b| key < b) => {}
+            out.extend(segment.next_record());
+            match segment.key() {
+                Some(key) if bound.is_none_or(|b| (key, i) < b) => {}
                 next => break next,
             }
         };
@@ -455,108 +673,7 @@ fn merge_order(
             heap.push(Reverse((key, i)));
         }
     }
-    let mut kept = Vec::new();
-    for run in runs {
-        let (origin, from) = (run.origin, order.len());
-        order.extend(run);
-        if order.len() > from {
-            kept.push((origin, order.len() - from));
-        }
-    }
-    (order, kept)
-}
-
-/// A record that holds a slot while the seal reorders: it owns no heap.
-fn filler() -> TraceRecord {
-    TraceRecord {
-        t: SimTime::ZERO,
-        machine: MachineId::new(0),
-        process: ProcessId::new(0),
-        origin: 0,
-        seq: 0,
-        attempt: 0,
-        error_class: None,
-        payload: Payload::Session {
-            event: SessionEvent::Open,
-            session: SessionId::new(0),
-            user: UserId::new(0),
-        },
-    }
-}
-
-/// Rearranges the tail `records[base..]` so that its `i`-th record is the
-/// one `order[i]` named, in place.
-///
-/// The tail is cut into blocks of [`BUFFER_FLUSH_THRESHOLD`] records. The
-/// reorder writes its output a block at a time, each into a block none of
-/// whose records is still to be taken, swapping every record it takes for
-/// a filler; when no block is free, a filler block is pushed at the end.
-/// While each run takes its positions front to back, it holds one
-/// part-taken block of its own, and a block shared by two spans waits for
-/// the later one, so about one filler block per run is needed (room for
-/// one more than there are `sources`, the runs the order was merged from,
-/// is reserved): a day of `month_1k` needs fewer, one of `month_wide`'s
-/// ten runs 13 or 14. An order that jumps about, a run that had to be
-/// sorted, may need many. Pushing them only when needed leaves the fewest
-/// pages past the end touched. Last, whole-block swaps put the output
-/// blocks in order, and the fillers are dropped.
-///
-/// Following the permutation's cycles record by record would need no
-/// filler at all, but it reads the tail in random order.
-fn apply_order(records: &mut Vec<TraceRecord>, base: usize, order: &[u32], sources: usize) {
-    const BLOCK: usize = BUFFER_FLUSH_THRESHOLD;
-    if order.iter().enumerate().all(|(i, &p)| p as usize == i) {
-        return;
-    }
-    let n = order.len();
-    let blocks = n.div_ceil(BLOCK);
-    records.reserve_exact(base + (blocks + sources + 1) * BLOCK - records.len());
-    records.resize_with(base + blocks * BLOCK, filler);
-    // Records of each block still to be taken; the filler blocks hold none.
-    let mut untaken: Vec<usize> = (0..blocks).map(|b| BLOCK.min(n - b * BLOCK)).collect();
-    let mut free: Vec<usize> = Vec::new();
-
-    // `home[j]`: the block that output block `j` was written into.
-    let mut home: Vec<usize> = Vec::with_capacity(blocks);
-    for out in order.chunks(BLOCK) {
-        let block = free.pop().unwrap_or_else(|| {
-            records.resize_with(records.len() + BLOCK, filler);
-            untaken.push(0);
-            untaken.len() - 1
-        });
-        let at = base + block * BLOCK;
-        for (slot, &p) in out.iter().enumerate() {
-            let p = p as usize;
-            records.swap(at + slot, base + p);
-            let source = p / BLOCK;
-            untaken[source] -= 1;
-            if untaken[source] == 0 {
-                free.push(source);
-            }
-        }
-        home.push(block);
-    }
-
-    // `held[b]`: the output block that block `b` holds, if any.
-    let mut held: Vec<Option<usize>> = vec![None; untaken.len()];
-    for (j, &b) in home.iter().enumerate() {
-        held[b] = Some(j);
-    }
-    for j in 0..blocks {
-        let b = home[j];
-        if b == j {
-            continue;
-        }
-        // Block `j` goes where output block `j` was, with whatever it held.
-        let (lo, hi) = (base + j.min(b) * BLOCK, base + j.max(b) * BLOCK);
-        let (front, back) = records.split_at_mut(hi);
-        front[lo..lo + BLOCK].swap_with_slice(&mut back[..BLOCK]);
-        held[b] = held[j];
-        if let Some(displaced) = held[j] {
-            home[displaced] = b;
-        }
-    }
-    records.truncate(base + n);
+    out
 }
 
 /// Buffers records per origin in front of an inner sink, so hot emission
@@ -965,7 +1082,7 @@ mod tests {
     }
 
     #[test]
-    fn seal_before_settles_everything_below_the_bound() {
+    fn seal_before_notes_the_bound_and_moves_nothing() {
         let sink = MemorySink::new();
         // Origin 1 crosses the bound inside its second chunk, origin 2 ends
         // below it, origin 3 starts at it.
@@ -979,35 +1096,40 @@ mod tests {
         sink.record(rec_origin(41, 3, 0));
         let bound = SimTime::from_secs(41);
         let total = sink.len();
+        let held = |sink: &MemorySink| {
+            let store = sink.store.lock();
+            let logs: Vec<(u16, usize, usize)> = store
+                .logs
+                .iter()
+                .map(|log| (log.origin, log.bytes.len(), log.segments.len()))
+                .collect();
+            logs
+        };
+        let before = held(&sink);
+        assert_eq!(before.len(), 3);
+        assert!(before.iter().all(|&(_, _, segments)| segments == 1));
 
         sink.seal_before(bound);
-        assert_eq!(sink.len(), total, "a seal moves records, it drops none");
-        let settled = {
-            let store = sink.store.lock();
-            let (prefix, tail) = store.records.split_at(store.settled);
-            assert!(prefix.iter().all(|r| r.t < bound));
-            assert!(prefix
-                .windows(2)
-                .all(|w| merge_key(&w[0]) <= merge_key(&w[1])));
-            assert!(tail.iter().all(|r| r.t >= bound));
-            // What is left is described origin by origin.
-            assert_eq!(store.spans, vec![(1, 6), (3, 1)]);
-            store.settled
-        };
-        // t = seq / 100 < 41 for origin 1's first 4100 records.
-        assert_eq!(settled, 4100 + 5);
-        // Sealing again, at the same bound or at none yet reached, is a no-op.
-        sink.seal_before(bound);
+        // A lower bound does not take it back.
         sink.seal_before(SimTime::ZERO);
-        assert_eq!(sink.store.lock().settled, settled);
+        assert_eq!(sink.len(), total);
+        assert_eq!(held(&sink), before, "a seal moves no record");
+        assert_eq!(sink.store.lock().sealed, bound);
         assert_eq!(sink.late_records(), 0);
+        // At the bound is in time; below it is late, and opens a segment
+        // of origin 3's log.
+        sink.record(rec_origin(41, 3, 1));
+        sink.record(rec_origin(40, 3, 2));
+        assert_eq!(sink.late_records(), 1);
+        assert_eq!(held(&sink)[2].2, 2);
 
         let recs = sink.take_sorted();
         let mut expect = keys(&recs);
         expect.sort();
         assert_eq!(keys(&recs), expect);
-        assert_eq!(recs.len(), total);
+        assert_eq!(recs.len(), total + 2);
         assert!(sink.is_empty());
+        assert_eq!(sink.late_records(), 0);
     }
 
     #[test]
@@ -1021,7 +1143,7 @@ mod tests {
         let shared: std::sync::Arc<dyn TraceSink> = std::sync::Arc::new(buffered);
         shared.seal_before(SimTime::from_secs(60));
         assert_eq!(inner.len(), 100, "buffered records were delivered");
-        assert_eq!(inner.store.lock().settled, 60);
+        assert_eq!(inner.store.lock().sealed, SimTime::from_secs(60));
     }
 
     #[test]

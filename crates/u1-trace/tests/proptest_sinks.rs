@@ -3,10 +3,11 @@
 //! `seal_before` a set of producers goes through, `MemorySink::take_sorted`
 //! — bare or behind a `BufferedSink` — returns the stable sort by
 //! `(t, origin, seq)` of everything recorded, `len()` is exact after every
-//! call (a seal moves records, it drops none), and a `BufferedSink` delivers
+//! call (a seal drops nothing), and a `BufferedSink` delivers
 //! each origin's records in emission order out of one allocation per chunk
 //! at most. The records are `session` and `storage_done` lines, so boxed
-//! payloads go through every merge, reorder and seal.
+//! payloads go through the log and back; a second property sends every
+//! field of every variant through it.
 //!
 //! The previous `MemorySink` — one flat `Vec` per origin filled by
 //! `append`, merged one record per heap operation — lives on only here, as
@@ -20,8 +21,8 @@ use std::collections::BinaryHeap;
 use std::sync::Arc;
 use u1_core::sync::Mutex;
 use u1_core::{
-    ApiOpKind, ContentHash, MachineId, NodeId, NodeKind, ProcessId, SessionId, SimTime, UserId,
-    VolumeId,
+    ApiOpKind, ContentHash, ErrorClass, Ext, MachineId, NodeId, NodeKind, ProcessId, RpcKind,
+    SessionId, ShardId, SimTime, UserId, VolumeId,
 };
 use u1_trace::{
     BufferedSink, MemorySink, Payload, SessionEvent, StorageDone, TraceRecord, TraceSink,
@@ -43,55 +44,29 @@ const LENGTHS: [usize; 6] = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 1];
 /// it at its final size makes one.
 const LARGE: usize = CHUNK / 4 * std::mem::size_of::<TraceRecord>();
 
-/// How many of this thread's last large requests [`LARGE_LOG`] keeps.
-const LOGGED: usize = 64;
-
 thread_local! {
     static LARGE_REQUESTS: Cell<u64> = const { Cell::new(0) };
-    /// This thread's large requests, `(bytes, is a realloc)`, the `i`-th at
-    /// `i % LOGGED`.
-    static LARGE_LOG: [Cell<(usize, bool)>; LOGGED] =
-        const { [const { Cell::new((0, false)) }; LOGGED] };
 }
 
 struct LargeRequestTally;
 
-fn note(size: usize, realloc: bool) {
+fn note(size: usize) {
     if size >= LARGE {
-        let i = LARGE_REQUESTS.with(|n| {
-            n.set(n.get() + 1);
-            n.get() - 1
-        });
-        LARGE_LOG.with(|log| log[i as usize % LOGGED].set((size, realloc)));
+        LARGE_REQUESTS.with(|n| n.set(n.get() + 1));
     }
 }
 
-/// This thread's large requests since the count read `mark`, oldest first.
-fn large_requests_since(mark: u64) -> Vec<(usize, bool)> {
-    let now = LARGE_REQUESTS.with(Cell::get);
-    assert!(
-        now - mark <= LOGGED as u64,
-        "the log keeps {LOGGED} requests"
-    );
-    LARGE_LOG.with(|log| {
-        (mark..now)
-            .map(|i| log[i as usize % LOGGED].get())
-            .collect()
-    })
-}
-
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter and the log are
-// const-initialised thread-local `Cell`s with no destructor, so touching
-// them never allocates.
+// upholds the `GlobalAlloc` contract; the counter is a const-initialised
+// thread-local `Cell` with no destructor, so touching it never allocates.
 unsafe impl GlobalAlloc for LargeRequestTally {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size(), false);
+        note(layout.size());
         // SAFETY: the caller's `layout` is passed through as received.
         unsafe { System.alloc(layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size, true);
+        note(new_size);
         // SAFETY: `ptr` and `layout` describe a live block of `System`'s,
         // as the caller guarantees.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -418,13 +393,15 @@ proptest! {
     }
 }
 
-/// The property over histories that reach the edges of the seal's in-place
-/// reorder, which random histories hit only by chance.
+/// The property over fixed histories that random ones hit only by chance:
+/// edges of the 4,096-record chunk, seals inside an origin's chunk, and
+/// producers that break their own `(t, seq)` order, which opens segments
+/// of a log. (They were first written for an in-place seal's blocks.)
 #[test]
 fn take_sorted_is_the_stable_canonical_sort_at_the_reorders_edges() {
     use Stamp::{BackInTime, Clocked, LegacyBackInTime};
     let histories: [&[Step]; 5] = [
-        // A tail shorter than one block, sealed twice.
+        // Fewer records than one chunk, sealed twice.
         &[
             Step::Records {
                 origin: 1,
@@ -444,7 +421,7 @@ fn take_sorted_is_the_stable_canonical_sort_at_the_reorders_edges() {
             },
             Step::Seal { quarters: 4 },
         ],
-        // Tails that are not a multiple of a block.
+        // Runs that are not a multiple of a chunk.
         &[
             Step::Run {
                 origin: 1,
@@ -474,8 +451,8 @@ fn take_sorted_is_the_stable_canonical_sort_at_the_reorders_edges() {
             },
             Step::Seal { quarters: 4 },
         ],
-        // Records at the bound (a seal at the latest clock) and after it
-        // stay in the tail behind the settled head, through more seals.
+        // Records at the bound (a seal at the latest clock) and after it,
+        // through more seals.
         &[
             Step::Run {
                 origin: 1,
@@ -502,9 +479,8 @@ fn take_sorted_is_the_stable_canonical_sort_at_the_reorders_edges() {
             Step::Seal { quarters: 2 },
             Step::Seal { quarters: 4 },
         ],
-        // A legacy run out of order across many more blocks than there
-        // are spare ones: its sorted positions take a third of every block
-        // before they free one, so the reorder pushes more filler blocks.
+        // A legacy run out of order over six chunks: a segment of its log
+        // per step back in time, with equal keys across segments.
         &[
             Step::Run {
                 origin: 1,
@@ -709,6 +685,244 @@ fn a_record_below_an_earlier_seal_still_comes_out_in_canonical_order() {
 }
 
 // ---------------------------------------------------------------------------
+// Every field through the log.
+// ---------------------------------------------------------------------------
+
+/// `0` or `u64::MAX` by the parity of `i`.
+fn end(i: usize) -> u64 {
+    [0, u64::MAX][i % 2]
+}
+
+/// Records that reach every branch of `MemorySink`'s log at least once:
+/// every `Payload`, `ApiOpKind`, `RpcKind` and `ErrorClass` variant,
+/// attempts 0, 1 and 255, ids, sizes and durations at 0 and `u64::MAX`, a
+/// node, a kind and a hash absent and present, extensions of 0 and 16
+/// bytes, legacy `(0, 0)` stamps on equal keys, and two origins whose
+/// `(t, seq)` goes back.
+fn edge_records() -> Vec<TraceRecord> {
+    let mut payloads = Vec::new();
+    for (i, &op) in ApiOpKind::ALL.iter().enumerate() {
+        payloads.push(Payload::Storage(Box::new(StorageDone {
+            op,
+            session: SessionId::new(end(i)),
+            user: UserId::new(end(i + 1)),
+            volume: VolumeId::new(end(i)),
+            node: (i % 3 != 0).then(|| NodeId::new(end(i))),
+            kind: [None, Some(NodeKind::File), Some(NodeKind::Directory)][i % 3],
+            size: end(i + 1),
+            hash: (i % 2 == 0).then(|| ContentHash::from_content_id(i as u64)),
+            ext: Ext::new(["", "abcdefghijklmnop", "jpg"][i % 3]),
+            success: i % 4 < 2,
+            duration_us: end(i),
+        })));
+    }
+    for (i, &rpc) in RpcKind::ALL.iter().enumerate() {
+        payloads.push(Payload::Rpc {
+            rpc,
+            shard: ShardId::new([0, u16::MAX][i % 2]),
+            user: UserId::new(end(i)),
+            service_us: end(i + 1),
+        });
+    }
+    for i in 0..4 {
+        payloads.push(Payload::Session {
+            event: [SessionEvent::Open, SessionEvent::Close][i % 2],
+            session: SessionId::new(end(i / 2)),
+            user: UserId::new(end(i)),
+        });
+        payloads.push(Payload::Auth {
+            user: UserId::new(end(i)),
+            success: i < 2,
+        });
+    }
+    payloads
+        .into_iter()
+        .enumerate()
+        .map(|(i, payload)| {
+            let legacy = i % 4 == 0;
+            let t = if legacy { 7 } else { [u64::MAX, 0, 9][i % 3] };
+            TraceRecord {
+                t: SimTime::from_micros(t),
+                machine: MachineId::new([0, u16::MAX][i / 2 % 2]),
+                process: ProcessId::new([0, u16::MAX][i / 3 % 2]),
+                origin: if legacy { 0 } else { 1 + (i % 2) as u16 },
+                seq: if legacy { 0 } else { end(i / 2) ^ i as u64 },
+                attempt: [0, 1, 255][i % 3],
+                error_class: ErrorClass::ALL.get(i % 6).copied(),
+                payload,
+            }
+        })
+        .collect()
+}
+
+fn arb_u64() -> impl Strategy<Value = u64> {
+    prop_oneof![Just(0u64), Just(u64::MAX), 0u64..300, any::<u64>()]
+}
+
+fn arb_u16() -> impl Strategy<Value = u16> {
+    prop_oneof![Just(0u16), Just(u16::MAX), 0u16..3]
+}
+
+fn arb_payload() -> impl Strategy<Value = Payload> {
+    let storage = (
+        (0..ApiOpKind::ALL.len()).prop_map(|i| ApiOpKind::ALL[i]),
+        (arb_u64(), arb_u64(), arb_u64()),
+        proptest::option::of(arb_u64()),
+        proptest::option::of(any::<bool>()),
+        arb_u64(),
+        proptest::option::of(any::<u64>()),
+        0usize..17,
+        any::<bool>(),
+        arb_u64(),
+    )
+        .prop_map(
+            |(op, (session, user, volume), node, file, size, hash, ext, success, duration_us)| {
+                Payload::Storage(Box::new(StorageDone {
+                    op,
+                    session: SessionId::new(session),
+                    user: UserId::new(user),
+                    volume: VolumeId::new(volume),
+                    node: node.map(NodeId::new),
+                    kind: file.map(|file| {
+                        if file {
+                            NodeKind::File
+                        } else {
+                            NodeKind::Directory
+                        }
+                    }),
+                    size,
+                    hash: hash.map(ContentHash::from_content_id),
+                    ext: Ext::new(&"abcdefghijklmnopqrst"[..ext]),
+                    success,
+                    duration_us,
+                }))
+            },
+        );
+    let rpc = (
+        (0..RpcKind::ALL.len()).prop_map(|i| RpcKind::ALL[i]),
+        arb_u16(),
+        arb_u64(),
+        arb_u64(),
+    )
+        .prop_map(|(rpc, shard, user, service_us)| Payload::Rpc {
+            rpc,
+            shard: ShardId::new(shard),
+            user: UserId::new(user),
+            service_us,
+        });
+    let session =
+        (any::<bool>(), arb_u64(), arb_u64()).prop_map(|(close, session, user)| Payload::Session {
+            event: if close {
+                SessionEvent::Close
+            } else {
+                SessionEvent::Open
+            },
+            session: SessionId::new(session),
+            user: UserId::new(user),
+        });
+    let auth = (arb_u64(), any::<bool>()).prop_map(|(user, success)| Payload::Auth {
+        user: UserId::new(user),
+        success,
+    });
+    prop_oneof![storage, rpc, session, auth]
+}
+
+/// A step of a history fed to the log: a record, or a seal at `t` µs.
+#[derive(Debug)]
+enum LogStep {
+    Record(TraceRecord),
+    Seal(u64),
+}
+
+/// Any record. Origin 0 is the legacy emitter's, `(0, 0)`-stamped;
+/// timestamps from `0..4` give equal keys, and arbitrary ones break a
+/// producer's `(t, seq)` order.
+fn arb_record() -> impl Strategy<Value = LogStep> {
+    (
+        prop_oneof![
+            Just(0u64),
+            Just(u64::MAX),
+            0u64..4,
+            1_000u64..1_100,
+            any::<u64>()
+        ],
+        0u16..4,
+        arb_u64(),
+        (arb_u16(), arb_u16()),
+        prop_oneof![Just(0u8), Just(1u8), Just(255u8), any::<u8>()],
+        proptest::option::of((0..ErrorClass::ALL.len()).prop_map(|i| ErrorClass::ALL[i])),
+        arb_payload(),
+    )
+        .prop_map(
+            |(t, origin, seq, (machine, process), attempt, error_class, payload)| {
+                LogStep::Record(TraceRecord {
+                    t: SimTime::from_micros(t),
+                    machine: MachineId::new(machine),
+                    process: ProcessId::new(process),
+                    origin,
+                    seq: if origin == 0 { 0 } else { seq },
+                    attempt,
+                    error_class,
+                    payload,
+                })
+            },
+        )
+}
+
+/// Records, one step in eight a seal.
+fn arb_log_step() -> impl Strategy<Value = LogStep> {
+    let seal = prop_oneof![0u64..4, 1_000u64..1_100, any::<u64>()].prop_map(LogStep::Seal);
+    prop_oneof![
+        arb_record(),
+        arb_record(),
+        arb_record(),
+        arb_record(),
+        arb_record(),
+        arb_record(),
+        arb_record(),
+        seal
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Whatever a record holds comes back out of `take_sorted` through a
+    /// `BufferedSink`, field by field, in the oracle's order; and the sink
+    /// counts as late exactly the records that arrived below a bound
+    /// sealed before them.
+    #[test]
+    fn every_field_comes_back_out_of_the_log(steps in proptest::collection::vec(arb_log_step(), 0..400)) {
+        let inner = Arc::new(MemorySink::new());
+        let buffered = BufferedSink::new(Arc::clone(&inner));
+        let mut oracle = OracleSink::default();
+        let (mut sealed, mut late) = (0u64, 0u64);
+        // The edge records, then a seal that later ones arrive below.
+        let edges = edge_records().into_iter().map(LogStep::Record);
+        for step in edges.chain([LogStep::Seal(1_050)]).chain(steps) {
+            match step {
+                LogStep::Record(rec) => {
+                    late += u64::from(rec.t.as_micros() < sealed);
+                    buffered.record(rec.clone());
+                    oracle.record(rec);
+                }
+                LogStep::Seal(t) => {
+                    sealed = sealed.max(t);
+                    buffered.seal_before(SimTime::from_micros(t));
+                }
+            }
+        }
+        buffered.flush();
+        prop_assert_eq!(inner.late_records(), late);
+        let (got, want) = (inner.take_sorted(), oracle.take_sorted());
+        prop_assert_eq!(got.len(), want.len());
+        for (i, (got, want)) in got.iter().zip(&want).enumerate() {
+            prop_assert_eq!(got, want, "record {}", i);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // BufferedSink over a sink that only looks at what it is handed.
 // ---------------------------------------------------------------------------
 
@@ -825,50 +1039,4 @@ proptest! {
             state.runs
         );
     }
-}
-
-/// The other side of the hand-off: a `MemorySink` moves each chunk it is
-/// handed onto its store and leaves the allocation, so behind a
-/// `BufferedSink` each origin fills the one chunk it opened for the whole
-/// run, and the store grows by amortised doubling.
-#[test]
-fn behind_a_buffer_each_origin_fills_one_chunk_and_the_store_doubles() {
-    let inner = Arc::new(MemorySink::new());
-    let buffered = BufferedSink::new(Arc::clone(&inner));
-    let mut producers = Producers::default();
-    let origins = [3, 5];
-    let per_origin = 5 * CHUNK + 17;
-    let recs: Vec<TraceRecord> = (0..per_origin)
-        .flat_map(|_| origins.map(|origin| producers.mint(origin, Stamp::Clocked)))
-        .collect();
-    // One record first, so the store's own growth is all reallocations and
-    // a fresh chunk-sized allocation can only be a buffer's.
-    inner.record(producers.mint(7, Stamp::Clocked));
-    let mark = LARGE_REQUESTS.with(Cell::get);
-    for rec in recs {
-        buffered.record(rec);
-    }
-    buffered.flush();
-    let requests = large_requests_since(mark);
-    assert_eq!(inner.len(), origins.len() * per_origin + 1);
-
-    let chunk_bytes = CHUNK * std::mem::size_of::<TraceRecord>();
-    let opened = requests.iter().filter(|&&(_, realloc)| !realloc).count();
-    assert_eq!(opened, origins.len(), "large requests: {requests:?}");
-    assert!(requests
-        .iter()
-        .all(|&(bytes, realloc)| realloc || bytes == chunk_bytes));
-
-    let grown: Vec<usize> = requests
-        .iter()
-        .filter(|&&(_, realloc)| realloc)
-        .map(|&(bytes, _)| bytes)
-        .collect();
-    assert!(
-        grown.windows(2).all(|w| w[1] >= 2 * w[0]),
-        "the store grew to {grown:?} bytes"
-    );
-    // 10 chunks' worth from one record's room: 4 doublings and the first
-    // step, at most.
-    assert!(grown.len() <= 5, "the store grew to {grown:?} bytes");
 }

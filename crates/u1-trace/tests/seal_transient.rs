@@ -1,9 +1,10 @@
 //! What a seal costs in memory beside the trace it settles.
 //!
-//! `MemorySink::seal_before` settles a day in place: besides the store it
-//! may hold an order of the unsettled records (a `u32` each, plus per-origin
-//! position lists if a run must be sorted) and a few blocks of
-//! `BUFFER_FLUSH_THRESHOLD` records, one per origin and two more. A seal
+//! The bound allowed is that of a seal that settles a day in place: an
+//! order of the unsettled records (a `u32` each) and a few blocks of
+//! `BUFFER_FLUSH_THRESHOLD` records, one per origin and two more.
+//! `MemorySink::seal_before` only notes its bound, so it holds nothing
+//! beside the logs (`log_footprint.rs` pins what they hold). A seal
 //! that merged the day into fresh memory while its input was still live
 //! would hold a second copy of the day, 48 bytes per record; this test
 //! fails it. It feeds a month-shaped trace: eleven origins, each a driver

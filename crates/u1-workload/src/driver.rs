@@ -28,16 +28,17 @@
 //! interleaving.
 //!
 //! Each simulated day is one fork-join. The shards are packed onto
-//! `cfg.workers` scoped threads by *measured* load: day 0 uses client
-//! counts as the proxy, and every later day re-packs the shards LPT-style
-//! (heaviest first onto the least-loaded worker) by the events each shard
-//! ran the day before. A worker borrows its shards mutably for the day,
-//! runs each one's events up to the day's end and drains its buffered trace
-//! run ([`Backend::flush_trace_origin`]). The join is the day boundary: on
-//! the calling thread, with no worker alive, the coordinator runs its own
-//! events for the day, seals the content-index epoch
-//! ([`Backend::seal_content_epoch`]), making the day's cross-partition
-//! dedup state globally visible, and seals the day's trace
+//! `cfg.workers` bins by *measured* load: day 0 uses client counts as the
+//! proxy, and every later day re-packs the shards LPT-style (heaviest first
+//! onto the least-loaded worker) by the events each shard ran the day
+//! before. The calling thread works the first bin and a scoped thread each
+//! other one, so one worker spawns no thread. A worker borrows its shards
+//! mutably for the day, runs each one's events up to the day's end and
+//! drains its buffered trace run ([`Backend::flush_trace_origin`]). The
+//! join is the day boundary: on the calling thread, with no worker alive,
+//! the coordinator runs its own events for the day, seals the
+//! content-index epoch ([`Backend::seal_content_epoch`]), making the day's
+//! cross-partition dedup state globally visible, and seals the day's trace
 //! ([`Backend::seal_trace_before`]). Because no mutable state is keyed by
 //! thread or by global arrival order — packing and flush scheduling only
 //! move *when* work happens on the wall clock, never *what* the simulation
@@ -1833,25 +1834,30 @@ impl Driver {
             let mut slots: Vec<Option<&mut ShardSim>> = self.shards.iter_mut().map(Some).collect();
             // Each worker borrows its bin's shards for the day and hands
             // back the time it spent and when it finished.
+            let run_bin = move |mine: Vec<&mut ShardSim>| {
+                let mut spent = PhaseNanos::default();
+                for sim in mine {
+                    sim.run_day(day_end, &mut spent);
+                }
+                (spent, Instant::now())
+            };
             let spent: Vec<(PhaseNanos, Instant)> = std::thread::scope(|s| {
-                let handles: Vec<_> = pack_lpt(&weights, workers)
-                    .into_iter()
-                    .map(|bin| {
-                        let mine: Vec<&mut ShardSim> =
-                            bin.iter().filter_map(|&i| slots[i].take()).collect();
-                        s.spawn(move || {
-                            let mut spent = PhaseNanos::default();
-                            for sim in mine {
-                                sim.run_day(day_end, &mut spent);
-                            }
-                            (spent, Instant::now())
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                    .collect()
+                let mut bins = pack_lpt(&weights, workers).into_iter().map(|bin| {
+                    bin.iter()
+                        .filter_map(|&i| slots[i].take())
+                        .collect::<Vec<_>>()
+                });
+                // The calling thread runs the first bin itself, so one
+                // worker spawns no thread and the month stays on one CPU.
+                let first = bins.next();
+                let helpers: Vec<_> = bins.map(|mine| s.spawn(move || run_bin(mine))).collect();
+                let mut spent: Vec<_> = first.map(run_bin).into_iter().collect();
+                spent.extend(
+                    helpers
+                        .into_iter()
+                        .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p))),
+                );
+                spent
             });
             // The join is the day boundary: every shard has run the day and
             // no worker is alive.
